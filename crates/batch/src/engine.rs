@@ -621,10 +621,6 @@ impl BatchEngine {
             // re-launched task reads the same immutable input.
             let task_retries = gate.admit(|inj| inj.reduce_task(w, round))?;
             let mut metrics = WorkerPhase::default();
-            // Input accounting: the fetch of this worker's shuffle partition.
-            for (k, v) in &bucket {
-                metrics.recv(params.wire_len(*k, v));
-            }
             // Shuffle sort: stable, so same-key values keep arrival order.
             bucket.sort_by_key(|&(k, _)| k);
 
@@ -632,12 +628,18 @@ impl BatchEngine {
             let mut out = OutBuffer::new(params, combiner);
             let mut max_group_bytes = 0u64;
             let mut it = bucket.into_iter().peekable();
-            while let Some((k, v)) = it.next() {
-                let mut values = vec![v];
-                while let Some((_, v2)) = it.next_if(|&(k2, _)| k2 == k) {
-                    values.push(v2);
+            while let Some(&(k, _)) = it.peek() {
+                // Each record is sized once, here: the same number is the
+                // fetch of this worker's shuffle partition (input
+                // accounting) and its share of the group's residency.
+                let mut values = Vec::new();
+                let mut group_bytes = 0u64;
+                while let Some((_, v)) = it.next_if(|&(k2, _)| k2 == k) {
+                    let len = params.wire_len(k, &v);
+                    metrics.recv(len);
+                    group_bytes += len;
+                    values.push(v);
                 }
-                let group_bytes: u64 = values.iter().map(|v| params.wire_len(k, v)).sum();
                 max_group_bytes = max_group_bytes.max(group_bytes);
                 let mut ctx = PhaseCtx::default();
                 for (k2, v2) in kernel(&mut ctx, k, values)? {
@@ -785,14 +787,6 @@ impl BatchEngine {
             // re-launched task reads the same immutable input.
             let task_retries = gate.admit(|inj| inj.reduce_task(w, round))?;
             let mut metrics = WorkerPhase::default();
-            // Input accounting: the fetch of this worker's shuffle
-            // partition, both planes.
-            for (k, v) in &bucket {
-                metrics.recv(params.wire_len(*k, v));
-            }
-            for i in 0..rbucket.len() {
-                metrics.recv(params.row_wire_len(rbucket.keys[i], in_dim, rbucket.counts[i]));
-            }
             // Shuffle sort: stable on both planes, so same-key records
             // keep arrival order. Rows sort an index permutation — the
             // flat storage never moves.
@@ -818,10 +812,16 @@ impl BatchEngine {
                     (None, Some(b)) => b,
                     (Some(a), Some(b)) => a.min(b),
                 };
+                // Each record of either plane is sized once, here: the
+                // same number is the fetch of this worker's shuffle
+                // partition (input accounting) and its share of the
+                // group's residency.
                 let mut values = Vec::new();
                 let mut group_bytes = 0u64;
                 while let Some((_, v)) = lit.next_if(|&(k2, _)| k2 == k) {
-                    group_bytes += params.wire_len(k, &v);
+                    let len = params.wire_len(k, &v);
+                    metrics.recv(len);
+                    group_bytes += len;
                     values.push(v);
                 }
                 group_rows.clear();
@@ -830,7 +830,9 @@ impl BatchEngine {
                     let i = row_ord[ri] as usize;
                     group_rows.extend_from_slice(rbucket.rows.row(i));
                     group_counts.push(rbucket.counts[i]);
-                    group_bytes += params.row_wire_len(k, in_dim, rbucket.counts[i]);
+                    let len = params.row_wire_len(k, in_dim, rbucket.counts[i]);
+                    metrics.recv(len);
+                    group_bytes += len;
                     ri += 1;
                 }
                 max_group_bytes = max_group_bytes.max(group_bytes);
@@ -1088,27 +1090,36 @@ impl<'e, V: Encode + Clone> OutBuffer<'e, V> {
 
     /// Charge output bytes to this worker's metrics and route pairs to
     /// their destination shards. Returns the total bytes flushed (the
-    /// legacy plane's message volume).
+    /// legacy plane's message volume). Each pair is sized once: the held
+    /// pairs' sizes also settle the combiner buffer's final peak.
     fn flush_into(
         &mut self,
         metrics: &mut WorkerPhase,
         routed: &mut [Vec<(u64, V)>],
         routed_bytes: &mut [u64],
     ) -> u64 {
-        self.track_buffer_peak();
+        let params = self.params;
         let held = std::mem::take(&mut self.held);
         self.held_idx.clear();
         let spilled = std::mem::take(&mut self.spilled);
-        let mut total = 0u64;
-        for (k, v) in spilled.into_iter().chain(held) {
-            let len = self.params.wire_len(k, &v);
+        let mut route = |k: u64, v: V| -> u64 {
+            let len = params.wire_len(k, &v);
             metrics.send(len);
-            total += len;
-            let dst = (self.params.partition_fn)(k, routed.len());
+            let dst = (params.partition_fn)(k, routed.len());
             routed_bytes[dst] += len;
             routed[dst].push((k, v));
+            len
+        };
+        let mut total = 0u64;
+        for (k, v) in spilled {
+            total += route(k, v);
         }
-        total
+        let mut held_bytes = 0u64;
+        for (k, v) in held {
+            held_bytes += route(k, v);
+        }
+        self.peak_bytes = self.peak_bytes.max(held_bytes);
+        total + held_bytes
     }
 }
 
@@ -1489,6 +1500,24 @@ mod tests {
                 )
                 .unwrap();
             assert!(out_rows.is_empty());
+            // The reducer sizes each record once, inside the grouping
+            // sweep; that one pass must still conserve the shuffle (what
+            // the map phase sent is what the reduce phase fetched) and
+            // find the largest group. Every key group here has the same
+            // shape: 40 markers plus 40 raw rows, or one partial row per
+            // mapper when fused (counts 13–14, a 1-byte varint).
+            let (map, reduce) = (&eng.report().phases[0], &eng.report().phases[1]);
+            assert_eq!(map.bytes_out_total(), reduce.bytes_in_total());
+            let sent: u64 = map.per_worker.iter().map(|m| m.records_out).sum();
+            let fetched: u64 = reduce.per_worker.iter().map(|m| m.records_in).sum();
+            assert_eq!(sent, fetched);
+            let params = eng.params();
+            let rows_per_group = if fused { 3 } else { 40 };
+            let group = 40 * params.wire_len(0, &1u32)
+                + rows_per_group * params.row_wire_len(0, 2, if fused { 13 } else { 1 });
+            for m in reduce.per_worker.iter().filter(|m| m.records_in > 0) {
+                assert_eq!(m.mem_peak, group, "fused={fused}");
+            }
             let mut pairs: Vec<(u64, Vec<u32>)> = out
                 .into_map()
                 .into_iter()

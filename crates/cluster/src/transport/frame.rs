@@ -42,7 +42,9 @@
 //! pipe can never deadlock on partial writes.
 
 use inferturbo_common::codec::{Decode, Encode, WireReader, WireWriter};
-use inferturbo_common::rows::{AggKind, FusedRows, FusedSlotShard, RowArena, RowBlock, RowShard};
+use inferturbo_common::rows::{
+    decode_rows_into, AggKind, FusedRows, FusedSlotShard, RowArena, RowBlock, RowShard,
+};
 use inferturbo_common::{Error, Result};
 use std::io::{Read, Write};
 
@@ -129,7 +131,16 @@ pub fn encode_exchange_request(
     plane: &WirePlane<'_>,
     legacy: Option<&[EncodedRecords]>,
 ) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    // Reserve the columnar plane (all but a few dozen bytes of a columnar
+    // frame) up front: growing a multi-megabyte frame by reallocation
+    // showed up as +1.2 MB peak RSS on the cross-process workload. 40
+    // covers the worst-case header (opcode, tags, three 10-byte varints).
+    let plane_len: usize = match plane {
+        WirePlane::None => 0,
+        WirePlane::Rows { shards, .. } => shards.iter().map(Encode::encoded_len).sum(),
+        WirePlane::Fused { shards, .. } => shards.iter().map(Encode::encoded_len).sum(),
+    };
+    let mut w = WireWriter::with_capacity(plane_len + 40);
     w.put_u8(OP_EXCHANGE);
     w.put_varint(n_slots as u64);
     match plane {
@@ -183,9 +194,7 @@ pub fn encode_concat_request(
                 for &c in *counts {
                     w.put_varint(c as u64);
                 }
-                for &x in rows.data() {
-                    w.put_f32(x);
-                }
+                w.put_f32_lanes(rows.data());
             }
         }
     }
@@ -260,9 +269,7 @@ fn serve_exchange(r: &mut WireReader<'_>) -> Result<Vec<u8>> {
             for &o in &offsets {
                 w.put_varint(o as u64);
             }
-            for &x in &data {
-                w.put_f32(x);
-            }
+            w.put_f32_lanes(&data);
         }
         PLANE_FUSED => {
             let kind = AggKind::decode(r)?;
@@ -279,13 +286,11 @@ fn serve_exchange(r: &mut WireReader<'_>) -> Result<Vec<u8>> {
             for &c in &counts {
                 w.put_varint(c as u64);
             }
-            for &x in &acc {
-                w.put_f32(x);
-            }
+            w.put_f32_lanes(&acc);
         }
         p => return Err(Error::Codec(format!("unknown exchange plane tag {p}"))),
     }
-    match decode_legacy_plane(r, |r| Ok((decode_u32(r)?, r.get_bytes()?)))? {
+    match decode_legacy_plane(r, |r| Ok((r.get_varint_u32()?, r.get_bytes()?)))? {
         None => w.put_u8(0),
         Some(senders) => {
             for sender in &senders {
@@ -321,9 +326,9 @@ fn serve_concat(r: &mut WireReader<'_>) -> Result<Vec<u8>> {
                 keys.push(r.get_varint()?);
             }
             for _ in 0..n {
-                counts.push(decode_u32(r)?);
+                counts.push(r.get_varint_u32()?);
             }
-            read_lanes_into(r, n, dim, &mut rows)?;
+            decode_rows_into(r, n, dim, &mut rows)?;
         }
         w.put_u8(1);
         w.put_varint(keys.len() as u64);
@@ -409,28 +414,6 @@ fn checked_count(r: &WireReader<'_>, n: usize) -> Result<usize> {
     Ok(n)
 }
 
-fn decode_u32(r: &mut WireReader<'_>) -> Result<u32> {
-    let v = r.get_varint()?;
-    u32::try_from(v).map_err(|_| Error::Codec(format!("value {v} exceeds u32 range")))
-}
-
-fn read_lanes_into(r: &mut WireReader<'_>, n: usize, dim: usize, out: &mut Vec<f32>) -> Result<()> {
-    let lanes = n
-        .checked_mul(dim)
-        .filter(|&l| l.checked_mul(4).is_some_and(|b| b <= r.remaining()))
-        .ok_or_else(|| {
-            Error::Codec(format!(
-                "frame claims {n}x{dim} rows but only {} bytes remain",
-                r.remaining()
-            ))
-        })?;
-    out.reserve(lanes);
-    for _ in 0..lanes {
-        out.push(r.get_f32()?);
-    }
-    Ok(())
-}
-
 fn check_slots(slots: &[u32], n_slots: usize) -> Result<()> {
     check_slots_iter(slots.iter().copied(), n_slots)
 }
@@ -487,11 +470,11 @@ pub fn decode_exchange_response(payload: &[u8]) -> Result<ExchangeResponse> {
             let n = checked_count(&r, claimed)?;
             let mut offsets = Vec::with_capacity(n);
             for _ in 0..n {
-                offsets.push(decode_u32(&mut r)?);
+                offsets.push(r.get_varint_u32()?);
             }
             let rows = offsets.last().copied().unwrap_or(0) as usize;
             let mut data = Vec::new();
-            read_lanes_into(&mut r, rows, dim, &mut data)?;
+            decode_rows_into(&mut r, rows, dim, &mut data)?;
             MergedWire::Rows { dim, offsets, data }
         }
         PLANE_FUSED => {
@@ -500,10 +483,10 @@ pub fn decode_exchange_response(payload: &[u8]) -> Result<ExchangeResponse> {
             let n = checked_count(&r, claimed)?;
             let mut counts = Vec::with_capacity(n);
             for _ in 0..n {
-                counts.push(decode_u32(&mut r)?);
+                counts.push(r.get_varint_u32()?);
             }
             let mut acc = Vec::new();
-            read_lanes_into(&mut r, n, dim, &mut acc)?;
+            decode_rows_into(&mut r, n, dim, &mut acc)?;
             MergedWire::Fused { dim, counts, acc }
         }
         p => return Err(Error::Codec(format!("unknown response plane tag {p}"))),
@@ -515,7 +498,7 @@ pub fn decode_exchange_response(payload: &[u8]) -> Result<ExchangeResponse> {
             let n = checked_count(&r, claimed)?;
             let mut records = Vec::with_capacity(n);
             for _ in 0..n {
-                records.push((decode_u32(&mut r)?, r.get_bytes()?));
+                records.push((r.get_varint_u32()?, r.get_bytes()?));
             }
             Some(records)
         }
@@ -542,7 +525,7 @@ pub fn decode_concat_response(payload: &[u8]) -> Result<ConcatResponse> {
             }
             let mut counts = Vec::with_capacity(n);
             for _ in 0..n {
-                counts.push(decode_u32(&mut r)?);
+                counts.push(r.get_varint_u32()?);
             }
             let data = r.get_f32_vec()?;
             Some((keys, counts, data))

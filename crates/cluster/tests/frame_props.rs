@@ -18,7 +18,7 @@ use inferturbo_cluster::transport::frame::{
     STATUS_ERR, STATUS_OK,
 };
 use inferturbo_common::rows::{AggKind, FusedRows, FusedSlotShard, RowArena, RowBlock, RowShard};
-use inferturbo_common::Error;
+use inferturbo_common::{Encode, Error, WireWriter};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -312,6 +312,146 @@ fn max_width_rows_round_trip() {
         sh.push(slot, &row);
     }
     assert_rows_cycle(dim, 2, &[sh]);
+}
+
+/// Lane blocks are read in bulk (one bounds check per block, not per
+/// float), so the check has to hold at *every* cut: a request or response
+/// truncated anywhere — before, inside or just after a lane block — must
+/// come back as a typed `Error::Codec`, on all three columnar framings.
+#[test]
+fn truncation_anywhere_in_a_lane_frame_is_a_typed_codec_error() {
+    let mut rng = TestRng::new(0x1a9e5);
+    let (dim, n_slots) = (5, 6);
+    let row_shards = rand_row_shards(&mut rng, 2, dim, n_slots);
+    let fused_shards = rand_fused_shards(&mut rng, 2, dim, n_slots);
+    let mut bucket = RowBlock::new(dim);
+    for _ in 0..3 {
+        let row: Vec<f32> = (0..dim).map(|_| rand_f32(&mut rng)).collect();
+        bucket.push_row(&row);
+    }
+    let buckets = [(&[7u64, 8, 9][..], &[1u32, 2, 3][..], &bucket)];
+
+    type DecodeErr = fn(&[u8]) -> Option<Error>;
+    let exchange: DecodeErr = |b| decode_exchange_response(b).err();
+    let concat: DecodeErr = |b| decode_concat_response(b).err();
+    let cases: [(&str, Vec<u8>, DecodeErr); 3] = [
+        (
+            "rows",
+            encode_exchange_request(
+                n_slots,
+                &WirePlane::Rows {
+                    dim,
+                    shards: &row_shards,
+                },
+                None,
+            ),
+            exchange,
+        ),
+        (
+            "fused",
+            encode_exchange_request(
+                n_slots,
+                &WirePlane::Fused {
+                    dim,
+                    kind: AggKind::Sum,
+                    shards: &fused_shards,
+                },
+                None,
+            ),
+            exchange,
+        ),
+        (
+            "concat",
+            encode_concat_request(dim, Some(&buckets), None),
+            concat,
+        ),
+    ];
+    for (what, request, decode_err) in cases {
+        let response = serve_payload(&request);
+        assert!(decode_err(&response).is_none(), "{what}: intact cycle");
+        for cut in 0..request.len() {
+            // The child answers a truncated request with a typed error frame.
+            let err = decode_err(&serve_payload(&request[..cut]));
+            assert!(
+                matches!(err, Some(Error::Codec(_))),
+                "{what} request cut at {cut}/{}: {err:?}",
+                request.len()
+            );
+        }
+        for cut in 0..response.len() {
+            let err = decode_err(&response[..cut]);
+            assert!(
+                matches!(err, Some(Error::Codec(_))),
+                "{what} response cut at {cut}/{}: {err:?}",
+                response.len()
+            );
+        }
+    }
+}
+
+/// A shard header may claim far more lanes than the frame holds (here
+/// ~8.6 billion: two rows of `u32::MAX` lanes, 32 GiB if reserved). The
+/// claim is checked against the bytes present before any allocation.
+#[test]
+fn oversized_lane_claims_fail_before_allocating() {
+    let mut w = WireWriter::new();
+    w.put_u8(1); // OP_EXCHANGE
+    w.put_varint(4); // n_slots
+    w.put_u8(1); // PLANE_ROWS
+    w.put_varint(u32::MAX as u64); // plane dim
+    w.put_varint(1); // one shard
+    w.put_varint(u32::MAX as u64); // shard dim
+    w.put_varint(2); // two rows
+    w.put_varint(0);
+    w.put_varint(1);
+    w.put_f32_lanes(&[1.0; 8]); // a few real lanes, nowhere near the claim
+    let err = decode_exchange_response(&serve_payload(&w.into_bytes())).unwrap_err();
+    assert!(matches!(err, Error::Codec(_)), "{err:?}");
+
+    // Response side: offsets promise u32::MAX rows of u32::MAX lanes.
+    let mut w = WireWriter::new();
+    w.put_u8(STATUS_OK);
+    w.put_u8(1); // PLANE_ROWS
+    w.put_varint(u32::MAX as u64);
+    w.put_varint(1);
+    w.put_varint(u32::MAX as u64);
+    w.put_f32_lanes(&[1.0; 8]);
+    let err = decode_exchange_response(&w.into_bytes()).unwrap_err();
+    assert!(matches!(err, Error::Codec(_)), "{err:?}");
+}
+
+/// The bulk lane writer must not change a single byte of a shard's wire
+/// image: re-encode with the per-float loop the encoders used before.
+#[test]
+fn shard_wire_image_matches_per_float_reference() {
+    let mut rng = TestRng::new(0xb17e5);
+    for sh in rand_row_shards(&mut rng, 4, 7, 9) {
+        let mut w = WireWriter::new();
+        w.put_varint(7);
+        w.put_varint(sh.slots.len() as u64);
+        for &s in &sh.slots {
+            w.put_varint(s as u64);
+        }
+        for &x in sh.rows.data() {
+            w.put_f32(x);
+        }
+        assert_eq!(sh.to_bytes(), w.into_bytes());
+    }
+    for sh in rand_fused_shards(&mut rng, 4, 7, 9) {
+        let mut w = WireWriter::new();
+        w.put_varint(7);
+        w.put_varint(sh.keys.len() as u64);
+        for &k in &sh.keys {
+            w.put_varint(k as u64);
+        }
+        for &c in &sh.counts {
+            w.put_varint(c as u64);
+        }
+        for &x in sh.rows.data() {
+            w.put_f32(x);
+        }
+        assert_eq!(sh.to_bytes(), w.into_bytes());
+    }
 }
 
 /// A child that overflows the `u32` row-index space reports

@@ -461,6 +461,10 @@ impl Encode for AggKind {
             AggKind::Max => 1,
         });
     }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
 }
 
 impl Decode for AggKind {
@@ -632,9 +636,14 @@ impl Encode for RowShard {
         for &s in &self.slots {
             w.put_varint(s as u64);
         }
-        for &x in self.rows.data() {
-            w.put_f32(x);
-        }
+        w.put_f32_lanes(self.rows.data());
+    }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.rows.dim() as u64)
+            + varint_len(self.slots.len() as u64)
+            + varints_len(&self.slots)
+            + self.rows.data().len() * 4
     }
 }
 
@@ -643,7 +652,8 @@ impl Decode for RowShard {
         let dim = decode_dim(r)?;
         let n = r.get_varint()? as usize;
         let slots = decode_slots(r, n)?;
-        let data = decode_rows(r, n, dim)?;
+        let mut data = Vec::new();
+        decode_rows_into(r, n, dim, &mut data)?;
         Ok(RowShard {
             slots,
             rows: RowBlock::from_parts(dim, data)?,
@@ -673,32 +683,28 @@ fn decode_slots(r: &mut WireReader<'_>, n: usize) -> Result<Vec<u32>> {
     }
     let mut slots = Vec::with_capacity(n);
     for _ in 0..n {
-        let s = r.get_varint()?;
-        if s > u32::MAX as u64 {
-            return Err(Error::Codec(format!("slot {s} exceeds u32 range")));
-        }
-        slots.push(s as u32);
+        slots.push(r.get_varint_u32()?);
     }
     Ok(slots)
 }
 
-/// Decode `n · dim` f32 lanes, validating the byte budget before
-/// allocating.
-fn decode_rows(r: &mut WireReader<'_>, n: usize, dim: usize) -> Result<Vec<f32>> {
+/// Total bytes of `vals` as bare varints (no count prefix).
+fn varints_len(vals: &[u32]) -> usize {
+    vals.iter().map(|&v| varint_len(v as u64)).sum()
+}
+
+/// Append `n · dim` f32 lanes to `out`. The lane reader validates the byte
+/// budget before allocating.
+pub fn decode_rows_into(
+    r: &mut WireReader<'_>,
+    n: usize,
+    dim: usize,
+    out: &mut Vec<f32>,
+) -> Result<()> {
     let lanes = n
         .checked_mul(dim)
-        .filter(|&l| l.checked_mul(4).is_some_and(|b| b <= r.remaining()))
-        .ok_or_else(|| {
-            Error::Codec(format!(
-                "shard claims {n}x{dim} rows but only {} bytes remain",
-                r.remaining()
-            ))
-        })?;
-    let mut data = Vec::with_capacity(lanes);
-    for _ in 0..lanes {
-        data.push(r.get_f32()?);
-    }
-    Ok(data)
+        .ok_or_else(|| Error::Codec(format!("{n}x{dim} rows overflow")))?;
+    r.get_f32_lanes_into(lanes, out)
 }
 
 /// A destination worker's sealed columnar inbox: every pending row in one
@@ -1005,9 +1011,15 @@ impl Encode for FusedSlotShard {
         for &c in &self.counts {
             w.put_varint(c as u64);
         }
-        for &x in self.rows.data() {
-            w.put_f32(x);
-        }
+        w.put_f32_lanes(self.rows.data());
+    }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.dim as u64)
+            + varint_len(self.keys.len() as u64)
+            + varints_len(&self.keys)
+            + varints_len(&self.counts)
+            + self.rows.data().len() * 4
     }
 }
 
@@ -1017,7 +1029,8 @@ impl Decode for FusedSlotShard {
         let n = r.get_varint()? as usize;
         let keys = decode_slots(r, n)?;
         let counts = decode_slots(r, n)?;
-        let data = decode_rows(r, n, dim)?;
+        let mut data = Vec::new();
+        decode_rows_into(r, n, dim, &mut data)?;
         FusedSlotShard::from_wire(dim, keys, counts, RowBlock::from_parts(dim, data)?)
     }
 }

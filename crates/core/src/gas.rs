@@ -24,7 +24,7 @@
 //! payload, a raw embedding (union-aggregated layers such as GAT), or a
 //! reference to a broadcast payload (the large-out-degree strategy).
 
-use inferturbo_common::codec::{Decode, Encode, WireReader, WireWriter};
+use inferturbo_common::codec::{f32_slice_len, varint_len, Decode, Encode, WireReader, WireWriter};
 use inferturbo_common::{Error, Result};
 
 /// Machine-readable layer annotations — the paper's decorator metadata,
@@ -177,13 +177,12 @@ impl Encode for GnnMessage {
     }
 
     fn encoded_len(&self) -> usize {
-        use inferturbo_common::codec::varint_len;
-        match self {
+        1 + match self {
             GnnMessage::Partial { acc, count } => {
-                1 + varint_len(*count as u64) + varint_len(acc.len() as u64) + acc.len() * 4
+                varint_len(*count as u64) + f32_slice_len(acc.len())
             }
-            GnnMessage::Embedding(v) => 1 + varint_len(v.len() as u64) + v.len() * 4,
-            GnnMessage::Ref(src) => 1 + varint_len(*src),
+            GnnMessage::Embedding(v) => f32_slice_len(v.len()),
+            GnnMessage::Ref(src) => varint_len(*src),
         }
     }
 }
@@ -192,7 +191,7 @@ impl Decode for GnnMessage {
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         match r.get_u8()? {
             TAG_PARTIAL => {
-                let count = r.get_varint()? as u32;
+                let count = r.get_varint_u32()?;
                 let acc = r.get_f32_vec()?;
                 Ok(GnnMessage::Partial { acc, count })
             }

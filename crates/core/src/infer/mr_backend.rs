@@ -20,7 +20,9 @@ use crate::session::{Backend, InferenceSession};
 use crate::strategy::{base_of, mirror_of, NodeRecord, StrategyConfig, NODE_FLAG};
 use inferturbo_batch::{BatchEngine, CombineFn, KeyedData, PhaseCtx, RowSink, RowsView};
 use inferturbo_cluster::{ClusterSpec, FaultInjector, Transport};
-use inferturbo_common::codec::{Decode, Encode, WireReader, WireWriter};
+use inferturbo_common::codec::{
+    f32_slice_len, varint_len, varint_seq_len, Decode, Encode, WireReader, WireWriter,
+};
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::rows::FusedAggregator;
 use inferturbo_common::{Error, FxHashMap, Result};
@@ -92,6 +94,25 @@ impl Encode for MrRecord {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            MrRecord::SelfState {
+                h,
+                out_targets,
+                in_deg,
+                out_deg,
+            } => {
+                f32_slice_len(h.len())
+                    + varint_seq_len(out_targets)
+                    + varint_len(*in_deg as u64)
+                    + varint_len(*out_deg as u64)
+            }
+            MrRecord::InMsg(m) => m.encoded_len(),
+            MrRecord::Bcast { src, msg } => varint_len(*src) + msg.encoded_len(),
+            MrRecord::Output(l) => f32_slice_len(l.len()),
+        }
+    }
 }
 
 impl Decode for MrRecord {
@@ -104,8 +125,8 @@ impl Decode for MrRecord {
                 for _ in 0..n {
                     out_targets.push(r.get_varint()?);
                 }
-                let in_deg = r.get_varint()? as u32;
-                let out_deg = r.get_varint()? as u32;
+                let in_deg = r.get_varint_u32()?;
+                let out_deg = r.get_varint_u32()?;
                 Ok(MrRecord::SelfState {
                     h,
                     out_targets: out_targets.into(),
@@ -788,6 +809,32 @@ mod tests {
             assert_eq!(MrRecord::from_bytes(&r.to_bytes()).unwrap(), r);
         }
         assert!(MrRecord::from_bytes(&[99]).is_err());
+    }
+
+    #[test]
+    fn self_state_decode_rejects_degrees_beyond_u32() {
+        let frame = |in_deg: u64, out_deg: u64| {
+            let mut w = WireWriter::new();
+            w.put_u8(TAG_SELF);
+            w.put_f32_slice(&[1.0]);
+            w.put_varint(0);
+            w.put_varint(in_deg);
+            w.put_varint(out_deg);
+            w.into_bytes()
+        };
+        assert!(matches!(
+            MrRecord::from_bytes(&frame(u32::MAX as u64, 0)).unwrap(),
+            MrRecord::SelfState {
+                in_deg: u32::MAX,
+                out_deg: 0,
+                ..
+            }
+        ));
+        // Under an `as u32` cast 2^32 would silently decode as 0.
+        for bytes in [frame(1 << 32, 0), frame(0, 1 << 32), frame(u64::MAX, 0)] {
+            let err = MrRecord::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, Error::Codec(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! load.
 
 use crate::models::{GnnModel, HeadParams, LayerKind, LayerParams, PoolOp};
-use inferturbo_common::codec::{Decode, Encode, WireReader, WireWriter};
+use inferturbo_common::codec::{bytes_len, varint_len, Decode, Encode, WireReader, WireWriter};
 use inferturbo_common::{Error, Result};
 use inferturbo_tensor::nn::Activation;
 use inferturbo_tensor::optim::ParamSet;
@@ -21,9 +21,11 @@ const MAGIC: &[u8; 6] = b"ITSIG1";
 fn encode_matrix(w: &mut WireWriter, m: &Matrix) {
     w.put_varint(m.rows() as u64);
     w.put_varint(m.cols() as u64);
-    for &x in m.data() {
-        w.put_f32(x);
-    }
+    w.put_f32_lanes(m.data());
+}
+
+fn matrix_len(m: &Matrix) -> usize {
+    varint_len(m.rows() as u64) + varint_len(m.cols() as u64) + m.data().len() * 4
 }
 
 fn decode_matrix(r: &mut WireReader<'_>) -> Result<Matrix> {
@@ -32,10 +34,8 @@ fn decode_matrix(r: &mut WireReader<'_>) -> Result<Matrix> {
     let total = rows
         .checked_mul(cols)
         .ok_or_else(|| Error::Codec("matrix size overflow".into()))?;
-    let mut data = Vec::with_capacity(total.min(1 << 24));
-    for _ in 0..total {
-        data.push(r.get_f32()?);
-    }
+    let mut data = Vec::new();
+    r.get_f32_lanes_into(total, &mut data)?;
     Matrix::try_from_vec(rows, cols, data)
 }
 
@@ -51,6 +51,10 @@ fn encode_opt_idx(w: &mut WireWriter, v: Option<usize>) {
             w.put_varint(i as u64);
         }
     }
+}
+
+fn opt_idx_len(v: Option<usize>) -> usize {
+    1 + v.map_or(0, |i| varint_len(i as u64))
 }
 
 fn decode_opt_idx(r: &mut WireReader<'_>) -> Result<Option<usize>> {
@@ -98,6 +102,42 @@ impl Encode for GnnModel {
         w.put_varint(self.head.w as u64);
         w.put_varint(self.head.bias as u64);
         w.put_varint(self.head.classes as u64);
+    }
+
+    fn encoded_len(&self) -> usize {
+        let params: usize = self
+            .params
+            .iter()
+            .map(|(name, m)| bytes_len(name.len()) + matrix_len(m))
+            .sum();
+        let layers: usize = self
+            .layers
+            .iter()
+            .map(|lp| {
+                let kind = match lp.kind {
+                    LayerKind::Gcn => 1,
+                    LayerKind::Sage(_) => 2,
+                    LayerKind::Gat { heads } => 1 + varint_len(heads as u64),
+                };
+                kind + bytes_len(lp.act.tag().len())
+                    + varint_len(lp.in_dim as u64)
+                    + varint_len(lp.out_dim as u64)
+                    + varint_len(lp.w as u64)
+                    + opt_idx_len(lp.w_self)
+                    + varint_len(lp.bias as u64)
+                    + opt_idx_len(lp.a_src)
+                    + opt_idx_len(lp.a_dst)
+            })
+            .sum();
+        bytes_len(MAGIC.len())
+            + 1
+            + varint_len(self.params.len() as u64)
+            + params
+            + varint_len(self.layers.len() as u64)
+            + layers
+            + varint_len(self.head.w as u64)
+            + varint_len(self.head.bias as u64)
+            + varint_len(self.head.classes as u64)
     }
 }
 

@@ -19,7 +19,9 @@
 //! The activation threshold follows the paper's heuristic
 //! `threshold = λ · |E| / workers` with λ = 0.1.
 
-use inferturbo_common::codec::{Decode, Encode, WireReader, WireWriter};
+use inferturbo_common::codec::{
+    f32_slice_len, varint_len, varint_seq_len, Decode, Encode, WireReader, WireWriter,
+};
 use inferturbo_common::{Error, Result};
 use inferturbo_graph::{Csr, Graph};
 use std::sync::Arc;
@@ -226,20 +228,29 @@ impl Encode for NodeRecord {
         w.put_varint(self.in_deg as u64);
         w.put_varint(self.out_deg as u64);
     }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.wire)
+            + varint_len(self.base as u64)
+            + f32_slice_len(self.raw.len())
+            + varint_seq_len(&self.out_targets)
+            + varint_len(self.in_deg as u64)
+            + varint_len(self.out_deg as u64)
+    }
 }
 
 impl Decode for NodeRecord {
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         let wire = r.get_varint()?;
-        let base = r.get_varint()? as u32;
+        let base = r.get_varint_u32()?;
         let raw = r.get_f32_vec()?;
         let n = r.get_varint()? as usize;
         let mut out_targets = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             out_targets.push(r.get_varint()?);
         }
-        let in_deg = r.get_varint()? as u32;
-        let out_deg = r.get_varint()? as u32;
+        let in_deg = r.get_varint_u32()?;
+        let out_deg = r.get_varint_u32()?;
         Ok(NodeRecord {
             wire,
             base,
@@ -353,6 +364,37 @@ mod tests {
         let mut huge = StrategyConfig::all();
         huge.lambda = f64::MAX;
         assert_eq!(huge.threshold(usize::MAX, 1), u64::MAX);
+    }
+
+    /// Hand-encode a `NodeRecord` frame with arbitrary (possibly out of
+    /// range) varints where the `u32` fields go.
+    fn node_record_frame(base: u64, in_deg: u64, out_deg: u64) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_varint(wire_id(1, 0));
+        w.put_varint(base);
+        w.put_f32_slice(&[0.5, 1.5]);
+        w.put_varint(1);
+        w.put_varint(wire_id(2, 0));
+        w.put_varint(in_deg);
+        w.put_varint(out_deg);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn node_record_decode_rejects_values_beyond_u32() {
+        let ok = NodeRecord::from_bytes(&node_record_frame(1, u32::MAX as u64, 3)).unwrap();
+        assert_eq!((ok.base, ok.in_deg, ok.out_deg), (1, u32::MAX, 3));
+        // Under an `as u32` cast 2^32 would silently decode as 0.
+        let wide = 1u64 << 32;
+        for frame in [
+            node_record_frame(wide, 1, 1),
+            node_record_frame(1, wide, 1),
+            node_record_frame(1, 1, wide),
+            node_record_frame(1, 1, u64::MAX),
+        ] {
+            let err = NodeRecord::from_bytes(&frame).unwrap_err();
+            assert!(matches!(err, Error::Codec(_)), "{err:?}");
+        }
     }
 
     #[test]

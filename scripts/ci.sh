@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: formatting, lints (deny warnings), the full test suite,
-# and a smoke run of the parallel benchmark binary so every workload is
-# exercised end-to-end on every run.
+# and smoke runs of the parallel benchmark binary and of `itbench` (the
+# repo's benchmark, benchmark/) so every workload is exercised end-to-end
+# on every run. Every cargo call is --offline: crates.io is unreachable
+# and the external deps are shims under crates/devshims.
 #
 # Every workspace member — including the serving layer (crates/serve) —
 # rides the workspace-wide gates below; `parbench --smoke` additionally
@@ -25,21 +27,21 @@ echo "== itlint --check (static gates vs lint/baseline.toml) =="
 # reads, panics in library paths, hash-order iteration, ad-hoc threads,
 # env reads. Fails on any violation above the committed ratcheting
 # baseline; burn debt with `itlint --write-baseline` after fixing.
-cargo run -p inferturbo_lint --release --quiet -- --check
+cargo run --offline -p inferturbo_lint --release --quiet -- --check
 
 echo "== cargo clippy --workspace --all-targets (-D warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== cargo build --examples =="
 # Examples are the documented entry points; drift fails the gate.
-cargo build --examples
+cargo build --offline --examples
 
 echo "== cargo doc --workspace --no-deps (warnings denied) =="
 # Broken intra-doc links and malformed rustdoc fail the gate.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
 echo "== cargo test --workspace =="
-cargo test --workspace -q
+cargo test --offline --workspace -q
 
 echo "== cargo test --workspace (forced fault schedule) =="
 # Re-runs the whole suite with a worker loss injected at superstep 1 of
@@ -47,7 +49,7 @@ echo "== cargo test --workspace (forced fault schedule) =="
 # RecoveryPolicy::default) turns every engine test into a
 # checkpoint/recovery gate; tests that set an explicit fault schedule or
 # recovery policy are immune by design.
-INFERTURBO_FAULTS=worker:1@step:1 cargo test --workspace -q
+INFERTURBO_FAULTS=worker:1@step:1 cargo test --offline --workspace -q
 
 echo "== engine + determinism tests (spawned-worker-process transport) =="
 # Re-runs the engine determinism suites with the shuffle transport forced
@@ -57,7 +59,7 @@ echo "== engine + determinism tests (spawned-worker-process transport) =="
 # must stay bit-identical to the in-process default. The `itworker` child
 # binary was built by the workspace test legs above; tests that pin a
 # transport explicitly (e.g. transport_equivalence) are immune by design.
-INFERTURBO_TRANSPORT=process cargo test -q \
+INFERTURBO_TRANSPORT=process cargo test --offline -q \
     --test parallel_matches_serial --test columnar_fused \
     --test end_to_end --test failure_injection
 
@@ -71,7 +73,7 @@ echo "== serving tests (forced overload knobs) =="
 # single served answer. Tests that pin rate_limit/deadline_clamp
 # explicitly are immune by design.
 INFERTURBO_OVERLOAD=bucket:1,refill:1,deadline:1 \
-    cargo test -q --test serving
+    cargo test --offline -q --test serving
 
 echo "== serving + trace tests (flight recorder armed) =="
 # Re-runs the serving and trace-determinism suites with the flight
@@ -80,14 +82,26 @@ echo "== serving + trace tests (flight recorder armed) =="
 # every superstep, round and ticket lifecycle must not perturb a single
 # served answer; tests that pass an explicit TraceHandle are unaffected
 # by design.
-INFERTURBO_TRACE=1 cargo test -q --test serving --test trace_determinism
+INFERTURBO_TRACE=1 cargo test --offline -q --test serving --test trace_determinism
 
 echo "== parbench --smoke (forced spill budget) =="
-cargo build --release -p inferturbo-bench
+cargo build --offline --release -p inferturbo-bench
 # One short measurement per bench; never committed as the perf baseline
 # (scripts/bench.sh produces that). The tiny --spill-budget forces the
 # engine/pregel_sage2_3k_spill entry through the disk path on every gate.
 ./target/release/parbench --smoke --spill-budget 4096 \
     --out target/BENCH_parallel_smoke.json >/dev/null
+
+echo "== itbench unit tests =="
+# The benchmark is a package of its own (benchmark/Cargo.toml, empty
+# [workspace]), so the workspace legs above never compile it.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark/run.sh --smoke (output checks + engagement asserts) =="
+# Every workload on tiny graphs, untraced then traced. The command fails
+# if a workload's logits stop matching the reference, or a mechanism a
+# workload exists to exercise (hubs, mirrors, spill, the process
+# transport, the overload path) does not engage.
+benchmark/run.sh --smoke >/dev/null
 
 echo "CI OK"
