@@ -20,9 +20,21 @@
 //! - `apply_edge` — turn the updated state (+ edge features) into the
 //!   message for an out-edge.
 //!
+//! A **message is an `apply_edge` output**, and whatever can be computed
+//! from the source alone is computed there: the paper's vertex "forwards
+//! the associated layer … and then sends the updated information via
+//! out-edges". For GAT that is the projection `W·h_src` — every built-in
+//! layer's message is uniform across a node's out-edges, so both backends
+//! call `apply_edge` once per *node* and copy the row per edge, and the
+//! receiver never re-projects. `Backend::Reference` deliberately keeps
+//! calling `apply_edge` once per *edge*: it is the oracle the backends are
+//! compared against, so it shares the kernels but none of the
+//! once-per-node data flow.
+//!
 //! [`GnnMessage`] is the on-the-wire envelope: a partially-aggregated
-//! payload, a raw embedding (union-aggregated layers such as GAT), or a
-//! reference to a broadcast payload (the large-out-degree strategy).
+//! payload, an unreduced message row (union-aggregated layers such as
+//! GAT), or a reference to a broadcast payload (the large-out-degree
+//! strategy).
 
 use inferturbo_common::codec::{f32_slice_len, varint_len, Decode, Encode, WireReader, WireWriter};
 use inferturbo_common::{Error, Result};
@@ -42,7 +54,9 @@ pub struct LayerAnnotations {
     pub in_dim: usize,
     /// Output embedding width.
     pub out_dim: usize,
-    /// Message width on the wire.
+    /// Message width on the wire: the length of an `apply_edge` output.
+    /// `in_dim` where the layer ships the embedding itself (GCN, SAGE),
+    /// `out_dim` where it ships the source-side projection (GAT).
     pub msg_dim: usize,
 }
 
@@ -78,9 +92,11 @@ pub enum AggState {
     /// normalisation. Sum/mean/max all share this shape — the layer's
     /// `merge_agg` knows which fold applies.
     Pooled { acc: Vec<f32>, count: u32 },
-    /// Unreduced union of raw messages (layers whose reduce breaks the
-    /// commutative/associative rule, e.g. GAT attention).
-    Union { msgs: Vec<Vec<f32>> },
+    /// Unreduced union of messages in delivery order (layers whose reduce
+    /// breaks the commutative/associative rule, e.g. GAT attention): one
+    /// flat buffer of `dim`-wide rows, each an `apply_edge` output — for
+    /// GAT the already-projected `W·h_src`.
+    Union { dim: usize, rows: Vec<f32> },
 }
 
 impl AggState {
@@ -88,7 +104,8 @@ impl AggState {
     pub fn count(&self) -> u32 {
         match self {
             AggState::Pooled { count, .. } => *count,
-            AggState::Union { msgs } => msgs.len() as u32,
+            // Zero-width rows carry nothing to count.
+            AggState::Union { dim, rows } => rows.len().checked_div(*dim).unwrap_or(0) as u32,
         }
     }
 }
@@ -133,8 +150,8 @@ pub enum GnnMessage {
     /// Partially aggregated payload (partial-gather path). `count` carries
     /// the number of folded raw messages so mean aggregation stays exact.
     Partial { acc: Vec<f32>, count: u32 },
-    /// A raw embedding message (union-aggregated layers, or partial-gather
-    /// disabled).
+    /// One unreduced `apply_edge` output (union-aggregated layers, or
+    /// partial-gather disabled).
     Embedding(Vec<f32>),
     /// Reference to a broadcast payload published by vertex `0`'s wire id —
     /// the large-out-degree strategy sends one payload per worker plus one

@@ -476,10 +476,10 @@ fn run_planned_legacy(
                         } => self_state = Some((h, out_targets, in_deg, out_deg)),
                         MrRecord::InMsg(m) => {
                             n_msgs += 1;
-                            let lookup = |src: u64| table.get(&src).cloned();
+                            let lookup = |src: u64| table.get(&src);
                             // merge_phase wraps kernel errors with the
                             // phase name ("reduce-{r}") — no wrap here.
-                            layer.gather_wire(&mut agg, m, &lookup)?;
+                            layer.gather_wire(&mut agg, &m, &lookup)?;
                         }
                         other => {
                             return Err(Error::InvalidGraph(format!(
@@ -703,8 +703,8 @@ fn run_planned_columnar(
                         } => self_state = Some((h, out_targets, in_deg, out_deg)),
                         MrRecord::InMsg(m) => {
                             n_msgs += 1;
-                            let lookup = |src: u64| table.get(&src).cloned();
-                            layer.gather_wire(&mut agg, m, &lookup)?;
+                            let lookup = |src: u64| table.get(&src);
+                            layer.gather_wire(&mut agg, &m, &lookup)?;
                         }
                         other => {
                             return Err(Error::InvalidGraph(format!(

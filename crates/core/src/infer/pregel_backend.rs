@@ -16,11 +16,13 @@
 //! [`crate::strategy::NodeRecord`]s.
 //!
 //! Message placement: every GNN payload is a fixed-width `f32` row (a
-//! layer's `apply_edge` output), so scatter rides the engine's columnar
-//! plane — one `memcpy` per edge, no heap object per message. Broadcast
-//! refs are 8-byte variable-length control messages and keep the legacy
-//! typed plane; both halves of a vertex's inbox are folded by the same
-//! [`GasLayer`] kernels at gather.
+//! layer's `apply_edge` output, `msg_dim` wide — for GAT the source-side
+//! projection `W·h`), computed once per vertex in `scatter`, so scatter
+//! rides the engine's columnar plane — one `memcpy` per edge, no heap
+//! object per message, no per-edge compute. Broadcast refs are 8-byte
+//! variable-length control messages and keep the legacy typed plane;
+//! both halves of a vertex's inbox are folded by the same [`GasLayer`]
+//! kernels at gather, a ref's payload by borrow from the broadcast table.
 
 use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::{PoolRowAggregator, WireCombiner};
@@ -33,8 +35,8 @@ use inferturbo_common::{Error, Result};
 use inferturbo_graph::Graph;
 use inferturbo_obs::TraceHandle;
 use inferturbo_pregel::{
-    Combiner, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
-    ScratchPool, VertexProgram,
+    BroadcastLookup, Combiner, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
+    RowsIn, ScratchPool, VertexProgram,
 };
 use std::sync::Arc;
 
@@ -135,7 +137,7 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         vertex: u64,
         state: &mut GnnVertexState<'m>,
         messages: Vec<GnnMessage>,
-        broadcast_lookup: &dyn Fn(u64) -> Option<GnnMessage>,
+        broadcast_lookup: &BroadcastLookup<'_, GnnMessage>,
         out: &mut Outbox<GnnMessage>,
     ) {
         self.compute_columnar(
@@ -156,7 +158,7 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         state: &mut GnnVertexState<'m>,
         rows: RowsIn<'_>,
         messages: Vec<GnnMessage>,
-        broadcast_lookup: &dyn Fn(u64) -> Option<GnnMessage>,
+        broadcast_lookup: &BroadcastLookup<'_, GnnMessage>,
         out: &mut Outbox<GnnMessage>,
     ) {
         if step == 0 {
@@ -170,7 +172,7 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         let mut agg = layer.init_agg();
         let n_msgs = messages.len() + rows.count();
         layer.gather_rows(&mut agg, rows);
-        for msg in messages {
+        for msg in &messages {
             layer
                 .gather_wire(&mut agg, msg, broadcast_lookup)
                 // itlint::allow(panic-in-lib): compute() has no error channel; the engine delivers every broadcast payload before its refs, so an unresolved ref is engine corruption, not bad input

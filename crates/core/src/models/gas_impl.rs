@@ -9,7 +9,7 @@
 use super::{matvec_acc, GnnModel, LayerKind, LayerParams, PoolOp};
 use crate::gas::{pooled_fold, AggState, EdgeCtx, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
 use inferturbo_common::{Error, Result};
-use inferturbo_pregel::{Combiner, FusedAggregator, RowsIn};
+use inferturbo_pregel::{BroadcastLookup, Combiner, FusedAggregator, RowsIn};
 use inferturbo_tensor::{row_axpy, row_max};
 
 /// GAT attention slope — fixed constant, must match the tape builder.
@@ -63,9 +63,10 @@ impl<'m> LayerView<'m> {
     pub fn gather_row(&self, agg: &mut AggState, row: &[f32], count: u32) {
         match (self.pool_op(), agg) {
             (Some(op), AggState::Pooled { acc, count: c }) => pooled_fold(op, acc, c, row, count),
-            (None, AggState::Union { msgs }) => {
+            (None, AggState::Union { dim, rows }) => {
                 debug_assert_eq!(count, 1, "union layers never see partial rows");
-                msgs.push(row.to_vec());
+                debug_assert_eq!(row.len(), *dim, "union row width mismatch");
+                rows.extend_from_slice(row);
             }
             _ => debug_assert!(false, "gather_row on mismatched AggState"),
         }
@@ -119,24 +120,28 @@ impl<'m> LayerView<'m> {
     }
 
     /// Fold one wire message into the gather aggregate, resolving broadcast
-    /// references through `lookup`.
+    /// references through `lookup` — by borrow: a hub's payload is folded
+    /// straight out of the broadcast table, never copied per ref.
     pub fn gather_wire(
         &self,
         agg: &mut AggState,
-        msg: GnnMessage,
-        lookup: &dyn Fn(u64) -> Option<GnnMessage>,
+        msg: &GnnMessage,
+        lookup: &BroadcastLookup<'_, GnnMessage>,
     ) -> Result<()> {
         match msg {
             GnnMessage::Partial { acc, count } => {
-                self.merge_agg(agg, AggState::Pooled { acc, count });
+                // An empty partial is the identity, whatever its count.
+                if !acc.is_empty() {
+                    self.gather_row(agg, acc, *count);
+                }
                 Ok(())
             }
             GnnMessage::Embedding(v) => {
-                self.aggregate(agg, v);
+                self.gather_row(agg, v, 1);
                 Ok(())
             }
             GnnMessage::Ref(src) => {
-                let resolved = lookup(src).ok_or_else(|| {
+                let resolved = lookup(*src).ok_or_else(|| {
                     Error::InvalidGraph(format!("dangling broadcast ref to {src}"))
                 })?;
                 if matches!(resolved, GnnMessage::Ref(_)) {
@@ -158,7 +163,11 @@ impl GasLayer for LayerView<'_> {
             uniform_message: true,
             in_dim: lp.in_dim,
             out_dim: lp.out_dim,
-            msg_dim: lp.in_dim,
+            msg_dim: match lp.kind {
+                LayerKind::Gcn | LayerKind::Sage(_) => lp.in_dim,
+                // GAT ships the source-side projection W·h.
+                LayerKind::Gat { .. } => lp.out_dim,
+            },
         }
     }
 
@@ -168,16 +177,15 @@ impl GasLayer for LayerView<'_> {
                 acc: Vec::new(),
                 count: 0,
             },
-            None => AggState::Union { msgs: Vec::new() },
+            None => AggState::Union {
+                dim: self.annotations().msg_dim,
+                rows: Vec::new(),
+            },
         }
     }
 
     fn aggregate(&self, acc: &mut AggState, msg: Vec<f32>) {
-        match (self.pool_op(), acc) {
-            (Some(op), AggState::Pooled { acc, count }) => pooled_fold(op, acc, count, &msg, 1),
-            (None, AggState::Union { msgs }) => msgs.push(msg),
-            _ => debug_assert!(false, "aggregate on mismatched AggState"),
-        }
+        self.gather_row(acc, &msg, 1);
     }
 
     fn merge_agg(&self, acc: &mut AggState, other: AggState) {
@@ -194,9 +202,13 @@ impl GasLayer for LayerView<'_> {
                     pooled_fold(op, acc, count, &other_acc, other_count);
                 }
             }
-            (None, AggState::Union { msgs }, AggState::Union { msgs: other_msgs }) => {
-                msgs.extend(other_msgs)
-            }
+            (
+                None,
+                AggState::Union { rows, .. },
+                AggState::Union {
+                    rows: other_rows, ..
+                },
+            ) => rows.extend_from_slice(&other_rows),
             _ => debug_assert!(false, "merge_agg on mismatched AggState"),
         }
     }
@@ -253,12 +265,15 @@ impl GasLayer for LayerView<'_> {
                 out
             }
             LayerKind::Gat { heads } => {
-                let msgs = match agg {
-                    AggState::Union { msgs } => msgs,
+                // Gathered rows are `apply_edge` outputs: already W·h_src.
+                let whs = match agg {
+                    AggState::Union { dim, rows } => {
+                        debug_assert_eq!(dim, lp.out_dim, "GAT gathers projected rows");
+                        rows
+                    }
                     // itlint::allow(panic-in-lib): init_agg and apply_node dispatch on the same LayerView, so the agg variant always matches the layer kind
                     AggState::Pooled { .. } => unreachable!("GAT aggregates by union"),
                 };
-                let w = params.get(lp.w);
                 // itlint::allow(panic-in-lib): Gat layer constructors always populate a_src
                 let a_src = params.get(lp.a_src.expect("GAT has a_src"));
                 // itlint::allow(panic-in-lib): Gat layer constructors always populate a_dst
@@ -266,10 +281,10 @@ impl GasLayer for LayerView<'_> {
                 let dh = lp.out_dim / heads;
 
                 let mut out = params.get(lp.bias).row(0).to_vec();
-                if !msgs.is_empty() {
+                if !whs.is_empty() {
                     // dst attention from the node's own transformed state
                     let mut wh_self = vec![0.0f32; lp.out_dim];
-                    matvec_acc(w, node.state, &mut wh_self);
+                    matvec_acc(params.get(lp.w), node.state, &mut wh_self);
                     let dst_attn: Vec<f32> = (0..heads)
                         .map(|h| {
                             let lo = h * dh;
@@ -281,12 +296,10 @@ impl GasLayer for LayerView<'_> {
                         })
                         .collect();
 
-                    // transformed messages + per-head attention logits
-                    let mut whs: Vec<Vec<f32>> = Vec::with_capacity(msgs.len());
-                    let mut logits: Vec<f32> = Vec::with_capacity(msgs.len() * heads);
-                    for m in &msgs {
-                        let mut wh = vec![0.0f32; lp.out_dim];
-                        matvec_acc(w, m, &mut wh);
+                    // per-head attention logits, message-major
+                    let n_msgs = whs.len() / lp.out_dim;
+                    let mut logits: Vec<f32> = Vec::with_capacity(n_msgs * heads);
+                    for wh in whs.chunks_exact(lp.out_dim) {
                         for (h, &d_attn) in dst_attn.iter().enumerate() {
                             let lo = h * dh;
                             let src_attn: f32 = wh[lo..lo + dh]
@@ -297,22 +310,25 @@ impl GasLayer for LayerView<'_> {
                             let e = src_attn + d_attn;
                             logits.push(if e >= 0.0 { e } else { GAT_LEAKY_SLOPE * e });
                         }
-                        whs.push(wh);
                     }
 
-                    // per-head softmax over in-messages, then weighted sum
+                    // per-head softmax over in-messages, then weighted sum;
+                    // each logit is overwritten by its exp(l − max), so the
+                    // denominator and the weight share one evaluation
                     for h in 0..heads {
                         let mut max = f32::NEG_INFINITY;
-                        for i in 0..msgs.len() {
+                        for i in 0..n_msgs {
                             max = max.max(logits[i * heads + h]);
                         }
                         let mut denom = 0.0f32;
-                        for i in 0..msgs.len() {
-                            denom += (logits[i * heads + h] - max).exp();
+                        for i in 0..n_msgs {
+                            let e = (logits[i * heads + h] - max).exp();
+                            logits[i * heads + h] = e;
+                            denom += e;
                         }
                         let lo = h * dh;
-                        for (i, wh) in whs.iter().enumerate() {
-                            let alpha = (logits[i * heads + h] - max).exp() / denom;
+                        for (i, wh) in whs.chunks_exact(lp.out_dim).enumerate() {
+                            let alpha = logits[i * heads + h] / denom;
                             for k in 0..dh {
                                 out[lo + k] += alpha * wh[lo + k];
                             }
@@ -326,14 +342,23 @@ impl GasLayer for LayerView<'_> {
     }
 
     fn apply_edge(&self, state: &[f32], edge: &EdgeCtx<'_>) -> Vec<f32> {
-        match self.lp().kind {
+        // Edge features are reserved for future layer variants (EdgeCtx
+        // keeps the slot): every message depends on the source alone.
+        let lp = self.lp();
+        match lp.kind {
             LayerKind::Gcn => {
                 let s = 1.0 / ((edge.src_out_degree + 1) as f32).sqrt();
                 state.iter().map(|&x| x * s).collect()
             }
-            // SAGE and GAT ship the raw embedding; edge features are
-            // reserved for future layer variants (EdgeCtx keeps the slot).
-            LayerKind::Sage(_) | LayerKind::Gat { .. } => state.to_vec(),
+            // SAGE ships the raw embedding.
+            LayerKind::Sage(_) => state.to_vec(),
+            // GAT ships the projection W·h, computed here once per source
+            // instead of once per in-message at every receiver.
+            LayerKind::Gat { .. } => {
+                let mut wh = vec![0.0f32; lp.out_dim];
+                matvec_acc(self.model.params.get(lp.w), state, &mut wh);
+                wh
+            }
         }
     }
 
@@ -344,18 +369,23 @@ impl GasLayer for LayerView<'_> {
             LayerKind::Gcn => 2.0 * din * dout + 3.0 * din,
             LayerKind::Sage(_) => 4.0 * din * dout + din,
             LayerKind::Gat { heads } => {
-                let per_msg = 2.0 * din * dout + 2.0 * dout + 4.0 * heads as f64;
+                // Messages arrive projected; only attention is per message.
+                let per_msg = 2.0 * dout + 4.0 * heads as f64;
                 n_messages as f64 * per_msg + 2.0 * din * dout + 2.0 * dout
             }
         }
     }
 
     fn flops_aggregate_per_message(&self) -> f64 {
-        self.lp().in_dim as f64
+        self.annotations().msg_dim as f64
     }
 
     fn flops_apply_edge(&self) -> f64 {
-        self.lp().in_dim as f64
+        let lp = self.lp();
+        match lp.kind {
+            LayerKind::Gcn | LayerKind::Sage(_) => lp.in_dim as f64,
+            LayerKind::Gat { .. } => 2.0 * lp.in_dim as f64 * lp.out_dim as f64,
+        }
     }
 }
 
@@ -534,7 +564,13 @@ mod tests {
             in_degree: 2,
             out_degree: 0,
         };
-        let msg = vec![0.7, -0.3, 0.9, 0.1];
+        let msg = layer.apply_edge(
+            &[0.7, -0.3, 0.9, 0.1],
+            &EdgeCtx {
+                src_out_degree: 2,
+                edge_feat: &[],
+            },
+        );
         let mut one = layer.init_agg();
         layer.aggregate(&mut one, msg.clone());
         let out_one = layer.apply_node(&node, one);
@@ -611,22 +647,25 @@ mod tests {
             acc: vec![1.0, 2.0, 3.0, 4.0],
             count: 1,
         };
-        let lookup = move |src: u64| {
-            if src == 42 {
-                Some(payload.clone())
-            } else {
-                None
-            }
+        let nested = GnnMessage::Ref(42);
+        let lookup = |src: u64| match src {
+            42 => Some(&payload),
+            7 => Some(&nested),
+            _ => None,
         };
         let mut agg = layer.init_agg();
         layer
-            .gather_wire(&mut agg, GnnMessage::Ref(42), &lookup)
+            .gather_wire(&mut agg, &GnnMessage::Ref(42), &lookup)
             .unwrap();
         assert_eq!(agg.count(), 1);
         let err = layer
-            .gather_wire(&mut agg, GnnMessage::Ref(99), &lookup)
+            .gather_wire(&mut agg, &GnnMessage::Ref(99), &lookup)
             .unwrap_err();
-        assert!(err.to_string().contains("dangling"));
+        assert!(err.to_string().contains("dangling broadcast ref to 99"));
+        let err = layer
+            .gather_wire(&mut agg, &GnnMessage::Ref(7), &lookup)
+            .unwrap_err();
+        assert!(err.to_string().contains("broadcast ref to a ref"));
     }
 
     #[test]

@@ -1236,7 +1236,7 @@ fn run_worker<P: VertexProgram>(
         let vertex_id = slot.id;
         ob.clear();
         {
-            let lookup = |src: u64| bcast.get(&src).cloned();
+            let lookup = |src: u64| bcast.get(&src);
             program.compute_columnar(
                 step,
                 vertex_id,
@@ -1399,7 +1399,7 @@ fn deliver<P: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vertex::{Combiner, MessageLayout};
+    use crate::vertex::{BroadcastLookup, Combiner, MessageLayout};
 
     /// PageRank over an explicit neighbour list held in vertex state.
     struct PageRank {
@@ -1433,7 +1433,7 @@ mod tests {
             _vertex: u64,
             state: &mut PrState,
             messages: Vec<f32>,
-            _bcast: &dyn Fn(u64) -> Option<f32>,
+            _bcast: &BroadcastLookup<'_, f32>,
             out: &mut Outbox<f32>,
         ) {
             if step > 0 {
@@ -1589,7 +1589,7 @@ mod tests {
             vertex: u64,
             state: &mut SsspState,
             messages: Vec<f32>,
-            _bcast: &dyn Fn(u64) -> Option<f32>,
+            _bcast: &BroadcastLookup<'_, f32>,
             out: &mut Outbox<f32>,
         ) {
             let incoming = messages.into_iter().fold(f32::INFINITY, f32::min);
@@ -1737,7 +1737,7 @@ mod tests {
                 _v: u64,
                 _state: &mut (),
                 _m: Vec<f32>,
-                _b: &dyn Fn(u64) -> Option<f32>,
+                _b: &BroadcastLookup<'_, f32>,
                 out: &mut Outbox<f32>,
             ) {
                 out.send(999, 1.0);
@@ -1765,14 +1765,14 @@ mod tests {
                 vertex: u64,
                 state: &mut CState,
                 _m: Vec<f32>,
-                bcast: &dyn Fn(u64) -> Option<f32>,
+                bcast: &BroadcastLookup<'_, f32>,
                 out: &mut Outbox<f32>,
             ) {
                 if step == 0 && vertex == 7 {
                     out.broadcast(42.5);
                 }
                 if step == 1 {
-                    state.seen = bcast(7);
+                    state.seen = bcast(7).copied();
                 }
             }
         }
@@ -1855,7 +1855,7 @@ mod tests {
             vertex: u64,
             state: &mut RowState,
             messages: Vec<Vec<f32>>,
-            lookup: &dyn Fn(u64) -> Option<Vec<f32>>,
+            lookup: &BroadcastLookup<'_, Vec<f32>>,
             out: &mut Outbox<Vec<f32>>,
         ) {
             self.compute_columnar(step, vertex, state, RowsIn::None, messages, lookup, out);
@@ -1868,7 +1868,7 @@ mod tests {
             state: &mut RowState,
             rows: RowsIn<'_>,
             messages: Vec<Vec<f32>>,
-            _lookup: &dyn Fn(u64) -> Option<Vec<f32>>,
+            _lookup: &BroadcastLookup<'_, Vec<f32>>,
             out: &mut Outbox<Vec<f32>>,
         ) {
             if step == 0 {
@@ -2096,7 +2096,7 @@ mod tests {
             _vertex: u64,
             _state: &mut RelayState,
             _messages: Vec<f32>,
-            _b: &dyn Fn(u64) -> Option<f32>,
+            _b: &BroadcastLookup<'_, f32>,
             _out: &mut Outbox<f32>,
         ) {
             unreachable!("relay always runs columnar");
@@ -2109,7 +2109,7 @@ mod tests {
             state: &mut RelayState,
             rows: RowsIn<'_>,
             _messages: Vec<f32>,
-            _b: &dyn Fn(u64) -> Option<f32>,
+            _b: &BroadcastLookup<'_, f32>,
             out: &mut Outbox<f32>,
         ) {
             let incoming = match rows {
@@ -2293,7 +2293,7 @@ mod tests {
                 _v: u64,
                 _state: &mut (),
                 _m: Vec<f32>,
-                _b: &dyn Fn(u64) -> Option<f32>,
+                _b: &BroadcastLookup<'_, f32>,
                 out: &mut Outbox<f32>,
             ) {
                 // No layout declared for this step: must become a typed
@@ -2324,7 +2324,7 @@ mod tests {
                 _v: u64,
                 _state: &mut (),
                 _m: Vec<f32>,
-                _b: &dyn Fn(u64) -> Option<f32>,
+                _b: &BroadcastLookup<'_, f32>,
                 _out: &mut Outbox<f32>,
             ) {
                 unreachable!("always columnar");
@@ -2336,7 +2336,7 @@ mod tests {
                 _state: &mut (),
                 _rows: RowsIn<'_>,
                 _m: Vec<f32>,
-                _b: &dyn Fn(u64) -> Option<f32>,
+                _b: &BroadcastLookup<'_, f32>,
                 out: &mut Outbox<f32>,
             ) {
                 out.send_row(4, &[1.0, 2.0, 3.0]);

@@ -26,5 +26,6 @@ pub mod vertex;
 
 pub use engine::{PregelConfig, PregelEngine, ScratchPool};
 pub use vertex::{
-    ActivationPolicy, Combiner, FusedAggregator, MessageLayout, Outbox, RowsIn, VertexProgram,
+    ActivationPolicy, BroadcastLookup, Combiner, FusedAggregator, MessageLayout, Outbox, RowsIn,
+    VertexProgram,
 };

@@ -201,6 +201,11 @@ impl<M> Outbox<M> {
     }
 }
 
+/// Resolves a broadcast payload by its publisher's vertex id. The payload
+/// is lent out of the worker's broadcast table, so a hub's message is
+/// never copied per reference to it.
+pub type BroadcastLookup<'a, M> = dyn Fn(u64) -> Option<&'a M> + 'a;
+
 /// A vertex program: per-vertex state, a message type, and the superstep
 /// kernel.
 pub trait VertexProgram {
@@ -220,7 +225,7 @@ pub trait VertexProgram {
         vertex: u64,
         state: &mut Self::State,
         messages: Vec<Self::Msg>,
-        broadcast_lookup: &dyn Fn(u64) -> Option<Self::Msg>,
+        broadcast_lookup: &BroadcastLookup<'_, Self::Msg>,
         out: &mut Outbox<Self::Msg>,
     );
 
@@ -238,7 +243,7 @@ pub trait VertexProgram {
         state: &mut Self::State,
         rows: RowsIn<'_>,
         messages: Vec<Self::Msg>,
-        broadcast_lookup: &dyn Fn(u64) -> Option<Self::Msg>,
+        broadcast_lookup: &BroadcastLookup<'_, Self::Msg>,
         out: &mut Outbox<Self::Msg>,
     ) {
         debug_assert!(

@@ -9,7 +9,9 @@
 use inferturbo::cluster::ClusterSpec;
 use inferturbo::graph::gen::DegreeSkew;
 use inferturbo::graph::{Csr, Dataset};
-use inferturbo::pregel::{Combiner, Outbox, PregelConfig, PregelEngine, VertexProgram};
+use inferturbo::pregel::{
+    BroadcastLookup, Combiner, Outbox, PregelConfig, PregelEngine, VertexProgram,
+};
 
 struct PageRank {
     n: f64,
@@ -41,7 +43,7 @@ impl VertexProgram for PageRank {
         _vertex: u64,
         state: &mut State,
         messages: Vec<f32>,
-        _bcast: &dyn Fn(u64) -> Option<f32>,
+        _bcast: &BroadcastLookup<'_, f32>,
         out: &mut Outbox<f32>,
     ) {
         if step > 0 {

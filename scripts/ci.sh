@@ -59,9 +59,13 @@ echo "== engine + determinism tests (spawned-worker-process transport) =="
 # must stay bit-identical to the in-process default. The `itworker` child
 # binary was built by the workspace test legs above; tests that pin a
 # transport explicitly (e.g. transport_equivalence) are immune by design.
+# property_invariants and session_plan are the suites here that build GAT
+# sessions, so attention's unreduced `out_dim`-wide union rows cross a
+# real pipe on every gate.
 INFERTURBO_TRANSPORT=process cargo test --offline -q \
     --test parallel_matches_serial --test columnar_fused \
-    --test end_to_end --test failure_injection
+    --test end_to_end --test failure_injection \
+    --test property_invariants --test session_plan
 
 echo "== serving tests (forced overload knobs) =="
 # Re-runs the serving suite with an aggressive Degrade-policy rate limit

@@ -23,8 +23,8 @@ use inferturbo::common::{Parallelism, SpillPolicy, Xoshiro256};
 use inferturbo::core::models::gas_impl::PoolRowAggregator;
 use inferturbo::core::models::PoolOp;
 use inferturbo::pregel::{
-    ActivationPolicy, Combiner, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
-    RowsIn, VertexProgram,
+    ActivationPolicy, BroadcastLookup, Combiner, FusedAggregator, MessageLayout, Outbox,
+    PregelConfig, PregelEngine, RowsIn, VertexProgram,
 };
 use inferturbo::tensor::Matrix;
 use proptest::prelude::*;
@@ -102,7 +102,7 @@ impl VertexProgram for PoolProg {
         vertex: u64,
         state: &mut PoolState,
         messages: Vec<Vec<f32>>,
-        lookup: &dyn Fn(u64) -> Option<Vec<f32>>,
+        lookup: &BroadcastLookup<'_, Vec<f32>>,
         out: &mut Outbox<Vec<f32>>,
     ) {
         self.compute_columnar(step, vertex, state, RowsIn::None, messages, lookup, out);
@@ -115,7 +115,7 @@ impl VertexProgram for PoolProg {
         state: &mut PoolState,
         rows: RowsIn<'_>,
         messages: Vec<Vec<f32>>,
-        _lookup: &dyn Fn(u64) -> Option<Vec<f32>>,
+        _lookup: &BroadcastLookup<'_, Vec<f32>>,
         out: &mut Outbox<Vec<f32>>,
     ) {
         if step == 0 {

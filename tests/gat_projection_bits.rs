@@ -1,0 +1,277 @@
+//! GAT projects at the source (`apply_edge` returns `W·h`) and gathers
+//! into one flat union buffer. The move must not change a bit: this file
+//! keeps the receiver-side formula the layer used before — raw `h` rows,
+//! one `matvec_acc` per in-message, the softmax `exp` evaluated once for
+//! the denominator and again for the weight — as a local reference, and
+//! holds `apply_node(apply_edge(..))` to it bit for bit.
+
+use inferturbo::common::Xoshiro256;
+use inferturbo::core::models::gas_impl::GAT_LEAKY_SLOPE;
+use inferturbo::core::models::{matvec_acc, GnnModel};
+use inferturbo::core::{AggState, EdgeCtx, GasLayer, NodeCtx};
+
+/// The receiver-side GAT update over raw (unprojected) in-messages.
+fn receiver_side_gat(model: &GnnModel, heads: usize, state: &[f32], msgs: &[Vec<f32>]) -> Vec<f32> {
+    let lp = &model.layers[0];
+    let params = &model.params;
+    let w = params.get(lp.w);
+    let a_src = params.get(lp.a_src.expect("GAT has a_src"));
+    let a_dst = params.get(lp.a_dst.expect("GAT has a_dst"));
+    let dh = lp.out_dim / heads;
+
+    let mut out = params.get(lp.bias).row(0).to_vec();
+    if !msgs.is_empty() {
+        let mut wh_self = vec![0.0f32; lp.out_dim];
+        matvec_acc(w, state, &mut wh_self);
+        let dst_attn: Vec<f32> = (0..heads)
+            .map(|h| {
+                let lo = h * dh;
+                wh_self[lo..lo + dh]
+                    .iter()
+                    .zip(&a_dst.row(0)[lo..lo + dh])
+                    .map(|(x, a)| x * a)
+                    .sum()
+            })
+            .collect();
+
+        let mut whs: Vec<Vec<f32>> = Vec::with_capacity(msgs.len());
+        let mut logits: Vec<f32> = Vec::with_capacity(msgs.len() * heads);
+        for m in msgs {
+            let mut wh = vec![0.0f32; lp.out_dim];
+            matvec_acc(w, m, &mut wh);
+            for (h, &d_attn) in dst_attn.iter().enumerate() {
+                let lo = h * dh;
+                let src_attn: f32 = wh[lo..lo + dh]
+                    .iter()
+                    .zip(&a_src.row(0)[lo..lo + dh])
+                    .map(|(x, a)| x * a)
+                    .sum();
+                let e = src_attn + d_attn;
+                logits.push(if e >= 0.0 { e } else { GAT_LEAKY_SLOPE * e });
+            }
+            whs.push(wh);
+        }
+
+        for h in 0..heads {
+            let mut max = f32::NEG_INFINITY;
+            for i in 0..msgs.len() {
+                max = max.max(logits[i * heads + h]);
+            }
+            let mut denom = 0.0f32;
+            for i in 0..msgs.len() {
+                denom += (logits[i * heads + h] - max).exp();
+            }
+            let lo = h * dh;
+            for (i, wh) in whs.iter().enumerate() {
+                let alpha = (logits[i * heads + h] - max).exp() / denom;
+                for k in 0..dh {
+                    out[lo + k] += alpha * wh[lo + k];
+                }
+            }
+        }
+    }
+    lp.act.apply_slice(&mut out);
+    out
+}
+
+/// How the embeddings fed to a case are drawn.
+#[derive(Clone, Copy, Debug)]
+enum Inputs {
+    /// Unit-scale values.
+    Unit,
+    /// Unit-scale values with ±0.0 lanes and whole ±0.0 rows mixed in
+    /// (`matvec_acc` skips zero lanes; an all-zero row projects to zero
+    /// logits).
+    SignedZeros,
+    /// Magnitudes around 1e5: logits far apart, so most softmax weights
+    /// underflow to exactly zero while everything stays finite.
+    Large,
+}
+
+fn draw_row(rng: &mut Xoshiro256, dim: usize, inputs: Inputs) -> Vec<f32> {
+    let zero_row = matches!(inputs, Inputs::SignedZeros) && rng.chance(0.25);
+    (0..dim)
+        .map(|_| {
+            let x = rng.next_f32() * 2.0 - 1.0;
+            match inputs {
+                Inputs::Unit => x,
+                Inputs::Large => x * 1e5,
+                Inputs::SignedZeros if zero_row || rng.chance(0.5) => {
+                    if rng.chance(0.5) {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                }
+                Inputs::SignedZeros => x,
+            }
+        })
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn source_side_projection_is_bit_identical_to_the_receiver_side_formula() {
+    let edge = EdgeCtx {
+        src_out_degree: 3,
+        edge_feat: &[],
+    };
+    let mut rng = Xoshiro256::seed_from_u64(0x6A7);
+    let mut cases = 0;
+    // in_dim <, =, > out_dim
+    for (in_dim, out_dim) in [(4usize, 16usize), (8, 8), (16, 4)] {
+        for heads in [1usize, 2, 4] {
+            for n_msgs in [0usize, 1, 300] {
+                for inputs in [Inputs::Unit, Inputs::SignedZeros, Inputs::Large] {
+                    let seed = rng.next_u64();
+                    let model = GnnModel::gat(in_dim, out_dim, heads, 1, 3, false, seed);
+                    let layer = model.layer_view(0);
+                    assert_eq!(layer.annotations().msg_dim, out_dim);
+
+                    let state = draw_row(&mut rng, in_dim, inputs);
+                    let msgs: Vec<Vec<f32>> = (0..n_msgs)
+                        .map(|_| draw_row(&mut rng, in_dim, inputs))
+                        .collect();
+
+                    let mut agg = layer.init_agg();
+                    for m in &msgs {
+                        layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
+                    }
+                    assert_eq!(agg.count() as usize, n_msgs);
+                    let node = NodeCtx {
+                        id: 1,
+                        state: &state,
+                        in_degree: n_msgs as u32,
+                        out_degree: 3,
+                    };
+                    let got = layer.apply_node(&node, agg);
+                    let want = receiver_side_gat(&model, heads, &state, &msgs);
+                    assert!(
+                        want.iter().all(|x| x.is_finite()),
+                        "case must be NaN-free: {in_dim}->{out_dim} heads {heads} \
+                         msgs {n_msgs} {inputs:?}"
+                    );
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{in_dim}->{out_dim} heads {heads} msgs {n_msgs} {inputs:?}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 81);
+}
+
+#[test]
+fn signed_zero_and_far_apart_logits_take_the_same_bits() {
+    // Hand-built logits instead of drawn ones: with `a_src` zeroed except
+    // one lane per head, message k's logit is exactly its value in that
+    // lane — ±0.0, ±200 and ±1e6 (negative ones go through the leaky
+    // slope; every weight but the largest underflows to exactly 0).
+    let (in_dim, out_dim, heads) = (4usize, 4usize, 2usize);
+    let mut model = GnnModel::gat(in_dim, out_dim, heads, 1, 3, false, 9);
+    let (w, a_src, a_dst) = {
+        let lp = &model.layers[0];
+        (lp.w, lp.a_src.unwrap(), lp.a_dst.unwrap())
+    };
+    // W = identity, so the projected row is the embedding itself.
+    for r in 0..in_dim {
+        for c in 0..out_dim {
+            model
+                .params
+                .get_mut(w)
+                .set(r, c, if r == c { 1.0 } else { 0.0 });
+        }
+    }
+    for c in 0..out_dim {
+        model
+            .params
+            .get_mut(a_src)
+            .set(0, c, if c % 2 == 0 { 1.0 } else { 0.0 });
+        model.params.get_mut(a_dst).set(0, c, 0.0);
+    }
+    let msgs: Vec<Vec<f32>> = vec![
+        vec![0.0, 1.0, -0.0, 2.0],
+        vec![-0.0, 3.0, 0.0, 4.0],
+        vec![200.0, 5.0, -1e6, 6.0],
+        vec![-200.0, 7.0, 1e6, 8.0],
+    ];
+    let state = vec![0.5, -0.5, 0.25, 0.0];
+    let layer = model.layer_view(0);
+    let edge = EdgeCtx {
+        src_out_degree: 1,
+        edge_feat: &[],
+    };
+    let mut agg = layer.init_agg();
+    for m in &msgs {
+        layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
+    }
+    let node = NodeCtx {
+        id: 0,
+        state: &state,
+        in_degree: 4,
+        out_degree: 1,
+    };
+    let got = layer.apply_node(&node, agg);
+    let want = receiver_side_gat(&model, heads, &state, &msgs);
+    assert!(want.iter().all(|x| x.is_finite()));
+    assert_eq!(bits(&got), bits(&want));
+    // Head 0 is dominated by the 200 logit, head 1 by the 1e6 one: the
+    // weights of the others underflow, so the output is that message's row.
+    assert_eq!(got, vec![200.0, 5.0, 1e6, 8.0]);
+}
+
+#[test]
+fn flat_union_counts_rows_and_merges_in_delivery_order() {
+    assert_eq!(
+        AggState::Union {
+            dim: 3,
+            rows: vec![]
+        }
+        .count(),
+        0
+    );
+    assert_eq!(
+        AggState::Union {
+            dim: 3,
+            rows: vec![0.0; 12]
+        }
+        .count(),
+        4
+    );
+    // Zero-width rows: nothing to count, and no division by zero.
+    assert_eq!(
+        AggState::Union {
+            dim: 0,
+            rows: vec![]
+        }
+        .count(),
+        0
+    );
+
+    let model = GnnModel::gat(3, 4, 2, 1, 3, false, 5);
+    let layer = model.layer_view(0);
+    let row = |k: usize| -> Vec<f32> { (0..4).map(|c| (k * 10 + c) as f32).collect() };
+    let mut left = layer.init_agg();
+    assert_eq!(left.count(), 0);
+    let mut right = layer.init_agg();
+    for k in 0..2 {
+        layer.aggregate(&mut left, row(k));
+    }
+    for k in 2..5 {
+        layer.aggregate(&mut right, row(k));
+    }
+    layer.merge_agg(&mut left, right);
+    assert_eq!(left.count(), 5);
+    let want: Vec<f32> = (0..5).flat_map(row).collect();
+    assert_eq!(left, AggState::Union { dim: 4, rows: want });
+    // Merging the identity changes nothing.
+    let before = left.clone();
+    layer.merge_agg(&mut left, layer.init_agg());
+    assert_eq!(left, before);
+}

@@ -16,8 +16,8 @@ use inferturbo::core::{infer_mapreduce, infer_pregel};
 use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::pregel::{
-    Combiner, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
-    VertexProgram,
+    BroadcastLookup, Combiner, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
+    RowsIn, VertexProgram,
 };
 use inferturbo::tensor::Matrix;
 
@@ -68,7 +68,7 @@ impl VertexProgram for PageRank {
         _vertex: u64,
         state: &mut PrState,
         messages: Vec<f32>,
-        _bcast: &dyn Fn(u64) -> Option<f32>,
+        _bcast: &BroadcastLookup<'_, f32>,
         out: &mut Outbox<f32>,
     ) {
         if step > 0 {
@@ -151,7 +151,7 @@ impl VertexProgram for ColSum {
         _vertex: u64,
         _state: &mut ColState,
         _messages: Vec<f32>,
-        _b: &dyn Fn(u64) -> Option<f32>,
+        _b: &BroadcastLookup<'_, f32>,
         _out: &mut Outbox<f32>,
     ) {
         unreachable!("columnar program");
@@ -164,7 +164,7 @@ impl VertexProgram for ColSum {
         state: &mut ColState,
         rows: RowsIn<'_>,
         _messages: Vec<f32>,
-        _b: &dyn Fn(u64) -> Option<f32>,
+        _b: &BroadcastLookup<'_, f32>,
         out: &mut Outbox<f32>,
     ) {
         if step == 0 {

@@ -74,6 +74,34 @@ fn run(
     spill_budget: Option<u64>,
     faults: Option<&str>,
 ) -> (Vec<Vec<u32>>, String, u64, u64, u64) {
+    // Under a budget: materialized columnar inboxes (no partial gather) —
+    // the O(E·d) inbox dominates residency, so a 4 KiB window actually
+    // pages.
+    let strategy = spill_budget.map(|_| StrategyConfig::all().with_partial_gather(false));
+    run_with(
+        graph,
+        model,
+        workers,
+        backend,
+        transport,
+        strategy,
+        spill_budget,
+        faults,
+    )
+}
+
+/// [`run`] with the strategy spelled out (`None`: the session default).
+#[allow(clippy::too_many_arguments)]
+fn run_with(
+    graph: &Graph,
+    model: &GnnModel,
+    workers: usize,
+    backend: Backend,
+    transport: &Arc<dyn Transport>,
+    strategy: Option<StrategyConfig>,
+    spill_budget: Option<u64>,
+    faults: Option<&str>,
+) -> (Vec<Vec<u32>>, String, u64, u64, u64) {
     let trace = TraceHandle::recording();
     let mut builder = InferenceSession::builder()
         .model(model)
@@ -82,11 +110,11 @@ fn run(
         .backend(backend)
         .transport(Arc::clone(transport))
         .trace(trace.clone());
+    if let Some(strategy) = strategy {
+        builder = builder.strategy(strategy);
+    }
     if let Some(bytes) = spill_budget {
-        // Materialized columnar inboxes (no partial gather): the O(E·d)
-        // inbox dominates residency, so a 4 KiB window actually pages.
         builder = builder
-            .strategy(StrategyConfig::all().with_partial_gather(false))
             .spill_budget(bytes)
             .spill_dir(std::env::temp_dir().join("inferturbo-transport-tests"));
     }
@@ -207,5 +235,93 @@ fn fault_recovery_replays_identically_over_the_process_transport() {
         );
         assert_eq!(want.0, got.0, "recovered logits diverged under {spec}");
         assert_eq!(want.1, got.1, "recovered trace diverged under {spec}");
+    }
+}
+
+#[test]
+fn gat_with_out_hubs_composes_bit_identically_and_matches_the_reference() {
+    // Attention cannot partial-gather, so GAT's projected `W·h` rows cross
+    // every boundary unreduced, beside the hub refs and their broadcast
+    // payloads. Every composition of transport and spill must reproduce its
+    // backend's in-process run bit for bit, and both backends the per-edge
+    // reference within 1e-3.
+    let g = generate(&GenConfig {
+        n_nodes: 200,
+        n_edges: 1600,
+        feat_dim: 8,
+        classes: 3,
+        skew: DegreeSkew::Out,
+        seed: 67,
+        ..GenConfig::default()
+    });
+    // Expanding first layer (8 → 12), so the projected rows are the wider.
+    let m = GnnModel::gat(8, 12, 2, 2, 3, false, 17);
+    let local: Arc<dyn Transport> = Arc::new(InProcess);
+    let procs: Arc<dyn Transport> = Arc::new(WorkerProcess::with_bin(worker_bin()));
+    let reference = InferenceSession::builder()
+        .model(&m)
+        .graph(&g)
+        .backend(Backend::Reference)
+        .plan()
+        .expect("reference plan")
+        .run()
+        .expect("reference run")
+        .logits;
+
+    for strategy in [
+        StrategyConfig::all().with_threshold(8),
+        StrategyConfig::all()
+            .with_threshold(8)
+            .with_partial_gather(false),
+    ] {
+        let plan = InferenceSession::builder()
+            .model(&m)
+            .graph(&g)
+            .workers(4)
+            .strategy(strategy)
+            .backend(Backend::Pregel)
+            .plan()
+            .expect("plan");
+        let summary = plan.summary();
+        assert!(
+            summary.hubs > 0 && summary.mirrors > 0,
+            "out-degree hubs must engage refs and mirrors: {summary}"
+        );
+
+        let near_reference = |name: &str, bits: &[Vec<u32>]| {
+            for (x, y) in bits.iter().flatten().zip(reference.iter().flatten()) {
+                let x = f32::from_bits(*x);
+                assert!((x - y).abs() < 1e-3, "{name} {x} vs reference {y}");
+            }
+        };
+        let s = Some(strategy);
+        let want = run_with(&g, &m, 4, Backend::Pregel, &local, s, None, None);
+        near_reference("pregel", &want.0);
+
+        let xproc = run_with(&g, &m, 4, Backend::Pregel, &procs, s, None, None);
+        assert_eq!(
+            (&want.0, &want.1, want.2),
+            (&xproc.0, &xproc.1, xproc.2),
+            "GAT diverged across the process boundary"
+        );
+        assert!(xproc.3 > 0, "projected rows must cross a real pipe");
+
+        for transport in [&local, &procs] {
+            let spilled = run_with(&g, &m, 4, Backend::Pregel, transport, s, Some(4096), None);
+            assert!(spilled.4 > 0, "4 KiB budget must page the union rows");
+            assert_eq!(want.0, spilled.0, "GAT diverged under forced spill");
+        }
+
+        // The two engines deliver a vertex's in-messages in different
+        // orders, so their softmax sums differ in the last bits: MapReduce
+        // is pinned across its own transports and against the reference.
+        let mr = run_with(&g, &m, 4, Backend::MapReduce, &local, s, None, None);
+        near_reference("mapreduce", &mr.0);
+        let mr_xproc = run_with(&g, &m, 4, Backend::MapReduce, &procs, s, None, None);
+        assert_eq!(
+            (&mr.0, &mr.1, mr.2),
+            (&mr_xproc.0, &mr_xproc.1, mr_xproc.2),
+            "GAT MapReduce diverged across the process boundary"
+        );
     }
 }
