@@ -3,11 +3,12 @@
 //! A chain of *phases* moves keyed records between workers:
 //!
 //! - [`BatchEngine::map_phase`] turns partitioned input records into routed
-//!   `(key, value)` pairs (the paper's Map step: initial embeddings fanned
-//!   out to out-edge neighbours plus self-messages);
-//! - [`BatchEngine::reduce_phase`] groups each worker's pairs by key, runs
-//!   the reduce kernel per group (one GNN layer), and routes the emitted
-//!   pairs onward for the next round.
+//!   `(key, value)` pairs and fixed-width rows (the paper's Map step:
+//!   initial embeddings fanned out to out-edge neighbours plus
+//!   self-messages);
+//! - [`BatchEngine::reduce_phase`] groups each worker's pairs and rows by
+//!   key, runs the reduce kernel per group (one GNN layer), and routes what
+//!   it emits onward for the next round.
 //!
 //! Unlike the Pregel backend, **no state lives in worker memory between
 //! phases**: everything — node state, out-edge tables, intermediate
@@ -15,18 +16,16 @@
 //! the trade-off the paper describes (more bytes moved, far smaller memory
 //! footprint, elastic workers). The memory model follows suit: a reducer
 //! streams its groups from external storage, so its modelled peak memory is
-//! the *largest single group* plus the combiner buffer, not the whole
-//! partition. A hub node whose in-edge group outgrows the worker's RAM is
+//! the *largest single group* plus the sink's fused accumulators, not the
+//! whole partition. A hub node whose in-edge group outgrows the worker's RAM is
 //! therefore an OOM — precisely the failure the partial-gather strategy
 //! prevents.
 //!
-//! Combining: an optional bounded sender-side combiner folds same-key pairs
-//! before they are counted as shuffle output (Hadoop-style in-mapper
-//! combining with spill-on-capacity), implementing the paper's
-//! partial-gather on this backend.
+//! Combining: a phase given a `FusedAggregator` folds same-key rows into
+//! per-key accumulators as its kernels emit them, before they are counted
+//! as shuffle output (Hadoop-style in-mapper combining), implementing the
+//! paper's partial-gather on this backend.
 
 pub mod engine;
 
-pub use engine::{
-    BatchEngine, CombineFn, KeyedData, KeyedRows, PhaseCtx, RowBucket, RowSink, RowsView,
-};
+pub use engine::{BatchEngine, KeyedData, KeyedRows, PhaseCtx, RowBucket, RowSink, RowsView};

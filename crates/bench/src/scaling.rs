@@ -4,9 +4,7 @@
 //! The paper scales *out* across workers; this experiment shows the same
 //! partitioning scaling *up* across cores of one host — the per-layer hot
 //! paths (Pregel supersteps, MR shuffle, dense kernels) at 1, 2, 4, …
-//! threads up to the host's parallelism. Results are also the data behind
-//! `BENCH_parallel.json` (see the `parbench` binary and
-//! `scripts/bench.sh`).
+//! threads up to the host's parallelism.
 //!
 //! Determinism note: outputs are identical at every thread count (the
 //! `parallel_matches_serial` suite enforces it); only wall-clock may
@@ -181,7 +179,6 @@ pub fn run(ctx: &ExpCtx) -> Result<()> {
             "materialized",
             StrategyConfig::all().with_partial_gather(false),
         ),
-        ("legacy-plane", StrategyConfig::all().with_columnar(false)),
     ];
     for (cfg_name, strat) in configs {
         let session = |backend| {

@@ -32,12 +32,10 @@ pub struct LayerEstimate {
     /// Message row width in `f32` lanes.
     pub msg_dim: usize,
     /// Predicted columnar-plane bytes: fixed-width rows, or fused partial
-    /// rows when the layer's aggregate is annotated associative. Zero when
-    /// the plan runs with the columnar plane disabled.
+    /// rows when the layer's aggregate is annotated associative.
     pub columnar_bytes: u64,
-    /// Predicted legacy-plane bytes: hub broadcast payloads and their
-    /// per-edge references (plus all row traffic when the columnar plane
-    /// is disabled).
+    /// Predicted typed-plane bytes: hub broadcast payloads and their
+    /// per-edge references.
     pub legacy_bytes: u64,
     /// Extra bytes the MapReduce backend shuffles this round: one
     /// self-state record per node record (embedding + out-edge table).

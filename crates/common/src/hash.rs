@@ -1,7 +1,7 @@
 //! Fast, deterministic hashing.
 //!
 //! The engines hash node ids millions of times per superstep (partition
-//! routing, combiner tables, broadcast lookup tables). The standard SipHash
+//! routing, fused-shard key indexes, broadcast lookup tables). The standard SipHash
 //! is needlessly slow for trusted integer keys, and — worse for us — `HashMap`
 //! with `RandomState` is seeded per-process, which would make "identical
 //! bytes at every run" impossible to assert. This module provides the

@@ -21,12 +21,13 @@
 //! - [`FusedSlotShard`] folds a sender's rows per destination slot in
 //!   emission order with **copy-on-first** semantics (the first row is
 //!   copied, not folded into an identity), so a fused partial is bit-equal
-//!   to the fold the legacy per-message combiner would have produced;
+//!   to a serial front-to-back fold of that sender's rows;
 //! - the destination merge (see the Pregel engine) folds sender partials
 //!   per slot in ascending sender order, again copy-on-first.
 //!
-//! Together these make the fused path bit-identical to the legacy
-//! materialize-then-combine path for every worker and thread count.
+//! Together these fix every `f32` operation's position, so the fused path
+//! is bit-identical for every thread count, transport and spill budget at
+//! a given worker count.
 //!
 //! # Out-of-core spilling
 //!
@@ -395,7 +396,7 @@ fn check_u32_row_capacity(total_rows: usize) -> Result<()> {
 /// Declares that a step's messages are fixed-width `f32` rows. A vertex
 /// program (or batch kernel) returning one of these opts the step into the
 /// columnar plane; variable-width messages (broadcast refs, control
-/// records) keep riding the legacy typed plane alongside.
+/// records) ride the typed plane alongside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageLayout {
     /// Row width in `f32` lanes. Must match every row sent that step.
@@ -403,8 +404,7 @@ pub struct MessageLayout {
 }
 
 /// A commutative + associative lane-wise fold over fixed-width rows — the
-/// [`Combiner`](../../inferturbo_pregel/vertex/trait.Combiner.html) trait
-/// generalised to the columnar plane. When a step provides one, the engine
+/// engines' sender-side combiner. When a step provides one, the engine
 /// fuses gather into scatter: senders accumulate rows per destination
 /// instead of materialising one row per edge.
 ///
@@ -1099,9 +1099,8 @@ impl FusedRows {
     }
 
     /// Merge per-sender fused shards into one dense accumulator set, in
-    /// ascending sender order, each shard in first-touch order — the exact
-    /// order the legacy combiner path delivers partials, so results are
-    /// bit-identical to it. Copy-on-first: a slot's first partial is
+    /// ascending sender order, each shard in first-touch order — the
+    /// order the determinism contract above fixes. Copy-on-first: a slot's first partial is
     /// copied, later partials fold through `agg`. The fully-folded
     /// accumulators then spill under `spill` — fold order is fixed before
     /// any byte reaches disk.

@@ -219,11 +219,10 @@ impl Decode for GnnMessage {
     }
 }
 
-/// Element-wise fold used by pooled aggregates; shared by layer impls,
-/// the wire-level combiner, and the fused row aggregator so the three can
-/// never disagree. The folds go through the 8-wide-unrolled row kernels
-/// (`row_axpy` / `row_max`), which are bit-identical to the scalar loops
-/// — lanes are independent.
+/// Element-wise fold used by pooled aggregates; shared by layer impls
+/// and the fused row aggregator so the two can never disagree. The folds
+/// go through the 8-wide-unrolled row kernels (`row_axpy` / `row_max`),
+/// which are bit-identical to the scalar loops — lanes are independent.
 pub fn pooled_fold(
     op: crate::models::PoolOp,
     acc: &mut Vec<f32>,

@@ -4,8 +4,8 @@
 //! [`crate::gas::GasLayer`] kernels:
 //!
 //! - [`infer_pregel`] — the Pregel backend: state in worker memory, one
-//!   superstep per layer, combiners for partial-gather, engine broadcast
-//!   for the large-out-degree strategy;
+//!   superstep per layer, fused row aggregation for partial-gather,
+//!   engine broadcast for the large-out-degree strategy;
 //! - [`infer_mapreduce`] — the MapReduce backend: no resident state,
 //!   everything (self state, out-edge tables, messages) travels through
 //!   the shuffle each round;

@@ -14,11 +14,11 @@
 //! table group arrives before any of its node groups in the same round.
 
 use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
-use crate::models::gas_impl::{combine_wire, PoolRowAggregator};
-use crate::models::{GnnModel, PoolOp};
+use crate::models::gas_impl::PoolRowAggregator;
+use crate::models::GnnModel;
 use crate::session::{Backend, InferenceSession};
 use crate::strategy::{base_of, mirror_of, NodeRecord, StrategyConfig, NODE_FLAG};
-use inferturbo_batch::{BatchEngine, CombineFn, KeyedData, PhaseCtx, RowSink, RowsView};
+use inferturbo_batch::{BatchEngine, KeyedData, PhaseCtx, RowSink, RowsView};
 use inferturbo_cluster::{ClusterSpec, FaultInjector, Transport};
 use inferturbo_common::codec::{
     f32_slice_len, varint_len, varint_seq_len, Decode, Encode, WireReader, WireWriter,
@@ -155,60 +155,11 @@ fn mr_partition(key: u64, n: usize) -> usize {
     }
 }
 
-/// Emit the scatter records of `wire` for the layer `layer_idx` gather.
-#[allow(clippy::too_many_arguments)]
-fn scatter_records(
-    model: &GnnModel,
-    strategy: &StrategyConfig,
-    bc_threshold: u64,
-    workers: usize,
-    layer_idx: usize,
-    wire: u64,
-    h: &[f32],
-    out_targets: &[u64],
-    out_deg: u32,
-    ctx: &mut PhaseCtx,
-    emit: &mut Vec<(u64, MrRecord)>,
-) {
-    if out_targets.is_empty() {
-        return;
-    }
-    let layer = model.layer_view(layer_idx);
-    let raw = layer.apply_edge(
-        h,
-        &EdgeCtx {
-            src_out_degree: out_deg,
-            edge_feat: &[],
-        },
-    );
-    ctx.add_flops(layer.flops_apply_edge());
-    let msg = layer.make_wire(raw, strategy.partial_gather);
-    let ann = layer.annotations();
-    if strategy.broadcast && ann.uniform_message && out_deg as u64 > bc_threshold {
-        for w in 0..workers {
-            emit.push((
-                w as u64,
-                MrRecord::Bcast {
-                    src: wire,
-                    msg: msg.clone(),
-                },
-            ));
-        }
-        for &t in out_targets {
-            emit.push((t, MrRecord::InMsg(GnnMessage::Ref(wire))));
-        }
-    } else {
-        for &t in out_targets {
-            emit.push((t, MrRecord::InMsg(msg.clone())));
-        }
-    }
-}
-
-/// Columnar scatter: like [`scatter_records`], but non-hub messages ride
-/// the batch engine's columnar plane as fixed-width rows (one `memcpy` per
-/// edge, fused into per-key partials at the sender when the layer's
-/// aggregate is associative). Hub broadcasts and their refs keep the
-/// legacy record plane — they are variable-width control traffic.
+/// Emit the scatter of `wire` for the layer `layer_idx` gather: non-hub
+/// messages ride the batch engine's columnar plane as fixed-width rows (one
+/// `memcpy` per edge, fused into per-key partials at the sender when the
+/// layer's aggregate is associative). Hub broadcasts and their refs ride
+/// the typed record plane — they are variable-width control traffic.
 #[allow(clippy::too_many_arguments)]
 fn scatter_rows(
     model: &GnnModel,
@@ -258,22 +209,7 @@ fn scatter_rows(
     }
 }
 
-/// Combiner over [`MrRecord`]s: folds `InMsg(Partial)` pairs, swaps the
-/// anchor when needed, and passes everything else through.
-fn combine_records(op: PoolOp, acc: &mut MrRecord, msg: MrRecord) -> Option<MrRecord> {
-    match (&mut *acc, msg) {
-        (MrRecord::InMsg(a), MrRecord::InMsg(b)) => combine_wire(op, a, b).map(MrRecord::InMsg),
-        (anchor, msg @ MrRecord::InMsg(GnnMessage::Partial { .. })) => {
-            Some(std::mem::replace(anchor, msg))
-        }
-        (_, other) => Some(other),
-    }
-}
-
-/// Run full-graph inference on the MapReduce backend. Fixed-width GNN
-/// messages ride the engine's columnar shuffle plane unless
-/// `strategy.columnar` turns it off (the legacy per-record path, kept for
-/// plane-equivalence testing).
+/// Run full-graph inference on the MapReduce backend.
 ///
 /// Thin compatibility wrapper over a single-use [`InferenceSession`]: it
 /// plans once and runs once. Callers doing repeated inference over the
@@ -292,264 +228,6 @@ pub fn infer_mapreduce(
         .backend(Backend::MapReduce)
         .plan()?
         .run()
-}
-
-/// Execute one planned MapReduce run over pre-built node records (the
-/// execution stage of the session pipeline; planning already happened).
-/// `features`, when given, replaces each record's raw input row. Records
-/// are shuffled by reference — nothing is cloned per run beyond what the
-/// rounds themselves emit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_planned(
-    model: &GnnModel,
-    records: &[NodeRecord],
-    n_nodes: usize,
-    spec: ClusterSpec,
-    strategy: StrategyConfig,
-    bc_threshold: u64,
-    features: Option<&[Vec<f32>]>,
-    faults: Option<&FaultInjector>,
-    trace: TraceHandle,
-    transport: Option<&Arc<dyn Transport>>,
-) -> Result<InferenceOutput> {
-    if strategy.columnar {
-        run_planned_columnar(
-            model,
-            records,
-            n_nodes,
-            spec,
-            strategy,
-            bc_threshold,
-            features,
-            faults,
-            trace,
-            transport,
-        )
-    } else {
-        run_planned_legacy(
-            model,
-            records,
-            n_nodes,
-            spec,
-            strategy,
-            bc_threshold,
-            features,
-            faults,
-            trace,
-            transport,
-        )
-    }
-}
-
-/// Build the round engine, arming the plan's shared-budget injector when
-/// one is set (left unset, the `INFERTURBO_FAULTS` fallback survives).
-fn engine_for(
-    spec: ClusterSpec,
-    faults: Option<&FaultInjector>,
-    trace: TraceHandle,
-    transport: Option<&Arc<dyn Transport>>,
-) -> BatchEngine {
-    let mut eng = BatchEngine::new(spec)
-        .with_partition_fn(mr_partition)
-        .with_trace(trace);
-    if let Some(t) = transport {
-        eng = eng.with_transport(Arc::clone(t));
-    }
-    if let Some(inj) = faults {
-        eng = eng.with_fault_injector(inj.clone());
-    }
-    eng
-}
-
-/// The legacy-plane MapReduce driver (`strategy.columnar == false`).
-#[allow(clippy::too_many_arguments)]
-fn run_planned_legacy(
-    model: &GnnModel,
-    records: &[NodeRecord],
-    n_nodes: usize,
-    spec: ClusterSpec,
-    strategy: StrategyConfig,
-    bc_threshold: u64,
-    features: Option<&[Vec<f32>]>,
-    faults: Option<&FaultInjector>,
-    trace: TraceHandle,
-    transport: Option<&Arc<dyn Transport>>,
-) -> Result<InferenceOutput> {
-    let k = model.n_layers();
-    let workers = spec.workers;
-    let mut eng = engine_for(spec, faults, trace, transport);
-    let inputs = eng.scatter_inputs(records.iter().collect());
-
-    // --- Map: initial embeddings + layer-0 scatter ------------------------
-    let combiner_for = |layer_idx: usize| -> Option<PoolOp> {
-        if !strategy.partial_gather || layer_idx >= k {
-            return None;
-        }
-        model.layer_view(layer_idx).pool_op()
-    };
-
-    let map_combine = combiner_for(0).map(|op| {
-        move |acc: &mut MrRecord, msg: MrRecord| -> Option<MrRecord> {
-            combine_records(op, acc, msg)
-        }
-    });
-    let keyed = eng.map_phase(
-        "map-init",
-        &inputs,
-        |_w| {
-            |ctx: &mut PhaseCtx, rec: &&NodeRecord| {
-                let mut emit = Vec::with_capacity(rec.out_targets.len() + 1);
-                // h⁰ = raw features (initialisation step), or the fresh
-                // features a serving caller handed to this run.
-                let h0 = match features {
-                    Some(f) => f[rec.base as usize].clone(),
-                    None => rec.raw.clone(),
-                };
-                scatter_records(
-                    model,
-                    &strategy,
-                    bc_threshold,
-                    workers,
-                    0,
-                    rec.wire,
-                    &h0,
-                    &rec.out_targets,
-                    rec.out_deg,
-                    ctx,
-                    &mut emit,
-                );
-                emit.push((
-                    rec.wire,
-                    MrRecord::SelfState {
-                        h: h0,
-                        out_targets: rec.out_targets.clone(),
-                        in_deg: rec.in_deg,
-                        out_deg: rec.out_deg,
-                    },
-                ));
-                Ok(emit)
-            }
-        },
-        map_combine.as_ref().map(|f| f as CombineFn<'_, MrRecord>),
-    )?;
-
-    // --- k reduce rounds ----------------------------------------------------
-    let mut data: KeyedData<MrRecord> = keyed;
-    for r in 1..=k {
-        let layer_idx = r - 1;
-        // messages emitted this round feed layer r
-        let out_combine = combiner_for(r).map(|op| {
-            move |acc: &mut MrRecord, msg: MrRecord| -> Option<MrRecord> {
-                combine_records(op, acc, msg)
-            }
-        });
-        // Each worker's kernel owns a broadcast table for refs arriving
-        // THIS round; reducers stream keys ascending, and bcast keys sort
-        // before node keys, so the table fills before any node group.
-        let make_reduce = |_w: usize| {
-            let mut table: FxHashMap<u64, GnnMessage> = FxHashMap::default();
-            move |ctx: &mut PhaseCtx,
-                  key: u64,
-                  values: Vec<MrRecord>|
-                  -> Result<Vec<(u64, MrRecord)>> {
-                if key & NODE_FLAG == 0 {
-                    // broadcast-table group for this worker
-                    table.clear();
-                    for v in values {
-                        if let MrRecord::Bcast { src, msg } = v {
-                            table.insert(src, msg);
-                        }
-                    }
-                    return Ok(Vec::new());
-                }
-                let layer = model.layer_view(layer_idx);
-                let mut agg = layer.init_agg();
-                let mut self_state: Option<SelfState> = None;
-                let mut n_msgs = 0usize;
-                for v in values {
-                    match v {
-                        MrRecord::SelfState {
-                            h,
-                            out_targets,
-                            in_deg,
-                            out_deg,
-                        } => self_state = Some((h, out_targets, in_deg, out_deg)),
-                        MrRecord::InMsg(m) => {
-                            n_msgs += 1;
-                            let lookup = |src: u64| table.get(&src);
-                            // merge_phase wraps kernel errors with the
-                            // phase name ("reduce-{r}") — no wrap here.
-                            layer.gather_wire(&mut agg, &m, &lookup)?;
-                        }
-                        other => {
-                            return Err(Error::InvalidGraph(format!(
-                                "unexpected record {other:?} at key {key}"
-                            )));
-                        }
-                    }
-                }
-                let Some((h, out_targets, in_deg, out_deg)) = self_state else {
-                    return Err(Error::InvalidGraph(format!(
-                        "node {key} lost its self-state record"
-                    )));
-                };
-                let gathered = agg.count() as usize;
-                let ctx_node = NodeCtx {
-                    id: key,
-                    state: &h,
-                    in_degree: in_deg,
-                    out_degree: out_deg,
-                };
-                let h_new = layer.apply_node(&ctx_node, agg);
-                ctx.add_flops(
-                    layer.flops_apply_node(gathered)
-                        + n_msgs as f64 * layer.flops_aggregate_per_message(),
-                );
-                let mut emit = Vec::with_capacity(out_targets.len() + 1);
-                if r == k {
-                    ctx.add_flops(model.flops_head());
-                    emit.push((key, MrRecord::Output(model.apply_head(&h_new))));
-                } else {
-                    scatter_records(
-                        model,
-                        &strategy,
-                        bc_threshold,
-                        workers,
-                        r,
-                        key,
-                        &h_new,
-                        &out_targets,
-                        out_deg,
-                        ctx,
-                        &mut emit,
-                    );
-                    emit.push((
-                        key,
-                        MrRecord::SelfState {
-                            h: h_new,
-                            out_targets,
-                            in_deg,
-                            out_deg,
-                        },
-                    ));
-                }
-                Ok(emit)
-            }
-        };
-        data = eng.reduce_phase(
-            format!("reduce-{r}"),
-            data,
-            make_reduce,
-            out_combine.as_ref().map(|f| f as CombineFn<'_, MrRecord>),
-        )?;
-    }
-
-    // --- harvest -------------------------------------------------------------
-    let logits = harvest_logits(n_nodes, data)?;
-    Ok(InferenceOutput {
-        logits,
-        report: eng.into_report(),
-    })
 }
 
 /// Collect `Output` records from the final round into per-node logits.
@@ -575,14 +253,20 @@ fn harvest_logits(n_nodes: usize, data: KeyedData<MrRecord>) -> Result<Vec<Vec<f
         .collect::<Result<_>>()
 }
 
-/// The columnar MapReduce driver: self-state, broadcast-table, and output
-/// records keep the legacy typed plane; every per-edge GNN message is a
-/// fixed-width row on the columnar plane, fused into per-key partial rows
-/// at the sender whenever the layer's aggregate is annotated
-/// commutative/associative (the paper's partial-aggregation strategy,
-/// executed without a single per-message heap object).
+/// Execute one planned MapReduce run over pre-built node records (the
+/// execution stage of the session pipeline; planning already happened).
+/// `features`, when given, replaces each record's raw input row. Records
+/// are shuffled by reference — nothing is cloned per run beyond what the
+/// rounds themselves emit.
+///
+/// Self-state, broadcast-table, and output records ride the typed record
+/// plane; every per-edge GNN message is a fixed-width row on the columnar
+/// plane, fused into per-key partial rows at the sender whenever the
+/// layer's aggregate is annotated commutative/associative (the paper's
+/// partial-aggregation strategy, executed without a single per-message
+/// heap object).
 #[allow(clippy::too_many_arguments)]
-fn run_planned_columnar(
+pub(crate) fn run_planned(
     model: &GnnModel,
     records: &[NodeRecord],
     n_nodes: usize,
@@ -596,11 +280,19 @@ fn run_planned_columnar(
 ) -> Result<InferenceOutput> {
     let k = model.n_layers();
     let workers = spec.workers;
-    let mut eng = engine_for(spec, faults, trace, transport);
+    let mut eng = BatchEngine::new(spec)
+        .with_partition_fn(mr_partition)
+        .with_trace(trace);
+    if let Some(t) = transport {
+        eng = eng.with_transport(Arc::clone(t));
+    }
+    // Arm the plan's shared-budget injector when one is set (left unset,
+    // the `INFERTURBO_FAULTS` fallback survives).
+    if let Some(inj) = faults {
+        eng = eng.with_fault_injector(inj.clone());
+    }
     let inputs = eng.scatter_inputs(records.iter().collect());
 
-    // Fused row aggregation stands in for the wire combiner: same
-    // annotation rule, same fold kernels.
     let row_aggs: Vec<Option<PoolRowAggregator>> = (0..k)
         .map(|l| {
             if strategy.partial_gather {
@@ -616,7 +308,7 @@ fn run_planned_columnar(
     let dim_of = |l: usize| model.layer_view(l).annotations().msg_dim;
 
     // --- Map: initial embeddings + layer-0 scatter ------------------------
-    let (mut data, mut rows) = eng.map_phase_rows(
+    let (mut data, mut rows) = eng.map_phase(
         "map-init",
         &inputs,
         dim_of(0),
@@ -655,7 +347,6 @@ fn run_planned_columnar(
                 Ok(emit)
             }
         },
-        None,
         agg_for(0),
     )?;
 
@@ -763,13 +454,12 @@ fn run_planned_columnar(
             }
         };
         let next_agg = if r == k { None } else { agg_for(r) };
-        (data, rows) = eng.reduce_phase_rows(
+        (data, rows) = eng.reduce_phase(
             format!("reduce-{r}"),
             data,
             rows,
             out_dim,
             make_reduce,
-            None,
             next_agg,
         )?;
     }
@@ -845,41 +535,5 @@ mod tests {
         // node keys use the hash route
         let k = NODE_FLAG | 12345;
         assert_eq!(mr_partition(k, 8), partition_of(k, 8));
-    }
-
-    #[test]
-    fn combine_records_folds_partials_only() {
-        let mut acc = MrRecord::InMsg(GnnMessage::Partial {
-            acc: vec![1.0],
-            count: 1,
-        });
-        let out = combine_records(
-            PoolOp::Sum,
-            &mut acc,
-            MrRecord::InMsg(GnnMessage::Partial {
-                acc: vec![2.0],
-                count: 1,
-            }),
-        );
-        assert!(out.is_none());
-        assert_eq!(
-            acc,
-            MrRecord::InMsg(GnnMessage::Partial {
-                acc: vec![3.0],
-                count: 2
-            })
-        );
-        // SelfState anchors swap out
-        let mut acc = MrRecord::Output(vec![]);
-        let out = combine_records(
-            PoolOp::Sum,
-            &mut acc,
-            MrRecord::InMsg(GnnMessage::Partial {
-                acc: vec![2.0],
-                count: 1,
-            }),
-        );
-        assert_eq!(out, Some(MrRecord::Output(vec![])));
-        assert!(matches!(acc, MrRecord::InMsg(_)));
     }
 }

@@ -10,8 +10,8 @@
 //!   paper attaches the "prediction slice" to the final apply.
 //!
 //! Strategy mapping: partial-gather rides the engine's fused
-//! scatter-aggregation on the columnar plane (or the sender-side combiner
-//! on the legacy plane); broadcast rides the engine's broadcast tables;
+//! scatter-aggregation on the columnar plane; broadcast rides the
+//! engine's broadcast tables;
 //! shadow-nodes arrive pre-applied in the
 //! [`crate::strategy::NodeRecord`]s.
 //!
@@ -20,12 +20,12 @@
 //! projection `W·h`), computed once per vertex in `scatter`, so scatter
 //! rides the engine's columnar plane — one `memcpy` per edge, no heap
 //! object per message, no per-edge compute. Broadcast refs are 8-byte
-//! variable-length control messages and keep the legacy typed plane;
+//! variable-length control messages and ride the typed plane;
 //! both halves of a vertex's inbox are folded by the same [`GasLayer`]
 //! kernels at gather, a ref's payload by borrow from the broadcast table.
 
 use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
-use crate::models::gas_impl::{PoolRowAggregator, WireCombiner};
+use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
 use crate::session::{Backend, InferenceSession};
 use crate::strategy::{mirror_of, NodeRecord, StrategyConfig};
@@ -35,8 +35,8 @@ use inferturbo_common::{Error, Result};
 use inferturbo_graph::Graph;
 use inferturbo_obs::TraceHandle;
 use inferturbo_pregel::{
-    BroadcastLookup, Combiner, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
-    RowsIn, ScratchPool, VertexProgram,
+    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
+    ScratchPool, VertexProgram,
 };
 use std::sync::Arc;
 
@@ -69,10 +69,8 @@ pub struct GnnVertexProgram<'m> {
     strategy: StrategyConfig,
     /// Hub threshold for the broadcast strategy (logical out-degree).
     bc_threshold: u64,
-    /// Per-feeding-step combiners (index = superstep that emits; legacy
-    /// plane).
-    combiners: Vec<Option<WireCombiner>>,
-    /// Per-feeding-step fused row aggregators (columnar plane).
+    /// Per-feeding-step fused row aggregators (index = superstep that
+    /// emits).
     row_aggs: Vec<Option<PoolRowAggregator>>,
     k: usize,
 }
@@ -102,26 +100,18 @@ impl<'m> GnnVertexProgram<'m> {
             && ann.uniform_message
             && state.out_deg as u64 > self.bc_threshold
         {
-            // Hub path: one payload per worker on the legacy plane, one
+            // Hub path: one payload per worker on the typed plane, one
             // 8-byte ref per edge.
             let msg = layer.make_wire(raw, self.strategy.partial_gather);
             out.broadcast(msg);
             for &t in state.out_targets.iter() {
                 out.send(t, GnnMessage::Ref(vertex));
             }
-        } else if out.row_dim().is_some() {
+        } else {
             // Columnar plane: the row is written once into flat buffers —
             // no clone per edge, no enum on the hot path.
             for &t in state.out_targets.iter() {
                 out.send_row(t, &raw);
-            }
-        } else {
-            let msg = layer.make_wire(raw, self.strategy.partial_gather);
-            if let Some((last, rest)) = state.out_targets.split_last() {
-                for &t in rest {
-                    out.send(t, msg.clone());
-                }
-                out.send(*last, msg);
             }
         }
     }
@@ -221,16 +211,6 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
             .map(|a| a as &dyn FusedAggregator)
     }
 
-    fn combiner(&self, step: usize) -> Option<&dyn Combiner<GnnMessage>> {
-        if !self.strategy.partial_gather {
-            return None;
-        }
-        self.combiners
-            .get(step)?
-            .as_ref()
-            .map(|c| c as &dyn Combiner<GnnMessage>)
-    }
-
     fn state_bytes(&self, state: &GnnVertexState<'_>) -> u64 {
         ((state.raw.len() + state.h.len()) * 4
             + state.out_targets.len() * 8
@@ -288,9 +268,6 @@ pub(crate) fn run_planned<'g>(
     transport: Option<&Arc<dyn Transport>>,
 ) -> Result<(InferenceOutput, ScratchPool<GnnMessage>)> {
     let k = model.n_layers();
-    let combiners: Vec<Option<WireCombiner>> = (0..k)
-        .map(|l| model.layer_view(l).wire_combiner())
-        .collect();
     let row_aggs: Vec<Option<PoolRowAggregator>> = (0..k)
         .map(|l| model.layer_view(l).row_aggregator())
         .collect();
@@ -298,7 +275,6 @@ pub(crate) fn run_planned<'g>(
         model,
         strategy,
         bc_threshold,
-        combiners,
         row_aggs,
         k,
     };
@@ -308,7 +284,6 @@ pub(crate) fn run_planned<'g>(
     // session's (possibly none = fail-fast). Without one, the env
     // auto-arming survives and only an explicit recovery overrides.
     let mut config = PregelConfig::new(spec)
-        .with_columnar(strategy.columnar)
         .with_spill(spill.cloned())
         .with_trace(trace);
     if let Some(t) = transport {

@@ -9,7 +9,7 @@
 use super::{matvec_acc, GnnModel, LayerKind, LayerParams, PoolOp};
 use crate::gas::{pooled_fold, AggState, EdgeCtx, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
 use inferturbo_common::{Error, Result};
-use inferturbo_pregel::{BroadcastLookup, Combiner, FusedAggregator, RowsIn};
+use inferturbo_pregel::{BroadcastLookup, FusedAggregator, RowsIn};
 use inferturbo_tensor::{row_axpy, row_max};
 
 /// GAT attention slope — fixed constant, must match the tape builder.
@@ -44,15 +44,8 @@ impl<'m> LayerView<'m> {
         }
     }
 
-    /// Wire-level combiner implementing partial-gather for this layer, if
+    /// Fused row aggregator implementing partial-gather for this layer, if
     /// its aggregate is commutative/associative.
-    pub fn wire_combiner(&self) -> Option<WireCombiner> {
-        self.pool_op().map(|op| WireCombiner { op })
-    }
-
-    /// Fused row aggregator for the columnar plane, if this layer's
-    /// aggregate is commutative/associative — the columnar counterpart of
-    /// [`LayerView::wire_combiner`], folding through the same kernels.
     pub fn row_aggregator(&self) -> Option<PoolRowAggregator> {
         self.pool_op().map(|op| PoolRowAggregator { op })
     }
@@ -392,8 +385,8 @@ impl GasLayer for LayerView<'_> {
 /// Fused row aggregator for pooled layers: lane-wise sum (sum/mean — the
 /// mean divides at `apply_node` using the engine-tracked count) or max,
 /// through the 8-wide-unrolled tensor kernels. Bit-identical to
-/// [`pooled_fold`]'s non-empty branch, which is what makes the engine's
-/// fused scatter-aggregation reproduce the legacy combiner path exactly.
+/// [`pooled_fold`]'s non-empty branch, so a sender-side partial folds
+/// exactly as the receiver's gather would have folded the raw messages.
 pub struct PoolRowAggregator {
     pub op: PoolOp,
 }
@@ -423,39 +416,6 @@ impl FusedAggregator for PoolRowAggregator {
             PoolOp::Max => Some(inferturbo_common::rows::AggKind::Max),
         }
     }
-}
-
-/// Wire-level partial-gather combiner: folds `Partial` messages heading to
-/// the same destination; anything else overflows. If the held anchor is not
-/// a `Partial` but the incoming message is, they swap, so the anchor always
-/// ends up combinable.
-pub struct WireCombiner {
-    pub op: PoolOp,
-}
-
-impl Combiner<GnnMessage> for WireCombiner {
-    fn combine(&self, acc: &mut GnnMessage, msg: GnnMessage) -> Option<GnnMessage> {
-        match (&mut *acc, msg) {
-            (
-                GnnMessage::Partial { acc: a, count: c },
-                GnnMessage::Partial { acc: b, count: c2 },
-            ) => {
-                pooled_fold(self.op, a, c, &b, c2);
-                None
-            }
-            (anchor, msg @ GnnMessage::Partial { .. }) => {
-                // Swap so the combinable variant anchors future folds.
-                Some(std::mem::replace(anchor, msg))
-            }
-            (_, other) => Some(other),
-        }
-    }
-}
-
-/// Convenience free function mirroring [`WireCombiner`] for the batch
-/// backend's `&dyn Fn` combiner parameter.
-pub fn combine_wire(op: PoolOp, acc: &mut GnnMessage, msg: GnnMessage) -> Option<GnnMessage> {
-    WireCombiner { op }.combine(acc, msg)
 }
 
 #[cfg(test)]
@@ -595,48 +555,6 @@ mod tests {
             },
         );
         assert_eq!(msg, vec![1.0, 2.0]); // 1/sqrt(4) = 0.5
-    }
-
-    #[test]
-    fn wire_combiner_folds_partials_and_rejects_refs() {
-        let comb = WireCombiner { op: PoolOp::Sum };
-        let mut acc = GnnMessage::Partial {
-            acc: vec![1.0, 1.0],
-            count: 1,
-        };
-        let overflow = comb.combine(
-            &mut acc,
-            GnnMessage::Partial {
-                acc: vec![2.0, 3.0],
-                count: 2,
-            },
-        );
-        assert!(overflow.is_none());
-        assert_eq!(
-            acc,
-            GnnMessage::Partial {
-                acc: vec![3.0, 4.0],
-                count: 3
-            }
-        );
-        let overflow = comb.combine(&mut acc, GnnMessage::Ref(7));
-        assert_eq!(overflow, Some(GnnMessage::Ref(7)));
-    }
-
-    #[test]
-    fn wire_combiner_swaps_anchor_to_combinable() {
-        let comb = WireCombiner { op: PoolOp::Sum };
-        let mut acc = GnnMessage::Ref(9);
-        let overflow = comb.combine(
-            &mut acc,
-            GnnMessage::Partial {
-                acc: vec![1.0],
-                count: 1,
-            },
-        );
-        // Ref overflows, Partial becomes the anchor.
-        assert_eq!(overflow, Some(GnnMessage::Ref(9)));
-        assert!(matches!(acc, GnnMessage::Partial { .. }));
     }
 
     #[test]

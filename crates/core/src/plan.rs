@@ -511,7 +511,7 @@ fn build_estimate(
         let view = model.layer_view(l);
         let ann = view.annotations();
         let d = ann.msg_dim;
-        let fused = strategy.columnar && strategy.partial_gather && view.row_aggregator().is_some();
+        let fused = strategy.partial_gather && view.row_aggregator().is_some();
         let broadcasting = strategy.broadcast && ann.uniform_message;
         let (hub_records, hub_edges) = if broadcasting {
             records
@@ -535,15 +535,10 @@ fn build_estimate(
         let row_len = row_payload_len(d, fused.then_some(1)) as u64 + WIRE_ID_LEN;
         let row_bytes = row_records * row_len;
         // Hub traffic: one payload per worker plus an 8-byte ref per edge
-        // (both on the legacy plane).
+        // (both on the typed plane).
         let payload_len = row_payload_len(d, None) as u64 + varint_len(0) as u64;
         let hub_bytes =
             hub_records * (n_w as u64) * payload_len + hub_edges * (1 + 2 * WIRE_ID_LEN);
-        let (columnar_bytes, legacy_bytes) = if strategy.columnar {
-            (row_bytes, hub_bytes)
-        } else {
-            (0, row_bytes + hub_bytes)
-        };
 
         // MapReduce re-shuffles every record's self-state each round: the
         // current embedding plus the out-edge table.
@@ -592,8 +587,8 @@ fn build_estimate(
         layers.push(LayerEstimate {
             layer: l,
             msg_dim: d,
-            columnar_bytes,
-            legacy_bytes,
+            columnar_bytes: row_bytes,
+            legacy_bytes: hub_bytes,
             mapreduce_selfstate_bytes: selfstate_bytes,
         });
     }

@@ -1,4 +1,5 @@
-//! The BSP superstep loop: routing, combining, broadcast tables, metrics.
+//! The BSP superstep loop: routing, fused aggregation, broadcast tables,
+//! metrics.
 //!
 //! # Execution model
 //!
@@ -6,17 +7,20 @@
 //! own OS thread (up to the global [`inferturbo_common::Parallelism`]
 //! budget), writing its outgoing messages into per-(sender × destination)
 //! **outbox shards**. At the barrier the shards are merged without locks,
-//! in ascending sender order — the exact order the old serial loop
-//! delivered in — so results, byte accounting, and metrics are identical
+//! in ascending sender order — the exact order a serial sender loop would
+//! deliver in — so results, byte accounting, and metrics are identical
 //! for every thread count.
 //!
 //! # Message planes
 //!
-//! Two planes carry traffic between supersteps:
+//! Two planes carry traffic between supersteps, and a program may use both
+//! in the same step:
 //!
-//! - the **legacy typed plane**: `P::Msg` values in a flat per-worker
-//!   arena (`InboxArena`: one `Vec<Msg>` plus per-slot offsets) rebuilt
-//!   each superstep with a counting scatter;
+//! - the **typed plane**: `P::Msg` values sent with
+//!   [`Outbox::send`](crate::vertex::Outbox::send) — variable-width
+//!   payloads such as broadcast refs and control messages — land in a flat
+//!   per-worker arena (`InboxArena`: one `Vec<Msg>` plus per-slot offsets)
+//!   rebuilt each superstep with a counting scatter;
 //! - the **columnar plane**: when the program declares a
 //!   [`MessageLayout`](crate::vertex::MessageLayout) for the emitting
 //!   step, fixed-width `f32` rows move through flat per-(sender ×
@@ -30,20 +34,22 @@
 //!   row per (sender, destination slot) into a dense O(V·d) accumulator
 //!   set — peak inbox memory and shuffle volume drop from O(E·d) to
 //!   O(V·d), the paper's partial-aggregation optimisation done at the
-//!   engine level.
+//!   engine level. This is the engine's one sender-side combiner.
 //!
-//! # Columnar determinism contract
+//! # Determinism contract
 //!
-//! The columnar plane preserves the engine-wide rule that parallel
-//! execution is observably identical to serial for every thread count,
-//! and adds a stronger guarantee: the fused path is **bit-identical** to
-//! the legacy combiner path. Both fold a sender's rows per destination in
-//! emission order (copy-on-first, so the first row is taken verbatim) and
-//! both merge per-destination partials in ascending sender order with one
-//! lane-wise fold per partial. Materialized (non-fused) rows are sealed in
-//! ascending sender order, emission order within a sender — the exact
-//! delivery order of the legacy arena — so a program folding its row slice
-//! front-to-back reproduces the legacy per-message fold bit-for-bit.
+//! Parallel execution is observably identical to serial for every thread
+//! count, and delivery order is fixed on both planes. Typed messages —
+//! broadcast refs included — and materialized (non-fused) rows are
+//! delivered to a vertex in (sender worker ascending, emission order
+//! within a sender), with no exception. Fused rows fold a sender's rows
+//! per destination in emission order (copy-on-first, so the first row is
+//! taken verbatim), and the barrier merges per-destination partials in
+//! ascending sender order with one lane-wise fold per partial.
+//! A program folding its row slice front-to-back therefore sees exactly
+//! the serial per-message fold, and a fused accumulator equals that fold
+//! regrouped per sender worker — bit for bit, at every thread count, over
+//! every transport, spilled or resident, recovered or clean.
 
 use crate::vertex::{ActivationPolicy, Outbox, RowsIn, VertexProgram};
 use inferturbo_cluster::transport::{
@@ -79,21 +85,6 @@ use inferturbo_obs::{Payload, Site, TraceHandle, TraceMark};
 pub struct PregelConfig {
     pub spec: ClusterSpec,
     pub activation: ActivationPolicy,
-    /// Route a vertex id to a worker. Defaults to the workspace-wide hash
-    /// routing; swap for `|id, n| (id % n as u64) as usize` to reproduce the
-    /// paper's literal `mod N`.
-    pub partition_fn: fn(u64, usize) -> usize,
-    /// When true, every remote message is encoded to bytes and decoded on
-    /// receipt — slower, but verifies the wire format end-to-end. Byte
-    /// *accounting* is identical in both modes. Columnar rows are exempt:
-    /// they are already flat `f32` wire layout by construction.
-    pub serialized_delivery: bool,
-    /// Route declared fixed-width messages through the columnar plane
-    /// (default). Disabling forces every message onto the legacy typed
-    /// plane — programs observe `row_dim() == None` and fall back — which
-    /// is how the equivalence suite pins the two planes against each
-    /// other.
-    pub columnar: bool,
     /// Out-of-core policy for the columnar inter-superstep inboxes. When
     /// set, each worker's sealed [`RowArena`] / merged [`FusedRows`] whose
     /// row data exceeds `budget_bytes` pages to disk and streams back
@@ -140,9 +131,6 @@ impl PregelConfig {
         PregelConfig {
             spec,
             activation: ActivationPolicy::AlwaysActive,
-            partition_fn: partition_of,
-            serialized_delivery: false,
-            columnar: true,
             spill: None,
             faults,
             recovery,
@@ -164,16 +152,6 @@ impl PregelConfig {
 
     pub fn with_activation(mut self, a: ActivationPolicy) -> Self {
         self.activation = a;
-        self
-    }
-
-    pub fn with_serialized_delivery(mut self, on: bool) -> Self {
-        self.serialized_delivery = on;
-        self
-    }
-
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
         self
     }
 
@@ -474,8 +452,7 @@ fn row_wire_len(dim: usize, dst: u64) -> u64 {
     (row_payload_len(dim, None) + varint_len(dst)) as u64
 }
 
-/// Wire length of a fused partial row (carries its fold count, like a
-/// legacy partial-aggregate message).
+/// Wire length of a fused partial row (carries its fold count).
 fn fused_row_wire_len(dim: usize, count: u32, dst: u64) -> u64 {
     (row_payload_len(dim, Some(count)) + varint_len(dst)) as u64
 }
@@ -619,7 +596,7 @@ impl<P: VertexProgram> PregelEngine<P> {
 
     /// Register a vertex. Ids must be unique.
     pub fn add_vertex(&mut self, id: u64, state: P::State) {
-        let w = (self.config.partition_fn)(id, self.config.spec.workers);
+        let w = partition_of(id, self.config.spec.workers);
         let slot = self.workers[w].len() as u32;
         let prev = self.index.insert(id, (w as u32, slot));
         assert!(prev.is_none(), "duplicate vertex id {id}");
@@ -794,19 +771,15 @@ impl<P: VertexProgram> PregelEngine<P> {
         let phase_name = format!("superstep-{step}");
 
         // Resolve this step's emit plane from the program's declarations.
-        let emit: EmitPlane<'_> = if self.config.columnar {
-            match self.program.message_layout(step) {
-                None => EmitPlane::Legacy,
-                Some(layout) => match self.program.fused_aggregator(step) {
-                    Some(agg) => EmitPlane::Fused {
-                        dim: layout.dim,
-                        agg,
-                    },
-                    None => EmitPlane::Rows { dim: layout.dim },
+        let emit: EmitPlane<'_> = match self.program.message_layout(step) {
+            None => EmitPlane::Legacy,
+            Some(layout) => match self.program.fused_aggregator(step) {
+                Some(agg) => EmitPlane::Fused {
+                    dim: layout.dim,
+                    agg,
                 },
-            }
-        } else {
-            EmitPlane::Legacy
+                None => EmitPlane::Rows { dim: layout.dim },
+            },
         };
         let dest_sizes: Vec<usize> = self.workers.iter().map(Vec::len).collect();
 
@@ -1181,10 +1154,6 @@ fn run_worker<P: VertexProgram>(
         EmitPlane::Fused { .. } => (0..n_workers).map(|_| Vec::new()).collect(),
         _ => Vec::new(),
     };
-    // Sender-side combining buffer (legacy plane): one entry per
-    // destination vertex.
-    let mut combined: Vec<(u64, P::Msg)> = Vec::new();
-    let mut combined_idx: FxHashMap<u64, usize> = FxHashMap::default();
     let InboxArena { msgs, offsets } = arena;
     let mut msg_iter = msgs.into_iter();
     // One pooled outbox reused across every vertex (and, via the scratch
@@ -1272,27 +1241,9 @@ fn run_worker<P: VertexProgram>(
             out.bcasts.push((vertex_id, payload));
         }
 
-        // Route legacy point-to-point messages, folding through the
-        // combiner when the program provides one. Overflow messages
-        // (uncombinable pairs) are delivered immediately.
-        if let Some(combiner) = program.combiner(step) {
-            for (dst, msg) in ob.messages.drain(..) {
-                match combined_idx.get(&dst) {
-                    Some(&i) => {
-                        if let Some(overflow) = combiner.combine(&mut combined[i].1, msg) {
-                            deliver::<P>(config, index, w, dst, overflow, &mut out)?;
-                        }
-                    }
-                    None => {
-                        combined_idx.insert(dst, combined.len());
-                        combined.push((dst, msg));
-                    }
-                }
-            }
-        } else {
-            for (dst, msg) in ob.messages.drain(..) {
-                deliver::<P>(config, index, w, dst, msg, &mut out)?;
-            }
+        // Route typed point-to-point messages, in emission order.
+        for (dst, msg) in ob.messages.drain(..) {
+            deliver::<P>(index, w, dst, msg, &mut out)?;
         }
 
         // Route columnar rows: flat copies into per-destination row shards,
@@ -1317,7 +1268,7 @@ fn run_worker<P: VertexProgram>(
                     }
                     (EmitPlane::Fused { agg, .. }, ColsOut::Fused(shards)) => {
                         // Accounting happens at flush, one record per
-                        // accumulated row — like the legacy combiner.
+                        // accumulated row.
                         if shards[w2].accumulate(slot, row, 1, *agg) {
                             fused_dsts[w2].push(dst);
                         }
@@ -1331,11 +1282,6 @@ fn run_worker<P: VertexProgram>(
                 "send_row requires an active message layout"
             );
         }
-    }
-
-    // Flush this worker's combined legacy messages.
-    for (dst, msg) in combined {
-        deliver::<P>(config, index, w, dst, msg, &mut out)?;
     }
 
     // Flush accounting for fused rows: one partial-aggregate record per
@@ -1361,10 +1307,9 @@ fn run_worker<P: VertexProgram>(
     Ok(out)
 }
 
-/// Route one legacy message into the sender's outbox shard for its
+/// Route one typed message into the sender's outbox shard for its
 /// destination worker, with full byte accounting on both sides.
 fn deliver<P: VertexProgram>(
-    config: &PregelConfig,
     index: &FxHashMap<u64, (u32, u32)>,
     from_worker: usize,
     dst: u64,
@@ -1376,20 +1321,11 @@ fn deliver<P: VertexProgram>(
         .ok_or_else(|| Error::InvalidGraph(format!("message to unknown vertex {dst}")))?;
     let (w2, slot) = (w2 as usize, slot as usize);
     let wire_len = (msg.encoded_len() + varint_len(dst)) as u64;
-    let msg = if w2 != from_worker {
+    if w2 != from_worker {
         out.metrics.send(wire_len);
         out.recv_bytes[w2] += wire_len;
         out.recv_records[w2] += 1;
-        if config.serialized_delivery {
-            // Round-trip through the real wire format.
-            let bytes = msg.to_bytes();
-            P::Msg::from_bytes(&bytes).map_err(|e| e.in_phase(format!("deliver to {dst}")))?
-        } else {
-            msg
-        }
-    } else {
-        msg
-    };
+    }
     out.inbox_bytes[w2] += wire_len;
     out.msg_bytes.legacy += wire_len;
     out.shards[w2].push((slot as u32, msg));
@@ -1399,28 +1335,18 @@ fn deliver<P: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vertex::{BroadcastLookup, Combiner, MessageLayout};
+    use crate::vertex::{BroadcastLookup, MessageLayout};
 
     /// PageRank over an explicit neighbour list held in vertex state.
     struct PageRank {
         n: f64,
         damping: f64,
-        use_combiner: bool,
     }
 
     #[derive(Clone)]
     struct PrState {
         rank: f64,
         nbrs: Vec<u64>,
-    }
-
-    struct SumCombiner;
-
-    impl Combiner<f32> for SumCombiner {
-        fn combine(&self, acc: &mut f32, msg: f32) -> Option<f32> {
-            *acc += msg;
-            None
-        }
     }
 
     impl VertexProgram for PageRank {
@@ -1448,25 +1374,16 @@ mod tests {
             }
             out.add_flops(messages.len() as f64 + 2.0);
         }
-
-        fn combiner(&self, _step: usize) -> Option<&dyn Combiner<f32>> {
-            if self.use_combiner {
-                Some(&SumCombiner)
-            } else {
-                None
-            }
-        }
     }
 
     /// 4-node graph: 0->1, 0->2, 1->2, 2->0, 3->2 (3 is a source).
-    fn pagerank_engine(workers: usize, use_combiner: bool) -> PregelEngine<PageRank> {
+    fn pagerank_engine(workers: usize) -> PregelEngine<PageRank> {
         let spec = ClusterSpec::test_spec(workers);
         let cfg = PregelConfig::new(spec);
         let mut eng = PregelEngine::new(
             PageRank {
                 n: 4.0,
                 damping: 0.85,
-                use_combiner,
             },
             cfg,
         );
@@ -1495,7 +1412,7 @@ mod tests {
 
     #[test]
     fn pagerank_matches_dense_reference() {
-        let mut eng = pagerank_engine(3, false);
+        let mut eng = pagerank_engine(3);
         eng.run(11).unwrap(); // step 0 scatter + 10 updates
         let want = pagerank_reference(10);
         for (id, expect) in want.iter().enumerate() {
@@ -1508,75 +1425,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn combiner_preserves_results_and_reduces_traffic() {
-        let mut plain = pagerank_engine(2, false);
-        plain.run(6).unwrap();
-        let mut combined = pagerank_engine(2, true);
-        combined.run(6).unwrap();
-        for id in 0..4u64 {
-            let a = plain.state(id).unwrap().rank;
-            let b = combined.state(id).unwrap().rank;
-            assert!((a - b).abs() < 1e-6, "vertex {id}: {a} vs {b}");
-        }
-        // With only 4 vertices the combiner may or may not fold anything,
-        // but it must never send MORE than the plain engine.
-        assert!(combined.report().total_bytes() <= plain.report().total_bytes());
-    }
-
-    #[test]
-    fn serialized_delivery_matches_counted() {
-        let mut counted = pagerank_engine(3, false);
-        counted.run(5).unwrap();
-        let spec = ClusterSpec::test_spec(3);
-        let cfg = PregelConfig::new(spec).with_serialized_delivery(true);
-        let mut ser = PregelEngine::new(
-            PageRank {
-                n: 4.0,
-                damping: 0.85,
-                use_combiner: false,
-            },
-            cfg,
-        );
-        let adj: Vec<(u64, Vec<u64>)> =
-            vec![(0, vec![1, 2]), (1, vec![2]), (2, vec![0]), (3, vec![2])];
-        for (id, nbrs) in adj {
-            ser.add_vertex(id, PrState { rank: 0.25, nbrs });
-        }
-        ser.run(5).unwrap();
-        for id in 0..4u64 {
-            let a = counted.state(id).unwrap().rank;
-            let b = ser.state(id).unwrap().rank;
-            assert!(
-                (a - b).abs() < 1e-6,
-                "serialized delivery changed results at {id}"
-            );
-        }
-        assert_eq!(
-            counted.report().total_bytes(),
-            ser.report().total_bytes(),
-            "byte accounting must not depend on delivery mode"
-        );
-    }
-
-    /// SSSP with min-combiner and message-driven halting.
+    /// SSSP with message-driven halting.
     struct Sssp;
 
     #[derive(Clone)]
     struct SsspState {
         dist: f32,
         nbrs: Vec<(u64, f32)>,
-    }
-
-    struct MinCombiner;
-
-    impl Combiner<f32> for MinCombiner {
-        fn combine(&self, acc: &mut f32, msg: f32) -> Option<f32> {
-            if msg < *acc {
-                *acc = msg;
-            }
-            None
-        }
     }
 
     impl VertexProgram for Sssp {
@@ -1604,10 +1459,6 @@ mod tests {
                     out.send(nb, best + w);
                 }
             }
-        }
-
-        fn combiner(&self, _step: usize) -> Option<&dyn Combiner<f32>> {
-            Some(&MinCombiner)
         }
     }
 
@@ -1655,7 +1506,6 @@ mod tests {
             PageRank {
                 n: 2.0,
                 damping: 0.85,
-                use_combiner: false,
             },
             cfg,
         );
@@ -1684,7 +1534,6 @@ mod tests {
             PageRank {
                 n: 1.0,
                 damping: 0.85,
-                use_combiner: false,
             },
             cfg,
         );
@@ -1708,7 +1557,7 @@ mod tests {
     fn vertices_added_between_runs_participate() {
         // The arena inbox is sized at seal time; vertices registered after
         // a superstep must still compute (with an empty inbox) next run.
-        let mut eng = pagerank_engine(2, false);
+        let mut eng = pagerank_engine(2);
         eng.run(1).unwrap();
         eng.add_vertex(
             99,
@@ -1797,10 +1646,9 @@ mod tests {
 
     /// Feature aggregation on the columnar plane: step 0 scatters each
     /// vertex's dim-3 feature row to its neighbours, step 1 stores the
-    /// copy-first sum (and raw message count) in the state. Works on every
-    /// plane: fused rows, materialized rows, and — when the engine runs
-    /// with the columnar plane disabled — legacy `Vec<f32>` messages,
-    /// which makes it the cross-plane equivalence probe.
+    /// copy-first sum (and raw message count) in the state. Works on both
+    /// row planes — fused and materialized — which makes it the probe the
+    /// fold-order oracle below is compared against.
     struct RowProg {
         fused: bool,
     }
@@ -1822,16 +1670,6 @@ mod tests {
             for (a, b) in acc.iter_mut().zip(row) {
                 *a += b;
             }
-        }
-    }
-
-    struct VecSum;
-    impl Combiner<Vec<f32>> for VecSum {
-        fn combine(&self, acc: &mut Vec<f32>, msg: Vec<f32>) -> Option<Vec<f32>> {
-            for (a, b) in acc.iter_mut().zip(&msg) {
-                *a += b;
-            }
-            None
         }
     }
 
@@ -1872,14 +1710,8 @@ mod tests {
             out: &mut Outbox<Vec<f32>>,
         ) {
             if step == 0 {
-                if out.row_dim().is_some() {
-                    for &nb in &state.nbrs {
-                        out.send_row(nb, &state.feat);
-                    }
-                } else {
-                    for &nb in &state.nbrs {
-                        out.send(nb, state.feat.clone());
-                    }
+                for &nb in &state.nbrs {
+                    out.send_row(nb, &state.feat);
                 }
                 return;
             }
@@ -1923,25 +1755,16 @@ mod tests {
                 None
             }
         }
-
-        fn combiner(&self, _step: usize) -> Option<&dyn Combiner<Vec<f32>>> {
-            if self.fused {
-                Some(&VecSum)
-            } else {
-                None
-            }
-        }
     }
 
-    fn row_engine(workers: usize, fused: bool, columnar: bool) -> PregelEngine<RowProg> {
-        let cfg = PregelConfig::new(ClusterSpec::test_spec(workers)).with_columnar(columnar);
-        row_engine_with(cfg, fused)
+    fn row_engine(workers: usize, fused: bool) -> PregelEngine<RowProg> {
+        row_engine_with(PregelConfig::new(ClusterSpec::test_spec(workers)), fused)
     }
 
-    fn row_engine_with(cfg: PregelConfig, fused: bool) -> PregelEngine<RowProg> {
-        let mut eng = PregelEngine::new(RowProg { fused }, cfg);
-        // 8 vertices; several share in-neighbours across workers so fused
-        // merging actually folds multiple sender partials per slot.
+    /// 8 vertices as `(id, out-neighbours, feature row)`; several share
+    /// in-neighbours across workers so fused merging actually folds
+    /// multiple sender partials per slot.
+    fn row_graph() -> Vec<(u64, Vec<u64>, Vec<f32>)> {
         let adj: Vec<(u64, Vec<u64>)> = vec![
             (0, vec![1, 2, 3]),
             (1, vec![2, 3]),
@@ -1952,10 +1775,19 @@ mod tests {
             (6, vec![2, 0]),
             (7, vec![0]),
         ];
-        for (id, nbrs) in adj {
-            let feat: Vec<f32> = (0..DIM)
-                .map(|j| ((id as f32 + 1.0) * 0.37 + j as f32 * 0.11).sin())
-                .collect();
+        adj.into_iter()
+            .map(|(id, nbrs)| {
+                let feat = (0..DIM)
+                    .map(|j| ((id as f32 + 1.0) * 0.37 + j as f32 * 0.11).sin())
+                    .collect();
+                (id, nbrs, feat)
+            })
+            .collect()
+    }
+
+    fn row_engine_with(cfg: PregelConfig, fused: bool) -> PregelEngine<RowProg> {
+        let mut eng = PregelEngine::new(RowProg { fused }, cfg);
+        for (id, nbrs, feat) in row_graph() {
             eng.add_vertex(
                 id,
                 RowState {
@@ -1978,48 +1810,126 @@ mod tests {
         out
     }
 
-    #[test]
-    fn fused_rows_bit_identical_to_legacy_combiner_path() {
-        for workers in [1usize, 2, 3, 5] {
-            let mut fused = row_engine(workers, true, true);
-            fused.run(2).unwrap();
-            let mut legacy = row_engine(workers, true, false);
-            legacy.run(2).unwrap();
-            // Aggregates must match bit for bit; counts differ by design
-            // (fused tracks raw messages, the combiner path counts the
-            // partials it received).
-            for ((id_a, bits_a, _), (id_b, bits_b, _)) in
-                agg_bits(&fused).iter().zip(agg_bits(&legacy).iter())
-            {
-                assert_eq!(id_a, id_b);
-                assert_eq!(
-                    bits_a, bits_b,
-                    "vertex {id_a} diverged at {workers} workers"
-                );
+    /// The fold-order contract written out serially, by hand, so it is
+    /// pinned by something that is not the engine. Senders are visited per
+    /// worker ascending, each worker's vertices in registration order, each
+    /// vertex's rows in emission order. Materialized: every row folds
+    /// straight into the destination, copy-on-first. Fused: each sender
+    /// worker first folds its own rows into one partial per destination
+    /// (copy-on-first), then the partials merge in the same ascending
+    /// order, copy-on-first, one lane-wise fold per partial.
+    fn oracle_agg_bits(workers: usize, fused: bool) -> Vec<(u64, Vec<u32>, u32)> {
+        let graph = row_graph();
+        let mut agg: Vec<(Vec<f32>, u32)> = vec![(Vec::new(), 0); graph.len()];
+        for w in 0..workers {
+            let mut partial: Vec<Vec<f32>> = vec![Vec::new(); graph.len()];
+            for (id, nbrs, feat) in &graph {
+                if partition_of(*id, workers) != w {
+                    continue;
+                }
+                for &nb in nbrs {
+                    let (acc, count) = &mut agg[nb as usize];
+                    *count += 1;
+                    if fused {
+                        fold_row(&mut partial[nb as usize], feat);
+                    } else {
+                        fold_row(acc, feat);
+                    }
+                }
+            }
+            for (dst, p) in partial.iter().enumerate() {
+                if !p.is_empty() {
+                    fold_row(&mut agg[dst].0, p);
+                }
             }
         }
+        graph
+            .iter()
+            .map(|(id, _, _)| {
+                let (acc, count) = &agg[*id as usize];
+                (*id, acc.iter().map(|x| x.to_bits()).collect(), *count)
+            })
+            .collect()
     }
 
     #[test]
-    fn materialized_rows_bit_identical_to_legacy_plane() {
-        for workers in [1usize, 2, 4] {
-            let mut rows = row_engine(workers, false, true);
-            rows.run(2).unwrap();
-            let mut legacy = row_engine(workers, false, false);
-            legacy.run(2).unwrap();
+    fn fused_rows_bit_identical_to_the_serial_fold_order_oracle() {
+        for workers in [1usize, 2, 3, 5] {
+            let mut fused = row_engine(workers, true);
+            fused.run(2).unwrap();
             assert_eq!(
-                agg_bits(&rows),
-                agg_bits(&legacy),
-                "materialized columnar diverged at {workers} workers"
+                agg_bits(&fused),
+                oracle_agg_bits(workers, true),
+                "fused rows diverged at {workers} workers"
             );
         }
     }
 
     #[test]
+    fn materialized_rows_bit_identical_to_the_serial_fold_order_oracle() {
+        for workers in [1usize, 2, 4] {
+            let mut rows = row_engine(workers, false);
+            rows.run(2).unwrap();
+            assert_eq!(
+                agg_bits(&rows),
+                oracle_agg_bits(workers, false),
+                "materialized rows diverged at {workers} workers"
+            );
+        }
+    }
+
+    /// Every vertex but 0 sends two tagged typed messages to vertex 0;
+    /// vertex 0 records what it is handed, in order.
+    struct TypedOrder;
+
+    impl VertexProgram for TypedOrder {
+        type State = Vec<f32>;
+        type Msg = f32;
+
+        fn compute(
+            &self,
+            step: usize,
+            vertex: u64,
+            state: &mut Vec<f32>,
+            messages: Vec<f32>,
+            _b: &BroadcastLookup<'_, f32>,
+            out: &mut Outbox<f32>,
+        ) {
+            if step == 0 && vertex != 0 {
+                out.send(0, (vertex * 10) as f32);
+                out.send(0, (vertex * 10 + 1) as f32);
+            } else if step == 1 {
+                *state = messages;
+            }
+        }
+    }
+
+    #[test]
+    fn typed_messages_arrive_in_sender_worker_then_emission_order() {
+        for workers in [1usize, 2, 5] {
+            let mut eng = PregelEngine::new(
+                TypedOrder,
+                PregelConfig::new(ClusterSpec::test_spec(workers)),
+            );
+            for id in 0..12u64 {
+                eng.add_vertex(id, Vec::new());
+            }
+            eng.run(2).unwrap();
+            let mut want = Vec::new();
+            for w in 0..workers {
+                for id in (1..12u64).filter(|&id| partition_of(id, workers) == w) {
+                    want.extend([(id * 10) as f32, (id * 10 + 1) as f32]);
+                }
+            }
+            assert_eq!(eng.state(0).unwrap(), &want, "{workers} workers");
+        }
+    }
+
+    #[test]
     fn fused_rows_shrink_columnar_message_bytes() {
-        let mut fused = row_engine(3, true, true);
+        let mut fused = row_engine(3, true);
         fused.run(2).unwrap();
-        let mut rows = row_engine(3, false, true);
+        let mut rows = row_engine(3, false);
         rows.run(2).unwrap();
         let fb = fused.report().message_bytes;
         let rb = rows.report().message_bytes;
@@ -2030,14 +1940,8 @@ mod tests {
             fb.columnar,
             rb.columnar
         );
-        // Legacy plane stays idle for a pure-row program.
+        // The typed plane stays idle for a pure-row program.
         assert_eq!(fb.legacy, 0);
-        // With the plane disabled, everything is legacy bytes.
-        let mut off = row_engine(3, true, false);
-        off.run(2).unwrap();
-        let ob = off.report().message_bytes;
-        assert_eq!(ob.columnar, 0);
-        assert!(ob.legacy > 0);
     }
 
     #[test]
@@ -2048,7 +1952,7 @@ mod tests {
         // model shifts inbox bytes from the resident to the spilled plane.
         let spill = SpillPolicy::new(std::env::temp_dir().join("inferturbo-engine-tests"), 16);
         for fused in [true, false] {
-            let mut plain = row_engine(3, fused, true);
+            let mut plain = row_engine(3, fused);
             plain.run(2).unwrap();
             let cfg = PregelConfig::new(ClusterSpec::test_spec(3)).with_spill(Some(spill.clone()));
             let mut spilling = row_engine_with(cfg, fused);

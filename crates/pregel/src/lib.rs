@@ -3,11 +3,11 @@
 //! A faithful, from-scratch implementation of the "think-like-a-vertex"
 //! model the paper builds its first backend on (§IV-C-1): vertices hold
 //! state, a superstep delivers last round's messages to each vertex's
-//! `compute`, outgoing messages are routed by a partitioner, optional
-//! **combiners** fold messages destined for the same vertex on the sender
-//! side (the mechanism behind the paper's partial-gather strategy), and a
-//! **broadcast** primitive delivers one payload per worker (the mechanism
-//! behind the broadcast strategy for large out-degree hubs).
+//! `compute`, outgoing messages are routed by a partitioner, an optional
+//! **fused aggregator** folds fixed-width rows destined for the same vertex
+//! on the sender side (the mechanism behind the paper's partial-gather
+//! strategy), and a **broadcast** primitive delivers one payload per worker
+//! (the mechanism behind the broadcast strategy for large out-degree hubs).
 //!
 //! The engine executes workers in-process but partitions state and accounts
 //! network bytes exactly as a distributed deployment would: a message
@@ -26,6 +26,6 @@ pub mod vertex;
 
 pub use engine::{PregelConfig, PregelEngine, ScratchPool};
 pub use vertex::{
-    ActivationPolicy, BroadcastLookup, Combiner, FusedAggregator, MessageLayout, Outbox, RowsIn,
+    ActivationPolicy, BroadcastLookup, FusedAggregator, MessageLayout, Outbox, RowsIn,
     VertexProgram,
 };

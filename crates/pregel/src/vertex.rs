@@ -3,32 +3,21 @@
 //! Two message planes are available to a program (see the engine docs for
 //! the full contract):
 //!
-//! - the **legacy typed plane**: `P::Msg` values sent with [`Outbox::send`]
-//!   — arbitrary encodable payloads, one heap object per message;
+//! - the **typed plane**: `P::Msg` values sent with [`Outbox::send`] —
+//!   arbitrary encodable payloads, one heap object per message, delivered
+//!   as sent (the engine never combines them);
 //! - the **columnar plane**: fixed-width `f32` rows sent with
 //!   [`Outbox::send_row`], available whenever the program declares a
 //!   [`MessageLayout`] for the step. Rows travel through flat buffers with
 //!   no per-message allocation, and — when the step also provides a
 //!   [`FusedAggregator`] — are folded into per-destination accumulator
-//!   rows at the sender (fused scatter-aggregation).
+//!   rows at the sender (fused scatter-aggregation). That fold is the
+//!   engine's sender-side combiner: it must be commutative and
+//!   associative, which is exactly what the paper's annotation rule
+//!   licenses.
 
 use inferturbo_common::codec::{Decode, Encode};
 pub use inferturbo_common::rows::{FusedAggregator, MessageLayout};
-
-/// Sender-side message combiner: folds messages heading to the same
-/// destination vertex, Pregel-style. The fold must be commutative and
-/// associative — the engine applies it in arbitrary grouping, and the
-/// paper's annotation rule exists precisely to license this.
-pub trait Combiner<M>: Send + Sync {
-    /// Try to fold `msg` into `acc`.
-    ///
-    /// Return `None` when `msg` was absorbed. Return `Some(overflow)` when
-    /// the pair cannot be combined (e.g. a broadcast reference meeting a
-    /// partial aggregate); the engine delivers the overflow message
-    /// separately. Implementations may swap contents so that `acc` ends up
-    /// holding the combinable variant.
-    fn combine(&self, acc: &mut M, msg: M) -> Option<M>;
-}
 
 /// Controls which vertices run `compute` each superstep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +31,7 @@ pub enum ActivationPolicy {
 }
 
 /// The columnar half of a vertex's inbox, handed to
-/// [`VertexProgram::compute_columnar`]. Legacy-plane messages (broadcast
+/// [`VertexProgram::compute_columnar`]. Typed-plane messages (broadcast
 /// refs, control payloads) arrive separately through the `messages`
 /// argument regardless of which variant this is.
 #[derive(Debug, Clone, Copy)]
@@ -139,18 +128,10 @@ impl<M> Outbox<M> {
         self.row_dim = row_dim;
     }
 
-    /// Send `msg` to vertex `dst` for delivery next superstep (legacy
-    /// typed plane).
+    /// Send `msg` to vertex `dst` for delivery next superstep (typed
+    /// plane).
     pub fn send(&mut self, dst: u64, msg: M) {
         self.messages.push((dst, msg));
-    }
-
-    /// Row width of the active columnar plane for this step, or `None`
-    /// when the step has no declared [`MessageLayout`] (or the engine runs
-    /// with the columnar plane disabled). Programs branch on this to pick
-    /// between [`Outbox::send_row`] and the legacy [`Outbox::send`].
-    pub fn row_dim(&self) -> Option<usize> {
-        self.row_dim
     }
 
     /// Send a fixed-width row to vertex `dst` on the columnar plane. The
@@ -159,9 +140,8 @@ impl<M> Outbox<M> {
     /// has a [`FusedAggregator`], folded into the destination's
     /// accumulator row at the sender.
     ///
-    /// Calling this with no active layout for the step (check
-    /// [`Outbox::row_dim`]), or with a row of the wrong width, drops the
-    /// row and fails the superstep with a typed
+    /// Calling this with no active layout for the step, or with a row of
+    /// the wrong width, drops the row and fails the superstep with a typed
     /// [`inferturbo_common::Error::InvalidConfig`] — a program bug is a
     /// configuration error the harness observes, not a worker panic.
     pub fn send_row(&mut self, dst: u64, row: &[f32]) {
@@ -212,10 +192,10 @@ pub trait VertexProgram {
     /// Per-vertex state held in worker memory between supersteps.
     type State;
     /// Message type; must round-trip the wire codec so byte accounting is
-    /// exact and serialized-delivery tests can verify framing.
+    /// exact and a byte-moving transport can carry it.
     type Msg: Encode + Decode + Clone;
 
-    /// The superstep kernel for one vertex (legacy plane only).
+    /// The superstep kernel for one vertex (typed plane only).
     ///
     /// `broadcast_lookup` resolves a broadcast payload published last
     /// superstep by vertex `src` (on any worker), if one exists.
@@ -232,9 +212,9 @@ pub trait VertexProgram {
     /// The superstep kernel for one vertex with a columnar inbox. This is
     /// what the engine actually invokes; the default forwards to
     /// [`VertexProgram::compute`], so programs that never declare a
-    /// [`MessageLayout`] implement only the legacy kernel. Programs that
+    /// [`MessageLayout`] implement only the typed kernel. Programs that
     /// do declare layouts must override this and read both `rows` and the
-    /// legacy `messages`.
+    /// typed `messages`.
     #[allow(clippy::too_many_arguments)]
     fn compute_columnar(
         &self,
@@ -255,7 +235,7 @@ pub trait VertexProgram {
 
     /// Declare that messages emitted during superstep `step` are
     /// fixed-width `f32` rows. Returning `Some` routes that step's
-    /// [`Outbox::send_row`] traffic through the columnar plane; the legacy
+    /// [`Outbox::send_row`] traffic through the columnar plane; the typed
     /// plane stays available for variable-width messages in the same step.
     fn message_layout(&self, _step: usize) -> Option<MessageLayout> {
         None
@@ -268,14 +248,6 @@ pub trait VertexProgram {
     /// the barrier — legal exactly when the fold is commutative and
     /// associative, the paper's `@Gather(partial=...)` annotation rule.
     fn fused_aggregator(&self, _step: usize) -> Option<&dyn FusedAggregator> {
-        None
-    }
-
-    /// Optional sender-side combiner for legacy-plane messages emitted
-    /// during superstep `step` (layer-wise programs switch combiners per
-    /// step: a layer whose aggregate is not commutative/associative must
-    /// return `None` for the step that feeds it).
-    fn combiner(&self, _step: usize) -> Option<&dyn Combiner<Self::Msg>> {
         None
     }
 

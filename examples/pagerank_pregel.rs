@@ -1,5 +1,6 @@
 //! The Pregel engine is a general graph-processing system, not a GNN
-//! one-trick: this example runs PageRank with a sum-combiner on it,
+//! one-trick: this example runs PageRank on it, each rank share a 1-wide
+//! row the engine sums sender-side (`AggKind::Sum` is the combiner),
 //! mirroring the paper's lineage from Pregel/PowerGraph.
 //!
 //! ```sh
@@ -7,10 +8,12 @@
 //! ```
 
 use inferturbo::cluster::ClusterSpec;
+use inferturbo::common::rows::AggKind;
 use inferturbo::graph::gen::DegreeSkew;
 use inferturbo::graph::{Csr, Dataset};
 use inferturbo::pregel::{
-    BroadcastLookup, Combiner, Outbox, PregelConfig, PregelEngine, VertexProgram,
+    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
+    VertexProgram,
 };
 
 struct PageRank {
@@ -24,15 +27,6 @@ struct State {
     nbrs: Vec<u64>,
 }
 
-struct Sum;
-
-impl Combiner<f32> for Sum {
-    fn combine(&self, acc: &mut f32, msg: f32) -> Option<f32> {
-        *acc += msg;
-        None
-    }
-}
-
 impl VertexProgram for PageRank {
     type State = State;
     type Msg = f32;
@@ -40,27 +34,48 @@ impl VertexProgram for PageRank {
     fn compute(
         &self,
         step: usize,
-        _vertex: u64,
+        vertex: u64,
         state: &mut State,
         messages: Vec<f32>,
+        bcast: &BroadcastLookup<'_, f32>,
+        out: &mut Outbox<f32>,
+    ) {
+        self.compute_columnar(step, vertex, state, RowsIn::None, messages, bcast, out);
+    }
+
+    fn compute_columnar(
+        &self,
+        step: usize,
+        _vertex: u64,
+        state: &mut State,
+        rows: RowsIn<'_>,
+        _messages: Vec<f32>,
         _bcast: &BroadcastLookup<'_, f32>,
         out: &mut Outbox<f32>,
     ) {
         if step > 0 {
-            let sum: f64 = messages.iter().map(|&m| m as f64).sum();
+            // The engine already summed the in-shares: one accumulator lane.
+            let sum = match rows {
+                RowsIn::Fused { acc, count, .. } if count > 0 => acc[0] as f64,
+                _ => 0.0,
+            };
             state.rank = (1.0 - self.damping) / self.n + self.damping * sum;
         }
         if !state.nbrs.is_empty() {
             let share = (state.rank / state.nbrs.len() as f64) as f32;
             for &nb in &state.nbrs {
-                out.send(nb, share);
+                out.send_row(nb, &[share]);
             }
         }
-        out.add_flops(messages.len() as f64 + 2.0);
+        out.add_flops(rows.count() as f64 + 2.0);
     }
 
-    fn combiner(&self, _step: usize) -> Option<&dyn Combiner<f32>> {
-        Some(&Sum)
+    fn message_layout(&self, _step: usize) -> Option<MessageLayout> {
+        Some(MessageLayout { dim: 1 })
+    }
+
+    fn fused_aggregator(&self, _step: usize) -> Option<&dyn FusedAggregator> {
+        Some(&AggKind::Sum)
     }
 }
 

@@ -1,19 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: formatting, lints (deny warnings), the full test suite,
-# and smoke runs of the parallel benchmark binary and of `itbench` (the
-# repo's benchmark, benchmark/) so every workload is exercised end-to-end
-# on every run. Every cargo call is --offline: crates.io is unreachable
-# and the external deps are shims under crates/devshims.
+# and a smoke run of `itbench` (the repo's benchmark, benchmark/) so every
+# workload — both engines, the process transport under a forced spill
+# budget, serve throughput and the overload spike — is exercised
+# end-to-end on every run. Every cargo call is --offline: crates.io is
+# unreachable and the external deps are shims under crates/devshims.
 #
-# Every workspace member — including the serving layer (crates/serve) —
-# rides the workspace-wide gates below; `parbench --smoke` additionally
-# exercises the serving path end-to-end (`serve/throughput_3k` submits,
-# batches and drains real requests through GnnServer every run), the
-# overload-resilience path (`serve/overload_3k` rate-limits a tenant
-# spike and asserts stale service and deadline expiry actually engage),
-# and the out-of-core path (`engine/pregel_sage2_3k_spill` runs under the
-# forced spill budget below and asserts bytes actually paged through
-# disk).
+# `cargo test` with no package flag covers the workspace's
+# `default-members`: the root package and every library / bin crate.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -40,16 +34,16 @@ echo "== cargo doc --workspace --no-deps (warnings denied) =="
 # Broken intra-doc links and malformed rustdoc fail the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
-echo "== cargo test --workspace =="
-cargo test --offline --workspace -q
+echo "== cargo test =="
+cargo test --offline -q
 
-echo "== cargo test --workspace (forced fault schedule) =="
+echo "== cargo test (forced fault schedule) =="
 # Re-runs the whole suite with a worker loss injected at superstep 1 of
 # every 2+-worker Pregel run. Env auto-arming (FaultPlan::from_env +
 # RecoveryPolicy::default) turns every engine test into a
 # checkpoint/recovery gate; tests that set an explicit fault schedule or
 # recovery policy are immune by design.
-INFERTURBO_FAULTS=worker:1@step:1 cargo test --offline --workspace -q
+INFERTURBO_FAULTS=worker:1@step:1 cargo test --offline -q
 
 echo "== engine + determinism tests (spawned-worker-process transport) =="
 # Re-runs the engine determinism suites with the shuffle transport forced
@@ -87,14 +81,6 @@ echo "== serving + trace tests (flight recorder armed) =="
 # served answer; tests that pass an explicit TraceHandle are unaffected
 # by design.
 INFERTURBO_TRACE=1 cargo test --offline -q --test serving --test trace_determinism
-
-echo "== parbench --smoke (forced spill budget) =="
-cargo build --offline --release -p inferturbo-bench
-# One short measurement per bench; never committed as the perf baseline
-# (scripts/bench.sh produces that). The tiny --spill-budget forces the
-# engine/pregel_sage2_3k_spill entry through the disk path on every gate.
-./target/release/parbench --smoke --spill-budget 4096 \
-    --out target/BENCH_parallel_smoke.json >/dev/null
 
 echo "== itbench unit tests =="
 # The benchmark is a package of its own (benchmark/Cargo.toml, empty

@@ -3,10 +3,12 @@
 //! worker counts, thread counts, and pool operators, the engine-fused path
 //! must be **bit-identical** to its two reference semantics:
 //!
-//! 1. the legacy per-object combiner path (`with_columnar(false)`) — both
-//!    fold per (sender, destination) in emission order with copy-on-first,
-//!    then merge partials in ascending sender order, so every f32 op runs
-//!    in the same sequence;
+//! 1. the engine's fold-order contract written out as a serial loop in this
+//!    file ([`fold_order_oracle`]): each sender worker, ascending, folds its
+//!    rows per destination in emission order with copy-on-first, then the
+//!    per-worker partials merge in that same ascending order, copy-on-first,
+//!    one lane-wise fold per partial — so every f32 op runs in the same
+//!    sequence;
 //! 2. materialize-then-`segment_sum`/`segment_mean`/`segment_max` over the
 //!    raw message rows in delivery order — exact whenever the whole fold
 //!    happens inside one sender (single worker), and exact for max at any
@@ -19,26 +21,24 @@
 //! arithmetic.
 
 use inferturbo::cluster::ClusterSpec;
+use inferturbo::common::hash::partition_of;
 use inferturbo::common::{Parallelism, SpillPolicy, Xoshiro256};
 use inferturbo::core::models::gas_impl::PoolRowAggregator;
 use inferturbo::core::models::PoolOp;
 use inferturbo::pregel::{
-    ActivationPolicy, BroadcastLookup, Combiner, FusedAggregator, MessageLayout, Outbox,
-    PregelConfig, PregelEngine, RowsIn, VertexProgram,
+    ActivationPolicy, BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig,
+    PregelEngine, RowsIn, VertexProgram,
 };
 use inferturbo::tensor::Matrix;
 use proptest::prelude::*;
 
 /// Scatter-then-aggregate over one superstep pair: step 0 sends each
 /// vertex's feature row along its out-edges; step 1 stores the pooled
-/// aggregate. Runs on the fused columnar plane, the materialized columnar
-/// plane, or (columnar disabled) the legacy combiner plane — whichever the
-/// engine offers.
+/// aggregate, on the fused columnar plane.
 struct PoolProg {
     dim: usize,
     op: PoolOp,
     agg: PoolRowAggregator,
-    comb: VecPool,
 }
 
 #[derive(Clone)]
@@ -49,23 +49,6 @@ struct PoolState {
     count: u32,
 }
 
-/// Legacy-plane combiner matching [`PoolRowAggregator`] fold-for-fold.
-/// Legacy messages carry `dim` payload lanes plus one count lane (the
-/// role `GnnMessage::Partial`'s count plays on the real wire): payload
-/// lanes fold through the aggregator, count lanes add.
-struct VecPool {
-    op: PoolOp,
-}
-
-impl Combiner<Vec<f32>> for VecPool {
-    fn combine(&self, acc: &mut Vec<f32>, msg: Vec<f32>) -> Option<Vec<f32>> {
-        let dim = acc.len() - 1;
-        PoolRowAggregator { op: self.op }.accumulate(&mut acc[..dim], &msg[..dim]);
-        acc[dim] += msg[dim];
-        None
-    }
-}
-
 impl PoolProg {
     fn fold(&self, acc: &mut Vec<f32>, row: &[f32]) {
         if acc.is_empty() {
@@ -74,22 +57,22 @@ impl PoolProg {
             self.agg.accumulate(acc, row);
         }
     }
+}
 
-    /// The layer's post-gather step: mean divides by the raw count, and an
-    /// empty aggregate becomes a zero row — exactly the conventions of
-    /// `segment_mean` / `segment_max` / `segment_sum` for empty segments.
-    fn finish(&self, mut acc: Vec<f32>, count: u32) -> Vec<f32> {
-        if count == 0 {
-            return vec![0.0; self.dim];
-        }
-        if self.op == PoolOp::Mean {
-            let inv = 1.0 / count as f32;
-            for x in &mut acc {
-                *x *= inv;
-            }
-        }
-        acc
+/// The layer's post-gather step: mean divides by the raw count, and an
+/// empty aggregate becomes a zero row — exactly the conventions of
+/// `segment_mean` / `segment_max` / `segment_sum` for empty segments.
+fn finish(op: PoolOp, dim: usize, mut acc: Vec<f32>, count: u32) -> Vec<f32> {
+    if count == 0 {
+        return vec![0.0; dim];
     }
+    if op == PoolOp::Mean {
+        let inv = 1.0 / count as f32;
+        for x in &mut acc {
+            *x *= inv;
+        }
+    }
+    acc
 }
 
 impl VertexProgram for PoolProg {
@@ -114,23 +97,13 @@ impl VertexProgram for PoolProg {
         _vertex: u64,
         state: &mut PoolState,
         rows: RowsIn<'_>,
-        messages: Vec<Vec<f32>>,
+        _messages: Vec<Vec<f32>>,
         _lookup: &BroadcastLookup<'_, Vec<f32>>,
         out: &mut Outbox<Vec<f32>>,
     ) {
         if step == 0 {
-            if out.row_dim().is_some() {
-                for &nb in &state.nbrs {
-                    out.send_row(nb, &state.feat);
-                }
-            } else {
-                // Legacy wire: payload + a count lane (initially 1 raw
-                // message), like `GnnMessage::Partial`.
-                for &nb in &state.nbrs {
-                    let mut m = state.feat.clone();
-                    m.push(1.0);
-                    out.send(nb, m);
-                }
+            for &nb in &state.nbrs {
+                out.send_row(nb, &state.feat);
             }
             return;
         }
@@ -155,11 +128,7 @@ impl VertexProgram for PoolProg {
                 }
             }
         }
-        for m in messages {
-            self.fold(&mut acc, &m[..self.dim]);
-            count += m[self.dim] as u32;
-        }
-        state.agg = self.finish(acc, count);
+        state.agg = finish(self.op, self.dim, acc, count);
         state.count = count;
     }
 
@@ -169,12 +138,6 @@ impl VertexProgram for PoolProg {
 
     fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
         (step == 0).then_some(&self.agg as &dyn FusedAggregator)
-    }
-
-    fn combiner(&self, _step: usize) -> Option<&dyn Combiner<Vec<f32>>> {
-        // The legacy plane gets the equivalent per-object combiner, so
-        // disabling the columnar plane reproduces the pre-columnar engine.
-        Some(&self.comb)
     }
 
     fn state_bytes(&self, _s: &PoolState) -> u64 {
@@ -217,7 +180,6 @@ fn build_case(n: usize, e: usize, dim: usize, op: PoolOp, seed: u64) -> Case {
 fn run_case(
     case: &Case,
     workers: usize,
-    columnar: bool,
     threads: usize,
     spill_budget: Option<u64>,
 ) -> Vec<(Vec<u32>, u32)> {
@@ -227,13 +189,11 @@ fn run_case(
         });
         let cfg = PregelConfig::new(ClusterSpec::test_spec(workers))
             .with_activation(ActivationPolicy::AlwaysActive)
-            .with_columnar(columnar)
             .with_spill(spill);
         let prog = PoolProg {
             dim: case.dim,
             op: case.op,
             agg: PoolRowAggregator { op: case.op },
-            comb: VecPool { op: case.op },
         };
         let mut eng = PregelEngine::new(prog, cfg);
         for v in 0..case.n {
@@ -254,6 +214,55 @@ fn run_case(
         });
         out
     })
+}
+
+/// The fused plane's fold-order contract as a serial loop that shares no
+/// code with the engine: scalar lanes, explicit worker assignment. Vertices
+/// register in id order, so a worker's emission order is ascending vertex
+/// id, then out-edge order.
+fn fold_order_oracle(case: &Case, workers: usize) -> Vec<(Vec<u32>, u32)> {
+    let fold = |acc: &mut Vec<f32>, row: &[f32]| {
+        if acc.is_empty() {
+            // Copy-on-first: the first row is taken verbatim.
+            acc.extend_from_slice(row);
+            return;
+        }
+        for (a, &b) in acc.iter_mut().zip(row) {
+            match case.op {
+                PoolOp::Sum | PoolOp::Mean => *a += b,
+                PoolOp::Max => {
+                    if b > *a {
+                        *a = b
+                    }
+                }
+            }
+        }
+    };
+    let mut merged: Vec<(Vec<f32>, u32)> = vec![(Vec::new(), 0); case.n];
+    for w in 0..workers {
+        // Sender side: one partial per destination, in emission order.
+        let mut partial: Vec<Vec<f32>> = vec![Vec::new(); case.n];
+        for v in (0..case.n).filter(|&v| partition_of(v as u64, workers) == w) {
+            for &d in &case.nbrs[v] {
+                fold(&mut partial[d as usize], &case.feats[v]);
+                merged[d as usize].1 += 1;
+            }
+        }
+        // Barrier: sender w's partials merge after those of senders < w,
+        // one lane-wise fold per partial.
+        for (d, p) in partial.iter().enumerate() {
+            if !p.is_empty() {
+                fold(&mut merged[d].0, p);
+            }
+        }
+    }
+    merged
+        .into_iter()
+        .map(|(acc, count)| {
+            let done = finish(case.op, case.dim, acc, count);
+            (done.iter().map(|x| x.to_bits()).collect(), count)
+        })
+        .collect()
 }
 
 /// Materialize-then-reduce reference: raw message rows in single-worker
@@ -290,10 +299,10 @@ fn op_of(sel: u8) -> PoolOp {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Fused scatter-aggregation == the legacy combiner path, bit for bit,
-    /// for every pool op, worker count, and thread count.
+    /// Fused scatter-aggregation == the serial fold-order oracle, bit for
+    /// bit, for every pool op, worker count, and thread count.
     #[test]
-    fn prop_fused_bit_identical_to_legacy_combiner(
+    fn prop_fused_bit_identical_to_serial_fold_oracle(
         n in 2usize..24,
         e in 0usize..160,
         dim in 1usize..8,
@@ -302,15 +311,15 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let case = build_case(n, e, dim, op_of(op_sel), seed);
-        let fused = run_case(&case, workers, true, 1, None);
-        let legacy = run_case(&case, workers, false, 1, None);
-        prop_assert_eq!(&fused, &legacy, "fused vs legacy at {} workers", workers);
+        let fused = run_case(&case, workers, 1, None);
+        let oracle = fold_order_oracle(&case, workers);
+        prop_assert_eq!(&fused, &oracle, "fused vs oracle at {} workers", workers);
         // Thread budget must not change a single bit either.
-        let fused_mt = run_case(&case, workers, true, 4, None);
+        let fused_mt = run_case(&case, workers, 4, None);
         prop_assert_eq!(&fused, &fused_mt, "thread count changed fused bits");
         // Nor must paging the inboxes out of core: a tiny budget forces
         // every accumulator set through the disk path.
-        let fused_spill = run_case(&case, workers, true, 2, Some(16));
+        let fused_spill = run_case(&case, workers, 2, Some(16));
         prop_assert_eq!(&fused, &fused_spill, "spilling changed fused bits");
     }
 
@@ -331,7 +340,7 @@ proptest! {
         let case = build_case(n, e, dim, op, seed);
         let reference = segment_reference(&case);
         let w = if op == PoolOp::Max { workers } else { 1 };
-        let fused = run_case(&case, w, true, 2, Some(16));
+        let fused = run_case(&case, w, 2, Some(16));
         for (v, ((bits, _), want)) in fused.iter().zip(&reference).enumerate() {
             prop_assert_eq!(bits, want, "vertex {} diverged from segment kernel", v);
         }

@@ -97,7 +97,7 @@ fn backends_agree_with_reference_after_training() {
 #[test]
 fn predictions_invariant_to_worker_count() {
     // Re-partitioning the graph must not change the math — only the cost
-    // profile. (Float tolerance: combiner fold order differs per layout.)
+    // profile. (Float tolerance: partial-gather fold order differs per layout.)
     let dataset = small_dataset();
     let model = train_small(&dataset);
     let a = infer_pregel(

@@ -16,8 +16,8 @@ use inferturbo::core::{infer_mapreduce, infer_pregel};
 use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::pregel::{
-    BroadcastLookup, Combiner, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
-    RowsIn, VertexProgram,
+    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
+    VertexProgram,
 };
 use inferturbo::tensor::Matrix;
 
@@ -38,7 +38,7 @@ fn test_graph(seed: u64, n_nodes: usize, n_edges: usize) -> Graph {
 // ---- Pregel vertex states -------------------------------------------------
 
 /// PageRank over the generated graph's adjacency: enough supersteps and
-/// message traffic to exercise shard merging, combining, and the arena.
+/// typed-plane message traffic to exercise shard merging and the arena.
 struct PageRank {
     n: f64,
 }
@@ -47,15 +47,6 @@ struct PageRank {
 struct PrState {
     rank: f64,
     nbrs: Vec<u64>,
-}
-
-struct SumCombiner;
-
-impl Combiner<f32> for SumCombiner {
-    fn combine(&self, acc: &mut f32, msg: f32) -> Option<f32> {
-        *acc += msg;
-        None
-    }
 }
 
 impl VertexProgram for PageRank {
@@ -81,10 +72,6 @@ impl VertexProgram for PageRank {
                 out.send(nb, share);
             }
         }
-    }
-
-    fn combiner(&self, _step: usize) -> Option<&dyn Combiner<f32>> {
-        Some(&SumCombiner)
     }
 }
 
@@ -143,7 +130,7 @@ struct ColState {
 
 impl VertexProgram for ColSum {
     type State = ColState;
-    type Msg = f32; // legacy plane unused
+    type Msg = f32; // typed plane unused
 
     fn compute(
         &self,
@@ -296,67 +283,28 @@ fn logits_bits(out: &inferturbo::core::infer::InferenceOutput) -> Vec<Vec<u32>> 
 fn pregel_inference_bitwise_identical_across_thread_counts() {
     let g = test_graph(23, 300, 1800);
     let model = GnnModel::sage(8, 12, 2, 3, false, PoolOp::Mean, 7);
+    let strat = StrategyConfig::all().with_threshold(8);
     for workers in [1usize, 4, 7] {
-        // Both message planes: columnar (fused scatter-aggregation) and
-        // the legacy per-object path.
-        for columnar in [true, false] {
-            let strat = StrategyConfig::all()
-                .with_threshold(8)
-                .with_columnar(columnar);
-            let serial = Parallelism::with(1, || {
-                infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
-            });
-            let parallel = Parallelism::with(PAR_THREADS, || {
-                infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
-            });
-            assert_eq!(
-                logits_bits(&serial),
-                logits_bits(&parallel),
-                "pregel logits diverged at {workers} workers (columnar={columnar})"
-            );
-            assert_eq!(
-                serial.report.total_bytes(),
-                parallel.report.total_bytes(),
-                "pregel bytes diverged at {workers} workers (columnar={columnar})"
-            );
-            assert_eq!(
-                serial.report.message_bytes, parallel.report.message_bytes,
-                "pregel plane accounting diverged at {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn pregel_columnar_plane_bit_matches_legacy_plane() {
-    // The fused columnar path must reproduce the legacy combiner path's
-    // logits bit for bit — the engine-level guarantee, checked end-to-end
-    // through the full GNN stack. Broadcast stays off: refs interleave
-    // with payloads in delivery order on the legacy plane but fold after
-    // the fused accumulator on the columnar plane, so with hubs the two
-    // paths agree only to float tolerance, not bitwise.
-    let g = test_graph(29, 300, 1800);
-    let model = GnnModel::sage(8, 12, 2, 3, false, PoolOp::Mean, 5);
-    for workers in [1usize, 4] {
-        let strat = StrategyConfig::all()
-            .with_broadcast(false)
-            .with_threshold(8);
-        let columnar =
-            infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap();
-        let legacy = infer_pregel(
-            &model,
-            &g,
-            ClusterSpec::pregel_cluster(workers),
-            strat.with_columnar(false),
-        )
-        .unwrap();
+        let serial = Parallelism::with(1, || {
+            infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
+        });
+        let parallel = Parallelism::with(PAR_THREADS, || {
+            infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
+        });
         assert_eq!(
-            logits_bits(&columnar),
-            logits_bits(&legacy),
-            "planes diverged at {workers} workers"
+            logits_bits(&serial),
+            logits_bits(&parallel),
+            "pregel logits diverged at {workers} workers"
         );
-        assert!(columnar.report.message_bytes.columnar > 0);
-        assert_eq!(legacy.report.message_bytes.columnar, 0);
+        assert_eq!(
+            serial.report.total_bytes(),
+            parallel.report.total_bytes(),
+            "pregel bytes diverged at {workers} workers"
+        );
+        assert_eq!(
+            serial.report.message_bytes, parallel.report.message_bytes,
+            "pregel plane accounting diverged at {workers} workers"
+        );
     }
 }
 
@@ -433,32 +381,28 @@ fn spill_budget_lifts_the_memory_cap_with_bit_identical_logits() {
 fn mapreduce_inference_bitwise_identical_across_thread_counts() {
     let g = test_graph(37, 300, 1800);
     let model = GnnModel::sage(8, 12, 2, 3, false, PoolOp::Mean, 9);
+    let strat = StrategyConfig::all().with_threshold(8);
     for workers in [1usize, 4, 7] {
-        for columnar in [true, false] {
-            let strat = StrategyConfig::all()
-                .with_threshold(8)
-                .with_columnar(columnar);
-            let serial = Parallelism::with(1, || {
-                infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
-            });
-            let parallel = Parallelism::with(PAR_THREADS, || {
-                infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
-            });
-            assert_eq!(
-                logits_bits(&serial),
-                logits_bits(&parallel),
-                "mapreduce logits diverged at {workers} workers (columnar={columnar})"
-            );
-            assert_eq!(
-                serial.report.total_bytes(),
-                parallel.report.total_bytes(),
-                "mapreduce bytes diverged at {workers} workers (columnar={columnar})"
-            );
-            assert_eq!(
-                serial.report.message_bytes, parallel.report.message_bytes,
-                "mapreduce plane accounting diverged at {workers} workers"
-            );
-        }
+        let serial = Parallelism::with(1, || {
+            infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
+        });
+        let parallel = Parallelism::with(PAR_THREADS, || {
+            infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
+        });
+        assert_eq!(
+            logits_bits(&serial),
+            logits_bits(&parallel),
+            "mapreduce logits diverged at {workers} workers"
+        );
+        assert_eq!(
+            serial.report.total_bytes(),
+            parallel.report.total_bytes(),
+            "mapreduce bytes diverged at {workers} workers"
+        );
+        assert_eq!(
+            serial.report.message_bytes, parallel.report.message_bytes,
+            "mapreduce plane accounting diverged at {workers} workers"
+        );
     }
 }
 

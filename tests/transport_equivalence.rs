@@ -238,13 +238,11 @@ fn fault_recovery_replays_identically_over_the_process_transport() {
     }
 }
 
-#[test]
-fn gat_with_out_hubs_composes_bit_identically_and_matches_the_reference() {
-    // Attention cannot partial-gather, so GAT's projected `W·h` rows cross
-    // every boundary unreduced, beside the hub refs and their broadcast
-    // payloads. Every composition of transport and spill must reproduce its
-    // backend's in-process run bit for bit, and both backends the per-edge
-    // reference within 1e-3.
+/// Out-degree hubs engage refs, broadcast payloads and shadow mirrors. For
+/// every strategy, every composition of transport, spill and recovery must
+/// reproduce the backend's in-process run bit for bit, and both backends the
+/// per-edge reference within 1e-3.
+fn out_hubs_compose(name: &str, m: &GnnModel, strategies: &[StrategyConfig], spill_budget: u64) {
     let g = generate(&GenConfig {
         n_nodes: 200,
         n_edges: 1600,
@@ -254,12 +252,10 @@ fn gat_with_out_hubs_composes_bit_identically_and_matches_the_reference() {
         seed: 67,
         ..GenConfig::default()
     });
-    // Expanding first layer (8 → 12), so the projected rows are the wider.
-    let m = GnnModel::gat(8, 12, 2, 2, 3, false, 17);
     let local: Arc<dyn Transport> = Arc::new(InProcess);
     let procs: Arc<dyn Transport> = Arc::new(WorkerProcess::with_bin(worker_bin()));
     let reference = InferenceSession::builder()
-        .model(&m)
+        .model(m)
         .graph(&g)
         .backend(Backend::Reference)
         .plan()
@@ -268,14 +264,9 @@ fn gat_with_out_hubs_composes_bit_identically_and_matches_the_reference() {
         .expect("reference run")
         .logits;
 
-    for strategy in [
-        StrategyConfig::all().with_threshold(8),
-        StrategyConfig::all()
-            .with_threshold(8)
-            .with_partial_gather(false),
-    ] {
+    for &strategy in strategies {
         let plan = InferenceSession::builder()
-            .model(&m)
+            .model(m)
             .graph(&g)
             .workers(4)
             .strategy(strategy)
@@ -287,41 +278,89 @@ fn gat_with_out_hubs_composes_bit_identically_and_matches_the_reference() {
             summary.hubs > 0 && summary.mirrors > 0,
             "out-degree hubs must engage refs and mirrors: {summary}"
         );
+        assert!(
+            plan.run().expect("run").report.message_bytes.legacy > 0,
+            "{name}: hub refs must flow on the typed plane"
+        );
 
-        let near_reference = |name: &str, bits: &[Vec<u32>]| {
+        let near_reference = |backend: &str, bits: &[Vec<u32>]| {
             for (x, y) in bits.iter().flatten().zip(reference.iter().flatten()) {
                 let x = f32::from_bits(*x);
-                assert!((x - y).abs() < 1e-3, "{name} {x} vs reference {y}");
+                assert!(
+                    (x - y).abs() < 1e-3,
+                    "{name} {backend} {x} vs reference {y}"
+                );
             }
         };
         let s = Some(strategy);
-        let want = run_with(&g, &m, 4, Backend::Pregel, &local, s, None, None);
+        let want = run_with(&g, m, 4, Backend::Pregel, &local, s, None, None);
         near_reference("pregel", &want.0);
+        for threads in [1usize, 2, 4] {
+            let got = Parallelism::with(threads, || {
+                run_with(&g, m, 4, Backend::Pregel, &local, s, None, None)
+            });
+            assert_eq!(want.0, got.0, "{name} diverged at {threads} threads");
+        }
 
-        let xproc = run_with(&g, &m, 4, Backend::Pregel, &procs, s, None, None);
+        let xproc = run_with(&g, m, 4, Backend::Pregel, &procs, s, None, None);
         assert_eq!(
             (&want.0, &want.1, want.2),
             (&xproc.0, &xproc.1, xproc.2),
-            "GAT diverged across the process boundary"
+            "{name} diverged across the process boundary"
         );
-        assert!(xproc.3 > 0, "projected rows must cross a real pipe");
+        assert!(xproc.3 > 0, "{name}: rows must cross a real pipe");
 
         for transport in [&local, &procs] {
-            let spilled = run_with(&g, &m, 4, Backend::Pregel, transport, s, Some(4096), None);
-            assert!(spilled.4 > 0, "4 KiB budget must page the union rows");
-            assert_eq!(want.0, spilled.0, "GAT diverged under forced spill");
+            let budget = Some(spill_budget);
+            let spilled = run_with(&g, m, 4, Backend::Pregel, transport, s, budget, None);
+            assert!(spilled.4 > 0, "{name}: the budget must page inbox rows");
+            assert_eq!(want.0, spilled.0, "{name} diverged under forced spill");
+
+            let fault = Some("worker:1@step:1");
+            let recovered = run_with(&g, m, 4, Backend::Pregel, transport, s, None, fault);
+            assert!(recovered.1.contains("site=recovery"), "{}", recovered.1);
+            assert_eq!(want.0, recovered.0, "{name} diverged through recovery");
         }
 
         // The two engines deliver a vertex's in-messages in different
-        // orders, so their softmax sums differ in the last bits: MapReduce
-        // is pinned across its own transports and against the reference.
-        let mr = run_with(&g, &m, 4, Backend::MapReduce, &local, s, None, None);
+        // orders, so float sums differ in the last bits: MapReduce is
+        // pinned across its own transports and against the reference.
+        let mr = run_with(&g, m, 4, Backend::MapReduce, &local, s, None, None);
         near_reference("mapreduce", &mr.0);
-        let mr_xproc = run_with(&g, &m, 4, Backend::MapReduce, &procs, s, None, None);
+        let mr_xproc = run_with(&g, m, 4, Backend::MapReduce, &procs, s, None, None);
         assert_eq!(
             (&mr.0, &mr.1, mr.2),
             (&mr_xproc.0, &mr_xproc.1, mr_xproc.2),
-            "GAT MapReduce diverged across the process boundary"
+            "{name} MapReduce diverged across the process boundary"
         );
     }
+}
+
+#[test]
+fn gat_with_out_hubs_composes_bit_identically_and_matches_the_reference() {
+    // Attention cannot partial-gather, so GAT's projected `W·h` rows cross
+    // every boundary unreduced, beside the hub refs and their broadcast
+    // payloads. Expanding first layer (8 → 12), so the projected rows are
+    // the wider.
+    let strategies = [
+        StrategyConfig::all().with_threshold(8),
+        StrategyConfig::all()
+            .with_threshold(8)
+            .with_partial_gather(false),
+    ];
+    let gat = GnnModel::gat(8, 12, 2, 2, 3, false, 17);
+    out_hubs_compose("GAT", &gat, &strategies, 4096);
+}
+
+#[test]
+fn pooled_layers_with_out_hubs_compose_bit_identically_and_match_the_reference() {
+    // Partial-gather + broadcast on a pooled layer: fused rows and hub refs
+    // reach the same destinations, and with a threshold this low several
+    // hubs on one sender worker share destinations — their refs must
+    // arrive in emission order through every composition.
+    let strategies = [StrategyConfig::all().with_threshold(8)];
+    let sage = GnnModel::sage(8, 12, 2, 3, false, PoolOp::Mean, 13);
+    out_hubs_compose("SAGE", &sage, &strategies, 256);
+    let gcn = GnnModel::gcn(8, 12, 2, 3, false, 19);
+    out_hubs_compose("GCN", &gcn, &strategies, 256);
 }
