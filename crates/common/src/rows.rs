@@ -971,15 +971,13 @@ impl FusedSlotShard {
     }
 
     /// Fold `row` (carrying `count` raw messages) into slot's accumulator.
-    /// Returns `true` when this was the slot's first touch (callers track
-    /// per-slot side data, e.g. the original destination id, on it).
     pub fn accumulate(
         &mut self,
         slot: u32,
         row: &[f32],
         count: u32,
-        agg: &dyn FusedAggregator,
-    ) -> bool {
+        agg: &(impl FusedAggregator + ?Sized),
+    ) {
         debug_assert_eq!(row.len(), self.dim);
         let at = self.index[slot as usize];
         if at == u32::MAX {
@@ -987,11 +985,9 @@ impl FusedSlotShard {
             self.keys.push(slot);
             self.counts.push(count);
             self.rows.push_row(row);
-            true
         } else {
             agg.accumulate(self.rows.row_mut(at as usize), row);
             self.counts[at as usize] += count;
-            false
         }
     }
 }

@@ -38,6 +38,7 @@
 
 use inferturbo_common::codec::{f32_slice_len, varint_len, Decode, Encode, WireReader, WireWriter};
 use inferturbo_common::{Error, Result};
+use std::borrow::Cow;
 
 /// Machine-readable layer annotations — the paper's decorator metadata,
 /// persisted into model signatures so inference needs no manual config.
@@ -132,6 +133,14 @@ pub trait GasLayer {
 
     /// Produce the message sent along one out-edge from the updated state.
     fn apply_edge(&self, state: &[f32], edge: &EdgeCtx<'_>) -> Vec<f32>;
+
+    /// [`GasLayer::apply_edge`] for a caller that only reads the message
+    /// (a scatter copying it into a row spool): a layer whose message *is*
+    /// the state lends it instead of allocating a copy. Same lanes, bit
+    /// for bit, as `apply_edge`.
+    fn edge_row<'s>(&self, state: &'s [f32], edge: &EdgeCtx<'_>) -> Cow<'s, [f32]> {
+        Cow::Owned(self.apply_edge(state, edge))
+    }
 
     /// Cost-model estimate: FLOPs for one `apply_node` given the number of
     /// gathered messages.

@@ -17,26 +17,38 @@
 //!
 //! Message placement: every GNN payload is a fixed-width `f32` row (a
 //! layer's `apply_edge` output, `msg_dim` wide — for GAT the source-side
-//! projection `W·h`), computed once per vertex in `scatter`, so scatter
-//! rides the engine's columnar plane — one `memcpy` per edge, no heap
-//! object per message, no per-edge compute. Broadcast refs are 8-byte
-//! variable-length control messages and ride the typed plane;
-//! both halves of a vertex's inbox are folded by the same [`GasLayer`]
-//! kernels at gather, a ref's payload by borrow from the broadcast table.
+//! projection `W·h`), computed — or, where the message is the embedding
+//! itself, borrowed ([`GasLayer::edge_row`]) — once per vertex in
+//! `scatter` and handed to the engine once, with the vertex's span of
+//! pre-resolved routes ([`Outbox::scatter_row`]). The engine's routing
+//! loop then does the per-edge work: a fused layer folds the row straight
+//! into each destination's accumulator (no copy of the row per edge at
+//! all), a materialized layer (GAT) copies it into each destination's
+//! shard; neither looks an id up. Broadcast refs are 8-byte
+//! variable-length control messages and ride the typed plane, addressed
+//! by id; both halves of a vertex's inbox are folded by the same
+//! [`GasLayer`] kernels at gather, a ref's payload by borrow from the
+//! broadcast table.
+//!
+//! Where the graph lives: `plan_layout` turns the planned records into a
+//! [`PregelLayout`] once, at plan time — placement, the id index, and
+//! every out-target resolved to a route. A run borrows it: vertex states
+//! are handles into the plan's records and the layout's routes, so loading
+//! a run is one pass that copies O(V) pointers and hashes nothing.
 
 use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
 use crate::session::{Backend, InferenceSession};
-use crate::strategy::{mirror_of, NodeRecord, StrategyConfig};
+use crate::strategy::{base_of, mirror_of, NodeRecord, StrategyConfig};
 use inferturbo_cluster::{ClusterSpec, FaultInjector, RecoveryPolicy, Transport};
 use inferturbo_common::rows::SpillPolicy;
 use inferturbo_common::{Error, Result};
 use inferturbo_graph::Graph;
 use inferturbo_obs::TraceHandle;
 use inferturbo_pregel::{
-    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
-    ScratchPool, VertexProgram,
+    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
+    PregelLayout, Route, RowsIn, ScratchPool, VertexProgram,
 };
 use std::sync::Arc;
 
@@ -45,27 +57,45 @@ use super::InferenceOutput;
 /// Per-vertex state held in worker memory between supersteps.
 ///
 /// The load phase is zero-copy: `raw` borrows the planned record's input
-/// features (or the caller's fresh feature matrix) and `out_targets`
-/// shares the record's adjacency `Arc`, so building a run's vertex states
-/// from an [`crate::InferencePlan`] costs O(V) handle copies instead of
-/// re-cloning O(V·d + E) floats and ids per run.
+/// features (or the caller's fresh feature matrix) and `edges` the plan
+/// layout's pre-resolved routes, so building a run's vertex states from an
+/// [`crate::InferencePlan`] costs O(V) handle copies instead of re-cloning
+/// O(V·d + E) floats and ids per run.
 ///
 /// `Clone` is the engine's checkpoint requirement: recovery snapshots
-/// clone states at the superstep barrier (cheap here — the borrowed `raw`
-/// slice and the adjacency `Arc` are handle copies).
+/// clone states at the superstep barrier (cheap here — every borrowed
+/// slice is a handle copy).
 #[derive(Clone)]
 pub struct GnnVertexState<'g> {
     raw: &'g [f32],
+    /// The embedding once a layer has been applied; empty before that —
+    /// `h⁰` is `raw` itself, read in place (see
+    /// [`GnnVertexState::embedding`]).
     h: Vec<f32>,
-    out_targets: Arc<[u64]>,
+    /// Where this record's out-edges lead, resolved at plan time.
+    edges: &'g [Route],
     in_deg: u32,
     out_deg: u32,
     logits: Option<Vec<f32>>,
 }
 
+impl GnnVertexState<'_> {
+    /// The current embedding: `raw` until the first layer is applied.
+    fn embedding(&self) -> &[f32] {
+        if self.h.is_empty() {
+            self.raw
+        } else {
+            &self.h
+        }
+    }
+}
+
 /// The layer-wise GNN vertex program.
 pub struct GnnVertexProgram<'m> {
     model: &'m GnnModel,
+    /// The layout the states' routes come from (names a route's vertex
+    /// for the id-addressed typed plane).
+    layout: &'m PregelLayout,
     strategy: StrategyConfig,
     /// Hub threshold for the broadcast strategy (logical out-degree).
     bc_threshold: u64,
@@ -83,12 +113,12 @@ impl<'m> GnnVertexProgram<'m> {
         state: &GnnVertexState<'_>,
         out: &mut Outbox<GnnMessage>,
     ) {
-        if state.out_targets.is_empty() {
+        if state.edges.is_empty() {
             return;
         }
         let layer = self.model.layer_view(layer_idx);
-        let raw = layer.apply_edge(
-            &state.h,
+        let row = layer.edge_row(
+            state.embedding(),
             &EdgeCtx {
                 src_out_degree: state.out_deg,
                 edge_feat: &[],
@@ -102,17 +132,15 @@ impl<'m> GnnVertexProgram<'m> {
         {
             // Hub path: one payload per worker on the typed plane, one
             // 8-byte ref per edge.
-            let msg = layer.make_wire(raw, self.strategy.partial_gather);
+            let msg = layer.make_wire(row.into_owned(), self.strategy.partial_gather);
             out.broadcast(msg);
-            for &t in state.out_targets.iter() {
-                out.send(t, GnnMessage::Ref(vertex));
+            for &edge in state.edges {
+                out.send(self.layout.id_of(edge), GnnMessage::Ref(vertex));
             }
         } else {
-            // Columnar plane: the row is written once into flat buffers —
-            // no clone per edge, no enum on the hot path.
-            for &t in state.out_targets.iter() {
-                out.send_row(t, &raw);
-            }
+            // Columnar plane: the row enters the spool once, with the
+            // vertex's whole span of routes.
+            out.scatter_row(state.edges, &row);
         }
     }
 }
@@ -152,8 +180,8 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         out: &mut Outbox<GnnMessage>,
     ) {
         if step == 0 {
-            // Initialisation superstep: raw features become h⁰.
-            state.h = state.raw.to_vec();
+            // Initialisation superstep: raw features are h⁰, scattered
+            // from where they lie.
             self.scatter(0, vertex, state, out);
             return;
         }
@@ -171,7 +199,7 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         let gathered = agg.count() as usize;
         let ctx = NodeCtx {
             id: vertex,
-            state: &state.h,
+            state: state.embedding(),
             in_degree: state.in_deg,
             out_degree: state.out_deg,
         };
@@ -212,8 +240,12 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
     }
 
     fn state_bytes(&self, state: &GnnVertexState<'_>) -> u64 {
-        ((state.raw.len() + state.h.len()) * 4
-            + state.out_targets.len() * 8
+        // The model charges the deployment's residency: features and the
+        // current embedding are separate buffers there, so h⁰ counts even
+        // while this process reads it out of `raw`, and an out-edge is the
+        // 8-byte wire id it is shipped as.
+        ((state.raw.len() + state.embedding().len()) * 4
+            + state.edges.len() * 8
             + state.logits.as_ref().map_or(0, |l| l.len() * 4)
             + 64) as u64
     }
@@ -240,11 +272,19 @@ pub fn infer_pregel(
         .run()
 }
 
+/// Lay the planned records out for the engine: place every record on its
+/// worker and resolve every out-target to a route, once per plan. A target
+/// that names no record is an [`Error::InvalidGraph`] here — at plan time
+/// — rather than a failed superstep.
+pub(crate) fn plan_layout(records: &[NodeRecord], workers: usize) -> Result<PregelLayout> {
+    PregelLayout::planned(workers, records.iter().map(|r| (r.wire, &*r.out_targets)))
+}
+
 /// Execute one planned Pregel run over pre-built node records.
 ///
 /// This is the execution stage of the session pipeline: all planning work
-/// (CSR builds, degree arrays, shadow-mirror expansion, hub thresholds)
-/// happened when the records were built. `features`, when given, replaces
+/// (CSR builds, degree arrays, shadow-mirror expansion, hub thresholds,
+/// the engine layout) happened at plan time. `features`, when given, replaces
 /// each record's raw input row (same node, fresh features — the serving
 /// path); `scratch` is the plan's pooled per-worker engine scratch,
 /// returned after the run so the next run skips the per-superstep
@@ -255,6 +295,7 @@ pub fn infer_pregel(
 pub(crate) fn run_planned<'g>(
     model: &'g GnnModel,
     records: &'g [NodeRecord],
+    layout: &'g Arc<PregelLayout>,
     n_nodes: usize,
     spec: ClusterSpec,
     strategy: StrategyConfig,
@@ -273,6 +314,7 @@ pub(crate) fn run_planned<'g>(
         .collect();
     let program = GnnVertexProgram {
         model,
+        layout,
         strategy,
         bc_threshold,
         row_aggs,
@@ -296,34 +338,30 @@ pub(crate) fn run_planned<'g>(
     } else if recovery.is_some() {
         config = config.with_recovery(recovery);
     }
-    let mut engine = PregelEngine::new(program, config);
-    engine.set_scratch(scratch);
-    for rec in records {
-        // Zero-copy load: borrow the feature row, share the adjacency Arc.
-        let raw: &'g [f32] = match features {
-            Some(f) => &f[rec.base as usize],
-            None => &rec.raw,
-        };
-        engine.add_vertex(
-            rec.wire,
-            GnnVertexState {
-                raw,
-                h: Vec::new(),
-                out_targets: Arc::clone(&rec.out_targets),
-                in_deg: rec.in_deg,
-                out_deg: rec.out_deg,
-                logits: None,
+    // Zero-copy load: every state is handles into the plan.
+    let states = layout.vertices().map(|v| {
+        let rec = &records[v.position];
+        GnnVertexState {
+            raw: match features {
+                Some(f) => &f[rec.base as usize],
+                None => &rec.raw,
             },
-        );
-    }
+            h: Vec::new(),
+            edges: v.edges,
+            in_deg: rec.in_deg,
+            out_deg: rec.out_deg,
+            logits: None,
+        }
+    });
+    let mut engine = PregelEngine::with_layout(program, config, Arc::clone(layout), states)?;
+    engine.set_scratch(scratch);
     engine.run(k + 1)?;
     let scratch = engine.take_scratch();
 
     let mut logits: Vec<Option<Vec<f32>>> = vec![None; n_nodes];
-    engine.for_each_state(|id, state| {
+    let report = engine.finish(|id, state| {
         if mirror_of(id) == 0 {
-            let base = crate::strategy::base_of(id) as usize;
-            logits[base] = state.logits.clone();
+            logits[base_of(id) as usize] = state.logits;
         }
     });
     let logits: Vec<Vec<f32>> = logits
@@ -331,11 +369,5 @@ pub(crate) fn run_planned<'g>(
         .enumerate()
         .map(|(v, l)| l.ok_or_else(|| Error::InvalidGraph(format!("node {v} missing logits"))))
         .collect::<Result<_>>()?;
-    Ok((
-        InferenceOutput {
-            logits,
-            report: engine.into_report(),
-        },
-        scratch,
-    ))
+    Ok((InferenceOutput { logits, report }, scratch))
 }

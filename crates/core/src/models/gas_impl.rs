@@ -11,6 +11,7 @@ use crate::gas::{pooled_fold, AggState, EdgeCtx, GasLayer, GnnMessage, LayerAnno
 use inferturbo_common::{Error, Result};
 use inferturbo_pregel::{BroadcastLookup, FusedAggregator, RowsIn};
 use inferturbo_tensor::{row_axpy, row_max};
+use std::borrow::Cow;
 
 /// GAT attention slope — fixed constant, must match the tape builder.
 pub const GAT_LEAKY_SLOPE: f32 = 0.2;
@@ -335,22 +336,26 @@ impl GasLayer for LayerView<'_> {
     }
 
     fn apply_edge(&self, state: &[f32], edge: &EdgeCtx<'_>) -> Vec<f32> {
+        self.edge_row(state, edge).into_owned()
+    }
+
+    fn edge_row<'s>(&self, state: &'s [f32], edge: &EdgeCtx<'_>) -> Cow<'s, [f32]> {
         // Edge features are reserved for future layer variants (EdgeCtx
         // keeps the slot): every message depends on the source alone.
         let lp = self.lp();
         match lp.kind {
             LayerKind::Gcn => {
                 let s = 1.0 / ((edge.src_out_degree + 1) as f32).sqrt();
-                state.iter().map(|&x| x * s).collect()
+                Cow::Owned(state.iter().map(|&x| x * s).collect())
             }
             // SAGE ships the raw embedding.
-            LayerKind::Sage(_) => state.to_vec(),
+            LayerKind::Sage(_) => Cow::Borrowed(state),
             // GAT ships the projection W·h, computed here once per source
             // instead of once per in-message at every receiver.
             LayerKind::Gat { .. } => {
                 let mut wh = vec![0.0f32; lp.out_dim];
                 matvec_acc(self.model.params.get(lp.w), state, &mut wh);
-                wh
+                Cow::Owned(wh)
             }
         }
     }

@@ -12,6 +12,11 @@
 //!   plane and peak per-worker memory for both backends, derived from the
 //!   same cost-model units as [`inferturbo_cluster::RunReport`];
 //! - the resolved backend (auto-selection happens at plan time);
+//! - for the Pregel backend, the engine's [`PregelLayout`]: every record
+//!   placed on its worker, the `id → (worker, slot)` index, and every
+//!   out-target resolved to a route — the graph is laid out once here, a
+//!   run borrows it (behind an `Arc`, never written), and the estimate's
+//!   fused traffic is counted from it rather than bounded;
 //! - the pooled per-worker Pregel engine scratch
 //!   ([`ScratchPool`]), so repeated runs stop reallocating the
 //!   O(workers·V) fused slot indexes every superstep.
@@ -38,8 +43,8 @@ use inferturbo_common::rows::{row_payload_len, SpillPolicy};
 use inferturbo_common::{Error, Result};
 use inferturbo_graph::Graph;
 use inferturbo_obs::{MetricsRegistry, TraceHandle};
-use inferturbo_pregel::ScratchPool;
-use std::sync::Mutex;
+use inferturbo_pregel::{PregelLayout, ScratchPool};
+use std::sync::{Arc, Mutex};
 
 use crate::gas::GasLayer;
 
@@ -88,6 +93,10 @@ pub struct InferencePlan<'a> {
     /// or backend auto-selection — only `RunReport::wire_bytes` differs.
     pub(crate) transport: Option<std::sync::Arc<dyn Transport>>,
     pub(crate) records: Vec<NodeRecord>,
+    /// The Pregel engine's layout of `records` (placement, id index,
+    /// pre-resolved routes), shared by every run. `None` on the other
+    /// backends.
+    pub(crate) layout: Option<Arc<PregelLayout>>,
     pub(crate) bc_threshold: u64,
     pub(crate) hubs: usize,
     pub(crate) mirrors: usize,
@@ -155,9 +164,18 @@ impl<'a> InferencePlan<'a> {
                 .filter(|&&d| d as u64 > bc_threshold)
                 .count()
         };
+        // Pregel runs over a layout; `Auto` needs one to decide, and
+        // drops it again if the decision is MapReduce.
+        let layout = match requested {
+            Backend::Pregel | Backend::Auto => {
+                Some(Arc::new(pregel_backend::plan_layout(&records, workers)?))
+            }
+            _ => None,
+        };
         let estimate = build_estimate(
             model,
             &records,
+            layout.as_deref(),
             &strategy,
             workers,
             bc_threshold,
@@ -176,6 +194,7 @@ impl<'a> InferencePlan<'a> {
             }
             b => b,
         };
+        let layout = layout.filter(|_| backend == Backend::Pregel);
         Ok(InferencePlan {
             model,
             graph,
@@ -192,6 +211,7 @@ impl<'a> InferencePlan<'a> {
             trace,
             transport,
             records,
+            layout,
             bc_threshold,
             hubs,
             mirrors,
@@ -244,9 +264,9 @@ impl<'a> InferencePlan<'a> {
         self.spill.as_ref()
     }
 
-    /// The planned loadable records. Runs load these zero-copy: each
-    /// record's `out_targets` `Arc` is shared into the engine's vertex
-    /// states, never re-cloned per run (pinned by `tests/serving.rs`).
+    /// The planned loadable records. Runs load these zero-copy: vertex
+    /// states borrow each record's features and adjacency, nothing is
+    /// re-cloned per run (pinned by `tests/serving.rs`).
     pub fn records(&self) -> &[NodeRecord] {
         &self.records
     }
@@ -303,6 +323,9 @@ impl<'a> InferencePlan<'a> {
         let trace = self.trace.next_epoch();
         match self.backend {
             Backend::Pregel => {
+                let layout = self.layout.as_ref().ok_or_else(|| {
+                    Error::Internal("a Pregel plan is built with its layout".into())
+                })?;
                 // Poison recovery: the pool is plain reusable buffers with no
                 // cross-field invariants, so a panicked holder leaves it
                 // usable — recover the guard rather than propagate the abort.
@@ -315,6 +338,7 @@ impl<'a> InferencePlan<'a> {
                 let (out, pool) = pregel_backend::run_planned(
                     self.model,
                     &self.records,
+                    layout,
                     self.graph.n_nodes(),
                     self.pregel_spec,
                     self.strategy,
@@ -465,12 +489,15 @@ const WIRE_ID_LEN: u64 = 10;
 /// Build the plan's cost estimate from the planned layout. All quantities
 /// are *predictions* in the same units the engines measure: close enough
 /// to steer backend choice and to sanity-check a run's report, not
-/// byte-exact. Under `spill_budget`, a layer's columnar inbox counts only
-/// its bounded resident window toward the Pregel peak — the remainder is
-/// reported on the spilled plane.
+/// byte-exact — except the fused row *record* count, which is counted from
+/// `layout` when the plan has one (the Pregel backend) and is then exactly
+/// what a run reports. Under `spill_budget`, a layer's columnar inbox
+/// counts only its bounded resident window toward the Pregel peak — the
+/// remainder is reported on the spilled plane.
 fn build_estimate(
     model: &GnnModel,
     records: &[NodeRecord],
+    layout: Option<&PregelLayout>,
     strategy: &StrategyConfig,
     workers: usize,
     bc_threshold: u64,
@@ -507,6 +534,9 @@ fn build_estimate(
     let mut layers = Vec::with_capacity(k);
     let mut max_inbox = 0u64;
     let mut max_spilled = 0u64;
+    // Fused partials per scatter, by whether hubs broadcast instead of
+    // sending rows; counted on first use.
+    let mut partials: [Option<u64>; 2] = [None, None];
     for l in 0..k {
         let view = model.layer_view(l);
         let ann = view.annotations();
@@ -525,12 +555,17 @@ fn build_estimate(
         };
         let row_edges = total_targets - hub_edges;
 
-        // Row traffic: one row per edge, or — fused — at most one partial
-        // per (sender worker, destination slot).
-        let row_records = if fused {
-            row_edges.min(n_w as u64 * records.len() as u64)
-        } else {
-            row_edges
+        // Row traffic: one row per edge, or — fused — one partial per
+        // distinct (sender worker, destination) pair: counted from the
+        // layout's routes, or without one bounded by workers × records.
+        let row_records = match (fused, layout) {
+            (false, _) => row_edges,
+            (true, None) => row_edges.min(n_w as u64 * records.len() as u64),
+            (true, Some(layout)) => *partials[broadcasting as usize].get_or_insert_with(|| {
+                layout.fused_partials(|at| {
+                    !(broadcasting && records[at].out_deg as u64 > bc_threshold)
+                })
+            }),
         };
         let row_len = row_payload_len(d, fused.then_some(1)) as u64 + WIRE_ID_LEN;
         let row_bytes = row_records * row_len;
@@ -622,6 +657,8 @@ mod tests {
     use crate::models::PoolOp;
     use crate::session::InferenceSession;
     use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
+    use inferturbo_obs::Payload;
+    use proptest::prelude::*;
 
     fn graph() -> Graph {
         generate(&GenConfig {
@@ -701,6 +738,34 @@ mod tests {
     }
 
     #[test]
+    fn an_out_target_naming_no_record_fails_at_plan_time() {
+        // `build_node_records` never produces one, so corrupt its output:
+        // the layout stage of `plan()` must refuse it, typed, before any
+        // superstep exists to fail.
+        let g = graph();
+        let mut records = build_node_records(&g, &StrategyConfig::all(), 4).unwrap();
+        let victim = records
+            .iter()
+            .position(|r| !r.out_targets.is_empty())
+            .unwrap();
+        let mut targets = records[victim].out_targets.to_vec();
+        targets[0] = crate::strategy::wire_id(9_999, 0);
+        records[victim].out_targets = targets.into();
+        let err = pregel_backend::plan_layout(&records, 4).unwrap_err();
+        assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
+        assert!(
+            err.to_string().contains("message to unknown vertex"),
+            "{err}"
+        );
+        // Same for a record loaded twice.
+        let mut records = build_node_records(&g, &StrategyConfig::all(), 4).unwrap();
+        records.push(records[0].clone());
+        let err = pregel_backend::plan_layout(&records, 4).unwrap_err();
+        assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
+        assert!(err.to_string().contains("duplicate vertex id"), "{err}");
+    }
+
+    #[test]
     fn estimate_tracks_measured_peak_within_a_small_factor() {
         // The prediction feeds a go/no-go memory decision; it must land in
         // the same ballpark as the engine's measured residency.
@@ -720,5 +785,84 @@ mod tests {
             predicted >= measured / 4 && predicted <= measured.saturating_mul(4),
             "predicted {predicted} vs measured {measured}"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A Pregel plan predicts its row traffic from its own layout, so
+        /// the prediction is not a bound but the count: for every layer,
+        /// on every model and strategy, the rows the estimate charges are
+        /// the rows the run's exchange carries — fused partials (one per
+        /// distinct sender worker × destination) or one row per non-hub
+        /// edge. Bytes then differ only by the fold-count varint.
+        #[test]
+        fn prop_predicted_row_records_equal_the_runs(
+            n in 8usize..70,
+            degree in 1usize..9,
+            skew_sel in 0u8..3,
+            model_sel in 0u8..3,
+            workers in 1usize..7,
+            toggles in 0u8..8,
+            threshold in 2u32..12,
+            seed in 0u64..1_000_000,
+        ) {
+            let g = generate(&GenConfig {
+                n_nodes: n,
+                n_edges: n * degree,
+                feat_dim: 4,
+                classes: 3,
+                skew: [DegreeSkew::In, DegreeSkew::Out, DegreeSkew::None][skew_sel as usize],
+                seed,
+                ..GenConfig::default()
+            });
+            let m = match model_sel {
+                0 => GnnModel::sage(4, 6, 2, 3, false, PoolOp::Mean, seed),
+                1 => GnnModel::gcn(4, 6, 2, 3, false, seed),
+                _ => GnnModel::gat(4, 6, 2, 2, 3, false, seed),
+            };
+            let strategy = StrategyConfig::none()
+                .with_partial_gather(toggles & 1 != 0)
+                .with_broadcast(toggles & 2 != 0)
+                .with_shadow_nodes(toggles & 4 != 0)
+                .with_threshold(threshold);
+            let trace = TraceHandle::recording();
+            let plan = InferenceSession::builder()
+                .model(&m)
+                .graph(&g)
+                .workers(workers)
+                .strategy(strategy)
+                .backend(Backend::Pregel)
+                .trace(trace.clone())
+                .plan()
+                .unwrap();
+            let report = plan.run().unwrap().report;
+            let carried: Vec<u64> = trace
+                .events()
+                .iter()
+                .filter_map(|e| match &e.payload {
+                    Payload::Transport { rows, .. } => Some(*rows),
+                    _ => None,
+                })
+                .collect();
+            let mut predicted_bytes = 0u64;
+            for (l, est) in plan.estimate().layers.iter().enumerate() {
+                let view = m.layer_view(l);
+                let fused = strategy.partial_gather && view.row_aggregator().is_some();
+                let row_len = row_payload_len(est.msg_dim, fused.then_some(1)) as u64 + WIRE_ID_LEN;
+                prop_assert_eq!(est.columnar_bytes % row_len, 0);
+                prop_assert_eq!(
+                    est.columnar_bytes / row_len,
+                    carried[l],
+                    "layer {} rows (fused = {})", l, fused
+                );
+                predicted_bytes += est.columnar_bytes;
+            }
+            let measured = report.message_bytes.columnar;
+            prop_assert!(
+                predicted_bytes.abs_diff(measured) * 20 <= measured,
+                "columnar bytes: predicted {} vs measured {}", predicted_bytes, measured
+            );
+        }
     }
 }

@@ -28,8 +28,10 @@
 //!    ([`PlanEstimate`](inferturbo_cluster::PlanEstimate)), and — for
 //!    [`Backend::Auto`] — picks the backend by comparing the predicted
 //!    Pregel residency against the memory budget (the paper's §IV-A
-//!    trade-off, encoded instead of hand-chosen). The plan also owns the
-//!    pooled per-worker engine scratch, so repeated runs stop paying the
+//!    trade-off, encoded instead of hand-chosen). A Pregel plan also lays
+//!    the graph out for the engine — placement, the id index, every
+//!    out-edge resolved to a route — and owns the pooled per-worker engine
+//!    scratch, so repeated runs neither re-derive the layout nor pay the
 //!    per-superstep O(workers·V) slot-index allocations.
 //! 3. **Execute** ([`InferencePlan::run`] /
 //!    [`InferencePlan::run_with_features`]): the layer-as-superstep run

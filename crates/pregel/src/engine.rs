@@ -3,13 +3,36 @@
 //!
 //! # Execution model
 //!
+//! An engine runs over a [`PregelLayout`]: the slot table of every worker,
+//! the one `id → (worker, slot)` index, and — when the layout was planned
+//! from a graph — each vertex's out-edges as pre-resolved
+//! [`Route`](crate::Route)s. The layout is shared (`Arc`) and never
+//! written during a run; the engine
+//! itself owns only what a run changes: one state per slot, the sealed
+//! inboxes, the broadcast table and the report.
+//! [`PregelEngine::with_layout`] builds that from a layout somebody else
+//! keeps (a session plan: lay the graph out once, run many times) and
+//! allocates exactly one exact-sized state vector per worker — no id is
+//! hashed and no vector grows. [`PregelEngine::new`] +
+//! [`PregelEngine::add_vertex`] grow a private layout one vertex at a time
+//! for programs that carry their own adjacency.
+//!
 //! Each superstep is a real fork-join: every logical worker computes on its
 //! own OS thread (up to the global [`inferturbo_common::Parallelism`]
 //! budget), writing its outgoing messages into per-(sender × destination)
-//! **outbox shards**. At the barrier the shards are merged without locks,
-//! in ascending sender order — the exact order a serial sender loop would
-//! deliver in — so results, byte accounting, and metrics are identical
-//! for every thread count.
+//! **outbox shards**. Rows leave a vertex as (row, span of routes) pairs
+//! in the [`Outbox`] spool; the worker's one routing loop walks each span
+//! and copies (or, fused, folds) the row into the shard its route names —
+//! no lookup per edge, the row written to the spool once per vertex. Byte
+//! accounting for rows happens once per worker after its last vertex, from
+//! the shards' own slot lists and the layout's slot tables. At the barrier
+//! the shards are merged without locks, in ascending sender order — the
+//! exact order a serial sender loop would deliver in — so results, byte
+//! accounting, and metrics are identical for every thread count.
+//!
+//! What a run allocates: the per-worker state vectors, the inboxes sealed
+//! at each barrier, and — first run only, pooled in a [`ScratchPool`]
+//! afterwards — the outbox spools and shards.
 //!
 //! # Message planes
 //!
@@ -18,9 +41,10 @@
 //!
 //! - the **typed plane**: `P::Msg` values sent with
 //!   [`Outbox::send`](crate::vertex::Outbox::send) — variable-width
-//!   payloads such as broadcast refs and control messages — land in a flat
-//!   per-worker arena (`InboxArena`: one `Vec<Msg>` plus per-slot offsets)
-//!   rebuilt each superstep with a counting scatter;
+//!   payloads such as broadcast refs and control messages, addressed by
+//!   vertex id (one index lookup per message) — land in a flat per-worker
+//!   arena (`InboxArena`: one `Vec<Msg>` plus per-slot offsets) rebuilt
+//!   each superstep with a counting scatter;
 //! - the **columnar plane**: when the program declares a
 //!   [`MessageLayout`](crate::vertex::MessageLayout) for the emitting
 //!   step, fixed-width `f32` rows move through flat per-(sender ×
@@ -51,7 +75,8 @@
 //! regrouped per sender worker — bit for bit, at every thread count, over
 //! every transport, spilled or resident, recovered or clean.
 
-use crate::vertex::{ActivationPolicy, Outbox, RowsIn, VertexProgram};
+use crate::layout::PregelLayout;
+use crate::vertex::{ActivationPolicy, Outbox, RowMisuse, RowsIn, VertexProgram};
 use inferturbo_cluster::transport::{
     self, frame::EncodedRecords, ColsShards, DestShards, Exchange, MergedCols, Transport,
 };
@@ -60,13 +85,14 @@ use inferturbo_cluster::{
     WorkerPhase,
 };
 use inferturbo_common::codec::{varint_len, Decode, Encode};
-use inferturbo_common::hash::partition_of;
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{
-    row_payload_len, FusedAggregator, FusedRows, FusedSlotShard, RowArena, RowShard, SpillPolicy,
+    row_payload_len, AggKind, FusedAggregator, FusedRows, FusedSlotShard, RowArena, RowShard,
+    SpillPolicy,
 };
 use inferturbo_common::{Error, FxHashMap, Result};
 use inferturbo_obs::{Payload, Site, TraceHandle, TraceMark};
+use std::sync::Arc;
 
 /// Engine configuration.
 ///
@@ -204,12 +230,6 @@ impl PregelConfig {
     }
 }
 
-#[derive(Clone)]
-struct Slot<S> {
-    id: u64,
-    state: S,
-}
-
 /// One worker's reusable superstep scratch: the outbox (message spools,
 /// row buffers), the per-destination fused accumulator shards with their
 /// dense slot indexes, and the per-destination materialized row shards of
@@ -217,7 +237,9 @@ struct Slot<S> {
 /// each worker task owns its scratch exclusively — and reclaimed at the
 /// barrier, so buffer capacity survives across supersteps.
 pub(crate) struct WorkerScratch<M> {
-    pub(crate) outbox: Outbox<M>,
+    /// `None` until the worker's first superstep (an outbox is bound to a
+    /// layout) and while the worker's compute holds it.
+    pub(crate) outbox: Option<Outbox<M>>,
     pub(crate) fused: Vec<FusedSlotShard>,
     pub(crate) rows: Vec<RowShard>,
 }
@@ -225,7 +247,7 @@ pub(crate) struct WorkerScratch<M> {
 impl<M> Default for WorkerScratch<M> {
     fn default() -> Self {
         WorkerScratch {
-            outbox: Outbox::new(None),
+            outbox: None,
             fused: Vec::new(),
             rows: Vec::new(),
         }
@@ -384,7 +406,7 @@ enum InPlane {
 /// worker memory caps.
 struct Checkpoint<P: VertexProgram> {
     step: usize,
-    workers: Vec<Vec<Slot<P::State>>>,
+    workers: Vec<Vec<P::State>>,
     inbox: Vec<InboxArena<P::Msg>>,
     row_inbox: Vec<RowArena>,
     fused_inbox: Vec<FusedRows>,
@@ -535,13 +557,16 @@ impl<M> StepOut<M> {
     }
 }
 
-/// The Pregel engine. Construct, add vertices, `run` supersteps, read back
-/// states and the [`RunReport`].
+/// The Pregel engine. Construct over a layout (or add vertices one by
+/// one), `run` supersteps, read back states and the [`RunReport`].
 pub struct PregelEngine<P: VertexProgram> {
     program: P,
     config: PregelConfig,
-    workers: Vec<Vec<Slot<P::State>>>,
-    index: FxHashMap<u64, (u32, u32)>,
+    /// Where every vertex lives and where its planned out-edges lead;
+    /// shared, read-only while the engine runs.
+    layout: Arc<PregelLayout>,
+    /// Per worker: one state per slot, in the layout's slot order.
+    workers: Vec<Vec<P::State>>,
     /// Per worker: pending legacy messages for the *next* compute.
     inbox: Vec<InboxArena<P::Msg>>,
     /// Per worker: pending columnar rows (when `in_plane == Rows`).
@@ -560,14 +585,65 @@ pub struct PregelEngine<P: VertexProgram> {
 }
 
 impl<P: VertexProgram> PregelEngine<P> {
+    /// An engine with no vertices yet, over a private layout that
+    /// [`PregelEngine::add_vertex`] grows.
     pub fn new(program: P, config: PregelConfig) -> Self {
         let n = config.spec.workers;
         assert!(n > 0, "cluster must have at least one worker");
+        let workers = (0..n).map(|_| Vec::new()).collect();
+        Self::over(program, config, Arc::new(PregelLayout::new(n)), workers)
+    }
+
+    /// An engine over a layout built ahead of time. `states` yields one
+    /// state per vertex in the layout's engine order
+    /// ([`PregelLayout::vertices`]: worker ascending, slot ascending).
+    /// Construction moves each state into its worker's exact-sized vector
+    /// and does nothing else — the layout is shared, not copied, and no id
+    /// is hashed.
+    pub fn with_layout(
+        program: P,
+        config: PregelConfig,
+        layout: Arc<PregelLayout>,
+        states: impl IntoIterator<Item = P::State>,
+    ) -> Result<Self> {
+        let n = config.spec.workers;
+        if n == 0 || layout.n_workers() != n {
+            return Err(Error::InvalidConfig(format!(
+                "layout spans {} workers, the cluster has {n}",
+                layout.n_workers()
+            )));
+        }
+        let mut states = states.into_iter();
+        let workers: Vec<Vec<P::State>> = (0..n)
+            .map(|w| {
+                let n_slots = layout.n_slots(w);
+                let mut of_worker = Vec::with_capacity(n_slots);
+                of_worker.extend(states.by_ref().take(n_slots));
+                of_worker
+            })
+            .collect();
+        let given = workers.iter().map(Vec::len).sum::<usize>() + states.count();
+        if given != layout.n_vertices() {
+            return Err(Error::InvalidConfig(format!(
+                "layout holds {} vertices, {given} states were given",
+                layout.n_vertices()
+            )));
+        }
+        Ok(Self::over(program, config, layout, workers))
+    }
+
+    fn over(
+        program: P,
+        config: PregelConfig,
+        layout: Arc<PregelLayout>,
+        workers: Vec<Vec<P::State>>,
+    ) -> Self {
+        let n = config.spec.workers;
         PregelEngine {
             program,
             report: RunReport::new(config.spec),
-            workers: (0..n).map(|_| Vec::new()).collect(),
-            index: FxHashMap::default(),
+            layout,
+            workers,
             inbox: (0..n).map(|_| InboxArena::new()).collect(),
             row_inbox: Vec::new(),
             fused_inbox: Vec::new(),
@@ -594,17 +670,20 @@ impl<P: VertexProgram> PregelEngine<P> {
         std::mem::take(&mut self.scratch)
     }
 
-    /// Register a vertex. Ids must be unique.
-    pub fn add_vertex(&mut self, id: u64, state: P::State) {
-        let w = partition_of(id, self.config.spec.workers);
-        let slot = self.workers[w].len() as u32;
-        let prev = self.index.insert(id, (w as u32, slot));
-        assert!(prev.is_none(), "duplicate vertex id {id}");
-        self.workers[w].push(Slot { id, state });
+    /// Register a vertex with no planned out-edges (its program addresses
+    /// messages by id). Ids must be unique: a duplicate is a typed
+    /// [`Error::InvalidGraph`] and leaves the engine unchanged. If the
+    /// layout is shared, the engine continues on a private copy.
+    pub fn add_vertex(&mut self, id: u64, state: P::State) -> Result<()> {
+        let layout = Arc::make_mut(&mut self.layout);
+        let route = layout.add_vertex(id)?;
+        let (w, _) = layout.unpack(route);
+        self.workers[w].push(state);
+        Ok(())
     }
 
     pub fn n_vertices(&self) -> usize {
-        self.index.len()
+        self.layout.n_vertices()
     }
 
     /// Current superstep counter (== number of supersteps executed).
@@ -613,16 +692,16 @@ impl<P: VertexProgram> PregelEngine<P> {
     }
 
     pub fn state(&self, id: u64) -> Option<&P::State> {
-        let &(w, s) = self.index.get(&id)?;
-        Some(&self.workers[w as usize][s as usize].state)
+        let (w, slot) = self.layout.unpack(self.layout.resolve(id)?);
+        Some(&self.workers[w][slot as usize])
     }
 
-    /// Visit every vertex state (worker order, then insertion order —
+    /// Visit every vertex state (worker order, then slot order —
     /// deterministic).
     pub fn for_each_state(&self, mut f: impl FnMut(u64, &P::State)) {
-        for worker in &self.workers {
-            for slot in worker {
-                f(slot.id, &slot.state);
+        for (w, states) in self.workers.iter().enumerate() {
+            for (&id, state) in self.layout.ids(w).iter().zip(states) {
+                f(id, state);
             }
         }
     }
@@ -631,7 +710,14 @@ impl<P: VertexProgram> PregelEngine<P> {
         &self.report
     }
 
-    pub fn into_report(self) -> RunReport {
+    /// Consume the engine: hand every vertex state to `f` by value (same
+    /// order as [`PregelEngine::for_each_state`]) and return the report.
+    pub fn finish(self, mut f: impl FnMut(u64, P::State)) -> RunReport {
+        for (w, states) in self.workers.into_iter().enumerate() {
+            for (&id, state) in self.layout.ids(w).iter().zip(states) {
+                f(id, state);
+            }
+        }
         self.report
     }
 
@@ -781,7 +867,7 @@ impl<P: VertexProgram> PregelEngine<P> {
                 None => EmitPlane::Rows { dim: layout.dim },
             },
         };
-        let dest_sizes: Vec<usize> = self.workers.iter().map(Vec::len).collect();
+        let dest_sizes: Vec<usize> = (0..n_workers).map(|w| self.layout.n_slots(w)).collect();
 
         let inboxes = std::mem::replace(
             &mut self.inbox,
@@ -803,7 +889,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         scratches.resize_with(n_workers, WorkerScratch::default);
         let program = &self.program;
         let config = &self.config;
-        let index = &self.index;
+        let layout = &self.layout;
         let bcast = &self.bcast;
         let dest_sizes_ref = &dest_sizes;
         let tasks: Vec<_> = self
@@ -814,18 +900,18 @@ impl<P: VertexProgram> PregelEngine<P> {
             .zip(scratches)
             .collect();
         let results: Vec<Result<StepOut<P::Msg>>> =
-            par_map(tasks, |w, (((slots, arena), cols_in), scratch)| {
+            par_map(tasks, |w, (((states, arena), cols_in), scratch)| {
                 run_worker(
                     program,
                     config,
-                    index,
+                    layout,
                     bcast,
                     step,
                     n_workers,
                     w,
                     dest_sizes_ref,
                     emit,
-                    slots,
+                    states,
                     arena,
                     cols_in,
                     scratch,
@@ -1040,7 +1126,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         for w in 0..n_workers {
             let state_bytes: u64 = self.workers[w]
                 .iter()
-                .map(|slot| self.program.state_bytes(&slot.state))
+                .map(|state| self.program.state_bytes(state))
                 .sum();
             let resident = state_bytes + next_inbox_bytes[w];
             metrics[w].touch_mem(resident);
@@ -1116,6 +1202,88 @@ impl<P: VertexProgram> PregelEngine<P> {
     }
 }
 
+/// Where one worker's spooled rows go this superstep: the emit plane
+/// matched against the worker's shard plane **once**, and — fused — the
+/// fold resolved once, so the per-edge loop below carries neither.
+enum RowSink<'a> {
+    /// No row plane this step (a row sent anyway was already refused by
+    /// the outbox).
+    None,
+    Rows {
+        dim: usize,
+        shards: &'a mut [RowShard],
+    },
+    Fused {
+        dim: usize,
+        shards: &'a mut [FusedSlotShard],
+        agg: &'a dyn FusedAggregator,
+        /// `agg`'s closed-form fold, when it names one
+        /// ([`FusedAggregator::wire_kind`] — bit-identical by that
+        /// method's contract): folds through it compile to a plain loop
+        /// instead of a virtual call per edge.
+        kind: Option<AggKind>,
+    },
+}
+
+impl<'a> RowSink<'a> {
+    fn resolve(emit: EmitPlane<'a>, cols: &'a mut ColsOut, step: usize) -> Result<Self> {
+        match (emit, cols) {
+            (EmitPlane::Legacy, ColsOut::None) => Ok(RowSink::None),
+            (EmitPlane::Rows { dim }, ColsOut::Rows(shards)) => Ok(RowSink::Rows { dim, shards }),
+            (EmitPlane::Fused { dim, agg }, ColsOut::Fused(shards)) => Ok(RowSink::Fused {
+                dim,
+                shards,
+                agg,
+                kind: agg.wire_kind(),
+            }),
+            _ => Err(plane_mismatch(step)),
+        }
+    }
+
+    /// The engine's one routing loop: walk the spool front to back, each
+    /// row to every route of its span — a flat copy into the destination
+    /// worker's row shard, or a lane-wise fold into its accumulator shard
+    /// (copy-on-first). Per (sender worker, destination) that is emission
+    /// order, which is the whole fold-order contract on the sender side.
+    fn route<M>(&mut self, layout: &PregelLayout, ob: &Outbox<M>) {
+        match self {
+            RowSink::None => debug_assert!(ob.span_ends.is_empty()),
+            RowSink::Rows { dim, shards } => ob.for_each_span(*dim, |row, routes| {
+                for &r in routes {
+                    let (w2, slot) = layout.unpack(r);
+                    shards[w2].push(slot, row);
+                }
+            }),
+            RowSink::Fused {
+                dim,
+                shards,
+                agg,
+                kind,
+            } => match kind {
+                Some(kind) => fold_spans(layout, ob, *dim, shards, kind),
+                None => fold_spans(layout, ob, *dim, shards, *agg),
+            },
+        }
+    }
+}
+
+/// The fused arm of [`RowSink::route`], generic over the fold so a
+/// closed-form [`AggKind`] inlines into the per-edge loop.
+fn fold_spans<M>(
+    layout: &PregelLayout,
+    ob: &Outbox<M>,
+    dim: usize,
+    shards: &mut [FusedSlotShard],
+    agg: &(impl FusedAggregator + ?Sized),
+) {
+    ob.for_each_span(dim, |row, routes| {
+        for &r in routes {
+            let (w2, slot) = layout.unpack(r);
+            shards[w2].accumulate(slot, row, 1, agg);
+        }
+    });
+}
+
 /// One worker's compute for one superstep: drain the inbox (both planes)
 /// slot by slot, run the vertex program, and spool outgoing messages into
 /// per-destination shards — typed messages into legacy shards, fixed-width
@@ -1125,14 +1293,14 @@ impl<P: VertexProgram> PregelEngine<P> {
 fn run_worker<P: VertexProgram>(
     program: &P,
     config: &PregelConfig,
-    index: &FxHashMap<u64, (u32, u32)>,
+    layout: &Arc<PregelLayout>,
     bcast: &FxHashMap<u64, P::Msg>,
     step: usize,
     n_workers: usize,
     w: usize,
     dest_sizes: &[usize],
     emit: EmitPlane<'_>,
-    slots: &mut [Slot<P::State>],
+    states: &mut [P::State],
     arena: InboxArena<P::Msg>,
     mut cols_in: InboxCols,
     scratch: WorkerScratch<P::Msg>,
@@ -1148,21 +1316,21 @@ fn run_worker<P: VertexProgram>(
         }
     }
     let mut out = StepOut::new(n_workers, &emit, dest_sizes, scratch);
-    // Original destination ids of fused accumulator rows, first-touch
-    // order per destination worker: flush accounting needs the dst varint.
-    let mut fused_dsts: Vec<Vec<u64>> = match emit {
-        EmitPlane::Fused { .. } => (0..n_workers).map(|_| Vec::new()).collect(),
-        _ => Vec::new(),
-    };
     let InboxArena { msgs, offsets } = arena;
     let mut msg_iter = msgs.into_iter();
     // One pooled outbox reused across every vertex (and, via the scratch
     // pool, across supersteps and runs): cleared between computes,
     // capacity retained, so steady-state sends allocate nothing.
-    let mut ob = std::mem::replace(&mut out.scratch.outbox, Outbox::new(None));
-    ob.reset(emit.row_dim());
+    let mut ob = out
+        .scratch
+        .outbox
+        .take()
+        .unwrap_or_else(|| Outbox::new(Arc::clone(layout)));
+    ob.reset(layout, emit.row_dim());
+    let mut cols = std::mem::replace(&mut out.cols, ColsOut::None);
+    let mut sink = RowSink::resolve(emit, &mut cols, step)?;
 
-    for (s, slot) in slots.iter_mut().enumerate() {
+    for (s, (state, &vertex_id)) in states.iter_mut().zip(layout.ids(w)).enumerate() {
         let cnt = InboxArena::<P::Msg>::count(&offsets, s);
         let col_cnt = match &cols_in {
             InboxCols::None => 0,
@@ -1202,23 +1370,18 @@ fn run_worker<P: VertexProgram>(
                 }
             }
         };
-        let vertex_id = slot.id;
         ob.clear();
         {
             let lookup = |src: u64| bcast.get(&src);
-            program.compute_columnar(
-                step,
-                vertex_id,
-                &mut slot.state,
-                rows_in,
-                messages,
-                &lookup,
-                &mut ob,
-            );
+            program.compute_columnar(step, vertex_id, state, rows_in, messages, &lookup, &mut ob);
         }
         out.metrics.flops += ob.flops;
-        if let Some(msg) = ob.take_layout_error() {
-            return Err(Error::InvalidConfig(format!("vertex {vertex_id}: {msg}")));
+        match ob.misuse.take() {
+            None => {}
+            Some(RowMisuse::Layout(msg)) => {
+                return Err(Error::InvalidConfig(format!("vertex {vertex_id}: {msg}")));
+            }
+            Some(RowMisuse::UnknownVertex(dst)) => return Err(unknown_vertex(dst)),
         }
 
         // Route broadcasts: payload replicated to every remote worker;
@@ -1243,83 +1406,64 @@ fn run_worker<P: VertexProgram>(
 
         // Route typed point-to-point messages, in emission order.
         for (dst, msg) in ob.messages.drain(..) {
-            deliver::<P>(index, w, dst, msg, &mut out)?;
+            deliver::<P>(layout, w, dst, msg, &mut out)?;
         }
 
-        // Route columnar rows: flat copies into per-destination row shards,
-        // or lane-wise folds into per-destination accumulators (fused).
-        if let Some(dim) = emit.row_dim() {
-            for (i, &dst) in ob.row_dsts.iter().enumerate() {
-                let row = &ob.rows[i * dim..(i + 1) * dim];
-                let &(w2, slot) = index.get(&dst).ok_or_else(|| {
-                    Error::InvalidGraph(format!("message to unknown vertex {dst}"))
-                })?;
-                let w2 = w2 as usize;
-                match (&emit, &mut out.cols) {
-                    (EmitPlane::Rows { .. }, ColsOut::Rows(shards)) => {
-                        let wire_len = row_wire_len(dim, dst);
-                        if w2 != w {
-                            out.metrics.send(wire_len);
-                            out.recv_bytes[w2] += wire_len;
-                            out.recv_records[w2] += 1;
-                        }
-                        out.msg_bytes.columnar += wire_len;
-                        shards[w2].push(slot, row);
-                    }
-                    (EmitPlane::Fused { agg, .. }, ColsOut::Fused(shards)) => {
-                        // Accounting happens at flush, one record per
-                        // accumulated row.
-                        if shards[w2].accumulate(slot, row, 1, *agg) {
-                            fused_dsts[w2].push(dst);
-                        }
-                    }
-                    _ => return Err(plane_mismatch(step)),
-                }
-            }
-        } else {
-            debug_assert!(
-                ob.row_dsts.is_empty(),
-                "send_row requires an active message layout"
-            );
-        }
+        sink.route(layout, &ob);
     }
 
-    // Flush accounting for fused rows: one partial-aggregate record per
-    // (destination worker, touched slot), first-touch order.
-    if let EmitPlane::Fused { dim, .. } = emit {
-        let cols = std::mem::replace(&mut out.cols, ColsOut::None);
-        if let ColsOut::Fused(shards) = &cols {
-            for (w2, dsts) in fused_dsts.iter().enumerate() {
-                for (i, &dst) in dsts.iter().enumerate() {
-                    let wire_len = fused_row_wire_len(dim, shards[w2].counts[i], dst);
-                    if w2 != w {
-                        out.metrics.send(wire_len);
-                        out.recv_bytes[w2] += wire_len;
-                        out.recv_records[w2] += 1;
-                    }
-                    out.msg_bytes.columnar += wire_len;
+    // Row accounting, once per worker: one record per row a shard holds —
+    // a materialized row, or a fused partial (one per touched slot, in
+    // first-touch order). The destination id every record is framed with
+    // comes from the destination worker's slot table.
+    if let Some(dim) = emit.row_dim() {
+        for w2 in 0..n_workers {
+            let ids = layout.ids(w2);
+            let (records, bytes): (usize, u64) = match &cols {
+                ColsOut::None => (0, 0),
+                ColsOut::Rows(shards) => {
+                    let slots = &shards[w2].slots;
+                    let bytes = slots.iter().map(|&s| row_wire_len(dim, ids[s as usize]));
+                    (slots.len(), bytes.sum())
                 }
+                ColsOut::Fused(shards) => {
+                    let shard = &shards[w2];
+                    let bytes = shard
+                        .keys
+                        .iter()
+                        .zip(&shard.counts)
+                        .map(|(&s, &count)| fused_row_wire_len(dim, count, ids[s as usize]));
+                    (shard.keys.len(), bytes.sum())
+                }
+            };
+            if w2 != w {
+                out.metrics.bytes_out += bytes;
+                out.metrics.records_out += records as u64;
+                out.recv_bytes[w2] += bytes;
+                out.recv_records[w2] += records as u64;
             }
+            out.msg_bytes.columnar += bytes;
         }
-        out.cols = cols;
     }
-    out.scratch.outbox = ob;
+    out.cols = cols;
+    out.scratch.outbox = Some(ob);
     Ok(out)
+}
+
+fn unknown_vertex(dst: u64) -> Error {
+    Error::InvalidGraph(format!("message to unknown vertex {dst}"))
 }
 
 /// Route one typed message into the sender's outbox shard for its
 /// destination worker, with full byte accounting on both sides.
 fn deliver<P: VertexProgram>(
-    index: &FxHashMap<u64, (u32, u32)>,
+    layout: &PregelLayout,
     from_worker: usize,
     dst: u64,
     msg: P::Msg,
     out: &mut StepOut<P::Msg>,
 ) -> Result<()> {
-    let &(w2, slot) = index
-        .get(&dst)
-        .ok_or_else(|| Error::InvalidGraph(format!("message to unknown vertex {dst}")))?;
-    let (w2, slot) = (w2 as usize, slot as usize);
+    let (w2, slot) = layout.unpack(layout.resolve(dst).ok_or_else(|| unknown_vertex(dst))?);
     let wire_len = (msg.encoded_len() + varint_len(dst)) as u64;
     if w2 != from_worker {
         out.metrics.send(wire_len);
@@ -1328,7 +1472,7 @@ fn deliver<P: VertexProgram>(
     }
     out.inbox_bytes[w2] += wire_len;
     out.msg_bytes.legacy += wire_len;
-    out.shards[w2].push((slot as u32, msg));
+    out.shards[w2].push((slot, msg));
     Ok(())
 }
 
@@ -1336,6 +1480,7 @@ fn deliver<P: VertexProgram>(
 mod tests {
     use super::*;
     use crate::vertex::{BroadcastLookup, MessageLayout};
+    use inferturbo_common::hash::partition_of;
 
     /// PageRank over an explicit neighbour list held in vertex state.
     struct PageRank {
@@ -1390,7 +1535,7 @@ mod tests {
         let adj: Vec<(u64, Vec<u64>)> =
             vec![(0, vec![1, 2]), (1, vec![2]), (2, vec![0]), (3, vec![2])];
         for (id, nbrs) in adj {
-            eng.add_vertex(id, PrState { rank: 0.25, nbrs });
+            eng.add_vertex(id, PrState { rank: 0.25, nbrs }).unwrap();
         }
         eng
     }
@@ -1481,7 +1626,8 @@ mod tests {
                     dist: f32::INFINITY,
                     nbrs,
                 },
-            );
+            )
+            .unwrap();
         }
         eng.run(100).unwrap();
         assert!(eng.steps_run() < 100, "should halt early");
@@ -1515,42 +1661,36 @@ mod tests {
                 rank: 0.5,
                 nbrs: vec![1],
             },
-        );
+        )
+        .unwrap();
         eng.add_vertex(
             1,
             PrState {
                 rank: 0.5,
                 nbrs: vec![0],
             },
-        );
+        )
+        .unwrap();
         eng
     }
 
     #[test]
-    #[should_panic(expected = "duplicate vertex id")]
     fn duplicate_vertex_rejected() {
-        let cfg = PregelConfig::new(ClusterSpec::test_spec(1));
-        let mut eng = PregelEngine::new(
-            PageRank {
-                n: 1.0,
-                damping: 0.85,
-            },
-            cfg,
-        );
-        eng.add_vertex(
-            5,
-            PrState {
-                rank: 1.0,
-                nbrs: vec![],
-            },
-        );
-        eng.add_vertex(
-            5,
-            PrState {
-                rank: 1.0,
-                nbrs: vec![],
-            },
-        );
+        let mut eng = pagerank_engine(2);
+        let again = PrState {
+            rank: 1.0,
+            nbrs: vec![],
+        };
+        let err = eng.add_vertex(2, again).unwrap_err();
+        assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
+        assert!(err.to_string().contains("duplicate vertex id 2"), "{err}");
+        // The refused vertex left nothing behind: the first registration
+        // still answers, and the engine runs as if never asked.
+        assert_eq!(eng.n_vertices(), 4);
+        assert_eq!(eng.state(2).unwrap().nbrs, vec![0]);
+        eng.run(11).unwrap();
+        let want = pagerank_reference(10);
+        assert!((eng.state(2).unwrap().rank - want[2]).abs() < 1e-6);
     }
 
     #[test]
@@ -1565,7 +1705,8 @@ mod tests {
                 rank: 0.25,
                 nbrs: vec![2],
             },
-        );
+        )
+        .unwrap();
         eng.run(1).unwrap();
         assert_eq!(eng.n_vertices(), 5);
         // The new vertex must have *computed* at the second run: with an
@@ -1593,7 +1734,7 @@ mod tests {
             }
         }
         let mut eng = PregelEngine::new(Bad, PregelConfig::new(ClusterSpec::test_spec(1)));
-        eng.add_vertex(0, ());
+        eng.add_vertex(0, ()).unwrap();
         let err = eng.run(1).unwrap_err();
         assert!(err.to_string().contains("unknown vertex 999"));
     }
@@ -1628,7 +1769,7 @@ mod tests {
         let spec = ClusterSpec::test_spec(4);
         let mut eng = PregelEngine::new(Caster, PregelConfig::new(spec));
         for id in 0..16u64 {
-            eng.add_vertex(id, CState::default());
+            eng.add_vertex(id, CState::default()).unwrap();
         }
         eng.run(2).unwrap();
         for id in 0..16u64 {
@@ -1796,7 +1937,8 @@ mod tests {
                     agg: Vec::new(),
                     count: 0,
                 },
-            );
+            )
+            .unwrap();
         }
         eng
     }
@@ -1912,7 +2054,7 @@ mod tests {
                 PregelConfig::new(ClusterSpec::test_spec(workers)),
             );
             for id in 0..12u64 {
-                eng.add_vertex(id, Vec::new());
+                eng.add_vertex(id, Vec::new()).unwrap();
             }
             eng.run(2).unwrap();
             let mut want = Vec::new();
@@ -2050,7 +2192,8 @@ mod tests {
                     got: None,
                     next: (id + 1 < 5).then_some(id + 1),
                 },
-            );
+            )
+            .unwrap();
         }
         eng.run(50).unwrap();
         assert!(eng.steps_run() < 50, "should halt early");
@@ -2206,7 +2349,7 @@ mod tests {
             }
         }
         let mut eng = PregelEngine::new(NoLayout, PregelConfig::new(ClusterSpec::test_spec(1)));
-        eng.add_vertex(3, ());
+        eng.add_vertex(3, ()).unwrap();
         let err = eng.run(1).unwrap_err();
         assert!(
             matches!(err, Error::InvalidConfig(_)),
@@ -2250,7 +2393,7 @@ mod tests {
             }
         }
         let mut eng = PregelEngine::new(WrongWidth, PregelConfig::new(ClusterSpec::test_spec(1)));
-        eng.add_vertex(4, ());
+        eng.add_vertex(4, ()).unwrap();
         let err = eng.run(1).unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("3 lanes"), "{err}");

@@ -22,9 +22,11 @@
 //! paper's lineage from graph-processing systems.
 
 pub mod engine;
+pub mod layout;
 pub mod vertex;
 
 pub use engine::{PregelConfig, PregelEngine, ScratchPool};
+pub use layout::{PlacedVertex, PregelLayout, Route};
 pub use vertex::{
     ActivationPolicy, BroadcastLookup, FusedAggregator, MessageLayout, Outbox, RowsIn,
     VertexProgram,

@@ -6,18 +6,36 @@
 //! - the **typed plane**: `P::Msg` values sent with [`Outbox::send`] —
 //!   arbitrary encodable payloads, one heap object per message, delivered
 //!   as sent (the engine never combines them);
-//! - the **columnar plane**: fixed-width `f32` rows sent with
-//!   [`Outbox::send_row`], available whenever the program declares a
-//!   [`MessageLayout`] for the step. Rows travel through flat buffers with
-//!   no per-message allocation, and — when the step also provides a
-//!   [`FusedAggregator`] — are folded into per-destination accumulator
-//!   rows at the sender (fused scatter-aggregation). That fold is the
-//!   engine's sender-side combiner: it must be commutative and
+//! - the **columnar plane**: fixed-width `f32` rows, available whenever the
+//!   program declares a [`MessageLayout`] for the step. Rows travel through
+//!   flat buffers with no per-message allocation, and — when the step also
+//!   provides a [`FusedAggregator`] — are folded into per-destination
+//!   accumulator rows at the sender (fused scatter-aggregation). That fold
+//!   is the engine's sender-side combiner: it must be commutative and
 //!   associative, which is exactly what the paper's annotation rule
 //!   licenses.
+//!
+//! # The row spool
+//!
+//! The columnar half of an [`Outbox`] is one spool: a flat buffer of rows,
+//! and for each row a **span** of [`Route`]s — the destinations that row
+//! goes to. [`Outbox::scatter_row`] spools a row *once* with the span of
+//! pre-resolved routes the caller passes (a vertex's planned out-edges, or
+//! any sub-slice of them): `out_deg` destinations cost one row copy and
+//! `out_deg` 8-byte routes. [`Outbox::send_row`] is the single-destination
+//! form for programs that address by vertex id: it resolves the id through
+//! the layout's index right there and spools the row with a span of one.
+//! Both write the same spool, in call order, and the engine's one routing
+//! loop walks it front to back — so a program may mix the two freely, and
+//! a destination receives (or folds) its rows in exactly the order the
+//! calls named it, whichever form each call used. `send_row(dst, row)` and
+//! `scatter_row` over the one route that resolves `dst` are
+//! indistinguishable downstream.
 
+use crate::layout::{PregelLayout, Route};
 use inferturbo_common::codec::{Decode, Encode};
 pub use inferturbo_common::rows::{FusedAggregator, MessageLayout};
+use std::sync::Arc;
 
 /// Controls which vertices run `compute` each superstep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +87,18 @@ impl RowsIn<'_> {
     }
 }
 
+/// A deferred misuse of the row plane, recorded by the outbox instead of
+/// panicking inside `compute` and surfaced by the engine as a typed error
+/// after the call returns.
+pub(crate) enum RowMisuse {
+    /// No active layout for the step, or a row of the wrong width
+    /// ([`inferturbo_common::Error::InvalidConfig`]).
+    Layout(String),
+    /// [`Outbox::send_row`] named a vertex the layout does not hold
+    /// ([`inferturbo_common::Error::InvalidGraph`]).
+    UnknownVertex(u64),
+}
+
 /// Per-compute output collector handed to [`VertexProgram::compute`].
 /// One instance is reused across a worker's whole superstep — cleared
 /// between vertices, capacity retained — so steady-state sends allocate
@@ -76,30 +106,33 @@ impl RowsIn<'_> {
 pub struct Outbox<M> {
     pub(crate) messages: Vec<(u64, M)>,
     pub(crate) broadcasts: Vec<M>,
-    /// Columnar plane: destination ids plus a flat row spool, `row_dim`
-    /// floats per destination. `row_dim` is `None` when the step has no
-    /// active [`MessageLayout`].
-    pub(crate) row_dsts: Vec<u64>,
+    /// The row spool (see the module docs): `rows` holds one `row_dim`-wide
+    /// row per span, and row `i` goes to
+    /// `routes[span_ends[i - 1]..span_ends[i]]` (from 0 for the first).
+    /// `row_dim` is `None` when the step has no active [`MessageLayout`].
     pub(crate) rows: Vec<f32>,
+    pub(crate) span_ends: Vec<usize>,
+    pub(crate) routes: Vec<Route>,
     pub(crate) row_dim: Option<usize>,
     pub(crate) flops: f64,
-    /// First misuse of the row plane this compute (send_row without an
-    /// active layout, or with the wrong width). Deferred rather than
-    /// panicking: the engine surfaces it as a typed
-    /// [`inferturbo_common::Error::InvalidConfig`] after the compute call.
-    pub(crate) layout_error: Option<String>,
+    /// First misuse of the row plane this compute.
+    pub(crate) misuse: Option<RowMisuse>,
+    /// The layout `send_row` resolves ids through.
+    layout: Arc<PregelLayout>,
 }
 
 impl<M> Outbox<M> {
-    pub(crate) fn new(row_dim: Option<usize>) -> Self {
+    pub(crate) fn new(layout: Arc<PregelLayout>) -> Self {
         Outbox {
             messages: Vec::new(),
             broadcasts: Vec::new(),
-            row_dsts: Vec::new(),
             rows: Vec::new(),
-            row_dim,
+            span_ends: Vec::new(),
+            routes: Vec::new(),
+            row_dim: None,
             flops: 0.0,
-            layout_error: None,
+            misuse: None,
+            layout,
         }
     }
 
@@ -107,25 +140,23 @@ impl<M> Outbox<M> {
     pub(crate) fn clear(&mut self) {
         self.messages.clear();
         self.broadcasts.clear();
-        self.row_dsts.clear();
         self.rows.clear();
+        self.span_ends.clear();
+        self.routes.clear();
         self.flops = 0.0;
-        self.layout_error = None;
-    }
-
-    /// Take the deferred row-plane misuse recorded by [`Outbox::send_row`],
-    /// if any. The engine calls this after every compute.
-    pub(crate) fn take_layout_error(&mut self) -> Option<String> {
-        self.layout_error.take()
+        self.misuse = None;
     }
 
     /// Reset for a new superstep (scratch-pool reuse): clear everything and
-    /// adopt the step's row plane. Capacity survives across supersteps —
-    /// and, when the outbox lives in a pooled [`crate::ScratchPool`],
-    /// across whole runs.
-    pub(crate) fn reset(&mut self, row_dim: Option<usize>) {
+    /// adopt the step's row plane and the engine's layout. Capacity
+    /// survives across supersteps — and, when the outbox lives in a pooled
+    /// [`crate::ScratchPool`], across whole runs.
+    pub(crate) fn reset(&mut self, layout: &Arc<PregelLayout>, row_dim: Option<usize>) {
         self.clear();
         self.row_dim = row_dim;
+        if !Arc::ptr_eq(&self.layout, layout) {
+            self.layout = Arc::clone(layout);
+        }
     }
 
     /// Send `msg` to vertex `dst` for delivery next superstep (typed
@@ -134,36 +165,72 @@ impl<M> Outbox<M> {
         self.messages.push((dst, msg));
     }
 
-    /// Send a fixed-width row to vertex `dst` on the columnar plane. The
-    /// row is spooled into a flat buffer — no per-message allocation — and
-    /// either scattered to the destination's row arena or, when the step
-    /// has a [`FusedAggregator`], folded into the destination's
-    /// accumulator row at the sender.
+    /// Whether `row` may enter the spool; records the first misuse if not.
+    fn row_fits(&mut self, call: std::fmt::Arguments<'_>, row: &[f32]) -> bool {
+        let problem = match self.row_dim {
+            None => format!("{call} without an active message layout for this step"),
+            Some(dim) if row.len() != dim => {
+                format!("{call}: row has {} lanes, layout declares {dim}", row.len())
+            }
+            Some(_) => return true,
+        };
+        self.misuse.get_or_insert(RowMisuse::Layout(problem));
+        false
+    }
+
+    /// Send one fixed-width row to every destination in `edges` on the
+    /// columnar plane. The row is spooled once, whatever the fan-out; each
+    /// destination's copy (or, when the step has a [`FusedAggregator`],
+    /// its fold into the destination's accumulator row) happens in the
+    /// engine's routing loop. `edges` are routes of the engine's layout —
+    /// typically the vertex's planned out-edges
+    /// ([`crate::PlacedVertex::edges`]) or a sub-slice of them.
     ///
     /// Calling this with no active layout for the step, or with a row of
     /// the wrong width, drops the row and fails the superstep with a typed
     /// [`inferturbo_common::Error::InvalidConfig`] — a program bug is a
     /// configuration error the harness observes, not a worker panic.
-    pub fn send_row(&mut self, dst: u64, row: &[f32]) {
-        let Some(dim) = self.row_dim else {
-            if self.layout_error.is_none() {
-                self.layout_error = Some(format!(
-                    "send_row to vertex {dst} without an active message layout for this step"
-                ));
-            }
-            return;
-        };
-        if row.len() != dim {
-            if self.layout_error.is_none() {
-                self.layout_error = Some(format!(
-                    "send_row to vertex {dst}: row has {} lanes, layout declares {dim}",
-                    row.len()
-                ));
-            }
+    pub fn scatter_row(&mut self, edges: &[Route], row: &[f32]) {
+        if self.row_fits(format_args!("scatter_row"), row) {
+            self.spool(edges, row);
+        }
+    }
+
+    fn spool(&mut self, edges: &[Route], row: &[f32]) {
+        if edges.is_empty() {
             return;
         }
-        self.row_dsts.push(dst);
         self.rows.extend_from_slice(row);
+        self.routes.extend_from_slice(edges);
+        self.span_ends.push(self.routes.len());
+    }
+
+    /// Send a fixed-width row to vertex `dst` on the columnar plane: the
+    /// single-destination form of [`Outbox::scatter_row`], for programs
+    /// that hold vertex ids rather than planned routes. `dst` is resolved
+    /// through the layout's index here; an id the layout does not hold
+    /// fails the superstep with [`inferturbo_common::Error::InvalidGraph`].
+    /// Layout misuse is reported as for `scatter_row`.
+    pub fn send_row(&mut self, dst: u64, row: &[f32]) {
+        if !self.row_fits(format_args!("send_row to vertex {dst}"), row) {
+            return;
+        }
+        match self.layout.resolve(dst) {
+            Some(route) => self.spool(&[route], row),
+            None => {
+                self.misuse.get_or_insert(RowMisuse::UnknownVertex(dst));
+            }
+        }
+    }
+
+    /// Visit the row spool in call order: each row (`dim` lanes) with the
+    /// span of routes it goes to.
+    pub(crate) fn for_each_span(&self, dim: usize, mut f: impl FnMut(&[f32], &[Route])) {
+        let mut start = 0;
+        for (i, &end) in self.span_ends.iter().enumerate() {
+            f(&self.rows[i * dim..(i + 1) * dim], &self.routes[start..end]);
+            start = end;
+        }
     }
 
     /// Publish a payload to every worker's broadcast table for the next

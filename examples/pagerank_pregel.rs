@@ -1,7 +1,9 @@
 //! The Pregel engine is a general graph-processing system, not a GNN
 //! one-trick: this example runs PageRank on it, each rank share a 1-wide
 //! row the engine sums sender-side (`AggKind::Sum` is the combiner),
-//! mirroring the paper's lineage from Pregel/PowerGraph.
+//! mirroring the paper's lineage from Pregel/PowerGraph. The graph is laid
+//! out once (`PregelLayout::planned`): a vertex scatters its share to its
+//! pre-resolved routes, so no iteration looks a vertex id up.
 //!
 //! ```sh
 //! cargo run --release --example pagerank_pregel
@@ -12,9 +14,10 @@ use inferturbo::common::rows::AggKind;
 use inferturbo::graph::gen::DegreeSkew;
 use inferturbo::graph::{Csr, Dataset};
 use inferturbo::pregel::{
-    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
-    VertexProgram,
+    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
+    PregelLayout, Route, RowsIn, VertexProgram,
 };
+use std::sync::Arc;
 
 struct PageRank {
     n: f64,
@@ -24,7 +27,8 @@ struct PageRank {
 #[derive(Clone)]
 struct State {
     rank: f64,
-    nbrs: Vec<u64>,
+    /// Where the vertex's out-edges lead, as the layout resolved them.
+    edges: Vec<Route>,
 }
 
 impl VertexProgram for PageRank {
@@ -61,11 +65,9 @@ impl VertexProgram for PageRank {
             };
             state.rank = (1.0 - self.damping) / self.n + self.damping * sum;
         }
-        if !state.nbrs.is_empty() {
-            let share = (state.rank / state.nbrs.len() as f64) as f32;
-            for &nb in &state.nbrs {
-                out.send_row(nb, &[share]);
-            }
+        if !state.edges.is_empty() {
+            let share = (state.rank / state.edges.len() as f64) as f32;
+            out.scatter_row(&state.edges, &[share]);
         }
         out.add_flops(rows.count() as f64 + 2.0);
     }
@@ -89,16 +91,28 @@ fn main() {
         n: g.n_nodes() as f64,
         damping: 0.85,
     };
-    let mut engine = PregelEngine::new(program, PregelConfig::new(ClusterSpec::pregel_cluster(16)));
-    for v in 0..g.n_nodes() as u32 {
-        engine.add_vertex(
-            v as u64,
-            State {
-                rank: 1.0 / g.n_nodes() as f64,
-                nbrs: out_csr.neighbors(v).iter().map(|&u| u as u64).collect(),
-            },
-        );
-    }
+    let spec = ClusterSpec::pregel_cluster(16);
+    let adjacency: Vec<Vec<u64>> = (0..g.n_nodes() as u32)
+        .map(|v| out_csr.neighbors(v).iter().map(|&u| u as u64).collect())
+        .collect();
+    let layout = PregelLayout::planned(
+        spec.workers,
+        adjacency
+            .iter()
+            .enumerate()
+            .map(|(v, nbrs)| (v as u64, nbrs.as_slice())),
+    )
+    .expect("every edge ends at a node of the graph");
+    let states: Vec<State> = layout
+        .vertices()
+        .map(|v| State {
+            rank: 1.0 / g.n_nodes() as f64,
+            edges: v.edges.to_vec(),
+        })
+        .collect();
+    let mut engine =
+        PregelEngine::with_layout(program, PregelConfig::new(spec), Arc::new(layout), states)
+            .expect("one state per laid-out vertex");
     engine.run(21).expect("pagerank run");
 
     let mut ranks: Vec<(u64, f64)> = Vec::with_capacity(g.n_nodes());

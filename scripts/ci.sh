@@ -55,11 +55,13 @@ echo "== engine + determinism tests (spawned-worker-process transport) =="
 # transport explicitly (e.g. transport_equivalence) are immune by design.
 # property_invariants and session_plan are the suites here that build GAT
 # sessions, so attention's unreduced `out_dim`-wide union rows cross a
-# real pipe on every gate.
+# real pipe on every gate; layout_routes holds the routed scatter to its
+# serial oracle with every default-transport plan on the pipes too.
 INFERTURBO_TRANSPORT=process cargo test --offline -q \
     --test parallel_matches_serial --test columnar_fused \
     --test end_to_end --test failure_injection \
-    --test property_invariants --test session_plan
+    --test property_invariants --test session_plan \
+    --test layout_routes
 
 echo "== serving tests (forced overload knobs) =="
 # Re-runs the serving suite with an aggressive Degrade-policy rate limit

@@ -205,7 +205,8 @@ fn run_case(
                     agg: Vec::new(),
                     count: 0,
                 },
-            );
+            )
+            .unwrap();
         }
         eng.run(2).unwrap();
         let mut out = vec![(Vec::new(), 0u32); case.n];

@@ -90,7 +90,8 @@ fn pagerank_states(g: &Graph, workers: usize, supersteps: usize) -> (Vec<u64>, u
                 rank: 1.0 / n as f64,
                 nbrs,
             },
-        );
+        )
+        .unwrap();
     }
     eng.run(supersteps).unwrap();
     let mut ranks = vec![0u64; n];
@@ -218,7 +219,8 @@ fn columnar_states(
                 nbrs,
                 agg: Vec::new(),
             },
-        );
+        )
+        .unwrap();
     }
     eng.run(2).unwrap();
     let mut states = vec![Vec::new(); n];
