@@ -360,9 +360,8 @@ pub struct BatchEngine {
     record_overhead: u64,
     report: RunReport,
     /// Armed fault schedule (deterministic injection). `None` — the
-    /// default — costs nothing. [`BatchEngine::new`] arms the
-    /// `INFERTURBO_FAULTS` schedule automatically when the variable is
-    /// set; [`BatchEngine::with_faults`] overrides it.
+    /// default — costs nothing. Armed only by an explicit
+    /// [`BatchEngine::with_faults`] / [`BatchEngine::with_fault_injector`].
     faults: Option<FaultInjector>,
     /// How many times an injected task failure is absorbed by re-launching
     /// the task before the job fails (Hadoop's `mapreduce.map.maxattempts`
@@ -382,8 +381,7 @@ pub struct BatchEngine {
     /// invariant.
     trace: TraceHandle,
     /// Who moves routed shuffle shards between mappers and reducers at the
-    /// phase barrier. Defaults to the `INFERTURBO_TRANSPORT` selection;
-    /// every backend is bit-identical (see the transport contract), the
+    /// phase barrier. Defaults to the in-process backend; every backend is bit-identical (see the transport contract), the
     /// choice only shows on [`RunReport::wire_bytes`].
     transport: std::sync::Arc<dyn Transport>,
 }
@@ -395,12 +393,12 @@ impl BatchEngine {
             partition_fn: partition_of,
             record_overhead: 2,
             report: RunReport::new(spec),
-            faults: FaultPlan::from_env().map(|p| p.injector()),
+            faults: None,
             max_task_retries: 3,
             map_rounds: 0,
             reduce_rounds: 0,
             trace: TraceHandle::disabled(),
-            transport: transport::from_env(),
+            transport: std::sync::Arc::new(transport::InProcess),
         }
     }
 
@@ -409,20 +407,19 @@ impl BatchEngine {
         self
     }
 
-    /// Arm (or clear) a deterministic fault schedule for this engine,
-    /// replacing any schedule inherited from `INFERTURBO_FAULTS`.
+    /// Arm (or clear) a deterministic fault schedule for this engine.
     pub fn with_faults(mut self, plan: Option<FaultPlan>) -> Self {
         self.faults = plan.filter(|p| !p.is_empty()).map(|p| p.injector());
         self
     }
 
-    /// Arm an already-created injector, replacing any `INFERTURBO_FAULTS`
-    /// schedule. Unlike [`BatchEngine::with_faults`] this *shares* the
-    /// injector's per-site fire budgets with the caller: a fault consumed
-    /// by one job does not re-fire in the next — how a session plan models
-    /// a schedule of cluster events spanning repeated runs.
-    pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.faults = Some(injector);
+    /// Arm (or clear) an already-created injector. Unlike
+    /// [`BatchEngine::with_faults`] this *shares* the injector's per-site
+    /// fire budgets with the caller: a fault consumed by one job does not
+    /// re-fire in the next — how a session plan models a schedule of
+    /// cluster events spanning repeated runs.
+    pub fn with_fault_injector(mut self, injector: Option<FaultInjector>) -> Self {
+        self.faults = injector;
         self
     }
 
@@ -441,8 +438,7 @@ impl BatchEngine {
         self
     }
 
-    /// Use an explicit shuffle transport, replacing the
-    /// `INFERTURBO_TRANSPORT` selection. Every backend is bit-identical
+    /// Use an explicit shuffle transport. Every backend is bit-identical
     /// (see the [`transport`] module contract); the choice only shows on
     /// [`RunReport::wire_bytes`].
     pub fn with_transport(mut self, transport: std::sync::Arc<dyn Transport>) -> Self {

@@ -69,10 +69,11 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Parse the `INFERTURBO_FAULTS` schedule syntax: comma-separated
-    /// specs, each `kind:worker@{step|round}:n` with an optional `xN`
-    /// repeat budget. Kinds: `worker` (compute), `seal`, `spill-write`,
-    /// `spill-read` (all `@step:`), `map`, `reduce` (both `@round:`).
+    /// Parse a schedule from its string form: comma-separated specs, each
+    /// `kind:worker@{step|round}:n` with an optional `xN` repeat budget
+    /// (`N >= 1`; a budget of zero could never fire and is rejected).
+    /// Kinds: `worker` (compute), `seal`, `spill-write`, `spill-read` (all
+    /// `@step:`), `map`, `reduce` (both `@round:`).
     ///
     /// ```
     /// use inferturbo_cluster::fault::{FaultPlan, FaultSite};
@@ -85,7 +86,10 @@ impl FaultPlan {
             let bad = || Error::InvalidConfig(format!("bad fault spec `{spec}`"));
             let (head, budget) = match spec.rsplit_once('x') {
                 Some((h, n)) if n.chars().all(|c| c.is_ascii_digit()) && !n.is_empty() => {
-                    (h, n.parse::<u32>().map_err(|_| bad())?)
+                    match n.parse::<u32>() {
+                        Ok(budget) if budget > 0 => (h, budget),
+                        _ => return Err(bad()),
+                    }
                 }
                 _ => (spec, 1),
             };
@@ -106,18 +110,6 @@ impl FaultPlan {
             plan = plan.and_fail_times(site, budget);
         }
         Ok(plan)
-    }
-
-    /// The schedule forced by the `INFERTURBO_FAULTS` environment variable
-    /// (the CI recovery gate), if set and non-empty. A malformed value is
-    /// a loud error, not a silently fault-free run.
-    pub fn from_env() -> Option<FaultPlan> {
-        let raw = std::env::var("INFERTURBO_FAULTS").ok()?;
-        if raw.trim().is_empty() {
-            return None;
-        }
-        // itlint::allow(panic-in-lib): a misarmed CI fault schedule must abort at process start — degrading to None would silently skip the recovery gate
-        Some(FaultPlan::parse(&raw).expect("INFERTURBO_FAULTS"))
     }
 
     /// Arm a fresh injector: every site's fire budget is reset.
@@ -349,6 +341,8 @@ mod tests {
             "worker:1@round:1",
             "bogus:1@step:1",
             "worker:x@step:1",
+            // A zero budget can never fire: a drill that tests nothing.
+            "worker:1@step:1x0",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad}");
         }

@@ -36,9 +36,9 @@
 //! - **Faults are injected deterministically.** A [`FaultPlan`] schedules
 //!   failure points ([`FaultSite`]) by (worker, superstep/round); each
 //!   engine run arms a fresh [`FaultInjector`] whose per-site budgets make
-//!   the schedule reproducible at every thread count. The
-//!   `INFERTURBO_FAULTS` environment variable forces a schedule onto every
-//!   engine (the CI recovery gate).
+//!   the schedule reproducible at every thread count. A schedule reaches
+//!   an engine only through an explicit `with_fault_plan` / `fault_plan`
+//!   call — nothing ambient arms one.
 //! - **Recovery is bit-exact.** Under a [`RecoveryPolicy`] the Pregel
 //!   engine checkpoints vertex state + sealed inboxes at the superstep
 //!   barrier and replays from the last checkpoint on a transient failure;

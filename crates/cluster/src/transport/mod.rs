@@ -38,6 +38,12 @@
 //!
 //! # Backends
 //!
+//! A backend is chosen by handing one to an engine (`with_transport`), a
+//! session (`SessionBuilder::transport`) or a server
+//! (`ServeConfig::transport`); nobody choosing means [`InProcess`]. The
+//! one ambient input is a path: `INFERTURBO_WORKER_BIN` tells
+//! [`WorkerProcess::new`] where the child binary lives.
+//!
 //! - [`InProcess`] — today's lock-free move: shards are borrowed, merged
 //!   with [`RowArena::seal`] / [`FusedRows::merge`] on the spot.
 //!   Zero-copy, zero wire bytes, bit-identical to the pre-transport seal
@@ -70,7 +76,6 @@
 pub mod frame;
 mod spawn;
 
-pub use env::from_env;
 use frame::{EncodedKeyRecords, EncodedRecords, MergedWire, WirePlane};
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{
@@ -82,8 +87,6 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use crate::fault::FaultInjector;
-
-pub mod env;
 
 /// One destination's share of a Pregel seal-barrier exchange.
 pub struct DestShards<'a> {
@@ -340,7 +343,7 @@ impl WorkerProcess {
     /// else `itworker` next to the current executable). Nothing is
     /// spawned until the first exchange needs a child.
     pub fn new() -> Self {
-        let bin = env::worker_bin_override().or_else(spawn::default_worker_bin);
+        let bin = spawn::worker_bin_override().or_else(spawn::default_worker_bin);
         WorkerProcess {
             bin,
             pool: Mutex::new(Vec::new()),

@@ -54,6 +54,16 @@ pub(super) fn spawn_worker(bin: &Path) -> Result<WorkerHandle> {
     }
 }
 
+/// Explicit worker-binary override (`INFERTURBO_WORKER_BIN`), for callers
+/// whose executable layout defeats the `target/<profile>/` heuristic. A
+/// deployment setting — it names a path, never changes what a run computes.
+pub(super) fn worker_bin_override() -> Option<PathBuf> {
+    std::env::var("INFERTURBO_WORKER_BIN")
+        .ok()
+        .filter(|v| !v.trim().is_empty())
+        .map(PathBuf::from)
+}
+
 /// Locate the `itworker` binary next to the current executable. Test and
 /// bench executables live in `target/<profile>/deps/`, the workspace's
 /// bins one level up — try both. `None` when the executable path cannot

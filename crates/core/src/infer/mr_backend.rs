@@ -16,10 +16,11 @@
 use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
+use crate::plan::InferencePlan;
 use crate::session::{Backend, InferenceSession};
 use crate::strategy::{base_of, mirror_of, NodeRecord, StrategyConfig, NODE_FLAG};
 use inferturbo_batch::{BatchEngine, KeyedData, PhaseCtx, RowSink, RowsView};
-use inferturbo_cluster::{ClusterSpec, FaultInjector, Transport};
+use inferturbo_cluster::ClusterSpec;
 use inferturbo_common::codec::{
     f32_slice_len, varint_len, varint_seq_len, Decode, Encode, WireReader, WireWriter,
 };
@@ -265,32 +266,22 @@ fn harvest_logits(n_nodes: usize, data: KeyedData<MrRecord>) -> Result<Vec<Vec<f
 /// layer's aggregate is annotated commutative/associative (the paper's
 /// partial-aggregation strategy, executed without a single per-message
 /// heap object).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_planned(
-    model: &GnnModel,
-    records: &[NodeRecord],
-    n_nodes: usize,
-    spec: ClusterSpec,
-    strategy: StrategyConfig,
-    bc_threshold: u64,
+    plan: &InferencePlan<'_>,
     features: Option<&[Vec<f32>]>,
-    faults: Option<&FaultInjector>,
     trace: TraceHandle,
-    transport: Option<&Arc<dyn Transport>>,
 ) -> Result<InferenceOutput> {
+    let model = plan.model;
+    let records = &plan.records;
+    let strategy = plan.strategy;
+    let bc_threshold = plan.bc_threshold;
     let k = model.n_layers();
-    let workers = spec.workers;
-    let mut eng = BatchEngine::new(spec)
+    let workers = plan.mapreduce_spec.workers;
+    let mut eng = BatchEngine::new(plan.mapreduce_spec)
         .with_partition_fn(mr_partition)
-        .with_trace(trace);
-    if let Some(t) = transport {
-        eng = eng.with_transport(Arc::clone(t));
-    }
-    // Arm the plan's shared-budget injector when one is set (left unset,
-    // the `INFERTURBO_FAULTS` fallback survives).
-    if let Some(inj) = faults {
-        eng = eng.with_fault_injector(inj.clone());
-    }
+        .with_trace(trace)
+        .with_transport(Arc::clone(&plan.transport))
+        .with_fault_injector(plan.faults.clone());
     let inputs = eng.scatter_inputs(records.iter().collect());
 
     let row_aggs: Vec<Option<PoolRowAggregator>> = (0..k)
@@ -465,7 +456,7 @@ pub(crate) fn run_planned(
     }
     debug_assert!(rows.is_empty(), "last round emits no rows");
 
-    let logits = harvest_logits(n_nodes, data)?;
+    let logits = harvest_logits(plan.graph.n_nodes(), data)?;
     Ok(InferenceOutput {
         logits,
         report: eng.into_report(),

@@ -39,10 +39,10 @@
 use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
+use crate::plan::InferencePlan;
 use crate::session::{Backend, InferenceSession};
 use crate::strategy::{base_of, mirror_of, NodeRecord, StrategyConfig};
-use inferturbo_cluster::{ClusterSpec, FaultInjector, RecoveryPolicy, Transport};
-use inferturbo_common::rows::SpillPolicy;
+use inferturbo_cluster::ClusterSpec;
 use inferturbo_common::{Error, Result};
 use inferturbo_graph::Graph;
 use inferturbo_obs::TraceHandle;
@@ -289,25 +289,21 @@ pub(crate) fn plan_layout(records: &[NodeRecord], workers: usize) -> Result<Preg
 /// path); `scratch` is the plan's pooled per-worker engine scratch,
 /// returned after the run so the next run skips the per-superstep
 /// allocations. On error the pool is dropped; the next run starts fresh.
-/// `spill`, when given, puts each worker's columnar inboxes under the
-/// out-of-core byte budget (bit-identical results, reduced residency).
-#[allow(clippy::too_many_arguments)]
+/// The plan's spill policy, when set, puts each worker's columnar inboxes
+/// under the out-of-core byte budget (bit-identical results, reduced
+/// residency).
 pub(crate) fn run_planned<'g>(
-    model: &'g GnnModel,
-    records: &'g [NodeRecord],
-    layout: &'g Arc<PregelLayout>,
-    n_nodes: usize,
-    spec: ClusterSpec,
-    strategy: StrategyConfig,
-    bc_threshold: u64,
+    plan: &'g InferencePlan<'_>,
     features: Option<&'g [Vec<f32>]>,
-    scratch: ScratchPool<GnnMessage>,
-    spill: Option<&SpillPolicy>,
-    faults: Option<&FaultInjector>,
-    recovery: Option<RecoveryPolicy>,
     trace: TraceHandle,
-    transport: Option<&Arc<dyn Transport>>,
+    scratch: ScratchPool<GnnMessage>,
 ) -> Result<(InferenceOutput, ScratchPool<GnnMessage>)> {
+    let layout = plan
+        .layout
+        .as_ref()
+        .ok_or_else(|| Error::Internal("a Pregel plan is built with its layout".into()))?;
+    let model = plan.model;
+    let records = &plan.records;
     let k = model.n_layers();
     let row_aggs: Vec<Option<PoolRowAggregator>> = (0..k)
         .map(|l| model.layer_view(l).row_aggregator())
@@ -315,29 +311,19 @@ pub(crate) fn run_planned<'g>(
     let program = GnnVertexProgram {
         model,
         layout,
-        strategy,
-        bc_threshold,
+        strategy: plan.strategy,
+        bc_threshold: plan.bc_threshold,
         row_aggs,
         k,
     };
-    // An explicit fault schedule puts the session in charge of both
-    // knobs: the plan's shared-budget injector replaces any
-    // `INFERTURBO_FAULTS` schedule AND the recovery policy becomes the
-    // session's (possibly none = fail-fast). Without one, the env
-    // auto-arming survives and only an explicit recovery overrides.
-    let mut config = PregelConfig::new(spec)
-        .with_spill(spill.cloned())
-        .with_trace(trace);
-    if let Some(t) = transport {
-        config = config.with_transport(Arc::clone(t));
-    }
-    if let Some(inj) = faults {
-        config = config
-            .with_fault_injector(inj.clone())
-            .with_recovery(recovery);
-    } else if recovery.is_some() {
-        config = config.with_recovery(recovery);
-    }
+    let config = PregelConfig {
+        spill: plan.spill.clone(),
+        faults: plan.faults.clone(),
+        recovery: plan.recovery,
+        trace,
+        transport: Arc::clone(&plan.transport),
+        ..PregelConfig::new(plan.pregel_spec)
+    };
     // Zero-copy load: every state is handles into the plan.
     let states = layout.vertices().map(|v| {
         let rec = &records[v.position];
@@ -358,7 +344,7 @@ pub(crate) fn run_planned<'g>(
     engine.run(k + 1)?;
     let scratch = engine.take_scratch();
 
-    let mut logits: Vec<Option<Vec<f32>>> = vec![None; n_nodes];
+    let mut logits: Vec<Option<Vec<f32>>> = vec![None; plan.graph.n_nodes()];
     let report = engine.finish(|id, state| {
         if mirror_of(id) == 0 {
             logits[base_of(id) as usize] = state.logits;

@@ -31,10 +31,10 @@
 use crate::gas::GnnMessage;
 use crate::infer::{mr_backend, pregel_backend, reference_logits, InferenceOutput};
 use crate::models::GnnModel;
-use crate::session::Backend;
+use crate::session::{Backend, SessionBuilder};
 use crate::strategy::{build_node_records, NodeRecord, StrategyConfig};
 use inferturbo_cluster::{
-    ClusterSpec, FaultInjector, FaultPlan, LayerEstimate, PlanEstimate, RecoveryPolicy, RunReport,
+    ClusterSpec, FaultInjector, InProcess, LayerEstimate, PlanEstimate, RecoveryPolicy, RunReport,
     Transport,
 };
 use inferturbo_common::codec::varint_len;
@@ -75,23 +75,20 @@ pub struct InferencePlan<'a> {
     /// plan, modeling a schedule of cluster events — a fault consumed by
     /// one run (or absorbed by its recovery) does not re-fire in the next,
     /// which is what makes a serve-layer re-run after a transient failure
-    /// able to succeed. `None` defers to the engines' `INFERTURBO_FAULTS`
-    /// environment fallback.
+    /// able to succeed. `None` means no faults.
     pub(crate) faults: Option<FaultInjector>,
-    /// Checkpoint/recovery policy for the Pregel backend. `None` defers to
-    /// the engine's auto-arming (recovery on iff env faults are present)
-    /// unless an explicit fault schedule is set, in which case the session
-    /// controls both knobs and `None` means fail-fast.
+    /// Checkpoint/recovery policy for the Pregel backend. `None` means
+    /// fail-fast.
     pub(crate) recovery: Option<RecoveryPolicy>,
     /// Flight-recorder handle shared by every run of this plan. Each run
     /// executes under its own trace epoch ([`TraceHandle::next_epoch`]),
     /// so repeated runs append distinguishable event groups to one sink.
     pub(crate) trace: TraceHandle,
-    /// Shuffle transport both backends exchange sealed shards through.
-    /// `None` defers to the engines' `INFERTURBO_TRANSPORT` environment
-    /// arming. Bit-identical by contract, so it never feeds the estimate
-    /// or backend auto-selection — only `RunReport::wire_bytes` differs.
-    pub(crate) transport: Option<std::sync::Arc<dyn Transport>>,
+    /// Shuffle transport both backends exchange sealed shards through
+    /// (in-process unless the builder set one). Bit-identical by contract,
+    /// so it never feeds the estimate or backend auto-selection — only
+    /// `RunReport::wire_bytes` differs.
+    pub(crate) transport: Arc<dyn Transport>,
     pub(crate) records: Vec<NodeRecord>,
     /// The Pregel engine's layout of `records` (placement, id index,
     /// pre-resolved routes), shared by every run. `None` on the other
@@ -120,24 +117,57 @@ impl std::fmt::Debug for InferencePlan<'_> {
 }
 
 impl<'a> InferencePlan<'a> {
-    /// Planning stage: apply the graph transforms and build the cost
-    /// estimate. Called by the session builder.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build(
-        model: &'a GnnModel,
-        graph: &'a Graph,
-        strategy: StrategyConfig,
-        requested: Backend,
-        pregel_spec: ClusterSpec,
-        mapreduce_spec: ClusterSpec,
-        memory_budget: u64,
-        spill: Option<SpillPolicy>,
-        workers: usize,
-        fault_plan: Option<FaultPlan>,
-        recovery: Option<RecoveryPolicy>,
-        trace: TraceHandle,
-        transport: Option<std::sync::Arc<dyn Transport>>,
-    ) -> Result<InferencePlan<'a>> {
+    /// Planning stage: validate the builder's configuration, resolve its
+    /// defaults (an unset knob is off — see [`SessionBuilder`]), apply the
+    /// graph transforms and build the cost estimate.
+    pub(crate) fn build(b: SessionBuilder<'a>) -> Result<InferencePlan<'a>> {
+        let model = b
+            .model
+            .ok_or_else(|| Error::InvalidConfig("session needs a model".into()))?;
+        let graph = b
+            .graph
+            .ok_or_else(|| Error::InvalidConfig("session needs a graph".into()))?;
+        if graph.node_feat_dim() != model.in_dim() {
+            return Err(Error::InvalidConfig(format!(
+                "graph features ({}) do not match model input ({})",
+                graph.node_feat_dim(),
+                model.in_dim()
+            )));
+        }
+        let strategy = b.strategy;
+        let requested = b.backend;
+        let pregel_spec = b
+            .pregel_spec
+            .unwrap_or_else(|| ClusterSpec::pregel_cluster(b.workers));
+        let mapreduce_spec = b
+            .mapreduce_spec
+            .unwrap_or_else(|| ClusterSpec::mapreduce_cluster(b.workers));
+        // The planning worker count drives the hub threshold and the
+        // shadow transform, so it must be the cluster the run actually
+        // lands on.
+        let workers = match requested {
+            Backend::Pregel | Backend::Reference => pregel_spec.workers,
+            Backend::MapReduce => mapreduce_spec.workers,
+            Backend::Auto => {
+                if pregel_spec.workers != mapreduce_spec.workers {
+                    return Err(Error::InvalidConfig(format!(
+                        "Backend::Auto needs matching worker counts to plan \
+                         (pregel {}, mapreduce {}); set .workers(..) or force a backend",
+                        pregel_spec.workers, mapreduce_spec.workers
+                    )));
+                }
+                pregel_spec.workers
+            }
+        };
+        if workers == 0 {
+            return Err(Error::InvalidConfig(
+                "cluster needs at least one worker".into(),
+            ));
+        }
+        let memory_budget = b.memory_budget.unwrap_or(pregel_spec.memory_bytes);
+        let spill = b
+            .spill_budget
+            .map(|bytes| SpillPolicy::new(b.spill_dir.unwrap_or_else(std::env::temp_dir), bytes));
         // Broadcast pays one payload per worker instead of one per
         // out-edge, so it only wins when out-degree exceeds the worker
         // count; at the paper's scale (λ·|E|/W = 100k ≫ W = 1000) the
@@ -206,10 +236,10 @@ impl<'a> InferencePlan<'a> {
             memory_budget,
             spill,
             workers,
-            faults: fault_plan.filter(|p| !p.is_empty()).map(|p| p.injector()),
-            recovery,
-            trace,
-            transport,
+            faults: b.fault_plan.filter(|p| !p.is_empty()).map(|p| p.injector()),
+            recovery: b.recovery,
+            trace: b.trace,
+            transport: b.transport.unwrap_or_else(|| Arc::new(InProcess)),
             records,
             layout,
             bc_threshold,
@@ -323,9 +353,6 @@ impl<'a> InferencePlan<'a> {
         let trace = self.trace.next_epoch();
         match self.backend {
             Backend::Pregel => {
-                let layout = self.layout.as_ref().ok_or_else(|| {
-                    Error::Internal("a Pregel plan is built with its layout".into())
-                })?;
                 // Poison recovery: the pool is plain reusable buffers with no
                 // cross-field invariants, so a panicked holder leaves it
                 // usable — recover the guard rather than propagate the abort.
@@ -335,40 +362,14 @@ impl<'a> InferencePlan<'a> {
                     .unwrap_or_else(|poisoned| poisoned.into_inner())
                     .take()
                     .unwrap_or_default();
-                let (out, pool) = pregel_backend::run_planned(
-                    self.model,
-                    &self.records,
-                    layout,
-                    self.graph.n_nodes(),
-                    self.pregel_spec,
-                    self.strategy,
-                    self.bc_threshold,
-                    features,
-                    pool,
-                    self.spill.as_ref(),
-                    self.faults.as_ref(),
-                    self.recovery,
-                    trace,
-                    self.transport.as_ref(),
-                )?;
+                let (out, pool) = pregel_backend::run_planned(self, features, trace, pool)?;
                 *self
                     .scratch
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(pool);
                 Ok(out)
             }
-            Backend::MapReduce => mr_backend::run_planned(
-                self.model,
-                &self.records,
-                self.graph.n_nodes(),
-                self.mapreduce_spec,
-                self.strategy,
-                self.bc_threshold,
-                features,
-                self.faults.as_ref(),
-                trace,
-                self.transport.as_ref(),
-            ),
+            Backend::MapReduce => mr_backend::run_planned(self, features, trace),
             Backend::Reference => Ok(InferenceOutput {
                 logits: reference_logits(self.model, self.graph, features),
                 // The reference path models no cluster: an empty report on

@@ -81,8 +81,7 @@ use crate::models::GnnModel;
 use crate::plan::InferencePlan;
 use crate::strategy::StrategyConfig;
 use inferturbo_cluster::{ClusterSpec, FaultPlan, RecoveryPolicy, Transport};
-use inferturbo_common::rows::SpillPolicy;
-use inferturbo_common::{Error, Result};
+use inferturbo_common::Result;
 use inferturbo_graph::Graph;
 use inferturbo_obs::TraceHandle;
 use std::path::PathBuf;
@@ -135,7 +134,7 @@ impl InferenceSession {
             spill_budget: None,
             fault_plan: None,
             recovery: None,
-            trace: None,
+            trace: TraceHandle::disabled(),
             transport: None,
         }
     }
@@ -143,22 +142,27 @@ impl InferenceSession {
 
 /// Stage 1 of the pipeline: session configuration. Finish with
 /// [`SessionBuilder::plan`].
+///
+/// Everything that shapes a run is set here and nowhere else — the library
+/// reads no ambient configuration. A knob nobody set is **off**: no fault
+/// schedule, no recovery (fail-fast), a disabled trace, the in-process
+/// transport.
 #[derive(Debug, Clone)]
 pub struct SessionBuilder<'a> {
-    model: Option<&'a GnnModel>,
-    graph: Option<&'a Graph>,
-    workers: usize,
-    strategy: StrategyConfig,
-    backend: Backend,
-    pregel_spec: Option<ClusterSpec>,
-    mapreduce_spec: Option<ClusterSpec>,
-    memory_budget: Option<u64>,
-    spill_dir: Option<PathBuf>,
-    spill_budget: Option<u64>,
-    fault_plan: Option<FaultPlan>,
-    recovery: Option<RecoveryPolicy>,
-    trace: Option<TraceHandle>,
-    transport: Option<std::sync::Arc<dyn Transport>>,
+    pub(crate) model: Option<&'a GnnModel>,
+    pub(crate) graph: Option<&'a Graph>,
+    pub(crate) workers: usize,
+    pub(crate) strategy: StrategyConfig,
+    pub(crate) backend: Backend,
+    pub(crate) pregel_spec: Option<ClusterSpec>,
+    pub(crate) mapreduce_spec: Option<ClusterSpec>,
+    pub(crate) memory_budget: Option<u64>,
+    pub(crate) spill_dir: Option<PathBuf>,
+    pub(crate) spill_budget: Option<u64>,
+    pub(crate) fault_plan: Option<FaultPlan>,
+    pub(crate) recovery: Option<RecoveryPolicy>,
+    pub(crate) trace: TraceHandle,
+    pub(crate) transport: Option<std::sync::Arc<dyn Transport>>,
 }
 
 impl<'a> SessionBuilder<'a> {
@@ -237,10 +241,8 @@ impl<'a> SessionBuilder<'a> {
     /// [`InferencePlan::run`] calls: a fault consumed (or absorbed by
     /// recovery) in one run does not re-fire in the next, modelling a
     /// timeline of cluster events rather than a per-run replay — which is
-    /// what makes serve-layer retries meaningful. Setting an explicit
-    /// schedule takes ownership of *both* resilience knobs: the session's
-    /// [`SessionBuilder::recovery`] (possibly unset, i.e. fail-fast)
-    /// replaces the `INFERTURBO_FAULTS` environment auto-arming.
+    /// what makes serve-layer retries meaningful. Whether a fired fault
+    /// is absorbed is [`SessionBuilder::recovery`]'s call alone.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -249,8 +251,9 @@ impl<'a> SessionBuilder<'a> {
     /// Checkpoint/recovery policy for the Pregel backend: snapshot at the
     /// configured superstep cadence and replay transient failures from the
     /// last checkpoint (see [`RecoveryPolicy`]). A recovered run is
-    /// bit-identical to a fault-free run. Unset, recovery auto-arms only
-    /// when an `INFERTURBO_FAULTS` schedule is present.
+    /// bit-identical to a fault-free run. Unset, a transient failure
+    /// surfaces to the caller (the MapReduce backend's bounded task retry
+    /// is the engine's own and always on).
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = Some(policy);
         self
@@ -259,12 +262,10 @@ impl<'a> SessionBuilder<'a> {
     /// Attach a flight-recorder handle (see [`inferturbo_obs`]): the
     /// plan's engines emit structured events at their single-threaded
     /// barriers, byte-identical for every thread budget and across
-    /// checkpoint-recovery replays. Unset, the handle is armed from the
-    /// `INFERTURBO_TRACE` environment variable (recording when set to a
-    /// non-empty value other than `0`, otherwise the zero-cost disabled
-    /// sink).
+    /// checkpoint-recovery replays. Unset, the handle is the zero-cost
+    /// [`TraceHandle::disabled`].
     pub fn trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = Some(trace);
+        self.trace = trace;
         self
     }
 
@@ -274,8 +275,7 @@ impl<'a> SessionBuilder<'a> {
     /// [`WorkerProcess`](inferturbo_cluster::WorkerProcess) (spawned
     /// worker children over pipes). Every backend is bit-identical —
     /// logits, traces and modelled byte accounting do not depend on this
-    /// choice; only `RunReport::wire_bytes` does. Unset, the engines arm
-    /// from the `INFERTURBO_TRANSPORT` environment variable.
+    /// choice; only `RunReport::wire_bytes` does. Unset means in-process.
     pub fn transport(mut self, transport: std::sync::Arc<dyn Transport>) -> Self {
         self.transport = Some(transport);
         self
@@ -285,66 +285,7 @@ impl<'a> SessionBuilder<'a> {
     /// one-time planning work. See [`InferencePlan`] for what the plan
     /// owns and what repeated runs skip.
     pub fn plan(self) -> Result<InferencePlan<'a>> {
-        let model = self
-            .model
-            .ok_or_else(|| Error::InvalidConfig("session needs a model".into()))?;
-        let graph = self
-            .graph
-            .ok_or_else(|| Error::InvalidConfig("session needs a graph".into()))?;
-        if graph.node_feat_dim() != model.in_dim() {
-            return Err(Error::InvalidConfig(format!(
-                "graph features ({}) do not match model input ({})",
-                graph.node_feat_dim(),
-                model.in_dim()
-            )));
-        }
-        let pregel_spec = self
-            .pregel_spec
-            .unwrap_or_else(|| ClusterSpec::pregel_cluster(self.workers));
-        let mapreduce_spec = self
-            .mapreduce_spec
-            .unwrap_or_else(|| ClusterSpec::mapreduce_cluster(self.workers));
-        // The planning worker count drives the hub threshold and the
-        // shadow transform, so it must be the cluster the run actually
-        // lands on.
-        let workers = match self.backend {
-            Backend::Pregel | Backend::Reference => pregel_spec.workers,
-            Backend::MapReduce => mapreduce_spec.workers,
-            Backend::Auto => {
-                if pregel_spec.workers != mapreduce_spec.workers {
-                    return Err(Error::InvalidConfig(format!(
-                        "Backend::Auto needs matching worker counts to plan \
-                         (pregel {}, mapreduce {}); set .workers(..) or force a backend",
-                        pregel_spec.workers, mapreduce_spec.workers
-                    )));
-                }
-                pregel_spec.workers
-            }
-        };
-        if workers == 0 {
-            return Err(Error::InvalidConfig(
-                "cluster needs at least one worker".into(),
-            ));
-        }
-        let memory_budget = self.memory_budget.unwrap_or(pregel_spec.memory_bytes);
-        let spill = self.spill_budget.map(|bytes| {
-            SpillPolicy::new(self.spill_dir.unwrap_or_else(std::env::temp_dir), bytes)
-        });
-        InferencePlan::build(
-            model,
-            graph,
-            self.strategy,
-            self.backend,
-            pregel_spec,
-            mapreduce_spec,
-            memory_budget,
-            spill,
-            workers,
-            self.fault_plan,
-            self.recovery,
-            self.trace.unwrap_or_else(inferturbo_obs::arm::from_env),
-            self.transport,
-        )
+        InferencePlan::build(self)
     }
 }
 

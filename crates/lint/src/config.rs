@@ -37,18 +37,14 @@ const SPAWN_EXEMPT: &[&str] = &[
     "crates/cluster/src/transport/spawn.rs",
 ];
 
-/// Modules sanctioned to read the environment: the thread-budget resolver
-/// (`INFERTURBO_THREADS`), the fault-schedule arming hook
-/// (`INFERTURBO_FAULTS`), the trace arming hook (`INFERTURBO_TRACE`) and
-/// the transport arming hook (`INFERTURBO_TRANSPORT` /
-/// `INFERTURBO_WORKER_BIN`). Anything else uses an inline allow with a
-/// reason (e.g. the `INFERTURBO_OVERLOAD` knob in
-/// `crates/serve/src/server.rs`).
+/// Modules sanctioned to read the environment — the two deployment
+/// settings, neither of which changes what a run computes: the
+/// thread-budget resolver (`INFERTURBO_THREADS`) and the worker-binary
+/// path override (`INFERTURBO_WORKER_BIN`). The library reads no other
+/// ambient configuration; everything that shapes a run is an argument.
 const ENV_EXEMPT: &[&str] = &[
     "crates/common/src/par.rs",
-    "crates/cluster/src/fault.rs",
-    "crates/cluster/src/transport/env.rs",
-    "crates/obs/src/arm.rs",
+    "crates/cluster/src/transport/spawn.rs",
 ];
 
 /// Does `rule` apply to the file at workspace-relative `rel_path`?
@@ -166,17 +162,20 @@ mod tests {
             "raw-spawn",
             "crates/cluster/src/transport/mod.rs"
         ));
-        assert!(!rule_applies("env-read", "crates/cluster/src/fault.rs"));
+        assert!(!rule_applies("env-read", "crates/common/src/par.rs"));
         assert!(!rule_applies(
             "env-read",
-            "crates/cluster/src/transport/env.rs"
+            "crates/cluster/src/transport/spawn.rs"
         ));
-        assert!(!rule_applies("env-read", "crates/obs/src/arm.rs"));
-        assert!(rule_applies("env-read", "crates/obs/src/sink.rs"));
-        assert!(rule_applies(
-            "env-read",
-            "crates/cluster/src/transport/frame.rs"
-        ));
+        for unsanctioned in [
+            "crates/cluster/src/fault.rs",
+            "crates/cluster/src/transport/env.rs",
+            "crates/cluster/src/transport/frame.rs",
+            "crates/obs/src/arm.rs",
+            "crates/obs/src/sink.rs",
+        ] {
+            assert!(rule_applies("env-read", unsanctioned), "{unsanctioned}");
+        }
         assert!(rule_applies("env-read", "crates/serve/src/server.rs"));
         assert!(!rule_applies(
             "panic-in-lib",

@@ -44,8 +44,8 @@ pub const RULES: &[RuleDef] = &[
     },
     RuleDef {
         id: "env-read",
-        summary: "std::env::var outside the sanctioned config/fault-arming modules — \
-                  environment reads are hidden inputs that must stay centralized",
+        summary: "std::env::var outside the two sanctioned deployment-setting modules — \
+                  environment reads are hidden inputs; runs take arguments instead",
     },
     RuleDef {
         id: "malformed-allow",
@@ -480,11 +480,22 @@ mod tests {
 
     #[test]
     fn transport_env_module_is_exempt_but_neighbours_are_not() {
-        let src = "fn f() { std::env::var(\"INFERTURBO_TRANSPORT\").ok(); }\n";
-        assert_eq!(rules_of("crates/cluster/src/transport/env.rs", src), vec![]);
+        // The transport's one env-reading module is the worker-binary
+        // path override next to the spawn code.
+        let src = "fn f() { std::env::var(\"INFERTURBO_WORKER_BIN\").ok(); }\n";
         assert_eq!(
-            rules_of("crates/cluster/src/transport/frame.rs", src),
-            vec![("env-read".to_string(), 1)]
+            rules_of("crates/cluster/src/transport/spawn.rs", src),
+            vec![]
         );
+        for neighbour in [
+            "crates/cluster/src/transport/env.rs",
+            "crates/cluster/src/transport/frame.rs",
+        ] {
+            assert_eq!(
+                rules_of(neighbour, src),
+                vec![("env-read".to_string(), 1)],
+                "{neighbour}"
+            );
+        }
     }
 }

@@ -79,11 +79,11 @@
 //!   Prometheus-text renderers, absorbing the formerly hand-rolled
 //!   `RunReport` / `PlanSummary` / `ServerStats` Display paths;
 //! - [`inspect`] — trace parsing and the `itrace` summaries
-//!   (per-superstep, per-tenant, critical path);
-//! - [`arm`] — `INFERTURBO_TRACE` env arming, this crate's one
-//!   sanctioned environment read.
+//!   (per-superstep, per-tenant, critical path).
+//!
+//! Recording is armed by handing a recording [`TraceHandle`] to a session
+//! or server, never by the environment.
 
-pub mod arm;
 pub mod event;
 pub mod inspect;
 pub mod registry;

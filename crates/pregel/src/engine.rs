@@ -78,7 +78,7 @@
 use crate::layout::PregelLayout;
 use crate::vertex::{ActivationPolicy, Outbox, RowMisuse, RowsIn, VertexProgram};
 use inferturbo_cluster::transport::{
-    self, frame::EncodedRecords, ColsShards, DestShards, Exchange, MergedCols, Transport,
+    frame::EncodedRecords, ColsShards, DestShards, Exchange, InProcess, MergedCols, Transport,
 };
 use inferturbo_cluster::{
     ClusterSpec, FaultInjector, FaultPlan, MessagePlaneBytes, RecoveryPolicy, RunReport,
@@ -94,19 +94,10 @@ use inferturbo_common::{Error, FxHashMap, Result};
 use inferturbo_obs::{Payload, Site, TraceHandle, TraceMark};
 use std::sync::Arc;
 
-/// Engine configuration.
-///
-/// # The `INFERTURBO_FAULTS` gotcha
-///
-/// [`PregelConfig::new`] **env-arms** faults: when the `INFERTURBO_FAULTS`
-/// variable is set (CI's recovery leg sets it for the whole suite), every
-/// freshly constructed config silently inherits that fault schedule plus a
-/// default [`RecoveryPolicy`]. A test that builds a "baseline" config for
-/// a comparison (e.g. fault-free vs injected, or a bit-identity oracle)
-/// must therefore pin `.with_faults(None).with_recovery(None)` — or use
-/// [`PregelConfig::unfaulted`], which is exactly that — otherwise the
-/// baseline itself runs faulted under the CI leg and the comparison
-/// measures nothing.
+/// Engine configuration. Every knob is an explicit field: a fresh
+/// [`PregelConfig::new`] is fault-free, recovery-free, untraced and
+/// in-process, and only a `with_*` call changes that — the engine reads
+/// no ambient configuration.
 #[derive(Debug, Clone)]
 pub struct PregelConfig {
     pub spec: ClusterSpec,
@@ -122,9 +113,9 @@ pub struct PregelConfig {
     pub spill: Option<SpillPolicy>,
     /// Armed fault schedule (deterministic injection). `None` — the
     /// default — costs nothing: every check site is a single `Option`
-    /// test. [`PregelConfig::new`] arms the `INFERTURBO_FAULTS` schedule
-    /// automatically when the variable is set (the CI recovery gate);
-    /// [`PregelConfig::with_faults`] overrides it.
+    /// test. Clones of an injector share its fire budgets: a session plan
+    /// arms every run from one injector, so a fault consumed by one run
+    /// does not re-fire in the next.
     pub faults: Option<FaultInjector>,
     /// Superstep checkpoint/replay policy. When set, [`PregelEngine::run`]
     /// checkpoints vertex state + sealed inboxes at the configured cadence
@@ -141,39 +132,23 @@ pub struct PregelConfig {
     /// bit-identical to a fault-free one.
     pub trace: TraceHandle,
     /// Who moves sealed shards between workers at the superstep barrier.
-    /// Defaults to whatever `INFERTURBO_TRANSPORT` selects (the CI
-    /// cross-process leg sets `process` suite-wide; unset means the
-    /// zero-copy in-process backend). Every backend is bit-identical —
-    /// logits, traces and byte accounting other than
-    /// [`RunReport::wire_bytes`] do not depend on this choice — so unlike
-    /// `faults` there is no `unfaulted`-style escape hatch to pin it.
-    pub transport: std::sync::Arc<dyn Transport>,
+    /// Defaults to the zero-copy [`InProcess`] backend. Every backend is
+    /// bit-identical — logits, traces and byte accounting other than
+    /// [`RunReport::wire_bytes`] do not depend on this choice.
+    pub transport: Arc<dyn Transport>,
 }
 
 impl PregelConfig {
     pub fn new(spec: ClusterSpec) -> Self {
-        let faults = FaultPlan::from_env().map(|p| p.injector());
-        let recovery = faults.is_some().then(RecoveryPolicy::default);
         PregelConfig {
             spec,
             activation: ActivationPolicy::AlwaysActive,
             spill: None,
-            faults,
-            recovery,
+            faults: None,
+            recovery: None,
             trace: TraceHandle::disabled(),
-            transport: transport::from_env(),
+            transport: Arc::new(InProcess),
         }
-    }
-
-    /// An explicitly fault-free config: [`PregelConfig::new`] with any
-    /// `INFERTURBO_FAULTS`-inherited schedule and recovery policy cleared.
-    /// This is what comparison baselines and bit-identity oracles should
-    /// build from (see the type docs for why `new` alone is not enough
-    /// under CI's recovery leg).
-    pub fn unfaulted(spec: ClusterSpec) -> Self {
-        PregelConfig::new(spec)
-            .with_faults(None)
-            .with_recovery(None)
     }
 
     pub fn with_activation(mut self, a: ActivationPolicy) -> Self {
@@ -188,24 +163,12 @@ impl PregelConfig {
         self
     }
 
-    /// Arm (or clear) a deterministic fault schedule for this engine,
-    /// replacing any schedule inherited from `INFERTURBO_FAULTS`. The plan
-    /// is armed once: its per-site fire budgets are shared by every clone
+    /// Arm (or clear) a deterministic fault schedule for this engine. The
+    /// plan is armed once: its per-site fire budgets are shared by every clone
     /// of this config, so a replayed superstep does not re-fire a fault
     /// that already fired.
     pub fn with_faults(mut self, plan: Option<FaultPlan>) -> Self {
         self.faults = plan.filter(|p| !p.is_empty()).map(|p| p.injector());
-        self
-    }
-
-    /// Arm an already-created injector, replacing any `INFERTURBO_FAULTS`
-    /// schedule. Unlike [`PregelConfig::with_faults`] this *shares* the
-    /// injector's per-site fire budgets with the caller (and with any
-    /// other engine armed from the same injector): a fault consumed by one
-    /// run does not re-fire in the next — how a session plan models a
-    /// schedule of cluster events spanning repeated runs.
-    pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.faults = Some(injector);
         self
     }
 
@@ -222,9 +185,8 @@ impl PregelConfig {
         self
     }
 
-    /// Use an explicit shuffle transport, replacing the
-    /// `INFERTURBO_TRANSPORT` selection (see [`PregelConfig::transport`]).
-    pub fn with_transport(mut self, transport: std::sync::Arc<dyn Transport>) -> Self {
+    /// Use an explicit shuffle transport (see [`PregelConfig::transport`]).
+    pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Self {
         self.transport = transport;
         self
     }
@@ -2210,9 +2172,7 @@ mod tests {
     fn injected_worker_failure_recovers_bit_identical() {
         for fused in [true, false] {
             for workers in [2usize, 3] {
-                // Explicitly fault-free baseline (immune to a CI-forced
-                // INFERTURBO_FAULTS schedule).
-                let plain_cfg = PregelConfig::unfaulted(ClusterSpec::test_spec(workers));
+                let plain_cfg = PregelConfig::new(ClusterSpec::test_spec(workers));
                 let mut plain = row_engine_with(plain_cfg, fused);
                 plain.run(2).unwrap();
                 let plan =
@@ -2319,7 +2279,7 @@ mod tests {
     #[test]
     fn checkpoint_cadence_is_reported() {
         let spec = ClusterSpec::test_spec(2);
-        let cfg = PregelConfig::unfaulted(spec).with_recovery(Some(RecoveryPolicy::new(2, 1)));
+        let cfg = PregelConfig::new(spec).with_recovery(Some(RecoveryPolicy::new(2, 1)));
         let mut eng = pagerank_engine_with(cfg);
         eng.run(4).unwrap();
         // Due at steps 0 and 2; steps 1 and 3 are covered by the previous

@@ -85,14 +85,15 @@
 //!
 //! `tests/serving.rs` at the workspace root enforces all of these.
 //!
-//! # Overload drill
+//! # Configuration
 //!
-//! The `INFERTURBO_OVERLOAD` env knob (`"bucket:B,refill:R[,deadline:D]"`)
-//! arms an aggressive Degrade-policy rate limit and deadline clamp into
-//! every default-constructed [`ServeConfig`] — CI's overload leg runs the
-//! serving tests under it. It is inert for existing traffic by design:
-//! untenanted requests bypass the limiter, and the clamp tightens
-//! deadlines but never imposes one.
+//! Everything that shapes a server is a [`ServeConfig`] field; the crate
+//! reads no environment variable. An unset knob is off: no rate limit, no
+//! deadline clamp, no fault schedule, no recovery, a disabled trace, the
+//! in-process transport. The overload knobs are inert for traffic that
+//! does not opt in — untenanted requests bypass the limiter, and the clamp
+//! tightens deadlines but never imposes one (`tests/scenario_sweep.rs`
+//! holds armed and unarmed servers to byte-identical responses there).
 
 pub mod admission;
 pub mod breaker;

@@ -66,12 +66,11 @@ pub struct ServeConfig {
     /// Deterministic fault schedule armed into every plan the server
     /// builds (the failure-drill knob; see `inferturbo_cluster::fault`).
     /// Budgets are per plan and shared across that plan's runs, so a
-    /// drained fault does not re-fire on a retry. `None` defers to the
-    /// engines' `INFERTURBO_FAULTS` fallback.
+    /// drained fault does not re-fire on a retry. `None` means no faults.
     pub fault_plan: Option<inferturbo_cluster::FaultPlan>,
     /// Checkpoint/recovery policy armed into every plan the server builds
-    /// (see `inferturbo_cluster::RecoveryPolicy`). With a `fault_plan` set
-    /// and this `None`, runs fail fast and resilience lives entirely in
+    /// (see `inferturbo_cluster::RecoveryPolicy`). With this `None`, runs
+    /// fail fast and resilience lives entirely in
     /// the serve layer's retry/quarantine machinery.
     pub recovery: Option<inferturbo_cluster::RecoveryPolicy>,
     /// Per-tenant token-bucket rate limit (see [`crate::limiter`]). `None`
@@ -90,74 +89,27 @@ pub struct ServeConfig {
     pub response_cache: usize,
     /// Clamp applied to request deadlines: a request carrying a
     /// [`ScoreRequest::with_deadline`] larger than this is tightened to
-    /// it. Never *imposes* a deadline on a request that has none — that
-    /// keeps the `INFERTURBO_OVERLOAD` drill (which forces a tiny clamp)
-    /// inert for deadline-free traffic.
+    /// it. Never *imposes* a deadline on a request that has none, so a
+    /// clamp is inert for deadline-free traffic.
     pub deadline_clamp: Option<u64>,
     /// Flight-recorder handle for the request lifecycle (see
     /// [`inferturbo_obs`]): every submit's path through admission, the
     /// limiter, the batcher, the breaker, the engine and its terminal
     /// `ScoreStatus` is emitted at `epoch = `the server's logical tick.
-    /// Default: armed from the `INFERTURBO_TRACE` environment variable
-    /// (disabled, zero-cost, unless set).
+    /// Default: [`TraceHandle::disabled`] (zero-cost).
     pub trace: TraceHandle,
     /// Shuffle transport armed into every plan the server builds (see
     /// `inferturbo_cluster::transport`): in-process shard moves or spawned
     /// worker processes over pipes. Backends are bit-identical, so this
     /// choice never enters [`PlanKey`] — two servers on
     /// different transports serve byte-identical responses from
-    /// interchangeable caches. `None` defers to the engines'
-    /// `INFERTURBO_TRANSPORT` environment arming.
+    /// interchangeable caches. `None` means in-process.
     pub transport: Option<std::sync::Arc<dyn inferturbo_cluster::Transport>>,
-}
-
-/// Parse the `INFERTURBO_OVERLOAD` drill knob:
-/// `"bucket:B,refill:R[,deadline:D]"` forces a Degrade-policy rate limit
-/// of `B` tokens refilling `R`/tick onto every tenant-carrying request,
-/// and (optionally) clamps request deadlines to `D` ticks. Malformed
-/// input panics loudly — a drill that silently parses to nothing would
-/// "pass" without testing anything (same contract as
-/// `FaultPlan::from_env`).
-fn overload_from_env() -> Option<(RateLimitConfig, Option<u64>)> {
-    // itlint::allow(env-read): documented fleet-drill arming knob, same contract as INFERTURBO_FAULTS
-    let spec = std::env::var("INFERTURBO_OVERLOAD").ok()?;
-    if spec.trim().is_empty() {
-        return None;
-    }
-    let mut bucket = None;
-    let mut refill = None;
-    let mut deadline = None;
-    for part in spec.split(',') {
-        let (key, value) = part
-            .split_once(':')
-            // itlint::allow(panic-in-lib): a misarmed overload drill must abort at process start, not silently parse to nothing
-            .unwrap_or_else(|| panic!("INFERTURBO_OVERLOAD: `{part}` is not `key:value`"));
-        let value: u64 = value
-            .trim()
-            .parse()
-            // itlint::allow(panic-in-lib): a misarmed overload drill must abort at process start, not silently parse to nothing
-            .unwrap_or_else(|_| panic!("INFERTURBO_OVERLOAD: `{value}` is not a u64"));
-        match key.trim() {
-            "bucket" => bucket = Some(value),
-            "refill" => refill = Some(value),
-            "deadline" => deadline = Some(value),
-            // itlint::allow(panic-in-lib): a misarmed overload drill must abort at process start, not silently parse to nothing
-            other => panic!(
-                "INFERTURBO_OVERLOAD: unknown key `{other}` \
-                 (expected bucket/refill/deadline)"
-            ),
-        }
-    }
-    let (Some(bucket), Some(refill)) = (bucket, refill) else {
-        // itlint::allow(panic-in-lib): a misarmed overload drill must abort at process start, not silently parse to nothing
-        panic!("INFERTURBO_OVERLOAD: both `bucket` and `refill` are required");
-    };
-    Some((RateLimitConfig::degrade(bucket, refill), deadline))
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let mut cfg = ServeConfig {
+        ServeConfig {
             max_batch: 16,
             max_wait: 4,
             // One production Pregel worker's memory: the same default cap
@@ -173,18 +125,9 @@ impl Default for ServeConfig {
             breaker: Some(BreakerConfig::default()),
             response_cache: 4096,
             deadline_clamp: None,
-            trace: inferturbo_obs::arm::from_env(),
+            trace: TraceHandle::disabled(),
             transport: None,
-        };
-        // The CI overload drill: arm an aggressive limiter + deadline
-        // clamp into every default-constructed server. Inert for the
-        // existing suite by design — untenanted requests bypass the
-        // limiter, and the clamp never imposes a deadline.
-        if let Some((rate_limit, deadline_clamp)) = overload_from_env() {
-            cfg.rate_limit = Some(rate_limit);
-            cfg.deadline_clamp = deadline_clamp;
         }
-        cfg
     }
 }
 

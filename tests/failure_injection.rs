@@ -258,9 +258,7 @@ fn session_retry_exhaustion_surfaces_the_typed_error() {
     let err = plan.run().unwrap_err();
     assert!(err.is_transient(), "{err}");
     assert!(err.to_string().contains("superstep 1"), "{err}");
-    // An explicit schedule with no recovery fails fast — the session
-    // controls both knobs, even under a CI-forced INFERTURBO_FAULTS
-    // schedule that would otherwise auto-arm recovery.
+    // A schedule with no recovery fails fast.
     let plan = InferenceSession::builder()
         .model(&m)
         .graph(&d.graph)

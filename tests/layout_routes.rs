@@ -19,8 +19,10 @@
 //!     destination sees the same rows in the same order.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
+
+mod common;
+use common::worker_bin;
 
 use inferturbo::cluster::{
     ClusterSpec, FaultPlan, InProcess, RecoveryPolicy, Transport, WorkerProcess,
@@ -70,27 +72,6 @@ fn models() -> Vec<(&'static str, GnnModel)> {
         ("gcn", GnnModel::gcn(6, 8, 2, 3, false, 5)),
         ("gat", GnnModel::gat(6, 8, 2, 2, 3, false, 5)),
     ]
-}
-
-/// See `tests/transport_equivalence.rs`: root-level tests must find (or
-/// build) the worker child themselves.
-fn worker_bin() -> PathBuf {
-    let mut dir = std::env::current_exe().expect("test exe path");
-    dir.pop();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let bin = dir.join(format!("itworker{}", std::env::consts::EXE_SUFFIX));
-    if !bin.exists() {
-        let mut cmd = std::process::Command::new(env!("CARGO"));
-        cmd.args(["build", "-p", "inferturbo-cluster", "--bin", "itworker"]);
-        if dir.ends_with("release") {
-            cmd.arg("--release");
-        }
-        let status = cmd.status().expect("spawn cargo to build itworker");
-        assert!(status.success(), "building the itworker binary failed");
-    }
-    bin
 }
 
 fn bits(logits: &[Vec<f32>]) -> Vec<Vec<u32>> {
@@ -521,7 +502,7 @@ fn run_probe(emit: Emit, fused: bool, workers: usize) -> ProbeRun {
         .expect("layout"),
     );
     let trace = TraceHandle::recording();
-    let config = PregelConfig::unfaulted(ClusterSpec::test_spec(workers)).with_trace(trace.clone());
+    let config = PregelConfig::new(ClusterSpec::test_spec(workers)).with_trace(trace.clone());
     let program = Probe {
         layout: &layout,
         emit,

@@ -576,8 +576,7 @@ fn mapreduce_plans_serve_and_account() {
 // Overload resilience: deadlines, rate limits, breakers, stale service
 // ---------------------------------------------------------------------------
 
-/// The overload pipeline's knobs, pinned explicitly (immune to the
-/// `INFERTURBO_OVERLOAD` CI drill, which only reaches defaulted fields):
+/// The overload pipeline's knobs:
 /// a 2-token Degrade-policy bucket, a 2-run/50% breaker with a 2-tick
 /// cooldown, no serve retries and no quarantine — the breaker is the only
 /// containment actor — and a fault schedule that fails exactly the first

@@ -6,8 +6,10 @@
 //! `RunReport::wire_bytes` (zero for in-process moves, request +
 //! response frames for the pipes).
 
-use std::path::PathBuf;
 use std::sync::Arc;
+
+mod common;
+use common::worker_bin;
 
 use inferturbo::cluster::{FaultPlan, InProcess, RecoveryPolicy, Transport, WorkerProcess};
 use inferturbo::common::Parallelism;
@@ -32,34 +34,6 @@ fn test_graph() -> Graph {
 
 fn model() -> GnnModel {
     GnnModel::sage(8, 12, 2, 3, false, PoolOp::Mean, 13)
-}
-
-/// Locate the `itworker` child binary, building it on demand: root-level
-/// integration tests do not get `CARGO_BIN_EXE_itworker` (that variable is
-/// only set for the defining package's own tests), and a bare
-/// `cargo test --test transport_equivalence` does not build sibling bins.
-fn worker_bin() -> PathBuf {
-    let mut dir = std::env::current_exe().expect("test exe path");
-    dir.pop();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let bin = dir.join(format!("itworker{}", std::env::consts::EXE_SUFFIX));
-    if !bin.exists() {
-        let mut cmd = std::process::Command::new(env!("CARGO"));
-        cmd.args(["build", "-p", "inferturbo-cluster", "--bin", "itworker"]);
-        if dir.ends_with("release") {
-            cmd.arg("--release");
-        }
-        let status = cmd.status().expect("spawn cargo to build itworker");
-        assert!(status.success(), "building the itworker binary failed");
-        assert!(
-            bin.exists(),
-            "cargo succeeded but {} is missing",
-            bin.display()
-        );
-    }
-    bin
 }
 
 /// One run under `transport`: returns (logit bits, rendered trace bytes,
