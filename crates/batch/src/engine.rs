@@ -34,9 +34,7 @@
 use inferturbo_cluster::transport::{
     self, frame::EncodedKeyRecords, BucketRef, ConcatDest, ConcatExchange, Transport,
 };
-use inferturbo_cluster::{
-    ClusterSpec, FaultInjector, FaultPlan, MessagePlaneBytes, RunReport, WorkerPhase,
-};
+use inferturbo_cluster::{ClusterSpec, FaultInjector, MessagePlaneBytes, RunReport, WorkerPhase};
 use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::par::{par_map, par_map_workers};
@@ -361,7 +359,7 @@ pub struct BatchEngine {
     report: RunReport,
     /// Armed fault schedule (deterministic injection). `None` — the
     /// default — costs nothing. Armed only by an explicit
-    /// [`BatchEngine::with_faults`] / [`BatchEngine::with_fault_injector`].
+    /// [`BatchEngine::with_fault_injector`].
     faults: Option<FaultInjector>,
     /// How many times an injected task failure is absorbed by re-launching
     /// the task before the job fails (Hadoop's `mapreduce.map.maxattempts`
@@ -407,17 +405,11 @@ impl BatchEngine {
         self
     }
 
-    /// Arm (or clear) a deterministic fault schedule for this engine.
-    pub fn with_faults(mut self, plan: Option<FaultPlan>) -> Self {
-        self.faults = plan.filter(|p| !p.is_empty()).map(|p| p.injector());
-        self
-    }
-
-    /// Arm (or clear) an already-created injector. Unlike
-    /// [`BatchEngine::with_faults`] this *shares* the injector's per-site
-    /// fire budgets with the caller: a fault consumed by one job does not
-    /// re-fire in the next — how a session plan models a schedule of
-    /// cluster events spanning repeated runs.
+    /// Arm (or clear) a deterministic fault schedule for this engine. The
+    /// injector's per-site fire budgets are *shared* with the caller's
+    /// clones of it: a fault consumed by one job does not re-fire in the
+    /// next — how a session plan models a schedule of cluster events
+    /// spanning repeated runs.
     pub fn with_fault_injector(mut self, injector: Option<FaultInjector>) -> Self {
         self.faults = injector;
         self
@@ -1234,7 +1226,7 @@ mod tests {
     fn injected_task_failures_retry_idempotently() {
         use inferturbo_cluster::{FaultPlan, FaultSite};
         let run = |plan: Option<FaultPlan>| {
-            let mut eng = engine(3).with_faults(plan);
+            let mut eng = engine(3).with_fault_injector(plan.map(|p| p.injector()));
             let parts = eng.scatter_inputs((0..60u64).collect());
             let keyed = map_typed(&mut eng, "m", &parts, |_w| {
                 |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r % 7, r as f32)])
@@ -1282,7 +1274,9 @@ mod tests {
             },
             10,
         );
-        let mut eng = engine(2).with_faults(Some(plan)).with_task_retries(2);
+        let mut eng = engine(2)
+            .with_fault_injector(Some(plan.injector()))
+            .with_task_retries(2);
         let parts = eng.scatter_inputs(vec![1u64, 2, 3]);
         let err = map_typed(&mut eng, "m", &parts, |_w| {
             |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, 1.0f32)])

@@ -26,6 +26,8 @@
 //! as shuffle output (Hadoop-style in-mapper combining), implementing the
 //! paper's partial-gather on this backend.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 
 pub use engine::{BatchEngine, KeyedData, KeyedRows, PhaseCtx, RowBucket, RowSink, RowsView};

@@ -8,6 +8,8 @@
 //! CSV dumps land in `DIR/csv/`, trained-model signatures in
 //! `DIR/models/` (reused across experiments and runs).
 
+#![forbid(unsafe_code)]
+
 use inferturbo_bench::*;
 use inferturbo_common::Result;
 use std::time::Instant;
@@ -51,7 +53,6 @@ fn main() {
         ("fig11", fig11::run),
         ("fig12", fig12::run),
         ("fig13", fig13::run),
-        ("scaling", scaling::run),
     ];
 
     for sel in &selected {
@@ -62,9 +63,7 @@ fn main() {
         } else if let Some((name, f)) = all.iter().find(|(n, _)| n == sel) {
             run_one(name, *f, &ctx);
         } else {
-            eprintln!(
-                "unknown experiment `{sel}`; known: table1..table4, fig7..fig13, scaling, all"
-            );
+            eprintln!("unknown experiment `{sel}`; known: table1..table4, fig7..fig13, all");
             std::process::exit(2);
         }
     }

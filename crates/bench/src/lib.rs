@@ -11,6 +11,8 @@
 //! (per-byte / per-FLOP) regime the paper operates in stays visible.
 //! Ratios and shapes are the reproduction target, not absolute numbers.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod ctx;
 pub mod report;
@@ -23,7 +25,6 @@ pub mod fig13;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod scaling;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -7,6 +7,8 @@
 //! typed error frames — the process only exits non-zero when the pipe
 //! itself breaks.
 
+#![forbid(unsafe_code)]
+
 use inferturbo_cluster::transport::frame;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;

@@ -48,6 +48,8 @@
 //!   shuffle inputs are immutable). Retries, checkpoints and replayed
 //!   supersteps are reported on [`RunReport`] planes.
 
+#![forbid(unsafe_code)]
+
 pub mod estimate;
 pub mod fault;
 pub mod metrics;

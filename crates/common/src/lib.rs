@@ -7,6 +7,8 @@
 //! the paper's headline consistency guarantee ("the same prediction at every
 //! run") is only testable if the rest of the system is bit-reproducible too.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod error;
 pub mod group;

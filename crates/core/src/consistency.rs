@@ -108,8 +108,9 @@ pub fn audit_full_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::{infer_pregel, infer_reference};
+    use crate::infer::{infer_reference, run_once};
     use crate::models::PoolOp;
+    use crate::session::Backend;
     use crate::strategy::StrategyConfig;
     use inferturbo_cluster::ClusterSpec;
     use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
@@ -158,7 +159,8 @@ mod tests {
         assert!(!sampled.is_consistent());
 
         let full = audit_full_graph(3, targets.len(), |_| {
-            let out = infer_pregel(
+            let out = run_once(
+                Backend::Pregel,
                 &m,
                 &g,
                 ClusterSpec::pregel_cluster(4),

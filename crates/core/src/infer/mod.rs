@@ -1,14 +1,15 @@
-//! Full-graph, layer-wise inference drivers (paper §IV-C).
+//! Full-graph, layer-wise inference execution (paper §IV-C).
 //!
 //! Three interchangeable execution paths over the same
-//! [`crate::gas::GasLayer`] kernels:
+//! [`crate::gas::GasLayer`] kernels, each the execution stage a session
+//! plan ([`crate::session`]) dispatches to for its backend:
 //!
-//! - [`infer_pregel`] — the Pregel backend: state in worker memory, one
-//!   superstep per layer, fused row aggregation for partial-gather,
-//!   engine broadcast for the large-out-degree strategy;
-//! - [`infer_mapreduce`] — the MapReduce backend: no resident state,
-//!   everything (self state, out-edge tables, messages) travels through
-//!   the shuffle each round;
+//! - [`pregel_backend`] — state in worker memory, one superstep per layer,
+//!   fused row aggregation for partial-gather, engine broadcast for the
+//!   large-out-degree strategy;
+//! - [`mr_backend`] — the MapReduce backend: no resident state, everything
+//!   (self state, out-edge tables, messages) travels through the shuffle
+//!   each round;
 //! - [`infer_reference`] — a single-machine, single-"fat-worker" loop used
 //!   as ground truth in equivalence tests and for fast accuracy evaluation.
 //!
@@ -18,9 +19,6 @@
 
 pub mod mr_backend;
 pub mod pregel_backend;
-
-pub use mr_backend::infer_mapreduce;
-pub use pregel_backend::infer_pregel;
 
 use crate::gas::{EdgeCtx, GasLayer, NodeCtx};
 use crate::models::GnnModel;
@@ -47,11 +45,10 @@ impl InferenceOutput {
     }
 }
 
-/// Single-machine reference forward: exact same kernels, trivial data flow.
-///
-/// Thin compatibility wrapper over a single-use session on
+/// Single-machine reference forward: exact same kernels, trivial data flow
+/// — the oracle, as one call: a single-use session on
 /// [`crate::session::Backend::Reference`]. Errors on a model/graph
-/// feature-dimension mismatch, exactly like the session path.
+/// feature-dimension mismatch, exactly like any other session.
 pub fn infer_reference(model: &GnnModel, graph: &Graph) -> Result<Vec<Vec<f32>>> {
     Ok(crate::session::InferenceSession::builder()
         .model(model)
@@ -108,10 +105,32 @@ pub(crate) fn reference_logits(
     h.iter().map(|hv| model.apply_head(hv)).collect()
 }
 
+/// Plan once and run once on `backend`, over `spec` whichever engine that
+/// is: what this crate's own suites drive the two engines through.
+#[cfg(test)]
+pub(crate) fn run_once(
+    backend: crate::session::Backend,
+    model: &GnnModel,
+    graph: &Graph,
+    spec: inferturbo_cluster::ClusterSpec,
+    strategy: crate::strategy::StrategyConfig,
+) -> Result<InferenceOutput> {
+    crate::session::InferenceSession::builder()
+        .model(model)
+        .graph(graph)
+        .pregel_spec(spec)
+        .mapreduce_spec(spec)
+        .strategy(strategy)
+        .backend(backend)
+        .plan()?
+        .run()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::PoolOp;
+    use crate::session::Backend;
     use crate::strategy::StrategyConfig;
     use inferturbo_cluster::ClusterSpec;
     use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
@@ -162,7 +181,8 @@ mod tests {
         let g = test_graph(DegreeSkew::In);
         for (name, m) in models() {
             let want = infer_reference(&m, &g).expect("reference");
-            let out = infer_pregel(
+            let out = run_once(
+                Backend::Pregel,
                 &m,
                 &g,
                 ClusterSpec::pregel_cluster(8),
@@ -178,7 +198,8 @@ mod tests {
         let g = test_graph(DegreeSkew::In);
         for (name, m) in models() {
             let want = infer_reference(&m, &g).expect("reference");
-            let out = infer_mapreduce(
+            let out = run_once(
+                Backend::MapReduce,
                 &m,
                 &g,
                 ClusterSpec::mapreduce_cluster(8),
@@ -205,15 +226,21 @@ mod tests {
                         .with_broadcast(bc)
                         .with_shadow_nodes(sn)
                         .with_threshold(5);
-                    let out = infer_pregel(&m, &g, spec, strat).unwrap();
+                    let out = run_once(Backend::Pregel, &m, &g, spec, strat).unwrap();
                     assert_logits_close(
                         &format!("pregel pg={pg} bc={bc} sn={sn}"),
                         &out.logits,
                         &want,
                         1e-3,
                     );
-                    let out =
-                        infer_mapreduce(&m, &g, ClusterSpec::mapreduce_cluster(8), strat).unwrap();
+                    let out = run_once(
+                        Backend::MapReduce,
+                        &m,
+                        &g,
+                        ClusterSpec::mapreduce_cluster(8),
+                        strat,
+                    )
+                    .unwrap();
                     assert_logits_close(
                         &format!("mr pg={pg} bc={bc} sn={sn}"),
                         &out.logits,
@@ -233,9 +260,23 @@ mod tests {
         let m = GnnModel::gat(5, 8, 2, 2, 3, false, 5);
         let want = infer_reference(&m, &g).expect("reference");
         let strat = StrategyConfig::all().with_threshold(5);
-        let pregel = infer_pregel(&m, &g, ClusterSpec::pregel_cluster(8), strat).unwrap();
+        let pregel = run_once(
+            Backend::Pregel,
+            &m,
+            &g,
+            ClusterSpec::pregel_cluster(8),
+            strat,
+        )
+        .unwrap();
         assert_logits_close("gat-pregel", &pregel.logits, &want, 1e-3);
-        let mr = infer_mapreduce(&m, &g, ClusterSpec::mapreduce_cluster(8), strat).unwrap();
+        let mr = run_once(
+            Backend::MapReduce,
+            &m,
+            &g,
+            ClusterSpec::mapreduce_cluster(8),
+            strat,
+        )
+        .unwrap();
         assert_logits_close("gat-mr", &mr.logits, &want, 1e-3);
     }
 
@@ -244,12 +285,13 @@ mod tests {
         let g = test_graph(DegreeSkew::In);
         let m = GnnModel::sage(5, 8, 2, 3, false, PoolOp::Mean, 6);
         let strat = StrategyConfig::all().with_threshold(8);
-        let a = infer_pregel(&m, &g, ClusterSpec::pregel_cluster(4), strat).unwrap();
-        let b = infer_pregel(&m, &g, ClusterSpec::pregel_cluster(4), strat).unwrap();
-        assert_eq!(a.logits, b.logits, "same config must be bit-stable");
-        let c = infer_mapreduce(&m, &g, ClusterSpec::mapreduce_cluster(4), strat).unwrap();
-        let d = infer_mapreduce(&m, &g, ClusterSpec::mapreduce_cluster(4), strat).unwrap();
-        assert_eq!(c.logits, d.logits);
+        for (backend, spec) in [
+            (Backend::Pregel, ClusterSpec::pregel_cluster(4)),
+            (Backend::MapReduce, ClusterSpec::mapreduce_cluster(4)),
+        ] {
+            let run = || run_once(backend, &m, &g, spec, strat).unwrap();
+            assert_eq!(run().logits, run().logits, "{backend:?} must be bit-stable");
+        }
     }
 
     #[test]
@@ -257,8 +299,9 @@ mod tests {
         let g = test_graph(DegreeSkew::In);
         let m = GnnModel::sage(5, 8, 2, 3, false, PoolOp::Mean, 6);
         let spec = ClusterSpec::pregel_cluster(8);
-        let base = infer_pregel(&m, &g, spec, StrategyConfig::none()).unwrap();
-        let pg = infer_pregel(
+        let base = run_once(Backend::Pregel, &m, &g, spec, StrategyConfig::none()).unwrap();
+        let pg = run_once(
+            Backend::Pregel,
             &m,
             &g,
             spec,
@@ -278,8 +321,9 @@ mod tests {
         let g = test_graph(DegreeSkew::Out);
         let m = GnnModel::sage(5, 8, 2, 3, false, PoolOp::Mean, 6);
         let spec = ClusterSpec::pregel_cluster(8);
-        let base = infer_pregel(&m, &g, spec, StrategyConfig::none()).unwrap();
-        let bc = infer_pregel(
+        let base = run_once(Backend::Pregel, &m, &g, spec, StrategyConfig::none()).unwrap();
+        let bc = run_once(
+            Backend::Pregel,
             &m,
             &g,
             spec,
@@ -312,8 +356,9 @@ mod tests {
         });
         let m = GnnModel::sage(8, 8, 2, 3, false, PoolOp::Sum, 4);
         let spec = ClusterSpec::pregel_cluster(4);
-        let fused = infer_pregel(&m, &g, spec, StrategyConfig::all()).unwrap();
-        let materialized = infer_pregel(
+        let fused = run_once(Backend::Pregel, &m, &g, spec, StrategyConfig::all()).unwrap();
+        let materialized = run_once(
+            Backend::Pregel,
             &m,
             &g,
             spec,
@@ -347,7 +392,8 @@ mod tests {
     fn multilabel_logits_have_label_width() {
         let g = test_graph(DegreeSkew::In);
         let m = GnnModel::sage(5, 8, 1, 7, true, PoolOp::Mean, 2);
-        let out = infer_pregel(
+        let out = run_once(
+            Backend::Pregel,
             &m,
             &g,
             ClusterSpec::pregel_cluster(4),

@@ -17,17 +17,14 @@ use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
 use crate::plan::InferencePlan;
-use crate::session::{Backend, InferenceSession};
 use crate::strategy::{base_of, mirror_of, NodeRecord, StrategyConfig, NODE_FLAG};
 use inferturbo_batch::{BatchEngine, KeyedData, PhaseCtx, RowSink, RowsView};
-use inferturbo_cluster::ClusterSpec;
 use inferturbo_common::codec::{
     f32_slice_len, varint_len, varint_seq_len, Decode, Encode, WireReader, WireWriter,
 };
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::rows::FusedAggregator;
 use inferturbo_common::{Error, FxHashMap, Result};
-use inferturbo_graph::Graph;
 use inferturbo_obs::TraceHandle;
 use std::sync::Arc;
 
@@ -208,27 +205,6 @@ fn scatter_rows(
             sink.send_row(t, &raw);
         }
     }
-}
-
-/// Run full-graph inference on the MapReduce backend.
-///
-/// Thin compatibility wrapper over a single-use [`InferenceSession`]: it
-/// plans once and runs once. Callers doing repeated inference over the
-/// same graph should hold the plan themselves (see `crate::session`).
-pub fn infer_mapreduce(
-    model: &GnnModel,
-    graph: &Graph,
-    spec: ClusterSpec,
-    strategy: StrategyConfig,
-) -> Result<InferenceOutput> {
-    InferenceSession::builder()
-        .model(model)
-        .graph(graph)
-        .mapreduce_spec(spec)
-        .strategy(strategy)
-        .backend(Backend::MapReduce)
-        .plan()?
-        .run()
 }
 
 /// Collect `Output` records from the final round into per-node logits.

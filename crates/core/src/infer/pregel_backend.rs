@@ -26,29 +26,30 @@
 //! all), a materialized layer (GAT) copies it into each destination's
 //! shard; neither looks an id up. Broadcast refs are 8-byte
 //! variable-length control messages and ride the typed plane, addressed
-//! by id; both halves of a vertex's inbox are folded by the same
+//! by id. The program's one kernel ([`VertexProgram::compute`]) reads both
+//! halves of a vertex's [`Inbox`] and folds them with the same
 //! [`GasLayer`] kernels at gather, a ref's payload by borrow from the
-//! broadcast table.
+//! broadcast table; a ref that resolves to nothing fails the superstep
+//! with the same [`Error::InvalidGraph`] the MapReduce reducer returns.
 //!
 //! Where the graph lives: `plan_layout` turns the planned records into a
 //! [`PregelLayout`] once, at plan time — placement, the id index, and
 //! every out-target resolved to a route. A run borrows it: vertex states
 //! are handles into the plan's records and the layout's routes, so loading
-//! a run is one pass that copies O(V) pointers and hashes nothing.
+//! a run is one pass that copies O(V) pointers and hashes nothing, and
+//! the engine is built over the plan's layout
+//! ([`PregelEngine::with_layout`], its one constructor).
 
 use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
 use crate::plan::InferencePlan;
-use crate::session::{Backend, InferenceSession};
 use crate::strategy::{base_of, mirror_of, NodeRecord, StrategyConfig};
-use inferturbo_cluster::ClusterSpec;
 use inferturbo_common::{Error, Result};
-use inferturbo_graph::Graph;
 use inferturbo_obs::TraceHandle;
 use inferturbo_pregel::{
-    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
-    PregelLayout, Route, RowsIn, ScratchPool, VertexProgram,
+    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, PregelLayout, Route,
+    ScratchPool, VertexProgram,
 };
 use std::sync::Arc;
 
@@ -154,47 +155,22 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         step: usize,
         vertex: u64,
         state: &mut GnnVertexState<'m>,
-        messages: Vec<GnnMessage>,
-        broadcast_lookup: &BroadcastLookup<'_, GnnMessage>,
+        inbox: Inbox<'_, GnnMessage>,
         out: &mut Outbox<GnnMessage>,
-    ) {
-        self.compute_columnar(
-            step,
-            vertex,
-            state,
-            RowsIn::None,
-            messages,
-            broadcast_lookup,
-            out,
-        );
-    }
-
-    fn compute_columnar(
-        &self,
-        step: usize,
-        vertex: u64,
-        state: &mut GnnVertexState<'m>,
-        rows: RowsIn<'_>,
-        messages: Vec<GnnMessage>,
-        broadcast_lookup: &BroadcastLookup<'_, GnnMessage>,
-        out: &mut Outbox<GnnMessage>,
-    ) {
+    ) -> Result<()> {
         if step == 0 {
             // Initialisation superstep: raw features are h⁰, scattered
             // from where they lie.
             self.scatter(0, vertex, state, out);
-            return;
+            return Ok(());
         }
         debug_assert!(step <= self.k, "superstep beyond layer count");
         let layer = self.model.layer_view(step - 1);
         let mut agg = layer.init_agg();
-        let n_msgs = messages.len() + rows.count();
-        layer.gather_rows(&mut agg, rows);
-        for msg in &messages {
-            layer
-                .gather_wire(&mut agg, msg, broadcast_lookup)
-                // itlint::allow(panic-in-lib): compute() has no error channel; the engine delivers every broadcast payload before its refs, so an unresolved ref is engine corruption, not bad input
-                .expect("broadcast ref resolution is an engine invariant");
+        let n_msgs = inbox.messages.len() + inbox.rows.count();
+        layer.gather_rows(&mut agg, inbox.rows);
+        for msg in inbox.messages {
+            layer.gather_wire(&mut agg, msg, inbox.broadcast)?;
         }
         let gathered = agg.count() as usize;
         let ctx = NodeCtx {
@@ -213,6 +189,7 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         } else {
             self.scatter(step, vertex, state, out);
         }
+        Ok(())
     }
 
     fn message_layout(&self, step: usize) -> Option<MessageLayout> {
@@ -249,27 +226,6 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
             + state.logits.as_ref().map_or(0, |l| l.len() * 4)
             + 64) as u64
     }
-}
-
-/// Run full-graph inference on the Pregel backend.
-///
-/// Thin compatibility wrapper over a single-use [`InferenceSession`]: it
-/// plans once and runs once. Callers doing repeated inference over the
-/// same graph should hold the plan themselves (see `crate::session`).
-pub fn infer_pregel(
-    model: &GnnModel,
-    graph: &Graph,
-    spec: ClusterSpec,
-    strategy: StrategyConfig,
-) -> Result<InferenceOutput> {
-    InferenceSession::builder()
-        .model(model)
-        .graph(graph)
-        .pregel_spec(spec)
-        .strategy(strategy)
-        .backend(Backend::Pregel)
-        .plan()?
-        .run()
 }
 
 /// Lay the planned records out for the engine: place every record on its

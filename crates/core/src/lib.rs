@@ -24,14 +24,15 @@
 //!   cost estimate, backend auto-selection) into a reusable
 //!   [`InferencePlan`] whose repeated runs skip all of it;
 //! - [`infer`] (§IV-C) — full-graph inference execution for the Pregel and
-//!   MapReduce backends plus a single-machine reference implementation,
-//!   with the legacy one-shot drivers kept as single-use-session wrappers;
+//!   MapReduce backends plus a single-machine reference implementation;
 //! - [`strategy`] (§IV-D) — partial-gather, broadcast and shadow-nodes,
 //!   with the `λ·|E|/workers` activation threshold;
 //! - [`baseline`] (§V-B) — the traditional k-hop inference pipeline
 //!   (PyG/DGL-style) in both measured and estimated modes;
 //! - [`consistency`] (§V-B, Fig. 7) — the multi-run prediction-stability
 //!   audit.
+
+#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod consistency;
@@ -45,7 +46,7 @@ pub mod strategy;
 pub mod train;
 
 pub use gas::{AggState, EdgeCtx, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
-pub use infer::{infer_mapreduce, infer_pregel, infer_reference, InferenceOutput};
+pub use infer::{infer_reference, InferenceOutput};
 pub use inferturbo_cluster::{InProcess, Transport, WorkerProcess};
 pub use models::{GnnModel, LayerKind, PoolOp};
 pub use plan::{InferencePlan, PlanSummary};

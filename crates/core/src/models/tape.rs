@@ -202,7 +202,6 @@ impl GnnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gas::{EdgeCtx, GasLayer, NodeCtx};
     use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
     use inferturbo_graph::Csr;
 
@@ -219,49 +218,15 @@ mod tests {
         })
     }
 
-    /// Per-node forward using the GasLayer kernels — the inference path.
-    fn pernode_logits(model: &GnnModel, g: &Graph) -> Vec<Vec<f32>> {
-        let in_csr = Csr::in_of(g);
-        let in_deg = g.in_degrees();
-        let out_deg = g.out_degrees();
-        let n = g.n_nodes();
-        let mut h: Vec<Vec<f32>> = (0..n as u32).map(|v| g.node_feat(v).to_vec()).collect();
-        for l in 0..model.n_layers() {
-            let layer = model.layer_view(l);
-            let mut next = Vec::with_capacity(n);
-            for v in 0..n as u32 {
-                let mut agg = layer.init_agg();
-                for &u in in_csr.neighbors(v) {
-                    let msg = layer.apply_edge(
-                        &h[u as usize],
-                        &EdgeCtx {
-                            src_out_degree: out_deg[u as usize],
-                            edge_feat: &[],
-                        },
-                    );
-                    layer.aggregate(&mut agg, msg);
-                }
-                let ctx = NodeCtx {
-                    id: v as u64,
-                    state: &h[v as usize],
-                    in_degree: in_deg[v as usize],
-                    out_degree: out_deg[v as usize],
-                };
-                next.push(layer.apply_node(&ctx, agg));
-            }
-            h = next;
-        }
-        h.iter().map(|hv| model.apply_head(hv)).collect()
-    }
-
     /// The central unification claim: the vectorised training forward and
-    /// the per-vertex inference kernels compute the same function.
+    /// the per-vertex inference kernels — `Backend::Reference`, the oracle
+    /// every engine is held to — compute the same function.
     fn assert_tape_matches_pernode(model: &GnnModel, g: &Graph) {
         let batch = SubgraphBatch::full_graph(g);
         let mut tape = Tape::new();
         let fwd = model.forward_tape(&mut tape, &batch, false);
         let tape_logits = tape.value(fwd.logits);
-        let pernode = pernode_logits(model, g);
+        let pernode = crate::infer::infer_reference(model, g).expect("reference");
         for (v, row) in pernode.iter().enumerate() {
             for (c, &b) in row.iter().enumerate() {
                 let a = tape_logits.get(v, c);

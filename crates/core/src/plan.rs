@@ -1,8 +1,8 @@
 //! The reusable inference plan: output of the session pipeline's planning
 //! stage (see [`crate::session`] for the full pipeline contract).
 //!
-//! An [`InferencePlan`] owns every piece of one-time work the legacy
-//! one-shot drivers used to redo per call:
+//! An [`InferencePlan`] owns every piece of one-time work a run would
+//! otherwise redo:
 //!
 //! - the loadable [`NodeRecord`]s with the shadow-nodes transform applied
 //!   (which itself subsumes the out-CSR build, the degree arrays, and the
@@ -23,8 +23,8 @@
 //!
 //! Plans are inspectable ([`InferencePlan::summary`]) and reusable:
 //! repeated [`InferencePlan::run`] calls are bit-identical to each other
-//! and to the legacy one-shot functions, while skipping all planning
-//! work. [`InferencePlan::run_with_features`] reruns the same plan with a
+//! and to a fresh plan of the same configuration, while skipping all
+//! planning work. [`InferencePlan::run_with_features`] reruns the same plan with a
 //! fresh feature matrix — the serving path for periodically refreshed
 //! embeddings over a stable graph.
 
@@ -320,8 +320,8 @@ impl<'a> InferencePlan<'a> {
     }
 
     /// Execute the plan. Repeated calls are bit-identical to each other
-    /// and to the legacy one-shot drivers for the same configuration; all
-    /// planning work is skipped.
+    /// and to a fresh plan of the same configuration; all planning work is
+    /// skipped.
     pub fn run(&self) -> Result<InferenceOutput> {
         self.run_inner(None)
     }

@@ -4,8 +4,7 @@
 //! graph (hub classification, shadow-node mirroring), pick a backend
 //! (Pregel while state fits in memory, MapReduce when it does not), then
 //! run layer-as-superstep inference. This module exposes those stages as
-//! a three-step API instead of the legacy free functions that re-derived
-//! everything per call:
+//! a three-step API — the one front door to both engines:
 //!
 //! ```text
 //! InferenceSession::builder()          // 1. configure
@@ -44,12 +43,8 @@
 //! the session's own:
 //!
 //! - repeated [`InferencePlan::run`] calls on one plan are **bit-identical**
-//!   to each other and to the legacy one-shot drivers
-//!   ([`infer_pregel`](crate::infer_pregel),
-//!   [`infer_mapreduce`](crate::infer_mapreduce),
-//!   [`infer_reference`](crate::infer_reference)) for the same
-//!   configuration — pooled scratch and pre-built records are observably
-//!   invisible;
+//!   to each other and to a fresh plan of the same configuration — pooled
+//!   scratch and pre-built records are observably invisible;
 //! - results are independent of the thread budget
 //!   (`INFERTURBO_THREADS` / `Parallelism`), per the workspace-wide
 //!   contract in `inferturbo_common::par`;

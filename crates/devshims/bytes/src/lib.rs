@@ -8,6 +8,8 @@
 //! the buffer is too short — callers bounds-check first (see
 //! `WireReader::need`).
 
+#![forbid(unsafe_code)]
+
 /// Read-side cursor operations over a shrinking `&[u8]`.
 pub trait Buf {
     fn remaining(&self) -> usize;

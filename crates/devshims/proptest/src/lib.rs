@@ -19,6 +19,8 @@
 //! proptest there is no shrinking — a failing case prints its inputs via
 //! the `prop_assert!` message instead.
 
+#![forbid(unsafe_code)]
+
 /// Runtime configuration accepted by `#![proptest_config(..)]`.
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {

@@ -14,6 +14,8 @@
 //! and a planted generative model that GNNs genuinely learn; see DESIGN.md
 //! for the substitution argument.
 
+#![forbid(unsafe_code)]
+
 pub mod csr;
 pub mod datasets;
 pub mod gen;

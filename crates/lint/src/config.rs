@@ -144,9 +144,9 @@ mod tests {
 
     #[test]
     fn scoping_matches_the_contract() {
-        assert!(!rule_applies("wallclock", "crates/bench/src/scaling.rs"));
+        assert!(!rule_applies("wallclock", "crates/bench/src/table3.rs"));
         assert!(rule_applies("wallclock", "crates/pregel/src/engine.rs"));
-        assert!(rule_applies("panic-in-lib", "crates/bench/src/scaling.rs"));
+        assert!(rule_applies("panic-in-lib", "crates/bench/src/table3.rs"));
         assert!(rule_applies("unordered-iter", "crates/serve/src/server.rs"));
         assert!(!rule_applies(
             "unordered-iter",

@@ -83,6 +83,8 @@
 //! sanctioned timing owner), so even patterns itlint's lexical view could
 //! miss behind a `use` alias are caught at type-resolution depth.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod config;
 pub mod lexer;

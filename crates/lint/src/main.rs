@@ -12,6 +12,8 @@
 //!
 //! Exit codes: 0 ok, 1 check failed, 2 usage or I/O error.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

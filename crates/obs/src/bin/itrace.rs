@@ -11,6 +11,8 @@
 //! `TraceHandle::render` (see the golden fixtures under `tests/`); the
 //! loader rejects malformed lines with the offending line number.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use inferturbo_obs::inspect::{

@@ -84,6 +84,8 @@
 //! Recording is armed by handing a recording [`TraceHandle`] to a session
 //! or server, never by the environment.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod inspect;
 pub mod registry;

@@ -4,31 +4,32 @@
 //! # Execution model
 //!
 //! An engine runs over a [`PregelLayout`]: the slot table of every worker,
-//! the one `id → (worker, slot)` index, and — when the layout was planned
-//! from a graph — each vertex's out-edges as pre-resolved
-//! [`Route`](crate::Route)s. The layout is shared (`Arc`) and never
-//! written during a run; the engine
-//! itself owns only what a run changes: one state per slot, the sealed
-//! inboxes, the broadcast table and the report.
-//! [`PregelEngine::with_layout`] builds that from a layout somebody else
-//! keeps (a session plan: lay the graph out once, run many times) and
-//! allocates exactly one exact-sized state vector per worker — no id is
-//! hashed and no vector grows. [`PregelEngine::new`] +
-//! [`PregelEngine::add_vertex`] grow a private layout one vertex at a time
-//! for programs that carry their own adjacency.
+//! the one `id → (worker, slot)` index, and each vertex's out-edges as
+//! pre-resolved [`Route`](crate::Route)s. The layout is shared (`Arc`) and
+//! never written; the engine itself owns only what a run changes: one
+//! state per slot, the sealed inboxes, the broadcast table and the report.
+//! [`PregelEngine::with_layout`] — the one constructor — builds that from
+//! a layout somebody else keeps (a session plan: lay the graph out once,
+//! run many times) and allocates exactly one exact-sized state vector per
+//! worker: no id is hashed and no vector grows.
 //!
-//! Each superstep is a real fork-join: every logical worker computes on its
-//! own OS thread (up to the global [`inferturbo_common::Parallelism`]
-//! budget), writing its outgoing messages into per-(sender × destination)
-//! **outbox shards**. Rows leave a vertex as (row, span of routes) pairs
-//! in the [`Outbox`] spool; the worker's one routing loop walks each span
-//! and copies (or, fused, folds) the row into the shard its route names —
-//! no lookup per edge, the row written to the spool once per vertex. Byte
-//! accounting for rows happens once per worker after its last vertex, from
-//! the shards' own slot lists and the layout's slot tables. At the barrier
-//! the shards are merged without locks, in ascending sender order — the
-//! exact order a serial sender loop would deliver in — so results, byte
-//! accounting, and metrics are identical for every thread count.
+//! A superstep is the sequence of stages `PregelEngine::superstep` spells
+//! out: resolve the plane the program declared for the step → **fork-join
+//! compute** → merge the senders' accounting → transpose their shards →
+//! exchange → seal → memory check → trace. The compute is a real
+//! fork-join: every logical worker runs the program's one kernel over its
+//! slots on its own OS thread (up to the global
+//! [`inferturbo_common::Parallelism`] budget), writing its outgoing
+//! messages into per-(sender × destination) **outbox shards**. Rows leave
+//! a vertex as (row, span of routes) pairs in the [`Outbox`] spool; the
+//! worker's one routing loop walks each span and copies (or, fused, folds)
+//! the row into the shard its route names — no lookup per edge, the row
+//! written to the spool once per vertex. Byte accounting for rows happens
+//! once per worker after its last vertex, from the shards' own slot lists
+//! and the layout's slot tables. At the barrier the shards are merged
+//! without locks, in ascending sender order — the exact order a serial
+//! sender loop would deliver in — so results, byte accounting, and metrics
+//! are identical for every thread count.
 //!
 //! What a run allocates: the per-worker state vectors, the inboxes sealed
 //! at each barrier, and — first run only, pooled in a [`ScratchPool`]
@@ -36,15 +37,17 @@
 //!
 //! # Message planes
 //!
-//! Two planes carry traffic between supersteps, and a program may use both
-//! in the same step:
+//! Two planes carry traffic between supersteps; a program may use both in
+//! the same step, and its kernel reads both back through one
+//! [`Inbox`]:
 //!
 //! - the **typed plane**: `P::Msg` values sent with
 //!   [`Outbox::send`](crate::vertex::Outbox::send) — variable-width
 //!   payloads such as broadcast refs and control messages, addressed by
 //!   vertex id (one index lookup per message) — land in a flat per-worker
 //!   arena (`InboxArena`: one `Vec<Msg>` plus per-slot offsets) rebuilt
-//!   each superstep with a counting scatter;
+//!   each superstep with a counting scatter, and are lent to the kernel as
+//!   a slice of it;
 //! - the **columnar plane**: when the program declares a
 //!   [`MessageLayout`](crate::vertex::MessageLayout) for the emitting
 //!   step, fixed-width `f32` rows move through flat per-(sender ×
@@ -59,6 +62,11 @@
 //!   set — peak inbox memory and shuffle volume drop from O(E·d) to
 //!   O(V·d), the paper's partial-aggregation optimisation done at the
 //!   engine level. This is the engine's one sender-side combiner.
+//!
+//! Which columnar plane a step is on is one value on each side of the
+//! barrier — `Emit` for what the workers write, the transport's
+//! [`MergedCols`] for what they read next — each carrying its own width
+//! (and fold).
 //!
 //! # Determinism contract
 //!
@@ -76,19 +84,17 @@
 //! every transport, spilled or resident, recovered or clean.
 
 use crate::layout::PregelLayout;
-use crate::vertex::{ActivationPolicy, Outbox, RowMisuse, RowsIn, VertexProgram};
+use crate::vertex::{ActivationPolicy, Inbox, Outbox, RowMisuse, RowsIn, VertexProgram};
 use inferturbo_cluster::transport::{
-    frame::EncodedRecords, ColsShards, DestShards, Exchange, InProcess, MergedCols, Transport,
+    ColsShards, DestMerged, DestShards, Exchange, ExchangeOut, InProcess, MergedCols, Transport,
 };
 use inferturbo_cluster::{
-    ClusterSpec, FaultInjector, FaultPlan, MessagePlaneBytes, RecoveryPolicy, RunReport,
-    WorkerPhase,
+    ClusterSpec, FaultInjector, MessagePlaneBytes, RecoveryPolicy, RunReport, WorkerPhase,
 };
 use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{
-    row_payload_len, AggKind, FusedAggregator, FusedRows, FusedSlotShard, RowArena, RowShard,
-    SpillPolicy,
+    row_payload_len, AggKind, FusedAggregator, FusedSlotShard, RowShard, SpillPolicy,
 };
 use inferturbo_common::{Error, FxHashMap, Result};
 use inferturbo_obs::{Payload, Site, TraceHandle, TraceMark};
@@ -103,7 +109,7 @@ pub struct PregelConfig {
     pub spec: ClusterSpec,
     pub activation: ActivationPolicy,
     /// Out-of-core policy for the columnar inter-superstep inboxes. When
-    /// set, each worker's sealed [`RowArena`] / merged [`FusedRows`] whose
+    /// set, each worker's sealed `RowArena` / merged `FusedRows` whose
     /// row data exceeds `budget_bytes` pages to disk and streams back
     /// through a bounded window at apply time. Spilling never changes a
     /// bit (see the spill contract in `inferturbo_common::rows`); it only
@@ -163,12 +169,12 @@ impl PregelConfig {
         self
     }
 
-    /// Arm (or clear) a deterministic fault schedule for this engine. The
-    /// plan is armed once: its per-site fire budgets are shared by every clone
-    /// of this config, so a replayed superstep does not re-fire a fault
-    /// that already fired.
-    pub fn with_faults(mut self, plan: Option<FaultPlan>) -> Self {
-        self.faults = plan.filter(|p| !p.is_empty()).map(|p| p.injector());
+    /// Arm (or clear) a deterministic fault schedule for this engine (see
+    /// [`PregelConfig::faults`]): the injector's per-site fire budgets are
+    /// shared by every clone of this config, so a replayed superstep does
+    /// not re-fire a fault that already fired.
+    pub fn with_fault_injector(mut self, injector: Option<FaultInjector>) -> Self {
+        self.faults = injector;
         self
     }
 
@@ -192,60 +198,50 @@ impl PregelConfig {
     }
 }
 
-/// One worker's reusable superstep scratch: the outbox (message spools,
-/// row buffers), the per-destination fused accumulator shards with their
-/// dense slot indexes, and the per-destination materialized row shards of
-/// the non-fused columnar plane. Threaded through the fork-join by value —
-/// each worker task owns its scratch exclusively — and reclaimed at the
-/// barrier, so buffer capacity survives across supersteps.
-pub(crate) struct WorkerScratch<M> {
-    /// `None` until the worker's first superstep (an outbox is bound to a
-    /// layout) and while the worker's compute holds it.
-    pub(crate) outbox: Option<Outbox<M>>,
-    pub(crate) fused: Vec<FusedSlotShard>,
-    pub(crate) rows: Vec<RowShard>,
-}
-
-impl<M> Default for WorkerScratch<M> {
-    fn default() -> Self {
-        WorkerScratch {
-            outbox: None,
-            fused: Vec::new(),
-            rows: Vec::new(),
-        }
-    }
-}
-
-/// Pooled per-worker engine scratch (one `WorkerScratch` per logical
-/// worker). Every engine owns one — supersteps within a run reuse it
-/// instead of reallocating — and a caller that runs repeated inference
-/// over the same graph (a planned session) can [`PregelEngine::take_scratch`]
-/// it after a run and [`PregelEngine::set_scratch`] it into the next
-/// engine, so the O(W·V) fused slot indexes, the materialized row shards,
-/// and the outbox spools are allocated once per plan, not once per
-/// superstep.
+/// Pooled engine scratch: one outbox (message spools, row buffers) per
+/// logical worker, and the `[sender][destination]` shard grids of both
+/// columnar planes — fused accumulator shards with their dense slot
+/// indexes, materialized row shards. Every engine owns one — supersteps
+/// within a run reuse it instead of reallocating — and a caller that runs
+/// repeated inference over the same graph (a planned session) can
+/// [`PregelEngine::take_scratch`] it after a run and
+/// [`PregelEngine::set_scratch`] it into the next engine, so the O(W·V)
+/// fused slot indexes, the materialized row shards, and the outbox spools
+/// are allocated once per plan, not once per superstep.
 ///
 /// Pooling is observably invisible: a reset shard/outbox is
 /// indistinguishable from a fresh one (sparse index clear through the
 /// touched keys), so results, byte accounting and metrics are identical
 /// with or without a carried-over pool.
 pub struct ScratchPool<M> {
-    workers: Vec<WorkerScratch<M>>,
+    outboxes: Vec<Outbox<M>>,
+    rows: Vec<Vec<RowShard>>,
+    fused: Vec<Vec<FusedSlotShard>>,
 }
 
 impl<M> Default for ScratchPool<M> {
+    /// An empty pool; it grows to the engine's worker count on first use.
     fn default() -> Self {
-        ScratchPool::new()
+        ScratchPool {
+            outboxes: Vec::new(),
+            rows: Vec::new(),
+            fused: Vec::new(),
+        }
     }
 }
 
-impl<M> ScratchPool<M> {
-    /// An empty pool; it grows to the engine's worker count on first use.
-    pub fn new() -> Self {
-        ScratchPool {
-            workers: Vec::new(),
+/// Swap the two axes of a `[sender][destination]` grid, keeping each
+/// axis's order.
+fn transpose<T>(grid: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = (0..grid.len())
+        .map(|_| Vec::with_capacity(grid.len()))
+        .collect();
+    for row in grid {
+        for (cell, col) in row.into_iter().zip(&mut out) {
+            col.push(cell);
         }
     }
+    out
 }
 
 /// Flat per-worker inbox: every pending message in one arena, slot `s`'s
@@ -255,105 +251,113 @@ impl<M> ScratchPool<M> {
 #[derive(Clone)]
 struct InboxArena<M> {
     msgs: Vec<M>,
-    /// Per-slot ranges; empty until the first seal (= "no messages yet").
+    /// Per-slot ranges: `n_slots + 1` ascending offsets into `msgs`.
     offsets: Vec<u32>,
 }
 
 impl<M> InboxArena<M> {
-    fn new() -> Self {
+    /// An arena over `n_slots` slots with nothing pending.
+    fn empty(n_slots: usize) -> Self {
         InboxArena {
             msgs: Vec::new(),
-            offsets: Vec::new(),
+            offsets: vec![0; n_slots + 1],
         }
     }
 
-    /// Messages pending for `slot`. Slots past the sealed range — vertices
-    /// added after the last superstep — have no messages yet.
-    fn count(offsets: &[u32], slot: usize) -> usize {
-        if slot + 1 >= offsets.len() {
-            0
-        } else {
-            (offsets[slot + 1] - offsets[slot]) as usize
-        }
+    /// Messages pending for `slot`, in delivery order.
+    fn slot(&self, slot: usize) -> &[M] {
+        &self.msgs[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
     }
 
-    /// Build the arena from per-sender shards of `(slot, msg)` pairs.
-    /// Shards are scattered in ascending sender order and each shard in
-    /// emission order, reproducing exactly the delivery order of a serial
-    /// sender loop.
-    fn seal(n_slots: usize, shards: Vec<Vec<(u32, M)>>) -> Self {
-        // The u32 cursors below feed an unsafe set_len: wraparound must be
-        // a clean panic, never a short count.
+    /// Free the messages once the worker has read them, before the next
+    /// inbox is sealed beside this one.
+    fn drain(&mut self) {
+        self.msgs = Vec::new();
+        self.offsets.fill(0);
+    }
+
+    /// Build the arena from per-sender shards of `(slot, msg)` pairs: a
+    /// stable counting sort by slot of the shards' concatenation. Shards
+    /// are taken in ascending sender order and each shard in emission
+    /// order, reproducing exactly the delivery order of a serial sender
+    /// loop. A byte-moving transport hands its records back already merged
+    /// into that order as one shard, which lands verbatim.
+    fn seal(n_slots: usize, shards: Vec<Vec<(u32, M)>>) -> Result<Self> {
         let total: usize = shards.iter().map(Vec::len).sum();
-        assert!(
-            total <= u32::MAX as usize,
-            "inbox arena overflow: {total} messages for one worker"
-        );
+        if u32::try_from(total).is_err() {
+            return Err(Error::Capacity(format!(
+                "{total} typed messages for one worker exceed its arena's u32 offsets"
+            )));
+        }
         let mut offsets = vec![0u32; n_slots + 1];
-        for sh in &shards {
-            for &(s, _) in sh.iter() {
-                offsets[s as usize + 1] += 1;
-            }
-        }
-        for i in 0..n_slots {
-            offsets[i + 1] += offsets[i];
-        }
-        debug_assert_eq!(offsets[n_slots] as usize, total);
-        let mut msgs: Vec<std::mem::MaybeUninit<M>> = Vec::with_capacity(total);
-        // SAFETY: MaybeUninit needs no initialisation, and the counting
-        // scatter below writes every index in 0..total exactly once (the
-        // offsets were derived from these very shards).
-        unsafe { msgs.set_len(total) };
-        // `offsets` doubles as the scatter cursor; afterwards offsets[s]
-        // holds end-of-s, which the right shift turns back into start-of-s
-        // without a second allocation.
-        for sh in shards {
-            for (s, m) in sh {
-                let at = offsets[s as usize] as usize;
-                msgs[at].write(m);
-                offsets[s as usize] += 1;
-            }
-        }
-        offsets.copy_within(0..n_slots, 1);
-        offsets[0] = 0;
-        // SAFETY: all `total` elements are initialised; MaybeUninit<M> has
-        // the same layout as M.
-        let msgs = unsafe {
-            let mut msgs = std::mem::ManuallyDrop::new(msgs);
-            Vec::from_raw_parts(msgs.as_mut_ptr() as *mut M, msgs.len(), msgs.capacity())
-        };
-        InboxArena { msgs, offsets }
-    }
-
-    /// Build the arena from records a byte-moving transport already merged
-    /// into slot-major delivery order ((sender ascending, emission order)
-    /// within a slot) — the same order [`InboxArena::seal`] produces, so
-    /// the messages land verbatim and only the offsets need counting.
-    fn from_merged(n_slots: usize, records: Vec<(u32, M)>) -> Self {
-        let total = records.len();
-        assert!(
-            total <= u32::MAX as usize,
-            "inbox arena overflow: {total} messages for one worker"
-        );
-        let mut offsets = vec![0u32; n_slots + 1];
-        for &(s, _) in &records {
+        for &(s, _) in shards.iter().flatten() {
             offsets[s as usize + 1] += 1;
         }
         for i in 0..n_slots {
             offsets[i + 1] += offsets[i];
         }
-        debug_assert!(records.windows(2).all(|w| w[0].0 <= w[1].0));
-        let msgs = records.into_iter().map(|(_, m)| m).collect();
-        InboxArena { msgs, offsets }
+        // `offsets` doubles as the scatter cursor; afterwards offsets[s]
+        // holds end-of-s, which the right shift turns back into start-of-s
+        // without a second allocation. Messages are laid down in arrival
+        // order, `home[i]` the place the scatter assigns the i-th, then
+        // swapped home along the permutation's cycles: each swap settles
+        // one message for good, and shards already in slot order need none.
+        let mut msgs = Vec::with_capacity(total);
+        let mut home = Vec::with_capacity(total);
+        for (s, m) in shards.into_iter().flatten() {
+            home.push(offsets[s as usize]);
+            offsets[s as usize] += 1;
+            msgs.push(m);
+        }
+        offsets.copy_within(0..n_slots, 1);
+        offsets[0] = 0;
+        for i in 0..total {
+            while home[i] as usize != i {
+                let j = home[i] as usize;
+                msgs.swap(i, j);
+                home.swap(i, j);
+            }
+        }
+        Ok(InboxArena { msgs, offsets })
     }
 }
 
-/// Which plane carried the rows now sitting in the engine's inbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InPlane {
-    Legacy,
-    Rows,
-    Fused,
+/// Checkpoint copy of the columnar half of a worker's inbox — what the last
+/// exchange merged for it, kept as the transport returned it: resident
+/// rows cloned, spilled rows shared.
+fn cols_snapshot(cols: &MergedCols) -> MergedCols {
+    match cols {
+        MergedCols::None => MergedCols::None,
+        MergedCols::Rows(a) => MergedCols::Rows(a.snapshot()),
+        MergedCols::Fused(f) => MergedCols::Fused(f.snapshot()),
+    }
+}
+
+/// `(resident, spilled)` bytes of an inbox's row data.
+fn cols_bytes(cols: &MergedCols) -> (u64, u64) {
+    match cols {
+        MergedCols::None => (0, 0),
+        MergedCols::Rows(a) => (a.resident_bytes(), a.spilled_bytes()),
+        MergedCols::Fused(f) => (f.resident_bytes(), f.spilled_bytes()),
+    }
+}
+
+/// `slot`'s half of the kernel's [`Inbox`]. `&mut`: a spilled inbox pages
+/// its covering window in here. Slots drain in ascending order, so the
+/// window streams the spill file forward exactly once per superstep.
+fn cols_rows(cols: &mut MergedCols, slot: usize) -> Result<RowsIn<'_>> {
+    Ok(match cols {
+        MergedCols::None => RowsIn::None,
+        MergedCols::Rows(a) => RowsIn::Rows {
+            dim: a.dim(),
+            data: a.rows(slot)?,
+        },
+        MergedCols::Fused(f) => RowsIn::Fused {
+            dim: f.dim(),
+            count: f.count(slot),
+            acc: f.row(slot)?,
+        },
+    })
 }
 
 /// A consistent snapshot of everything a superstep reads: vertex states,
@@ -370,9 +374,7 @@ struct Checkpoint<P: VertexProgram> {
     step: usize,
     workers: Vec<Vec<P::State>>,
     inbox: Vec<InboxArena<P::Msg>>,
-    row_inbox: Vec<RowArena>,
-    fused_inbox: Vec<FusedRows>,
-    in_plane: InPlane,
+    inbox_cols: Vec<MergedCols>,
     inbox_bytes: Vec<u64>,
     bcast: FxHashMap<u64, P::Msg>,
     report: RunReport,
@@ -382,67 +384,156 @@ struct Checkpoint<P: VertexProgram> {
     trace_mark: TraceMark,
 }
 
-/// The columnar half of one worker's inbox for the next superstep.
-enum InboxCols {
+/// What the workers emit on the columnar plane this superstep: the plane
+/// the program declared for the step, with its row width and — fused — its
+/// fold, and the shards the rows land in. The grid is
+/// `[sender][destination]` while the workers compute and
+/// `[destination][sender]` once transposed for the exchange. One value
+/// per superstep: every worker's [`RowSink`] and every destination's
+/// [`ColsShards`] is a view of it, so they cannot disagree about the plane.
+enum Emit<'p> {
+    /// No layout declared: the typed plane carries the step alone.
     None,
-    Rows(RowArena),
-    Fused(FusedRows),
-}
-
-/// How messages emitted this superstep are routed.
-#[derive(Clone, Copy)]
-enum EmitPlane<'a> {
-    Legacy,
     Rows {
         dim: usize,
+        shards: Vec<Vec<RowShard>>,
     },
     Fused {
         dim: usize,
-        agg: &'a dyn FusedAggregator,
+        agg: &'p dyn FusedAggregator,
+        shards: Vec<Vec<FusedSlotShard>>,
     },
 }
 
-impl EmitPlane<'_> {
-    fn row_dim(&self) -> Option<usize> {
+impl<'p> Emit<'p> {
+    /// Resolve `step`'s plane from the program's declarations and take
+    /// its `n × n` shard grid out of the pool. Pooled shards are reused as
+    /// they are — each worker resets its own row ([`RowSink::reset`]).
+    fn open<P: VertexProgram>(
+        program: &'p P,
+        step: usize,
+        pool: &mut ScratchPool<P::Msg>,
+        n: usize,
+    ) -> Self {
+        fn grid<T>(mut shards: Vec<Vec<T>>, n: usize, new: impl Fn() -> T) -> Vec<Vec<T>> {
+            shards.resize_with(n, Vec::new);
+            for row in &mut shards {
+                row.resize_with(n, &new);
+            }
+            shards
+        }
+        let Some(layout) = program.message_layout(step) else {
+            return Emit::None;
+        };
+        let dim = layout.dim;
+        match program.fused_aggregator(step) {
+            None => Emit::Rows {
+                dim,
+                shards: grid(std::mem::take(&mut pool.rows), n, || RowShard::new(dim)),
+            },
+            Some(agg) => Emit::Fused {
+                dim,
+                agg,
+                shards: grid(std::mem::take(&mut pool.fused), n, || {
+                    FusedSlotShard::new(dim, 0)
+                }),
+            },
+        }
+    }
+
+    /// One sink per sender worker over its row of the grid.
+    fn sinks(&mut self, n: usize) -> Vec<RowSink<'_>> {
         match self {
-            EmitPlane::Legacy => None,
-            EmitPlane::Rows { dim } | EmitPlane::Fused { dim, .. } => Some(*dim),
+            Emit::None => (0..n).map(|_| RowSink::None).collect(),
+            Emit::Rows { dim, shards } => shards
+                .iter_mut()
+                .map(|shards| RowSink::Rows { dim: *dim, shards })
+                .collect(),
+            Emit::Fused { dim, agg, shards } => shards
+                .iter_mut()
+                .map(|shards| RowSink::Fused {
+                    dim: *dim,
+                    shards,
+                    agg: *agg,
+                    kind: agg.wire_kind(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Turn the grid from sender-major to destination-major (or back).
+    fn transposed(self) -> Self {
+        match self {
+            Emit::None => Emit::None,
+            Emit::Rows { dim, shards } => Emit::Rows {
+                dim,
+                shards: transpose(shards),
+            },
+            Emit::Fused { dim, agg, shards } => Emit::Fused {
+                dim,
+                agg,
+                shards: transpose(shards),
+            },
+        }
+    }
+
+    /// Destination `w2`'s shards, one per sender ascending (of a
+    /// transposed grid), as the transport takes them.
+    fn dest(&self, w2: usize) -> ColsShards<'_> {
+        match self {
+            Emit::None => ColsShards::None,
+            Emit::Rows { dim, shards } => ColsShards::Rows {
+                dim: *dim,
+                shards: &shards[w2],
+            },
+            Emit::Fused { dim, agg, shards } => ColsShards::Fused {
+                dim: *dim,
+                agg: *agg,
+                shards: &shards[w2],
+            },
+        }
+    }
+
+    /// `(shards, rows)` the grid holds, for the trace.
+    fn volume(&self) -> (u64, u64) {
+        fn of<T>(shards: &[Vec<T>], len: impl Fn(&T) -> usize) -> (u64, u64) {
+            let cells = shards.iter().flatten();
+            (
+                cells.clone().count() as u64,
+                cells.map(len).sum::<usize>() as u64,
+            )
+        }
+        match self {
+            Emit::None => (0, 0),
+            Emit::Rows { shards, .. } => of(shards, RowShard::len),
+            Emit::Fused { shards, .. } => of(shards, FusedSlotShard::len),
+        }
+    }
+
+    /// Hand the (destination-major) shards back to the pool, each to its
+    /// sender's row, so the next superstep resets them instead of
+    /// reallocating.
+    fn reclaim<M>(self, pool: &mut ScratchPool<M>) {
+        match self {
+            Emit::None => {}
+            Emit::Rows { shards, .. } => pool.rows = transpose(shards),
+            Emit::Fused { shards, .. } => pool.fused = transpose(shards),
         }
     }
 }
 
-/// Per-sender legacy shards: `shards[dest] = (slot, msg)` pairs.
+/// One worker's typed-plane shards, one per peer worker: `(slot, msg)` pairs.
 type LegacyShards<M> = Vec<Vec<(u32, M)>>;
 
-/// One worker's columnar outbox shards, matching the step's emit plane.
-enum ColsOut {
-    None,
-    Rows(Vec<RowShard>),
-    Fused(Vec<FusedSlotShard>),
+/// Wire length of a columnar row to `dst` — materialized, or a fused
+/// partial carrying its fold `count`: the shared [`row_payload_len`]
+/// framing plus the destination varint.
+fn row_wire_len(dim: usize, count: Option<u32>, dst: u64) -> u64 {
+    (row_payload_len(dim, count) + varint_len(dst)) as u64
 }
 
-/// The emit plane chosen for a superstep fixes which shard plane every
-/// outbox carries; a mismatch is engine corruption surfaced as a typed
-/// internal error rather than an abort.
-fn plane_mismatch(step: usize) -> Error {
-    Error::Internal(format!(
-        "superstep-{step}: emit plane does not match the shard plane"
-    ))
-}
-
-/// Wire length of a materialized columnar row to `dst`: the shared
-/// [`row_payload_len`] framing plus the destination varint.
-fn row_wire_len(dim: usize, dst: u64) -> u64 {
-    (row_payload_len(dim, None) + varint_len(dst)) as u64
-}
-
-/// Wire length of a fused partial row (carries its fold count).
-fn fused_row_wire_len(dim: usize, count: u32, dst: u64) -> u64 {
-    (row_payload_len(dim, Some(count)) + varint_len(dst)) as u64
-}
-
-/// Everything one worker's compute produces in a superstep, merged at the
-/// barrier in ascending worker order.
+/// Everything one worker's compute produces in a superstep beside its
+/// columnar shards, merged at the barrier in ascending worker order.
 struct StepOut<M> {
     /// Sender-side accounting (sends, flops) for this worker.
     metrics: WorkerPhase,
@@ -455,107 +546,55 @@ struct StepOut<M> {
     inbox_bytes: Vec<u64>,
     /// Legacy outbox shards: `(destination slot, message)` per destination
     /// worker.
-    shards: Vec<Vec<(u32, M)>>,
-    /// Columnar outbox shards (rows or fused accumulators).
-    cols: ColsOut,
+    shards: LegacyShards<M>,
     /// Broadcast payloads published this superstep.
     bcasts: Vec<(u64, M)>,
     /// Message volume by plane (local + remote).
     msg_bytes: MessagePlaneBytes,
     any_active: bool,
-    /// The worker's scratch, handed back to the engine pool at the
-    /// barrier. When the emit plane is fused, its `fused` shards are
-    /// travelling through `cols` instead and are reclaimed after the
-    /// destination merge.
-    scratch: WorkerScratch<M>,
 }
 
 impl<M> StepOut<M> {
-    fn new(
-        n_workers: usize,
-        emit: &EmitPlane<'_>,
-        dest_sizes: &[usize],
-        mut scratch: WorkerScratch<M>,
-    ) -> Self {
-        let cols = match emit {
-            EmitPlane::Legacy => ColsOut::None,
-            EmitPlane::Rows { dim } => {
-                // Reuse pooled shards: a reset shard is indistinguishable
-                // from a fresh one but keeps its slot/row allocations, so
-                // steady-state materialized scatter allocates nothing.
-                let mut shards = std::mem::take(&mut scratch.rows);
-                shards.truncate(n_workers);
-                shards.resize_with(n_workers, || RowShard::new(*dim));
-                for sh in shards.iter_mut() {
-                    sh.reset(*dim);
-                }
-                ColsOut::Rows(shards)
-            }
-            EmitPlane::Fused { dim, .. } => {
-                // Reuse pooled shards: reset is indistinguishable from
-                // fresh construction but clears the dense slot index
-                // sparsely instead of refilling O(dest_size) per shard.
-                let mut shards = std::mem::take(&mut scratch.fused);
-                shards.truncate(n_workers);
-                shards.resize_with(n_workers, || FusedSlotShard::new(*dim, 0));
-                for (w2, sh) in shards.iter_mut().enumerate() {
-                    sh.reset(*dim, dest_sizes[w2]);
-                }
-                ColsOut::Fused(shards)
-            }
-        };
+    fn new(n_workers: usize) -> Self {
         StepOut {
             metrics: WorkerPhase::default(),
             recv_bytes: vec![0; n_workers],
             recv_records: vec![0; n_workers],
             inbox_bytes: vec![0; n_workers],
             shards: (0..n_workers).map(|_| Vec::new()).collect(),
-            cols,
             bcasts: Vec::new(),
             msg_bytes: MessagePlaneBytes::default(),
             any_active: false,
-            scratch,
         }
     }
 }
 
-/// The Pregel engine. Construct over a layout (or add vertices one by
-/// one), `run` supersteps, read back states and the [`RunReport`].
+/// The Pregel engine. Construct over a layout, `run` supersteps, read
+/// back states and the [`RunReport`].
 pub struct PregelEngine<P: VertexProgram> {
     program: P,
     config: PregelConfig,
     /// Where every vertex lives and where its planned out-edges lead;
-    /// shared, read-only while the engine runs.
+    /// shared, read-only.
     layout: Arc<PregelLayout>,
     /// Per worker: one state per slot, in the layout's slot order.
     workers: Vec<Vec<P::State>>,
-    /// Per worker: pending legacy messages for the *next* compute.
+    /// Per worker: pending typed messages for the *next* compute.
     inbox: Vec<InboxArena<P::Msg>>,
-    /// Per worker: pending columnar rows (when `in_plane == Rows`).
-    row_inbox: Vec<RowArena>,
-    /// Per worker: merged fused accumulators (when `in_plane == Fused`).
-    fused_inbox: Vec<FusedRows>,
-    in_plane: InPlane,
+    /// Per worker: pending rows for the next compute, on whichever
+    /// columnar plane the last superstep emitted.
+    inbox_cols: Vec<MergedCols>,
     inbox_bytes: Vec<u64>,
     /// Broadcast table published last superstep (identical replica on every
     /// worker in a real deployment; stored once here).
     bcast: FxHashMap<u64, P::Msg>,
     report: RunReport,
     step: usize,
-    /// Per-worker reusable superstep scratch (outboxes, fused shards).
+    /// Reusable superstep scratch (outboxes, columnar shards).
     scratch: ScratchPool<P::Msg>,
 }
 
 impl<P: VertexProgram> PregelEngine<P> {
-    /// An engine with no vertices yet, over a private layout that
-    /// [`PregelEngine::add_vertex`] grows.
-    pub fn new(program: P, config: PregelConfig) -> Self {
-        let n = config.spec.workers;
-        assert!(n > 0, "cluster must have at least one worker");
-        let workers = (0..n).map(|_| Vec::new()).collect();
-        Self::over(program, config, Arc::new(PregelLayout::new(n)), workers)
-    }
-
     /// An engine over a layout built ahead of time. `states` yields one
     /// state per vertex in the layout's engine order
     /// ([`PregelLayout::vertices`]: worker ascending, slot ascending).
@@ -591,31 +630,21 @@ impl<P: VertexProgram> PregelEngine<P> {
                 layout.n_vertices()
             )));
         }
-        Ok(Self::over(program, config, layout, workers))
-    }
-
-    fn over(
-        program: P,
-        config: PregelConfig,
-        layout: Arc<PregelLayout>,
-        workers: Vec<Vec<P::State>>,
-    ) -> Self {
-        let n = config.spec.workers;
-        PregelEngine {
+        Ok(PregelEngine {
             program,
             report: RunReport::new(config.spec),
-            layout,
             workers,
-            inbox: (0..n).map(|_| InboxArena::new()).collect(),
-            row_inbox: Vec::new(),
-            fused_inbox: Vec::new(),
-            in_plane: InPlane::Legacy,
+            inbox: (0..n)
+                .map(|w| InboxArena::empty(layout.n_slots(w)))
+                .collect(),
+            inbox_cols: (0..n).map(|_| MergedCols::None).collect(),
             inbox_bytes: vec![0; n],
             bcast: FxHashMap::default(),
+            layout,
             config,
             step: 0,
-            scratch: ScratchPool::new(),
-        }
+            scratch: ScratchPool::default(),
+        })
     }
 
     /// Install a scratch pool carried over from a previous run over the
@@ -630,18 +659,6 @@ impl<P: VertexProgram> PregelEngine<P> {
     /// a later engine instance over the same plan can reuse it.
     pub fn take_scratch(&mut self) -> ScratchPool<P::Msg> {
         std::mem::take(&mut self.scratch)
-    }
-
-    /// Register a vertex with no planned out-edges (its program addresses
-    /// messages by id). Ids must be unique: a duplicate is a typed
-    /// [`Error::InvalidGraph`] and leaves the engine unchanged. If the
-    /// layout is shared, the engine continues on a private copy.
-    pub fn add_vertex(&mut self, id: u64, state: P::State) -> Result<()> {
-        let layout = Arc::make_mut(&mut self.layout);
-        let route = layout.add_vertex(id)?;
-        let (w, _) = layout.unpack(route);
-        self.workers[w].push(state);
-        Ok(())
     }
 
     pub fn n_vertices(&self) -> usize {
@@ -767,9 +784,7 @@ impl<P: VertexProgram> PregelEngine<P> {
             step: self.step,
             workers: self.workers.clone(),
             inbox: self.inbox.clone(),
-            row_inbox: self.row_inbox.iter().map(RowArena::snapshot).collect(),
-            fused_inbox: self.fused_inbox.iter().map(FusedRows::snapshot).collect(),
-            in_plane: self.in_plane,
+            inbox_cols: self.inbox_cols.iter().map(cols_snapshot).collect(),
             inbox_bytes: self.inbox_bytes.clone(),
             bcast: self.bcast.clone(),
             report: self.report.clone(),
@@ -784,389 +799,276 @@ impl<P: VertexProgram> PregelEngine<P> {
     where
         P::State: Clone,
     {
-        let retries = self.report.retries;
-        let checkpoints = self.report.checkpoints;
-        let recovered = self.report.recovered_supersteps;
         self.step = ckpt.step;
         self.workers = ckpt.workers.clone();
         self.inbox = ckpt.inbox.clone();
-        self.row_inbox = ckpt.row_inbox.iter().map(RowArena::snapshot).collect();
-        self.fused_inbox = ckpt.fused_inbox.iter().map(FusedRows::snapshot).collect();
-        self.in_plane = ckpt.in_plane;
+        self.inbox_cols = ckpt.inbox_cols.iter().map(cols_snapshot).collect();
         self.inbox_bytes = ckpt.inbox_bytes.clone();
         self.bcast = ckpt.bcast.clone();
-        self.report = ckpt.report.clone();
-        self.report.retries = retries;
-        self.report.checkpoints = checkpoints;
-        self.report.recovered_supersteps = recovered;
+        self.report = RunReport {
+            retries: self.report.retries,
+            checkpoints: self.report.checkpoints,
+            recovered_supersteps: self.report.recovered_supersteps,
+            ..ckpt.report.clone()
+        };
         self.config.trace.rewind(ckpt.trace_mark);
     }
 
     /// Execute one superstep. Returns whether any vertex ran.
     ///
-    /// Compute runs fork-join across workers; the barrier merges outbox
-    /// shards (both planes), broadcast tables, and metric deltas in
-    /// ascending worker order, making the result independent of the thread
-    /// budget.
+    /// Compute runs fork-join across workers; every stage after it merges
+    /// in ascending worker order, making the result independent of the
+    /// thread budget. A failed stage leaves the engine half-stepped:
+    /// [`PregelEngine::restore`] is the only way on from there.
     fn superstep(&mut self) -> Result<bool>
     where
         P: Sync,
         P::State: Send,
         P::Msg: Send + Sync,
     {
-        let n_workers = self.config.spec.workers;
         let step = self.step;
-        let phase_name = format!("superstep-{step}");
+        let n = self.layout.n_workers();
+        let phase = format!("superstep-{step}");
 
-        // Resolve this step's emit plane from the program's declarations.
-        let emit: EmitPlane<'_> = match self.program.message_layout(step) {
-            None => EmitPlane::Legacy,
-            Some(layout) => match self.program.fused_aggregator(step) {
-                Some(agg) => EmitPlane::Fused {
-                    dim: layout.dim,
-                    agg,
-                },
-                None => EmitPlane::Rows { dim: layout.dim },
-            },
-        };
-        let dest_sizes: Vec<usize> = (0..n_workers).map(|w| self.layout.n_slots(w)).collect();
-
-        let inboxes = std::mem::replace(
-            &mut self.inbox,
-            (0..n_workers).map(|_| InboxArena::new()).collect(),
-        );
-        let col_inboxes: Vec<InboxCols> = match self.in_plane {
-            InPlane::Legacy => (0..n_workers).map(|_| InboxCols::None).collect(),
-            InPlane::Rows => std::mem::take(&mut self.row_inbox)
-                .into_iter()
-                .map(InboxCols::Rows)
-                .collect(),
-            InPlane::Fused => std::mem::take(&mut self.fused_inbox)
-                .into_iter()
-                .map(InboxCols::Fused)
-                .collect(),
-        };
-        let mut scratches = std::mem::take(&mut self.scratch.workers);
-        scratches.truncate(n_workers);
-        scratches.resize_with(n_workers, WorkerScratch::default);
-        let program = &self.program;
-        let config = &self.config;
-        let layout = &self.layout;
-        let bcast = &self.bcast;
-        let dest_sizes_ref = &dest_sizes;
+        // Resolve the plane, then fork-join compute: each worker drains
+        // its inbox and fills its row of the shard grid.
+        let mut emit = Emit::open(&self.program, step, &mut self.scratch, n);
+        let (layout, outboxes) = (&self.layout, &mut self.scratch.outboxes);
+        outboxes.resize_with(n, || Outbox::new(Arc::clone(layout)));
         let tasks: Vec<_> = self
             .workers
             .iter_mut()
-            .zip(inboxes)
-            .zip(col_inboxes)
-            .zip(scratches)
+            .zip(self.inbox.iter_mut().zip(&mut self.inbox_cols))
+            .zip(emit.sinks(n).into_iter().zip(outboxes))
             .collect();
-        let results: Vec<Result<StepOut<P::Msg>>> =
-            par_map(tasks, |w, (((states, arena), cols_in), scratch)| {
-                run_worker(
-                    program,
-                    config,
-                    layout,
-                    bcast,
-                    step,
-                    n_workers,
-                    w,
-                    dest_sizes_ref,
-                    emit,
-                    states,
-                    arena,
-                    cols_in,
-                    scratch,
-                )
-            });
-        // Surface failures in ascending worker order, like the serial loop.
-        let mut outs: Vec<StepOut<P::Msg>> = Vec::with_capacity(n_workers);
-        for r in results {
-            outs.push(r?);
-        }
+        // Failures surface in ascending worker order, like a serial loop.
+        let mut outs = par_map(tasks, |w, ((states, inbox), (sink, ob))| {
+            run_worker(
+                &self.program,
+                &self.config,
+                layout,
+                &self.bcast,
+                step,
+                w,
+                states,
+                inbox,
+                sink,
+                ob,
+            )
+        })
+        .into_iter()
+        .collect::<Result<Vec<StepOut<P::Msg>>>>()?;
 
         // ---- barrier: lock-free merges, all in ascending sender order ----
-        let mut metrics: Vec<WorkerPhase> = outs.iter().map(|o| o.metrics.clone()).collect();
-        let mut next_inbox_bytes = vec![0u64; n_workers];
-        let mut next_bcast: FxHashMap<u64, P::Msg> = FxHashMap::default();
-        let mut any_active = false;
-        let mut step_msg_bytes = MessagePlaneBytes::default();
-        for o in &mut outs {
-            for w2 in 0..n_workers {
-                metrics[w2].bytes_in += o.recv_bytes[w2];
-                metrics[w2].records_in += o.recv_records[w2];
-                next_inbox_bytes[w2] += o.inbox_bytes[w2];
-            }
-            any_active |= o.any_active;
-            step_msg_bytes.add(o.msg_bytes);
-            self.report.message_bytes.add(o.msg_bytes);
-            for (id, payload) in o.bcasts.drain(..) {
-                next_bcast.insert(id, payload);
-            }
-        }
-        // Transpose shards to destination-major and seal each destination's
-        // arenas — both planes — in parallel (destinations are independent).
-        let mut legacy_by_sender: Vec<LegacyShards<P::Msg>> = Vec::with_capacity(n_workers);
-        let mut cols_by_sender: Vec<ColsOut> = Vec::with_capacity(n_workers);
-        let mut scratches: Vec<WorkerScratch<P::Msg>> = Vec::with_capacity(n_workers);
-        for o in outs {
-            legacy_by_sender.push(o.shards);
-            cols_by_sender.push(o.cols);
-            scratches.push(o.scratch);
-        }
-        let seal_tasks: Vec<_> = (0..n_workers)
-            .map(|w2| {
-                let legacy: Vec<Vec<(u32, P::Msg)>> = legacy_by_sender
-                    .iter_mut()
-                    .map(|s| std::mem::take(&mut s[w2]))
-                    .collect();
-                let cols = match emit {
-                    EmitPlane::Legacy => ColsOut::None,
-                    EmitPlane::Rows { dim } => ColsOut::Rows(
-                        cols_by_sender
-                            .iter_mut()
-                            .map(|c| match c {
-                                ColsOut::Rows(v) => {
-                                    Ok(std::mem::replace(&mut v[w2], RowShard::new(dim)))
-                                }
-                                _ => Err(plane_mismatch(step)),
-                            })
-                            .collect::<Result<Vec<RowShard>>>()?,
-                    ),
-                    EmitPlane::Fused { dim, .. } => ColsOut::Fused(
-                        cols_by_sender
-                            .iter_mut()
-                            .map(|c| match c {
-                                ColsOut::Fused(v) => {
-                                    Ok(std::mem::replace(&mut v[w2], FusedSlotShard::new(dim, 0)))
-                                }
-                                _ => Err(plane_mismatch(step)),
-                            })
-                            .collect::<Result<Vec<FusedSlotShard>>>()?,
-                    ),
-                };
-                Ok((dest_sizes[w2], legacy, cols))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let spill = self.config.spill.as_ref();
-        let faults = self.config.faults.as_ref();
-        let transport = std::sync::Arc::clone(&self.config.transport);
-        // A byte-moving backend carries the typed legacy plane as encoded
-        // records; the in-process backend leaves it typed and the engine
-        // seals it itself after the exchange.
-        let needs_bytes = transport.needs_bytes();
-        let mut encoded_legacy: Vec<Option<Vec<EncodedRecords>>> = if needs_bytes {
-            seal_tasks
-                .iter()
-                .map(|(_, legacy, _)| {
-                    Some(
-                        legacy
-                            .iter()
-                            .map(|sender| sender.iter().map(|(s, m)| (*s, m.to_bytes())).collect())
-                            .collect(),
-                    )
-                })
-                .collect()
-        } else {
-            (0..n_workers).map(|_| None).collect()
-        };
-        // Hand every destination's shards — columnar borrowed, legacy
-        // encoded when the backend moves bytes — to the transport, which
-        // fires the SealBarrier/SpillWrite fault sites per destination and
-        // merges in ascending sender order (see the transport contract).
-        let mut xfer_shards = 0u64;
-        let mut xfer_rows = 0u64;
-        let mut xfer_legacy = 0u64;
-        let mut dests = Vec::with_capacity(n_workers);
-        for (w2, (n_slots, legacy, cols)) in seal_tasks.iter().enumerate() {
-            xfer_legacy += legacy.iter().map(|s| s.len() as u64).sum::<u64>();
-            let cols_ref = match (cols, emit) {
-                (ColsOut::None, EmitPlane::Legacy) => ColsShards::None,
-                (ColsOut::Rows(shards), EmitPlane::Rows { dim }) => {
-                    xfer_shards += shards.len() as u64;
-                    xfer_rows += shards.iter().map(|s| s.len() as u64).sum::<u64>();
-                    ColsShards::Rows { dim, shards }
-                }
-                (ColsOut::Fused(shards), EmitPlane::Fused { dim, agg }) => {
-                    xfer_shards += shards.len() as u64;
-                    xfer_rows += shards.iter().map(|s| s.len() as u64).sum::<u64>();
-                    ColsShards::Fused { dim, agg, shards }
-                }
-                _ => return Err(plane_mismatch(step)),
-            };
-            dests.push(DestShards {
-                n_slots: *n_slots,
-                cols: cols_ref,
-                legacy: encoded_legacy[w2].take(),
-            });
-        }
-        let exchanged = transport
-            .exchange(Exchange {
-                step,
-                faults,
-                spill,
-                dests,
-            })
-            .map_err(|e| e.in_phase(format!("seal superstep-{step}")))?;
-        self.report.wire_bytes += exchanged.wire_bytes;
-        // Build next-superstep inboxes from the merged planes: decode what
-        // came back over the wire, or seal the typed legacy shards the
-        // in-process exchange left untouched. Destinations stay
-        // independent, so this runs fork-join like the merge itself.
-        let merge_tasks: Vec<_> = seal_tasks.into_iter().zip(exchanged.dests).collect();
-        let sealed: Vec<Result<_>> = par_map(
-            merge_tasks,
-            |_w2, ((n_slots, legacy, reclaimed), merged)| {
-                let arena = if needs_bytes {
-                    let records = merged.legacy.unwrap_or_default();
-                    let mut typed: Vec<(u32, P::Msg)> = Vec::with_capacity(records.len());
-                    for (s, bytes) in records {
-                        let m = P::Msg::from_bytes(&bytes)
-                            .map_err(|e| e.in_phase(format!("seal superstep-{step}")))?;
-                        typed.push((s, m));
-                    }
-                    InboxArena::from_merged(n_slots, typed)
-                } else {
-                    InboxArena::seal(n_slots, legacy)
-                };
-                let (cols_in, resident, spilled) = match merged.cols {
-                    MergedCols::None => (InboxCols::None, 0, 0),
-                    MergedCols::Rows(a) => {
-                        let (r, s) = (a.resident_bytes(), a.spilled_bytes());
-                        (InboxCols::Rows(a), r, s)
-                    }
-                    MergedCols::Fused(f) => {
-                        let (r, s) = (f.resident_bytes(), f.spilled_bytes());
-                        (InboxCols::Fused(f), r, s)
-                    }
-                };
-                Ok((arena, cols_in, resident, spilled, reclaimed))
-            },
+        let active = outs.iter().any(|o| o.any_active);
+        let (mut metrics, sent) = merge_metrics(
+            &mut outs,
+            &mut self.inbox_bytes,
+            &mut self.bcast,
+            &mut self.report,
         );
-        // Surface seal failures in ascending destination order, like the
-        // compute errors above.
-        let mut sealed_ok = Vec::with_capacity(n_workers);
-        for r in sealed {
-            sealed_ok.push(r?);
+        let legacy = transpose(outs.into_iter().map(|o| o.shards).collect());
+        let emit = emit.transposed();
+        let exchanged = self.exchange(step, &emit, &legacy)?;
+        self.report.wire_bytes += exchanged.wire_bytes;
+        let volume = emit.volume();
+        emit.reclaim(&mut self.scratch);
+        let spilled = self.seal(step, legacy, exchanged.dests)?;
+        self.check_memory(&phase, &mut metrics)?;
+        // Flight recorder: emit at the barrier only, after every check
+        // passed — a failed superstep leaves no partial records (and a
+        // replayed one re-emits identical ones).
+        if self.config.trace.enabled() {
+            self.trace_step(&phase, &metrics, volume, active, sent, spilled);
         }
+        self.report.push_phase(phase, metrics);
+        self.step += 1;
+        Ok(active)
+    }
 
-        let mut next_inbox = Vec::with_capacity(n_workers);
-        let mut next_rows = Vec::new();
-        let mut next_fused = Vec::new();
-        let mut step_spilled = 0u64;
-        for (w2, (arena, cols, resident, spilled, reclaimed)) in sealed_ok.into_iter().enumerate() {
-            next_inbox_bytes[w2] += resident;
+    /// Barrier stage: hand every destination's shards — columnar borrowed,
+    /// legacy encoded when the backend moves bytes (the in-process backend
+    /// leaves the typed plane with the engine) — to the transport, which
+    /// fires the SealBarrier/SpillWrite fault sites per destination and
+    /// merges the columnar plane in ascending sender order (see the
+    /// transport contract).
+    fn exchange(
+        &self,
+        step: usize,
+        emit: &Emit<'_>,
+        legacy: &[LegacyShards<P::Msg>],
+    ) -> Result<ExchangeOut> {
+        let needs_bytes = self.config.transport.needs_bytes();
+        let encode =
+            |shard: &Vec<(u32, P::Msg)>| shard.iter().map(|(s, m)| (*s, m.to_bytes())).collect();
+        let dests = legacy
+            .iter()
+            .enumerate()
+            .map(|(w2, senders)| DestShards {
+                n_slots: self.layout.n_slots(w2),
+                cols: emit.dest(w2),
+                legacy: needs_bytes.then(|| senders.iter().map(encode).collect()),
+            })
+            .collect();
+        let ex = Exchange {
+            step,
+            faults: self.config.faults.as_ref(),
+            spill: self.config.spill.as_ref(),
+            dests,
+        };
+        let merged = self.config.transport.exchange(ex);
+        merged.map_err(|e| e.in_phase(format!("seal superstep-{step}")))
+    }
+
+    /// Barrier stage: build the next superstep's inboxes from the merged
+    /// planes — the typed arena from what came back over the wire (decoded)
+    /// or from the shards the in-process exchange left untouched, the
+    /// columnar half as merged. Destinations are independent, so this runs
+    /// fork-join like the merge itself; failures surface in ascending
+    /// destination order. Returns the bytes the step's inboxes spilled.
+    fn seal(
+        &mut self,
+        step: usize,
+        legacy: Vec<LegacyShards<P::Msg>>,
+        merged: Vec<DestMerged>,
+    ) -> Result<u64>
+    where
+        P::Msg: Send,
+    {
+        let layout = &self.layout;
+        let tasks: Vec<_> = legacy.into_iter().zip(merged).collect();
+        let sealed = par_map(tasks, |w2, (mut shards, merged)| {
+            if let Some(records) = merged.legacy {
+                let typed = records
+                    .into_iter()
+                    .map(|(s, bytes)| P::Msg::from_bytes(&bytes).map(|m| (s, m)));
+                shards = vec![typed.collect::<Result<_>>()?];
+            }
+            let arena = InboxArena::seal(layout.n_slots(w2), shards)?;
+            Ok((arena, merged.cols))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>>>()
+        .map_err(|e| e.in_phase(format!("seal superstep-{step}")))?;
+        let mut step_spilled = 0;
+        for (w2, (arena, cols)) in sealed.into_iter().enumerate() {
+            let (resident, spilled) = cols_bytes(&cols);
+            self.inbox_bytes[w2] += resident;
             step_spilled += spilled;
-            self.report.spilled_bytes += spilled;
-            next_inbox.push(arena);
-            match cols {
-                InboxCols::None => {}
-                InboxCols::Rows(a) => next_rows.push(a),
-                InboxCols::Fused(f) => next_fused.push(f),
-            }
-            // Hand the sealed/merged columnar shards back to their senders'
-            // pools (reclaimed[s] is sender s's shard for destination w2) so
-            // the next superstep resets them instead of reallocating.
-            match reclaimed {
-                ColsOut::None => {}
-                ColsOut::Rows(shards) => {
-                    for (s, shard) in shards.into_iter().enumerate() {
-                        scratches[s].rows.push(shard);
-                    }
-                }
-                ColsOut::Fused(shards) => {
-                    for (s, shard) in shards.into_iter().enumerate() {
-                        scratches[s].fused.push(shard);
-                    }
-                }
-            }
+            self.inbox[w2] = arena;
+            self.inbox_cols[w2] = cols;
         }
-        self.scratch.workers = scratches;
+        self.report.spilled_bytes += step_spilled;
+        Ok(step_spilled)
+    }
 
-        // Memory model: resident = vertex states + incoming message buffers
-        // (legacy arena bytes + columnar arena/accumulator bytes).
-        for w in 0..n_workers {
+    /// Barrier stage, the memory model: resident = vertex states + incoming
+    /// message buffers (legacy arena bytes + columnar arena/accumulator
+    /// bytes), checked per worker against the cluster spec's cap.
+    fn check_memory(&self, phase: &str, metrics: &mut [WorkerPhase]) -> Result<()> {
+        for (w, m) in metrics.iter_mut().enumerate() {
             let state_bytes: u64 = self.workers[w]
                 .iter()
                 .map(|state| self.program.state_bytes(state))
                 .sum();
-            let resident = state_bytes + next_inbox_bytes[w];
-            metrics[w].touch_mem(resident);
-            self.config
-                .spec
-                .check_memory(w, resident)
-                .map_err(|e| e.in_phase(&phase_name))?;
+            let resident = state_bytes + self.inbox_bytes[w];
+            m.touch_mem(resident);
+            let fits = self.config.spec.check_memory(w, resident);
+            fits.map_err(|e| e.in_phase(phase))?;
         }
+        Ok(())
+    }
 
-        self.inbox = next_inbox;
-        self.row_inbox = next_rows;
-        self.fused_inbox = next_fused;
-        self.in_plane = match emit {
-            EmitPlane::Legacy => InPlane::Legacy,
-            EmitPlane::Rows { .. } => InPlane::Rows,
-            EmitPlane::Fused { .. } => InPlane::Fused,
-        };
-        self.inbox_bytes = next_inbox_bytes;
-        self.bcast = next_bcast;
-        // Flight recorder: emit at the barrier only, after every check
-        // passed — a failed superstep leaves no partial records (and a
-        // replayed one re-emits identical ones). Single-threaded here, in
-        // ascending worker order, so the trace is thread-count invariant.
-        if self.config.trace.enabled() {
-            let step64 = step as u64;
-            let mut rows_sealed = 0u64;
-            for (w, m) in metrics.iter().enumerate() {
-                rows_sealed += m.records_in;
-                self.config.trace.emit(
-                    step64,
-                    Site::Worker(w as u32),
-                    Payload::WorkerPhase {
-                        phase: phase_name.clone(),
-                        records_in: m.records_in,
-                        records_out: m.records_out,
-                        bytes_in: m.bytes_in,
-                        bytes_out: m.bytes_out,
-                        flops: m.flops,
-                        mem_peak: m.mem_peak,
-                    },
-                );
-            }
-            // Transport shape first, then the superstep summary. Only
-            // backend-invariant counts — never the backend name or wire
-            // bytes — so the trace stays byte-identical across backends.
-            self.config.trace.emit(
-                step64,
-                Site::Engine,
-                Payload::Transport {
-                    phase: phase_name.clone(),
-                    dests: n_workers as u64,
-                    shards: xfer_shards,
-                    rows: xfer_rows,
-                    legacy_records: xfer_legacy,
-                },
-            );
-            self.config.trace.emit(
-                step64,
-                Site::Engine,
-                Payload::Superstep {
-                    phase: phase_name.clone(),
-                    active: any_active,
-                    rows_sealed,
-                    columnar_bytes: step_msg_bytes.columnar,
-                    legacy_bytes: step_msg_bytes.legacy,
-                    spilled_bytes: step_spilled,
+    /// Barrier stage, the flight recorder: per-worker phase accounting,
+    /// the transport's shape, the superstep summary. Single-threaded, in
+    /// ascending worker order, so the trace is thread-count invariant.
+    fn trace_step(
+        &self,
+        phase: &str,
+        metrics: &[WorkerPhase],
+        (shards, rows): (u64, u64),
+        active: bool,
+        sent: MessagePlaneBytes,
+        spilled_bytes: u64,
+    ) {
+        let trace = &self.config.trace;
+        let step = self.step as u64;
+        for (w, m) in metrics.iter().enumerate() {
+            trace.emit(
+                step,
+                Site::Worker(w as u32),
+                Payload::WorkerPhase {
+                    phase: phase.to_owned(),
+                    records_in: m.records_in,
+                    records_out: m.records_out,
+                    bytes_in: m.bytes_in,
+                    bytes_out: m.bytes_out,
+                    flops: m.flops,
+                    mem_peak: m.mem_peak,
                 },
             );
         }
-        self.report.push_phase(phase_name, metrics);
-        self.step += 1;
-        Ok(any_active)
+        // Transport shape first, then the superstep summary. Only
+        // backend-invariant counts — never the backend name or wire
+        // bytes — so the trace stays byte-identical across backends.
+        trace.emit(
+            step,
+            Site::Engine,
+            Payload::Transport {
+                phase: phase.to_owned(),
+                dests: metrics.len() as u64,
+                shards,
+                rows,
+                legacy_records: self.inbox.iter().map(|a| a.msgs.len() as u64).sum(),
+            },
+        );
+        trace.emit(
+            step,
+            Site::Engine,
+            Payload::Superstep {
+                phase: phase.to_owned(),
+                active,
+                rows_sealed: metrics.iter().map(|m| m.records_in).sum(),
+                columnar_bytes: sent.columnar,
+                legacy_bytes: sent.legacy,
+                spilled_bytes,
+            },
+        );
     }
 }
 
-/// Where one worker's spooled rows go this superstep: the emit plane
-/// matched against the worker's shard plane **once**, and — fused — the
-/// fold resolved once, so the per-edge loop below carries neither.
+/// Barrier stage: fold every sender's accounting into the per-worker
+/// phase metrics (sender side as computed, receiver side summed over
+/// senders), the next inboxes' typed-plane residency, the next broadcast
+/// table and the report's plane totals. Returns the metrics and what the
+/// step sent by plane.
+fn merge_metrics<M>(
+    outs: &mut [StepOut<M>],
+    inbox_bytes: &mut [u64],
+    bcast: &mut FxHashMap<u64, M>,
+    report: &mut RunReport,
+) -> (Vec<WorkerPhase>, MessagePlaneBytes) {
+    let mut metrics: Vec<WorkerPhase> = outs.iter().map(|o| o.metrics.clone()).collect();
+    let mut sent = MessagePlaneBytes::default();
+    inbox_bytes.fill(0);
+    bcast.clear();
+    for o in outs {
+        for (w2, m) in metrics.iter_mut().enumerate() {
+            m.bytes_in += o.recv_bytes[w2];
+            m.records_in += o.recv_records[w2];
+            inbox_bytes[w2] += o.inbox_bytes[w2];
+        }
+        sent.add(o.msg_bytes);
+        report.message_bytes.add(o.msg_bytes);
+        bcast.extend(o.bcasts.drain(..));
+    }
+    (metrics, sent)
+}
+
+/// Where one worker's spooled rows go this superstep: its row of the
+/// step's [`Emit`] grid — one shard per destination worker — with the
+/// fused fold resolved once, so the per-edge loop below carries neither a
+/// plane test nor a virtual call.
 enum RowSink<'a> {
     /// No row plane this step (a row sent anyway was already refused by
     /// the outbox).
@@ -1187,18 +1089,27 @@ enum RowSink<'a> {
     },
 }
 
-impl<'a> RowSink<'a> {
-    fn resolve(emit: EmitPlane<'a>, cols: &'a mut ColsOut, step: usize) -> Result<Self> {
-        match (emit, cols) {
-            (EmitPlane::Legacy, ColsOut::None) => Ok(RowSink::None),
-            (EmitPlane::Rows { dim }, ColsOut::Rows(shards)) => Ok(RowSink::Rows { dim, shards }),
-            (EmitPlane::Fused { dim, agg }, ColsOut::Fused(shards)) => Ok(RowSink::Fused {
-                dim,
-                shards,
-                agg,
-                kind: agg.wire_kind(),
-            }),
-            _ => Err(plane_mismatch(step)),
+impl RowSink<'_> {
+    fn row_dim(&self) -> Option<usize> {
+        match self {
+            RowSink::None => None,
+            RowSink::Rows { dim, .. } | RowSink::Fused { dim, .. } => Some(*dim),
+        }
+    }
+
+    /// Make every (possibly pooled) shard indistinguishable from a fresh
+    /// one while keeping its allocations, so steady-state scatter
+    /// allocates nothing; a fused shard clears its dense slot index
+    /// sparsely instead of refilling O(destination slots).
+    fn reset(&mut self, layout: &PregelLayout) {
+        match self {
+            RowSink::None => {}
+            RowSink::Rows { dim, shards } => shards.iter_mut().for_each(|sh| sh.reset(*dim)),
+            RowSink::Fused { dim, shards, .. } => {
+                for (w2, sh) in shards.iter_mut().enumerate() {
+                    sh.reset(*dim, layout.n_slots(w2));
+                }
+            }
         }
     }
 
@@ -1227,6 +1138,30 @@ impl<'a> RowSink<'a> {
             },
         }
     }
+
+    /// `(records, wire bytes)` of the shard bound for worker `w2`: one
+    /// record per row it holds — a materialized row, or a fused partial
+    /// (one per touched slot, in first-touch order). `ids` is `w2`'s slot
+    /// table, which names the destination every record is framed with.
+    fn shipped(&self, w2: usize, ids: &[u64]) -> (u64, u64) {
+        match self {
+            RowSink::None => (0, 0),
+            RowSink::Rows { dim, shards } => {
+                let slots = &shards[w2].slots;
+                let bytes = slots
+                    .iter()
+                    .map(|&s| row_wire_len(*dim, None, ids[s as usize]));
+                (slots.len() as u64, bytes.sum())
+            }
+            RowSink::Fused { dim, shards, .. } => {
+                let shard = &shards[w2];
+                let partials = shard.keys.iter().zip(&shard.counts);
+                let bytes =
+                    partials.map(|(&s, &count)| row_wire_len(*dim, Some(count), ids[s as usize]));
+                (shard.keys.len() as u64, bytes.sum())
+            }
+        }
+    }
 }
 
 /// The fused arm of [`RowSink::route`], generic over the fold so a
@@ -1249,8 +1184,8 @@ fn fold_spans<M>(
 /// One worker's compute for one superstep: drain the inbox (both planes)
 /// slot by slot, run the vertex program, and spool outgoing messages into
 /// per-destination shards — typed messages into legacy shards, fixed-width
-/// rows into columnar row shards or fused accumulators. Runs on its own
-/// thread; touches nothing shared mutably.
+/// rows through `sink` into columnar row shards or fused accumulators.
+/// Runs on its own thread; touches nothing shared mutably.
 #[allow(clippy::too_many_arguments)]
 fn run_worker<P: VertexProgram>(
     program: &P,
@@ -1258,14 +1193,11 @@ fn run_worker<P: VertexProgram>(
     layout: &Arc<PregelLayout>,
     bcast: &FxHashMap<u64, P::Msg>,
     step: usize,
-    n_workers: usize,
     w: usize,
-    dest_sizes: &[usize],
-    emit: EmitPlane<'_>,
     states: &mut [P::State],
-    arena: InboxArena<P::Msg>,
-    mut cols_in: InboxCols,
-    scratch: WorkerScratch<P::Msg>,
+    (arena, cols_in): (&mut InboxArena<P::Msg>, &mut MergedCols),
+    mut sink: RowSink<'_>,
+    ob: &mut Outbox<P::Msg>,
 ) -> Result<StepOut<P::Msg>> {
     if let Some(inj) = &config.faults {
         if let Some(e) = inj.worker_compute(w, step) {
@@ -1277,66 +1209,34 @@ fn run_worker<P: VertexProgram>(
             }
         }
     }
-    let mut out = StepOut::new(n_workers, &emit, dest_sizes, scratch);
-    let InboxArena { msgs, offsets } = arena;
-    let mut msg_iter = msgs.into_iter();
+    let n_workers = layout.n_workers();
+    let mut out = StepOut::new(n_workers);
     // One pooled outbox reused across every vertex (and, via the scratch
     // pool, across supersteps and runs): cleared between computes,
     // capacity retained, so steady-state sends allocate nothing.
-    let mut ob = out
-        .scratch
-        .outbox
-        .take()
-        .unwrap_or_else(|| Outbox::new(Arc::clone(layout)));
-    ob.reset(layout, emit.row_dim());
-    let mut cols = std::mem::replace(&mut out.cols, ColsOut::None);
-    let mut sink = RowSink::resolve(emit, &mut cols, step)?;
+    ob.reset(layout, sink.row_dim());
+    sink.reset(layout);
 
     for (s, (state, &vertex_id)) in states.iter_mut().zip(layout.ids(w)).enumerate() {
-        let cnt = InboxArena::<P::Msg>::count(&offsets, s);
-        let col_cnt = match &cols_in {
-            InboxCols::None => 0,
-            InboxCols::Rows(a) => a.count(s),
-            InboxCols::Fused(f) => f.count(s) as usize,
-        };
+        let (rows, messages) = (cols_rows(cols_in, s)?, arena.slot(s));
         let active = match config.activation {
             ActivationPolicy::AlwaysActive => true,
-            ActivationPolicy::MessageDriven => step == 0 || cnt > 0 || col_cnt > 0,
+            ActivationPolicy::MessageDriven => {
+                step == 0 || !messages.is_empty() || rows.count() > 0
+            }
         };
         if !active {
-            // cnt == 0 whenever a vertex is inactive, so the arena iterator
-            // stays aligned with the slot offsets.
             continue;
         }
         out.any_active = true;
-        let messages: Vec<P::Msg> = msg_iter.by_ref().take(cnt).collect();
-        // `&mut`: a spilled inbox pages its covering window in here. Slots
-        // drain in ascending order, so the window streams the spill file
-        // forward exactly once per superstep.
-        let rows_in = match &mut cols_in {
-            InboxCols::None => RowsIn::None,
-            InboxCols::Rows(a) => {
-                let dim = a.dim();
-                RowsIn::Rows {
-                    dim,
-                    data: a.rows(s)?,
-                }
-            }
-            InboxCols::Fused(f) => {
-                let dim = f.dim();
-                let count = f.count(s);
-                RowsIn::Fused {
-                    dim,
-                    acc: f.row(s)?,
-                    count,
-                }
-            }
+        let inbox = Inbox {
+            rows,
+            messages,
+            broadcast: &|src: u64| bcast.get(&src),
         };
         ob.clear();
-        {
-            let lookup = |src: u64| bcast.get(&src);
-            program.compute_columnar(step, vertex_id, state, rows_in, messages, &lookup, &mut ob);
-        }
+        let computed = program.compute(step, vertex_id, state, inbox, ob);
+        computed.map_err(|e| e.in_phase(format!("superstep-{step}, vertex {vertex_id}")))?;
         out.metrics.flops += ob.flops;
         match ob.misuse.take() {
             None => {}
@@ -1371,44 +1271,23 @@ fn run_worker<P: VertexProgram>(
             deliver::<P>(layout, w, dst, msg, &mut out)?;
         }
 
-        sink.route(layout, &ob);
+        sink.route(layout, ob);
     }
+    // The inbox is read: free it before the next one is sealed beside it.
+    arena.drain();
+    *cols_in = MergedCols::None;
 
-    // Row accounting, once per worker: one record per row a shard holds —
-    // a materialized row, or a fused partial (one per touched slot, in
-    // first-touch order). The destination id every record is framed with
-    // comes from the destination worker's slot table.
-    if let Some(dim) = emit.row_dim() {
-        for w2 in 0..n_workers {
-            let ids = layout.ids(w2);
-            let (records, bytes): (usize, u64) = match &cols {
-                ColsOut::None => (0, 0),
-                ColsOut::Rows(shards) => {
-                    let slots = &shards[w2].slots;
-                    let bytes = slots.iter().map(|&s| row_wire_len(dim, ids[s as usize]));
-                    (slots.len(), bytes.sum())
-                }
-                ColsOut::Fused(shards) => {
-                    let shard = &shards[w2];
-                    let bytes = shard
-                        .keys
-                        .iter()
-                        .zip(&shard.counts)
-                        .map(|(&s, &count)| fused_row_wire_len(dim, count, ids[s as usize]));
-                    (shard.keys.len(), bytes.sum())
-                }
-            };
-            if w2 != w {
-                out.metrics.bytes_out += bytes;
-                out.metrics.records_out += records as u64;
-                out.recv_bytes[w2] += bytes;
-                out.recv_records[w2] += records as u64;
-            }
-            out.msg_bytes.columnar += bytes;
+    // Row accounting, once per worker, from the shards' own slot lists.
+    for w2 in 0..n_workers {
+        let (records, bytes) = sink.shipped(w2, layout.ids(w2));
+        if w2 != w {
+            out.metrics.bytes_out += bytes;
+            out.metrics.records_out += records;
+            out.recv_bytes[w2] += bytes;
+            out.recv_records[w2] += records;
         }
+        out.msg_bytes.columnar += bytes;
     }
-    out.cols = cols;
-    out.scratch.outbox = Some(ob);
     Ok(out)
 }
 
@@ -1441,8 +1320,26 @@ fn deliver<P: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vertex::{BroadcastLookup, MessageLayout};
+    use crate::vertex::MessageLayout;
     use inferturbo_common::hash::partition_of;
+    use inferturbo_common::{Parallelism, Xoshiro256};
+
+    /// An engine over vertices given as `(id, state)` in load order, for
+    /// programs that address messages by id: no planned out-edges.
+    fn engine_of<P: VertexProgram>(
+        program: P,
+        cfg: PregelConfig,
+        vertices: Vec<(u64, P::State)>,
+    ) -> PregelEngine<P> {
+        let ids = vertices.iter().map(|(id, _)| (*id, &[][..]));
+        let layout = PregelLayout::planned(cfg.spec.workers, ids).unwrap();
+        let mut states: Vec<_> = vertices.into_iter().map(|(_, s)| Some(s)).collect();
+        let in_engine_order: Vec<P::State> = layout
+            .vertices()
+            .map(|v| states[v.position].take().unwrap())
+            .collect();
+        PregelEngine::with_layout(program, cfg, Arc::new(layout), in_engine_order).unwrap()
+    }
 
     /// PageRank over an explicit neighbour list held in vertex state.
     struct PageRank {
@@ -1465,12 +1362,11 @@ mod tests {
             step: usize,
             _vertex: u64,
             state: &mut PrState,
-            messages: Vec<f32>,
-            _bcast: &BroadcastLookup<'_, f32>,
+            inbox: Inbox<'_, f32>,
             out: &mut Outbox<f32>,
-        ) {
+        ) -> Result<()> {
             if step > 0 {
-                let sum: f64 = messages.iter().map(|&m| m as f64).sum();
+                let sum: f64 = inbox.messages.iter().map(|&m| m as f64).sum();
                 state.rank = (1.0 - self.damping) / self.n + self.damping * sum;
             }
             if !state.nbrs.is_empty() {
@@ -1479,27 +1375,27 @@ mod tests {
                     out.send(nb, share);
                 }
             }
-            out.add_flops(messages.len() as f64 + 2.0);
+            out.add_flops(inbox.messages.len() as f64 + 2.0);
+            Ok(())
         }
     }
 
     /// 4-node graph: 0->1, 0->2, 1->2, 2->0, 3->2 (3 is a source).
     fn pagerank_engine(workers: usize) -> PregelEngine<PageRank> {
-        let spec = ClusterSpec::test_spec(workers);
-        let cfg = PregelConfig::new(spec);
-        let mut eng = PregelEngine::new(
-            PageRank {
-                n: 4.0,
-                damping: 0.85,
-            },
-            cfg,
-        );
+        let program = PageRank {
+            n: 4.0,
+            damping: 0.85,
+        };
         let adj: Vec<(u64, Vec<u64>)> =
             vec![(0, vec![1, 2]), (1, vec![2]), (2, vec![0]), (3, vec![2])];
-        for (id, nbrs) in adj {
-            eng.add_vertex(id, PrState { rank: 0.25, nbrs }).unwrap();
-        }
-        eng
+        let vertices = (adj.into_iter())
+            .map(|(id, nbrs)| (id, PrState { rank: 0.25, nbrs }))
+            .collect();
+        engine_of(
+            program,
+            PregelConfig::new(ClusterSpec::test_spec(workers)),
+            vertices,
+        )
     }
 
     /// Reference dense power iteration.
@@ -1550,11 +1446,10 @@ mod tests {
             step: usize,
             vertex: u64,
             state: &mut SsspState,
-            messages: Vec<f32>,
-            _bcast: &BroadcastLookup<'_, f32>,
+            inbox: Inbox<'_, f32>,
             out: &mut Outbox<f32>,
-        ) {
-            let incoming = messages.into_iter().fold(f32::INFINITY, f32::min);
+        ) -> Result<()> {
+            let incoming = inbox.messages.iter().copied().fold(f32::INFINITY, f32::min);
             let best = if step == 0 && vertex == 0 {
                 0.0
             } else {
@@ -1566,6 +1461,7 @@ mod tests {
                     out.send(nb, best + w);
                 }
             }
+            Ok(())
         }
     }
 
@@ -1573,7 +1469,6 @@ mod tests {
     fn sssp_converges_and_halts_early() {
         let spec = ClusterSpec::test_spec(2);
         let cfg = PregelConfig::new(spec).with_activation(ActivationPolicy::MessageDriven);
-        let mut eng = PregelEngine::new(Sssp, cfg);
         // 0 -1-> 1 -1-> 2 -1-> 3; plus shortcut 0 -10-> 3
         let adj: Vec<(u64, Vec<(u64, f32)>)> = vec![
             (0, vec![(1, 1.0), (3, 10.0)]),
@@ -1581,16 +1476,11 @@ mod tests {
             (2, vec![(3, 1.0)]),
             (3, vec![]),
         ];
-        for (id, nbrs) in adj {
-            eng.add_vertex(
-                id,
-                SsspState {
-                    dist: f32::INFINITY,
-                    nbrs,
-                },
-            )
-            .unwrap();
-        }
+        let dist = f32::INFINITY;
+        let vertices = (adj.into_iter())
+            .map(|(id, nbrs)| (id, SsspState { dist, nbrs }))
+            .collect();
+        let mut eng = engine_of(Sssp, cfg, vertices);
         eng.run(100).unwrap();
         assert!(eng.steps_run() < 100, "should halt early");
         assert_eq!(eng.state(0).unwrap().dist, 0.0);
@@ -1610,71 +1500,15 @@ mod tests {
     }
 
     fn pagerank_engine_with(cfg: PregelConfig) -> PregelEngine<PageRank> {
-        let mut eng = PregelEngine::new(
-            PageRank {
-                n: 2.0,
-                damping: 0.85,
-            },
-            cfg,
-        );
-        eng.add_vertex(
-            0,
-            PrState {
-                rank: 0.5,
-                nbrs: vec![1],
-            },
-        )
-        .unwrap();
-        eng.add_vertex(
-            1,
-            PrState {
-                rank: 0.5,
-                nbrs: vec![0],
-            },
-        )
-        .unwrap();
-        eng
-    }
-
-    #[test]
-    fn duplicate_vertex_rejected() {
-        let mut eng = pagerank_engine(2);
-        let again = PrState {
-            rank: 1.0,
-            nbrs: vec![],
+        let program = PageRank {
+            n: 2.0,
+            damping: 0.85,
         };
-        let err = eng.add_vertex(2, again).unwrap_err();
-        assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
-        assert!(err.to_string().contains("duplicate vertex id 2"), "{err}");
-        // The refused vertex left nothing behind: the first registration
-        // still answers, and the engine runs as if never asked.
-        assert_eq!(eng.n_vertices(), 4);
-        assert_eq!(eng.state(2).unwrap().nbrs, vec![0]);
-        eng.run(11).unwrap();
-        let want = pagerank_reference(10);
-        assert!((eng.state(2).unwrap().rank - want[2]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn vertices_added_between_runs_participate() {
-        // The arena inbox is sized at seal time; vertices registered after
-        // a superstep must still compute (with an empty inbox) next run.
-        let mut eng = pagerank_engine(2);
-        eng.run(1).unwrap();
-        eng.add_vertex(
-            99,
-            PrState {
-                rank: 0.25,
-                nbrs: vec![2],
-            },
-        )
-        .unwrap();
-        eng.run(1).unwrap();
-        assert_eq!(eng.n_vertices(), 5);
-        // The new vertex must have *computed* at the second run: with an
-        // empty inbox its rank becomes exactly (1-d)/n, not its initial
-        // 0.25.
-        assert_eq!(eng.state(99).unwrap().rank, (1.0 - 0.85) / 4.0);
+        let vertex = |nb| PrState {
+            rank: 0.5,
+            nbrs: vec![nb],
+        };
+        engine_of(program, cfg, vec![(0, vertex(1)), (1, vertex(0))])
     }
 
     #[test]
@@ -1688,15 +1522,15 @@ mod tests {
                 _s: usize,
                 _v: u64,
                 _state: &mut (),
-                _m: Vec<f32>,
-                _b: &BroadcastLookup<'_, f32>,
+                _inbox: Inbox<'_, f32>,
                 out: &mut Outbox<f32>,
-            ) {
+            ) -> Result<()> {
                 out.send(999, 1.0);
+                Ok(())
             }
         }
-        let mut eng = PregelEngine::new(Bad, PregelConfig::new(ClusterSpec::test_spec(1)));
-        eng.add_vertex(0, ()).unwrap();
+        let cfg = PregelConfig::new(ClusterSpec::test_spec(1));
+        let mut eng = engine_of(Bad, cfg, vec![(0, ())]);
         let err = eng.run(1).unwrap_err();
         assert!(err.to_string().contains("unknown vertex 999"));
     }
@@ -1716,23 +1550,21 @@ mod tests {
                 step: usize,
                 vertex: u64,
                 state: &mut CState,
-                _m: Vec<f32>,
-                bcast: &BroadcastLookup<'_, f32>,
+                inbox: Inbox<'_, f32>,
                 out: &mut Outbox<f32>,
-            ) {
+            ) -> Result<()> {
                 if step == 0 && vertex == 7 {
                     out.broadcast(42.5);
                 }
                 if step == 1 {
-                    state.seen = bcast(7).copied();
+                    state.seen = (inbox.broadcast)(7).copied();
                 }
+                Ok(())
             }
         }
         let spec = ClusterSpec::test_spec(4);
-        let mut eng = PregelEngine::new(Caster, PregelConfig::new(spec));
-        for id in 0..16u64 {
-            eng.add_vertex(id, CState::default()).unwrap();
-        }
+        let vertices = (0..16u64).map(|id| (id, CState::default())).collect();
+        let mut eng = engine_of(Caster, PregelConfig::new(spec), vertices);
         eng.run(2).unwrap();
         for id in 0..16u64 {
             assert_eq!(eng.state(id).unwrap().seen, Some(42.5), "vertex {id}");
@@ -1793,34 +1625,20 @@ mod tests {
         fn compute(
             &self,
             step: usize,
-            vertex: u64,
-            state: &mut RowState,
-            messages: Vec<Vec<f32>>,
-            lookup: &BroadcastLookup<'_, Vec<f32>>,
-            out: &mut Outbox<Vec<f32>>,
-        ) {
-            self.compute_columnar(step, vertex, state, RowsIn::None, messages, lookup, out);
-        }
-
-        fn compute_columnar(
-            &self,
-            step: usize,
             _vertex: u64,
             state: &mut RowState,
-            rows: RowsIn<'_>,
-            messages: Vec<Vec<f32>>,
-            _lookup: &BroadcastLookup<'_, Vec<f32>>,
+            inbox: Inbox<'_, Vec<f32>>,
             out: &mut Outbox<Vec<f32>>,
-        ) {
+        ) -> Result<()> {
             if step == 0 {
                 for &nb in &state.nbrs {
                     out.send_row(nb, &state.feat);
                 }
-                return;
+                return Ok(());
             }
             let mut acc: Vec<f32> = Vec::new();
             let mut count = 0u32;
-            match rows {
+            match inbox.rows {
                 RowsIn::None => {}
                 RowsIn::Rows { dim, data } => {
                     for chunk in data.chunks_exact(dim) {
@@ -1839,12 +1657,13 @@ mod tests {
                     }
                 }
             }
-            for m in messages {
-                fold_row(&mut acc, &m);
+            for m in inbox.messages {
+                fold_row(&mut acc, m);
                 count += 1;
             }
             state.agg = acc;
             state.count = count;
+            Ok(())
         }
 
         fn message_layout(&self, step: usize) -> Option<MessageLayout> {
@@ -1889,20 +1708,19 @@ mod tests {
     }
 
     fn row_engine_with(cfg: PregelConfig, fused: bool) -> PregelEngine<RowProg> {
-        let mut eng = PregelEngine::new(RowProg { fused }, cfg);
-        for (id, nbrs, feat) in row_graph() {
-            eng.add_vertex(
-                id,
-                RowState {
+        let vertices = (row_graph().into_iter())
+            .map(|(id, nbrs, feat)| {
+                let (agg, count) = (Vec::new(), 0);
+                let state = RowState {
                     feat,
                     nbrs,
-                    agg: Vec::new(),
-                    count: 0,
-                },
-            )
-            .unwrap();
-        }
-        eng
+                    agg,
+                    count,
+                };
+                (id, state)
+            })
+            .collect();
+        engine_of(RowProg { fused }, cfg, vertices)
     }
 
     fn agg_bits(eng: &PregelEngine<RowProg>) -> Vec<(u64, Vec<u32>, u32)> {
@@ -1995,29 +1813,25 @@ mod tests {
             step: usize,
             vertex: u64,
             state: &mut Vec<f32>,
-            messages: Vec<f32>,
-            _b: &BroadcastLookup<'_, f32>,
+            inbox: Inbox<'_, f32>,
             out: &mut Outbox<f32>,
-        ) {
+        ) -> Result<()> {
             if step == 0 && vertex != 0 {
                 out.send(0, (vertex * 10) as f32);
                 out.send(0, (vertex * 10 + 1) as f32);
             } else if step == 1 {
-                *state = messages;
+                *state = inbox.messages.to_vec();
             }
+            Ok(())
         }
     }
 
     #[test]
     fn typed_messages_arrive_in_sender_worker_then_emission_order() {
         for workers in [1usize, 2, 5] {
-            let mut eng = PregelEngine::new(
-                TypedOrder,
-                PregelConfig::new(ClusterSpec::test_spec(workers)),
-            );
-            for id in 0..12u64 {
-                eng.add_vertex(id, Vec::new()).unwrap();
-            }
+            let cfg = PregelConfig::new(ClusterSpec::test_spec(workers));
+            let vertices = (0..12u64).map(|id| (id, Vec::new())).collect();
+            let mut eng = engine_of(TypedOrder, cfg, vertices);
             eng.run(2).unwrap();
             let mut want = Vec::new();
             for w in 0..workers {
@@ -2026,6 +1840,40 @@ mod tests {
                 }
             }
             assert_eq!(eng.state(0).unwrap(), &want, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn seal_is_a_stable_sort_by_slot_of_the_sender_ascending_concatenation() {
+        let mut rng = Xoshiro256::seed_from_u64(23);
+        for _ in 0..300 {
+            // Slots drawn from a prefix of the table leave the rest empty;
+            // a third of the senders send nothing.
+            let n_slots = 1 + rng.below(12) as usize;
+            let used = 1 + rng.below(n_slots as u64);
+            let mut tag = 0u32;
+            let shards: Vec<Vec<(u32, u32)>> = (0..rng.below(6))
+                .map(|_| {
+                    let len = rng.below(3) * rng.below(15);
+                    let mut record = || {
+                        tag += 1;
+                        (rng.below(used) as u32, tag)
+                    };
+                    (0..len).map(|_| record()).collect()
+                })
+                .collect();
+            let mut want: Vec<(u32, u32)> = shards.iter().flatten().copied().collect();
+            want.sort_by_key(|&(slot, _)| slot);
+            let arena = InboxArena::seal(n_slots, shards).unwrap();
+            let got: Vec<(u32, u32)> = (0..n_slots)
+                .flat_map(|s| arena.slot(s).iter().map(move |&m| (s as u32, m)))
+                .collect();
+            assert_eq!(got, want);
+            // What a byte-moving transport hands back — one shard, already
+            // in delivery order — seals to the same arena.
+            let merged = InboxArena::seal(n_slots, vec![want]).unwrap();
+            assert_eq!(merged.msgs, arena.msgs);
+            assert_eq!(merged.offsets, arena.offsets);
         }
     }
 
@@ -2100,27 +1948,13 @@ mod tests {
 
         fn compute(
             &self,
-            _step: usize,
-            _vertex: u64,
-            _state: &mut RelayState,
-            _messages: Vec<f32>,
-            _b: &BroadcastLookup<'_, f32>,
-            _out: &mut Outbox<f32>,
-        ) {
-            unreachable!("relay always runs columnar");
-        }
-
-        fn compute_columnar(
-            &self,
             step: usize,
             vertex: u64,
             state: &mut RelayState,
-            rows: RowsIn<'_>,
-            _messages: Vec<f32>,
-            _b: &BroadcastLookup<'_, f32>,
+            inbox: Inbox<'_, f32>,
             out: &mut Outbox<f32>,
-        ) {
-            let incoming = match rows {
+        ) -> Result<()> {
+            let incoming = match inbox.rows {
                 RowsIn::Rows { data, .. } if !data.is_empty() => Some(data[0]),
                 _ => None,
             };
@@ -2135,6 +1969,7 @@ mod tests {
                     out.send_row(next, &[v + 1.0]);
                 }
             }
+            Ok(())
         }
 
         fn message_layout(&self, _step: usize) -> Option<MessageLayout> {
@@ -2146,17 +1981,13 @@ mod tests {
     fn columnar_rows_drive_activation_and_halt() {
         let cfg = PregelConfig::new(ClusterSpec::test_spec(3))
             .with_activation(ActivationPolicy::MessageDriven);
-        let mut eng = PregelEngine::new(Relay, cfg);
-        for id in 0..5u64 {
-            eng.add_vertex(
-                id,
-                RelayState {
-                    got: None,
-                    next: (id + 1 < 5).then_some(id + 1),
-                },
-            )
-            .unwrap();
-        }
+        let vertices = (0..5u64)
+            .map(|id| {
+                let next = (id + 1 < 5).then_some(id + 1);
+                (id, RelayState { got: None, next })
+            })
+            .collect();
+        let mut eng = engine_of(Relay, cfg, vertices);
         eng.run(50).unwrap();
         assert!(eng.steps_run() < 50, "should halt early");
         for id in 0..5u64 {
@@ -2178,7 +2009,7 @@ mod tests {
                 let plan =
                     FaultPlan::new().and_fail(FaultSite::WorkerCompute { worker: 1, step: 1 });
                 let cfg = PregelConfig::new(ClusterSpec::test_spec(workers))
-                    .with_faults(Some(plan))
+                    .with_fault_injector(Some(plan.injector()))
                     .with_recovery(Some(RecoveryPolicy::new(1, 3)));
                 let mut faulty = row_engine_with(cfg, fused);
                 faulty.run(2).unwrap();
@@ -2219,7 +2050,7 @@ mod tests {
                 .and_fail(FaultSite::SpillRead { worker: 1, step: 1 });
             let cfg = PregelConfig::new(ClusterSpec::test_spec(3))
                 .with_spill(Some(spill.clone()))
-                .with_faults(Some(plan))
+                .with_fault_injector(Some(plan.injector()))
                 .with_recovery(Some(RecoveryPolicy::new(1, 3)));
             let mut faulty = row_engine_with(cfg, fused);
             faulty.run(2).unwrap();
@@ -2243,7 +2074,7 @@ mod tests {
         let plan =
             FaultPlan::new().and_fail_times(FaultSite::WorkerCompute { worker: 1, step: 1 }, 10);
         let cfg = PregelConfig::new(ClusterSpec::test_spec(3))
-            .with_faults(Some(plan.clone()))
+            .with_fault_injector(Some(plan.injector()))
             .with_recovery(Some(RecoveryPolicy::new(1, 2)));
         let mut eng = row_engine_with(cfg, false);
         let err = eng.run(2).unwrap_err();
@@ -2257,7 +2088,7 @@ mod tests {
 
         // Without a recovery policy the first firing surfaces unchanged.
         let cfg = PregelConfig::new(ClusterSpec::test_spec(3))
-            .with_faults(Some(plan))
+            .with_fault_injector(Some(plan.injector()))
             .with_recovery(None);
         let mut eng = row_engine_with(cfg, false);
         let err = eng.run(2).unwrap_err();
@@ -2288,6 +2119,64 @@ mod tests {
         assert_eq!(eng.report().retries, 0);
     }
 
+    /// Vertices `bad` fail their step-1 kernel with `err`.
+    struct Failing {
+        bad: [u64; 2],
+        err: Error,
+    }
+
+    impl VertexProgram for Failing {
+        type State = ();
+        type Msg = f32;
+
+        fn compute(
+            &self,
+            step: usize,
+            vertex: u64,
+            _state: &mut (),
+            _inbox: Inbox<'_, f32>,
+            _out: &mut Outbox<f32>,
+        ) -> Result<()> {
+            if step == 1 && self.bad.contains(&vertex) {
+                return Err(self.err.clone());
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_kernel_fails_the_run_and_is_retried_only_if_transient() {
+        let workers = 4;
+        let on = |w| {
+            (0..16u64)
+                .find(|&id| partition_of(id, workers) == w)
+                .unwrap()
+        };
+        // Two kernels fail in the same superstep: the lower worker's error
+        // is the run's, whichever thread got there first.
+        let (first, second) = (on(1), on(3));
+        let errors = [
+            (Error::InvalidGraph("dangling ref".into()), 0),
+            (Error::Io("flaky disk".into()), 2),
+        ];
+        for (err, retries) in errors {
+            for threads in [1usize, 2, 4] {
+                let cfg = PregelConfig::new(ClusterSpec::test_spec(workers))
+                    .with_recovery(Some(RecoveryPolicy::new(1, 2)));
+                let program = Failing {
+                    bad: [second, first],
+                    err: err.clone(),
+                };
+                let vertices = (0..16u64).map(|id| (id, ())).collect();
+                let mut eng = engine_of(program, cfg, vertices);
+                let got = Parallelism::with(threads, || eng.run(2)).unwrap_err();
+                let want = err.clone().in_phase(format!("superstep-1, vertex {first}"));
+                assert_eq!(got, want, "{threads} threads");
+                assert_eq!(eng.report().retries, retries, "{err} at {threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn send_row_without_layout_is_a_typed_config_error() {
         struct NoLayout;
@@ -2299,17 +2188,17 @@ mod tests {
                 _s: usize,
                 _v: u64,
                 _state: &mut (),
-                _m: Vec<f32>,
-                _b: &BroadcastLookup<'_, f32>,
+                _inbox: Inbox<'_, f32>,
                 out: &mut Outbox<f32>,
-            ) {
+            ) -> Result<()> {
                 // No layout declared for this step: must become a typed
                 // error, not a panic.
                 out.send_row(3, &[1.0, 2.0]);
+                Ok(())
             }
         }
-        let mut eng = PregelEngine::new(NoLayout, PregelConfig::new(ClusterSpec::test_spec(1)));
-        eng.add_vertex(3, ()).unwrap();
+        let cfg = PregelConfig::new(ClusterSpec::test_spec(1));
+        let mut eng = engine_of(NoLayout, cfg, vec![(3, ())]);
         let err = eng.run(1).unwrap_err();
         assert!(
             matches!(err, Error::InvalidConfig(_)),
@@ -2330,30 +2219,18 @@ mod tests {
                 _s: usize,
                 _v: u64,
                 _state: &mut (),
-                _m: Vec<f32>,
-                _b: &BroadcastLookup<'_, f32>,
-                _out: &mut Outbox<f32>,
-            ) {
-                unreachable!("always columnar");
-            }
-            fn compute_columnar(
-                &self,
-                _s: usize,
-                _v: u64,
-                _state: &mut (),
-                _rows: RowsIn<'_>,
-                _m: Vec<f32>,
-                _b: &BroadcastLookup<'_, f32>,
+                _inbox: Inbox<'_, f32>,
                 out: &mut Outbox<f32>,
-            ) {
+            ) -> Result<()> {
                 out.send_row(4, &[1.0, 2.0, 3.0]);
+                Ok(())
             }
             fn message_layout(&self, _step: usize) -> Option<MessageLayout> {
                 Some(MessageLayout { dim: 2 })
             }
         }
-        let mut eng = PregelEngine::new(WrongWidth, PregelConfig::new(ClusterSpec::test_spec(1)));
-        eng.add_vertex(4, ()).unwrap();
+        let cfg = PregelConfig::new(ClusterSpec::test_spec(1));
+        let mut eng = engine_of(WrongWidth, cfg, vec![(4, ())]);
         let err = eng.run(1).unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("3 lanes"), "{err}");

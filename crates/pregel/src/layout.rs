@@ -1,15 +1,17 @@
 //! The resident vertex layout: where every vertex lives and where each of
 //! its out-edges leads, decided once and shared by every run.
 //!
-//! A [`PregelLayout`] is the engine's placement made explicit. Per worker
-//! it holds the **slot table** (vertex ids in slot order), and for the
-//! whole cluster the one `id → (worker, slot)` index. A *planned* layout
-//! ([`PregelLayout::planned`]) additionally holds every vertex's out-edges
-//! as pre-resolved [`Route`]s in one flat CSR per worker (four bytes an
+//! A [`PregelLayout`] is the engine's placement made explicit, built in
+//! one go by [`PregelLayout::planned`]. Per worker it holds the **slot
+//! table** (vertex ids in slot order), for the whole cluster the one
+//! `id → (worker, slot)` index, and every vertex's out-edges as
+//! pre-resolved [`Route`]s in one flat CSR per worker (four bytes an
 //! edge), so a scatter names its destinations by position and the engine's
-//! routing loop never hashes an id. A layout is immutable while an engine runs over it — the
-//! engine holds it behind an `Arc`, and a session plan keeps the same `Arc`
-//! alive across runs, which is what makes "load the graph once" literal.
+//! routing loop never hashes an id. A program that addresses messages by
+//! vertex id instead lays out with empty target lists. A layout is
+//! immutable once built — the engine holds it behind an `Arc`, and a
+//! session plan keeps the same `Arc` alive across runs, which is what
+//! makes "load the graph once" literal.
 
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::{Error, FxHashMap, Result};
@@ -74,10 +76,9 @@ pub struct PregelLayout {
 }
 
 impl PregelLayout {
-    /// An empty layout over `workers` workers, grown one vertex at a time
-    /// with [`PregelLayout::add_vertex`]. Vertices placed this way have no
-    /// planned out-edges; their programs address messages by id.
-    pub fn new(workers: usize) -> Self {
+    /// An empty layout over `workers` workers, for
+    /// [`PregelLayout::planned`] to fill.
+    fn new(workers: usize) -> Self {
         let worker_bits = usize::BITS - workers.saturating_sub(1).leading_zeros();
         PregelLayout {
             workers: (0..workers).map(|_| WorkerLayout::new()).collect(),
@@ -101,7 +102,7 @@ impl PregelLayout {
 
     /// Place one more vertex: hash-partitioned to its worker, appended to
     /// that worker's slot table. Ids must be unique.
-    pub fn add_vertex(&mut self, id: u64) -> Result<Route> {
+    fn add_vertex(&mut self, id: u64) -> Result<Route> {
         if self.workers.is_empty() {
             return Err(Error::InvalidConfig(
                 "a layout needs at least one worker".into(),
@@ -133,14 +134,15 @@ impl PregelLayout {
     }
 
     /// Lay out a whole graph at once: `vertices` yields each vertex's id
-    /// and out-target ids in load order; every target is resolved to a
-    /// [`Route`] here, so a target that names no vertex is a typed
-    /// [`Error::InvalidGraph`] now instead of a failed superstep later.
-    /// Resolution is one lookup in the layout's own id index per edge,
-    /// paid once. (A hash-free variant — callers with dense ids guessing a
-    /// target's load position, verified against the id loaded there — was
-    /// measured slower: two dependent array reads lose to one FxHash
-    /// probe.)
+    /// and out-target ids in load order (ids must be unique; a vertex whose
+    /// program addresses by id passes no targets); every target is
+    /// resolved to a [`Route`] here, so a target that names no vertex is a
+    /// typed [`Error::InvalidGraph`] now instead of a failed superstep
+    /// later. Resolution is one lookup in the layout's own id index per
+    /// edge, paid once. (A hash-free variant — callers with dense ids
+    /// guessing a target's load position, verified against the id loaded
+    /// there — was measured slower: two dependent array reads lose to one
+    /// FxHash probe.)
     pub fn planned<'a, I>(workers: usize, vertices: I) -> Result<Self>
     where
         I: Iterator<Item = (u64, &'a [u64])> + Clone,
@@ -294,9 +296,7 @@ mod tests {
 
     #[test]
     fn duplicate_vertex_is_a_typed_error() {
-        let mut layout = PregelLayout::new(2);
-        layout.add_vertex(5).unwrap();
-        let err = layout.add_vertex(5).unwrap_err();
+        let err = plan(2, &[(5, vec![]), (6, vec![5]), (5, vec![])]).unwrap_err();
         assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
         assert!(err.to_string().contains("duplicate vertex id 5"), "{err}");
     }

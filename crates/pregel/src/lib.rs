@@ -1,9 +1,12 @@
 //! Pregel-style BSP graph-processing engine.
 //!
 //! A faithful, from-scratch implementation of the "think-like-a-vertex"
-//! model the paper builds its first backend on (§IV-C-1): vertices hold
-//! state, a superstep delivers last round's messages to each vertex's
-//! `compute`, outgoing messages are routed by a partitioner, an optional
+//! model the paper builds its first backend on (§IV-C-1): a graph is laid
+//! out once ([`PregelLayout::planned`]), an engine is built over that
+//! layout ([`PregelEngine::with_layout`]), vertices hold state, a superstep
+//! delivers last round's messages — typed and columnar — to each vertex's
+//! one kernel ([`VertexProgram::compute`]) as its [`Inbox`], outgoing
+//! messages are routed by a partitioner, an optional
 //! **fused aggregator** folds fixed-width rows destined for the same vertex
 //! on the sender side (the mechanism behind the paper's partial-gather
 //! strategy), and a **broadcast** primitive delivers one payload per worker
@@ -19,7 +22,11 @@
 //!
 //! General graph algorithms fit the same API — the test suite runs PageRank
 //! and SSSP to demonstrate the engine is not GNN-specific, mirroring the
-//! paper's lineage from graph-processing systems.
+//! paper's lineage from graph-processing systems. A program that addresses
+//! messages by vertex id rather than by planned route lays its vertices
+//! out with empty target lists and sends with `Outbox::send` / `send_row`.
+
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod layout;
@@ -28,6 +35,6 @@ pub mod vertex;
 pub use engine::{PregelConfig, PregelEngine, ScratchPool};
 pub use layout::{PlacedVertex, PregelLayout, Route};
 pub use vertex::{
-    ActivationPolicy, BroadcastLookup, FusedAggregator, MessageLayout, Outbox, RowsIn,
+    ActivationPolicy, BroadcastLookup, FusedAggregator, Inbox, MessageLayout, Outbox, RowsIn,
     VertexProgram,
 };

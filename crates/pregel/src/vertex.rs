@@ -1,19 +1,26 @@
-//! Vertex-program traits and the per-compute outbox.
+//! The vertex-program trait, the inbox a kernel reads and the outbox it
+//! writes.
 //!
-//! Two message planes are available to a program (see the engine docs for
-//! the full contract):
+//! A program has **one kernel**, [`VertexProgram::compute`]. Each superstep
+//! it is handed the vertex's whole [`Inbox`] — everything sent to the
+//! vertex last superstep, on either message plane (see the engine docs for
+//! the full contract) — and an [`Outbox`] for what it sends next:
 //!
 //! - the **typed plane**: `P::Msg` values sent with [`Outbox::send`] —
-//!   arbitrary encodable payloads, one heap object per message, delivered
-//!   as sent (the engine never combines them);
+//!   arbitrary encodable payloads, delivered as sent (the engine never
+//!   combines them) and read back as the borrowed slice
+//!   [`Inbox::messages`];
 //! - the **columnar plane**: fixed-width `f32` rows, available whenever the
-//!   program declares a [`MessageLayout`] for the step. Rows travel through
-//!   flat buffers with no per-message allocation, and — when the step also
-//!   provides a [`FusedAggregator`] — are folded into per-destination
-//!   accumulator rows at the sender (fused scatter-aggregation). That fold
-//!   is the engine's sender-side combiner: it must be commutative and
-//!   associative, which is exactly what the paper's annotation rule
-//!   licenses.
+//!   program declares a [`MessageLayout`] for the step, read back as
+//!   [`Inbox::rows`]. Rows travel through flat buffers with no per-message
+//!   allocation, and — when the step also provides a [`FusedAggregator`] —
+//!   are folded into per-destination accumulator rows at the sender (fused
+//!   scatter-aggregation). That fold is the engine's sender-side combiner:
+//!   it must be commutative and associative, which is exactly what the
+//!   paper's annotation rule licenses.
+//!
+//! A kernel that cannot go on returns an error: the engine fails the
+//! superstep with it, naming the step and the vertex.
 //!
 //! # The row spool
 //!
@@ -35,6 +42,7 @@
 use crate::layout::{PregelLayout, Route};
 use inferturbo_common::codec::{Decode, Encode};
 pub use inferturbo_common::rows::{FusedAggregator, MessageLayout};
+use inferturbo_common::Result;
 use std::sync::Arc;
 
 /// Controls which vertices run `compute` each superstep.
@@ -48,10 +56,9 @@ pub enum ActivationPolicy {
     AlwaysActive,
 }
 
-/// The columnar half of a vertex's inbox, handed to
-/// [`VertexProgram::compute_columnar`]. Typed-plane messages (broadcast
-/// refs, control payloads) arrive separately through the `messages`
-/// argument regardless of which variant this is.
+/// The columnar half of a vertex's [`Inbox`]. Typed-plane messages
+/// (broadcast refs, control payloads) arrive beside it in
+/// [`Inbox::messages`] regardless of which variant this is.
 #[derive(Debug, Clone, Copy)]
 pub enum RowsIn<'a> {
     /// No columnar plane was active for the messages feeding this step.
@@ -61,8 +68,7 @@ pub enum RowsIn<'a> {
     Rows { dim: usize, data: &'a [f32] },
     /// Fused accumulator row: `count` raw messages were folded into `acc`
     /// across the scatter and the barrier merge. `count == 0` means no
-    /// messages arrived (and `acc` holds only the aggregator's identity,
-    /// or is empty for slots created after the merge).
+    /// messages arrived (and `acc` holds only the aggregator's identity).
     Fused {
         dim: usize,
         acc: &'a [f32],
@@ -97,6 +103,21 @@ pub(crate) enum RowMisuse {
     /// [`Outbox::send_row`] named a vertex the layout does not hold
     /// ([`inferturbo_common::Error::InvalidGraph`]).
     UnknownVertex(u64),
+}
+
+/// Everything delivered to one vertex for this superstep, handed to
+/// [`VertexProgram::compute`]: both message planes and the broadcast
+/// table, all lent out of the worker's sealed inbox.
+pub struct Inbox<'a, M> {
+    /// The columnar half: rows (or one fused accumulator) sent last
+    /// superstep.
+    pub rows: RowsIn<'a>,
+    /// Typed messages in delivery order (ascending sender worker,
+    /// emission order within a sender).
+    pub messages: &'a [M],
+    /// Resolves a payload broadcast last superstep by vertex `src` (on
+    /// any worker), if one exists.
+    pub broadcast: &'a BroadcastLookup<'a, M>,
 }
 
 /// Per-compute output collector handed to [`VertexProgram::compute`].
@@ -262,43 +283,18 @@ pub trait VertexProgram {
     /// exact and a byte-moving transport can carry it.
     type Msg: Encode + Decode + Clone;
 
-    /// The superstep kernel for one vertex (typed plane only).
-    ///
-    /// `broadcast_lookup` resolves a broadcast payload published last
-    /// superstep by vertex `src` (on any worker), if one exists.
+    /// The superstep kernel for one vertex: read `inbox`, update `state`,
+    /// send through `out`. An `Err` fails the superstep — and, under a
+    /// recovery policy, is replayed from the last checkpoint only if it
+    /// [`is_transient`](inferturbo_common::Error::is_transient).
     fn compute(
         &self,
         step: usize,
         vertex: u64,
         state: &mut Self::State,
-        messages: Vec<Self::Msg>,
-        broadcast_lookup: &BroadcastLookup<'_, Self::Msg>,
+        inbox: Inbox<'_, Self::Msg>,
         out: &mut Outbox<Self::Msg>,
-    );
-
-    /// The superstep kernel for one vertex with a columnar inbox. This is
-    /// what the engine actually invokes; the default forwards to
-    /// [`VertexProgram::compute`], so programs that never declare a
-    /// [`MessageLayout`] implement only the typed kernel. Programs that
-    /// do declare layouts must override this and read both `rows` and the
-    /// typed `messages`.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_columnar(
-        &self,
-        step: usize,
-        vertex: u64,
-        state: &mut Self::State,
-        rows: RowsIn<'_>,
-        messages: Vec<Self::Msg>,
-        broadcast_lookup: &BroadcastLookup<'_, Self::Msg>,
-        out: &mut Outbox<Self::Msg>,
-    ) {
-        debug_assert!(
-            matches!(rows, RowsIn::None),
-            "program declared a message layout but did not override compute_columnar"
-        );
-        self.compute(step, vertex, state, messages, broadcast_lookup, out);
-    }
+    ) -> Result<()>;
 
     /// Declare that messages emitted during superstep `step` are
     /// fixed-width `f32` rows. Returning `Some` routes that step's

@@ -95,6 +95,8 @@
 //! tightens deadlines but never imposes one (`tests/scenario_sweep.rs`
 //! holds armed and unarmed servers to byte-identical responses there).
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod breaker;
 pub mod cache;

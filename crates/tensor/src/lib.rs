@@ -19,6 +19,8 @@
 //! and mirrors the paper's separation between training and inference data
 //! flows.
 
+#![forbid(unsafe_code)]
+
 pub mod autograd;
 pub mod loss;
 pub mod matrix;

@@ -13,8 +13,8 @@
 use inferturbo::cluster::ClusterSpec;
 use inferturbo::common::stats;
 use inferturbo::core::consistency::audit_sampling;
-use inferturbo::core::infer_mapreduce;
 use inferturbo::core::models::{GnnModel, PoolOp};
+use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::strategy::StrategyConfig;
 use inferturbo::core::train::{train, TrainConfig};
 use inferturbo::graph::gen::DegreeSkew;
@@ -57,7 +57,15 @@ fn main() {
         ("no strategies ", StrategyConfig::none()),
         ("all strategies", StrategyConfig::all()),
     ] {
-        let out = infer_mapreduce(&model, &dataset.graph, spec, strat).expect("inference");
+        let out = InferenceSession::builder()
+            .model(&model)
+            .graph(&dataset.graph)
+            .mapreduce_spec(spec)
+            .strategy(strat)
+            .backend(Backend::MapReduce)
+            .plan()
+            .and_then(|plan| plan.run())
+            .expect("inference");
         let times: Vec<f64> = out
             .report
             .worker_totals()

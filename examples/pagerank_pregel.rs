@@ -11,11 +11,12 @@
 
 use inferturbo::cluster::ClusterSpec;
 use inferturbo::common::rows::AggKind;
+use inferturbo::common::Result;
 use inferturbo::graph::gen::DegreeSkew;
 use inferturbo::graph::{Csr, Dataset};
 use inferturbo::pregel::{
-    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
-    PregelLayout, Route, RowsIn, VertexProgram,
+    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, PregelLayout, Route,
+    RowsIn, VertexProgram,
 };
 use std::sync::Arc;
 
@@ -38,28 +39,14 @@ impl VertexProgram for PageRank {
     fn compute(
         &self,
         step: usize,
-        vertex: u64,
-        state: &mut State,
-        messages: Vec<f32>,
-        bcast: &BroadcastLookup<'_, f32>,
-        out: &mut Outbox<f32>,
-    ) {
-        self.compute_columnar(step, vertex, state, RowsIn::None, messages, bcast, out);
-    }
-
-    fn compute_columnar(
-        &self,
-        step: usize,
         _vertex: u64,
         state: &mut State,
-        rows: RowsIn<'_>,
-        _messages: Vec<f32>,
-        _bcast: &BroadcastLookup<'_, f32>,
+        inbox: Inbox<'_, f32>,
         out: &mut Outbox<f32>,
-    ) {
+    ) -> Result<()> {
         if step > 0 {
             // The engine already summed the in-shares: one accumulator lane.
-            let sum = match rows {
+            let sum = match inbox.rows {
                 RowsIn::Fused { acc, count, .. } if count > 0 => acc[0] as f64,
                 _ => 0.0,
             };
@@ -69,7 +56,8 @@ impl VertexProgram for PageRank {
             let share = (state.rank / state.edges.len() as f64) as f32;
             out.scatter_row(&state.edges, &[share]);
         }
-        out.add_flops(rows.count() as f64 + 2.0);
+        out.add_flops(inbox.rows.count() as f64 + 2.0);
+        Ok(())
     }
 
     fn message_layout(&self, _step: usize) -> Option<MessageLayout> {

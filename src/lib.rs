@@ -23,6 +23,8 @@
 //!   tracing (byte-identical at every thread count and across recovery
 //!   replays) and the unified metrics registry behind every report.
 
+#![forbid(unsafe_code)]
+
 pub use inferturbo_batch as batch;
 pub use inferturbo_cluster as cluster;
 pub use inferturbo_common as common;

@@ -20,14 +20,16 @@
 //! the bits must still match — spilling is storage placement, never
 //! arithmetic.
 
+mod common;
+
 use inferturbo::cluster::ClusterSpec;
 use inferturbo::common::hash::partition_of;
-use inferturbo::common::{Parallelism, SpillPolicy, Xoshiro256};
+use inferturbo::common::{Parallelism, Result, SpillPolicy, Xoshiro256};
 use inferturbo::core::models::gas_impl::PoolRowAggregator;
 use inferturbo::core::models::PoolOp;
 use inferturbo::pregel::{
-    ActivationPolicy, BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig,
-    PregelEngine, RowsIn, VertexProgram,
+    ActivationPolicy, FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, RowsIn,
+    VertexProgram,
 };
 use inferturbo::tensor::Matrix;
 use proptest::prelude::*;
@@ -82,34 +84,20 @@ impl VertexProgram for PoolProg {
     fn compute(
         &self,
         step: usize,
-        vertex: u64,
-        state: &mut PoolState,
-        messages: Vec<Vec<f32>>,
-        lookup: &BroadcastLookup<'_, Vec<f32>>,
-        out: &mut Outbox<Vec<f32>>,
-    ) {
-        self.compute_columnar(step, vertex, state, RowsIn::None, messages, lookup, out);
-    }
-
-    fn compute_columnar(
-        &self,
-        step: usize,
         _vertex: u64,
         state: &mut PoolState,
-        rows: RowsIn<'_>,
-        _messages: Vec<Vec<f32>>,
-        _lookup: &BroadcastLookup<'_, Vec<f32>>,
+        inbox: Inbox<'_, Vec<f32>>,
         out: &mut Outbox<Vec<f32>>,
-    ) {
+    ) -> Result<()> {
         if step == 0 {
             for &nb in &state.nbrs {
                 out.send_row(nb, &state.feat);
             }
-            return;
+            return Ok(());
         }
         let mut acc: Vec<f32> = Vec::new();
         let mut count = 0u32;
-        match rows {
+        match inbox.rows {
             RowsIn::None => {}
             RowsIn::Rows { dim, data } => {
                 for chunk in data.chunks_exact(dim) {
@@ -130,6 +118,7 @@ impl VertexProgram for PoolProg {
         }
         state.agg = finish(self.op, self.dim, acc, count);
         state.count = count;
+        Ok(())
     }
 
     fn message_layout(&self, step: usize) -> Option<MessageLayout> {
@@ -195,19 +184,12 @@ fn run_case(
             op: case.op,
             agg: PoolRowAggregator { op: case.op },
         };
-        let mut eng = PregelEngine::new(prog, cfg);
-        for v in 0..case.n {
-            eng.add_vertex(
-                v as u64,
-                PoolState {
-                    feat: case.feats[v].clone(),
-                    nbrs: case.nbrs[v].clone(),
-                    agg: Vec::new(),
-                    count: 0,
-                },
-            )
-            .unwrap();
-        }
+        let mut eng = common::id_addressed_engine(prog, cfg, case.n, |v| PoolState {
+            feat: case.feats[v].clone(),
+            nbrs: case.nbrs[v].clone(),
+            agg: Vec::new(),
+            count: 0,
+        });
         eng.run(2).unwrap();
         let mut out = vec![(Vec::new(), 0u32); case.n];
         eng.for_each_state(|id, st| {

@@ -3,12 +3,16 @@
 //! This is the paper's C1 (unified training/inference) exercised across
 //! every crate in the workspace.
 
+mod common;
+use common::run_once;
+
 use inferturbo::cluster::ClusterSpec;
+use inferturbo::core::infer_reference;
 use inferturbo::core::models::{GnnModel, PoolOp};
+use inferturbo::core::session::Backend;
 use inferturbo::core::signature;
 use inferturbo::core::strategy::StrategyConfig;
 use inferturbo::core::train::{evaluate, train, TrainConfig};
-use inferturbo::core::{infer_mapreduce, infer_pregel, infer_reference};
 use inferturbo::graph::gen::DegreeSkew;
 use inferturbo::graph::{Dataset, Split};
 
@@ -69,14 +73,16 @@ fn backends_agree_with_reference_after_training() {
     let model = train_small(&dataset);
     let want = infer_reference(&model, &dataset.graph).expect("reference");
 
-    let pregel = infer_pregel(
+    let pregel = run_once(
+        Backend::Pregel,
         &model,
         &dataset.graph,
         ClusterSpec::pregel_cluster(6),
         StrategyConfig::all().with_threshold(20),
     )
     .unwrap();
-    let mr = infer_mapreduce(
+    let mr = run_once(
+        Backend::MapReduce,
         &model,
         &dataset.graph,
         ClusterSpec::mapreduce_cluster(6),
@@ -100,14 +106,16 @@ fn predictions_invariant_to_worker_count() {
     // profile. (Float tolerance: partial-gather fold order differs per layout.)
     let dataset = small_dataset();
     let model = train_small(&dataset);
-    let a = infer_pregel(
+    let a = run_once(
+        Backend::Pregel,
         &model,
         &dataset.graph,
         ClusterSpec::pregel_cluster(3),
         StrategyConfig::all().with_threshold(20),
     )
     .unwrap();
-    let b = infer_pregel(
+    let b = run_once(
+        Backend::Pregel,
         &model,
         &dataset.graph,
         ClusterSpec::pregel_cluster(17),
@@ -130,36 +138,13 @@ fn repeated_runs_bit_identical_across_backends() {
     let dataset = small_dataset();
     let model = train_small(&dataset);
     let strat = StrategyConfig::all().with_threshold(15);
-    let p1 = infer_pregel(
-        &model,
-        &dataset.graph,
-        ClusterSpec::pregel_cluster(5),
-        strat,
-    )
-    .unwrap();
-    let p2 = infer_pregel(
-        &model,
-        &dataset.graph,
-        ClusterSpec::pregel_cluster(5),
-        strat,
-    )
-    .unwrap();
-    assert_eq!(p1.logits, p2.logits);
-    let m1 = infer_mapreduce(
-        &model,
-        &dataset.graph,
-        ClusterSpec::mapreduce_cluster(5),
-        strat,
-    )
-    .unwrap();
-    let m2 = infer_mapreduce(
-        &model,
-        &dataset.graph,
-        ClusterSpec::mapreduce_cluster(5),
-        strat,
-    )
-    .unwrap();
-    assert_eq!(m1.logits, m2.logits);
+    for (backend, spec) in [
+        (Backend::Pregel, ClusterSpec::pregel_cluster(5)),
+        (Backend::MapReduce, ClusterSpec::mapreduce_cluster(5)),
+    ] {
+        let run = || run_once(backend, &model, &dataset.graph, spec, strat).unwrap();
+        assert_eq!(run().logits, run().logits, "{backend:?}");
+    }
 }
 
 #[test]
@@ -218,7 +203,8 @@ fn multilabel_end_to_end() {
     let f1 = evaluate(&model, &dataset, Split::Test).expect("eval");
     assert!(f1 > 0.25, "micro-F1 {f1}");
     // multilabel logits flow through the backends unchanged
-    let out = infer_mapreduce(
+    let out = run_once(
+        Backend::MapReduce,
         &model,
         &dataset.graph,
         ClusterSpec::mapreduce_cluster(4),

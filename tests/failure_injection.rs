@@ -7,6 +7,9 @@
 //! under a [`RecoveryPolicy`], and the serving layer must retry,
 //! contain, and quarantine failing plans without poisoning healthy work.
 
+mod common;
+use common::run_once;
+
 use std::sync::Arc;
 
 use inferturbo::cluster::{ClusterSpec, FaultPlan, FaultSite, RecoveryPolicy};
@@ -16,7 +19,6 @@ use inferturbo::core::models::{GnnModel, PoolOp};
 use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::signature;
 use inferturbo::core::strategy::StrategyConfig;
-use inferturbo::core::{infer_mapreduce, infer_pregel};
 use inferturbo::graph::gen::DegreeSkew;
 use inferturbo::graph::{Dataset, Graph};
 use inferturbo::serve::{FeatureSnapshot, GnnServer, ScoreRequest, ScoreStatus, ServeConfig};
@@ -49,7 +51,7 @@ fn pregel_oom_reports_worker_and_phase() {
     let d = dataset();
     let m = model(d.graph.node_feat_dim());
     let spec = ClusterSpec::pregel_cluster(4).with_memory(1 << 10); // 1 KB
-    let err = infer_pregel(&m, &d.graph, spec, StrategyConfig::none()).unwrap_err();
+    let err = run_once(Backend::Pregel, &m, &d.graph, spec, StrategyConfig::none()).unwrap_err();
     assert!(err.is_oom(), "expected OOM, got {err}");
     assert!(err.to_string().contains("superstep"), "{err}");
 }
@@ -62,14 +64,16 @@ fn mapreduce_survives_memory_that_kills_pregel() {
     // verify behaviour at a cap between them.
     let d = dataset();
     let m = model(d.graph.node_feat_dim());
-    let pregel_ok = infer_pregel(
+    let pregel_ok = run_once(
+        Backend::Pregel,
         &m,
         &d.graph,
         ClusterSpec::pregel_cluster(4),
         StrategyConfig::none(),
     )
     .unwrap();
-    let mr_ok = infer_mapreduce(
+    let mr_ok = run_once(
+        Backend::MapReduce,
         &m,
         &d.graph,
         ClusterSpec::mapreduce_cluster(4),
@@ -83,13 +87,15 @@ fn mapreduce_survives_memory_that_kills_pregel() {
         "streaming reducers should need far less memory: mr {mr_peak} vs pregel {pregel_peak}"
     );
     let cap = (mr_peak + pregel_peak) / 2;
-    let pregel = infer_pregel(
+    let pregel = run_once(
+        Backend::Pregel,
         &m,
         &d.graph,
         ClusterSpec::pregel_cluster(4).with_memory(cap),
         StrategyConfig::none(),
     );
-    let mr = infer_mapreduce(
+    let mr = run_once(
+        Backend::MapReduce,
         &m,
         &d.graph,
         ClusterSpec::mapreduce_cluster(4).with_memory(cap),
@@ -103,7 +109,8 @@ fn mapreduce_survives_memory_that_kills_pregel() {
 fn mapreduce_oom_on_truly_tiny_memory() {
     let d = dataset();
     let m = model(d.graph.node_feat_dim());
-    let err = infer_mapreduce(
+    let err = run_once(
+        Backend::MapReduce,
         &m,
         &d.graph,
         ClusterSpec::mapreduce_cluster(4).with_memory(256),
@@ -117,21 +124,11 @@ fn mapreduce_oom_on_truly_tiny_memory() {
 fn feature_dimension_mismatch_is_config_error() {
     let d = dataset();
     let wrong = model(d.graph.node_feat_dim() + 3);
-    for result in [
-        infer_pregel(
-            &wrong,
-            &d.graph,
-            ClusterSpec::pregel_cluster(2),
-            StrategyConfig::none(),
-        ),
-        infer_mapreduce(
-            &wrong,
-            &d.graph,
-            ClusterSpec::mapreduce_cluster(2),
-            StrategyConfig::none(),
-        ),
+    for (backend, spec) in [
+        (Backend::Pregel, ClusterSpec::pregel_cluster(2)),
+        (Backend::MapReduce, ClusterSpec::mapreduce_cluster(2)),
     ] {
-        let err = result.unwrap_err();
+        let err = run_once(backend, &wrong, &d.graph, spec, StrategyConfig::none()).unwrap_err();
         assert!(
             err.to_string().contains("do not match"),
             "unexpected error: {err}"
@@ -173,8 +170,14 @@ fn strategies_do_not_mask_oom_errors() {
     let d = Dataset::power_law(600, 3600, DegreeSkew::Out, 5);
     let m = model(d.graph.node_feat_dim());
     let spec = ClusterSpec::pregel_cluster(4).with_memory(1 << 10);
-    let err =
-        infer_pregel(&m, &d.graph, spec, StrategyConfig::all().with_threshold(8)).unwrap_err();
+    let err = run_once(
+        Backend::Pregel,
+        &m,
+        &d.graph,
+        spec,
+        StrategyConfig::all().with_threshold(8),
+    )
+    .unwrap_err();
     assert!(err.is_oom());
 }
 

@@ -30,7 +30,7 @@ use inferturbo::cluster::{
 use inferturbo::common::codec::varint_len;
 use inferturbo::common::hash::partition_of;
 use inferturbo::common::rows::row_payload_len;
-use inferturbo::common::{AggKind, Parallelism};
+use inferturbo::common::{AggKind, Parallelism, Result};
 use inferturbo::core::models::{GnnModel, PoolOp};
 use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::strategy::{build_node_records, mirror_of, StrategyConfig};
@@ -39,8 +39,8 @@ use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::obs::TraceHandle;
 use inferturbo::pregel::{
-    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine,
-    PregelLayout, Route, RowsIn, VertexProgram,
+    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, PregelLayout, Route,
+    RowsIn, VertexProgram,
 };
 
 fn graph(skew: DegreeSkew) -> Graph {
@@ -403,35 +403,21 @@ impl<'l> VertexProgram for Probe<'l> {
 
     fn compute(
         &self,
-        _step: usize,
-        _vertex: u64,
-        _state: &mut ProbeState<'l>,
-        _messages: Vec<f32>,
-        _bcast: &BroadcastLookup<'_, f32>,
-        _out: &mut Outbox<f32>,
-    ) {
-        unreachable!("the probe declares a layout for every step");
-    }
-
-    fn compute_columnar(
-        &self,
         step: usize,
         _vertex: u64,
         state: &mut ProbeState<'l>,
-        rows: RowsIn<'_>,
-        _messages: Vec<f32>,
-        _bcast: &BroadcastLookup<'_, f32>,
+        inbox: Inbox<'_, f32>,
         out: &mut Outbox<f32>,
-    ) {
+    ) -> Result<()> {
         if step == 1 {
-            let (lanes, count) = match rows {
-                RowsIn::Rows { data, .. } => (data, rows.count() as u32),
+            let (lanes, count) = match inbox.rows {
+                RowsIn::Rows { data, .. } => (data, inbox.rows.count() as u32),
                 RowsIn::Fused { acc, count, .. } if count > 0 => (acc, count),
                 _ => (&[][..], 0),
             };
             state.got = lanes.iter().map(|x| x.to_bits()).collect();
             state.count = count;
-            return;
+            return Ok(());
         }
         let (edges, row) = (state.edges, &state.feat);
         let twice = row.map(|x| x * 2.0);
@@ -458,6 +444,7 @@ impl<'l> VertexProgram for Probe<'l> {
                 }
             }
         }
+        Ok(())
     }
 
     fn message_layout(&self, step: usize) -> Option<MessageLayout> {

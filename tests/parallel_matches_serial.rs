@@ -6,18 +6,19 @@
 //! GEMM, whose panel blocking is allowed (but not currently required) to
 //! regroup accumulation.
 
+mod common;
+use common::{id_addressed_engine, run_once};
+
 use inferturbo::cluster::ClusterSpec;
-use inferturbo::common::{Parallelism, SpillPolicy, Xoshiro256};
+use inferturbo::common::{Parallelism, Result, SpillPolicy, Xoshiro256};
 use inferturbo::core::models::gas_impl::PoolRowAggregator;
 use inferturbo::core::models::{GnnModel, PoolOp};
 use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::strategy::StrategyConfig;
-use inferturbo::core::{infer_mapreduce, infer_pregel};
 use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::pregel::{
-    BroadcastLookup, FusedAggregator, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
-    VertexProgram,
+    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, RowsIn, VertexProgram,
 };
 use inferturbo::tensor::Matrix;
 
@@ -58,12 +59,11 @@ impl VertexProgram for PageRank {
         step: usize,
         _vertex: u64,
         state: &mut PrState,
-        messages: Vec<f32>,
-        _bcast: &BroadcastLookup<'_, f32>,
+        inbox: Inbox<'_, f32>,
         out: &mut Outbox<f32>,
-    ) {
+    ) -> Result<()> {
         if step > 0 {
-            let sum: f64 = messages.iter().map(|&m| m as f64).sum();
+            let sum: f64 = inbox.messages.iter().map(|&m| m as f64).sum();
             state.rank = 0.15 / self.n + 0.85 * sum;
         }
         if !state.nbrs.is_empty() {
@@ -72,6 +72,7 @@ impl VertexProgram for PageRank {
                 out.send(nb, share);
             }
         }
+        Ok(())
     }
 }
 
@@ -82,17 +83,11 @@ fn pagerank_states(g: &Graph, workers: usize, supersteps: usize) -> (Vec<u64>, u
         adj[s as usize].push(d as u64);
     }
     let cfg = PregelConfig::new(ClusterSpec::test_spec(workers));
-    let mut eng = PregelEngine::new(PageRank { n: n as f64 }, cfg);
-    for (v, nbrs) in adj.into_iter().enumerate() {
-        eng.add_vertex(
-            v as u64,
-            PrState {
-                rank: 1.0 / n as f64,
-                nbrs,
-            },
-        )
-        .unwrap();
-    }
+    let states = |v: usize| PrState {
+        rank: 1.0 / n as f64,
+        nbrs: adj[v].clone(),
+    };
+    let mut eng = id_addressed_engine(PageRank { n: n as f64 }, cfg, n, states);
     eng.run(supersteps).unwrap();
     let mut ranks = vec![0u64; n];
     eng.for_each_state(|id, st| ranks[id as usize] = st.rank.to_bits());
@@ -135,34 +130,20 @@ impl VertexProgram for ColSum {
 
     fn compute(
         &self,
-        _step: usize,
-        _vertex: u64,
-        _state: &mut ColState,
-        _messages: Vec<f32>,
-        _b: &BroadcastLookup<'_, f32>,
-        _out: &mut Outbox<f32>,
-    ) {
-        unreachable!("columnar program");
-    }
-
-    fn compute_columnar(
-        &self,
         step: usize,
         _vertex: u64,
         state: &mut ColState,
-        rows: RowsIn<'_>,
-        _messages: Vec<f32>,
-        _b: &BroadcastLookup<'_, f32>,
+        inbox: Inbox<'_, f32>,
         out: &mut Outbox<f32>,
-    ) {
+    ) -> Result<()> {
         if step == 0 {
             for &nb in &state.nbrs {
                 out.send_row(nb, &state.feat);
             }
-            return;
+            return Ok(());
         }
         let mut acc: Vec<f32> = Vec::new();
-        match rows {
+        match inbox.rows {
             RowsIn::Rows { dim, data } => {
                 for chunk in data.chunks_exact(dim) {
                     if acc.is_empty() {
@@ -178,6 +159,7 @@ impl VertexProgram for ColSum {
             _ => {}
         }
         state.agg = acc;
+        Ok(())
     }
 
     fn message_layout(&self, step: usize) -> Option<MessageLayout> {
@@ -201,27 +183,18 @@ fn columnar_states(
         adj[s as usize].push(d as u64);
     }
     let cfg = PregelConfig::new(ClusterSpec::test_spec(workers)).with_spill(spill);
-    let mut eng = PregelEngine::new(
-        ColSum {
-            fused,
-            agg: PoolRowAggregator { op: PoolOp::Sum },
-        },
-        cfg,
-    );
-    for (v, nbrs) in adj.into_iter().enumerate() {
-        let feat: Vec<f32> = (0..4)
+    let program = ColSum {
+        fused,
+        agg: PoolRowAggregator { op: PoolOp::Sum },
+    };
+    let states = |v: usize| ColState {
+        feat: (0..4)
             .map(|j| ((v as f32 + 1.0) * 0.13 + j as f32 * 0.41).sin())
-            .collect();
-        eng.add_vertex(
-            v as u64,
-            ColState {
-                feat,
-                nbrs,
-                agg: Vec::new(),
-            },
-        )
-        .unwrap();
-    }
+            .collect(),
+        nbrs: adj[v].clone(),
+        agg: Vec::new(),
+    };
+    let mut eng = id_addressed_engine(program, cfg, n, states);
     eng.run(2).unwrap();
     let mut states = vec![Vec::new(); n];
     eng.for_each_state(|id, st| {
@@ -288,10 +261,24 @@ fn pregel_inference_bitwise_identical_across_thread_counts() {
     let strat = StrategyConfig::all().with_threshold(8);
     for workers in [1usize, 4, 7] {
         let serial = Parallelism::with(1, || {
-            infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
+            run_once(
+                Backend::Pregel,
+                &model,
+                &g,
+                ClusterSpec::pregel_cluster(workers),
+                strat,
+            )
+            .unwrap()
         });
         let parallel = Parallelism::with(PAR_THREADS, || {
-            infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
+            run_once(
+                Backend::Pregel,
+                &model,
+                &g,
+                ClusterSpec::pregel_cluster(workers),
+                strat,
+            )
+            .unwrap()
         });
         assert_eq!(
             logits_bits(&serial),
@@ -386,10 +373,24 @@ fn mapreduce_inference_bitwise_identical_across_thread_counts() {
     let strat = StrategyConfig::all().with_threshold(8);
     for workers in [1usize, 4, 7] {
         let serial = Parallelism::with(1, || {
-            infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
+            run_once(
+                Backend::MapReduce,
+                &model,
+                &g,
+                ClusterSpec::mapreduce_cluster(workers),
+                strat,
+            )
+            .unwrap()
         });
         let parallel = Parallelism::with(PAR_THREADS, || {
-            infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
+            run_once(
+                Backend::MapReduce,
+                &model,
+                &g,
+                ClusterSpec::mapreduce_cluster(workers),
+                strat,
+            )
+            .unwrap()
         });
         assert_eq!(
             logits_bits(&serial),

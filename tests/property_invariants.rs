@@ -2,10 +2,14 @@
 //! and model shapes, the backends must agree with the reference and the
 //! strategies must be cost-only transformations.
 
+mod common;
+use common::run_once;
+
 use inferturbo::cluster::ClusterSpec;
+use inferturbo::core::infer_reference;
 use inferturbo::core::models::{GnnModel, PoolOp};
+use inferturbo::core::session::Backend;
 use inferturbo::core::strategy::{build_node_records, StrategyConfig};
-use inferturbo::core::{infer_mapreduce, infer_pregel, infer_reference};
 use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use proptest::prelude::*;
 
@@ -43,9 +47,9 @@ proptest! {
         };
         let want = infer_reference(&model, &g).expect("reference");
         let strat = StrategyConfig::all().with_threshold(threshold);
-        let pregel = infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat)
+        let pregel = run_once(Backend::Pregel, &model, &g, ClusterSpec::pregel_cluster(workers), strat)
             .unwrap();
-        let mr = infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat)
+        let mr = run_once(Backend::MapReduce, &model, &g, ClusterSpec::mapreduce_cluster(workers), strat)
             .unwrap();
         for (v, want_row) in want.iter().enumerate() {
             for (c, &wv) in want_row.iter().enumerate() {

@@ -5,9 +5,9 @@
 //!    are driven through `Parallelism::with`, the programmatic equivalent
 //!    of the `INFERTURBO_THREADS` environment override (the env var is
 //!    read once per process, so tests must use the override API).
-//! 2. **Wrapper equivalence**: the legacy one-shot drivers are pinned
-//!    bit-identical to the session path for every model × strategy
-//!    combination of the equivalence suite.
+//! 2. **Wrapper equivalence**: a single-use plan (`common::run_once`) is
+//!    pinned bit-identical to a reused plan's runs for every model ×
+//!    strategy combination of the equivalence suite.
 //! 3. **Backend auto-selection**: `Backend::Auto` flips from Pregel to
 //!    MapReduce exactly when the memory budget drops below the plan's
 //!    resident-state estimate.
@@ -15,12 +15,14 @@
 //!    features is bit-identical to `run`; with different features it
 //!    matches a reference forward over those features.
 
+mod common;
+use common::run_once;
+
 use inferturbo::cluster::ClusterSpec;
 use inferturbo::common::Parallelism;
 use inferturbo::core::models::{GnnModel, PoolOp};
 use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::strategy::StrategyConfig;
-use inferturbo::core::{infer_mapreduce, infer_pregel};
 use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 
@@ -65,7 +67,10 @@ fn one_plan_many_runs_bit_identical_across_thread_counts() {
     let g = test_graph(DegreeSkew::Out);
     let m = GnnModel::sage(5, 8, 2, 3, false, PoolOp::Mean, 9);
     let strat = StrategyConfig::all().with_threshold(5);
-    for backend in [Backend::Pregel, Backend::MapReduce] {
+    for (backend, spec) in [
+        (Backend::Pregel, ClusterSpec::pregel_cluster(8)),
+        (Backend::MapReduce, ClusterSpec::mapreduce_cluster(8)),
+    ] {
         let plan = InferenceSession::builder()
             .model(&m)
             .graph(&g)
@@ -75,10 +80,7 @@ fn one_plan_many_runs_bit_identical_across_thread_counts() {
             .plan()
             .unwrap();
         // Fresh one-shot baseline at the serial budget.
-        let want = Parallelism::with(1, || match backend {
-            Backend::Pregel => infer_pregel(&m, &g, ClusterSpec::pregel_cluster(8), strat).unwrap(),
-            _ => infer_mapreduce(&m, &g, ClusterSpec::mapreduce_cluster(8), strat).unwrap(),
-        });
+        let want = Parallelism::with(1, || run_once(backend, &m, &g, spec, strat).unwrap());
         let want_bits = bits(&want.logits);
         // One plan, repeated runs, different thread budgets each time —
         // including re-running at an already-used budget to exercise the
@@ -110,43 +112,29 @@ fn wrappers_pin_bit_identical_to_session_path_for_every_combo() {
                     .with_broadcast(true)
                     .with_shadow_nodes(sn)
                     .with_threshold(5);
-                let spec = ClusterSpec::pregel_cluster(8);
-                let wrapper = infer_pregel(&m, &g, spec, strat).unwrap();
-                let session = InferenceSession::builder()
-                    .model(&m)
-                    .graph(&g)
-                    .pregel_spec(spec)
-                    .strategy(strat)
-                    .backend(Backend::Pregel)
-                    .plan()
-                    .unwrap();
-                let a = session.run().unwrap();
-                let b = session.run().unwrap();
-                assert_eq!(
-                    bits(&wrapper.logits),
-                    bits(&a.logits),
-                    "{name} pregel wrapper vs session (pg={pg} sn={sn})"
-                );
-                assert_eq!(bits(&a.logits), bits(&b.logits), "{name} rerun");
-
-                let mr_spec = ClusterSpec::mapreduce_cluster(8);
-                let wrapper = infer_mapreduce(&m, &g, mr_spec, strat).unwrap();
-                let session = InferenceSession::builder()
-                    .model(&m)
-                    .graph(&g)
-                    .mapreduce_spec(mr_spec)
-                    .strategy(strat)
-                    .backend(Backend::MapReduce)
-                    .plan()
-                    .unwrap();
-                let a = session.run().unwrap();
-                let b = session.run().unwrap();
-                assert_eq!(
-                    bits(&wrapper.logits),
-                    bits(&a.logits),
-                    "{name} mapreduce wrapper vs session (pg={pg} sn={sn})"
-                );
-                assert_eq!(bits(&a.logits), bits(&b.logits), "{name} mr rerun");
+                for (backend, spec) in [
+                    (Backend::Pregel, ClusterSpec::pregel_cluster(8)),
+                    (Backend::MapReduce, ClusterSpec::mapreduce_cluster(8)),
+                ] {
+                    let wrapper = run_once(backend, &m, &g, spec, strat).unwrap();
+                    let session = InferenceSession::builder()
+                        .model(&m)
+                        .graph(&g)
+                        .pregel_spec(spec)
+                        .mapreduce_spec(spec)
+                        .strategy(strat)
+                        .backend(backend)
+                        .plan()
+                        .unwrap();
+                    let a = session.run().unwrap();
+                    let b = session.run().unwrap();
+                    assert_eq!(
+                        bits(&wrapper.logits),
+                        bits(&a.logits),
+                        "{name} {backend:?} wrapper vs session (pg={pg} sn={sn})"
+                    );
+                    assert_eq!(bits(&a.logits), bits(&b.logits), "{name} {backend:?} rerun");
+                }
             }
         }
     }

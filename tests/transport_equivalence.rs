@@ -269,11 +269,16 @@ fn out_hubs_compose(name: &str, m: &GnnModel, strategies: &[StrategyConfig], spi
         let s = Some(strategy);
         let want = run_with(&g, m, 4, Backend::Pregel, &local, s, None, None);
         near_reference("pregel", &want.0);
+        // Typed refs, rows and a broadcast in one step, all three halves
+        // read back through the one kernel: every thread budget, both sides
+        // of the process boundary.
         for threads in [1usize, 2, 4] {
-            let got = Parallelism::with(threads, || {
-                run_with(&g, m, 4, Backend::Pregel, &local, s, None, None)
-            });
-            assert_eq!(want.0, got.0, "{name} diverged at {threads} threads");
+            for transport in [&local, &procs] {
+                let got = Parallelism::with(threads, || {
+                    run_with(&g, m, 4, Backend::Pregel, transport, s, None, None)
+                });
+                assert_eq!(want.0, got.0, "{name} diverged at {threads} threads");
+            }
         }
 
         let xproc = run_with(&g, m, 4, Backend::Pregel, &procs, s, None, None);
