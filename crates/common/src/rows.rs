@@ -485,6 +485,10 @@ impl FusedAggregator for AggKind {
         }
     }
 
+    // Inlined into the engines' fused fold loops (generic over the fold,
+    // instantiated in their crates): out of line it is a cross-crate call
+    // per edge.
+    #[inline]
     fn accumulate(&self, acc: &mut [f32], row: &[f32]) {
         debug_assert_eq!(acc.len(), row.len());
         match self {
@@ -536,15 +540,20 @@ impl RowBlock {
         self.data.is_empty()
     }
 
+    // `push_row` / `row` / `row_mut` sit in the engines' per-edge loops in
+    // other crates: without the hint each is an indirect call per edge.
+    #[inline]
     pub fn push_row(&mut self, row: &[f32]) {
         debug_assert_eq!(row.len(), self.dim, "row width mismatch");
         self.data.extend_from_slice(row);
     }
 
+    #[inline]
     pub fn row(&self, i: usize) -> &[f32] {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
+    #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
         &mut self.data[i * self.dim..(i + 1) * self.dim]
     }
@@ -749,8 +758,8 @@ impl RowArena {
         self.data.spilled_bytes()
     }
 
-    /// Number of rows pending for `slot`. Slots past the sealed range —
-    /// vertices added after the last superstep — have no rows yet.
+    /// Number of rows pending for `slot`; 0 past the sealed range (a
+    /// [`RowArena::empty`] arena holds nothing, whatever the slot).
     pub fn count(&self, slot: usize) -> usize {
         if slot + 1 >= self.offsets.len() {
             0
@@ -970,7 +979,16 @@ impl FusedSlotShard {
         })
     }
 
+    /// Σ [`row_payload_len`]`(dim, Some(count))` over the shard's partials:
+    /// the row framing, the same for each, once per partial plus every
+    /// count's varint — what the engines' byte accounting charges a shard,
+    /// without re-deriving the framing per partial.
+    pub fn payload_len(&self) -> usize {
+        self.keys.len() * row_payload_len(self.dim, None) + varints_len(&self.counts)
+    }
+
     /// Fold `row` (carrying `count` raw messages) into slot's accumulator.
+    #[inline]
     pub fn accumulate(
         &mut self,
         slot: u32,
@@ -1084,9 +1102,10 @@ impl FusedRows {
         }
     }
 
-    /// Accumulator row of `slot`; empty slice for out-of-range slots
-    /// (vertices added after the merge), whose count is 0. `&mut` because
-    /// a spilled store may need to page the covering window in.
+    /// Accumulator row of `slot`; an empty slice past the merged range
+    /// (every slot of a [`FusedRows::empty`] store), where the count is 0.
+    /// `&mut` because a spilled store may need to page the covering window
+    /// in.
     pub fn row(&mut self, slot: usize) -> Result<&[f32]> {
         if self.dim == 0 || slot >= self.acc.n_rows() {
             return Ok(&[]);
@@ -1291,6 +1310,24 @@ mod tests {
     }
 
     #[test]
+    fn fused_shard_payload_len_is_the_sum_over_its_partials() {
+        let mut shard = FusedSlotShard::new(3, 600);
+        assert_eq!(shard.payload_len(), 0);
+        // Counts on both sides of the one- / two-byte varint boundary.
+        for (slot, count) in [(5u32, 1u32), (9, 127), (2, 128), (599, 70_000)] {
+            shard.accumulate(slot, &[1.0, 2.0, 3.0], count, &Sum);
+        }
+        shard.accumulate(9, &[1.0, 2.0, 3.0], 1, &Sum);
+        let want: usize = shard
+            .counts
+            .iter()
+            .map(|&c| row_payload_len(3, Some(c)))
+            .sum();
+        assert_eq!(shard.counts, vec![1, 128, 128, 70_000]);
+        assert_eq!(shard.payload_len(), want);
+    }
+
+    #[test]
     fn fused_merge_orders_senders_and_sums_counts() {
         let mut s0 = FusedSlotShard::new(1, 3);
         s0.accumulate(1, &[1.0], 2, &Sum);
@@ -1303,7 +1340,7 @@ mod tests {
         assert_eq!(merged.row(0).unwrap(), &[7.0]);
         assert_eq!(merged.count(0), 1);
         assert_eq!(merged.count(2), 0);
-        // out-of-range slots (vertices added later) are empty
+        // slots past the merged range read as empty
         assert_eq!(merged.count(9), 0);
         assert_eq!(merged.row(9).unwrap(), &[] as &[f32]);
     }

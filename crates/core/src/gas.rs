@@ -87,12 +87,19 @@ pub struct EdgeCtx<'a> {
 
 /// Gather-stage accumulator.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AggState {
+pub enum AggState<'a> {
     /// Element-wise pooled aggregate. `acc` empty means "identity element"
     /// (no message folded yet); `count` tracks contributions for mean
     /// normalisation. Sum/mean/max all share this shape — the layer's
     /// `merge_agg` knows which fold applies.
-    Pooled { acc: Vec<f32>, count: u32 },
+    ///
+    /// The first partial is *lent*: a vertex whose whole neighbourhood
+    /// arrived as one row — the engine's merged fused accumulator, a lone
+    /// broadcast payload — aggregates and applies without that row ever
+    /// being copied. `acc` becomes owned only when a second partial has
+    /// to fold into it (typed refs beside rows, MapReduce's per-sender
+    /// partials).
+    Pooled { acc: Cow<'a, [f32]>, count: u32 },
     /// Unreduced union of messages in delivery order (layers whose reduce
     /// breaks the commutative/associative rule, e.g. GAT attention): one
     /// flat buffer of `dim`-wide rows, each an `apply_edge` output — for
@@ -100,7 +107,7 @@ pub enum AggState {
     Union { dim: usize, rows: Vec<f32> },
 }
 
-impl AggState {
+impl AggState<'_> {
     /// Number of messages folded into this aggregate.
     pub fn count(&self) -> u32 {
         match self {
@@ -118,18 +125,20 @@ pub trait GasLayer {
     fn annotations(&self) -> LayerAnnotations;
 
     /// The identity aggregate.
-    fn init_agg(&self) -> AggState;
+    fn init_agg<'a>(&self) -> AggState<'a>;
 
     /// Fold one raw message (an `apply_edge` output) into the aggregate.
-    fn aggregate(&self, acc: &mut AggState, msg: Vec<f32>);
+    fn aggregate(&self, acc: &mut AggState<'_>, msg: Vec<f32>);
 
     /// Merge a partial aggregate produced elsewhere (sender-side combining
     /// or another worker). Only called when `partial_gather` is annotated.
-    fn merge_agg(&self, acc: &mut AggState, other: AggState);
+    fn merge_agg<'a>(&self, acc: &mut AggState<'a>, other: AggState<'a>);
 
     /// Update the node embedding from its previous state and the gathered
-    /// aggregate.
-    fn apply_node(&self, node: &NodeCtx<'_>, agg: AggState) -> Vec<f32>;
+    /// aggregate, into `out` (cleared first): the caller hands in a buffer
+    /// it already owns — a vertex's retired row, a worker's spare — so a
+    /// vertex step allocates no embedding of its own.
+    fn apply_node(&self, node: &NodeCtx<'_>, agg: AggState<'_>, out: &mut Vec<f32>);
 
     /// Produce the message sent along one out-edge from the updated state.
     fn apply_edge(&self, state: &[f32], edge: &EdgeCtx<'_>) -> Vec<f32>;
@@ -229,26 +238,28 @@ impl Decode for GnnMessage {
 }
 
 /// Element-wise fold used by pooled aggregates; shared by layer impls
-/// and the fused row aggregator so the two can never disagree. The folds
-/// go through the 8-wide-unrolled row kernels (`row_axpy` / `row_max`),
-/// which are bit-identical to the scalar loops — lanes are independent.
-pub fn pooled_fold(
+/// and the fused row aggregator so the two can never disagree. The first
+/// message becomes the accumulator as it is — borrowed or owned, never
+/// copied; a later one makes the accumulator owned and folds through the
+/// 8-wide-unrolled row kernels (`row_axpy` / `row_max`), which are
+/// bit-identical to the scalar loops — lanes are independent.
+pub fn pooled_fold<'a>(
     op: crate::models::PoolOp,
-    acc: &mut Vec<f32>,
+    acc: &mut Cow<'a, [f32]>,
     count: &mut u32,
-    msg: &[f32],
+    msg: Cow<'a, [f32]>,
     msg_count: u32,
 ) {
     use crate::models::PoolOp;
     if acc.is_empty() {
-        acc.extend_from_slice(msg);
+        *acc = msg;
         *count = msg_count;
         return;
     }
     debug_assert_eq!(acc.len(), msg.len(), "pooled fold width mismatch");
     match op {
-        PoolOp::Sum | PoolOp::Mean => inferturbo_tensor::row_axpy(acc, msg, 1.0),
-        PoolOp::Max => inferturbo_tensor::row_max(acc, msg),
+        PoolOp::Sum | PoolOp::Mean => inferturbo_tensor::row_axpy(acc.to_mut(), &msg, 1.0),
+        PoolOp::Max => inferturbo_tensor::row_max(acc.to_mut(), &msg),
     }
     *count += msg_count;
 }
@@ -292,15 +303,20 @@ mod tests {
 
     #[test]
     fn pooled_fold_sum_and_max() {
-        let (mut acc, mut count) = (vec![], 0u32);
-        pooled_fold(PoolOp::Sum, &mut acc, &mut count, &[1.0, 2.0], 1);
-        pooled_fold(PoolOp::Sum, &mut acc, &mut count, &[3.0, -1.0], 2);
+        let first = [1.0, 2.0];
+        let (mut acc, mut count) = (Cow::Borrowed(&[][..]), 0u32);
+        pooled_fold(PoolOp::Sum, &mut acc, &mut count, Cow::Borrowed(&first), 1);
+        // The first partial is lent, not copied ...
+        assert!(matches!(acc, Cow::Borrowed(_)));
+        pooled_fold(PoolOp::Sum, &mut acc, &mut count, vec![3.0, -1.0].into(), 2);
+        // ... and the lender is untouched when a second one folds.
         assert_eq!(acc, vec![4.0, 1.0]);
+        assert_eq!(first, [1.0, 2.0]);
         assert_eq!(count, 3);
 
-        let (mut acc, mut count) = (vec![], 0u32);
-        pooled_fold(PoolOp::Max, &mut acc, &mut count, &[1.0, 5.0], 1);
-        pooled_fold(PoolOp::Max, &mut acc, &mut count, &[3.0, -1.0], 1);
+        let (mut acc, mut count) = (Cow::Borrowed(&[][..]), 0u32);
+        pooled_fold(PoolOp::Max, &mut acc, &mut count, vec![1.0, 5.0].into(), 1);
+        pooled_fold(PoolOp::Max, &mut acc, &mut count, vec![3.0, -1.0].into(), 1);
         assert_eq!(acc, vec![3.0, 5.0]);
         assert_eq!(count, 2);
     }
@@ -317,9 +333,9 @@ mod tests {
         ) {
             let op = match op_sel { 0 => PoolOp::Sum, 1 => PoolOp::Mean, _ => PoolOp::Max };
             let fold_all = |order: &[usize]| {
-                let (mut acc, mut count) = (vec![], 0u32);
+                let (mut acc, mut count) = (Cow::Borrowed(&[][..]), 0u32);
                 for &i in order {
-                    pooled_fold(op, &mut acc, &mut count, &msgs[i], 1);
+                    pooled_fold(op, &mut acc, &mut count, Cow::Borrowed(&msgs[i]), 1);
                 }
                 (acc, count)
             };
@@ -328,7 +344,7 @@ mod tests {
             let (a1, c1) = fold_all(&fwd);
             let (a2, c2) = fold_all(&rev);
             prop_assert_eq!(c1, c2);
-            for (x, y) in a1.iter().zip(&a2) {
+            for (x, y) in a1.iter().zip(a2.iter()) {
                 prop_assert!((x - y).abs() < 1e-4, "fold order changed result: {} vs {}", x, y);
             }
         }

@@ -98,7 +98,9 @@ pub(crate) fn reference_logits(
                 in_degree: in_deg[v as usize],
                 out_degree: out_deg[v as usize],
             };
-            next.push(layer.apply_node(&ctx, agg));
+            let mut updated = Vec::new();
+            layer.apply_node(&ctx, agg, &mut updated);
+            next.push(updated);
         }
         h = next;
     }

@@ -50,10 +50,6 @@ pub enum MrRecord {
     Output(Vec<f32>),
 }
 
-/// A node's unpacked self-state inside a reducer: (embedding, out-edge
-/// table, logical in-degree, logical out-degree).
-type SelfState = (Vec<f32>, Arc<[u64]>, u32, u32);
-
 const TAG_SELF: u8 = 1;
 const TAG_INMSG: u8 = 2;
 const TAG_BCAST: u8 = 3;
@@ -177,7 +173,7 @@ fn scatter_rows(
         return;
     }
     let layer = model.layer_view(layer_idx);
-    let raw = layer.apply_edge(
+    let raw = layer.edge_row(
         h,
         &EdgeCtx {
             src_out_degree: out_deg,
@@ -185,9 +181,8 @@ fn scatter_rows(
         },
     );
     ctx.add_flops(layer.flops_apply_edge());
-    let ann = layer.annotations();
-    if strategy.broadcast && ann.uniform_message && out_deg as u64 > bc_threshold {
-        let msg = layer.make_wire(raw, strategy.partial_gather);
+    if strategy.broadcast && out_deg as u64 > bc_threshold && layer.annotations().uniform_message {
+        let msg = layer.make_wire(raw.into_owned(), strategy.partial_gather);
         for w in 0..workers {
             emit.push((
                 w as u64,
@@ -326,9 +321,12 @@ pub(crate) fn run_planned(
         // before node keys, so the table fills before any node group.
         let make_reduce = |_w: usize| {
             let mut table: FxHashMap<u64, GnnMessage> = FxHashMap::default();
+            // The worker's spare embedding row: `apply_node` writes into
+            // it, then it trades places with the key's retired `h`.
+            let mut spare: Vec<f32> = Vec::new();
             move |ctx: &mut PhaseCtx,
                   key: u64,
-                  values: Vec<MrRecord>,
+                  mut values: Vec<MrRecord>,
                   view: RowsView<'_>,
                   sink: &mut RowSink<'_>|
                   -> Result<Vec<(u64, MrRecord)>> {
@@ -345,24 +343,21 @@ pub(crate) fn run_planned(
                 }
                 let layer = model.layer_view(layer_idx);
                 let mut agg = layer.init_agg();
-                let mut self_state: Option<SelfState> = None;
+                let mut self_at = None;
                 // Columnar half first: partial rows fold with their counts.
+                // Rows and records are gathered where they lie — the
+                // aggregate borrows `view`, `values` and the table.
                 let mut n_msgs = view.n_rows();
                 for i in 0..view.n_rows() {
                     layer.gather_row(&mut agg, view.row(i), view.counts[i]);
                 }
-                for v in values {
+                let lookup = |src: u64| table.get(&src);
+                for (i, v) in values.iter().enumerate() {
                     match v {
-                        MrRecord::SelfState {
-                            h,
-                            out_targets,
-                            in_deg,
-                            out_deg,
-                        } => self_state = Some((h, out_targets, in_deg, out_deg)),
+                        MrRecord::SelfState { .. } => self_at = Some(i),
                         MrRecord::InMsg(m) => {
                             n_msgs += 1;
-                            let lookup = |src: u64| table.get(&src);
-                            layer.gather_wire(&mut agg, &m, &lookup)?;
+                            layer.gather_wire(&mut agg, m, &lookup)?;
                         }
                         other => {
                             return Err(Error::InvalidGraph(format!(
@@ -371,19 +366,23 @@ pub(crate) fn run_planned(
                         }
                     }
                 }
-                let Some((h, out_targets, in_deg, out_deg)) = self_state else {
+                let Some(MrRecord::SelfState {
+                    h, in_deg, out_deg, ..
+                }) = self_at.map(|i| &values[i])
+                else {
                     return Err(Error::InvalidGraph(format!(
                         "node {key} lost its self-state record"
                     )));
                 };
+                let (in_deg, out_deg) = (*in_deg, *out_deg);
                 let gathered = agg.count() as usize;
                 let ctx_node = NodeCtx {
                     id: key,
-                    state: &h,
+                    state: h,
                     in_degree: in_deg,
                     out_degree: out_deg,
                 };
-                let h_new = layer.apply_node(&ctx_node, agg);
+                layer.apply_node(&ctx_node, agg, &mut spare);
                 ctx.add_flops(
                     layer.flops_apply_node(gathered)
                         + n_msgs as f64 * layer.flops_aggregate_per_message(),
@@ -391,8 +390,16 @@ pub(crate) fn run_planned(
                 let mut emit = Vec::with_capacity(2);
                 if r == k {
                     ctx.add_flops(model.flops_head());
-                    emit.push((key, MrRecord::Output(model.apply_head(&h_new))));
+                    emit.push((key, MrRecord::Output(model.apply_head(&spare))));
                 } else {
+                    // The gather is done with `values`: the self-state
+                    // moves out whole, its `h` in as the next spare.
+                    let Some(MrRecord::SelfState { h, out_targets, .. }) =
+                        self_at.map(|i| values.swap_remove(i))
+                    else {
+                        return Err(Error::Internal("the self-state record moved".into()));
+                    };
+                    let h_new = std::mem::replace(&mut spare, h);
                     scatter_rows(
                         model,
                         &strategy,

@@ -126,10 +126,9 @@ impl<'m> GnnVertexProgram<'m> {
             },
         );
         out.add_flops(layer.flops_apply_edge());
-        let ann = layer.annotations();
         if self.strategy.broadcast
-            && ann.uniform_message
             && state.out_deg as u64 > self.bc_threshold
+            && layer.annotations().uniform_message
         {
             // Hub path: one payload per worker on the typed plane, one
             // 8-byte ref per edge.
@@ -179,7 +178,11 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
             in_degree: state.in_deg,
             out_degree: state.out_deg,
         };
-        state.h = layer.apply_node(&ctx, agg);
+        // The new embedding is written into the worker's spare row, which
+        // then trades places with the old one: past the first layer a
+        // vertex step allocates no embedding.
+        layer.apply_node(&ctx, agg, out.spare_row());
+        std::mem::swap(&mut state.h, out.spare_row());
         out.add_flops(
             layer.flops_apply_node(gathered) + n_msgs as f64 * layer.flops_aggregate_per_message(),
         );

@@ -10,7 +10,7 @@ use super::{matvec_acc, GnnModel, LayerKind, LayerParams, PoolOp};
 use crate::gas::{pooled_fold, AggState, EdgeCtx, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
 use inferturbo_common::{Error, Result};
 use inferturbo_pregel::{BroadcastLookup, FusedAggregator, RowsIn};
-use inferturbo_tensor::{row_axpy, row_max};
+use inferturbo_tensor::{row_axpy, row_matvec_acc, row_max};
 use std::borrow::Cow;
 
 /// GAT attention slope — fixed constant, must match the tape builder.
@@ -51,25 +51,44 @@ impl<'m> LayerView<'m> {
         self.pool_op().map(|op| PoolRowAggregator { op })
     }
 
-    /// Fold one columnar row (a partial aggregate over `count` raw
-    /// messages, or a raw message when `count == 1`) into the gather
-    /// aggregate.
-    pub fn gather_row(&self, agg: &mut AggState, row: &[f32], count: u32) {
+    /// Message width on the wire: the length of an `apply_edge` output.
+    fn msg_dim(&self) -> usize {
+        let lp = self.lp();
+        match lp.kind {
+            LayerKind::Gcn | LayerKind::Sage(_) => lp.in_dim,
+            // GAT ships the source-side projection W·h.
+            LayerKind::Gat { .. } => lp.out_dim,
+        }
+    }
+
+    /// Fold one row — a partial aggregate over `count` raw messages, or a
+    /// raw message when `count == 1` — into the gather aggregate. A pooled
+    /// aggregate takes its first row as it comes (a borrowed row is lent,
+    /// an owned one moved in) and folds the rest; a union appends.
+    fn gather<'a>(&self, agg: &mut AggState<'a>, row: Cow<'a, [f32]>, count: u32) {
         match (self.pool_op(), agg) {
             (Some(op), AggState::Pooled { acc, count: c }) => pooled_fold(op, acc, c, row, count),
             (None, AggState::Union { dim, rows }) => {
                 debug_assert_eq!(count, 1, "union layers never see partial rows");
                 debug_assert_eq!(row.len(), *dim, "union row width mismatch");
-                rows.extend_from_slice(row);
+                rows.extend_from_slice(&row);
             }
-            _ => debug_assert!(false, "gather_row on mismatched AggState"),
+            _ => debug_assert!(false, "gather on mismatched AggState"),
         }
+    }
+
+    /// Fold one columnar row into the gather aggregate, by borrow: see
+    /// [`AggState::Pooled`] for when it is copied.
+    pub fn gather_row<'a>(&self, agg: &mut AggState<'a>, row: &'a [f32], count: u32) {
+        self.gather(agg, Cow::Borrowed(row), count);
     }
 
     /// Fold the columnar half of a vertex inbox into the gather aggregate:
     /// materialized rows fold one by one in delivery order; a fused
-    /// accumulator merges as a single pre-reduced partial.
-    pub fn gather_rows(&self, agg: &mut AggState, rows: RowsIn<'_>) {
+    /// accumulator — the engine's merged row, already the gather result
+    /// when nothing else arrives — is one pre-reduced partial, read where
+    /// it lies.
+    pub fn gather_rows<'a>(&self, agg: &mut AggState<'a>, rows: RowsIn<'a>) {
         match rows {
             RowsIn::None => {}
             RowsIn::Rows { dim, data } => {
@@ -81,22 +100,7 @@ impl<'m> LayerView<'m> {
             }
             RowsIn::Fused { acc, count, .. } => {
                 if count > 0 {
-                    // The common case: the engine's merged accumulator IS
-                    // the gather result — copy it straight into the empty
-                    // aggregate instead of round-tripping a partial.
-                    match (self.pool_op(), &mut *agg) {
-                        (Some(_), AggState::Pooled { acc: a, count: c }) if a.is_empty() => {
-                            a.extend_from_slice(acc);
-                            *c = count;
-                        }
-                        _ => self.merge_agg(
-                            agg,
-                            AggState::Pooled {
-                                acc: acc.to_vec(),
-                                count,
-                            },
-                        ),
-                    }
+                    self.gather_row(agg, acc, count);
                 }
             }
         }
@@ -116,11 +120,11 @@ impl<'m> LayerView<'m> {
     /// Fold one wire message into the gather aggregate, resolving broadcast
     /// references through `lookup` — by borrow: a hub's payload is folded
     /// straight out of the broadcast table, never copied per ref.
-    pub fn gather_wire(
+    pub fn gather_wire<'a>(
         &self,
-        agg: &mut AggState,
-        msg: &GnnMessage,
-        lookup: &BroadcastLookup<'_, GnnMessage>,
+        agg: &mut AggState<'a>,
+        msg: &'a GnnMessage,
+        lookup: &BroadcastLookup<'a, GnnMessage>,
     ) -> Result<()> {
         match msg {
             GnnMessage::Partial { acc, count } => {
@@ -157,63 +161,51 @@ impl GasLayer for LayerView<'_> {
             uniform_message: true,
             in_dim: lp.in_dim,
             out_dim: lp.out_dim,
-            msg_dim: match lp.kind {
-                LayerKind::Gcn | LayerKind::Sage(_) => lp.in_dim,
-                // GAT ships the source-side projection W·h.
-                LayerKind::Gat { .. } => lp.out_dim,
-            },
+            msg_dim: self.msg_dim(),
         }
     }
 
-    fn init_agg(&self) -> AggState {
+    fn init_agg<'a>(&self) -> AggState<'a> {
         match self.pool_op() {
             Some(_) => AggState::Pooled {
-                acc: Vec::new(),
+                acc: Cow::Borrowed(&[]),
                 count: 0,
             },
             None => AggState::Union {
-                dim: self.annotations().msg_dim,
+                dim: self.msg_dim(),
                 rows: Vec::new(),
             },
         }
     }
 
-    fn aggregate(&self, acc: &mut AggState, msg: Vec<f32>) {
-        self.gather_row(acc, &msg, 1);
+    fn aggregate(&self, acc: &mut AggState<'_>, msg: Vec<f32>) {
+        self.gather(acc, Cow::Owned(msg), 1);
     }
 
-    fn merge_agg(&self, acc: &mut AggState, other: AggState) {
-        match (self.pool_op(), acc, other) {
-            (
-                Some(op),
-                AggState::Pooled { acc, count },
-                AggState::Pooled {
-                    acc: other_acc,
-                    count: other_count,
-                },
-            ) => {
-                if !other_acc.is_empty() {
-                    pooled_fold(op, acc, count, &other_acc, other_count);
+    fn merge_agg<'a>(&self, acc: &mut AggState<'a>, other: AggState<'a>) {
+        match (acc, other) {
+            (acc @ AggState::Pooled { .. }, AggState::Pooled { acc: other, count }) => {
+                // An empty partial is the identity, whatever its count.
+                if !other.is_empty() {
+                    self.gather(acc, other, count);
                 }
             }
-            (
-                None,
-                AggState::Union { rows, .. },
-                AggState::Union {
-                    rows: other_rows, ..
-                },
-            ) => rows.extend_from_slice(&other_rows),
+            (AggState::Union { rows, .. }, AggState::Union { rows: other, .. }) => {
+                rows.extend_from_slice(&other)
+            }
             _ => debug_assert!(false, "merge_agg on mismatched AggState"),
         }
     }
 
-    fn apply_node(&self, node: &NodeCtx<'_>, agg: AggState) -> Vec<f32> {
+    fn apply_node(&self, node: &NodeCtx<'_>, agg: AggState<'_>, out: &mut Vec<f32>) {
         let lp = self.lp();
         let params = &self.model.params;
+        out.clear();
+        out.extend_from_slice(params.get(lp.bias).row(0));
         match lp.kind {
             LayerKind::Gcn => {
                 let mut combined = match agg {
-                    AggState::Pooled { acc, .. } if !acc.is_empty() => acc,
+                    AggState::Pooled { acc, .. } if !acc.is_empty() => acc.into_owned(),
                     _ => vec![0.0; lp.in_dim],
                 };
                 let s_in = 1.0 / ((node.in_degree + 1) as f32).sqrt();
@@ -224,39 +216,31 @@ impl GasLayer for LayerView<'_> {
                 for (c, &x) in combined.iter_mut().zip(node.state) {
                     *c += x * s_self;
                 }
-                let mut out = params.get(lp.bias).row(0).to_vec();
-                matvec_acc(params.get(lp.w), &combined, &mut out);
-                lp.act.apply_slice(&mut out);
-                out
+                matvec_acc(params.get(lp.w), &combined, out);
             }
             LayerKind::Sage(pool) => {
-                let aggv = match agg {
-                    AggState::Pooled { mut acc, count } => {
-                        if acc.is_empty() {
-                            vec![0.0; lp.in_dim]
-                        } else {
-                            if pool == PoolOp::Mean && count > 0 {
-                                let inv = 1.0 / count as f32;
-                                for v in &mut acc {
-                                    *v *= inv;
-                                }
-                            }
-                            acc
-                        }
-                    }
+                let (acc, count) = match agg {
+                    AggState::Pooled { acc, count } => (acc, count),
                     // itlint::allow(panic-in-lib): init_agg and apply_node dispatch on the same LayerView, so the agg variant always matches the layer kind
                     AggState::Union { .. } => unreachable!("SAGE aggregates pooled"),
                 };
-                let mut out = params.get(lp.bias).row(0).to_vec();
                 matvec_acc(
                     // itlint::allow(panic-in-lib): Sage layer constructors always populate w_self
                     params.get(lp.w_self.expect("SAGE has w_self")),
                     node.state,
-                    &mut out,
+                    out,
                 );
-                matvec_acc(params.get(lp.w), &aggv, &mut out);
-                lp.act.apply_slice(&mut out);
-                out
+                // The aggregate is read where it lies — for a vertex with
+                // only fused in-rows that is the engine's accumulator —
+                // with mean's 1/count applied as each lane is read. The
+                // identity aggregate (no in-message) contributes nothing.
+                if !acc.is_empty() {
+                    let scale = match pool {
+                        PoolOp::Mean if count > 0 => 1.0 / count as f32,
+                        _ => 1.0,
+                    };
+                    row_matvec_acc(params.get(lp.w), &acc, scale, out);
+                }
             }
             LayerKind::Gat { heads } => {
                 // Gathered rows are `apply_edge` outputs: already W·h_src.
@@ -274,7 +258,6 @@ impl GasLayer for LayerView<'_> {
                 let a_dst = params.get(lp.a_dst.expect("GAT has a_dst"));
                 let dh = lp.out_dim / heads;
 
-                let mut out = params.get(lp.bias).row(0).to_vec();
                 if !whs.is_empty() {
                     // dst attention from the node's own transformed state
                     let mut wh_self = vec![0.0f32; lp.out_dim];
@@ -329,10 +312,9 @@ impl GasLayer for LayerView<'_> {
                         }
                     }
                 }
-                lp.act.apply_slice(&mut out);
-                out
             }
         }
+        lp.act.apply_slice(out);
     }
 
     fn apply_edge(&self, state: &[f32], edge: &EdgeCtx<'_>) -> Vec<f32> {
@@ -375,7 +357,7 @@ impl GasLayer for LayerView<'_> {
     }
 
     fn flops_aggregate_per_message(&self) -> f64 {
-        self.annotations().msg_dim as f64
+        self.msg_dim() as f64
     }
 
     fn flops_apply_edge(&self) -> f64 {
@@ -454,7 +436,8 @@ mod tests {
             in_degree: 2,
             out_degree: 1,
         };
-        let out = layer.apply_node(&node, agg);
+        let mut out = Vec::new();
+        layer.apply_node(&node, agg, &mut out);
         // hand-compute: mean = [2,2,2,2]
         let w_self = m.params.get(m.layers[0].w_self.unwrap());
         let w_nb = m.params.get(m.layers[0].w);
@@ -466,6 +449,67 @@ mod tests {
             *v = v.max(0.0);
         }
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn a_lone_partial_is_lent_and_a_second_one_folds_into_a_copy() {
+        let m = sage_model();
+        let layer = m.layer_view(0);
+        let merged = [4.0f32, 8.0, -2.0, 0.0];
+        let fused = RowsIn::Fused {
+            dim: 4,
+            acc: &merged,
+            count: 4,
+        };
+        let node = NodeCtx {
+            id: 0,
+            state: &[0.5, -0.5, 0.25, 0.0],
+            in_degree: 4,
+            out_degree: 1,
+        };
+
+        // The engine's merged accumulator is the aggregate: read in place,
+        // mean's 1/count applied as the kernel reads each lane.
+        let mut agg = layer.init_agg();
+        layer.gather_rows(&mut agg, fused);
+        assert!(matches!(
+            &agg,
+            AggState::Pooled { acc: Cow::Borrowed(a), count: 4 } if a.as_ptr() == merged.as_ptr()
+        ));
+        let mut lent = Vec::new();
+        layer.apply_node(&node, agg, &mut lent);
+        // ... to the bits of scaling an owned copy first.
+        let mut want = m.params.get(m.layers[0].bias).row(0).to_vec();
+        matvec_acc(
+            m.params.get(m.layers[0].w_self.unwrap()),
+            node.state,
+            &mut want,
+        );
+        matvec_acc(
+            m.params.get(m.layers[0].w),
+            &[1.0, 2.0, -0.5, 0.0],
+            &mut want,
+        );
+        m.layers[0].act.apply_slice(&mut want);
+        assert_eq!(lent, want);
+
+        // A typed partial beside it folds into an owned copy; the lender
+        // keeps its lanes.
+        let extra = GnnMessage::Partial {
+            acc: vec![1.0; 4],
+            count: 2,
+        };
+        let mut agg = layer.init_agg();
+        layer.gather_rows(&mut agg, fused);
+        layer.gather_wire(&mut agg, &extra, &|_| None).unwrap();
+        assert_eq!(
+            agg,
+            AggState::Pooled {
+                acc: Cow::Owned(vec![5.0, 9.0, -1.0, 1.0]),
+                count: 6
+            }
+        );
+        assert_eq!(merged, [4.0, 8.0, -2.0, 0.0]);
     }
 
     #[test]
@@ -493,7 +537,7 @@ mod tests {
         match (&seq, &p1) {
             (AggState::Pooled { acc: a, count: c }, AggState::Pooled { acc: b, count: c2 }) => {
                 assert_eq!(c, c2);
-                for (x, y) in a.iter().zip(b) {
+                for (x, y) in a.iter().zip(b.iter()) {
                     assert!((x - y).abs() < 1e-5);
                 }
             }
@@ -511,7 +555,9 @@ mod tests {
             in_degree: 0,
             out_degree: 0,
         };
-        let out = layer.apply_node(&node, layer.init_agg());
+        // A stale buffer is overwritten, not appended to.
+        let mut out = vec![9.0; 2];
+        layer.apply_node(&node, layer.init_agg(), &mut out);
         let mut want = m.params.get(m.layers[0].bias).row(0).to_vec();
         m.layers[0].act.apply_slice(&mut want);
         assert_eq!(out, want);
@@ -538,11 +584,12 @@ mod tests {
         );
         let mut one = layer.init_agg();
         layer.aggregate(&mut one, msg.clone());
-        let out_one = layer.apply_node(&node, one);
+        let (mut out_one, mut out_two) = (Vec::new(), Vec::new());
+        layer.apply_node(&node, one, &mut out_one);
         let mut two = layer.init_agg();
         layer.aggregate(&mut two, msg.clone());
         layer.aggregate(&mut two, msg.clone());
-        let out_two = layer.apply_node(&node, two);
+        layer.apply_node(&node, two, &mut out_two);
         for (a, b) in out_one.iter().zip(&out_two) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }

@@ -525,13 +525,6 @@ impl<'p> Emit<'p> {
 /// One worker's typed-plane shards, one per peer worker: `(slot, msg)` pairs.
 type LegacyShards<M> = Vec<Vec<(u32, M)>>;
 
-/// Wire length of a columnar row to `dst` — materialized, or a fused
-/// partial carrying its fold `count`: the shared [`row_payload_len`]
-/// framing plus the destination varint.
-fn row_wire_len(dim: usize, count: Option<u32>, dst: u64) -> u64 {
-    (row_payload_len(dim, count) + varint_len(dst)) as u64
-}
-
 /// Everything one worker's compute produces in a superstep beside its
 /// columnar shards, merged at the barrier in ascending worker order.
 struct StepOut<M> {
@@ -1083,8 +1076,10 @@ enum RowSink<'a> {
         agg: &'a dyn FusedAggregator,
         /// `agg`'s closed-form fold, when it names one
         /// ([`FusedAggregator::wire_kind`] — bit-identical by that
-        /// method's contract): folds through it compile to a plain loop
-        /// instead of a virtual call per edge.
+        /// method's contract): [`fold_spans`] is instantiated over it, and
+        /// `AggKind`'s fold and the shard's row accessors are `#[inline]`
+        /// in `inferturbo_common`, so the per-edge loop is the lane loop
+        /// itself. Through `agg` it is a virtual call per edge.
         kind: Option<AggKind>,
     },
 }
@@ -1141,26 +1136,22 @@ impl RowSink<'_> {
 
     /// `(records, wire bytes)` of the shard bound for worker `w2`: one
     /// record per row it holds — a materialized row, or a fused partial
-    /// (one per touched slot, in first-touch order). `ids` is `w2`'s slot
-    /// table, which names the destination every record is framed with.
+    /// (one per touched slot, in first-touch order) — each the shared
+    /// [`row_payload_len`] framing plus its destination's varint. `ids` is
+    /// `w2`'s slot table, which names the destination every record is
+    /// framed with. The framing is summed shard-wise (it is the same for
+    /// every record of a step); only the destination varint is per record.
     fn shipped(&self, w2: usize, ids: &[u64]) -> (u64, u64) {
-        match self {
-            RowSink::None => (0, 0),
+        let (slots, payload) = match self {
+            RowSink::None => return (0, 0),
             RowSink::Rows { dim, shards } => {
                 let slots = &shards[w2].slots;
-                let bytes = slots
-                    .iter()
-                    .map(|&s| row_wire_len(*dim, None, ids[s as usize]));
-                (slots.len() as u64, bytes.sum())
+                (slots, slots.len() * row_payload_len(*dim, None))
             }
-            RowSink::Fused { dim, shards, .. } => {
-                let shard = &shards[w2];
-                let partials = shard.keys.iter().zip(&shard.counts);
-                let bytes =
-                    partials.map(|(&s, &count)| row_wire_len(*dim, Some(count), ids[s as usize]));
-                (shard.keys.len() as u64, bytes.sum())
-            }
-        }
+            RowSink::Fused { shards, .. } => (&shards[w2].keys, shards[w2].payload_len()),
+        };
+        let addressed: usize = slots.iter().map(|&s| varint_len(ids[s as usize])).sum();
+        (slots.len() as u64, (payload + addressed) as u64)
     }
 }
 
@@ -1841,6 +1832,58 @@ mod tests {
             }
             assert_eq!(eng.state(0).unwrap(), &want, "{workers} workers");
         }
+    }
+
+    /// Records how long the worker's spare row was when each compute
+    /// began, then grows it by one lane.
+    struct SpareProbe;
+
+    impl VertexProgram for SpareProbe {
+        type State = Vec<usize>;
+        type Msg = f32;
+
+        fn compute(
+            &self,
+            _step: usize,
+            _vertex: u64,
+            seen: &mut Vec<usize>,
+            _inbox: Inbox<'_, f32>,
+            out: &mut Outbox<f32>,
+        ) -> Result<()> {
+            seen.push(out.spare_row().len());
+            out.spare_row().push(0.0);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_spare_row_outlives_computes_supersteps_and_a_pooled_run() {
+        let engine = || {
+            let cfg = PregelConfig::new(ClusterSpec::test_spec(1))
+                .with_activation(ActivationPolicy::AlwaysActive);
+            engine_of(
+                SpareProbe,
+                cfg,
+                (0..4u64).map(|id| (id, Vec::new())).collect(),
+            )
+        };
+        let mut eng = engine();
+        eng.run(2).unwrap();
+        // One worker, four vertices in slot order, two supersteps: nothing
+        // between two computes touched the row.
+        let mut seen: Vec<usize> = Vec::new();
+        eng.for_each_state(|_, s| seen.extend(s));
+        seen.sort_unstable();
+        assert_eq!(seen, (0..8).collect::<Vec<_>>());
+        // It rides the scratch pool into the next run.
+        let pool = eng.take_scratch();
+        let mut eng = engine();
+        eng.set_scratch(pool);
+        eng.run(1).unwrap();
+        let mut seen: Vec<usize> = Vec::new();
+        eng.for_each_state(|_, s| seen.extend(s));
+        seen.sort_unstable();
+        assert_eq!(seen, (8..12).collect::<Vec<_>>());
     }
 
     #[test]

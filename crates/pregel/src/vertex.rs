@@ -29,7 +29,7 @@
 //! goes to. [`Outbox::scatter_row`] spools a row *once* with the span of
 //! pre-resolved routes the caller passes (a vertex's planned out-edges, or
 //! any sub-slice of them): `out_deg` destinations cost one row copy and
-//! `out_deg` 8-byte routes. [`Outbox::send_row`] is the single-destination
+//! `out_deg` 4-byte routes. [`Outbox::send_row`] is the single-destination
 //! form for programs that address by vertex id: it resolves the id through
 //! the layout's index right there and spools the row with a span of one.
 //! Both write the same spool, in call order, and the engine's one routing
@@ -123,7 +123,7 @@ pub struct Inbox<'a, M> {
 /// Per-compute output collector handed to [`VertexProgram::compute`].
 /// One instance is reused across a worker's whole superstep — cleared
 /// between vertices, capacity retained — so steady-state sends allocate
-/// nothing.
+/// nothing. It also carries the worker's one [spare row](Outbox::spare_row).
 pub struct Outbox<M> {
     pub(crate) messages: Vec<(u64, M)>,
     pub(crate) broadcasts: Vec<M>,
@@ -138,6 +138,8 @@ pub struct Outbox<M> {
     pub(crate) flops: f64,
     /// First misuse of the row plane this compute.
     pub(crate) misuse: Option<RowMisuse>,
+    /// See [`Outbox::spare_row`]; never cleared.
+    spare: Vec<f32>,
     /// The layout `send_row` resolves ids through.
     layout: Arc<PregelLayout>,
 }
@@ -153,6 +155,7 @@ impl<M> Outbox<M> {
             row_dim: None,
             flops: 0.0,
             misuse: None,
+            spare: Vec::new(),
             layout,
         }
     }
@@ -178,6 +181,17 @@ impl<M> Outbox<M> {
         if !Arc::ptr_eq(&self.layout, layout) {
             self.layout = Arc::clone(layout);
         }
+    }
+
+    /// The worker's spare row: one buffer that outlives the compute call
+    /// (and, with the outbox, the superstep and a pooled run), for a
+    /// kernel that replaces a row of its state every step. It writes the
+    /// new row here and swaps it with the state's old one, which becomes
+    /// the next vertex's spare — so a superstep allocates no rows in
+    /// steady state. The engine neither reads nor clears it; a kernel
+    /// must not expect to find what it left.
+    pub fn spare_row(&mut self) -> &mut Vec<f32> {
+        &mut self.spare
     }
 
     /// Send `msg` to vertex `dst` for delivery next superstep (typed

@@ -28,6 +28,6 @@ pub mod nn;
 pub mod optim;
 
 pub use autograd::{Tape, Var};
-pub use matrix::{row_axpy, row_max, Matrix};
+pub use matrix::{row_axpy, row_matvec_acc, row_max, Matrix};
 pub use nn::{Activation, Init};
 pub use optim::{Adam, Optimizer, Sgd};

@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# Paired parent/change benchmark runs: the "ten alternating pairs" every
+# perf PR reports, as one command. `benchmark/run.sh --self-check`
+# alternates two sides of *one* build; this alternates two *trees*.
+#
+#   scripts/ab.sh <parent-tree> <change-tree> [--pairs N] [--seed S]
+#                 [--seconds S] [--workload W]
+#
+# Each tree is built by its own `benchmark/run.sh` into its own target
+# directory (so each side is measured with the harness it shipped with),
+# then the two `itbench` binaries run every workload — or only W —
+# untraced, N times per side (default 10), the side that goes first
+# alternating pair by pair. Records append to parent.jsonl / change.jsonl;
+# the script ends in `itbench compare parent.jsonl change.jsonl` from the
+# change tree and passes its exit status through (non-zero: a row WORSE,
+# or a run failed its output checks).
+#
+# Everything is written under <CARGO_TARGET_DIR, else ./target>/ab; each
+# run's own report (its metrics with spread, its output checks) goes to
+# parent.log / change.log there.
+# Use a seed the change was not developed on, and run the parent against
+# itself (`ab.sh P P`) beside a claim for the A/A floor.
+set -euo pipefail
+
+# As in run.sh: nothing ambient may change what is measured.
+unset INFERTURBO_THREADS INFERTURBO_FAULTS INFERTURBO_TRACE \
+      INFERTURBO_TRANSPORT INFERTURBO_WORKER_BIN INFERTURBO_OVERLOAD
+
+usage() { sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+[ $# -ge 2 ] || usage
+parent="$(cd "$1" && pwd)"
+change="$(cd "$2" && pwd)"
+shift 2
+
+pairs=10 only=""
+pass=()
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --pairs) pairs="$2"; shift 2 ;;
+        --workload) only="$2"; shift 2 ;;
+        --seed|--seconds) pass+=("$1" "$2"); shift 2 ;;
+        *) echo "ab.sh: unknown argument $1" >&2; usage ;;
+    esac
+done
+
+out="${CARGO_TARGET_DIR:-target}/ab"
+mkdir -p "$out"
+out="$(cd "$out" && pwd)"
+
+# Build through each tree's own run.sh: a one-second smoke run of one
+# workload is the cheapest invocation that builds itbench and itworker.
+bin_of() { echo "$out/$1-target/release/itbench"; }
+build() { # <side> <tree>
+    echo "ab.sh: building $1 ($2)" >&2
+    CARGO_TARGET_DIR="$out/$1-target" bash "$2/benchmark/run.sh" \
+        --workload pregel_sage_inhub --smoke --seconds 1 --trace 0 >/dev/null
+}
+build parent "$parent"
+build change "$change"
+
+if [ -n "$only" ]; then
+    workloads=("$only")
+else
+    mapfile -t workloads < <("$(bin_of change)" manifest |
+        sed -n 's/.*{"name": "\([a-z0-9_]*\)", "why".*/\1/p')
+fi
+
+rm -f "$out"/{parent,change}.{jsonl,log}
+status=0
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) = 1 ]; then order=(parent change); else order=(change parent); fi
+    for w in "${workloads[@]}"; do
+        for side in "${order[@]}"; do
+            "$(bin_of "$side")" run --workload "$w" --trace 0 \
+                --out-dir "$out/$side-out" --record "$out/$side.jsonl" \
+                ${pass[@]+"${pass[@]}"} >/dev/null 2>>"$out/$side.log" || status=1
+        done
+    done
+    echo "ab.sh: pair $i/$pairs done" >&2
+done
+
+"$(bin_of change)" compare "$out/parent.jsonl" "$out/change.jsonl" || status=1
+echo "ab.sh: records in $out/parent.jsonl and $out/change.jsonl" >&2
+exit $status

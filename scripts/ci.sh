@@ -41,6 +41,9 @@ echo "== cargo test =="
 # configuration, so one run of the suite is the whole matrix.
 cargo test --offline -q
 
+echo "== bash -n scripts/ab.sh (the paired parent/change runner parses) =="
+bash -n scripts/ab.sh
+
 echo "== itbench unit tests =="
 # The benchmark is a package of its own (benchmark/Cargo.toml, empty
 # [workspace]), so the workspace legs above never compile it.

@@ -147,7 +147,8 @@ fn source_side_projection_is_bit_identical_to_the_receiver_side_formula() {
                         in_degree: n_msgs as u32,
                         out_degree: 3,
                     };
-                    let got = layer.apply_node(&node, agg);
+                    let mut got = Vec::new();
+                    layer.apply_node(&node, agg, &mut got);
                     let want = receiver_side_gat(&model, heads, &state, &msgs);
                     assert!(
                         want.iter().all(|x| x.is_finite()),
@@ -217,7 +218,8 @@ fn signed_zero_and_far_apart_logits_take_the_same_bits() {
         in_degree: 4,
         out_degree: 1,
     };
-    let got = layer.apply_node(&node, agg);
+    let mut got = Vec::new();
+    layer.apply_node(&node, agg, &mut got);
     let want = receiver_side_gat(&model, heads, &state, &msgs);
     assert!(want.iter().all(|x| x.is_finite()));
     assert_eq!(bits(&got), bits(&want));

@@ -200,7 +200,9 @@ fn oracle(model: &GnnModel, g: &Graph, strategy: StrategyConfig, workers: usize)
                     in_degree: rec.in_deg,
                     out_degree: rec.out_deg,
                 };
-                layer.apply_node(&ctx, agg)
+                let mut updated = Vec::new();
+                layer.apply_node(&ctx, agg, &mut updated);
+                updated
             })
             .collect();
     }
