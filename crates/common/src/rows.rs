@@ -784,7 +784,8 @@ impl RowArena {
     /// covering window in; draining slots in ascending order streams the
     /// spill file exactly once.
     pub fn rows(&mut self, slot: usize) -> Result<&[f32]> {
-        if slot + 1 >= self.offsets.len() {
+        // Zero-width rows hold no lanes, however many of them there are.
+        if slot + 1 >= self.offsets.len() || self.dim == 0 {
             return Ok(&[]);
         }
         let lo = self.offsets[slot] as usize;
@@ -792,12 +793,14 @@ impl RowArena {
         self.data.rows(lo, hi)
     }
 
-    /// Build the arena from per-sender shards. Shards are scattered in
-    /// ascending sender order and each shard in emission order,
-    /// reproducing exactly the delivery order of a serial sender loop.
-    /// Under `spill`, row data beyond the budget pages to disk — spilling
-    /// happens after the scatter, so delivery order and bits are
-    /// unaffected.
+    /// Build the arena from per-sender shards: a stable counting sort by
+    /// slot of the shards' concatenation, shards in ascending sender order
+    /// and each shard in emission order — exactly the delivery order of a
+    /// serial sender loop. The scatter moves 8-byte `(sender, row)`
+    /// sources, not rows; the arena is then written front to back, one
+    /// append per row, never zero-filled. Under `spill`, row data beyond
+    /// the budget pages to disk — spilling happens after the sort, so
+    /// delivery order and bits are unaffected.
     pub fn seal(
         dim: usize,
         n_slots: usize,
@@ -816,17 +819,21 @@ impl RowArena {
             offsets[i + 1] += offsets[i];
         }
         debug_assert_eq!(offsets[n_slots] as usize, total);
-        let mut data = vec![0.0f32; total * dim];
         // `offsets` doubles as the scatter cursor (see `crate::group`).
-        for sh in shards {
+        let mut sources = vec![(0u32, 0u32); total];
+        for (sender, sh) in shards.iter().enumerate() {
             for (i, &s) in sh.slots.iter().enumerate() {
-                let at = offsets[s as usize] as usize;
-                data[at * dim..(at + 1) * dim].copy_from_slice(sh.rows.row(i));
-                offsets[s as usize] += 1;
+                let at = &mut offsets[s as usize];
+                sources[*at as usize] = (sender as u32, i as u32);
+                *at += 1;
             }
         }
         offsets.copy_within(0..n_slots, 1);
         offsets[0] = 0;
+        let mut data = Vec::with_capacity(total * dim);
+        for &(sender, i) in &sources {
+            data.extend_from_slice(shards[sender as usize].rows.row(i as usize));
+        }
         // The fattest slot bounds the largest single read the drain will
         // issue; declaring it up front makes the residency model charge
         // the worst-case window at seal time (a hub slot wider than the
@@ -1277,6 +1284,66 @@ mod tests {
         assert_eq!(arena.rows(2).unwrap(), &[] as &[f32]);
         // slots beyond the sealed range read as empty
         assert_eq!(arena.count(7), 0);
+    }
+
+    #[test]
+    fn seal_is_a_stable_sort_by_slot_of_the_sender_ascending_concatenation() {
+        let mut rng = crate::Xoshiro256::seed_from_u64(29);
+        for case in 0..300u64 {
+            let dim = [0usize, 1, 64][case as usize % 3];
+            // Slots drawn from a prefix of the table leave the rest empty;
+            // a third of the senders send nothing.
+            let n_slots = 1 + rng.below(12) as usize;
+            let used = 1 + rng.below(n_slots as u64);
+            let mut tag = 0u32;
+            let shards: Vec<RowShard> = (0..rng.below(6))
+                .map(|_| {
+                    let mut sh = RowShard::new(dim);
+                    for _ in 0..rng.below(3) * rng.below(15) {
+                        tag += 1;
+                        let row: Vec<f32> =
+                            (0..dim).map(|j| (tag * 100 + j as u32) as f32).collect();
+                        sh.push(rng.below(used) as u32, &row);
+                    }
+                    sh
+                })
+                .collect();
+            let mut want: Vec<(u32, &[f32])> = shards
+                .iter()
+                .flat_map(|sh| {
+                    sh.slots
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &s)| (s, sh.rows.row(i)))
+                })
+                .collect();
+            want.sort_by_key(|&(slot, _)| slot);
+            let mut arena = RowArena::seal(dim, n_slots, &shards, None).unwrap();
+            let counts: Vec<usize> = (0..n_slots).map(|s| arena.count(s)).collect();
+            let mut got: Vec<(u32, Vec<f32>)> = Vec::new();
+            for (s, &count) in counts.iter().enumerate() {
+                let rows = arena.rows(s).unwrap();
+                assert_eq!(rows.len(), count * dim);
+                got.extend((0..count).map(|i| (s as u32, rows[i * dim..(i + 1) * dim].to_vec())));
+            }
+            let want_owned: Vec<(u32, Vec<f32>)> =
+                want.iter().map(|&(s, row)| (s, row.to_vec())).collect();
+            assert_eq!(got, want_owned, "case {case}");
+            assert_eq!(counts.iter().sum::<usize>(), want.len(), "case {case}");
+
+            // What a byte-moving transport hands back — one shard, already
+            // in delivery order — seals to the same arena.
+            let mut merged = RowShard::new(dim);
+            for &(s, row) in &want {
+                merged.push(s, row);
+            }
+            let (offsets, data) = arena.into_wire_parts().unwrap();
+            let (m_offsets, m_data) = RowArena::seal(dim, n_slots, &[merged], None)
+                .unwrap()
+                .into_wire_parts()
+                .unwrap();
+            assert_eq!((m_offsets, m_data), (offsets, data), "case {case}");
+        }
     }
 
     #[test]

@@ -26,10 +26,14 @@
 //! out-edges". For GAT that is the projection `W·h_src` — every built-in
 //! layer's message is uniform across a node's out-edges, so both backends
 //! call `apply_edge` once per *node* and copy the row per edge, and the
-//! receiver never re-projects. `Backend::Reference` deliberately keeps
-//! calling `apply_edge` once per *edge*: it is the oracle the backends are
-//! compared against, so it shares the kernels but none of the
-//! once-per-node data flow.
+//! receiver never re-projects. Nor, on the Pregel backend, does the node
+//! itself: GAT's destination attention needs the node's own `W·h`, which
+//! is the row it scattered one step earlier, kept and lent back to
+//! `apply_node` as [`NodeCtx::own_msg`]. The receiver gathers its rows
+//! where they lie ([`AggState::Union`] is a list of lent segments).
+//! `Backend::Reference` deliberately keeps calling `apply_edge` once per
+//! *edge*: it is the oracle the backends are compared against, so it
+//! shares the kernels but none of the once-per-node data flow.
 //!
 //! [`GnnMessage`] is the on-the-wire envelope: a partially-aggregated
 //! payload, an unreduced message row (union-aggregated layers such as
@@ -59,6 +63,12 @@ pub struct LayerAnnotations {
     /// `in_dim` where the layer ships the embedding itself (GCN, SAGE),
     /// `out_dim` where it ships the source-side projection (GAT).
     pub msg_dim: usize,
+    /// `apply_node` reads the node's own message ([`NodeCtx::own_msg`]):
+    /// GAT's destination attention is `a_dst · W·h_self`, the very `W·h`
+    /// the node ships. A backend still holding the node's `apply_edge`
+    /// output for the layer may lend it instead of letting the layer
+    /// recompute it.
+    pub reads_own_msg: bool,
 }
 
 /// Node-side context available to `apply_node`.
@@ -74,6 +84,12 @@ pub struct NodeCtx<'a> {
     pub state: &'a [f32],
     pub in_degree: u32,
     pub out_degree: u32,
+    /// The node's own `apply_edge` output for this layer (the message it
+    /// sent one step earlier, from `state`), when the backend still holds
+    /// it — the Pregel backend keeps the row it scattered for layers whose
+    /// [`LayerAnnotations::reads_own_msg`] is set. Empty otherwise, and a
+    /// layer that needs it computes it from `state`: bit for bit the same.
+    pub own_msg: &'a [f32],
 }
 
 /// Edge-side context available to `apply_edge`.
@@ -101,10 +117,17 @@ pub enum AggState<'a> {
     /// partials).
     Pooled { acc: Cow<'a, [f32]>, count: u32 },
     /// Unreduced union of messages in delivery order (layers whose reduce
-    /// breaks the commutative/associative rule, e.g. GAT attention): one
-    /// flat buffer of `dim`-wide rows, each an `apply_edge` output — for
-    /// GAT the already-projected `W·h_src`.
-    Union { dim: usize, rows: Vec<f32> },
+    /// breaks the commutative/associative rule, e.g. GAT attention): a
+    /// list of *lent segments*, each a whole number of `dim`-wide rows and
+    /// each row an `apply_edge` output — for GAT the already-projected
+    /// `W·h_src`. Nothing is copied to gather: a vertex's materialized
+    /// inbox rows are one borrowed segment, a broadcast ref's payload one
+    /// borrowed row of the broadcast table; a segment is owned only when
+    /// its caller handed the message over ([`GasLayer::aggregate`]).
+    Union {
+        dim: usize,
+        segs: Vec<Cow<'a, [f32]>>,
+    },
 }
 
 impl AggState<'_> {
@@ -113,7 +136,10 @@ impl AggState<'_> {
         match self {
             AggState::Pooled { count, .. } => *count,
             // Zero-width rows carry nothing to count.
-            AggState::Union { dim, rows } => rows.len().checked_div(*dim).unwrap_or(0) as u32,
+            AggState::Union { dim, segs } => {
+                let lanes: usize = segs.iter().map(|s| s.len()).sum();
+                lanes.checked_div(*dim).unwrap_or(0) as u32
+            }
         }
     }
 }

@@ -97,6 +97,7 @@ pub(crate) fn reference_logits(
                 state: &h[v as usize],
                 in_degree: in_deg[v as usize],
                 out_degree: out_deg[v as usize],
+                own_msg: &[],
             };
             let mut updated = Vec::new();
             layer.apply_node(&ctx, agg, &mut updated);

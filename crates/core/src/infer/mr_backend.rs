@@ -381,6 +381,7 @@ pub(crate) fn run_planned(
                     state: h,
                     in_degree: in_deg,
                     out_degree: out_deg,
+                    own_msg: &[],
                 };
                 layer.apply_node(&ctx_node, agg, &mut spare);
                 ctx.add_flops(

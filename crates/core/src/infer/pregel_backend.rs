@@ -26,11 +26,16 @@
 //! all), a materialized layer (GAT) copies it into each destination's
 //! shard; neither looks an id up. Broadcast refs are 8-byte
 //! variable-length control messages and ride the typed plane, addressed
-//! by id. The program's one kernel ([`VertexProgram::compute`]) reads both
-//! halves of a vertex's [`Inbox`] and folds them with the same
-//! [`GasLayer`] kernels at gather, a ref's payload by borrow from the
-//! broadcast table; a ref that resolves to nothing fails the superstep
-//! with the same [`Error::InvalidGraph`] the MapReduce reducer returns.
+//! by route the same way: a hub spools one ref with its span of routes
+//! ([`Outbox::scatter`]). The program's one kernel
+//! ([`VertexProgram::compute`]) reads both halves of a vertex's [`Inbox`]
+//! and gathers them with the same [`GasLayer`] kernels where they lie — a
+//! union layer's inbox rows as one lent segment, a ref's payload by
+//! borrow from the broadcast table; a ref that resolves to nothing fails
+//! the superstep with the same [`Error::InvalidGraph`] the MapReduce
+//! reducer returns. A layer whose `apply_node` reads the node's own
+//! message (GAT's destination attention) gets back the row the vertex
+//! scattered one step earlier instead of recomputing it.
 //!
 //! Where the graph lives: `plan_layout` turns the planned records into a
 //! [`PregelLayout`] once, at plan time — placement, the id index, and
@@ -73,11 +78,36 @@ pub struct GnnVertexState<'g> {
     /// `h⁰` is `raw` itself, read in place (see
     /// [`GnnVertexState::embedding`]).
     h: Vec<f32>,
+    kept: Kept,
     /// Where this record's out-edges lead, resolved at plan time.
     edges: &'g [Route],
     in_deg: u32,
     out_deg: u32,
-    logits: Option<Vec<f32>>,
+}
+
+/// What a vertex keeps from one step for a later one, besides its
+/// embedding. The two never coexist — the message is read back at the
+/// next apply, logits exist only after the last — so they share one slot.
+#[derive(Clone, Default)]
+enum Kept {
+    #[default]
+    Nothing,
+    /// The message the vertex scattered in its latest step — its own
+    /// `apply_edge` output, lent back as [`NodeCtx::own_msg`] at the next
+    /// apply — for layers that read it
+    /// ([`crate::LayerAnnotations::reads_own_msg`]).
+    OwnMsg(Box<[f32]>),
+    /// The prediction head's output, after the last layer.
+    Logits(Box<[f32]>),
+}
+
+impl Kept {
+    fn lanes(&self) -> usize {
+        match self {
+            Kept::Nothing => 0,
+            Kept::OwnMsg(v) | Kept::Logits(v) => v.len(),
+        }
+    }
 }
 
 impl GnnVertexState<'_> {
@@ -94,9 +124,6 @@ impl GnnVertexState<'_> {
 /// The layer-wise GNN vertex program.
 pub struct GnnVertexProgram<'m> {
     model: &'m GnnModel,
-    /// The layout the states' routes come from (names a route's vertex
-    /// for the id-addressed typed plane).
-    layout: &'m PregelLayout,
     strategy: StrategyConfig,
     /// Hub threshold for the broadcast strategy (logical out-degree).
     bc_threshold: u64,
@@ -111,13 +138,14 @@ impl<'m> GnnVertexProgram<'m> {
         &self,
         layer_idx: usize,
         vertex: u64,
-        state: &GnnVertexState<'_>,
+        state: &mut GnnVertexState<'_>,
         out: &mut Outbox<GnnMessage>,
     ) {
         if state.edges.is_empty() {
             return;
         }
         let layer = self.model.layer_view(layer_idx);
+        let annotations = layer.annotations();
         let row = layer.edge_row(
             state.embedding(),
             &EdgeCtx {
@@ -126,21 +154,21 @@ impl<'m> GnnVertexProgram<'m> {
             },
         );
         out.add_flops(layer.flops_apply_edge());
-        if self.strategy.broadcast
+        let hub = self.strategy.broadcast
             && state.out_deg as u64 > self.bc_threshold
-            && layer.annotations().uniform_message
-        {
+            && annotations.uniform_message;
+        if hub {
             // Hub path: one payload per worker on the typed plane, one
-            // 8-byte ref per edge.
-            let msg = layer.make_wire(row.into_owned(), self.strategy.partial_gather);
-            out.broadcast(msg);
-            for &edge in state.edges {
-                out.send(self.layout.id_of(edge), GnnMessage::Ref(vertex));
-            }
+            // 8-byte ref per edge — spooled once with the span of routes.
+            out.broadcast(layer.make_wire(row.to_vec(), self.strategy.partial_gather));
+            out.scatter(state.edges, GnnMessage::Ref(vertex));
         } else {
             // Columnar plane: the row enters the spool once, with the
             // vertex's whole span of routes.
             out.scatter_row(state.edges, &row);
+        }
+        if annotations.reads_own_msg {
+            state.kept = Kept::OwnMsg(row.into_owned().into_boxed_slice());
         }
     }
 }
@@ -172,11 +200,18 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
             layer.gather_wire(&mut agg, msg, inbox.broadcast)?;
         }
         let gathered = agg.count() as usize;
+        // Last step's message is read here for the last time: the next
+        // scatter (if any) keeps its own.
+        let own = match std::mem::take(&mut state.kept) {
+            Kept::OwnMsg(own) => own,
+            _ => Box::default(),
+        };
         let ctx = NodeCtx {
             id: vertex,
             state: state.embedding(),
             in_degree: state.in_deg,
             out_degree: state.out_deg,
+            own_msg: &own,
         };
         // The new embedding is written into the worker's spare row, which
         // then trades places with the old one: past the first layer a
@@ -187,7 +222,7 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
             layer.flops_apply_node(gathered) + n_msgs as f64 * layer.flops_aggregate_per_message(),
         );
         if step == self.k {
-            state.logits = Some(self.model.apply_head(&state.h));
+            state.kept = Kept::Logits(self.model.apply_head(&state.h).into_boxed_slice());
             out.add_flops(self.model.flops_head());
         } else {
             self.scatter(step, vertex, state, out);
@@ -222,11 +257,11 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
     fn state_bytes(&self, state: &GnnVertexState<'_>) -> u64 {
         // The model charges the deployment's residency: features and the
         // current embedding are separate buffers there, so h⁰ counts even
-        // while this process reads it out of `raw`, and an out-edge is the
-        // 8-byte wire id it is shipped as.
-        ((state.raw.len() + state.embedding().len()) * 4
+        // while this process reads it out of `raw`, an out-edge is the
+        // 8-byte wire id it is shipped as, and a kept message or logits row
+        // is held.
+        ((state.raw.len() + state.embedding().len() + state.kept.lanes()) * 4
             + state.edges.len() * 8
-            + state.logits.as_ref().map_or(0, |l| l.len() * 4)
             + 64) as u64
     }
 }
@@ -269,7 +304,6 @@ pub(crate) fn run_planned<'g>(
         .collect();
     let program = GnnVertexProgram {
         model,
-        layout,
         strategy: plan.strategy,
         bc_threshold: plan.bc_threshold,
         row_aggs,
@@ -292,10 +326,10 @@ pub(crate) fn run_planned<'g>(
                 None => &rec.raw,
             },
             h: Vec::new(),
+            kept: Kept::Nothing,
             edges: v.edges,
             in_deg: rec.in_deg,
             out_deg: rec.out_deg,
-            logits: None,
         }
     });
     let mut engine = PregelEngine::with_layout(program, config, Arc::clone(layout), states)?;
@@ -305,8 +339,8 @@ pub(crate) fn run_planned<'g>(
 
     let mut logits: Vec<Option<Vec<f32>>> = vec![None; plan.graph.n_nodes()];
     let report = engine.finish(|id, state| {
-        if mirror_of(id) == 0 {
-            logits[base_of(id) as usize] = state.logits;
+        if let (0, Kept::Logits(l)) = (mirror_of(id), state.kept) {
+            logits[base_of(id) as usize] = Some(l.into_vec());
         }
     });
     let logits: Vec<Vec<f32>> = logits

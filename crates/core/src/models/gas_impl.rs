@@ -64,14 +64,15 @@ impl<'m> LayerView<'m> {
     /// Fold one row — a partial aggregate over `count` raw messages, or a
     /// raw message when `count == 1` — into the gather aggregate. A pooled
     /// aggregate takes its first row as it comes (a borrowed row is lent,
-    /// an owned one moved in) and folds the rest; a union appends.
+    /// an owned one moved in) and folds the rest; a union appends it as a
+    /// segment, lent or owned as it came.
     fn gather<'a>(&self, agg: &mut AggState<'a>, row: Cow<'a, [f32]>, count: u32) {
         match (self.pool_op(), agg) {
             (Some(op), AggState::Pooled { acc, count: c }) => pooled_fold(op, acc, c, row, count),
-            (None, AggState::Union { dim, rows }) => {
+            (None, AggState::Union { dim, segs }) => {
                 debug_assert_eq!(count, 1, "union layers never see partial rows");
                 debug_assert_eq!(row.len(), *dim, "union row width mismatch");
-                rows.extend_from_slice(&row);
+                segs.push(row);
             }
             _ => debug_assert!(false, "gather on mismatched AggState"),
         }
@@ -84,21 +85,28 @@ impl<'m> LayerView<'m> {
     }
 
     /// Fold the columnar half of a vertex inbox into the gather aggregate:
-    /// materialized rows fold one by one in delivery order; a fused
+    /// a union lends the materialized rows as one segment, a pooled
+    /// aggregate folds them one by one in delivery order; a fused
     /// accumulator — the engine's merged row, already the gather result
     /// when nothing else arrives — is one pre-reduced partial, read where
     /// it lies.
     pub fn gather_rows<'a>(&self, agg: &mut AggState<'a>, rows: RowsIn<'a>) {
-        match rows {
-            RowsIn::None => {}
-            RowsIn::Rows { dim, data } => {
+        match (rows, agg) {
+            (RowsIn::None, _) => {}
+            (RowsIn::Rows { data, .. }, AggState::Union { dim, segs }) => {
+                debug_assert!(data.len().is_multiple_of((*dim).max(1)), "union span width");
+                if !data.is_empty() {
+                    segs.push(Cow::Borrowed(data));
+                }
+            }
+            (RowsIn::Rows { dim, data }, agg) => {
                 if dim > 0 {
                     for chunk in data.chunks_exact(dim) {
                         self.gather_row(agg, chunk, 1);
                     }
                 }
             }
-            RowsIn::Fused { acc, count, .. } => {
+            (RowsIn::Fused { acc, count, .. }, agg) => {
                 if count > 0 {
                     self.gather_row(agg, acc, count);
                 }
@@ -162,6 +170,7 @@ impl GasLayer for LayerView<'_> {
             in_dim: lp.in_dim,
             out_dim: lp.out_dim,
             msg_dim: self.msg_dim(),
+            reads_own_msg: matches!(lp.kind, LayerKind::Gat { .. }),
         }
     }
 
@@ -173,7 +182,7 @@ impl GasLayer for LayerView<'_> {
             },
             None => AggState::Union {
                 dim: self.msg_dim(),
-                rows: Vec::new(),
+                segs: Vec::new(),
             },
         }
     }
@@ -190,8 +199,8 @@ impl GasLayer for LayerView<'_> {
                     self.gather(acc, other, count);
                 }
             }
-            (AggState::Union { rows, .. }, AggState::Union { rows: other, .. }) => {
-                rows.extend_from_slice(&other)
+            (AggState::Union { segs, .. }, AggState::Union { segs: other, .. }) => {
+                segs.extend(other)
             }
             _ => debug_assert!(false, "merge_agg on mismatched AggState"),
         }
@@ -243,14 +252,17 @@ impl GasLayer for LayerView<'_> {
                 }
             }
             LayerKind::Gat { heads } => {
-                // Gathered rows are `apply_edge` outputs: already W·h_src.
-                let whs = match agg {
-                    AggState::Union { dim, rows } => {
-                        debug_assert_eq!(dim, lp.out_dim, "GAT gathers projected rows");
-                        rows
-                    }
+                // Gathered rows are `apply_edge` outputs: already W·h_src,
+                // walked where they lie — collected once per vertex.
+                let (dim, segs) = match agg {
+                    AggState::Union { dim, segs } => (dim, segs),
                     // itlint::allow(panic-in-lib): init_agg and apply_node dispatch on the same LayerView, so the agg variant always matches the layer kind
                     AggState::Pooled { .. } => unreachable!("GAT aggregates by union"),
+                };
+                debug_assert_eq!(dim, lp.out_dim, "GAT gathers projected rows");
+                let whs: Vec<&[f32]> = match dim {
+                    0 => Vec::new(),
+                    _ => segs.iter().flat_map(|s| s.chunks_exact(dim)).collect(),
                 };
                 // itlint::allow(panic-in-lib): Gat layer constructors always populate a_src
                 let a_src = params.get(lp.a_src.expect("GAT has a_src"));
@@ -259,13 +271,21 @@ impl GasLayer for LayerView<'_> {
                 let dh = lp.out_dim / heads;
 
                 if !whs.is_empty() {
-                    // dst attention from the node's own transformed state
-                    let mut wh_self = vec![0.0f32; lp.out_dim];
-                    matvec_acc(params.get(lp.w), node.state, &mut wh_self);
+                    // dst attention from the node's own transformed state:
+                    // the row it shipped, when the backend lends it back
+                    let mut wh_self = Vec::new();
+                    let own = if node.own_msg.is_empty() {
+                        wh_self.resize(lp.out_dim, 0.0);
+                        matvec_acc(params.get(lp.w), node.state, &mut wh_self);
+                        &wh_self
+                    } else {
+                        debug_assert_eq!(node.own_msg.len(), lp.out_dim, "own message width");
+                        node.own_msg
+                    };
                     let dst_attn: Vec<f32> = (0..heads)
                         .map(|h| {
                             let lo = h * dh;
-                            wh_self[lo..lo + dh]
+                            own[lo..lo + dh]
                                 .iter()
                                 .zip(&a_dst.row(0)[lo..lo + dh])
                                 .map(|(x, a)| x * a)
@@ -273,12 +293,12 @@ impl GasLayer for LayerView<'_> {
                         })
                         .collect();
 
-                    // per-head attention logits, message-major
-                    let n_msgs = whs.len() / lp.out_dim;
+                    // per-head attention logits, head-major
+                    let n_msgs = whs.len();
                     let mut logits: Vec<f32> = Vec::with_capacity(n_msgs * heads);
-                    for wh in whs.chunks_exact(lp.out_dim) {
-                        for (h, &d_attn) in dst_attn.iter().enumerate() {
-                            let lo = h * dh;
+                    for (h, &d_attn) in dst_attn.iter().enumerate() {
+                        let lo = h * dh;
+                        for wh in &whs {
                             let src_attn: f32 = wh[lo..lo + dh]
                                 .iter()
                                 .zip(&a_src.row(0)[lo..lo + dh])
@@ -289,27 +309,21 @@ impl GasLayer for LayerView<'_> {
                         }
                     }
 
-                    // per-head softmax over in-messages, then weighted sum;
-                    // each logit is overwritten by its exp(l − max), so the
-                    // denominator and the weight share one evaluation
-                    for h in 0..heads {
-                        let mut max = f32::NEG_INFINITY;
-                        for i in 0..n_msgs {
-                            max = max.max(logits[i * heads + h]);
-                        }
+                    // per-head softmax over in-messages, each logit
+                    // overwritten by its weight exp(l − max) / denom, then
+                    // the weighted sum
+                    for (h, alphas) in logits.chunks_exact_mut(n_msgs).enumerate() {
+                        let max = alphas.iter().fold(f32::NEG_INFINITY, |m, &l| m.max(l));
                         let mut denom = 0.0f32;
-                        for i in 0..n_msgs {
-                            let e = (logits[i * heads + h] - max).exp();
-                            logits[i * heads + h] = e;
-                            denom += e;
+                        for a in alphas.iter_mut() {
+                            *a = (*a - max).exp();
+                            denom += *a;
+                        }
+                        for a in alphas.iter_mut() {
+                            *a /= denom;
                         }
                         let lo = h * dh;
-                        for (i, wh) in whs.chunks_exact(lp.out_dim).enumerate() {
-                            let alpha = logits[i * heads + h] / denom;
-                            for k in 0..dh {
-                                out[lo + k] += alpha * wh[lo + k];
-                            }
-                        }
+                        attend(&mut out[lo..lo + dh], lo, &whs, alphas);
                     }
                 }
             }
@@ -367,6 +381,43 @@ impl GasLayer for LayerView<'_> {
             LayerKind::Gat { .. } => 2.0 * lp.in_dim as f64 * lp.out_dim as f64,
         }
     }
+}
+
+/// One GAT head's weighted sum, `out[k] += alphas[i] · whs[i][lo + k]`
+/// over the messages in delivery order: the head's output lanes are held in
+/// locals, a block at a time, across every message, so each lane sees
+/// exactly the scalar loop's additions in the scalar loop's order.
+fn attend(out: &mut [f32], lo: usize, whs: &[&[f32]], alphas: &[f32]) {
+    let k = attend_blocks::<32>(out, lo, whs, alphas, 0);
+    let k = attend_blocks::<16>(out, lo, whs, alphas, k);
+    let k = attend_blocks::<8>(out, lo, whs, alphas, k);
+    let k = attend_blocks::<4>(out, lo, whs, alphas, k);
+    attend_blocks::<1>(out, lo, whs, alphas, k);
+}
+
+/// Output lanes `from..` of [`attend`] in blocks of `B`, as many as fit;
+/// returns the first lane not covered.
+#[inline(always)]
+fn attend_blocks<const B: usize>(
+    out: &mut [f32],
+    lo: usize,
+    whs: &[&[f32]],
+    alphas: &[f32],
+    from: usize,
+) -> usize {
+    let mut k = from;
+    while k + B <= out.len() {
+        let mut acc = [0.0f32; B];
+        acc.copy_from_slice(&out[k..k + B]);
+        for (wh, &alpha) in whs.iter().zip(alphas) {
+            for (a, &x) in acc.iter_mut().zip(&wh[lo + k..lo + k + B]) {
+                *a += alpha * x;
+            }
+        }
+        out[k..k + B].copy_from_slice(&acc);
+        k += B;
+    }
+    k
 }
 
 /// Fused row aggregator for pooled layers: lane-wise sum (sum/mean — the
@@ -435,6 +486,7 @@ mod tests {
             state: &[0.5, -0.5, 0.25, 0.0],
             in_degree: 2,
             out_degree: 1,
+            own_msg: &[],
         };
         let mut out = Vec::new();
         layer.apply_node(&node, agg, &mut out);
@@ -466,6 +518,7 @@ mod tests {
             state: &[0.5, -0.5, 0.25, 0.0],
             in_degree: 4,
             out_degree: 1,
+            own_msg: &[],
         };
 
         // The engine's merged accumulator is the aggregate: read in place,
@@ -554,6 +607,7 @@ mod tests {
             state: &[1.0, 1.0, 1.0, 1.0],
             in_degree: 0,
             out_degree: 0,
+            own_msg: &[],
         };
         // A stale buffer is overwritten, not appended to.
         let mut out = vec![9.0; 2];
@@ -574,6 +628,7 @@ mod tests {
             state: &[0.2, -0.1, 0.4, 0.3],
             in_degree: 2,
             out_degree: 0,
+            own_msg: &[],
         };
         let msg = layer.apply_edge(
             &[0.7, -0.3, 0.9, 0.1],

@@ -5,7 +5,7 @@
 //!
 //! An engine runs over a [`PregelLayout`]: the slot table of every worker,
 //! the one `id → (worker, slot)` index, and each vertex's out-edges as
-//! pre-resolved [`Route`](crate::Route)s. The layout is shared (`Arc`) and
+//! pre-resolved [`Route`]s. The layout is shared (`Arc`) and
 //! never written; the engine itself owns only what a run changes: one
 //! state per slot, the sealed inboxes, the broadcast table and the report.
 //! [`PregelEngine::with_layout`] — the one constructor — builds that from
@@ -41,13 +41,16 @@
 //! the same step, and its kernel reads both back through one
 //! [`Inbox`]:
 //!
-//! - the **typed plane**: `P::Msg` values sent with
-//!   [`Outbox::send`](crate::vertex::Outbox::send) — variable-width
-//!   payloads such as broadcast refs and control messages, addressed by
-//!   vertex id (one index lookup per message) — land in a flat per-worker
-//!   arena (`InboxArena`: one `Vec<Msg>` plus per-slot offsets) rebuilt
-//!   each superstep with a counting scatter, and are lent to the kernel as
-//!   a slice of it;
+//! - the **typed plane**: `P::Msg` values — variable-width payloads such
+//!   as broadcast refs and control messages — addressed by route like the
+//!   rows: [`Outbox::scatter`](crate::vertex::Outbox::scatter) spools one
+//!   message with a span of routes,
+//!   [`Outbox::send`](crate::vertex::Outbox::send) resolves its id at the
+//!   call and spools a span of one. The routing loop sizes a message once
+//!   per span and hashes nothing. They land in a flat per-worker arena
+//!   (`InboxArena`: one `Vec<Msg>` plus per-slot offsets) rebuilt each
+//!   superstep with a counting scatter, and are lent to the kernel as a
+//!   slice of it;
 //! - the **columnar plane**: when the program declares a
 //!   [`MessageLayout`](crate::vertex::MessageLayout) for the emitting
 //!   step, fixed-width `f32` rows move through flat per-(sender ×
@@ -83,8 +86,8 @@
 //! regrouped per sender worker — bit for bit, at every thread count, over
 //! every transport, spilled or resident, recovered or clean.
 
-use crate::layout::PregelLayout;
-use crate::vertex::{ActivationPolicy, Inbox, Outbox, RowMisuse, RowsIn, VertexProgram};
+use crate::layout::{PregelLayout, Route};
+use crate::vertex::{ActivationPolicy, Inbox, Outbox, RowsIn, SendMisuse, VertexProgram};
 use inferturbo_cluster::transport::{
     ColsShards, DestMerged, DestShards, Exchange, ExchangeOut, InProcess, MergedCols, Transport,
 };
@@ -1231,10 +1234,10 @@ fn run_worker<P: VertexProgram>(
         out.metrics.flops += ob.flops;
         match ob.misuse.take() {
             None => {}
-            Some(RowMisuse::Layout(msg)) => {
+            Some(SendMisuse::Layout(msg)) => {
                 return Err(Error::InvalidConfig(format!("vertex {vertex_id}: {msg}")));
             }
-            Some(RowMisuse::UnknownVertex(dst)) => return Err(unknown_vertex(dst)),
+            Some(SendMisuse::UnknownVertex(dst)) => return Err(unknown_vertex(dst)),
         }
 
         // Route broadcasts: payload replicated to every remote worker;
@@ -1257,9 +1260,11 @@ fn run_worker<P: VertexProgram>(
             out.bcasts.push((vertex_id, payload));
         }
 
-        // Route typed point-to-point messages, in emission order.
-        for (dst, msg) in ob.messages.drain(..) {
-            deliver::<P>(layout, w, dst, msg, &mut out)?;
+        // Route typed messages, in call order, each to its span of routes.
+        let mut start = 0;
+        for (msg, &end) in ob.messages.drain(..).zip(&ob.msg_span_ends) {
+            deliver(layout, w, msg, &ob.msg_routes[start..end], &mut out);
+            start = end;
         }
 
         sink.route(layout, ob);
@@ -1286,26 +1291,37 @@ fn unknown_vertex(dst: u64) -> Error {
     Error::InvalidGraph(format!("message to unknown vertex {dst}"))
 }
 
-/// Route one typed message into the sender's outbox shard for its
-/// destination worker, with full byte accounting on both sides.
-fn deliver<P: VertexProgram>(
+/// Route one typed message to every route of its span — into the sender's
+/// outbox shard for each destination worker, with full byte accounting on
+/// both sides. The message is sized once; each destination's id (its
+/// wire address) is read from the slot table, not looked up, and each
+/// destination gets its own clone, the last one the message itself.
+fn deliver<M: Encode + Clone>(
     layout: &PregelLayout,
     from_worker: usize,
-    dst: u64,
-    msg: P::Msg,
-    out: &mut StepOut<P::Msg>,
-) -> Result<()> {
-    let (w2, slot) = layout.unpack(layout.resolve(dst).ok_or_else(|| unknown_vertex(dst))?);
-    let wire_len = (msg.encoded_len() + varint_len(dst)) as u64;
-    if w2 != from_worker {
-        out.metrics.send(wire_len);
-        out.recv_bytes[w2] += wire_len;
-        out.recv_records[w2] += 1;
+    msg: M,
+    routes: &[Route],
+    out: &mut StepOut<M>,
+) {
+    let len = msg.encoded_len();
+    let mut ship = |route, msg| {
+        let (w2, slot) = layout.unpack(route);
+        let wire_len = (len + varint_len(layout.id_of(route))) as u64;
+        if w2 != from_worker {
+            out.metrics.send(wire_len);
+            out.recv_bytes[w2] += wire_len;
+            out.recv_records[w2] += 1;
+        }
+        out.inbox_bytes[w2] += wire_len;
+        out.msg_bytes.legacy += wire_len;
+        out.shards[w2].push((slot, msg));
+    };
+    if let Some((&last, rest)) = routes.split_last() {
+        for &route in rest {
+            ship(route, msg.clone());
+        }
+        ship(last, msg);
     }
-    out.inbox_bytes[w2] += wire_len;
-    out.msg_bytes.legacy += wire_len;
-    out.shards[w2].push((slot, msg));
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1831,6 +1847,140 @@ mod tests {
                 }
             }
             assert_eq!(eng.state(0).unwrap(), &want, "{workers} workers");
+        }
+    }
+
+    /// Step 0 mixes both typed sends with a row send in one compute; step 1
+    /// records what arrived. `by_route: false` spells each `scatter` out
+    /// as one `send` per edge — the same traffic, addressed by id.
+    struct Interleaved {
+        by_route: bool,
+    }
+
+    #[derive(Clone)]
+    struct Mixed {
+        edges: Vec<Route>,
+        targets: Vec<u64>,
+        typed: Vec<f32>,
+        rows: Vec<f32>,
+    }
+
+    /// Message `k` of vertex `v`'s step-0 compute.
+    fn tag(v: u64, k: u64) -> f32 {
+        (v * 10 + k) as f32
+    }
+
+    impl VertexProgram for Interleaved {
+        type State = Mixed;
+        type Msg = f32;
+
+        fn compute(
+            &self,
+            step: usize,
+            vertex: u64,
+            state: &mut Mixed,
+            inbox: Inbox<'_, f32>,
+            out: &mut Outbox<f32>,
+        ) -> Result<()> {
+            if step == 1 {
+                state.typed = inbox.messages.to_vec();
+                if let RowsIn::Rows { data, .. } = inbox.rows {
+                    state.rows = data.to_vec();
+                }
+                return Ok(());
+            }
+            let (Some(&first), Some(&last)) = (state.targets.first(), state.targets.last()) else {
+                return Ok(());
+            };
+            out.send(first, tag(vertex, 0));
+            if self.by_route {
+                out.scatter(&state.edges, tag(vertex, 1));
+            } else {
+                for &t in &state.targets {
+                    out.send(t, tag(vertex, 1));
+                }
+            }
+            out.send_row(first, &[tag(vertex, 2)]);
+            out.send(last, tag(vertex, 3));
+            Ok(())
+        }
+
+        fn message_layout(&self, step: usize) -> Option<MessageLayout> {
+            (step == 0).then_some(MessageLayout { dim: 1 })
+        }
+    }
+
+    /// 12 vertices; every fourth has no out-edges, the rest four each
+    /// (repeats and self-edges included).
+    fn interleaved_adjacency() -> Vec<Vec<u64>> {
+        (0..12u64)
+            .map(|v| match v % 4 {
+                3 => Vec::new(),
+                _ => vec![(v + 1) % 12, (v * 5 + 3) % 12, (v + 7) % 12, 0],
+            })
+            .collect()
+    }
+
+    fn interleaved_engine(workers: usize, by_route: bool) -> PregelEngine<Interleaved> {
+        let adj = interleaved_adjacency();
+        let ids = adj.iter().enumerate().map(|(v, t)| (v as u64, &t[..]));
+        let layout = PregelLayout::planned(workers, ids).unwrap();
+        let states: Vec<Mixed> = layout
+            .vertices()
+            .map(|v| Mixed {
+                edges: v.edges.to_vec(),
+                targets: adj[v.position].clone(),
+                typed: Vec::new(),
+                rows: Vec::new(),
+            })
+            .collect();
+        let cfg = PregelConfig::new(ClusterSpec::test_spec(workers));
+        let program = Interleaved { by_route };
+        PregelEngine::with_layout(program, cfg, Arc::new(layout), states).unwrap()
+    }
+
+    #[test]
+    fn typed_scatter_by_route_keeps_call_order_and_the_bytes_of_sends_by_id() {
+        let adj = interleaved_adjacency();
+        for workers in [1usize, 2, 3] {
+            let mut by_route = interleaved_engine(workers, true);
+            by_route.run(2).unwrap();
+            let mut by_id = interleaved_engine(workers, false);
+            by_id.run(2).unwrap();
+
+            // The serial oracle: senders by worker ascending, slot order
+            // within a worker, each compute's sends in call order.
+            let (mut typed, mut rows) = (vec![Vec::new(); 12], vec![Vec::new(); 12]);
+            for w in 0..workers {
+                for &v in by_route.layout.ids(w) {
+                    let targets = &adj[v as usize];
+                    let (Some(&first), Some(&last)) = (targets.first(), targets.last()) else {
+                        continue;
+                    };
+                    typed[first as usize].push(tag(v, 0));
+                    for &t in targets {
+                        typed[t as usize].push(tag(v, 1));
+                    }
+                    rows[first as usize].push(tag(v, 2));
+                    typed[last as usize].push(tag(v, 3));
+                }
+            }
+            for eng in [&by_route, &by_id] {
+                for v in 0..12u64 {
+                    let st = eng.state(v).unwrap();
+                    assert_eq!(st.typed, typed[v as usize], "{workers} workers, vertex {v}");
+                    assert_eq!(st.rows, rows[v as usize], "{workers} workers, vertex {v}");
+                }
+            }
+
+            let (a, b) = (by_route.report(), by_id.report());
+            assert!(a.message_bytes.legacy > 0);
+            assert_eq!(a.message_bytes, b.message_bytes, "{workers} workers");
+            let records_out = |r: &RunReport| -> Vec<(u64, u64)> {
+                let totals = r.worker_totals().into_iter();
+                totals.map(|t| (t.records_out, t.bytes_out)).collect()
+            };
+            assert_eq!(records_out(a), records_out(b), "{workers} workers");
         }
     }
 

@@ -6,9 +6,9 @@
 //! vertex last superstep, on either message plane (see the engine docs for
 //! the full contract) — and an [`Outbox`] for what it sends next:
 //!
-//! - the **typed plane**: `P::Msg` values sent with [`Outbox::send`] —
-//!   arbitrary encodable payloads, delivered as sent (the engine never
-//!   combines them) and read back as the borrowed slice
+//! - the **typed plane**: `P::Msg` values sent with [`Outbox::send`] or
+//!   [`Outbox::scatter`] — arbitrary encodable payloads, delivered as sent
+//!   (the engine never combines them) and read back as the borrowed slice
 //!   [`Inbox::messages`];
 //! - the **columnar plane**: fixed-width `f32` rows, available whenever the
 //!   program declares a [`MessageLayout`] for the step, read back as
@@ -22,7 +22,7 @@
 //! A kernel that cannot go on returns an error: the engine fails the
 //! superstep with it, naming the step and the vertex.
 //!
-//! # The row spool
+//! # The spools
 //!
 //! The columnar half of an [`Outbox`] is one spool: a flat buffer of rows,
 //! and for each row a **span** of [`Route`]s — the destinations that row
@@ -38,6 +38,13 @@
 //! calls named it, whichever form each call used. `send_row(dst, row)` and
 //! `scatter_row` over the one route that resolves `dst` are
 //! indistinguishable downstream.
+//!
+//! The typed half is addressed the same way, in a spool of its own:
+//! [`Outbox::scatter`] spools one message with a span of routes (a hub's
+//! broadcast ref to all its out-edges is one entry), [`Outbox::send`]
+//! resolves its id at the call and spools a span of one, and the engine
+//! walks that spool in call order, sizing each message once per span and
+//! cloning it per route — no id is looked up after the call.
 
 use crate::layout::{PregelLayout, Route};
 use inferturbo_common::codec::{Decode, Encode};
@@ -93,15 +100,15 @@ impl RowsIn<'_> {
     }
 }
 
-/// A deferred misuse of the row plane, recorded by the outbox instead of
-/// panicking inside `compute` and surfaced by the engine as a typed error
-/// after the call returns.
-pub(crate) enum RowMisuse {
+/// A deferred misuse of the outbox, recorded instead of panicking inside
+/// `compute` and surfaced by the engine as a typed error after the call
+/// returns.
+pub(crate) enum SendMisuse {
     /// No active layout for the step, or a row of the wrong width
     /// ([`inferturbo_common::Error::InvalidConfig`]).
     Layout(String),
-    /// [`Outbox::send_row`] named a vertex the layout does not hold
-    /// ([`inferturbo_common::Error::InvalidGraph`]).
+    /// [`Outbox::send`] or [`Outbox::send_row`] named a vertex the layout
+    /// does not hold ([`inferturbo_common::Error::InvalidGraph`]).
     UnknownVertex(u64),
 }
 
@@ -125,7 +132,12 @@ pub struct Inbox<'a, M> {
 /// between vertices, capacity retained — so steady-state sends allocate
 /// nothing. It also carries the worker's one [spare row](Outbox::spare_row).
 pub struct Outbox<M> {
-    pub(crate) messages: Vec<(u64, M)>,
+    /// The typed spool, laid out like the row spool: message `i` goes to
+    /// `msg_routes[msg_span_ends[i - 1]..msg_span_ends[i]]` (from 0 for
+    /// the first).
+    pub(crate) messages: Vec<M>,
+    pub(crate) msg_span_ends: Vec<usize>,
+    pub(crate) msg_routes: Vec<Route>,
     pub(crate) broadcasts: Vec<M>,
     /// The row spool (see the module docs): `rows` holds one `row_dim`-wide
     /// row per span, and row `i` goes to
@@ -136,11 +148,11 @@ pub struct Outbox<M> {
     pub(crate) routes: Vec<Route>,
     pub(crate) row_dim: Option<usize>,
     pub(crate) flops: f64,
-    /// First misuse of the row plane this compute.
-    pub(crate) misuse: Option<RowMisuse>,
+    /// First misuse of the outbox this compute.
+    pub(crate) misuse: Option<SendMisuse>,
     /// See [`Outbox::spare_row`]; never cleared.
     spare: Vec<f32>,
-    /// The layout `send_row` resolves ids through.
+    /// The layout `send` and `send_row` resolve ids through.
     layout: Arc<PregelLayout>,
 }
 
@@ -148,6 +160,8 @@ impl<M> Outbox<M> {
     pub(crate) fn new(layout: Arc<PregelLayout>) -> Self {
         Outbox {
             messages: Vec::new(),
+            msg_span_ends: Vec::new(),
+            msg_routes: Vec::new(),
             broadcasts: Vec::new(),
             rows: Vec::new(),
             span_ends: Vec::new(),
@@ -163,6 +177,8 @@ impl<M> Outbox<M> {
     /// Reset for the next vertex, keeping buffer capacity.
     pub(crate) fn clear(&mut self) {
         self.messages.clear();
+        self.msg_span_ends.clear();
+        self.msg_routes.clear();
         self.broadcasts.clear();
         self.rows.clear();
         self.span_ends.clear();
@@ -195,9 +211,35 @@ impl<M> Outbox<M> {
     }
 
     /// Send `msg` to vertex `dst` for delivery next superstep (typed
-    /// plane).
+    /// plane): the single-destination form of [`Outbox::scatter`], for
+    /// programs that hold vertex ids. `dst` is resolved through the
+    /// layout's index here, as [`Outbox::send_row`] resolves its id; an id
+    /// the layout does not hold fails the superstep with
+    /// [`inferturbo_common::Error::InvalidGraph`].
     pub fn send(&mut self, dst: u64, msg: M) {
-        self.messages.push((dst, msg));
+        match self.layout.resolve(dst) {
+            Some(route) => self.scatter(&[route], msg),
+            None => {
+                self.misuse.get_or_insert(SendMisuse::UnknownVertex(dst));
+            }
+        }
+    }
+
+    /// Send one typed message to every destination in `edges` (typed
+    /// plane): the twin of [`Outbox::scatter_row`]. The message is spooled
+    /// once with its span of routes; the engine sizes it once and hands
+    /// each destination its own clone. Typed sends — this and
+    /// [`Outbox::send`] — share one spool in call order, so a destination
+    /// receives them exactly as the calls named it; `send(dst, msg)` and
+    /// `scatter` over the one route that resolves `dst` are
+    /// indistinguishable downstream.
+    pub fn scatter(&mut self, edges: &[Route], msg: M) {
+        if edges.is_empty() {
+            return;
+        }
+        self.messages.push(msg);
+        self.msg_routes.extend_from_slice(edges);
+        self.msg_span_ends.push(self.msg_routes.len());
     }
 
     /// Whether `row` may enter the spool; records the first misuse if not.
@@ -209,7 +251,7 @@ impl<M> Outbox<M> {
             }
             Some(_) => return true,
         };
-        self.misuse.get_or_insert(RowMisuse::Layout(problem));
+        self.misuse.get_or_insert(SendMisuse::Layout(problem));
         false
     }
 
@@ -253,7 +295,7 @@ impl<M> Outbox<M> {
         match self.layout.resolve(dst) {
             Some(route) => self.spool(&[route], row),
             None => {
-                self.misuse.get_or_insert(RowMisuse::UnknownVertex(dst));
+                self.misuse.get_or_insert(SendMisuse::UnknownVertex(dst));
             }
         }
     }

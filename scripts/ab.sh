@@ -4,7 +4,7 @@
 # alternates two sides of *one* build; this alternates two *trees*.
 #
 #   scripts/ab.sh <parent-tree> <change-tree> [--pairs N] [--seed S]
-#                 [--seconds S] [--workload W]
+#                 [--seconds S] [--workload W] [--aa]
 #
 # Each tree is built by its own `benchmark/run.sh` into its own target
 # directory (so each side is measured with the harness it shipped with),
@@ -15,28 +15,34 @@
 # change tree and passes its exit status through (non-zero: a row WORSE,
 # or a run failed its output checks).
 #
+# --aa adds the same-hour A/A floor: a third side, the parent build run
+# again, joins every pair (order parent, change, aa, then aa, change,
+# parent), its records append to aa.jsonl, and `itbench compare
+# parent.jsonl aa.jsonl` is printed before the claim's compare. It only
+# informs: the exit status is still the claim's.
+#
 # Everything is written under <CARGO_TARGET_DIR, else ./target>/ab; each
 # run's own report (its metrics with spread, its output checks) goes to
-# parent.log / change.log there.
-# Use a seed the change was not developed on, and run the parent against
-# itself (`ab.sh P P`) beside a claim for the A/A floor.
+# parent.log / change.log / aa.log there.
+# Use a seed the change was not developed on.
 set -euo pipefail
 
 # As in run.sh: nothing ambient may change what is measured.
 unset INFERTURBO_THREADS INFERTURBO_FAULTS INFERTURBO_TRACE \
       INFERTURBO_TRANSPORT INFERTURBO_WORKER_BIN INFERTURBO_OVERLOAD
 
-usage() { sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 2 ] || usage
 parent="$(cd "$1" && pwd)"
 change="$(cd "$2" && pwd)"
 shift 2
 
-pairs=10 only=""
+pairs=10 only="" aa=0
 pass=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="$2"; shift 2 ;;
+        --aa) aa=1; shift ;;
         --workload) only="$2"; shift 2 ;;
         --seed|--seconds) pass+=("$1" "$2"); shift 2 ;;
         *) echo "ab.sh: unknown argument $1" >&2; usage ;;
@@ -65,13 +71,19 @@ else
         sed -n 's/.*{"name": "\([a-z0-9_]*\)", "why".*/\1/p')
 fi
 
-rm -f "$out"/{parent,change}.{jsonl,log}
+rm -f "$out"/{parent,change,aa}.{jsonl,log}
 status=0
 for i in $(seq 1 "$pairs"); do
+    # With --aa the change runs between the two parent sides.
     if [ $((i % 2)) = 1 ]; then order=(parent change); else order=(change parent); fi
+    if [ "$aa" = 1 ]; then
+        if [ $((i % 2)) = 1 ]; then order=(parent change aa); else order=(aa change parent); fi
+    fi
     for w in "${workloads[@]}"; do
         for side in "${order[@]}"; do
-            "$(bin_of "$side")" run --workload "$w" --trace 0 \
+            build_side="$side"
+            [ "$side" = aa ] && build_side=parent
+            "$(bin_of "$build_side")" run --workload "$w" --trace 0 \
                 --out-dir "$out/$side-out" --record "$out/$side.jsonl" \
                 ${pass[@]+"${pass[@]}"} >/dev/null 2>>"$out/$side.log" || status=1
         done
@@ -79,6 +91,11 @@ for i in $(seq 1 "$pairs"); do
     echo "ab.sh: pair $i/$pairs done" >&2
 done
 
+if [ "$aa" = 1 ]; then
+    echo "ab.sh: the A/A floor — parent against itself, same hour:" >&2
+    "$(bin_of change)" compare "$out/parent.jsonl" "$out/aa.jsonl" || true
+    echo "ab.sh: the claim — parent against change:" >&2
+fi
 "$(bin_of change)" compare "$out/parent.jsonl" "$out/change.jsonl" || status=1
-echo "ab.sh: records in $out/parent.jsonl and $out/change.jsonl" >&2
+echo "ab.sh: records in $out/parent.jsonl and $out/change.jsonl$([ "$aa" = 1 ] && echo " (A/A: $out/aa.jsonl)")" >&2
 exit $status

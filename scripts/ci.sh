@@ -41,6 +41,13 @@ echo "== cargo test =="
 # configuration, so one run of the suite is the whole matrix.
 cargo test --offline -q
 
+echo "== experiments --quick fig12 fig13 (the paper's out-hub figures) =="
+# The broadcast and shadow-node threshold sweeps on an out-skew graph
+# (~1.3 s together): the paper harness driving hub refs and mirror bytes.
+for fig in fig12 fig13; do
+    cargo run --offline --release -q -p inferturbo-bench --bin experiments -- --quick "$fig" >/dev/null
+done
+
 echo "== bash -n scripts/ab.sh (the paired parent/change runner parses) =="
 bash -n scripts/ab.sh
 

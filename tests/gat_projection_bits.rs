@@ -1,14 +1,19 @@
-//! GAT projects at the source (`apply_edge` returns `W·h`) and gathers
-//! into one flat union buffer. The move must not change a bit: this file
-//! keeps the receiver-side formula the layer used before — raw `h` rows,
-//! one `matvec_acc` per in-message, the softmax `exp` evaluated once for
-//! the denominator and again for the weight — as a local reference, and
-//! holds `apply_node(apply_edge(..))` to it bit for bit.
+//! GAT projects at the source (`apply_edge` returns `W·h`), gathers its
+//! in-messages as a union of lent segments, and may be handed its own
+//! projection back (`NodeCtx::own_msg`) instead of recomputing it. None of
+//! that may change a bit: this file keeps the receiver-side formula the
+//! layer used before — raw `h` rows, one `matvec_acc` per in-message and
+//! one for the node itself, the softmax `exp` evaluated once for the
+//! denominator and again for the weight — as a local reference, and holds
+//! `apply_node(apply_edge(..))` to it bit for bit, however the union is
+//! cut into segments and whether or not the own projection is given.
 
 use inferturbo::common::Xoshiro256;
-use inferturbo::core::models::gas_impl::GAT_LEAKY_SLOPE;
+use inferturbo::core::models::gas_impl::{LayerView, GAT_LEAKY_SLOPE};
 use inferturbo::core::models::{matvec_acc, GnnModel};
 use inferturbo::core::{AggState, EdgeCtx, GasLayer, NodeCtx};
+use inferturbo::pregel::RowsIn;
+use std::borrow::Cow;
 
 /// The receiver-side GAT update over raw (unprojected) in-messages.
 fn receiver_side_gat(model: &GnnModel, heads: usize, state: &[f32], msgs: &[Vec<f32>]) -> Vec<f32> {
@@ -80,8 +85,8 @@ enum Inputs {
     /// Unit-scale values.
     Unit,
     /// Unit-scale values with ±0.0 lanes and whole ±0.0 rows mixed in
-    /// (`matvec_acc` skips zero lanes; an all-zero row projects to zero
-    /// logits).
+    /// (`matvec_acc` multiplies zero lanes like any other, so signed zeros
+    /// reach its sums; an all-zero row projects to zero logits).
     SignedZeros,
     /// Magnitudes around 1e5: logits far apart, so most softmax weights
     /// underflow to exactly zero while everything stays finite.
@@ -113,6 +118,53 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Segments of each kind a segmented gather produced.
+#[derive(Default)]
+struct SegmentKinds {
+    lent_spans: usize,
+    lent_rows: usize,
+    owned: usize,
+}
+
+/// Gather the projected rows `flat` (`dim` wide, in delivery order) cut at
+/// random points: a run of rows lent as one span (a vertex's inbox), a
+/// single row lent (a broadcast ref's payload in the table), or a single
+/// row handed over owned (`aggregate`).
+fn gather_in_segments<'a>(
+    layer: &LayerView<'_>,
+    rng: &mut Xoshiro256,
+    dim: usize,
+    flat: &'a [f32],
+    kinds: &mut SegmentKinds,
+) -> AggState<'a> {
+    let mut agg = layer.init_agg();
+    let n = flat.len() / dim;
+    let mut i = 0;
+    while i < n {
+        let row = &flat[i * dim..(i + 1) * dim];
+        match rng.below(3) {
+            0 => {
+                let len = 1 + rng.below((n - i) as u64) as usize;
+                let data = &flat[i * dim..(i + len) * dim];
+                layer.gather_rows(&mut agg, RowsIn::Rows { dim, data });
+                kinds.lent_spans += 1;
+                i += len;
+            }
+            1 => {
+                layer.gather_row(&mut agg, row, 1);
+                kinds.lent_rows += 1;
+                i += 1;
+            }
+            _ => {
+                layer.aggregate(&mut agg, row.to_vec());
+                kinds.owned += 1;
+                i += 1;
+            }
+        }
+    }
+    agg
+}
+
 #[test]
 fn source_side_projection_is_bit_identical_to_the_receiver_side_formula() {
     let edge = EdgeCtx {
@@ -121,6 +173,7 @@ fn source_side_projection_is_bit_identical_to_the_receiver_side_formula() {
     };
     let mut rng = Xoshiro256::seed_from_u64(0x6A7);
     let mut cases = 0;
+    let mut kinds = SegmentKinds::default();
     // in_dim <, =, > out_dim
     for (in_dim, out_dim) in [(4usize, 16usize), (8, 8), (16, 4)] {
         for heads in [1usize, 2, 4] {
@@ -136,36 +189,55 @@ fn source_side_projection_is_bit_identical_to_the_receiver_side_formula() {
                         .map(|_| draw_row(&mut rng, in_dim, inputs))
                         .collect();
 
-                    let mut agg = layer.init_agg();
-                    for m in &msgs {
-                        layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
-                    }
-                    assert_eq!(agg.count() as usize, n_msgs);
-                    let node = NodeCtx {
-                        id: 1,
-                        state: &state,
-                        in_degree: n_msgs as u32,
-                        out_degree: 3,
-                    };
-                    let mut got = Vec::new();
-                    layer.apply_node(&node, agg, &mut got);
                     let want = receiver_side_gat(&model, heads, &state, &msgs);
                     assert!(
                         want.iter().all(|x| x.is_finite()),
                         "case must be NaN-free: {in_dim}->{out_dim} heads {heads} \
                          msgs {n_msgs} {inputs:?}"
                     );
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "{in_dim}->{out_dim} heads {heads} msgs {n_msgs} {inputs:?}"
-                    );
+                    let flat: Vec<f32> = msgs
+                        .iter()
+                        .flat_map(|m| layer.apply_edge(m, &edge))
+                        .collect();
+                    let own = layer.apply_edge(&state, &edge);
+                    for segmented in [false, true] {
+                        for own_msg in [&[][..], &own[..]] {
+                            let agg = if segmented {
+                                gather_in_segments(&layer, &mut rng, out_dim, &flat, &mut kinds)
+                            } else {
+                                let mut agg = layer.init_agg();
+                                for m in &msgs {
+                                    layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
+                                }
+                                agg
+                            };
+                            assert_eq!(agg.count() as usize, n_msgs);
+                            let node = NodeCtx {
+                                id: 1,
+                                state: &state,
+                                in_degree: n_msgs as u32,
+                                out_degree: 3,
+                                own_msg,
+                            };
+                            let mut got = Vec::new();
+                            layer.apply_node(&node, agg, &mut got);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{in_dim}->{out_dim} heads {heads} msgs {n_msgs} {inputs:?} \
+                                 segmented {segmented} own given {}",
+                                !own_msg.is_empty()
+                            );
+                        }
+                    }
                     cases += 1;
                 }
             }
         }
     }
     assert_eq!(cases, 81);
+    // Every kind of segment was cut somewhere.
+    assert!(kinds.lent_spans > 0 && kinds.lent_rows > 0 && kinds.owned > 0);
 }
 
 #[test]
@@ -208,70 +280,84 @@ fn signed_zero_and_far_apart_logits_take_the_same_bits() {
         src_out_degree: 1,
         edge_feat: &[],
     };
-    let mut agg = layer.init_agg();
-    for m in &msgs {
-        layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
-    }
-    let node = NodeCtx {
-        id: 0,
-        state: &state,
-        in_degree: 4,
-        out_degree: 1,
-    };
-    let mut got = Vec::new();
-    layer.apply_node(&node, agg, &mut got);
     let want = receiver_side_gat(&model, heads, &state, &msgs);
     assert!(want.iter().all(|x| x.is_finite()));
-    assert_eq!(bits(&got), bits(&want));
-    // Head 0 is dominated by the 200 logit, head 1 by the 1e6 one: the
-    // weights of the others underflow, so the output is that message's row.
-    assert_eq!(got, vec![200.0, 5.0, 1e6, 8.0]);
+    let own = layer.apply_edge(&state, &edge);
+    for own_msg in [&[][..], &own[..]] {
+        let mut agg = layer.init_agg();
+        for m in &msgs {
+            layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
+        }
+        let node = NodeCtx {
+            id: 0,
+            state: &state,
+            in_degree: 4,
+            out_degree: 1,
+            own_msg,
+        };
+        let mut got = Vec::new();
+        layer.apply_node(&node, agg, &mut got);
+        assert_eq!(bits(&got), bits(&want));
+        // Head 0 is dominated by the 200 logit, head 1 by the 1e6 one: the
+        // weights of the others underflow, so the output is that message's
+        // row.
+        assert_eq!(got, vec![200.0, 5.0, 1e6, 8.0]);
+    }
 }
 
+/// The union counts its rows across segments as one flat sequence, and a
+/// merge appends the other side's segments after its own.
 #[test]
 fn flat_union_counts_rows_and_merges_in_delivery_order() {
-    assert_eq!(
-        AggState::Union {
-            dim: 3,
-            rows: vec![]
-        }
-        .count(),
-        0
-    );
-    assert_eq!(
-        AggState::Union {
-            dim: 3,
-            rows: vec![0.0; 12]
-        }
-        .count(),
-        4
-    );
+    let union = |dim, segs: Vec<Cow<'static, [f32]>>| AggState::Union { dim, segs };
+    assert_eq!(union(3, vec![]).count(), 0);
+    static LENT: [f32; 6] = [0.0; 6];
+    let segs = vec![
+        Cow::Borrowed(&LENT[..]),
+        Cow::Owned(vec![0.0; 3]),
+        Cow::Borrowed(&LENT[..3]),
+    ];
+    assert_eq!(union(3, segs).count(), 4);
     // Zero-width rows: nothing to count, and no division by zero.
-    assert_eq!(
-        AggState::Union {
-            dim: 0,
-            rows: vec![]
-        }
-        .count(),
-        0
-    );
+    assert_eq!(union(0, vec![Cow::Borrowed(&[][..])]).count(), 0);
 
     let model = GnnModel::gat(3, 4, 2, 1, 3, false, 5);
     let layer = model.layer_view(0);
     let row = |k: usize| -> Vec<f32> { (0..4).map(|c| (k * 10 + c) as f32).collect() };
+    let inbox: Vec<f32> = (0..2).flat_map(row).collect();
+    let table = row(2);
     let mut left = layer.init_agg();
     assert_eq!(left.count(), 0);
+    layer.gather_rows(
+        &mut left,
+        RowsIn::Rows {
+            dim: 4,
+            data: &inbox,
+        },
+    );
     let mut right = layer.init_agg();
-    for k in 0..2 {
-        layer.aggregate(&mut left, row(k));
-    }
-    for k in 2..5 {
+    layer.gather_row(&mut right, &table, 1);
+    for k in 3..5 {
         layer.aggregate(&mut right, row(k));
     }
     layer.merge_agg(&mut left, right);
     assert_eq!(left.count(), 5);
-    let want: Vec<f32> = (0..5).flat_map(row).collect();
-    assert_eq!(left, AggState::Union { dim: 4, rows: want });
+    let want = AggState::Union {
+        dim: 4,
+        segs: vec![
+            Cow::Borrowed(&inbox[..]),
+            Cow::Borrowed(&table[..]),
+            Cow::Owned(row(3)),
+            Cow::Owned(row(4)),
+        ],
+    };
+    assert_eq!(left, want);
+    // The lent segments are the lenders' own lanes, not copies.
+    let AggState::Union { segs, .. } = &left else {
+        panic!("GAT gathers a union");
+    };
+    assert!(matches!(&segs[0], Cow::Borrowed(s) if s.as_ptr() == inbox.as_ptr()));
+    assert!(matches!(&segs[1], Cow::Borrowed(s) if s.as_ptr() == table.as_ptr()));
     // Merging the identity changes nothing.
     let before = left.clone();
     layer.merge_agg(&mut left, layer.init_agg());

@@ -199,6 +199,7 @@ fn oracle(model: &GnnModel, g: &Graph, strategy: StrategyConfig, workers: usize)
                     state: &h[i],
                     in_degree: rec.in_deg,
                     out_degree: rec.out_deg,
+                    own_msg: &[],
                 };
                 let mut updated = Vec::new();
                 layer.apply_node(&ctx, agg, &mut updated);
