@@ -6,30 +6,41 @@
 //! [`inferturbo_common::Parallelism`] budget: each worker runs its own
 //! kernel instance (built by a per-worker factory, so kernels may hold
 //! per-worker mutable state such as a broadcast table) and spools its
-//! routed output into worker-local shards. The barrier merges shards into
-//! the destination partitions in ascending mapper order — exactly the
-//! order the serial loop produced — so results and byte accounting are
-//! identical for every thread count. The shuffle's hash partitioning is
-//! what makes this safe: each worker *is* a disjoint key range.
+//! output into worker-local storage. The barrier hands every destination
+//! its senders' shares in ascending mapper order — exactly the order the
+//! serial loop produced — so results and byte accounting are identical for
+//! every thread count. The shuffle's hash partitioning is what makes this
+//! safe: each worker *is* a disjoint key range.
 //!
-//! Grouping inside a reducer is sort-based (stable sort by key, then a
-//! single grouped sweep), mirroring external-sort shuffle semantics and
-//! preserving arrival order within each key group.
+//! A reducer walks its rows once, in arrival order (ascending mapper,
+//! emission order within a mapper), and groups them by first touch; it
+//! then visits the groups in ascending key order, merge-joined with its
+//! typed records, which it stable-sorts by key. That keeps the
+//! external-sort semantics the kernels are written against — ascending
+//! keys, arrival order inside a group — while sorting one entry per
+//! distinct key instead of one per row.
 //!
 //! # Two shuffle planes
 //!
-//! Every phase shuffles typed keyed records (the pairs a kernel returns)
+//! Every phase shuffles typed keyed records (the pairs a kernel pushes)
 //! and, alongside them, fixed-width `f32` rows through the same columnar
 //! buffers the Pregel engine uses ([`inferturbo_common::rows`]): kernels
-//! emit rows into a [`RowSink`] (flat spool, no per-record heap object),
-//! the shuffle moves them as [`RowBucket`]s of contiguous `memcpy`-able
-//! rows, and reducers see each key's rows as one flat [`RowsView`]. When a
-//! phase provides a [`FusedAggregator`], emission folds rows into per-key
-//! accumulators at the sender — the in-mapper combiner — shrinking shuffle
-//! volume from one row per edge to one partial row per (worker, key). Both
-//! planes keep one ordering discipline — mapper-order concatenation,
-//! stable sort by key — so results stay independent of the thread budget.
-//! A phase that ships no rows passes `row_dim = 0` and ignores its sink.
+//! emit rows into a [`RowSink`], one flat spool per task with no
+//! per-record heap object. When a phase provides a [`FusedAggregator`],
+//! emission folds rows into per-key accumulators at the sender — the
+//! in-mapper combiner — shrinking shuffle volume from one row per edge to
+//! one partial row per (worker, key).
+//!
+//! Rows stay in the spool they were written to. The barrier records, per
+//! destination, the ascending indices of each sender's rows bound there,
+//! and a reducer reads them where they lie. Only a transport that moves
+//! bytes ([`Transport::needs_bytes`]) is handed contiguous per-destination
+//! buckets, packed from those index lists at the boundary: the same rows
+//! in the same order. A reducer combines the partials that land on it
+//! through the fold of the phase that produced them (Hadoop's reduce-side
+//! combine), so its kernel sees one row per key; without a fold it sees
+//! the key's rows as one flat [`RowsView`] in arrival order. A phase that
+//! ships no rows passes `row_dim = 0` and ignores its sink.
 
 use inferturbo_cluster::transport::{
     self, frame::EncodedKeyRecords, BucketRef, ConcatDest, ConcatExchange, Transport,
@@ -38,7 +49,7 @@ use inferturbo_cluster::{ClusterSpec, FaultInjector, MessagePlaneBytes, RunRepor
 use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::par::{par_map, par_map_workers};
-use inferturbo_common::rows::{row_payload_len, FusedAggregator, FusedKeyShard, RowBlock};
+use inferturbo_common::rows::{row_payload_len, AggKind, FusedAggregator, FusedKeyShard, RowBlock};
 use inferturbo_common::{Error, FxHashMap, Result};
 use inferturbo_obs::{Payload, RoundKind, Site, TraceHandle};
 
@@ -47,7 +58,6 @@ use inferturbo_obs::{Payload, RoundKind, Site, TraceHandle};
 /// output; the consuming phase charges them as input.
 pub struct KeyedData<V> {
     per_worker: Vec<Vec<(u64, V)>>,
-    pending_bytes: Vec<u64>,
 }
 
 impl<V> std::fmt::Debug for KeyedData<V> {
@@ -55,7 +65,6 @@ impl<V> std::fmt::Debug for KeyedData<V> {
         f.debug_struct("KeyedData")
             .field("records", &self.len())
             .field("workers", &self.per_worker.len())
-            .field("pending_bytes", &self.pending_bytes.iter().sum::<u64>())
             .finish()
     }
 }
@@ -69,75 +78,86 @@ impl<V> KeyedData<V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Records destined for `worker`.
-    pub fn worker_records(&self, worker: usize) -> &[(u64, V)] {
-        &self.per_worker[worker]
-    }
+/// Consumes the records destination by destination, each destination's in
+/// delivery order (ascending mapper, emission order within a mapper) — how
+/// a caller reads out the last round's results.
+impl<V> IntoIterator for KeyedData<V> {
+    type Item = (u64, V);
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Vec<(u64, V)>>>;
 
-    /// Consume into the final per-key map (used after the last round to
-    /// read out results). Keys are unique only if the last phase emitted
-    /// them uniquely — GNN pipelines do.
-    pub fn into_map(self) -> FxHashMap<u64, V> {
-        let mut out = FxHashMap::default();
-        for bucket in self.per_worker {
-            for (k, v) in bucket {
-                out.insert(k, v);
-            }
-        }
-        out
+    fn into_iter(self) -> Self::IntoIter {
+        self.per_worker.into_iter().flatten()
     }
 }
 
-/// One destination worker's columnar shuffle partition: keyed fixed-width
-/// rows in flat storage. `counts[i]` is the number of raw messages folded
-/// into row `i` (1 unless the producing phase fused).
-#[derive(Debug, Clone)]
-pub struct RowBucket {
+/// One task's row spool: keyed fixed-width rows with per-row fold counts
+/// (1 unless the spooling phase fused), in emission order — first-touch
+/// order when fused. Written once by its task, then only read by index.
+#[derive(Debug, Default)]
+struct RowSpool {
     keys: Vec<u64>,
     counts: Vec<u32>,
     rows: RowBlock,
 }
 
-impl RowBucket {
-    fn new(dim: usize) -> Self {
-        RowBucket {
-            keys: Vec::new(),
-            counts: Vec::new(),
-            rows: RowBlock::new(dim),
+impl RowSpool {
+    /// The rows at the ascending indices `at`, copied into one contiguous
+    /// spool: what a byte-moving transport ships for one (mapper,
+    /// destination) pair.
+    fn pack(&self, at: &[u32]) -> RowSpool {
+        let mut out = RowSpool {
+            keys: Vec::with_capacity(at.len()),
+            counts: Vec::with_capacity(at.len()),
+            rows: RowBlock::new(self.rows.dim()),
+        };
+        for &i in at {
+            let i = i as usize;
+            out.keys.push(self.keys[i]);
+            out.counts.push(self.counts[i]);
+            out.rows.push_row(self.rows.row(i));
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    fn push(&mut self, key: u64, count: u32, row: &[f32]) {
-        self.keys.push(key);
-        self.counts.push(count);
-        self.rows.push_row(row);
+        out
     }
 }
 
 /// Keyed columnar rows routed to their destination workers — the columnar
 /// counterpart of [`KeyedData`], produced and consumed by the same phases.
-#[derive(Debug, Clone)]
-pub struct KeyedRows {
+/// The rows stay in the spools they were written to; each destination
+/// holds the indices of the spool rows it receives.
+pub struct KeyedRows<'a> {
     dim: usize,
-    per_worker: Vec<RowBucket>,
+    /// The fold of the phase that fused these rows, if it fused: the
+    /// consuming reducer combines same-key partials with this fold and no
+    /// other.
+    agg: Option<&'a dyn FusedAggregator>,
+    spools: Vec<RowSpool>,
+    /// Per destination worker, its arrival order: `(spool, ascending row
+    /// indices)` per sending spool, in ascending mapper order.
+    per_worker: Vec<Vec<(usize, Vec<u32>)>>,
 }
 
-impl KeyedRows {
+impl std::fmt::Debug for KeyedRows<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyedRows")
+            .field("dim", &self.dim)
+            .field("rows", &self.len())
+            .field("workers", &self.per_worker.len())
+            .field("fused", &self.agg.is_some())
+            .finish()
+    }
+}
+
+impl KeyedRows<'_> {
     /// An empty plane (used to start a chain, or by phases with no row
     /// traffic).
     pub fn empty(dim: usize, workers: usize) -> Self {
         KeyedRows {
             dim,
-            per_worker: (0..workers).map(|_| RowBucket::new(dim)).collect(),
+            agg: None,
+            spools: Vec::new(),
+            per_worker: (0..workers).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -147,7 +167,11 @@ impl KeyedRows {
 
     /// Total row records across all workers.
     pub fn len(&self) -> usize {
-        self.per_worker.iter().map(RowBucket::len).sum()
+        self.per_worker
+            .iter()
+            .flatten()
+            .map(|(_, at)| at.len())
+            .sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -156,21 +180,41 @@ impl KeyedRows {
 
     /// Total raw messages represented (each row counts its folds).
     pub fn raw_message_count(&self) -> u64 {
-        self.per_worker
-            .iter()
-            .flat_map(|b| b.counts.iter())
-            .map(|&c| c as u64)
+        (0..self.per_worker.len())
+            .map(|w| {
+                let mut raw = 0u64;
+                self.for_each_arrival(w, |_, count, _| raw += count as u64);
+                raw
+            })
             .sum()
+    }
+
+    /// Visit worker `w`'s rows as `(key, count, row)` in arrival order.
+    fn for_each_arrival(&self, w: usize, mut f: impl FnMut(u64, u32, &[f32])) {
+        for (s, at) in &self.per_worker[w] {
+            let spool = &self.spools[*s];
+            for &i in at {
+                let i = i as usize;
+                f(spool.keys[i], spool.counts[i], spool.rows.row(i));
+            }
+        }
     }
 }
 
 /// One key's rows inside a reducer: a flat row-major slice plus per-row
-/// fold counts, in arrival order (mapper order, stable).
+/// fold counts, in arrival order (ascending mapper, emission order within
+/// a mapper). When the producing phase fused, the reducer has already
+/// folded the key's partials through that phase's fold, in arrival order
+/// and copy-on-first: the view is then one row whose count is the sum of
+/// theirs.
 #[derive(Debug, Clone, Copy)]
 pub struct RowsView<'a> {
     pub dim: usize,
     pub data: &'a [f32],
     pub counts: &'a [u32],
+    /// Shuffle records these rows stand for: [`RowsView::n_rows`] unless
+    /// the reducer combined them.
+    pub records: usize,
 }
 
 impl RowsView<'_> {
@@ -187,26 +231,41 @@ impl RowsView<'_> {
     }
 }
 
+/// A phase's row fold, resolved once per phase: its closed-form [`AggKind`]
+/// when the aggregator names one ([`FusedAggregator::wire_kind`] —
+/// bit-identical by that method's contract), so the per-row fold inlines;
+/// else the aggregator itself, a virtual call per row.
+#[derive(Clone, Copy)]
+enum Fold<'a> {
+    Kind(AggKind),
+    Dyn(&'a dyn FusedAggregator),
+}
+
+impl<'a> Fold<'a> {
+    fn of(agg: Option<&'a dyn FusedAggregator>) -> Option<Self> {
+        agg.map(|agg| match agg.wire_kind() {
+            Some(kind) => Fold::Kind(kind),
+            None => Fold::Dyn(agg),
+        })
+    }
+}
+
 /// Columnar emitter handed to phase kernels: rows are spooled flat (no
 /// per-record heap object) or — when the phase has a [`FusedAggregator`] —
 /// folded straight into per-key accumulator rows at emission, Hadoop-style
-/// in-mapper combining.
+/// in-mapper combining. Either way the task's rows live in one spool.
 pub struct RowSink<'a> {
     dim: usize,
-    agg: Option<&'a dyn FusedAggregator>,
-    fused: FusedKeyShard,
-    keys: Vec<u64>,
-    rows: RowBlock,
+    fold: Option<Fold<'a>>,
+    spool: FusedKeyShard,
 }
 
 impl<'a> RowSink<'a> {
     fn new(dim: usize, agg: Option<&'a dyn FusedAggregator>) -> Self {
         RowSink {
             dim,
-            agg,
-            fused: FusedKeyShard::new(dim),
-            keys: Vec::new(),
-            rows: RowBlock::new(dim),
+            fold: Fold::of(agg),
+            spool: FusedKeyShard::new(dim),
         }
     }
 
@@ -219,13 +278,17 @@ impl<'a> RowSink<'a> {
     /// Emit one row keyed by `key` for the shuffle.
     pub fn send_row(&mut self, key: u64, row: &[f32]) {
         assert!(self.dim > 0, "send_row on a phase with no row plane");
-        match self.agg {
-            Some(agg) => {
-                self.fused.accumulate(key, row, 1, agg);
+        match self.fold {
+            Some(Fold::Kind(kind)) => {
+                self.spool.accumulate(key, row, 1, &kind);
+            }
+            Some(Fold::Dyn(agg)) => {
+                self.spool.accumulate(key, row, 1, agg);
             }
             None => {
-                self.keys.push(key);
-                self.rows.push_row(row);
+                self.spool.keys.push(key);
+                self.spool.counts.push(1);
+                self.spool.rows.push_row(row);
             }
         }
     }
@@ -235,37 +298,165 @@ impl<'a> RowSink<'a> {
     /// rows model as streamed to the shuffle (like the typed records), so
     /// they cost shuffle bytes, not resident memory.
     fn resident_bytes(&self) -> u64 {
-        (self.fused.rows.data().len() * 4 + self.fused.keys.len() * 12) as u64
+        if self.fold.is_none() {
+            return 0;
+        }
+        (self.spool.rows.data().len() * 4 + self.spool.keys.len() * 12) as u64
     }
 
-    /// Charge output bytes and route rows to their destination buckets, in
-    /// emission (or first-touch, when fused) order.
-    fn flush_into(
-        &mut self,
+    /// Charge every spooled row's output bytes and record, per destination
+    /// of `n`, the ascending indices of the rows bound there. The rows stay
+    /// in the returned spool. Returns the spool, the index lists and the
+    /// columnar bytes sent.
+    fn flush(
+        self,
+        params: &PhaseParams,
+        n: usize,
+        metrics: &mut WorkerPhase,
+    ) -> Result<(RowSpool, Vec<Vec<u32>>, u64)> {
+        let FusedKeyShard {
+            keys, counts, rows, ..
+        } = self.spool;
+        if keys.len() > u32::MAX as usize {
+            return Err(Error::Capacity(format!(
+                "row spool overflow: {} rows from one task exceed the u32 index space",
+                keys.len()
+            )));
+        }
+        let mut routes: Vec<Vec<u32>> = (0..n).map(|_| Vec::new()).collect();
+        let mut columnar = 0u64;
+        for (i, (&key, &count)) in keys.iter().zip(&counts).enumerate() {
+            let len = params.row_wire_len(key, self.dim, count);
+            metrics.send(len);
+            columnar += len;
+            routes[(params.partition_fn)(key, n)].push(i as u32);
+        }
+        Ok((RowSpool { keys, counts, rows }, routes, columnar))
+    }
+}
+
+/// One reducer's rows grouped by key, in first-touch order: group `g` is
+/// `keys[g]`'s rows `starts[g]..starts[g + 1]` of `counts` / `rows`, and
+/// stands for `records[g]` shuffle records of `bytes[g]` wire bytes.
+struct RowGroups {
+    dim: usize,
+    keys: Vec<u64>,
+    starts: Vec<usize>,
+    counts: Vec<u32>,
+    rows: RowBlock,
+    records: Vec<usize>,
+    bytes: Vec<u64>,
+}
+
+impl RowGroups {
+    /// The reduce-side combine: fold each arriving partial into its key's
+    /// row, copy-on-first, in arrival order — the fold sequence the kernel's
+    /// own gather would run over the key's partials — so every group is
+    /// one row carrying the sum of their counts. Charges each record's
+    /// fetch to `metrics`.
+    fn combine(
+        rows: &KeyedRows<'_>,
+        w: usize,
+        fold: &(impl FusedAggregator + ?Sized),
         params: &PhaseParams,
         metrics: &mut WorkerPhase,
-        routed: &mut [RowBucket],
-        routed_bytes: &mut [u64],
-        msg_columnar: &mut u64,
-    ) {
-        let dim = self.dim;
-        let mut route = |key: u64, count: u32, row: &[f32]| {
+    ) -> Self {
+        let dim = rows.dim;
+        let mut shard = FusedKeyShard::new(dim);
+        let (mut records, mut bytes) = (Vec::new(), Vec::new());
+        rows.for_each_arrival(w, |key, count, row| {
             let len = params.row_wire_len(key, dim, count);
-            metrics.send(len);
-            *msg_columnar += len;
-            let dst = (params.partition_fn)(key, routed.len());
-            routed_bytes[dst] += len;
-            routed[dst].push(key, count, row);
-        };
-        for i in 0..self.fused.keys.len() {
-            route(
-                self.fused.keys[i],
-                self.fused.counts[i],
-                self.fused.rows.row(i),
-            );
+            metrics.recv(len);
+            let g = shard.accumulate(key, row, count, fold);
+            if g == records.len() {
+                records.push(0);
+                bytes.push(0);
+            }
+            records[g] += 1;
+            bytes[g] += len;
+        });
+        let FusedKeyShard {
+            keys, counts, rows, ..
+        } = shard;
+        RowGroups {
+            dim,
+            starts: (0..=keys.len()).collect(),
+            keys,
+            counts,
+            rows,
+            records,
+            bytes,
         }
-        for i in 0..self.keys.len() {
-            route(self.keys[i], 1, self.rows.row(i));
+    }
+
+    /// Without a fold: group the rows by first touch, then stably
+    /// counting-scatter them into group order, arrival order within a
+    /// group. Charges each record's fetch to `metrics`.
+    fn gather(
+        rows: &KeyedRows<'_>,
+        w: usize,
+        params: &PhaseParams,
+        metrics: &mut WorkerPhase,
+    ) -> Result<Self> {
+        let dim = rows.dim;
+        let mut index: FxHashMap<u64, usize> = FxHashMap::default();
+        let (mut keys, mut records, mut bytes) = (Vec::new(), Vec::new(), Vec::new());
+        let mut group_of: Vec<u32> = Vec::new();
+        rows.for_each_arrival(w, |key, count, _| {
+            let len = params.row_wire_len(key, dim, count);
+            metrics.recv(len);
+            let g = *index.entry(key).or_insert_with(|| {
+                keys.push(key);
+                records.push(0);
+                bytes.push(0);
+                keys.len() - 1
+            });
+            records[g] += 1;
+            bytes[g] += len;
+            group_of.push(g as u32);
+        });
+        let mut starts = Vec::with_capacity(keys.len() + 1);
+        starts.push(0);
+        for &r in &records {
+            starts.push(starts[starts.len() - 1] + r);
+        }
+        let total = group_of.len();
+        let mut cursor = starts.clone();
+        let mut counts = vec![0u32; total];
+        let mut data = vec![0.0f32; total * dim];
+        let mut arrival = group_of.iter();
+        rows.for_each_arrival(w, |_, count, row| {
+            let g = arrival.next().map_or(0, |&g| g as usize);
+            let at = cursor[g];
+            cursor[g] += 1;
+            counts[at] = count;
+            data[at * dim..(at + 1) * dim].copy_from_slice(row);
+        });
+        Ok(RowGroups {
+            dim,
+            keys,
+            starts,
+            counts,
+            rows: RowBlock::from_parts(dim, data)?,
+            records,
+            bytes,
+        })
+    }
+
+    /// Group ids in ascending key order (keys are distinct).
+    fn ascending(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.keys.len() as u32).collect();
+        order.sort_unstable_by_key(|&g| self.keys[g as usize]);
+        order
+    }
+
+    fn view(&self, g: usize) -> RowsView<'_> {
+        let (a, b) = (self.starts[g], self.starts[g + 1]);
+        RowsView {
+            dim: self.dim,
+            data: &self.rows.data()[a * self.dim..b * self.dim],
+            counts: &self.counts[a..b],
+            records: self.records[g],
         }
     }
 }
@@ -338,15 +529,46 @@ impl TaskGate {
 struct PhaseOut<V> {
     metrics: WorkerPhase,
     routed: Vec<Vec<(u64, V)>>,
-    routed_bytes: Vec<u64>,
-    /// Columnar plane output (empty zero-dim buckets when `row_dim == 0`).
-    routed_rows: Vec<RowBucket>,
+    /// The task's row spool (empty when `row_dim == 0`) and, per
+    /// destination, the ascending indices of its rows bound there.
+    spool: RowSpool,
+    routes: Vec<Vec<u32>>,
     /// Modelled peak resident bytes, checked against the spec at the merge.
     peak: u64,
     /// Message volume by plane.
     msg_bytes: MessagePlaneBytes,
     /// Injected task failures this worker absorbed by re-launching.
     retries: u64,
+}
+
+impl<V: Encode> PhaseOut<V> {
+    /// Close a task: route its typed records and flush its row sink, each
+    /// record charged as output once. `held` is the task's modelled
+    /// residency beside the sink's fused accumulators.
+    fn finish(
+        params: &PhaseParams,
+        n: usize,
+        mut metrics: WorkerPhase,
+        out: Vec<(u64, V)>,
+        sink: RowSink<'_>,
+        held: u64,
+        retries: u64,
+    ) -> Result<Self> {
+        let mut routed: Vec<Vec<(u64, V)>> = (0..n).map(|_| Vec::new()).collect();
+        let peak = held + sink.resident_bytes();
+        let legacy = route_records(params, out, &mut metrics, &mut routed);
+        let (spool, routes, columnar) = sink.flush(params, n, &mut metrics)?;
+        metrics.touch_mem(peak);
+        Ok(PhaseOut {
+            metrics,
+            routed,
+            spool,
+            routes,
+            peak,
+            msg_bytes: MessagePlaneBytes { columnar, legacy },
+            retries,
+        })
+    }
 }
 
 /// The batch engine. Owns the cluster spec and accumulates a [`RunReport`]
@@ -494,24 +716,27 @@ impl BatchEngine {
     /// fixed-width rows of `row_dim` emitted through a [`RowSink`].
     ///
     /// `make_map(worker)` builds the kernel each worker runs — one instance
-    /// per worker, so kernels may carry per-worker mutable state. Workers
-    /// execute in parallel; input bytes are charged per record (reading the
-    /// split); emitted pairs and rows are charged as shuffle output. With
-    /// `row_agg` set, emitted rows fold into per-key accumulators at the
-    /// sender (fused in-mapper aggregation). The first failure in ascending
-    /// worker order is surfaced, like the serial loop.
-    pub fn map_phase<I, V, M, F>(
+    /// per worker, so kernels may carry per-worker mutable state. A kernel
+    /// pushes its keyed pairs onto the task's output vector, which it
+    /// receives as its last argument. Workers execute in parallel; input
+    /// bytes are charged per record (reading the split); emitted pairs and
+    /// rows are charged as shuffle output. With `row_agg` set, emitted rows
+    /// fold into per-key accumulators at the sender (fused in-mapper
+    /// aggregation), and the returned rows carry `row_agg` to the reducer
+    /// that combines them. The first failure in ascending worker order is
+    /// surfaced, like the serial loop.
+    pub fn map_phase<'a, I, V, M, F>(
         &mut self,
         name: impl Into<String>,
         inputs: &[Vec<I>],
         row_dim: usize,
         make_map: F,
-        row_agg: Option<&dyn FusedAggregator>,
-    ) -> Result<(KeyedData<V>, KeyedRows)>
+        row_agg: Option<&'a dyn FusedAggregator>,
+    ) -> Result<(KeyedData<V>, KeyedRows<'a>)>
     where
         I: Encode + Sync,
         V: Encode + Decode + Clone + Send,
-        M: FnMut(&mut PhaseCtx, &I, &mut RowSink<'_>) -> Result<Vec<(u64, V)>>,
+        M: FnMut(&mut PhaseCtx, &I, &mut RowSink<'_>, &mut Vec<(u64, V)>) -> Result<()>,
         F: Fn(usize) -> M + Sync,
     {
         assert_eq!(
@@ -526,45 +751,21 @@ impl BatchEngine {
 
         let results: Vec<Result<PhaseOut<V>>> = par_map_workers(n, |w| {
             let task_retries = gate.admit(|inj| inj.map_task(w, round))?;
-            let recs = &inputs[w];
             let mut metrics = WorkerPhase::default();
             let mut kernel = make_map(w);
             let mut out: Vec<(u64, V)> = Vec::new();
             let mut sink = RowSink::new(row_dim, row_agg);
-            for rec in recs {
+            for rec in &inputs[w] {
                 metrics.recv(rec.encoded_len() as u64 + params.record_overhead);
                 let mut ctx = PhaseCtx::default();
-                out.extend(kernel(&mut ctx, rec, &mut sink)?);
+                kernel(&mut ctx, rec, &mut sink, &mut out)?;
                 metrics.flops += ctx.flops;
             }
-            let mut routed: Vec<Vec<(u64, V)>> = (0..n).map(|_| Vec::new()).collect();
-            let mut routed_bytes = vec![0u64; n];
-            let mut routed_rows: Vec<RowBucket> = (0..n).map(|_| RowBucket::new(row_dim)).collect();
-            let sink_resident = sink.resident_bytes();
-            let legacy = route_records(&params, out, &mut metrics, &mut routed, &mut routed_bytes);
-            let mut columnar = 0u64;
-            sink.flush_into(
-                &params,
-                &mut metrics,
-                &mut routed_rows,
-                &mut routed_bytes,
-                &mut columnar,
-            );
             // Mapper memory: typed records stream to the shuffle; only the
             // row sink's fused accumulators stay resident.
-            let peak = sink_resident;
-            metrics.touch_mem(peak);
-            Ok(PhaseOut {
-                metrics,
-                routed,
-                routed_bytes,
-                routed_rows,
-                peak,
-                msg_bytes: MessagePlaneBytes { columnar, legacy },
-                retries: task_retries,
-            })
+            PhaseOut::finish(&params, n, metrics, out, sink, 0, task_retries)
         });
-        self.merge_phase(name, RoundKind::Map, row_dim, results)
+        self.merge_phase(name, RoundKind::Map, row_dim, row_agg, results)
     }
 
     /// Reduce phase: group each worker's shuffle partition — typed records
@@ -572,35 +773,38 @@ impl BatchEngine {
     /// pairs and `out_dim`-wide rows onward.
     ///
     /// Workers run in parallel — each worker's partition is a disjoint key
-    /// range by construction of the shuffle. Within a worker, both planes
-    /// are stable-sorted by key (external-sort semantics: ascending keys —
-    /// the union of keys from either plane — arrival order preserved inside
-    /// a group) and reduced in one grouped sweep: the kernel sees the key's
-    /// typed values plus its rows as one flat [`RowsView`].
+    /// range by construction of the shuffle. Within a worker, keys — the
+    /// union of either plane's — are visited in ascending order, arrival
+    /// order preserved inside a group (see the module docs): the kernel
+    /// sees the key's typed values, in one vector reused across keys, plus
+    /// its rows as one flat [`RowsView`] — one combined row per key when
+    /// `rows` were fused. It pushes its keyed pairs onto the task's output
+    /// vector, its last argument.
     /// `make_reduce(worker)` builds one kernel per worker, which may hold
     /// per-worker state across its key stream (e.g. the broadcast table
     /// riding reserved low keys). The modelled reducer memory peak is the
     /// largest single group plus the sink's fused accumulators — streaming
     /// reducers never hold their whole partition.
-    pub fn reduce_phase<V, O, R, F>(
+    pub fn reduce_phase<'b, V, O, R, F>(
         &mut self,
         name: impl Into<String>,
         data: KeyedData<V>,
-        rows: KeyedRows,
+        rows: KeyedRows<'_>,
         out_dim: usize,
         make_reduce: F,
-        row_agg: Option<&dyn FusedAggregator>,
-    ) -> Result<(KeyedData<O>, KeyedRows)>
+        row_agg: Option<&'b dyn FusedAggregator>,
+    ) -> Result<(KeyedData<O>, KeyedRows<'b>)>
     where
         V: Encode + Decode + Clone + Send,
         O: Encode + Decode + Clone + Send,
         R: FnMut(
             &mut PhaseCtx,
             u64,
-            Vec<V>,
+            &mut Vec<V>,
             RowsView<'_>,
             &mut RowSink<'_>,
-        ) -> Result<Vec<(u64, O)>>,
+            &mut Vec<(u64, O)>,
+        ) -> Result<()>,
         F: Fn(usize) -> R + Sync,
     {
         let name = name.into();
@@ -608,46 +812,47 @@ impl BatchEngine {
         assert_eq!(data.per_worker.len(), n, "keyed data shape");
         assert_eq!(rows.per_worker.len(), n, "keyed rows shape");
         let in_dim = rows.dim;
+        let fold = Fold::of(rows.agg);
         let params = self.params();
         let (gate, round) = self.reduce_gate();
 
-        let tasks: Vec<(Vec<(u64, V)>, RowBucket)> =
-            data.per_worker.into_iter().zip(rows.per_worker).collect();
-        let results: Vec<Result<PhaseOut<O>>> = par_map(tasks, |w, (mut bucket, rbucket)| {
+        let results: Vec<Result<PhaseOut<O>>> = par_map(data.per_worker, |w, mut bucket| {
             // Fired before the task consumes its shuffle partition, so a
             // re-launched task reads the same immutable input.
             let task_retries = gate.admit(|inj| inj.reduce_task(w, round))?;
             let mut metrics = WorkerPhase::default();
-            // Shuffle sort: stable on both planes, so same-key records
-            // keep arrival order. Rows sort an index permutation — the
-            // flat storage never moves.
+            // Each record of either plane is sized once, as it is grouped:
+            // the same number is the fetch of this worker's shuffle
+            // partition (input accounting) and its share of the group's
+            // residency. The fold is dispatched once, here.
+            let groups = match fold {
+                Some(Fold::Kind(kind)) => {
+                    RowGroups::combine(&rows, w, &kind, &params, &mut metrics)
+                }
+                Some(Fold::Dyn(agg)) => RowGroups::combine(&rows, w, agg, &params, &mut metrics),
+                None => RowGroups::gather(&rows, w, &params, &mut metrics)?,
+            };
+            let order = groups.ascending();
+            // Stable, so same-key typed records keep arrival order.
             bucket.sort_by_key(|&(k, _)| k);
-            let mut row_ord: Vec<u32> = (0..rbucket.len() as u32).collect();
-            row_ord.sort_by_key(|&i| rbucket.keys[i as usize]);
 
             let mut kernel = make_reduce(w);
             let mut out: Vec<(u64, O)> = Vec::new();
+            let mut values: Vec<V> = Vec::new();
             let mut sink = RowSink::new(out_dim, row_agg);
             let mut max_group_bytes = 0u64;
-            // Per-group row gather scratch, reused across groups.
-            let mut group_rows: Vec<f32> = Vec::new();
-            let mut group_counts: Vec<u32> = Vec::new();
             let mut lit = bucket.into_iter().peekable();
-            let mut ri = 0usize;
+            let mut gi = 0usize;
             loop {
                 let lk = lit.peek().map(|&(k, _)| k);
-                let rk = (ri < row_ord.len()).then(|| rbucket.keys[row_ord[ri] as usize]);
+                let rk = order.get(gi).map(|&g| groups.keys[g as usize]);
                 let k = match (lk, rk) {
                     (None, None) => break,
                     (Some(a), None) => a,
                     (None, Some(b)) => b,
                     (Some(a), Some(b)) => a.min(b),
                 };
-                // Each record of either plane is sized once, here: the
-                // same number is the fetch of this worker's shuffle
-                // partition (input accounting) and its share of the
-                // group's residency.
-                let mut values = Vec::new();
+                values.clear();
                 let mut group_bytes = 0u64;
                 while let Some((_, v)) = lit.next_if(|&(k2, _)| k2 == k) {
                     let len = params.wire_len(k, &v);
@@ -655,75 +860,64 @@ impl BatchEngine {
                     group_bytes += len;
                     values.push(v);
                 }
-                group_rows.clear();
-                group_counts.clear();
-                while ri < row_ord.len() && rbucket.keys[row_ord[ri] as usize] == k {
-                    let i = row_ord[ri] as usize;
-                    group_rows.extend_from_slice(rbucket.rows.row(i));
-                    group_counts.push(rbucket.counts[i]);
-                    let len = params.row_wire_len(k, in_dim, rbucket.counts[i]);
-                    metrics.recv(len);
-                    group_bytes += len;
-                    ri += 1;
-                }
-                max_group_bytes = max_group_bytes.max(group_bytes);
-                let view = RowsView {
-                    dim: in_dim,
-                    data: &group_rows,
-                    counts: &group_counts,
+                let view = if rk == Some(k) {
+                    let g = order[gi] as usize;
+                    gi += 1;
+                    group_bytes += groups.bytes[g];
+                    groups.view(g)
+                } else {
+                    RowsView {
+                        dim: in_dim,
+                        data: &[],
+                        counts: &[],
+                        records: 0,
+                    }
                 };
+                max_group_bytes = max_group_bytes.max(group_bytes);
                 let mut ctx = PhaseCtx::default();
-                out.extend(kernel(&mut ctx, k, values, view, &mut sink)?);
+                kernel(&mut ctx, k, &mut values, view, &mut sink, &mut out)?;
                 metrics.flops += ctx.flops;
             }
-            let mut routed: Vec<Vec<(u64, O)>> = (0..n).map(|_| Vec::new()).collect();
-            let mut routed_bytes = vec![0u64; n];
-            let mut routed_rows: Vec<RowBucket> = (0..n).map(|_| RowBucket::new(out_dim)).collect();
-            let sink_resident = sink.resident_bytes();
-            let legacy = route_records(&params, out, &mut metrics, &mut routed, &mut routed_bytes);
-            let mut columnar = 0u64;
-            sink.flush_into(
+            PhaseOut::finish(
                 &params,
-                &mut metrics,
-                &mut routed_rows,
-                &mut routed_bytes,
-                &mut columnar,
-            );
-            let peak = max_group_bytes + sink_resident;
-            metrics.touch_mem(peak);
-            Ok(PhaseOut {
+                n,
                 metrics,
-                routed,
-                routed_bytes,
-                routed_rows,
-                peak,
-                msg_bytes: MessagePlaneBytes { columnar, legacy },
-                retries: task_retries,
-            })
+                out,
+                sink,
+                max_group_bytes,
+                task_retries,
+            )
         });
-        self.merge_phase(name, RoundKind::Reduce, out_dim, results)
+        // Every reducer has read its rows: the senders' spools go before
+        // this phase's own are merged.
+        drop(rows);
+        self.merge_phase(name, RoundKind::Reduce, out_dim, row_agg, results)
     }
 
     /// Barrier: surface the first failure in ascending worker order, check
     /// the memory model, and hand the routed shards — both planes — to the
-    /// shuffle [`Transport`], which concatenates them per destination in
-    /// mapper order (the serial delivery order). Under a byte-moving
-    /// backend the typed legacy records cross the wire through the `V`
-    /// codec; the in-process backend concatenates them typed, in-engine.
-    fn merge_phase<V: Encode + Decode + Clone + Send>(
+    /// shuffle [`Transport`]. Under a byte-moving backend each (mapper,
+    /// destination) share of rows is packed into one contiguous bucket and
+    /// the typed legacy records cross the wire through the `V` codec, and
+    /// the transport concatenates both per destination in mapper order
+    /// (the serial delivery order). In process, nothing is copied: rows stay
+    /// in their spools behind per-destination index lists, and the typed
+    /// records are concatenated in-engine.
+    fn merge_phase<'a, V: Encode + Decode + Clone + Send>(
         &mut self,
         name: String,
         kind: RoundKind,
         row_dim: usize,
+        agg: Option<&'a dyn FusedAggregator>,
         results: Vec<Result<PhaseOut<V>>>,
-    ) -> Result<(KeyedData<V>, KeyedRows)> {
+    ) -> Result<(KeyedData<V>, KeyedRows<'a>)> {
         let n = self.spec.workers;
         let mut metrics = Vec::with_capacity(n);
-        let mut routed_bytes = vec![0u64; n];
         let mut round_bytes = MessagePlaneBytes::default();
         let mut round_retries = 0u64;
         let mut routed_by_mapper: Vec<Vec<Vec<(u64, V)>>> = Vec::with_capacity(n);
-        let mut rows_by_mapper: Vec<Vec<RowBucket>> = Vec::with_capacity(n);
+        let mut spools: Vec<RowSpool> = Vec::with_capacity(n);
+        let mut routes_by_mapper: Vec<Vec<Vec<u32>>> = Vec::with_capacity(n);
         for (w, r) in results.into_iter().enumerate() {
             let o = r.map_err(|e| e.in_phase(&name))?;
             self.spec
@@ -734,11 +928,9 @@ impl BatchEngine {
             self.report.message_bytes.add(o.msg_bytes);
             round_retries += o.retries;
             round_bytes.add(o.msg_bytes);
-            for (dst, b) in o.routed_bytes.iter().enumerate() {
-                routed_bytes[dst] += b;
-            }
             routed_by_mapper.push(o.routed);
-            rows_by_mapper.push(o.routed_rows);
+            spools.push(o.spool);
+            routes_by_mapper.push(o.routes);
         }
         let transport = std::sync::Arc::clone(&self.transport);
         let needs_bytes = transport.needs_bytes();
@@ -762,38 +954,68 @@ impl BatchEngine {
         } else {
             (0..n).map(|_| None).collect()
         };
-        let mut dests = Vec::with_capacity(n);
-        for (dst, legacy) in encoded_legacy.iter_mut().enumerate() {
-            // Skip the row plane entirely when no mapper emitted rows for
-            // this destination — phases without row traffic move nothing.
-            let buckets: Vec<BucketRef<'_>> = rows_by_mapper
-                .iter()
-                .map(|m| &m[dst])
-                .filter(|b| !b.is_empty())
-                .map(|b| BucketRef {
-                    keys: &b.keys,
-                    counts: &b.counts,
-                    rows: &b.rows,
+        let mut rows = KeyedRows::empty(row_dim, n);
+        rows.agg = agg;
+        // A byte-moving transport gets, per destination, the packed bucket
+        // of every mapper that sent it rows, ascending. In process the rows
+        // stay in their spools and each destination keeps its senders'
+        // index lists, ascending.
+        let packed: Vec<Vec<RowSpool>> = if needs_bytes {
+            (0..n)
+                .map(|dst| {
+                    spools
+                        .iter()
+                        .zip(&routes_by_mapper)
+                        .filter(|(_, routes)| !routes[dst].is_empty())
+                        .map(|(spool, routes)| spool.pack(&routes[dst]))
+                        .collect()
                 })
-                .collect();
-            dests.push(ConcatDest {
+                .collect()
+        } else {
+            for (m, routes) in routes_by_mapper.into_iter().enumerate() {
+                for (dst, at) in routes.into_iter().enumerate() {
+                    if !at.is_empty() {
+                        rows.per_worker[dst].push((m, at));
+                    }
+                }
+            }
+            rows.spools = spools;
+            Vec::new()
+        };
+        let dests = encoded_legacy
+            .iter_mut()
+            .enumerate()
+            .map(|(dst, legacy)| ConcatDest {
                 dim: row_dim,
-                buckets: (!buckets.is_empty()).then_some(buckets),
+                // A destination no mapper sent rows to moves no row plane.
+                buckets: packed.get(dst).filter(|b| !b.is_empty()).map(|b| {
+                    b.iter()
+                        .map(|s| BucketRef {
+                            keys: &s.keys,
+                            counts: &s.counts,
+                            rows: &s.rows,
+                        })
+                        .collect()
+                }),
                 legacy: legacy.take(),
-            });
-        }
+            })
+            .collect();
         let exchanged = transport
             .exchange_concat(ConcatExchange { dests })
             .map_err(|e| e.in_phase(&name))?;
+        drop(packed);
         self.report.wire_bytes += exchanged.wire_bytes;
         let mut routed: Vec<Vec<(u64, V)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut rows = KeyedRows::empty(row_dim, n);
         for (dst, merged) in exchanged.dests.into_iter().enumerate() {
             if let Some(b) = merged.bucket {
-                let out = &mut rows.per_worker[dst];
-                out.keys = b.keys;
-                out.counts = b.counts;
-                out.rows = b.rows;
+                // What crossed the wire is one spool of its own.
+                let all = (0..b.keys.len() as u32).collect();
+                rows.per_worker[dst].push((rows.spools.len(), all));
+                rows.spools.push(RowSpool {
+                    keys: b.keys,
+                    counts: b.counts,
+                    rows: b.rows,
+                });
             }
             if let Some(records) = merged.legacy {
                 let typed = &mut routed[dst];
@@ -847,13 +1069,7 @@ impl BatchEngine {
             );
         }
         self.report.push_phase(name, metrics);
-        Ok((
-            KeyedData {
-                per_worker: routed,
-                pending_bytes: routed_bytes,
-            },
-            rows,
-        ))
+        Ok((KeyedData { per_worker: routed }, rows))
     }
 }
 
@@ -865,15 +1081,12 @@ fn route_records<V: Encode>(
     emitted: Vec<(u64, V)>,
     metrics: &mut WorkerPhase,
     routed: &mut [Vec<(u64, V)>],
-    routed_bytes: &mut [u64],
 ) -> u64 {
     let mut total = 0u64;
     for (k, v) in emitted {
         let len = params.wire_len(k, &v);
         metrics.send(len);
-        let dst = (params.partition_fn)(k, routed.len());
-        routed_bytes[dst] += len;
-        routed[dst].push((k, v));
+        routed[(params.partition_fn)(k, routed.len())].push((k, v));
         total += len;
     }
     total
@@ -882,9 +1095,16 @@ fn route_records<V: Encode>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inferturbo_cluster::transport::{ConcatOut, Exchange, ExchangeOut, InProcess};
+    use std::sync::Arc;
 
     fn engine(workers: usize) -> BatchEngine {
         BatchEngine::new(ClusterSpec::test_spec(workers))
+    }
+
+    /// The last round's records as a per-key map (keys unique).
+    fn into_map<V>(data: KeyedData<V>) -> FxHashMap<u64, V> {
+        data.into_iter().collect()
     }
 
     /// A map phase that ships typed records only: `row_dim = 0`, sink
@@ -902,7 +1122,10 @@ mod tests {
     {
         let make = |w| {
             let mut kernel = make_map(w);
-            move |ctx: &mut PhaseCtx, rec: &I, _sink: &mut RowSink<'_>| kernel(ctx, rec)
+            move |ctx: &mut PhaseCtx, rec: &I, _sink: &mut RowSink<'_>, out: &mut Vec<(u64, V)>| {
+                out.extend(kernel(ctx, rec)?);
+                Ok(())
+            }
         };
         Ok(eng.map_phase(name, inputs, 0, make, None)?.0)
     }
@@ -922,9 +1145,15 @@ mod tests {
         let workers = eng.spec().workers;
         let make = |w| {
             let mut kernel = make_reduce(w);
-            move |ctx: &mut PhaseCtx, key, values, view: RowsView<'_>, _sink: &mut RowSink<'_>| {
+            move |ctx: &mut PhaseCtx,
+                  key,
+                  values: &mut Vec<V>,
+                  view: RowsView<'_>,
+                  _sink: &mut RowSink<'_>,
+                  out: &mut Vec<(u64, O)>| {
                 assert!(view.is_empty(), "typed-only chain");
-                kernel(ctx, key, values)
+                out.extend(kernel(ctx, key, std::mem::take(values))?);
+                Ok(())
             }
         };
         let rows = KeyedRows::empty(0, workers);
@@ -946,7 +1175,7 @@ mod tests {
             |_ctx: &mut PhaseCtx, k, vals: Vec<f32>| Ok(vec![(k, vals.iter().sum::<f32>())])
         })
         .unwrap();
-        let m = reduced.into_map();
+        let m = into_map(reduced);
         assert_eq!(m[&1], 3.0);
         assert_eq!(m[&2], 2.0);
         assert_eq!(m[&3], 1.0);
@@ -969,7 +1198,7 @@ mod tests {
             |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, -v[0])])
         })
         .unwrap();
-        let m = r2.into_map();
+        let m = into_map(r2);
         assert_eq!(m[&5], -10.0);
         assert_eq!(m[&6], -12.0);
         assert_eq!(eng.report().phases.len(), 3);
@@ -1034,7 +1263,7 @@ mod tests {
                 |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v.iter().sum::<f32>())])
             })
             .unwrap();
-            let mut pairs: Vec<(u64, f32)> = out.into_map().into_iter().collect();
+            let mut pairs: Vec<(u64, f32)> = into_map(out).into_iter().collect();
             pairs.sort_by_key(|&(k, _)| k);
             (pairs, eng.report().total_bytes())
         };
@@ -1104,14 +1333,56 @@ mod tests {
         }
     }
 
+    /// An in-process transport that asks for bytes: the engine packs every
+    /// (mapper, destination) share of rows into a contiguous bucket and
+    /// encodes the typed records, exactly as for a worker process.
+    #[derive(Debug)]
+    struct Packing;
+    impl Transport for Packing {
+        fn name(&self) -> &'static str {
+            "packing"
+        }
+        fn needs_bytes(&self) -> bool {
+            true
+        }
+        fn exchange(&self, ex: Exchange<'_>) -> Result<ExchangeOut> {
+            InProcess.exchange(ex)
+        }
+        fn exchange_concat(&self, ex: ConcatExchange<'_>) -> Result<ConcatOut> {
+            InProcess.exchange_concat(ex)
+        }
+    }
+
+    /// Lane 0 of input `r`'s row: the first row each mapper emits for a
+    /// key carries that mapper's magnitude, every later one 0. The three
+    /// magnitudes sum to 3 in ascending mapper order only — descending,
+    /// `3 + -1e8` rounds to `-1e8` and the sum is 0 — so the lane records
+    /// the order partials and rows were folded in, whether or not the
+    /// mappers combined their own rows first.
+    fn order_lane(r: u64) -> f32 {
+        if r < 15 {
+            [1e8, -1e8, 3.0][r as usize % 3]
+        } else {
+            0.0
+        }
+    }
+
     /// Drive one map+reduce chain over the columnar plane: every input
-    /// emits a dim-2 row keyed by `r % 5` plus a legacy marker record; the
-    /// reducer must see both planes in the same key group and fold the
-    /// rows (honouring fused counts).
+    /// emits a dim-2 row `[order_lane(r), 1.0]` keyed by `r % 5` plus a
+    /// legacy marker record; the reducer must see both planes in the same
+    /// key group and fold the rows (honouring fused counts).
     fn run_row_chain(fused: bool, threads: usize) -> (Vec<(u64, Vec<u32>)>, u64, u64) {
+        run_row_chain_via(Arc::new(InProcess), fused, threads)
+    }
+
+    fn run_row_chain_via(
+        transport: Arc<dyn Transport>,
+        fused: bool,
+        threads: usize,
+    ) -> (Vec<(u64, Vec<u32>)>, u64, u64) {
         use inferturbo_common::Parallelism;
         Parallelism::with(threads, || {
-            let mut eng = engine(3);
+            let mut eng = engine(3).with_transport(transport);
             let parts = eng.scatter_inputs((0..200u64).collect());
             let agg: Option<&dyn FusedAggregator> = if fused { Some(&SumAgg) } else { None };
             let (keyed, rows) = eng
@@ -1120,9 +1391,13 @@ mod tests {
                     &parts,
                     2,
                     |_w| {
-                        |_c: &mut PhaseCtx, &r: &u64, sink: &mut RowSink<'_>| {
-                            sink.send_row(r % 5, &[r as f32, 1.0]);
-                            Ok(vec![(r % 5, 1u32)])
+                        |_c: &mut PhaseCtx,
+                         &r: &u64,
+                         sink: &mut RowSink<'_>,
+                         out: &mut Vec<(u64, u32)>| {
+                            sink.send_row(r % 5, &[order_lane(r), 1.0]);
+                            out.push((r % 5, 1u32));
+                            Ok(())
                         }
                     },
                     agg,
@@ -1139,10 +1414,11 @@ mod tests {
                     |_w| {
                         |_c: &mut PhaseCtx,
                          k,
-                         values: Vec<u32>,
+                         values: &mut Vec<u32>,
                          view: RowsView<'_>,
-                         _sink: &mut RowSink<'_>|
-                         -> Result<Vec<(u64, Vec<f32>)>> {
+                         _sink: &mut RowSink<'_>,
+                         out: &mut Vec<(u64, Vec<f32>)>|
+                         -> Result<()> {
                             let mut sum = [0.0f32; 2];
                             let mut count = 0u32;
                             for i in 0..view.n_rows() {
@@ -1152,7 +1428,12 @@ mod tests {
                                 count += view.counts[i];
                             }
                             assert_eq!(values.len() as u32, count, "legacy markers == raw rows");
-                            Ok(vec![(k, vec![sum[0], sum[1], count as f32])])
+                            // One partial per mapper when fused, combined
+                            // into one row; one record per row otherwise.
+                            assert_eq!(view.records, if fused { 3 } else { 40 });
+                            assert_eq!(view.n_rows(), if fused { 1 } else { 40 });
+                            out.push((k, vec![sum[0], sum[1], count as f32]));
+                            Ok(())
                         }
                     },
                     None,
@@ -1177,8 +1458,7 @@ mod tests {
             for m in reduce.per_worker.iter().filter(|m| m.records_in > 0) {
                 assert_eq!(m.mem_peak, group, "fused={fused}");
             }
-            let mut pairs: Vec<(u64, Vec<u32>)> = out
-                .into_map()
+            let mut pairs: Vec<(u64, Vec<u32>)> = into_map(out)
                 .into_iter()
                 .map(|(k, v)| (k, v.iter().map(|x| x.to_bits()).collect()))
                 .collect();
@@ -1222,6 +1502,50 @@ mod tests {
         }
     }
 
+    /// The reducer's combine (fused) and its counting scatter (unfused)
+    /// must hand the kernel the rows' fold in ascending-mapper, emission
+    /// order: compare lane 0's bits with that serial fold, copy-on-first.
+    #[test]
+    fn combine_keeps_fold_order_exactly() {
+        let reference: Vec<u32> = (0..5u64)
+            .map(|k| {
+                let mut acc: Option<f32> = None;
+                for m in 0..3u64 {
+                    for r in (m..200).step_by(3).filter(|r| r % 5 == k) {
+                        let v = order_lane(r);
+                        acc = Some(acc.map_or(v, |a| a + v));
+                    }
+                }
+                acc.unwrap_or(0.0).to_bits()
+            })
+            .collect();
+        assert!(
+            reference.iter().all(|&b| f32::from_bits(b) == 3.0),
+            "the lane is order-sensitive"
+        );
+        for fused in [false, true] {
+            for threads in [1, 4] {
+                let (pairs, _, _) = run_row_chain(fused, threads);
+                let got: Vec<u32> = pairs.iter().map(|(_, bits)| bits[0]).collect();
+                assert_eq!(got, reference, "fused={fused} threads={threads}");
+            }
+        }
+    }
+
+    /// A byte-moving transport gets contiguous buckets packed from the
+    /// spools' index lists, and its reducers read what crossed: the same
+    /// rows in the same order, so the same bits and the same accounting.
+    #[test]
+    fn packed_buckets_match_rows_read_in_place() {
+        for fused in [false, true] {
+            assert_eq!(
+                run_row_chain_via(Arc::new(Packing), fused, 2),
+                run_row_chain(fused, 2),
+                "fused={fused}"
+            );
+        }
+    }
+
     #[test]
     fn injected_task_failures_retry_idempotently() {
         use inferturbo_cluster::{FaultPlan, FaultSite};
@@ -1236,8 +1560,7 @@ mod tests {
                 |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v.iter().sum::<f32>())])
             })
             .unwrap();
-            let mut pairs: Vec<(u64, u32)> = out
-                .into_map()
+            let mut pairs: Vec<(u64, u32)> = into_map(out)
                 .into_iter()
                 .map(|(k, v)| (k, v.to_bits()))
                 .collect();

@@ -24,10 +24,17 @@
 //! Combining: a phase given a `FusedAggregator` folds same-key rows into
 //! per-key accumulators as its kernels emit them, before they are counted
 //! as shuffle output (Hadoop-style in-mapper combining), implementing the
-//! paper's partial-gather on this backend.
+//! paper's partial-gather on this backend. The consuming reducer folds the
+//! partials that land on it with the same aggregator, in arrival order
+//! (reduce-side combining), so its kernel sees one row per key.
+//!
+//! Within one process the shuffle copies no row: rows stay in the spool
+//! their task wrote, and a reducer reads them by index. See the
+//! [`engine`] module docs for the execution model and the two shuffle
+//! planes.
 
 #![forbid(unsafe_code)]
 
 pub mod engine;
 
-pub use engine::{BatchEngine, KeyedData, KeyedRows, PhaseCtx, RowBucket, RowSink, RowsView};
+pub use engine::{BatchEngine, KeyedData, KeyedRows, PhaseCtx, RowSink, RowsView};

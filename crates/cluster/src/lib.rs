@@ -44,8 +44,8 @@
 //!   barrier and replays from the last checkpoint on a transient failure;
 //!   because inboxes are sealed deterministically, a fault-injected run
 //!   with recovery is **bit-identical** to the fault-free run. The
-//!   MapReduce engine retries failed tasks idempotently (sort-based
-//!   shuffle inputs are immutable). Retries, checkpoints and replayed
+//!   MapReduce engine retries failed tasks idempotently (a task's shuffle
+//!   input is immutable). Retries, checkpoints and replayed
 //!   supersteps are reported on [`RunReport`] planes.
 
 #![forbid(unsafe_code)]

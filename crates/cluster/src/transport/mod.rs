@@ -13,7 +13,10 @@
 //!   scatter).
 //! - [`Transport::exchange_concat`] is the MapReduce form: per-destination
 //!   concatenation of fused key buckets and legacy records in ascending
-//!   mapper order.
+//!   mapper order. The batch engine hands it buckets and records only when
+//!   the backend [`Transport::needs_bytes`]; otherwise rows stay in the
+//!   mappers' spools and typed records in the engine, and the call carries
+//!   empty destinations (it still marks the round's barrier).
 //!
 //! The contract every backend must honour, and the acceptance bar the
 //! equivalence suite pins:
@@ -47,7 +50,8 @@
 //! - [`InProcess`] — today's lock-free move: shards are borrowed, merged
 //!   with [`RowArena::seal`] / [`FusedRows::merge`] on the spot.
 //!   Zero-copy, zero wire bytes, bit-identical to the pre-transport seal
-//!   barrier by construction.
+//!   barrier by construction. For MapReduce it moves nothing at all: the
+//!   batch engine keeps rows where they were spooled.
 //! - [`WorkerProcess`] — one spawned `itworker` child per concurrent
 //!   destination (pooled and reused), speaking length-prefixed
 //!   [`frame`]s over stdin/stdout. Shards cross the pipe through the

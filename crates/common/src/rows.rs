@@ -1191,9 +1191,11 @@ impl FusedRows {
     }
 }
 
-/// A sender-side fused spool keyed by sparse `u64` keys — the batch
-/// engine's analogue of [`FusedSlotShard`] (shuffle keys are wire ids, not
-/// dense slots, so the index is a hash map).
+/// A fused spool keyed by sparse `u64` keys — the batch engine's analogue
+/// of [`FusedSlotShard`] (shuffle keys are wire ids, not dense slots, so
+/// the index is a hash map). The engine folds into one on both sides of
+/// the shuffle: the sender's in-mapper combine and the reducer's combine
+/// of the partials that land on it.
 pub struct FusedKeyShard {
     dim: usize,
     index: FxHashMap<u64, u32>,
@@ -1221,19 +1223,31 @@ impl FusedKeyShard {
         self.keys.is_empty()
     }
 
-    pub fn accumulate(&mut self, key: u64, row: &[f32], count: u32, agg: &dyn FusedAggregator) {
+    /// Fold `row` (carrying `count` raw messages) into `key`'s accumulator,
+    /// copy-on-first. Returns the key's index in first-touch order.
+    #[inline]
+    pub fn accumulate(
+        &mut self,
+        key: u64,
+        row: &[f32],
+        count: u32,
+        agg: &(impl FusedAggregator + ?Sized),
+    ) -> usize {
         debug_assert_eq!(row.len(), self.dim);
         match self.index.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let at = *e.get() as usize;
                 agg.accumulate(self.rows.row_mut(at), row);
                 self.counts[at] += count;
+                at
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(self.keys.len() as u32);
+                let at = self.keys.len();
+                e.insert(at as u32);
                 self.keys.push(key);
                 self.counts.push(count);
                 self.rows.push_row(row);
+                at
             }
         }
     }
@@ -1677,9 +1691,9 @@ mod tests {
     #[test]
     fn fused_key_shard_folds_sparse_keys() {
         let mut sh = FusedKeyShard::new(2);
-        sh.accumulate(1 << 40, &[1.0, 2.0], 1, &Sum);
-        sh.accumulate(7, &[5.0, 5.0], 1, &Sum);
-        sh.accumulate(1 << 40, &[1.0, 1.0], 2, &Sum);
+        assert_eq!(sh.accumulate(1 << 40, &[1.0, 2.0], 1, &Sum), 0);
+        assert_eq!(sh.accumulate(7, &[5.0, 5.0], 1, &Sum), 1);
+        assert_eq!(sh.accumulate(1 << 40, &[1.0, 1.0], 2, &Sum), 0);
         assert_eq!(sh.keys, vec![1 << 40, 7]);
         assert_eq!(sh.counts, vec![3, 1]);
         assert_eq!(sh.rows.row(0), &[2.0, 3.0]);

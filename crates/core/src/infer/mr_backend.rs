@@ -203,19 +203,26 @@ fn scatter_rows(
 }
 
 /// Collect `Output` records from the final round into per-node logits.
+/// Exactly one per node: a missing or a second `Output` is an invalid run.
 fn harvest_logits(n_nodes: usize, data: KeyedData<MrRecord>) -> Result<Vec<Vec<f32>>> {
     let mut logits: Vec<Option<Vec<f32>>> = vec![None; n_nodes];
-    for (key, rec) in data.into_map() {
+    for (key, rec) in data {
         if key & NODE_FLAG == 0 || mirror_of(key) != 0 {
             continue;
         }
-        match rec {
-            MrRecord::Output(l) => logits[base_of(key) as usize] = Some(l),
-            other => {
-                return Err(Error::InvalidGraph(format!(
-                    "expected Output at {key}, got {other:?}"
-                )))
-            }
+        let MrRecord::Output(l) = rec else {
+            return Err(Error::InvalidGraph(format!(
+                "expected Output at {key}, got {rec:?}"
+            )));
+        };
+        let node = base_of(key);
+        let slot = logits
+            .get_mut(node as usize)
+            .ok_or_else(|| Error::InvalidGraph(format!("Output for unknown node {node}")))?;
+        if slot.replace(l).is_some() {
+            return Err(Error::InvalidGraph(format!(
+                "node {node} has a second Output record"
+            )));
         }
     }
     logits
@@ -236,7 +243,8 @@ fn harvest_logits(n_nodes: usize, data: KeyedData<MrRecord>) -> Result<Vec<Vec<f
 /// plane, fused into per-key partial rows at the sender whenever the
 /// layer's aggregate is annotated commutative/associative (the paper's
 /// partial-aggregation strategy, executed without a single per-message
-/// heap object).
+/// heap object); the reducer combines a key's partials with the same fold
+/// before its kernel gathers them.
 pub(crate) fn run_planned(
     plan: &InferencePlan<'_>,
     features: Option<&[Vec<f32>]>,
@@ -275,8 +283,10 @@ pub(crate) fn run_planned(
         &inputs,
         dim_of(0),
         |_w| {
-            |ctx: &mut PhaseCtx, rec: &&NodeRecord, sink: &mut RowSink<'_>| {
-                let mut emit = Vec::with_capacity(2);
+            |ctx: &mut PhaseCtx,
+             rec: &&NodeRecord,
+             sink: &mut RowSink<'_>,
+             emit: &mut Vec<(u64, MrRecord)>| {
                 // h⁰ = raw features (initialisation step), or the fresh
                 // features a serving caller handed to this run.
                 let h0 = match features {
@@ -294,7 +304,7 @@ pub(crate) fn run_planned(
                     &rec.out_targets,
                     rec.out_deg,
                     ctx,
-                    &mut emit,
+                    emit,
                     sink,
                 );
                 emit.push((
@@ -306,7 +316,7 @@ pub(crate) fn run_planned(
                         out_deg: rec.out_deg,
                     },
                 ));
-                Ok(emit)
+                Ok(())
             }
         },
         agg_for(0),
@@ -326,28 +336,31 @@ pub(crate) fn run_planned(
             let mut spare: Vec<f32> = Vec::new();
             move |ctx: &mut PhaseCtx,
                   key: u64,
-                  mut values: Vec<MrRecord>,
+                  values: &mut Vec<MrRecord>,
                   view: RowsView<'_>,
-                  sink: &mut RowSink<'_>|
-                  -> Result<Vec<(u64, MrRecord)>> {
+                  sink: &mut RowSink<'_>,
+                  emit: &mut Vec<(u64, MrRecord)>|
+                  -> Result<()> {
                 if key & NODE_FLAG == 0 {
                     // broadcast-table group for this worker
                     table.clear();
-                    for v in values {
+                    for v in values.drain(..) {
                         if let MrRecord::Bcast { src, msg } = v {
                             table.insert(src, msg);
                         }
                     }
                     debug_assert!(view.is_empty(), "rows never target control keys");
-                    return Ok(Vec::new());
+                    return Ok(());
                 }
                 let layer = model.layer_view(layer_idx);
                 let mut agg = layer.init_agg();
                 let mut self_at = None;
-                // Columnar half first: partial rows fold with their counts.
-                // Rows and records are gathered where they lie — the
-                // aggregate borrows `view`, `values` and the table.
-                let mut n_msgs = view.n_rows();
+                // Columnar half first: rows fold with their counts — under
+                // partial-gather the engine has already combined the key's
+                // partials into one row. Rows and records are gathered
+                // where they lie — the aggregate borrows `view`, `values`
+                // and the table. Every shuffled partial counts as a message.
+                let mut n_msgs = view.records;
                 for i in 0..view.n_rows() {
                     layer.gather_row(&mut agg, view.row(i), view.counts[i]);
                 }
@@ -388,7 +401,6 @@ pub(crate) fn run_planned(
                     layer.flops_apply_node(gathered)
                         + n_msgs as f64 * layer.flops_aggregate_per_message(),
                 );
-                let mut emit = Vec::with_capacity(2);
                 if r == k {
                     ctx.add_flops(model.flops_head());
                     emit.push((key, MrRecord::Output(model.apply_head(&spare))));
@@ -412,7 +424,7 @@ pub(crate) fn run_planned(
                         &out_targets,
                         out_deg,
                         ctx,
-                        &mut emit,
+                        emit,
                         sink,
                     );
                     emit.push((
@@ -425,7 +437,7 @@ pub(crate) fn run_planned(
                         },
                     ));
                 }
-                Ok(emit)
+                Ok(())
             }
         };
         let next_agg = if r == k { None } else { agg_for(r) };
@@ -500,6 +512,28 @@ mod tests {
             let err = MrRecord::from_bytes(&bytes).unwrap_err();
             assert!(matches!(err, Error::Codec(_)), "{err:?}");
         }
+    }
+
+    #[test]
+    fn harvest_rejects_a_second_output_for_one_node() {
+        let outputs = |copies: usize| {
+            let mut eng = BatchEngine::new(inferturbo_cluster::ClusterSpec::test_spec(2));
+            let parts = eng.scatter_inputs(vec![NODE_FLAG; copies]);
+            let make = |_w| {
+                |_: &mut PhaseCtx,
+                 &key: &u64,
+                 _: &mut RowSink<'_>,
+                 out: &mut Vec<(u64, MrRecord)>| {
+                    out.push((key, MrRecord::Output(vec![1.0])));
+                    Ok(())
+                }
+            };
+            eng.map_phase("out", &parts, 0, make, None).unwrap().0
+        };
+        assert_eq!(harvest_logits(1, outputs(1)).unwrap(), vec![vec![1.0]]);
+        let err = harvest_logits(1, outputs(2)).unwrap_err();
+        assert!(matches!(err, Error::InvalidGraph(_)), "{err:?}");
+        assert!(err.to_string().contains("second Output"), "{err}");
     }
 
     #[test]

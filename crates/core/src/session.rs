@@ -96,14 +96,16 @@ pub enum Backend {
     /// workers.
     ///
     /// What "slower" costs when [`Backend::Auto`] lands here on memory
-    /// grounds: about 1.3x Pregel's warm run on identical inputs (`itbench`
-    /// `mapreduce_sage_inhub` vs `pregel_sage_inhub`: 0.28 s vs 0.21 s for
-    /// 2-layer SAGE on 50k nodes / 500k edges, one thread). That factor is
-    /// the stateless design itself — every round re-ships each node's
-    /// embedding and out-edge table as a self-state record and sorts and
-    /// groups each worker's whole partition, where Pregel keeps vertex
-    /// state resident and only moves messages. It is not byte accounting:
-    /// record sizes are closed-form (see `inferturbo_common::codec`).
+    /// grounds is the stateless design itself: every round re-ships each
+    /// node's embedding and out-edge table as a self-state record, and
+    /// every reducer re-groups its partition — it walks its rows once,
+    /// combines each key's partials, and merge-joins the groups with its
+    /// key-sorted typed records — where Pregel keeps vertex state resident
+    /// and only moves messages. It is not byte accounting: record sizes are
+    /// closed-form (see `inferturbo_common::codec`). The measured gap is
+    /// the `mapreduce_sage_inhub` against `pregel_sage_inhub` workloads of
+    /// the repository's benchmark (`BENCHMARK.json`); paired records of
+    /// both live under `docs/perf/`.
     MapReduce,
     /// The single-machine reference loop (ground truth for equivalence
     /// tests; no cluster simulation, empty report).
