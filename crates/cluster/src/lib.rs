@@ -47,6 +47,13 @@
 //!   MapReduce engine retries failed tasks idempotently (a task's shuffle
 //!   input is immutable). Retries, checkpoints and replayed
 //!   supersteps are reported on [`RunReport`] planes.
+//! - **A worker child is a real process boundary.** Under the
+//!   [`WorkerProcess`] transport a torn socket — the child died or broke
+//!   the framing — is a transient `WorkerLost`, healed by a respawn. A
+//!   malformed frame (bad tag, out-of-range slot, a shard whose width is
+//!   not its plane's) comes back from the child as a permanent
+//!   `Error::Codec`, so a replay never retries a frame that cannot
+//!   succeed.
 
 #![forbid(unsafe_code)]
 

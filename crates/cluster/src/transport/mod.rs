@@ -47,31 +47,35 @@
 //! one ambient input is a path: `INFERTURBO_WORKER_BIN` tells
 //! [`WorkerProcess::new`] where the child binary lives.
 //!
-//! - [`InProcess`] — today's lock-free move: shards are borrowed, merged
-//!   with [`RowArena::seal`] / [`FusedRows::merge`] on the spot.
+//! - [`InProcess`] — the default, a lock-free move: shards are borrowed
+//!   and merged with [`RowArena::seal`] / [`FusedRows::merge`] on the spot.
 //!   Zero-copy, zero wire bytes, bit-identical to the pre-transport seal
 //!   barrier by construction. For MapReduce it moves nothing at all: the
 //!   batch engine keeps rows where they were spooled.
 //! - [`WorkerProcess`] — one spawned `itworker` child per concurrent
 //!   destination (pooled and reused), speaking length-prefixed
-//!   [`frame`]s over stdin/stdout. Shards cross the pipe through the
-//!   workspace `Encode` codec (exact IEEE-754 bit patterns), the child
-//!   merges, and the merged planes come back in one response frame.
-//!   [`ExchangeOut::wire_bytes`] counts the real bytes that crossed.
+//!   [`frame`]s over a Unix socket pair whose child end is the child's
+//!   stdin and stdout. Shards cross through the workspace `Encode` codec
+//!   (exact IEEE-754 bit patterns), the child merges straight from the
+//!   request bytes into buffers it keeps across frames, and the merged
+//!   planes come back in one response frame.
+//!   [`ExchangeOut::wire_bytes`] counts the real bytes that crossed. This
+//!   backend is Unix-only; the workspace is built and tested on Linux.
 //!
 //! # Failure model
 //!
-//! A torn pipe — the child died or wrote garbage framing — surfaces as
+//! A torn stream — the child died, or wrote garbage framing — surfaces as
 //! [`Error::WorkerLost`] for that destination, which
 //! [`Error::is_transient`] marks retryable: under a recovery policy the
 //! engine replays the superstep and the transport spawns a replacement
-//! child. Typed merge failures (capacity, codec) travel back inside the
-//! response frame and surface as the same [`Error`] variant the
+//! child. Typed merge failures (capacity, codec — a malformed frame,
+//! including a shard whose width is not its plane's) travel back inside
+//! the response frame and surface as the same [`Error`] variant the
 //! in-process merge would have produced, so permanent errors are never
 //! retried. Fused aggregators without a wire identity
 //! ([`FusedAggregator::wire_kind`] returning `None`) merge locally on the
-//! engine side instead of crossing the pipe — correct for any aggregator,
-//! it just moves no fused bytes for that destination.
+//! engine side instead of crossing to a child — correct for any
+//! aggregator, it just moves no fused bytes for that destination.
 //!
 //! Broadcast tables are control plane, not shuffle: they stay in-process
 //! at the barrier under every backend (the multi-host follow-on in
@@ -320,9 +324,10 @@ fn concat_local(d: ConcatDest<'_>) -> ConcatMerged {
 // ---- worker-process backend ------------------------------------------------
 
 /// The spawned-worker-process backend: each destination's merge runs in an
-/// `itworker` child reached over pipes. Children are pooled — checked out
-/// per destination, returned on success, killed and replaced on pipe
-/// failure. See the module docs for wire format and failure model.
+/// `itworker` child reached over a Unix socket. Children are pooled —
+/// checked out per destination, returned on success, killed and replaced
+/// on a stream failure. See the module docs for wire format and failure
+/// model.
 pub struct WorkerProcess {
     bin: Option<PathBuf>,
     pool: Mutex<Vec<spawn::WorkerHandle>>,
@@ -385,17 +390,17 @@ impl WorkerProcess {
     }
 
     /// One half-duplex request/response cycle against a pooled child.
-    /// Returns the response payload and the bytes that crossed the pipe
+    /// Returns the response payload and the bytes that crossed the socket
     /// (both frames, length prefixes included). Any I/O failure retires
     /// the child and surfaces as a transient [`Error::WorkerLost`].
     fn roundtrip(&self, worker: usize, request: &[u8]) -> Result<(Vec<u8>, u64)> {
         let mut h = self.checkout()?;
         let io = (|| -> std::io::Result<Vec<u8>> {
-            frame::write_frame(&mut h.stdin, request)?;
-            frame::read_frame(&mut h.stdout)?.ok_or_else(|| {
+            frame::write_frame(&mut h.writer, request)?;
+            frame::read_frame(&mut h.reader)?.ok_or_else(|| {
                 std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
-                    "worker closed the pipe before replying",
+                    "worker closed the socket before replying",
                 )
             })
         })();
@@ -410,7 +415,7 @@ impl WorkerProcess {
             // the next checkout spawns a replacement.
             Err(e) => Err(Error::WorkerLost {
                 worker,
-                detail: format!("transport pipe failure: {e}"),
+                detail: format!("transport stream failure: {e}"),
             }),
         }
     }
@@ -748,6 +753,28 @@ mod tests {
             frame::decode_exchange_response(&frame::serve_payload(&request[..request.len() / 2]))
                 .unwrap_err();
         assert!(matches!(err, Error::Codec(_)), "got {err:?}");
+        // A shard narrower than its plane, on both planes: the child must
+        // reject it before a row of the wrong width reaches the merge.
+        let narrow_rows = row_shards(2);
+        let narrow_fused = fused_shards(2, 4);
+        for plane in [
+            WirePlane::Rows {
+                dim: 3,
+                shards: &narrow_rows,
+            },
+            WirePlane::Fused {
+                dim: 3,
+                kind: AggKind::Sum,
+                shards: &narrow_fused,
+            },
+        ] {
+            let request = frame::encode_exchange_request(4, &plane, None);
+            let err = frame::decode_exchange_response(&frame::serve_payload(&request)).unwrap_err();
+            assert!(
+                matches!(&err, Error::Codec(m) if m.contains("width 2 in a plane of width 3")),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]

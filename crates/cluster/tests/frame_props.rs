@@ -10,12 +10,12 @@
 //! mid-merge must deliver `Error::Capacity` to the parent intact, not a
 //! stringly `Internal`.
 
-use std::io::Cursor;
+use std::io::{Cursor, ErrorKind};
 
 use inferturbo_cluster::transport::frame::{
     decode_concat_response, decode_exchange_response, encode_concat_request, encode_error,
-    encode_exchange_request, read_frame, serve_payload, write_frame, MergedWire, WirePlane,
-    STATUS_ERR, STATUS_OK,
+    encode_exchange_request, read_frame, read_frame_into, serve_payload, write_frame, FrameServer,
+    MergedWire, WirePlane, STATUS_ERR, STATUS_OK,
 };
 use inferturbo_common::rows::{AggKind, FusedRows, FusedSlotShard, RowArena, RowBlock, RowShard};
 use inferturbo_common::{Encode, Error, WireWriter};
@@ -67,15 +67,146 @@ fn rand_fused_shards(
                 keys.swap(i, rng.below(i as u64 + 1) as usize);
             }
             keys.truncate(rng.below(n_slots as u64 + 1) as usize);
-            let counts: Vec<u32> = keys.iter().map(|_| 1 + rng.below(100) as u32).collect();
+            let mut shard = FusedSlotShard::new(dim, n_slots);
+            for key in keys {
+                let row: Vec<f32> = (0..dim).map(|_| rand_f32(rng)).collect();
+                shard.accumulate(key, &row, 1 + rng.below(100) as u32, &AggKind::Sum);
+            }
+            shard
+        })
+        .collect()
+}
+
+type Bucket = (Vec<u64>, Vec<u32>, RowBlock);
+
+fn rand_buckets(rng: &mut TestRng, n_senders: usize, dim: usize) -> Vec<Bucket> {
+    (0..n_senders)
+        .map(|_| {
+            let n = rng.below(10) as usize;
+            let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            let counts: Vec<u32> = (0..n).map(|_| rng.below(1000) as u32).collect();
             let mut rows = RowBlock::new(dim);
-            for _ in &keys {
+            for _ in 0..n {
                 let row: Vec<f32> = (0..dim).map(|_| rand_f32(rng)).collect();
                 rows.push_row(&row);
             }
-            FusedSlotShard::from_wire(dim, keys, counts, rows).expect("consistent parts")
+            (keys, counts, rows)
         })
         .collect()
+}
+
+fn bucket_refs(senders: &[Bucket]) -> Vec<(&[u64], &[u32], &RowBlock)> {
+    senders
+        .iter()
+        .map(|(k, c, r)| (k.as_slice(), c.as_slice(), r))
+        .collect()
+}
+
+fn rand_key_records(rng: &mut TestRng, n_senders: usize) -> Vec<Vec<(u64, Vec<u8>)>> {
+    (0..n_senders)
+        .map(|_| {
+            (0..rng.below(6))
+                .map(|_| (rng.next_u64(), vec![rng.next_u64() as u8]))
+                .collect()
+        })
+        .collect()
+}
+
+fn rand_slot_records(
+    rng: &mut TestRng,
+    n_senders: usize,
+    n_slots: usize,
+) -> Vec<Vec<(u32, Vec<u8>)>> {
+    (0..n_senders)
+        .map(|_| {
+            (0..rng.below(6))
+                .map(|_| {
+                    let slot = rng.below(n_slots as u64) as u32;
+                    (slot, vec![rng.next_u64() as u8; rng.below(4) as usize])
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Any request a child may meet: an exchange on each plane with or
+/// without a legacy plane, a concat with or without either half, a valid
+/// request cut short, or garbage.
+fn rand_request(rng: &mut TestRng) -> Vec<u8> {
+    let dim = rng.below(6) as usize;
+    let n_slots = 1 + rng.below(12) as usize;
+    let n_senders = rng.below(4) as usize;
+    let legacy = (rng.below(2) == 0).then(|| rand_slot_records(rng, n_senders, n_slots));
+    let legacy = legacy.as_deref();
+    match rng.below(7) {
+        0 => encode_exchange_request(n_slots, &WirePlane::None, legacy),
+        1 => {
+            let shards = rand_row_shards(rng, n_senders, dim, n_slots);
+            encode_exchange_request(
+                n_slots,
+                &WirePlane::Rows {
+                    dim,
+                    shards: &shards,
+                },
+                legacy,
+            )
+        }
+        2 => {
+            let kind = if rng.below(2) == 0 {
+                AggKind::Sum
+            } else {
+                AggKind::Max
+            };
+            let shards = rand_fused_shards(rng, n_senders, dim, n_slots);
+            encode_exchange_request(
+                n_slots,
+                &WirePlane::Fused {
+                    dim,
+                    kind,
+                    shards: &shards,
+                },
+                legacy,
+            )
+        }
+        3 => {
+            let buckets = rand_buckets(rng, n_senders, dim);
+            let refs = bucket_refs(&buckets);
+            let key_legacy = rand_key_records(rng, n_senders);
+            encode_concat_request(
+                dim,
+                (rng.below(2) == 0).then_some(&refs[..]),
+                (rng.below(2) == 0).then_some(&key_legacy[..]),
+            )
+        }
+        4 => (0..rng.below(120)).map(|_| rng.next_u64() as u8).collect(),
+        5 => {
+            let shards = rand_fused_shards(rng, n_senders.max(1), dim.max(1), n_slots);
+            let mut request = encode_exchange_request(
+                n_slots,
+                &WirePlane::Fused {
+                    dim: dim.max(1),
+                    kind: AggKind::Sum,
+                    shards: &shards,
+                },
+                legacy,
+            );
+            request.truncate(rng.below(request.len() as u64) as usize);
+            request
+        }
+        _ => {
+            let shards = rand_row_shards(rng, n_senders.max(1), dim, n_slots);
+            let mut request = encode_exchange_request(
+                n_slots,
+                &WirePlane::Rows {
+                    dim,
+                    shards: &shards,
+                },
+                legacy,
+            );
+            request.truncate(rng.below(request.len() as u64) as usize);
+            request
+        }
+    }
 }
 
 /// One full request → serve → response cycle for a rows plane, compared
@@ -197,31 +328,9 @@ proptest! {
         n_senders in 0usize..5,
     ) {
         let mut rng = TestRng::new(seed);
-        let senders: Vec<(Vec<u64>, Vec<u32>, RowBlock)> = (0..n_senders)
-            .map(|_| {
-                let n = rng.below(10) as usize;
-                let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-                let counts: Vec<u32> = (0..n).map(|_| rng.below(1000) as u32).collect();
-                let mut rows = RowBlock::new(dim);
-                for _ in 0..n {
-                    let row: Vec<f32> = (0..dim).map(|_| rand_f32(&mut rng)).collect();
-                    rows.push_row(&row);
-                }
-                (keys, counts, rows)
-            })
-            .collect();
-        let borrowed: Vec<(&[u64], &[u32], &RowBlock)> = senders
-            .iter()
-            .map(|(k, c, r)| (k.as_slice(), c.as_slice(), r))
-            .collect();
-        let legacy: Vec<Vec<(u64, Vec<u8>)>> = (0..n_senders)
-            .map(|_| {
-                (0..rng.below(6))
-                    .map(|_| (rng.next_u64(), vec![rng.next_u64() as u8]))
-                    .collect()
-            })
-            .collect();
-        let req = encode_concat_request(dim, Some(&borrowed), Some(&legacy));
+        let senders = rand_buckets(&mut rng, n_senders, dim);
+        let legacy = rand_key_records(&mut rng, n_senders);
+        let req = encode_concat_request(dim, Some(&bucket_refs(&senders)), Some(&legacy));
         let out = decode_concat_response(&serve_payload(&req)).expect("concat must decode");
 
         let (mut want_keys, mut want_counts, mut want_rows) =
@@ -249,12 +358,37 @@ proptest! {
         for p in &payloads {
             write_frame(&mut pipe, p).expect("vec write");
         }
-        let mut r = Cursor::new(pipe);
+        let mut r = Cursor::new(pipe.clone());
         for p in &payloads {
             let got = read_frame(&mut r).expect("read");
             prop_assert_eq!(got.as_ref(), Some(p));
         }
         prop_assert!(read_frame(&mut r).expect("eof read").is_none());
+        // One kept buffer, frames of every size through it in turn.
+        let mut r = Cursor::new(pipe);
+        let mut kept = vec![0xAB; 300];
+        for p in &payloads {
+            prop_assert!(read_frame_into(&mut r, &mut kept).expect("kept read"));
+            prop_assert_eq!(&kept, p);
+        }
+        prop_assert!(!read_frame_into(&mut r, &mut kept).expect("kept eof read"));
+    }
+
+    /// One long-lived server, dirty from whatever it served before, answers
+    /// every request byte for byte as a fresh `serve_payload` does: both
+    /// opcodes, every plane, and error frames.
+    #[test]
+    fn prop_kept_server_matches_fresh_serve(
+        seed in any::<u64>(),
+        n_requests in 1usize..8,
+    ) {
+        let mut rng = TestRng::new(seed);
+        let mut server = FrameServer::default();
+        for _ in 0..n_requests {
+            let request = rand_request(&mut rng);
+            let fresh = serve_payload(&request);
+            prop_assert_eq!(server.serve(&request), &fresh[..]);
+        }
     }
 
     /// Hostile bytes: `serve_payload` never panics, always answers with a
@@ -408,6 +542,26 @@ fn oversized_lane_claims_fail_before_allocating() {
     let err = decode_exchange_response(&serve_payload(&w.into_bytes())).unwrap_err();
     assert!(matches!(err, Error::Codec(_)), "{err:?}");
 
+    // A header alone can ask for a response no frame could carry: here
+    // 2^40 slots, fused at width 8 (32 TiB of accumulators), or sealed.
+    for (plane, dim) in [(2u8, 8u64), (1, 1)] {
+        let mut w = WireWriter::new();
+        w.put_u8(1); // OP_EXCHANGE
+        w.put_varint(1 << 40); // n_slots
+        w.put_u8(plane);
+        if plane == 2 {
+            w.put_u8(0); // AggKind::Sum
+        }
+        w.put_varint(dim);
+        w.put_varint(0); // no shards
+        w.put_u8(0); // no legacy plane
+        let err = decode_exchange_response(&serve_payload(&w.into_bytes())).unwrap_err();
+        assert!(
+            matches!(&err, Error::Codec(m) if m.contains("frame limit")),
+            "{err:?}"
+        );
+    }
+
     // Response side: offsets promise u32::MAX rows of u32::MAX lanes.
     let mut w = WireWriter::new();
     w.put_u8(STATUS_OK);
@@ -499,4 +653,121 @@ fn tagged_error_kinds_round_trip() {
         round(&Error::DeadlineExceeded { deadline: 42 }),
         Error::Internal(_)
     ));
+}
+
+/// Awkward bit patterns (-0.0, the smallest subnormal, NaN, irrational
+/// fractions): a lossy trip through the frame would show in the bits.
+fn odd_bits(n: usize, dim: usize) -> Vec<f32> {
+    (0..n * dim)
+        .map(|i| match i % 5 {
+            0 => -0.0,
+            1 => f32::from_bits(1),
+            2 => (i as f32 * 0.37).sin(),
+            3 => f32::from_bits(0x7fc0_0001),
+            _ => i as f32 * 1e-30,
+        })
+        .collect()
+}
+
+/// A materialized shard's lanes cross the frame as they are: the child
+/// copies each row's bytes, so every bit pattern comes back. An empty
+/// shard keeps its plane's width.
+#[test]
+fn row_shard_wire_round_trip_is_bit_identical() {
+    let dim = 3;
+    let mut sh = RowShard::new(dim);
+    for (i, row) in odd_bits(5, dim).chunks(dim).enumerate() {
+        sh.push((i * 2 % 7) as u32, row);
+    }
+    assert_rows_cycle(dim, 7, &[sh.clone(), RowShard::new(dim), sh]);
+    assert_rows_cycle(7, 2, &[RowShard::new(7)]);
+}
+
+/// A fused shard's keys, counts and partials reach the child's merge
+/// intact: the served plane equals `FusedRows::merge` of the original
+/// shards to the bit, a `-0.0` first partial included.
+#[test]
+fn fused_shard_wire_round_trip_preserves_merge_inputs() {
+    let dim = 2;
+    let mut a = FusedSlotShard::new(dim, 6);
+    a.accumulate(4, &[1.0, -0.0], 1, &AggKind::Sum);
+    a.accumulate(0, &[2.0, 3.0], 2, &AggKind::Sum);
+    a.accumulate(4, &[0.5, 0.5], 1, &AggKind::Sum);
+    let mut b = FusedSlotShard::new(dim, 6);
+    for (i, row) in odd_bits(3, dim).chunks(dim).enumerate() {
+        b.accumulate([5, 0, 1][i], row, 3, &AggKind::Sum);
+    }
+    let shards = [a, b];
+    let req = encode_exchange_request(
+        6,
+        &WirePlane::Fused {
+            dim,
+            kind: AggKind::Sum,
+            shards: &shards,
+        },
+        None,
+    );
+    let (want_counts, want_acc) = FusedRows::merge(dim, 6, &shards, &AggKind::Sum, None)
+        .unwrap()
+        .into_wire_parts()
+        .unwrap();
+    match decode_exchange_response(&serve_payload(&req)).unwrap().cols {
+        MergedWire::Fused {
+            dim: d,
+            counts,
+            acc,
+        } => {
+            assert_eq!(d, dim);
+            assert_eq!(counts, want_counts);
+            assert_eq!(bits(&acc), bits(&want_acc));
+            assert_eq!(
+                acc[10].to_bits(),
+                (-0.0f32).to_bits(),
+                "slot 5's first lane"
+            );
+        }
+        other => panic!("expected a fused plane back, got {other:?}"),
+    }
+}
+
+/// A shard header that lies — more rows than the frame has bytes for,
+/// lanes cut short, or bytes left over — is a typed codec error from the
+/// child, before anything is sized from the claim.
+#[test]
+fn shard_decode_rejects_lying_lengths() {
+    let header = |w: &mut WireWriter, n: u64| {
+        w.put_u8(1); // OP_EXCHANGE
+        w.put_varint(4); // n_slots
+        w.put_u8(1); // PLANE_ROWS
+        w.put_varint(4); // plane dim
+        w.put_varint(1); // one shard
+        w.put_varint(4); // shard dim
+        w.put_varint(n);
+    };
+    let mut w = WireWriter::new();
+    header(&mut w, 1 << 40);
+    let mut short = WireWriter::new();
+    header(&mut short, 2);
+    short.put_varint(0);
+    short.put_varint(1);
+    short.put_f32(1.0);
+    let mut trailing = encode_exchange_request(4, &WirePlane::None, None);
+    trailing.push(0);
+    for request in [w.into_bytes(), short.into_bytes(), trailing] {
+        let err = decode_exchange_response(&serve_payload(&request)).unwrap_err();
+        assert!(matches!(err, Error::Codec(_)), "{err:?}");
+    }
+}
+
+/// A length prefix is four bytes anyone can flip: one claiming ~4 GiB
+/// with three bytes behind it must fail as a short frame without the
+/// kept buffer growing to the claim.
+#[test]
+fn a_lying_length_prefix_cannot_size_the_buffer() {
+    let mut stream = 0xFFFF_FFF0u32.to_le_bytes().to_vec();
+    stream.extend_from_slice(&[1, 2, 3]);
+    let mut kept = Vec::new();
+    let err = read_frame_into(&mut Cursor::new(stream), &mut kept).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
+    assert!(kept.capacity() < 1 << 20, "capacity {}", kept.capacity());
 }

@@ -1,12 +1,14 @@
 //! The worker-process transport against a real spawned `itworker` child:
-//! merges must be bit-identical to the in-process backend, pipe failures
-//! must surface transient and heal on respawn.
+//! merges must be bit-identical to the in-process backend, stream failures
+//! must surface transient and heal on respawn, and a child serving frame
+//! after frame must not allocate per frame.
 
 use inferturbo_cluster::transport::{
     ColsShards, ConcatDest, ConcatExchange, DestShards, Exchange, InProcess, MergedCols, Transport,
     WorkerProcess,
 };
-use inferturbo_common::rows::{AggKind, FusedSlotShard, RowBlock, RowShard};
+use inferturbo_common::rows::{AggKind, FusedAggregator, FusedSlotShard, RowBlock, RowShard};
+use inferturbo_common::Xoshiro256;
 use std::path::PathBuf;
 
 fn process_transport() -> WorkerProcess {
@@ -205,6 +207,36 @@ fn a_missing_worker_binary_is_a_typed_error_not_a_hang() {
     );
 }
 
+/// A child that exits without answering tears the stream: the parent
+/// must read EOF — it holds no copy of the child's end of the socket — and
+/// report a retryable `WorkerLost`, never hang on the read.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_child_that_dies_is_a_transient_worker_lost_not_a_hang() {
+    let proc = WorkerProcess::with_bin(PathBuf::from("/bin/true"));
+    let rows = row_shards(3);
+    let err = proc
+        .exchange(Exchange {
+            step: 0,
+            faults: None,
+            spill: None,
+            dests: vec![DestShards {
+                n_slots: 5,
+                cols: ColsShards::Rows {
+                    dim: 3,
+                    shards: &rows,
+                },
+                legacy: None,
+            }],
+        })
+        .unwrap_err();
+    assert!(
+        matches!(err, inferturbo_common::Error::WorkerLost { worker: 0, .. }),
+        "{err:?}"
+    );
+    assert!(err.is_transient());
+}
+
 #[test]
 fn custom_aggregators_without_wire_identity_merge_locally() {
     // An aggregator whose wire_kind is None (the trait default) cannot
@@ -244,4 +276,185 @@ fn custom_aggregators_without_wire_identity_merge_locally() {
         .expect("local fused fallback must not need a worker");
     assert_eq!(out.wire_bytes, 0);
     assert!(matches!(out.dests[0].cols, MergedCols::Fused(_)));
+}
+
+/// A serial front-to-back fold of one slot's partials in sender order,
+/// copy-on-first — the merge's specification, written out by hand.
+fn serial_fold(kind: AggKind, partials: &[f32]) -> f32 {
+    let mut acc = [partials[0]];
+    for &p in &partials[1..] {
+        kind.accumulate(&mut acc, &[p]);
+    }
+    acc[0]
+}
+
+/// Values whose f32 fold depends on the order, and first partials that
+/// only copy-on-first keeps (`-0.0` under `Sum`, NaN under `Max`): the
+/// child's merge must reproduce `FusedRows::merge` and the serial
+/// ascending-sender fold to the bit, for three senders.
+#[test]
+fn fused_fold_order_and_signed_zero_survive_the_wire() {
+    let nan = f32::NAN;
+    // Per kind: lanes of slot 0 as one column per sender, then slot 1,
+    // which only sender 1 touches.
+    let cases: [(AggKind, [[f32; 3]; 3], [f32; 3]); 2] = [
+        (
+            AggKind::Sum,
+            [[1e8, 1.0, -0.0], [-1e8, 1e8, -0.0], [1.0, -1e8, -0.0]],
+            [-0.0, 1e8, 3.0],
+        ),
+        (
+            AggKind::Max,
+            [[-0.0, nan, 1.0], [0.0, 1.0, 3.0], [-1.0, 2.0, 2.0]],
+            [-0.0, nan, -1.0],
+        ),
+    ];
+    let (dim, n_slots) = (3, 3);
+    let proc = process_transport();
+    for (kind, slot0, slot1) in cases {
+        let shards: Vec<FusedSlotShard> = slot0
+            .iter()
+            .enumerate()
+            .map(|(sender, row)| {
+                let mut sh = FusedSlotShard::new(dim, n_slots);
+                sh.accumulate(0, row, 1, &kind);
+                if sender == 1 {
+                    sh.accumulate(1, &slot1, 2, &kind);
+                }
+                sh
+            })
+            .collect();
+        let exchange = || Exchange {
+            step: 0,
+            faults: None,
+            spill: None,
+            dests: vec![DestShards {
+                n_slots,
+                cols: ColsShards::Fused {
+                    dim,
+                    agg: &kind,
+                    shards: &shards,
+                },
+                legacy: None,
+            }],
+        };
+        let mut via_proc = proc.exchange(exchange()).expect("process exchange");
+        let mut via_local = InProcess.exchange(exchange()).expect("in-process exchange");
+        let (MergedCols::Fused(p), MergedCols::Fused(l)) =
+            (&mut via_proc.dests[0].cols, &mut via_local.dests[0].cols)
+        else {
+            panic!("expected fused planes from both backends");
+        };
+        let want: [Vec<f32>; 2] = [
+            (0..dim)
+                .map(|lane| serial_fold(kind, &slot0.map(|row| row[lane])))
+                .collect(),
+            slot1.to_vec(),
+        ];
+        for (slot, want) in want.iter().enumerate() {
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let got = bits(p.row(slot).unwrap());
+            assert_eq!(got, bits(l.row(slot).unwrap()), "{kind:?} slot {slot}");
+            assert_eq!(got, bits(want), "{kind:?} slot {slot}");
+            assert_eq!(p.count(slot), l.count(slot));
+        }
+        assert_eq!((p.count(0), p.count(1), p.count(2)), (3, 2, 0));
+    }
+}
+
+/// A child serving the same large frames over and over must stop
+/// touching new memory after the first ones: its request, response and
+/// merge buffers are kept. A child that allocated them per frame would
+/// take hundreds of page faults per megabyte frame.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_worker_child_allocates_nothing_in_steady_state() {
+    use inferturbo_cluster::transport::frame::{self, WirePlane};
+    use std::os::fd::OwnedFd;
+    use std::os::unix::net::UnixStream;
+    use std::process::{Command, Stdio};
+
+    let (dim, n_slots) = (32, 4096);
+    let mut rng = Xoshiro256::seed_from_u64(0x5eed);
+    let mut row = || -> Vec<f32> { (0..dim).map(|_| rng.next_f32() - 0.5).collect() };
+    let fused: Vec<FusedSlotShard> = (0..2u32)
+        .map(|sender| {
+            let mut sh = FusedSlotShard::new(dim, n_slots);
+            for i in 0..n_slots as u32 {
+                sh.accumulate(
+                    (i * 1237 + sender) % n_slots as u32,
+                    &row(),
+                    1,
+                    &AggKind::Sum,
+                );
+            }
+            sh
+        })
+        .collect();
+    let rows: Vec<RowShard> = (0..2u32)
+        .map(|sender| {
+            let mut sh = RowShard::new(dim);
+            for i in 0..n_slots as u32 {
+                sh.push((i * 911 + sender * 7) % n_slots as u32, &row());
+            }
+            sh
+        })
+        .collect();
+    let requests = [
+        frame::encode_exchange_request(
+            n_slots,
+            &WirePlane::Fused {
+                dim,
+                kind: AggKind::Sum,
+                shards: &fused,
+            },
+            None,
+        ),
+        frame::encode_exchange_request(n_slots, &WirePlane::Rows { dim, shards: &rows }, None),
+    ];
+    assert!(requests.iter().all(|r| r.len() > 1 << 20), "~1 MB frames");
+    let want: Vec<Vec<u8>> = requests.iter().map(|r| frame::serve_payload(r)).collect();
+
+    let (mut socket, child_end) = UnixStream::pair().expect("socket pair");
+    let child_in = OwnedFd::from(child_end.try_clone().expect("clone"));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_itworker"))
+        .stdin(Stdio::from(child_in))
+        .stdout(Stdio::from(OwnedFd::from(child_end)))
+        .spawn()
+        .expect("spawn itworker");
+    // Field 10 of /proc/<pid>/stat; the name in field 2 may hold spaces,
+    // so count from its closing parenthesis.
+    let stat_path = format!("/proc/{}/stat", child.id());
+    let minflt = || -> u64 {
+        let stat = std::fs::read_to_string(&stat_path).expect("read stat");
+        let fields = &stat[stat.rfind(')').expect("comm") + 1..];
+        fields
+            .split_whitespace()
+            .nth(7)
+            .expect("minflt")
+            .parse()
+            .expect("number")
+    };
+    let mut reader = std::io::BufReader::new(socket.try_clone().expect("clone"));
+    let mut faults_after = Vec::new();
+    for round in 1..=10 {
+        for (request, want) in requests.iter().zip(&want) {
+            frame::write_frame(&mut socket, request).expect("write request");
+            let got = frame::read_frame(&mut reader)
+                .expect("read")
+                .expect("a response");
+            assert!(
+                got == *want,
+                "round {round}: response differs from serve_payload"
+            );
+        }
+        faults_after.push(minflt());
+    }
+    drop((socket, reader));
+    assert!(child.wait().expect("reap").success());
+    let growth = faults_after[9] - faults_after[1];
+    assert!(
+        growth <= 32,
+        "child took {growth} minor faults over 16 frames in steady state: {faults_after:?}"
+    );
 }

@@ -83,6 +83,18 @@ impl WireWriter {
         }
     }
 
+    /// Write into `buf`'s allocation, cleared first: the kept-buffer form
+    /// of [`WireWriter::new`]. [`WireWriter::into_bytes`] hands it back.
+    pub fn reuse(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        WireWriter { buf }
+    }
+
+    /// Make room for `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -154,6 +166,12 @@ impl WireWriter {
     /// Length-prefixed raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_varint(v.len() as u64);
+        self.put_raw(v);
+    }
+
+    /// Raw bytes, no length prefix (e.g. f32 lanes copied verbatim from
+    /// another frame).
+    pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.put_slice(v);
     }
 
@@ -247,9 +265,7 @@ impl<'a> WireReader<'a> {
         let byte_len = n
             .checked_mul(4)
             .ok_or_else(|| Error::Codec(format!("f32 lane count {n} overflows")))?;
-        self.need(byte_len)?;
-        let (lanes, rest) = self.buf.split_at(byte_len);
-        self.buf = rest;
+        let lanes = self.get_raw(byte_len)?;
         out.reserve(n);
         out.extend(
             lanes
@@ -257,6 +273,14 @@ impl<'a> WireReader<'a> {
                 .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
         );
         Ok(())
+    }
+
+    /// Borrow the next `n` raw bytes of the frame.
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.need(n)?;
+        let (raw, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(raw)
     }
 
     pub fn get_f32_vec(&mut self) -> Result<Vec<f32>> {

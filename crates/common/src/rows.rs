@@ -17,13 +17,18 @@
 //! The plane follows `crate::par`'s rules exactly:
 //!
 //! - [`RowArena::seal`] scatters shards in ascending sender order, each
-//!   shard in emission order — the delivery order of a serial sender loop;
+//!   shard in emission order — the delivery order of a serial sender loop,
+//!   defined once in [`seal_order`];
 //! - [`FusedSlotShard`] folds a sender's rows per destination slot in
 //!   emission order with **copy-on-first** semantics (the first row is
 //!   copied, not folded into an identity), so a fused partial is bit-equal
 //!   to a serial front-to-back fold of that sender's rows;
-//! - the destination merge (see the Pregel engine) folds sender partials
-//!   per slot in ascending sender order, again copy-on-first.
+//! - the destination merge ([`FusedRows::merge`]) folds sender partials
+//!   per slot in ascending sender order, again copy-on-first, one
+//!   [`merge_partial`] step per partial.
+//!
+//! A transport that merges on the far side of a process boundary reuses
+//! [`seal_order`] and [`merge_partial`] rather than restating them.
 //!
 //! Together these fix every `f32` operation's position, so the fused path
 //! is bit-identical for every thread count, transport and spill budget at
@@ -53,7 +58,7 @@
 
 use crate::codec::{varint_len, Decode, Encode, WireReader, WireWriter};
 use crate::{Error, FxHashMap, Result};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,6 +76,9 @@ pub fn row_payload_len(dim: usize, count: Option<u32>) -> usize {
 /// Uniquifies spill file names within a process (workers seal in
 /// parallel; supersteps reuse nothing).
 static SPILL_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes per `write_all` when a store spills.
+const SPILL_BLOCK_BYTES: usize = 1 << 16;
 
 /// Out-of-core configuration for one worker's inbox stores: where spill
 /// files go and how many bytes of row data may stay resident per store.
@@ -183,8 +191,10 @@ impl SpillableRows {
     }
 
     /// Wrap `data`, spilling it to a file under `spill.dir` when its bytes
-    /// exceed `spill.budget_bytes`. The write is one sequential pass; the
-    /// resident window is sized to the budget (at least one row).
+    /// exceed `spill.budget_bytes`. The write is one sequential pass:
+    /// lanes are converted to their little-endian bytes a 64 KiB block at
+    /// a time and each block goes out in one `write_all`. The resident
+    /// window is sized to the budget (at least one row).
     ///
     /// `max_read_rows` declares the largest single [`SpillableRows::rows`]
     /// range the consumer will request (e.g. the fattest slot of an
@@ -225,15 +235,17 @@ impl SpillableRows {
         // From here on the file exists: wrap it so any failed write still
         // unlinks it on drop.
         let file = Arc::new(SpillFile { path, handle });
-        {
-            // Exact IEEE-754 bit patterns on disk: the read-back path is
-            // bit-identical to never having spilled.
-            let mut w = BufWriter::with_capacity(1 << 16, &file.handle);
-            for &x in &data {
-                w.write_all(&x.to_le_bytes())
-                    .map_err(|e| write_err(&file.path, e))?;
+        // Exact IEEE-754 bit patterns on disk: the read-back path is
+        // bit-identical to never having spilled.
+        let mut block = vec![0u8; SPILL_BLOCK_BYTES.min(data.len() * 4)];
+        for lanes in data.chunks(SPILL_BLOCK_BYTES / 4) {
+            let bytes = &mut block[..lanes.len() * 4];
+            for (dst, x) in bytes.chunks_exact_mut(4).zip(lanes) {
+                dst.copy_from_slice(&x.to_le_bytes());
             }
-            w.flush().map_err(|e| write_err(&file.path, e))?;
+            (&file.handle)
+                .write_all(bytes)
+                .map_err(|e| write_err(&file.path, e))?;
         }
         drop(data);
         let win_cap = ((policy.budget_bytes / 4) as usize / dim).max(1);
@@ -636,8 +648,9 @@ impl RowShard {
 
 /// Wire framing for one sender's materialized shard: `varint dim`,
 /// `varint n`, `n` destination-slot varints, then `n·dim` raw-bit `f32`
-/// lanes. Row data round-trips through exact IEEE-754 little-endian bit
-/// patterns, so an encode→decode cycle is bit-identical.
+/// lanes in exact IEEE-754 little-endian bit patterns. The receiver seals
+/// the shards in [`seal_order`] by copying each row's lane bytes as they
+/// are, so the merged rows are bit-identical to the sent ones.
 impl Encode for RowShard {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.rows.dim() as u64);
@@ -654,47 +667,6 @@ impl Encode for RowShard {
             + varints_len(&self.slots)
             + self.rows.data().len() * 4
     }
-}
-
-impl Decode for RowShard {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self> {
-        let dim = decode_dim(r)?;
-        let n = r.get_varint()? as usize;
-        let slots = decode_slots(r, n)?;
-        let mut data = Vec::new();
-        decode_rows_into(r, n, dim, &mut data)?;
-        Ok(RowShard {
-            slots,
-            rows: RowBlock::from_parts(dim, data)?,
-        })
-    }
-}
-
-/// Decode a row width, rejecting values that could not have been produced
-/// by an honest encoder (a frame cannot describe more lanes than it has
-/// bytes for).
-fn decode_dim(r: &mut WireReader<'_>) -> Result<usize> {
-    let dim = r.get_varint()? as usize;
-    if dim > u32::MAX as usize {
-        return Err(Error::Codec(format!("row dim {dim} exceeds u32 range")));
-    }
-    Ok(dim)
-}
-
-/// Decode `n` slot/key varints, validating `n` against the bytes actually
-/// present before allocating (each varint is at least one byte).
-fn decode_slots(r: &mut WireReader<'_>, n: usize) -> Result<Vec<u32>> {
-    if n > r.remaining() {
-        return Err(Error::Codec(format!(
-            "shard claims {n} records but only {} bytes remain",
-            r.remaining()
-        )));
-    }
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        slots.push(r.get_varint_u32()?);
-    }
-    Ok(slots)
 }
 
 /// Total bytes of `vals` as bare varints (no count prefix).
@@ -714,6 +686,42 @@ pub fn decode_rows_into(
         .checked_mul(dim)
         .ok_or_else(|| Error::Codec(format!("{n}x{dim} rows overflow")))?;
     r.get_f32_lanes_into(lanes, out)
+}
+
+/// The seal order, defined once: a stable counting sort by destination
+/// slot of the senders' concatenation (senders ascending, each in emission
+/// order). `rows` yields the `(slot, source)` of each of the `total` rows
+/// in that concatenation order, every slot `< n_slots`; it is walked
+/// twice, once to count and once to scatter. On return `offsets` holds the
+/// `n_slots + 1` per-slot row ranges and `sources` each row's source at its
+/// sealed position. Both buffers are cleared first, so callers may keep
+/// them across seals.
+pub fn seal_order<S: Copy + Default>(
+    n_slots: usize,
+    total: usize,
+    rows: impl Iterator<Item = (u32, S)> + Clone,
+    offsets: &mut Vec<u32>,
+    sources: &mut Vec<S>,
+) -> Result<()> {
+    check_u32_row_capacity(total)?;
+    offsets.clear();
+    offsets.resize(n_slots + 1, 0);
+    rows.clone().for_each(|(s, _)| offsets[s as usize + 1] += 1);
+    for i in 0..n_slots {
+        offsets[i + 1] += offsets[i];
+    }
+    debug_assert_eq!(offsets[n_slots] as usize, total);
+    // `offsets` doubles as the scatter cursor (see `crate::group`).
+    sources.clear();
+    sources.resize(total, S::default());
+    rows.for_each(|(s, src)| {
+        let at = &mut offsets[s as usize];
+        sources[*at as usize] = src;
+        *at += 1;
+    });
+    offsets.copy_within(0..n_slots, 1);
+    offsets[0] = 0;
+    Ok(())
 }
 
 /// A destination worker's sealed columnar inbox: every pending row in one
@@ -793,14 +801,14 @@ impl RowArena {
         self.data.rows(lo, hi)
     }
 
-    /// Build the arena from per-sender shards: a stable counting sort by
-    /// slot of the shards' concatenation, shards in ascending sender order
-    /// and each shard in emission order — exactly the delivery order of a
-    /// serial sender loop. The scatter moves 8-byte `(sender, row)`
-    /// sources, not rows; the arena is then written front to back, one
-    /// append per row, never zero-filled. Under `spill`, row data beyond
-    /// the budget pages to disk — spilling happens after the sort, so
-    /// delivery order and bits are unaffected.
+    /// Build the arena from per-sender shards in the [`seal_order`]: a
+    /// stable counting sort by slot of the shards' concatenation, shards in
+    /// ascending sender order and each shard in emission order — exactly
+    /// the delivery order of a serial sender loop. The scatter moves 8-byte
+    /// `(sender, row)` sources, not rows; the arena is then written front
+    /// to back, one append per row, never zero-filled. Under `spill`, row
+    /// data beyond the budget pages to disk — spilling happens after the
+    /// sort, so delivery order and bits are unaffected.
     pub fn seal(
         dim: usize,
         n_slots: usize,
@@ -808,28 +816,14 @@ impl RowArena {
         spill: Option<&SpillPolicy>,
     ) -> Result<Self> {
         let total: usize = shards.iter().map(RowShard::len).sum();
-        check_u32_row_capacity(total)?;
-        let mut offsets = vec![0u32; n_slots + 1];
-        for sh in shards {
-            for &s in &sh.slots {
-                offsets[s as usize + 1] += 1;
-            }
-        }
-        for i in 0..n_slots {
-            offsets[i + 1] += offsets[i];
-        }
-        debug_assert_eq!(offsets[n_slots] as usize, total);
-        // `offsets` doubles as the scatter cursor (see `crate::group`).
-        let mut sources = vec![(0u32, 0u32); total];
-        for (sender, sh) in shards.iter().enumerate() {
-            for (i, &s) in sh.slots.iter().enumerate() {
-                let at = &mut offsets[s as usize];
-                sources[*at as usize] = (sender as u32, i as u32);
-                *at += 1;
-            }
-        }
-        offsets.copy_within(0..n_slots, 1);
-        offsets[0] = 0;
+        let (mut offsets, mut sources) = (Vec::new(), Vec::new());
+        let rows = shards.iter().enumerate().flat_map(|(sender, sh)| {
+            sh.slots
+                .iter()
+                .enumerate()
+                .map(move |(i, &s)| (s, (sender as u32, i as u32)))
+        });
+        seal_order(n_slots, total, rows, &mut offsets, &mut sources)?;
         let mut data = Vec::with_capacity(total * dim);
         for &(sender, i) in &sources {
             data.extend_from_slice(shards[sender as usize].rows.row(i as usize));
@@ -962,30 +956,6 @@ impl FusedSlotShard {
         self.dim
     }
 
-    /// Rebuild a shard from decoded wire parts, **for merging only**: the
-    /// dense `slot → row` index is left empty, so
-    /// [`FusedSlotShard::accumulate`] / [`FusedSlotShard::reset`] must not
-    /// be called on the result. [`FusedRows::merge`] reads only
-    /// `keys`/`counts`/`rows`, which is exactly what the wire carries.
-    pub fn from_wire(dim: usize, keys: Vec<u32>, counts: Vec<u32>, rows: RowBlock) -> Result<Self> {
-        if keys.len() != counts.len() || keys.len() != rows.len() || rows.dim() != dim {
-            return Err(Error::Codec(format!(
-                "fused shard parts disagree: {} keys, {} counts, {} rows of dim {}",
-                keys.len(),
-                counts.len(),
-                rows.len(),
-                rows.dim()
-            )));
-        }
-        Ok(FusedSlotShard {
-            dim,
-            index: Vec::new(),
-            keys,
-            counts,
-            rows,
-        })
-    }
-
     /// Σ [`row_payload_len`]`(dim, Some(count))` over the shard's partials:
     /// the row framing, the same for each, once per partial plus every
     /// count's varint — what the engines' byte accounting charges a shard,
@@ -1020,8 +990,8 @@ impl FusedSlotShard {
 /// Wire framing for one sender's fused shard: `varint dim`, `varint n`,
 /// `n` first-touch key varints, `n` count varints, then `n·dim` raw-bit
 /// `f32` lanes. The dense `slot → row` index is *not* shipped — it is a
-/// sender-side accumulation structure; the receiver only merges. Decoding
-/// therefore yields a merge-only shard (see [`FusedSlotShard::from_wire`]).
+/// sender-side accumulation structure; the receiver only merges, folding
+/// each partial straight from the frame with [`merge_partial`].
 impl Encode for FusedSlotShard {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.dim as u64);
@@ -1044,16 +1014,25 @@ impl Encode for FusedSlotShard {
     }
 }
 
-impl Decode for FusedSlotShard {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self> {
-        let dim = decode_dim(r)?;
-        let n = r.get_varint()? as usize;
-        let keys = decode_slots(r, n)?;
-        let counts = decode_slots(r, n)?;
-        let mut data = Vec::new();
-        decode_rows_into(r, n, dim, &mut data)?;
-        FusedSlotShard::from_wire(dim, keys, counts, RowBlock::from_parts(dim, data)?)
+/// One step of the destination merge, defined once: fold a sender's
+/// partial `row` (carrying `row_count` raw messages) into a merged slot's
+/// accumulator `acc` and message `count`, copy-on-first — the slot's first
+/// partial is copied verbatim (a `-0.0` or a NaN survives; folding into
+/// the identity would not keep either), later partials fold through `agg`.
+#[inline]
+pub fn merge_partial<A: FusedAggregator + ?Sized>(
+    acc: &mut [f32],
+    count: &mut u32,
+    row: &[f32],
+    row_count: u32,
+    agg: &A,
+) {
+    if *count == 0 {
+        acc.copy_from_slice(row);
+    } else {
+        agg.accumulate(acc, row);
     }
+    *count += row_count;
 }
 
 /// A destination worker's merged fused inbox: one accumulator row per slot
@@ -1122,8 +1101,8 @@ impl FusedRows {
 
     /// Merge per-sender fused shards into one dense accumulator set, in
     /// ascending sender order, each shard in first-touch order — the
-    /// order the determinism contract above fixes. Copy-on-first: a slot's first partial is
-    /// copied, later partials fold through `agg`. The fully-folded
+    /// order the determinism contract above fixes, one [`merge_partial`]
+    /// per partial (copy-on-first). The fully-folded
     /// accumulators then spill under `spill` — fold order is fixed before
     /// any byte reaches disk.
     pub fn merge(
@@ -1139,13 +1118,13 @@ impl FusedRows {
             debug_assert_eq!(sh.dim, dim);
             for (i, &slot) in sh.keys.iter().enumerate() {
                 let s = slot as usize;
-                let dst = &mut acc[s * dim..(s + 1) * dim];
-                if counts[s] == 0 {
-                    dst.copy_from_slice(sh.rows.row(i));
-                } else {
-                    agg.accumulate(dst, sh.rows.row(i));
-                }
-                counts[s] += sh.counts[i];
+                merge_partial(
+                    &mut acc[s * dim..(s + 1) * dim],
+                    &mut counts[s],
+                    sh.rows.row(i),
+                    sh.counts[i],
+                    agg,
+                );
             }
         }
         Ok(FusedRows {
@@ -1496,6 +1475,16 @@ mod tests {
         }
     }
 
+    #[test]
+    fn spill_file_holds_the_lanes_little_endian_across_blocks() {
+        // Two and a half write blocks, so the last one is partial.
+        let dim = 5;
+        let data = odd_bits(SPILL_BLOCK_BYTES * 5 / 8 / dim + 1, dim);
+        let rows = SpillableRows::new(dim, data.clone(), Some(&tiny_spill(64)), 1).unwrap();
+        let want: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert_eq!(std::fs::read(spill_path(&rows)).unwrap(), want);
+    }
+
     fn spill_path(rows: &SpillableRows) -> PathBuf {
         match &rows.store {
             RowStore::Spilled { file, .. } => file.path.clone(),
@@ -1697,73 +1686,6 @@ mod tests {
         assert_eq!(sh.keys, vec![1 << 40, 7]);
         assert_eq!(sh.counts, vec![3, 1]);
         assert_eq!(sh.rows.row(0), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn row_shard_wire_round_trip_is_bit_identical() {
-        let dim = 3;
-        let feats = odd_bits(5, dim);
-        let mut sh = RowShard::new(dim);
-        for (i, row) in feats.chunks(dim).enumerate() {
-            sh.push((i * 2) as u32, row);
-        }
-        let back = RowShard::from_bytes(&sh.to_bytes()).unwrap();
-        assert_eq!(back.slots, sh.slots);
-        assert_eq!(back.rows.dim(), dim);
-        let a: Vec<u32> = sh.rows.data().iter().map(|x| x.to_bits()).collect();
-        let b: Vec<u32> = back.rows.data().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(a, b);
-        // Empty shard — zero rows, the dim still survives the trip.
-        let empty = RowShard::from_bytes(&RowShard::new(7).to_bytes()).unwrap();
-        assert!(empty.is_empty());
-        assert_eq!(empty.rows.dim(), 7);
-    }
-
-    #[test]
-    fn fused_shard_wire_round_trip_preserves_merge_inputs() {
-        let dim = 2;
-        let mut sh = FusedSlotShard::new(dim, 6);
-        sh.accumulate(4, &[1.0, -0.0], 1, &Sum);
-        sh.accumulate(0, &[2.0, 3.0], 2, &Sum);
-        sh.accumulate(4, &[0.5, 0.5], 1, &Sum);
-        let back = FusedSlotShard::from_bytes(&sh.to_bytes()).unwrap();
-        assert_eq!(back.keys, sh.keys);
-        assert_eq!(back.counts, sh.counts);
-        assert_eq!(back.dim(), dim);
-        let a: Vec<u32> = sh.rows.data().iter().map(|x| x.to_bits()).collect();
-        let b: Vec<u32> = back.rows.data().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(a, b);
-        // A decoded (merge-only) shard merges identically to the original.
-        let mut from_local = FusedRows::merge(dim, 6, &[sh], &Sum, None).unwrap();
-        let mut from_wire = FusedRows::merge(dim, 6, &[back], &Sum, None).unwrap();
-        for s in 0..6 {
-            assert_eq!(from_local.count(s), from_wire.count(s));
-            assert_eq!(from_local.row(s).unwrap(), from_wire.row(s).unwrap());
-        }
-    }
-
-    #[test]
-    fn shard_decode_rejects_lying_lengths() {
-        // A frame claiming more records than it has bytes must fail with a
-        // typed codec error before any allocation matches the claim.
-        let mut w = WireWriter::new();
-        w.put_varint(4); // dim
-        w.put_varint(1 << 40); // n: absurd
-        let err = RowShard::from_bytes(&w.into_bytes()).unwrap_err();
-        assert!(matches!(err, Error::Codec(_)), "{err:?}");
-        // Truncated row data: 2 rows claimed, bytes for less than one.
-        let mut w = WireWriter::new();
-        w.put_varint(4);
-        w.put_varint(2);
-        w.put_varint(0);
-        w.put_varint(1);
-        w.put_f32(1.0);
-        let err = RowShard::from_bytes(&w.into_bytes()).unwrap_err();
-        assert!(matches!(err, Error::Codec(_)), "{err:?}");
-        // Trailing garbage after a valid shard is rejected too.
-        let mut bytes = RowShard::new(2).to_bytes();
-        bytes.push(0);
-        assert!(RowShard::from_bytes(&bytes).is_err());
     }
 
     #[test]
