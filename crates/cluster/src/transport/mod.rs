@@ -10,7 +10,15 @@
 //!   [`FusedSlotShard`]s, and optionally pre-encoded legacy records — to
 //!   their destinations and performs the **destination-side merge**
 //!   (counting-scatter seal / copy-on-first fused fold / slot-major legacy
-//!   scatter).
+//!   scatter). What a backend is handed depends on
+//!   [`Transport::needs_bytes`]. A backend that moves bytes gets every
+//!   plane: fused shards, materialized rows packed into [`RowShard`]s,
+//!   and the typed plane encoded. A backend that does not gets the fused
+//!   shards only: materialized rows arrive as [`ColsShards::None`] and
+//!   stay in the senders' row tables, which the Pregel engine seals into
+//!   reference inboxes itself ([`RowArena::seal_refs`]), and the typed
+//!   plane never leaves the engine. The call still happens every
+//!   superstep, so the fault sites below fire per destination either way.
 //! - [`Transport::exchange_concat`] is the MapReduce form: per-destination
 //!   concatenation of fused key buckets and legacy records in ascending
 //!   mapper order. The batch engine hands it buckets and records only when
@@ -47,11 +55,14 @@
 //! one ambient input is a path: `INFERTURBO_WORKER_BIN` tells
 //! [`WorkerProcess::new`] where the child binary lives.
 //!
-//! - [`InProcess`] — the default, a lock-free move: shards are borrowed
-//!   and merged with [`RowArena::seal`] / [`FusedRows::merge`] on the spot.
-//!   Zero-copy, zero wire bytes, bit-identical to the pre-transport seal
-//!   barrier by construction. For MapReduce it moves nothing at all: the
-//!   batch engine keeps rows where they were spooled.
+//! - [`InProcess`] — the default, a lock-free move: what it is handed is
+//!   borrowed and merged on the spot ([`FusedRows::merge`]; rows handed as
+//!   shards by other callers, [`RowArena::seal`]). It copies no row: the
+//!   engines hand it no materialized rows — the Pregel engine's inboxes
+//!   lend them from the senders' row tables, and the batch engine keeps
+//!   them in the mappers' spools — so a row is written once per sending
+//!   vertex, never once per edge. Zero wire bytes, bit-identical to the
+//!   byte-moving backend by construction.
 //! - [`WorkerProcess`] — one spawned `itworker` child per concurrent
 //!   destination (pooled and reused), speaking length-prefixed
 //!   [`frame`]s over a Unix socket pair whose child end is the child's
@@ -616,7 +627,10 @@ mod tests {
                 legacy: Some(merged),
             } => {
                 for slot in 0..n_slots {
-                    assert_eq!(arena.rows(slot).unwrap(), direct.rows(slot).unwrap());
+                    assert_eq!(
+                        arena.rows(slot).unwrap().to_vec(),
+                        direct.rows(slot).unwrap().to_vec()
+                    );
                 }
                 // Slot-major, (sender asc, emission order) within a slot.
                 assert_eq!(
@@ -657,7 +671,10 @@ mod tests {
         let mut wire = RowArena::from_parts(d, offsets, data, None).unwrap();
         let mut direct = RowArena::seal(dim, n_slots, &rows, None).unwrap();
         for slot in 0..n_slots {
-            assert_eq!(wire.rows(slot).unwrap(), direct.rows(slot).unwrap());
+            assert_eq!(
+                wire.rows(slot).unwrap().to_vec(),
+                direct.rows(slot).unwrap().to_vec()
+            );
         }
         assert_eq!(resp.legacy.unwrap().len(), 5);
     }

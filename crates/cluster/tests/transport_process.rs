@@ -86,7 +86,7 @@ fn process_exchange_is_bit_identical_to_in_process() {
 
     assert!(
         via_proc.wire_bytes > 0,
-        "bytes must actually cross the pipe"
+        "bytes must actually cross the socket"
     );
     assert_eq!(via_local.wire_bytes, 0);
 
@@ -95,7 +95,10 @@ fn process_exchange_is_bit_identical_to_in_process() {
         (MergedCols::Rows(p), MergedCols::Rows(l)) => {
             for slot in 0..n_slots {
                 assert_eq!(p.count(slot), l.count(slot));
-                assert_eq!(p.rows(slot).unwrap(), l.rows(slot).unwrap());
+                assert_eq!(
+                    p.rows(slot).unwrap().to_vec(),
+                    l.rows(slot).unwrap().to_vec()
+                );
             }
         }
         _ => panic!("expected rows planes from both backends"),

@@ -18,7 +18,10 @@
 //!
 //! - [`RowArena::seal`] scatters shards in ascending sender order, each
 //!   shard in emission order — the delivery order of a serial sender loop,
-//!   defined once in [`seal_order`];
+//!   defined once in [`seal_order`]; [`RowArena::seal_refs`] puts the
+//!   same order on `(sender, table row)` references into the senders'
+//!   [`RowTable`]s, so a row written once per sender reaches every
+//!   destination slot without a copy;
 //! - [`FusedSlotShard`] folds a sender's rows per destination slot in
 //!   emission order with **copy-on-first** semantics (the first row is
 //!   copied, not folded into an identity), so a fused partial is bit-equal
@@ -37,13 +40,15 @@
 //! # Out-of-core spilling
 //!
 //! Both inter-superstep inbox stores — the materialized [`RowArena`] and
-//! the merged fused accumulators ([`FusedRows`]) — are backed by
-//! [`SpillableRows`]: a flat `f32` row store that, under a per-worker
-//! [`SpillPolicy`] byte budget, pages its rows to a temp file with plain
-//! `std::fs` (rows are fixed-width and position-addressed, so a page is a
-//! seek + read) and keeps only a bounded window resident. Consumers drain
-//! slots in ascending order, so the window streams forward through the
-//! file exactly once per superstep.
+//! the merged fused accumulators ([`FusedRows`]) — page through
+//! [`SpillableRows`] when they spill (a reference arena over budget
+//! streams its rows there from the tables): a flat `f32` row store that,
+//! under a per-worker [`SpillPolicy`] byte budget, pages its rows to a
+//! temp file with plain `std::fs` (rows are fixed-width and
+//! position-addressed, so a page is a seek + read) and keeps only a
+//! bounded window resident. Consumers drain slots in ascending order, so
+//! the window streams forward through the file exactly once per
+//! superstep.
 //!
 //! **Spill determinism contract**: spilling never changes a bit. All
 //! folding (scatter order, copy-on-first, ascending-sender merges) happens
@@ -138,6 +143,12 @@ fn write_err(path: &Path, e: std::io::Error) -> Error {
     Error::Io(format!("spill write-out failed at {}: {e}", path.display()))
 }
 
+/// The policy a store of `lanes` floats of width `dim` spills under: the
+/// armed one, when the rows' bytes exceed its budget.
+fn spill_target(spill: Option<&SpillPolicy>, dim: usize, lanes: usize) -> Option<&SpillPolicy> {
+    spill.filter(|p| dim > 0 && (lanes * 4) as u64 > p.budget_bytes)
+}
+
 /// How a [`SpillableRows`] holds its data: fully in memory, or on disk
 /// with a bounded resident window.
 #[derive(Debug)]
@@ -191,10 +202,8 @@ impl SpillableRows {
     }
 
     /// Wrap `data`, spilling it to a file under `spill.dir` when its bytes
-    /// exceed `spill.budget_bytes`. The write is one sequential pass:
-    /// lanes are converted to their little-endian bytes a 64 KiB block at
-    /// a time and each block goes out in one `write_all`. The resident
-    /// window is sized to the budget (at least one row).
+    /// exceed `spill.budget_bytes`: one sequential write of 64 KiB blocks,
+    /// then a resident window sized to the budget (at least one row).
     ///
     /// `max_read_rows` declares the largest single [`SpillableRows::rows`]
     /// range the consumer will request (e.g. the fattest slot of an
@@ -207,19 +216,39 @@ impl SpillableRows {
     /// buffer, so the *host* process briefly holds the whole thing before
     /// the spill write. The budget governs the simulated per-worker
     /// residency model (what `check_memory`, estimates, and admission
-    /// gate on); a page-wise seal that bounds the host transient too is
-    /// the ROADMAP follow-on.
+    /// gate on). An arena whose rows already lie in row tables streams
+    /// them to the file instead and holds no such buffer
+    /// ([`RowArena::seal_refs`]).
     pub fn new(
         dim: usize,
         data: Vec<f32>,
         spill: Option<&SpillPolicy>,
         max_read_rows: usize,
     ) -> Result<Self> {
-        let policy = match spill {
-            Some(p) if dim > 0 && (data.len() * 4) as u64 > p.budget_bytes => p,
-            _ => return Ok(SpillableRows::resident(dim, data)),
-        };
-        let n_rows = data.len() / dim;
+        match spill_target(spill, dim, data.len()) {
+            Some(policy) => {
+                let n_rows = data.len() / dim;
+                Self::spilled(dim, n_rows, [&data[..]], policy, max_read_rows)
+            }
+            None => Ok(SpillableRows::resident(dim, data)),
+        }
+    }
+
+    /// Write `n_rows` rows of `dim` lanes to a file under `policy.dir` and
+    /// keep only a window of them resident. `lanes` yields the rows' lanes
+    /// front to back in runs of any length (one flat buffer, or one row at
+    /// a time from wherever the rows lie) — nothing is gathered first. The
+    /// write is one sequential pass: lanes are converted to their
+    /// little-endian bytes a 64 KiB block at a time and each block goes out
+    /// in one `write_all`. The resident window is sized to the budget (at
+    /// least one row); `max_read_rows` is as for [`SpillableRows::new`].
+    fn spilled<'r>(
+        dim: usize,
+        n_rows: usize,
+        lanes: impl IntoIterator<Item = &'r [f32]>,
+        policy: &SpillPolicy,
+        max_read_rows: usize,
+    ) -> Result<Self> {
         std::fs::create_dir_all(&policy.dir).map_err(|e| write_err(&policy.dir, e))?;
         let path = policy.dir.join(format!(
             "inferturbo-spill-{}-{}.rows",
@@ -237,17 +266,29 @@ impl SpillableRows {
         let file = Arc::new(SpillFile { path, handle });
         // Exact IEEE-754 bit patterns on disk: the read-back path is
         // bit-identical to never having spilled.
-        let mut block = vec![0u8; SPILL_BLOCK_BYTES.min(data.len() * 4)];
-        for lanes in data.chunks(SPILL_BLOCK_BYTES / 4) {
-            let bytes = &mut block[..lanes.len() * 4];
-            for (dst, x) in bytes.chunks_exact_mut(4).zip(lanes) {
-                dst.copy_from_slice(&x.to_le_bytes());
-            }
+        let mut block = vec![0u8; SPILL_BLOCK_BYTES.min(n_rows * dim * 4).max(4)];
+        let mut fill = 0;
+        let flush = |bytes: &[u8]| {
             (&file.handle)
                 .write_all(bytes)
-                .map_err(|e| write_err(&file.path, e))?;
+                .map_err(|e| write_err(&file.path, e))
+        };
+        for mut run in lanes {
+            while !run.is_empty() {
+                let take = run.len().min((block.len() - fill) / 4);
+                let (now, rest) = run.split_at(take);
+                for (dst, x) in block[fill..fill + take * 4].chunks_exact_mut(4).zip(now) {
+                    dst.copy_from_slice(&x.to_le_bytes());
+                }
+                fill += take * 4;
+                run = rest;
+                if fill == block.len() {
+                    flush(&block)?;
+                    fill = 0;
+                }
+            }
         }
-        drop(data);
+        flush(&block[..fill])?;
         let win_cap = ((policy.budget_bytes / 4) as usize / dim).max(1);
         Ok(SpillableRows {
             dim,
@@ -724,24 +765,124 @@ pub fn seal_order<S: Copy + Default>(
     Ok(())
 }
 
-/// A destination worker's sealed columnar inbox: every pending row in one
-/// flat (possibly spilled) store, slot `s`'s rows at row indices
-/// `offsets[s]..offsets[s+1]` in delivery order. The row analogue of the
-/// Pregel `InboxArena`. The offsets always stay resident; the row data
-/// pages through a [`SpillableRows`] window under a [`SpillPolicy`].
+/// A sender worker's row table for one superstep: one row per span it
+/// spooled, written once whatever the span's fan-out. Destinations read
+/// the rows through `(sender, table row)` references and never copy them;
+/// a table is shared by every inbox that lends from it and by any
+/// checkpoint of those inboxes, so its owner may write it again only once
+/// nothing else holds it.
+pub type RowTable = Arc<RowBlock>;
+
+/// The rows one slot of a sealed inbox lends out, in delivery order, each
+/// `dim` lanes: a run of one flat buffer, or `(sender, table row)`
+/// references into the senders' [`RowTable`]s. Either way every row is a
+/// borrowed slice — handing them out copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct LentRows<'a> {
+    dim: usize,
+    src: Lent<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Lent<'a> {
+    Flat(&'a [f32]),
+    Refs {
+        refs: &'a [(u32, u32)],
+        tables: &'a [RowTable],
+    },
+}
+
+impl<'a> LentRows<'a> {
+    /// `data.len() / dim` rows laid end to end (none when `dim` is 0).
+    pub fn flat(dim: usize, data: &'a [f32]) -> Self {
+        LentRows {
+            dim,
+            src: Lent::Flat(data),
+        }
+    }
+
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self.src {
+            Lent::Flat(data) => data.len().checked_div(self.dim).unwrap_or(0),
+            Lent::Refs { refs, .. } => refs.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row `i` (`i < len()`), borrowed where it lies.
+    #[inline]
+    pub fn row(&self, i: usize) -> &'a [f32] {
+        match self.src {
+            Lent::Flat(data) => &data[i * self.dim..(i + 1) * self.dim],
+            Lent::Refs { refs, tables } => {
+                let (sender, at) = refs[i];
+                tables[sender as usize].row(at as usize)
+            }
+        }
+    }
+
+    /// The rows front to back.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [f32]> + 'a {
+        let rows = *self;
+        (0..rows.len()).map(move |i| rows.row(i))
+    }
+
+    /// The rows' lanes gathered end to end into one new buffer.
+    pub fn to_vec(&self) -> Vec<f32> {
+        self.iter().flatten().copied().collect()
+    }
+}
+
+/// Rows of the fattest slot of sealed `offsets`: the largest single read
+/// a slot-by-slot drain issues.
+fn max_slot_rows(offsets: &[u32]) -> usize {
+    offsets
+        .windows(2)
+        .map(|w| (w[1] - w[0]) as usize)
+        .max()
+        .unwrap_or(0)
+}
+
+/// A destination worker's sealed columnar inbox: slot `s`'s rows at row
+/// indices `offsets[s]..offsets[s+1]` in delivery order. The row analogue
+/// of the Pregel `InboxArena`. The offsets always stay resident. The rows
+/// are either one flat store — what a byte-moving transport hands back,
+/// paging through a [`SpillableRows`] window under a [`SpillPolicy`] — or,
+/// sealed in process from the senders' [`RowTable`]s, one 8-byte
+/// `(sender, table row)` reference per row ([`RowArena::seal_refs`]).
 #[derive(Debug)]
 pub struct RowArena {
     dim: usize,
-    data: SpillableRows,
+    rows: ArenaRows,
     /// Per-slot row ranges; empty until the first seal.
     offsets: Vec<u32>,
+}
+
+#[derive(Debug)]
+enum ArenaRows {
+    /// The row data itself, laid out in delivery order.
+    Flat(SpillableRows),
+    /// `(sender, table row)` per row in delivery order, lent from the
+    /// senders' tables (indexed by sender).
+    Refs {
+        sources: Vec<(u32, u32)>,
+        tables: Arc<[RowTable]>,
+    },
 }
 
 impl RowArena {
     pub fn empty(dim: usize) -> Self {
         RowArena {
             dim,
-            data: SpillableRows::resident(dim, Vec::new()),
+            rows: ArenaRows::Flat(SpillableRows::resident(dim, Vec::new())),
             offsets: Vec::new(),
         }
     }
@@ -752,18 +893,52 @@ impl RowArena {
 
     /// Total rows in the arena.
     pub fn n_rows(&self) -> usize {
-        self.data.n_rows()
+        match &self.rows {
+            ArenaRows::Flat(data) => data.n_rows(),
+            ArenaRows::Refs { sources, .. } => sources.len(),
+        }
     }
 
-    /// Resident bytes of the arena: offsets plus the in-memory row data
-    /// (the bounded window, when spilled).
+    /// Modelled resident bytes of the arena: offsets plus one row per
+    /// delivered message (the bounded window, when spilled) — what a
+    /// worker that received its rows over a network holds. An arena
+    /// sealed from row tables is charged the same: the process itself
+    /// holds less, 8 bytes per row plus one shared copy of each sender's
+    /// row per span ([`RowArena::held_bytes`], [`RowArena::tables`]).
     pub fn resident_bytes(&self) -> u64 {
-        self.data.resident_bytes() + (self.offsets.len() * 4) as u64
+        let rows = match &self.rows {
+            ArenaRows::Flat(data) => data.resident_bytes(),
+            ArenaRows::Refs { sources, .. } => (sources.len() * self.dim * 4) as u64,
+        };
+        rows + (self.offsets.len() * 4) as u64
+    }
+
+    /// Bytes this arena holds in the process beside the offsets: its
+    /// resident row data, or its 8-byte references. The row tables a
+    /// reference arena lends from are shared with the other destinations
+    /// and are not counted here.
+    pub fn held_bytes(&self) -> u64 {
+        match &self.rows {
+            ArenaRows::Flat(data) => data.resident_bytes(),
+            ArenaRows::Refs { sources, .. } => (sources.len() * 8) as u64,
+        }
+    }
+
+    /// The row tables the arena lends from, indexed by sender (none for a
+    /// flat arena).
+    pub fn tables(&self) -> &[RowTable] {
+        match &self.rows {
+            ArenaRows::Flat(_) => &[],
+            ArenaRows::Refs { tables, .. } => tables,
+        }
     }
 
     /// Bytes of row data living in the spill file (0 when fully resident).
     pub fn spilled_bytes(&self) -> u64 {
-        self.data.spilled_bytes()
+        match &self.rows {
+            ArenaRows::Flat(data) => data.spilled_bytes(),
+            ArenaRows::Refs { .. } => 0,
+        }
     }
 
     /// Number of rows pending for `slot`; 0 past the sealed range (a
@@ -777,28 +952,45 @@ impl RowArena {
     }
 
     /// An independent logical copy for checkpointing: resident offsets are
-    /// cloned, row data snapshots through [`SpillableRows::snapshot`]
-    /// (spilled data shares the immutable file).
+    /// cloned, flat row data snapshots through [`SpillableRows::snapshot`]
+    /// (spilled data shares the immutable file), references are cloned and
+    /// the row tables they point into shared.
     pub fn snapshot(&self) -> RowArena {
+        let rows = match &self.rows {
+            ArenaRows::Flat(data) => ArenaRows::Flat(data.snapshot()),
+            ArenaRows::Refs { sources, tables } => ArenaRows::Refs {
+                sources: sources.clone(),
+                tables: Arc::clone(tables),
+            },
+        };
         RowArena {
             dim: self.dim,
-            data: self.data.snapshot(),
+            rows,
             offsets: self.offsets.clone(),
         }
     }
 
-    /// Rows pending for `slot`, flat (`count(slot) * dim` floats), in
-    /// delivery order. `&mut` because a spilled arena may need to page the
-    /// covering window in; draining slots in ascending order streams the
-    /// spill file exactly once.
-    pub fn rows(&mut self, slot: usize) -> Result<&[f32]> {
+    /// Rows pending for `slot`, in delivery order, lent where they lie.
+    /// `&mut` because a spilled arena may need to page the covering window
+    /// in; draining slots in ascending order streams the spill file exactly
+    /// once.
+    pub fn rows(&mut self, slot: usize) -> Result<LentRows<'_>> {
         // Zero-width rows hold no lanes, however many of them there are.
         if slot + 1 >= self.offsets.len() || self.dim == 0 {
-            return Ok(&[]);
+            return Ok(LentRows::flat(self.dim, &[]));
         }
         let lo = self.offsets[slot] as usize;
         let hi = self.offsets[slot + 1] as usize;
-        self.data.rows(lo, hi)
+        Ok(match &mut self.rows {
+            ArenaRows::Flat(data) => LentRows::flat(self.dim, data.rows(lo, hi)?),
+            ArenaRows::Refs { sources, tables } => LentRows {
+                dim: self.dim,
+                src: Lent::Refs {
+                    refs: &sources[lo..hi],
+                    tables,
+                },
+            },
+        })
     }
 
     /// Build the arena from per-sender shards in the [`seal_order`]: a
@@ -832,16 +1024,58 @@ impl RowArena {
         // issue; declaring it up front makes the residency model charge
         // the worst-case window at seal time (a hub slot wider than the
         // budget still loads whole).
-        let max_slot_rows = offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0);
+        let max_read = max_slot_rows(&offsets);
         Ok(RowArena {
             dim,
-            data: SpillableRows::new(dim, data, spill, max_slot_rows)?,
+            rows: ArenaRows::Flat(SpillableRows::new(dim, data, spill, max_read)?),
             offsets,
         })
+    }
+
+    /// Seal an inbox whose rows stay in the senders' row tables: `refs[s]`
+    /// is sender `s`'s `(slot, table row)` per row bound here, in emission
+    /// order, and `tables[s]` the table those rows index. The same
+    /// [`seal_order`] as [`RowArena::seal`] sorts the `(sender, table row)`
+    /// references, and no row is copied: the arena lends straight from the
+    /// tables. Under `spill`, when the rows exceed the budget, they are
+    /// streamed in delivery order from the tables into the spill file
+    /// instead, never gathered in memory — the same file, window and
+    /// residency charge a flat seal of the same rows would produce.
+    pub fn seal_refs(
+        dim: usize,
+        n_slots: usize,
+        refs: &[Vec<(u32, u32)>],
+        tables: Arc<[RowTable]>,
+        spill: Option<&SpillPolicy>,
+    ) -> Result<Self> {
+        if refs.len() != tables.len() {
+            return Err(Error::Internal(format!(
+                "{} senders' row references against {} row tables",
+                refs.len(),
+                tables.len()
+            )));
+        }
+        for table in tables.iter() {
+            check_u32_row_capacity(table.len())?;
+        }
+        let total: usize = refs.iter().map(Vec::len).sum();
+        let (mut offsets, mut sources) = (Vec::new(), Vec::new());
+        let rows = refs
+            .iter()
+            .enumerate()
+            .flat_map(|(sender, r)| r.iter().map(move |&(slot, at)| (slot, (sender as u32, at))));
+        seal_order(n_slots, total, rows, &mut offsets, &mut sources)?;
+        let rows = match spill_target(spill, dim, total * dim) {
+            None => ArenaRows::Refs { sources, tables },
+            Some(policy) => {
+                let lanes = sources
+                    .iter()
+                    .map(|&(sender, at)| tables[sender as usize].row(at as usize));
+                let max_read = max_slot_rows(&offsets);
+                ArenaRows::Flat(SpillableRows::spilled(dim, total, lanes, policy, max_read)?)
+            }
+        };
+        Ok(RowArena { dim, rows, offsets })
     }
 
     /// Rebuild an arena from wire parts: the sealed per-slot `offsets`
@@ -870,26 +1104,30 @@ impl RowArena {
                 data.len()
             )));
         }
-        let max_slot_rows = offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0);
+        let max_read = max_slot_rows(&offsets);
         Ok(RowArena {
             dim,
-            data: SpillableRows::new(dim, data, spill, max_slot_rows)?,
+            rows: ArenaRows::Flat(SpillableRows::new(dim, data, spill, max_read)?),
             offsets,
         })
     }
 
-    /// Split a freshly sealed, fully resident arena into its wire parts
-    /// (`offsets`, flat row data) for shipping back across a process
-    /// boundary. Fails on a spilled arena: the wire side seals without a
-    /// spill policy, residency is the receiving side's decision.
+    /// Split a sealed, fully resident arena into its wire parts
+    /// (`offsets`, flat row data in delivery order) for shipping back
+    /// across a process boundary; an arena sealed from row tables gathers
+    /// its rows here. Fails on a spilled arena: the wire side seals without
+    /// a spill policy, residency is the receiving side's decision.
     pub fn into_wire_parts(self) -> Result<(Vec<u32>, Vec<f32>)> {
-        let data = self.data.into_resident().ok_or_else(|| {
-            Error::Internal("cannot ship a spilled row arena over the wire".into())
-        })?;
+        let data = match self.rows {
+            ArenaRows::Flat(data) => data.into_resident().ok_or_else(|| {
+                Error::Internal("cannot ship a spilled row arena over the wire".into())
+            })?,
+            ArenaRows::Refs { sources, tables } => sources
+                .iter()
+                .flat_map(|&(sender, at)| tables[sender as usize].row(at as usize))
+                .copied()
+                .collect(),
+        };
         Ok((self.offsets, data))
     }
 }
@@ -1269,12 +1507,12 @@ mod tests {
         s1.push(1, &[3.0, 3.0]);
         let mut arena = RowArena::seal(2, 3, &[s0, s1], None).unwrap();
         assert_eq!(arena.count(0), 1);
-        assert_eq!(arena.rows(0).unwrap(), &[2.0, 2.0]);
+        assert_eq!(arena.rows(0).unwrap().to_vec(), &[2.0, 2.0]);
         // slot 1: sender 0's row before sender 1's
         assert_eq!(arena.count(1), 2);
-        assert_eq!(arena.rows(1).unwrap(), &[1.0, 1.0, 3.0, 3.0]);
+        assert_eq!(arena.rows(1).unwrap().to_vec(), &[1.0, 1.0, 3.0, 3.0]);
         assert_eq!(arena.count(2), 0);
-        assert_eq!(arena.rows(2).unwrap(), &[] as &[f32]);
+        assert_eq!(arena.rows(2).unwrap().to_vec(), &[] as &[f32]);
         // slots beyond the sealed range read as empty
         assert_eq!(arena.count(7), 0);
     }
@@ -1315,7 +1553,7 @@ mod tests {
             let counts: Vec<usize> = (0..n_slots).map(|s| arena.count(s)).collect();
             let mut got: Vec<(u32, Vec<f32>)> = Vec::new();
             for (s, &count) in counts.iter().enumerate() {
-                let rows = arena.rows(s).unwrap();
+                let rows = arena.rows(s).unwrap().to_vec();
                 assert_eq!(rows.len(), count * dim);
                 got.extend((0..count).map(|i| (s as u32, rows[i * dim..(i + 1) * dim].to_vec())));
             }
@@ -1337,6 +1575,81 @@ mod tests {
                 .unwrap();
             assert_eq!((m_offsets, m_data), (offsets, data), "case {case}");
         }
+    }
+
+    #[test]
+    fn seal_refs_lends_exactly_what_a_flat_seal_of_the_same_rows_holds() {
+        let mut rng = crate::Xoshiro256::seed_from_u64(31);
+        for case in 0..200u64 {
+            let dim = [0usize, 1, 5][case as usize % 3];
+            let n_slots = 1 + rng.below(9) as usize;
+            // Each sender writes a table and references its rows — some
+            // several times, some never — as a fanned-out span would.
+            let (mut tables, mut refs, mut shards) = (Vec::new(), Vec::new(), Vec::new());
+            for sender in 0..rng.below(5) {
+                let mut table = RowBlock::new(dim);
+                for r in 0..rng.below(6) {
+                    let row: Vec<f32> = (0..dim)
+                        .map(|j| (case * 1000 + sender * 100 + r * 10) as f32 + j as f32)
+                        .collect();
+                    table.push_row(&row);
+                }
+                let (mut mine, mut shard) = (Vec::new(), RowShard::new(dim));
+                if !table.is_empty() || dim == 0 {
+                    for _ in 0..rng.below(12) {
+                        let (slot, at) = (rng.below(n_slots as u64) as u32, rng.below(6) as u32);
+                        if (at as usize) < table.len() {
+                            mine.push((slot, at));
+                            shard.push(slot, table.row(at as usize));
+                        }
+                    }
+                }
+                tables.push(Arc::new(table));
+                refs.push(mine);
+                shards.push(shard);
+            }
+            let tables: Arc<[RowTable]> = tables.into();
+            for spill in [None, Some(tiny_spill(16))] {
+                let spill = spill.as_ref();
+                let mut flat = RowArena::seal(dim, n_slots, &shards, spill).unwrap();
+                let mut lent =
+                    RowArena::seal_refs(dim, n_slots, &refs, Arc::clone(&tables), spill).unwrap();
+                assert_eq!(lent.resident_bytes(), flat.resident_bytes(), "case {case}");
+                assert_eq!(lent.spilled_bytes(), flat.spilled_bytes(), "case {case}");
+                assert_eq!(lent.n_rows(), flat.n_rows(), "case {case}");
+                if lent.spilled_bytes() == 0 {
+                    assert_eq!(lent.held_bytes(), 8 * lent.n_rows() as u64, "case {case}");
+                }
+                for s in 0..n_slots + 1 {
+                    assert_eq!(lent.count(s), flat.count(s), "case {case} slot {s}");
+                    let b = flat.rows(s).unwrap().to_vec();
+                    assert_eq!(lent.rows(s).unwrap().to_vec(), b, "case {case} slot {s}");
+                }
+                if spill.is_none() {
+                    let (lo, ld) = lent.into_wire_parts().unwrap();
+                    assert_eq!((lo, ld), flat.into_wire_parts().unwrap(), "case {case}");
+                }
+            }
+        }
+        // References and tables must pair up sender by sender.
+        let tables: Arc<[RowTable]> = vec![Arc::new(RowBlock::new(1))].into();
+        assert!(RowArena::seal_refs(1, 1, &[], tables, None).is_err());
+    }
+
+    #[test]
+    fn streamed_spill_writes_the_file_a_flat_buffer_does() {
+        let dim = 7;
+        let data = odd_bits(SPILL_BLOCK_BYTES / 4 / dim * 2 + 3, dim);
+        let policy = tiny_spill(64);
+        let n_rows = data.len() / dim;
+        let flat = SpillableRows::new(dim, data.clone(), Some(&policy), 1).unwrap();
+        let streamed = SpillableRows::spilled(dim, n_rows, data.chunks(dim), &policy, 1).unwrap();
+        assert_eq!(
+            std::fs::read(spill_path(&flat)).unwrap(),
+            std::fs::read(spill_path(&streamed)).unwrap()
+        );
+        assert_eq!(flat.resident_bytes(), streamed.resident_bytes());
+        assert_eq!(flat.spilled_bytes(), streamed.spilled_bytes());
     }
 
     #[test]
@@ -1555,7 +1868,10 @@ mod tests {
         let mut fused = FusedRows::merge(dim, 4, &[fsh], &Sum, Some(&tiny_spill(8))).unwrap();
         let mut fused_snap = fused.snapshot();
         for s in 0..4 {
-            assert_eq!(arena.rows(s).unwrap(), arena_snap.rows(s).unwrap());
+            assert_eq!(
+                arena.rows(s).unwrap().to_vec(),
+                arena_snap.rows(s).unwrap().to_vec()
+            );
             assert_eq!(fused.row(s).unwrap(), fused_snap.row(s).unwrap());
             assert_eq!(fused.count(s), fused_snap.count(s));
         }
@@ -1601,7 +1917,7 @@ mod tests {
         // charge.
         let mut arena = arena;
         for s in 0..5 {
-            arena.rows(s).unwrap();
+            arena.rows(s).unwrap().to_vec();
         }
         assert_eq!(arena.resident_bytes(), at_seal);
     }
@@ -1629,10 +1945,17 @@ mod tests {
         assert!(spilled.resident_bytes() < plain.resident_bytes());
         for s in 0..8 {
             assert_eq!(plain.count(s), spilled.count(s));
-            let a: Vec<u32> = plain.rows(s).unwrap().iter().map(|x| x.to_bits()).collect();
+            let a: Vec<u32> = plain
+                .rows(s)
+                .unwrap()
+                .to_vec()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
             let b: Vec<u32> = spilled
                 .rows(s)
                 .unwrap()
+                .to_vec()
                 .iter()
                 .map(|x| x.to_bits())
                 .collect();
@@ -1738,12 +2061,14 @@ mod tests {
             let a: Vec<u32> = direct
                 .rows(s)
                 .unwrap()
+                .to_vec()
                 .iter()
                 .map(|x| x.to_bits())
                 .collect();
             let b: Vec<u32> = rebuilt
                 .rows(s)
                 .unwrap()
+                .to_vec()
                 .iter()
                 .map(|x| x.to_bits())
                 .collect();

@@ -85,7 +85,7 @@ impl<'m> LayerView<'m> {
     }
 
     /// Fold the columnar half of a vertex inbox into the gather aggregate:
-    /// a union lends the materialized rows as one segment, a pooled
+    /// a union takes each lent row as a segment of its own, a pooled
     /// aggregate folds them one by one in delivery order; a fused
     /// accumulator — the engine's merged row, already the gather result
     /// when nothing else arrives — is one pre-reduced partial, read where
@@ -93,17 +93,13 @@ impl<'m> LayerView<'m> {
     pub fn gather_rows<'a>(&self, agg: &mut AggState<'a>, rows: RowsIn<'a>) {
         match (rows, agg) {
             (RowsIn::None, _) => {}
-            (RowsIn::Rows { data, .. }, AggState::Union { dim, segs }) => {
-                debug_assert!(data.len().is_multiple_of((*dim).max(1)), "union span width");
-                if !data.is_empty() {
-                    segs.push(Cow::Borrowed(data));
-                }
+            (RowsIn::Rows(rows), AggState::Union { dim, segs }) => {
+                debug_assert!(rows.is_empty() || rows.dim() == *dim, "union row width");
+                segs.extend(rows.iter().map(Cow::Borrowed));
             }
-            (RowsIn::Rows { dim, data }, agg) => {
-                if dim > 0 {
-                    for chunk in data.chunks_exact(dim) {
-                        self.gather_row(agg, chunk, 1);
-                    }
+            (RowsIn::Rows(rows), agg) => {
+                for row in rows.iter() {
+                    self.gather_row(agg, row, 1);
                 }
             }
             (RowsIn::Fused { acc, count, .. }, agg) => {

@@ -270,7 +270,7 @@ impl<'a> SessionBuilder<'a> {
     /// through: [`InProcess`](inferturbo_cluster::InProcess) (the
     /// zero-copy default) or
     /// [`WorkerProcess`](inferturbo_cluster::WorkerProcess) (spawned
-    /// worker children over pipes). Every backend is bit-identical —
+    /// worker children, each on one Unix socket pair). Every backend is bit-identical —
     /// logits, traces and modelled byte accounting do not depend on this
     /// choice; only `RunReport::wire_bytes` does. Unset means in-process.
     pub fn transport(mut self, transport: std::sync::Arc<dyn Transport>) -> Self {

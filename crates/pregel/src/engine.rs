@@ -22,18 +22,19 @@
 //! [`inferturbo_common::Parallelism`] budget), writing its outgoing
 //! messages into per-(sender × destination) **outbox shards**. Rows leave
 //! a vertex as (row, span of routes) pairs in the [`Outbox`] spool; the
-//! worker's one routing loop walks each span and copies (or, fused, folds)
-//! the row into the shard its route names — no lookup per edge, the row
-//! written to the spool once per vertex. Byte accounting for rows happens
-//! once per worker after its last vertex, from the shards' own slot lists
-//! and the layout's slot tables. At the barrier the shards are merged
+//! worker's one routing loop walks each span, writes the row once into
+//! the worker's row table and a `(slot, table row)` reference into the
+//! shard each route names (or, fused, folds the row into that shard) — no
+//! lookup per edge, no row copied per edge. Byte accounting for rows
+//! happens once per worker after its last vertex, from the shards' own
+//! slot lists and the layout's slot tables. At the barrier the shards are merged
 //! without locks, in ascending sender order — the exact order a serial
 //! sender loop would deliver in — so results, byte accounting, and metrics
 //! are identical for every thread count.
 //!
 //! What a run allocates: the per-worker state vectors, the inboxes sealed
 //! at each barrier, and — first run only, pooled in a [`ScratchPool`]
-//! afterwards — the outbox spools and shards.
+//! afterwards — the outbox spools, shards and row tables.
 //!
 //! # Message planes
 //!
@@ -53,18 +54,28 @@
 //!   slice of it;
 //! - the **columnar plane**: when the program declares a
 //!   [`MessageLayout`](crate::vertex::MessageLayout) for the emitting
-//!   step, fixed-width `f32` rows move through flat per-(sender ×
-//!   destination) buffers — no `Vec<f32>` per message, no `Msg` enum on
-//!   the hot path — and are sealed into a per-worker
-//!   [`inferturbo_common::rows::RowArena`] with a counting
-//!   scatter of `memcpy`s. If the step also provides a
-//!   [`FusedAggregator`], **gather is
-//!   fused into scatter**: senders fold rows into per-destination
-//!   accumulator rows as they emit, and the barrier merges one partial
-//!   row per (sender, destination slot) into a dense O(V·d) accumulator
-//!   set — peak inbox memory and shuffle volume drop from O(E·d) to
-//!   O(V·d), the paper's partial-aggregation optimisation done at the
-//!   engine level. This is the engine's one sender-side combiner.
+//!   step, fixed-width `f32` rows travel in flat buffers — no `Vec<f32>`
+//!   per message, no `Msg` enum on the hot path. A materialized row is
+//!   written once, into its sender worker's row table
+//!   ([`inferturbo_common::rows::RowTable`]), and each edge carries an
+//!   8-byte `(slot, table row)` reference. At the barrier each
+//!   destination's [`inferturbo_common::rows::RowArena`] is sealed from
+//!   those references with a counting scatter
+//!   ([`RowArena::seal_refs`]), and the kernel is lent each row where its
+//!   sender wrote it: one row per sending vertex is held, not one per
+//!   edge. A table is shared by every inbox sealed from it and by a
+//!   checkpoint of those inboxes, and is written again only once nothing
+//!   holds it. Only a transport that moves bytes gets the rows packed
+//!   into per-(sender × destination) [`RowShard`]s, and its merged flat
+//!   arena comes back; under a spill budget the seal streams the rows
+//!   from the tables into the spill file instead. If the step also
+//!   provides a [`FusedAggregator`], **gather is fused into scatter**:
+//!   senders fold rows into per-destination accumulator rows as they
+//!   emit, and the barrier merges one partial row per (sender,
+//!   destination slot) into a dense O(V·d) accumulator set — peak inbox
+//!   memory and shuffle volume drop from O(E·d) to O(V·d), the paper's
+//!   partial-aggregation optimisation done at the engine level. This is
+//!   the engine's one sender-side combiner.
 //!
 //! Which columnar plane a step is on is one value on each side of the
 //! barrier — `Emit` for what the workers write, the transport's
@@ -97,7 +108,8 @@ use inferturbo_cluster::{
 use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{
-    row_payload_len, AggKind, FusedAggregator, FusedSlotShard, RowShard, SpillPolicy,
+    row_payload_len, AggKind, FusedAggregator, FusedSlotShard, RowArena, RowBlock, RowShard,
+    RowTable, SpillPolicy,
 };
 use inferturbo_common::{Error, FxHashMap, Result};
 use inferturbo_obs::{Payload, Site, TraceHandle, TraceMark};
@@ -202,23 +214,28 @@ impl PregelConfig {
 }
 
 /// Pooled engine scratch: one outbox (message spools, row buffers) per
-/// logical worker, and the `[sender][destination]` shard grids of both
-/// columnar planes — fused accumulator shards with their dense slot
-/// indexes, materialized row shards. Every engine owns one — supersteps
-/// within a run reuse it instead of reallocating — and a caller that runs
-/// repeated inference over the same graph (a planned session) can
-/// [`PregelEngine::take_scratch`] it after a run and
-/// [`PregelEngine::set_scratch`] it into the next engine, so the O(W·V)
-/// fused slot indexes, the materialized row shards, and the outbox spools
-/// are allocated once per plan, not once per superstep.
+/// logical worker, the `[sender][destination]` grids of both columnar
+/// planes — fused accumulator shards with their dense slot indexes,
+/// materialized row references — and the senders' row tables. Every
+/// engine owns one — supersteps within a run reuse it instead of
+/// reallocating — and a caller that runs repeated inference over the same
+/// graph (a planned session) can [`PregelEngine::take_scratch`] it after a
+/// run and [`PregelEngine::set_scratch`] it into the next engine, so the
+/// O(W·V) fused slot indexes, the row tables and references, and the
+/// outbox spools are allocated once per plan, not once per superstep.
 ///
 /// Pooling is observably invisible: a reset shard/outbox is
 /// indistinguishable from a fresh one (sparse index clear through the
 /// touched keys), so results, byte accounting and metrics are identical
-/// with or without a carried-over pool.
+/// with or without a carried-over pool. A row table is written again only
+/// once nothing else holds it: the inboxes sealed from it lend it until
+/// they drain, and a checkpoint of those inboxes keeps it as long as the
+/// checkpoint lives.
 pub struct ScratchPool<M> {
     outboxes: Vec<Outbox<M>>,
-    rows: Vec<Vec<RowShard>>,
+    rows: Vec<Vec<RowRefs>>,
+    /// Every row table the engine has written, free or still held.
+    tables: Vec<RowTable>,
     fused: Vec<Vec<FusedSlotShard>>,
 }
 
@@ -228,10 +245,15 @@ impl<M> Default for ScratchPool<M> {
         ScratchPool {
             outboxes: Vec::new(),
             rows: Vec::new(),
+            tables: Vec::new(),
             fused: Vec::new(),
         }
     }
 }
+
+/// One sender's materialized rows bound for one destination worker:
+/// `(destination slot, row of the sender's table)` in emission order.
+type RowRefs = Vec<(u32, u32)>;
 
 /// Swap the two axes of a `[sender][destination]` grid, keeping each
 /// axis's order.
@@ -351,10 +373,7 @@ fn cols_bytes(cols: &MergedCols) -> (u64, u64) {
 fn cols_rows(cols: &mut MergedCols, slot: usize) -> Result<RowsIn<'_>> {
     Ok(match cols {
         MergedCols::None => RowsIn::None,
-        MergedCols::Rows(a) => RowsIn::Rows {
-            dim: a.dim(),
-            data: a.rows(slot)?,
-        },
+        MergedCols::Rows(a) => RowsIn::Rows(a.rows(slot)?),
         MergedCols::Fused(f) => RowsIn::Fused {
             dim: f.dim(),
             count: f.count(slot),
@@ -389,17 +408,21 @@ struct Checkpoint<P: VertexProgram> {
 
 /// What the workers emit on the columnar plane this superstep: the plane
 /// the program declared for the step, with its row width and — fused — its
-/// fold, and the shards the rows land in. The grid is
-/// `[sender][destination]` while the workers compute and
-/// `[destination][sender]` once transposed for the exchange. One value
-/// per superstep: every worker's [`RowSink`] and every destination's
-/// [`ColsShards`] is a view of it, so they cannot disagree about the plane.
+/// fold, and the grid the rows land in: fused accumulator shards, or each
+/// sender's row table with its `(slot, table row)` references per
+/// destination. The grid is `[sender][destination]` while the workers
+/// compute and `[destination][sender]` once transposed for the exchange.
+/// One value per superstep: every worker's [`RowSink`] and every
+/// destination's [`ColsShards`] and refs inbox is a view of it, so they
+/// cannot disagree about the plane.
 enum Emit<'p> {
     /// No layout declared: the typed plane carries the step alone.
     None,
     Rows {
         dim: usize,
-        shards: Vec<Vec<RowShard>>,
+        /// One per sender worker.
+        tables: Vec<RowTable>,
+        refs: Vec<Vec<RowRefs>>,
     },
     Fused {
         dim: usize,
@@ -410,8 +433,9 @@ enum Emit<'p> {
 
 impl<'p> Emit<'p> {
     /// Resolve `step`'s plane from the program's declarations and take
-    /// its `n × n` shard grid out of the pool. Pooled shards are reused as
-    /// they are — each worker resets its own row ([`RowSink::reset`]).
+    /// its `n × n` grid out of the pool. Pooled shards are reused as they
+    /// are — each worker resets its own row ([`RowSink::reset`]); a pooled
+    /// row table only when nothing else holds it any more.
     fn open<P: VertexProgram>(
         program: &'p P,
         step: usize,
@@ -430,10 +454,25 @@ impl<'p> Emit<'p> {
         };
         let dim = layout.dim;
         match program.fused_aggregator(step) {
-            None => Emit::Rows {
-                dim,
-                shards: grid(std::mem::take(&mut pool.rows), n, || RowShard::new(dim)),
-            },
+            None => {
+                // The last superstep's tables are lent out until its
+                // inboxes drain, and a checkpoint may hold older ones:
+                // those stay in the pool for a later step.
+                let mut tables = Vec::with_capacity(n);
+                for table in std::mem::take(&mut pool.tables) {
+                    if tables.len() < n && Arc::strong_count(&table) == 1 {
+                        tables.push(table);
+                    } else {
+                        pool.tables.push(table);
+                    }
+                }
+                tables.resize_with(n, || Arc::new(RowBlock::new(dim)));
+                Emit::Rows {
+                    dim,
+                    tables,
+                    refs: grid(std::mem::take(&mut pool.rows), n, Vec::new),
+                }
+            }
             Some(agg) => Emit::Fused {
                 dim,
                 agg,
@@ -448,9 +487,16 @@ impl<'p> Emit<'p> {
     fn sinks(&mut self, n: usize) -> Vec<RowSink<'_>> {
         match self {
             Emit::None => (0..n).map(|_| RowSink::None).collect(),
-            Emit::Rows { dim, shards } => shards
+            // `open` took only tables nothing else holds, so `make_mut`
+            // lends each in place.
+            Emit::Rows { dim, tables, refs } => tables
                 .iter_mut()
-                .map(|shards| RowSink::Rows { dim: *dim, shards })
+                .zip(refs)
+                .map(|(table, refs)| RowSink::Rows {
+                    dim: *dim,
+                    table: Arc::make_mut(table),
+                    refs,
+                })
                 .collect(),
             Emit::Fused { dim, agg, shards } => shards
                 .iter_mut()
@@ -468,9 +514,10 @@ impl<'p> Emit<'p> {
     fn transposed(self) -> Self {
         match self {
             Emit::None => Emit::None,
-            Emit::Rows { dim, shards } => Emit::Rows {
+            Emit::Rows { dim, tables, refs } => Emit::Rows {
                 dim,
-                shards: transpose(shards),
+                tables,
+                refs: transpose(refs),
             },
             Emit::Fused { dim, agg, shards } => Emit::Fused {
                 dim,
@@ -480,14 +527,40 @@ impl<'p> Emit<'p> {
         }
     }
 
+    /// For a transport that moves bytes: every destination's materialized
+    /// rows packed into one [`RowShard`] per sender ascending (of a
+    /// transposed grid) — the one place a row is copied per edge. `None`
+    /// on the other planes.
+    fn packed(&self) -> Option<Vec<Vec<RowShard>>> {
+        let Emit::Rows { dim, tables, refs } = self else {
+            return None;
+        };
+        let pack = |(table, refs): (&RowTable, &RowRefs)| {
+            let mut shard = RowShard::new(*dim);
+            for &(slot, at) in refs {
+                shard.push(slot, table.row(at as usize));
+            }
+            shard
+        };
+        let dests = refs
+            .iter()
+            .map(|senders| tables.iter().zip(senders).map(pack).collect());
+        Some(dests.collect())
+    }
+
     /// Destination `w2`'s shards, one per sender ascending (of a
-    /// transposed grid), as the transport takes them.
-    fn dest(&self, w2: usize) -> ColsShards<'_> {
+    /// transposed grid), as the transport takes them. Materialized rows
+    /// reach the transport only as `packed` shards; otherwise they stay
+    /// in the senders' tables and the engine seals them itself.
+    fn dest<'a>(&'a self, w2: usize, packed: Option<&'a [Vec<RowShard>]>) -> ColsShards<'a> {
         match self {
             Emit::None => ColsShards::None,
-            Emit::Rows { dim, shards } => ColsShards::Rows {
-                dim: *dim,
-                shards: &shards[w2],
+            Emit::Rows { dim, .. } => match packed {
+                Some(packed) => ColsShards::Rows {
+                    dim: *dim,
+                    shards: &packed[w2],
+                },
+                None => ColsShards::None,
             },
             Emit::Fused { dim, agg, shards } => ColsShards::Fused {
                 dim: *dim,
@@ -508,18 +581,21 @@ impl<'p> Emit<'p> {
         }
         match self {
             Emit::None => (0, 0),
-            Emit::Rows { shards, .. } => of(shards, RowShard::len),
+            Emit::Rows { refs, .. } => of(refs, Vec::len),
             Emit::Fused { shards, .. } => of(shards, FusedSlotShard::len),
         }
     }
 
-    /// Hand the (destination-major) shards back to the pool, each to its
-    /// sender's row, so the next superstep resets them instead of
-    /// reallocating.
+    /// Hand the (destination-major) grid back to the pool, each shard to
+    /// its sender's row, so the next superstep resets them instead of
+    /// reallocating. The row tables go back beside the ones still held.
     fn reclaim<M>(self, pool: &mut ScratchPool<M>) {
         match self {
             Emit::None => {}
-            Emit::Rows { shards, .. } => pool.rows = transpose(shards),
+            Emit::Rows { tables, refs, .. } => {
+                pool.rows = transpose(refs);
+                pool.tables.extend(tables);
+            }
             Emit::Fused { shards, .. } => pool.fused = transpose(shards),
         }
     }
@@ -527,6 +603,9 @@ impl<'p> Emit<'p> {
 
 /// One worker's typed-plane shards, one per peer worker: `(slot, msg)` pairs.
 type LegacyShards<M> = Vec<Vec<(u32, M)>>;
+
+/// One destination's sealed inbox: both planes, ready to install.
+type Sealed<M> = (InboxArena<M>, MergedCols);
 
 /// Everything one worker's compute produces in a superstep beside its
 /// columnar shards, merged at the barrier in ascending worker order.
@@ -865,11 +944,15 @@ impl<P: VertexProgram> PregelEngine<P> {
         );
         let legacy = transpose(outs.into_iter().map(|o| o.shards).collect());
         let emit = emit.transposed();
-        let exchanged = self.exchange(step, &emit, &legacy)?;
+        let packed = self.config.transport.needs_bytes().then(|| emit.packed());
+        let packed = packed.flatten();
+        let exchanged = self.exchange(step, &emit, packed.as_deref(), &legacy)?;
         self.report.wire_bytes += exchanged.wire_bytes;
         let volume = emit.volume();
+        let kept = packed.is_none().then_some(&emit);
+        let sealed = self.seal(step, legacy, exchanged.dests, kept)?;
         emit.reclaim(&mut self.scratch);
-        let spilled = self.seal(step, legacy, exchanged.dests)?;
+        let spilled = self.install(sealed);
         self.check_memory(&phase, &mut metrics)?;
         // Flight recorder: emit at the barrier only, after every check
         // passed — a failed superstep leaves no partial records (and a
@@ -882,16 +965,18 @@ impl<P: VertexProgram> PregelEngine<P> {
         Ok(active)
     }
 
-    /// Barrier stage: hand every destination's shards — columnar borrowed,
-    /// legacy encoded when the backend moves bytes (the in-process backend
-    /// leaves the typed plane with the engine) — to the transport, which
-    /// fires the SealBarrier/SpillWrite fault sites per destination and
-    /// merges the columnar plane in ascending sender order (see the
-    /// transport contract).
+    /// Barrier stage: hand every destination's shards to the transport,
+    /// which fires the SealBarrier/SpillWrite fault sites per destination
+    /// and merges what it was handed in ascending sender order (see the
+    /// transport contract). Fused shards are borrowed; materialized rows
+    /// and the typed plane go only to a backend that moves bytes —
+    /// `packed` rows, legacy records encoded — and otherwise stay with the
+    /// engine, which seals them itself.
     fn exchange(
         &self,
         step: usize,
         emit: &Emit<'_>,
+        packed: Option<&[Vec<RowShard>]>,
         legacy: &[LegacyShards<P::Msg>],
     ) -> Result<ExchangeOut> {
         let needs_bytes = self.config.transport.needs_bytes();
@@ -902,7 +987,7 @@ impl<P: VertexProgram> PregelEngine<P> {
             .enumerate()
             .map(|(w2, senders)| DestShards {
                 n_slots: self.layout.n_slots(w2),
-                cols: emit.dest(w2),
+                cols: emit.dest(w2, packed),
                 legacy: needs_bytes.then(|| senders.iter().map(encode).collect()),
             })
             .collect();
@@ -918,20 +1003,31 @@ impl<P: VertexProgram> PregelEngine<P> {
 
     /// Barrier stage: build the next superstep's inboxes from the merged
     /// planes — the typed arena from what came back over the wire (decoded)
-    /// or from the shards the in-process exchange left untouched, the
-    /// columnar half as merged. Destinations are independent, so this runs
-    /// fork-join like the merge itself; failures surface in ascending
-    /// destination order. Returns the bytes the step's inboxes spilled.
+    /// or from the shards the in-process exchange left untouched; the
+    /// columnar half as merged, or, for materialized rows `kept` with the
+    /// engine, sealed here as references into the senders' row tables
+    /// ([`RowArena::seal_refs`]). Destinations are independent, so this
+    /// runs fork-join like the merge itself; failures surface in ascending
+    /// destination order.
     fn seal(
-        &mut self,
+        &self,
         step: usize,
         legacy: Vec<LegacyShards<P::Msg>>,
         merged: Vec<DestMerged>,
-    ) -> Result<u64>
+        kept: Option<&Emit<'_>>,
+    ) -> Result<Vec<Sealed<P::Msg>>>
     where
         P::Msg: Send,
     {
-        let layout = &self.layout;
+        let (layout, spill) = (&self.layout, self.config.spill.as_ref());
+        let lent = match kept {
+            Some(Emit::Rows { dim, tables, refs }) => Some((
+                *dim,
+                tables.iter().cloned().collect::<Arc<[RowTable]>>(),
+                refs,
+            )),
+            _ => None,
+        };
         let tasks: Vec<_> = legacy.into_iter().zip(merged).collect();
         let sealed = par_map(tasks, |w2, (mut shards, merged)| {
             if let Some(records) = merged.legacy {
@@ -940,12 +1036,27 @@ impl<P: VertexProgram> PregelEngine<P> {
                     .map(|(s, bytes)| P::Msg::from_bytes(&bytes).map(|m| (s, m)));
                 shards = vec![typed.collect::<Result<_>>()?];
             }
-            let arena = InboxArena::seal(layout.n_slots(w2), shards)?;
-            Ok((arena, merged.cols))
+            let n_slots = layout.n_slots(w2);
+            let arena = InboxArena::seal(n_slots, shards)?;
+            let cols = match &lent {
+                Some((dim, tables, refs)) => {
+                    let tables = Arc::clone(tables);
+                    MergedCols::Rows(RowArena::seal_refs(
+                        *dim, n_slots, &refs[w2], tables, spill,
+                    )?)
+                }
+                None => merged.cols,
+            };
+            Ok((arena, cols))
         })
         .into_iter()
-        .collect::<Result<Vec<_>>>()
-        .map_err(|e| e.in_phase(format!("seal superstep-{step}")))?;
+        .collect::<Result<Vec<_>>>();
+        sealed.map_err(|e| e.in_phase(format!("seal superstep-{step}")))
+    }
+
+    /// Barrier stage: install the sealed inboxes and charge their row data
+    /// to the next superstep's residency. Returns the bytes they spilled.
+    fn install(&mut self, sealed: Vec<Sealed<P::Msg>>) -> u64 {
         let mut step_spilled = 0;
         for (w2, (arena, cols)) in sealed.into_iter().enumerate() {
             let (resident, spilled) = cols_bytes(&cols);
@@ -955,7 +1066,7 @@ impl<P: VertexProgram> PregelEngine<P> {
             self.inbox_cols[w2] = cols;
         }
         self.report.spilled_bytes += step_spilled;
-        Ok(step_spilled)
+        step_spilled
     }
 
     /// Barrier stage, the memory model: resident = vertex states + incoming
@@ -1069,9 +1180,12 @@ enum RowSink<'a> {
     /// No row plane this step (a row sent anyway was already refused by
     /// the outbox).
     None,
+    /// The worker's row table and, per destination worker, its
+    /// `(slot, table row)` references.
     Rows {
         dim: usize,
-        shards: &'a mut [RowShard],
+        table: &'a mut RowBlock,
+        refs: &'a mut [RowRefs],
     },
     Fused {
         dim: usize,
@@ -1102,7 +1216,10 @@ impl RowSink<'_> {
     fn reset(&mut self, layout: &PregelLayout) {
         match self {
             RowSink::None => {}
-            RowSink::Rows { dim, shards } => shards.iter_mut().for_each(|sh| sh.reset(*dim)),
+            RowSink::Rows { dim, table, refs } => {
+                table.reset(*dim);
+                refs.iter_mut().for_each(Vec::clear);
+            }
             RowSink::Fused { dim, shards, .. } => {
                 for (w2, sh) in shards.iter_mut().enumerate() {
                     sh.reset(*dim, layout.n_slots(w2));
@@ -1112,17 +1229,21 @@ impl RowSink<'_> {
     }
 
     /// The engine's one routing loop: walk the spool front to back, each
-    /// row to every route of its span — a flat copy into the destination
-    /// worker's row shard, or a lane-wise fold into its accumulator shard
-    /// (copy-on-first). Per (sender worker, destination) that is emission
-    /// order, which is the whole fold-order contract on the sender side.
+    /// row to every route of its span — written once into the worker's
+    /// row table and referenced by `(slot, table row)` from each
+    /// destination's list, or folded lane-wise into the destination's
+    /// accumulator shard (copy-on-first). Per (sender worker, destination)
+    /// that is emission order, which is the whole fold-order contract on
+    /// the sender side.
     fn route<M>(&mut self, layout: &PregelLayout, ob: &Outbox<M>) {
         match self {
             RowSink::None => debug_assert!(ob.span_ends.is_empty()),
-            RowSink::Rows { dim, shards } => ob.for_each_span(*dim, |row, routes| {
+            RowSink::Rows { dim, table, refs } => ob.for_each_span(*dim, |row, routes| {
+                let at = table.len() as u32;
+                table.push_row(row);
                 for &r in routes {
                     let (w2, slot) = layout.unpack(r);
-                    shards[w2].push(slot, row);
+                    refs[w2].push((slot, at));
                 }
             }),
             RowSink::Fused {
@@ -1145,16 +1266,30 @@ impl RowSink<'_> {
     /// framed with. The framing is summed shard-wise (it is the same for
     /// every record of a step); only the destination varint is per record.
     fn shipped(&self, w2: usize, ids: &[u64]) -> (u64, u64) {
-        let (slots, payload) = match self {
-            RowSink::None => return (0, 0),
-            RowSink::Rows { dim, shards } => {
-                let slots = &shards[w2].slots;
-                (slots, slots.len() * row_payload_len(*dim, None))
-            }
-            RowSink::Fused { shards, .. } => (&shards[w2].keys, shards[w2].payload_len()),
+        let addressed = |slots: &mut dyn Iterator<Item = u32>| -> usize {
+            slots.map(|s| varint_len(ids[s as usize])).sum()
         };
-        let addressed: usize = slots.iter().map(|&s| varint_len(ids[s as usize])).sum();
-        (slots.len() as u64, (payload + addressed) as u64)
+        let (records, payload, addressed) = match self {
+            RowSink::None => return (0, 0),
+            RowSink::Rows { dim, refs, .. } => {
+                let refs = &refs[w2];
+                let payload = refs.len() * row_payload_len(*dim, None);
+                (
+                    refs.len(),
+                    payload,
+                    addressed(&mut refs.iter().map(|r| r.0)),
+                )
+            }
+            RowSink::Fused { shards, .. } => {
+                let sh = &shards[w2];
+                (
+                    sh.len(),
+                    sh.payload_len(),
+                    addressed(&mut sh.keys.iter().copied()),
+                )
+            }
+        };
+        (records as u64, (payload + addressed) as u64)
     }
 }
 
@@ -1647,8 +1782,8 @@ mod tests {
             let mut count = 0u32;
             match inbox.rows {
                 RowsIn::None => {}
-                RowsIn::Rows { dim, data } => {
-                    for chunk in data.chunks_exact(dim) {
+                RowsIn::Rows(rows) => {
+                    for chunk in rows.iter() {
                         fold_row(&mut acc, chunk);
                         count += 1;
                     }
@@ -1884,8 +2019,8 @@ mod tests {
         ) -> Result<()> {
             if step == 1 {
                 state.typed = inbox.messages.to_vec();
-                if let RowsIn::Rows { data, .. } = inbox.rows {
-                    state.rows = data.to_vec();
+                if let RowsIn::Rows(rows) = inbox.rows {
+                    state.rows = rows.to_vec();
                 }
                 return Ok(());
             }
@@ -2036,6 +2171,173 @@ mod tests {
         assert_eq!(seen, (8..12).collect::<Vec<_>>());
     }
 
+    /// GAT's emission pattern on the materialized plane: every step each
+    /// vertex scatters one row — its state plus the first lane of what it
+    /// was lent — over all its out-edges.
+    struct FanOut;
+
+    const FAN_DIM: usize = 8;
+
+    impl VertexProgram for FanOut {
+        type State = (Vec<Route>, Vec<f32>);
+        type Msg = f32;
+
+        fn compute(
+            &self,
+            _step: usize,
+            _vertex: u64,
+            (edges, row): &mut (Vec<Route>, Vec<f32>),
+            inbox: Inbox<'_, f32>,
+            out: &mut Outbox<f32>,
+        ) -> Result<()> {
+            if let RowsIn::Rows(rows) = inbox.rows {
+                for (i, lent) in rows.iter().enumerate() {
+                    row[i % FAN_DIM] += lent[0];
+                }
+            }
+            out.scatter_row(edges, row);
+            Ok(())
+        }
+
+        fn message_layout(&self, _step: usize) -> Option<MessageLayout> {
+            Some(MessageLayout { dim: FAN_DIM })
+        }
+    }
+
+    /// 16 vertices with 5 out-edges each (one of them repeated).
+    fn fan_out_engine(workers: usize, cfg: PregelConfig) -> PregelEngine<FanOut> {
+        let adj: Vec<Vec<u64>> = (0..16u64)
+            .map(|v| {
+                vec![
+                    (v + 1) % 16,
+                    (v + 3) % 16,
+                    (v * 5 + 2) % 16,
+                    (v + 1) % 16,
+                    0,
+                ]
+            })
+            .collect();
+        let ids = adj.iter().enumerate().map(|(v, t)| (v as u64, &t[..]));
+        let layout = PregelLayout::planned(workers, ids).unwrap();
+        let states: Vec<_> = layout
+            .vertices()
+            .map(|v| {
+                let row = (0..FAN_DIM).map(|j| (v.id * 8 + j as u64) as f32).collect();
+                (v.edges.to_vec(), row)
+            })
+            .collect();
+        PregelEngine::with_layout(FanOut, cfg, Arc::new(layout), states).unwrap()
+    }
+
+    /// The row tables the engine's sealed inboxes lend from, deduplicated.
+    fn inbox_tables<P: VertexProgram>(eng: &PregelEngine<P>) -> Vec<RowTable> {
+        inbox_tables_of(&eng.inbox_cols)
+    }
+
+    fn inbox_tables_of(cols: &[MergedCols]) -> Vec<RowTable> {
+        let mut tables: Vec<RowTable> = Vec::new();
+        for c in cols {
+            if let MergedCols::Rows(a) = c {
+                for t in a.tables() {
+                    if !tables.iter().any(|seen| Arc::ptr_eq(seen, t)) {
+                        tables.push(Arc::clone(t));
+                    }
+                }
+            }
+        }
+        tables
+    }
+
+    #[test]
+    fn a_sealed_fan_out_holds_one_row_per_span_and_is_charged_one_per_edge() {
+        for workers in [1usize, 3, 4] {
+            let mut eng =
+                fan_out_engine(workers, PregelConfig::new(ClusterSpec::test_spec(workers)));
+            eng.run(1).unwrap();
+            let (spans, edges) = (16u64, 16 * 5u64);
+            let row_bytes = FAN_DIM as u64 * 4;
+            let tables: u64 = inbox_tables(&eng)
+                .iter()
+                .map(|t| t.data().len() as u64 * 4)
+                .sum();
+            let (mut held, mut charged, mut rows) = (0, 0, 0);
+            for (w2, c) in eng.inbox_cols.iter().enumerate() {
+                let MergedCols::Rows(a) = c else {
+                    panic!("materialized rows were sent");
+                };
+                held += a.held_bytes();
+                rows += a.n_rows() as u64;
+                let offsets = (eng.layout.n_slots(w2) as u64 + 1) * 4;
+                assert_eq!(a.resident_bytes(), a.n_rows() as u64 * row_bytes + offsets);
+                charged += a.resident_bytes() - offsets;
+            }
+            assert_eq!(rows, edges, "{workers} workers");
+            assert_eq!(tables, spans * row_bytes, "{workers} workers");
+            assert!(
+                tables + held <= spans * row_bytes + 8 * rows,
+                "{workers} workers: {tables} + {held} B held"
+            );
+            assert_eq!(charged, edges * row_bytes, "{workers} workers");
+            // The charge is what the worker's memory check saw.
+            let peak: u64 = eng
+                .report()
+                .worker_totals()
+                .iter()
+                .map(|t| t.mem_peak)
+                .sum();
+            assert!(peak >= charged, "{workers} workers: peak {peak}");
+        }
+    }
+
+    #[test]
+    fn a_row_table_a_checkpoint_holds_is_never_written_again() {
+        let cfg = || PregelConfig::new(ClusterSpec::test_spec(3));
+        let mut eng = fan_out_engine(3, cfg());
+        eng.run(1).unwrap();
+        let ckpt = eng.checkpoint();
+        let held = inbox_tables_of(&ckpt.inbox_cols);
+        let lanes: Vec<Vec<f32>> = held.iter().map(|t| t.data().to_vec()).collect();
+        assert!(!held.is_empty());
+        for _ in 0..3 {
+            eng.run(1).unwrap();
+            for t in inbox_tables(&eng) {
+                assert!(
+                    !held.iter().any(|h| Arc::ptr_eq(h, &t)),
+                    "a table the checkpoint holds was handed to an emit"
+                );
+            }
+        }
+        let still: Vec<Vec<f32>> = held.iter().map(|t| t.data().to_vec()).collect();
+        assert_eq!(still, lanes, "the checkpoint's rows must not move");
+        // The checkpoint's, the inbox's and a free generation: no more.
+        assert_eq!(eng.scratch.tables.len(), 3 * 3);
+        // Once the checkpoint lets go, its tables are the pool's again.
+        let freed: Vec<*const RowBlock> = held.iter().map(Arc::as_ptr).collect();
+        drop((ckpt, held));
+        eng.run(1).unwrap();
+        let lent: Vec<*const RowBlock> = inbox_tables(&eng).iter().map(Arc::as_ptr).collect();
+        assert_eq!(lent, freed, "the freed generation is written next");
+        assert_eq!(eng.scratch.tables.len(), 3 * 3);
+
+        // Replaying from a checkpoint over shared tables is bit-identical.
+        let mut plain = fan_out_engine(3, cfg());
+        plain.run(4).unwrap();
+        let mut replayed = fan_out_engine(3, cfg());
+        replayed.run(1).unwrap();
+        let ckpt = replayed.checkpoint();
+        replayed.run(2).unwrap();
+        replayed.restore(&ckpt);
+        replayed.run(3).unwrap();
+        let rows = |e: &PregelEngine<FanOut>| {
+            let mut out = Vec::new();
+            e.for_each_state(|id, (_, row)| {
+                out.push((id, row.iter().map(|x| x.to_bits()).collect::<Vec<_>>()))
+            });
+            out
+        };
+        assert_eq!(rows(&replayed), rows(&plain));
+    }
+
     #[test]
     fn seal_is_a_stable_sort_by_slot_of_the_sender_ascending_concatenation() {
         let mut rng = Xoshiro256::seed_from_u64(23);
@@ -2148,7 +2450,7 @@ mod tests {
             out: &mut Outbox<f32>,
         ) -> Result<()> {
             let incoming = match inbox.rows {
-                RowsIn::Rows { data, .. } if !data.is_empty() => Some(data[0]),
+                RowsIn::Rows(rows) if !rows.is_empty() => Some(rows.row(0)[0]),
                 _ => None,
             };
             if step == 0 && vertex == 0 {

@@ -35,6 +35,6 @@ pub mod vertex;
 pub use engine::{PregelConfig, PregelEngine, ScratchPool};
 pub use layout::{PlacedVertex, PregelLayout, Route};
 pub use vertex::{
-    ActivationPolicy, BroadcastLookup, FusedAggregator, Inbox, MessageLayout, Outbox, RowsIn,
-    VertexProgram,
+    ActivationPolicy, BroadcastLookup, FusedAggregator, Inbox, LentRows, MessageLayout, Outbox,
+    RowsIn, VertexProgram,
 };

@@ -48,7 +48,7 @@
 
 use crate::layout::{PregelLayout, Route};
 use inferturbo_common::codec::{Decode, Encode};
-pub use inferturbo_common::rows::{FusedAggregator, MessageLayout};
+pub use inferturbo_common::rows::{FusedAggregator, LentRows, MessageLayout};
 use inferturbo_common::Result;
 use std::sync::Arc;
 
@@ -71,8 +71,9 @@ pub enum RowsIn<'a> {
     /// No columnar plane was active for the messages feeding this step.
     None,
     /// Materialized rows in delivery order (ascending sender, emission
-    /// order within a sender): `data.len() / dim` rows, flat.
-    Rows { dim: usize, data: &'a [f32] },
+    /// order within a sender), each lent as a slice where it lies — in
+    /// process, the row its sender wrote once into its row table.
+    Rows(LentRows<'a>),
     /// Fused accumulator row: `count` raw messages were folded into `acc`
     /// across the scatter and the barrier merge. `count == 0` means no
     /// messages arrived (and `acc` holds only the aggregator's identity).
@@ -88,13 +89,7 @@ impl RowsIn<'_> {
     pub fn count(&self) -> usize {
         match self {
             RowsIn::None => 0,
-            RowsIn::Rows { dim, data } => {
-                if *dim == 0 {
-                    0
-                } else {
-                    data.len() / dim
-                }
-            }
+            RowsIn::Rows(rows) => rows.len(),
             RowsIn::Fused { count, .. } => *count as usize,
         }
     }
@@ -256,10 +251,11 @@ impl<M> Outbox<M> {
     }
 
     /// Send one fixed-width row to every destination in `edges` on the
-    /// columnar plane. The row is spooled once, whatever the fan-out; each
-    /// destination's copy (or, when the step has a [`FusedAggregator`],
-    /// its fold into the destination's accumulator row) happens in the
-    /// engine's routing loop. `edges` are routes of the engine's layout —
+    /// columnar plane. The row is spooled once, whatever the fan-out; the
+    /// engine's routing loop then writes it once into the worker's row
+    /// table and gives each destination a reference to it (or, when the
+    /// step has a [`FusedAggregator`], folds it into each destination's
+    /// accumulator row). `edges` are routes of the engine's layout —
     /// typically the vertex's planned out-edges
     /// ([`crate::PlacedVertex::edges`]) or a sub-slice of them.
     ///

@@ -100,7 +100,7 @@ pub struct ServeConfig {
     pub trace: TraceHandle,
     /// Shuffle transport armed into every plan the server builds (see
     /// `inferturbo_cluster::transport`): in-process shard moves or spawned
-    /// worker processes over pipes. Backends are bit-identical, so this
+    /// worker processes, each on one Unix socket pair. Backends are bit-identical, so this
     /// choice never enters [`PlanKey`] — two servers on
     /// different transports serve byte-identical responses from
     /// interchangeable caches. `None` means in-process.

@@ -29,6 +29,9 @@
 # docs/perf/history.jsonl: one JSON line per workload and end-to-end
 # metric, with the UTC date, both trees' revisions, seed, pairs, the two
 # medians, the parent's IQR as a share of its median, wins and verdict.
+# With --aa the A/A table goes there too, first, its lines tagged
+# "side": "aa" (its "change" column is the parent's second side), so the
+# claim's same-hour noise floor is kept beside it.
 # Use a seed the change was not developed on.
 set -euo pipefail
 
@@ -36,7 +39,7 @@ set -euo pipefail
 unset INFERTURBO_THREADS INFERTURBO_FAULTS INFERTURBO_TRACE \
       INFERTURBO_TRANSPORT INFERTURBO_WORKER_BIN INFERTURBO_OVERLOAD
 
-usage() { sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 2 ] || usage
 parent="$(cd "$1" && pwd)"
 change="$(cd "$2" && pwd)"
@@ -96,27 +99,33 @@ for i in $(seq 1 "$pairs"); do
     echo "ab.sh: pair $i/$pairs done" >&2
 done
 
-if [ "$aa" = 1 ]; then
-    echo "ab.sh: the A/A floor — parent against itself, same hour:" >&2
-    "$(bin_of change)" compare "$out/parent.jsonl" "$out/aa.jsonl" || true
-    echo "ab.sh: the claim — parent against change:" >&2
-fi
-"$(bin_of change)" compare "$out/parent.jsonl" "$out/change.jsonl" | tee "$out/compare.txt" ||
-    status=1
-
-# One history line per row of the compare table: its rows are the lines
-# whose wins column reads <wins>/<pairs>.
+# One history line per row of a compare table: its rows are the lines
+# whose wins column reads <wins>/<pairs>. A second argument, `aa`, tags
+# each line "side": "aa".
 revision() { git -C "$1" describe --always --dirty 2>/dev/null || echo unknown; }
 seed="$(sed -n 's/.*"seed": \([0-9]*\).*/\1/p' "$out/parent.jsonl" | head -n 1)"
 history="$change/docs/perf/history.jsonl"
 mkdir -p "$(dirname "$history")"
-awk -v date="$(date -u +%Y-%m-%d)" -v prev="$(revision "$parent")" -v crev="$(revision "$change")" \
-    -v seed="${seed:-null}" '
-    $8 ~ /^[0-9]+\/[0-9]+$/ {
-        split($8, w, "/")
-        printf "{\"date\": \"%s\", \"parent_rev\": \"%s\", \"change_rev\": \"%s\", \"seed\": %s, \"pairs\": %d, \"workload\": \"%s\", \"metric\": \"%s\", \"parent\": %s, \"change\": %s, \"parent_iqr_pct\": %s, \"wins\": %d, \"verdict\": \"%s\"}\n",
-            date, prev, crev, seed, w[2], $1, $2, $3, $4, $7, w[1], $9
-    }' "$out/compare.txt" >>"$history"
+append_history() { # <compare.txt> [aa]
+    awk -v date="$(date -u +%Y-%m-%d)" -v prev="$(revision "$parent")" -v crev="$(revision "$change")" \
+        -v seed="${seed:-null}" -v side="${2:-}" '
+        $8 ~ /^[0-9]+\/[0-9]+$/ {
+            split($8, w, "/")
+            tag = side == "" ? "" : sprintf(", \"side\": \"%s\"", side)
+            printf "{\"date\": \"%s\", \"parent_rev\": \"%s\", \"change_rev\": \"%s\", \"seed\": %s, \"pairs\": %d, \"workload\": \"%s\", \"metric\": \"%s\", \"parent\": %s, \"change\": %s, \"parent_iqr_pct\": %s, \"wins\": %d, \"verdict\": \"%s\"%s}\n",
+                date, prev, crev, seed, w[2], $1, $2, $3, $4, $7, w[1], $9, tag
+        }' "$1" >>"$history"
+}
+
+if [ "$aa" = 1 ]; then
+    echo "ab.sh: the A/A floor — parent against itself, same hour:" >&2
+    "$(bin_of change)" compare "$out/parent.jsonl" "$out/aa.jsonl" | tee "$out/aa_compare.txt" || true
+    append_history "$out/aa_compare.txt" aa
+    echo "ab.sh: the claim — parent against change:" >&2
+fi
+"$(bin_of change)" compare "$out/parent.jsonl" "$out/change.jsonl" | tee "$out/compare.txt" ||
+    status=1
+append_history "$out/compare.txt"
 echo "ab.sh: history appended to $history" >&2
 echo "ab.sh: records in $out/parent.jsonl and $out/change.jsonl$([ "$aa" = 1 ] && echo " (A/A: $out/aa.jsonl)")" >&2
 exit $status

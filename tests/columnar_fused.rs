@@ -99,8 +99,8 @@ impl VertexProgram for PoolProg {
         let mut count = 0u32;
         match inbox.rows {
             RowsIn::None => {}
-            RowsIn::Rows { dim, data } => {
-                for chunk in data.chunks_exact(dim) {
+            RowsIn::Rows(rows) => {
+                for chunk in rows.iter() {
                     self.fold(&mut acc, chunk);
                     count += 1;
                 }

@@ -12,7 +12,9 @@ use common::run_once;
 
 use std::sync::Arc;
 
-use inferturbo::cluster::{ClusterSpec, FaultPlan, FaultSite, RecoveryPolicy};
+use inferturbo::cluster::{
+    ClusterSpec, FaultPlan, FaultSite, RecoveryPolicy, RunReport, WorkerPhase,
+};
 use inferturbo::common::{Error, Parallelism};
 use inferturbo::core::baseline::{estimate_full_inference, BaselineConfig};
 use inferturbo::core::models::{GnnModel, PoolOp};
@@ -239,6 +241,62 @@ fn session_recovery_is_bit_identical_for_both_planes_at_every_thread_count() {
                 assert_eq!(bits(&again.logits), want);
                 assert_eq!(again.report.retries, 0, "budget drained by the first run");
             });
+        }
+    }
+}
+
+#[test]
+fn gat_recovery_over_shared_row_tables_is_bit_identical() {
+    // GAT ships materialized rows: in process every inbox lends from the
+    // senders' row tables, and a checkpoint shares those tables instead of
+    // copying them. A seal fault at step 1 and a lost worker at step 2,
+    // each replayed from an every-step checkpoint, must leave no trace in
+    // logits or counters — resident or paging through a spill file.
+    let d = Dataset::power_law(600, 3600, DegreeSkew::Out, 5);
+    let m = GnnModel::gat(d.graph.node_feat_dim(), 16, 2, 2, 2, false, 3);
+    let dir = std::env::temp_dir().join("inferturbo-gat-recovery-tests");
+    let schedule = FaultPlan::new()
+        .and_fail(FaultSite::SealBarrier { worker: 2, step: 1 })
+        .and_fail(FaultSite::WorkerCompute { worker: 1, step: 2 });
+    for spill in [None, Some(64u64)] {
+        let plan = |faults: Option<FaultPlan>| {
+            let mut b = InferenceSession::builder()
+                .model(&m)
+                .graph(&d.graph)
+                .workers(4)
+                .strategy(StrategyConfig::all().with_threshold(20))
+                .backend(Backend::Pregel)
+                .spill_dir(&dir);
+            if let Some(budget) = spill {
+                b = b.spill_budget(budget);
+            }
+            b = match faults {
+                Some(f) => b.fault_plan(f).recovery(RecoveryPolicy::new(1, 3)),
+                None => b.fault_plan(FaultPlan::new()),
+            };
+            b.plan().unwrap()
+        };
+        let clean = plan(None).run().unwrap();
+        assert!(clean.report.message_bytes.columnar > 0);
+        assert_eq!(clean.report.spilled_bytes > 0, spill.is_some());
+        for threads in [1usize, 2, 4] {
+            let out = Parallelism::with(threads, || plan(Some(schedule.clone())).run()).unwrap();
+            let how = format!("spill {spill:?}, {threads} threads");
+            assert_eq!(bits(&out.logits), bits(&clean.logits), "{how}");
+            assert_eq!(out.report.retries, 2, "{how}: both faults fired");
+            assert_eq!(out.report.checkpoints, 3, "{how}: one per superstep");
+            assert_eq!(
+                out.report.message_bytes, clean.report.message_bytes,
+                "{how}"
+            );
+            assert_eq!(
+                out.report.spilled_bytes, clean.report.spilled_bytes,
+                "{how}"
+            );
+            let workers = |r: &RunReport| -> Vec<WorkerPhase> {
+                r.phases.iter().flat_map(|p| p.per_worker.clone()).collect()
+            };
+            assert_eq!(workers(&out.report), workers(&clean.report), "{how}");
         }
     }
 }

@@ -12,7 +12,7 @@ use inferturbo::common::Xoshiro256;
 use inferturbo::core::models::gas_impl::{LayerView, GAT_LEAKY_SLOPE};
 use inferturbo::core::models::{matvec_acc, GnnModel};
 use inferturbo::core::{AggState, EdgeCtx, GasLayer, NodeCtx};
-use inferturbo::pregel::RowsIn;
+use inferturbo::pregel::{LentRows, RowsIn};
 use std::borrow::Cow;
 
 /// The receiver-side GAT update over raw (unprojected) in-messages.
@@ -146,7 +146,7 @@ fn gather_in_segments<'a>(
             0 => {
                 let len = 1 + rng.below((n - i) as u64) as usize;
                 let data = &flat[i * dim..(i + len) * dim];
-                layer.gather_rows(&mut agg, RowsIn::Rows { dim, data });
+                layer.gather_rows(&mut agg, RowsIn::Rows(LentRows::flat(dim, data)));
                 kinds.lent_spans += 1;
                 i += len;
             }
@@ -328,13 +328,7 @@ fn flat_union_counts_rows_and_merges_in_delivery_order() {
     let table = row(2);
     let mut left = layer.init_agg();
     assert_eq!(left.count(), 0);
-    layer.gather_rows(
-        &mut left,
-        RowsIn::Rows {
-            dim: 4,
-            data: &inbox,
-        },
-    );
+    layer.gather_rows(&mut left, RowsIn::Rows(LentRows::flat(4, &inbox)));
     let mut right = layer.init_agg();
     layer.gather_row(&mut right, &table, 1);
     for k in 3..5 {
@@ -345,19 +339,22 @@ fn flat_union_counts_rows_and_merges_in_delivery_order() {
     let want = AggState::Union {
         dim: 4,
         segs: vec![
-            Cow::Borrowed(&inbox[..]),
+            Cow::Borrowed(&inbox[..4]),
+            Cow::Borrowed(&inbox[4..]),
             Cow::Borrowed(&table[..]),
             Cow::Owned(row(3)),
             Cow::Owned(row(4)),
         ],
     };
     assert_eq!(left, want);
-    // The lent segments are the lenders' own lanes, not copies.
+    // The lent segments are the lenders' own lanes, not copies: each
+    // lent row is a segment of its own.
     let AggState::Union { segs, .. } = &left else {
         panic!("GAT gathers a union");
     };
     assert!(matches!(&segs[0], Cow::Borrowed(s) if s.as_ptr() == inbox.as_ptr()));
-    assert!(matches!(&segs[1], Cow::Borrowed(s) if s.as_ptr() == table.as_ptr()));
+    assert!(matches!(&segs[1], Cow::Borrowed(s) if s.as_ptr() == inbox[4..].as_ptr()));
+    assert!(matches!(&segs[2], Cow::Borrowed(s) if s.as_ptr() == table.as_ptr()));
     // Merging the identity changes nothing.
     let before = left.clone();
     layer.merge_agg(&mut left, layer.init_agg());

@@ -39,8 +39,8 @@ use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::obs::TraceHandle;
 use inferturbo::pregel::{
-    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, PregelLayout, Route,
-    RowsIn, VertexProgram,
+    FusedAggregator, Inbox, LentRows, MessageLayout, Outbox, PregelConfig, PregelEngine,
+    PregelLayout, Route, RowsIn, VertexProgram,
 };
 
 fn graph(skew: DegreeSkew) -> Graph {
@@ -188,10 +188,7 @@ fn oracle(model: &GnnModel, g: &Graph, strategy: StrategyConfig, workers: usize)
                         acc: &merged[i].0,
                         count: merged[i].1,
                     },
-                    None => RowsIn::Rows {
-                        dim,
-                        data: &delivered[i],
-                    },
+                    None => RowsIn::Rows(LentRows::flat(dim, &delivered[i])),
                 };
                 layer.gather_rows(&mut agg, inbox);
                 let ctx = NodeCtx {
@@ -414,9 +411,9 @@ impl<'l> VertexProgram for Probe<'l> {
     ) -> Result<()> {
         if step == 1 {
             let (lanes, count) = match inbox.rows {
-                RowsIn::Rows { data, .. } => (data, inbox.rows.count() as u32),
-                RowsIn::Fused { acc, count, .. } if count > 0 => (acc, count),
-                _ => (&[][..], 0),
+                RowsIn::Rows(rows) => (rows.to_vec(), rows.len() as u32),
+                RowsIn::Fused { acc, count, .. } if count > 0 => (acc.to_vec(), count),
+                _ => (Vec::new(), 0),
             };
             state.got = lanes.iter().map(|x| x.to_bits()).collect();
             state.count = count;

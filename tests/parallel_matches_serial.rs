@@ -144,8 +144,8 @@ impl VertexProgram for ColSum {
         }
         let mut acc: Vec<f32> = Vec::new();
         match inbox.rows {
-            RowsIn::Rows { dim, data } => {
-                for chunk in data.chunks_exact(dim) {
+            RowsIn::Rows(rows) => {
+                for chunk in rows.iter() {
                     if acc.is_empty() {
                         acc.extend_from_slice(chunk);
                     } else {
