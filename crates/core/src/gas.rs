@@ -30,7 +30,8 @@
 //! itself: GAT's destination attention needs the node's own `W·h`, which
 //! is the row it scattered one step earlier, kept and lent back to
 //! `apply_node` as [`NodeCtx::own_msg`]. The receiver gathers its rows
-//! where they lie ([`AggState::Union`] is a list of lent segments).
+//! where they lie ([`AggState::Union`] is a list of rows, one per message,
+//! each lent where it lies unless its caller handed it over).
 //! `Backend::Reference` deliberately keeps calling `apply_edge` once per
 //! *edge*: it is the oracle the backends are compared against, so it
 //! shares the kernels but none of the once-per-node data flow.
@@ -117,16 +118,17 @@ pub enum AggState<'a> {
     /// partials).
     Pooled { acc: Cow<'a, [f32]>, count: u32 },
     /// Unreduced union of messages in delivery order (layers whose reduce
-    /// breaks the commutative/associative rule, e.g. GAT attention): a
-    /// list of *lent segments*, each a whole number of `dim`-wide rows and
-    /// each row an `apply_edge` output — for GAT the already-projected
-    /// `W·h_src`. Nothing is copied to gather: a vertex's materialized
-    /// inbox rows are one borrowed segment, a broadcast ref's payload one
-    /// borrowed row of the broadcast table; a segment is owned only when
-    /// its caller handed the message over ([`GasLayer::aggregate`]).
+    /// breaks the commutative/associative rule, e.g. GAT attention): one
+    /// entry per message, each a `dim`-wide `apply_edge` output — for GAT
+    /// the already-projected `W·h_src`. Nothing is copied to gather: a
+    /// materialized inbox row, a broadcast ref's payload in the broadcast
+    /// table, a MapReduce shuffle row are each lent where they lie; a row
+    /// is owned only when its caller handed the message over
+    /// ([`GasLayer::aggregate`]). The list is sized once, to the message
+    /// count the caller passes [`GasLayer::init_agg`].
     Union {
         dim: usize,
-        segs: Vec<Cow<'a, [f32]>>,
+        rows: Vec<Cow<'a, [f32]>>,
     },
 }
 
@@ -136,10 +138,8 @@ impl AggState<'_> {
         match self {
             AggState::Pooled { count, .. } => *count,
             // Zero-width rows carry nothing to count.
-            AggState::Union { dim, segs } => {
-                let lanes: usize = segs.iter().map(|s| s.len()).sum();
-                lanes.checked_div(*dim).unwrap_or(0) as u32
-            }
+            AggState::Union { dim: 0, .. } => 0,
+            AggState::Union { rows, .. } => rows.len() as u32,
         }
     }
 }
@@ -150,8 +150,12 @@ impl AggState<'_> {
 pub trait GasLayer {
     fn annotations(&self) -> LayerAnnotations;
 
-    /// The identity aggregate.
-    fn init_agg<'a>(&self) -> AggState<'a>;
+    /// The identity aggregate, for a gather of `n_msgs` messages — the
+    /// count the caller already knows (the inbox's length, the shuffle
+    /// group's size, the in-degree). A union reserves exactly that many
+    /// rows, so gathering them never regrows its list; a pooled aggregate
+    /// ignores it.
+    fn init_agg<'a>(&self, n_msgs: usize) -> AggState<'a>;
 
     /// Fold one raw message (an `apply_edge` output) into the aggregate.
     fn aggregate(&self, acc: &mut AggState<'_>, msg: Vec<f32>);
@@ -166,16 +170,30 @@ pub trait GasLayer {
     /// vertex step allocates no embedding of its own.
     fn apply_node(&self, node: &NodeCtx<'_>, agg: AggState<'_>, out: &mut Vec<f32>);
 
-    /// Produce the message sent along one out-edge from the updated state.
-    fn apply_edge(&self, state: &[f32], edge: &EdgeCtx<'_>) -> Vec<f32>;
-
-    /// [`GasLayer::apply_edge`] for a caller that only reads the message
-    /// (a scatter copying it into a row spool): a layer whose message *is*
-    /// the state lends it instead of allocating a copy. Same lanes, bit
-    /// for bit, as `apply_edge`.
-    fn edge_row<'s>(&self, state: &'s [f32], edge: &EdgeCtx<'_>) -> Cow<'s, [f32]> {
-        Cow::Owned(self.apply_edge(state, edge))
+    /// Produce the message sent along one out-edge from the updated state,
+    /// as a buffer of its own: [`GasLayer::edge_row`] on a fresh buffer,
+    /// which is handed over as written (a lent `state` is copied).
+    fn apply_edge(&self, state: &[f32], edge: &EdgeCtx<'_>) -> Vec<f32> {
+        let mut buf = Vec::new();
+        let row = self.edge_row(state, edge, &mut buf);
+        if std::ptr::eq(row, state) {
+            return state.to_vec();
+        }
+        buf
     }
+
+    /// The message sent along one out-edge from the updated state, for a
+    /// caller that only reads it (a scatter copying it into a row spool)
+    /// or keeps it where it chooses: a layer whose message *is* the state
+    /// lends `state`; any other writes it into `buf` (cleared first) and
+    /// lends that — a caller that hands in the same buffer every step, a
+    /// vertex's kept own message or a worker's spare, allocates once.
+    fn edge_row<'s>(
+        &self,
+        state: &'s [f32],
+        edge: &EdgeCtx<'_>,
+        buf: &'s mut Vec<f32>,
+    ) -> &'s [f32];
 
     /// Cost-model estimate: FLOPs for one `apply_node` given the number of
     /// gathered messages.

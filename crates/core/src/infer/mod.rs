@@ -81,7 +81,7 @@ pub(crate) fn reference_logits(
         let layer = model.layer_view(l);
         let mut next = Vec::with_capacity(n);
         for v in 0..n as u32 {
-            let mut agg = layer.init_agg();
+            let mut agg = layer.init_agg(in_deg[v as usize] as usize);
             for (u, e) in in_csr.neighbors_with_edges(v) {
                 let msg = layer.apply_edge(
                     &h[u as usize],

@@ -153,7 +153,8 @@ fn mr_partition(key: u64, n: usize) -> usize {
 /// messages ride the batch engine's columnar plane as fixed-width rows (one
 /// `memcpy` per edge, fused into per-key partials at the sender when the
 /// layer's aggregate is associative). Hub broadcasts and their refs ride
-/// the typed record plane — they are variable-width control traffic.
+/// the typed record plane — they are variable-width control traffic. A
+/// layer that writes its message writes it into `buf`, the worker's spare.
 #[allow(clippy::too_many_arguments)]
 fn scatter_rows(
     model: &GnnModel,
@@ -168,6 +169,7 @@ fn scatter_rows(
     ctx: &mut PhaseCtx,
     emit: &mut Vec<(u64, MrRecord)>,
     sink: &mut RowSink<'_>,
+    buf: &mut Vec<f32>,
 ) {
     if out_targets.is_empty() {
         return;
@@ -179,10 +181,11 @@ fn scatter_rows(
             src_out_degree: out_deg,
             edge_feat: &[],
         },
+        buf,
     );
     ctx.add_flops(layer.flops_apply_edge());
     if strategy.broadcast && out_deg as u64 > bc_threshold && layer.annotations().uniform_message {
-        let msg = layer.make_wire(raw.into_owned(), strategy.partial_gather);
+        let msg = layer.make_wire(raw.to_vec(), strategy.partial_gather);
         for w in 0..workers {
             emit.push((
                 w as u64,
@@ -197,7 +200,7 @@ fn scatter_rows(
         }
     } else {
         for &t in out_targets {
-            sink.send_row(t, &raw);
+            sink.send_row(t, raw);
         }
     }
 }
@@ -283,10 +286,12 @@ pub(crate) fn run_planned(
         &inputs,
         dim_of(0),
         |_w| {
-            |ctx: &mut PhaseCtx,
-             rec: &&NodeRecord,
-             sink: &mut RowSink<'_>,
-             emit: &mut Vec<(u64, MrRecord)>| {
+            // The worker's spare message row.
+            let mut buf = Vec::new();
+            move |ctx: &mut PhaseCtx,
+                  rec: &&NodeRecord,
+                  sink: &mut RowSink<'_>,
+                  emit: &mut Vec<(u64, MrRecord)>| {
                 // h⁰ = raw features (initialisation step), or the fresh
                 // features a serving caller handed to this run.
                 let h0 = match features {
@@ -306,6 +311,7 @@ pub(crate) fn run_planned(
                     ctx,
                     emit,
                     sink,
+                    &mut buf,
                 );
                 emit.push((
                     rec.wire,
@@ -334,6 +340,8 @@ pub(crate) fn run_planned(
             // The worker's spare embedding row: `apply_node` writes into
             // it, then it trades places with the key's retired `h`.
             let mut spare: Vec<f32> = Vec::new();
+            // The worker's spare message row, for layers that write one.
+            let mut msg_buf: Vec<f32> = Vec::new();
             move |ctx: &mut PhaseCtx,
                   key: u64,
                   values: &mut Vec<MrRecord>,
@@ -353,7 +361,9 @@ pub(crate) fn run_planned(
                     return Ok(());
                 }
                 let layer = model.layer_view(layer_idx);
-                let mut agg = layer.init_agg();
+                // A union takes one entry per row and per record but the
+                // self-state: its list is sized once, one slot to spare.
+                let mut agg = layer.init_agg(view.n_rows() + values.len());
                 let mut self_at = None;
                 // Columnar half first: rows fold with their counts — under
                 // partial-gather the engine has already combined the key's
@@ -426,6 +436,7 @@ pub(crate) fn run_planned(
                         ctx,
                         emit,
                         sink,
+                        &mut msg_buf,
                     );
                     emit.push((
                         key,

@@ -23,19 +23,22 @@
 //! pre-resolved routes ([`Outbox::scatter_row`]). The engine's routing
 //! loop then does the per-edge work: a fused layer folds the row straight
 //! into each destination's accumulator (no copy of the row per edge at
-//! all), a materialized layer (GAT) copies it into each destination's
-//! shard; neither looks an id up. Broadcast refs are 8-byte
-//! variable-length control messages and ride the typed plane, addressed
-//! by route the same way: a hub spools one ref with its span of routes
-//! ([`Outbox::scatter`]). The program's one kernel
+//! all); a materialized layer (GAT) writes the row once per span into its
+//! sender worker's row table and gives each edge an 8-byte
+//! `(slot, table row)` reference; neither looks an id up. Broadcast refs
+//! are 8-byte variable-length control messages and ride the typed plane,
+//! addressed by route the same way: a hub spools one ref with its span of
+//! routes ([`Outbox::scatter`]). The program's one kernel
 //! ([`VertexProgram::compute`]) reads both halves of a vertex's [`Inbox`]
 //! and gathers them with the same [`GasLayer`] kernels where they lie — a
-//! union layer's inbox rows as one lent segment, a ref's payload by
-//! borrow from the broadcast table; a ref that resolves to nothing fails
-//! the superstep with the same [`Error::InvalidGraph`] the MapReduce
-//! reducer returns. A layer whose `apply_node` reads the node's own
-//! message (GAT's destination attention) gets back the row the vertex
-//! scattered one step earlier instead of recomputing it.
+//! union layer takes each inbox row, lent from its sender's table, and
+//! each ref's payload, lent from the broadcast table, as one entry of a
+//! list sized once to the inbox's message count; a ref that resolves to
+//! nothing fails the superstep with the same [`Error::InvalidGraph`] the
+//! MapReduce reducer returns. A layer whose `apply_node` reads the node's
+//! own message (GAT's destination attention) gets back the row the vertex
+//! scattered one step earlier instead of recomputing it, and the next
+//! scatter writes the new message into that same buffer.
 //!
 //! Where the graph lives: `plan_layout` turns the planned records into a
 //! [`PregelLayout`] once, at plan time — placement, the id index, and
@@ -95,10 +98,12 @@ enum Kept {
     /// The message the vertex scattered in its latest step — its own
     /// `apply_edge` output, lent back as [`NodeCtx::own_msg`] at the next
     /// apply — for layers that read it
-    /// ([`crate::LayerAnnotations::reads_own_msg`]).
-    OwnMsg(Box<[f32]>),
+    /// ([`crate::LayerAnnotations::reads_own_msg`]). Once read, the buffer
+    /// is where the next scatter writes the vertex's next message, so a
+    /// vertex allocates it once per run.
+    OwnMsg(Vec<f32>),
     /// The prediction head's output, after the last layer.
-    Logits(Box<[f32]>),
+    Logits(Vec<f32>),
 }
 
 impl Kept {
@@ -134,12 +139,17 @@ pub struct GnnVertexProgram<'m> {
 }
 
 impl<'m> GnnVertexProgram<'m> {
+    /// Scatter layer `layer_idx`'s message from the vertex's current
+    /// embedding. A layer that writes its message does so into `own` — the
+    /// buffer the vertex's previous message was kept in, empty at first —
+    /// and a layer that reads its own message keeps it there.
     fn scatter(
         &self,
         layer_idx: usize,
         vertex: u64,
         state: &mut GnnVertexState<'_>,
         out: &mut Outbox<GnnMessage>,
+        mut own: Vec<f32>,
     ) {
         if state.edges.is_empty() {
             return;
@@ -152,6 +162,7 @@ impl<'m> GnnVertexProgram<'m> {
                 src_out_degree: state.out_deg,
                 edge_feat: &[],
             },
+            &mut own,
         );
         out.add_flops(layer.flops_apply_edge());
         let hub = self.strategy.broadcast
@@ -165,10 +176,10 @@ impl<'m> GnnVertexProgram<'m> {
         } else {
             // Columnar plane: the row enters the spool once, with the
             // vertex's whole span of routes.
-            out.scatter_row(state.edges, &row);
+            out.scatter_row(state.edges, row);
         }
         if annotations.reads_own_msg {
-            state.kept = Kept::OwnMsg(row.into_owned().into_boxed_slice());
+            state.kept = Kept::OwnMsg(own);
         }
     }
 }
@@ -188,23 +199,23 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         if step == 0 {
             // Initialisation superstep: raw features are h⁰, scattered
             // from where they lie.
-            self.scatter(0, vertex, state, out);
+            self.scatter(0, vertex, state, out, Vec::new());
             return Ok(());
         }
         debug_assert!(step <= self.k, "superstep beyond layer count");
         let layer = self.model.layer_view(step - 1);
-        let mut agg = layer.init_agg();
         let n_msgs = inbox.messages.len() + inbox.rows.count();
+        let mut agg = layer.init_agg(n_msgs);
         layer.gather_rows(&mut agg, inbox.rows);
         for msg in inbox.messages {
             layer.gather_wire(&mut agg, msg, inbox.broadcast)?;
         }
         let gathered = agg.count() as usize;
         // Last step's message is read here for the last time: the next
-        // scatter (if any) keeps its own.
+        // scatter (if any) writes its own into the same buffer.
         let own = match std::mem::take(&mut state.kept) {
             Kept::OwnMsg(own) => own,
-            _ => Box::default(),
+            _ => Vec::new(),
         };
         let ctx = NodeCtx {
             id: vertex,
@@ -222,10 +233,10 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
             layer.flops_apply_node(gathered) + n_msgs as f64 * layer.flops_aggregate_per_message(),
         );
         if step == self.k {
-            state.kept = Kept::Logits(self.model.apply_head(&state.h).into_boxed_slice());
+            state.kept = Kept::Logits(self.model.apply_head(&state.h));
             out.add_flops(self.model.flops_head());
         } else {
-            self.scatter(step, vertex, state, out);
+            self.scatter(step, vertex, state, out, own);
         }
         Ok(())
     }
@@ -292,6 +303,32 @@ pub(crate) fn run_planned<'g>(
     trace: TraceHandle,
     scratch: ScratchPool<GnnMessage>,
 ) -> Result<(InferenceOutput, ScratchPool<GnnMessage>)> {
+    let k = plan.model.n_layers();
+    let mut engine = engine_for(plan, features, trace)?;
+    engine.set_scratch(scratch);
+    engine.run(k + 1)?;
+    let scratch = engine.take_scratch();
+
+    let mut logits: Vec<Option<Vec<f32>>> = vec![None; plan.graph.n_nodes()];
+    let report = engine.finish(|id, state| {
+        if let (0, Kept::Logits(l)) = (mirror_of(id), state.kept) {
+            logits[base_of(id) as usize] = Some(l);
+        }
+    });
+    let logits: Vec<Vec<f32>> = logits
+        .into_iter()
+        .enumerate()
+        .map(|(v, l)| l.ok_or_else(|| Error::InvalidGraph(format!("node {v} missing logits"))))
+        .collect::<Result<_>>()?;
+    Ok((InferenceOutput { logits, report }, scratch))
+}
+
+/// The engine for one planned run, every vertex loaded and nothing run.
+fn engine_for<'g>(
+    plan: &'g InferencePlan<'_>,
+    features: Option<&'g [Vec<f32>]>,
+    trace: TraceHandle,
+) -> Result<PregelEngine<GnnVertexProgram<'g>>> {
     let layout = plan
         .layout
         .as_ref()
@@ -332,21 +369,61 @@ pub(crate) fn run_planned<'g>(
             out_deg: rec.out_deg,
         }
     });
-    let mut engine = PregelEngine::with_layout(program, config, Arc::clone(layout), states)?;
-    engine.set_scratch(scratch);
-    engine.run(k + 1)?;
-    let scratch = engine.take_scratch();
+    PregelEngine::with_layout(program, config, Arc::clone(layout), states)
+}
 
-    let mut logits: Vec<Option<Vec<f32>>> = vec![None; plan.graph.n_nodes()];
-    let report = engine.finish(|id, state| {
-        if let (0, Kept::Logits(l)) = (mirror_of(id), state.kept) {
-            logits[base_of(id) as usize] = Some(l.into_vec());
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::{Backend, InferenceSession};
+    use inferturbo_cluster::ClusterSpec;
+    use inferturbo_graph::gen::{generate, GenConfig};
+
+    /// A GAT vertex writes each layer's `W·h` into the buffer its previous
+    /// one was kept in: across the three layers of a plan, every kept own
+    /// message stays at the address its first scatter allocated.
+    #[test]
+    fn a_gat_vertex_keeps_one_own_message_buffer_across_layers() {
+        let graph = generate(&GenConfig {
+            n_nodes: 80,
+            n_edges: 400,
+            feat_dim: 5,
+            classes: 3,
+            seed: 31,
+            ..GenConfig::default()
+        });
+        let model = GnnModel::gat(5, 8, 2, 3, 3, false, 4);
+        let plan = InferenceSession::builder()
+            .model(&model)
+            .graph(&graph)
+            .pregel_spec(ClusterSpec::pregel_cluster(4))
+            .strategy(StrategyConfig::none())
+            .backend(Backend::Pregel)
+            .plan()
+            .unwrap();
+        let mut engine = engine_for(&plan, None, TraceHandle::disabled()).unwrap();
+        let kept = |engine: &PregelEngine<GnnVertexProgram<'_>>| {
+            let mut own = Vec::new();
+            engine.for_each_state(|id, state| {
+                if let Kept::OwnMsg(v) = &state.kept {
+                    assert_eq!(v.len(), 8, "vertex {id} keeps one W·h");
+                    own.push((id, v.as_ptr()));
+                }
+            });
+            own
+        };
+        // Superstep 0 scatters layer 0's message from every vertex with
+        // out-edges; supersteps 1 and 2 apply a layer and scatter the next.
+        engine.run(1).unwrap();
+        let first = kept(&engine);
+        let senders = plan.records.iter().filter(|r| !r.out_targets.is_empty());
+        assert_eq!(first.len(), senders.count());
+        for step in 1..3 {
+            engine.run(1).unwrap();
+            assert_eq!(kept(&engine), first, "superstep {step}");
         }
-    });
-    let logits: Vec<Vec<f32>> = logits
-        .into_iter()
-        .enumerate()
-        .map(|(v, l)| l.ok_or_else(|| Error::InvalidGraph(format!("node {v} missing logits"))))
-        .collect::<Result<_>>()?;
-    Ok((InferenceOutput { logits, report }, scratch))
+        // The last superstep keeps logits in the slot instead.
+        engine.run(1).unwrap();
+        assert!(kept(&engine).is_empty());
+    }
 }

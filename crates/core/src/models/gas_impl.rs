@@ -64,15 +64,15 @@ impl<'m> LayerView<'m> {
     /// Fold one row — a partial aggregate over `count` raw messages, or a
     /// raw message when `count == 1` — into the gather aggregate. A pooled
     /// aggregate takes its first row as it comes (a borrowed row is lent,
-    /// an owned one moved in) and folds the rest; a union appends it as a
-    /// segment, lent or owned as it came.
+    /// an owned one moved in) and folds the rest; a union appends it as an
+    /// entry of its own, lent or owned as it came.
     fn gather<'a>(&self, agg: &mut AggState<'a>, row: Cow<'a, [f32]>, count: u32) {
         match (self.pool_op(), agg) {
             (Some(op), AggState::Pooled { acc, count: c }) => pooled_fold(op, acc, c, row, count),
-            (None, AggState::Union { dim, segs }) => {
+            (None, AggState::Union { dim, rows }) => {
                 debug_assert_eq!(count, 1, "union layers never see partial rows");
                 debug_assert_eq!(row.len(), *dim, "union row width mismatch");
-                segs.push(row);
+                rows.push(row);
             }
             _ => debug_assert!(false, "gather on mismatched AggState"),
         }
@@ -85,7 +85,7 @@ impl<'m> LayerView<'m> {
     }
 
     /// Fold the columnar half of a vertex inbox into the gather aggregate:
-    /// a union takes each lent row as a segment of its own, a pooled
+    /// a union takes each lent row as an entry of its own, a pooled
     /// aggregate folds them one by one in delivery order; a fused
     /// accumulator — the engine's merged row, already the gather result
     /// when nothing else arrives — is one pre-reduced partial, read where
@@ -93,9 +93,9 @@ impl<'m> LayerView<'m> {
     pub fn gather_rows<'a>(&self, agg: &mut AggState<'a>, rows: RowsIn<'a>) {
         match (rows, agg) {
             (RowsIn::None, _) => {}
-            (RowsIn::Rows(rows), AggState::Union { dim, segs }) => {
-                debug_assert!(rows.is_empty() || rows.dim() == *dim, "union row width");
-                segs.extend(rows.iter().map(Cow::Borrowed));
+            (RowsIn::Rows(lent), AggState::Union { dim, rows }) => {
+                debug_assert!(lent.is_empty() || lent.dim() == *dim, "union row width");
+                rows.extend(lent.iter().map(Cow::Borrowed));
             }
             (RowsIn::Rows(rows), agg) => {
                 for row in rows.iter() {
@@ -170,7 +170,7 @@ impl GasLayer for LayerView<'_> {
         }
     }
 
-    fn init_agg<'a>(&self) -> AggState<'a> {
+    fn init_agg<'a>(&self, n_msgs: usize) -> AggState<'a> {
         match self.pool_op() {
             Some(_) => AggState::Pooled {
                 acc: Cow::Borrowed(&[]),
@@ -178,7 +178,7 @@ impl GasLayer for LayerView<'_> {
             },
             None => AggState::Union {
                 dim: self.msg_dim(),
-                segs: Vec::new(),
+                rows: Vec::with_capacity(n_msgs),
             },
         }
     }
@@ -195,8 +195,8 @@ impl GasLayer for LayerView<'_> {
                     self.gather(acc, other, count);
                 }
             }
-            (AggState::Union { segs, .. }, AggState::Union { segs: other, .. }) => {
-                segs.extend(other)
+            (AggState::Union { rows, .. }, AggState::Union { rows: other, .. }) => {
+                rows.extend(other)
             }
             _ => debug_assert!(false, "merge_agg on mismatched AggState"),
         }
@@ -249,105 +249,51 @@ impl GasLayer for LayerView<'_> {
             }
             LayerKind::Gat { heads } => {
                 // Gathered rows are `apply_edge` outputs: already W·h_src,
-                // walked where they lie — collected once per vertex.
-                let (dim, segs) = match agg {
-                    AggState::Union { dim, segs } => (dim, segs),
+                // one entry per message, walked where they lie.
+                let rows = match agg {
+                    AggState::Union { dim, rows } => {
+                        debug_assert_eq!(dim, lp.out_dim, "GAT gathers projected rows");
+                        rows
+                    }
                     // itlint::allow(panic-in-lib): init_agg and apply_node dispatch on the same LayerView, so the agg variant always matches the layer kind
                     AggState::Pooled { .. } => unreachable!("GAT aggregates by union"),
                 };
-                debug_assert_eq!(dim, lp.out_dim, "GAT gathers projected rows");
-                let whs: Vec<&[f32]> = match dim {
-                    0 => Vec::new(),
-                    _ => segs.iter().flat_map(|s| s.chunks_exact(dim)).collect(),
-                };
-                // itlint::allow(panic-in-lib): Gat layer constructors always populate a_src
-                let a_src = params.get(lp.a_src.expect("GAT has a_src"));
-                // itlint::allow(panic-in-lib): Gat layer constructors always populate a_dst
-                let a_dst = params.get(lp.a_dst.expect("GAT has a_dst"));
-                let dh = lp.out_dim / heads;
-
-                if !whs.is_empty() {
-                    // dst attention from the node's own transformed state:
-                    // the row it shipped, when the backend lends it back
-                    let mut wh_self = Vec::new();
-                    let own = if node.own_msg.is_empty() {
-                        wh_self.resize(lp.out_dim, 0.0);
-                        matvec_acc(params.get(lp.w), node.state, &mut wh_self);
-                        &wh_self
-                    } else {
-                        debug_assert_eq!(node.own_msg.len(), lp.out_dim, "own message width");
-                        node.own_msg
-                    };
-                    let dst_attn: Vec<f32> = (0..heads)
-                        .map(|h| {
-                            let lo = h * dh;
-                            own[lo..lo + dh]
-                                .iter()
-                                .zip(&a_dst.row(0)[lo..lo + dh])
-                                .map(|(x, a)| x * a)
-                                .sum()
-                        })
-                        .collect();
-
-                    // per-head attention logits, head-major
-                    let n_msgs = whs.len();
-                    let mut logits: Vec<f32> = Vec::with_capacity(n_msgs * heads);
-                    for (h, &d_attn) in dst_attn.iter().enumerate() {
-                        let lo = h * dh;
-                        for wh in &whs {
-                            let src_attn: f32 = wh[lo..lo + dh]
-                                .iter()
-                                .zip(&a_src.row(0)[lo..lo + dh])
-                                .map(|(x, a)| x * a)
-                                .sum();
-                            let e = src_attn + d_attn;
-                            logits.push(if e >= 0.0 { e } else { GAT_LEAKY_SLOPE * e });
-                        }
-                    }
-
-                    // per-head softmax over in-messages, each logit
-                    // overwritten by its weight exp(l − max) / denom, then
-                    // the weighted sum
-                    for (h, alphas) in logits.chunks_exact_mut(n_msgs).enumerate() {
-                        let max = alphas.iter().fold(f32::NEG_INFINITY, |m, &l| m.max(l));
-                        let mut denom = 0.0f32;
-                        for a in alphas.iter_mut() {
-                            *a = (*a - max).exp();
-                            denom += *a;
-                        }
-                        for a in alphas.iter_mut() {
-                            *a /= denom;
-                        }
-                        let lo = h * dh;
-                        attend(&mut out[lo..lo + dh], lo, &whs, alphas);
-                    }
+                if !rows.is_empty() && lp.out_dim > 0 {
+                    GAT_SCRATCH.with(|cell| {
+                        let (weights, wh_self) = &mut *cell.borrow_mut();
+                        gat_attention(self, node, heads, &rows, weights, wh_self, out);
+                    });
                 }
             }
         }
         lp.act.apply_slice(out);
     }
 
-    fn apply_edge(&self, state: &[f32], edge: &EdgeCtx<'_>) -> Vec<f32> {
-        self.edge_row(state, edge).into_owned()
-    }
-
-    fn edge_row<'s>(&self, state: &'s [f32], edge: &EdgeCtx<'_>) -> Cow<'s, [f32]> {
+    fn edge_row<'s>(
+        &self,
+        state: &'s [f32],
+        edge: &EdgeCtx<'_>,
+        buf: &'s mut Vec<f32>,
+    ) -> &'s [f32] {
         // Edge features are reserved for future layer variants (EdgeCtx
         // keeps the slot): every message depends on the source alone.
         let lp = self.lp();
         match lp.kind {
             LayerKind::Gcn => {
                 let s = 1.0 / ((edge.src_out_degree + 1) as f32).sqrt();
-                Cow::Owned(state.iter().map(|&x| x * s).collect())
+                buf.clear();
+                buf.extend(state.iter().map(|&x| x * s));
+                buf
             }
             // SAGE ships the raw embedding.
-            LayerKind::Sage(_) => Cow::Borrowed(state),
+            LayerKind::Sage(_) => state,
             // GAT ships the projection W·h, computed here once per source
             // instead of once per in-message at every receiver.
             LayerKind::Gat { .. } => {
-                let mut wh = vec![0.0f32; lp.out_dim];
-                matvec_acc(self.model.params.get(lp.w), state, &mut wh);
-                Cow::Owned(wh)
+                buf.clear();
+                buf.resize(lp.out_dim, 0.0);
+                matvec_acc(self.model.params.get(lp.w), state, buf);
+                buf
             }
         }
     }
@@ -379,11 +325,90 @@ impl GasLayer for LayerView<'_> {
     }
 }
 
+std::thread_local! {
+    /// GAT attention scratch reused across vertices and layers: one head's
+    /// logits, overwritten by their softmax weights, and the node's own
+    /// `W·h` when the backend does not lend it. Sized by the largest
+    /// in-degree and the widest layer a thread has seen, so a warm vertex
+    /// step allocates nothing here.
+    static GAT_SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =
+        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// GAT attention over the gathered projected rows `whs` (at least one),
+/// added onto `out` (which holds the bias): per head, the destination
+/// attention `a_dst · W·h_self`, every message's leaky logit, the softmax
+/// written over the logits in `weights`, then the weighted sum. Heads are
+/// independent, so walking them one at a time keeps every lane's
+/// operations, and their order, those of computing all logits first.
+fn gat_attention(
+    layer: &LayerView<'_>,
+    node: &NodeCtx<'_>,
+    heads: usize,
+    whs: &[Cow<'_, [f32]>],
+    weights: &mut Vec<f32>,
+    wh_self: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    let lp = layer.lp();
+    let params = &layer.model.params;
+    // itlint::allow(panic-in-lib): Gat layer constructors always populate a_src
+    let a_src = params.get(lp.a_src.expect("GAT has a_src")).row(0);
+    // itlint::allow(panic-in-lib): Gat layer constructors always populate a_dst
+    let a_dst = params.get(lp.a_dst.expect("GAT has a_dst")).row(0);
+    let dh = lp.out_dim / heads;
+    // dst attention from the node's own transformed state: the row it
+    // shipped, when the backend lends it back
+    let own = if node.own_msg.is_empty() {
+        wh_self.clear();
+        wh_self.resize(lp.out_dim, 0.0);
+        matvec_acc(params.get(lp.w), node.state, wh_self);
+        &wh_self[..]
+    } else {
+        debug_assert_eq!(node.own_msg.len(), lp.out_dim, "own message width");
+        node.own_msg
+    };
+    for h in 0..heads {
+        let lo = h * dh;
+        let d_attn: f32 = own[lo..lo + dh]
+            .iter()
+            .zip(&a_dst[lo..lo + dh])
+            .map(|(x, a)| x * a)
+            .sum();
+        weights.clear();
+        weights.extend(whs.iter().map(|wh| {
+            let src_attn: f32 = wh[lo..lo + dh]
+                .iter()
+                .zip(&a_src[lo..lo + dh])
+                .map(|(x, a)| x * a)
+                .sum();
+            let e = src_attn + d_attn;
+            if e >= 0.0 {
+                e
+            } else {
+                GAT_LEAKY_SLOPE * e
+            }
+        }));
+        // softmax over in-messages, each logit overwritten by its weight
+        // exp(l − max) / denom, then the weighted sum
+        let max = weights.iter().fold(f32::NEG_INFINITY, |m, &l| m.max(l));
+        let mut denom = 0.0f32;
+        for a in weights.iter_mut() {
+            *a = (*a - max).exp();
+            denom += *a;
+        }
+        for a in weights.iter_mut() {
+            *a /= denom;
+        }
+        attend(&mut out[lo..lo + dh], lo, whs, weights);
+    }
+}
+
 /// One GAT head's weighted sum, `out[k] += alphas[i] · whs[i][lo + k]`
 /// over the messages in delivery order: the head's output lanes are held in
 /// locals, a block at a time, across every message, so each lane sees
 /// exactly the scalar loop's additions in the scalar loop's order.
-fn attend(out: &mut [f32], lo: usize, whs: &[&[f32]], alphas: &[f32]) {
+fn attend(out: &mut [f32], lo: usize, whs: &[Cow<'_, [f32]>], alphas: &[f32]) {
     let k = attend_blocks::<32>(out, lo, whs, alphas, 0);
     let k = attend_blocks::<16>(out, lo, whs, alphas, k);
     let k = attend_blocks::<8>(out, lo, whs, alphas, k);
@@ -397,7 +422,7 @@ fn attend(out: &mut [f32], lo: usize, whs: &[&[f32]], alphas: &[f32]) {
 fn attend_blocks<const B: usize>(
     out: &mut [f32],
     lo: usize,
-    whs: &[&[f32]],
+    whs: &[Cow<'_, [f32]>],
     alphas: &[f32],
     from: usize,
 ) -> usize {
@@ -455,6 +480,8 @@ impl FusedAggregator for PoolRowAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inferturbo_pregel::LentRows;
+    use proptest::prelude::*;
 
     fn sage_model() -> GnnModel {
         GnnModel::sage(4, 6, 2, 3, false, PoolOp::Mean, 11)
@@ -474,7 +501,7 @@ mod tests {
     fn sage_mean_aggregation_matches_hand_computation() {
         let m = sage_model();
         let layer = m.layer_view(0);
-        let mut agg = layer.init_agg();
+        let mut agg = layer.init_agg(0);
         layer.aggregate(&mut agg, vec![1.0, 2.0, 3.0, 4.0]);
         layer.aggregate(&mut agg, vec![3.0, 2.0, 1.0, 0.0]);
         let node = NodeCtx {
@@ -519,7 +546,7 @@ mod tests {
 
         // The engine's merged accumulator is the aggregate: read in place,
         // mean's 1/count applied as the kernel reads each lane.
-        let mut agg = layer.init_agg();
+        let mut agg = layer.init_agg(0);
         layer.gather_rows(&mut agg, fused);
         assert!(matches!(
             &agg,
@@ -548,7 +575,7 @@ mod tests {
             acc: vec![1.0; 4],
             count: 2,
         };
-        let mut agg = layer.init_agg();
+        let mut agg = layer.init_agg(0);
         layer.gather_rows(&mut agg, fused);
         layer.gather_wire(&mut agg, &extra, &|_| None).unwrap();
         assert_eq!(
@@ -569,13 +596,13 @@ mod tests {
             .map(|i| (0..4).map(|j| ((i * 4 + j) as f32 * 0.37).sin()).collect())
             .collect();
         // sequential
-        let mut seq = layer.init_agg();
+        let mut seq = layer.init_agg(0);
         for msg in &msgs {
             layer.aggregate(&mut seq, msg.clone());
         }
         // split into two partials and merge
-        let mut p1 = layer.init_agg();
-        let mut p2 = layer.init_agg();
+        let mut p1 = layer.init_agg(0);
+        let mut p2 = layer.init_agg(0);
         for msg in &msgs[..3] {
             layer.aggregate(&mut p1, msg.clone());
         }
@@ -607,7 +634,7 @@ mod tests {
         };
         // A stale buffer is overwritten, not appended to.
         let mut out = vec![9.0; 2];
-        layer.apply_node(&node, layer.init_agg(), &mut out);
+        layer.apply_node(&node, layer.init_agg(0), &mut out);
         let mut want = m.params.get(m.layers[0].bias).row(0).to_vec();
         m.layers[0].act.apply_slice(&mut want);
         assert_eq!(out, want);
@@ -633,16 +660,91 @@ mod tests {
                 edge_feat: &[],
             },
         );
-        let mut one = layer.init_agg();
+        let mut one = layer.init_agg(1);
         layer.aggregate(&mut one, msg.clone());
         let (mut out_one, mut out_two) = (Vec::new(), Vec::new());
         layer.apply_node(&node, one, &mut out_one);
-        let mut two = layer.init_agg();
+        let mut two = layer.init_agg(2);
         layer.aggregate(&mut two, msg.clone());
         layer.aggregate(&mut two, msg.clone());
         layer.apply_node(&node, two, &mut out_two);
         for (a, b) in out_one.iter().zip(&out_two) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn a_union_sized_by_init_agg_gathers_without_regrowing() {
+        let m = GnnModel::gat(3, 4, 2, 1, 3, false, 7);
+        let layer = m.layer_view(0);
+        let row = |k: usize| -> Vec<f32> { (0..4).map(|c| (k * 4 + c) as f32).collect() };
+        let inbox: Vec<f32> = (0..3).flat_map(row).collect();
+        let table = row(3);
+        let wire = GnnMessage::Embedding(row(4));
+        // Every way a row reaches a union: three lent inbox rows, a lent
+        // table row, a typed message, two handed over and one merged in.
+        let n = 3 + 1 + 1 + 2 + 1;
+        let list = |agg: &AggState<'_>| match agg {
+            AggState::Union { rows, .. } => (rows.as_ptr() as usize, rows.capacity()),
+            AggState::Pooled { .. } => panic!("GAT gathers a union"),
+        };
+        let mut agg = layer.init_agg(n);
+        let sized = list(&agg);
+        assert_eq!(sized.1, n);
+        layer.gather_rows(&mut agg, RowsIn::Rows(LentRows::flat(4, &inbox)));
+        layer.gather_row(&mut agg, &table, 1);
+        layer.gather_wire(&mut agg, &wire, &|_| None).unwrap();
+        assert_eq!(list(&agg), sized);
+        layer.aggregate(&mut agg, row(5));
+        layer.aggregate(&mut agg, row(6));
+        let mut other = layer.init_agg(1);
+        layer.aggregate(&mut other, row(7));
+        layer.merge_agg(&mut agg, other);
+        assert_eq!(list(&agg), sized);
+        assert_eq!(agg.count() as usize, n);
+    }
+
+    proptest! {
+        /// `edge_row`'s contract over random states: its lanes are
+        /// `apply_edge`'s bit for bit whatever the buffer held before;
+        /// SAGE lends `state` itself and leaves the buffer alone; GCN and
+        /// GAT write into the buffer given, keeping its allocation when its
+        /// capacity suffices.
+        #[test]
+        fn prop_edge_row_lends_the_state_or_writes_in_place(
+            seed in any::<u64>(),
+            in_dim in 1usize..12,
+            heads in 1usize..4,
+            state in proptest::collection::vec(-8.0f32..8.0, 12),
+            stale in proptest::collection::vec(-1e3f32..1e3, 0..24),
+            src_out_degree in 0u32..100,
+        ) {
+            let state = &state[..in_dim];
+            let edge = EdgeCtx { src_out_degree, edge_feat: &[] };
+            let hidden = 4 * heads;
+            let models = [
+                ("gcn", GnnModel::gcn(in_dim, hidden, 1, 3, false, seed)),
+                ("sage", GnnModel::sage(in_dim, hidden, 1, 3, false, PoolOp::Max, seed)),
+                ("gat", GnnModel::gat(in_dim, hidden, heads, 1, 3, false, seed)),
+            ];
+            for (name, m) in &models {
+                let layer = m.layer_view(0);
+                let want: Vec<u32> = layer.apply_edge(state, &edge).iter().map(|x| x.to_bits()).collect();
+                let mut buf = stale.clone();
+                buf.reserve(want.len());
+                let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+                let row = layer.edge_row(state, &edge, &mut buf);
+                let got: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
+                let (lent, row_ptr) = (std::ptr::eq(row, state), row.as_ptr());
+                prop_assert_eq!(&got, &want, "{} lanes", name);
+                if *name == "sage" {
+                    prop_assert!(lent, "SAGE lends the state");
+                    prop_assert_eq!(&buf, &stale, "SAGE leaves the buffer alone");
+                } else {
+                    prop_assert_eq!(row_ptr, ptr, "{} writes into the buffer", name);
+                    prop_assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap), "{} keeps it", name);
+                }
+            }
         }
     }
 
@@ -674,7 +776,7 @@ mod tests {
             7 => Some(&nested),
             _ => None,
         };
-        let mut agg = layer.init_agg();
+        let mut agg = layer.init_agg(0);
         layer
             .gather_wire(&mut agg, &GnnMessage::Ref(42), &lookup)
             .unwrap();

@@ -48,8 +48,9 @@ for fig in fig12 fig13; do
     cargo run --offline --release -q -p inferturbo-bench --bin experiments -- --quick "$fig" >/dev/null
 done
 
-echo "== bash -n scripts/ab.sh (the paired parent/change runner parses) =="
+echo "== bash -n scripts/{ab,profile}.sh (the paired runner and the profiler parse) =="
 bash -n scripts/ab.sh
+bash -n scripts/profile.sh
 
 echo "== itbench unit tests =="
 # The benchmark is a package of its own (benchmark/Cargo.toml, empty

@@ -1,12 +1,14 @@
 //! GAT projects at the source (`apply_edge` returns `W·h`), gathers its
-//! in-messages as a union of lent segments, and may be handed its own
-//! projection back (`NodeCtx::own_msg`) instead of recomputing it. None of
-//! that may change a bit: this file keeps the receiver-side formula the
-//! layer used before — raw `h` rows, one `matvec_acc` per in-message and
-//! one for the node itself, the softmax `exp` evaluated once for the
-//! denominator and again for the weight — as a local reference, and holds
-//! `apply_node(apply_edge(..))` to it bit for bit, however the union is
-//! cut into segments and whether or not the own projection is given.
+//! in-messages as a union of rows lent where they lie, may be handed its
+//! own projection back (`NodeCtx::own_msg`) instead of recomputing it, and
+//! runs its attention in a per-thread scratch kept across vertices and
+//! layers. None of that may change a bit: this file keeps the
+//! receiver-side formula the layer used before — raw `h` rows, one
+//! `matvec_acc` per in-message and one for the node itself, the softmax
+//! `exp` evaluated once for the denominator and again for the weight — as
+//! a local reference, and holds `apply_node(apply_edge(..))` to it bit for
+//! bit, however the union's rows were delivered, whether or not the own
+//! projection is given, and whatever the scratch held before.
 
 use inferturbo::common::Xoshiro256;
 use inferturbo::core::models::gas_impl::{LayerView, GAT_LEAKY_SLOPE};
@@ -17,7 +19,18 @@ use std::borrow::Cow;
 
 /// The receiver-side GAT update over raw (unprojected) in-messages.
 fn receiver_side_gat(model: &GnnModel, heads: usize, state: &[f32], msgs: &[Vec<f32>]) -> Vec<f32> {
-    let lp = &model.layers[0];
+    receiver_side_gat_at(model, 0, heads, state, msgs)
+}
+
+/// [`receiver_side_gat`] for layer `layer` of `model`.
+fn receiver_side_gat_at(
+    model: &GnnModel,
+    layer: usize,
+    heads: usize,
+    state: &[f32],
+    msgs: &[Vec<f32>],
+) -> Vec<f32> {
+    let lp = &model.layers[layer];
     let params = &model.params;
     let w = params.get(lp.w);
     let a_src = params.get(lp.a_src.expect("GAT has a_src"));
@@ -118,7 +131,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Segments of each kind a segmented gather produced.
+/// Deliveries of each kind a segmented gather produced.
 #[derive(Default)]
 struct SegmentKinds {
     lent_spans: usize,
@@ -137,8 +150,8 @@ fn gather_in_segments<'a>(
     flat: &'a [f32],
     kinds: &mut SegmentKinds,
 ) -> AggState<'a> {
-    let mut agg = layer.init_agg();
     let n = flat.len() / dim;
+    let mut agg = layer.init_agg(n);
     let mut i = 0;
     while i < n {
         let row = &flat[i * dim..(i + 1) * dim];
@@ -205,7 +218,7 @@ fn source_side_projection_is_bit_identical_to_the_receiver_side_formula() {
                             let agg = if segmented {
                                 gather_in_segments(&layer, &mut rng, out_dim, &flat, &mut kinds)
                             } else {
-                                let mut agg = layer.init_agg();
+                                let mut agg = layer.init_agg(msgs.len());
                                 for m in &msgs {
                                     layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
                                 }
@@ -284,7 +297,7 @@ fn signed_zero_and_far_apart_logits_take_the_same_bits() {
     assert!(want.iter().all(|x| x.is_finite()));
     let own = layer.apply_edge(&state, &edge);
     for own_msg in [&[][..], &own[..]] {
-        let mut agg = layer.init_agg();
+        let mut agg = layer.init_agg(msgs.len());
         for m in &msgs {
             layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
         }
@@ -305,20 +318,21 @@ fn signed_zero_and_far_apart_logits_take_the_same_bits() {
     }
 }
 
-/// The union counts its rows across segments as one flat sequence, and a
-/// merge appends the other side's segments after its own.
+/// The union holds one row per entry and counts its entries, and a merge
+/// appends the other side's rows after its own.
 #[test]
 fn flat_union_counts_rows_and_merges_in_delivery_order() {
-    let union = |dim, segs: Vec<Cow<'static, [f32]>>| AggState::Union { dim, segs };
+    let union = |dim, rows: Vec<Cow<'static, [f32]>>| AggState::Union { dim, rows };
     assert_eq!(union(3, vec![]).count(), 0);
     static LENT: [f32; 6] = [0.0; 6];
-    let segs = vec![
-        Cow::Borrowed(&LENT[..]),
+    let rows = vec![
+        Cow::Borrowed(&LENT[..3]),
+        Cow::Borrowed(&LENT[3..]),
         Cow::Owned(vec![0.0; 3]),
         Cow::Borrowed(&LENT[..3]),
     ];
-    assert_eq!(union(3, segs).count(), 4);
-    // Zero-width rows: nothing to count, and no division by zero.
+    assert_eq!(union(3, rows).count(), 4);
+    // Zero-width rows: nothing to count.
     assert_eq!(union(0, vec![Cow::Borrowed(&[][..])]).count(), 0);
 
     let model = GnnModel::gat(3, 4, 2, 1, 3, false, 5);
@@ -326,10 +340,10 @@ fn flat_union_counts_rows_and_merges_in_delivery_order() {
     let row = |k: usize| -> Vec<f32> { (0..4).map(|c| (k * 10 + c) as f32).collect() };
     let inbox: Vec<f32> = (0..2).flat_map(row).collect();
     let table = row(2);
-    let mut left = layer.init_agg();
+    let mut left = layer.init_agg(2);
     assert_eq!(left.count(), 0);
     layer.gather_rows(&mut left, RowsIn::Rows(LentRows::flat(4, &inbox)));
-    let mut right = layer.init_agg();
+    let mut right = layer.init_agg(3);
     layer.gather_row(&mut right, &table, 1);
     for k in 3..5 {
         layer.aggregate(&mut right, row(k));
@@ -338,7 +352,7 @@ fn flat_union_counts_rows_and_merges_in_delivery_order() {
     assert_eq!(left.count(), 5);
     let want = AggState::Union {
         dim: 4,
-        segs: vec![
+        rows: vec![
             Cow::Borrowed(&inbox[..4]),
             Cow::Borrowed(&inbox[4..]),
             Cow::Borrowed(&table[..]),
@@ -347,16 +361,124 @@ fn flat_union_counts_rows_and_merges_in_delivery_order() {
         ],
     };
     assert_eq!(left, want);
-    // The lent segments are the lenders' own lanes, not copies: each
-    // lent row is a segment of its own.
-    let AggState::Union { segs, .. } = &left else {
+    // The lent rows are the lenders' own lanes, not copies: each inbox
+    // row is an entry of its own.
+    let AggState::Union { rows, .. } = &left else {
         panic!("GAT gathers a union");
     };
-    assert!(matches!(&segs[0], Cow::Borrowed(s) if s.as_ptr() == inbox.as_ptr()));
-    assert!(matches!(&segs[1], Cow::Borrowed(s) if s.as_ptr() == inbox[4..].as_ptr()));
-    assert!(matches!(&segs[2], Cow::Borrowed(s) if s.as_ptr() == table.as_ptr()));
+    assert!(matches!(&rows[0], Cow::Borrowed(s) if s.as_ptr() == inbox.as_ptr()));
+    assert!(matches!(&rows[1], Cow::Borrowed(s) if s.as_ptr() == inbox[4..].as_ptr()));
+    assert!(matches!(&rows[2], Cow::Borrowed(s) if s.as_ptr() == table.as_ptr()));
     // Merging the identity changes nothing.
     let before = left.clone();
-    layer.merge_agg(&mut left, layer.init_agg());
+    layer.merge_agg(&mut left, layer.init_agg(0));
     assert_eq!(left, before);
+}
+
+/// One `apply_node` call of the isolation schedule: a layer, its heads, and
+/// a node with its raw in-messages.
+struct ScheduledCall {
+    model: usize,
+    layer: usize,
+    heads: usize,
+    state: Vec<f32>,
+    msgs: Vec<Vec<f32>>,
+}
+
+/// Run `calls` in order on this thread, each through the source-side
+/// path twice — own projection recomputed, then given — and hold each to
+/// the receiver-side formula bit for bit.
+fn run_schedule(models: &[GnnModel], calls: &[ScheduledCall]) {
+    let edge = EdgeCtx {
+        src_out_degree: 2,
+        edge_feat: &[],
+    };
+    for (i, call) in calls.iter().enumerate() {
+        let model = &models[call.model];
+        let layer = model.layer_view(call.layer);
+        let want = receiver_side_gat_at(model, call.layer, call.heads, &call.state, &call.msgs);
+        let flat: Vec<f32> = call
+            .msgs
+            .iter()
+            .flat_map(|m| layer.apply_edge(m, &edge))
+            .collect();
+        let dim = layer.annotations().msg_dim;
+        let mut agg = layer.init_agg(call.msgs.len());
+        layer.gather_rows(&mut agg, RowsIn::Rows(LentRows::flat(dim, &flat)));
+        let own = layer.apply_edge(&call.state, &edge);
+        for own_msg in [&[][..], &own[..]] {
+            let node = NodeCtx {
+                id: i as u64,
+                state: &call.state,
+                in_degree: call.msgs.len() as u32,
+                out_degree: 2,
+                own_msg,
+            };
+            // A stale, wider output buffer is overwritten, not read.
+            let mut got = vec![f32::NAN; 3 * dim];
+            layer.apply_node(&node, agg.clone(), &mut got);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "call {i}: model {} layer {} with {} messages, own given {}",
+                call.model,
+                call.layer,
+                call.msgs.len(),
+                !own_msg.is_empty()
+            );
+        }
+    }
+}
+
+/// The attention scratch is kept per thread across vertices and layers: a
+/// call must never read what an earlier one left there. Two GAT models
+/// with different heads and widths interleave on one thread — a hub of
+/// 10k messages followed by one-message, few-message and message-less
+/// vertices, wide layers before narrow ones and back — and the same
+/// schedule runs on 1, 2 and 4 threads at once.
+#[test]
+fn attention_scratch_is_isolated_across_calls_layers_and_threads() {
+    // (in, hidden, heads): 4 heads × 16 lanes and 1 head × 6 lanes.
+    let models = [
+        GnnModel::gat(5, 64, 4, 2, 3, false, 0xA1),
+        GnnModel::gat(7, 6, 1, 2, 3, false, 0xB2),
+    ];
+    let heads = [4usize, 1];
+    let mut rng = Xoshiro256::seed_from_u64(0x5C7A);
+    let mut calls = Vec::new();
+    for &(model, layer, n_msgs) in &[
+        (0, 0, 10_000),
+        (1, 0, 1),
+        (0, 1, 5),
+        (1, 1, 0),
+        (0, 0, 0),
+        (1, 0, 10_000),
+        (0, 1, 1),
+        (1, 1, 7),
+        (0, 0, 3),
+        (1, 0, 2),
+    ] {
+        let lp = &models[model].layers[layer];
+        let inputs = if rng.chance(0.5) {
+            Inputs::Unit
+        } else {
+            Inputs::SignedZeros
+        };
+        calls.push(ScheduledCall {
+            model,
+            layer,
+            heads: heads[model],
+            state: draw_row(&mut rng, lp.in_dim, inputs),
+            msgs: (0..n_msgs)
+                .map(|_| draw_row(&mut rng, lp.in_dim, inputs))
+                .collect(),
+        });
+    }
+    for threads in [1usize, 2, 4] {
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| run_schedule(&models, &calls));
+            }
+        });
+    }
 }

@@ -181,7 +181,6 @@ fn oracle(model: &GnnModel, g: &Graph, strategy: StrategyConfig, workers: usize)
             .iter()
             .enumerate()
             .map(|(i, rec)| {
-                let mut agg = layer.init_agg();
                 let inbox = match pool {
                     Some(_) => RowsIn::Fused {
                         dim,
@@ -190,6 +189,7 @@ fn oracle(model: &GnnModel, g: &Graph, strategy: StrategyConfig, workers: usize)
                     },
                     None => RowsIn::Rows(LentRows::flat(dim, &delivered[i])),
                 };
+                let mut agg = layer.init_agg(inbox.count());
                 layer.gather_rows(&mut agg, inbox);
                 let ctx = NodeCtx {
                     id: rec.wire,
