@@ -705,11 +705,12 @@ mod tests {
     }
 
     proptest! {
-        /// `edge_row`'s contract over random states: its lanes are
-        /// `apply_edge`'s bit for bit whatever the buffer held before;
-        /// SAGE lends `state` itself and leaves the buffer alone; GCN and
-        /// GAT write into the buffer given, keeping its allocation when its
-        /// capacity suffices.
+        /// `edge_row`'s contract over random states: its lanes, and
+        /// `apply_edge`'s, are the message formula's bit for bit (GCN
+        /// `state · 1/sqrt(deg + 1)`, SAGE `state`, GAT `W·state` from a
+        /// zeroed row) whatever the buffer held before; SAGE lends `state`
+        /// itself and leaves the buffer alone; GCN and GAT write into the
+        /// buffer given, keeping its allocation when its capacity suffices.
         #[test]
         fn prop_edge_row_lends_the_state_or_writes_in_place(
             seed in any::<u64>(),
@@ -729,7 +730,22 @@ mod tests {
             ];
             for (name, m) in &models {
                 let layer = m.layer_view(0);
-                let want: Vec<u32> = layer.apply_edge(state, &edge).iter().map(|x| x.to_bits()).collect();
+                let lp = &m.layers[0];
+                let formula: Vec<f32> = match lp.kind {
+                    LayerKind::Gcn => {
+                        let s = 1.0 / ((src_out_degree + 1) as f32).sqrt();
+                        state.iter().map(|&x| x * s).collect()
+                    }
+                    LayerKind::Sage(_) => state.to_vec(),
+                    LayerKind::Gat { .. } => {
+                        let mut wh = vec![0.0; lp.out_dim];
+                        matvec_acc(m.params.get(lp.w), state, &mut wh);
+                        wh
+                    }
+                };
+                let want: Vec<u32> = formula.iter().map(|x| x.to_bits()).collect();
+                let provided: Vec<u32> = layer.apply_edge(state, &edge).iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(&provided, &want, "{} apply_edge lanes", name);
                 let mut buf = stale.clone();
                 buf.reserve(want.len());
                 let (ptr, cap) = (buf.as_ptr(), buf.capacity());

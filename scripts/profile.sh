@@ -4,14 +4,14 @@
 # `gprofng collect app` (binutils' sampling profiler; nothing to download)
 # and prints the top functions by exclusive and by inclusive samples.
 #
-#   scripts/profile.sh <workload> [--seed S] [--seconds S] [--runs N]
+#   scripts/profile.sh <workload> [--seed S] [--seconds S]
 #
 # --seed and --seconds pass through to `itbench run` (defaults: itbench's).
-# --runs collects N experiments one after another and reads them as one
-# (default 3): on a guest whose CPU-time timer gprofng cannot re-arm (it
-# then warns "Collection interval timer period was changed") each
-# experiment holds only tens of samples, so the sample count is printed
-# with the tables, which list the top 25 functions each.
+# Three experiments are collected one after another and read as one: on a
+# guest whose CPU-time timer gprofng cannot re-arm (it then warns
+# "Collection interval timer period was changed") each experiment holds
+# only tens of samples, so the sample count is printed with the tables,
+# which list the top 25 functions each.
 #
 # glibc's static internals (the allocator's `_int_malloc`, `_int_free`,
 # `malloc_consolidate`, the string routines, ...) cannot be named from a
@@ -41,7 +41,6 @@ pass=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --seed|--seconds) pass+=("$1" "$2"); shift 2 ;;
-        --runs) runs="$2"; shift 2 ;;
         *) echo "profile.sh: unknown argument $1" >&2; usage ;;
     esac
 done
