@@ -89,8 +89,8 @@
 //! aggregator, it just moves no fused bytes for that destination.
 //!
 //! Broadcast tables are control plane, not shuffle: they stay in-process
-//! at the barrier under every backend (the multi-host follow-on in
-//! ROADMAP direction 5 owns moving them).
+//! at the barrier under every backend (moving them belongs to the
+//! multi-host follow-on parked in ROADMAP.md).
 
 pub mod frame;
 mod spawn;

@@ -125,20 +125,8 @@ impl WireWriter {
         self.buf.put_u8(v);
     }
 
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
-    }
-
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
-    }
-
     pub fn put_f32(&mut self, v: f32) {
         self.buf.put_f32_le(v);
-    }
-
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
     }
 
     /// Raw f32 lanes, no length prefix: `v.len()` little-endian 4-byte
@@ -231,24 +219,9 @@ impl<'a> WireReader<'a> {
         Ok(self.buf.get_u8())
     }
 
-    pub fn get_u32(&mut self) -> Result<u32> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    pub fn get_u64(&mut self) -> Result<u64> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
     pub fn get_f32(&mut self) -> Result<f32> {
         self.need(4)?;
         Ok(self.buf.get_f32_le())
-    }
-
-    pub fn get_f64(&mut self) -> Result<f64> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
     }
 
     /// A varint that must fit `u32` (degrees, slots, counts): a peer that

@@ -72,12 +72,6 @@ impl Xoshiro256 {
         result
     }
 
-    /// Next 32-bit output (upper bits of the 64-bit stream).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {

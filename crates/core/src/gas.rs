@@ -17,21 +17,27 @@
 //!   sender-side combining (the partial-gather strategy).
 //! - `apply_node` — update the node state from its previous state and the
 //!   gathered aggregate.
-//! - `apply_edge` — turn the updated state (+ edge features) into the
-//!   message for an out-edge.
+//! - `apply_edge` — turn the updated state into the message for an
+//!   out-edge.
 //!
-//! A **message is an `apply_edge` output**, and whatever can be computed
-//! from the source alone is computed there: the paper's vertex "forwards
-//! the associated layer … and then sends the updated information via
-//! out-edges". For GAT that is the projection `W·h_src` — every built-in
-//! layer's message is uniform across a node's out-edges, so both backends
-//! call `apply_edge` once per *node* and copy the row per edge, and the
-//! receiver never re-projects. Nor, on the Pregel backend, does the node
-//! itself: GAT's destination attention needs the node's own `W·h`, which
-//! is the row it scattered one step earlier, kept and lent back to
-//! `apply_node` as [`NodeCtx::own_msg`]. The receiver gathers its rows
-//! where they lie ([`AggState::Union`] is a list of rows, one per message,
-//! each lent where it lies unless its caller handed it over).
+//! A **message is an `apply_edge` output**, and it is a function of the
+//! source alone: its updated state and its logical out-degree. The paper's
+//! schema lets `apply_edge` mix in edge features; no layer here has any,
+//! and the engines depend on their absence. Because a node's message is
+//! the same on every one of its out-edges, both backends call
+//! [`GasLayer::edge_row`] once per *node* and ship that row to every
+//! out-edge, and the broadcast strategy (one payload per worker, a
+//! reference per edge) applies to every layer without asking it. Whatever
+//! can be computed from the source is computed there: the paper's vertex
+//! "forwards the associated layer … and then sends the updated
+//! information via out-edges". For GAT that is the projection `W·h_src`,
+//! so the receiver never re-projects. Nor, on the Pregel backend, does
+//! the node itself: GAT's destination attention needs the node's own
+//! `W·h`, which is the row it scattered one step earlier, kept and lent
+//! back to `apply_node` as [`NodeCtx::own_msg`]. The receiver gathers
+//! its rows where they lie ([`AggState::Union`] is a list of rows, one
+//! per message, each lent where it lies unless its caller handed it
+//! over).
 //! `Backend::Reference` deliberately keeps calling `apply_edge` once per
 //! *edge*: it is the oracle the backends are compared against, so it
 //! shares the kernels but none of the once-per-node data flow.
@@ -53,9 +59,6 @@ pub struct LayerAnnotations {
     /// so partial aggregates may be computed sender-side and merged in any
     /// grouping.
     pub partial_gather: bool,
-    /// All out-edges of a node carry an identical message (no edge-feature
-    /// mixing), so the broadcast strategy applies.
-    pub uniform_message: bool,
     /// Input embedding width.
     pub in_dim: usize,
     /// Output embedding width.
@@ -91,15 +94,6 @@ pub struct NodeCtx<'a> {
     /// [`LayerAnnotations::reads_own_msg`] is set. Empty otherwise, and a
     /// layer that needs it computes it from `state`: bit for bit the same.
     pub own_msg: &'a [f32],
-}
-
-/// Edge-side context available to `apply_edge`.
-#[derive(Debug)]
-pub struct EdgeCtx<'a> {
-    /// Logical out-degree of the message's source node (GCN normalisation).
-    pub src_out_degree: u32,
-    /// Edge features; empty slice when the graph carries none.
-    pub edge_feat: &'a [f32],
 }
 
 /// Gather-stage accumulator.
@@ -170,19 +164,20 @@ pub trait GasLayer {
     /// vertex step allocates no embedding of its own.
     fn apply_node(&self, node: &NodeCtx<'_>, agg: AggState<'_>, out: &mut Vec<f32>);
 
-    /// Produce the message sent along one out-edge from the updated state,
-    /// as a buffer of its own: [`GasLayer::edge_row`] on a fresh buffer,
-    /// which is handed over as written (a lent `state` is copied).
-    fn apply_edge(&self, state: &[f32], edge: &EdgeCtx<'_>) -> Vec<f32> {
+    /// Produce the message a node sends along each of its out-edges from
+    /// the updated state and its logical out-degree (GCN's normalisation
+    /// reads it), as a buffer of its own: [`GasLayer::edge_row`] on a fresh
+    /// buffer, which is handed over as written (a lent `state` is copied).
+    fn apply_edge(&self, state: &[f32], src_out_degree: u32) -> Vec<f32> {
         let mut buf = Vec::new();
-        let row = self.edge_row(state, edge, &mut buf);
+        let row = self.edge_row(state, src_out_degree, &mut buf);
         if std::ptr::eq(row, state) {
             return state.to_vec();
         }
         buf
     }
 
-    /// The message sent along one out-edge from the updated state, for a
+    /// The message sent along each out-edge from the updated state, for a
     /// caller that only reads it (a scatter copying it into a row spool)
     /// or keeps it where it chooses: a layer whose message *is* the state
     /// lends `state`; any other writes it into `buf` (cleared first) and
@@ -191,7 +186,7 @@ pub trait GasLayer {
     fn edge_row<'s>(
         &self,
         state: &'s [f32],
-        edge: &EdgeCtx<'_>,
+        src_out_degree: u32,
         buf: &'s mut Vec<f32>,
     ) -> &'s [f32];
 

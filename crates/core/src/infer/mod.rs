@@ -20,7 +20,7 @@
 pub mod mr_backend;
 pub mod pregel_backend;
 
-use crate::gas::{EdgeCtx, GasLayer, NodeCtx};
+use crate::gas::{GasLayer, NodeCtx};
 use crate::models::GnnModel;
 use inferturbo_cluster::RunReport;
 use inferturbo_common::Result;
@@ -82,14 +82,8 @@ pub(crate) fn reference_logits(
         let mut next = Vec::with_capacity(n);
         for v in 0..n as u32 {
             let mut agg = layer.init_agg(in_deg[v as usize] as usize);
-            for (u, e) in in_csr.neighbors_with_edges(v) {
-                let msg = layer.apply_edge(
-                    &h[u as usize],
-                    &EdgeCtx {
-                        src_out_degree: out_deg[u as usize],
-                        edge_feat: graph.edge_feat(e as usize),
-                    },
-                );
+            for &u in in_csr.neighbors(v) {
+                let msg = layer.apply_edge(&h[u as usize], out_deg[u as usize]);
                 layer.aggregate(&mut agg, msg);
             }
             let ctx = NodeCtx {

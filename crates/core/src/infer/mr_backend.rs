@@ -13,7 +13,7 @@
 //! order and node wire-ids carry the high [`NODE_FLAG`] bit, each worker's
 //! table group arrives before any of its node groups in the same round.
 
-use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
+use crate::gas::{GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
 use crate::plan::InferencePlan;
@@ -175,16 +175,9 @@ fn scatter_rows(
         return;
     }
     let layer = model.layer_view(layer_idx);
-    let raw = layer.edge_row(
-        h,
-        &EdgeCtx {
-            src_out_degree: out_deg,
-            edge_feat: &[],
-        },
-        buf,
-    );
+    let raw = layer.edge_row(h, out_deg, buf);
     ctx.add_flops(layer.flops_apply_edge());
-    if strategy.broadcast && out_deg as u64 > bc_threshold && layer.annotations().uniform_message {
+    if strategy.broadcasts(out_deg, bc_threshold) {
         let msg = layer.make_wire(raw.to_vec(), strategy.partial_gather);
         for w in 0..workers {
             emit.push((

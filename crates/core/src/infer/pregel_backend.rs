@@ -48,7 +48,7 @@
 //! the engine is built over the plan's layout
 //! ([`PregelEngine::with_layout`], its one constructor).
 
-use crate::gas::{EdgeCtx, GasLayer, GnnMessage, NodeCtx};
+use crate::gas::{GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
 use crate::plan::InferencePlan;
@@ -155,20 +155,9 @@ impl<'m> GnnVertexProgram<'m> {
             return;
         }
         let layer = self.model.layer_view(layer_idx);
-        let annotations = layer.annotations();
-        let row = layer.edge_row(
-            state.embedding(),
-            &EdgeCtx {
-                src_out_degree: state.out_deg,
-                edge_feat: &[],
-            },
-            &mut own,
-        );
+        let row = layer.edge_row(state.embedding(), state.out_deg, &mut own);
         out.add_flops(layer.flops_apply_edge());
-        let hub = self.strategy.broadcast
-            && state.out_deg as u64 > self.bc_threshold
-            && annotations.uniform_message;
-        if hub {
+        if self.strategy.broadcasts(state.out_deg, self.bc_threshold) {
             // Hub path: one payload per worker on the typed plane, one
             // 8-byte ref per edge — spooled once with the span of routes.
             out.broadcast(layer.make_wire(row.to_vec(), self.strategy.partial_gather));
@@ -178,7 +167,7 @@ impl<'m> GnnVertexProgram<'m> {
             // vertex's whole span of routes.
             out.scatter_row(state.edges, row);
         }
-        if annotations.reads_own_msg {
+        if layer.annotations().reads_own_msg {
             state.kept = Kept::OwnMsg(own);
         }
     }

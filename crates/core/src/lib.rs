@@ -45,7 +45,7 @@ pub mod signature;
 pub mod strategy;
 pub mod train;
 
-pub use gas::{AggState, EdgeCtx, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
+pub use gas::{AggState, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
 pub use infer::{infer_reference, InferenceOutput};
 pub use inferturbo_cluster::{InProcess, Transport, WorkerProcess};
 pub use models::{GnnModel, LayerKind, PoolOp};

@@ -7,7 +7,7 @@
 //! `crate::infer` lean on exactly this sharing.
 
 use super::{matvec_acc, GnnModel, LayerKind, LayerParams, PoolOp};
-use crate::gas::{pooled_fold, AggState, EdgeCtx, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
+use crate::gas::{pooled_fold, AggState, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
 use inferturbo_common::{Error, Result};
 use inferturbo_pregel::{BroadcastLookup, FusedAggregator, RowsIn};
 use inferturbo_tensor::{row_axpy, row_matvec_acc, row_max};
@@ -160,9 +160,6 @@ impl GasLayer for LayerView<'_> {
         let lp = self.lp();
         LayerAnnotations {
             partial_gather: self.pool_op().is_some(),
-            // All built-in models emit the updated embedding unchanged (or
-            // pre-scaled by a source-side constant) on every out-edge.
-            uniform_message: true,
             in_dim: lp.in_dim,
             out_dim: lp.out_dim,
             msg_dim: self.msg_dim(),
@@ -272,15 +269,13 @@ impl GasLayer for LayerView<'_> {
     fn edge_row<'s>(
         &self,
         state: &'s [f32],
-        edge: &EdgeCtx<'_>,
+        src_out_degree: u32,
         buf: &'s mut Vec<f32>,
     ) -> &'s [f32] {
-        // Edge features are reserved for future layer variants (EdgeCtx
-        // keeps the slot): every message depends on the source alone.
         let lp = self.lp();
         match lp.kind {
             LayerKind::Gcn => {
-                let s = 1.0 / ((edge.src_out_degree + 1) as f32).sqrt();
+                let s = 1.0 / ((src_out_degree + 1) as f32).sqrt();
                 buf.clear();
                 buf.extend(state.iter().map(|&x| x * s));
                 buf
@@ -653,13 +648,7 @@ mod tests {
             out_degree: 0,
             own_msg: &[],
         };
-        let msg = layer.apply_edge(
-            &[0.7, -0.3, 0.9, 0.1],
-            &EdgeCtx {
-                src_out_degree: 2,
-                edge_feat: &[],
-            },
-        );
+        let msg = layer.apply_edge(&[0.7, -0.3, 0.9, 0.1], 2);
         let mut one = layer.init_agg(1);
         layer.aggregate(&mut one, msg.clone());
         let (mut out_one, mut out_two) = (Vec::new(), Vec::new());
@@ -721,7 +710,6 @@ mod tests {
             src_out_degree in 0u32..100,
         ) {
             let state = &state[..in_dim];
-            let edge = EdgeCtx { src_out_degree, edge_feat: &[] };
             let hidden = 4 * heads;
             let models = [
                 ("gcn", GnnModel::gcn(in_dim, hidden, 1, 3, false, seed)),
@@ -744,12 +732,12 @@ mod tests {
                     }
                 };
                 let want: Vec<u32> = formula.iter().map(|x| x.to_bits()).collect();
-                let provided: Vec<u32> = layer.apply_edge(state, &edge).iter().map(|x| x.to_bits()).collect();
+                let provided: Vec<u32> = layer.apply_edge(state, src_out_degree).iter().map(|x| x.to_bits()).collect();
                 prop_assert_eq!(&provided, &want, "{} apply_edge lanes", name);
                 let mut buf = stale.clone();
                 buf.reserve(want.len());
                 let (ptr, cap) = (buf.as_ptr(), buf.capacity());
-                let row = layer.edge_row(state, &edge, &mut buf);
+                let row = layer.edge_row(state, src_out_degree, &mut buf);
                 let got: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
                 let (lent, row_ptr) = (std::ptr::eq(row, state), row.as_ptr());
                 prop_assert_eq!(&got, &want, "{} lanes", name);
@@ -768,13 +756,7 @@ mod tests {
     fn gcn_edge_normalisation() {
         let m = GnnModel::gcn(2, 2, 1, 2, false, 3);
         let layer = m.layer_view(0);
-        let msg = layer.apply_edge(
-            &[2.0, 4.0],
-            &EdgeCtx {
-                src_out_degree: 3,
-                edge_feat: &[],
-            },
-        );
+        let msg = layer.apply_edge(&[2.0, 4.0], 3);
         assert_eq!(msg, vec![1.0, 2.0]); // 1/sqrt(4) = 0.5
     }
 

@@ -268,11 +268,6 @@ impl<'a> InferencePlan<'a> {
         self.bc_threshold
     }
 
-    /// Number of loadable records (nodes + shadow mirrors).
-    pub fn n_records(&self) -> usize {
-        self.records.len()
-    }
-
     /// The strategy configuration this plan was built with.
     pub fn strategy(&self) -> StrategyConfig {
         self.strategy
@@ -530,31 +525,26 @@ fn build_estimate(
         max_group_floats = max_group_floats.max(rec.in_deg as u64 + 1);
     }
 
-    // Per-layer traffic, split hub vs non-hub per the planned threshold.
+    // Per-layer traffic, split hub vs non-hub by the engines' hub rule.
+    // A message depends on its source alone, so the split is the same on
+    // every layer.
     let total_targets: u64 = records.iter().map(|r| r.out_targets.len() as u64).sum();
+    let (hub_records, hub_edges) = records
+        .iter()
+        .filter(|r| strategy.broadcasts(r.out_deg, bc_threshold))
+        .fold((0u64, 0u64), |(n, e), r| {
+            (n + 1, e + r.out_targets.len() as u64)
+        });
+    let row_edges = total_targets - hub_edges;
     let mut layers = Vec::with_capacity(k);
     let mut max_inbox = 0u64;
     let mut max_spilled = 0u64;
-    // Fused partials per scatter, by whether hubs broadcast instead of
-    // sending rows; counted on first use.
-    let mut partials: [Option<u64>; 2] = [None, None];
+    // Fused partials per scatter, counted on first use.
+    let mut partials: Option<u64> = None;
     for l in 0..k {
         let view = model.layer_view(l);
-        let ann = view.annotations();
-        let d = ann.msg_dim;
+        let d = view.annotations().msg_dim;
         let fused = strategy.partial_gather && view.row_aggregator().is_some();
-        let broadcasting = strategy.broadcast && ann.uniform_message;
-        let (hub_records, hub_edges) = if broadcasting {
-            records
-                .iter()
-                .filter(|r| r.out_deg as u64 > bc_threshold)
-                .fold((0u64, 0u64), |(n, e), r| {
-                    (n + 1, e + r.out_targets.len() as u64)
-                })
-        } else {
-            (0, 0)
-        };
-        let row_edges = total_targets - hub_edges;
 
         // Row traffic: one row per edge, or — fused — one partial per
         // distinct (sender worker, destination) pair: counted from the
@@ -562,10 +552,8 @@ fn build_estimate(
         let row_records = match (fused, layout) {
             (false, _) => row_edges,
             (true, None) => row_edges.min(n_w as u64 * records.len() as u64),
-            (true, Some(layout)) => *partials[broadcasting as usize].get_or_insert_with(|| {
-                layout.fused_partials(|at| {
-                    !(broadcasting && records[at].out_deg as u64 > bc_threshold)
-                })
+            (true, Some(layout)) => *partials.get_or_insert_with(|| {
+                layout.fused_partials(|at| !strategy.broadcasts(records[at].out_deg, bc_threshold))
             }),
         };
         let row_len = row_payload_len(d, fused.then_some(1)) as u64 + WIRE_ID_LEN;
@@ -796,7 +784,10 @@ mod tests {
         /// on every model and strategy, the rows the estimate charges are
         /// the rows the run's exchange carries — fused partials (one per
         /// distinct sender worker × destination) or one row per non-hub
-        /// edge. Bytes then differ only by the fold-count varint.
+        /// edge. Bytes then differ only by the fold-count varint. The
+        /// estimate and the run classify hubs by the same rule, so the
+        /// estimate charges typed-plane bytes exactly when the run ships
+        /// some.
         #[test]
         fn prop_predicted_row_records_equal_the_runs(
             n in 8usize..70,
@@ -863,6 +854,12 @@ mod tests {
             prop_assert!(
                 predicted_bytes.abs_diff(measured) * 20 <= measured,
                 "columnar bytes: predicted {} vs measured {}", predicted_bytes, measured
+            );
+            let predicted_legacy: u64 = plan.estimate().layers.iter().map(|e| e.legacy_bytes).sum();
+            prop_assert_eq!(
+                predicted_legacy == 0,
+                report.message_bytes.legacy == 0,
+                "hub bytes: predicted {} vs measured {}", predicted_legacy, report.message_bytes.legacy
             );
         }
     }

@@ -8,8 +8,9 @@
 //!   exactly when the layer's `aggregate` is annotated
 //!   commutative/associative. Implemented by the engines' fused row
 //!   aggregation (`FusedAggregator`); this module only carries the toggle.
-//! - **broadcast** — a node with many out-edges and a uniform message
-//!   publishes one payload per worker plus an 8-byte reference per edge.
+//! - **broadcast** — a node with many out-edges publishes its message (the
+//!   same on every out-edge) once per worker plus an 8-byte reference per
+//!   edge.
 //! - **shadow-nodes** — a node with many out-edges is split into mirrors,
 //!   each holding *all* in-edges and an even share of out-edges. Mirrors
 //!   hash to different workers, spreading the scatter load; every sender to
@@ -134,6 +135,15 @@ impl StrategyConfig {
         }
         let t = (self.lambda * n_edges as f64 / workers.max(1) as f64) as u64;
         t.max(1)
+    }
+
+    /// The hub rule: a node of logical out-degree `out_deg` broadcasts its
+    /// message instead of shipping a row per edge when broadcast is on and
+    /// its out-degree is strictly above `bc_threshold` (the plan's
+    /// [`StrategyConfig::threshold`]). Both engines and the plan's traffic
+    /// estimate ask this one function, so the estimate describes the run.
+    pub(crate) fn broadcasts(&self, out_deg: u32, bc_threshold: u64) -> bool {
+        self.broadcast && out_deg as u64 > bc_threshold
     }
 }
 
@@ -335,6 +345,21 @@ mod tests {
         assert_eq!(s.with_threshold(7).threshold(1_000_000_000, 1000), 7);
         // floor at 1
         assert_eq!(s.threshold(5, 1000), 1);
+    }
+
+    #[test]
+    fn a_hub_broadcasts_strictly_above_the_threshold_and_only_with_broadcast_on() {
+        let on = StrategyConfig::none().with_broadcast(true);
+        assert!(
+            !on.broadcasts(7, 7),
+            "out-degree at the threshold ships rows"
+        );
+        assert!(on.broadcasts(8, 7), "threshold + 1 broadcasts");
+        let off = StrategyConfig::all().with_broadcast(false);
+        assert!(
+            !off.broadcasts(u32::MAX, 1),
+            "broadcast off never broadcasts"
+        );
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Both orientations matter: the Gather stage walks **in**-edges, the
 //! Scatter stage walks **out**-edges. `Csr::out_of` groups by source;
-//! `Csr::in_of` groups by destination. Each adjacency slot also records the
-//! originating edge index so edge features stay reachable after the
-//! regrouping.
+//! `Csr::in_of` groups by destination. Within a node, neighbours keep the
+//! graph's edge insertion order (the grouping is a stable counting sort).
 
 use crate::types::Graph;
 use inferturbo_common::group::group_by_key;
@@ -15,24 +14,17 @@ pub struct Csr {
     offsets: Vec<u32>,
     /// Neighbour node id per slot.
     targets: Vec<u32>,
-    /// Original edge index per slot (for edge-feature lookup).
-    edge_ids: Vec<u32>,
 }
 
 impl Csr {
     fn group_by(n_nodes: usize, keys: &[u32], values: &[u32]) -> Csr {
         debug_assert_eq!(keys.len(), values.len());
         // The shared counting sort builds offsets with no cloned cursor
-        // array (the old implementation cloned the counts — double the
-        // peak allocation), and its `order` permutation *is* the original
-        // edge index per slot.
-        let (edge_ids, offsets) = group_by_key(keys, n_nodes);
-        let targets: Vec<u32> = edge_ids.iter().map(|&e| values[e as usize]).collect();
-        Csr {
-            offsets,
-            targets,
-            edge_ids,
-        }
+        // array; its `order` permutation is the original edge index per
+        // slot, needed only to read each slot's neighbour.
+        let (order, offsets) = group_by_key(keys, n_nodes);
+        let targets: Vec<u32> = order.iter().map(|&e| values[e as usize]).collect();
+        Csr { offsets, targets }
     }
 
     /// Group by source: `neighbors(v)` are the heads of `v`'s out-edges.
@@ -68,23 +60,6 @@ impl Csr {
         let hi = self.offsets[v as usize + 1] as usize;
         &self.targets[lo..hi]
     }
-
-    /// Original edge indexes of `v`'s adjacency (parallel to
-    /// [`Csr::neighbors`]).
-    #[inline]
-    pub fn edge_ids(&self, v: u32) -> &[u32] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.edge_ids[lo..hi]
-    }
-
-    /// Iterate `(neighbor, edge_id)` pairs of `v`.
-    pub fn neighbors_with_edges(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.neighbors(v)
-            .iter()
-            .copied()
-            .zip(self.edge_ids(v).iter().copied())
-    }
 }
 
 #[cfg(test)]
@@ -113,8 +88,6 @@ mod tests {
         assert_eq!(out.neighbors(1), &[0]);
         assert_eq!(out.neighbors(2), &[1, 0]);
         assert_eq!(out.degree(0), 2);
-        assert_eq!(out.edge_ids(0), &[0, 1]);
-        assert_eq!(out.edge_ids(2), &[2, 4]);
     }
 
     #[test]
@@ -122,7 +95,6 @@ mod tests {
         let g = sample();
         let inc = Csr::in_of(&g);
         assert_eq!(inc.neighbors(0), &[1, 2]); // from edges e3, e4
-        assert_eq!(inc.edge_ids(0), &[3, 4]);
         assert_eq!(inc.neighbors(1), &[0, 2]); // e0, e2
         assert_eq!(inc.neighbors(2), &[0]); // e1
         assert_eq!(inc.degree(1), 2);
@@ -136,20 +108,6 @@ mod tests {
         for v in 0..3 {
             assert_eq!(out.neighbors(v), &[] as &[u32]);
             assert_eq!(out.degree(v), 0);
-        }
-    }
-
-    #[test]
-    fn neighbors_with_edges_pairs_match() {
-        let g = sample();
-        let out = Csr::out_of(&g);
-        let pairs: Vec<_> = out.neighbors_with_edges(2).collect();
-        assert_eq!(pairs, vec![(1, 2), (0, 4)]);
-        // cross-check against the graph's edge store
-        for (nbr, e) in pairs {
-            let (s, d) = g.edge(e as usize);
-            assert_eq!(s, 2);
-            assert_eq!(d, nbr);
         }
     }
 

@@ -66,7 +66,6 @@ impl Dataset {
             signal: 0.8,
             noise: 1.4,
             multilabel: Some(121),
-            edge_feat_dim: 0,
             seed,
         };
         Dataset {
@@ -91,7 +90,6 @@ impl Dataset {
             signal: 0.75,
             noise: 2.1,
             multilabel: None,
-            edge_feat_dim: 0,
             seed: seed.wrapping_add(1),
         };
         Dataset {
@@ -122,7 +120,6 @@ impl Dataset {
             signal: 0.7,
             noise: 2.3,
             multilabel: None,
-            edge_feat_dim: 0,
             seed: seed.wrapping_add(2),
         };
         Dataset {
@@ -151,7 +148,6 @@ impl Dataset {
             signal: 1.0,
             noise: 1.0,
             multilabel: None,
-            edge_feat_dim: 0,
             seed: seed.wrapping_add(3),
         };
         Dataset {

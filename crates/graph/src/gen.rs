@@ -48,8 +48,6 @@ pub struct GenConfig {
     /// Multi-label output: if `Some(l)`, emit `l` binary labels derived
     /// from the latent class instead of the class itself.
     pub multilabel: Option<u32>,
-    /// Edge feature dimensionality (0 = none).
-    pub edge_feat_dim: usize,
     pub seed: u64,
 }
 
@@ -66,7 +64,6 @@ impl Default for GenConfig {
             signal: 1.0,
             noise: 1.0,
             multilabel: None,
-            edge_feat_dim: 0,
             seed: 0,
         }
     }
@@ -99,9 +96,6 @@ pub fn generate(cfg: &GenConfig) -> Graph {
     let mut label_rng = rng.fork(3);
 
     let mut b = GraphBuilder::new(cfg.n_nodes, cfg.feat_dim);
-    if cfg.edge_feat_dim > 0 {
-        b = b.with_edge_feat_dim(cfg.edge_feat_dim);
-    }
     b.reserve_edges(cfg.n_edges);
 
     // -- features: signal * centroid(class) + noise * N(0,1) --------------
@@ -122,7 +116,6 @@ pub fn generate(cfg: &GenConfig) -> Graph {
 
     // -- edges --------------------------------------------------------------
     let n = cfg.n_nodes as u64;
-    let mut edge_feat_buf = vec![0.0f32; cfg.edge_feat_dim];
     for _ in 0..cfg.n_edges {
         let hub = match cfg.skew {
             DegreeSkew::None => edge_rng.below(n) as u32,
@@ -150,14 +143,7 @@ pub fn generate(cfg: &GenConfig) -> Graph {
             DegreeSkew::Out => (hub, partner), // hub sprays out-edges
             DegreeSkew::None => (hub, partner),
         };
-        if cfg.edge_feat_dim > 0 {
-            for x in &mut edge_feat_buf {
-                *x = edge_rng.gaussian_f32(0.0, 1.0);
-            }
-            b.add_edge_with_feat(src, dst, &edge_feat_buf);
-        } else {
-            b.add_edge(src, dst);
-        }
+        b.add_edge(src, dst);
     }
 
     // -- labels ---------------------------------------------------------------
@@ -381,17 +367,5 @@ mod tests {
             .map(|v| g.labels().multilabel_row(v).iter().sum::<f32>())
             .sum();
         assert!(total > 0.0);
-    }
-
-    #[test]
-    fn edge_features_generated_when_requested() {
-        let g = generate(&GenConfig {
-            n_nodes: 100,
-            n_edges: 400,
-            edge_feat_dim: 4,
-            ..GenConfig::default()
-        });
-        assert_eq!(g.edge_feat_dim(), 4);
-        assert!(g.edge_feat(0).iter().any(|&x| x != 0.0));
     }
 }

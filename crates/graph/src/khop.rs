@@ -26,8 +26,6 @@ pub struct Subgraph {
     /// Edge list in local indices (`src → dst` message direction).
     pub edges_src: Vec<u32>,
     pub edges_dst: Vec<u32>,
-    /// Global edge ids parallel to the local edge list (for edge features).
-    pub edge_ids: Vec<u32>,
 }
 
 impl Subgraph {
@@ -59,7 +57,6 @@ impl Subgraph {
 
         let mut edges_src = Vec::new();
         let mut edges_dst = Vec::new();
-        let mut edge_ids = Vec::new();
 
         // Frontier of locally-new nodes discovered in the previous hop.
         let mut frontier: Vec<u32> = nodes.clone();
@@ -69,7 +66,6 @@ impl Subgraph {
             for &v in &frontier {
                 let v_local = local[&v];
                 let nbrs = in_csr.neighbors(v);
-                let eids = in_csr.edge_ids(v);
                 let take: &[usize] = match (fanout, rng.as_deref_mut()) {
                     // The entry assert pins `fanout.is_some() => rng.is_some()`,
                     // so pairing the options here loses no cases.
@@ -85,7 +81,6 @@ impl Subgraph {
                 };
                 for &slot in take {
                     let u = nbrs[slot];
-                    let e = eids[slot];
                     let u_local = *local.entry(u).or_insert_with(|| {
                         nodes.push(u);
                         next.push(u);
@@ -93,7 +88,6 @@ impl Subgraph {
                     });
                     edges_src.push(u_local);
                     edges_dst.push(v_local);
-                    edge_ids.push(e);
                 }
             }
             frontier = next;
@@ -107,7 +101,6 @@ impl Subgraph {
             n_roots,
             edges_src,
             edges_dst,
-            edge_ids,
         }
     }
 
@@ -126,20 +119,6 @@ impl Subgraph {
         let mut out = Vec::with_capacity(self.nodes.len() * d);
         for &v in &self.nodes {
             out.extend_from_slice(g.node_feat(v));
-        }
-        out
-    }
-
-    /// Gather edge features in local edge order (empty when the graph has
-    /// none).
-    pub fn gather_edge_features(&self, g: &Graph) -> Vec<f32> {
-        let d = g.edge_feat_dim();
-        if d == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(self.edge_ids.len() * d);
-        for &e in &self.edge_ids {
-            out.extend_from_slice(g.edge_feat(e as usize));
         }
         out
     }

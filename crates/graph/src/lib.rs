@@ -3,10 +3,12 @@
 //!
 //! The paper's preliminaries (§II-A) define the graph model this crate
 //! implements: a directed, weighted, attributed graph `G = {V, E, X, E}`
-//! with node features, optional edge features, and labels on a (small)
-//! training subset. Messages flow along edge direction (`src → dst`), so a
-//! node *gathers* over its in-edges and *scatters* over its out-edges —
-//! every API here is explicit about which adjacency it exposes.
+//! with node features and labels on a (small) training subset. The paper's
+//! edge features are not stored: no layer here reads one, since every
+//! message is a function of its source alone. Messages flow along edge
+//! direction (`src → dst`), so a node *gathers* over its in-edges and
+//! *scatters* over its out-edges — every API here is explicit about which
+//! adjacency it exposes.
 //!
 //! Because the paper's datasets are proprietary or too large for a
 //! single-machine reproduction (MAG240M, the 10¹⁰-node Power-Law graph),

@@ -71,8 +71,6 @@ pub struct Graph {
     dst: Vec<u32>,
     node_feat_dim: usize,
     node_feats: Vec<f32>,
-    edge_feat_dim: usize,
-    edge_feats: Vec<f32>,
     labels: Labels,
 }
 
@@ -108,18 +106,6 @@ impl Graph {
     pub fn node_feat(&self, v: u32) -> &[f32] {
         let d = self.node_feat_dim;
         &self.node_feats[v as usize * d..(v as usize + 1) * d]
-    }
-
-    pub fn edge_feat_dim(&self) -> usize {
-        self.edge_feat_dim
-    }
-
-    /// Feature row of edge `e` (empty slice when the graph has no edge
-    /// features).
-    #[inline]
-    pub fn edge_feat(&self, e: usize) -> &[f32] {
-        let d = self.edge_feat_dim;
-        &self.edge_feats[e * d..(e + 1) * d]
     }
 
     pub fn labels(&self) -> &Labels {
@@ -166,9 +152,6 @@ impl Graph {
         if self.node_feats.len() != self.n_nodes * self.node_feat_dim {
             return Err(Error::InvalidGraph("node feature length mismatch".into()));
         }
-        if self.edge_feats.len() != self.src.len() * self.edge_feat_dim {
-            return Err(Error::InvalidGraph("edge feature length mismatch".into()));
-        }
         match &self.labels {
             Labels::Single { classes, y } => {
                 if y.len() != self.n_nodes {
@@ -198,8 +181,6 @@ pub struct GraphBuilder {
     dst: Vec<u32>,
     node_feat_dim: usize,
     node_feats: Vec<f32>,
-    edge_feat_dim: usize,
-    edge_feats: Vec<f32>,
     labels: Labels,
 }
 
@@ -213,44 +194,21 @@ impl GraphBuilder {
             dst: Vec::new(),
             node_feat_dim,
             node_feats: vec![0.0; n_nodes * node_feat_dim],
-            edge_feat_dim: 0,
-            edge_feats: Vec::new(),
             labels: Labels::None,
         }
-    }
-
-    /// Declare the edge-feature dimensionality (must be set before the
-    /// first `add_edge_with_feat`).
-    pub fn with_edge_feat_dim(mut self, dim: usize) -> Self {
-        assert!(self.src.is_empty(), "set edge dim before adding edges");
-        self.edge_feat_dim = dim;
-        self
     }
 
     /// Reserve edge capacity up front (generators know |E| in advance).
     pub fn reserve_edges(&mut self, n: usize) {
         self.src.reserve(n);
         self.dst.reserve(n);
-        self.edge_feats.reserve(n * self.edge_feat_dim);
     }
 
-    /// Append a featureless edge `src -> dst`.
+    /// Append an edge `src -> dst`.
     pub fn add_edge(&mut self, src: u32, dst: u32) {
         debug_assert!((src as usize) < self.n_nodes && (dst as usize) < self.n_nodes);
         self.src.push(src);
         self.dst.push(dst);
-        if self.edge_feat_dim > 0 {
-            self.edge_feats
-                .extend(std::iter::repeat_n(0.0, self.edge_feat_dim));
-        }
-    }
-
-    /// Append an edge carrying features.
-    pub fn add_edge_with_feat(&mut self, src: u32, dst: u32, feat: &[f32]) {
-        assert_eq!(feat.len(), self.edge_feat_dim, "edge feature dim");
-        self.src.push(src);
-        self.dst.push(dst);
-        self.edge_feats.extend_from_slice(feat);
     }
 
     /// Overwrite the feature row of node `v`.
@@ -285,8 +243,6 @@ impl GraphBuilder {
             dst: self.dst,
             node_feat_dim: self.node_feat_dim,
             node_feats: self.node_feats,
-            edge_feat_dim: self.edge_feat_dim,
-            edge_feats: self.edge_feats,
             labels: self.labels,
         };
         g.validate()?;
@@ -341,8 +297,6 @@ mod tests {
             dst: vec![5],
             node_feat_dim: 0,
             node_feats: vec![],
-            edge_feat_dim: 0,
-            edge_feats: vec![],
             labels: Labels::None,
         };
         assert!(g.validate().is_err());
@@ -357,16 +311,6 @@ mod tests {
             y: vec![0, 7],
         });
         assert!(b.build().is_err());
-    }
-
-    #[test]
-    fn edge_features_roundtrip() {
-        let mut b = GraphBuilder::new(2, 0).with_edge_feat_dim(3);
-        b.add_edge_with_feat(0, 1, &[0.1, 0.2, 0.3]);
-        b.add_edge(1, 0); // zero-filled features
-        let g = b.build().unwrap();
-        assert_eq!(g.edge_feat(0), &[0.1, 0.2, 0.3]);
-        assert_eq!(g.edge_feat(1), &[0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -810,19 +810,6 @@ impl<'a> GnnServer<'a> {
         self.quarantined.len()
     }
 
-    /// Logits rows currently held by the degraded-mode response cache.
-    pub fn cached_responses(&self) -> usize {
-        self.responses.len()
-    }
-
-    /// The circuit-breaker state of `key`'s plan right now. `None` when
-    /// breakers are disabled or the plan has never completed a run.
-    pub fn breaker_state(&mut self, key: &PlanKey) -> Option<BreakerState> {
-        let bc = self.cfg.breaker?;
-        let clock = self.clock;
-        self.breakers.get_mut(key).map(|b| b.state(&bc, clock))
-    }
-
     /// Flush due (or, with `all`, every) groups in deterministic order:
     /// plans in first-submission order, groups in arrival order. The
     /// deadline-expiry pass runs first, so expired work never occupies a

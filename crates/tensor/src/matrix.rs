@@ -134,10 +134,6 @@ impl Matrix {
         &mut self.data
     }
 
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);

@@ -48,9 +48,10 @@ for fig in fig12 fig13; do
     cargo run --offline --release -q -p inferturbo-bench --bin experiments -- --quick "$fig" >/dev/null
 done
 
-echo "== bash -n scripts/{ab,profile}.sh (the paired runner and the profiler parse) =="
+echo "== bash -n scripts/{ab,profile,loc}.sh (the paired runner, the profiler and the line counter parse) =="
 bash -n scripts/ab.sh
 bash -n scripts/profile.sh
+bash -n scripts/loc.sh
 
 echo "== itbench unit tests =="
 # The benchmark is a package of its own (benchmark/Cargo.toml, empty

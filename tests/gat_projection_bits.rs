@@ -13,7 +13,7 @@
 use inferturbo::common::Xoshiro256;
 use inferturbo::core::models::gas_impl::{LayerView, GAT_LEAKY_SLOPE};
 use inferturbo::core::models::{matvec_acc, GnnModel};
-use inferturbo::core::{AggState, EdgeCtx, GasLayer, NodeCtx};
+use inferturbo::core::{AggState, GasLayer, NodeCtx};
 use inferturbo::pregel::{LentRows, RowsIn};
 use std::borrow::Cow;
 
@@ -180,10 +180,7 @@ fn gather_in_segments<'a>(
 
 #[test]
 fn source_side_projection_is_bit_identical_to_the_receiver_side_formula() {
-    let edge = EdgeCtx {
-        src_out_degree: 3,
-        edge_feat: &[],
-    };
+    let src_out_degree = 3;
     let mut rng = Xoshiro256::seed_from_u64(0x6A7);
     let mut cases = 0;
     let mut kinds = SegmentKinds::default();
@@ -210,9 +207,9 @@ fn source_side_projection_is_bit_identical_to_the_receiver_side_formula() {
                     );
                     let flat: Vec<f32> = msgs
                         .iter()
-                        .flat_map(|m| layer.apply_edge(m, &edge))
+                        .flat_map(|m| layer.apply_edge(m, src_out_degree))
                         .collect();
-                    let own = layer.apply_edge(&state, &edge);
+                    let own = layer.apply_edge(&state, src_out_degree);
                     for segmented in [false, true] {
                         for own_msg in [&[][..], &own[..]] {
                             let agg = if segmented {
@@ -220,7 +217,7 @@ fn source_side_projection_is_bit_identical_to_the_receiver_side_formula() {
                             } else {
                                 let mut agg = layer.init_agg(msgs.len());
                                 for m in &msgs {
-                                    layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
+                                    layer.aggregate(&mut agg, layer.apply_edge(m, src_out_degree));
                                 }
                                 agg
                             };
@@ -289,17 +286,14 @@ fn signed_zero_and_far_apart_logits_take_the_same_bits() {
     ];
     let state = vec![0.5, -0.5, 0.25, 0.0];
     let layer = model.layer_view(0);
-    let edge = EdgeCtx {
-        src_out_degree: 1,
-        edge_feat: &[],
-    };
+    let src_out_degree = 1;
     let want = receiver_side_gat(&model, heads, &state, &msgs);
     assert!(want.iter().all(|x| x.is_finite()));
-    let own = layer.apply_edge(&state, &edge);
+    let own = layer.apply_edge(&state, src_out_degree);
     for own_msg in [&[][..], &own[..]] {
         let mut agg = layer.init_agg(msgs.len());
         for m in &msgs {
-            layer.aggregate(&mut agg, layer.apply_edge(m, &edge));
+            layer.aggregate(&mut agg, layer.apply_edge(m, src_out_degree));
         }
         let node = NodeCtx {
             id: 0,
@@ -389,10 +383,7 @@ struct ScheduledCall {
 /// path twice — own projection recomputed, then given — and hold each to
 /// the receiver-side formula bit for bit.
 fn run_schedule(models: &[GnnModel], calls: &[ScheduledCall]) {
-    let edge = EdgeCtx {
-        src_out_degree: 2,
-        edge_feat: &[],
-    };
+    let src_out_degree = 2;
     for (i, call) in calls.iter().enumerate() {
         let model = &models[call.model];
         let layer = model.layer_view(call.layer);
@@ -400,12 +391,12 @@ fn run_schedule(models: &[GnnModel], calls: &[ScheduledCall]) {
         let flat: Vec<f32> = call
             .msgs
             .iter()
-            .flat_map(|m| layer.apply_edge(m, &edge))
+            .flat_map(|m| layer.apply_edge(m, src_out_degree))
             .collect();
         let dim = layer.annotations().msg_dim;
         let mut agg = layer.init_agg(call.msgs.len());
         layer.gather_rows(&mut agg, RowsIn::Rows(LentRows::flat(dim, &flat)));
-        let own = layer.apply_edge(&call.state, &edge);
+        let own = layer.apply_edge(&call.state, src_out_degree);
         for own_msg in [&[][..], &own[..]] {
             let node = NodeCtx {
                 id: i as u64,

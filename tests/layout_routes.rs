@@ -34,7 +34,7 @@ use inferturbo::common::{AggKind, Parallelism, Result};
 use inferturbo::core::models::{GnnModel, PoolOp};
 use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::strategy::{build_node_records, mirror_of, StrategyConfig};
-use inferturbo::core::{EdgeCtx, GasLayer, NodeCtx};
+use inferturbo::core::{GasLayer, NodeCtx};
 use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::obs::TraceHandle;
@@ -140,13 +140,7 @@ fn oracle(model: &GnnModel, g: &Graph, strategy: StrategyConfig, workers: usize)
                 if home[i] != w || rec.out_targets.is_empty() {
                     continue;
                 }
-                let row = layer.apply_edge(
-                    &h[i],
-                    &EdgeCtx {
-                        src_out_degree: rec.out_deg,
-                        edge_feat: &[],
-                    },
-                );
+                let row = layer.apply_edge(&h[i], rec.out_deg);
                 for &t in rec.out_targets.iter() {
                     let j = at[&t];
                     match pool {
