@@ -169,69 +169,6 @@ impl PlanEstimate {
     }
 }
 
-/// Aggregate residency across the admitted plans of a serving fleet — the
-/// paper's §IV-A memory trade-off applied fleet-wide instead of per run.
-///
-/// A single plan's [`PlanEstimate::pregel_fits`] asks "does *this* plan's
-/// resident state fit one worker's memory?"; a serving layer that keeps
-/// many plans alive concurrently must ask the same question about their
-/// *sum*, because admitted plans hold their vertex states and pooled
-/// scratch simultaneously. `FleetEstimate` tracks that sum. Admission is
-/// **inclusive at the boundary**, exactly like `Backend::Auto`'s
-/// `pregel_fits`: a fleet whose total equals the budget still fits.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FleetEstimate {
-    plans: usize,
-    total_peak_worker_bytes: u64,
-}
-
-impl FleetEstimate {
-    pub fn new() -> Self {
-        FleetEstimate::default()
-    }
-
-    /// Number of admitted plans.
-    pub fn plans(&self) -> usize {
-        self.plans
-    }
-
-    /// Summed predicted peak per-worker residency of every admitted plan.
-    pub fn total_peak_worker_bytes(&self) -> u64 {
-        self.total_peak_worker_bytes
-    }
-
-    /// Whether a plan with `extra_bytes` peak residency fits alongside the
-    /// already-admitted fleet under `budget_bytes` (inclusive, matching
-    /// [`PlanEstimate::pregel_fits`]).
-    pub fn fits(&self, extra_bytes: u64, budget_bytes: u64) -> bool {
-        self.total_peak_worker_bytes.saturating_add(extra_bytes) <= budget_bytes
-    }
-
-    /// Budget left under `budget_bytes` (0 when over).
-    pub fn remaining(&self, budget_bytes: u64) -> u64 {
-        budget_bytes.saturating_sub(self.total_peak_worker_bytes)
-    }
-
-    /// Record an admitted plan's peak residency.
-    pub fn admit(&mut self, peak_worker_bytes: u64) {
-        self.plans += 1;
-        self.total_peak_worker_bytes = self
-            .total_peak_worker_bytes
-            .saturating_add(peak_worker_bytes);
-    }
-
-    /// Release a previously admitted plan's residency (eviction /
-    /// shutdown). Must be called with the same bytes that were admitted.
-    pub fn release(&mut self, peak_worker_bytes: u64) {
-        debug_assert!(self.plans > 0, "release without admit");
-        debug_assert!(self.total_peak_worker_bytes >= peak_worker_bytes);
-        self.plans = self.plans.saturating_sub(1);
-        self.total_peak_worker_bytes = self
-            .total_peak_worker_bytes
-            .saturating_sub(peak_worker_bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,28 +227,6 @@ mod tests {
         let e = estimate();
         assert!(e.pregel_fits(4_096));
         assert!(!e.pregel_fits(4_095));
-    }
-
-    #[test]
-    fn fleet_admission_is_inclusive_like_auto_selection() {
-        let mut fleet = FleetEstimate::new();
-        assert!(fleet.fits(1_000, 1_000), "boundary is inclusive");
-        fleet.admit(600);
-        assert!(fleet.fits(400, 1_000), "sum at the boundary still fits");
-        assert!(!fleet.fits(401, 1_000));
-        assert_eq!(fleet.remaining(1_000), 400);
-        fleet.admit(400);
-        assert_eq!(fleet.plans(), 2);
-        assert_eq!(fleet.remaining(1_000), 0);
-        fleet.release(600);
-        assert_eq!(fleet.plans(), 1);
-        assert!(fleet.fits(600, 1_000));
-        // Saturating arithmetic: absurd residencies degrade to "never
-        // fits a finite budget", not to wraparound.
-        fleet.admit(u64::MAX);
-        assert!(!fleet.fits(0, u64::MAX - 1));
-        assert!(!fleet.fits(1, 1_000));
-        assert_eq!(fleet.remaining(1_000), 0);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod metrics;
 pub mod spec;
 pub mod transport;
 
-pub use estimate::{FleetEstimate, LayerEstimate, PlanEstimate};
+pub use estimate::{LayerEstimate, PlanEstimate};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, RecoveryPolicy};
 pub use metrics::{MessagePlaneBytes, OverloadCounters, PhaseReport, RunReport, WorkerPhase};
 pub use spec::ClusterSpec;

@@ -62,7 +62,7 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// One plan's breaker. The server keeps one per [`PlanKey`](crate::PlanKey).
+/// One plan's breaker. The server keeps one in each live plan's record.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     state: BreakerState,

@@ -1,28 +1,26 @@
-//! The server's two caches: the **plan cache** (one [`InferencePlan`] per
-//! serving configuration, planned on first use and shared by every
-//! subsequent request) and the **response cache** ([`ResponseCache`]: the
-//! last known logits per node, backing degraded-mode
-//! [`ServedStale`](crate::ScoreStatus::ServedStale) answers under
-//! overload).
+//! Plan identity and the degraded-mode response cache.
 //!
-//! Planning is the expensive, pure half of the session pipeline (record
-//! builds, shadow mirroring, hub sets, cost estimation); the JIT-style
-//! amortisation argument for long-lived GNN services is exactly that this
-//! work happens **once per configuration**, not once per request. The
-//! cache key is the full planning input — model and graph identity,
-//! [`StrategyKey`], worker count, backend request — so two keys that
-//! compare equal are guaranteed to plan identically (planning is pure; see
-//! `inferturbo_core::session`).
+//! A [`PlanKey`] names one serving configuration. Planning is the
+//! expensive, pure half of the session pipeline (record builds, shadow
+//! mirroring, hub sets, cost estimation); the JIT-style amortisation
+//! argument for long-lived GNN services is exactly that this work happens
+//! **once per configuration**, not once per request. The key is the full
+//! planning input — model and graph identity, [`StrategyKey`], worker
+//! count, backend request, spill budget — so two keys that compare equal
+//! are guaranteed to plan identically (planning is pure; see
+//! `inferturbo_core::session`). The [`GnnServer`](crate::GnnServer) keeps
+//! each planned configuration in its admission ledger
+//! ([`AdmissionController`](crate::AdmissionController)) under this key,
+//! from the submit that plans it until admission sheds it.
 //!
-//! The cache itself is deliberately a plain keyed store: the
-//! [`GnnServer`](crate::GnnServer) plans *before* inserting (admission
-//! must see the plan's residency first) and keeps its own hit/miss
-//! counters in [`ServerStats`](crate::ServerStats).
+//! The [`ResponseCache`] keeps the last known logits per node, backing
+//! degraded-mode [`ServedStale`](crate::ScoreStatus::ServedStale) answers
+//! under overload.
 
 use crate::server::FeatureSnapshot;
 use inferturbo_common::FxHashMap;
 use inferturbo_core::session::Backend;
-use inferturbo_core::{InferencePlan, StrategyKey};
+use inferturbo_core::StrategyKey;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -43,55 +41,6 @@ pub struct PlanKey {
     /// spilling). Part of the key because it shapes the plan's estimate,
     /// residency, and `Auto` backend resolution.
     pub spill_budget: Option<u64>,
-}
-
-/// Long-lived plans keyed by [`PlanKey`].
-pub struct PlanCache<'a> {
-    plans: FxHashMap<PlanKey, InferencePlan<'a>>,
-}
-
-impl<'a> Default for PlanCache<'a> {
-    fn default() -> Self {
-        PlanCache::new()
-    }
-}
-
-impl<'a> PlanCache<'a> {
-    pub fn new() -> Self {
-        PlanCache {
-            plans: FxHashMap::default(),
-        }
-    }
-
-    /// Cache a freshly planned configuration. Keys are planned at most
-    /// once; inserting a key twice is a caller logic error.
-    pub fn insert(&mut self, key: PlanKey, plan: InferencePlan<'a>) {
-        let prev = self.plans.insert(key, plan);
-        assert!(prev.is_none(), "plan for {key:?} already cached");
-    }
-
-    pub fn get(&self, key: &PlanKey) -> Option<&InferencePlan<'a>> {
-        self.plans.get(key)
-    }
-
-    pub fn contains(&self, key: &PlanKey) -> bool {
-        self.plans.contains_key(key)
-    }
-
-    /// Drop a cached plan (admission eviction). Returns whether it
-    /// existed.
-    pub fn remove(&mut self, key: &PlanKey) -> bool {
-        self.plans.remove(key).is_some()
-    }
-
-    /// Cached plans alive right now.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
 }
 
 /// Identity of the feature matrix a cached response was computed against.
@@ -224,75 +173,7 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inferturbo_core::models::{GnnModel, PoolOp};
-    use inferturbo_core::session::InferenceSession;
     use inferturbo_core::StrategyConfig;
-    use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
-    use inferturbo_graph::Graph;
-
-    fn fixture() -> (Graph, GnnModel) {
-        let g = generate(&GenConfig {
-            n_nodes: 60,
-            n_edges: 300,
-            feat_dim: 4,
-            classes: 2,
-            skew: DegreeSkew::In,
-            seed: 3,
-            ..GenConfig::default()
-        });
-        let m = GnnModel::sage(4, 8, 2, 2, false, PoolOp::Mean, 1);
-        (g, m)
-    }
-
-    fn plan<'a>(m: &'a GnnModel, g: &'a Graph) -> InferencePlan<'a> {
-        InferenceSession::builder()
-            .model(m)
-            .graph(g)
-            .workers(4)
-            .backend(Backend::Pregel)
-            .plan()
-            .unwrap()
-    }
-
-    #[test]
-    fn stores_and_evicts_by_key() {
-        let (g, m) = fixture();
-        let key = PlanKey {
-            model: 1,
-            graph: 1,
-            strategy: StrategyConfig::all().key(),
-            workers: 4,
-            backend: Backend::Pregel,
-            spill_budget: None,
-        };
-        let mut cache = PlanCache::new();
-        assert!(!cache.contains(&key));
-        cache.insert(key, plan(&m, &g));
-        assert!(cache.contains(&key));
-        assert_eq!(cache.len(), 1);
-        // The cached plan is the shared instance requests run on.
-        assert_eq!(cache.get(&key).unwrap().workers(), 4);
-        assert!(cache.remove(&key));
-        assert!(cache.is_empty());
-        assert!(!cache.remove(&key), "double-remove reports absence");
-    }
-
-    #[test]
-    #[should_panic(expected = "already cached")]
-    fn double_insert_is_a_logic_error() {
-        let (g, m) = fixture();
-        let key = PlanKey {
-            model: 1,
-            graph: 1,
-            strategy: StrategyConfig::all().key(),
-            workers: 4,
-            backend: Backend::Pregel,
-            spill_budget: None,
-        };
-        let mut cache = PlanCache::new();
-        cache.insert(key, plan(&m, &g));
-        cache.insert(key, plan(&m, &g));
-    }
 
     fn rkey(model: u64) -> PlanKey {
         PlanKey {

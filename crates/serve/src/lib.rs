@@ -21,7 +21,10 @@
 //!    [`AdmissionController`] gates the new plan's predicted peak
 //!    residency against the fleet budget (paper §IV-A, applied
 //!    fleet-wide), rejecting or shedding older plans per
-//!    [`AdmissionPolicy`].
+//!    [`AdmissionPolicy`]. An admitted plan's serving state — the plan,
+//!    its request queue, its failure streak, quarantine flag and circuit
+//!    breaker — is one record in that ledger, in admission order, from
+//!    the submit that plans it until admission sheds it.
 //! 2. **Limiter** — a request carrying a [`ScoreRequest::with_tenant`] id
 //!    pays one token from that tenant's tick-refilled bucket
 //!    ([`ServeConfig::rate_limit`], [`crate::limiter`]). An empty bucket
@@ -37,7 +40,7 @@
 //!    expires in the queue resolves [`ScoreStatus::DeadlineExceeded`]
 //!    first — the expiry pass runs before aging, so dead work never
 //!    occupies a batch slot.
-//! 4. **Breaker** — each plan has a failure-rate circuit breaker
+//! 4. **Breaker** — each plan's record has a failure-rate circuit breaker
 //!    ([`ServeConfig::breaker`], [`crate::breaker`]), the *soft*
 //!    containment tier over the quarantine's hard consecutive-loss tier.
 //!    Open breakers fast-fail fresh submits (or serve them stale); after
@@ -53,7 +56,9 @@
 //!    is what stages 1–4's refusals fall back on.
 //!
 //! Every accepted submit reaches **exactly one** terminal [`ScoreStatus`]
-//! — the pipeline resolves, it never drops.
+//! — the pipeline resolves, it never drops. One resolver counts each
+//! status and emits its trace event, whether the ticket leaves through its
+//! plan's FIFO gate or, on the degraded and open-breaker paths, at once.
 //!
 //! # Determinism contract
 //!
@@ -106,7 +111,7 @@ pub mod stats;
 
 pub use admission::{Admission, AdmissionController, AdmissionPolicy};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use cache::{PlanCache, PlanKey, ResponseCache};
+pub use cache::{PlanKey, ResponseCache};
 pub use limiter::{OverflowPolicy, RateLimitConfig, TenantRateLimiter};
 pub use server::{
     FeatureSnapshot, GnnServer, ScoreRequest, ScoreResponse, ScoreStatus, ServeConfig,

@@ -4,11 +4,11 @@
 
 use crate::admission::{Admission, AdmissionController, AdmissionPolicy};
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::cache::{PlanCache, PlanKey, ResponseCache};
+use crate::cache::{PlanKey, ResponseCache};
 use crate::limiter::{OverflowPolicy, RateLimitConfig, TenantRateLimiter};
 use crate::stats::ServerStats;
 use inferturbo_cluster::ClusterSpec;
-use inferturbo_common::{Error, FxHashMap, FxHashSet, ReorderBuffer, Result, Ticket, TicketLine};
+use inferturbo_common::{Error, FxHashMap, ReorderBuffer, Result, Ticket, TicketLine};
 use inferturbo_core::models::GnnModel;
 use inferturbo_core::session::{Backend, InferenceSession};
 use inferturbo_core::{InferencePlan, StrategyConfig};
@@ -354,8 +354,83 @@ struct RequestQueue {
     groups: Vec<Group>,
 }
 
+/// One admitted plan and everything the server keeps for it. The record
+/// is created when admission accepts the plan and dropped whole when
+/// admission sheds it; the server's [`AdmissionController`] holds it with
+/// the plan's residency.
+pub struct LivePlan<'a> {
+    plan: InferencePlan<'a>,
+    queue: RequestQueue,
+    /// Consecutive failed batch runs (reset by any success).
+    failures: u32,
+    /// Refusing new submissions (see [`ServeConfig::quarantine_after`]).
+    quarantined: bool,
+    /// Failure-rate breaker ([`ServeConfig::breaker`]).
+    breaker: CircuitBreaker,
+}
+
+/// Where every ticket ends: the server's counters and its released
+/// responses. Kept apart from the plan records so a flush can resolve
+/// tickets while it holds its plan's record.
+#[derive(Default)]
+struct Outcomes {
+    stats: ServerStats,
+    /// Released responses, keyed by ticket (ascending = submission order).
+    ready: BTreeMap<u64, ScoreResponse>,
+}
+
+impl Outcomes {
+    /// The terminal step every ticket takes exactly once: count `status`
+    /// under its counter and emit its [`Payload::Terminal`] event.
+    fn resolve(
+        &mut self,
+        trace: &TraceHandle,
+        ticket: Ticket,
+        status: ScoreStatus,
+    ) -> ScoreResponse {
+        let s = &mut self.stats;
+        let (counter, terminal) = match &status {
+            ScoreStatus::Served(_) => (&mut s.served, TerminalStatus::Served),
+            ScoreStatus::ServedStale(_) => {
+                (&mut s.overload.served_stale, TerminalStatus::ServedStale)
+            }
+            ScoreStatus::Shed => (&mut s.shed, TerminalStatus::Shed),
+            ScoreStatus::DeadlineExceeded { .. } => (
+                &mut s.overload.deadline_exceeded,
+                TerminalStatus::DeadlineExceeded,
+            ),
+            ScoreStatus::Throttled => (&mut s.overload.throttled, TerminalStatus::Throttled),
+            ScoreStatus::Failed(_) => (&mut s.failed, TerminalStatus::Failed),
+        };
+        *counter += 1;
+        trace.emit(
+            0,
+            Site::Ticket(ticket.0),
+            Payload::Terminal { status: terminal },
+        );
+        ScoreResponse { ticket, status }
+    }
+
+    /// Resolve a queued request through its plan's FIFO gate, releasing
+    /// whatever the gate lets go.
+    fn resolve_queued(
+        &mut self,
+        trace: &TraceHandle,
+        gate: &mut ReorderBuffer<ScoreResponse>,
+        req: &PendingReq,
+        status: ScoreStatus,
+    ) {
+        let resp = self.resolve(trace, req.ticket, status);
+        gate.push(req.seq, resp);
+        while let Some(resp) = gate.pop_ready() {
+            self.ready.insert(resp.ticket.0, resp);
+        }
+    }
+}
+
 /// The serving front end: a synchronous, deterministic core that owns the
-/// plan cache, the admission controller, and the per-plan micro-batchers.
+/// admitted plans (each with its micro-batcher, failure streak and
+/// breaker) and the admission ledger that orders them.
 ///
 /// Drive it with [`GnnServer::submit`] (enqueue, possibly flush a full
 /// batch), [`GnnServer::tick`] (advance logical time, flush aged groups),
@@ -365,27 +440,15 @@ pub struct GnnServer<'a> {
     cfg: ServeConfig,
     models: FxHashMap<u64, &'a GnnModel>,
     graphs: FxHashMap<u64, &'a Graph>,
-    cache: PlanCache<'a>,
-    admission: AdmissionController,
-    queues: FxHashMap<PlanKey, RequestQueue>,
-    /// First-submission order of plan keys — the deterministic flush
-    /// iteration order (hash-map iteration order is not stable).
-    queue_order: Vec<PlanKey>,
+    /// Every live plan, oldest admission first: the order shedding evicts
+    /// in and flushes walk.
+    admission: AdmissionController<LivePlan<'a>>,
     tickets: TicketLine,
-    /// Released responses, keyed by ticket (ascending = submission order).
-    ready: BTreeMap<u64, ScoreResponse>,
     clock: u64,
     pending: usize,
-    stats: ServerStats,
-    /// Consecutive failed batch runs per plan (reset by any success).
-    failures: FxHashMap<PlanKey, u32>,
-    /// Plans currently refusing new submissions (see
-    /// [`ServeConfig::quarantine_after`]).
-    quarantined: FxHashSet<PlanKey>,
+    out: Outcomes,
     /// Per-tenant token buckets ([`ServeConfig::rate_limit`]).
     limiter: TenantRateLimiter,
-    /// Per-plan failure-rate breakers ([`ServeConfig::breaker`]).
-    breakers: FxHashMap<PlanKey, CircuitBreaker>,
     /// Degraded-mode response rows ([`ServeConfig::response_cache`]).
     responses: ResponseCache,
 }
@@ -399,19 +462,12 @@ impl<'a> GnnServer<'a> {
             cfg,
             models: FxHashMap::default(),
             graphs: FxHashMap::default(),
-            cache: PlanCache::new(),
             admission,
-            queues: FxHashMap::default(),
-            queue_order: Vec::new(),
             tickets: TicketLine::new(),
-            ready: BTreeMap::new(),
             clock: 0,
             pending: 0,
-            stats: ServerStats::default(),
-            failures: FxHashMap::default(),
-            quarantined: FxHashSet::default(),
+            out: Outcomes::default(),
             limiter: TenantRateLimiter::new(),
-            breakers: FxHashMap::default(),
             responses,
         }
     }
@@ -459,8 +515,12 @@ impl<'a> GnnServer<'a> {
         // Quarantined plans fast-fail before any lookup or planning:
         // queueing more work onto a configuration that keeps failing only
         // manufactures more `Failed` responses.
-        if self.quarantined.contains(&key) {
-            self.stats.quarantine_rejections += 1;
+        if self
+            .admission
+            .get(&key)
+            .is_some_and(|live| live.quarantined)
+        {
+            self.out.stats.quarantine_rejections += 1;
             trace.emit(
                 0,
                 Site::Server,
@@ -491,9 +551,9 @@ impl<'a> GnnServer<'a> {
         // a group: coalescing is by `Arc` identity, so every later request
         // naming the same snapshot joins an already-validated group.
         let joins_group = self
-            .queues
+            .admission
             .get(&key)
-            .is_some_and(|q| q.groups.iter().any(|g| g.matches(&req.features)));
+            .is_some_and(|live| live.queue.groups.iter().any(|g| g.matches(&req.features)));
         if !joins_group {
             if let Some(snap) = &req.features {
                 if snap.len() != graph.n_nodes() {
@@ -534,7 +594,7 @@ impl<'a> GnnServer<'a> {
             if !self.limiter.try_acquire(&rl, tenant, self.clock) {
                 return match rl.policy {
                     OverflowPolicy::Reject => {
-                        self.stats.overload.throttled += 1;
+                        self.out.stats.overload.throttled += 1;
                         trace.emit(
                             0,
                             Site::Server,
@@ -548,6 +608,9 @@ impl<'a> GnnServer<'a> {
                             rl.capacity, rl.refill_per_tick
                         )))
                     }
+                    // The degraded path: answered stale on a full
+                    // response-cache hit, `Throttled` otherwise — resolved
+                    // at once, never enqueued.
                     OverflowPolicy::Degrade => {
                         trace.emit(
                             0,
@@ -556,13 +619,12 @@ impl<'a> GnnServer<'a> {
                                 outcome: LimiterOutcome::Degraded,
                             },
                         );
-                        Ok(self.resolve_degraded(
-                            key,
-                            &req.features,
-                            &req.targets,
-                            n_nodes,
-                            req.tenant,
-                        ))
+                        let status =
+                            match self.stale_lookup(&key, &req.features, &req.targets, n_nodes) {
+                                Some(rows) => ScoreStatus::ServedStale(rows),
+                                None => ScoreStatus::Throttled,
+                            };
+                        Ok(self.resolve_now(&trace, req.tenant, status))
                     }
                 };
             }
@@ -574,11 +636,11 @@ impl<'a> GnnServer<'a> {
         if let Some(bc) = self.cfg.breaker {
             let clock = self.clock;
             let open = self
-                .breakers
+                .admission
                 .get_mut(&key)
-                .is_some_and(|b| b.state(&bc, clock) == BreakerState::Open);
+                .is_some_and(|live| live.breaker.state(&bc, clock) == BreakerState::Open);
             if open {
-                self.stats.overload.breaker_rejections += 1;
+                self.out.stats.overload.breaker_rejections += 1;
                 trace.emit(
                     0,
                     Site::Server,
@@ -588,29 +650,7 @@ impl<'a> GnnServer<'a> {
                 );
                 return match self.stale_lookup(&key, &req.features, &req.targets, n_nodes) {
                     Some(rows) => {
-                        let ticket = self.tickets.issue();
-                        self.stats.submitted += 1;
-                        self.stats.overload.served_stale += 1;
-                        trace.emit(
-                            0,
-                            Site::Ticket(ticket.0),
-                            Payload::Submitted { tenant: req.tenant },
-                        );
-                        trace.emit(
-                            0,
-                            Site::Ticket(ticket.0),
-                            Payload::Terminal {
-                                status: TerminalStatus::ServedStale,
-                            },
-                        );
-                        self.ready.insert(
-                            ticket.0,
-                            ScoreResponse {
-                                ticket,
-                                status: ScoreStatus::ServedStale(rows),
-                            },
-                        );
-                        Ok(ticket)
+                        Ok(self.resolve_now(&trace, req.tenant, ScoreStatus::ServedStale(rows)))
                     }
                     None => Err(Error::Overloaded(format!(
                         "circuit breaker open for model {} graph {} \
@@ -622,94 +662,94 @@ impl<'a> GnnServer<'a> {
         }
 
         // Plan + admission-gate on first use of this configuration.
-        if self.cache.contains(&key) {
-            self.stats.plan_cache_hits += 1;
-        } else {
-            // An Auto plan picks its backend against the budget the policy
-            // can actually offer it — the per-plan §IV-A decision nested
-            // inside the fleet-wide one. Under `Reject` that is what is
-            // left of the fleet; under `ShedOldest` it is the whole
-            // budget, because admission will evict older plans to make
-            // room for the newcomer's choice.
-            let remaining = self.admission.remaining();
-            let plannable = match self.cfg.policy {
-                AdmissionPolicy::Reject => remaining,
-                AdmissionPolicy::ShedOldest => self.cfg.memory_budget,
-            };
-            let mut builder = InferenceSession::builder()
-                .model(model)
-                .graph(graph)
-                .workers(req.workers)
-                .strategy(req.strategy)
-                .backend(req.backend)
-                .memory_budget(plannable);
-            if let Some(bytes) = req.spill_budget {
-                builder = builder.spill_budget(bytes);
-                if let Some(dir) = &self.cfg.spill_dir {
-                    builder = builder.spill_dir(dir.clone());
-                }
+        let at = match self.admission.position(&key) {
+            Some(at) => {
+                self.out.stats.plan_cache_hits += 1;
+                at
             }
-            if let Some(fp) = &self.cfg.fault_plan {
-                builder = builder.fault_plan(fp.clone());
-            }
-            if let Some(rp) = self.cfg.recovery {
-                builder = builder.recovery(rp);
-            }
-            if let Some(t) = &self.cfg.transport {
-                builder = builder.transport(std::sync::Arc::clone(t));
-            }
-            let plan = builder.plan()?;
-            let bytes = plan_residency(&plan);
-            match self.admission.try_admit(key, bytes) {
-                Admission::Admitted => {
-                    trace.emit(
-                        0,
-                        Site::Server,
-                        Payload::Admission {
-                            outcome: AdmissionOutcome::Admitted,
-                        },
-                    );
-                }
-                Admission::AdmittedAfterShedding(shed) => {
-                    trace.emit(
-                        0,
-                        Site::Server,
-                        Payload::Admission {
-                            outcome: AdmissionOutcome::Admitted,
-                        },
-                    );
-                    for k in &shed {
-                        self.evict(k);
+            None => {
+                // An Auto plan picks its backend against the budget the
+                // policy can actually offer it — the per-plan §IV-A
+                // decision nested inside the fleet-wide one. Under
+                // `Reject` that is what is left of the fleet; under
+                // `ShedOldest` it is the whole budget, because admission
+                // will evict older plans to make room for the newcomer's
+                // choice.
+                let remaining = self.admission.remaining();
+                let plannable = match self.cfg.policy {
+                    AdmissionPolicy::Reject => remaining,
+                    AdmissionPolicy::ShedOldest => self.cfg.memory_budget,
+                };
+                let mut builder = InferenceSession::builder()
+                    .model(model)
+                    .graph(graph)
+                    .workers(req.workers)
+                    .strategy(req.strategy)
+                    .backend(req.backend)
+                    .memory_budget(plannable);
+                if let Some(bytes) = req.spill_budget {
+                    builder = builder.spill_budget(bytes);
+                    if let Some(dir) = &self.cfg.spill_dir {
+                        builder = builder.spill_dir(dir.clone());
                     }
                 }
-                Admission::Rejected => {
-                    self.stats.rejected += 1;
-                    trace.emit(
-                        0,
-                        Site::Server,
-                        Payload::Admission {
-                            outcome: AdmissionOutcome::Rejected,
-                        },
-                    );
-                    return Err(Error::InvalidConfig(format!(
-                        "admission denied: plan needs {bytes} B peak residency, fleet has \
-                         {remaining} of {} B",
-                        self.admission.budget()
-                    )));
+                if let Some(fp) = &self.cfg.fault_plan {
+                    builder = builder.fault_plan(fp.clone());
                 }
+                if let Some(rp) = self.cfg.recovery {
+                    builder = builder.recovery(rp);
+                }
+                if let Some(t) = &self.cfg.transport {
+                    builder = builder.transport(std::sync::Arc::clone(t));
+                }
+                let plan = builder.plan()?;
+                let bytes = plan_residency(&plan);
+                let live = LivePlan {
+                    plan,
+                    queue: RequestQueue::default(),
+                    failures: 0,
+                    quarantined: false,
+                    breaker: CircuitBreaker::new(),
+                };
+                let shed = match self.admission.try_admit(key, bytes, live) {
+                    Admission::Admitted => Vec::new(),
+                    Admission::AdmittedAfterShedding(shed) => shed,
+                    Admission::Rejected => {
+                        self.out.stats.rejected += 1;
+                        trace.emit(
+                            0,
+                            Site::Server,
+                            Payload::Admission {
+                                outcome: AdmissionOutcome::Rejected,
+                            },
+                        );
+                        return Err(Error::InvalidConfig(format!(
+                            "admission denied: plan needs {bytes} B peak residency, fleet has \
+                             {remaining} of {} B",
+                            self.admission.budget()
+                        )));
+                    }
+                };
+                trace.emit(
+                    0,
+                    Site::Server,
+                    Payload::Admission {
+                        outcome: AdmissionOutcome::Admitted,
+                    },
+                );
+                for (shed_key, live) in shed {
+                    self.evict(&shed_key, live);
+                }
+                self.out.stats.plans_built += 1;
+                // `try_admit` appends the newcomer: it is the newest plan.
+                self.admission.plans() - 1
             }
-            self.cache.insert(key, plan);
-            self.stats.plans_built += 1;
-        }
+        };
 
-        // Enqueue into the (possibly new) queue, coalescing by snapshot
-        // identity.
-        if !self.queue_order.contains(&key) {
-            self.queue_order.push(key);
-        }
+        // Enqueue, coalescing by snapshot identity.
         let clock = self.clock;
         let ticket = self.tickets.issue();
-        let q = self.queues.entry(key).or_default();
+        let q = &mut self.admission.at_mut(at).1.queue;
         let seq = q.seqs.issue();
         let gi = match q.groups.iter().position(|g| g.matches(&req.features)) {
             Some(i) => i,
@@ -728,7 +768,7 @@ impl<'a> GnnServer<'a> {
             targets: req.targets,
             deadline: deadline.map(|d| (clock + d, d)),
         });
-        let full = q.groups[gi].requests.len() >= self.cfg.max_batch;
+        let group_len = q.groups[gi].requests.len();
         trace.emit(
             0,
             Site::Ticket(ticket.0),
@@ -738,14 +778,15 @@ impl<'a> GnnServer<'a> {
             0,
             Site::Ticket(ticket.0),
             Payload::Enqueued {
-                group_len: q.groups[gi].requests.len() as u64,
+                group_len: group_len as u64,
             },
         );
         self.pending += 1;
-        self.stats.submitted += 1;
-        self.stats.queue_depth_high_water = self.stats.queue_depth_high_water.max(self.pending);
-        if full {
-            self.flush_group(key, gi);
+        let stats = &mut self.out.stats;
+        stats.submitted += 1;
+        stats.queue_depth_high_water = stats.queue_depth_high_water.max(self.pending);
+        if group_len >= self.cfg.max_batch {
+            self.flush_group(at, gi);
         }
         Ok(ticket)
     }
@@ -767,13 +808,13 @@ impl<'a> GnnServer<'a> {
 
     /// Remove and return the response for `ticket`, if it is ready.
     pub fn take(&mut self, ticket: Ticket) -> Option<ScoreResponse> {
-        self.ready.remove(&ticket.0)
+        self.out.ready.remove(&ticket.0)
     }
 
     /// Remove and return every ready response, in ascending ticket
     /// (submission) order.
     pub fn drain_ready(&mut self) -> Vec<ScoreResponse> {
-        std::mem::take(&mut self.ready).into_values().collect()
+        std::mem::take(&mut self.out.ready).into_values().collect()
     }
 
     /// Requests enqueued but not yet executed.
@@ -783,7 +824,7 @@ impl<'a> GnnServer<'a> {
 
     /// Responses ready for pickup.
     pub fn ready_len(&self) -> usize {
-        self.ready.len()
+        self.out.ready.len()
     }
 
     /// The logical clock ([`GnnServer::tick`] increments it).
@@ -792,57 +833,63 @@ impl<'a> GnnServer<'a> {
     }
 
     pub fn stats(&self) -> &ServerStats {
-        &self.stats
+        &self.out.stats
     }
 
-    pub fn admission(&self) -> &AdmissionController {
+    /// The admission ledger: budget, residency and every live plan.
+    pub fn admission(&self) -> &AdmissionController<LivePlan<'a>> {
         &self.admission
     }
 
     /// Cached plans alive right now.
     pub fn cached_plans(&self) -> usize {
-        self.cache.len()
+        self.admission.plans()
     }
 
     /// Plans currently quarantined against new submissions (tripped by
     /// [`ServeConfig::quarantine_after`], lifted by a successful run).
     pub fn quarantined_plans(&self) -> usize {
-        self.quarantined.len()
+        self.admission
+            .iter()
+            .filter(|(_, live)| live.quarantined)
+            .count()
     }
 
     /// Flush due (or, with `all`, every) groups in deterministic order:
-    /// plans in first-submission order, groups in arrival order. The
+    /// plans in admission order, groups in arrival order. The
     /// deadline-expiry pass runs first, so expired work never occupies a
     /// batch slot in the flushes that follow.
     fn flush_due(&mut self, all: bool) -> usize {
         let completed_before = self.completed();
         self.expire_deadlines();
-        let keys = self.queue_order.clone();
-        for key in keys {
-            while let Some(q) = self.queues.get(&key) {
-                // `>` not `>=`: the partial interval a submit lands in is
-                // not a full tick of waiting. A group opened at clock N
-                // has waited `clock - N - 1` full ticks, so it is due once
-                // `clock - N > max_wait` — which keeps `max_wait: 0` as
-                // "flush at the very next tick" while giving every larger
-                // value its documented full-tick meaning.
-                let due = q.groups.iter().position(|g| {
-                    all || self.clock.saturating_sub(g.first_tick) > self.cfg.max_wait
-                });
+        let (clock, max_wait) = (self.clock, self.cfg.max_wait);
+        for at in 0..self.admission.plans() {
+            // `>` not `>=`: the partial interval a submit lands in is not
+            // a full tick of waiting. A group opened at clock N has waited
+            // `clock - N - 1` full ticks, so it is due once `clock - N >
+            // max_wait` — which keeps `max_wait: 0` as "flush at the very
+            // next tick" while giving every larger value its documented
+            // full-tick meaning.
+            loop {
+                let groups = &self.admission.at_mut(at).1.queue.groups;
+                let due = groups
+                    .iter()
+                    .position(|g| all || clock.saturating_sub(g.first_tick) > max_wait);
                 let Some(gi) = due else { break };
-                self.flush_group(key, gi);
+                self.flush_group(at, gi);
             }
         }
         self.completed() - completed_before
     }
 
     fn completed(&self) -> usize {
-        (self.stats.served
-            + self.stats.failed
-            + self.stats.shed
-            + self.stats.overload.deadline_exceeded
-            + self.stats.overload.served_stale
-            + self.stats.overload.throttled) as usize
+        let s = &self.out.stats;
+        (s.served
+            + s.failed
+            + s.shed
+            + s.overload.deadline_exceeded
+            + s.overload.served_stale
+            + s.overload.throttled) as usize
     }
 
     /// The deadline-expiry pass: resolve every queued request whose
@@ -855,47 +902,20 @@ impl<'a> GnnServer<'a> {
     fn expire_deadlines(&mut self) {
         let clock = self.clock;
         let trace = self.cfg.trace.at_epoch(clock);
-        let keys = self.queue_order.clone();
-        for key in keys {
-            let Some(q) = self.queues.get_mut(&key) else {
-                continue;
-            };
-            let mut expired = 0u64;
+        for at in 0..self.admission.plans() {
+            let q = &mut self.admission.at_mut(at).1.queue;
             for g in &mut q.groups {
-                let mut kept = Vec::with_capacity(g.requests.len());
-                for req in g.requests.drain(..) {
-                    match req.deadline {
-                        Some((expires_after, budget)) if clock > expires_after => {
-                            expired += 1;
-                            trace.emit(
-                                0,
-                                Site::Ticket(req.ticket.0),
-                                Payload::Terminal {
-                                    status: TerminalStatus::DeadlineExceeded,
-                                },
-                            );
-                            q.reorder.push(
-                                req.seq,
-                                ScoreResponse {
-                                    ticket: req.ticket,
-                                    status: ScoreStatus::DeadlineExceeded { deadline: budget },
-                                },
-                            );
-                        }
-                        _ => kept.push(req),
+                g.requests.retain(|req| match req.deadline {
+                    Some((expires_after, budget)) if clock > expires_after => {
+                        self.pending -= 1;
+                        let status = ScoreStatus::DeadlineExceeded { deadline: budget };
+                        self.out.resolve_queued(&trace, &mut q.reorder, req, status);
+                        false
                     }
-                }
-                g.requests = kept;
-            }
-            if expired == 0 {
-                continue;
+                    _ => true,
+                });
             }
             q.groups.retain(|g| !g.requests.is_empty());
-            self.pending -= expired as usize;
-            self.stats.overload.deadline_exceeded += expired;
-            for resp in q.reorder.drain_ready() {
-                self.ready.insert(resp.ticket.0, resp);
-            }
         }
     }
 
@@ -921,7 +941,7 @@ impl<'a> GnnServer<'a> {
             match self.responses.get(key, features, v) {
                 Some(row) => rows.push(row.to_vec()),
                 None => {
-                    self.stats.overload.cache_misses += 1;
+                    self.out.stats.overload.cache_misses += 1;
                     self.cfg.trace.at_epoch(self.clock).emit(
                         0,
                         Site::Server,
@@ -931,7 +951,7 @@ impl<'a> GnnServer<'a> {
                 }
             }
         }
-        self.stats.overload.cache_hits += 1;
+        self.out.stats.overload.cache_hits += 1;
         self.cfg
             .trace
             .at_epoch(self.clock)
@@ -939,110 +959,34 @@ impl<'a> GnnServer<'a> {
         Some(Arc::new(rows))
     }
 
-    /// Resolve a rate-limited request on the degraded path: a ticket is
-    /// issued and immediately resolved — [`ScoreStatus::ServedStale`] on a
-    /// full response-cache hit, [`ScoreStatus::Throttled`] otherwise. The
-    /// request is never enqueued and takes **no per-plan seq**: the
-    /// degraded path bypasses the FIFO gate by design (it must neither
-    /// wait behind nor hold up fresh work).
-    fn resolve_degraded(
+    /// Issue a ticket and resolve it at once — the out-of-FIFO form of
+    /// [`Outcomes::resolve`], shared by the limiter's degraded path and
+    /// the open breaker's stale answer. The ticket takes **no per-plan
+    /// seq**: it must neither wait behind nor hold up fresh work.
+    fn resolve_now(
         &mut self,
-        key: PlanKey,
-        features: &Option<FeatureSnapshot>,
-        targets: &[u32],
-        n_nodes: usize,
+        trace: &TraceHandle,
         tenant: Option<u64>,
+        status: ScoreStatus,
     ) -> Ticket {
         let ticket = self.tickets.issue();
-        self.stats.submitted += 1;
-        let trace = self.cfg.trace.at_epoch(self.clock);
+        self.out.stats.submitted += 1;
         trace.emit(0, Site::Ticket(ticket.0), Payload::Submitted { tenant });
-        let (status, terminal) = match self.stale_lookup(&key, features, targets, n_nodes) {
-            Some(rows) => {
-                self.stats.overload.served_stale += 1;
-                (ScoreStatus::ServedStale(rows), TerminalStatus::ServedStale)
-            }
-            None => {
-                self.stats.overload.throttled += 1;
-                (ScoreStatus::Throttled, TerminalStatus::Throttled)
-            }
-        };
-        trace.emit(
-            0,
-            Site::Ticket(ticket.0),
-            Payload::Terminal { status: terminal },
-        );
-        self.ready
-            .insert(ticket.0, ScoreResponse { ticket, status });
+        let resp = self.out.resolve(trace, ticket, status);
+        self.out.ready.insert(ticket.0, resp);
         ticket
     }
 
-    /// Execute one coalesced group: one `run`/`run_with_features` call,
-    /// per-request logits sliced from its output, responses released
-    /// through the plan's FIFO gate.
-    fn flush_group(&mut self, key: PlanKey, gi: usize) {
+    /// Execute group `gi` of the `at`-th live plan: one
+    /// `run`/`run_with_features` call, per-request logits sliced from its
+    /// output, responses released through the plan's FIFO gate.
+    fn flush_group(&mut self, at: usize, gi: usize) {
         let trace = self.cfg.trace.at_epoch(self.clock);
-        let Some(q) = self.queues.get_mut(&key) else {
-            return;
-        };
-        let group = q.groups.remove(gi);
+        let (&key, live) = self.admission.at_mut(at);
+        let group = live.queue.groups.remove(gi);
         self.pending -= group.requests.len();
-        let Some(plan) = self.cache.get(&key) else {
-            // A flushed group whose plan vanished from the cache is a
-            // serve-layer bug (eviction is supposed to shed the queue with
-            // it) — but it must cost the affected requests, not the whole
-            // process: resolve the group with a typed internal error and
-            // keep serving.
-            let err = Error::Internal(format!(
-                "flushed batch for model {} graph {} has no cached plan",
-                key.model, key.graph
-            ));
-            if let Some(q) = self.queues.get_mut(&key) {
-                for req in group.requests {
-                    self.stats.failed += 1;
-                    trace.emit(
-                        0,
-                        Site::Ticket(req.ticket.0),
-                        Payload::Terminal {
-                            status: TerminalStatus::Failed,
-                        },
-                    );
-                    q.reorder.push(
-                        req.seq,
-                        ScoreResponse {
-                            ticket: req.ticket,
-                            status: ScoreStatus::Failed(err.clone()),
-                        },
-                    );
-                }
-                for resp in q.reorder.drain_ready() {
-                    self.ready.insert(resp.ticket.0, resp);
-                }
-            } else {
-                // The queue vanished mid-flush too: no FIFO gate is left
-                // to order these responses, so fail them straight into the
-                // ready map instead of aborting the server.
-                for req in group.requests {
-                    self.stats.failed += 1;
-                    trace.emit(
-                        0,
-                        Site::Ticket(req.ticket.0),
-                        Payload::Terminal {
-                            status: TerminalStatus::Failed,
-                        },
-                    );
-                    self.ready.insert(
-                        req.ticket.0,
-                        ScoreResponse {
-                            ticket: req.ticket,
-                            status: ScoreStatus::Failed(err.clone()),
-                        },
-                    );
-                }
-            }
-            return;
-        };
-        self.stats.batches += 1;
+        let stats = &mut self.out.stats;
+        stats.batches += 1;
         // THE batching contract: a coalesced group is served by exactly
         // one *successful* plan execution — bit-identical to the caller
         // making this very call itself. A transient failure (lost worker,
@@ -1053,13 +997,13 @@ impl<'a> GnnServer<'a> {
         let mut attempts_left = self.cfg.max_run_retries;
         let outcome = loop {
             let r = match &group.features {
-                Some(snap) => plan.run_with_features(snap),
-                None => plan.run(),
+                Some(snap) => live.plan.run_with_features(snap),
+                None => live.plan.run(),
             };
             match r {
                 Err(e) if e.is_transient() && attempts_left > 0 => {
                     attempts_left -= 1;
-                    self.stats.run_retries += 1;
+                    stats.run_retries += 1;
                 }
                 other => break other,
             }
@@ -1080,10 +1024,8 @@ impl<'a> GnnServer<'a> {
         // failure-rate containment tier; see `crate::breaker`). A HalfOpen
         // breaker treats this run as its probe.
         if let Some(bc) = self.cfg.breaker {
-            let clock = self.clock;
-            let b = self.breakers.entry(key).or_default();
-            if b.record(&bc, clock, outcome.is_ok()) {
-                self.stats.overload.breaker_opens += 1;
+            if live.breaker.record(&bc, self.clock, outcome.is_ok()) {
+                stats.overload.breaker_opens += 1;
                 trace.emit(
                     0,
                     Site::Server,
@@ -1104,45 +1046,18 @@ impl<'a> GnnServer<'a> {
                 }
             }
         }
-        let Some(q) = self.queues.get_mut(&key) else {
-            // Same containment as above: a vanished queue costs this group
-            // its FIFO ordering, not the process. Fail the requests
-            // straight into the ready map.
-            let err = Error::Internal(format!(
-                "queue for model {} graph {} vanished mid-flush",
-                key.model, key.graph
-            ));
-            for req in group.requests {
-                self.stats.failed += 1;
-                trace.emit(
-                    0,
-                    Site::Ticket(req.ticket.0),
-                    Payload::Terminal {
-                        status: TerminalStatus::Failed,
-                    },
-                );
-                self.ready.insert(
-                    req.ticket.0,
-                    ScoreResponse {
-                        ticket: req.ticket,
-                        status: ScoreStatus::Failed(err.clone()),
-                    },
-                );
-            }
-            return;
-        };
         match outcome {
             Ok(out) => {
-                self.failures.remove(&key);
                 // One good run lifts a quarantine: the plan demonstrably
                 // serves again (the failure streak was a transient cluster
                 // condition, now drained).
-                self.quarantined.remove(&key);
-                self.stats.message_bytes.add(out.report.message_bytes);
-                self.stats.spilled_bytes += out.report.spilled_bytes;
-                self.stats.engine_retries += out.report.retries;
-                self.stats.checkpoints += out.report.checkpoints;
-                self.stats.modelled_run_secs += out.report.total_wall_secs();
+                live.failures = 0;
+                live.quarantined = false;
+                stats.message_bytes.add(out.report.message_bytes);
+                stats.spilled_bytes += out.report.spilled_bytes;
+                stats.engine_retries += out.report.retries;
+                stats.checkpoints += out.report.checkpoints;
+                stats.modelled_run_secs += out.report.total_wall_secs();
                 // Full-logits requests share the run's output behind one
                 // Arc — a group of them costs one allocation, not one V×C
                 // copy per request.
@@ -1158,110 +1073,53 @@ impl<'a> GnnServer<'a> {
                                 .collect(),
                         )
                     };
-                    self.stats.served += 1;
-                    trace.emit(
-                        0,
-                        Site::Ticket(req.ticket.0),
-                        Payload::Terminal {
-                            status: TerminalStatus::Served,
-                        },
-                    );
-                    q.reorder.push(
-                        req.seq,
-                        ScoreResponse {
-                            ticket: req.ticket,
-                            status: ScoreStatus::Served(logits),
-                        },
-                    );
+                    let status = ScoreStatus::Served(logits);
+                    self.out
+                        .resolve_queued(&trace, &mut live.queue.reorder, &req, status);
                 }
             }
             Err(e) => {
                 // The failed run poisons nothing beyond this group: the
-                // plan, its cache entry, and its FIFO stay live, and the
-                // next group runs independently. Only the *streak* is
-                // tracked — enough consecutive failures quarantine the
-                // plan against new submissions.
-                let streak = self.failures.entry(key).or_insert(0);
-                *streak += 1;
+                // plan and its FIFO stay live, and the next group runs
+                // independently. Only the *streak* is tracked — enough
+                // consecutive failures quarantine the plan against new
+                // submissions.
+                live.failures += 1;
                 if self.cfg.quarantine_after > 0
-                    && *streak >= self.cfg.quarantine_after
-                    && self.quarantined.insert(key)
+                    && live.failures >= self.cfg.quarantine_after
+                    && !live.quarantined
                 {
-                    self.stats.quarantined += 1;
+                    live.quarantined = true;
+                    stats.quarantined += 1;
                 }
                 for req in group.requests {
-                    self.stats.failed += 1;
-                    trace.emit(
-                        0,
-                        Site::Ticket(req.ticket.0),
-                        Payload::Terminal {
-                            status: TerminalStatus::Failed,
-                        },
-                    );
-                    q.reorder.push(
-                        req.seq,
-                        ScoreResponse {
-                            ticket: req.ticket,
-                            status: ScoreStatus::Failed(e.clone()),
-                        },
-                    );
+                    let status = ScoreStatus::Failed(e.clone());
+                    self.out
+                        .resolve_queued(&trace, &mut live.queue.reorder, &req, status);
                 }
             }
-        }
-        for resp in q.reorder.drain_ready() {
-            self.ready.insert(resp.ticket.0, resp);
         }
     }
 
-    /// Drop an evicted plan: its cache entry goes away and every pending
-    /// request completes — [`ScoreStatus::ServedStale`] when the response
-    /// cache still holds a full answer for it, [`ScoreStatus::Shed`]
-    /// otherwise. (The admission controller already released its
-    /// residency; response-cache rows outlive the plan on purpose.)
-    fn evict(&mut self, key: &PlanKey) {
-        self.cache.remove(key);
-        self.failures.remove(key);
-        self.quarantined.remove(key);
-        self.breakers.remove(key);
+    /// Resolve an evicted plan's pending requests —
+    /// [`ScoreStatus::ServedStale`] when the response cache still holds a
+    /// full answer, [`ScoreStatus::Shed`] otherwise — released in ticket
+    /// order. Admission has already dropped the plan and released its
+    /// residency; response-cache rows outlive the plan on purpose.
+    fn evict(&mut self, key: &PlanKey, mut live: LivePlan<'a>) {
         let n_nodes = self.graphs.get(&key.graph).map_or(0, |g| g.n_nodes());
         let trace = self.cfg.trace.at_epoch(self.clock);
-        if let Some(mut q) = self.queues.remove(key) {
-            for group in q.groups.drain(..) {
-                self.pending -= group.requests.len();
-                let features = group.features;
-                for req in group.requests {
-                    let (status, terminal) =
-                        match self.stale_lookup(key, &features, &req.targets, n_nodes) {
-                            Some(rows) => {
-                                self.stats.overload.served_stale += 1;
-                                (ScoreStatus::ServedStale(rows), TerminalStatus::ServedStale)
-                            }
-                            None => {
-                                self.stats.shed += 1;
-                                (ScoreStatus::Shed, TerminalStatus::Shed)
-                            }
-                        };
-                    trace.emit(
-                        0,
-                        Site::Ticket(req.ticket.0),
-                        Payload::Terminal { status: terminal },
-                    );
-                    q.reorder.push(
-                        req.seq,
-                        ScoreResponse {
-                            ticket: req.ticket,
-                            status,
-                        },
-                    );
-                }
-            }
-            // Every outstanding seq is now pushed, so the gate releases
-            // everything this plan still owed.
-            for resp in q.reorder.drain_ready() {
-                self.ready.insert(resp.ticket.0, resp);
+        for group in live.queue.groups.drain(..) {
+            self.pending -= group.requests.len();
+            for req in group.requests {
+                let status = match self.stale_lookup(key, &group.features, &req.targets, n_nodes) {
+                    Some(rows) => ScoreStatus::ServedStale(rows),
+                    None => ScoreStatus::Shed,
+                };
+                self.out
+                    .resolve_queued(&trace, &mut live.queue.reorder, &req, status);
             }
         }
-        self.queue_order.retain(|k| k != key);
     }
 }
 

@@ -14,7 +14,10 @@ use inferturbo_obs::MetricsRegistry;
 /// copy out; `Display` prints the one-page operator view.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerStats {
-    /// Requests accepted into the queue (excludes admission rejections).
+    /// Tickets issued: requests queued, plus those the limiter's degraded
+    /// path and an open breaker's stale answer resolve at once. A refused
+    /// submit (invalid, quarantined, throttled under `Reject`, denied
+    /// admission, breaker fast-fail) issues none.
     pub submitted: u64,
     /// Requests answered with logits.
     pub served: u64,

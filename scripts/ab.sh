@@ -35,9 +35,9 @@
 # Use a seed the change was not developed on.
 set -euo pipefail
 
-# As in run.sh: nothing ambient may change what is measured.
-unset INFERTURBO_THREADS INFERTURBO_FAULTS INFERTURBO_TRACE \
-      INFERTURBO_TRANSPORT INFERTURBO_WORKER_BIN INFERTURBO_OVERLOAD
+# As in run.sh: nothing ambient may change what is measured. These are
+# the only two variables the library reads.
+unset INFERTURBO_THREADS INFERTURBO_WORKER_BIN
 
 usage() { sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 2 ] || usage

@@ -28,9 +28,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# As in run.sh: nothing ambient may change what is measured.
-unset INFERTURBO_THREADS INFERTURBO_FAULTS INFERTURBO_TRACE \
-      INFERTURBO_TRANSPORT INFERTURBO_WORKER_BIN INFERTURBO_OVERLOAD
+# As in run.sh: nothing ambient may change what is measured. These are
+# the only two variables the library reads.
+unset INFERTURBO_THREADS INFERTURBO_WORKER_BIN
 
 usage() { sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 1 ] || usage

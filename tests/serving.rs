@@ -24,6 +24,7 @@
 //!    replays identically at every thread count, and a `ServedStale`
 //!    answer is bit-identical to the fresh run that populated the cache.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use inferturbo::cluster::{FaultPlan, FaultSite};
@@ -33,6 +34,7 @@ use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::strategy::StrategyConfig;
 use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
+use inferturbo::obs::{Payload, Site, TraceHandle};
 use inferturbo::serve::{
     AdmissionPolicy, BreakerConfig, FeatureSnapshot, GnnServer, RateLimitConfig, ScoreRequest,
     ScoreStatus, ServeConfig, ServerStats,
@@ -367,6 +369,101 @@ fn shed_oldest_evicts_the_oldest_plan_and_sheds_its_queue() {
         server.take(t3).unwrap().status,
         ScoreStatus::Served(_)
     ));
+}
+
+/// Eviction answers from the response cache: an evicted plan's pending
+/// request whose rows are all cached resolves `ServedStale` (bit-identical
+/// to the run that cached them), one with a miss resolves `Shed`, both
+/// leave through the plan's FIFO gate in ticket order, and each ticket
+/// gets exactly one terminal trace event.
+#[test]
+fn eviction_serves_cached_rows_stale_and_sheds_the_rest() {
+    let g = test_graph(DegreeSkew::In);
+    let m = GnnModel::sage(5, 8, 2, 3, false, PoolOp::Mean, 6);
+    let probe = InferenceSession::builder()
+        .model(&m)
+        .graph(&g)
+        .workers(4)
+        .backend(Backend::Pregel)
+        .plan()
+        .unwrap();
+    let resident = probe.estimate().pregel_peak_worker_bytes;
+
+    let trace = TraceHandle::recording();
+    let mut server = GnnServer::new(ServeConfig {
+        memory_budget: resident + resident / 2,
+        policy: AdmissionPolicy::ShedOldest,
+        max_batch: 100,
+        max_wait: 100,
+        trace: trace.clone(),
+        ..ServeConfig::default()
+    });
+    server.register_model(1, &m).unwrap();
+    server.register_graph(1, &g).unwrap();
+    let old = ScoreRequest::new(1, 1)
+        .with_workers(4)
+        .with_backend(Backend::Pregel);
+    // Prime the response cache: one run of the old plan on the graph's
+    // own features caches every node's row.
+    let t_prime = server.submit(old.clone()).unwrap();
+    server.drain();
+    let primed = bits(server.take(t_prime).unwrap().logits().unwrap());
+
+    // Two pending requests: a snapshot the cache has never seen (a miss),
+    // then graph-feature targets whose rows are all cached.
+    let t_miss = server
+        .submit(
+            old.clone()
+                .with_snapshot(snapshot_scaled(&g, 0.5))
+                .with_targets(vec![3]),
+        )
+        .unwrap();
+    let t_hit = server.submit(old.with_targets(vec![3, 7])).unwrap();
+    assert_eq!(server.pending(), 2);
+
+    // A second plan arrives and forces the first out.
+    let t_new = server
+        .submit(
+            ScoreRequest::new(1, 1)
+                .with_workers(8)
+                .with_backend(Backend::Pregel)
+                .with_targets(vec![3]),
+        )
+        .unwrap();
+    assert_eq!(server.cached_plans(), 1, "old plan evicted");
+    assert_eq!(server.pending(), 1, "only the newcomer is queued");
+    let evicted = server.drain_ready();
+    let tickets: Vec<_> = evicted.iter().map(|r| r.ticket).collect();
+    assert_eq!(tickets, vec![t_miss, t_hit], "released in ticket order");
+    assert_eq!(evicted[0].status, ScoreStatus::Shed);
+    assert!(evicted[1].is_stale());
+    assert_eq!(
+        bits(evicted[1].logits().unwrap()),
+        vec![primed[3].clone(), primed[7].clone()],
+        "stale rows == the priming run's rows"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.shed, 1);
+    assert_eq!(stats.overload.served_stale, 1);
+    assert_eq!(stats.overload.cache_hits, 1);
+    assert_eq!(stats.overload.cache_misses, 1);
+
+    server.drain();
+    assert!(matches!(
+        server.take(t_new).unwrap().status,
+        ScoreStatus::Served(_)
+    ));
+    let mut terminals: BTreeMap<u64, u32> = BTreeMap::new();
+    for e in trace.events() {
+        if let (Site::Ticket(t), Payload::Terminal { .. }) = (e.site, &e.payload) {
+            *terminals.entry(t).or_default() += 1;
+        }
+    }
+    let want: BTreeMap<u64, u32> = [t_prime, t_miss, t_hit, t_new]
+        .iter()
+        .map(|t| (t.0, 1))
+        .collect();
+    assert_eq!(terminals, want, "one terminal event per ticket");
 }
 
 /// Under `ShedOldest`, a `Backend::Auto` plan resolves its backend
