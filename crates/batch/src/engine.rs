@@ -496,14 +496,14 @@ impl PhaseParams {
 }
 
 /// Task-start fault gate, shared by a phase's worker tasks. Fires any
-/// scheduled injection for the task and absorbs up to `max_retries`
-/// firings by modelling a task re-launch: the fault fires *before* the
-/// task consumes its (immutable) input, and the in-process kernels are
-/// deterministic, so a re-launched task is bit-identical to one that
-/// never failed — the retry costs scheduling time, not correctness.
+/// scheduled injection for the task and absorbs up to
+/// [`MAX_TASK_RETRIES`] firings by modelling a task re-launch: the fault
+/// fires *before* the task consumes its (immutable) input, and the
+/// in-process kernels are deterministic, so a re-launched task is
+/// bit-identical to one that never failed — the retry costs scheduling
+/// time, not correctness.
 struct TaskGate {
     faults: Option<FaultInjector>,
-    max_retries: u32,
 }
 
 impl TaskGate {
@@ -516,7 +516,7 @@ impl TaskGate {
         };
         let mut retries = 0u64;
         while let Some(e) = fire(inj) {
-            if retries >= self.max_retries as u64 {
+            if retries >= u64::from(MAX_TASK_RETRIES) {
                 return Err(e);
             }
             retries += 1;
@@ -571,6 +571,14 @@ impl<V: Encode> PhaseOut<V> {
     }
 }
 
+/// How many times an injected task failure is absorbed by re-launching
+/// the task before the job fails (Hadoop's `mapreduce.map.maxattempts`
+/// analogue). Task retry is idempotent by construction: a task's input —
+/// its HDFS split or sorted shuffle partition — is immutable, and the
+/// fault fires before the task consumes anything, so the re-run is
+/// bit-identical. Absorbed failures count on [`RunReport::retries`].
+const MAX_TASK_RETRIES: u32 = 3;
+
 /// The batch engine. Owns the cluster spec and accumulates a [`RunReport`]
 /// across phases; one engine instance = one job chain.
 pub struct BatchEngine {
@@ -583,13 +591,6 @@ pub struct BatchEngine {
     /// default — costs nothing. Armed only by an explicit
     /// [`BatchEngine::with_fault_injector`].
     faults: Option<FaultInjector>,
-    /// How many times an injected task failure is absorbed by re-launching
-    /// the task before the job fails (Hadoop's `mapreduce.map.maxattempts`
-    /// analogue). Task retry is idempotent by construction: a task's input
-    /// — its HDFS split or sorted shuffle partition — is immutable, and
-    /// the fault fires before the task consumes anything, so the re-run is
-    /// bit-identical. Absorbed failures count on [`RunReport::retries`].
-    pub max_task_retries: u32,
     /// Map phases executed so far (addresses [`inferturbo_cluster::FaultSite::MapTask`]).
     map_rounds: usize,
     /// Reduce phases executed so far (addresses
@@ -614,7 +615,6 @@ impl BatchEngine {
             record_overhead: 2,
             report: RunReport::new(spec),
             faults: None,
-            max_task_retries: 3,
             map_rounds: 0,
             reduce_rounds: 0,
             trace: TraceHandle::disabled(),
@@ -634,12 +634,6 @@ impl BatchEngine {
     /// spanning repeated runs.
     pub fn with_fault_injector(mut self, injector: Option<FaultInjector>) -> Self {
         self.faults = injector;
-        self
-    }
-
-    /// Bound the per-task re-launch count for injected task failures.
-    pub fn with_task_retries(mut self, max: u32) -> Self {
-        self.max_task_retries = max;
         self
     }
 
@@ -685,7 +679,6 @@ impl BatchEngine {
         self.map_rounds += 1;
         let gate = TaskGate {
             faults: self.faults.clone(),
-            max_retries: self.max_task_retries,
         };
         (gate, round)
     }
@@ -696,7 +689,6 @@ impl BatchEngine {
         self.reduce_rounds += 1;
         let gate = TaskGate {
             faults: self.faults.clone(),
-            max_retries: self.max_task_retries,
         };
         (gate, round)
     }
@@ -1590,16 +1582,15 @@ mod tests {
     #[test]
     fn task_retry_exhaustion_surfaces_the_lost_worker() {
         use inferturbo_cluster::{FaultPlan, FaultSite};
+        // One firing more than the retry budget absorbs.
         let plan = FaultPlan::new().and_fail_times(
             FaultSite::MapTask {
                 worker: 1,
                 round: 0,
             },
-            10,
+            MAX_TASK_RETRIES + 1,
         );
-        let mut eng = engine(2)
-            .with_fault_injector(Some(plan.injector()))
-            .with_task_retries(2);
+        let mut eng = engine(2).with_fault_injector(Some(plan.injector()));
         let parts = eng.scatter_inputs(vec![1u64, 2, 3]);
         let err = map_typed(&mut eng, "m", &parts, |_w| {
             |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, 1.0f32)])

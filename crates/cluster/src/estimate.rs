@@ -19,8 +19,6 @@
 //! (in `inferturbo-core`) encodes exactly this comparison instead of
 //! leaving the choice to the caller.
 
-use crate::spec::ClusterSpec;
-
 /// Predicted traffic for one GNN layer, split by message plane. The
 /// per-edge GNN traffic (columnar + legacy) is common to both backends;
 /// MapReduce additionally re-shuffles every node's self-state each round
@@ -146,27 +144,6 @@ impl PlanEstimate {
             .map(|l| l.mapreduce_wire_bytes(workers))
             .sum()
     }
-
-    /// Modelled communication wall-clock lower bound for the whole run on
-    /// `spec`, using the same constants as
-    /// [`PhaseReport::seal`](crate::PhaseReport::seal): per phase, the
-    /// predicted bytes spread evenly across workers over the full-duplex
-    /// NIC, plus the per-phase scheduling overhead. Real runs are slower
-    /// (compute, stragglers); the bound is for backend comparison, not
-    /// absolute prediction.
-    pub fn comm_wall_secs(
-        &self,
-        spec: &ClusterSpec,
-        bytes_per_layer: impl Fn(&LayerEstimate) -> u64,
-    ) -> f64 {
-        let w = spec.workers.max(1) as f64;
-        self.layers
-            .iter()
-            .map(|l| {
-                bytes_per_layer(l) as f64 / w / spec.bandwidth_bytes + spec.phase_overhead_secs
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -227,19 +204,5 @@ mod tests {
         let e = estimate();
         assert!(e.pregel_fits(4_096));
         assert!(!e.pregel_fits(4_095));
-    }
-
-    #[test]
-    fn comm_bound_uses_spec_rates() {
-        let e = estimate();
-        // test_spec: 1e6 B/s, zero overhead, 1 worker.
-        let spec = ClusterSpec::test_spec(1);
-        let secs = e.comm_wall_secs(&spec, LayerEstimate::pregel_bytes);
-        assert!((secs - 1_500.0 / 1.0e6).abs() < 1e-12);
-        // Overhead is charged once per phase.
-        let mut spec2 = spec;
-        spec2.phase_overhead_secs = 2.0;
-        let secs2 = e.comm_wall_secs(&spec2, LayerEstimate::pregel_bytes);
-        assert!((secs2 - (secs + 4.0)).abs() < 1e-12);
     }
 }

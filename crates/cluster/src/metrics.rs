@@ -7,8 +7,6 @@
 //! the paper's tables report: total time, `cpu·min` resource usage, and the
 //! per-worker IO distributions behind Figs. 9–13.
 
-use inferturbo_obs::{Histogram, MetricsRegistry};
-
 use crate::spec::ClusterSpec;
 
 /// Measured activity of one worker during one phase.
@@ -147,18 +145,6 @@ pub struct OverloadCounters {
 }
 
 impl OverloadCounters {
-    /// Hit ratio of the degraded-path cache lookups (0.0 when none
-    /// happened): how often overload could be served stale instead of
-    /// failed outright.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     pub fn add(&mut self, other: OverloadCounters) {
         self.deadline_exceeded += other.deadline_exceeded;
         self.throttled += other.throttled;
@@ -290,39 +276,6 @@ impl RunReport {
             .max()
             .unwrap_or(0)
     }
-
-    /// Absorb this run into the unified metrics registry
-    /// ([`inferturbo_obs::MetricsRegistry`]) — the one renderer behind
-    /// the human, JSON-lines and Prometheus expositions.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut r = MetricsRegistry::new();
-        r.section("run");
-        r.counter("run.phases", self.phases.len() as u64);
-        r.gauge("run.total_wall_secs", self.total_wall_secs());
-        r.gauge("run.resource_cpu_min", self.resource_cpu_min());
-        r.counter("run.total_bytes", self.total_bytes());
-        r.counter("run.max_mem_peak_bytes", self.max_mem_peak());
-        r.section("messages");
-        r.counter("messages.columnar_bytes", self.message_bytes.columnar);
-        r.counter("messages.legacy_bytes", self.message_bytes.legacy);
-        r.counter("messages.spilled_bytes", self.spilled_bytes);
-        r.counter("messages.wire_bytes", self.wire_bytes);
-        r.section("resilience");
-        r.counter("resilience.retries", self.retries);
-        r.counter("resilience.checkpoints", self.checkpoints);
-        r.counter("resilience.recovered_supersteps", self.recovered_supersteps);
-        r.section("phases");
-        let mut walls = Histogram::new();
-        for p in &self.phases {
-            walls.observe(p.wall_secs);
-        }
-        r.histogram("phases.wall_secs", walls);
-        for p in &self.phases {
-            r.counter("phase.bytes_out", p.bytes_out_total())
-                .label("phase", p.name.clone());
-        }
-        r
-    }
 }
 
 /// Whole-run per-worker aggregate.
@@ -356,12 +309,13 @@ mod tests {
     #[test]
     fn overload_counters_ratio_and_add() {
         let mut a = OverloadCounters::default();
-        assert_eq!(a.cache_hit_ratio(), 0.0, "no lookups, no ratio");
+        assert_eq!(a.cache_hits + a.cache_misses, 0, "no lookups, no ratio");
         a.cache_hits = 3;
         a.cache_misses = 1;
         a.served_stale = 3;
         a.throttled = 4;
-        assert!((a.cache_hit_ratio() - 0.75).abs() < 1e-12);
+        let hit = a.cache_hits as f64 / (a.cache_hits + a.cache_misses) as f64;
+        assert!((hit - 0.75).abs() < 1e-12);
         let mut b = OverloadCounters {
             deadline_exceeded: 2,
             breaker_opens: 1,
@@ -479,30 +433,6 @@ mod tests {
         assert_eq!(totals[0].bytes_out, 30);
         assert_eq!(totals[1].bytes_in, 30);
         assert_eq!(run.total_bytes(), 30);
-    }
-
-    #[test]
-    fn run_report_absorbs_into_the_registry() {
-        let spec = ClusterSpec::test_spec(2);
-        let mut run = RunReport::new(spec);
-        let mut a = WorkerPhase::default();
-        a.send(10);
-        run.push_phase("superstep-0", vec![a, WorkerPhase::default()]);
-        run.spilled_bytes = 7;
-        run.retries = 1;
-        let text = run.metrics().render_text();
-        assert!(text.contains("run.phases = 1"), "{text}");
-        assert!(text.contains("messages.spilled_bytes = 7"), "{text}");
-        assert!(text.contains("resilience.retries = 1"), "{text}");
-        assert!(
-            text.contains("phase.bytes_out{phase=superstep-0} = 10"),
-            "{text}"
-        );
-        // Zero-traffic run: every value renders, nothing divides by zero.
-        let empty = RunReport::new(ClusterSpec::test_spec(1))
-            .metrics()
-            .render_text();
-        assert!(!empty.contains("NaN") && !empty.contains("inf"), "{empty}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Small statistics helpers shared by the metrics layer and the experiment
-//! harness (variance of per-worker times for Fig. 10, tail percentiles for
-//! Figs. 11–13, histogram buckets for Fig. 7).
+//! Small statistics helpers for the experiment harness (spread of
+//! per-worker times for Figs. 9–10, the tail sum of Fig. 12, byte counts
+//! for table output).
 
 /// Arithmetic mean; 0.0 for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -22,16 +22,6 @@ pub fn variance(xs: &[f64]) -> f64 {
 /// Population standard deviation.
 pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
-}
-
-/// Coefficient of variation (σ/μ); 0.0 when the mean is ~0.
-pub fn coeff_of_variation(xs: &[f64]) -> f64 {
-    let m = mean(xs);
-    if m.abs() < 1e-12 {
-        0.0
-    } else {
-        std_dev(xs) / m
-    }
 }
 
 /// `q`-th percentile via linear interpolation on a sorted copy,
@@ -86,19 +76,6 @@ pub fn human_bytes(b: f64) -> String {
     }
 }
 
-/// Render seconds as `h:mm:ss` / `m:ss` / `s` for table output.
-pub fn human_secs(s: f64) -> String {
-    let total = s.round() as u64;
-    let (h, m, sec) = (total / 3600, (total % 3600) / 60, total % 60);
-    if h > 0 {
-        format!("{h}h{m:02}m{sec:02}s")
-    } else if m > 0 {
-        format!("{m}m{sec:02}s")
-    } else {
-        format!("{:.2}s", s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,17 +116,8 @@ mod tests {
     }
 
     #[test]
-    fn cv_of_constant_series_is_zero() {
-        let xs = [5.0; 16];
-        assert!(coeff_of_variation(&xs) < 1e-12);
-    }
-
-    #[test]
     fn human_formats() {
         assert_eq!(human_bytes(512.0), "512B");
         assert_eq!(human_bytes(2048.0), "2.00KB");
-        assert_eq!(human_secs(65.0), "1m05s");
-        assert_eq!(human_secs(3701.0), "1h01m41s");
-        assert_eq!(human_secs(1.5), "1.50s");
     }
 }

@@ -404,8 +404,7 @@ pub struct PlanSummary {
 
 impl PlanSummary {
     /// Convert into the unified metrics registry (see
-    /// [`inferturbo_obs::MetricsRegistry`]). `Display` renders this; the
-    /// JSON-lines and Prometheus expositions come for free.
+    /// [`inferturbo_obs::MetricsRegistry`]). `Display` renders this.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.section("plan");

@@ -30,8 +30,8 @@
 //! tokenizes the sanitized text and matches per-rule token patterns over
 //! every `src/` file of every workspace crate (dependency shims under
 //! `crates/devshims/` stand in for external code and are skipped). Output
-//! ([`report`]) is deterministic — sorted by `(file, line, rule)`,
-//! byte-identical across runs — in both human-readable and `--json` forms.
+//! ([`report`]) is deterministic — one `path:line: [rule] excerpt` line per
+//! violation, sorted by `(file, line, rule)`, byte-identical across runs.
 //!
 //! ## Rule catalogue
 //!
@@ -58,14 +58,8 @@
 //! non-empty reason; a typo'd or reason-less directive is itself reported
 //! (`malformed-allow`), so suppressions cannot silently rot.
 //!
-//! ## The ratcheting baseline
-//!
-//! Pre-existing debt is grandfathered in `lint/baseline.toml`: a count per
-//! `(rule, file)` that may only *decrease*. `--check` fails when a pair
-//! exceeds its baselined count (or shows up with no entry), accepts
-//! decreases with a tightening note, and `--write-baseline` regenerates the
-//! file after debt is burned down. New code therefore meets the bar
-//! immediately while old debt shrinks PR by PR.
+//! A reasoned inline allow is the only exemption. `--check` fails on any
+//! violation and prints each one as `path:line: [rule] excerpt`.
 //!
 //! ## Adding a rule
 //!
@@ -74,8 +68,8 @@
 //! 2. Scope it in [`config::rule_applies`] (include/exempt path prefixes).
 //! 3. Add a fixture under `crates/lint/tests/fixtures/` plus a case in
 //!    `crates/lint/tests/lint_fixtures.rs`.
-//! 4. Run `itlint --write-baseline` to grandfather existing hits, and eyeball
-//!    the diff — the baseline is the reviewed debt ledger.
+//! 4. Run `itlint --check`, then fix the hits or give each a reasoned inline
+//!    allow.
 //!
 //! A second, coarser layer rides on clippy: the workspace `clippy.toml`
 //! disallows `std::time::Instant::now` and `std::thread::spawn` via
@@ -85,7 +79,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod config;
 pub mod lexer;
 pub mod report;

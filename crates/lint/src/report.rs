@@ -1,11 +1,9 @@
-//! Violation type and deterministic rendering (human-readable and `--json`).
+//! Violation type and its one deterministic rendering.
 //!
 //! Output ordering is fully specified — violations sort by
-//! `(file, line, rule)` and all aggregate maps are `BTreeMap`s — so repeated
-//! runs over an unchanged tree produce byte-identical bytes on stdout, a
-//! property the CI gate relies on (and the fixture suite pins).
-
-use crate::baseline::RatchetReport;
+//! `(file, line, rule)` and the per-rule totals are a `BTreeMap` — so
+//! repeated runs over an unchanged tree produce byte-identical bytes on
+//! stdout, a property the CI gate relies on (and the fixture suite pins).
 
 /// One rule match at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,80 +50,6 @@ pub fn render_human(violations: &[Violation]) -> String {
     s
 }
 
-/// JSON listing: a single array of objects, stable field order, sorted as
-/// the human listing. Hand-rolled (zero-dependency) with full string
-/// escaping.
-pub fn render_json(violations: &[Violation]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n  {{\"rule\": {}, \"file\": {}, \"line\": {}, \"excerpt\": {}}}",
-            json_str(&v.rule),
-            json_str(&v.file),
-            v.line,
-            json_str(&v.excerpt)
-        ));
-    }
-    if !violations.is_empty() {
-        s.push('\n');
-    }
-    s.push_str("]\n");
-    s
-}
-
-/// Render the result of a `--check` run against the ratchet.
-pub fn render_check(report: &RatchetReport, above_baseline: &[Violation]) -> String {
-    let mut s = String::new();
-    for v in above_baseline {
-        s.push_str(&format!(
-            "{}:{}: [{}] {}\n",
-            v.file, v.line, v.rule, v.excerpt
-        ));
-    }
-    for d in &report.regressions {
-        s.push_str(&format!(
-            "RATCHET: {} [{}] has {} violation(s), baseline allows {}\n",
-            d.file, d.rule, d.current, d.baselined
-        ));
-    }
-    for d in &report.improvements {
-        s.push_str(&format!(
-            "note: {} [{}] improved to {} (baseline {}) — run `itlint --write-baseline` to ratchet down\n",
-            d.file, d.rule, d.current, d.baselined
-        ));
-    }
-    if report.regressions.is_empty() {
-        s.push_str("itlint --check: OK (no violations above baseline)\n");
-    } else {
-        s.push_str(&format!(
-            "itlint --check: FAILED ({} (rule, file) pair(s) above baseline)\n",
-            report.regressions.len()
-        ));
-    }
-    s
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,16 +83,5 @@ mod tests {
                 ("b.rs".into(), 1, "b-rule".into()),
             ]
         );
-    }
-
-    #[test]
-    fn json_escapes_special_chars() {
-        let out = render_json(&[v("r", "f.rs", 1, "say \"hi\"\\\t")]);
-        assert!(out.contains(r#""excerpt": "say \"hi\"\\\t""#));
-    }
-
-    #[test]
-    fn empty_json_is_an_empty_array() {
-        assert_eq!(render_json(&[]), "[]\n");
     }
 }

@@ -3,7 +3,7 @@
 //! masking and `itlint::allow` suppressions.
 //!
 //! Every rule has a stable id (the string used in allow directives and
-//! `lint/baseline.toml`); see [`RULES`] and the crate-level docs for the
+//! in the report); see [`RULES`] and the crate-level docs for the
 //! catalogue.
 
 use crate::config;
@@ -16,9 +16,9 @@ pub struct RuleDef {
     pub summary: &'static str,
 }
 
-/// The rule catalogue. Ids are stable: they appear in allow directives, in
-/// `lint/baseline.toml`, and in `--json` output, and must never be renamed
-/// without migrating both.
+/// The rule catalogue. Ids are stable: they appear in allow directives and
+/// in the report, and must never be renamed without migrating every
+/// directive.
 pub const RULES: &[RuleDef] = &[
     RuleDef {
         id: "wallclock",

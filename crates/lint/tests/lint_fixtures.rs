@@ -1,9 +1,10 @@
 //! Fixture-driven integration tests: each fixture file exercises one rule (or
-//! one cross-cutting behaviour) end to end through [`rules::scan_file`], and
-//! the ratchet tests drive [`baseline`] exactly the way `itlint --check` does.
+//! one cross-cutting behaviour) end to end through [`scan_file`], and the
+//! gate test runs the `itlint` binary's `--check` on a throwaway tree.
 
-use inferturbo_lint::baseline;
 use inferturbo_lint::rules::scan_file;
+use std::path::Path;
+use std::process::Command;
 
 const WALLCLOCK: &str = include_str!("fixtures/wallclock.rs");
 const PANIC_IN_LIB: &str = include_str!("fixtures/panic_in_lib.rs");
@@ -181,71 +182,65 @@ fn comments_strings_and_raw_strings_never_false_positive() {
 }
 
 #[test]
-fn ratchet_rejects_increases_and_new_entries() {
-    let baseline_text =
-        "[[entry]]\nrule = \"panic-in-lib\"\nfile = \"crates/bench/src/a.rs\"\ncount = 3\n";
-    let base = baseline::parse(baseline_text).expect("baseline parses");
-    let mut current = baseline::Counts::new();
-    current.insert(
-        (
-            "panic-in-lib".to_string(),
-            "crates/bench/src/a.rs".to_string(),
-        ),
-        4,
-    );
-    current.insert(
-        ("wallclock".to_string(), "crates/core/src/b.rs".to_string()),
-        1,
-    );
-    let report = baseline::ratchet(&current, &base);
-    assert_eq!(report.regressions.len(), 2, "{:?}", report.regressions);
-    assert!(!report.passes());
-}
-
-#[test]
-fn ratchet_accepts_decreases_and_reports_them_as_improvements() {
-    let baseline_text = concat!(
-        "[[entry]]\nrule = \"panic-in-lib\"\nfile = \"crates/bench/src/a.rs\"\ncount = 3\n",
-        "[[entry]]\nrule = \"env-read\"\nfile = \"crates/serve/src/c.rs\"\ncount = 1\n",
-    );
-    let base = baseline::parse(baseline_text).expect("baseline parses");
-    let mut current = baseline::Counts::new();
-    // a.rs burned one entry; c.rs burned its only one (pair vanished).
-    current.insert(
-        (
-            "panic-in-lib".to_string(),
-            "crates/bench/src/a.rs".to_string(),
-        ),
-        2,
-    );
-    let report = baseline::ratchet(&current, &base);
-    assert!(report.passes(), "{:?}", report.regressions);
-    assert_eq!(report.improvements.len(), 2, "{:?}", report.improvements);
-}
-
-#[test]
-fn baseline_round_trips_through_render_and_parse() {
-    let mut counts = baseline::Counts::new();
-    counts.insert(
-        (
-            "panic-in-lib".to_string(),
-            "crates/bench/src/a.rs".to_string(),
-        ),
-        7,
-    );
-    counts.insert(
-        ("wallclock".to_string(), "crates/core/src/b.rs".to_string()),
-        1,
-    );
-    let text = baseline::render(&counts);
-    assert_eq!(baseline::parse(&text).expect("round trip"), counts);
-}
-
-#[test]
 fn scan_output_is_deterministic_across_runs() {
     let a = scan_file("crates/serve/src/fixture.rs", UNORDERED_ITER);
     let b = scan_file("crates/serve/src/fixture.rs", UNORDERED_ITER);
     let render =
         |v: &[inferturbo_lint::report::Violation]| inferturbo_lint::report::render_human(v);
     assert_eq!(render(&a), render(&b));
+}
+
+/// Run `itlint --check --root <root>`; returns the exit code and stdout.
+fn check(root: &Path) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_itlint"))
+        .arg("--check")
+        .arg("--root")
+        .arg(root)
+        .output()
+        .expect("itlint runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn check_fails_on_any_violation_and_only_an_inline_allow_exempts_it() {
+    let root = std::env::temp_dir().join(format!("itlint-check-{}", std::process::id()));
+    let src = root.join("crates/core/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::create_dir_all(root.join("lint")).unwrap();
+    // A ledger file listing the violation below exempts nothing: only an
+    // inline allow does.
+    std::fs::write(
+        root.join("lint/baseline.toml"),
+        "[[entry]]\nrule = \"panic-in-lib\"\nfile = \"crates/core/src/lib.rs\"\ncount = 1\n",
+    )
+    .unwrap();
+
+    let lib = src.join("lib.rs");
+    std::fs::write(
+        &lib,
+        "pub fn first(xs: &[u32]) -> u32 {\n    *xs.first().unwrap()\n}\n",
+    )
+    .unwrap();
+    let (code, stdout) = check(&root);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(
+        stdout.contains("crates/core/src/lib.rs:2: [panic-in-lib] *xs.first().unwrap()"),
+        "{stdout}"
+    );
+
+    std::fs::write(
+        &lib,
+        "pub fn first(xs: &[u32]) -> u32 {\n    \
+         // itlint::allow(panic-in-lib): every caller passes a non-empty slice\n    \
+         *xs.first().unwrap()\n}\n",
+    )
+    .unwrap();
+    let (code, stdout) = check(&root);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("itlint: no violations"), "{stdout}");
+
+    std::fs::remove_dir_all(&root).unwrap();
 }

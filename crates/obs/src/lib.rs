@@ -75,9 +75,8 @@
 //!   default, the in-memory [`sink::RecordingSink`], and the cheap
 //!   clonable [`sink::TraceHandle`] the engines carry;
 //! - [`registry`] — [`registry::MetricsRegistry`]: typed counters /
-//!   gauges / ratios / histograms with human-text, JSON-lines and
-//!   Prometheus-text renderers, absorbing the formerly hand-rolled
-//!   `RunReport` / `PlanSummary` / `ServerStats` Display paths;
+//!   gauges / denominator-guarded ratios with one text renderer, behind
+//!   the `PlanSummary` and `ServerStats` Display paths;
 //! - [`inspect`] — trace parsing and the `itrace` summaries
 //!   (per-superstep, per-tenant, critical path).
 //!
@@ -95,7 +94,7 @@ pub use event::{
     AdmissionOutcome, BreakerAction, Event, LimiterOutcome, LogicalTime, Payload, RoundKind, Site,
     TerminalStatus,
 };
-pub use registry::{Histogram, Metric, MetricValue, MetricsRegistry};
+pub use registry::{Metric, MetricValue, MetricsRegistry};
 pub use sink::{
     ClockSource, LogicalClock, NullSink, RecordingSink, TraceHandle, TraceMark, TraceSink,
 };

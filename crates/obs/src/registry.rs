@@ -1,78 +1,11 @@
-//! The unified metrics registry: one typed container and one renderer
-//! for every report the workspace used to format by hand.
+//! The unified metrics registry: one typed container and one text
+//! renderer for the reports the workspace used to format by hand.
 //!
-//! `RunReport`, `PlanSummary` and `ServerStats` each grew their own
-//! `Display` with their own ratio math (and their own zero-denominator
-//! bugs). They now all convert into a [`MetricsRegistry`] and render
-//! through it: human text, JSON-lines, or Prometheus exposition text.
-//! Insertion order is preserved everywhere, so rendered output is
-//! byte-stable.
-
-use std::fmt;
-
-/// A histogram over power-of-two buckets: `buckets[i]` counts samples in
-/// `(2^(i-1), 2^i]` (bucket 0 is `[0, 1]`). Fixed shape keeps rendering
-/// deterministic and merge trivial.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    sum: f64,
-    n: u64,
-}
-
-impl Histogram {
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    pub fn observe(&mut self, v: f64) {
-        let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
-        let bucket = if v <= 1.0 {
-            0
-        } else {
-            // ceil(log2(v)) via bit length of the rounded-up integer.
-            let i = v.ceil() as u64;
-            (64 - (i - 1).leading_zeros()) as usize
-        };
-        if self.counts.len() <= bucket {
-            self.counts.resize(bucket + 1, 0);
-        }
-        self.counts[bucket] += 1;
-        self.sum += v;
-        self.n += 1;
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean sample, `None` for an empty histogram (the zero-traffic
-    /// guard: never a NaN).
-    pub fn mean(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.sum / self.n as f64)
-        }
-    }
-
-    /// `(upper_bound, cumulative_count)` pairs for exposition.
-    pub fn cumulative(&self) -> Vec<(u64, u64)> {
-        let mut acc = 0;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                acc += c;
-                (1u64 << i, acc)
-            })
-            .collect()
-    }
-}
+//! `PlanSummary` and `ServerStats` each grew their own `Display` with
+//! their own ratio math (and their own zero-denominator bugs). They now
+//! both convert into a [`MetricsRegistry`] and render through
+//! [`MetricsRegistry::render_text`]. Insertion order is preserved, so
+//! rendered output is byte-stable.
 
 /// One metric's typed value.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +19,6 @@ pub enum MetricValue {
         num: f64,
         den: f64,
     },
-    Histogram(Histogram),
 }
 
 /// One named metric with optional `(key, value)` labels.
@@ -98,7 +30,7 @@ pub struct Metric {
 }
 
 /// Insertion-ordered registry of typed metrics, grouped into named
-/// sections (sections affect only the human text rendering).
+/// sections (each rendered as a `[section]` header).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     /// `(section, metric)` in insertion order; empty section = ungrouped.
@@ -111,7 +43,7 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Start a section; subsequent metrics group under it in text form.
+    /// Start a section; subsequent metrics group under it.
     pub fn section(&mut self, name: impl Into<String>) -> &mut Self {
         self.section = name.into();
         self
@@ -140,10 +72,6 @@ impl MetricsRegistry {
     /// A guarded ratio — safe for any denominator including zero.
     pub fn ratio(&mut self, name: impl Into<String>, num: f64, den: f64) -> &mut Self {
         self.push(name, MetricValue::Ratio { num, den })
-    }
-
-    pub fn histogram(&mut self, name: impl Into<String>, h: Histogram) -> &mut Self {
-        self.push(name, MetricValue::Histogram(h))
     }
 
     /// Attach labels to the most recently added metric.
@@ -192,117 +120,10 @@ impl MetricsRegistry {
                 MetricValue::Counter(v) => format!("{v}"),
                 MetricValue::Gauge(v) => format!("{v:.4}"),
                 MetricValue::Ratio { num, den } => render_ratio(*num, *den),
-                MetricValue::Histogram(h) => match h.mean() {
-                    Some(mean) => format!("n={} sum={:.4} mean={:.4}", h.count(), h.sum(), mean),
-                    None => "n=0".to_string(),
-                },
             };
             out.push_str(&format!("{}{labels} = {value}\n", m.name));
         }
         out
-    }
-
-    /// JSON-lines: one object per metric, hand-rolled (the workspace has
-    /// no serde), insertion order preserved.
-    pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (section, m) in &self.rows {
-            let mut line = String::from("{");
-            line.push_str(&format!("\"name\":{}", json_str(&m.name)));
-            if !section.is_empty() {
-                line.push_str(&format!(",\"section\":{}", json_str(section)));
-            }
-            if !m.labels.is_empty() {
-                let pairs: Vec<String> = m
-                    .labels
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", json_str(k), json_str(v)))
-                    .collect();
-                line.push_str(&format!(",\"labels\":{{{}}}", pairs.join(",")));
-            }
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    line.push_str(&format!(",\"type\":\"counter\",\"value\":{v}"));
-                }
-                MetricValue::Gauge(v) => {
-                    line.push_str(&format!(",\"type\":\"gauge\",\"value\":{}", json_f64(*v)));
-                }
-                MetricValue::Ratio { num, den } => {
-                    line.push_str(&format!(
-                        ",\"type\":\"ratio\",\"num\":{},\"den\":{},\"value\":{}",
-                        json_f64(*num),
-                        json_f64(*den),
-                        if *den == 0.0 {
-                            "null".to_string()
-                        } else {
-                            json_f64(num / den)
-                        }
-                    ));
-                }
-                MetricValue::Histogram(h) => {
-                    let buckets: Vec<String> = h
-                        .cumulative()
-                        .iter()
-                        .map(|(le, c)| format!("[{le},{c}]"))
-                        .collect();
-                    line.push_str(&format!(
-                        ",\"type\":\"histogram\",\"count\":{},\"sum\":{},\"buckets\":[{}]",
-                        h.count(),
-                        json_f64(h.sum()),
-                        buckets.join(",")
-                    ));
-                }
-            }
-            line.push('}');
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Prometheus exposition text. Names are sanitized (`.` → `_`) and
-    /// prefixed `inferturbo_`; ratios export as `_num` / `_den` counters
-    /// so the quotient is computed where division by zero is someone
-    /// else's well-defined problem.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (_, m) in &self.rows {
-            let name = prom_name(&m.name);
-            let labels = prom_labels(&m.labels);
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!("# TYPE {name} counter\n{name}{labels} {v}\n"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!("# TYPE {name} gauge\n{name}{labels} {v}\n"));
-                }
-                MetricValue::Ratio { num, den } => {
-                    out.push_str(&format!(
-                        "# TYPE {name}_num counter\n{name}_num{labels} {num}\n\
-                         # TYPE {name}_den counter\n{name}_den{labels} {den}\n"
-                    ));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!("# TYPE {name} histogram\n"));
-                    for (le, c) in h.cumulative() {
-                        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {c}\n"));
-                    }
-                    out.push_str(&format!(
-                        "{name}_bucket{{le=\"+Inf\"}} {}\n{name}_sum {}\n{name}_count {}\n",
-                        h.count(),
-                        h.sum(),
-                        h.count()
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for MetricsRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render_text())
     }
 }
 
@@ -314,56 +135,6 @@ fn render_ratio(num: f64, den: f64) -> String {
     } else {
         format!("{:.2} ({num:.0}/{den:.0})", num / den)
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn prom_name(name: &str) -> String {
-    let mut out = String::from("inferturbo_");
-    for c in name.chars() {
-        out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-    }
-    out
-}
-
-fn prom_labels(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| {
-            format!(
-                "{}=\"{}\"",
-                prom_name(k).trim_start_matches("inferturbo_"),
-                v
-            )
-        })
-        .collect();
-    format!("{{{}}}", pairs.join(","))
 }
 
 #[cfg(test)]
@@ -380,10 +151,6 @@ mod tests {
         assert!(text.contains("serve.coalescing = n/a (0/0)"), "{text}");
         assert!(text.contains("serve.cache_hit = 0.50 (2/4)"), "{text}");
         assert!(!text.contains("NaN"), "{text}");
-        let jsonl = r.render_jsonl();
-        assert!(jsonl.contains("\"value\":null"), "{jsonl}");
-        let prom = r.render_prometheus();
-        assert!(prom.contains("inferturbo_serve_coalescing_den 0"), "{prom}");
     }
 
     #[test]
@@ -398,48 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn labels_render_in_text_json_and_prometheus() {
+    fn labels_render_in_braces_after_the_name() {
         let mut r = MetricsRegistry::new();
-        r.counter("phase.records", 7).label("phase", "superstep-0");
-        let text = r.render_text();
-        assert!(
-            text.contains("phase.records{phase=superstep-0} = 7"),
-            "{text}"
+        r.counter("phase.records", 7)
+            .label("phase", "superstep-0")
+            .label("worker", "1");
+        assert_eq!(
+            r.render_text(),
+            "phase.records{phase=superstep-0,worker=1} = 7\n"
         );
-        let jsonl = r.render_jsonl();
-        assert!(
-            jsonl.contains("\"labels\":{\"phase\":\"superstep-0\"}"),
-            "{jsonl}"
-        );
-        let prom = r.render_prometheus();
-        assert!(
-            prom.contains("inferturbo_phase_records{phase=\"superstep-0\"} 7"),
-            "{prom}"
-        );
-    }
-
-    #[test]
-    fn histogram_buckets_are_powers_of_two_and_mean_guards_empty() {
-        let mut h = Histogram::new();
-        assert_eq!(h.mean(), None);
-        h.observe(1.0);
-        h.observe(3.0);
-        h.observe(1000.0);
-        assert_eq!(h.count(), 3);
-        let cum = h.cumulative();
-        assert_eq!(cum[0], (1, 1)); // 1.0 in [0, 1]
-        assert_eq!(cum[2], (4, 2)); // 3.0 in (2, 4]
-        assert_eq!(cum.last(), Some(&(1024, 3))); // 1000 in (512, 1024]
-        let mut r = MetricsRegistry::new();
-        r.histogram("wall", h);
-        assert!(r.render_prometheus().contains("wall_bucket{le=\"+Inf\"} 3"));
-    }
-
-    #[test]
-    fn jsonl_escapes_strings() {
-        let mut r = MetricsRegistry::new();
-        r.counter("weird\"name", 1);
-        assert!(r.render_jsonl().contains("\"name\":\"weird\\\"name\""));
     }
 
     #[test]

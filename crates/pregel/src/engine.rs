@@ -98,7 +98,7 @@
 //! every transport, spilled or resident, recovered or clean.
 
 use crate::layout::{PregelLayout, Route};
-use crate::vertex::{ActivationPolicy, Inbox, Outbox, RowsIn, SendMisuse, VertexProgram};
+use crate::vertex::{Inbox, Outbox, RowsIn, SendMisuse, VertexProgram};
 use inferturbo_cluster::transport::{
     ColsShards, DestMerged, DestShards, Exchange, ExchangeOut, InProcess, MergedCols, Transport,
 };
@@ -122,7 +122,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct PregelConfig {
     pub spec: ClusterSpec,
-    pub activation: ActivationPolicy,
     /// Out-of-core policy for the columnar inter-superstep inboxes. When
     /// set, each worker's sealed `RowArena` / merged `FusedRows` whose
     /// row data exceeds `budget_bytes` pages to disk and streams back
@@ -163,18 +162,12 @@ impl PregelConfig {
     pub fn new(spec: ClusterSpec) -> Self {
         PregelConfig {
             spec,
-            activation: ActivationPolicy::AlwaysActive,
             spill: None,
             faults: None,
             recovery: None,
             trace: TraceHandle::disabled(),
             transport: Arc::new(InProcess),
         }
-    }
-
-    pub fn with_activation(mut self, a: ActivationPolicy) -> Self {
-        self.activation = a;
-        self
     }
 
     /// Set (or clear) the out-of-core spill policy for the columnar
@@ -626,6 +619,8 @@ struct StepOut<M> {
     bcasts: Vec<(u64, M)>,
     /// Message volume by plane (local + remote).
     msg_bytes: MessagePlaneBytes,
+    /// Whether any vertex of this worker computed (false only for a
+    /// worker with no vertices).
     any_active: bool,
 }
 
@@ -775,9 +770,9 @@ impl<P: VertexProgram> PregelEngine<P> {
         self.report
     }
 
-    /// Run up to `supersteps` supersteps; under
-    /// [`ActivationPolicy::MessageDriven`] the loop exits early once no
-    /// vertex is active and no messages are in flight.
+    /// Run `supersteps` supersteps, every vertex computing in each (see
+    /// [`VertexProgram::compute`]); the loop exits early only after a
+    /// superstep in which no vertex ran — a layout with no vertices.
     ///
     /// With a [`RecoveryPolicy`] configured, a checkpoint is taken at the
     /// start of the run and thereafter at the policy's cadence; a
@@ -1348,15 +1343,6 @@ fn run_worker<P: VertexProgram>(
 
     for (s, (state, &vertex_id)) in states.iter_mut().zip(layout.ids(w)).enumerate() {
         let (rows, messages) = (cols_rows(cols_in, s)?, arena.slot(s));
-        let active = match config.activation {
-            ActivationPolicy::AlwaysActive => true,
-            ActivationPolicy::MessageDriven => {
-                step == 0 || !messages.is_empty() || rows.count() > 0
-            }
-        };
-        if !active {
-            continue;
-        }
         out.any_active = true;
         let inbox = Inbox {
             rows,
@@ -1570,7 +1556,8 @@ mod tests {
         }
     }
 
-    /// SSSP with message-driven halting.
+    /// SSSP: a vertex relaxes and forwards only when its distance
+    /// improves, so the distances settle after the longest shortest path.
     struct Sssp;
 
     #[derive(Clone)]
@@ -1608,9 +1595,8 @@ mod tests {
     }
 
     #[test]
-    fn sssp_converges_and_halts_early() {
-        let spec = ClusterSpec::test_spec(2);
-        let cfg = PregelConfig::new(spec).with_activation(ActivationPolicy::MessageDriven);
+    fn sssp_converges_within_a_fixed_superstep_count() {
+        let cfg = PregelConfig::new(ClusterSpec::test_spec(2));
         // 0 -1-> 1 -1-> 2 -1-> 3; plus shortcut 0 -10-> 3
         let adj: Vec<(u64, Vec<(u64, f32)>)> = vec![
             (0, vec![(1, 1.0), (3, 10.0)]),
@@ -1623,8 +1609,10 @@ mod tests {
             .map(|(id, nbrs)| (id, SsspState { dist, nbrs }))
             .collect();
         let mut eng = engine_of(Sssp, cfg, vertices);
-        eng.run(100).unwrap();
-        assert!(eng.steps_run() < 100, "should halt early");
+        // The shortest path to vertex 3 has three hops: steps 0..=3 settle
+        // it, and the extra steps must not move any distance.
+        eng.run(6).unwrap();
+        assert_eq!(eng.steps_run(), 6);
         assert_eq!(eng.state(0).unwrap().dist, 0.0);
         assert_eq!(eng.state(1).unwrap().dist, 1.0);
         assert_eq!(eng.state(2).unwrap().dist, 2.0);
@@ -2144,8 +2132,7 @@ mod tests {
     #[test]
     fn the_spare_row_outlives_computes_supersteps_and_a_pooled_run() {
         let engine = || {
-            let cfg = PregelConfig::new(ClusterSpec::test_spec(1))
-                .with_activation(ActivationPolicy::AlwaysActive);
+            let cfg = PregelConfig::new(ClusterSpec::test_spec(1));
             engine_of(
                 SpareProbe,
                 cfg,
@@ -2426,9 +2413,9 @@ mod tests {
         }
     }
 
-    /// Relay chain on the columnar plane under message-driven activation:
-    /// rows alone must keep vertices active, and the run must halt once
-    /// the chain ends.
+    /// Relay chain on the columnar plane: each vertex forwards the row it
+    /// received, so vertex `k` learns `k` at superstep `k`, and once the
+    /// chain ends the later supersteps leave every state as it was.
     struct Relay;
 
     #[derive(Default, Clone)]
@@ -2473,9 +2460,8 @@ mod tests {
     }
 
     #[test]
-    fn columnar_rows_drive_activation_and_halt() {
-        let cfg = PregelConfig::new(ClusterSpec::test_spec(3))
-            .with_activation(ActivationPolicy::MessageDriven);
+    fn columnar_rows_relay_along_a_chain() {
+        let cfg = PregelConfig::new(ClusterSpec::test_spec(3));
         let vertices = (0..5u64)
             .map(|id| {
                 let next = (id + 1 < 5).then_some(id + 1);
@@ -2483,8 +2469,8 @@ mod tests {
             })
             .collect();
         let mut eng = engine_of(Relay, cfg, vertices);
-        eng.run(50).unwrap();
-        assert!(eng.steps_run() < 50, "should halt early");
+        eng.run(8).unwrap();
+        assert_eq!(eng.steps_run(), 8);
         for id in 0..5u64 {
             assert_eq!(eng.state(id).unwrap().got, Some(id as f32), "vertex {id}");
         }

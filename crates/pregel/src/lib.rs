@@ -35,6 +35,5 @@ pub mod vertex;
 pub use engine::{PregelConfig, PregelEngine, ScratchPool};
 pub use layout::{PlacedVertex, PregelLayout, Route};
 pub use vertex::{
-    ActivationPolicy, BroadcastLookup, FusedAggregator, Inbox, LentRows, MessageLayout, Outbox,
-    RowsIn, VertexProgram,
+    BroadcastLookup, FusedAggregator, Inbox, LentRows, MessageLayout, Outbox, RowsIn, VertexProgram,
 };

@@ -52,17 +52,6 @@ pub use inferturbo_common::rows::{FusedAggregator, LentRows, MessageLayout};
 use inferturbo_common::Result;
 use std::sync::Arc;
 
-/// Controls which vertices run `compute` each superstep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActivationPolicy {
-    /// Classic Pregel: a vertex runs at superstep 0 and thereafter only
-    /// when it has incoming messages.
-    MessageDriven,
-    /// Every vertex runs every superstep — the layer-wise GNN pattern,
-    /// where `apply_node` must fire even for nodes without in-edges.
-    AlwaysActive,
-}
-
 /// The columnar half of a vertex's [`Inbox`]. Typed-plane messages
 /// (broadcast refs, control payloads) arrive beside it in
 /// [`Inbox::messages`] regardless of which variant this is.
@@ -336,8 +325,11 @@ pub trait VertexProgram {
     type Msg: Encode + Decode + Clone;
 
     /// The superstep kernel for one vertex: read `inbox`, update `state`,
-    /// send through `out`. An `Err` fails the superstep — and, under a
-    /// recovery policy, is replayed from the last checkpoint only if it
+    /// send through `out`. Every vertex computes every superstep, inbox
+    /// empty or not — the layer-wise GNN pattern, where `apply_node` must
+    /// fire even for nodes without in-edges. An `Err` fails the superstep
+    /// — and, under a recovery policy, is replayed from the last
+    /// checkpoint only if it
     /// [`is_transient`](inferturbo_common::Error::is_transient).
     fn compute(
         &self,

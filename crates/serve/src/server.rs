@@ -1180,7 +1180,8 @@ mod tests {
         assert_eq!(server.pending(), 0);
         assert_eq!(server.stats().batches, 1, "one run serves all three");
         assert_eq!(server.stats().served, 3);
-        assert!((server.stats().coalescing_ratio() - 3.0).abs() < 1e-12);
+        let stats = server.stats();
+        assert!((stats.served as f64 / stats.batches as f64 - 3.0).abs() < 1e-12);
         assert_eq!(server.drain_ready().len(), 3);
     }
 

@@ -66,21 +66,12 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Requests served per executed run — the batching win. 1.0 means no
-    /// coalescing happened; `max_batch` is the ceiling.
-    pub fn coalescing_ratio(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.served as f64 / self.batches as f64
-        }
-    }
-
     /// Convert into the unified metrics registry (see
-    /// [`inferturbo_obs::MetricsRegistry`]). `Display` renders this; the
-    /// JSON-lines and Prometheus expositions come for free. All ratios are
-    /// denominator-guarded — a zero-traffic server renders `n/a`, never a
-    /// NaN.
+    /// [`inferturbo_obs::MetricsRegistry`]). `Display` renders this. All
+    /// ratios are denominator-guarded — a zero-traffic server renders
+    /// `n/a`, never a NaN. `batches.coalescing` (requests served per
+    /// executed run) is the batching win: 1.0 means no coalescing
+    /// happened, and `max_batch` is the ceiling.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.section("serve");
@@ -147,14 +138,18 @@ impl std::fmt::Display for ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inferturbo_obs::MetricValue;
 
     #[test]
     fn coalescing_ratio_handles_zero_batches() {
+        let coalescing = |s: &ServerStats| s.metrics().get("batches.coalescing").cloned();
+        let ratio = |num, den| Some(MetricValue::Ratio { num, den });
         let mut s = ServerStats::default();
-        assert_eq!(s.coalescing_ratio(), 0.0);
+        assert_eq!(coalescing(&s), ratio(0.0, 0.0));
         s.served = 12;
         s.batches = 4;
-        assert!((s.coalescing_ratio() - 3.0).abs() < 1e-12);
+        assert_eq!(coalescing(&s), ratio(12.0, 4.0));
+        assert!((s.served as f64 / s.batches as f64 - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   admission);
 //! - [`obs`] — the deterministic flight recorder: structured event
 //!   tracing (byte-identical at every thread count and across recovery
-//!   replays) and the unified metrics registry behind every report.
+//!   replays) and the metrics registry behind the plan and server
+//!   reports.
 
 #![forbid(unsafe_code)]
 

@@ -28,8 +28,7 @@ use inferturbo::common::{Parallelism, Result, SpillPolicy, Xoshiro256};
 use inferturbo::core::models::gas_impl::PoolRowAggregator;
 use inferturbo::core::models::PoolOp;
 use inferturbo::pregel::{
-    ActivationPolicy, FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, RowsIn,
-    VertexProgram,
+    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, RowsIn, VertexProgram,
 };
 use inferturbo::tensor::Matrix;
 use proptest::prelude::*;
@@ -176,9 +175,7 @@ fn run_case(
         let spill = spill_budget.map(|bytes| {
             SpillPolicy::new(std::env::temp_dir().join("inferturbo-fused-tests"), bytes)
         });
-        let cfg = PregelConfig::new(ClusterSpec::test_spec(workers))
-            .with_activation(ActivationPolicy::AlwaysActive)
-            .with_spill(spill);
+        let cfg = PregelConfig::new(ClusterSpec::test_spec(workers)).with_spill(spill);
         let prog = PoolProg {
             dim: case.dim,
             op: case.op,
