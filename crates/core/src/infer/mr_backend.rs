@@ -16,7 +16,7 @@
 use crate::gas::{GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
-use crate::plan::InferencePlan;
+use crate::plan::{InferencePlan, Loadable};
 use crate::strategy::{base_of, mirror_of, NodeRecord, StrategyConfig, NODE_FLAG};
 use inferturbo_batch::{BatchEngine, KeyedData, PhaseCtx, RowSink, RowsView};
 use inferturbo_common::codec::{
@@ -246,8 +246,12 @@ pub(crate) fn run_planned(
     features: Option<&[Vec<f32>]>,
     trace: TraceHandle,
 ) -> Result<InferenceOutput> {
+    let Loadable::MapReduce(records) = &plan.loadable else {
+        return Err(Error::Internal(
+            "a MapReduce plan is built with its records".into(),
+        ));
+    };
     let model = plan.model;
-    let records = &plan.records;
     let strategy = plan.strategy;
     let bc_threshold = plan.bc_threshold;
     let k = model.n_layers();
@@ -466,6 +470,61 @@ pub(crate) fn run_planned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::PoolOp;
+    use crate::session::{Backend, InferenceSession};
+    use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
+
+    /// The zero-copy plan reload contract on MapReduce: repeated runs ship
+    /// every planned record's self-state with the record's own adjacency
+    /// `Arc` — nothing re-clones the O(V+E) target lists per run, and no
+    /// run keeps a handle alive after it returns.
+    #[test]
+    fn plan_runs_share_the_same_out_targets_arc() {
+        let g = generate(&GenConfig {
+            n_nodes: 120,
+            n_edges: 700,
+            feat_dim: 5,
+            classes: 3,
+            skew: DegreeSkew::Out,
+            seed: 77,
+            ..GenConfig::default()
+        });
+        let m = GnnModel::sage(5, 8, 2, 3, false, PoolOp::Mean, 2);
+        let plan = InferenceSession::builder()
+            .model(&m)
+            .graph(&g)
+            .workers(4)
+            .strategy(StrategyConfig::all().with_threshold(5))
+            .backend(Backend::MapReduce)
+            .plan()
+            .unwrap();
+        let Loadable::MapReduce(records) = &plan.loadable else {
+            panic!("a MapReduce plan holds its records");
+        };
+        // Hold independent handles to every record's adjacency before any
+        // run.
+        let before: Vec<Arc<[u64]>> = records.iter().map(|r| Arc::clone(&r.out_targets)).collect();
+        assert!(before.len() > g.n_nodes(), "mirrors must engage");
+        let a = plan.run().unwrap();
+        let b = plan.run().unwrap();
+        assert_eq!(a.logits, b.logits);
+        // Two runs later the plan still holds the very same allocations...
+        for (h, rec) in before.iter().zip(records) {
+            assert!(
+                Arc::ptr_eq(h, &rec.out_targets),
+                "run must not replace the adjacency Arc"
+            );
+        }
+        // ...and nothing else kept a clone alive: each Arc has exactly our
+        // probe handle plus the record's own.
+        for h in &before {
+            assert_eq!(
+                Arc::strong_count(h),
+                2,
+                "a run leaked or deep-copied an adjacency Arc"
+            );
+        }
+    }
 
     #[test]
     fn mr_record_codec_roundtrip() {

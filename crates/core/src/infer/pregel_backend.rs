@@ -11,9 +11,8 @@
 //!
 //! Strategy mapping: partial-gather rides the engine's fused
 //! scatter-aggregation on the columnar plane; broadcast rides the
-//! engine's broadcast tables;
-//! shadow-nodes arrive pre-applied in the
-//! [`crate::strategy::NodeRecord`]s.
+//! engine's broadcast tables; shadow-nodes arrive pre-applied in the
+//! plan's layout, one vertex per mirror.
 //!
 //! Message placement: every GNN payload is a fixed-width `f32` row (a
 //! layer's `apply_edge` output, `msg_dim` wide — for GAT the source-side
@@ -40,24 +39,27 @@
 //! scattered one step earlier instead of recomputing it, and the next
 //! scatter writes the new message into that same buffer.
 //!
-//! Where the graph lives: `plan_layout` turns the planned records into a
-//! [`PregelLayout`] once, at plan time — placement, the id index, and
-//! every out-target resolved to a route. A run borrows it: vertex states
-//! are handles into the plan's records and the layout's routes, so loading
-//! a run is one pass that copies O(V) pointers and hashes nothing, and
-//! the engine is built over the plan's layout
+//! Where the graph lives: the plan lays the shadow-transformed adjacency
+//! out as a [`PregelLayout`](inferturbo_pregel::PregelLayout) once, at
+//! plan time — placement, the id index, and every out-target resolved to a
+//! route — and keeps nothing else of the graph but each node's logical
+//! degrees. A run borrows it: a vertex
+//! state is a handle to its raw features in the graph itself (or in the
+//! serving caller's matrix) and to its routes in the layout, plus its
+//! node's degrees, so loading a run is one pass that copies O(V) pointers
+//! and hashes nothing, and the engine is built over the plan's layout
 //! ([`PregelEngine::with_layout`], its one constructor).
 
 use crate::gas::{GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
-use crate::plan::InferencePlan;
-use crate::strategy::{base_of, mirror_of, NodeRecord, StrategyConfig};
+use crate::plan::{InferencePlan, Loadable};
+use crate::strategy::{base_of, mirror_of, StrategyConfig};
 use inferturbo_common::{Error, Result};
 use inferturbo_obs::TraceHandle;
 use inferturbo_pregel::{
-    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, PregelLayout, Route,
-    ScratchPool, VertexProgram,
+    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, Route, ScratchPool,
+    VertexProgram,
 };
 use std::sync::Arc;
 
@@ -65,9 +67,10 @@ use super::InferenceOutput;
 
 /// Per-vertex state held in worker memory between supersteps.
 ///
-/// The load phase is zero-copy: `raw` borrows the planned record's input
-/// features (or the caller's fresh feature matrix) and `edges` the plan
-/// layout's pre-resolved routes, so building a run's vertex states from an
+/// The load phase is zero-copy: `raw` borrows the node's input features
+/// from the graph itself (or from the caller's fresh feature matrix; a
+/// mirror reads its node's row) and `edges` the plan layout's pre-resolved
+/// routes, so building a run's vertex states from an
 /// [`crate::InferencePlan`] costs O(V) handle copies instead of re-cloning
 /// O(V·d + E) floats and ids per run.
 ///
@@ -266,20 +269,12 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
     }
 }
 
-/// Lay the planned records out for the engine: place every record on its
-/// worker and resolve every out-target to a route, once per plan. A target
-/// that names no record is an [`Error::InvalidGraph`] here — at plan time
-/// — rather than a failed superstep.
-pub(crate) fn plan_layout(records: &[NodeRecord], workers: usize) -> Result<PregelLayout> {
-    PregelLayout::planned(workers, records.iter().map(|r| (r.wire, &*r.out_targets)))
-}
-
-/// Execute one planned Pregel run over pre-built node records.
+/// Execute one planned Pregel run over the plan's layout.
 ///
 /// This is the execution stage of the session pipeline: all planning work
 /// (CSR builds, degree arrays, shadow-mirror expansion, hub thresholds,
 /// the engine layout) happened at plan time. `features`, when given, replaces
-/// each record's raw input row (same node, fresh features — the serving
+/// each node's raw input row (same node, fresh features — the serving
 /// path); `scratch` is the plan's pooled per-worker engine scratch,
 /// returned after the run so the next run skips the per-superstep
 /// allocations. On error the pool is dropped; the next run starts fresh.
@@ -318,12 +313,18 @@ fn engine_for<'g>(
     features: Option<&'g [Vec<f32>]>,
     trace: TraceHandle,
 ) -> Result<PregelEngine<GnnVertexProgram<'g>>> {
-    let layout = plan
-        .layout
-        .as_ref()
-        .ok_or_else(|| Error::Internal("a Pregel plan is built with its layout".into()))?;
+    let Loadable::Pregel {
+        layout,
+        in_deg,
+        out_deg,
+    } = &plan.loadable
+    else {
+        return Err(Error::Internal(
+            "a Pregel plan is built with its layout".into(),
+        ));
+    };
     let model = plan.model;
-    let records = &plan.records;
+    let graph = plan.graph;
     let k = model.n_layers();
     let row_aggs: Vec<Option<PoolRowAggregator>> = (0..k)
         .map(|l| model.layer_view(l).row_aggregator())
@@ -343,19 +344,19 @@ fn engine_for<'g>(
         transport: Arc::clone(&plan.transport),
         ..PregelConfig::new(plan.pregel_spec)
     };
-    // Zero-copy load: every state is handles into the plan.
+    // Zero-copy load: every state is handles into the graph and the plan.
     let states = layout.vertices().map(|v| {
-        let rec = &records[v.position];
+        let base = base_of(v.id);
         GnnVertexState {
             raw: match features {
-                Some(f) => &f[rec.base as usize],
-                None => &rec.raw,
+                Some(f) => &f[base as usize],
+                None => graph.node_feat(base),
             },
             h: Vec::new(),
             kept: Kept::Nothing,
             edges: v.edges,
-            in_deg: rec.in_deg,
-            out_deg: rec.out_deg,
+            in_deg: in_deg[base as usize],
+            out_deg: out_deg[base as usize],
         }
     });
     PregelEngine::with_layout(program, config, Arc::clone(layout), states)
@@ -364,9 +365,89 @@ fn engine_for<'g>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::PoolOp;
     use crate::session::{Backend, InferenceSession};
     use inferturbo_cluster::ClusterSpec;
-    use inferturbo_graph::gen::{generate, GenConfig};
+    use inferturbo_common::FxHashMap;
+    use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
+
+    /// The zero-copy plan reload contract on Pregel: a plan holds the
+    /// graph once, as its layout, and every run loads its vertex states by
+    /// handle — each state's `raw` is its node's row of the graph's
+    /// features (or of the caller's matrix), mirrors included, and its
+    /// `edges` are the layout's own routes. Runs share the layout `Arc`
+    /// and leave no further clone of it behind.
+    #[test]
+    fn a_pregel_run_loads_its_states_by_handle_into_the_graph_and_the_layout() {
+        let graph = generate(&GenConfig {
+            n_nodes: 120,
+            n_edges: 700,
+            feat_dim: 5,
+            classes: 3,
+            skew: DegreeSkew::Out,
+            seed: 77,
+            ..GenConfig::default()
+        });
+        let model = GnnModel::sage(5, 8, 2, 3, false, PoolOp::Mean, 2);
+        let plan = InferenceSession::builder()
+            .model(&model)
+            .graph(&graph)
+            .workers(4)
+            .strategy(StrategyConfig::all().with_threshold(5))
+            .backend(Backend::Pregel)
+            .plan()
+            .unwrap();
+        assert!(plan.summary().mirrors > 0, "mirrors must engage");
+        let Loadable::Pregel { layout, .. } = &plan.loadable else {
+            panic!("a Pregel plan holds its layout");
+        };
+        let probe = Arc::clone(layout);
+        let routes: FxHashMap<u64, *const Route> = layout
+            .vertices()
+            .map(|v| (v.id, v.edges.as_ptr()))
+            .collect();
+        let features: Vec<Vec<f32>> = (0..graph.n_nodes() as u32)
+            .map(|v| graph.node_feat(v).iter().map(|x| x + 1.0).collect())
+            .collect();
+        for fresh in [None, Some(&features[..])] {
+            let engine = engine_for(&plan, fresh, TraceHandle::disabled()).unwrap();
+            let mut loaded = 0;
+            engine.for_each_state(|id, state| {
+                let base = base_of(id);
+                let row = match fresh {
+                    Some(f) => f[base as usize].as_slice(),
+                    None => graph.node_feat(base),
+                };
+                assert!(
+                    std::ptr::eq(state.raw, row),
+                    "vertex {id} copied its features"
+                );
+                assert_eq!(
+                    state.edges.as_ptr(),
+                    routes[&id],
+                    "vertex {id} copied its routes"
+                );
+                loaded += 1;
+            });
+            assert_eq!(loaded, layout.n_vertices());
+        }
+        // The first run leaves the plan's pooled scratch holding the
+        // layout; later runs reuse those handles and add none.
+        let a = plan.run().unwrap();
+        let held = Arc::strong_count(&probe);
+        let b = plan.run_with_features(&features).unwrap();
+        assert_ne!(a.logits, b.logits);
+        assert_eq!(plan.run().unwrap().logits, a.logits);
+        let Loadable::Pregel { layout, .. } = &plan.loadable else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&probe, layout), "a run replaced the layout");
+        assert_eq!(
+            Arc::strong_count(&probe),
+            held,
+            "a run leaked a handle to the layout"
+        );
+    }
 
     /// A GAT vertex writes each layer's `W·h` into the buffer its previous
     /// one was kept in: across the three layers of a plan, every kept own
@@ -405,7 +486,10 @@ mod tests {
         // out-edges; supersteps 1 and 2 apply a layer and scatter the next.
         engine.run(1).unwrap();
         let first = kept(&engine);
-        let senders = plan.records.iter().filter(|r| !r.out_targets.is_empty());
+        let Loadable::Pregel { layout, .. } = &plan.loadable else {
+            panic!("a Pregel plan holds its layout");
+        };
+        let senders = layout.vertices().filter(|v| !v.edges.is_empty());
         assert_eq!(first.len(), senders.count());
         for step in 1..3 {
             engine.run(1).unwrap();

@@ -4,9 +4,11 @@
 //! An [`InferencePlan`] owns every piece of one-time work a run would
 //! otherwise redo:
 //!
-//! - the loadable [`NodeRecord`]s with the shadow-nodes transform applied
-//!   (which itself subsumes the out-CSR build, the degree arrays, and the
-//!   hub-threshold grouping);
+//! - the graph with the shadow-nodes transform applied, held once in the
+//!   one form the chosen backend loads (`Loadable`): the transform is one
+//!   pass from the out-CSR into a flat adjacency (degree arrays and
+//!   hub-threshold grouping included), which a Pregel plan lays out and a
+//!   MapReduce plan materializes into [`NodeRecord`]s;
 //! - the resolved hub threshold and hub/mirror counts;
 //! - a [`PlanEstimate`] predicting per-layer shuffle bytes by message
 //!   plane and peak per-worker memory for both backends, derived from the
@@ -16,7 +18,9 @@
 //!   placed on its worker, the `id → (worker, slot)` index, and every
 //!   out-target resolved to a route — the graph is laid out once here, a
 //!   run borrows it (behind an `Arc`, never written), and the estimate's
-//!   fused traffic is counted from it rather than bounded;
+//!   fused traffic is counted from it rather than bounded. Beside it the
+//!   plan keeps only each node's logical degrees: a run reads raw
+//!   features from the graph itself;
 //! - the pooled per-worker Pregel engine scratch
 //!   ([`ScratchPool`]), so repeated runs stop reallocating the
 //!   O(workers·V) fused slot indexes every superstep.
@@ -32,7 +36,7 @@ use crate::gas::GnnMessage;
 use crate::infer::{mr_backend, pregel_backend, reference_logits, InferenceOutput};
 use crate::models::GnnModel;
 use crate::session::{Backend, SessionBuilder};
-use crate::strategy::{build_node_records, NodeRecord, StrategyConfig};
+use crate::strategy::{NodeRecord, ShadowAdjacency, StrategyConfig};
 use inferturbo_cluster::{
     ClusterSpec, FaultInjector, InProcess, LayerEstimate, PlanEstimate, RecoveryPolicy, RunReport,
     Transport,
@@ -89,11 +93,8 @@ pub struct InferencePlan<'a> {
     /// so it never feeds the estimate or backend auto-selection — only
     /// `RunReport::wire_bytes` differs.
     pub(crate) transport: Arc<dyn Transport>,
-    pub(crate) records: Vec<NodeRecord>,
-    /// The Pregel engine's layout of `records` (placement, id index,
-    /// pre-resolved routes), shared by every run. `None` on the other
-    /// backends.
-    pub(crate) layout: Option<Arc<PregelLayout>>,
+    /// The planned graph, in the form the backend's runs load.
+    pub(crate) loadable: Loadable,
     pub(crate) bc_threshold: u64,
     pub(crate) hubs: usize,
     pub(crate) mirrors: usize,
@@ -103,12 +104,41 @@ pub struct InferencePlan<'a> {
     scratch: Mutex<Option<ScratchPool<GnnMessage>>>,
 }
 
+/// The shadow-transformed graph as a plan holds it: once, in the one form
+/// its backend's runs read.
+pub(crate) enum Loadable {
+    /// `Backend::Reference` reads `(model, graph)` and plans nothing.
+    Nothing,
+    /// The Pregel engine's layout of every record (placement, id index,
+    /// pre-resolved routes), shared by every run, and each node's logical
+    /// degrees, which its mirrors share. A run reads raw features from the
+    /// graph (or the caller's matrix), so no record is built.
+    Pregel {
+        layout: Arc<PregelLayout>,
+        in_deg: Vec<u32>,
+        out_deg: Vec<u32>,
+    },
+    /// The loadable records a MapReduce run shuffles by reference.
+    MapReduce(Vec<NodeRecord>),
+}
+
+impl Loadable {
+    /// Loadable records (nodes + mirrors).
+    fn records(&self) -> usize {
+        match self {
+            Loadable::Nothing => 0,
+            Loadable::Pregel { layout, .. } => layout.n_vertices(),
+            Loadable::MapReduce(records) => records.len(),
+        }
+    }
+}
+
 impl std::fmt::Debug for InferencePlan<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InferencePlan")
             .field("backend", &self.backend)
             .field("workers", &self.workers)
-            .field("records", &self.records.len())
+            .field("records", &self.loadable.records())
             .field("mirrors", &self.mirrors)
             .field("hubs", &self.hubs)
             .field("bc_threshold", &self.bc_threshold)
@@ -179,33 +209,32 @@ impl<'a> InferencePlan<'a> {
         // The reference path reads only (model, graph): skip the cluster
         // transforms so `infer_reference` in training/eval loops stays a
         // plain forward pass. Its plan reports zero records/estimate.
-        let records = if requested == Backend::Reference {
-            Vec::new()
+        let adjacency = if requested == Backend::Reference {
+            ShadowAdjacency::default()
         } else {
-            build_node_records(graph, &strategy, workers)?
+            ShadowAdjacency::build(graph, &strategy, workers)
         };
-        let mirrors = records.len().saturating_sub(graph.n_nodes());
-        let hubs = if records.is_empty() {
-            0
-        } else {
-            graph
-                .out_degrees()
-                .iter()
-                .filter(|&&d| d as u64 > bc_threshold)
-                .count()
-        };
+        let mirrors = adjacency.len().saturating_sub(graph.n_nodes());
+        let hubs = adjacency
+            .out_deg
+            .iter()
+            .filter(|&&d| d as u64 > bc_threshold)
+            .count();
         // Pregel runs over a layout; `Auto` needs one to decide, and
-        // drops it again if the decision is MapReduce.
+        // drops it again if the decision is MapReduce. Placing every
+        // record and resolving every target to a route happens here, so a
+        // target that names no record is an `Error::InvalidGraph` at plan
+        // time rather than a failed superstep.
         let layout = match requested {
             Backend::Pregel | Backend::Auto => {
-                Some(Arc::new(pregel_backend::plan_layout(&records, workers)?))
+                Some(PregelLayout::planned(workers, adjacency.records())?)
             }
             _ => None,
         };
         let estimate = build_estimate(
             model,
-            &records,
-            layout.as_deref(),
+            &adjacency,
+            layout.as_ref(),
             &strategy,
             workers,
             bc_threshold,
@@ -224,7 +253,18 @@ impl<'a> InferencePlan<'a> {
             }
             b => b,
         };
-        let layout = layout.filter(|_| backend == Backend::Pregel);
+        // Keep the one form the backend loads; the flat adjacency goes.
+        let loadable = match layout.filter(|_| backend == Backend::Pregel) {
+            Some(layout) => Loadable::Pregel {
+                layout: Arc::new(layout),
+                in_deg: adjacency.in_deg,
+                out_deg: adjacency.out_deg,
+            },
+            None if backend == Backend::MapReduce => {
+                Loadable::MapReduce(adjacency.node_records(graph))
+            }
+            None => Loadable::Nothing,
+        };
         Ok(InferencePlan {
             model,
             graph,
@@ -240,8 +280,7 @@ impl<'a> InferencePlan<'a> {
             recovery: b.recovery,
             trace: b.trace,
             transport: b.transport.unwrap_or_else(|| Arc::new(InProcess)),
-            records,
-            layout,
+            loadable,
             bc_threshold,
             hubs,
             mirrors,
@@ -289,13 +328,6 @@ impl<'a> InferencePlan<'a> {
         self.spill.as_ref()
     }
 
-    /// The planned loadable records. Runs load these zero-copy: vertex
-    /// states borrow each record's features and adjacency, nothing is
-    /// re-cloned per run (pinned by `tests/serving.rs`).
-    pub fn records(&self) -> &[NodeRecord] {
-        &self.records
-    }
-
     /// One-page inspection of everything planning decided.
     pub fn summary(&self) -> PlanSummary {
         PlanSummary {
@@ -304,7 +336,7 @@ impl<'a> InferencePlan<'a> {
             workers: self.workers,
             n_nodes: self.graph.n_nodes(),
             n_edges: self.graph.n_edges(),
-            records: self.records.len(),
+            records: self.loadable.records(),
             mirrors: self.mirrors,
             hubs: self.hubs,
             hub_threshold: self.bc_threshold,
@@ -477,21 +509,22 @@ impl std::fmt::Display for PlanSummary {
     }
 }
 
-/// Average varint length of a wire id (ids carry the high `NODE_FLAG`
-/// bit, so they encode in 9–10 bytes).
+/// Varint length of a wire id: every id carries `NODE_FLAG` (bit 63), so
+/// it always encodes in exactly 10 bytes.
 const WIRE_ID_LEN: u64 = 10;
 
-/// Build the plan's cost estimate from the planned layout. All quantities
-/// are *predictions* in the same units the engines measure: close enough
-/// to steer backend choice and to sanity-check a run's report, not
-/// byte-exact — except the fused row *record* count, which is counted from
+/// Build the plan's cost estimate from the shadow-transformed adjacency and
+/// the planned layout. All quantities are *predictions* in the same units
+/// the engines measure: close enough to steer backend choice and to
+/// sanity-check a run's report, not byte-exact — except the fused row
+/// *record* count, which is counted from
 /// `layout` when the plan has one (the Pregel backend) and is then exactly
 /// what a run reports. Under `spill_budget`, a layer's columnar inbox
 /// counts only its bounded resident window toward the Pregel peak — the
 /// remainder is reported on the spilled plane.
 fn build_estimate(
     model: &GnnModel,
-    records: &[NodeRecord],
+    adjacency: &ShadowAdjacency,
     layout: Option<&PregelLayout>,
     strategy: &StrategyConfig,
     workers: usize,
@@ -514,26 +547,26 @@ fn build_estimate(
     let mut in_rows = vec![0u64; n_w];
     let mut max_in = vec![0u64; n_w];
     let mut max_group_floats = 0u64;
-    for rec in records {
-        let w = partition_of(rec.wire, n_w);
-        state_bytes[w] +=
-            ((in_dim + max_out + logits_len) * 4 + rec.out_targets.len() * 8 + 64) as u64;
-        slots[w] += 1;
-        in_rows[w] += rec.in_deg as u64;
-        max_in[w] = max_in[w].max(rec.in_deg as u64);
-        max_group_floats = max_group_floats.max(rec.in_deg as u64 + 1);
-    }
-
-    // Per-layer traffic, split hub vs non-hub by the engines' hub rule.
+    // Per-layer traffic is split hub vs non-hub by the engines' hub rule.
     // A message depends on its source alone, so the split is the same on
     // every layer.
-    let total_targets: u64 = records.iter().map(|r| r.out_targets.len() as u64).sum();
-    let (hub_records, hub_edges) = records
-        .iter()
-        .filter(|r| strategy.broadcasts(r.out_deg, bc_threshold))
-        .fold((0u64, 0u64), |(n, e), r| {
-            (n + 1, e + r.out_targets.len() as u64)
-        });
+    let (mut hub_records, mut hub_edges) = (0u64, 0u64);
+    for (i, (wire, targets)) in adjacency.records().enumerate() {
+        let w = partition_of(wire, n_w);
+        let n_targets = targets.len();
+        let (in_deg, out_deg) = adjacency.degrees(i);
+        state_bytes[w] += ((in_dim + max_out + logits_len) * 4 + n_targets * 8 + 64) as u64;
+        slots[w] += 1;
+        in_rows[w] += in_deg as u64;
+        max_in[w] = max_in[w].max(in_deg as u64);
+        max_group_floats = max_group_floats.max(in_deg as u64 + 1);
+        if strategy.broadcasts(out_deg, bc_threshold) {
+            hub_records += 1;
+            hub_edges += n_targets as u64;
+        }
+    }
+    let n_records = adjacency.len() as u64;
+    let total_targets = adjacency.n_targets() as u64;
     let row_edges = total_targets - hub_edges;
     let mut layers = Vec::with_capacity(k);
     let mut max_inbox = 0u64;
@@ -550,9 +583,11 @@ fn build_estimate(
         // layout's routes, or without one bounded by workers × records.
         let row_records = match (fused, layout) {
             (false, _) => row_edges,
-            (true, None) => row_edges.min(n_w as u64 * records.len() as u64),
+            (true, None) => row_edges.min(n_w as u64 * n_records),
             (true, Some(layout)) => *partials.get_or_insert_with(|| {
-                layout.fused_partials(|at| !strategy.broadcasts(records[at].out_deg, bc_threshold))
+                layout.fused_partials(|at| {
+                    !strategy.broadcasts(adjacency.degrees(at).1, bc_threshold)
+                })
             }),
         };
         let row_len = row_payload_len(d, fused.then_some(1)) as u64 + WIRE_ID_LEN;
@@ -570,10 +605,8 @@ fn build_estimate(
         } else {
             model.layer_view(l - 1).annotations().out_dim
         };
-        let selfstate_bytes: u64 = records
-            .iter()
-            .map(|r| WIRE_ID_LEN + 4 * h_dim as u64 + WIRE_ID_LEN * r.out_targets.len() as u64 + 8)
-            .sum();
+        let selfstate_bytes =
+            n_records * (WIRE_ID_LEN + 4 * h_dim as u64 + 8) + WIRE_ID_LEN * total_targets;
 
         // Pregel inbox residency for this layer's gather: row data (the
         // dense fused accumulators, or the materialized per-edge rows)
@@ -646,6 +679,7 @@ mod tests {
     use crate::session::InferenceSession;
     use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
     use inferturbo_obs::Payload;
+    use inferturbo_pregel::Route;
     use proptest::prelude::*;
 
     fn graph() -> Graph {
@@ -727,30 +761,92 @@ mod tests {
 
     #[test]
     fn an_out_target_naming_no_record_fails_at_plan_time() {
-        // `build_node_records` never produces one, so corrupt its output:
-        // the layout stage of `plan()` must refuse it, typed, before any
-        // superstep exists to fail.
+        // The shadow transform never produces one, so corrupt the flat
+        // adjacency on its way into the layout stage of `plan()`, which
+        // must refuse it, typed, before any superstep exists to fail.
         let g = graph();
-        let mut records = build_node_records(&g, &StrategyConfig::all(), 4).unwrap();
-        let victim = records
-            .iter()
-            .position(|r| !r.out_targets.is_empty())
+        let adjacency = ShadowAdjacency::build(&g, &StrategyConfig::all(), 4);
+        let victim = (0..adjacency.len())
+            .find(|&i| !adjacency.targets(i).is_empty())
             .unwrap();
-        let mut targets = records[victim].out_targets.to_vec();
-        targets[0] = crate::strategy::wire_id(9_999, 0);
-        records[victim].out_targets = targets.into();
-        let err = pregel_backend::plan_layout(&records, 4).unwrap_err();
+        let unknown = [crate::strategy::wire_id(9_999, 0)];
+        let corrupted = adjacency
+            .records()
+            .enumerate()
+            .map(|(i, (wire, targets))| (wire, if i == victim { &unknown[..] } else { targets }));
+        let err = PregelLayout::planned(4, corrupted).unwrap_err();
         assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
         assert!(
             err.to_string().contains("message to unknown vertex"),
             "{err}"
         );
         // Same for a record loaded twice.
-        let mut records = build_node_records(&g, &StrategyConfig::all(), 4).unwrap();
-        records.push(records[0].clone());
-        let err = pregel_backend::plan_layout(&records, 4).unwrap_err();
+        let twice = adjacency.records().chain(adjacency.records().take(1));
+        let err = PregelLayout::planned(4, twice).unwrap_err();
         assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
         assert!(err.to_string().contains("duplicate vertex id"), "{err}");
+    }
+
+    /// The records the shadow transform produced before it became one pass
+    /// over a flat adjacency: per-node mirror counts, then one target list
+    /// per record grown edge by edge in out-CSR order. The oracle
+    /// `prop_one_pass_plans_the_layout_the_records_did` holds the one-pass
+    /// transform to.
+    fn records_by_two_walks(
+        g: &Graph,
+        strategy: &StrategyConfig,
+        workers: usize,
+    ) -> Vec<NodeRecord> {
+        use crate::strategy::wire_id;
+        let (in_deg, out_deg) = (g.in_degrees(), g.out_degrees());
+        let threshold = strategy.threshold(g.n_edges(), workers);
+        let groups: Vec<u32> = out_deg
+            .iter()
+            .map(|&d| {
+                if strategy.shadow_nodes && d as u64 > threshold {
+                    (d as u64).div_ceil(threshold) as u32
+                } else {
+                    1
+                }
+            })
+            .collect();
+        let out_csr = inferturbo_graph::Csr::out_of(g);
+        let mut records = Vec::new();
+        for v in 0..g.n_nodes() as u32 {
+            let g_v = groups[v as usize];
+            let mut targets = vec![Vec::new(); g_v as usize];
+            for (j, &u) in out_csr.neighbors(v).iter().enumerate() {
+                for mu in 0..groups[u as usize] {
+                    targets[j % g_v as usize].push(wire_id(u, mu));
+                }
+            }
+            for (m, t) in targets.into_iter().enumerate() {
+                records.push(NodeRecord {
+                    wire: wire_id(v, m as u32),
+                    base: v,
+                    raw: g.node_feat(v).to_vec(),
+                    out_targets: t.into(),
+                    in_deg: in_deg[v as usize],
+                    out_deg: out_deg[v as usize],
+                });
+            }
+        }
+        records
+    }
+
+    /// A layout as its public surface shows it: every worker's slot table,
+    /// then every vertex's id, load position and routes in engine order.
+    type LayoutImage = (Vec<Vec<u64>>, Vec<(u64, usize, Vec<Route>)>);
+
+    fn layout_image(layout: &PregelLayout) -> LayoutImage {
+        let slots = (0..layout.n_workers())
+            .map(|w| layout.ids(w).to_vec())
+            .collect();
+        let vertices = layout
+            .vertices()
+            .map(|v| (v.id, v.position, v.edges.to_vec()))
+            .collect();
+        (slots, vertices)
     }
 
     #[test]
@@ -777,6 +873,81 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The one-pass shadow transform plans what the records did: a
+        /// Pregel (or `Auto`-picked Pregel) plan's layout has the slot
+        /// tables and per-vertex routes `PregelLayout::planned` lays out
+        /// over the two-walk records, and its degrees are theirs; a
+        /// MapReduce plan holds exactly those records; and every record
+        /// `build_node_records` returns is its slice of the flat adjacency.
+        /// Thresholds go low enough to mirror most nodes, graphs down to
+        /// no edges, and workers past the node count.
+        #[test]
+        fn prop_one_pass_plans_the_layout_the_records_did(
+            n in 1usize..60,
+            degree in 0usize..7,
+            skew_sel in 0u8..3,
+            workers in 1usize..10,
+            shadow_sel in 0u8..4,
+            threshold in 1u32..6,
+            backend_sel in 0u8..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let g = generate(&GenConfig {
+                n_nodes: n,
+                n_edges: n * degree,
+                feat_dim: 3,
+                classes: 2,
+                skew: [DegreeSkew::In, DegreeSkew::Out, DegreeSkew::None][skew_sel as usize],
+                seed,
+                ..GenConfig::default()
+            });
+            let strategy = StrategyConfig::all()
+                .with_shadow_nodes(shadow_sel != 0)
+                .with_threshold(threshold);
+            let expected = records_by_two_walks(&g, &strategy, workers);
+            let adjacency = ShadowAdjacency::build(&g, &strategy, workers);
+            let records = crate::strategy::build_node_records(&g, &strategy, workers).unwrap();
+            prop_assert_eq!(&records, &expected);
+            prop_assert_eq!(adjacency.len(), records.len());
+            for (i, ((wire, targets), rec)) in adjacency.records().zip(&records).enumerate() {
+                prop_assert_eq!(wire, rec.wire);
+                prop_assert_eq!(targets, &*rec.out_targets);
+                prop_assert_eq!(adjacency.degrees(i), (rec.in_deg, rec.out_deg));
+            }
+
+            let m = GnnModel::sage(3, 4, 2, 2, false, PoolOp::Mean, seed);
+            let backend = [Backend::Pregel, Backend::Auto, Backend::MapReduce][backend_sel as usize];
+            let plan = InferenceSession::builder()
+                .model(&m)
+                .graph(&g)
+                .workers(workers)
+                .strategy(strategy)
+                .backend(backend)
+                .plan()
+                .unwrap();
+            prop_assert_eq!(plan.summary().records, expected.len());
+            match &plan.loadable {
+                Loadable::Pregel { layout, in_deg, out_deg } => {
+                    prop_assert!(backend != Backend::MapReduce);
+                    let oracle = PregelLayout::planned(
+                        workers,
+                        expected.iter().map(|r| (r.wire, &*r.out_targets)),
+                    )
+                    .unwrap();
+                    prop_assert_eq!(layout_image(layout), layout_image(&oracle));
+                    for rec in &expected {
+                        let base = rec.base as usize;
+                        prop_assert_eq!((in_deg[base], out_deg[base]), (rec.in_deg, rec.out_deg));
+                    }
+                }
+                Loadable::MapReduce(held) => {
+                    prop_assert_eq!(backend, Backend::MapReduce);
+                    prop_assert_eq!(held, &expected);
+                }
+                Loadable::Nothing => prop_assert!(false, "a cluster plan holds its graph"),
+            }
+        }
 
         /// A Pregel plan predicts its row traffic from its own layout, so
         /// the prediction is not a bound but the count: for every layer,

@@ -20,18 +20,19 @@
 //!
 //! 1. **Configure** ([`SessionBuilder`]): model, graph, strategy toggles,
 //!    cluster shapes, backend request, memory budget.
-//! 2. **Plan** ([`SessionBuilder::plan`] → [`InferencePlan`]): builds the
-//!    loadable node records (shadow mirrors applied, hub threshold
-//!    resolved), predicts per-layer shuffle bytes and peak per-worker
+//! 2. **Plan** ([`SessionBuilder::plan`] → [`InferencePlan`]): applies
+//!    the shadow-nodes transform (hub threshold resolved) in one pass over
+//!    the graph, predicts per-layer shuffle bytes and peak per-worker
 //!    memory for both backends
 //!    ([`PlanEstimate`](inferturbo_cluster::PlanEstimate)), and — for
 //!    [`Backend::Auto`] — picks the backend by comparing the predicted
 //!    Pregel residency against the memory budget (the paper's §IV-A
-//!    trade-off, encoded instead of hand-chosen). A Pregel plan also lays
-//!    the graph out for the engine — placement, the id index, every
-//!    out-edge resolved to a route — and owns the pooled per-worker engine
-//!    scratch, so repeated runs neither re-derive the layout nor pay the
-//!    per-superstep O(workers·V) slot-index allocations.
+//!    trade-off, encoded instead of hand-chosen). A Pregel plan then holds
+//!    the graph once, laid out for the engine — placement, the id index,
+//!    every out-edge resolved to a route — and owns the pooled per-worker
+//!    engine scratch, so repeated runs neither re-derive the layout nor pay
+//!    the per-superstep O(workers·V) slot-index allocations; a MapReduce
+//!    plan holds the loadable node records instead.
 //! 3. **Execute** ([`InferencePlan::run`] /
 //!    [`InferencePlan::run_with_features`]): the layer-as-superstep run
 //!    itself, returning an [`InferenceOutput`](crate::InferenceOutput).
@@ -44,7 +45,7 @@
 //!
 //! - repeated [`InferencePlan::run`] calls on one plan are **bit-identical**
 //!   to each other and to a fresh plan of the same configuration — pooled
-//!   scratch and pre-built records are observably invisible;
+//!   scratch and the pre-built layout or records are observably invisible;
 //! - results are independent of the thread budget
 //!   (`INFERTURBO_THREADS` / `Parallelism`), per the workspace-wide
 //!   contract in `inferturbo_common::par`;

@@ -23,7 +23,7 @@
 use inferturbo_common::codec::{
     f32_slice_len, varint_len, varint_seq_len, Decode, Encode, WireReader, WireWriter,
 };
-use inferturbo_common::{Error, Result};
+use inferturbo_common::Result;
 use inferturbo_graph::{Csr, Graph};
 use std::sync::Arc;
 
@@ -189,8 +189,11 @@ pub fn mirror_of(wire: u64) -> u32 {
     ((wire >> 32) & 0x7FFF_FFFF) as u32
 }
 
-/// One loadable vertex record: the unit both backends ingest. Produced by
-/// [`build_node_records`], which applies the shadow-nodes transform.
+/// One loadable vertex record: the unit the MapReduce backend shuffles.
+/// Produced by [`build_node_records`], which applies the shadow-nodes
+/// transform and materializes its flat adjacency record by record; a
+/// Pregel plan never builds one — it lays the adjacency out and reads
+/// features from the graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
     pub wire: u64,
@@ -200,9 +203,9 @@ pub struct NodeRecord {
     pub raw: Vec<f32>,
     /// Wire ids this record scatters to (its share of out-edges, expanded
     /// to every mirror of each destination). Behind an `Arc` so a planned
-    /// session can load the adjacency into fresh vertex states by handle —
-    /// cloning a record (or the engine's per-run state build) shares the
-    /// target list instead of copying O(E) ids per run.
+    /// MapReduce run ships each record's self-state by handle — cloning a
+    /// record (or the run's self-state) shares the target list instead of
+    /// copying O(E) ids per run.
     pub out_targets: Arc<[u64]>,
     /// Logical (whole-graph) degrees — normalisations read these, never
     /// the physical adjacency.
@@ -256,84 +259,151 @@ impl Decode for NodeRecord {
     }
 }
 
+/// The shadow-nodes transform's output, flat: every record's wire id in
+/// load order (node ascending, mirror ascending), every record's scatter
+/// targets as one slice of a single exact-size array, and every node's
+/// logical degrees. Both backends start from it: a Pregel plan lays it out
+/// ([`inferturbo_pregel::PregelLayout::planned`]) and keeps only the
+/// degrees; a MapReduce plan materializes it into [`NodeRecord`]s
+/// ([`ShadowAdjacency::node_records`]).
+#[derive(Debug, Default)]
+pub(crate) struct ShadowAdjacency {
+    /// Record `i`'s wire id.
+    wires: Vec<u64>,
+    /// Record `i` scatters to `targets[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    targets: Vec<u64>,
+    /// Logical (whole-graph) degrees per node, shared by its mirrors —
+    /// normalisations read these, never the physical adjacency.
+    pub(crate) in_deg: Vec<u32>,
+    pub(crate) out_deg: Vec<u32>,
+}
+
+impl ShadowAdjacency {
+    /// Apply the shadow-nodes transform (when enabled) in one pass over
+    /// `graph`'s out-CSR.
+    ///
+    /// A node whose out-degree exceeds the threshold is split into
+    /// `ceil(out_deg / threshold)` mirrors; out-edges are dealt round-robin
+    /// so groups are even (paper: "divided into n groups evenly"): mirror
+    /// `m` of a node with `g` mirrors takes its out-edges `m, m + g, ...`.
+    /// Every scatter target expands to all mirrors of the destination,
+    /// because each mirror must hold all in-edges — so the target count is
+    /// known before the pass, as each node's in-degree times its mirror
+    /// count, and the records fill one array front to back.
+    pub(crate) fn build(graph: &Graph, strategy: &StrategyConfig, workers: usize) -> Self {
+        let out_csr = Csr::out_of(graph);
+        let n = graph.n_nodes() as u32;
+        let out_deg: Vec<u32> = (0..n).map(|v| out_csr.degree(v)).collect();
+        let in_deg = graph.in_degrees();
+        let threshold = strategy.threshold(graph.n_edges(), workers);
+        let groups: Vec<u32> = out_deg
+            .iter()
+            .map(|&d| {
+                if strategy.shadow_nodes && d as u64 > threshold {
+                    // ≤ out_deg (threshold ≥ 1), so the cast back is lossless.
+                    (d as u64).div_ceil(threshold) as u32
+                } else {
+                    1
+                }
+            })
+            .collect();
+        let n_records: usize = groups.iter().map(|&g| g as usize).sum();
+        let n_targets: usize = in_deg
+            .iter()
+            .zip(&groups)
+            .map(|(&d, &g)| d as usize * g as usize)
+            .sum();
+        let mut wires = Vec::with_capacity(n_records);
+        let mut offsets = Vec::with_capacity(n_records + 1);
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(n_targets);
+        for v in 0..n {
+            let g = groups[v as usize];
+            let out = out_csr.neighbors(v);
+            for m in 0..g {
+                for &u in out.iter().skip(m as usize).step_by(g as usize) {
+                    targets.extend((0..groups[u as usize]).map(|mu| wire_id(u, mu)));
+                }
+                wires.push(wire_id(v, m));
+                offsets.push(targets.len());
+            }
+        }
+        debug_assert_eq!(targets.len(), n_targets);
+        ShadowAdjacency {
+            wires,
+            offsets,
+            targets,
+            in_deg,
+            out_deg,
+        }
+    }
+
+    /// Number of records (nodes plus mirrors).
+    pub(crate) fn len(&self) -> usize {
+        self.wires.len()
+    }
+
+    /// Total scatter targets over all records.
+    pub(crate) fn n_targets(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Record `i`'s scatter targets.
+    pub(crate) fn targets(&self, i: usize) -> &[u64] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Record `i`'s logical (in, out) degrees.
+    pub(crate) fn degrees(&self, i: usize) -> (u32, u32) {
+        let base = base_of(self.wires[i]) as usize;
+        (self.in_deg[base], self.out_deg[base])
+    }
+
+    /// Every record's wire id and scatter targets, in load order — the
+    /// shape [`inferturbo_pregel::PregelLayout::planned`] takes.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (u64, &[u64])> + Clone {
+        (0..self.len()).map(|i| (self.wires[i], self.targets(i)))
+    }
+
+    /// Materialize one [`NodeRecord`] per record, its features copied from
+    /// `graph` and its targets from the flat array.
+    pub(crate) fn node_records(&self, graph: &Graph) -> Vec<NodeRecord> {
+        self.records()
+            .enumerate()
+            .map(|(i, (wire, targets))| {
+                let base = base_of(wire);
+                let (in_deg, out_deg) = self.degrees(i);
+                NodeRecord {
+                    wire,
+                    base,
+                    raw: graph.node_feat(base).to_vec(),
+                    out_targets: targets.into(),
+                    in_deg,
+                    out_deg,
+                }
+            })
+            .collect()
+    }
+}
+
 /// Build the loadable vertex records for `graph`, applying the
-/// shadow-nodes transform when enabled.
-///
-/// A node whose out-degree exceeds the threshold is split into
-/// `ceil(out_deg / threshold)` mirrors; out-edges are dealt round-robin so
-/// groups are even (paper: "divided into n groups evenly"). Every scatter
-/// target expands to all mirrors of the destination, because each mirror
-/// must hold all in-edges.
+/// shadow-nodes transform when enabled: a node whose out-degree exceeds
+/// the threshold is split into `ceil(out_deg / threshold)` mirrors, its
+/// out-edges dealt round-robin, and every scatter target expands to all
+/// mirrors of the destination.
 pub fn build_node_records(
     graph: &Graph,
     strategy: &StrategyConfig,
     workers: usize,
 ) -> Result<Vec<NodeRecord>> {
-    let n = graph.n_nodes();
-    let in_deg = graph.in_degrees();
-    let out_deg = graph.out_degrees();
-    let threshold = strategy.threshold(graph.n_edges(), workers);
-
-    let groups: Vec<u32> = (0..n)
-        .map(|v| {
-            if strategy.shadow_nodes && (out_deg[v] as u64) > threshold {
-                // ≤ out_deg (threshold ≥ 1), so the cast back is lossless.
-                (out_deg[v] as u64).div_ceil(threshold) as u32
-            } else {
-                1
-            }
-        })
-        .collect();
-
-    // Record offsets: mirrors of node v occupy rec[offset[v] .. offset[v]+groups[v]].
-    let mut offset = vec![0usize; n + 1];
-    for v in 0..n {
-        offset[v + 1] = offset[v] + groups[v] as usize;
-    }
-
-    // Build every record's target list first, then freeze each into its
-    // shared `Arc` — records are immutable once planned.
-    let mut targets: Vec<Vec<u64>> = vec![Vec::new(); offset[n]];
-    let out_csr = Csr::out_of(graph);
-    for v in 0..n as u32 {
-        let g = groups[v as usize];
-        for (j, &u) in out_csr.neighbors(v).iter().enumerate() {
-            let mirror = (j as u32) % g;
-            let t = &mut targets[offset[v as usize] + mirror as usize];
-            for mu in 0..groups[u as usize] {
-                t.push(wire_id(u, mu));
-            }
-        }
-    }
-
-    let mut records: Vec<NodeRecord> = Vec::with_capacity(offset[n]);
-    let mut targets = targets.into_iter();
-    for v in 0..n as u32 {
-        for m in 0..groups[v as usize] {
-            // One target list exists per (node, mirror) by construction;
-            // running out is a bug in the grouping above, surfaced as a
-            // typed value rather than an abort.
-            let Some(t) = targets.next() else {
-                return Err(Error::Internal(format!(
-                    "mirror target lists exhausted at node {v} group {m}"
-                )));
-            };
-            records.push(NodeRecord {
-                wire: wire_id(v, m),
-                base: v,
-                raw: graph.node_feat(v).to_vec(),
-                out_targets: t.into(),
-                in_deg: in_deg[v as usize],
-                out_deg: out_deg[v as usize],
-            });
-        }
-    }
-    Ok(records)
+    Ok(ShadowAdjacency::build(graph, strategy, workers).node_records(graph))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inferturbo_common::Error;
     use inferturbo_graph::types::GraphBuilder;
 
     #[test]
@@ -419,8 +489,8 @@ mod tests {
     #[test]
     fn record_clone_shares_adjacency() {
         // The zero-copy plan-reload contract: cloning a record's target
-        // list (what the Pregel backend's per-run state build does) must
-        // share the allocation, never copy it.
+        // list (what a MapReduce run's self-state does) must share the
+        // allocation, never copy it.
         let rec = NodeRecord {
             wire: wire_id(1, 0),
             base: 1,

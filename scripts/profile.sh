@@ -4,7 +4,7 @@
 # `gprofng collect app` (binutils' sampling profiler; nothing to download)
 # and prints the top functions by exclusive and by inclusive samples.
 #
-#   scripts/profile.sh <workload> [--seed S] [--seconds S]
+#   scripts/profile.sh [--heap] <workload> [--seed S] [--seconds S]
 #
 # --seed and --seconds pass through to `itbench run` (defaults: itbench's).
 # Three experiments are collected one after another and read as one: on a
@@ -22,9 +22,17 @@
 # export is one of them: malloc.c is one object, its statics sit among
 # its exports) and all unnamed glibc internals (an upper bound).
 #
+# --heap counts allocations instead, exactly: one experiment with heap
+# tracing on (`-H on`; the run is ~40x slower, so keep --seconds small)
+# prints the allocation count and bytes inclusive under the whole process,
+# `InferencePlan::build` (planning) and `InferencePlan::run` (every run),
+# the number of runs the workload made, and the top allocating stacks by
+# bytes. At a fixed seed and thread count the planning counts are
+# deterministic; the run counts scale with the number of runs.
+#
 # Everything is written under <CARGO_TARGET_DIR, else ./target>/profile:
-# the experiments (<workload>.<i>.er, readable again with `gprofng
-# display text`) and each run's own output (<workload>.<i>.log).
+# the experiments (<workload>.<i>.er, or <workload>.heap.er, readable again
+# with `gprofng display text`) and each run's own output (<workload>.<i>.log).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,11 +40,16 @@ cd "$(dirname "$0")/.."
 # the only two variables the library reads.
 unset INFERTURBO_THREADS INFERTURBO_WORKER_BIN
 
-usage() { sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+heap=0
+if [ "${1:-}" = --heap ]; then
+    heap=1
+    shift
+fi
 [ $# -ge 1 ] || usage
 workload="$1"
 shift
-top=25 runs=3
+top=25 runs=3 stacks=10 frames=6
 pass=()
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -54,6 +67,38 @@ mkdir -p "$out"
 bash benchmark/run.sh --workload pregel_sage_inhub --smoke --seconds 1 --trace 0 \
     >"$out/build.log" 2>&1 || { cat "$out/build.log" >&2; exit 1; }
 bin="$CARGO_TARGET_DIR/release/itbench"
+
+if [ "$heap" = 1 ]; then
+    exp="$out/$workload.heap.er"
+    log="$out/$workload.heap.log"
+    rm -rf "$exp"
+    echo "profile.sh: heap-tracing $workload into $exp" >&2
+    gprofng collect app -O "$exp" -p off -H on -F off "$bin" run --workload "$workload" --trace 0 \
+        --out-dir "$out/itbench" ${pass[@]+"${pass[@]}"} >"$log" 2>&1 ||
+        { echo "profile.sh: the run failed, see $log" >&2; exit 1; }
+    echo "== $workload: heap allocations, inclusive =="
+    printf '%12s %14s  %s\n' "allocations" "bytes" "under"
+    gprofng display text -limit 0 -metrics i.heapalloccnt:i.heapallocbytes -functions "$exp" \
+        2>/dev/null |
+        awk '$1 ~ /^[0-9]+$/ && $2 ~ /^[0-9]+$/ && NF == 3 &&
+             ($3 == "<Total>" || $3 ~ /::InferencePlan::(build|run)$/) {
+                 printf "%12s %14s  %s\n", $1, $2, $3 }'
+    echo "runs: $(tail -n 1 "$log" | sed -n 's/.*"attempted": \([0-9]*\).*/\1/p')"
+    echo
+    echo "== top $stacks allocating stacks by bytes (innermost $frames frames past the allocator) =="
+    gprofng display text -heap "$exp" 2>/dev/null |
+        awk -v stacks="$stacks" -v frames="$frames" '
+            /^Stack / { k++; shown = 0; if (k > stacks) exit; print ""; next }
+            k == 0 { next }
+            /Bytes Allocated/ { print "  " $0; next }
+            /^  / {
+                f = $0; sub(/ \+ 0x[0-9A-Fa-f]+.*/, "", f); sub(/^ +/, "", f)
+                if (f ~ /^(malloc|realloc|calloc|aligned_alloc|posix_memalign)$/ || f ~ /^alloc::raw_vec::/) next
+                if (shown++ < frames) print "    " f
+            }'
+    echo "profile.sh: experiment in $exp" >&2
+    exit 0
+fi
 
 exps=()
 for i in $(seq 1 "$runs"); do
