@@ -9,47 +9,94 @@ use crate::ctx::write_csv;
 use crate::report::Table;
 use crate::workloads::{plan_session, strategy_graph, strategy_model, STRATEGY_WORKERS};
 use crate::ExpCtx;
+use inferturbo_cluster::ClusterSpec;
 use inferturbo_common::{stats, Result};
 use inferturbo_core::session::Backend;
 use inferturbo_core::strategy::StrategyConfig;
 use inferturbo_graph::gen::DegreeSkew;
+use inferturbo_graph::Graph;
 
 pub fn run(ctx: &ExpCtx) -> Result<()> {
     sweep(
         ctx,
         "Fig 12: broadcast threshold sweep (output bytes, out-skew)",
         "fig12_io_broadcast.csv",
-        |threshold| match threshold {
-            None => StrategyConfig::none(),
-            Some(t) => StrategyConfig::none()
-                .with_broadcast(true)
-                .with_threshold(t),
-        },
+        strategy,
     )
+    .map(drop)
 }
 
-/// Shared sweep driver for Figs. 12/13 (same axes, different strategy).
+/// The strategy under test at `threshold`; `None` is the base run.
+pub fn strategy(threshold: Option<u32>) -> StrategyConfig {
+    match threshold {
+        None => StrategyConfig::none(),
+        Some(t) => StrategyConfig::none()
+            .with_broadcast(true)
+            .with_threshold(t),
+    }
+}
+
+/// Paper thresholds as fractions λ of the per-worker edge share
+/// (10k..300k over 1.4e9/1000 = 1.4M/worker ⇒ λ ∈ [0.007, 0.21]).
+pub const RATIOS: [f64; 4] = [0.01, 0.05, 0.1, 0.3];
+
+/// One run of a sweep: its threshold and the output bytes of every worker,
+/// in total and over the busiest 10 % of workers (the tail).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepPoint {
+    /// `None` for the base run (strategy off).
+    pub threshold: Option<u32>,
+    pub bytes_out: Vec<u64>,
+    pub total: u64,
+    pub tail: u64,
+}
+
+/// The sweep's runs over `graph` on a MapReduce cluster `spec`: the base,
+/// then one per [`RATIOS`] threshold, each made by `make_strategy`.
+pub fn points(
+    graph: &Graph,
+    spec: ClusterSpec,
+    make_strategy: impl Fn(Option<u32>) -> StrategyConfig,
+) -> Result<Vec<SweepPoint>> {
+    let model = strategy_model(graph.node_feat_dim());
+    let per_worker_edges = graph.n_edges() / spec.workers;
+    let thresholds = std::iter::once(None).chain(
+        RATIOS
+            .iter()
+            .map(|r| Some(((per_worker_edges as f64 * r) as u32).max(1))),
+    );
+    thresholds
+        .map(|threshold| {
+            let plan = plan_session(
+                &model,
+                graph,
+                Backend::MapReduce,
+                spec,
+                make_strategy(threshold),
+            )?;
+            let totals = plan.run()?.report.worker_totals();
+            let bytes_out: Vec<u64> = totals.iter().map(|t| t.bytes_out).collect();
+            let as_f64: Vec<f64> = bytes_out.iter().map(|&b| b as f64).collect();
+            Ok(SweepPoint {
+                threshold,
+                total: bytes_out.iter().sum(),
+                tail: stats::tail_sum(&as_f64, 0.1) as u64,
+                bytes_out,
+            })
+        })
+        .collect()
+}
+
+/// Shared sweep driver for Figs. 12/13 (same axes, different strategy):
+/// prints the table, writes the per-worker CSV and returns the runs.
 pub fn sweep(
     ctx: &ExpCtx,
     title: &str,
     csv_name: &str,
     make_strategy: impl Fn(Option<u32>) -> StrategyConfig,
-) -> Result<()> {
+) -> Result<Vec<SweepPoint>> {
     let d = strategy_graph(ctx, DegreeSkew::Out);
-    let model = strategy_model(d.graph.node_feat_dim());
-    let spec = ctx.mr_spec(STRATEGY_WORKERS);
-    // paper thresholds ÷ (paper per-worker edges / our per-worker edges)
-    let per_worker_edges = d.graph.n_edges() / STRATEGY_WORKERS;
-    // Paper thresholds as fractions of the per-worker edge share
-    // (10k..300k over 1.4e9/1000 = 1.4M/worker ⇒ λ ∈ [0.007, 0.21]).
-    let ratios = [0.01f64, 0.05, 0.1, 0.3];
-    let thresholds: Vec<Option<u32>> = std::iter::once(None)
-        .chain(
-            ratios
-                .iter()
-                .map(|r| Some(((per_worker_edges as f64 * r) as u32).max(1))),
-        )
-        .collect();
+    let points = points(&d.graph, ctx.mr_spec(STRATEGY_WORKERS), make_strategy)?;
 
     let mut t = Table::new(
         title,
@@ -60,46 +107,102 @@ pub fn sweep(
             "reduction vs base (tail)",
         ],
     );
-    let mut csv: Vec<String> = Vec::new();
-    let mut base_tail: Option<f64> = None;
-    let mut per_worker_series: Vec<(String, Vec<f64>)> = Vec::new();
-    for thr in thresholds {
-        let strat = make_strategy(thr);
-        let out = plan_session(&model, &d.graph, Backend::MapReduce, spec, strat)?.run()?;
-        let totals = out.report.worker_totals();
-        let bytes_out: Vec<f64> = totals.iter().map(|t| t.bytes_out as f64).collect();
-        let total: f64 = bytes_out.iter().sum();
-        let tail = stats::tail_sum(&bytes_out, 0.1);
-        let label = match thr {
-            None => "base".to_string(),
-            Some(v) => v.to_string(),
-        };
-        let red = 1.0 - tail / *base_tail.get_or_insert(tail);
+    let label = |p: &SweepPoint| match p.threshold {
+        None => "base".to_string(),
+        Some(v) => v.to_string(),
+    };
+    let base_tail = points[0].tail as f64;
+    for p in &points {
         t.rowv(vec![
-            label.clone(),
-            stats::human_bytes(total),
-            stats::human_bytes(tail),
-            format!("{:.0}%", red * 100.0),
+            label(p),
+            stats::human_bytes(p.total as f64),
+            stats::human_bytes(p.tail as f64),
+            format!("{:.0}%", (1.0 - p.tail as f64 / base_tail) * 100.0),
         ]);
-        per_worker_series.push((label, bytes_out));
     }
     // CSV: one row per worker, one column per threshold.
     let header = format!(
         "worker,{}",
-        per_worker_series
+        points
             .iter()
-            .map(|(l, _)| format!("bytes_{l}"))
+            .map(|p| format!("bytes_{}", label(p)))
             .collect::<Vec<_>>()
             .join(",")
     );
-    for w in 0..STRATEGY_WORKERS {
-        let cells: Vec<String> = per_worker_series
-            .iter()
-            .map(|(_, v)| format!("{}", v[w]))
-            .collect();
-        csv.push(format!("{w},{}", cells.join(",")));
-    }
+    let csv: Vec<String> = (0..STRATEGY_WORKERS)
+        .map(|w| {
+            let cells: Vec<String> = points.iter().map(|p| p.bytes_out[w].to_string()).collect();
+            format!("{w},{}", cells.join(","))
+        })
+        .collect();
     t.print();
     println!("paper reference: tail reduced ~42% (broadcast) / ~53% (shadow) at the λ=0.1 threshold;\nlower thresholds help more but with overhead.\n");
-    write_csv(&ctx.csv_path(csv_name), &header, &csv)
+    write_csv(&ctx.csv_path(csv_name), &header, &csv)?;
+    Ok(points)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use inferturbo_graph::Dataset;
+
+    /// The paper's Fig. 12–13 claims, asserted at a size a debug build
+    /// runs in seconds: the out-skewed power-law graph at 5,000 nodes and
+    /// 70,000 edges on 50 MapReduce workers. That is `--quick`'s per-worker
+    /// edge share (1,400), so the thresholds are `--quick`'s 14 / 70 / 140 /
+    /// 420. Every broadcast and shadow-node threshold cuts the busiest 10 %
+    /// of workers' output below the base run's, broadcast never ships more
+    /// in total than the base, and at λ = 0.1 the tail cut is at least the
+    /// paper's: ~42 % for broadcast, ~53 % for shadow nodes. Byte counts
+    /// are deterministic, so every run's total and tail are pinned.
+    #[test]
+    fn broadcast_and_shadow_nodes_cut_the_output_tail_as_the_paper_reports() {
+        let d = Dataset::power_law(5_000, 70_000, DegreeSkew::Out, 42);
+        let spec = ClusterSpec::mapreduce_cluster(50);
+        let broadcast = points(&d.graph, spec, strategy).unwrap();
+        let shadow = points(&d.graph, spec, crate::fig13::strategy).unwrap();
+        let summary = |points: &[SweepPoint]| -> Vec<(Option<u32>, u64, u64)> {
+            points
+                .iter()
+                .map(|p| (p.threshold, p.total, p.tail))
+                .collect()
+        };
+        let base = (None, 32_580_220, 10_490_993);
+        assert_eq!(
+            summary(&broadcast),
+            [
+                base,
+                (Some(14), 15_739_826, 2_712_228),
+                (Some(70), 15_769_502, 2_722_701),
+                (Some(140), 16_343_246, 2_815_491),
+                (Some(420), 18_470_716, 3_087_267),
+            ]
+        );
+        assert_eq!(
+            summary(&shadow),
+            [
+                base,
+                (Some(14), 58_488_340, 7_736_288),
+                (Some(70), 36_959_472, 4_548_378),
+                (Some(140), 34_576_154, 4_457_427),
+                (Some(420), 33_118_808, 5_340_404),
+            ]
+        );
+        let (base_total, base_tail) = (base.1, base.2);
+        for p in broadcast
+            .iter()
+            .chain(&shadow)
+            .filter(|p| p.threshold.is_some())
+        {
+            assert!(p.tail < base_tail, "{p:?} does not cut the tail");
+        }
+        for p in &broadcast {
+            assert!(p.total <= base_total, "{p:?} ships more than the base");
+        }
+        let at_tenth = RATIOS.iter().position(|&r| r == 0.1).unwrap() + 1;
+        let cut_at_least =
+            |p: &SweepPoint, percent: u64| p.tail * 100 <= base_tail * (100 - percent);
+        assert!(cut_at_least(&broadcast[at_tenth], 42));
+        assert!(cut_at_least(&shadow[at_tenth], 53));
+    }
 }

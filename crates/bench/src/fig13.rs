@@ -12,11 +12,17 @@ pub fn run(ctx: &ExpCtx) -> Result<()> {
         ctx,
         "Fig 13: shadow-nodes threshold sweep (output bytes, out-skew)",
         "fig13_io_shadow.csv",
-        |threshold| match threshold {
-            None => StrategyConfig::none(),
-            Some(t) => StrategyConfig::none()
-                .with_shadow_nodes(true)
-                .with_threshold(t),
-        },
+        strategy,
     )
+    .map(drop)
+}
+
+/// The strategy under test at `threshold`; `None` is the base run.
+pub fn strategy(threshold: Option<u32>) -> StrategyConfig {
+    match threshold {
+        None => StrategyConfig::none(),
+        Some(t) => StrategyConfig::none()
+            .with_shadow_nodes(true)
+            .with_threshold(t),
+    }
 }

@@ -633,6 +633,17 @@ impl RowBlock {
         self.dim = dim;
     }
 
+    /// Make room for `lanes` more lanes, exactly: a block sized once from a
+    /// known row count never grows as it is written.
+    pub fn reserve_exact(&mut self, lanes: usize) {
+        self.data.reserve_exact(lanes);
+    }
+
+    /// Lanes the block holds without growing.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Rebuild a block from its flat parts (the wire-decode path). `data`
     /// must hold a whole number of `dim`-wide rows.
     pub fn from_parts(dim: usize, data: Vec<f32>) -> Result<RowBlock> {
@@ -1188,6 +1199,15 @@ impl FusedSlotShard {
         if self.index.len() < n_slots {
             self.index.resize(n_slots, u32::MAX);
         }
+    }
+
+    /// Make room for `partials` more partials `dim` lanes wide, exactly
+    /// (after a [`FusedSlotShard::reset`]: a shard sized once from a known
+    /// partial count never grows as it folds).
+    pub fn reserve_exact(&mut self, partials: usize, dim: usize) {
+        self.keys.reserve_exact(partials);
+        self.counts.reserve_exact(partials);
+        self.rows.reserve_exact(partials * dim);
     }
 
     pub fn dim(&self) -> usize {

@@ -24,25 +24,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// `q`-th percentile via linear interpolation on a sorted copy,
-/// `q` in `[0, 100]`.
-pub fn percentile(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = (q / 100.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
 /// Maximum; 0.0 for empty input.
 pub fn max(xs: &[f64]) -> f64 {
     xs.iter().cloned().fold(0.0f64, f64::max)
@@ -93,17 +74,8 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(variance(&[3.0]), 0.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
         assert_eq!(max(&[]), 0.0);
         assert_eq!(tail_sum(&[], 0.1), 0.0);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((percentile(&xs, 0.0) - 1.0).abs() < 1e-12);
-        assert!((percentile(&xs, 100.0) - 4.0).abs() < 1e-12);
-        assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
     }
 
     #[test]

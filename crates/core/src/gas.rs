@@ -33,8 +33,8 @@
 //! information via out-edges". For GAT that is the projection `W·h_src`,
 //! so the receiver never re-projects. Nor, on the Pregel backend, does
 //! the node itself: GAT's destination attention needs the node's own
-//! `W·h`, which is the row it scattered one step earlier, kept and lent
-//! back to `apply_node` as [`NodeCtx::own_msg`]. The receiver gathers
+//! `W·h`, which is the row it scattered one step earlier, lent back to
+//! `apply_node` as [`NodeCtx::own_msg`] from where the engine wrote it. The receiver gathers
 //! its rows where they lie ([`AggState::Union`] is a list of rows, one
 //! per message, each lent where it lies unless its caller handed it
 //! over).
@@ -90,9 +90,11 @@ pub struct NodeCtx<'a> {
     pub out_degree: u32,
     /// The node's own `apply_edge` output for this layer (the message it
     /// sent one step earlier, from `state`), when the backend still holds
-    /// it — the Pregel backend keeps the row it scattered for layers whose
-    /// [`LayerAnnotations::reads_own_msg`] is set. Empty otherwise, and a
-    /// layer that needs it computes it from `state`: bit for bit the same.
+    /// it — the Pregel backend lends the row the node sent on the
+    /// materialized row plane, out of its worker's row table. Empty
+    /// otherwise (a hub's broadcast, a node with no out-edges, the other
+    /// backends), and a layer that needs it computes it from `state`: bit
+    /// for bit the same.
     pub own_msg: &'a [f32],
 }
 
@@ -181,8 +183,8 @@ pub trait GasLayer {
     /// caller that only reads it (a scatter copying it into a row spool)
     /// or keeps it where it chooses: a layer whose message *is* the state
     /// lends `state`; any other writes it into `buf` (cleared first) and
-    /// lends that — a caller that hands in the same buffer every step, a
-    /// vertex's kept own message or a worker's spare, allocates once.
+    /// lends that — a caller that hands in the same buffer every step, such
+    /// as a worker's spare row, allocates once.
     fn edge_row<'s>(
         &self,
         state: &'s [f32],

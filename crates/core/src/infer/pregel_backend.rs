@@ -35,9 +35,13 @@
 //! list sized once to the inbox's message count; a ref that resolves to
 //! nothing fails the superstep with the same [`Error::InvalidGraph`] the
 //! MapReduce reducer returns. A layer whose `apply_node` reads the node's
-//! own message (GAT's destination attention) gets back the row the vertex
-//! scattered one step earlier instead of recomputing it, and the next
-//! scatter writes the new message into that same buffer.
+//! own message (GAT's destination attention) is lent the row the vertex
+//! sent one step earlier, where its worker's row table holds it
+//! ([`Inbox::own_row`]), instead of recomputing it; only a hub (its
+//! message went out as a broadcast) or a vertex with no out-edges
+//! recomputes. No vertex keeps a message buffer: a scatter writes its
+//! message into the worker's spare row, which the engine copies into the
+//! table.
 //!
 //! Where the graph lives: the plan lays the shadow-transformed adjacency
 //! out as a [`PregelLayout`](inferturbo_pregel::PregelLayout) once, at
@@ -92,19 +96,18 @@ pub struct GnnVertexState<'g> {
 }
 
 /// What a vertex keeps from one step for a later one, besides its
-/// embedding. The two never coexist — the message is read back at the
-/// next apply, logits exist only after the last — so they share one slot.
+/// embedding. The two never coexist — a message is read back at the next
+/// apply, logits exist only after the last — so they share one slot.
 #[derive(Clone, Default)]
 enum Kept {
     #[default]
     Nothing,
-    /// The message the vertex scattered in its latest step — its own
-    /// `apply_edge` output, lent back as [`NodeCtx::own_msg`] at the next
-    /// apply — for layers that read it
-    /// ([`crate::LayerAnnotations::reads_own_msg`]). Once read, the buffer
-    /// is where the next scatter writes the vertex's next message, so a
-    /// vertex allocates it once per run.
-    OwnMsg(Vec<f32>),
+    /// The vertex's latest scatter sent a message, `lanes` wide, that its
+    /// next apply reads back ([`crate::LayerAnnotations::reads_own_msg`]).
+    /// The state holds no copy: the engine lends the row out of its
+    /// worker's row table, and a hub recomputes it. Only the memory model
+    /// reads this — it charges the lanes as held beside the state.
+    OwnRow { lanes: usize },
     /// The prediction head's output, after the last layer.
     Logits(Vec<f32>),
 }
@@ -113,7 +116,8 @@ impl Kept {
     fn lanes(&self) -> usize {
         match self {
             Kept::Nothing => 0,
-            Kept::OwnMsg(v) | Kept::Logits(v) => v.len(),
+            Kept::OwnRow { lanes } => *lanes,
+            Kept::Logits(v) => v.len(),
         }
     }
 }
@@ -143,22 +147,24 @@ pub struct GnnVertexProgram<'m> {
 
 impl<'m> GnnVertexProgram<'m> {
     /// Scatter layer `layer_idx`'s message from the vertex's current
-    /// embedding. A layer that writes its message does so into `own` — the
-    /// buffer the vertex's previous message was kept in, empty at first —
-    /// and a layer that reads its own message keeps it there.
+    /// embedding. A layer that writes its message does so into the
+    /// worker's spare row, borrowed for the send and handed back, so no
+    /// vertex allocates one.
     fn scatter(
         &self,
         layer_idx: usize,
         vertex: u64,
         state: &mut GnnVertexState<'_>,
         out: &mut Outbox<GnnMessage>,
-        mut own: Vec<f32>,
     ) {
+        state.kept = Kept::Nothing;
         if state.edges.is_empty() {
             return;
         }
         let layer = self.model.layer_view(layer_idx);
-        let row = layer.edge_row(state.embedding(), state.out_deg, &mut own);
+        let mut buf = std::mem::take(out.spare_row());
+        let row = layer.edge_row(state.embedding(), state.out_deg, &mut buf);
+        let lanes = row.len();
         out.add_flops(layer.flops_apply_edge());
         if self.strategy.broadcasts(state.out_deg, self.bc_threshold) {
             // Hub path: one payload per worker on the typed plane, one
@@ -170,8 +176,9 @@ impl<'m> GnnVertexProgram<'m> {
             // vertex's whole span of routes.
             out.scatter_row(state.edges, row);
         }
+        *out.spare_row() = buf;
         if layer.annotations().reads_own_msg {
-            state.kept = Kept::OwnMsg(own);
+            state.kept = Kept::OwnRow { lanes };
         }
     }
 }
@@ -191,7 +198,7 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         if step == 0 {
             // Initialisation superstep: raw features are h⁰, scattered
             // from where they lie.
-            self.scatter(0, vertex, state, out, Vec::new());
+            self.scatter(0, vertex, state, out);
             return Ok(());
         }
         debug_assert!(step <= self.k, "superstep beyond layer count");
@@ -203,18 +210,14 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
             layer.gather_wire(&mut agg, msg, inbox.broadcast)?;
         }
         let gathered = agg.count() as usize;
-        // Last step's message is read here for the last time: the next
-        // scatter (if any) writes its own into the same buffer.
-        let own = match std::mem::take(&mut state.kept) {
-            Kept::OwnMsg(own) => own,
-            _ => Vec::new(),
-        };
+        // The message this vertex sent last step, lent by the engine: this
+        // layer's `apply_edge` output from `state`, or empty.
         let ctx = NodeCtx {
             id: vertex,
             state: state.embedding(),
             in_degree: state.in_deg,
             out_degree: state.out_deg,
-            own_msg: &own,
+            own_msg: inbox.own_row,
         };
         // The new embedding is written into the worker's spare row, which
         // then trades places with the old one: past the first layer a
@@ -228,7 +231,7 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
             state.kept = Kept::Logits(self.model.apply_head(&state.h));
             out.add_flops(self.model.flops_head());
         } else {
-            self.scatter(step, vertex, state, out, own);
+            self.scatter(step, vertex, state, out);
         }
         Ok(())
     }
@@ -261,8 +264,8 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         // The model charges the deployment's residency: features and the
         // current embedding are separate buffers there, so h⁰ counts even
         // while this process reads it out of `raw`, an out-edge is the
-        // 8-byte wire id it is shipped as, and a kept message or logits row
-        // is held.
+        // 8-byte wire id it is shipped as, and a message read back at the
+        // next apply or a logits row is held.
         ((state.raw.len() + state.embedding().len() + state.kept.lanes()) * 4
             + state.edges.len() * 8
             + 64) as u64
@@ -277,7 +280,8 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
 /// each node's raw input row (same node, fresh features — the serving
 /// path); `scratch` is the plan's pooled per-worker engine scratch,
 /// returned after the run so the next run skips the per-superstep
-/// allocations. On error the pool is dropped; the next run starts fresh.
+/// allocations. On error the pool is dropped; the next run starts from a
+/// fresh one, sized from the plan's cell counts like the first.
 /// The plan's spill policy, when set, puts each worker's columnar inboxes
 /// under the out-of-core byte budget (bit-identical results, reduced
 /// residency).
@@ -285,11 +289,13 @@ pub(crate) fn run_planned<'g>(
     plan: &'g InferencePlan<'_>,
     features: Option<&'g [Vec<f32>]>,
     trace: TraceHandle,
-    scratch: ScratchPool<GnnMessage>,
+    scratch: Option<ScratchPool<GnnMessage>>,
 ) -> Result<(InferenceOutput, ScratchPool<GnnMessage>)> {
     let k = plan.model.n_layers();
-    let mut engine = engine_for(plan, features, trace)?;
-    engine.set_scratch(scratch);
+    let mut engine = engine_for(plan, features, trace, std::convert::identity)?;
+    if let Some(pool) = scratch {
+        engine.set_scratch(pool);
+    }
     engine.run(k + 1)?;
     let scratch = engine.take_scratch();
 
@@ -307,14 +313,22 @@ pub(crate) fn run_planned<'g>(
     Ok((InferenceOutput { logits, report }, scratch))
 }
 
-/// The engine for one planned run, every vertex loaded and nothing run.
-fn engine_for<'g>(
+/// The engine for one planned run, every vertex loaded and nothing run,
+/// over a fresh scratch pool sized from the plan's cell counts. `program`
+/// wraps the GNN program — the identity for a run, or a probe that
+/// observes its computes.
+fn engine_for<'g, P>(
     plan: &'g InferencePlan<'_>,
     features: Option<&'g [Vec<f32>]>,
     trace: TraceHandle,
-) -> Result<PregelEngine<GnnVertexProgram<'g>>> {
+    program: impl FnOnce(GnnVertexProgram<'g>) -> P,
+) -> Result<PregelEngine<P>>
+where
+    P: VertexProgram<State = GnnVertexState<'g>>,
+{
     let Loadable::Pregel {
         layout,
+        cells,
         in_deg,
         out_deg,
     } = &plan.loadable
@@ -329,7 +343,7 @@ fn engine_for<'g>(
     let row_aggs: Vec<Option<PoolRowAggregator>> = (0..k)
         .map(|l| model.layer_view(l).row_aggregator())
         .collect();
-    let program = GnnVertexProgram {
+    let gnn = GnnVertexProgram {
         model,
         strategy: plan.strategy,
         bc_threshold: plan.bc_threshold,
@@ -359,7 +373,10 @@ fn engine_for<'g>(
             out_deg: out_deg[base as usize],
         }
     });
-    PregelEngine::with_layout(program, config, Arc::clone(layout), states)
+    let layout = Arc::clone(layout);
+    let mut engine = PregelEngine::with_layout(program(gnn), config, layout, states)?;
+    engine.set_scratch(ScratchPool::planned(cells.clone()));
+    Ok(engine)
 }
 
 #[cfg(test)]
@@ -370,6 +387,8 @@ mod tests {
     use inferturbo_cluster::ClusterSpec;
     use inferturbo_common::FxHashMap;
     use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
+    use inferturbo_pregel::CellKind;
+    use std::sync::Mutex;
 
     /// The zero-copy plan reload contract on Pregel: a plan holds the
     /// graph once, as its layout, and every run loads its vertex states by
@@ -410,7 +429,13 @@ mod tests {
             .map(|v| graph.node_feat(v).iter().map(|x| x + 1.0).collect())
             .collect();
         for fresh in [None, Some(&features[..])] {
-            let engine = engine_for(&plan, fresh, TraceHandle::disabled()).unwrap();
+            let engine = engine_for(
+                &plan,
+                fresh,
+                TraceHandle::disabled(),
+                std::convert::identity,
+            )
+            .unwrap();
             let mut loaded = 0;
             engine.for_each_state(|id, state| {
                 let base = base_of(id);
@@ -449,16 +474,79 @@ mod tests {
         );
     }
 
-    /// A GAT vertex writes each layer's `W·h` into the buffer its previous
-    /// one was kept in: across the three layers of a plan, every kept own
-    /// message stays at the address its first scatter allocated.
+    /// One own row an apply was lent, as [`OwnRowProbe`] saw it.
+    struct Lent {
+        step: usize,
+        vertex: u64,
+        addr: usize,
+        lanes: usize,
+        /// Its bits are the `W·h` the layer computes from the embedding.
+        is_own_wh: bool,
+    }
+
+    /// The GNN program, recording the own row each apply past the first
+    /// superstep is lent.
+    struct OwnRowProbe<'m> {
+        gnn: GnnVertexProgram<'m>,
+        lent: Arc<Mutex<Vec<Lent>>>,
+    }
+
+    impl<'m> VertexProgram for OwnRowProbe<'m> {
+        type State = GnnVertexState<'m>;
+        type Msg = GnnMessage;
+
+        fn compute(
+            &self,
+            step: usize,
+            vertex: u64,
+            state: &mut GnnVertexState<'m>,
+            inbox: Inbox<'_, GnnMessage>,
+            out: &mut Outbox<GnnMessage>,
+        ) -> Result<()> {
+            if step > 0 {
+                let own = inbox.own_row;
+                let layer = self.gnn.model.layer_view(step - 1);
+                let mut wh = Vec::new();
+                let wh = layer.edge_row(state.embedding(), state.out_deg, &mut wh);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                self.lent.lock().unwrap().push(Lent {
+                    step,
+                    vertex,
+                    addr: own.as_ptr() as usize,
+                    lanes: own.len(),
+                    is_own_wh: bits(own) == bits(wh),
+                });
+            }
+            self.gnn.compute(step, vertex, state, inbox, out)
+        }
+
+        fn message_layout(&self, step: usize) -> Option<MessageLayout> {
+            self.gnn.message_layout(step)
+        }
+
+        fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
+            self.gnn.fused_aggregator(step)
+        }
+
+        fn state_bytes(&self, state: &GnnVertexState<'_>) -> u64 {
+            self.gnn.state_bytes(state)
+        }
+    }
+
+    /// GAT's destination attention reads the node's own `W·h` where its
+    /// worker's row table holds it: at every layer each row-plane sender is
+    /// lent its own projection, bit for bit, from inside one of its
+    /// worker's tables; hubs and mirrors (their message went out as a
+    /// broadcast) and vertices with no out-edges are lent nothing and
+    /// recompute; and no state holds a message buffer.
     #[test]
-    fn a_gat_vertex_keeps_one_own_message_buffer_across_layers() {
+    fn a_gat_vertex_reads_its_own_row_where_its_worker_wrote_it() {
         let graph = generate(&GenConfig {
             n_nodes: 80,
             n_edges: 400,
             feat_dim: 5,
             classes: 3,
+            skew: DegreeSkew::Out,
             seed: 31,
             ..GenConfig::default()
         });
@@ -467,36 +555,71 @@ mod tests {
             .model(&model)
             .graph(&graph)
             .pregel_spec(ClusterSpec::pregel_cluster(4))
-            .strategy(StrategyConfig::none())
+            .strategy(StrategyConfig::all().with_threshold(5))
             .backend(Backend::Pregel)
             .plan()
             .unwrap();
-        let mut engine = engine_for(&plan, None, TraceHandle::disabled()).unwrap();
-        let kept = |engine: &PregelEngine<GnnVertexProgram<'_>>| {
-            let mut own = Vec::new();
-            engine.for_each_state(|id, state| {
-                if let Kept::OwnMsg(v) = &state.kept {
-                    assert_eq!(v.len(), 8, "vertex {id} keeps one W·h");
-                    own.push((id, v.as_ptr()));
-                }
-            });
-            own
+        let summary = plan.summary();
+        assert!(summary.hubs > 0 && summary.mirrors > 0, "{summary}");
+        let lent = Arc::new(Mutex::new(Vec::new()));
+        let probe = |gnn| OwnRowProbe {
+            gnn,
+            lent: Arc::clone(&lent),
         };
-        // Superstep 0 scatters layer 0's message from every vertex with
-        // out-edges; supersteps 1 and 2 apply a layer and scatter the next.
-        engine.run(1).unwrap();
-        let first = kept(&engine);
-        let Loadable::Pregel { layout, .. } = &plan.loadable else {
+        let mut engine = engine_for(&plan, None, TraceHandle::disabled(), probe).unwrap();
+        let Loadable::Pregel {
+            layout, out_deg, ..
+        } = &plan.loadable
+        else {
             panic!("a Pregel plan holds its layout");
         };
-        let senders = layout.vertices().filter(|v| !v.edges.is_empty());
-        assert_eq!(first.len(), senders.count());
-        for step in 1..3 {
+        let sends: FxHashMap<u64, bool> = layout
+            .vertices()
+            .map(|v| (v.id, !v.edges.is_empty()))
+            .collect();
+        let hub = |id: u64| {
+            let out_deg = out_deg[base_of(id) as usize];
+            plan.strategy.broadcasts(out_deg, plan.bc_threshold)
+        };
+        // Superstep 0 scatters layer 0's message; supersteps 1 and 2 apply
+        // a layer and scatter the next; superstep 3 keeps logits.
+        for step in 0..4 {
             engine.run(1).unwrap();
-            assert_eq!(kept(&engine), first, "superstep {step}");
+            engine.for_each_state(|id, state| match (&state.kept, step) {
+                (Kept::OwnRow { lanes: 8 }, 0..3) => assert!(sends[&id]),
+                (Kept::Nothing, 0..3) => assert!(!sends[&id], "vertex {id}"),
+                (Kept::Logits(l), 3) => assert_eq!(l.len(), 3),
+                _ => panic!("vertex {id} keeps something else after step {step}"),
+            });
         }
-        // The last superstep keeps logits in the slot instead.
-        engine.run(1).unwrap();
-        assert!(kept(&engine).is_empty());
+        let tables: Vec<(usize, std::ops::Range<usize>)> = (engine.take_scratch().cells())
+            .into_iter()
+            .filter(|c| c.kind == CellKind::Table)
+            .map(|c| (c.sender, c.addr..c.addr + c.capacity * 4))
+            .collect();
+        let lent = std::mem::take(&mut *lent.lock().unwrap());
+        assert_eq!(lent.len(), 3 * layout.n_vertices());
+        let (mut from_tables, mut recomputed, mut mirrors) = (0, 0, 0);
+        for l in &lent {
+            let what = format!("vertex {} at step {}", l.vertex, l.step);
+            if sends[&l.vertex] && !hub(l.vertex) {
+                let (w, _) = layout.unpack(layout.resolve(l.vertex).unwrap());
+                let inside = |(sender, lanes): &(usize, std::ops::Range<usize>)| {
+                    *sender == w && lanes.start <= l.addr && l.addr + 8 * 4 <= lanes.end
+                };
+                assert_eq!(l.lanes, 8, "{what}");
+                assert!(
+                    tables.iter().any(inside),
+                    "{what}: not in a table of worker {w}"
+                );
+                assert!(l.is_own_wh, "{what}: lent a row that is not its W·h");
+                from_tables += 1;
+            } else {
+                assert_eq!(l.lanes, 0, "{what}: a hub or a vertex with no out-edges");
+                recomputed += 1;
+                mirrors += usize::from(mirror_of(l.vertex) > 0);
+            }
+        }
+        assert!(from_tables > 0 && recomputed > 0 && mirrors > 0);
     }
 }

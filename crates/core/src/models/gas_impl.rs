@@ -323,7 +323,9 @@ impl GasLayer for LayerView<'_> {
 std::thread_local! {
     /// GAT attention scratch reused across vertices and layers: one head's
     /// logits, overwritten by their softmax weights, and the node's own
-    /// `W·h` when the backend does not lend it. Sized by the largest
+    /// `W·h` for a node no backend lends it to (a hub, whose message went
+    /// out as a broadcast; a node with no out-edges; every node off the
+    /// Pregel backend). Sized by the largest
     /// in-degree and the widest layer a thread has seen, so a warm vertex
     /// step allocates nothing here.
     static GAT_SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =

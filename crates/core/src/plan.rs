@@ -17,13 +17,14 @@
 //! - for the Pregel backend, the engine's [`PregelLayout`]: every record
 //!   placed on its worker, the `id → (worker, slot)` index, and every
 //!   out-target resolved to a route — the graph is laid out once here, a
-//!   run borrows it (behind an `Arc`, never written), and the estimate's
-//!   fused traffic is counted from it rather than bounded. Beside it the
-//!   plan keeps only each node's logical degrees: a run reads raw
-//!   features from the graph itself;
-//! - the pooled per-worker Pregel engine scratch
-//!   ([`ScratchPool`]), so repeated runs stop reallocating the
-//!   O(workers·V) fused slot indexes every superstep.
+//!   run borrows it (behind an `Arc`, never written). From it the plan
+//!   counts, once, how many rows each cell of a superstep's shard grid
+//!   takes ([`CellCounts`]): the estimate's row traffic is their sum, not
+//!   a bound. Beside them the plan keeps only each node's logical
+//!   degrees: a run reads raw features from the graph itself;
+//! - the pooled per-worker Pregel engine scratch ([`ScratchPool`]), each
+//!   grid cell reserved exactly from those counts, so repeated runs
+//!   neither reallocate nor regrow it.
 //!
 //! Plans are inspectable ([`InferencePlan::summary`]) and reusable:
 //! repeated [`InferencePlan::run`] calls are bit-identical to each other
@@ -47,7 +48,7 @@ use inferturbo_common::rows::{row_payload_len, SpillPolicy};
 use inferturbo_common::{Error, Result};
 use inferturbo_graph::Graph;
 use inferturbo_obs::{MetricsRegistry, TraceHandle};
-use inferturbo_pregel::{PregelLayout, ScratchPool};
+use inferturbo_pregel::{CellCounts, PregelLayout, ScratchPool};
 use std::sync::{Arc, Mutex};
 
 use crate::gas::GasLayer;
@@ -110,11 +111,14 @@ pub(crate) enum Loadable {
     /// `Backend::Reference` reads `(model, graph)` and plans nothing.
     Nothing,
     /// The Pregel engine's layout of every record (placement, id index,
-    /// pre-resolved routes), shared by every run, and each node's logical
-    /// degrees, which its mirrors share. A run reads raw features from the
-    /// graph (or the caller's matrix), so no record is built.
+    /// pre-resolved routes), shared by every run, the rows each cell of a
+    /// superstep's shard grid takes (the plan's engine scratch is reserved
+    /// from them), and each node's logical degrees, which its mirrors
+    /// share. A run reads raw features from the graph (or the caller's
+    /// matrix), so no record is built.
     Pregel {
         layout: Arc<PregelLayout>,
+        cells: CellCounts,
         in_deg: Vec<u32>,
         out_deg: Vec<u32>,
     },
@@ -231,10 +235,15 @@ impl<'a> InferencePlan<'a> {
             }
             _ => None,
         };
+        // Every cell of a superstep's shard grid, counted once under the
+        // engines' hub rule: a hub broadcasts, so it sends no row.
+        let cells = layout.as_ref().map(|layout| {
+            layout.cell_counts(|at| !strategy.broadcasts(adjacency.degrees(at).1, bc_threshold))
+        });
         let estimate = build_estimate(
             model,
             &adjacency,
-            layout.as_ref(),
+            cells.as_ref(),
             &strategy,
             workers,
             bc_threshold,
@@ -254,9 +263,10 @@ impl<'a> InferencePlan<'a> {
             b => b,
         };
         // Keep the one form the backend loads; the flat adjacency goes.
-        let loadable = match layout.filter(|_| backend == Backend::Pregel) {
-            Some(layout) => Loadable::Pregel {
+        let loadable = match layout.zip(cells).filter(|_| backend == Backend::Pregel) {
+            Some((layout, cells)) => Loadable::Pregel {
                 layout: Arc::new(layout),
+                cells,
                 in_deg: adjacency.in_deg,
                 out_deg: adjacency.out_deg,
             },
@@ -387,8 +397,7 @@ impl<'a> InferencePlan<'a> {
                     .scratch
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .take()
-                    .unwrap_or_default();
+                    .take();
                 let (out, pool) = pregel_backend::run_planned(self, features, trace, pool)?;
                 *self
                     .scratch
@@ -514,18 +523,18 @@ impl std::fmt::Display for PlanSummary {
 const WIRE_ID_LEN: u64 = 10;
 
 /// Build the plan's cost estimate from the shadow-transformed adjacency and
-/// the planned layout. All quantities are *predictions* in the same units
-/// the engines measure: close enough to steer backend choice and to
-/// sanity-check a run's report, not byte-exact — except the fused row
-/// *record* count, which is counted from
-/// `layout` when the plan has one (the Pregel backend) and is then exactly
-/// what a run reports. Under `spill_budget`, a layer's columnar inbox
-/// counts only its bounded resident window toward the Pregel peak — the
-/// remainder is reported on the spilled plane.
+/// the planned layout's cell counts. All quantities are *predictions* in
+/// the same units the engines measure: close enough to steer backend
+/// choice and to sanity-check a run's report, not byte-exact — except the
+/// row *record* count, which is the sum of `cells` when the plan has them
+/// (the Pregel backend) and is then exactly what a run reports. Under
+/// `spill_budget`, a layer's columnar inbox counts only its bounded
+/// resident window toward the Pregel peak — the remainder is reported on
+/// the spilled plane.
 fn build_estimate(
     model: &GnnModel,
     adjacency: &ShadowAdjacency,
-    layout: Option<&PregelLayout>,
+    cells: Option<&CellCounts>,
     strategy: &StrategyConfig,
     workers: usize,
     bc_threshold: u64,
@@ -571,24 +580,19 @@ fn build_estimate(
     let mut layers = Vec::with_capacity(k);
     let mut max_inbox = 0u64;
     let mut max_spilled = 0u64;
-    // Fused partials per scatter, counted on first use.
-    let mut partials: Option<u64> = None;
     for l in 0..k {
         let view = model.layer_view(l);
         let d = view.annotations().msg_dim;
         let fused = strategy.partial_gather && view.row_aggregator().is_some();
 
-        // Row traffic: one row per edge, or — fused — one partial per
-        // distinct (sender worker, destination) pair: counted from the
-        // layout's routes, or without one bounded by workers × records.
-        let row_records = match (fused, layout) {
-            (false, _) => row_edges,
+        // Row traffic: one row per non-hub edge, or — fused — one partial
+        // per distinct (sender worker, destination) pair: the grid's cells
+        // summed, or without them bounded by workers × records.
+        let row_records = match (fused, cells) {
+            (false, Some(cells)) => cells.total_refs(),
+            (false, None) => row_edges,
+            (true, Some(cells)) => cells.total_partials(),
             (true, None) => row_edges.min(n_w as u64 * n_records),
-            (true, Some(layout)) => *partials.get_or_insert_with(|| {
-                layout.fused_partials(|at| {
-                    !strategy.broadcasts(adjacency.degrees(at).1, bc_threshold)
-                })
-            }),
         };
         let row_len = row_payload_len(d, fused.then_some(1)) as u64 + WIRE_ID_LEN;
         let row_bytes = row_records * row_len;
@@ -677,9 +681,10 @@ mod tests {
     use super::*;
     use crate::models::PoolOp;
     use crate::session::InferenceSession;
+    use inferturbo_common::Parallelism;
     use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
     use inferturbo_obs::Payload;
-    use inferturbo_pregel::Route;
+    use inferturbo_pregel::{CellKind, Route};
     use proptest::prelude::*;
 
     fn graph() -> Graph {
@@ -928,7 +933,7 @@ mod tests {
                 .unwrap();
             prop_assert_eq!(plan.summary().records, expected.len());
             match &plan.loadable {
-                Loadable::Pregel { layout, in_deg, out_deg } => {
+                Loadable::Pregel { layout, in_deg, out_deg, .. } => {
                     prop_assert!(backend != Backend::MapReduce);
                     let oracle = PregelLayout::planned(
                         workers,
@@ -947,6 +952,104 @@ mod tests {
                 }
                 Loadable::Nothing => prop_assert!(false, "a cluster plan holds its graph"),
             }
+        }
+
+        /// A Pregel plan sizes every cell of a superstep's shard grid once,
+        /// from its layout under the hub rule, and a run writes exactly
+        /// that: per layer the cell counts sum to the estimate's row
+        /// records and to the rows the run's exchange carries; every
+        /// pooled cell is reserved at its count (times the widest row the
+        /// run declares on its plane), so none grew while it was written;
+        /// and a second run of the plan reallocates no cell at all.
+        /// Thresholds go low enough to force hubs and mirrors, graphs down
+        /// to no edges, and workers past the node count.
+        #[test]
+        fn prop_planned_cells_hold_what_a_run_writes(
+            n in 2usize..60,
+            degree in 0usize..8,
+            skew_sel in 0u8..3,
+            model_sel in 0u8..3,
+            workers in 1usize..10,
+            toggles in 0u8..8,
+            threshold in 1u32..6,
+            threads_sel in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let g = generate(&GenConfig {
+                n_nodes: n,
+                n_edges: n * degree,
+                feat_dim: 4,
+                classes: 3,
+                skew: [DegreeSkew::In, DegreeSkew::Out, DegreeSkew::None][skew_sel as usize],
+                seed,
+                ..GenConfig::default()
+            });
+            let m = match model_sel {
+                0 => GnnModel::sage(4, 6, 2, 3, false, PoolOp::Mean, seed),
+                1 => GnnModel::gcn(4, 6, 2, 3, false, seed),
+                _ => GnnModel::gat(4, 6, 2, 2, 3, false, seed),
+            };
+            let strategy = StrategyConfig::none()
+                .with_partial_gather(toggles & 1 != 0)
+                .with_broadcast(toggles & 2 != 0)
+                .with_shadow_nodes(toggles & 4 != 0)
+                .with_threshold(threshold);
+            let trace = TraceHandle::recording();
+            let plan = InferenceSession::builder()
+                .model(&m)
+                .graph(&g)
+                .workers(workers)
+                .strategy(strategy)
+                .backend(Backend::Pregel)
+                .trace(trace.clone())
+                .plan()
+                .unwrap();
+            let Loadable::Pregel { layout, cells, .. } = &plan.loadable else {
+                panic!("a Pregel plan holds its layout");
+            };
+            let threads = [1usize, 2, 4][threads_sel];
+            Parallelism::with(threads, || plan.run()).unwrap();
+            let carried: Vec<u64> = trace
+                .events()
+                .iter()
+                .filter_map(|e| match &e.payload {
+                    Payload::Transport { rows, .. } => Some(*rows),
+                    _ => None,
+                })
+                .collect();
+            let (mut widest_rows, mut widest_fused) = (0, 0);
+            for (l, est) in plan.estimate().layers.iter().enumerate() {
+                let fused = strategy.partial_gather && m.layer_view(l).row_aggregator().is_some();
+                let (widest, summed) = if fused {
+                    (&mut widest_fused, cells.total_partials())
+                } else {
+                    (&mut widest_rows, cells.total_refs())
+                };
+                *widest = est.msg_dim.max(*widest);
+                let row_len = row_payload_len(est.msg_dim, fused.then_some(1)) as u64 + WIRE_ID_LEN;
+                prop_assert_eq!(est.columnar_bytes, summed * row_len, "layer {}", l);
+                prop_assert_eq!(summed, carried[l], "layer {} carried", l);
+            }
+            let pooled = || {
+                let pool = plan.scratch.lock().unwrap();
+                let mut cells = pool.as_ref().expect("a run returns its pool").cells();
+                cells.sort_by_key(|c| (format!("{:?}", c.kind), c.sender, c.addr));
+                cells
+            };
+            let first = pooled();
+            for c in &first {
+                let w = c.sender;
+                let planned = match c.kind {
+                    CellKind::Table => cells.table_rows(w) * widest_rows,
+                    CellKind::Refs(w2) => cells.refs(w, w2),
+                    CellKind::Keys(w2) | CellKind::Counts(w2) => cells.partials(w, w2),
+                    CellKind::Lanes(w2) => cells.partials(w, w2) * widest_fused,
+                    CellKind::Sent => layout.n_slots(w),
+                };
+                prop_assert_eq!(c.capacity, planned, "{:?}", c);
+            }
+            Parallelism::with(threads, || plan.run()).unwrap();
+            prop_assert_eq!(pooled(), first, "a second run reallocated a cell");
         }
 
         /// A Pregel plan predicts its row traffic from its own layout, so

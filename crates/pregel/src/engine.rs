@@ -32,9 +32,13 @@
 //! sender loop would deliver in — so results, byte accounting, and metrics
 //! are identical for every thread count.
 //!
-//! What a run allocates: the per-worker state vectors, the inboxes sealed
-//! at each barrier, and — first run only, pooled in a [`ScratchPool`]
-//! afterwards — the outbox spools, shards and row tables.
+//! What a run allocates: the per-worker state vectors and the inboxes
+//! sealed at each barrier. The outbox spools, the cells of the shard grid
+//! (row tables, references, fused partials) and the sent-row indexes are
+//! pooled in a [`ScratchPool`], so only a first run allocates them. A pool
+//! built from a plan's [`CellCounts`] reserves each grid cell exactly, at
+//! the widest row any step of the run declares, so no cell grows while a
+//! run writes it; without counts the cells grow as they are written.
 //!
 //! # Message planes
 //!
@@ -65,8 +69,11 @@
 //!   sender wrote it: one row per sending vertex is held, not one per
 //!   edge. A table is shared by every inbox sealed from it and by a
 //!   checkpoint of those inboxes, and is written again only once nothing
-//!   holds it. Only a transport that moves bytes gets the rows packed
-//!   into per-(sender × destination) [`RowShard`]s, and its merged flat
+//!   holds it. A vertex is also lent the row it sent itself
+//!   ([`Inbox::own_row`]): the engine keeps, per sender worker, the table
+//!   row each slot wrote, and holds that step's tables until the next
+//!   compute ends, whatever the transport or spill setting. Only a
+//!   transport that moves bytes gets the rows packed into per-(sender × destination) [`RowShard`]s, and its merged flat
 //!   arena comes back; under a spill budget the seal streams the rows
 //!   from the tables into the spill file instead. If the step also
 //!   provides a [`FusedAggregator`], **gather is fused into scatter**:
@@ -97,7 +104,7 @@
 //! regrouped per sender worker — bit for bit, at every thread count, over
 //! every transport, spilled or resident, recovered or clean.
 
-use crate::layout::{PregelLayout, Route};
+use crate::layout::{CellCounts, PregelLayout, Route};
 use crate::vertex::{Inbox, Outbox, RowsIn, SendMisuse, VertexProgram};
 use inferturbo_cluster::transport::{
     ColsShards, DestMerged, DestShards, Exchange, ExchangeOut, InProcess, MergedCols, Transport,
@@ -209,44 +216,166 @@ impl PregelConfig {
 /// Pooled engine scratch: one outbox (message spools, row buffers) per
 /// logical worker, the `[sender][destination]` grids of both columnar
 /// planes — fused accumulator shards with their dense slot indexes,
-/// materialized row references — and the senders' row tables. Every
-/// engine owns one — supersteps within a run reuse it instead of
-/// reallocating — and a caller that runs repeated inference over the same
-/// graph (a planned session) can [`PregelEngine::take_scratch`] it after a
-/// run and [`PregelEngine::set_scratch`] it into the next engine, so the
-/// O(W·V) fused slot indexes, the row tables and references, and the
-/// outbox spools are allocated once per plan, not once per superstep.
+/// materialized row references — the senders' row tables, and the
+/// per-slot indexes of the rows each slot sent. Every engine owns one —
+/// supersteps within a run reuse it instead of reallocating — and a caller
+/// that runs repeated inference over the same graph (a planned session)
+/// can [`PregelEngine::take_scratch`] it after a run and
+/// [`PregelEngine::set_scratch`] it into the next engine, so all of it is
+/// allocated once per plan, not once per superstep.
+///
+/// A pool built with [`ScratchPool::planned`] knows how many rows each
+/// grid cell takes ([`CellCounts`]): each cell is reserved exactly, at the
+/// widest row the run declares, before it is first written, so no cell
+/// regrows during a run and repeated runs reuse the same allocations. A
+/// default pool counts nothing, and its cells grow as they are written.
 ///
 /// Pooling is observably invisible: a reset shard/outbox is
 /// indistinguishable from a fresh one (sparse index clear through the
 /// touched keys), so results, byte accounting and metrics are identical
 /// with or without a carried-over pool. A row table is written again only
 /// once nothing else holds it: the inboxes sealed from it lend it until
-/// they drain, and a checkpoint of those inboxes keeps it as long as the
-/// checkpoint lives.
+/// they drain, the engine lends its rows back to their senders until the
+/// next compute ends, and a checkpoint keeps it as long as the checkpoint
+/// lives.
 pub struct ScratchPool<M> {
     outboxes: Vec<Outbox<M>>,
     rows: Vec<Vec<RowRefs>>,
-    /// Every row table the engine has written, free or still held.
-    tables: Vec<RowTable>,
+    /// Per sender worker: every row table it has written, free or still
+    /// held.
+    tables: Vec<Vec<RowTable>>,
+    /// Free sets of per-worker sent-row indexes (see [`SentRows`]).
+    sent: Vec<Vec<Vec<u32>>>,
     fused: Vec<Vec<FusedSlotShard>>,
+    /// How many rows each grid cell takes; empty for a default pool.
+    counts: CellCounts,
 }
 
 impl<M> Default for ScratchPool<M> {
     /// An empty pool; it grows to the engine's worker count on first use.
     fn default() -> Self {
+        ScratchPool::planned(CellCounts::default())
+    }
+}
+
+impl<M> ScratchPool<M> {
+    /// An empty pool whose grid cells are reserved from `counts` (see the
+    /// type docs).
+    pub fn planned(counts: CellCounts) -> Self {
         ScratchPool {
             outboxes: Vec::new(),
             rows: Vec::new(),
             tables: Vec::new(),
+            sent: Vec::new(),
             fused: Vec::new(),
+            counts,
         }
     }
+
+    /// Every allocation of the shard grid and the sent-row indexes the
+    /// pool holds: each sender's row tables (in the order the pool last
+    /// took them back), its reference list and fused shard per
+    /// destination, then each set of sent-row indexes. The same set of
+    /// cells read before and after a run means the run reallocated none of
+    /// them.
+    pub fn cells(&self) -> Vec<PooledCell> {
+        let cell = |kind, sender, addr: *const u8, capacity| PooledCell {
+            kind,
+            sender,
+            addr: addr as usize,
+            capacity,
+        };
+        let mut cells = Vec::new();
+        for (w, tables) in self.tables.iter().enumerate() {
+            for t in tables {
+                let lanes = t.data().as_ptr().cast();
+                cells.push(cell(CellKind::Table, w, lanes, t.capacity()));
+            }
+        }
+        for (w, refs) in self.rows.iter().enumerate() {
+            for (w2, r) in refs.iter().enumerate() {
+                cells.push(cell(CellKind::Refs(w2), w, r.as_ptr().cast(), r.capacity()));
+            }
+        }
+        for (w, shards) in self.fused.iter().enumerate() {
+            for (w2, sh) in shards.iter().enumerate() {
+                let (keys, counts) = (&sh.keys, &sh.counts);
+                let lanes = sh.rows.data().as_ptr().cast();
+                cells.push(cell(
+                    CellKind::Keys(w2),
+                    w,
+                    keys.as_ptr().cast(),
+                    keys.capacity(),
+                ));
+                cells.push(cell(
+                    CellKind::Counts(w2),
+                    w,
+                    counts.as_ptr().cast(),
+                    counts.capacity(),
+                ));
+                cells.push(cell(CellKind::Lanes(w2), w, lanes, sh.rows.capacity()));
+            }
+        }
+        for set in &self.sent {
+            for (w, at) in set.iter().enumerate() {
+                cells.push(cell(CellKind::Sent, w, at.as_ptr().cast(), at.capacity()));
+            }
+        }
+        cells
+    }
+}
+
+/// One allocation of a [`ScratchPool`], as [`ScratchPool::cells`] lists it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PooledCell {
+    pub kind: CellKind,
+    /// The sender worker whose row of the grid holds it.
+    pub sender: usize,
+    /// Where the buffer lives.
+    pub addr: usize,
+    /// Elements it holds without growing.
+    pub capacity: usize,
+}
+
+/// What a [`PooledCell`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellKind {
+    /// A row table's lanes.
+    Table,
+    /// `(slot, table row)` references bound for the given worker.
+    Refs(usize),
+    /// A fused shard's first-touch slots, bound for the given worker.
+    Keys(usize),
+    /// A fused shard's fold counts, bound for the given worker.
+    Counts(usize),
+    /// A fused shard's accumulator lanes, bound for the given worker.
+    Lanes(usize),
+    /// A sent-row index: one entry per slot of the sender.
+    Sent,
 }
 
 /// One sender's materialized rows bound for one destination worker:
 /// `(destination slot, row of the sender's table)` in emission order.
 type RowRefs = Vec<(u32, u32)>;
+
+/// One worker's rows on the materialized plane from the last superstep:
+/// its row table and, per slot, the table row that slot wrote last
+/// (`u32::MAX`: none) — what [`Inbox::own_row`] lends.
+#[derive(Clone)]
+struct SentRows {
+    table: RowTable,
+    at: Vec<u32>,
+}
+
+impl SentRows {
+    /// The row `slot` wrote, or an empty slice.
+    fn of(&self, slot: usize) -> &[f32] {
+        match self.at[slot] {
+            u32::MAX => &[],
+            at => self.table.row(at as usize),
+        }
+    }
+}
 
 /// Swap the two axes of a `[sender][destination]` grid, keeping each
 /// axis's order.
@@ -376,7 +505,8 @@ fn cols_rows(cols: &mut MergedCols, slot: usize) -> Result<RowsIn<'_>> {
 }
 
 /// A consistent snapshot of everything a superstep reads: vertex states,
-/// both inbox planes, the broadcast table, and the full [`RunReport`].
+/// both inbox planes, the rows each slot sent (and the tables they lie
+/// in), the broadcast table, and the full [`RunReport`].
 /// Taken at the superstep barrier (between supersteps every inbox is
 /// sealed and immutable), so restoring and replaying is bit-identical to
 /// never having failed — including the report, which a failed superstep
@@ -391,6 +521,8 @@ struct Checkpoint<P: VertexProgram> {
     inbox: Vec<InboxArena<P::Msg>>,
     inbox_cols: Vec<MergedCols>,
     inbox_bytes: Vec<u64>,
+    /// The rows each slot sent: a replayed step lends the same ones.
+    sent: Vec<SentRows>,
     bcast: FxHashMap<u64, P::Msg>,
     report: RunReport,
     /// Trace position at snapshot time: restore rewinds the sink here so
@@ -403,8 +535,8 @@ struct Checkpoint<P: VertexProgram> {
 /// the program declared for the step, with its row width and — fused — its
 /// fold, and the grid the rows land in: fused accumulator shards, or each
 /// sender's row table with its `(slot, table row)` references per
-/// destination. The grid is `[sender][destination]` while the workers
-/// compute and `[destination][sender]` once transposed for the exchange.
+/// destination and the table row each of its slots wrote. The grid is
+/// `[sender][destination]` while the workers compute and `[destination][sender]` once transposed for the exchange.
 /// One value per superstep: every worker's [`RowSink`] and every
 /// destination's [`ColsShards`] and refs inbox is a view of it, so they
 /// cannot disagree about the plane.
@@ -416,6 +548,8 @@ enum Emit<'p> {
         /// One per sender worker.
         tables: Vec<RowTable>,
         refs: Vec<Vec<RowRefs>>,
+        /// One per sender worker: slot → table row, `u32::MAX` for none.
+        sent: Vec<Vec<u32>>,
     },
     Fused {
         dim: usize,
@@ -424,11 +558,16 @@ enum Emit<'p> {
     },
 }
 
+/// The widest row a run declares on each columnar plane: materialized,
+/// then fused.
+type Widest = (usize, usize);
+
 impl<'p> Emit<'p> {
     /// Resolve `step`'s plane from the program's declarations and take
     /// its `n × n` grid out of the pool. Pooled shards are reused as they
     /// are — each worker resets its own row ([`RowSink::reset`]); a pooled
-    /// row table only when nothing else holds it any more.
+    /// row table only when nothing else holds it any more, and only by the
+    /// sender it was sized for.
     fn open<P: VertexProgram>(
         program: &'p P,
         step: usize,
@@ -449,21 +588,23 @@ impl<'p> Emit<'p> {
         match program.fused_aggregator(step) {
             None => {
                 // The last superstep's tables are lent out until its
-                // inboxes drain, and a checkpoint may hold older ones:
-                // those stay in the pool for a later step.
-                let mut tables = Vec::with_capacity(n);
-                for table in std::mem::take(&mut pool.tables) {
-                    if tables.len() < n && Arc::strong_count(&table) == 1 {
-                        tables.push(table);
-                    } else {
-                        pool.tables.push(table);
+                // inboxes drain and the next compute ends, and a
+                // checkpoint may hold older ones: those stay in the pool
+                // for a later step.
+                pool.tables.resize_with(n, Vec::new);
+                let tables = pool.tables.iter_mut().map(|own| {
+                    match own.iter().position(|t| Arc::strong_count(t) == 1) {
+                        Some(free) => own.remove(free),
+                        None => Arc::new(RowBlock::new(dim)),
                     }
-                }
-                tables.resize_with(n, || Arc::new(RowBlock::new(dim)));
+                });
+                let mut sent = pool.sent.pop().unwrap_or_default();
+                sent.resize_with(n, Vec::new);
                 Emit::Rows {
                     dim,
-                    tables,
+                    tables: tables.collect(),
                     refs: grid(std::mem::take(&mut pool.rows), n, Vec::new),
+                    sent,
                 }
             }
             Some(agg) => Emit::Fused {
@@ -482,13 +623,20 @@ impl<'p> Emit<'p> {
             Emit::None => (0..n).map(|_| RowSink::None).collect(),
             // `open` took only tables nothing else holds, so `make_mut`
             // lends each in place.
-            Emit::Rows { dim, tables, refs } => tables
+            Emit::Rows {
+                dim,
+                tables,
+                refs,
+                sent,
+            } => tables
                 .iter_mut()
                 .zip(refs)
-                .map(|(table, refs)| RowSink::Rows {
+                .zip(sent)
+                .map(|((table, refs), sent)| RowSink::Rows {
                     dim: *dim,
                     table: Arc::make_mut(table),
                     refs,
+                    sent,
                 })
                 .collect(),
             Emit::Fused { dim, agg, shards } => shards
@@ -504,20 +652,28 @@ impl<'p> Emit<'p> {
     }
 
     /// Turn the grid from sender-major to destination-major (or back).
-    fn transposed(self) -> Self {
-        match self {
-            Emit::None => Emit::None,
-            Emit::Rows { dim, tables, refs } => Emit::Rows {
-                dim,
-                tables,
-                refs: transpose(refs),
-            },
-            Emit::Fused { dim, agg, shards } => Emit::Fused {
-                dim,
-                agg,
-                shards: transpose(shards),
-            },
+    fn transposed(mut self) -> Self {
+        match &mut self {
+            Emit::None => {}
+            Emit::Rows { refs, .. } => *refs = transpose(std::mem::take(refs)),
+            Emit::Fused { shards, .. } => *shards = transpose(std::mem::take(shards)),
         }
+        self
+    }
+
+    /// What each sender worker wrote on the materialized plane, for the
+    /// next compute to lend back: its table and its slots' rows in it.
+    /// Empty on the other planes.
+    fn sent_rows(&mut self) -> Vec<SentRows> {
+        let Emit::Rows { tables, sent, .. } = self else {
+            return Vec::new();
+        };
+        let at = std::mem::take(sent);
+        let tables = tables.iter().cloned();
+        tables
+            .zip(at)
+            .map(|(table, at)| SentRows { table, at })
+            .collect()
     }
 
     /// For a transport that moves bytes: every destination's materialized
@@ -525,7 +681,10 @@ impl<'p> Emit<'p> {
     /// transposed grid) — the one place a row is copied per edge. `None`
     /// on the other planes.
     fn packed(&self) -> Option<Vec<Vec<RowShard>>> {
-        let Emit::Rows { dim, tables, refs } = self else {
+        let Emit::Rows {
+            dim, tables, refs, ..
+        } = self
+        else {
             return None;
         };
         let pack = |(table, refs): (&RowTable, &RowRefs)| {
@@ -587,7 +746,9 @@ impl<'p> Emit<'p> {
             Emit::None => {}
             Emit::Rows { tables, refs, .. } => {
                 pool.rows = transpose(refs);
-                pool.tables.extend(tables);
+                for (own, table) in pool.tables.iter_mut().zip(tables) {
+                    own.push(table);
+                }
             }
             Emit::Fused { shards, .. } => pool.fused = transpose(shards),
         }
@@ -655,6 +816,12 @@ pub struct PregelEngine<P: VertexProgram> {
     /// columnar plane the last superstep emitted.
     inbox_cols: Vec<MergedCols>,
     inbox_bytes: Vec<u64>,
+    /// Per worker: what it sent on the materialized plane last superstep,
+    /// lent back to each sender until the next compute ends; empty after
+    /// a step on another plane.
+    sent: Vec<SentRows>,
+    /// The widest row the current run declares on each columnar plane.
+    widest: Widest,
     /// Broadcast table published last superstep (identical replica on every
     /// worker in a real deployment; stored once here).
     bcast: FxHashMap<u64, P::Msg>,
@@ -709,6 +876,8 @@ impl<P: VertexProgram> PregelEngine<P> {
                 .collect(),
             inbox_cols: (0..n).map(|_| MergedCols::None).collect(),
             inbox_bytes: vec![0; n],
+            sent: Vec::new(),
+            widest: (0, 0),
             bcast: FxHashMap::default(),
             layout,
             config,
@@ -791,6 +960,15 @@ impl<P: VertexProgram> PregelEngine<P> {
         P::Msg: Send + Sync,
     {
         let end = self.step + supersteps;
+        self.widest = (self.step..end).fold((0, 0), |(rows, fused), step| {
+            match self.program.message_layout(step) {
+                None => (rows, fused),
+                Some(l) if self.program.fused_aggregator(step).is_some() => {
+                    (rows, fused.max(l.dim))
+                }
+                Some(l) => (rows.max(l.dim), fused),
+            }
+        });
         let mut retries_left = self.config.recovery.map_or(0, |r| r.max_retries);
         let mut checkpoint: Option<Checkpoint<P>> = None;
         while self.step < end {
@@ -856,6 +1034,7 @@ impl<P: VertexProgram> PregelEngine<P> {
             inbox: self.inbox.clone(),
             inbox_cols: self.inbox_cols.iter().map(cols_snapshot).collect(),
             inbox_bytes: self.inbox_bytes.clone(),
+            sent: self.sent.clone(),
             bcast: self.bcast.clone(),
             report: self.report.clone(),
             trace_mark: self.config.trace.mark(),
@@ -874,6 +1053,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         self.inbox = ckpt.inbox.clone();
         self.inbox_cols = ckpt.inbox_cols.iter().map(cols_snapshot).collect();
         self.inbox_bytes = ckpt.inbox_bytes.clone();
+        self.sent = ckpt.sent.clone();
         self.bcast = ckpt.bcast.clone();
         self.report = RunReport {
             retries: self.report.retries,
@@ -903,24 +1083,26 @@ impl<P: VertexProgram> PregelEngine<P> {
         // Resolve the plane, then fork-join compute: each worker drains
         // its inbox and fills its row of the shard grid.
         let mut emit = Emit::open(&self.program, step, &mut self.scratch, n);
-        let (layout, outboxes) = (&self.layout, &mut self.scratch.outboxes);
-        outboxes.resize_with(n, || Outbox::new(Arc::clone(layout)));
+        let pool = &mut self.scratch;
+        let (layout, counts) = (&self.layout, &pool.counts);
+        pool.outboxes
+            .resize_with(n, || Outbox::new(Arc::clone(layout)));
         let tasks: Vec<_> = self
             .workers
             .iter_mut()
             .zip(self.inbox.iter_mut().zip(&mut self.inbox_cols))
-            .zip(emit.sinks(n).into_iter().zip(outboxes))
+            .zip(emit.sinks(n).into_iter().zip(&mut pool.outboxes))
             .collect();
         // Failures surface in ascending worker order, like a serial loop.
         let mut outs = par_map(tasks, |w, ((states, inbox), (sink, ob))| {
             run_worker(
                 &self.program,
                 &self.config,
-                layout,
+                (layout, counts, self.widest),
                 &self.bcast,
                 step,
                 w,
-                states,
+                (states, self.sent.get(w)),
                 inbox,
                 sink,
                 ob,
@@ -928,6 +1110,12 @@ impl<P: VertexProgram> PregelEngine<P> {
         })
         .into_iter()
         .collect::<Result<Vec<StepOut<P::Msg>>>>()?;
+        // The rows lent back to their senders are read: their index goes
+        // back to the pool, and their tables to whoever else holds them.
+        let read = std::mem::take(&mut self.sent);
+        if !read.is_empty() {
+            pool.sent.push(read.into_iter().map(|s| s.at).collect());
+        }
 
         // ---- barrier: lock-free merges, all in ascending sender order ----
         let active = outs.iter().any(|o| o.any_active);
@@ -938,7 +1126,7 @@ impl<P: VertexProgram> PregelEngine<P> {
             &mut self.report,
         );
         let legacy = transpose(outs.into_iter().map(|o| o.shards).collect());
-        let emit = emit.transposed();
+        let mut emit = emit.transposed();
         let packed = self.config.transport.needs_bytes().then(|| emit.packed());
         let packed = packed.flatten();
         let exchanged = self.exchange(step, &emit, packed.as_deref(), &legacy)?;
@@ -946,6 +1134,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         let volume = emit.volume();
         let kept = packed.is_none().then_some(&emit);
         let sealed = self.seal(step, legacy, exchanged.dests, kept)?;
+        self.sent = emit.sent_rows();
         emit.reclaim(&mut self.scratch);
         let spilled = self.install(sealed);
         self.check_memory(&phase, &mut metrics)?;
@@ -1016,7 +1205,9 @@ impl<P: VertexProgram> PregelEngine<P> {
     {
         let (layout, spill) = (&self.layout, self.config.spill.as_ref());
         let lent = match kept {
-            Some(Emit::Rows { dim, tables, refs }) => Some((
+            Some(Emit::Rows {
+                dim, tables, refs, ..
+            }) => Some((
                 *dim,
                 tables.iter().cloned().collect::<Arc<[RowTable]>>(),
                 refs,
@@ -1175,12 +1366,13 @@ enum RowSink<'a> {
     /// No row plane this step (a row sent anyway was already refused by
     /// the outbox).
     None,
-    /// The worker's row table and, per destination worker, its
-    /// `(slot, table row)` references.
+    /// The worker's row table, per destination worker its
+    /// `(slot, table row)` references, and per slot the table row it wrote.
     Rows {
         dim: usize,
         table: &'a mut RowBlock,
         refs: &'a mut [RowRefs],
+        sent: &'a mut Vec<u32>,
     },
     Fused {
         dim: usize,
@@ -1204,38 +1396,60 @@ impl RowSink<'_> {
         }
     }
 
-    /// Make every (possibly pooled) shard indistinguishable from a fresh
-    /// one while keeping its allocations, so steady-state scatter
-    /// allocates nothing; a fused shard clears its dense slot index
-    /// sparsely instead of refilling O(destination slots).
-    fn reset(&mut self, layout: &PregelLayout) {
+    /// Make every (possibly pooled) cell of sender `w`'s row of the grid
+    /// indistinguishable from a fresh one while keeping its allocations,
+    /// so steady-state scatter allocates nothing; a fused shard clears its
+    /// dense slot index sparsely instead of refilling O(destination
+    /// slots). Each cell is then reserved at the rows `counts` gives it,
+    /// as wide as the run's widest row on the sink's plane: a no-op once
+    /// it has been.
+    fn reset(&mut self, layout: &PregelLayout, w: usize, counts: &CellCounts, widest: Widest) {
         match self {
             RowSink::None => {}
-            RowSink::Rows { dim, table, refs } => {
+            RowSink::Rows {
+                dim,
+                table,
+                refs,
+                sent,
+            } => {
                 table.reset(*dim);
-                refs.iter_mut().for_each(Vec::clear);
+                table.reserve_exact(counts.table_rows(w) * widest.0);
+                for (w2, refs) in refs.iter_mut().enumerate() {
+                    refs.clear();
+                    refs.reserve_exact(counts.refs(w, w2));
+                }
+                sent.clear();
+                sent.reserve_exact(layout.n_slots(w));
+                sent.resize(layout.n_slots(w), u32::MAX);
             }
             RowSink::Fused { dim, shards, .. } => {
                 for (w2, sh) in shards.iter_mut().enumerate() {
                     sh.reset(*dim, layout.n_slots(w2));
+                    sh.reserve_exact(counts.partials(w, w2), widest.1);
                 }
             }
         }
     }
 
-    /// The engine's one routing loop: walk the spool front to back, each
-    /// row to every route of its span — written once into the worker's
-    /// row table and referenced by `(slot, table row)` from each
-    /// destination's list, or folded lane-wise into the destination's
-    /// accumulator shard (copy-on-first). Per (sender worker, destination)
-    /// that is emission order, which is the whole fold-order contract on
-    /// the sender side.
-    fn route<M>(&mut self, layout: &PregelLayout, ob: &Outbox<M>) {
+    /// The engine's one routing loop: walk slot `from`'s spool front to
+    /// back, each row to every route of its span — written once into the
+    /// worker's row table (the last one written is the row `from` sent)
+    /// and referenced by `(slot, table row)` from each destination's list,
+    /// or folded lane-wise into the destination's accumulator shard
+    /// (copy-on-first). Per (sender worker, destination) that is emission
+    /// order, which is the whole fold-order contract on the sender side.
+    fn route<M>(&mut self, layout: &PregelLayout, ob: &Outbox<M>, from: usize) {
         match self {
             RowSink::None => debug_assert!(ob.span_ends.is_empty()),
-            RowSink::Rows { dim, table, refs } => ob.for_each_span(*dim, |row, routes| {
+            RowSink::Rows {
+                dim,
+                table,
+                refs,
+                sent,
+            } => ob.for_each_span(*dim, |row, routes| {
                 let at = table.len() as u32;
                 table.push_row(row);
+                sent[from] = at;
                 for &r in routes {
                     let (w2, slot) = layout.unpack(r);
                     refs[w2].push((slot, at));
@@ -1314,11 +1528,11 @@ fn fold_spans<M>(
 fn run_worker<P: VertexProgram>(
     program: &P,
     config: &PregelConfig,
-    layout: &Arc<PregelLayout>,
+    (layout, counts, widest): (&Arc<PregelLayout>, &CellCounts, Widest),
     bcast: &FxHashMap<u64, P::Msg>,
     step: usize,
     w: usize,
-    states: &mut [P::State],
+    (states, sent): (&mut [P::State], Option<&SentRows>),
     (arena, cols_in): (&mut InboxArena<P::Msg>, &mut MergedCols),
     mut sink: RowSink<'_>,
     ob: &mut Outbox<P::Msg>,
@@ -1339,7 +1553,7 @@ fn run_worker<P: VertexProgram>(
     // pool, across supersteps and runs): cleared between computes,
     // capacity retained, so steady-state sends allocate nothing.
     ob.reset(layout, sink.row_dim());
-    sink.reset(layout);
+    sink.reset(layout, w, counts, widest);
 
     for (s, (state, &vertex_id)) in states.iter_mut().zip(layout.ids(w)).enumerate() {
         let (rows, messages) = (cols_rows(cols_in, s)?, arena.slot(s));
@@ -1347,6 +1561,7 @@ fn run_worker<P: VertexProgram>(
         let inbox = Inbox {
             rows,
             messages,
+            own_row: sent.map_or(&[], |sent| sent.of(s)),
             broadcast: &|src: u64| bcast.get(&src),
         };
         ob.clear();
@@ -1388,7 +1603,7 @@ fn run_worker<P: VertexProgram>(
             start = end;
         }
 
-        sink.route(layout, ob);
+        sink.route(layout, ob, s);
     }
     // The inbox is read: free it before the next one is sealed beside it.
     arena.drain();
@@ -2297,14 +2512,20 @@ mod tests {
         let still: Vec<Vec<f32>> = held.iter().map(|t| t.data().to_vec()).collect();
         assert_eq!(still, lanes, "the checkpoint's rows must not move");
         // The checkpoint's, the inbox's and a free generation: no more.
-        assert_eq!(eng.scratch.tables.len(), 3 * 3);
+        assert_eq!(
+            eng.scratch.tables.iter().map(Vec::len).sum::<usize>(),
+            3 * 3
+        );
         // Once the checkpoint lets go, its tables are the pool's again.
         let freed: Vec<*const RowBlock> = held.iter().map(Arc::as_ptr).collect();
         drop((ckpt, held));
         eng.run(1).unwrap();
         let lent: Vec<*const RowBlock> = inbox_tables(&eng).iter().map(Arc::as_ptr).collect();
         assert_eq!(lent, freed, "the freed generation is written next");
-        assert_eq!(eng.scratch.tables.len(), 3 * 3);
+        assert_eq!(
+            eng.scratch.tables.iter().map(Vec::len).sum::<usize>(),
+            3 * 3
+        );
 
         // Replaying from a checkpoint over shared tables is bit-identical.
         let mut plain = fan_out_engine(3, cfg());
@@ -2586,6 +2807,131 @@ mod tests {
         assert!(err.is_oom());
         assert!(!err.is_transient());
         assert_eq!(eng.report().retries, 0, "OOM must not burn retries");
+    }
+
+    /// Scatters, on the steps it sends at all, a row naming itself and the
+    /// step over all its out-edges (vertex 0 sends a decoy row first), and
+    /// fails the superstep unless the engine lends it back exactly the
+    /// last row it sent on the materialized plane one step earlier. Step 2
+    /// folds its rows and step 4 declares none: nothing is lent after
+    /// either.
+    struct Echo;
+
+    #[derive(Clone)]
+    struct EchoState {
+        edges: Vec<Route>,
+        /// The row the engine must lend next step; empty for none.
+        sent: Vec<f32>,
+        lent: usize,
+    }
+
+    impl VertexProgram for Echo {
+        type State = EchoState;
+        type Msg = f32;
+
+        fn compute(
+            &self,
+            step: usize,
+            vertex: u64,
+            state: &mut EchoState,
+            inbox: Inbox<'_, f32>,
+            out: &mut Outbox<f32>,
+        ) -> Result<()> {
+            if inbox.own_row != state.sent.as_slice() {
+                return Err(Error::Internal(format!(
+                    "vertex {vertex} at step {step} was lent {:?} after sending {:?}",
+                    inbox.own_row, state.sent
+                )));
+            }
+            state.lent += usize::from(!inbox.own_row.is_empty());
+            state.sent.clear();
+            if self.message_layout(step).is_none() || (vertex + step as u64).is_multiple_of(3) {
+                return Ok(());
+            }
+            let row = [vertex as f32, step as f32, (vertex * 31) as f32 + 0.5];
+            if vertex == 0 {
+                out.scatter_row(&state.edges, &[-1.0; 3]);
+            }
+            out.scatter_row(&state.edges, &row);
+            if self.fused_aggregator(step).is_none() && !state.edges.is_empty() {
+                state.sent.extend_from_slice(&row);
+            }
+            Ok(())
+        }
+
+        fn message_layout(&self, step: usize) -> Option<MessageLayout> {
+            (step != 4).then_some(MessageLayout { dim: 3 })
+        }
+
+        fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
+            (step == 2).then_some(&SumAgg)
+        }
+    }
+
+    /// 12 vertices over 3 workers, two out-edges each but vertex 5's.
+    fn echo_engine(cfg: PregelConfig) -> PregelEngine<Echo> {
+        let adj: Vec<Vec<u64>> = (0..12u64)
+            .map(|v| match v {
+                5 => vec![],
+                _ => vec![(v + 1) % 12, (v * 7 + 3) % 12],
+            })
+            .collect();
+        let ids = adj.iter().enumerate().map(|(v, t)| (v as u64, &t[..]));
+        let layout = PregelLayout::planned(3, ids).unwrap();
+        let states: Vec<_> = layout
+            .vertices()
+            .map(|v| EchoState {
+                edges: v.edges.to_vec(),
+                sent: Vec::new(),
+                lent: 0,
+            })
+            .collect();
+        PregelEngine::with_layout(Echo, cfg, Arc::new(layout), states).unwrap()
+    }
+
+    #[test]
+    fn a_vertex_is_lent_the_row_it_sent_in_process_spilled_and_replayed() {
+        let spill = SpillPolicy::new(std::env::temp_dir().join("inferturbo-engine-echo"), 16);
+        let faults = || {
+            FaultPlan::new()
+                .and_fail(FaultSite::SealBarrier { worker: 0, step: 1 })
+                .and_fail(FaultSite::WorkerCompute { worker: 1, step: 3 })
+                .injector()
+        };
+        let spec = ClusterSpec::test_spec(3);
+        let configs = [
+            ("in process", PregelConfig::new(spec), 0),
+            (
+                "spilled",
+                PregelConfig::new(spec).with_spill(Some(spill)),
+                0,
+            ),
+            (
+                "replayed",
+                PregelConfig::new(spec)
+                    .with_fault_injector(Some(faults()))
+                    .with_recovery(Some(RecoveryPolicy::new(1, 3))),
+                2,
+            ),
+        ];
+        let mut lent = Vec::new();
+        for (name, cfg, retries) in configs {
+            let mut eng = echo_engine(cfg);
+            eng.run(7).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(eng.report().retries, retries, "{name}");
+            if name == "spilled" {
+                assert!(eng.report().spilled_bytes > 0, "{name}: nothing spilled");
+            }
+            let mut of_run = Vec::new();
+            eng.for_each_state(|id, s| of_run.push((id, s.lent)));
+            lent.push(of_run);
+        }
+        // Steps 1, 2, 4 and 6 lend to the row senders of the step before:
+        // about two thirds of the 11 vertices with edges each time.
+        let total: usize = lent[0].iter().map(|(_, n)| n).sum();
+        assert!(total > 12, "only {total} rows lent");
+        assert_eq!(lent[1], lent[0], "spilled");
+        assert_eq!(lent[2], lent[0], "replayed");
     }
 
     #[test]

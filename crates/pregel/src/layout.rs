@@ -225,35 +225,98 @@ impl PregelLayout {
         })
     }
 
-    /// How many fused partial rows one scatter over the planned edges
-    /// produces: the number of distinct (sender worker, destination
-    /// vertex) pairs among the out-edges of every vertex `sends` admits
-    /// (by load position). One O(E) pass over a last-seen-sender array.
-    pub fn fused_partials(&self, sends: impl Fn(usize) -> bool) -> u64 {
-        let mut base = Vec::with_capacity(self.workers.len());
+    /// How many rows each cell of a superstep's shard grid takes when
+    /// every vertex `sends` admits (by load position) scatters one row over
+    /// all its planned out-edges: per sender worker the rows its table
+    /// takes, per (sender, destination worker) the references it sends and
+    /// the distinct destination slots it folds into. One O(E) pass over a
+    /// last-seen-sender array.
+    pub fn cell_counts(&self, sends: impl Fn(usize) -> bool) -> CellCounts {
+        let n = self.workers.len();
+        let mut base = Vec::with_capacity(n);
         let mut total = 0usize;
         for worker in &self.workers {
             base.push(total);
             total += worker.ids.len();
         }
+        let mut counts = CellCounts {
+            workers: n,
+            table_rows: vec![0; n],
+            refs: vec![0; n * n],
+            partials: vec![0; n * n],
+        };
         let mut last_sender = vec![u32::MAX; total];
-        let mut partials = 0u64;
         for (w, worker) in self.workers.iter().enumerate() {
             for (s, &position) in worker.positions.iter().enumerate() {
-                if !sends(position as usize) {
+                let edges = worker.edges(s);
+                if edges.is_empty() || !sends(position as usize) {
                     continue;
                 }
-                for &r in worker.edges(s) {
+                counts.table_rows[w] += 1;
+                for &r in edges {
                     let (w2, slot) = self.unpack(r);
+                    counts.refs[w * n + w2] += 1;
                     let seen = &mut last_sender[base[w2] + slot as usize];
                     if *seen != w as u32 {
                         *seen = w as u32;
-                        partials += 1;
+                        counts.partials[w * n + w2] += 1;
                     }
                 }
             }
         }
-        partials
+        counts
+    }
+}
+
+/// The size of every cell of a superstep's shard grid, counted once from a
+/// layout ([`PregelLayout::cell_counts`]) so an engine can reserve each
+/// pooled cell exactly instead of growing it. The default counts nothing:
+/// every cell then grows as it is written.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CellCounts {
+    workers: usize,
+    /// Per sender worker: rows its table takes.
+    table_rows: Vec<usize>,
+    /// `[sender * workers + destination]`: references sent.
+    refs: Vec<usize>,
+    /// `[sender * workers + destination]`: distinct destination slots.
+    partials: Vec<usize>,
+}
+
+impl CellCounts {
+    /// Rows sender `w`'s table takes (0 past the counted workers).
+    pub fn table_rows(&self, w: usize) -> usize {
+        self.table_rows.get(w).copied().unwrap_or(0)
+    }
+
+    /// References sender `w` sends to worker `w2`.
+    pub fn refs(&self, w: usize, w2: usize) -> usize {
+        self.cell(&self.refs, w, w2)
+    }
+
+    /// Distinct slots of worker `w2` sender `w` folds into: its fused
+    /// partials bound there.
+    pub fn partials(&self, w: usize, w2: usize) -> usize {
+        self.cell(&self.partials, w, w2)
+    }
+
+    fn cell(&self, cells: &[usize], w: usize, w2: usize) -> usize {
+        if w2 < self.workers {
+            cells.get(w * self.workers + w2).copied().unwrap_or(0)
+        } else {
+            0
+        }
+    }
+
+    /// References over the whole grid: one per edge of an admitted sender.
+    pub fn total_refs(&self) -> u64 {
+        self.refs.iter().sum::<usize>() as u64
+    }
+
+    /// Fused partials over the whole grid: one per distinct (sender
+    /// worker, destination vertex) pair.
+    pub fn total_partials(&self) -> u64 {
+        self.partials.iter().sum::<usize>() as u64
     }
 }
 
@@ -311,25 +374,44 @@ mod tests {
     }
 
     #[test]
-    fn fused_partials_counts_distinct_sender_destination_pairs() {
+    fn cell_counts_count_each_senders_rows_refs_and_distinct_slots() {
         let adj = adjacency();
         for workers in [1usize, 2, 4] {
             let layout = plan(workers, &adj).unwrap();
-            let mut pairs = std::collections::BTreeSet::new();
-            for (id, targets) in &adj {
-                for t in targets {
-                    pairs.insert((partition_of(*id, workers), *t));
+            // Excluding vertex 13 (position 3) drops only its cells' share.
+            for excluded in [None, Some(3usize)] {
+                let counts = layout.cell_counts(|p| Some(p) != excluded);
+                let (mut rows, mut refs) = (vec![0; workers], vec![0; workers * workers]);
+                let mut pairs = std::collections::BTreeSet::new();
+                for (p, (id, targets)) in adj.iter().enumerate() {
+                    if Some(p) == excluded || targets.is_empty() {
+                        continue;
+                    }
+                    let w = partition_of(*id, workers);
+                    rows[w] += 1;
+                    for t in targets {
+                        refs[w * workers + partition_of(*t, workers)] += 1;
+                        pairs.insert((w, partition_of(*t, workers), *t));
+                    }
                 }
-            }
-            assert_eq!(layout.fused_partials(|_| true), pairs.len() as u64);
-            // Excluding vertex 13 (position 3) drops only its pairs.
-            let mut kept = std::collections::BTreeSet::new();
-            for (id, targets) in adj.iter().filter(|(id, _)| *id != 13) {
-                for t in targets {
-                    kept.insert((partition_of(*id, workers), *t));
+                for w in 0..workers {
+                    assert_eq!(counts.table_rows(w), rows[w]);
+                    for w2 in 0..workers {
+                        assert_eq!(counts.refs(w, w2), refs[w * workers + w2]);
+                        let distinct = pairs.iter().filter(|p| (p.0, p.1) == (w, w2));
+                        assert_eq!(counts.partials(w, w2), distinct.count());
+                    }
                 }
+                assert_eq!(counts.total_refs(), refs.iter().sum::<usize>() as u64);
+                assert_eq!(counts.total_partials(), pairs.len() as u64);
             }
-            assert_eq!(layout.fused_partials(|p| p != 3), kept.len() as u64);
+            // Past the counted workers every cell is empty.
+            let counts = layout.cell_counts(|_| true);
+            assert_eq!(
+                (counts.table_rows(workers), counts.refs(0, workers)),
+                (0, 0)
+            );
+            assert_eq!(CellCounts::default().partials(0, 0), 0);
         }
     }
 }

@@ -32,8 +32,8 @@ pub mod engine;
 pub mod layout;
 pub mod vertex;
 
-pub use engine::{PregelConfig, PregelEngine, ScratchPool};
-pub use layout::{PlacedVertex, PregelLayout, Route};
+pub use engine::{CellKind, PooledCell, PregelConfig, PregelEngine, ScratchPool};
+pub use layout::{CellCounts, PlacedVertex, PregelLayout, Route};
 pub use vertex::{
     BroadcastLookup, FusedAggregator, Inbox, LentRows, MessageLayout, Outbox, RowsIn, VertexProgram,
 };

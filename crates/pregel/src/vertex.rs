@@ -97,8 +97,9 @@ pub(crate) enum SendMisuse {
 }
 
 /// Everything delivered to one vertex for this superstep, handed to
-/// [`VertexProgram::compute`]: both message planes and the broadcast
-/// table, all lent out of the worker's sealed inbox.
+/// [`VertexProgram::compute`]: both message planes, the broadcast table,
+/// and the row the vertex itself sent last superstep — all lent, out of
+/// the worker's sealed inbox and its senders' row tables.
 pub struct Inbox<'a, M> {
     /// The columnar half: rows (or one fused accumulator) sent last
     /// superstep.
@@ -106,6 +107,12 @@ pub struct Inbox<'a, M> {
     /// Typed messages in delivery order (ascending sender worker,
     /// emission order within a sender).
     pub messages: &'a [M],
+    /// The row this vertex sent on the materialized row plane last
+    /// superstep (the last one, if it sent several), lent where its
+    /// worker's row table holds it — on every transport and spill setting,
+    /// and after a replay. Empty if it sent no such row: the step was on
+    /// the fused or the typed plane, or the vertex had no destination.
+    pub own_row: &'a [f32],
     /// Resolves a payload broadcast last superstep by vertex `src` (on
     /// any worker), if one exists.
     pub broadcast: &'a BroadcastLookup<'a, M>,
