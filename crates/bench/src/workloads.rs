@@ -55,3 +55,53 @@ pub fn plan_session<'a>(
     };
     builder.plan()
 }
+
+/// One configuration's run as Figs. 9–11 read it: per worker, the shuffle
+/// records and bytes it read and its busy seconds. The counts are exact;
+/// the seconds are *modelled* (the cluster spec's cost model over those
+/// bytes and the kernels' flops), not a clock.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkerLoads {
+    pub config: &'static str,
+    pub records_in: Vec<u64>,
+    pub bytes_in: Vec<u64>,
+    pub busy_secs: Vec<f64>,
+}
+
+impl WorkerLoads {
+    /// Run `strategy` over `graph` on a MapReduce cluster `spec` and read
+    /// every worker's totals off the report.
+    pub fn run(
+        config: &'static str,
+        model: &GnnModel,
+        graph: &Graph,
+        spec: ClusterSpec,
+        strategy: StrategyConfig,
+    ) -> Result<Self> {
+        let report = plan_session(model, graph, Backend::MapReduce, spec, strategy)?
+            .run()?
+            .report;
+        let totals = report.worker_totals();
+        Ok(WorkerLoads {
+            config,
+            records_in: totals.iter().map(|t| t.records_in).collect(),
+            bytes_in: totals.iter().map(|t| t.bytes_in).collect(),
+            busy_secs: worker_busy_secs(&report),
+        })
+    }
+
+    /// Input bytes per worker, as floats for the stats helpers.
+    pub fn bytes_in_f64(&self) -> Vec<f64> {
+        self.bytes_in.iter().map(|&b| b as f64).collect()
+    }
+
+    /// Modelled busy seconds of the slowest worker over the mean.
+    pub fn max_over_mean(&self) -> f64 {
+        let mean = inferturbo_common::stats::mean(&self.busy_secs);
+        if mean > 0.0 {
+            inferturbo_common::stats::max(&self.busy_secs) / mean
+        } else {
+            0.0
+        }
+    }
+}
