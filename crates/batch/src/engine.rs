@@ -9,49 +9,82 @@
 //! output into worker-local storage. The barrier hands every destination
 //! its senders' shares in ascending mapper order — exactly the order the
 //! serial loop produced — so results and byte accounting are identical for
-//! every thread count. The shuffle's hash partitioning is what makes this
-//! safe: each worker *is* a disjoint key range.
+//! every thread count. The shuffle's partitioning is what makes this safe:
+//! each worker *is* a disjoint key range.
 //!
-//! A reducer walks its rows once, in arrival order (ascending mapper,
-//! emission order within a mapper), and groups them by first touch; it
-//! then visits the groups in ascending key order, merge-joined with its
-//! typed records, which it stable-sorts by key. That keeps the
+//! An engine runs over a [`Layout`]: the plan's placement of every vertex
+//! on a worker's slot table. The layout is the row plane's address space
+//! (a row is bound for a destination vertex by its [`Route`], and lands in
+//! that worker's cell under the slot), and a reducer's key order: it
+//! visits its keys in ascending vertex id, which the layout gives without
+//! a sort ([`Layout::slots_by_id`]). A reducer groups its rows by slot in
+//! a counting pass — how many rows each slot receives, then every row
+//! copied (or folded) into its slot's group in arrival order (ascending
+//! mapper, emission order within a mapper) — and merge-joins those groups
+//! with its typed records, which it stable-sorts by key. That keeps the
 //! external-sort semantics the kernels are written against — ascending
-//! keys, arrival order inside a group — while sorting one entry per
-//! distinct key instead of one per row.
+//! keys, arrival order inside a group — with no hash and no sort of the
+//! row plane. The typed plane's keys are partitioned by the engine's
+//! partition function, which must place a vertex's id on the worker the
+//! layout places it, so a key's typed records and rows meet.
 //!
 //! # Two shuffle planes
 //!
 //! Every phase shuffles typed keyed records (the pairs a kernel pushes)
-//! and, alongside them, fixed-width `f32` rows through the same columnar
-//! buffers the Pregel engine uses ([`inferturbo_common::rows`]): kernels
-//! emit rows into a [`RowSink`], one flat spool per task with no
-//! per-record heap object. When a phase provides a [`FusedAggregator`],
-//! emission folds rows into per-key accumulators at the sender — the
-//! in-mapper combiner — shrinking shuffle volume from one row per edge to
-//! one partial row per (worker, key).
+//! and, alongside them, fixed-width `f32` rows: kernels scatter a row over
+//! a span of routes into a [`RowSink`], which appends it to one cell per
+//! destination worker, with no per-record heap object. When a phase
+//! provides a [`FusedAggregator`], the sink folds rows into one
+//! accumulator per destination slot as they arrive — the in-mapper
+//! combiner, through a dense slot index — shrinking shuffle volume from
+//! one row per edge to one partial row per (worker, destination vertex).
 //!
-//! Rows stay in the spool they were written to. The barrier records, per
-//! destination, the ascending indices of each sender's rows bound there,
-//! and a reducer reads them where they lie. Only a transport that moves
-//! bytes ([`Transport::needs_bytes`]) is handed contiguous per-destination
-//! buckets, packed from those index lists at the boundary: the same rows
-//! in the same order. A reducer combines the partials that land on it
-//! through the fold of the phase that produced them (Hadoop's reduce-side
-//! combine), so its kernel sees one row per key; without a fold it sees
-//! the key's rows as one flat [`RowsView`] in arrival order. A phase that
-//! ships no rows passes `row_dim = 0` and ignores its sink.
+//! A cell is already contiguous and bound for one destination, so the
+//! barrier moves cells, never rows: in process a destination keeps its
+//! senders' cells, ascending, and reads them where they lie; a transport
+//! that moves bytes ([`Transport::needs_bytes`]) is handed the same cells
+//! as buckets, and what crosses the wire is one cell of its own. A
+//! reducer combines the partials that land on it through the fold of the
+//! phase that produced them (Hadoop's reduce-side combine), so its kernel
+//! sees one row per key; without a fold it sees the key's rows as one
+//! flat [`RowsView`] in arrival order. A phase that ships no rows passes
+//! `row_dim = 0` and ignores its sink.
+//!
+//! # Sized from the plan
+//!
+//! A phase given [`Sizes`] reserves every task's cells and its typed
+//! output vector at exactly the plan's counts, and its reducers' groups
+//! are counted before they are filled, so no buffer grows while it is
+//! written; a debug build checks each against its count. The byte
+//! accounting models the deployment's wire format whatever the buffers
+//! hold: a row record is charged its framing plus its destination's id as
+//! a varint key, and a typed record its key and [`Encode::encoded_len`].
 
 use inferturbo_cluster::transport::{
     self, frame::EncodedKeyRecords, BucketRef, ConcatDest, ConcatExchange, Transport,
 };
 use inferturbo_cluster::{ClusterSpec, FaultInjector, MessagePlaneBytes, RunReport, WorkerPhase};
-use inferturbo_common::codec::{varint_len, Decode, Encode};
+use inferturbo_common::codec::{varint_len, Decode, Encode, WireReader};
 use inferturbo_common::hash::partition_of;
+use inferturbo_common::layout::{CellCounts, Layout, Route};
 use inferturbo_common::par::{par_map, par_map_workers};
-use inferturbo_common::rows::{row_payload_len, AggKind, FusedAggregator, FusedKeyShard, RowBlock};
-use inferturbo_common::{Error, FxHashMap, Result};
+use inferturbo_common::rows::{merge_partial, row_payload_len, AggKind, FusedAggregator, RowBlock};
+use inferturbo_common::{Error, Result};
 use inferturbo_obs::{Payload, RoundKind, Site, TraceHandle};
+
+/// A value of the typed plane. It encodes as itself; what a byte-moving
+/// transport hands back decodes with its key against the engine's layout,
+/// so a value may hold handles into the layout that its bytes name by id.
+/// Every plain [`Decode`] value is one.
+pub trait Shuffled<'l>: Encode + Clone + Send + Sized {
+    fn decode_keyed(key: u64, r: &mut WireReader<'_>, layout: &'l Layout) -> Result<Self>;
+}
+
+impl<'l, T: Encode + Decode + Clone + Send> Shuffled<'l> for T {
+    fn decode_keyed(_key: u64, r: &mut WireReader<'_>, _layout: &'l Layout) -> Result<Self> {
+        T::decode(r)
+    }
+}
 
 /// Keyed records routed to their destination worker, waiting to be grouped
 /// by the next phase. Byte sizes were charged to the *producing* phase as
@@ -92,50 +125,59 @@ impl<V> IntoIterator for KeyedData<V> {
     }
 }
 
-/// One task's row spool: keyed fixed-width rows with per-row fold counts
-/// (1 unless the spooling phase fused), in emission order — first-touch
-/// order when fused. Written once by its task, then only read by index.
+/// One (task, destination worker) cell of a row plane: the destination
+/// slots its rows are bound for, their fold counts (1 unless the phase
+/// fused) and the rows, in emission order — first-touch order when fused.
+/// Written once by its task, then only read.
 #[derive(Debug, Default)]
-struct RowSpool {
+struct RowCell {
     keys: Vec<u64>,
     counts: Vec<u32>,
     rows: RowBlock,
 }
 
-impl RowSpool {
-    /// The rows at the ascending indices `at`, copied into one contiguous
-    /// spool: what a byte-moving transport ships for one (mapper,
-    /// destination) pair.
-    fn pack(&self, at: &[u32]) -> RowSpool {
-        let mut out = RowSpool {
-            keys: Vec::with_capacity(at.len()),
-            counts: Vec::with_capacity(at.len()),
-            rows: RowBlock::new(self.rows.dim()),
-        };
-        for &i in at {
-            let i = i as usize;
-            out.keys.push(self.keys[i]);
-            out.counts.push(self.counts[i]);
-            out.rows.push_row(self.rows.row(i));
+impl RowCell {
+    fn with_capacity(rows: usize, dim: usize) -> Self {
+        let mut block = RowBlock::new(dim);
+        block.reserve_exact(rows * dim);
+        RowCell {
+            keys: Vec::with_capacity(rows),
+            counts: Vec::with_capacity(rows),
+            rows: block,
         }
-        out
+    }
+
+    fn push(&mut self, slot: u32, count: u32, row: &[f32]) {
+        self.keys.push(slot as u64);
+        self.counts.push(count);
+        self.rows.push_row(row);
+    }
+
+    /// Whether the cell holds exactly `planned` rows at capacity `planned`.
+    fn holds_exactly(&self, planned: usize) -> bool {
+        let dim = self.rows.dim();
+        self.keys.len() == planned
+            && self.keys.capacity() == planned
+            && self.counts.capacity() == planned
+            && self.rows.capacity() == planned * dim
     }
 }
 
 /// Keyed columnar rows routed to their destination workers — the columnar
 /// counterpart of [`KeyedData`], produced and consumed by the same phases.
-/// The rows stay in the spools they were written to; each destination
-/// holds the indices of the spool rows it receives.
+/// Each destination holds its senders' cells, ascending.
 pub struct KeyedRows<'a> {
     dim: usize,
     /// The fold of the phase that fused these rows, if it fused: the
     /// consuming reducer combines same-key partials with this fold and no
     /// other.
     agg: Option<&'a dyn FusedAggregator>,
-    spools: Vec<RowSpool>,
-    /// Per destination worker, its arrival order: `(spool, ascending row
-    /// indices)` per sending spool, in ascending mapper order.
-    per_worker: Vec<Vec<(usize, Vec<u32>)>>,
+    /// Per destination worker, the non-empty cells bound there in
+    /// ascending sender order: its arrival order.
+    per_worker: Vec<Vec<RowCell>>,
+    /// Per destination worker, when the producing phase was sized: the
+    /// slots its rows reach and the row records bound there.
+    planned: Option<Vec<(usize, usize)>>,
 }
 
 impl std::fmt::Debug for KeyedRows<'_> {
@@ -156,8 +198,8 @@ impl KeyedRows<'_> {
         KeyedRows {
             dim,
             agg: None,
-            spools: Vec::new(),
             per_worker: (0..workers).map(|_| Vec::new()).collect(),
+            planned: None,
         }
     }
 
@@ -167,11 +209,7 @@ impl KeyedRows<'_> {
 
     /// Total row records across all workers.
     pub fn len(&self) -> usize {
-        self.per_worker
-            .iter()
-            .flatten()
-            .map(|(_, at)| at.len())
-            .sum()
+        self.per_worker.iter().flatten().map(|c| c.keys.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -180,22 +218,19 @@ impl KeyedRows<'_> {
 
     /// Total raw messages represented (each row counts its folds).
     pub fn raw_message_count(&self) -> u64 {
-        (0..self.per_worker.len())
-            .map(|w| {
-                let mut raw = 0u64;
-                self.for_each_arrival(w, |_, count, _| raw += count as u64);
-                raw
-            })
+        self.per_worker
+            .iter()
+            .flatten()
+            .flat_map(|c| &c.counts)
+            .map(|&c| c as u64)
             .sum()
     }
 
-    /// Visit worker `w`'s rows as `(key, count, row)` in arrival order.
-    fn for_each_arrival(&self, w: usize, mut f: impl FnMut(u64, u32, &[f32])) {
-        for (s, at) in &self.per_worker[w] {
-            let spool = &self.spools[*s];
-            for &i in at {
-                let i = i as usize;
-                f(spool.keys[i], spool.counts[i], spool.rows.row(i));
+    /// Visit worker `w`'s rows as `(slot, count, row)` in arrival order.
+    fn for_each_arrival(&self, w: usize, mut f: impl FnMut(usize, u32, &[f32])) {
+        for cell in &self.per_worker[w] {
+            for (i, (&slot, &count)) in cell.keys.iter().zip(&cell.counts).enumerate() {
+                f(slot as usize, count, cell.rows.row(i));
             }
         }
     }
@@ -250,22 +285,76 @@ impl<'a> Fold<'a> {
     }
 }
 
-/// Columnar emitter handed to phase kernels: rows are spooled flat (no
+/// What a phase's buffers will hold, counted at plan time. A phase given
+/// counts reserves each task's row cells and typed output vector exactly,
+/// and hands its consumer the group counts its rows form; a debug build
+/// checks every buffer against its count. The default counts nothing:
+/// every buffer then grows as it is written.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sizes<'p> {
+    /// Rows per (task, destination worker) cell, the tasks being the
+    /// phase's senders: fused partials when the phase fuses, else
+    /// references. Its receivers are the slots the rows reach.
+    pub cells: Option<&'p CellCounts>,
+    /// Typed records each task emits.
+    pub typed: Option<&'p [usize]>,
+}
+
+impl Sizes<'_> {
+    /// Rows task `w`'s cell for worker `d` holds.
+    fn cell(&self, fused: bool, w: usize, d: usize) -> Option<usize> {
+        self.cells.map(|c| {
+            if fused {
+                c.partials(w, d)
+            } else {
+                c.refs(w, d)
+            }
+        })
+    }
+}
+
+/// Columnar emitter handed to phase kernels: a row scattered over a span
+/// of routes lands in one cell per destination worker, appended (no
 /// per-record heap object) or — when the phase has a [`FusedAggregator`] —
-/// folded straight into per-key accumulator rows at emission, Hadoop-style
-/// in-mapper combining. Either way the task's rows live in one spool.
+/// folded into the destination slot's accumulator row, copy-on-first,
+/// through a dense slot index: Hadoop-style in-mapper combining.
 pub struct RowSink<'a> {
     dim: usize,
+    layout: &'a Layout,
     fold: Option<Fold<'a>>,
-    spool: FusedKeyShard,
+    /// Per destination worker, the cell this task's rows bound there fill.
+    cells: Vec<RowCell>,
+    /// Per destination worker, when the phase fuses: slot → the row of its
+    /// cell that holds the slot's partial (`u32::MAX`: untouched).
+    index: Vec<Vec<u32>>,
 }
 
 impl<'a> RowSink<'a> {
-    fn new(dim: usize, agg: Option<&'a dyn FusedAggregator>) -> Self {
+    fn new(
+        dim: usize,
+        agg: Option<&'a dyn FusedAggregator>,
+        layout: &'a Layout,
+        w: usize,
+        sizes: &Sizes<'_>,
+    ) -> Self {
+        let n = layout.n_workers();
+        let fold = Fold::of(agg).filter(|_| dim > 0);
+        let cells = (0..n)
+            .map(|d| {
+                let planned = sizes.cell(fold.is_some(), w, d).filter(|_| dim > 0);
+                RowCell::with_capacity(planned.unwrap_or(0), dim)
+            })
+            .collect();
+        let index = match fold {
+            Some(_) => (0..n).map(|d| vec![u32::MAX; layout.n_slots(d)]).collect(),
+            None => Vec::new(),
+        };
         RowSink {
             dim,
-            fold: Fold::of(agg),
-            spool: FusedKeyShard::new(dim),
+            layout,
+            fold,
+            cells,
+            index,
         }
     }
 
@@ -275,72 +364,96 @@ impl<'a> RowSink<'a> {
         self.dim
     }
 
-    /// Emit one row keyed by `key` for the shuffle.
-    pub fn send_row(&mut self, key: u64, row: &[f32]) {
-        assert!(self.dim > 0, "send_row on a phase with no row plane");
+    /// Emit one row for every route of `routes`, in order, for the
+    /// shuffle.
+    pub fn scatter_row(&mut self, routes: &[Route], row: &[f32]) {
+        assert!(self.dim > 0, "scatter_row on a phase with no row plane");
+        debug_assert_eq!(row.len(), self.dim);
         match self.fold {
-            Some(Fold::Kind(kind)) => {
-                self.spool.accumulate(key, row, 1, &kind);
-            }
-            Some(Fold::Dyn(agg)) => {
-                self.spool.accumulate(key, row, 1, agg);
-            }
+            Some(Fold::Kind(kind)) => self.fold_over(routes, row, &kind),
+            Some(Fold::Dyn(agg)) => self.fold_over(routes, row, agg),
             None => {
-                self.spool.keys.push(key);
-                self.spool.counts.push(1);
-                self.spool.rows.push_row(row);
+                for &r in routes {
+                    let (d, slot) = self.layout.unpack(r);
+                    self.cells[d].push(slot, 1, row);
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn fold_over(&mut self, routes: &[Route], row: &[f32], agg: &(impl FusedAggregator + ?Sized)) {
+        for &r in routes {
+            let (d, slot) = self.layout.unpack(r);
+            let cell = &mut self.cells[d];
+            let at = &mut self.index[d][slot as usize];
+            if *at == u32::MAX {
+                *at = cell.keys.len() as u32;
+                cell.push(slot, 1, row);
+            } else {
+                agg.accumulate(cell.rows.row_mut(*at as usize), row);
+                cell.counts[*at as usize] += 1;
             }
         }
     }
 
     /// Resident bytes held by the sink and charged to the worker's memory
-    /// peak: the in-mapper fused accumulator buffer only. Plain-spooled
-    /// rows model as streamed to the shuffle (like the typed records), so
-    /// they cost shuffle bytes, not resident memory.
+    /// peak: the in-mapper fused accumulators only (lanes plus a 12-byte
+    /// key and count each). Plain rows model as streamed to the shuffle
+    /// (like the typed records), so they cost shuffle bytes, not resident
+    /// memory.
     fn resident_bytes(&self) -> u64 {
         if self.fold.is_none() {
             return 0;
         }
-        (self.spool.rows.data().len() * 4 + self.spool.keys.len() * 12) as u64
+        self.cells
+            .iter()
+            .map(|c| (c.rows.data().len() * 4 + c.keys.len() * 12) as u64)
+            .sum()
     }
 
-    /// Charge every spooled row's output bytes and record, per destination
-    /// of `n`, the ascending indices of the rows bound there. The rows stay
-    /// in the returned spool. Returns the spool, the index lists and the
-    /// columnar bytes sent.
+    /// Charge every row's output bytes — its framing, count and
+    /// destination id — and hand the cells over, one per destination. The
+    /// dense index goes here. Returns the cells and the columnar bytes
+    /// sent.
     fn flush(
         self,
         params: &PhaseParams,
-        n: usize,
+        w: usize,
+        sizes: &Sizes<'_>,
         metrics: &mut WorkerPhase,
-    ) -> Result<(RowSpool, Vec<Vec<u32>>, u64)> {
-        let FusedKeyShard {
-            keys, counts, rows, ..
-        } = self.spool;
-        if keys.len() > u32::MAX as usize {
-            return Err(Error::Capacity(format!(
-                "row spool overflow: {} rows from one task exceed the u32 index space",
-                keys.len()
-            )));
-        }
-        let mut routes: Vec<Vec<u32>> = (0..n).map(|_| Vec::new()).collect();
+    ) -> (Vec<RowCell>, u64) {
         let mut columnar = 0u64;
-        for (i, (&key, &count)) in keys.iter().zip(&counts).enumerate() {
-            let len = params.row_wire_len(key, self.dim, count);
-            metrics.send(len);
-            columnar += len;
-            routes[(params.partition_fn)(key, n)].push(i as u32);
+        for (d, cell) in self.cells.iter().enumerate() {
+            if self.dim > 0 {
+                if let Some(planned) = sizes.cell(self.fold.is_some(), w, d) {
+                    debug_assert!(
+                        cell.holds_exactly(planned),
+                        "row cell ({w} -> {d}) holds {} of {} rows planned, capacity {}",
+                        cell.keys.len(),
+                        planned,
+                        cell.keys.capacity()
+                    );
+                }
+            }
+            let ids = self.layout.ids(d);
+            for (&slot, &count) in cell.keys.iter().zip(&cell.counts) {
+                let len = params.row_wire_len(ids[slot as usize], self.dim, count);
+                metrics.send(len);
+                columnar += len;
+            }
         }
-        Ok((RowSpool { keys, counts, rows }, routes, columnar))
+        (self.cells, columnar)
     }
 }
 
-/// One reducer's rows grouped by key, in first-touch order: group `g` is
-/// `keys[g]`'s rows `starts[g]..starts[g + 1]` of `counts` / `rows`, and
-/// stands for `records[g]` shuffle records of `bytes[g]` wire bytes.
+/// One reducer's rows grouped by slot, in ascending id order: group `g` is
+/// slot `slots[g]`'s rows `starts[g]..starts[g + 1]` of `counts` / `rows`
+/// (one row each when combined), and stands for `records[g]` shuffle
+/// records of `bytes[g]` wire bytes.
 struct RowGroups {
     dim: usize,
-    keys: Vec<u64>,
+    slots: Vec<u32>,
     starts: Vec<usize>,
     counts: Vec<u32>,
     rows: RowBlock,
@@ -349,92 +462,102 @@ struct RowGroups {
 }
 
 impl RowGroups {
-    /// The reduce-side combine: fold each arriving partial into its key's
-    /// row, copy-on-first, in arrival order — the fold sequence the kernel's
-    /// own gather would run over the key's partials — so every group is
-    /// one row carrying the sum of their counts. Charges each record's
-    /// fetch to `metrics`.
-    fn combine(
+    /// Group worker `w`'s rows by slot in a counting pass: count each
+    /// slot's records (charging each record's fetch to `metrics`), order
+    /// the slots that received any by ascending id, then fill each group
+    /// in arrival order — folded through `fold`, copy-on-first, when the
+    /// rows were fused (the fold sequence the kernel's own gather would
+    /// run over the key's partials), else copied in place.
+    fn of(
         rows: &KeyedRows<'_>,
         w: usize,
-        fold: &(impl FusedAggregator + ?Sized),
-        params: &PhaseParams,
-        metrics: &mut WorkerPhase,
-    ) -> Self {
-        let dim = rows.dim;
-        let mut shard = FusedKeyShard::new(dim);
-        let (mut records, mut bytes) = (Vec::new(), Vec::new());
-        rows.for_each_arrival(w, |key, count, row| {
-            let len = params.row_wire_len(key, dim, count);
-            metrics.recv(len);
-            let g = shard.accumulate(key, row, count, fold);
-            if g == records.len() {
-                records.push(0);
-                bytes.push(0);
-            }
-            records[g] += 1;
-            bytes[g] += len;
-        });
-        let FusedKeyShard {
-            keys, counts, rows, ..
-        } = shard;
-        RowGroups {
-            dim,
-            starts: (0..=keys.len()).collect(),
-            keys,
-            counts,
-            rows,
-            records,
-            bytes,
-        }
-    }
-
-    /// Without a fold: group the rows by first touch, then stably
-    /// counting-scatter them into group order, arrival order within a
-    /// group. Charges each record's fetch to `metrics`.
-    fn gather(
-        rows: &KeyedRows<'_>,
-        w: usize,
+        layout: &Layout,
         params: &PhaseParams,
         metrics: &mut WorkerPhase,
     ) -> Result<Self> {
         let dim = rows.dim;
-        let mut index: FxHashMap<u64, usize> = FxHashMap::default();
-        let (mut keys, mut records, mut bytes) = (Vec::new(), Vec::new(), Vec::new());
-        let mut group_of: Vec<u32> = Vec::new();
-        rows.for_each_arrival(w, |key, count, _| {
-            let len = params.row_wire_len(key, dim, count);
-            metrics.recv(len);
-            let g = *index.entry(key).or_insert_with(|| {
-                keys.push(key);
-                records.push(0);
-                bytes.push(0);
-                keys.len() - 1
-            });
-            records[g] += 1;
-            bytes[g] += len;
-            group_of.push(g as u32);
+        let ids = layout.ids(w);
+        let record_len = |slot: usize, count: u32| params.row_wire_len(ids[slot], dim, count);
+        // Per slot: its records, then its group, then (uncombined) the
+        // cursor of its next row.
+        let mut tally = if rows.per_worker[w].is_empty() {
+            Vec::new()
+        } else {
+            vec![0u32; layout.n_slots(w)]
+        };
+        let (mut n_groups, mut n_rows) = (0usize, 0usize);
+        rows.for_each_arrival(w, |slot, count, _| {
+            metrics.recv(record_len(slot, count));
+            n_groups += usize::from(tally[slot] == 0);
+            n_rows += 1;
+            tally[slot] += 1;
         });
-        let mut starts = Vec::with_capacity(keys.len() + 1);
-        starts.push(0);
-        for &r in &records {
-            starts.push(starts[starts.len() - 1] + r);
+        if let Some(planned) = rows.planned.as_ref().map(|p| p[w]) {
+            debug_assert_eq!(
+                (n_groups, n_rows),
+                planned,
+                "reducer {w}: (groups, rows) against the plan"
+            );
         }
-        let total = group_of.len();
-        let mut cursor = starts.clone();
-        let mut counts = vec![0u32; total];
-        let mut data = vec![0.0f32; total * dim];
-        let mut arrival = group_of.iter();
-        rows.for_each_arrival(w, |_, count, row| {
-            let g = arrival.next().map_or(0, |&g| g as usize);
-            let at = cursor[g];
-            cursor[g] += 1;
-            counts[at] = count;
-            data[at * dim..(at + 1) * dim].copy_from_slice(row);
-        });
+        let mut slots = Vec::with_capacity(n_groups);
+        let mut records = Vec::with_capacity(n_groups);
+        if !tally.is_empty() {
+            for s in layout.slots_by_id(w) {
+                let t = tally[s as usize];
+                if t > 0 {
+                    slots.push(s);
+                    records.push(t as usize);
+                }
+            }
+        }
+        let fold = Fold::of(rows.agg);
+        let group_rows = if fold.is_some() { n_groups } else { n_rows };
+        let mut counts = vec![0u32; group_rows];
+        let mut data = vec![0.0f32; group_rows * dim];
+        let mut bytes = vec![0u64; n_groups];
+        let starts = match fold {
+            Some(fold) => {
+                for (g, &s) in slots.iter().enumerate() {
+                    tally[s as usize] = g as u32;
+                }
+                let mut groups = Combine {
+                    group_of: &tally,
+                    dim,
+                    data: &mut data,
+                    counts: &mut counts,
+                    bytes: &mut bytes,
+                };
+                match fold {
+                    Fold::Kind(kind) => groups.fold(rows, w, &record_len, &kind),
+                    Fold::Dyn(agg) => groups.fold(rows, w, &record_len, agg),
+                }
+                (0..=n_groups).collect()
+            }
+            None => {
+                let mut starts = Vec::with_capacity(n_groups + 1);
+                starts.push(0);
+                for (&s, &r) in slots.iter().zip(&records) {
+                    tally[s as usize] = starts[starts.len() - 1] as u32;
+                    starts.push(starts[starts.len() - 1] + r);
+                }
+                rows.for_each_arrival(w, |slot, count, row| {
+                    let at = tally[slot] as usize;
+                    tally[slot] += 1;
+                    counts[at] = count;
+                    data[at * dim..(at + 1) * dim].copy_from_slice(row);
+                });
+                for (g, &s) in slots.iter().enumerate() {
+                    bytes[g] = counts[starts[g]..starts[g + 1]]
+                        .iter()
+                        .map(|&c| record_len(s as usize, c))
+                        .sum();
+                }
+                starts
+            }
+        };
         Ok(RowGroups {
             dim,
-            keys,
+            slots,
             starts,
             counts,
             rows: RowBlock::from_parts(dim, data)?,
@@ -443,11 +566,8 @@ impl RowGroups {
         })
     }
 
-    /// Group ids in ascending key order (keys are distinct).
-    fn ascending(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.keys.len() as u32).collect();
-        order.sort_unstable_by_key(|&g| self.keys[g as usize]);
-        order
+    fn len(&self) -> usize {
+        self.slots.len()
     }
 
     fn view(&self, g: usize) -> RowsView<'_> {
@@ -461,16 +581,55 @@ impl RowGroups {
     }
 }
 
+/// The reduce-side combine's destination: one accumulator row per group.
+struct Combine<'g> {
+    /// Slot → its group.
+    group_of: &'g [u32],
+    dim: usize,
+    data: &'g mut [f32],
+    counts: &'g mut [u32],
+    bytes: &'g mut [u64],
+}
+
+impl Combine<'_> {
+    /// Fold each of worker `w`'s arriving partials into its slot's group
+    /// row, copy-on-first, in arrival order, so every group is one row
+    /// carrying the sum of their counts.
+    fn fold(
+        &mut self,
+        rows: &KeyedRows<'_>,
+        w: usize,
+        record_len: &impl Fn(usize, u32) -> u64,
+        agg: &(impl FusedAggregator + ?Sized),
+    ) {
+        let dim = self.dim;
+        rows.for_each_arrival(w, |slot, count, row| {
+            let g = self.group_of[slot] as usize;
+            self.bytes[g] += record_len(slot, count);
+            let acc = &mut self.data[g * dim..(g + 1) * dim];
+            merge_partial(acc, &mut self.counts[g], row, count, agg);
+        });
+    }
+}
+
 /// Per-record context passed to map/reduce kernels for cost reporting.
 #[derive(Default)]
 pub struct PhaseCtx {
     /// Floating-point operations performed by the kernel on this record.
     pub flops: f64,
+    /// Encoded bytes of the input record a map kernel read from its split.
+    read: u64,
 }
 
 impl PhaseCtx {
     pub fn add_flops(&mut self, f: f64) {
         self.flops += f;
+    }
+
+    /// Charge the encoded bytes of the input record a map kernel reads:
+    /// its split's share of the job input.
+    pub fn read(&mut self, bytes: u64) {
+        self.read += bytes;
     }
 }
 
@@ -529,10 +688,9 @@ impl TaskGate {
 struct PhaseOut<V> {
     metrics: WorkerPhase,
     routed: Vec<Vec<(u64, V)>>,
-    /// The task's row spool (empty when `row_dim == 0`) and, per
-    /// destination, the ascending indices of its rows bound there.
-    spool: RowSpool,
-    routes: Vec<Vec<u32>>,
+    /// The task's row cells, one per destination (empty when
+    /// `row_dim == 0`).
+    cells: Vec<RowCell>,
     /// Modelled peak resident bytes, checked against the spec at the merge.
     peak: u64,
     /// Message volume by plane.
@@ -542,32 +700,41 @@ struct PhaseOut<V> {
 }
 
 impl<V: Encode> PhaseOut<V> {
-    /// Close a task: route its typed records and flush its row sink, each
+    /// Close task `w`: route its typed records and flush its row sink, each
     /// record charged as output once. `held` is the task's modelled
     /// residency beside the sink's fused accumulators.
+    #[allow(clippy::too_many_arguments)]
     fn finish(
         params: &PhaseParams,
-        n: usize,
+        w: usize,
+        sizes: &Sizes<'_>,
         mut metrics: WorkerPhase,
         out: Vec<(u64, V)>,
         sink: RowSink<'_>,
         held: u64,
         retries: u64,
-    ) -> Result<Self> {
-        let mut routed: Vec<Vec<(u64, V)>> = (0..n).map(|_| Vec::new()).collect();
+    ) -> Self {
+        if let Some(planned) = sizes.typed.map(|t| t[w]) {
+            debug_assert!(
+                out.len() == planned && out.capacity() == planned,
+                "task {w} emitted {} of {planned} typed records planned, capacity {}",
+                out.len(),
+                out.capacity()
+            );
+        }
+        let n = sink.cells.len();
         let peak = held + sink.resident_bytes();
-        let legacy = route_records(params, out, &mut metrics, &mut routed);
-        let (spool, routes, columnar) = sink.flush(params, n, &mut metrics)?;
+        let (routed, legacy) = route_records(params, n, out, &mut metrics);
+        let (cells, columnar) = sink.flush(params, w, sizes, &mut metrics);
         metrics.touch_mem(peak);
-        Ok(PhaseOut {
+        PhaseOut {
             metrics,
             routed,
-            spool,
-            routes,
+            cells,
             peak,
             msg_bytes: MessagePlaneBytes { columnar, legacy },
             retries,
-        })
+        }
     }
 }
 
@@ -580,9 +747,11 @@ impl<V: Encode> PhaseOut<V> {
 const MAX_TASK_RETRIES: u32 = 3;
 
 /// The batch engine. Owns the cluster spec and accumulates a [`RunReport`]
-/// across phases; one engine instance = one job chain.
-pub struct BatchEngine {
+/// across phases over the layout it borrows; one engine instance = one
+/// job chain.
+pub struct BatchEngine<'l> {
     spec: ClusterSpec,
+    layout: &'l Layout,
     partition_fn: fn(u64, usize) -> usize,
     /// Fixed per-record overhead bytes modelling shuffle framing.
     record_overhead: u64,
@@ -607,10 +776,17 @@ pub struct BatchEngine {
     transport: std::sync::Arc<dyn Transport>,
 }
 
-impl BatchEngine {
-    pub fn new(spec: ClusterSpec) -> Self {
+impl<'l> BatchEngine<'l> {
+    /// An engine over `layout`, which must lay out `spec.workers` workers.
+    pub fn new(spec: ClusterSpec, layout: &'l Layout) -> Self {
+        assert_eq!(
+            layout.n_workers(),
+            spec.workers,
+            "the layout must lay out the cluster's workers"
+        );
         BatchEngine {
             spec,
+            layout,
             partition_fn: partition_of,
             record_overhead: 2,
             report: RunReport::new(spec),
@@ -693,71 +869,69 @@ impl BatchEngine {
         (gate, round)
     }
 
-    /// Distribute raw input records round-robin across mapper workers —
-    /// models HDFS splits, which are oblivious to record keys.
-    pub fn scatter_inputs<I>(&self, inputs: Vec<I>) -> Vec<Vec<I>> {
-        let n = self.spec.workers;
-        let mut per_worker: Vec<Vec<I>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, rec) in inputs.into_iter().enumerate() {
-            per_worker[i % n].push(rec);
-        }
-        per_worker
-    }
-
-    /// Map phase: per-worker input records → routed keyed pairs plus
+    /// Map phase: `inputs` input records → routed keyed pairs plus
     /// fixed-width rows of `row_dim` emitted through a [`RowSink`].
     ///
+    /// The records are split round-robin, as HDFS splits are oblivious to
+    /// record keys: worker `w` reads records `w, w + workers, …` in
+    /// ascending order, handing each index to its kernel, which charges
+    /// the record's encoded bytes ([`PhaseCtx::read`]).
     /// `make_map(worker)` builds the kernel each worker runs — one instance
     /// per worker, so kernels may carry per-worker mutable state. A kernel
     /// pushes its keyed pairs onto the task's output vector, which it
-    /// receives as its last argument. Workers execute in parallel; input
-    /// bytes are charged per record (reading the split); emitted pairs and
-    /// rows are charged as shuffle output. With `row_agg` set, emitted rows
-    /// fold into per-key accumulators at the sender (fused in-mapper
-    /// aggregation), and the returned rows carry `row_agg` to the reducer
-    /// that combines them. The first failure in ascending worker order is
-    /// surfaced, like the serial loop.
-    pub fn map_phase<'a, I, V, M, F>(
+    /// receives as its last argument. Workers execute in parallel; emitted
+    /// pairs and rows are charged as shuffle output. With `row_agg` set,
+    /// emitted rows fold into per-slot accumulators at the sender (fused
+    /// in-mapper aggregation), and the returned rows carry `row_agg` to the
+    /// reducer that combines them. `sizes`, when counted, are per mapper.
+    /// The first failure in ascending worker order is surfaced, like the
+    /// serial loop.
+    pub fn map_phase<'a, V, M, F>(
         &mut self,
         name: impl Into<String>,
-        inputs: &[Vec<I>],
+        inputs: usize,
         row_dim: usize,
         make_map: F,
         row_agg: Option<&'a dyn FusedAggregator>,
+        sizes: Sizes<'_>,
     ) -> Result<(KeyedData<V>, KeyedRows<'a>)>
     where
-        I: Encode + Sync,
-        V: Encode + Decode + Clone + Send,
-        M: FnMut(&mut PhaseCtx, &I, &mut RowSink<'_>, &mut Vec<(u64, V)>) -> Result<()>,
+        V: Shuffled<'l>,
+        M: FnMut(&mut PhaseCtx, usize, &mut RowSink<'_>, &mut Vec<(u64, V)>) -> Result<()>,
         F: Fn(usize) -> M + Sync,
     {
-        assert_eq!(
-            inputs.len(),
-            self.spec.workers,
-            "inputs must be pre-partitioned"
-        );
         let name = name.into();
         let n = self.spec.workers;
         let params = self.params();
+        let layout = self.layout;
         let (gate, round) = self.map_gate();
 
         let results: Vec<Result<PhaseOut<V>>> = par_map_workers(n, |w| {
             let task_retries = gate.admit(|inj| inj.map_task(w, round))?;
             let mut metrics = WorkerPhase::default();
             let mut kernel = make_map(w);
-            let mut out: Vec<(u64, V)> = Vec::new();
-            let mut sink = RowSink::new(row_dim, row_agg);
-            for rec in &inputs[w] {
-                metrics.recv(rec.encoded_len() as u64 + params.record_overhead);
+            let mut out: Vec<(u64, V)> = Vec::with_capacity(sizes.typed.map_or(0, |t| t[w]));
+            let mut sink = RowSink::new(row_dim, row_agg, layout, w, &sizes);
+            for i in (w..inputs).step_by(n) {
                 let mut ctx = PhaseCtx::default();
-                kernel(&mut ctx, rec, &mut sink, &mut out)?;
+                kernel(&mut ctx, i, &mut sink, &mut out)?;
+                metrics.recv(ctx.read + params.record_overhead);
                 metrics.flops += ctx.flops;
             }
             // Mapper memory: typed records stream to the shuffle; only the
             // row sink's fused accumulators stay resident.
-            PhaseOut::finish(&params, n, metrics, out, sink, 0, task_retries)
+            Ok(PhaseOut::finish(
+                &params,
+                w,
+                &sizes,
+                metrics,
+                out,
+                sink,
+                0,
+                task_retries,
+            ))
         });
-        self.merge_phase(name, RoundKind::Map, row_dim, row_agg, results)
+        self.merge_phase(name, RoundKind::Map, row_dim, row_agg, &sizes, results)
     }
 
     /// Reduce phase: group each worker's shuffle partition — typed records
@@ -776,7 +950,9 @@ impl BatchEngine {
     /// per-worker state across its key stream (e.g. the broadcast table
     /// riding reserved low keys). The modelled reducer memory peak is the
     /// largest single group plus the sink's fused accumulators — streaming
-    /// reducers never hold their whole partition.
+    /// reducers never hold their whole partition. `sizes`, when counted,
+    /// are per reducer.
+    #[allow(clippy::too_many_arguments)]
     pub fn reduce_phase<'b, V, O, R, F>(
         &mut self,
         name: impl Into<String>,
@@ -785,10 +961,11 @@ impl BatchEngine {
         out_dim: usize,
         make_reduce: F,
         row_agg: Option<&'b dyn FusedAggregator>,
+        sizes: Sizes<'_>,
     ) -> Result<(KeyedData<O>, KeyedRows<'b>)>
     where
-        V: Encode + Decode + Clone + Send,
-        O: Encode + Decode + Clone + Send,
+        V: Shuffled<'l>,
+        O: Shuffled<'l>,
         R: FnMut(
             &mut PhaseCtx,
             u64,
@@ -804,8 +981,8 @@ impl BatchEngine {
         assert_eq!(data.per_worker.len(), n, "keyed data shape");
         assert_eq!(rows.per_worker.len(), n, "keyed rows shape");
         let in_dim = rows.dim;
-        let fold = Fold::of(rows.agg);
         let params = self.params();
+        let layout = self.layout;
         let (gate, round) = self.reduce_gate();
 
         let results: Vec<Result<PhaseOut<O>>> = par_map(data.per_worker, |w, mut bucket| {
@@ -816,28 +993,22 @@ impl BatchEngine {
             // Each record of either plane is sized once, as it is grouped:
             // the same number is the fetch of this worker's shuffle
             // partition (input accounting) and its share of the group's
-            // residency. The fold is dispatched once, here.
-            let groups = match fold {
-                Some(Fold::Kind(kind)) => {
-                    RowGroups::combine(&rows, w, &kind, &params, &mut metrics)
-                }
-                Some(Fold::Dyn(agg)) => RowGroups::combine(&rows, w, agg, &params, &mut metrics),
-                None => RowGroups::gather(&rows, w, &params, &mut metrics)?,
-            };
-            let order = groups.ascending();
+            // residency.
+            let groups = RowGroups::of(&rows, w, layout, &params, &mut metrics)?;
+            let ids = layout.ids(w);
             // Stable, so same-key typed records keep arrival order.
             bucket.sort_by_key(|&(k, _)| k);
 
             let mut kernel = make_reduce(w);
-            let mut out: Vec<(u64, O)> = Vec::new();
+            let mut out: Vec<(u64, O)> = Vec::with_capacity(sizes.typed.map_or(0, |t| t[w]));
             let mut values: Vec<V> = Vec::new();
-            let mut sink = RowSink::new(out_dim, row_agg);
+            let mut sink = RowSink::new(out_dim, row_agg, layout, w, &sizes);
             let mut max_group_bytes = 0u64;
             let mut lit = bucket.into_iter().peekable();
             let mut gi = 0usize;
             loop {
                 let lk = lit.peek().map(|&(k, _)| k);
-                let rk = order.get(gi).map(|&g| groups.keys[g as usize]);
+                let rk = (gi < groups.len()).then(|| ids[groups.slots[gi] as usize]);
                 let k = match (lk, rk) {
                     (None, None) => break,
                     (Some(a), None) => a,
@@ -853,7 +1024,7 @@ impl BatchEngine {
                     values.push(v);
                 }
                 let view = if rk == Some(k) {
-                    let g = order[gi] as usize;
+                    let g = gi;
                     gi += 1;
                     group_bytes += groups.bytes[g];
                     groups.view(g)
@@ -870,37 +1041,39 @@ impl BatchEngine {
                 kernel(&mut ctx, k, &mut values, view, &mut sink, &mut out)?;
                 metrics.flops += ctx.flops;
             }
-            PhaseOut::finish(
+            Ok(PhaseOut::finish(
                 &params,
-                n,
+                w,
+                &sizes,
                 metrics,
                 out,
                 sink,
                 max_group_bytes,
                 task_retries,
-            )
+            ))
         });
-        // Every reducer has read its rows: the senders' spools go before
+        // Every reducer has read its rows: the senders' cells go before
         // this phase's own are merged.
         drop(rows);
-        self.merge_phase(name, RoundKind::Reduce, out_dim, row_agg, results)
+        self.merge_phase(name, RoundKind::Reduce, out_dim, row_agg, &sizes, results)
     }
 
     /// Barrier: surface the first failure in ascending worker order, check
     /// the memory model, and hand the routed shards — both planes — to the
-    /// shuffle [`Transport`]. Under a byte-moving backend each (mapper,
-    /// destination) share of rows is packed into one contiguous bucket and
-    /// the typed legacy records cross the wire through the `V` codec, and
-    /// the transport concatenates both per destination in mapper order
-    /// (the serial delivery order). In process, nothing is copied: rows stay
-    /// in their spools behind per-destination index lists, and the typed
-    /// records are concatenated in-engine.
-    fn merge_phase<'a, V: Encode + Decode + Clone + Send>(
+    /// shuffle [`Transport`]. Under a byte-moving backend every non-empty
+    /// (mapper, destination) cell is a bucket as it stands and the typed
+    /// legacy records cross the wire through their codec, and the
+    /// transport concatenates both per destination in mapper order (the
+    /// serial delivery order). In process, nothing is copied: each
+    /// destination keeps its senders' cells, and the typed records are
+    /// concatenated in-engine.
+    fn merge_phase<'a, V: Shuffled<'l>>(
         &mut self,
         name: String,
         kind: RoundKind,
         row_dim: usize,
         agg: Option<&'a dyn FusedAggregator>,
+        sizes: &Sizes<'_>,
         results: Vec<Result<PhaseOut<V>>>,
     ) -> Result<(KeyedData<V>, KeyedRows<'a>)> {
         let n = self.spec.workers;
@@ -908,8 +1081,7 @@ impl BatchEngine {
         let mut round_bytes = MessagePlaneBytes::default();
         let mut round_retries = 0u64;
         let mut routed_by_mapper: Vec<Vec<Vec<(u64, V)>>> = Vec::with_capacity(n);
-        let mut spools: Vec<RowSpool> = Vec::with_capacity(n);
-        let mut routes_by_mapper: Vec<Vec<Vec<u32>>> = Vec::with_capacity(n);
+        let mut cells_by_mapper: Vec<Vec<RowCell>> = Vec::with_capacity(n);
         for (w, r) in results.into_iter().enumerate() {
             let o = r.map_err(|e| e.in_phase(&name))?;
             self.spec
@@ -921,8 +1093,7 @@ impl BatchEngine {
             round_retries += o.retries;
             round_bytes.add(o.msg_bytes);
             routed_by_mapper.push(o.routed);
-            spools.push(o.spool);
-            routes_by_mapper.push(o.routes);
+            cells_by_mapper.push(o.cells);
         }
         let transport = std::sync::Arc::clone(&self.transport);
         let needs_bytes = transport.needs_bytes();
@@ -948,84 +1119,89 @@ impl BatchEngine {
         };
         let mut rows = KeyedRows::empty(row_dim, n);
         rows.agg = agg;
-        // A byte-moving transport gets, per destination, the packed bucket
-        // of every mapper that sent it rows, ascending. In process the rows
-        // stay in their spools and each destination keeps its senders'
-        // index lists, ascending.
-        let packed: Vec<Vec<RowSpool>> = if needs_bytes {
+        let fused = agg.is_some();
+        rows.planned = sizes.cells.map(|c| {
             (0..n)
-                .map(|dst| {
-                    spools
-                        .iter()
-                        .zip(&routes_by_mapper)
-                        .filter(|(_, routes)| !routes[dst].is_empty())
-                        .map(|(spool, routes)| spool.pack(&routes[dst]))
-                        .collect()
+                .map(|d| {
+                    let bound = (0..n).map(|s| sizes.cell(fused, s, d).unwrap_or(0)).sum();
+                    (c.receivers(d), bound)
                 })
                 .collect()
-        } else {
-            for (m, routes) in routes_by_mapper.into_iter().enumerate() {
-                for (dst, at) in routes.into_iter().enumerate() {
-                    if !at.is_empty() {
-                        rows.per_worker[dst].push((m, at));
-                    }
-                }
-            }
-            rows.spools = spools;
-            Vec::new()
-        };
+        });
         let dests = encoded_legacy
             .iter_mut()
             .enumerate()
-            .map(|(dst, legacy)| ConcatDest {
-                dim: row_dim,
-                // A destination no mapper sent rows to moves no row plane.
-                buckets: packed.get(dst).filter(|b| !b.is_empty()).map(|b| {
-                    b.iter()
-                        .map(|s| BucketRef {
-                            keys: &s.keys,
-                            counts: &s.counts,
-                            rows: &s.rows,
-                        })
-                        .collect()
-                }),
-                legacy: legacy.take(),
+            .map(|(dst, legacy)| {
+                // A byte-moving transport gets, per destination, the cell
+                // of every mapper that sent it rows, ascending; a
+                // destination no mapper sent rows to moves no row plane.
+                let buckets: Vec<BucketRef<'_>> = cells_by_mapper
+                    .iter()
+                    .map(|cells| &cells[dst])
+                    .filter(|c| needs_bytes && !c.keys.is_empty())
+                    .map(|c| BucketRef {
+                        keys: &c.keys,
+                        counts: &c.counts,
+                        rows: &c.rows,
+                    })
+                    .collect();
+                ConcatDest {
+                    dim: row_dim,
+                    buckets: (!buckets.is_empty()).then_some(buckets),
+                    legacy: legacy.take(),
+                }
             })
             .collect();
         let exchanged = transport
             .exchange_concat(ConcatExchange { dests })
             .map_err(|e| e.in_phase(&name))?;
-        drop(packed);
         self.report.wire_bytes += exchanged.wire_bytes;
-        let mut routed: Vec<Vec<(u64, V)>> = (0..n).map(|_| Vec::new()).collect();
+        if needs_bytes {
+            drop(cells_by_mapper);
+        } else {
+            // In process the cells stay as they are, each destination
+            // keeping its senders' in ascending order.
+            for cells in cells_by_mapper {
+                for (dst, cell) in cells.into_iter().enumerate() {
+                    if !cell.keys.is_empty() {
+                        rows.per_worker[dst].push(cell);
+                    }
+                }
+            }
+        }
+        let mut routed: Vec<Vec<(u64, V)>> = Vec::with_capacity(n);
         for (dst, merged) in exchanged.dests.into_iter().enumerate() {
             if let Some(b) = merged.bucket {
-                // What crossed the wire is one spool of its own.
-                let all = (0..b.keys.len() as u32).collect();
-                rows.per_worker[dst].push((rows.spools.len(), all));
-                rows.spools.push(RowSpool {
+                // What crossed the wire is one cell of its own.
+                rows.per_worker[dst].push(RowCell {
                     keys: b.keys,
                     counts: b.counts,
                     rows: b.rows,
                 });
             }
-            if let Some(records) = merged.legacy {
-                let typed = &mut routed[dst];
-                typed.reserve(records.len());
-                for (k, bytes) in records {
-                    let v = V::from_bytes(&bytes).map_err(|e| e.in_phase(&name))?;
-                    typed.push((k, v));
+            let typed = match merged.legacy {
+                Some(records) => {
+                    let mut typed = Vec::with_capacity(records.len());
+                    for (k, bytes) in records {
+                        let v =
+                            decode_keyed(k, &bytes, self.layout).map_err(|e| e.in_phase(&name))?;
+                        typed.push((k, v));
+                    }
+                    typed
                 }
-            }
-        }
-        if !needs_bytes {
-            // The typed legacy plane never left the engine: concatenate in
-            // ascending mapper order, exactly the serial delivery order.
-            for per_dest in routed_by_mapper {
-                for (dst, mut recs) in per_dest.into_iter().enumerate() {
-                    routed[dst].append(&mut recs);
+                // The typed legacy plane never left the engine:
+                // concatenate in ascending mapper order, exactly the
+                // serial delivery order.
+                None => {
+                    let total = routed_by_mapper.iter().map(|m| m[dst].len()).sum();
+                    let mut typed = Vec::with_capacity(total);
+                    for per_dest in &mut routed_by_mapper {
+                        typed.append(&mut per_dest[dst]);
+                    }
+                    typed
                 }
-            }
+            };
+            routed.push(typed);
         }
         if self.trace.enabled() {
             // Single-threaded barrier: the only place round telemetry is
@@ -1065,23 +1241,42 @@ impl BatchEngine {
     }
 }
 
+/// Decode one merged typed record whole, with its key, against `layout`.
+fn decode_keyed<'l, V: Shuffled<'l>>(key: u64, bytes: &[u8], layout: &'l Layout) -> Result<V> {
+    let mut r = WireReader::new(bytes);
+    let v = V::decode_keyed(key, &mut r, layout)?;
+    if !r.is_empty() {
+        return Err(Error::Codec(format!(
+            "{} trailing bytes after decode",
+            r.remaining()
+        )));
+    }
+    Ok(v)
+}
+
 /// Charge a worker's emitted typed pairs to its metrics and route them to
-/// their destination shards in emission order. Returns the total bytes
-/// routed (the typed plane's message volume); each pair is sized once.
+/// their destination shards in emission order, each shard sized exactly
+/// in a first counting pass. Returns the shards and the total bytes routed
+/// (the typed plane's message volume); each pair is sized once.
 fn route_records<V: Encode>(
     params: &PhaseParams,
+    n: usize,
     emitted: Vec<(u64, V)>,
     metrics: &mut WorkerPhase,
-    routed: &mut [Vec<(u64, V)>],
-) -> u64 {
+) -> (Vec<Vec<(u64, V)>>, u64) {
+    let mut per_dest = vec![0usize; n];
+    for (k, _) in &emitted {
+        per_dest[(params.partition_fn)(*k, n)] += 1;
+    }
+    let mut routed: Vec<Vec<(u64, V)>> = per_dest.into_iter().map(Vec::with_capacity).collect();
     let mut total = 0u64;
     for (k, v) in emitted {
         let len = params.wire_len(k, &v);
         metrics.send(len);
-        routed[(params.partition_fn)(k, routed.len())].push((k, v));
+        routed[(params.partition_fn)(k, n)].push((k, v));
         total += len;
     }
-    total
+    (routed, total)
 }
 
 #[cfg(test)]
@@ -1090,21 +1285,27 @@ mod tests {
     use inferturbo_cluster::transport::{ConcatOut, Exchange, ExchangeOut, InProcess};
     use std::sync::Arc;
 
-    fn engine(workers: usize) -> BatchEngine {
-        BatchEngine::new(ClusterSpec::test_spec(workers))
+    /// A layout placing no vertex: the address space of a chain that
+    /// ships typed records only.
+    fn typed_only(workers: usize) -> Layout {
+        Layout::planned(workers, std::iter::empty()).unwrap()
+    }
+
+    fn engine(layout: &Layout) -> BatchEngine<'_> {
+        BatchEngine::new(ClusterSpec::test_spec(layout.n_workers()), layout)
     }
 
     /// The last round's records as a per-key map (keys unique).
-    fn into_map<V>(data: KeyedData<V>) -> FxHashMap<u64, V> {
+    fn into_map<V>(data: KeyedData<V>) -> std::collections::BTreeMap<u64, V> {
         data.into_iter().collect()
     }
 
     /// A map phase that ships typed records only: `row_dim = 0`, sink
     /// ignored.
     fn map_typed<I, V, M>(
-        eng: &mut BatchEngine,
+        eng: &mut BatchEngine<'_>,
         name: &str,
-        inputs: &[Vec<I>],
+        inputs: &[I],
         make_map: impl Fn(usize) -> M + Sync,
     ) -> Result<KeyedData<V>>
     where
@@ -1114,17 +1315,20 @@ mod tests {
     {
         let make = |w| {
             let mut kernel = make_map(w);
-            move |ctx: &mut PhaseCtx, rec: &I, _sink: &mut RowSink<'_>, out: &mut Vec<(u64, V)>| {
-                out.extend(kernel(ctx, rec)?);
+            move |ctx: &mut PhaseCtx, i: usize, _sink: &mut RowSink<'_>, out: &mut Vec<(u64, V)>| {
+                ctx.read(inputs[i].encoded_len() as u64);
+                out.extend(kernel(ctx, &inputs[i])?);
                 Ok(())
             }
         };
-        Ok(eng.map_phase(name, inputs, 0, make, None)?.0)
+        Ok(eng
+            .map_phase(name, inputs.len(), 0, make, None, Sizes::default())?
+            .0)
     }
 
     /// The reduce counterpart of [`map_typed`].
     fn reduce_typed<V, O, R>(
-        eng: &mut BatchEngine,
+        eng: &mut BatchEngine<'_>,
         name: &str,
         data: KeyedData<V>,
         make_reduce: impl Fn(usize) -> R + Sync,
@@ -1149,16 +1353,18 @@ mod tests {
             }
         };
         let rows = KeyedRows::empty(0, workers);
-        Ok(eng.reduce_phase(name, data, rows, 0, make, None)?.0)
+        Ok(eng
+            .reduce_phase(name, data, rows, 0, make, None, Sizes::default())?
+            .0)
     }
 
     /// Word-count style pipeline: map words → (hash, 1), reduce sums.
     #[test]
     fn map_reduce_counts_keys() {
-        let mut eng = engine(4);
+        let layout = typed_only(4);
+        let mut eng = engine(&layout);
         let inputs: Vec<u64> = vec![1, 2, 1, 3, 1, 2];
-        let parts = eng.scatter_inputs(inputs);
-        let keyed = map_typed(&mut eng, "map", &parts, |_w| {
+        let keyed = map_typed(&mut eng, "map", &inputs, |_w| {
             |_ctx: &mut PhaseCtx, &rec: &u64| Ok(vec![(rec, 1.0f32)])
         })
         .unwrap();
@@ -1176,8 +1382,9 @@ mod tests {
     #[test]
     fn chained_rounds_propagate() {
         // Round 1 doubles values, round 2 negates; chain through reduce.
-        let mut eng = engine(2);
-        let parts = eng.scatter_inputs(vec![5u64, 6]);
+        let layout = typed_only(2);
+        let mut eng = engine(&layout);
+        let parts: Vec<u64> = vec![5u64, 6];
         let keyed = map_typed(&mut eng, "m", &parts, |_w| {
             |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, r as f32)])
         })
@@ -1200,8 +1407,9 @@ mod tests {
     fn reducer_memory_is_largest_group_not_partition() {
         // One giant key group and many tiny ones on the same worker: the
         // peak must track the giant group only.
-        let mut eng = BatchEngine::new(ClusterSpec::test_spec(1));
-        let parts = eng.scatter_inputs((0..100u64).collect());
+        let layout = typed_only(1);
+        let mut eng = engine(&layout);
+        let parts: Vec<u64> = (0..100u64).collect();
         let keyed = map_typed(&mut eng, "m", &parts, |_w| {
             |_c: &mut PhaseCtx, &r: &u64| {
                 Ok(if r < 50 {
@@ -1228,8 +1436,9 @@ mod tests {
     #[test]
     fn oversized_group_triggers_oom() {
         let spec = ClusterSpec::test_spec(1).with_memory(64);
-        let mut eng = BatchEngine::new(spec);
-        let parts = eng.scatter_inputs(vec![0u64; 10]);
+        let layout = typed_only(1);
+        let mut eng = BatchEngine::new(spec, &layout);
+        let parts = vec![0u64; 10];
         let keyed = map_typed(&mut eng, "m", &parts, |_w| {
             |_c: &mut PhaseCtx, _: &u64| Ok(vec![(1u64, vec![1.0f32; 8])])
         })
@@ -1245,8 +1454,9 @@ mod tests {
     #[test]
     fn phases_are_deterministic() {
         let run = || {
-            let mut eng = engine(4);
-            let parts = eng.scatter_inputs((0..200u64).collect());
+            let layout = typed_only(4);
+            let mut eng = engine(&layout);
+            let parts: Vec<u64> = (0..200u64).collect();
             let keyed = map_typed(&mut eng, "m", &parts, |_w| {
                 |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r % 13, r as f32)])
             })
@@ -1264,8 +1474,9 @@ mod tests {
 
     #[test]
     fn flops_feed_cost_model() {
-        let mut eng = engine(1);
-        let parts = eng.scatter_inputs(vec![0u64]);
+        let layout = typed_only(1);
+        let mut eng = engine(&layout);
+        let parts: Vec<u64> = vec![0u64];
         let keyed = map_typed(&mut eng, "m", &parts, |_w| {
             |ctx: &mut PhaseCtx, &r: &u64| {
                 ctx.add_flops(2.0e6); // 2 s at 1e6 flops/s
@@ -1280,8 +1491,9 @@ mod tests {
 
     #[test]
     fn input_bytes_charged_on_consuming_phase() {
-        let mut eng = engine(2);
-        let parts = eng.scatter_inputs(vec![1u64, 2]);
+        let layout = typed_only(2);
+        let mut eng = engine(&layout);
+        let parts: Vec<u64> = vec![1u64, 2];
         let keyed = map_typed(&mut eng, "m", &parts, |_w| {
             |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, vec![1.0f32; 16])])
         })
@@ -1299,8 +1511,9 @@ mod tests {
 
     #[test]
     fn kernel_errors_surface_from_lowest_worker() {
-        let mut eng = engine(3);
-        let parts = eng.scatter_inputs((0..9u64).collect());
+        let layout = typed_only(3);
+        let mut eng = engine(&layout);
+        let parts: Vec<u64> = (0..9u64).collect();
         let err = map_typed(&mut eng, "boom", &parts, |w| {
             move |_c: &mut PhaseCtx, _r: &u64| -> Result<Vec<(u64, f32)>> {
                 Err(inferturbo_common::Error::InvalidGraph(format!(
@@ -1325,9 +1538,63 @@ mod tests {
         }
     }
 
-    /// An in-process transport that asks for bytes: the engine packs every
-    /// (mapper, destination) share of rows into a contiguous bucket and
-    /// encodes the typed records, exactly as for a worker process.
+    /// A fused sink folds every row bound for one slot into that slot's
+    /// one partial, copy-on-first — a lone `-0.0` survives, which folding
+    /// into the identity would not keep — each destination's cell in
+    /// first-touch order; an unfused sink appends every row.
+    #[test]
+    fn a_fused_sink_folds_each_slot_copy_on_first() {
+        let layout = Layout::planned(2, (0..6u64).map(|k| (k, &[][..]))).unwrap();
+        let at = |k: u64| layout.resolve(k).unwrap();
+        for fused in [true, false] {
+            let agg: Option<&dyn FusedAggregator> = if fused { Some(&SumAgg) } else { None };
+            let mut sink = RowSink::new(2, agg, &layout, 0, &Sizes::default());
+            sink.scatter_row(&[at(4), at(1)], &[1.0, 2.0]);
+            sink.scatter_row(&[at(5)], &[-0.0, 1.0]);
+            sink.scatter_row(&[at(1), at(4)], &[3.0, 4.0]);
+            // Per destination worker: (slot, count, row bits) in cell order.
+            let mut expected: Vec<Vec<(u64, u32, [u32; 2])>> = vec![Vec::new(); 2];
+            let bits = |r: [f32; 2]| r.map(f32::to_bits);
+            let emitted: [(u64, [f32; 2]); 5] = [
+                (4, [1.0, 2.0]),
+                (1, [1.0, 2.0]),
+                (5, [-0.0, 1.0]),
+                (1, [3.0, 4.0]),
+                (4, [3.0, 4.0]),
+            ];
+            for (k, row) in emitted {
+                let (d, slot) = layout.unpack(at(k));
+                let cell = &mut expected[d];
+                match cell.iter_mut().find(|e| fused && e.0 == slot as u64) {
+                    Some(e) => {
+                        e.1 += 1;
+                        let acc = e.2.map(f32::from_bits);
+                        e.2 = bits([acc[0] + row[0], acc[1] + row[1]]);
+                    }
+                    None => cell.push((slot as u64, 1, bits(row))),
+                }
+            }
+            let (cells, _) = sink.flush(
+                &engine(&layout).params(),
+                0,
+                &Sizes::default(),
+                &mut WorkerPhase::default(),
+            );
+            for (d, cell) in cells.iter().enumerate() {
+                let got: Vec<(u64, u32, [u32; 2])> = (0..cell.keys.len())
+                    .map(|i| {
+                        let row = cell.rows.row(i);
+                        (cell.keys[i], cell.counts[i], bits([row[0], row[1]]))
+                    })
+                    .collect();
+                assert_eq!(got, expected[d], "fused={fused} destination {d}");
+            }
+        }
+    }
+
+    /// An in-process transport that asks for bytes: the engine hands it
+    /// every (mapper, destination) cell as a bucket and encodes the typed
+    /// records, exactly as for a worker process.
     #[derive(Debug)]
     struct Packing;
     impl Transport for Packing {
@@ -1359,10 +1626,12 @@ mod tests {
         }
     }
 
-    /// Drive one map+reduce chain over the columnar plane: every input
-    /// emits a dim-2 row `[order_lane(r), 1.0]` keyed by `r % 5` plus a
-    /// legacy marker record; the reducer must see both planes in the same
-    /// key group and fold the rows (honouring fused counts).
+    /// Drive one map+reduce chain over the columnar plane of a layout
+    /// placing vertices 0–4 on three workers: every input emits a dim-2
+    /// row `[order_lane(r), 1.0]` bound for vertex `r % 5` plus a legacy
+    /// marker record keyed by that vertex; the reducer must see both
+    /// planes in the same key group and fold the rows (honouring fused
+    /// counts).
     fn run_row_chain(fused: bool, threads: usize) -> (Vec<(u64, Vec<u32>)>, u64, u64) {
         run_row_chain_via(Arc::new(InProcess), fused, threads)
     }
@@ -1373,26 +1642,30 @@ mod tests {
         threads: usize,
     ) -> (Vec<(u64, Vec<u32>)>, u64, u64) {
         use inferturbo_common::Parallelism;
+        let layout = Layout::planned(3, (0..5u64).map(|k| (k, &[][..]))).unwrap();
+        let layout = &layout;
         Parallelism::with(threads, || {
-            let mut eng = engine(3).with_transport(transport);
-            let parts = eng.scatter_inputs((0..200u64).collect());
+            let mut eng = engine(layout).with_transport(transport);
             let agg: Option<&dyn FusedAggregator> = if fused { Some(&SumAgg) } else { None };
             let (keyed, rows) = eng
                 .map_phase(
                     "m",
-                    &parts,
+                    200,
                     2,
                     |_w| {
                         |_c: &mut PhaseCtx,
-                         &r: &u64,
+                         r: usize,
                          sink: &mut RowSink<'_>,
                          out: &mut Vec<(u64, u32)>| {
-                            sink.send_row(r % 5, &[order_lane(r), 1.0]);
-                            out.push((r % 5, 1u32));
+                            let key = r as u64 % 5;
+                            let route = layout.resolve(key).unwrap();
+                            sink.scatter_row(&[route], &[order_lane(r as u64), 1.0]);
+                            out.push((key, 1u32));
                             Ok(())
                         }
                     },
                     agg,
+                    Sizes::default(),
                 )
                 .unwrap();
             assert_eq!(rows.dim(), 2);
@@ -1429,6 +1702,7 @@ mod tests {
                         }
                     },
                     None,
+                    Sizes::default(),
                 )
                 .unwrap();
             assert!(out_rows.is_empty());
@@ -1524,9 +1798,9 @@ mod tests {
         }
     }
 
-    /// A byte-moving transport gets contiguous buckets packed from the
-    /// spools' index lists, and its reducers read what crossed: the same
-    /// rows in the same order, so the same bits and the same accounting.
+    /// A byte-moving transport gets every sender's cells as its buckets,
+    /// and its reducers read what crossed: the same rows in the same
+    /// order, so the same bits and the same accounting.
     #[test]
     fn packed_buckets_match_rows_read_in_place() {
         for fused in [false, true] {
@@ -1542,8 +1816,9 @@ mod tests {
     fn injected_task_failures_retry_idempotently() {
         use inferturbo_cluster::{FaultPlan, FaultSite};
         let run = |plan: Option<FaultPlan>| {
-            let mut eng = engine(3).with_fault_injector(plan.map(|p| p.injector()));
-            let parts = eng.scatter_inputs((0..60u64).collect());
+            let layout = typed_only(3);
+            let mut eng = engine(&layout).with_fault_injector(plan.map(|p| p.injector()));
+            let parts: Vec<u64> = (0..60u64).collect();
             let keyed = map_typed(&mut eng, "m", &parts, |_w| {
                 |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r % 7, r as f32)])
             })
@@ -1590,8 +1865,9 @@ mod tests {
             },
             MAX_TASK_RETRIES + 1,
         );
-        let mut eng = engine(2).with_fault_injector(Some(plan.injector()));
-        let parts = eng.scatter_inputs(vec![1u64, 2, 3]);
+        let layout = typed_only(2);
+        let mut eng = engine(&layout).with_fault_injector(Some(plan.injector()));
+        let parts: Vec<u64> = vec![1u64, 2, 3];
         let err = map_typed(&mut eng, "m", &parts, |_w| {
             |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, 1.0f32)])
         })
@@ -1607,8 +1883,9 @@ mod tests {
         // the round-robin scatter, proving kernels are not shared.
         use std::sync::atomic::{AtomicU64, Ordering};
         let counts: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
-        let mut eng = engine(3);
-        let parts = eng.scatter_inputs((0..10u64).collect());
+        let layout = typed_only(3);
+        let mut eng = engine(&layout);
+        let parts: Vec<u64> = (0..10u64).collect();
         let counts_ref = &counts;
         let keyed = map_typed(&mut eng, "m", &parts, |w| {
             move |_c: &mut PhaseCtx, &r: &u64| {

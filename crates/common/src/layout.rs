@@ -1,30 +1,39 @@
 //! The resident vertex layout: where every vertex lives and where each of
-//! its out-edges leads, decided once and shared by every run.
+//! its out-edges leads, decided once and shared by every run of both
+//! engines.
 //!
-//! A [`PregelLayout`] is the engine's placement made explicit, built in
-//! one go by [`PregelLayout::planned`]. Per worker it holds the **slot
-//! table** (vertex ids in slot order), for the whole cluster the one
-//! `id → (worker, slot)` index, and every vertex's out-edges as
-//! pre-resolved [`Route`]s in one flat CSR per worker (four bytes an
-//! edge), so a scatter names its destinations by position and the engine's
-//! routing loop never hashes an id. A program that addresses messages by
-//! vertex id instead lays out with empty target lists. A layout is
-//! immutable once built — the engine holds it behind an `Arc`, and a
-//! session plan keeps the same `Arc` alive across runs, which is what
-//! makes "load the graph once" literal.
-
-use inferturbo_common::hash::partition_of;
-use inferturbo_common::{Error, FxHashMap, Result};
+//! A [`Layout`] is the engines' placement made explicit, built in one go
+//! by [`Layout::planned`]. Per worker it holds the **slot table** (vertex
+//! ids in slot order), for the whole cluster the one `id → (worker, slot)`
+//! index and the load-position → (worker, slot) map, and every vertex's
+//! out-edges as pre-resolved [`Route`]s in one flat CSR per worker (four
+//! bytes an edge), so a scatter names its destinations by position and no
+//! routing loop hashes an id. A program that addresses messages by vertex
+//! id instead lays out with empty target lists. A layout is immutable once
+//! built — a session plan keeps it behind an `Arc` across runs, which is
+//! what makes "load the graph once" literal: the Pregel engine holds a
+//! clone of that `Arc`, the batch engine borrows it.
+use crate::hash::partition_of;
+use crate::{Error, FxHashMap, Result};
 use std::collections::hash_map::Entry;
 
 /// A pre-resolved message destination: the worker a vertex lives on and
 /// its slot there, packed into four bytes (worker in the high bits, slot
 /// in the low ones; the split is the layout's, fixed by its worker count —
-/// see [`PregelLayout::unpack`]). Routes are handed out by the
-/// [`PregelLayout`] that placed the vertex and are only meaningful on
+/// see [`Layout::unpack`]). Routes are handed out by the
+/// [`Layout`] that placed the vertex and are only meaningful on
 /// that layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Route(u32);
+
+#[inline]
+fn unpack(slot_bits: u32, route: Route) -> (usize, u32) {
+    let packed = route.0 as u64;
+    (
+        (packed >> slot_bits) as usize,
+        (packed & ((1u64 << slot_bits) - 1)) as u32,
+    )
+}
 
 /// One worker's share of the layout.
 #[derive(Debug, Clone)]
@@ -37,6 +46,9 @@ struct WorkerLayout {
     /// Slot `s`'s planned out-edges are `routes[offsets[s]..offsets[s+1]]`.
     offsets: Vec<u32>,
     routes: Vec<Route>,
+    /// The slots in ascending id order, when slot order is not already
+    /// that (mirrors interleave); empty when it is.
+    by_id: Vec<u32>,
 }
 
 impl WorkerLayout {
@@ -46,6 +58,7 @@ impl WorkerLayout {
             positions: Vec::new(),
             offsets: vec![0],
             routes: Vec::new(),
+            by_id: Vec::new(),
         }
     }
 
@@ -54,7 +67,7 @@ impl WorkerLayout {
     }
 }
 
-/// One vertex of a layout, as [`PregelLayout::vertices`] yields it.
+/// One vertex of a layout, as [`Layout::vertices`] yields it.
 #[derive(Debug, Clone, Copy)]
 pub struct PlacedVertex<'l> {
     pub id: u64,
@@ -67,22 +80,25 @@ pub struct PlacedVertex<'l> {
 
 /// See the module docs.
 #[derive(Debug, Clone)]
-pub struct PregelLayout {
+pub struct Layout {
     workers: Vec<WorkerLayout>,
     index: FxHashMap<u64, Route>,
+    /// Load position → where that vertex lives.
+    placed: Vec<Route>,
     /// Low bits of a [`Route`] that hold the slot: 32 minus what it takes
     /// to number the workers.
     slot_bits: u32,
 }
 
-impl PregelLayout {
+impl Layout {
     /// An empty layout over `workers` workers, for
-    /// [`PregelLayout::planned`] to fill.
+    /// [`Layout::planned`] to fill.
     fn new(workers: usize) -> Self {
         let worker_bits = usize::BITS - workers.saturating_sub(1).leading_zeros();
-        PregelLayout {
+        Layout {
             workers: (0..workers).map(|_| WorkerLayout::new()).collect(),
             index: FxHashMap::default(),
+            placed: Vec::new(),
             slot_bits: 32u32.saturating_sub(worker_bits),
         }
     }
@@ -90,14 +106,10 @@ impl PregelLayout {
     /// The (worker, slot) a route names. Workers × slots share 32 bits:
     /// with `W` workers a worker holds up to `2^(32 - ⌈log2 W⌉)` slots —
     /// about 2^32 vertices in all under hash partitioning, the same bound
-    /// the engine's `u32` slots and arena offsets already set.
+    /// the engines' `u32` slots and arena offsets already set.
     #[inline]
     pub fn unpack(&self, route: Route) -> (usize, u32) {
-        let packed = route.0 as u64;
-        (
-            (packed >> self.slot_bits) as usize,
-            (packed & ((1u64 << self.slot_bits) - 1)) as u32,
-        )
+        unpack(self.slot_bits, route)
     }
 
     /// Place one more vertex: hash-partitioned to its worker, appended to
@@ -130,6 +142,7 @@ impl PregelLayout {
         worker.ids.push(id);
         worker.positions.push(position);
         worker.offsets.push(worker.routes.len() as u32);
+        self.placed.push(route);
         Ok(route)
     }
 
@@ -147,18 +160,16 @@ impl PregelLayout {
     where
         I: Iterator<Item = (u64, &'a [u64])> + Clone,
     {
-        let mut layout = PregelLayout::new(workers);
+        let mut layout = Layout::new(workers);
         let n = vertices.size_hint().0;
         layout.index.reserve(n);
-        // Where each vertex landed, in load order, and each worker's
-        // out-edge total so its CSR is allocated once, exactly.
-        let mut placed = Vec::with_capacity(n);
+        layout.placed.reserve_exact(n);
+        // Each worker's out-edge total, so its CSR is allocated once,
+        // exactly.
         let mut n_routes = vec![0usize; workers];
         for (id, targets) in vertices.clone() {
             let route = layout.add_vertex(id)?;
-            let at = layout.unpack(route);
-            n_routes[at.0] += targets.len();
-            placed.push(at);
+            n_routes[layout.unpack(route).0] += targets.len();
         }
         for (worker, &n) in layout.workers.iter_mut().zip(&n_routes) {
             if u32::try_from(n).is_err() {
@@ -168,8 +179,14 @@ impl PregelLayout {
             }
             worker.routes.reserve_exact(n);
         }
-        let PregelLayout { workers, index, .. } = &mut layout;
-        for ((w, slot), (_, targets)) in placed.into_iter().zip(vertices) {
+        let Layout {
+            workers,
+            index,
+            placed,
+            slot_bits,
+        } = &mut layout;
+        for (&route, (_, targets)) in placed.iter().zip(vertices) {
+            let (w, slot) = unpack(*slot_bits, route);
             let worker = &mut workers[w];
             for &t in targets {
                 let route = index
@@ -180,6 +197,13 @@ impl PregelLayout {
             // Vertices of one worker arrive in slot order, so its CSR
             // closes one slot at a time.
             worker.offsets[slot as usize + 1] = worker.routes.len() as u32;
+        }
+        for worker in workers.iter_mut() {
+            if !worker.ids.is_sorted() {
+                let mut by_id: Vec<u32> = (0..worker.ids.len() as u32).collect();
+                by_id.sort_unstable_by_key(|&s| worker.ids[s as usize]);
+                worker.by_id = by_id;
+            }
         }
         Ok(layout)
     }
@@ -213,8 +237,30 @@ impl PregelLayout {
         self.index.get(&id).copied()
     }
 
+    /// Where the vertex loaded at `position` lives.
+    pub fn placed(&self, position: usize) -> Route {
+        self.placed[position]
+    }
+
+    /// The planned out-edges of the vertex a route leads to.
+    pub fn edges(&self, route: Route) -> &[Route] {
+        let (w, slot) = self.unpack(route);
+        self.workers[w].edges(slot as usize)
+    }
+
+    /// Worker `w`'s slots in ascending vertex-id order: slot order itself
+    /// unless mirrors interleave the ids, then the permutation computed
+    /// once at build time.
+    pub fn slots_by_id(&self, w: usize) -> impl Iterator<Item = u32> + '_ {
+        let worker = &self.workers[w];
+        (0..worker.ids.len() as u32).map(|s| match worker.by_id.get(s as usize) {
+            Some(&by_id) => by_id,
+            None => s,
+        })
+    }
+
     /// Every vertex in engine order: worker ascending, slot ascending —
-    /// the order [`crate::PregelEngine::with_layout`] takes its states in.
+    /// the order the Pregel engine takes its states in.
     pub fn vertices(&self) -> impl Iterator<Item = PlacedVertex<'_>> {
         self.workers.iter().flat_map(|worker| {
             (0..worker.ids.len()).map(move |s| PlacedVertex {
@@ -227,11 +273,38 @@ impl PregelLayout {
 
     /// How many rows each cell of a superstep's shard grid takes when
     /// every vertex `sends` admits (by load position) scatters one row over
-    /// all its planned out-edges: per sender worker the rows its table
-    /// takes, per (sender, destination worker) the references it sends and
-    /// the distinct destination slots it folds into. One O(E) pass over a
-    /// last-seen-sender array.
+    /// all its planned out-edges from the worker it lives on: per sender
+    /// worker the rows its table takes, per (sender, destination worker)
+    /// the references it sends and the distinct destination slots it folds
+    /// into, and per destination the distinct slots any sender reaches.
+    /// One O(E) pass over a last-seen-sender array.
     pub fn cell_counts(&self, sends: impl Fn(usize) -> bool) -> CellCounts {
+        let senders = self.workers.iter().enumerate().flat_map(|(w, worker)| {
+            (0..worker.ids.len()).map(move |s| (w, worker.positions[s] as usize, worker.edges(s)))
+        });
+        self.count_cells(senders, sends)
+    }
+
+    /// [`Layout::cell_counts`] for a round-robin split of the vertices
+    /// instead: the vertex loaded at position `p` scatters from worker
+    /// `p % workers`, the order a map phase's input splits take.
+    pub fn split_cell_counts(&self, sends: impl Fn(usize) -> bool) -> CellCounts {
+        let n = self.workers.len();
+        let senders = (0..n).flat_map(|m| {
+            (m..self.placed.len())
+                .step_by(n.max(1))
+                .map(move |p| (m, p, self.edges(self.placed[p])))
+        });
+        self.count_cells(senders, sends)
+    }
+
+    /// The counting pass behind both: `senders` yields `(sender worker,
+    /// load position, out-edges)` with each sender's vertices together.
+    fn count_cells<'l>(
+        &self,
+        senders: impl Iterator<Item = (usize, usize, &'l [Route])>,
+        sends: impl Fn(usize) -> bool,
+    ) -> CellCounts {
         let n = self.workers.len();
         let mut base = Vec::with_capacity(n);
         let mut total = 0usize;
@@ -244,23 +317,24 @@ impl PregelLayout {
             table_rows: vec![0; n],
             refs: vec![0; n * n],
             partials: vec![0; n * n],
+            receivers: vec![0; n],
         };
         let mut last_sender = vec![u32::MAX; total];
-        for (w, worker) in self.workers.iter().enumerate() {
-            for (s, &position) in worker.positions.iter().enumerate() {
-                let edges = worker.edges(s);
-                if edges.is_empty() || !sends(position as usize) {
-                    continue;
-                }
-                counts.table_rows[w] += 1;
-                for &r in edges {
-                    let (w2, slot) = self.unpack(r);
-                    counts.refs[w * n + w2] += 1;
-                    let seen = &mut last_sender[base[w2] + slot as usize];
-                    if *seen != w as u32 {
-                        *seen = w as u32;
-                        counts.partials[w * n + w2] += 1;
+        for (w, position, edges) in senders {
+            if edges.is_empty() || !sends(position) {
+                continue;
+            }
+            counts.table_rows[w] += 1;
+            for &r in edges {
+                let (w2, slot) = self.unpack(r);
+                counts.refs[w * n + w2] += 1;
+                let seen = &mut last_sender[base[w2] + slot as usize];
+                if *seen != w as u32 {
+                    if *seen == u32::MAX {
+                        counts.receivers[w2] += 1;
                     }
+                    *seen = w as u32;
+                    counts.partials[w * n + w2] += 1;
                 }
             }
         }
@@ -269,7 +343,7 @@ impl PregelLayout {
 }
 
 /// The size of every cell of a superstep's shard grid, counted once from a
-/// layout ([`PregelLayout::cell_counts`]) so an engine can reserve each
+/// layout ([`Layout::cell_counts`]) so an engine can reserve each
 /// pooled cell exactly instead of growing it. The default counts nothing:
 /// every cell then grows as it is written.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -281,6 +355,8 @@ pub struct CellCounts {
     refs: Vec<usize>,
     /// `[sender * workers + destination]`: distinct destination slots.
     partials: Vec<usize>,
+    /// Per destination worker: distinct slots any sender reaches.
+    receivers: Vec<usize>,
 }
 
 impl CellCounts {
@@ -298,6 +374,11 @@ impl CellCounts {
     /// partials bound there.
     pub fn partials(&self, w: usize, w2: usize) -> usize {
         self.cell(&self.partials, w, w2)
+    }
+
+    /// Distinct slots of worker `w2` that receive any row.
+    pub fn receivers(&self, w2: usize) -> usize {
+        self.receivers.get(w2).copied().unwrap_or(0)
     }
 
     fn cell(&self, cells: &[usize], w: usize, w2: usize) -> usize {
@@ -333,8 +414,8 @@ mod tests {
         ]
     }
 
-    fn plan(workers: usize, adj: &[(u64, Vec<u64>)]) -> Result<PregelLayout> {
-        PregelLayout::planned(workers, adj.iter().map(|(id, t)| (*id, t.as_slice())))
+    fn plan(workers: usize, adj: &[(u64, Vec<u64>)]) -> Result<Layout> {
+        Layout::planned(workers, adj.iter().map(|(id, t)| (*id, t.as_slice())))
     }
 
     #[test]

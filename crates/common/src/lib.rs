@@ -13,6 +13,7 @@ pub mod codec;
 pub mod error;
 pub mod group;
 pub mod hash;
+pub mod layout;
 pub mod par;
 pub mod rng;
 pub mod rows;
@@ -21,6 +22,7 @@ pub mod stats;
 pub use codec::{Decode, Encode, WireReader, WireWriter};
 pub use error::{Error, Result};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use layout::{CellCounts, Layout, PlacedVertex, Route};
 pub use par::{
     par_chunks_mut, par_map, par_map_workers, Parallelism, ReorderBuffer, Ticket, TicketLine,
 };

@@ -62,7 +62,7 @@
 //! and plans report separately.
 
 use crate::codec::{varint_len, Decode, Encode, WireReader, WireWriter};
-use crate::{Error, FxHashMap, Result};
+use crate::{Error, Result};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1428,68 +1428,6 @@ impl FusedRows {
     }
 }
 
-/// A fused spool keyed by sparse `u64` keys — the batch engine's analogue
-/// of [`FusedSlotShard`] (shuffle keys are wire ids, not dense slots, so
-/// the index is a hash map). The engine folds into one on both sides of
-/// the shuffle: the sender's in-mapper combine and the reducer's combine
-/// of the partials that land on it.
-pub struct FusedKeyShard {
-    dim: usize,
-    index: FxHashMap<u64, u32>,
-    pub keys: Vec<u64>,
-    pub counts: Vec<u32>,
-    pub rows: RowBlock,
-}
-
-impl FusedKeyShard {
-    pub fn new(dim: usize) -> Self {
-        FusedKeyShard {
-            dim,
-            index: FxHashMap::default(),
-            keys: Vec::new(),
-            counts: Vec::new(),
-            rows: RowBlock::new(dim),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Fold `row` (carrying `count` raw messages) into `key`'s accumulator,
-    /// copy-on-first. Returns the key's index in first-touch order.
-    #[inline]
-    pub fn accumulate(
-        &mut self,
-        key: u64,
-        row: &[f32],
-        count: u32,
-        agg: &(impl FusedAggregator + ?Sized),
-    ) -> usize {
-        debug_assert_eq!(row.len(), self.dim);
-        match self.index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let at = *e.get() as usize;
-                agg.accumulate(self.rows.row_mut(at), row);
-                self.counts[at] += count;
-                at
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let at = self.keys.len();
-                e.insert(at as u32);
-                self.keys.push(key);
-                self.counts.push(count);
-                self.rows.push_row(row);
-                at
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2018,17 +1956,6 @@ mod tests {
         let err = check_u32_row_capacity(u32::MAX as usize + 1).unwrap_err();
         assert!(matches!(err, Error::Capacity(_)), "{err:?}");
         assert!(err.to_string().contains("row arena overflow"), "{err}");
-    }
-
-    #[test]
-    fn fused_key_shard_folds_sparse_keys() {
-        let mut sh = FusedKeyShard::new(2);
-        assert_eq!(sh.accumulate(1 << 40, &[1.0, 2.0], 1, &Sum), 0);
-        assert_eq!(sh.accumulate(7, &[5.0, 5.0], 1, &Sum), 1);
-        assert_eq!(sh.accumulate(1 << 40, &[1.0, 1.0], 2, &Sum), 0);
-        assert_eq!(sh.keys, vec![1 << 40, 7]);
-        assert_eq!(sh.counts, vec![3, 1]);
-        assert_eq!(sh.rows.row(0), &[2.0, 3.0]);
     }
 
     #[test]

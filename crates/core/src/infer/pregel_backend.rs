@@ -44,7 +44,7 @@
 //! table.
 //!
 //! Where the graph lives: the plan lays the shadow-transformed adjacency
-//! out as a [`PregelLayout`](inferturbo_pregel::PregelLayout) once, at
+//! out as a [`Layout`](inferturbo_common::Layout) once, at
 //! plan time — placement, the id index, and every out-target resolved to a
 //! route — and keeps nothing else of the graph but each node's logical
 //! degrees. A run borrows it: a vertex
@@ -57,12 +57,13 @@
 use crate::gas::{GasLayer, GnnMessage, NodeCtx};
 use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
-use crate::plan::{InferencePlan, Loadable};
+use crate::plan::{InferencePlan, Laid, Loadable};
 use crate::strategy::{base_of, mirror_of, StrategyConfig};
+use inferturbo_common::layout::Route;
 use inferturbo_common::{Error, Result};
 use inferturbo_obs::TraceHandle;
 use inferturbo_pregel::{
-    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, Route, ScratchPool,
+    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, ScratchPool,
     VertexProgram,
 };
 use std::sync::Arc;
@@ -326,12 +327,12 @@ fn engine_for<'g, P>(
 where
     P: VertexProgram<State = GnnVertexState<'g>>,
 {
-    let Loadable::Pregel {
+    let Loadable::Pregel(Laid {
         layout,
         cells,
         in_deg,
         out_deg,
-    } = &plan.loadable
+    }) = &plan.loadable
     else {
         return Err(Error::Internal(
             "a Pregel plan is built with its layout".into(),
@@ -417,7 +418,7 @@ mod tests {
             .plan()
             .unwrap();
         assert!(plan.summary().mirrors > 0, "mirrors must engage");
-        let Loadable::Pregel { layout, .. } = &plan.loadable else {
+        let Loadable::Pregel(Laid { layout, .. }) = &plan.loadable else {
             panic!("a Pregel plan holds its layout");
         };
         let probe = Arc::clone(layout);
@@ -463,7 +464,7 @@ mod tests {
         let b = plan.run_with_features(&features).unwrap();
         assert_ne!(a.logits, b.logits);
         assert_eq!(plan.run().unwrap().logits, a.logits);
-        let Loadable::Pregel { layout, .. } = &plan.loadable else {
+        let Loadable::Pregel(Laid { layout, .. }) = &plan.loadable else {
             unreachable!()
         };
         assert!(Arc::ptr_eq(&probe, layout), "a run replaced the layout");
@@ -567,9 +568,9 @@ mod tests {
             lent: Arc::clone(&lent),
         };
         let mut engine = engine_for(&plan, None, TraceHandle::disabled(), probe).unwrap();
-        let Loadable::Pregel {
+        let Loadable::Pregel(Laid {
             layout, out_deg, ..
-        } = &plan.loadable
+        }) = &plan.loadable
         else {
             panic!("a Pregel plan holds its layout");
         };

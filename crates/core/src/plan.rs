@@ -4,27 +4,28 @@
 //! An [`InferencePlan`] owns every piece of one-time work a run would
 //! otherwise redo:
 //!
-//! - the graph with the shadow-nodes transform applied, held once in the
-//!   one form the chosen backend loads (`Loadable`): the transform is one
-//!   pass from the out-CSR into a flat adjacency (degree arrays and
-//!   hub-threshold grouping included), which a Pregel plan lays out and a
-//!   MapReduce plan materializes into [`NodeRecord`]s;
+//! - the graph with the shadow-nodes transform applied, held once: the
+//!   transform is one pass from the out-CSR into a flat adjacency (degree
+//!   arrays and hub-threshold grouping included), which a cluster plan
+//!   lays out and then drops;
 //! - the resolved hub threshold and hub/mirror counts;
 //! - a [`PlanEstimate`] predicting per-layer shuffle bytes by message
 //!   plane and peak per-worker memory for both backends, derived from the
 //!   same cost-model units as [`inferturbo_cluster::RunReport`];
 //! - the resolved backend (auto-selection happens at plan time);
-//! - for the Pregel backend, the engine's [`PregelLayout`]: every record
-//!   placed on its worker, the `id → (worker, slot)` index, and every
-//!   out-target resolved to a route — the graph is laid out once here, a
-//!   run borrows it (behind an `Arc`, never written). From it the plan
-//!   counts, once, how many rows each cell of a superstep's shard grid
-//!   takes ([`CellCounts`]): the estimate's row traffic is their sum, not
-//!   a bound. Beside them the plan keeps only each node's logical
-//!   degrees: a run reads raw features from the graph itself;
+//! - for either cluster backend, the engines' shared [`Layout`]: every
+//!   record placed on its worker, the `id → (worker, slot)` index, and
+//!   every out-target resolved to a route — the graph is laid out once
+//!   here, a run borrows it (behind an `Arc`, never written). From it the
+//!   plan counts, once, how many rows each (sender, destination) cell of a
+//!   round takes ([`CellCounts`]): Pregel's estimate charges their sum, not
+//!   a bound. Beside them the plan keeps only each node's logical degrees
+//!   (a run reads raw features from the graph itself) and, for MapReduce,
+//!   the counts only that backend reads (`MapSplit`);
 //! - the pooled per-worker Pregel engine scratch ([`ScratchPool`]), each
 //!   grid cell reserved exactly from those counts, so repeated runs
-//!   neither reallocate nor regrow it.
+//!   neither reallocate nor regrow it. A MapReduce run reserves each of its
+//!   buffers from the same counts instead, and keeps none between rounds.
 //!
 //! Plans are inspectable ([`InferencePlan::summary`]) and reusable:
 //! repeated [`InferencePlan::run`] calls are bit-identical to each other
@@ -34,21 +35,23 @@
 //! embeddings over a stable graph.
 
 use crate::gas::GnnMessage;
-use crate::infer::{mr_backend, pregel_backend, reference_logits, InferenceOutput};
+use crate::infer::mr_backend::{self, MapSplit};
+use crate::infer::{pregel_backend, reference_logits, InferenceOutput};
 use crate::models::GnnModel;
 use crate::session::{Backend, SessionBuilder};
-use crate::strategy::{NodeRecord, ShadowAdjacency, StrategyConfig};
+use crate::strategy::{ShadowAdjacency, StrategyConfig};
 use inferturbo_cluster::{
     ClusterSpec, FaultInjector, InProcess, LayerEstimate, PlanEstimate, RecoveryPolicy, RunReport,
     Transport,
 };
 use inferturbo_common::codec::varint_len;
 use inferturbo_common::hash::partition_of;
+use inferturbo_common::layout::{CellCounts, Layout};
 use inferturbo_common::rows::{row_payload_len, SpillPolicy};
 use inferturbo_common::{Error, Result};
 use inferturbo_graph::Graph;
 use inferturbo_obs::{MetricsRegistry, TraceHandle};
-use inferturbo_pregel::{CellCounts, PregelLayout, ScratchPool};
+use inferturbo_pregel::ScratchPool;
 use std::sync::{Arc, Mutex};
 
 use crate::gas::GasLayer;
@@ -105,25 +108,29 @@ pub struct InferencePlan<'a> {
     scratch: Mutex<Option<ScratchPool<GnnMessage>>>,
 }
 
-/// The shadow-transformed graph as a plan holds it: once, in the one form
-/// its backend's runs read.
+/// The shadow-transformed graph as a plan holds it: once, laid out for
+/// the engines, or not at all.
 pub(crate) enum Loadable {
     /// `Backend::Reference` reads `(model, graph)` and plans nothing.
     Nothing,
-    /// The Pregel engine's layout of every record (placement, id index,
-    /// pre-resolved routes), shared by every run, the rows each cell of a
-    /// superstep's shard grid takes (the plan's engine scratch is reserved
-    /// from them), and each node's logical degrees, which its mirrors
-    /// share. A run reads raw features from the graph (or the caller's
-    /// matrix), so no record is built.
-    Pregel {
-        layout: Arc<PregelLayout>,
-        cells: CellCounts,
-        in_deg: Vec<u32>,
-        out_deg: Vec<u32>,
-    },
-    /// The loadable records a MapReduce run shuffles by reference.
-    MapReduce(Vec<NodeRecord>),
+    /// The graph a Pregel run loads its vertex states from.
+    Pregel(Laid),
+    /// The same graph a MapReduce run's map tasks read, plus the counts
+    /// only that backend sizes its buffers from.
+    MapReduce(Laid, MapSplit),
+}
+
+/// The engines' layout of every record (placement, id index, pre-resolved
+/// routes), shared by every run, the rows each (sender, destination) cell
+/// of a round takes under the hub rule (buffers are reserved from them),
+/// and each node's logical degrees, which its mirrors share. A run reads
+/// raw features from the graph (or the caller's matrix), so no record is
+/// built.
+pub(crate) struct Laid {
+    pub(crate) layout: Arc<Layout>,
+    pub(crate) cells: CellCounts,
+    pub(crate) in_deg: Vec<u32>,
+    pub(crate) out_deg: Vec<u32>,
 }
 
 impl Loadable {
@@ -131,8 +138,7 @@ impl Loadable {
     fn records(&self) -> usize {
         match self {
             Loadable::Nothing => 0,
-            Loadable::Pregel { layout, .. } => layout.n_vertices(),
-            Loadable::MapReduce(records) => records.len(),
+            Loadable::Pregel(laid) | Loadable::MapReduce(laid, _) => laid.layout.n_vertices(),
         }
     }
 }
@@ -224,26 +230,27 @@ impl<'a> InferencePlan<'a> {
             .iter()
             .filter(|&&d| d as u64 > bc_threshold)
             .count();
-        // Pregel runs over a layout; `Auto` needs one to decide, and
-        // drops it again if the decision is MapReduce. Placing every
-        // record and resolving every target to a route happens here, so a
-        // target that names no record is an `Error::InvalidGraph` at plan
-        // time rather than a failed superstep.
+        // Both cluster backends run over a layout. Placing every record
+        // and resolving every target to a route happens here, so a target
+        // that names no record is an `Error::InvalidGraph` at plan time
+        // rather than a failed round.
         let layout = match requested {
-            Backend::Pregel | Backend::Auto => {
-                Some(PregelLayout::planned(workers, adjacency.records())?)
-            }
-            _ => None,
+            Backend::Reference => None,
+            _ => Some(Layout::planned(workers, adjacency.records())?),
         };
-        // Every cell of a superstep's shard grid, counted once under the
-        // engines' hub rule: a hub broadcasts, so it sends no row.
-        let cells = layout.as_ref().map(|layout| {
-            layout.cell_counts(|at| !strategy.broadcasts(adjacency.degrees(at).1, bc_threshold))
-        });
+        // Every cell of a round, counted once under the engines' hub rule:
+        // a hub broadcasts, so it sends no row.
+        let hub = |at: usize| strategy.broadcasts(adjacency.degrees(at).1, bc_threshold);
+        let cells = layout
+            .as_ref()
+            .map(|layout| layout.cell_counts(|at| !hub(at)));
+        // A plan asked for MapReduce keeps the estimate's workers × records
+        // bound on fused rows: counting them from the cells changes that
+        // backend's prediction, a change of its own.
         let estimate = build_estimate(
             model,
             &adjacency,
-            cells.as_ref(),
+            cells.as_ref().filter(|_| requested != Backend::MapReduce),
             &strategy,
             workers,
             bc_threshold,
@@ -262,16 +269,23 @@ impl<'a> InferencePlan<'a> {
             }
             b => b,
         };
-        // Keep the one form the backend loads; the flat adjacency goes.
-        let loadable = match layout.zip(cells).filter(|_| backend == Backend::Pregel) {
-            Some((layout, cells)) => Loadable::Pregel {
-                layout: Arc::new(layout),
-                cells,
-                in_deg: adjacency.in_deg,
-                out_deg: adjacency.out_deg,
-            },
-            None if backend == Backend::MapReduce => {
-                Loadable::MapReduce(adjacency.node_records(graph))
+        // Keep the layout and the degrees; the flat adjacency goes.
+        let loadable = match layout.zip(cells) {
+            Some((layout, cells)) => {
+                let split = match backend {
+                    Backend::MapReduce => Some(MapSplit::plan(&layout, hub)?),
+                    _ => None,
+                };
+                let laid = Laid {
+                    layout: Arc::new(layout),
+                    cells,
+                    in_deg: adjacency.in_deg,
+                    out_deg: adjacency.out_deg,
+                };
+                match split {
+                    Some(split) => Loadable::MapReduce(laid, split),
+                    None => Loadable::Pregel(laid),
+                }
             }
             None => Loadable::Nothing,
         };
@@ -681,10 +695,13 @@ mod tests {
     use super::*;
     use crate::models::PoolOp;
     use crate::session::InferenceSession;
+    use crate::strategy::NodeRecord;
+    use inferturbo_common::codec::varint_seq_len;
+    use inferturbo_common::layout::Route;
     use inferturbo_common::Parallelism;
     use inferturbo_graph::gen::{generate, DegreeSkew, GenConfig};
     use inferturbo_obs::Payload;
-    use inferturbo_pregel::{CellKind, Route};
+    use inferturbo_pregel::CellKind;
     use proptest::prelude::*;
 
     fn graph() -> Graph {
@@ -779,7 +796,7 @@ mod tests {
             .records()
             .enumerate()
             .map(|(i, (wire, targets))| (wire, if i == victim { &unknown[..] } else { targets }));
-        let err = PregelLayout::planned(4, corrupted).unwrap_err();
+        let err = Layout::planned(4, corrupted).unwrap_err();
         assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
         assert!(
             err.to_string().contains("message to unknown vertex"),
@@ -787,7 +804,7 @@ mod tests {
         );
         // Same for a record loaded twice.
         let twice = adjacency.records().chain(adjacency.records().take(1));
-        let err = PregelLayout::planned(4, twice).unwrap_err();
+        let err = Layout::planned(4, twice).unwrap_err();
         assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
         assert!(err.to_string().contains("duplicate vertex id"), "{err}");
     }
@@ -843,7 +860,7 @@ mod tests {
     /// then every vertex's id, load position and routes in engine order.
     type LayoutImage = (Vec<Vec<u64>>, Vec<(u64, usize, Vec<Route>)>);
 
-    fn layout_image(layout: &PregelLayout) -> LayoutImage {
+    fn layout_image(layout: &Layout) -> LayoutImage {
         let slots = (0..layout.n_workers())
             .map(|w| layout.ids(w).to_vec())
             .collect();
@@ -879,11 +896,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The one-pass shadow transform plans what the records did: a
-        /// Pregel (or `Auto`-picked Pregel) plan's layout has the slot
-        /// tables and per-vertex routes `PregelLayout::planned` lays out
-        /// over the two-walk records, and its degrees are theirs; a
-        /// MapReduce plan holds exactly those records; and every record
+        /// The one-pass shadow transform plans what the records did: every
+        /// cluster plan's layout — Pregel, MapReduce, or whichever `Auto`
+        /// picks — has the slot tables and per-vertex routes
+        /// `Layout::planned` lays out over the two-walk records, its
+        /// degrees are theirs, and a MapReduce plan charges each record's
+        /// targets the bytes the record encodes them in; and every record
         /// `build_node_records` returns is its slice of the flat adjacency.
         /// Thresholds go low enough to mirror most nodes, graphs down to
         /// no edges, and workers past the node count.
@@ -932,25 +950,33 @@ mod tests {
                 .plan()
                 .unwrap();
             prop_assert_eq!(plan.summary().records, expected.len());
-            match &plan.loadable {
-                Loadable::Pregel { layout, in_deg, out_deg, .. } => {
-                    prop_assert!(backend != Backend::MapReduce);
-                    let oracle = PregelLayout::planned(
-                        workers,
-                        expected.iter().map(|r| (r.wire, &*r.out_targets)),
-                    )
-                    .unwrap();
-                    prop_assert_eq!(layout_image(layout), layout_image(&oracle));
-                    for rec in &expected {
-                        let base = rec.base as usize;
-                        prop_assert_eq!((in_deg[base], out_deg[base]), (rec.in_deg, rec.out_deg));
-                    }
+            let (laid, split) = match &plan.loadable {
+                Loadable::Pregel(laid) => (laid, None),
+                Loadable::MapReduce(laid, split) => (laid, Some(split)),
+                Loadable::Nothing => panic!("a cluster plan holds its graph"),
+            };
+            prop_assert_eq!(split.is_some(), plan.backend() == Backend::MapReduce);
+            prop_assert!(backend != Backend::MapReduce || split.is_some());
+            let oracle = Layout::planned(
+                workers,
+                expected.iter().map(|r| (r.wire, &*r.out_targets)),
+            )
+            .unwrap();
+            prop_assert_eq!(layout_image(&laid.layout), layout_image(&oracle));
+            for (p, rec) in expected.iter().enumerate() {
+                let base = rec.base as usize;
+                prop_assert_eq!(
+                    (laid.in_deg[base], laid.out_deg[base]),
+                    (rec.in_deg, rec.out_deg)
+                );
+                // A MapReduce plan charges each record's targets what the
+                // record's own encoding takes for them.
+                if let Some(split) = split {
+                    prop_assert_eq!(
+                        split.target_lens[p] as usize,
+                        varint_seq_len(&rec.out_targets)
+                    );
                 }
-                Loadable::MapReduce(held) => {
-                    prop_assert_eq!(backend, Backend::MapReduce);
-                    prop_assert_eq!(held, &expected);
-                }
-                Loadable::Nothing => prop_assert!(false, "a cluster plan holds its graph"),
             }
         }
 
@@ -961,6 +987,15 @@ mod tests {
         /// pooled cell is reserved at its count (times the widest row the
         /// run declares on its plane), so none grew while it was written;
         /// and a second run of the plan reallocates no cell at all.
+        ///
+        /// A MapReduce plan of the same configuration counts its buffers
+        /// from the same layout: every mapper's and reducer's row cells and
+        /// typed output vector, and every reducer's row groups. A debug
+        /// build's engine checks each buffer against its count as it is
+        /// finished (it holds exactly its planned count at its reserved
+        /// capacity), and here each round's records sum to the counts: the
+        /// typed records planned plus the cells' rows, fused partials or
+        /// references.
         /// Thresholds go low enough to force hubs and mirrors, graphs down
         /// to no edges, and workers past the node count.
         #[test]
@@ -1004,7 +1039,7 @@ mod tests {
                 .trace(trace.clone())
                 .plan()
                 .unwrap();
-            let Loadable::Pregel { layout, cells, .. } = &plan.loadable else {
+            let Loadable::Pregel(Laid { layout, cells, .. }) = &plan.loadable else {
                 panic!("a Pregel plan holds its layout");
             };
             let threads = [1usize, 2, 4][threads_sel];
@@ -1050,6 +1085,35 @@ mod tests {
             }
             Parallelism::with(threads, || plan.run()).unwrap();
             prop_assert_eq!(pooled(), first, "a second run reallocated a cell");
+
+            let plan = InferenceSession::builder()
+                .model(&m)
+                .graph(&g)
+                .workers(workers)
+                .strategy(strategy)
+                .backend(Backend::MapReduce)
+                .plan()
+                .unwrap();
+            let Loadable::MapReduce(laid, split) = &plan.loadable else {
+                panic!("a MapReduce plan holds its layout");
+            };
+            let out = Parallelism::with(threads, || plan.run()).unwrap();
+            let k = m.n_layers();
+            for (r, phase) in out.report.phases.iter().enumerate() {
+                let fused = r < k && strategy.partial_gather && m.layer_view(r).row_aggregator().is_some();
+                let rows = |cells: &CellCounts| if fused { cells.total_partials() } else { cells.total_refs() };
+                let (typed, rows) = match r {
+                    0 => (&split.typed_map, rows(&split.cells)),
+                    r if r < k => (&split.typed_reduce, rows(&laid.cells)),
+                    _ => (&split.outputs, 0),
+                };
+                let records: u64 = phase.per_worker.iter().map(|p| p.records_out).sum();
+                prop_assert_eq!(
+                    records,
+                    typed.iter().sum::<usize>() as u64 + rows,
+                    "round {}", r
+                );
+            }
         }
 
         /// A Pregel plan predicts its row traffic from its own layout, so

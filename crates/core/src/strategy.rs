@@ -189,11 +189,10 @@ pub fn mirror_of(wire: u64) -> u32 {
     ((wire >> 32) & 0x7FFF_FFFF) as u32
 }
 
-/// One loadable vertex record: the unit the MapReduce backend shuffles.
-/// Produced by [`build_node_records`], which applies the shadow-nodes
-/// transform and materializes its flat adjacency record by record; a
-/// Pregel plan never builds one — it lays the adjacency out and reads
-/// features from the graph.
+/// One vertex record, materialized: the shadow-nodes transform's output
+/// for one node or mirror, with its features and target ids copied out.
+/// No plan builds one — both backends run over the shared layout and read
+/// features from the graph — it is what [`build_node_records`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
     pub wire: u64,
@@ -202,10 +201,7 @@ pub struct NodeRecord {
     /// Raw input features (replicated across mirrors).
     pub raw: Vec<f32>,
     /// Wire ids this record scatters to (its share of out-edges, expanded
-    /// to every mirror of each destination). Behind an `Arc` so a planned
-    /// MapReduce run ships each record's self-state by handle — cloning a
-    /// record (or the run's self-state) shares the target list instead of
-    /// copying O(E) ids per run.
+    /// to every mirror of each destination).
     pub out_targets: Arc<[u64]>,
     /// Logical (whole-graph) degrees — normalisations read these, never
     /// the physical adjacency.
@@ -262,9 +258,9 @@ impl Decode for NodeRecord {
 /// The shadow-nodes transform's output, flat: every record's wire id in
 /// load order (node ascending, mirror ascending), every record's scatter
 /// targets as one slice of a single exact-size array, and every node's
-/// logical degrees. Both backends start from it: a Pregel plan lays it out
-/// ([`inferturbo_pregel::PregelLayout::planned`]) and keeps only the
-/// degrees; a MapReduce plan materializes it into [`NodeRecord`]s
+/// logical degrees. Both backends start from it: a plan lays it out
+/// ([`inferturbo_common::Layout::planned`]) and keeps only the degrees;
+/// [`build_node_records`] materializes it into [`NodeRecord`]s
 /// ([`ShadowAdjacency::node_records`]).
 #[derive(Debug, Default)]
 pub(crate) struct ShadowAdjacency {
@@ -361,7 +357,7 @@ impl ShadowAdjacency {
     }
 
     /// Every record's wire id and scatter targets, in load order — the
-    /// shape [`inferturbo_pregel::PregelLayout::planned`] takes.
+    /// shape [`inferturbo_common::Layout::planned`] takes.
     pub(crate) fn records(&self) -> impl Iterator<Item = (u64, &[u64])> + Clone {
         (0..self.len()).map(|i| (self.wires[i], self.targets(i)))
     }
@@ -387,11 +383,12 @@ impl ShadowAdjacency {
     }
 }
 
-/// Build the loadable vertex records for `graph`, applying the
-/// shadow-nodes transform when enabled: a node whose out-degree exceeds
-/// the threshold is split into `ceil(out_deg / threshold)` mirrors, its
-/// out-edges dealt round-robin, and every scatter target expands to all
-/// mirrors of the destination.
+/// Build the vertex records for `graph`, applying the shadow-nodes
+/// transform when enabled: a node whose out-degree exceeds the threshold
+/// is split into `ceil(out_deg / threshold)` mirrors, its out-edges dealt
+/// round-robin, and every scatter target expands to all mirrors of the
+/// destination. Planning runs the same transform (without the records);
+/// this materialized form remains for callers that time or inspect it.
 pub fn build_node_records(
     graph: &Graph,
     strategy: &StrategyConfig,
@@ -488,9 +485,8 @@ mod tests {
 
     #[test]
     fn record_clone_shares_adjacency() {
-        // The zero-copy plan-reload contract: cloning a record's target
-        // list (what a MapReduce run's self-state does) must share the
-        // allocation, never copy it.
+        // Cloning a record shares its target list's allocation, never
+        // copies it.
         let rec = NodeRecord {
             wire: wire_id(1, 0),
             base: 1,

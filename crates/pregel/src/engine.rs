@@ -3,7 +3,7 @@
 //!
 //! # Execution model
 //!
-//! An engine runs over a [`PregelLayout`]: the slot table of every worker,
+//! An engine runs over a [`Layout`]: the slot table of every worker,
 //! the one `id → (worker, slot)` index, and each vertex's out-edges as
 //! pre-resolved [`Route`]s. The layout is shared (`Arc`) and
 //! never written; the engine itself owns only what a run changes: one
@@ -104,7 +104,6 @@
 //! regrouped per sender worker — bit for bit, at every thread count, over
 //! every transport, spilled or resident, recovered or clean.
 
-use crate::layout::{CellCounts, PregelLayout, Route};
 use crate::vertex::{Inbox, Outbox, RowsIn, SendMisuse, VertexProgram};
 use inferturbo_cluster::transport::{
     ColsShards, DestMerged, DestShards, Exchange, ExchangeOut, InProcess, MergedCols, Transport,
@@ -113,6 +112,7 @@ use inferturbo_cluster::{
     ClusterSpec, FaultInjector, MessagePlaneBytes, RecoveryPolicy, RunReport, WorkerPhase,
 };
 use inferturbo_common::codec::{varint_len, Decode, Encode};
+use inferturbo_common::layout::{CellCounts, Layout, Route};
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{
     row_payload_len, AggKind, FusedAggregator, FusedSlotShard, RowArena, RowBlock, RowShard,
@@ -807,7 +807,7 @@ pub struct PregelEngine<P: VertexProgram> {
     config: PregelConfig,
     /// Where every vertex lives and where its planned out-edges lead;
     /// shared, read-only.
-    layout: Arc<PregelLayout>,
+    layout: Arc<Layout>,
     /// Per worker: one state per slot, in the layout's slot order.
     workers: Vec<Vec<P::State>>,
     /// Per worker: pending typed messages for the *next* compute.
@@ -834,14 +834,14 @@ pub struct PregelEngine<P: VertexProgram> {
 impl<P: VertexProgram> PregelEngine<P> {
     /// An engine over a layout built ahead of time. `states` yields one
     /// state per vertex in the layout's engine order
-    /// ([`PregelLayout::vertices`]: worker ascending, slot ascending).
+    /// ([`Layout::vertices`]: worker ascending, slot ascending).
     /// Construction moves each state into its worker's exact-sized vector
     /// and does nothing else — the layout is shared, not copied, and no id
     /// is hashed.
     pub fn with_layout(
         program: P,
         config: PregelConfig,
-        layout: Arc<PregelLayout>,
+        layout: Arc<Layout>,
         states: impl IntoIterator<Item = P::State>,
     ) -> Result<Self> {
         let n = config.spec.workers;
@@ -1403,7 +1403,7 @@ impl RowSink<'_> {
     /// slots). Each cell is then reserved at the rows `counts` gives it,
     /// as wide as the run's widest row on the sink's plane: a no-op once
     /// it has been.
-    fn reset(&mut self, layout: &PregelLayout, w: usize, counts: &CellCounts, widest: Widest) {
+    fn reset(&mut self, layout: &Layout, w: usize, counts: &CellCounts, widest: Widest) {
         match self {
             RowSink::None => {}
             RowSink::Rows {
@@ -1438,7 +1438,7 @@ impl RowSink<'_> {
     /// or folded lane-wise into the destination's accumulator shard
     /// (copy-on-first). Per (sender worker, destination) that is emission
     /// order, which is the whole fold-order contract on the sender side.
-    fn route<M>(&mut self, layout: &PregelLayout, ob: &Outbox<M>, from: usize) {
+    fn route<M>(&mut self, layout: &Layout, ob: &Outbox<M>, from: usize) {
         match self {
             RowSink::None => debug_assert!(ob.span_ends.is_empty()),
             RowSink::Rows {
@@ -1505,7 +1505,7 @@ impl RowSink<'_> {
 /// The fused arm of [`RowSink::route`], generic over the fold so a
 /// closed-form [`AggKind`] inlines into the per-edge loop.
 fn fold_spans<M>(
-    layout: &PregelLayout,
+    layout: &Layout,
     ob: &Outbox<M>,
     dim: usize,
     shards: &mut [FusedSlotShard],
@@ -1528,7 +1528,7 @@ fn fold_spans<M>(
 fn run_worker<P: VertexProgram>(
     program: &P,
     config: &PregelConfig,
-    (layout, counts, widest): (&Arc<PregelLayout>, &CellCounts, Widest),
+    (layout, counts, widest): (&Arc<Layout>, &CellCounts, Widest),
     bcast: &FxHashMap<u64, P::Msg>,
     step: usize,
     w: usize,
@@ -1633,7 +1633,7 @@ fn unknown_vertex(dst: u64) -> Error {
 /// wire address) is read from the slot table, not looked up, and each
 /// destination gets its own clone, the last one the message itself.
 fn deliver<M: Encode + Clone>(
-    layout: &PregelLayout,
+    layout: &Layout,
     from_worker: usize,
     msg: M,
     routes: &[Route],
@@ -1675,7 +1675,7 @@ mod tests {
         vertices: Vec<(u64, P::State)>,
     ) -> PregelEngine<P> {
         let ids = vertices.iter().map(|(id, _)| (*id, &[][..]));
-        let layout = PregelLayout::planned(cfg.spec.workers, ids).unwrap();
+        let layout = Layout::planned(cfg.spec.workers, ids).unwrap();
         let mut states: Vec<_> = vertices.into_iter().map(|(_, s)| Some(s)).collect();
         let in_engine_order: Vec<P::State> = layout
             .vertices()
@@ -2262,7 +2262,7 @@ mod tests {
     fn interleaved_engine(workers: usize, by_route: bool) -> PregelEngine<Interleaved> {
         let adj = interleaved_adjacency();
         let ids = adj.iter().enumerate().map(|(v, t)| (v as u64, &t[..]));
-        let layout = PregelLayout::planned(workers, ids).unwrap();
+        let layout = Layout::planned(workers, ids).unwrap();
         let states: Vec<Mixed> = layout
             .vertices()
             .map(|v| Mixed {
@@ -2420,7 +2420,7 @@ mod tests {
             })
             .collect();
         let ids = adj.iter().enumerate().map(|(v, t)| (v as u64, &t[..]));
-        let layout = PregelLayout::planned(workers, ids).unwrap();
+        let layout = Layout::planned(workers, ids).unwrap();
         let states: Vec<_> = layout
             .vertices()
             .map(|v| {
@@ -2877,7 +2877,7 @@ mod tests {
             })
             .collect();
         let ids = adj.iter().enumerate().map(|(v, t)| (v as u64, &t[..]));
-        let layout = PregelLayout::planned(3, ids).unwrap();
+        let layout = Layout::planned(3, ids).unwrap();
         let states: Vec<_> = layout
             .vertices()
             .map(|v| EchoState {

@@ -2,7 +2,7 @@
 //!
 //! A faithful, from-scratch implementation of the "think-like-a-vertex"
 //! model the paper builds its first backend on (§IV-C-1): a graph is laid
-//! out once ([`PregelLayout::planned`]), an engine is built over that
+//! out once ([`inferturbo_common::Layout::planned`]), an engine is built over that
 //! layout ([`PregelEngine::with_layout`]), vertices hold state, a superstep
 //! delivers last round's messages — typed and columnar — to each vertex's
 //! one kernel ([`VertexProgram::compute`]) as its [`Inbox`], outgoing
@@ -29,11 +29,9 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod layout;
 pub mod vertex;
 
 pub use engine::{CellKind, PooledCell, PregelConfig, PregelEngine, ScratchPool};
-pub use layout::{CellCounts, PlacedVertex, PregelLayout, Route};
 pub use vertex::{
     BroadcastLookup, FusedAggregator, Inbox, LentRows, MessageLayout, Outbox, RowsIn, VertexProgram,
 };

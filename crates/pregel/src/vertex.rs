@@ -46,8 +46,8 @@
 //! walks that spool in call order, sizing each message once per span and
 //! cloning it per route — no id is looked up after the call.
 
-use crate::layout::{PregelLayout, Route};
 use inferturbo_common::codec::{Decode, Encode};
+use inferturbo_common::layout::{Layout, Route};
 pub use inferturbo_common::rows::{FusedAggregator, LentRows, MessageLayout};
 use inferturbo_common::Result;
 use std::sync::Arc;
@@ -144,11 +144,11 @@ pub struct Outbox<M> {
     /// See [`Outbox::spare_row`]; never cleared.
     spare: Vec<f32>,
     /// The layout `send` and `send_row` resolve ids through.
-    layout: Arc<PregelLayout>,
+    layout: Arc<Layout>,
 }
 
 impl<M> Outbox<M> {
-    pub(crate) fn new(layout: Arc<PregelLayout>) -> Self {
+    pub(crate) fn new(layout: Arc<Layout>) -> Self {
         Outbox {
             messages: Vec::new(),
             msg_span_ends: Vec::new(),
@@ -182,7 +182,7 @@ impl<M> Outbox<M> {
     /// adopt the step's row plane and the engine's layout. Capacity
     /// survives across supersteps — and, when the outbox lives in a pooled
     /// [`crate::ScratchPool`], across whole runs.
-    pub(crate) fn reset(&mut self, layout: &Arc<PregelLayout>, row_dim: Option<usize>) {
+    pub(crate) fn reset(&mut self, layout: &Arc<Layout>, row_dim: Option<usize>) {
         self.clear();
         self.row_dim = row_dim;
         if !Arc::ptr_eq(&self.layout, layout) {
@@ -253,7 +253,7 @@ impl<M> Outbox<M> {
     /// step has a [`FusedAggregator`], folds it into each destination's
     /// accumulator row). `edges` are routes of the engine's layout —
     /// typically the vertex's planned out-edges
-    /// ([`crate::PlacedVertex::edges`]) or a sub-slice of them.
+    /// ([`inferturbo_common::PlacedVertex::edges`]) or a sub-slice of them.
     ///
     /// Calling this with no active layout for the step, or with a row of
     /// the wrong width, drops the row and fails the superstep with a typed

@@ -2,7 +2,7 @@
 //! one-trick: this example runs PageRank on it, each rank share a 1-wide
 //! row the engine sums sender-side (`AggKind::Sum` is the combiner),
 //! mirroring the paper's lineage from Pregel/PowerGraph. The graph is laid
-//! out once (`PregelLayout::planned`): a vertex scatters its share to its
+//! out once (`Layout::planned`): a vertex scatters its share to its
 //! pre-resolved routes, so no iteration looks a vertex id up.
 //!
 //! ```sh
@@ -10,13 +10,14 @@
 //! ```
 
 use inferturbo::cluster::ClusterSpec;
+use inferturbo::common::layout::{Layout, Route};
 use inferturbo::common::rows::AggKind;
 use inferturbo::common::Result;
 use inferturbo::graph::gen::DegreeSkew;
 use inferturbo::graph::{Csr, Dataset};
 use inferturbo::pregel::{
-    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, PregelLayout, Route,
-    RowsIn, VertexProgram,
+    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
+    VertexProgram,
 };
 use std::sync::Arc;
 
@@ -83,7 +84,7 @@ fn main() {
     let adjacency: Vec<Vec<u64>> = (0..g.n_nodes() as u32)
         .map(|v| out_csr.neighbors(v).iter().map(|&u| u as u64).collect())
         .collect();
-    let layout = PregelLayout::planned(
+    let layout = Layout::planned(
         spec.workers,
         adjacency
             .iter()

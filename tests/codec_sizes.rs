@@ -5,12 +5,11 @@
 //! buffer from the same number, equality here also means every encode
 //! allocates exactly once.
 
-use std::sync::Arc;
-
 use inferturbo::common::codec::Encode;
+use inferturbo::common::layout::Layout;
 use inferturbo::common::rows::{AggKind, FusedSlotShard, RowShard};
 use inferturbo::core::gas::GnnMessage;
-use inferturbo::core::infer::mr_backend::MrRecord;
+use inferturbo::core::infer::mr_backend::{MrRecord, Span};
 use inferturbo::core::models::{GnnModel, PoolOp};
 use inferturbo::core::strategy::{wire_id, NodeRecord, NODE_FLAG};
 
@@ -80,18 +79,26 @@ fn gnn_messages() {
 #[test]
 fn mr_records_with_flagged_targets() {
     // NODE_FLAG sets bit 63: every target is a full 10-byte varint, the
-    // width a shortcut closed form is most likely to miss.
-    let targets: Arc<[u64]> = (0..200u32).map(|v| wire_id(v, v % 3)).collect();
+    // width a shortcut closed form is most likely to miss. A self-state
+    // ships its span of the layout as those targets' ids.
+    let targets: Vec<u64> = (0..200u32).map(|v| wire_id(v, v % 3)).collect();
+    let (hub, leaf) = (wire_id(1_000, 0), targets[0]);
+    let vertices = targets
+        .iter()
+        .map(|&t| (t, &[][..]))
+        .chain([(hub, &targets[..])]);
+    let layout = Layout::planned(4, vertices).unwrap();
+    let span = |id| Span::new(&layout, layout.resolve(id).unwrap()).unwrap();
     let records = [
         MrRecord::SelfState {
-            h: vec![0.5; 64],
-            out_targets: Arc::clone(&targets),
+            h: vec![0.5; 64].into(),
+            span: span(hub),
             in_deg: 300,
             out_deg: u32::MAX,
         },
         MrRecord::SelfState {
-            h: vec![],
-            out_targets: Vec::new().into(),
+            h: Vec::new().into(),
+            span: span(leaf),
             in_deg: 0,
             out_deg: 0,
         },

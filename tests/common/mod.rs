@@ -3,13 +3,14 @@
 #![allow(dead_code)]
 
 use inferturbo::cluster::ClusterSpec;
+use inferturbo::common::layout::Layout;
 use inferturbo::common::Result;
 use inferturbo::core::models::GnnModel;
 use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::strategy::StrategyConfig;
 use inferturbo::core::InferenceOutput;
 use inferturbo::graph::Graph;
-use inferturbo::pregel::{PregelConfig, PregelEngine, PregelLayout, VertexProgram};
+use inferturbo::pregel::{PregelConfig, PregelEngine, VertexProgram};
 use std::path::PathBuf;
 
 /// Plan once and run once on `backend`, over `spec` whichever engine that
@@ -41,7 +42,7 @@ pub fn id_addressed_engine<P: VertexProgram>(
     state: impl Fn(usize) -> P::State,
 ) -> PregelEngine<P> {
     let ids = (0..n as u64).map(|v| (v, &[][..]));
-    let layout = PregelLayout::planned(cfg.spec.workers, ids).unwrap();
+    let layout = Layout::planned(cfg.spec.workers, ids).unwrap();
     let states: Vec<P::State> = layout.vertices().map(|v| state(v.position)).collect();
     PregelEngine::with_layout(program, cfg, std::sync::Arc::new(layout), states).unwrap()
 }

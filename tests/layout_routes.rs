@@ -29,6 +29,7 @@ use inferturbo::cluster::{
 };
 use inferturbo::common::codec::varint_len;
 use inferturbo::common::hash::partition_of;
+use inferturbo::common::layout::{Layout, Route};
 use inferturbo::common::rows::row_payload_len;
 use inferturbo::common::{AggKind, Parallelism, Result};
 use inferturbo::core::models::{GnnModel, PoolOp};
@@ -39,8 +40,8 @@ use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::obs::TraceHandle;
 use inferturbo::pregel::{
-    FusedAggregator, Inbox, LentRows, MessageLayout, Outbox, PregelConfig, PregelEngine,
-    PregelLayout, Route, RowsIn, VertexProgram,
+    FusedAggregator, Inbox, LentRows, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
+    VertexProgram,
 };
 
 fn graph(skew: DegreeSkew) -> Graph {
@@ -376,7 +377,7 @@ enum Emit {
 }
 
 struct Probe<'l> {
-    layout: &'l PregelLayout,
+    layout: &'l Layout,
     emit: Emit,
     fused: bool,
 }
@@ -473,7 +474,7 @@ struct ProbeRun {
 fn run_probe(emit: Emit, fused: bool, workers: usize) -> ProbeRun {
     let adjacency = probe_adjacency();
     let layout = Arc::new(
-        PregelLayout::planned(
+        Layout::planned(
             workers,
             adjacency
                 .iter()

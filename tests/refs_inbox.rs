@@ -16,11 +16,11 @@ mod common;
 use common::worker_bin;
 
 use inferturbo::cluster::{ClusterSpec, InProcess, Transport, WorkerProcess};
+use inferturbo::common::layout::{Layout, Route};
 use inferturbo::common::rows::SpillPolicy;
 use inferturbo::common::{Parallelism, Result};
 use inferturbo::pregel::{
-    Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, PregelLayout, Route, RowsIn,
-    VertexProgram,
+    Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn, VertexProgram,
 };
 
 const N: u64 = 24;
@@ -92,19 +92,19 @@ impl VertexProgram for Sender {
     }
 }
 
-fn layout(workers: usize) -> PregelLayout {
+fn layout(workers: usize) -> Layout {
     let adjacency: Vec<Vec<u64>> = (0..N).map(targets).collect();
     let ids = adjacency
         .iter()
         .enumerate()
         .map(|(v, t)| (v as u64, &t[..]));
-    PregelLayout::planned(workers, ids).expect("layout")
+    Layout::planned(workers, ids).expect("layout")
 }
 
 /// Per vertex, the rows a serial sender loop delivers: senders by worker
 /// ascending, slot order within a worker, each compute's sends in call
 /// order.
-fn oracle(layout: &PregelLayout) -> Vec<Vec<Vec<u32>>> {
+fn oracle(layout: &Layout) -> Vec<Vec<Vec<u32>>> {
     let mut want = vec![Vec::new(); N as usize];
     let bits = |r: [f32; DIM]| r.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     for w in 0..layout.n_workers() {
