@@ -26,8 +26,8 @@
 # tracing on (`-H on`; the run is ~40x slower, so keep --seconds small)
 # prints the allocation count and bytes inclusive under the whole process,
 # `InferencePlan::build` (planning) and `InferencePlan::run` (every run),
-# the number of runs the workload made, and the top allocating stacks by
-# bytes. At a fixed seed and thread count the planning counts are
+# the number of runs the workload made, and the top allocating call sites
+# by bytes (stacks summed over their printed frames). At a fixed seed and thread count the planning counts are
 # deterministic; the run counts scale with the number of runs.
 #
 # Everything is written under <CARGO_TARGET_DIR, else ./target>/profile:
@@ -86,16 +86,30 @@ if [ "$heap" = 1 ]; then
     echo "runs: $(tail -n 1 "$log" | sed -n 's/.*"attempted": \([0-9]*\).*/\1/p')"
     echo
     echo "== top $stacks allocating stacks by bytes (innermost $frames frames past the allocator) =="
+    # gprofng lists every distinct call stack on its own, in no byte
+    # order; stacks that differ only past the printed frames (one call
+    # site reached from two callers, a first and a repeated run) are the
+    # same site here. One line per stack — bytes, instances, its printed
+    # frames joined by \037 — then summed per frame list, sorted by bytes.
+    # Every stage reads its whole input, so no stage dies of a closed pipe.
     gprofng display text -heap "$exp" 2>/dev/null |
-        awk -v stacks="$stacks" -v frames="$frames" '
-            /^Stack / { k++; shown = 0; if (k > stacks) exit; print ""; next }
-            k == 0 { next }
-            /Bytes Allocated/ { print "  " $0; next }
+        awk -v frames="$frames" '
+            function flush() { if (k) print bytes "\t" inst "\t" key; k = 0 }
+            /^Stack / { flush(); k = 1; key = ""; shown = 0; next }
+            !k { next }
+            /Bytes Allocated/ { inst = $3; bytes = $7; next }
             /^  / {
                 f = $0; sub(/ \+ 0x[0-9A-Fa-f]+.*/, "", f); sub(/^ +/, "", f)
                 if (f ~ /^(malloc|realloc|calloc|aligned_alloc|posix_memalign)$/ || f ~ /^alloc::raw_vec::/) next
-                if (shown++ < frames) print "    " f
-            }'
+                if (shown++ < frames) key = key (key == "" ? "" : "\037") f
+            }
+            END { flush() }' |
+        awk -F '\t' '{ b[$3] += $1; n[$3] += $2 }
+            END { for (s in b) printf "%.0f\t%.0f\t%s\n", b[s], n[s], s }' |
+        sort -t "$(printf '\t')" -k1,1nr -k3,3 |
+        awk -F '\t' -v stacks="$stacks" 'NR <= stacks {
+            printf "\n  Instances = %s  Bytes Allocated = %s\n", $2, $1
+            n = split($3, f, "\037"); for (i = 1; i <= n; i++) print "    " f[i] }'
     echo "profile.sh: experiment in $exp" >&2
     exit 0
 fi
