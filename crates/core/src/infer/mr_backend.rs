@@ -143,37 +143,24 @@ impl<'l> Span<'l> {
         }
     }
 
-    /// Read the target list of `key`'s self-state back into its span,
-    /// checking it names what the layout plans.
+    /// Read the target list of `key`'s self-state back into its span: it
+    /// must name exactly the targets the layout plans for the vertex.
     fn decode(key: u64, r: &mut WireReader<'_>, layout: &'l Layout) -> Result<Self> {
-        let route = layout.resolve(key).ok_or_else(|| {
-            Error::Codec(format!(
-                "self-state for {key}, which the layout does not place"
-            ))
-        })?;
-        let edges = layout.edges(route);
+        let mismatch = || Error::Codec(format!("self-state of {key} does not match the layout"));
+        let edges = layout.edges(layout.resolve(key).ok_or_else(mismatch)?);
         let before = r.remaining();
-        let n = r.get_varint()?;
-        if n != edges.len() as u64 {
-            return Err(Error::Codec(format!(
-                "self-state of {key} lists {n} targets where the layout plans {}",
-                edges.len()
-            )));
+        if r.get_varint()? != edges.len() as u64 {
+            return Err(mismatch());
         }
         for &t in edges {
-            let (got, planned) = (r.get_varint()?, layout.id_of(t));
-            if got != planned {
-                return Err(Error::Codec(format!(
-                    "self-state of {key} names target {got} where the layout plans {planned}"
-                )));
+            if r.get_varint()? != layout.id_of(t) {
+                return Err(mismatch());
             }
         }
-        let wire_len = u32::try_from(before - r.remaining())
-            .map_err(|_| Error::Codec(format!("self-state of {key} lists too many targets")))?;
         Ok(Span {
             layout,
             edges,
-            wire_len,
+            wire_len: u32::try_from(before - r.remaining()).map_err(|_| mismatch())?,
         })
     }
 }

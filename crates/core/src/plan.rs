@@ -1097,7 +1097,13 @@ mod tests {
             let Loadable::MapReduce(laid, split) = &plan.loadable else {
                 panic!("a MapReduce plan holds its layout");
             };
-            let out = Parallelism::with(threads, || plan.run()).unwrap();
+            // The engine's check panics; the case that breaks it is
+            // reported with its inputs.
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Parallelism::with(threads, || plan.run())
+            }));
+            prop_assert!(run.is_ok(), "a MapReduce buffer broke its planned count");
+            let out = run.unwrap().unwrap();
             let k = m.n_layers();
             for (r, phase) in out.report.phases.iter().enumerate() {
                 let fused = r < k && strategy.partial_gather && m.layer_view(r).row_aggregator().is_some();
