@@ -492,6 +492,11 @@ impl RowGroups {
             n_rows += 1;
             tally[slot] += 1;
         });
+        if u32::try_from(n_rows).is_err() {
+            return Err(Error::Capacity(format!(
+                "reducer {w} receives {n_rows} rows, past its u32 row cursors"
+            )));
+        }
         if let Some(planned) = rows.planned.as_ref().map(|p| p[w]) {
             debug_assert_eq!(
                 (n_groups, n_rows),

@@ -299,7 +299,6 @@ fn mr_partition(key: u64, n: usize) -> usize {
 /// What one run reads its vertices from: the plan's layout and degrees,
 /// and the raw features where they lie.
 struct Loaded<'l> {
-    layout: &'l Layout,
     graph: &'l Graph,
     features: Option<&'l [Vec<f32>]>,
     laid: &'l Laid,
@@ -317,8 +316,9 @@ struct MapInput<'l> {
 
 impl<'l> Loaded<'l> {
     fn vertex(&self, position: usize) -> MapInput<'l> {
-        let route = self.layout.placed(position);
-        let id = self.layout.id_of(route);
+        let layout: &'l Layout = &self.laid.layout;
+        let route = layout.placed(position);
+        let id = layout.id_of(route);
         let base = base_of(id) as usize;
         MapInput {
             id,
@@ -327,8 +327,8 @@ impl<'l> Loaded<'l> {
                 None => self.graph.node_feat(base as u32),
             },
             span: Span {
-                layout: self.layout,
-                edges: self.layout.edges(route),
+                layout,
+                edges: layout.edges(route),
                 wire_len: self.split.target_lens[position],
             },
             in_deg: self.laid.in_deg[base],
@@ -437,7 +437,6 @@ fn loaded<'l>(plan: &'l InferencePlan<'_>, features: Option<&'l [Vec<f32>]>) -> 
         ));
     };
     Ok(Loaded {
-        layout: &laid.layout,
         graph: plan.graph,
         features,
         laid,
@@ -464,7 +463,8 @@ pub(crate) fn run_planned<'p>(
     trace: TraceHandle,
 ) -> Result<InferenceOutput> {
     let loaded = loaded(plan, features)?;
-    let (layout, laid, split) = (loaded.layout, loaded.laid, loaded.split);
+    let (laid, split) = (loaded.laid, loaded.split);
+    let layout: &Layout = &laid.layout;
     let model = plan.model;
     let strategy = plan.strategy;
     let bc_threshold = plan.bc_threshold;
