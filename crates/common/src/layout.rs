@@ -5,10 +5,9 @@
 //! A [`Layout`] is the engines' placement made explicit, built in one go
 //! by [`Layout::planned`]. Per worker it holds the **slot table** (vertex
 //! ids in slot order), for the whole cluster the one `id → (worker, slot)`
-//! index and the load-position → (worker, slot) map, and every vertex's
-//! out-edges as pre-resolved [`Route`]s in one flat CSR per worker (four
-//! bytes an edge), so a scatter names its destinations by position and no
-//! routing loop hashes an id. A program that addresses messages by vertex
+//! index, and every vertex's out-edges as pre-resolved [`Route`]s in one
+//! flat CSR per worker (four bytes an edge), so a scatter names its
+//! destinations by position and no routing loop hashes an id. A program that addresses messages by vertex
 //! id instead lays out with empty target lists. A layout is immutable once
 //! built — a session plan keeps it behind an `Arc` across runs, which is
 //! what makes "load the graph once" literal: the Pregel engine holds a
@@ -16,6 +15,7 @@
 use crate::hash::partition_of;
 use crate::{Error, FxHashMap, Result};
 use std::collections::hash_map::Entry;
+use std::sync::OnceLock;
 
 /// A pre-resolved message destination: the worker a vertex lives on and
 /// its slot there, packed into four bytes (worker in the high bits, slot
@@ -25,15 +25,6 @@ use std::collections::hash_map::Entry;
 /// that layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Route(u32);
-
-#[inline]
-fn unpack(slot_bits: u32, route: Route) -> (usize, u32) {
-    let packed = route.0 as u64;
-    (
-        (packed >> slot_bits) as usize,
-        (packed & ((1u64 << slot_bits) - 1)) as u32,
-    )
-}
 
 /// One worker's share of the layout.
 #[derive(Debug, Clone)]
@@ -46,9 +37,6 @@ struct WorkerLayout {
     /// Slot `s`'s planned out-edges are `routes[offsets[s]..offsets[s+1]]`.
     offsets: Vec<u32>,
     routes: Vec<Route>,
-    /// The slots in ascending id order, when slot order is not already
-    /// that (mirrors interleave); empty when it is.
-    by_id: Vec<u32>,
 }
 
 impl WorkerLayout {
@@ -58,7 +46,6 @@ impl WorkerLayout {
             positions: Vec::new(),
             offsets: vec![0],
             routes: Vec::new(),
-            by_id: Vec::new(),
         }
     }
 
@@ -83,8 +70,10 @@ pub struct PlacedVertex<'l> {
 pub struct Layout {
     workers: Vec<WorkerLayout>,
     index: FxHashMap<u64, Route>,
-    /// Load position → where that vertex lives.
-    placed: Vec<Route>,
+    /// Per worker, its slots in ascending id order where mirrors
+    /// interleave the ids (empty where slot order already is), counted
+    /// on first use — only a reducer that visits keys by id asks.
+    by_id: OnceLock<Vec<Vec<u32>>>,
     /// Low bits of a [`Route`] that hold the slot: 32 minus what it takes
     /// to number the workers.
     slot_bits: u32,
@@ -98,7 +87,7 @@ impl Layout {
         Layout {
             workers: (0..workers).map(|_| WorkerLayout::new()).collect(),
             index: FxHashMap::default(),
-            placed: Vec::new(),
+            by_id: OnceLock::new(),
             slot_bits: 32u32.saturating_sub(worker_bits),
         }
     }
@@ -109,7 +98,11 @@ impl Layout {
     /// the engines' `u32` slots and arena offsets already set.
     #[inline]
     pub fn unpack(&self, route: Route) -> (usize, u32) {
-        unpack(self.slot_bits, route)
+        let packed = route.0 as u64;
+        (
+            (packed >> self.slot_bits) as usize,
+            (packed & ((1u64 << self.slot_bits) - 1)) as u32,
+        )
     }
 
     /// Place one more vertex: hash-partitioned to its worker, appended to
@@ -142,7 +135,6 @@ impl Layout {
         worker.ids.push(id);
         worker.positions.push(position);
         worker.offsets.push(worker.routes.len() as u32);
-        self.placed.push(route);
         Ok(route)
     }
 
@@ -163,13 +155,15 @@ impl Layout {
         let mut layout = Layout::new(workers);
         let n = vertices.size_hint().0;
         layout.index.reserve(n);
-        layout.placed.reserve_exact(n);
-        // Each worker's out-edge total, so its CSR is allocated once,
-        // exactly.
+        // Where each vertex landed, in load order, and each worker's
+        // out-edge total so its CSR is allocated once, exactly.
+        let mut placed = Vec::with_capacity(n);
         let mut n_routes = vec![0usize; workers];
         for (id, targets) in vertices.clone() {
             let route = layout.add_vertex(id)?;
-            n_routes[layout.unpack(route).0] += targets.len();
+            let at = layout.unpack(route);
+            n_routes[at.0] += targets.len();
+            placed.push(at);
         }
         for (worker, &n) in layout.workers.iter_mut().zip(&n_routes) {
             if u32::try_from(n).is_err() {
@@ -179,14 +173,8 @@ impl Layout {
             }
             worker.routes.reserve_exact(n);
         }
-        let Layout {
-            workers,
-            index,
-            placed,
-            slot_bits,
-        } = &mut layout;
-        for (&route, (_, targets)) in placed.iter().zip(vertices) {
-            let (w, slot) = unpack(*slot_bits, route);
+        let Layout { workers, index, .. } = &mut layout;
+        for ((w, slot), (_, targets)) in placed.into_iter().zip(vertices) {
             let worker = &mut workers[w];
             for &t in targets {
                 let route = index
@@ -197,13 +185,6 @@ impl Layout {
             // Vertices of one worker arrive in slot order, so its CSR
             // closes one slot at a time.
             worker.offsets[slot as usize + 1] = worker.routes.len() as u32;
-        }
-        for worker in workers.iter_mut() {
-            if !worker.ids.is_sorted() {
-                let mut by_id: Vec<u32> = (0..worker.ids.len() as u32).collect();
-                by_id.sort_unstable_by_key(|&s| worker.ids[s as usize]);
-                worker.by_id = by_id;
-            }
         }
         Ok(layout)
     }
@@ -237,9 +218,16 @@ impl Layout {
         self.index.get(&id).copied()
     }
 
-    /// Where the vertex loaded at `position` lives.
-    pub fn placed(&self, position: usize) -> Route {
-        self.placed[position]
+    /// Where each vertex lives, by load position.
+    pub fn placements(&self) -> Vec<Route> {
+        let mut placed = vec![Route(0); self.n_vertices()];
+        for (w, worker) in self.workers.iter().enumerate() {
+            for (slot, &position) in worker.positions.iter().enumerate() {
+                placed[position as usize] =
+                    Route(((w as u64) << self.slot_bits | slot as u64) as u32);
+            }
+        }
+        placed
     }
 
     /// The planned out-edges of the vertex a route leads to.
@@ -249,14 +237,25 @@ impl Layout {
     }
 
     /// Worker `w`'s slots in ascending vertex-id order: slot order itself
-    /// unless mirrors interleave the ids, then the permutation computed
-    /// once at build time.
+    /// unless mirrors interleave the ids, then a permutation the layout
+    /// sorts once, on the first call, and keeps.
     pub fn slots_by_id(&self, w: usize) -> impl Iterator<Item = u32> + '_ {
-        let worker = &self.workers[w];
-        (0..worker.ids.len() as u32).map(|s| match worker.by_id.get(s as usize) {
-            Some(&by_id) => by_id,
-            None => s,
-        })
+        let by_id = self.by_id.get_or_init(|| {
+            let sorted = |ids: &[u64]| {
+                let mut by_id: Vec<u32> = (0..ids.len() as u32).collect();
+                by_id.sort_unstable_by_key(|&s| ids[s as usize]);
+                by_id
+            };
+            self.workers
+                .iter()
+                .map(|worker| match worker.ids.is_sorted() {
+                    true => Vec::new(),
+                    false => sorted(&worker.ids),
+                })
+                .collect()
+        });
+        let order = &by_id[w];
+        (0..self.n_slots(w) as u32).map(move |s| order.get(s as usize).copied().unwrap_or(s))
     }
 
     /// Every vertex in engine order: worker ascending, slot ascending —
@@ -286,14 +285,15 @@ impl Layout {
     }
 
     /// [`Layout::cell_counts`] for a round-robin split of the vertices
-    /// instead: the vertex loaded at position `p` scatters from worker
-    /// `p % workers`, the order a map phase's input splits take.
-    pub fn split_cell_counts(&self, sends: impl Fn(usize) -> bool) -> CellCounts {
+    /// instead: the vertex loaded at position `p` (where `placed[p]`,
+    /// from [`Layout::placements`]) scatters from worker `p % workers`,
+    /// the order a map phase's input splits take.
+    pub fn split_cell_counts(&self, placed: &[Route], sends: impl Fn(usize) -> bool) -> CellCounts {
         let n = self.workers.len();
         let senders = (0..n).flat_map(|m| {
-            (m..self.placed.len())
+            (m..placed.len())
                 .step_by(n.max(1))
-                .map(move |p| (m, p, self.edges(self.placed[p])))
+                .map(move |p| (m, p, self.edges(placed[p])))
         });
         self.count_cells(senders, sends)
     }
@@ -432,10 +432,31 @@ mod tests {
                 assert_eq!(&named, targets, "vertex {id} at {workers} workers");
                 let (w, _) = layout.unpack(layout.resolve(*id).unwrap());
                 assert_eq!(w, partition_of(*id, workers));
+                assert_eq!(
+                    layout.placements()[v.position],
+                    layout.resolve(*id).unwrap()
+                );
                 seen += 1;
             }
             assert_eq!(seen, 4);
+            for w in 0..workers {
+                let by_id: Vec<u64> = layout
+                    .slots_by_id(w)
+                    .map(|s| layout.ids(w)[s as usize])
+                    .collect();
+                let mut sorted = layout.ids(w).to_vec();
+                sorted.sort_unstable();
+                assert_eq!(by_id, sorted, "worker {w} of {workers}");
+            }
         }
+        // Ids loaded out of order (as mirrors interleave them) are
+        // visited ascending all the same.
+        let shuffled = Layout::planned(1, [5u64, 3, 9, 1].iter().map(|&id| (id, &[][..]))).unwrap();
+        let by_id: Vec<u64> = shuffled
+            .slots_by_id(0)
+            .map(|s| shuffled.ids(0)[s as usize])
+            .collect();
+        assert_eq!(by_id, [1, 3, 5, 9]);
     }
 
     #[test]
@@ -485,6 +506,21 @@ mod tests {
                 }
                 assert_eq!(counts.total_refs(), refs.iter().sum::<usize>() as u64);
                 assert_eq!(counts.total_partials(), pairs.len() as u64);
+                for w2 in 0..workers {
+                    let reached: std::collections::BTreeSet<u64> =
+                        pairs.iter().filter(|p| p.1 == w2).map(|p| p.2).collect();
+                    assert_eq!(counts.receivers(w2), reached.len());
+                }
+                // Split round-robin by load position instead, the same
+                // edges count the same references and receivers.
+                let split = layout.split_cell_counts(&layout.placements(), |p| Some(p) != excluded);
+                assert_eq!(split.total_refs(), counts.total_refs());
+                for w2 in 0..workers {
+                    assert_eq!(split.receivers(w2), counts.receivers(w2));
+                    let by_mapper: usize = (0..workers).map(|m| split.refs(m, w2)).sum();
+                    let by_worker: usize = (0..workers).map(|w| counts.refs(w, w2)).sum();
+                    assert_eq!(by_mapper, by_worker);
+                }
             }
             // Past the counted workers every cell is empty.
             let counts = layout.cell_counts(|_| true);

@@ -54,8 +54,10 @@ use super::InferenceOutput;
 /// What a MapReduce plan counts once beside the layout, so that every
 /// buffer of a run is reserved exactly.
 pub(crate) struct MapSplit {
-    /// The map phase's row cells: the vertex at load position `p` scatters
-    /// from mapper `p % workers`.
+    /// Where each vertex lives, by load position: the map task for
+    /// position `p` runs on mapper `p % workers`.
+    placed: Vec<Route>,
+    /// The map phase's row cells, its senders the mappers.
     pub(crate) cells: CellCounts,
     /// Typed records each mapper emits.
     pub(crate) typed_map: Vec<usize>,
@@ -77,9 +79,9 @@ impl MapSplit {
         let n = layout.n_workers();
         let mut typed_map = vec![0usize; n];
         let mut typed_reduce = vec![0usize; n];
-        let mut target_lens = Vec::with_capacity(layout.n_vertices());
-        for p in 0..layout.n_vertices() {
-            let route = layout.placed(p);
+        let placed = layout.placements();
+        let mut target_lens = Vec::with_capacity(placed.len());
+        for (p, &route) in placed.iter().enumerate() {
             let edges = layout.edges(route);
             // A self-state, and from a hub that scatters one broadcast
             // entry per worker plus one ref per edge.
@@ -93,7 +95,8 @@ impl MapSplit {
             target_lens.push(Span::new(layout, route)?.wire_len);
         }
         Ok(MapSplit {
-            cells: layout.split_cell_counts(|p| !hub(p)),
+            cells: layout.split_cell_counts(&placed, |p| !hub(p)),
+            placed,
             typed_map,
             typed_reduce,
             outputs: (0..n).map(|w| layout.n_slots(w)).collect(),
@@ -317,7 +320,7 @@ struct MapInput<'l> {
 impl<'l> Loaded<'l> {
     fn vertex(&self, position: usize) -> MapInput<'l> {
         let layout: &'l Layout = &self.laid.layout;
-        let route = layout.placed(position);
+        let route = self.split.placed[position];
         let id = layout.id_of(route);
         let base = base_of(id) as usize;
         MapInput {

@@ -117,7 +117,7 @@ pub(crate) enum Loadable {
     Pregel(Laid),
     /// The same graph a MapReduce run's map tasks read, plus the counts
     /// only that backend sizes its buffers from.
-    MapReduce(Laid, MapSplit),
+    MapReduce(Laid, Box<MapSplit>),
 }
 
 /// The engines' layout of every record (placement, id index, pre-resolved
@@ -273,7 +273,7 @@ impl<'a> InferencePlan<'a> {
         let loadable = match layout.zip(cells) {
             Some((layout, cells)) => {
                 let split = match backend {
-                    Backend::MapReduce => Some(MapSplit::plan(&layout, hub)?),
+                    Backend::MapReduce => Some(Box::new(MapSplit::plan(&layout, hub)?)),
                     _ => None,
                 };
                 let laid = Laid {
