@@ -108,8 +108,20 @@ impl Dataset {
 
     /// MAG240M-like shrunk by a further `div` factor (quick/smoke runs).
     pub fn mag240m_like_scaled(seed: u64, div: usize) -> Dataset {
+        let cfg = Self::mag240m_like_config(seed, div);
+        Dataset {
+            name: "mag240m-like".into(),
+            graph: generate(&cfg),
+            split: Self::assign_splits(cfg.n_nodes, 0.01, 0.005, seed),
+            paper_nodes: 120_000_000,
+            paper_edges: 2_600_000_000,
+        }
+    }
+
+    /// The generator settings behind [`Dataset::mag240m_like_scaled`].
+    pub fn mag240m_like_config(seed: u64, div: usize) -> GenConfig {
         let div = div.max(1);
-        let cfg = GenConfig {
+        GenConfig {
             n_nodes: (120_000 / div).max(1_000),
             n_edges: (2_600_000 / div).max(10_000),
             alpha: 0.6,
@@ -121,13 +133,6 @@ impl Dataset {
             noise: 2.3,
             multilabel: None,
             seed: seed.wrapping_add(2),
-        };
-        Dataset {
-            name: "mag240m-like".into(),
-            graph: generate(&cfg),
-            split: Self::assign_splits(cfg.n_nodes, 0.01, 0.005, seed),
-            paper_nodes: 120_000_000,
-            paper_edges: 2_600_000_000,
         }
     }
 
