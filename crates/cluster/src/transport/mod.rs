@@ -19,6 +19,17 @@
 //!   reference inboxes itself ([`RowArena::seal_refs`]), and the typed
 //!   plane never leaves the engine. The call still happens every
 //!   superstep, so the fault sites below fire per destination either way.
+//! - **The typed plane.** The Pregel engine stores each typed message
+//!   once, in its sender worker's table, and each route as an 8-byte
+//!   `(slot, table index)` reference. In process it seals those
+//!   references itself, the way it seals materialized rows. For a
+//!   backend that moves bytes it builds each destination's
+//!   [`EncodedRecords`] from them: per sender in emission order, one
+//!   `(slot, bytes)` record per reference, each message encoded once and
+//!   its bytes copied per reference. The wire form is unchanged: one
+//!   record per route. The merged records come back in slot-major
+//!   delivery order and the engine decodes them into one table with one
+//!   reference per record, so both transports yield one inbox form.
 //! - [`Transport::exchange_concat`] is the MapReduce form: per-destination
 //!   concatenation of fused key buckets and legacy records in ascending
 //!   mapper order. The batch engine hands it buckets and records only when

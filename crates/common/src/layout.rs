@@ -270,32 +270,34 @@ impl Layout {
         })
     }
 
-    /// How many rows each cell of a superstep's shard grid takes when
-    /// every vertex `sends` admits (by load position) scatters one row over
-    /// all its planned out-edges from the worker it lives on: per sender
-    /// worker the rows its table takes, per (sender, destination worker)
-    /// the references it sends and the distinct destination slots it folds
-    /// into, and per destination the distinct slots any sender reaches.
-    /// One O(E) pass over a last-seen-sender array.
-    pub fn cell_counts(&self, sends: impl Fn(usize) -> bool) -> CellCounts {
+    /// How many rows and typed messages each cell of a superstep's shard
+    /// grid takes when every vertex sends one message over all its planned
+    /// out-edges from the worker it lives on: a row, or — when `hub` admits
+    /// it (by load position) — one typed message. Per sender worker that
+    /// is the rows its table takes and the messages its typed table takes;
+    /// per (sender, destination worker) the row and typed references it
+    /// sends and the distinct destination slots its rows fold into; and
+    /// per destination the distinct slots any sender's rows reach. One
+    /// O(E) pass over a last-seen-sender array.
+    pub fn cell_counts(&self, hub: impl Fn(usize) -> bool) -> CellCounts {
         let senders = self.workers.iter().enumerate().flat_map(|(w, worker)| {
             (0..worker.ids.len()).map(move |s| (w, worker.positions[s] as usize, worker.edges(s)))
         });
-        self.count_cells(senders, sends)
+        self.count_cells(senders, hub)
     }
 
     /// [`Layout::cell_counts`] for a round-robin split of the vertices
     /// instead: the vertex loaded at position `p` (where `placed[p]`,
     /// from [`Layout::placements`]) scatters from worker `p % workers`,
     /// the order a map phase's input splits take.
-    pub fn split_cell_counts(&self, placed: &[Route], sends: impl Fn(usize) -> bool) -> CellCounts {
+    pub fn split_cell_counts(&self, placed: &[Route], hub: impl Fn(usize) -> bool) -> CellCounts {
         let n = self.workers.len();
         let senders = (0..n).flat_map(|m| {
             (m..placed.len())
                 .step_by(n.max(1))
                 .map(move |p| (m, p, self.edges(placed[p])))
         });
-        self.count_cells(senders, sends)
+        self.count_cells(senders, hub)
     }
 
     /// The counting pass behind both: `senders` yields `(sender worker,
@@ -303,7 +305,7 @@ impl Layout {
     fn count_cells<'l>(
         &self,
         senders: impl Iterator<Item = (usize, usize, &'l [Route])>,
-        sends: impl Fn(usize) -> bool,
+        hub: impl Fn(usize) -> bool,
     ) -> CellCounts {
         let n = self.workers.len();
         let mut base = Vec::with_capacity(n);
@@ -318,10 +320,19 @@ impl Layout {
             refs: vec![0; n * n],
             partials: vec![0; n * n],
             receivers: vec![0; n],
+            typed_table: vec![0; n],
+            typed_refs: vec![0; n * n],
         };
         let mut last_sender = vec![u32::MAX; total];
         for (w, position, edges) in senders {
-            if edges.is_empty() || !sends(position) {
+            if edges.is_empty() {
+                continue;
+            }
+            if hub(position) {
+                counts.typed_table[w] += 1;
+                for &r in edges {
+                    counts.typed_refs[w * n + self.unpack(r).0] += 1;
+                }
                 continue;
             }
             counts.table_rows[w] += 1;
@@ -357,6 +368,10 @@ pub struct CellCounts {
     partials: Vec<usize>,
     /// Per destination worker: distinct slots any sender reaches.
     receivers: Vec<usize>,
+    /// Per sender worker: typed messages its typed table takes.
+    typed_table: Vec<usize>,
+    /// `[sender * workers + destination]`: typed references sent.
+    typed_refs: Vec<usize>,
 }
 
 impl CellCounts {
@@ -374,6 +389,16 @@ impl CellCounts {
     /// partials bound there.
     pub fn partials(&self, w: usize, w2: usize) -> usize {
         self.cell(&self.partials, w, w2)
+    }
+
+    /// Typed messages sender `w`'s typed table takes.
+    pub fn typed_table(&self, w: usize) -> usize {
+        self.typed_table.get(w).copied().unwrap_or(0)
+    }
+
+    /// Typed references sender `w` sends to worker `w2`.
+    pub fn typed_refs(&self, w: usize, w2: usize) -> usize {
+        self.cell(&self.typed_refs, w, w2)
     }
 
     /// Distinct slots of worker `w2` that receive any row.
@@ -480,16 +505,25 @@ mod tests {
         let adj = adjacency();
         for workers in [1usize, 2, 4] {
             let layout = plan(workers, &adj).unwrap();
-            // Excluding vertex 13 (position 3) drops only its cells' share.
-            for excluded in [None, Some(3usize)] {
-                let counts = layout.cell_counts(|p| Some(p) != excluded);
+            // Vertex 13 (position 3) as a hub moves its cells' share from
+            // the rows to the typed plane.
+            for hub in [None, Some(3usize)] {
+                let counts = layout.cell_counts(|p| Some(p) == hub);
                 let (mut rows, mut refs) = (vec![0; workers], vec![0; workers * workers]);
+                let (mut typed, mut typed_refs) = (vec![0; workers], vec![0; workers * workers]);
                 let mut pairs = std::collections::BTreeSet::new();
                 for (p, (id, targets)) in adj.iter().enumerate() {
-                    if Some(p) == excluded || targets.is_empty() {
+                    if targets.is_empty() {
                         continue;
                     }
                     let w = partition_of(*id, workers);
+                    if Some(p) == hub {
+                        typed[w] += 1;
+                        for t in targets {
+                            typed_refs[w * workers + partition_of(*t, workers)] += 1;
+                        }
+                        continue;
+                    }
                     rows[w] += 1;
                     for t in targets {
                         refs[w * workers + partition_of(*t, workers)] += 1;
@@ -498,8 +532,10 @@ mod tests {
                 }
                 for w in 0..workers {
                     assert_eq!(counts.table_rows(w), rows[w]);
+                    assert_eq!(counts.typed_table(w), typed[w]);
                     for w2 in 0..workers {
                         assert_eq!(counts.refs(w, w2), refs[w * workers + w2]);
+                        assert_eq!(counts.typed_refs(w, w2), typed_refs[w * workers + w2]);
                         let distinct = pairs.iter().filter(|p| (p.0, p.1) == (w, w2));
                         assert_eq!(counts.partials(w, w2), distinct.count());
                     }
@@ -513,7 +549,7 @@ mod tests {
                 }
                 // Split round-robin by load position instead, the same
                 // edges count the same references and receivers.
-                let split = layout.split_cell_counts(&layout.placements(), |p| Some(p) != excluded);
+                let split = layout.split_cell_counts(&layout.placements(), |p| Some(p) == hub);
                 assert_eq!(split.total_refs(), counts.total_refs());
                 for w2 in 0..workers {
                     assert_eq!(split.receivers(w2), counts.receivers(w2));
@@ -523,9 +559,13 @@ mod tests {
                 }
             }
             // Past the counted workers every cell is empty.
-            let counts = layout.cell_counts(|_| true);
+            let counts = layout.cell_counts(|_| false);
             assert_eq!(
                 (counts.table_rows(workers), counts.refs(0, workers)),
+                (0, 0)
+            );
+            assert_eq!(
+                (counts.typed_table(workers), counts.typed_refs(0, workers)),
                 (0, 0)
             );
             assert_eq!(CellCounts::default().partials(0, 0), 0);

@@ -95,7 +95,7 @@ impl MapSplit {
             target_lens.push(Span::new(layout, route)?.wire_len);
         }
         Ok(MapSplit {
-            cells: layout.split_cell_counts(&placed, |p| !hub(p)),
+            cells: layout.split_cell_counts(&placed, &hub),
             placed,
             typed_map,
             typed_reduce,

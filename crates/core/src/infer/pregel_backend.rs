@@ -25,9 +25,14 @@
 //! all); a materialized layer (GAT) writes the row once per span into its
 //! sender worker's row table and gives each edge an 8-byte
 //! `(slot, table row)` reference; neither looks an id up. Broadcast refs
-//! are 8-byte variable-length control messages and ride the typed plane,
+//! are variable-length control messages and ride the typed plane,
 //! addressed by route the same way: a hub spools one ref with its span of
-//! routes ([`Outbox::scatter`]). The program's one kernel
+//! routes ([`Outbox::scatter`]), the engine stores that ref once in its
+//! worker's typed table and gives each edge an 8-byte
+//! `(slot, table index)` reference to it, and each destination is lent the
+//! ref where it was stored — the row plane's shape, so a hub's message is
+//! held once per worker (in the broadcast table) and its ref once per
+//! sender, never once per edge. The program's one kernel
 //! ([`VertexProgram::compute`]) reads both halves of a vertex's [`Inbox`]
 //! and gathers them with the same [`GasLayer`] kernels where they lie — a
 //! union layer takes each inbox row, lent from its sender's table, and

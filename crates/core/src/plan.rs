@@ -239,11 +239,9 @@ impl<'a> InferencePlan<'a> {
             _ => Some(Layout::planned(workers, adjacency.records())?),
         };
         // Every cell of a round, counted once under the engines' hub rule:
-        // a hub broadcasts, so it sends no row.
+        // a hub broadcasts, so it sends a typed ref per edge, not a row.
         let hub = |at: usize| strategy.broadcasts(adjacency.degrees(at).1, bc_threshold);
-        let cells = layout
-            .as_ref()
-            .map(|layout| layout.cell_counts(|at| !hub(at)));
+        let cells = layout.as_ref().map(|layout| layout.cell_counts(hub));
         // A plan asked for MapReduce keeps the estimate's workers × records
         // bound on fused rows: counting them from the cells changes that
         // backend's prediction, a change of its own.
@@ -983,7 +981,8 @@ mod tests {
         /// A Pregel plan sizes every cell of a superstep's shard grid once,
         /// from its layout under the hub rule, and a run writes exactly
         /// that: per layer the cell counts sum to the estimate's row
-        /// records and to the rows the run's exchange carries; every
+        /// records and to the rows the run's exchange carries, and the
+        /// typed references to the typed messages it seals; every
         /// pooled cell is reserved at its count (times the widest row the
         /// run declares on its plane), so none grew while it was written;
         /// and a second run of the plan reallocates no cell at all.
@@ -1044,14 +1043,16 @@ mod tests {
             };
             let threads = [1usize, 2, 4][threads_sel];
             Parallelism::with(threads, || plan.run()).unwrap();
-            let carried: Vec<u64> = trace
+            let (carried, typed): (Vec<u64>, Vec<u64>) = trace
                 .events()
                 .iter()
                 .filter_map(|e| match &e.payload {
-                    Payload::Transport { rows, .. } => Some(*rows),
+                    Payload::Transport { rows, legacy_records, .. } => Some((*rows, *legacy_records)),
                     _ => None,
                 })
-                .collect();
+                .unzip();
+            let n = layout.n_workers();
+            let typed_refs: usize = (0..n * n).map(|c| cells.typed_refs(c / n, c % n)).sum();
             let (mut widest_rows, mut widest_fused) = (0, 0);
             for (l, est) in plan.estimate().layers.iter().enumerate() {
                 let fused = strategy.partial_gather && m.layer_view(l).row_aggregator().is_some();
@@ -1064,6 +1065,7 @@ mod tests {
                 let row_len = row_payload_len(est.msg_dim, fused.then_some(1)) as u64 + WIRE_ID_LEN;
                 prop_assert_eq!(est.columnar_bytes, summed * row_len, "layer {}", l);
                 prop_assert_eq!(summed, carried[l], "layer {} carried", l);
+                prop_assert_eq!(typed_refs as u64, typed[l], "layer {} typed", l);
             }
             let pooled = || {
                 let pool = plan.scratch.lock().unwrap();
@@ -1079,6 +1081,7 @@ mod tests {
                     CellKind::Refs(w2) => cells.refs(w, w2),
                     CellKind::Keys(w2) | CellKind::Counts(w2) => cells.partials(w, w2),
                     CellKind::Lanes(w2) => cells.partials(w, w2) * widest_fused,
+                    CellKind::TypedRefs(w2) => cells.typed_refs(w, w2),
                     CellKind::Sent => layout.n_slots(w),
                 };
                 prop_assert_eq!(c.capacity, planned, "{:?}", c);

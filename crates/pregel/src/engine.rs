@@ -32,13 +32,14 @@
 //! sender loop would deliver in — so results, byte accounting, and metrics
 //! are identical for every thread count.
 //!
-//! What a run allocates: the per-worker state vectors and the inboxes
-//! sealed at each barrier. The outbox spools, the cells of the shard grid
-//! (row tables, references, fused partials) and the sent-row indexes are
-//! pooled in a [`ScratchPool`], so only a first run allocates them. A pool
-//! built from a plan's [`CellCounts`] reserves each grid cell exactly, at
-//! the widest row any step of the run declares, so no cell grows while a
-//! run writes it; without counts the cells grow as they are written.
+//! What a run allocates: the per-worker state vectors, each step's typed
+//! tables and the inboxes sealed at each barrier. The outbox spools, the
+//! cells of the shard grid (row tables, row and typed references, fused
+//! partials) and the sent-row indexes are pooled in a [`ScratchPool`], so
+//! only a first run allocates them. A pool built from a plan's
+//! [`CellCounts`] reserves each grid cell and each typed table exactly, at
+//! the widest row any step of the run declares, so none grows while a run
+//! writes it; without counts they grow as they are written.
 //!
 //! # Message planes
 //!
@@ -52,10 +53,16 @@
 //!   message with a span of routes,
 //!   [`Outbox::send`](crate::vertex::Outbox::send) resolves its id at the
 //!   call and spools a span of one. The routing loop sizes a message once
-//!   per span and hashes nothing. They land in a flat per-worker arena
-//!   (`InboxArena`: one `Vec<Msg>` plus per-slot offsets) rebuilt each
-//!   superstep with a counting scatter, and are lent to the kernel as a
-//!   slice of it;
+//!   per span, hashes nothing, and stores it once in its sender worker's
+//!   typed table for the step; each route gets an 8-byte
+//!   `(slot, table index)` reference in the sender's list for its
+//!   destination worker — the row plane's shape. At the barrier each
+//!   destination's references are sealed with the row plane's counting
+//!   sort ([`inferturbo_common::rows::seal_order`]), and the kernel is
+//!   lent each message where its sender stored it
+//!   ([`LentMessages`]). The tables are
+//!   shared by every inbox sealed from them and by a checkpoint of those
+//!   inboxes;
 //! - the **columnar plane**: when the program declares a
 //!   [`MessageLayout`](crate::vertex::MessageLayout) for the emitting
 //!   step, fixed-width `f32` rows travel in flat buffers — no `Vec<f32>`
@@ -73,7 +80,8 @@
 //!   ([`Inbox::own_row`]): the engine keeps, per sender worker, the table
 //!   row each slot wrote, and holds that step's tables until the next
 //!   compute ends, whatever the transport or spill setting. Only a
-//!   transport that moves bytes gets the rows packed into per-(sender × destination) [`RowShard`]s, and its merged flat
+//!   transport that moves bytes gets the rows packed into
+//!   per-(sender × destination) [`RowShard`]s, and its merged flat
 //!   arena comes back; under a spill budget the seal streams the rows
 //!   from the tables into the spill file instead. If the step also
 //!   provides a [`FusedAggregator`], **gather is fused into scatter**:
@@ -83,6 +91,11 @@
 //!   memory and shuffle volume drop from O(E·d) to O(V·d), the paper's
 //!   partial-aggregation optimisation done at the engine level. This is
 //!   the engine's one sender-side combiner.
+//!
+//! A transport that moves bytes gets the typed plane as encoded records
+//! built from the references (each message encoded once, its bytes copied
+//! per reference), and its merged records come back decoded into one table
+//! with one reference per record, so both transports seal one inbox form.
 //!
 //! Which columnar plane a step is on is one value on each side of the
 //! barrier — `Emit` for what the workers write, the transport's
@@ -104,7 +117,8 @@
 //! regrouped per sender worker — bit for bit, at every thread count, over
 //! every transport, spilled or resident, recovered or clean.
 
-use crate::vertex::{Inbox, Outbox, RowsIn, SendMisuse, VertexProgram};
+use crate::vertex::{Inbox, LentMessages, Outbox, RowsIn, SendMisuse, VertexProgram};
+use inferturbo_cluster::transport::frame::EncodedRecords;
 use inferturbo_cluster::transport::{
     ColsShards, DestMerged, DestShards, Exchange, ExchangeOut, InProcess, MergedCols, Transport,
 };
@@ -115,8 +129,8 @@ use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::layout::{CellCounts, Layout, Route};
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{
-    row_payload_len, AggKind, FusedAggregator, FusedSlotShard, RowArena, RowBlock, RowShard,
-    RowTable, SpillPolicy,
+    row_payload_len, seal_order, AggKind, FusedAggregator, FusedSlotShard, RowArena, RowBlock,
+    RowShard, RowTable, SpillPolicy,
 };
 use inferturbo_common::{Error, FxHashMap, Result};
 use inferturbo_obs::{Payload, Site, TraceHandle, TraceMark};
@@ -240,7 +254,9 @@ impl PregelConfig {
 /// lives.
 pub struct ScratchPool<M> {
     outboxes: Vec<Outbox<M>>,
-    rows: Vec<Vec<RowRefs>>,
+    rows: Vec<Vec<Refs>>,
+    /// `[sender][destination]`: typed-message references.
+    typed: Vec<Vec<Refs>>,
     /// Per sender worker: every row table it has written, free or still
     /// held.
     tables: Vec<Vec<RowTable>>,
@@ -265,6 +281,7 @@ impl<M> ScratchPool<M> {
         ScratchPool {
             outboxes: Vec::new(),
             rows: Vec::new(),
+            typed: Vec::new(),
             tables: Vec::new(),
             sent: Vec::new(),
             fused: Vec::new(),
@@ -274,8 +291,9 @@ impl<M> ScratchPool<M> {
 
     /// Every allocation of the shard grid and the sent-row indexes the
     /// pool holds: each sender's row tables (in the order the pool last
-    /// took them back), its reference list and fused shard per
-    /// destination, then each set of sent-row indexes. The same set of
+    /// took them back), its row reference list and fused shard per
+    /// destination, its typed reference list per destination, then each
+    /// set of sent-row indexes. The same set of
     /// cells read before and after a run means the run reallocated none of
     /// them.
     pub fn cells(&self) -> Vec<PooledCell> {
@@ -316,6 +334,12 @@ impl<M> ScratchPool<M> {
                 cells.push(cell(CellKind::Lanes(w2), w, lanes, sh.rows.capacity()));
             }
         }
+        for (w, refs) in self.typed.iter().enumerate() {
+            for (w2, r) in refs.iter().enumerate() {
+                let at = r.as_ptr().cast();
+                cells.push(cell(CellKind::TypedRefs(w2), w, at, r.capacity()));
+            }
+        }
         for set in &self.sent {
             for (w, at) in set.iter().enumerate() {
                 cells.push(cell(CellKind::Sent, w, at.as_ptr().cast(), at.capacity()));
@@ -350,13 +374,17 @@ pub enum CellKind {
     Counts(usize),
     /// A fused shard's accumulator lanes, bound for the given worker.
     Lanes(usize),
+    /// `(slot, typed table index)` references bound for the given worker.
+    TypedRefs(usize),
     /// A sent-row index: one entry per slot of the sender.
     Sent,
 }
 
-/// One sender's materialized rows bound for one destination worker:
-/// `(destination slot, row of the sender's table)` in emission order.
-type RowRefs = Vec<(u32, u32)>;
+/// What one sender sends one destination worker on a plane that stores
+/// each message once: `(destination slot, index in the sender's table)` in
+/// emission order — a materialized row of its row table, or a typed
+/// message of its typed table.
+type Refs = Vec<(u32, u32)>;
 
 /// One worker's rows on the materialized plane from the last superstep:
 /// its row table and, per slot, the table row that slot wrote last
@@ -377,6 +405,15 @@ impl SentRows {
     }
 }
 
+/// A pooled `n × n` grid, grown with `new` cells where it is short.
+fn grid<T>(mut cells: Vec<Vec<T>>, n: usize, new: impl Fn() -> T) -> Vec<Vec<T>> {
+    cells.resize_with(n, Vec::new);
+    for row in &mut cells {
+        row.resize_with(n, &new);
+    }
+    cells
+}
+
 /// Swap the two axes of a `[sender][destination]` grid, keeping each
 /// axis's order.
 fn transpose<T>(grid: Vec<Vec<T>>) -> Vec<Vec<T>> {
@@ -391,81 +428,83 @@ fn transpose<T>(grid: Vec<Vec<T>>) -> Vec<Vec<T>> {
     out
 }
 
-/// Flat per-worker inbox: every pending message in one arena, slot `s`'s
-/// messages at `msgs[offsets[s]..offsets[s+1]]` in delivery order. Sealed
-/// once per superstep with a counting scatter — no per-message `Vec`
-/// growth, one allocation per worker per superstep.
-#[derive(Clone)]
-struct InboxArena<M> {
-    msgs: Vec<M>,
-    /// Per-slot ranges: `n_slots + 1` ascending offsets into `msgs`.
+/// A step's typed tables, one per sender worker: every typed message it
+/// sent, once, in emission order.
+type TypedTables<M> = Arc<[Vec<M>]>;
+
+/// A worker's sealed typed inbox: slot `s`'s messages are
+/// `sources[offsets[s]..offsets[s+1]]`, each a `(sender, table index)`
+/// reference into the step's typed tables, in delivery order. Sealed once
+/// per superstep by the row plane's counting sort
+/// ([`inferturbo_common::rows::seal_order`]); the messages themselves stay
+/// where their senders stored them, shared by every destination's inbox
+/// and by a checkpoint of it.
+struct TypedInbox<M> {
+    /// Per-slot ranges: `n_slots + 1` ascending offsets into `sources`.
     offsets: Vec<u32>,
+    sources: Vec<(u32, u32)>,
+    tables: TypedTables<M>,
 }
 
-impl<M> InboxArena<M> {
-    /// An arena over `n_slots` slots with nothing pending.
+impl<M> Clone for TypedInbox<M> {
+    /// References cloned, tables shared.
+    fn clone(&self) -> Self {
+        TypedInbox {
+            offsets: self.offsets.clone(),
+            sources: self.sources.clone(),
+            tables: Arc::clone(&self.tables),
+        }
+    }
+}
+
+impl<M> TypedInbox<M> {
+    /// An inbox over `n_slots` slots with nothing pending.
     fn empty(n_slots: usize) -> Self {
-        InboxArena {
-            msgs: Vec::new(),
+        TypedInbox {
             offsets: vec![0; n_slots + 1],
+            sources: Vec::new(),
+            tables: Arc::new([]),
         }
     }
 
-    /// Messages pending for `slot`, in delivery order.
-    fn slot(&self, slot: usize) -> &[M] {
-        &self.msgs[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    /// Messages pending for `slot`, in delivery order, lent where their
+    /// senders stored them.
+    fn slot(&self, slot: usize) -> LentMessages<'_, M> {
+        let refs = &self.sources[self.offsets[slot] as usize..self.offsets[slot + 1] as usize];
+        LentMessages::new(refs, &self.tables)
     }
 
-    /// Free the messages once the worker has read them, before the next
-    /// inbox is sealed beside this one.
+    /// Let go of the messages once the worker has read them, before the
+    /// next inbox is sealed beside this one.
     fn drain(&mut self) {
-        self.msgs = Vec::new();
+        self.sources = Vec::new();
         self.offsets.fill(0);
+        self.tables = Arc::new([]);
     }
 
-    /// Build the arena from per-sender shards of `(slot, msg)` pairs: a
-    /// stable counting sort by slot of the shards' concatenation. Shards
-    /// are taken in ascending sender order and each shard in emission
-    /// order, reproducing exactly the delivery order of a serial sender
-    /// loop. A byte-moving transport hands its records back already merged
-    /// into that order as one shard, which lands verbatim.
-    fn seal(n_slots: usize, shards: Vec<Vec<(u32, M)>>) -> Result<Self> {
-        let total: usize = shards.iter().map(Vec::len).sum();
-        if u32::try_from(total).is_err() {
-            return Err(Error::Capacity(format!(
-                "{total} typed messages for one worker exceed its arena's u32 offsets"
-            )));
+    /// Seal from per-sender reference lists: `refs[s]` is sender `s`'s
+    /// `(slot, table index)` per message bound here, in emission order,
+    /// and `tables[s]` the table they index. A stable counting sort by
+    /// slot of the senders' concatenation (senders ascending) — exactly
+    /// the delivery order of a serial sender loop; no message moves.
+    fn seal(n_slots: usize, refs: &[Refs], tables: TypedTables<M>) -> Result<Self> {
+        if tables.iter().any(|t| u32::try_from(t.len()).is_err()) {
+            return Err(Error::Capacity(
+                "a typed table exceeds its references' u32 indexes".into(),
+            ));
         }
-        let mut offsets = vec![0u32; n_slots + 1];
-        for &(s, _) in shards.iter().flatten() {
-            offsets[s as usize + 1] += 1;
-        }
-        for i in 0..n_slots {
-            offsets[i + 1] += offsets[i];
-        }
-        // `offsets` doubles as the scatter cursor; afterwards offsets[s]
-        // holds end-of-s, which the right shift turns back into start-of-s
-        // without a second allocation. Messages are laid down in arrival
-        // order, `home[i]` the place the scatter assigns the i-th, then
-        // swapped home along the permutation's cycles: each swap settles
-        // one message for good, and shards already in slot order need none.
-        let mut msgs = Vec::with_capacity(total);
-        let mut home = Vec::with_capacity(total);
-        for (s, m) in shards.into_iter().flatten() {
-            home.push(offsets[s as usize]);
-            offsets[s as usize] += 1;
-            msgs.push(m);
-        }
-        offsets.copy_within(0..n_slots, 1);
-        offsets[0] = 0;
-        for i in 0..total {
-            while home[i] as usize != i {
-                let j = home[i] as usize;
-                msgs.swap(i, j);
-                home.swap(i, j);
-            }
-        }
-        Ok(InboxArena { msgs, offsets })
+        let total = refs.iter().map(Vec::len).sum();
+        let rows = refs
+            .iter()
+            .enumerate()
+            .flat_map(|(sender, r)| r.iter().map(move |&(slot, at)| (slot, (sender as u32, at))));
+        let (mut offsets, mut sources) = (Vec::new(), Vec::new());
+        seal_order(n_slots, total, rows, &mut offsets, &mut sources)?;
+        Ok(TypedInbox {
+            offsets,
+            sources,
+            tables,
+        })
     }
 }
 
@@ -518,7 +557,7 @@ fn cols_rows(cols: &mut MergedCols, slot: usize) -> Result<RowsIn<'_>> {
 struct Checkpoint<P: VertexProgram> {
     step: usize,
     workers: Vec<Vec<P::State>>,
-    inbox: Vec<InboxArena<P::Msg>>,
+    inbox: Vec<TypedInbox<P::Msg>>,
     inbox_cols: Vec<MergedCols>,
     inbox_bytes: Vec<u64>,
     /// The rows each slot sent: a replayed step lends the same ones.
@@ -547,7 +586,7 @@ enum Emit<'p> {
         dim: usize,
         /// One per sender worker.
         tables: Vec<RowTable>,
-        refs: Vec<Vec<RowRefs>>,
+        refs: Vec<Vec<Refs>>,
         /// One per sender worker: slot → table row, `u32::MAX` for none.
         sent: Vec<Vec<u32>>,
     },
@@ -574,13 +613,6 @@ impl<'p> Emit<'p> {
         pool: &mut ScratchPool<P::Msg>,
         n: usize,
     ) -> Self {
-        fn grid<T>(mut shards: Vec<Vec<T>>, n: usize, new: impl Fn() -> T) -> Vec<Vec<T>> {
-            shards.resize_with(n, Vec::new);
-            for row in &mut shards {
-                row.resize_with(n, &new);
-            }
-            shards
-        }
         let Some(layout) = program.message_layout(step) else {
             return Emit::None;
         };
@@ -687,7 +719,7 @@ impl<'p> Emit<'p> {
         else {
             return None;
         };
-        let pack = |(table, refs): (&RowTable, &RowRefs)| {
+        let pack = |(table, refs): (&RowTable, &Refs)| {
             let mut shard = RowShard::new(*dim);
             for &(slot, at) in refs {
                 shard.push(slot, table.row(at as usize));
@@ -755,11 +787,8 @@ impl<'p> Emit<'p> {
     }
 }
 
-/// One worker's typed-plane shards, one per peer worker: `(slot, msg)` pairs.
-type LegacyShards<M> = Vec<Vec<(u32, M)>>;
-
 /// One destination's sealed inbox: both planes, ready to install.
-type Sealed<M> = (InboxArena<M>, MergedCols);
+type Sealed<M> = (TypedInbox<M>, MergedCols);
 
 /// Everything one worker's compute produces in a superstep beside its
 /// columnar shards, merged at the barrier in ascending worker order.
@@ -769,13 +798,14 @@ struct StepOut<M> {
     /// Receiver-side byte/record deltas this sender caused, per destination.
     recv_bytes: Vec<u64>,
     recv_records: Vec<u64>,
-    /// Next-superstep legacy-inbox residency this sender caused, per
+    /// Next-superstep typed-inbox residency this sender caused, per
     /// destination (columnar residency is computed from the sealed arenas
     /// at the barrier).
     inbox_bytes: Vec<u64>,
-    /// Legacy outbox shards: `(destination slot, message)` per destination
-    /// worker.
-    shards: LegacyShards<M>,
+    /// The worker's typed table: every typed message it sent this step,
+    /// once, in emission order. Its per-destination references live in
+    /// the pooled grid.
+    typed: Vec<M>,
     /// Broadcast payloads published this superstep.
     bcasts: Vec<(u64, M)>,
     /// Message volume by plane (local + remote).
@@ -786,13 +816,15 @@ struct StepOut<M> {
 }
 
 impl<M> StepOut<M> {
-    fn new(n_workers: usize) -> Self {
+    /// Accounting for `n_workers` destinations and a typed table reserved
+    /// for `typed` messages.
+    fn new(n_workers: usize, typed: usize) -> Self {
         StepOut {
             metrics: WorkerPhase::default(),
             recv_bytes: vec![0; n_workers],
             recv_records: vec![0; n_workers],
             inbox_bytes: vec![0; n_workers],
-            shards: (0..n_workers).map(|_| Vec::new()).collect(),
+            typed: Vec::with_capacity(typed),
             bcasts: Vec::new(),
             msg_bytes: MessagePlaneBytes::default(),
             any_active: false,
@@ -811,7 +843,7 @@ pub struct PregelEngine<P: VertexProgram> {
     /// Per worker: one state per slot, in the layout's slot order.
     workers: Vec<Vec<P::State>>,
     /// Per worker: pending typed messages for the *next* compute.
-    inbox: Vec<InboxArena<P::Msg>>,
+    inbox: Vec<TypedInbox<P::Msg>>,
     /// Per worker: pending rows for the next compute, on whichever
     /// columnar plane the last superstep emitted.
     inbox_cols: Vec<MergedCols>,
@@ -872,7 +904,7 @@ impl<P: VertexProgram> PregelEngine<P> {
             report: RunReport::new(config.spec),
             workers,
             inbox: (0..n)
-                .map(|w| InboxArena::empty(layout.n_slots(w)))
+                .map(|w| TypedInbox::empty(layout.n_slots(w)))
                 .collect(),
             inbox_cols: (0..n).map(|_| MergedCols::None).collect(),
             inbox_bytes: vec![0; n],
@@ -1084,6 +1116,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         // its inbox and fills its row of the shard grid.
         let mut emit = Emit::open(&self.program, step, &mut self.scratch, n);
         let pool = &mut self.scratch;
+        let mut typed = grid(std::mem::take(&mut pool.typed), n, Vec::new);
         let (layout, counts) = (&self.layout, &pool.counts);
         pool.outboxes
             .resize_with(n, || Outbox::new(Arc::clone(layout)));
@@ -1092,9 +1125,10 @@ impl<P: VertexProgram> PregelEngine<P> {
             .iter_mut()
             .zip(self.inbox.iter_mut().zip(&mut self.inbox_cols))
             .zip(emit.sinks(n).into_iter().zip(&mut pool.outboxes))
+            .zip(&mut typed)
             .collect();
         // Failures surface in ascending worker order, like a serial loop.
-        let mut outs = par_map(tasks, |w, ((states, inbox), (sink, ob))| {
+        let mut outs = par_map(tasks, |w, (((states, inbox), (sink, ob)), typed)| {
             run_worker(
                 &self.program,
                 &self.config,
@@ -1104,7 +1138,7 @@ impl<P: VertexProgram> PregelEngine<P> {
                 w,
                 (states, self.sent.get(w)),
                 inbox,
-                sink,
+                (sink, typed),
                 ob,
             )
         })
@@ -1125,17 +1159,22 @@ impl<P: VertexProgram> PregelEngine<P> {
             &mut self.bcast,
             &mut self.report,
         );
-        let legacy = transpose(outs.into_iter().map(|o| o.shards).collect());
+        let tables: TypedTables<P::Msg> = outs
+            .iter_mut()
+            .map(|o| std::mem::take(&mut o.typed))
+            .collect();
+        let typed = transpose(typed);
         let mut emit = emit.transposed();
         let packed = self.config.transport.needs_bytes().then(|| emit.packed());
         let packed = packed.flatten();
-        let exchanged = self.exchange(step, &emit, packed.as_deref(), &legacy)?;
+        let exchanged = self.exchange(step, &emit, packed.as_deref(), (&typed, &tables))?;
         self.report.wire_bytes += exchanged.wire_bytes;
         let volume = emit.volume();
         let kept = packed.is_none().then_some(&emit);
-        let sealed = self.seal(step, legacy, exchanged.dests, kept)?;
+        let sealed = self.seal(step, (&typed, tables), exchanged.dests, kept)?;
         self.sent = emit.sent_rows();
         emit.reclaim(&mut self.scratch);
+        self.scratch.typed = transpose(typed);
         let spilled = self.install(sealed);
         self.check_memory(&phase, &mut metrics)?;
         // Flight recorder: emit at the barrier only, after every check
@@ -1154,25 +1193,37 @@ impl<P: VertexProgram> PregelEngine<P> {
     /// and merges what it was handed in ascending sender order (see the
     /// transport contract). Fused shards are borrowed; materialized rows
     /// and the typed plane go only to a backend that moves bytes —
-    /// `packed` rows, legacy records encoded — and otherwise stay with the
+    /// `packed` rows, and per destination and sender the typed records its
+    /// `(slot, table index)` references name, each message encoded once
+    /// and its bytes copied per reference — and otherwise stay with the
     /// engine, which seals them itself.
     fn exchange(
         &self,
         step: usize,
         emit: &Emit<'_>,
         packed: Option<&[Vec<RowShard>]>,
-        legacy: &[LegacyShards<P::Msg>],
+        (typed, tables): (&[Vec<Refs>], &[Vec<P::Msg>]),
     ) -> Result<ExchangeOut> {
-        let needs_bytes = self.config.transport.needs_bytes();
-        let encode =
-            |shard: &Vec<(u32, P::Msg)>| shard.iter().map(|(s, m)| (*s, m.to_bytes())).collect();
-        let dests = legacy
+        let encoded: Option<Vec<Vec<Vec<u8>>>> = self.config.transport.needs_bytes().then(|| {
+            let table = |t: &Vec<P::Msg>| t.iter().map(Encode::to_bytes).collect();
+            tables.iter().map(table).collect()
+        });
+        let records = |senders: &[Refs]| -> Option<Vec<EncodedRecords>> {
+            let encoded = encoded.as_ref()?;
+            let sender = |(refs, bytes): (&Refs, &Vec<Vec<u8>>)| {
+                refs.iter()
+                    .map(|&(slot, at)| (slot, bytes[at as usize].clone()))
+                    .collect()
+            };
+            Some(senders.iter().zip(encoded).map(sender).collect())
+        };
+        let dests = typed
             .iter()
             .enumerate()
             .map(|(w2, senders)| DestShards {
                 n_slots: self.layout.n_slots(w2),
                 cols: emit.dest(w2, packed),
-                legacy: needs_bytes.then(|| senders.iter().map(encode).collect()),
+                legacy: records(senders),
             })
             .collect();
         let ex = Exchange {
@@ -1186,22 +1237,23 @@ impl<P: VertexProgram> PregelEngine<P> {
     }
 
     /// Barrier stage: build the next superstep's inboxes from the merged
-    /// planes — the typed arena from what came back over the wire (decoded)
-    /// or from the shards the in-process exchange left untouched; the
-    /// columnar half as merged, or, for materialized rows `kept` with the
-    /// engine, sealed here as references into the senders' row tables
+    /// planes. The typed half references the senders' typed tables
+    /// ([`TypedInbox::seal`]), or — what came back over the wire — one
+    /// table of the decoded records, one reference each. The columnar
+    /// half as merged, or, for materialized rows `kept` with the engine,
+    /// sealed here as references into the senders' row tables
     /// ([`RowArena::seal_refs`]). Destinations are independent, so this
     /// runs fork-join like the merge itself; failures surface in ascending
     /// destination order.
     fn seal(
         &self,
         step: usize,
-        legacy: Vec<LegacyShards<P::Msg>>,
+        (typed, tables): (&[Vec<Refs>], TypedTables<P::Msg>),
         merged: Vec<DestMerged>,
         kept: Option<&Emit<'_>>,
     ) -> Result<Vec<Sealed<P::Msg>>>
     where
-        P::Msg: Send,
+        P::Msg: Send + Sync,
     {
         let (layout, spill) = (&self.layout, self.config.spill.as_ref());
         let lent = match kept {
@@ -1214,16 +1266,18 @@ impl<P: VertexProgram> PregelEngine<P> {
             )),
             _ => None,
         };
-        let tasks: Vec<_> = legacy.into_iter().zip(merged).collect();
-        let sealed = par_map(tasks, |w2, (mut shards, merged)| {
-            if let Some(records) = merged.legacy {
-                let typed = records
-                    .into_iter()
-                    .map(|(s, bytes)| P::Msg::from_bytes(&bytes).map(|m| (s, m)));
-                shards = vec![typed.collect::<Result<_>>()?];
-            }
+        let tasks: Vec<_> = typed.iter().zip(merged).collect();
+        let sealed = par_map(tasks, |w2, (refs, merged)| {
             let n_slots = layout.n_slots(w2);
-            let arena = InboxArena::seal(n_slots, shards)?;
+            let typed = match merged.legacy {
+                None => TypedInbox::seal(n_slots, refs, Arc::clone(&tables))?,
+                Some(records) => {
+                    let refs = records.iter().enumerate().map(|(i, &(s, _))| (s, i as u32));
+                    let table = records.iter().map(|(_, bytes)| P::Msg::from_bytes(bytes));
+                    let table = table.collect::<Result<Vec<_>>>()?;
+                    TypedInbox::seal(n_slots, &[refs.collect()], Arc::new([table]))?
+                }
+            };
             let cols = match &lent {
                 Some((dim, tables, refs)) => {
                     let tables = Arc::clone(tables);
@@ -1233,7 +1287,7 @@ impl<P: VertexProgram> PregelEngine<P> {
                 }
                 None => merged.cols,
             };
-            Ok((arena, cols))
+            Ok((typed, cols))
         })
         .into_iter()
         .collect::<Result<Vec<_>>>();
@@ -1312,7 +1366,7 @@ impl<P: VertexProgram> PregelEngine<P> {
                 dests: metrics.len() as u64,
                 shards,
                 rows,
-                legacy_records: self.inbox.iter().map(|a| a.msgs.len() as u64).sum(),
+                legacy_records: self.inbox.iter().map(|a| a.sources.len() as u64).sum(),
             },
         );
         trace.emit(
@@ -1371,7 +1425,7 @@ enum RowSink<'a> {
     Rows {
         dim: usize,
         table: &'a mut RowBlock,
-        refs: &'a mut [RowRefs],
+        refs: &'a mut [Refs],
         sent: &'a mut Vec<u32>,
     },
     Fused {
@@ -1521,8 +1575,9 @@ fn fold_spans<M>(
 
 /// One worker's compute for one superstep: drain the inbox (both planes)
 /// slot by slot, run the vertex program, and spool outgoing messages into
-/// per-destination shards — typed messages into legacy shards, fixed-width
-/// rows through `sink` into columnar row shards or fused accumulators.
+/// per-destination shards — typed messages once into the worker's typed
+/// table with a reference per route in `typed`, fixed-width rows through
+/// `sink` into columnar row shards or fused accumulators.
 /// Runs on its own thread; touches nothing shared mutably.
 #[allow(clippy::too_many_arguments)]
 fn run_worker<P: VertexProgram>(
@@ -1533,8 +1588,8 @@ fn run_worker<P: VertexProgram>(
     step: usize,
     w: usize,
     (states, sent): (&mut [P::State], Option<&SentRows>),
-    (arena, cols_in): (&mut InboxArena<P::Msg>, &mut MergedCols),
-    mut sink: RowSink<'_>,
+    (arena, cols_in): (&mut TypedInbox<P::Msg>, &mut MergedCols),
+    (mut sink, typed): (RowSink<'_>, &mut [Refs]),
     ob: &mut Outbox<P::Msg>,
 ) -> Result<StepOut<P::Msg>> {
     if let Some(inj) = &config.faults {
@@ -1548,12 +1603,16 @@ fn run_worker<P: VertexProgram>(
         }
     }
     let n_workers = layout.n_workers();
-    let mut out = StepOut::new(n_workers);
+    let mut out = StepOut::new(n_workers, counts.typed_table(w));
     // One pooled outbox reused across every vertex (and, via the scratch
     // pool, across supersteps and runs): cleared between computes,
     // capacity retained, so steady-state sends allocate nothing.
     ob.reset(layout, sink.row_dim());
     sink.reset(layout, w, counts, widest);
+    for (w2, refs) in typed.iter_mut().enumerate() {
+        refs.clear();
+        refs.reserve_exact(counts.typed_refs(w, w2));
+    }
 
     for (s, (state, &vertex_id)) in states.iter_mut().zip(layout.ids(w)).enumerate() {
         let (rows, messages) = (cols_rows(cols_in, s)?, arena.slot(s));
@@ -1599,7 +1658,7 @@ fn run_worker<P: VertexProgram>(
         // Route typed messages, in call order, each to its span of routes.
         let mut start = 0;
         for (msg, &end) in ob.messages.drain(..).zip(&ob.msg_span_ends) {
-            deliver(layout, w, msg, &ob.msg_routes[start..end], &mut out);
+            deliver(layout, w, msg, &ob.msg_routes[start..end], typed, &mut out);
             start = end;
         }
 
@@ -1627,20 +1686,22 @@ fn unknown_vertex(dst: u64) -> Error {
     Error::InvalidGraph(format!("message to unknown vertex {dst}"))
 }
 
-/// Route one typed message to every route of its span — into the sender's
-/// outbox shard for each destination worker, with full byte accounting on
-/// both sides. The message is sized once; each destination's id (its
-/// wire address) is read from the slot table, not looked up, and each
-/// destination gets its own clone, the last one the message itself.
-fn deliver<M: Encode + Clone>(
+/// Route one typed message to every route of its span: stored once, in
+/// the sender's typed table, and referenced by `(slot, table index)` from
+/// the list of each route's destination worker, with full byte accounting
+/// on both sides. The message is sized once; each destination's id (its
+/// wire address) is read from the slot table, not looked up.
+fn deliver<M: Encode>(
     layout: &Layout,
     from_worker: usize,
     msg: M,
     routes: &[Route],
+    refs: &mut [Refs],
     out: &mut StepOut<M>,
 ) {
     let len = msg.encoded_len();
-    let mut ship = |route, msg| {
+    let at = out.typed.len() as u32;
+    for &route in routes {
         let (w2, slot) = layout.unpack(route);
         let wire_len = (len + varint_len(layout.id_of(route))) as u64;
         if w2 != from_worker {
@@ -1650,14 +1711,9 @@ fn deliver<M: Encode + Clone>(
         }
         out.inbox_bytes[w2] += wire_len;
         out.msg_bytes.legacy += wire_len;
-        out.shards[w2].push((slot, msg));
-    };
-    if let Some((&last, rest)) = routes.split_last() {
-        for &route in rest {
-            ship(route, msg.clone());
-        }
-        ship(last, msg);
+        refs[w2].push((slot, at));
     }
+    out.typed.push(msg);
 }
 
 #[cfg(test)]
@@ -2165,7 +2221,7 @@ mod tests {
                 out.send(0, (vertex * 10) as f32);
                 out.send(0, (vertex * 10 + 1) as f32);
             } else if step == 1 {
-                *state = inbox.messages.to_vec();
+                *state = inbox.messages.iter().copied().collect();
             }
             Ok(())
         }
@@ -2221,7 +2277,7 @@ mod tests {
             out: &mut Outbox<f32>,
         ) -> Result<()> {
             if step == 1 {
-                state.typed = inbox.messages.to_vec();
+                state.typed = inbox.messages.iter().copied().collect();
                 if let RowsIn::Rows(rows) = inbox.rows {
                     state.rows = rows.to_vec();
                 }
@@ -2551,32 +2607,54 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(23);
         for _ in 0..300 {
             // Slots drawn from a prefix of the table leave the rest empty;
-            // a third of the senders send nothing.
+            // a third of the senders send nothing. A message goes to one
+            // to three routes, each a reference to its one stored copy.
             let n_slots = 1 + rng.below(12) as usize;
             let used = 1 + rng.below(n_slots as u64);
             let mut tag = 0u32;
-            let shards: Vec<Vec<(u32, u32)>> = (0..rng.below(6))
-                .map(|_| {
-                    let len = rng.below(3) * rng.below(15);
-                    let mut record = || {
-                        tag += 1;
-                        (rng.below(used) as u32, tag)
-                    };
-                    (0..len).map(|_| record()).collect()
-                })
+            let (mut tables, mut refs) = (Vec::new(), Vec::new());
+            for _ in 0..rng.below(6) {
+                let (mut table, mut sent) = (Vec::new(), Vec::new());
+                for _ in 0..rng.below(3) * rng.below(15) {
+                    tag += 1;
+                    for _ in 0..1 + rng.below(3) {
+                        sent.push((rng.below(used) as u32, table.len() as u32));
+                    }
+                    table.push(tag);
+                }
+                tables.push(table);
+                refs.push(sent);
+            }
+            let mut want: Vec<(u32, u32)> = refs
+                .iter()
+                .zip(&tables)
+                .flat_map(|(sent, table)| sent.iter().map(|&(s, at)| (s, table[at as usize])))
                 .collect();
-            let mut want: Vec<(u32, u32)> = shards.iter().flatten().copied().collect();
             want.sort_by_key(|&(slot, _)| slot);
-            let arena = InboxArena::seal(n_slots, shards).unwrap();
-            let got: Vec<(u32, u32)> = (0..n_slots)
-                .flat_map(|s| arena.slot(s).iter().map(move |&m| (s as u32, m)))
+            let lent = |inbox: &TypedInbox<u32>| -> Vec<(u32, u32)> {
+                (0..n_slots)
+                    .flat_map(|s| {
+                        inbox
+                            .slot(s)
+                            .iter()
+                            .map(move |&m| (s as u32, m))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect()
+            };
+            let inbox = TypedInbox::seal(n_slots, &refs, tables.into()).unwrap();
+            assert_eq!(lent(&inbox), want);
+            // What a byte-moving transport hands back — one table, already
+            // in delivery order, one reference per record — lends the same.
+            let one: Refs = want
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, _))| (s, i as u32))
                 .collect();
-            assert_eq!(got, want);
-            // What a byte-moving transport hands back — one shard, already
-            // in delivery order — seals to the same arena.
-            let merged = InboxArena::seal(n_slots, vec![want]).unwrap();
-            assert_eq!(merged.msgs, arena.msgs);
-            assert_eq!(merged.offsets, arena.offsets);
+            let table: Vec<u32> = want.iter().map(|&(_, m)| m).collect();
+            let merged = TypedInbox::seal(n_slots, &[one], Arc::new([table])).unwrap();
+            assert_eq!(lent(&merged), want);
+            assert_eq!(merged.offsets, inbox.offsets);
         }
     }
 

@@ -8,7 +8,7 @@
 //!
 //! - the **typed plane**: `P::Msg` values sent with [`Outbox::send`] or
 //!   [`Outbox::scatter`] — arbitrary encodable payloads, delivered as sent
-//!   (the engine never combines them) and read back as the borrowed slice
+//!   (the engine never combines them) and read back through the lent view
 //!   [`Inbox::messages`];
 //! - the **columnar plane**: fixed-width `f32` rows, available whenever the
 //!   program declares a [`MessageLayout`] for the step, read back as
@@ -43,8 +43,10 @@
 //! [`Outbox::scatter`] spools one message with a span of routes (a hub's
 //! broadcast ref to all its out-edges is one entry), [`Outbox::send`]
 //! resolves its id at the call and spools a span of one, and the engine
-//! walks that spool in call order, sizing each message once per span and
-//! cloning it per route — no id is looked up after the call.
+//! walks that spool in call order, storing each message once in the
+//! worker's typed table and giving each route of its span an 8-byte
+//! reference to it — no id is looked up after the call, and no message is
+//! copied per route.
 
 use inferturbo_common::codec::{Decode, Encode};
 use inferturbo_common::layout::{Layout, Route};
@@ -105,8 +107,9 @@ pub struct Inbox<'a, M> {
     /// superstep.
     pub rows: RowsIn<'a>,
     /// Typed messages in delivery order (ascending sender worker,
-    /// emission order within a sender).
-    pub messages: &'a [M],
+    /// emission order within a sender), each lent where its sender stored
+    /// it.
+    pub messages: LentMessages<'a, M>,
     /// The row this vertex sent on the materialized row plane last
     /// superstep (the last one, if it sent several), lent where its
     /// worker's row table holds it — on every transport and spill setting,
@@ -117,6 +120,80 @@ pub struct Inbox<'a, M> {
     /// any worker), if one exists.
     pub broadcast: &'a BroadcastLookup<'a, M>,
 }
+
+/// The typed messages one slot of a sealed inbox lends out, in delivery
+/// order: `(sender, table index)` references into the step's typed
+/// tables, one table per sender worker. Each message was stored once, by
+/// its sender, however many routes it went to; handing it out copies
+/// nothing.
+pub struct LentMessages<'a, M> {
+    refs: &'a [(u32, u32)],
+    tables: &'a [Vec<M>],
+}
+
+impl<M> Clone for LentMessages<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for LentMessages<'_, M> {}
+
+impl<'a, M> LentMessages<'a, M> {
+    /// The messages `refs` name in `tables`; every reference must name a
+    /// message of its table.
+    pub(crate) fn new(refs: &'a [(u32, u32)], tables: &'a [Vec<M>]) -> Self {
+        LentMessages { refs, tables }
+    }
+
+    /// Number of messages.
+    pub fn len(&self) -> usize {
+        self.refs.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.refs.is_empty()
+    }
+
+    /// The messages front to back.
+    pub fn iter(&self) -> Messages<'a, M> {
+        Messages {
+            refs: self.refs.iter(),
+            tables: self.tables,
+        }
+    }
+}
+
+impl<'a, M> IntoIterator for LentMessages<'a, M> {
+    type Item = &'a M;
+    type IntoIter = Messages<'a, M>;
+
+    fn into_iter(self) -> Messages<'a, M> {
+        self.iter()
+    }
+}
+
+/// Iterator over [`LentMessages`], in delivery order.
+pub struct Messages<'a, M> {
+    refs: std::slice::Iter<'a, (u32, u32)>,
+    tables: &'a [Vec<M>],
+}
+
+impl<'a, M> Iterator for Messages<'a, M> {
+    type Item = &'a M;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a M> {
+        let &(sender, at) = self.refs.next()?;
+        Some(&self.tables[sender as usize][at as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.refs.size_hint()
+    }
+}
+
+impl<M> ExactSizeIterator for Messages<'_, M> {}
 
 /// Per-compute output collector handed to [`VertexProgram::compute`].
 /// One instance is reused across a worker's whole superstep — cleared
@@ -218,8 +295,9 @@ impl<M> Outbox<M> {
 
     /// Send one typed message to every destination in `edges` (typed
     /// plane): the twin of [`Outbox::scatter_row`]. The message is spooled
-    /// once with its span of routes; the engine sizes it once and hands
-    /// each destination its own clone. Typed sends — this and
+    /// once with its span of routes; the engine sizes it once, stores it
+    /// once in the worker's typed table and hands each destination an
+    /// 8-byte reference to it. Typed sends — this and
     /// [`Outbox::send`] — share one spool in call order, so a destination
     /// receives them exactly as the calls named it; `send(dst, msg)` and
     /// `scatter` over the one route that resolves `dst` are
