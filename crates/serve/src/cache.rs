@@ -136,6 +136,76 @@ impl ResponseCache {
         self.order.push_back(key);
     }
 
+    /// Record a fresh run of `plan` against `features`: node `v`'s logits
+    /// row is `logits[v]`. The cache is left exactly as [`insert`]ing each
+    /// row in node order would leave it — contents, FIFO order and
+    /// snapshot pins — but a row that loop would insert and then evict
+    /// again is never cloned or inserted. With more nodes than capacity,
+    /// that is most of them.
+    ///
+    /// The loop is replayed on counts: the queue is the live keys, then
+    /// the run's pushes; a node whose key is still live at its turn is
+    /// overwritten in place, any other is pushed, after evicting from the
+    /// front until it fits.
+    ///
+    /// [`insert`]: ResponseCache::insert
+    pub fn insert_run(
+        &mut self,
+        plan: PlanKey,
+        features: &Option<FeatureSnapshot>,
+        logits: &[Vec<f32>],
+    ) {
+        if self.capacity == 0 {
+            return;
+        }
+        let ident = snapshot_ident(features);
+        // Queue position of each node's key already live.
+        let mut live = vec![usize::MAX; logits.len()];
+        for (at, &(p, i, node)) in self.order.iter().enumerate() {
+            if (p, i) == (plan, ident) && (node as usize) < logits.len() {
+                live[node as usize] = at;
+            }
+        }
+        let old = self.order.len();
+        let (mut len, mut evicted) = (old, 0);
+        let mut pushed = Vec::new();
+        for (node, &at) in live.iter().enumerate() {
+            if at != usize::MAX && at >= evicted {
+                continue;
+            }
+            while len >= self.capacity {
+                evicted += 1;
+                len -= 1;
+            }
+            pushed.push(node as u32);
+            len += 1;
+        }
+        for _ in 0..evicted.min(old) {
+            if let Some(oldest) = self.order.pop_front() {
+                self.rows.remove(&oldest);
+                self.unpin(oldest.1);
+            }
+        }
+        // Live keys that survive were overwritten with the run's row.
+        for &(p, i, node) in &self.order {
+            if (p, i) == (plan, ident) && (node as usize) < logits.len() {
+                if let Some(row) = self.rows.get_mut(&(p, i, node)) {
+                    row.clone_from(&logits[node as usize]);
+                }
+            }
+        }
+        let surviving = &pushed[evicted.saturating_sub(old)..];
+        if let (Some(snap), false) = (features, surviving.is_empty()) {
+            let pin = self.pins.entry(ident);
+            pin.or_insert_with(|| (Arc::clone(snap), 0)).1 += surviving.len();
+        }
+        for &node in surviving {
+            let key = (plan, ident, node);
+            self.rows.insert(key, logits[node as usize].clone());
+            self.order.push_back(key);
+        }
+    }
+
     /// The cached logits row for `(plan, features, node)`, if present.
     pub fn get(
         &self,
@@ -222,6 +292,64 @@ mod tests {
         c.insert(rkey(1), &None, 0, vec![0.0]);
         assert!(c.is_empty());
         assert_eq!(c.get(&rkey(1), &None, 0), None);
+    }
+
+    /// Everything a cache holds, in eviction order: each key with its
+    /// row's bits, then each pin's snapshot address and count.
+    type Image = (Vec<(ResponseKey, Vec<u32>)>, Vec<(usize, usize, usize)>);
+
+    fn image(c: &ResponseCache) -> Image {
+        let rows = c.order.iter().map(|k| {
+            let row = c.rows[k].iter().map(|x| x.to_bits()).collect();
+            (*k, row)
+        });
+        let mut pins: Vec<_> = c
+            .pins
+            .iter()
+            .map(|(&ident, (snap, n))| (ident, Arc::as_ptr(snap) as usize, *n))
+            .collect();
+        pins.sort_unstable();
+        (rows.collect(), pins)
+    }
+
+    /// `insert_run` leaves the cache byte-equal to the loop it replaces —
+    /// `insert` of every row in node order — on random capacities, node
+    /// counts and histories: keys already cached under the same plan and
+    /// snapshot (some live at their turn, some evicted before it), under
+    /// other snapshots and other plans, and runs repeated back to back.
+    #[test]
+    fn insert_run_leaves_what_inserting_every_row_in_order_leaves() {
+        let snaps: Vec<Option<FeatureSnapshot>> = vec![
+            None,
+            Some(Arc::new(vec![vec![0.0; 2]; 3])),
+            Some(Arc::new(vec![vec![1.0; 2]; 3])),
+        ];
+        let mut rng = inferturbo_common::Xoshiro256::seed_from_u64(91);
+        for case in 0..600 {
+            let capacity = rng.below(14) as usize;
+            let (mut fast, mut oracle) =
+                (ResponseCache::new(capacity), ResponseCache::new(capacity));
+            for step in 0..1 + rng.below(4) {
+                let plan = rkey(1 + rng.below(2));
+                let snap = &snaps[rng.below(3) as usize];
+                if rng.below(2) == 0 {
+                    // A single row, as any earlier caller left it.
+                    let node = rng.below(20) as u32;
+                    let row = vec![rng.below(100) as f32];
+                    fast.insert(plan, snap, node, row.clone());
+                    oracle.insert(plan, snap, node, row);
+                } else {
+                    let logits: Vec<Vec<f32>> = (0..rng.below(20))
+                        .map(|v| vec![v as f32, (case * 7 + step) as f32])
+                        .collect();
+                    fast.insert_run(plan, snap, &logits);
+                    for (v, row) in logits.iter().enumerate() {
+                        oracle.insert(plan, snap, v as u32, row.clone());
+                    }
+                }
+                assert_eq!(image(&fast), image(&oracle), "case {case}, step {step}");
+            }
+        }
     }
 
     #[test]

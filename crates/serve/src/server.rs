@@ -1037,14 +1037,9 @@ impl<'a> GnnServer<'a> {
         }
         // A successful run refreshes the degraded-mode response cache:
         // every node's row, keyed by (plan, snapshot identity, node), in
-        // deterministic node order.
-        if self.cfg.response_cache > 0 {
-            if let Ok(out) = &outcome {
-                for (v, row) in out.logits.iter().enumerate() {
-                    self.responses
-                        .insert(key, &group.features, v as u32, row.clone());
-                }
-            }
+        // deterministic node order — only the rows that stay in it.
+        if let Ok(out) = &outcome {
+            self.responses.insert_run(key, &group.features, &out.logits);
         }
         match outcome {
             Ok(out) => {
