@@ -186,6 +186,9 @@ const PREGEL_FAULTS: [&str; 4] = ["worker", "seal", "spill-write", "spill-read"]
 const MR_FAULTS: [&str; 2] = ["map", "reduce"];
 const SKEWS: [DegreeSkew; 3] = [DegreeSkew::In, DegreeSkew::Out, DegreeSkew::None];
 const THREADS: [usize; 3] = [1, 2, 4];
+/// The largest tiny graph's node count. The smallest is `CLASSES`, the
+/// fewest nodes the generator plants every class on.
+const TINY: u64 = 6;
 const SPILLS: [Option<u64>; 3] = [None, Some(256), Some(4096)];
 
 #[derive(Debug, Clone)]
@@ -216,7 +219,15 @@ struct Scenario {
 
 fn scenario(seed: u64) -> Scenario {
     let mut rng = Xoshiro256::seed_from_u64(0x5CE9_A210 ^ seed);
-    let workers = rng.range_u64(1, 9) as usize;
+    // One graph in five is tiny, on up to two workers more than it has
+    // nodes, so some workers hold no vertex at all.
+    let (nodes, workers) = if rng.chance(0.2) {
+        let nodes = rng.range_u64(CLASSES as u64, TINY + 1);
+        (nodes, rng.range_u64(1, nodes + 3))
+    } else {
+        (rng.range_u64(40, 301), rng.range_u64(1, 9))
+    };
+    let (nodes, workers) = (nodes as usize, workers as usize);
     let faults = rng.chance(0.75).then(|| {
         let pregel_kind = pick(&mut rng, &PREGEL_FAULTS);
         let mr_kind = pick(&mut rng, &MR_FAULTS);
@@ -241,8 +252,8 @@ fn scenario(seed: u64) -> Scenario {
     });
     Scenario {
         seed,
-        nodes: rng.range_u64(40, 301) as usize,
-        avg_degree: rng.range_u64(1, 9) as usize,
+        nodes,
+        avg_degree: rng.range_u64(0, 9) as usize,
         skew: pick(&mut rng, &SKEWS),
         model: pick(&mut rng, &MODELS),
         strategy: StrategyConfig {
@@ -510,8 +521,17 @@ fn every_engine_knob_at_once_changes_nothing() {
         });
         ran += 1;
 
-        cov.saw("nodes", bucket(s.nodes as u64, 40, 300));
+        cov.saw(
+            "nodes",
+            match s.nodes as u64 {
+                n @ ..=TINY => format!("tiny {n}"),
+                n => bucket(n, 40, 300).to_string(),
+            },
+        );
         cov.saw("avg_degree", s.avg_degree);
+        cov.saw("edgeless", s.graph().n_edges() == 0);
+        // More workers than nodes: some worker holds no vertex.
+        cov.saw("empty_worker", s.workers > s.nodes);
         cov.saw("skew", s.skew);
         cov.saw("model", s.model);
         cov.saw("partial_gather", s.strategy.partial_gather);
@@ -538,8 +558,12 @@ fn every_engine_knob_at_once_changes_nothing() {
             .chain(kinds.iter().copied().map(Some))
             .collect()
     };
-    cov.assert_full("nodes", &BUCKETS);
-    cov.assert_full("avg_degree", &[1, 2, 3, 4, 5, 6, 7, 8]);
+    let tiny = (CLASSES as u64..=TINY).map(|n| format!("tiny {n}"));
+    let nodes: Vec<String> = tiny.chain(BUCKETS.map(String::from)).collect();
+    cov.assert_full("nodes", &nodes);
+    cov.assert_full("avg_degree", &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+    cov.assert_full("edgeless", &on_off);
+    cov.assert_full("empty_worker", &on_off);
     cov.assert_full("skew", &SKEWS);
     cov.assert_full("model", &MODELS);
     cov.assert_full("partial_gather", &on_off);
