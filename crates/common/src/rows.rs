@@ -864,7 +864,8 @@ fn max_slot_rows(offsets: &[u32]) -> usize {
 
 /// A destination worker's sealed columnar inbox: slot `s`'s rows at row
 /// indices `offsets[s]..offsets[s+1]` in delivery order. The row analogue
-/// of the Pregel `InboxArena`. The offsets always stay resident. The rows
+/// of the Pregel engine's typed inbox. The offsets always stay resident.
+/// The rows
 /// are either one flat store — what a byte-moving transport hands back,
 /// paging through a [`SpillableRows`] window under a [`SpillPolicy`] — or,
 /// sealed in process from the senders' [`RowTable`]s, one 8-byte
