@@ -443,7 +443,8 @@ struct TypedInbox<M> {
     /// Per-slot ranges: `n_slots + 1` ascending offsets into `sources`.
     offsets: Vec<u32>,
     sources: Vec<(u32, u32)>,
-    tables: TypedTables<M>,
+    /// The tables `sources` index; none while nothing is pending.
+    tables: Option<TypedTables<M>>,
 }
 
 impl<M> Clone for TypedInbox<M> {
@@ -452,7 +453,7 @@ impl<M> Clone for TypedInbox<M> {
         TypedInbox {
             offsets: self.offsets.clone(),
             sources: self.sources.clone(),
-            tables: Arc::clone(&self.tables),
+            tables: self.tables.clone(),
         }
     }
 }
@@ -463,7 +464,7 @@ impl<M> TypedInbox<M> {
         TypedInbox {
             offsets: vec![0; n_slots + 1],
             sources: Vec::new(),
-            tables: Arc::new([]),
+            tables: None,
         }
     }
 
@@ -471,7 +472,7 @@ impl<M> TypedInbox<M> {
     /// senders stored them.
     fn slot(&self, slot: usize) -> LentMessages<'_, M> {
         let refs = &self.sources[self.offsets[slot] as usize..self.offsets[slot + 1] as usize];
-        LentMessages::new(refs, &self.tables)
+        LentMessages::new(refs, self.tables.as_deref().unwrap_or_default())
     }
 
     /// Let go of the messages once the worker has read them, before the
@@ -479,7 +480,7 @@ impl<M> TypedInbox<M> {
     fn drain(&mut self) {
         self.sources = Vec::new();
         self.offsets.fill(0);
-        self.tables = Arc::new([]);
+        self.tables = None;
     }
 
     /// Seal from per-sender reference lists: `refs[s]` is sender `s`'s
@@ -502,8 +503,8 @@ impl<M> TypedInbox<M> {
         seal_order(n_slots, total, rows, &mut offsets, &mut sources)?;
         Ok(TypedInbox {
             offsets,
+            tables: (!sources.is_empty()).then_some(tables),
             sources,
-            tables,
         })
     }
 }
