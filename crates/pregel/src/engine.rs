@@ -483,20 +483,24 @@ impl<M> TypedInbox<M> {
         self.tables = None;
     }
 
-    /// Seal from per-sender reference lists: `refs[s]` is sender `s`'s
-    /// `(slot, table index)` per message bound here, in emission order,
-    /// and `tables[s]` the table they index. A stable counting sort by
-    /// slot of the senders' concatenation (senders ascending) — exactly
-    /// the delivery order of a serial sender loop; no message moves.
-    fn seal(n_slots: usize, refs: &[Refs], tables: TypedTables<M>) -> Result<Self> {
+    /// Seal from per-sender reference lists: the `s`-th list `refs`
+    /// yields is sender `s`'s `(slot, table index)` per message bound
+    /// here, in emission order, and `tables[s]` the table they index. A
+    /// stable counting sort by slot of the senders' concatenation (senders
+    /// ascending) — exactly the delivery order of a serial sender loop; no
+    /// message moves.
+    fn seal<'r>(
+        n_slots: usize,
+        refs: impl Iterator<Item = &'r Refs> + Clone,
+        tables: TypedTables<M>,
+    ) -> Result<Self> {
         if tables.iter().any(|t| u32::try_from(t.len()).is_err()) {
             return Err(Error::Capacity(
                 "a typed table exceeds its references' u32 indexes".into(),
             ));
         }
-        let total = refs.iter().map(Vec::len).sum();
+        let total = refs.clone().map(Vec::len).sum();
         let rows = refs
-            .iter()
             .enumerate()
             .flat_map(|(sender, r)| r.iter().map(move |&(slot, at)| (slot, (sender as u32, at))));
         let (mut offsets, mut sources) = (Vec::new(), Vec::new());
@@ -1164,7 +1168,6 @@ impl<P: VertexProgram> PregelEngine<P> {
             .iter_mut()
             .map(|o| std::mem::take(&mut o.typed))
             .collect();
-        let typed = transpose(typed);
         let mut emit = emit.transposed();
         let packed = self.config.transport.needs_bytes().then(|| emit.packed());
         let packed = packed.flatten();
@@ -1175,7 +1178,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         let sealed = self.seal(step, (&typed, tables), exchanged.dests, kept)?;
         self.sent = emit.sent_rows();
         emit.reclaim(&mut self.scratch);
-        self.scratch.typed = transpose(typed);
+        self.scratch.typed = typed;
         let spilled = self.install(sealed);
         self.check_memory(&phase, &mut metrics)?;
         // Flight recorder: emit at the barrier only, after every check
@@ -1205,26 +1208,27 @@ impl<P: VertexProgram> PregelEngine<P> {
         packed: Option<&[Vec<RowShard>]>,
         (typed, tables): (&[Vec<Refs>], &[Vec<P::Msg>]),
     ) -> Result<ExchangeOut> {
+        // `typed` is sender-major: `typed[s][w2]` is what sender `s` sent
+        // worker `w2`.
         let encoded: Option<Vec<Vec<Vec<u8>>>> = self.config.transport.needs_bytes().then(|| {
             let table = |t: &Vec<P::Msg>| t.iter().map(Encode::to_bytes).collect();
             tables.iter().map(table).collect()
         });
-        let records = |senders: &[Refs]| -> Option<Vec<EncodedRecords>> {
+        let records = |w2: usize| -> Option<Vec<EncodedRecords>> {
             let encoded = encoded.as_ref()?;
-            let sender = |(refs, bytes): (&Refs, &Vec<Vec<u8>>)| {
-                refs.iter()
+            let sender = |(sent, bytes): (&Vec<Refs>, &Vec<Vec<u8>>)| {
+                sent[w2]
+                    .iter()
                     .map(|&(slot, at)| (slot, bytes[at as usize].clone()))
                     .collect()
             };
-            Some(senders.iter().zip(encoded).map(sender).collect())
+            Some(typed.iter().zip(encoded).map(sender).collect())
         };
-        let dests = typed
-            .iter()
-            .enumerate()
-            .map(|(w2, senders)| DestShards {
+        let dests = (0..self.layout.n_workers())
+            .map(|w2| DestShards {
                 n_slots: self.layout.n_slots(w2),
                 cols: emit.dest(w2, packed),
-                legacy: records(senders),
+                legacy: records(w2),
             })
             .collect();
         let ex = Exchange {
@@ -1239,6 +1243,7 @@ impl<P: VertexProgram> PregelEngine<P> {
 
     /// Barrier stage: build the next superstep's inboxes from the merged
     /// planes. The typed half references the senders' typed tables
+    /// through their sender-major reference grid `typed`
     /// ([`TypedInbox::seal`]), or — what came back over the wire — one
     /// table of the decoded records, one reference each. The columnar
     /// half as merged, or, for materialized rows `kept` with the engine,
@@ -1267,16 +1272,19 @@ impl<P: VertexProgram> PregelEngine<P> {
             )),
             _ => None,
         };
-        let tasks: Vec<_> = typed.iter().zip(merged).collect();
-        let sealed = par_map(tasks, |w2, (refs, merged)| {
+        let sealed = par_map(merged, |w2, merged| {
             let n_slots = layout.n_slots(w2);
             let typed = match merged.legacy {
-                None => TypedInbox::seal(n_slots, refs, Arc::clone(&tables))?,
+                None => {
+                    let refs = typed.iter().map(|sent| &sent[w2]);
+                    TypedInbox::seal(n_slots, refs, Arc::clone(&tables))?
+                }
                 Some(records) => {
                     let refs = records.iter().enumerate().map(|(i, &(s, _))| (s, i as u32));
                     let table = records.iter().map(|(_, bytes)| P::Msg::from_bytes(bytes));
                     let table = table.collect::<Result<Vec<_>>>()?;
-                    TypedInbox::seal(n_slots, &[refs.collect()], Arc::new([table]))?
+                    let refs: Refs = refs.collect();
+                    TypedInbox::seal(n_slots, std::iter::once(&refs), Arc::new([table]))?
                 }
             };
             let cols = match &lent {
@@ -2643,7 +2651,7 @@ mod tests {
                     })
                     .collect()
             };
-            let inbox = TypedInbox::seal(n_slots, &refs, tables.into()).unwrap();
+            let inbox = TypedInbox::seal(n_slots, refs.iter(), tables.into()).unwrap();
             assert_eq!(lent(&inbox), want);
             // What a byte-moving transport hands back — one table, already
             // in delivery order, one reference per record — lends the same.
@@ -2653,7 +2661,7 @@ mod tests {
                 .map(|(i, &(s, _))| (s, i as u32))
                 .collect();
             let table: Vec<u32> = want.iter().map(|&(_, m)| m).collect();
-            let merged = TypedInbox::seal(n_slots, &[one], Arc::new([table])).unwrap();
+            let merged = TypedInbox::seal(n_slots, [&one].into_iter(), Arc::new([table])).unwrap();
             assert_eq!(lent(&merged), want);
             assert_eq!(merged.offsets, inbox.offsets);
         }
