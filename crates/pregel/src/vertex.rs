@@ -101,7 +101,7 @@ pub(crate) enum SendMisuse {
 /// Everything delivered to one vertex for this superstep, handed to
 /// [`VertexProgram::compute`]: both message planes, the broadcast table,
 /// and the row the vertex itself sent last superstep — all lent, out of
-/// the worker's sealed inbox and its senders' row tables.
+/// the worker's sealed inbox and its senders' row and typed tables.
 pub struct Inbox<'a, M> {
     /// The columnar half: rows (or one fused accumulator) sent last
     /// superstep.
