@@ -129,6 +129,15 @@ pub fn scores(
     })
 }
 
+/// The Pregel rows' cluster: 8 workers and a hub threshold of 16, the
+/// configuration the Table II check runs. `plan()` raises a threshold to
+/// at least the worker count, and these graphs' out-degrees stay below
+/// 100 (ppi-like's largest is 32, products-like's 49), so on a 100-worker
+/// cluster no vertex would be a hub and GAT's rows would never take the
+/// broadcast path.
+const PREGEL_WORKERS: usize = 8;
+const HUB_THRESHOLD: u32 = 16;
+
 /// The mag240m-like graph, shrunk 10x in quick mode.
 pub fn mag_like(ctx: &ExpCtx) -> Dataset {
     Dataset::mag240m_like_scaled(ctx.seed, if ctx.quick { 10 } else { 1 })
@@ -142,30 +151,39 @@ pub fn run(ctx: &ExpCtx) -> Result<()> {
     ];
     let mut t = Table::new(
         "Table II: prediction performance (accuracy / micro-F1)",
-        &["model", "dataset", "PyG-like", "DGL-like", "Ours"],
+        &[
+            "model", "dataset", "PyG-like", "DGL-like", "Ours", "hubs", "mirrors",
+        ],
     );
     for (d, use_backend) in &datasets {
         let eval = EvalSet::new(ctx, d);
         for (mname, model) in models_for(ctx, d, &d.name)? {
-            let builder = InferenceSession::builder()
-                .model(&model)
-                .graph(&d.graph)
-                .strategy(StrategyConfig::all());
+            let builder = InferenceSession::builder().model(&model).graph(&d.graph);
             let plan = if *use_backend {
                 builder
-                    .pregel_spec(ctx.pregel_spec(100))
+                    .strategy(StrategyConfig::all().with_threshold(HUB_THRESHOLD))
+                    .pregel_spec(ctx.pregel_spec(PREGEL_WORKERS))
                     .backend(Backend::Pregel)
             } else {
-                builder.backend(Backend::Reference)
+                builder
+                    .strategy(StrategyConfig::all())
+                    .backend(Backend::Reference)
             }
             .plan()?;
             let s = scores(d, &model, &eval.targets, &plan)?;
+            let summary = plan.summary();
+            let shape = |n: usize| match use_backend {
+                true => n.to_string(),
+                false => "-".into(),
+            };
             t.rowv(vec![
                 mname.clone(),
                 d.name.clone(),
                 format!("{:.3}", s.pyg),
                 format!("{:.3}", s.dgl),
                 format!("{:.3}", s.ours),
+                shape(summary.hubs),
+                shape(summary.mirrors),
             ]);
         }
     }
@@ -233,9 +251,10 @@ pub(crate) mod tests {
     /// The paper's Table II claim: full-graph inference scores what the
     /// sampled k-hop pipelines score. Asserted on `small_trained`'s graph
     /// and models over 400 test targets, ours run by the Pregel backend
-    /// on 8 workers with every strategy on. The hub threshold is fixed at
-    /// 16 (λ's would be 62, above every out-degree of this in-skewed
-    /// graph), so GAT's hub messages take the broadcast path.
+    /// on the table's Pregel cluster ([`PREGEL_WORKERS`], every strategy
+    /// on). The hub threshold is fixed at [`HUB_THRESHOLD`] (λ's would be
+    /// 62, above every out-degree of this in-skewed graph), so GAT's hub
+    /// messages take the broadcast path.
     ///
     /// ε = 1/√N = 0.05 for N = 400 targets: twice the largest binomial
     /// standard error of an accuracy read over N targets (0.5/√N). At
@@ -252,8 +271,8 @@ pub(crate) mod tests {
             let plan = InferenceSession::builder()
                 .model(model)
                 .graph(&d.graph)
-                .workers(8)
-                .strategy(StrategyConfig::all().with_threshold(16))
+                .workers(PREGEL_WORKERS)
+                .strategy(StrategyConfig::all().with_threshold(HUB_THRESHOLD))
                 .backend(Backend::Pregel)
                 .plan()
                 .unwrap();

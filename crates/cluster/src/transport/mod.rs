@@ -13,12 +13,15 @@
 //!   scatter). What a backend is handed depends on
 //!   [`Transport::needs_bytes`]. A backend that moves bytes gets every
 //!   plane: fused shards, materialized rows packed into [`RowShard`]s,
-//!   and the typed plane encoded. A backend that does not gets the fused
-//!   shards only: materialized rows arrive as [`ColsShards::None`] and
-//!   stay in the senders' row tables, which the Pregel engine seals into
-//!   reference inboxes itself ([`RowArena::seal_refs`]), and the typed
-//!   plane never leaves the engine. The call still happens every
-//!   superstep, so the fault sites below fire per destination either way.
+//!   and the typed plane encoded. A backend that does not gets no plane
+//!   from the Pregel engine: both columnar planes arrive as
+//!   [`ColsShards::None`]. Materialized rows stay in the senders' row
+//!   tables, which the engine seals into reference inboxes itself
+//!   ([`RowArena::seal_refs`]); fused partials are folded by the engine
+//!   into each destination's accumulators as each wave of senders ends
+//!   ([`FusedRows::open`]), and the engine seals them; the typed plane
+//!   never leaves the engine. The call still happens every superstep, so
+//!   the fault sites below fire per destination either way.
 //! - **The typed plane.** The Pregel engine stores each typed message
 //!   once, in its sender worker's table, and each route as an 8-byte
 //!   `(slot, table index)` reference. In process it seals those
@@ -67,13 +70,13 @@
 //! [`WorkerProcess::new`] where the child binary lives.
 //!
 //! - [`InProcess`] — the default, a lock-free move: what it is handed is
-//!   borrowed and merged on the spot ([`FusedRows::merge`]; rows handed as
-//!   shards by other callers, [`RowArena::seal`]). It copies no row: the
-//!   engines hand it no materialized rows — the Pregel engine's inboxes
-//!   lend them from the senders' row tables, and the batch engine keeps
-//!   them in the mappers' spools — so a row is written once per sending
-//!   vertex, never once per edge. Zero wire bytes, bit-identical to the
-//!   byte-moving backend by construction.
+//!   borrowed and merged on the spot ([`FusedRows::merge`],
+//!   [`RowArena::seal`]). The engines hand it no rows: the Pregel engine's
+//!   inboxes lend materialized rows from the senders' row tables and its
+//!   fused accumulators are folded wave by wave before the barrier, and
+//!   the batch engine keeps rows in the mappers' spools — so a row is
+//!   written once per sending vertex, never once per edge. Zero wire
+//!   bytes, bit-identical to the byte-moving backend by construction.
 //! - [`WorkerProcess`] — one spawned `itworker` child per concurrent
 //!   destination (pooled and reused), speaking length-prefixed
 //!   [`frame`]s over a Unix socket pair whose child end is the child's

@@ -26,9 +26,11 @@
 //!   emission order with **copy-on-first** semantics (the first row is
 //!   copied, not folded into an identity), so a fused partial is bit-equal
 //!   to a serial front-to-back fold of that sender's rows;
-//! - the destination merge ([`FusedRows::merge`]) folds sender partials
-//!   per slot in ascending sender order, again copy-on-first, one
-//!   [`merge_partial`] step per partial.
+//! - the destination merge folds sender partials per slot in ascending
+//!   sender order, again copy-on-first, one [`merge_partial`] step per
+//!   partial: [`FusedRows::open`], one [`FusedFold::fold`] per sender,
+//!   [`FusedFold::seal`] — all at once ([`FusedRows::merge`]) or a batch
+//!   of senders at a time, with the same result.
 //!
 //! A transport that merges on the far side of a process boundary reuses
 //! [`seal_order`] and [`merge_partial`] rather than restating them.
@@ -1298,7 +1300,11 @@ pub fn merge_partial<A: FusedAggregator + ?Sized>(
 /// (identity-filled), `counts[s]` raw messages folded into slot `s` (0 =
 /// no messages). O(V·d) resident regardless of edge count — and under a
 /// [`SpillPolicy`] even the V·d accumulators page to disk, leaving only
-/// the counts (4 B/slot) plus a bounded row window resident.
+/// the counts (4 B/slot) plus a bounded row window resident. Built in
+/// three calls — [`FusedRows::open`], a [`FusedFold::fold`] per sender,
+/// [`FusedFold::seal`] — so a caller holding only some senders' shards at
+/// a time (the Pregel engine's waves) folds each batch as it ends and
+/// frees it; [`FusedRows::merge`] makes the same calls over a whole set.
 #[derive(Debug)]
 pub struct FusedRows {
     dim: usize,
@@ -1358,12 +1364,21 @@ impl FusedRows {
         self.acc.rows(slot, slot + 1)
     }
 
+    /// Open a destination's accumulators over `n_slots` slots: every lane
+    /// `agg`'s identity, every count 0. Senders' shards then
+    /// [`FusedFold::fold`] into it in ascending sender order, as many at a
+    /// time as the caller holds, and [`FusedFold::seal`] makes the inbox.
+    pub fn open<A: FusedAggregator + ?Sized>(dim: usize, n_slots: usize, agg: &A) -> FusedFold {
+        FusedFold {
+            dim,
+            acc: vec![agg.identity(); n_slots * dim],
+            counts: vec![0; n_slots],
+        }
+    }
+
     /// Merge per-sender fused shards into one dense accumulator set, in
-    /// ascending sender order, each shard in first-touch order — the
-    /// order the determinism contract above fixes, one [`merge_partial`]
-    /// per partial (copy-on-first). The fully-folded
-    /// accumulators then spill under `spill` — fold order is fixed before
-    /// any byte reaches disk.
+    /// ascending sender order: [`FusedRows::open`], one
+    /// [`FusedFold::fold`] per shard, [`FusedFold::seal`].
     pub fn merge(
         dim: usize,
         n_slots: usize,
@@ -1371,27 +1386,11 @@ impl FusedRows {
         agg: &dyn FusedAggregator,
         spill: Option<&SpillPolicy>,
     ) -> Result<Self> {
-        let mut acc = vec![agg.identity(); n_slots * dim];
-        let mut counts = vec![0u32; n_slots];
+        let mut fold = FusedRows::open(dim, n_slots, agg);
         for sh in shards {
-            debug_assert_eq!(sh.dim, dim);
-            for (i, &slot) in sh.keys.iter().enumerate() {
-                let s = slot as usize;
-                merge_partial(
-                    &mut acc[s * dim..(s + 1) * dim],
-                    &mut counts[s],
-                    sh.rows.row(i),
-                    sh.counts[i],
-                    agg,
-                );
-            }
+            fold.fold(sh, agg);
         }
-        Ok(FusedRows {
-            dim,
-            // Fused accumulators read one slot row at a time.
-            acc: SpillableRows::new(dim, acc, spill, 1)?,
-            counts,
-        })
+        fold.seal(spill)
     }
 
     /// Rebuild a merged inbox from wire parts: per-slot message `counts`
@@ -1426,6 +1425,51 @@ impl FusedRows {
             Error::Internal("cannot ship spilled fused rows over the wire".into())
         })?;
         Ok((self.counts, acc))
+    }
+}
+
+/// A destination's fused inbox while senders' partials still fold into
+/// it ([`FusedRows::open`]): the dense accumulators and per-slot counts,
+/// resident. Shards fold one at a time, so a caller may hand them over in
+/// batches — a wave of senders at a time — and free each batch before the
+/// next: the result depends only on the order of the shards, never on how
+/// they were batched.
+#[derive(Debug)]
+pub struct FusedFold {
+    dim: usize,
+    acc: Vec<f32>,
+    counts: Vec<u32>,
+}
+
+impl FusedFold {
+    /// Fold one sender's shard in, in its first-touch order, one
+    /// [`merge_partial`] per partial (copy-on-first). Call once per
+    /// sender, senders ascending: that is the determinism contract's merge
+    /// order.
+    pub fn fold<A: FusedAggregator + ?Sized>(&mut self, shard: &FusedSlotShard, agg: &A) {
+        let dim = self.dim;
+        debug_assert_eq!(shard.dim, dim);
+        for (i, &slot) in shard.keys.iter().enumerate() {
+            let s = slot as usize;
+            merge_partial(
+                &mut self.acc[s * dim..(s + 1) * dim],
+                &mut self.counts[s],
+                shard.rows.row(i),
+                shard.counts[i],
+                agg,
+            );
+        }
+    }
+
+    /// The merged inbox: the fully folded accumulators, spilled under
+    /// `spill` — fold order is fixed before any byte reaches disk.
+    pub fn seal(self, spill: Option<&SpillPolicy>) -> Result<FusedRows> {
+        Ok(FusedRows {
+            dim: self.dim,
+            // Fused accumulators read one slot row at a time.
+            acc: SpillableRows::new(self.dim, self.acc, spill, 1)?,
+            counts: self.counts,
+        })
     }
 }
 

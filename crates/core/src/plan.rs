@@ -984,8 +984,10 @@ mod tests {
         /// records and to the rows the run's exchange carries, and the
         /// typed references to the typed messages it seals; every
         /// pooled cell is reserved at its count (times the widest row the
-        /// run declares on its plane), so none grew while it was written;
-        /// and a second run of the plan reallocates no cell at all.
+        /// run declares on its plane; a fused wave slot at the largest
+        /// count of the senders it hosts), so none grew while it was
+        /// written; and a second run of the plan reallocates no cell at
+        /// all.
         ///
         /// A MapReduce plan of the same configuration counts its buffers
         /// from the same layout: every mapper's and reducer's row cells and
@@ -1006,7 +1008,7 @@ mod tests {
             workers in 1usize..10,
             toggles in 0u8..8,
             threshold in 1u32..6,
-            threads_sel in 0usize..3,
+            threads_sel in 0usize..4,
             seed in 0u64..1_000_000,
         ) {
             let g = generate(&GenConfig {
@@ -1041,7 +1043,7 @@ mod tests {
             let Loadable::Pregel(Laid { layout, cells, .. }) = &plan.loadable else {
                 panic!("a Pregel plan holds its layout");
             };
-            let threads = [1usize, 2, 4][threads_sel];
+            let threads = [1usize, 2, 3, 4][threads_sel];
             Parallelism::with(threads, || plan.run()).unwrap();
             let (carried, typed): (Vec<u64>, Vec<u64>) = trace
                 .events()
@@ -1074,13 +1076,20 @@ mod tests {
                 cells
             };
             let first = pooled();
+            // In process a fused grid computes in waves of `threads`
+            // senders: its row `w` is a wave slot, reserved for the largest
+            // of the senders it hosts.
+            let wave = threads.min(n);
+            let partials = |w: usize, w2: usize| {
+                (w..n).step_by(wave).map(|s| cells.partials(s, w2)).max().unwrap_or(0)
+            };
             for c in &first {
                 let w = c.sender;
                 let planned = match c.kind {
                     CellKind::Table => cells.table_rows(w) * widest_rows,
                     CellKind::Refs(w2) => cells.refs(w, w2),
-                    CellKind::Keys(w2) | CellKind::Counts(w2) => cells.partials(w, w2),
-                    CellKind::Lanes(w2) => cells.partials(w, w2) * widest_fused,
+                    CellKind::Keys(w2) | CellKind::Counts(w2) => partials(w, w2),
+                    CellKind::Lanes(w2) => partials(w, w2) * widest_fused,
                     CellKind::TypedRefs(w2) => cells.typed_refs(w, w2),
                     CellKind::Sent => layout.n_slots(w),
                 };

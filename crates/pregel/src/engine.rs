@@ -15,22 +15,24 @@
 //!
 //! A superstep is the sequence of stages `PregelEngine::superstep` spells
 //! out: resolve the plane the program declared for the step → **fork-join
-//! compute** → merge the senders' accounting → transpose their shards →
-//! exchange → seal → memory check → trace. The compute is a real
-//! fork-join: every logical worker runs the program's one kernel over its
-//! slots on its own OS thread (up to the global
+//! compute**, a wave of senders at a time → merge the senders' accounting
+//! → transpose their shards → exchange → seal → memory check → trace. The
+//! compute is a real fork-join: every logical worker runs the program's
+//! one kernel over its slots on its own OS thread (up to the global
 //! [`inferturbo_common::Parallelism`] budget), writing its outgoing
-//! messages into per-(sender × destination) **outbox shards**. Rows leave
+//! messages into per-(sender × destination) **outbox shards**. All
+//! workers form one wave, except on a fused step in process (see below),
+//! which runs waves of as many senders as there are threads. Rows leave
 //! a vertex as (row, span of routes) pairs in the [`Outbox`] spool; the
 //! worker's one routing loop walks each span, writes the row once into
 //! the worker's row table and a `(slot, table row)` reference into the
 //! shard each route names (or, fused, folds the row into that shard) — no
 //! lookup per edge, no row copied per edge. Byte accounting for rows
 //! happens once per worker after its last vertex, from the shards' own
-//! slot lists and the layout's slot tables. At the barrier the shards are merged
-//! without locks, in ascending sender order — the exact order a serial
-//! sender loop would deliver in — so results, byte accounting, and metrics
-//! are identical for every thread count.
+//! slot lists and the layout's slot tables. Shards are merged without
+//! locks, in ascending sender order — the exact order a serial sender loop
+//! would deliver in — so results, byte accounting, and metrics are
+//! identical for every thread count.
 //!
 //! What a run allocates: the per-worker state vectors, each step's typed
 //! tables and the inboxes sealed at each barrier. The outbox spools, the
@@ -86,11 +88,19 @@
 //!   from the tables into the spill file instead. If the step also
 //!   provides a [`FusedAggregator`], **gather is fused into scatter**:
 //!   senders fold rows into per-destination accumulator rows as they
-//!   emit, and the barrier merges one partial row per (sender,
-//!   destination slot) into a dense O(V·d) accumulator set — peak inbox
-//!   memory and shuffle volume drop from O(E·d) to O(V·d), the paper's
-//!   partial-aggregation optimisation done at the engine level. This is
-//!   the engine's one sender-side combiner.
+//!   emit, and one partial row per (sender, destination slot) is merged
+//!   into a dense O(V·d) accumulator set — peak inbox memory and shuffle
+//!   volume drop from O(E·d) to O(V·d), the paper's partial-aggregation
+//!   optimisation done at the engine level. This is the engine's one
+//!   sender-side combiner. In process the merge does not wait for the
+//!   barrier: the workers compute in waves of
+//!   [`Parallelism::get`](inferturbo_common::Parallelism::get) senders,
+//!   and as each wave ends every destination folds that wave's partials
+//!   into its accumulators ([`FusedRows::open`], [`FusedFold::fold`]),
+//!   so only one wave's shards are alive at a time, not every sender's;
+//!   the barrier seals (and, under a spill budget, spills) the
+//!   accumulators. A transport that moves bytes gets every sender's
+//!   shards at the barrier and merges them itself.
 //!
 //! A transport that moves bytes gets the typed plane as encoded records
 //! built from the references (each message encoded once, its bytes copied
@@ -110,8 +120,9 @@
 //! delivered to a vertex in (sender worker ascending, emission order
 //! within a sender), with no exception. Fused rows fold a sender's rows
 //! per destination in emission order (copy-on-first, so the first row is
-//! taken verbatim), and the barrier merges per-destination partials in
-//! ascending sender order with one lane-wise fold per partial.
+//! taken verbatim), and each destination merges its partials in
+//! ascending sender order with one lane-wise fold per partial — wave by
+//! wave or all at once, the same folds in the same order.
 //! A program folding its row slice front-to-back therefore sees exactly
 //! the serial per-message fold, and a fused accumulator equals that fold
 //! regrouped per sender worker — bit for bit, at every thread count, over
@@ -129,10 +140,10 @@ use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::layout::{CellCounts, Layout, Route};
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{
-    row_payload_len, seal_order, AggKind, FusedAggregator, FusedSlotShard, RowArena, RowBlock,
-    RowShard, RowTable, SpillPolicy,
+    row_payload_len, seal_order, AggKind, FusedAggregator, FusedFold, FusedRows, FusedSlotShard,
+    RowArena, RowBlock, RowShard, RowTable, SpillPolicy,
 };
-use inferturbo_common::{Error, FxHashMap, Result};
+use inferturbo_common::{Error, FxHashMap, Parallelism, Result};
 use inferturbo_obs::{Payload, Site, TraceHandle, TraceMark};
 use std::sync::Arc;
 
@@ -228,9 +239,11 @@ impl PregelConfig {
 }
 
 /// Pooled engine scratch: one outbox (message spools, row buffers) per
-/// logical worker, the `[sender][destination]` grids of both columnar
-/// planes — fused accumulator shards with their dense slot indexes,
-/// materialized row references — the senders' row tables, and the
+/// logical worker, the grids of both columnar planes — fused accumulator
+/// shards with their dense slot indexes, `[wave slot][destination]` (in
+/// process a fused step computes in waves of [`Parallelism::get`] senders,
+/// slot `i` hosting senders `i`, `i + wave`, …), and materialized row
+/// references, `[sender][destination]` — the senders' row tables, and the
 /// per-slot indexes of the rows each slot sent. Every engine owns one —
 /// supersteps within a run reuse it instead of reallocating — and a caller
 /// that runs repeated inference over the same graph (a planned session)
@@ -240,9 +253,11 @@ impl PregelConfig {
 ///
 /// A pool built with [`ScratchPool::planned`] knows how many rows each
 /// grid cell takes ([`CellCounts`]): each cell is reserved exactly, at the
-/// widest row the run declares, before it is first written, so no cell
-/// regrows during a run and repeated runs reuse the same allocations. A
-/// default pool counts nothing, and its cells grow as they are written.
+/// widest row the run declares, before it is first written — a wave
+/// slot's fused cell for the largest of the senders it hosts — so no cell
+/// regrows during a run and repeated runs at the same thread budget reuse
+/// the same allocations. A default pool counts nothing, and its cells grow
+/// as they are written.
 ///
 /// Pooling is observably invisible: a reset shard/outbox is
 /// indistinguishable from a fresh one (sparse index clear through the
@@ -262,6 +277,8 @@ pub struct ScratchPool<M> {
     tables: Vec<Vec<RowTable>>,
     /// Free sets of per-worker sent-row indexes (see [`SentRows`]).
     sent: Vec<Vec<Vec<u32>>>,
+    /// `[wave slot][destination]`: fused shards (one row per sender for a
+    /// transport that moves bytes).
     fused: Vec<Vec<FusedSlotShard>>,
     /// How many rows each grid cell takes; empty for a default pool.
     counts: CellCounts,
@@ -291,9 +308,9 @@ impl<M> ScratchPool<M> {
 
     /// Every allocation of the shard grid and the sent-row indexes the
     /// pool holds: each sender's row tables (in the order the pool last
-    /// took them back), its row reference list and fused shard per
-    /// destination, its typed reference list per destination, then each
-    /// set of sent-row indexes. The same set of
+    /// took them back), its row reference list per destination, each wave
+    /// slot's fused shard per destination, each sender's typed reference
+    /// list per destination, then each set of sent-row indexes. The same set of
     /// cells read before and after a run means the run reallocated none of
     /// them.
     pub fn cells(&self) -> Vec<PooledCell> {
@@ -353,7 +370,9 @@ impl<M> ScratchPool<M> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PooledCell {
     pub kind: CellKind,
-    /// The sender worker whose row of the grid holds it.
+    /// The row of the grid that holds it: a sender worker, or for a fused
+    /// cell merged in waves the wave slot — slot `i` of waves of `t`
+    /// hosts senders `i`, `i + t`, ….
     pub sender: usize,
     /// Where the buffer lives.
     pub addr: usize,
@@ -405,9 +424,10 @@ impl SentRows {
     }
 }
 
-/// A pooled `n × n` grid, grown with `new` cells where it is short.
-fn grid<T>(mut cells: Vec<Vec<T>>, n: usize, new: impl Fn() -> T) -> Vec<Vec<T>> {
-    cells.resize_with(n, Vec::new);
+/// A pooled `rows × n` grid, grown with `new` cells where it is short and
+/// cut where it is long.
+fn grid<T>(mut cells: Vec<Vec<T>>, rows: usize, n: usize, new: impl Fn() -> T) -> Vec<Vec<T>> {
+    cells.resize_with(rows, Vec::new);
     for row in &mut cells {
         row.resize_with(n, &new);
     }
@@ -580,7 +600,10 @@ struct Checkpoint<P: VertexProgram> {
 /// fold, and the grid the rows land in: fused accumulator shards, or each
 /// sender's row table with its `(slot, table row)` references per
 /// destination and the table row each of its slots wrote. The grid is
-/// `[sender][destination]` while the workers compute and `[destination][sender]` once transposed for the exchange.
+/// `[sender][destination]` while the workers compute and
+/// `[destination][sender]` once transposed for the exchange — except a
+/// fused grid merged in waves, which has one row per wave slot and is never
+/// transposed (see [`Emit::Fused`]).
 /// One value per superstep: every worker's [`RowSink`] and every
 /// destination's [`ColsShards`] and refs inbox is a view of it, so they
 /// cannot disagree about the plane.
@@ -595,10 +618,21 @@ enum Emit<'p> {
         /// One per sender worker: slot → table row, `u32::MAX` for none.
         sent: Vec<Vec<u32>>,
     },
+    /// In process (`merged` set) the workers compute in waves of
+    /// [`Parallelism::get`] senders: the grid has one row per wave slot —
+    /// slot `i` hosts senders `i`, `i + wave`, … — and as each wave ends
+    /// every destination folds that wave's shards into its accumulators in
+    /// `merged`, so the slots are free for the next wave. For a transport
+    /// that moves bytes (`merged` unset) the grid has one row per sender,
+    /// all computed in one wave, and the transport merges it whole.
     Fused {
         dim: usize,
         agg: &'p dyn FusedAggregator,
         shards: Vec<Vec<FusedSlotShard>>,
+        /// Per destination: the next inbox, folded wave by wave. The
+        /// barrier takes the folds to seal them; `Some` still marks the
+        /// grid as wave-major.
+        merged: Option<Vec<FusedFold>>,
     },
 }
 
@@ -608,7 +642,9 @@ type Widest = (usize, usize);
 
 impl<'p> Emit<'p> {
     /// Resolve `step`'s plane from the program's declarations and take
-    /// its `n × n` grid out of the pool. Pooled shards are reused as they
+    /// its grid out of the pool: `n × n` over `layout`'s workers, or — a
+    /// fused step `in_waves` — one row per wave slot, with every
+    /// destination's accumulators opened. Pooled shards are reused as they
     /// are — each worker resets its own row ([`RowSink::reset`]); a pooled
     /// row table only when nothing else holds it any more, and only by the
     /// sender it was sized for.
@@ -616,12 +652,14 @@ impl<'p> Emit<'p> {
         program: &'p P,
         step: usize,
         pool: &mut ScratchPool<P::Msg>,
-        n: usize,
+        layout: &Layout,
+        in_waves: bool,
     ) -> Self {
-        let Some(layout) = program.message_layout(step) else {
+        let n = layout.n_workers();
+        let Some(declared) = program.message_layout(step) else {
             return Emit::None;
         };
-        let dim = layout.dim;
+        let dim = declared.dim;
         match program.fused_aggregator(step) {
             None => {
                 // The last superstep's tables are lent out until its
@@ -640,24 +678,47 @@ impl<'p> Emit<'p> {
                 Emit::Rows {
                     dim,
                     tables: tables.collect(),
-                    refs: grid(std::mem::take(&mut pool.rows), n, Vec::new),
+                    refs: grid(std::mem::take(&mut pool.rows), n, n, Vec::new),
                     sent,
                 }
             }
-            Some(agg) => Emit::Fused {
-                dim,
-                agg,
-                shards: grid(std::mem::take(&mut pool.fused), n, || {
-                    FusedSlotShard::new(dim, 0)
-                }),
-            },
+            Some(agg) => {
+                let (rows, merged) = match in_waves {
+                    true => {
+                        let open = (0..n).map(|w2| FusedRows::open(dim, layout.n_slots(w2), agg));
+                        (Parallelism::get().clamp(1, n), Some(open.collect()))
+                    }
+                    false => (n, None),
+                };
+                let pooled = std::mem::take(&mut pool.fused);
+                Emit::Fused {
+                    dim,
+                    agg,
+                    shards: grid(pooled, rows, n, || FusedSlotShard::new(dim, 0)),
+                    merged,
+                }
+            }
         }
     }
 
-    /// One sink per sender worker over its row of the grid.
-    fn sinks(&mut self, n: usize) -> Vec<RowSink<'_>> {
+    /// How many senders compute at once: a wave-major grid's rows, else
+    /// all `n`.
+    fn wave(&self, n: usize) -> usize {
         match self {
-            Emit::None => (0..n).map(|_| RowSink::None).collect(),
+            Emit::Fused {
+                shards,
+                merged: Some(_),
+                ..
+            } => shards.len(),
+            _ => n,
+        }
+    }
+
+    /// One sink per sender of a wave of `len`, over the first `len` rows
+    /// of the grid.
+    fn sinks(&mut self, len: usize) -> Vec<RowSink<'_>> {
+        match self {
+            Emit::None => (0..len).map(|_| RowSink::None).collect(),
             // `open` took only tables nothing else holds, so `make_mut`
             // lends each in place.
             Emit::Rows {
@@ -669,6 +730,7 @@ impl<'p> Emit<'p> {
                 .iter_mut()
                 .zip(refs)
                 .zip(sent)
+                .take(len)
                 .map(|((table, refs), sent)| RowSink::Rows {
                     dim: *dim,
                     table: Arc::make_mut(table),
@@ -676,8 +738,11 @@ impl<'p> Emit<'p> {
                     sent,
                 })
                 .collect(),
-            Emit::Fused { dim, agg, shards } => shards
+            Emit::Fused {
+                dim, agg, shards, ..
+            } => shards
                 .iter_mut()
+                .take(len)
                 .map(|shards| RowSink::Fused {
                     dim: *dim,
                     shards,
@@ -688,10 +753,42 @@ impl<'p> Emit<'p> {
         }
     }
 
-    /// Turn the grid from sender-major to destination-major (or back).
+    /// A wave of `len` senders has computed into the first `len` rows of
+    /// the grid: add its `(shards, rows)` to `volume`, for the trace, and —
+    /// merged in waves — fold each destination's shards into its
+    /// accumulators ([`fold_wave`]).
+    fn end_wave(&mut self, len: usize, volume: &mut (u64, u64)) {
+        fn add<T>(volume: &mut (u64, u64), wave: &[Vec<T>], len: impl Fn(&T) -> usize) {
+            for cell in wave.iter().flatten() {
+                volume.0 += 1;
+                volume.1 += len(cell) as u64;
+            }
+        }
+        match self {
+            Emit::None => {}
+            Emit::Rows { refs, .. } => add(volume, &refs[..len], Vec::len),
+            Emit::Fused {
+                agg,
+                shards,
+                merged,
+                ..
+            } => {
+                add(volume, &shards[..len], FusedSlotShard::len);
+                if let Some(merged) = merged {
+                    fold_wave(merged, &shards[..len], *agg);
+                }
+            }
+        }
+    }
+
+    /// Turn a whole grid from sender-major to destination-major (or
+    /// back); a wave-major grid stays as it is.
     fn transposed(mut self) -> Self {
         match &mut self {
-            Emit::None => {}
+            Emit::None
+            | Emit::Fused {
+                merged: Some(_), ..
+            } => {}
             Emit::Rows { refs, .. } => *refs = transpose(std::mem::take(refs)),
             Emit::Fused { shards, .. } => *shards = transpose(std::mem::take(shards)),
         }
@@ -739,8 +836,9 @@ impl<'p> Emit<'p> {
 
     /// Destination `w2`'s shards, one per sender ascending (of a
     /// transposed grid), as the transport takes them. Materialized rows
-    /// reach the transport only as `packed` shards; otherwise they stay
-    /// in the senders' tables and the engine seals them itself.
+    /// reach the transport only as `packed` shards, fused ones only as a
+    /// whole grid; otherwise they stay with the engine — in the senders'
+    /// tables, or folded wave by wave — which seals them itself.
     fn dest<'a>(&'a self, w2: usize, packed: Option<&'a [Vec<RowShard>]>) -> ColsShards<'a> {
         match self {
             Emit::None => ColsShards::None,
@@ -751,7 +849,12 @@ impl<'p> Emit<'p> {
                 },
                 None => ColsShards::None,
             },
-            Emit::Fused { dim, agg, shards } => ColsShards::Fused {
+            Emit::Fused {
+                merged: Some(_), ..
+            } => ColsShards::None,
+            Emit::Fused {
+                dim, agg, shards, ..
+            } => ColsShards::Fused {
                 dim: *dim,
                 agg: *agg,
                 shards: &shards[w2],
@@ -759,24 +862,8 @@ impl<'p> Emit<'p> {
         }
     }
 
-    /// `(shards, rows)` the grid holds, for the trace.
-    fn volume(&self) -> (u64, u64) {
-        fn of<T>(shards: &[Vec<T>], len: impl Fn(&T) -> usize) -> (u64, u64) {
-            let cells = shards.iter().flatten();
-            (
-                cells.clone().count() as u64,
-                cells.map(len).sum::<usize>() as u64,
-            )
-        }
-        match self {
-            Emit::None => (0, 0),
-            Emit::Rows { refs, .. } => of(refs, Vec::len),
-            Emit::Fused { shards, .. } => of(shards, FusedSlotShard::len),
-        }
-    }
-
-    /// Hand the (destination-major) grid back to the pool, each shard to
-    /// its sender's row, so the next superstep resets them instead of
+    /// Hand the grid back to the pool, each shard to its sender's (or wave
+    /// slot's) row, so the next superstep resets them instead of
     /// reallocating. The row tables go back beside the ones still held.
     fn reclaim<M>(self, pool: &mut ScratchPool<M>) {
         match self {
@@ -787,9 +874,30 @@ impl<'p> Emit<'p> {
                     own.push(table);
                 }
             }
+            Emit::Fused {
+                shards,
+                merged: Some(_),
+                ..
+            } => pool.fused = shards,
             Emit::Fused { shards, .. } => pool.fused = transpose(shards),
         }
     }
+}
+
+/// Fold one wave's fused shards into the next inboxes: `wave[i][w2]` is
+/// what the wave's `i`-th sender (senders ascending) sent destination
+/// `w2`, and `merged[w2]` that destination's accumulators. Each
+/// destination folds its shards in sender order, one
+/// [`FusedFold::fold`] each — so over the waves of a step every
+/// destination sees exactly the one ascending-sender merge
+/// [`FusedRows::merge`] makes. Destinations are independent and fold in
+/// parallel.
+fn fold_wave(merged: &mut [FusedFold], wave: &[Vec<FusedSlotShard>], agg: &dyn FusedAggregator) {
+    par_map(merged.iter_mut().collect(), |w2, fold| {
+        for sender in wave {
+            fold.fold(&sender[w2], agg);
+        }
+    });
 }
 
 /// One destination's sealed inbox: both planes, ready to install.
@@ -1103,9 +1211,11 @@ impl<P: VertexProgram> PregelEngine<P> {
 
     /// Execute one superstep. Returns whether any vertex ran.
     ///
-    /// Compute runs fork-join across workers; every stage after it merges
-    /// in ascending worker order, making the result independent of the
-    /// thread budget. A failed stage leaves the engine half-stepped:
+    /// Compute runs fork-join across workers, in waves of senders on a
+    /// fused step in process — each wave's partials folded into the next
+    /// inboxes as it ends — and in one wave otherwise; every stage after
+    /// it merges in ascending worker order, making the result independent
+    /// of the thread budget. A failed stage leaves the engine half-stepped:
     /// [`PregelEngine::restore`] is the only way on from there.
     fn superstep(&mut self) -> Result<bool>
     where
@@ -1117,38 +1227,68 @@ impl<P: VertexProgram> PregelEngine<P> {
         let n = self.layout.n_workers();
         let phase = format!("superstep-{step}");
 
-        // Resolve the plane, then fork-join compute: each worker drains
-        // its inbox and fills its row of the shard grid.
-        let mut emit = Emit::open(&self.program, step, &mut self.scratch, n);
+        // Resolve the plane, then fork-join compute, a wave of senders at
+        // a time: each worker drains its inbox and fills its row of the
+        // shard grid. A fused grid merged in process has one row per wave
+        // slot and folds into the next inboxes as each wave ends; every
+        // other grid is computed in one wave of all `n`.
+        let in_waves = !self.config.transport.needs_bytes();
+        let mut emit = Emit::open(
+            &self.program,
+            step,
+            &mut self.scratch,
+            &self.layout,
+            in_waves,
+        );
+        let wave = emit.wave(n);
         let pool = &mut self.scratch;
-        let mut typed = grid(std::mem::take(&mut pool.typed), n, Vec::new);
+        let mut typed = grid(std::mem::take(&mut pool.typed), n, n, Vec::new);
         let (layout, counts) = (&self.layout, &pool.counts);
         pool.outboxes
             .resize_with(n, || Outbox::new(Arc::clone(layout)));
-        let tasks: Vec<_> = self
-            .workers
-            .iter_mut()
-            .zip(self.inbox.iter_mut().zip(&mut self.inbox_cols))
-            .zip(emit.sinks(n).into_iter().zip(&mut pool.outboxes))
-            .zip(&mut typed)
-            .collect();
+        let (mut outs, mut failed, mut volume) = (Vec::with_capacity(n), false, (0, 0));
+        for lo in (0..n).step_by(wave) {
+            let hi = (lo + wave).min(n);
+            let tasks: Vec<_> = self.workers[lo..hi]
+                .iter_mut()
+                .zip(self.inbox[lo..hi].iter_mut())
+                .zip(&mut self.inbox_cols[lo..hi])
+                .zip(
+                    emit.sinks(hi - lo)
+                        .into_iter()
+                        .zip(&mut pool.outboxes[lo..hi]),
+                )
+                .zip(&mut typed[lo..hi])
+                .collect();
+            let done = par_map(
+                tasks,
+                |i, ((((states, inbox), cols), (sink, ob)), typed)| {
+                    let w = lo + i;
+                    run_worker(
+                        &self.program,
+                        &self.config,
+                        (layout, counts, self.widest, wave),
+                        &self.bcast,
+                        step,
+                        w,
+                        (states, self.sent.get(w)),
+                        (inbox, cols),
+                        (sink, typed),
+                        ob,
+                    )
+                },
+            );
+            // Once a worker failed the step is lost and nothing more is
+            // folded, but every worker still computes — and fires its own
+            // fault sites — as in one fork-join over all of them.
+            failed |= done.iter().any(Result::is_err);
+            outs.extend(done);
+            if !failed {
+                emit.end_wave(hi - lo, &mut volume);
+            }
+        }
         // Failures surface in ascending worker order, like a serial loop.
-        let mut outs = par_map(tasks, |w, (((states, inbox), (sink, ob)), typed)| {
-            run_worker(
-                &self.program,
-                &self.config,
-                (layout, counts, self.widest),
-                &self.bcast,
-                step,
-                w,
-                (states, self.sent.get(w)),
-                inbox,
-                (sink, typed),
-                ob,
-            )
-        })
-        .into_iter()
-        .collect::<Result<Vec<StepOut<P::Msg>>>>()?;
+        let mut outs = outs.into_iter().collect::<Result<Vec<StepOut<P::Msg>>>>()?;
         // The rows lent back to their senders are read: their index goes
         // back to the pool, and their tables to whoever else holds them.
         let read = std::mem::take(&mut self.sent);
@@ -1173,8 +1313,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         let packed = packed.flatten();
         let exchanged = self.exchange(step, &emit, packed.as_deref(), (&typed, &tables))?;
         self.report.wire_bytes += exchanged.wire_bytes;
-        let volume = emit.volume();
-        let kept = packed.is_none().then_some(&emit);
+        let kept = packed.is_none().then_some(&mut emit);
         let sealed = self.seal(step, (&typed, tables), exchanged.dests, kept)?;
         self.sent = emit.sent_rows();
         emit.reclaim(&mut self.scratch);
@@ -1195,12 +1334,12 @@ impl<P: VertexProgram> PregelEngine<P> {
     /// Barrier stage: hand every destination's shards to the transport,
     /// which fires the SealBarrier/SpillWrite fault sites per destination
     /// and merges what it was handed in ascending sender order (see the
-    /// transport contract). Fused shards are borrowed; materialized rows
-    /// and the typed plane go only to a backend that moves bytes —
-    /// `packed` rows, and per destination and sender the typed records its
-    /// `(slot, table index)` references name, each message encoded once
-    /// and its bytes copied per reference — and otherwise stay with the
-    /// engine, which seals them itself.
+    /// transport contract). Every plane goes only to a backend that moves
+    /// bytes — the fused grid borrowed, `packed` rows, and per destination
+    /// and sender the typed records its `(slot, table index)` references
+    /// name, each message encoded once and its bytes copied per reference.
+    /// Otherwise everything stays with the engine, which seals it itself:
+    /// in process the call only fires the fault sites.
     fn exchange(
         &self,
         step: usize,
@@ -1246,9 +1385,10 @@ impl<P: VertexProgram> PregelEngine<P> {
     /// through their sender-major reference grid `typed`
     /// ([`TypedInbox::seal`]), or — what came back over the wire — one
     /// table of the decoded records, one reference each. The columnar
-    /// half as merged, or, for materialized rows `kept` with the engine,
-    /// sealed here as references into the senders' row tables
-    /// ([`RowArena::seal_refs`]). Destinations are independent, so this
+    /// half as merged; or, `kept` with the engine, sealed here —
+    /// materialized rows as references into the senders' row tables
+    /// ([`RowArena::seal_refs`]), fused accumulators as the waves folded
+    /// them ([`FusedFold::seal`]). Destinations are independent, so this
     /// runs fork-join like the merge itself; failures surface in ascending
     /// destination order.
     fn seal(
@@ -1256,23 +1396,28 @@ impl<P: VertexProgram> PregelEngine<P> {
         step: usize,
         (typed, tables): (&[Vec<Refs>], TypedTables<P::Msg>),
         merged: Vec<DestMerged>,
-        kept: Option<&Emit<'_>>,
+        kept: Option<&mut Emit<'_>>,
     ) -> Result<Vec<Sealed<P::Msg>>>
     where
         P::Msg: Send + Sync,
     {
         let (layout, spill) = (&self.layout, self.config.spill.as_ref());
-        let lent = match kept {
+        let (lent, folds) = match kept {
             Some(Emit::Rows {
                 dim, tables, refs, ..
-            }) => Some((
-                *dim,
-                tables.iter().cloned().collect::<Arc<[RowTable]>>(),
-                refs,
-            )),
-            _ => None,
+            }) => {
+                let tables = tables.iter().cloned().collect::<Arc<[RowTable]>>();
+                (Some((*dim, tables, &*refs)), Vec::new())
+            }
+            Some(Emit::Fused {
+                merged: Some(folds),
+                ..
+            }) => (None, std::mem::take(folds)),
+            _ => (None, Vec::new()),
         };
-        let sealed = par_map(merged, |w2, merged| {
+        let mut folds = folds.into_iter();
+        let merged: Vec<_> = merged.into_iter().map(|m| (m, folds.next())).collect();
+        let sealed = par_map(merged, |w2, (merged, fold)| {
             let n_slots = layout.n_slots(w2);
             let typed = match merged.legacy {
                 None => {
@@ -1287,14 +1432,15 @@ impl<P: VertexProgram> PregelEngine<P> {
                     TypedInbox::seal(n_slots, std::iter::once(&refs), Arc::new([table]))?
                 }
             };
-            let cols = match &lent {
-                Some((dim, tables, refs)) => {
+            let cols = match (&lent, fold) {
+                (Some((dim, tables, refs)), _) => {
                     let tables = Arc::clone(tables);
                     MergedCols::Rows(RowArena::seal_refs(
                         *dim, n_slots, &refs[w2], tables, spill,
                     )?)
                 }
-                None => merged.cols,
+                (None, Some(fold)) => MergedCols::Fused(fold.seal(spill)?),
+                (None, None) => merged.cols,
             };
             Ok((typed, cols))
         })
@@ -1465,8 +1611,16 @@ impl RowSink<'_> {
     /// dense slot index sparsely instead of refilling O(destination
     /// slots). Each cell is then reserved at the rows `counts` gives it,
     /// as wide as the run's widest row on the sink's plane: a no-op once
-    /// it has been.
-    fn reset(&mut self, layout: &Layout, w: usize, counts: &CellCounts, widest: Widest) {
+    /// it has been. A fused row is a wave slot, computing in waves of
+    /// `wave` senders: its cells are reserved for the largest of the
+    /// senders the slot hosts, so none regrows as the waves go by.
+    fn reset(
+        &mut self,
+        layout: &Layout,
+        (w, wave): (usize, usize),
+        counts: &CellCounts,
+        widest: Widest,
+    ) {
         match self {
             RowSink::None => {}
             RowSink::Rows {
@@ -1486,9 +1640,11 @@ impl RowSink<'_> {
                 sent.resize(layout.n_slots(w), u32::MAX);
             }
             RowSink::Fused { dim, shards, .. } => {
+                let hosted = (w % wave..layout.n_workers()).step_by(wave);
                 for (w2, sh) in shards.iter_mut().enumerate() {
                     sh.reset(*dim, layout.n_slots(w2));
-                    sh.reserve_exact(counts.partials(w, w2), widest.1);
+                    let most = hosted.clone().map(|s| counts.partials(s, w2)).max();
+                    sh.reserve_exact(most.unwrap_or(0), widest.1);
                 }
             }
         }
@@ -1592,7 +1748,7 @@ fn fold_spans<M>(
 fn run_worker<P: VertexProgram>(
     program: &P,
     config: &PregelConfig,
-    (layout, counts, widest): (&Arc<Layout>, &CellCounts, Widest),
+    (layout, counts, widest, wave): (&Arc<Layout>, &CellCounts, Widest, usize),
     bcast: &FxHashMap<u64, P::Msg>,
     step: usize,
     w: usize,
@@ -1617,7 +1773,7 @@ fn run_worker<P: VertexProgram>(
     // pool, across supersteps and runs): cleared between computes,
     // capacity retained, so steady-state sends allocate nothing.
     ob.reset(layout, sink.row_dim());
-    sink.reset(layout, w, counts, widest);
+    sink.reset(layout, (w, wave), counts, widest);
     for (w2, refs) in typed.iter_mut().enumerate() {
         refs.clear();
         refs.reserve_exact(counts.typed_refs(w, w2));
@@ -2024,6 +2180,144 @@ mod tests {
         } else {
             for (a, b) in acc.iter_mut().zip(row) {
                 *a += b;
+            }
+        }
+    }
+
+    /// One draw of a fused grid, `[sender][destination]`: 1–9 senders, 1–3
+    /// destinations of 0–6 slots, 1–3 lanes. A shard is empty one time in
+    /// four and otherwise folds a few rows (each carrying 1–3 messages)
+    /// into random slots, so some slots are left untouched; lanes come
+    /// from a pool heavy in `-0.0`, `0.0` and NaN, so first partials carry
+    /// both.
+    fn draw_fused_grid(
+        seed: u64,
+        agg: &dyn FusedAggregator,
+    ) -> (usize, Vec<usize>, Vec<Vec<FusedSlotShard>>) {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let senders = rng.range_u64(1, 10) as usize;
+        let n_slots: Vec<usize> = (0..rng.range_u64(1, 4)).map(|_| rng.index(7)).collect();
+        let dim = rng.range_u64(1, 4) as usize;
+        let lanes = [-0.0, 0.0, f32::NAN, 1.5, -2.25, f32::INFINITY, 3.0e-39];
+        let grid = (0..senders)
+            .map(|_| {
+                let shards = n_slots.iter().map(|&slots| {
+                    let mut sh = FusedSlotShard::new(dim, slots);
+                    if slots > 0 && !rng.chance(0.25) {
+                        for _ in 0..rng.range_u64(1, 6) {
+                            let row: Vec<f32> = (0..dim)
+                                .map(|_| match rng.index(lanes.len() + 1) {
+                                    i if i < lanes.len() => lanes[i],
+                                    _ => rng.next_f32() * 8.0 - 4.0,
+                                })
+                                .collect();
+                            let slot = rng.index(slots) as u32;
+                            sh.accumulate(slot, &row, rng.range_u64(1, 4) as u32, agg);
+                        }
+                    }
+                    sh
+                });
+                shards.collect()
+            })
+            .collect();
+        (dim, n_slots, grid)
+    }
+
+    /// Per slot `(count, lane bits)` of a sealed fused inbox.
+    fn fused_bits(rows: &mut FusedRows, n_slots: usize) -> Vec<(u32, Vec<u32>)> {
+        (0..n_slots)
+            .map(|s| {
+                let row = rows.row(s).unwrap().iter().map(|x| x.to_bits()).collect();
+                (rows.count(s), row)
+            })
+            .collect()
+    }
+
+    /// The wave merge is `FusedRows::merge`: folding a fused grid a wave of
+    /// senders at a time ([`fold_wave`]), for every wave size from 1 to
+    /// the sender count, seals to the same accumulators, counts and bits
+    /// as one `FusedRows::merge` over all the senders — and both equal
+    /// the merge written out here: per slot, partials in ascending sender
+    /// order, the first copied, the rest folded. Sum, mean (a sum fold
+    /// through a `dyn` aggregator without a wire kind; the count divides
+    /// later) and max.
+    #[test]
+    fn prop_the_wave_merge_is_fused_rows_merge() {
+        let aggs: [(&str, &dyn FusedAggregator); 3] = [
+            ("sum", &AggKind::Sum),
+            ("mean", &SumAgg),
+            ("max", &AggKind::Max),
+        ];
+        for case in 0..400u64 {
+            let (name, agg) = aggs[case as usize % aggs.len()];
+            let (dim, n_slots, grid) = draw_fused_grid(case, agg);
+            let senders = grid.len();
+            // The same draw again, destination-major.
+            let mut by_dest: Vec<Vec<FusedSlotShard>> =
+                n_slots.iter().map(|_| Vec::new()).collect();
+            for sender in draw_fused_grid(case, agg).2 {
+                for (dest, sh) in by_dest.iter_mut().zip(sender) {
+                    dest.push(sh);
+                }
+            }
+            let failed = |what: &str| {
+                format!(
+                    "case {case} ({name}, {senders} senders, slots {n_slots:?}, dim {dim}): {what}"
+                )
+            };
+            // The merge written out.
+            let mut oracle = Vec::new();
+            for (w2, &slots) in n_slots.iter().enumerate() {
+                let mut acc = vec![vec![agg.identity(); dim]; slots];
+                let mut counts = vec![0u32; slots];
+                for sender in &grid {
+                    let sh = &sender[w2];
+                    for (i, &slot) in sh.keys.iter().enumerate() {
+                        let s = slot as usize;
+                        if counts[s] == 0 {
+                            acc[s] = sh.rows.row(i).to_vec();
+                        } else {
+                            agg.accumulate(&mut acc[s], sh.rows.row(i));
+                        }
+                        counts[s] += sh.counts[i];
+                    }
+                }
+                let bits = |row: &Vec<f32>| row.iter().map(|x| x.to_bits()).collect();
+                let slot_bits = counts.into_iter().zip(acc.iter().map(bits));
+                oracle.push(slot_bits.collect::<Vec<(u32, Vec<u32>)>>());
+            }
+            for (w2, &slots) in n_slots.iter().enumerate() {
+                let mut merged = FusedRows::merge(dim, slots, &by_dest[w2], agg, None).unwrap();
+                assert_eq!(
+                    fused_bits(&mut merged, slots),
+                    oracle[w2],
+                    "{}",
+                    failed(&format!("FusedRows::merge, destination {w2}"))
+                );
+            }
+            for wave in 1..=senders {
+                let threads = 1 + case as usize % 3;
+                let sealed = Parallelism::with(threads, || {
+                    let open = n_slots
+                        .iter()
+                        .map(|&slots| FusedRows::open(dim, slots, agg));
+                    let mut folds: Vec<FusedFold> = open.collect();
+                    for lo in (0..senders).step_by(wave) {
+                        fold_wave(&mut folds, &grid[lo..(lo + wave).min(senders)], agg);
+                    }
+                    folds
+                        .into_iter()
+                        .map(|f| f.seal(None).unwrap())
+                        .collect::<Vec<_>>()
+                });
+                for (w2, (mut rows, &slots)) in sealed.into_iter().zip(&n_slots).enumerate() {
+                    assert_eq!(
+                        fused_bits(&mut rows, slots),
+                        oracle[w2],
+                        "{}",
+                        failed(&format!("waves of {wave}, destination {w2}"))
+                    );
+                }
             }
         }
     }

@@ -4,7 +4,7 @@
 # `gprofng collect app` (binutils' sampling profiler; nothing to download)
 # and prints the top functions by exclusive and by inclusive samples.
 #
-#   scripts/profile.sh [--heap] <workload> [--seed S] [--seconds S]
+#   scripts/profile.sh [--heap | --rss] <workload> [--seed S] [--seconds S]
 #
 # --seed and --seconds pass through to `itbench run` (defaults: itbench's).
 # Three experiments are collected one after another and read as one: on a
@@ -30,9 +30,24 @@
 # by bytes (stacks summed over their printed frames). At a fixed seed and thread count the planning counts are
 # deterministic; the run counts scale with the number of runs.
 #
+# --rss watches resident memory instead, with no profiler: it runs the
+# workload untraced and reads the itbench process's /proc/<pid>/status
+# (and nothing else) about every millisecond until it exits, keeping
+# VmRSS and VmHWM. A run shows as a rise: RSS climbing more than 1 MB
+# above the lowest level since the last rise ended, which ends once RSS
+# falls more than 1 MB below the rise's peak. Graph generation and
+# planning show as the first rises, the engine's runs as the rest: a run
+# that hands its memory back before the next one starts is a rise of its
+# own, runs that keep it between them show as one rise together. It
+# prints the floor before each rise, each rise's peak and height above
+# that floor, then the median floor and height over the later half of the
+# rises (the steady runs) and VmHWM at exit — what itbench reports as
+# `peak_rss_mb`. The samples ("ms rss_kb hwm_kb") go to <workload>.rss.
+#
 # Everything is written under <CARGO_TARGET_DIR, else ./target>/profile:
 # the experiments (<workload>.<i>.er, or <workload>.heap.er, readable again
-# with `gprofng display text`) and each run's own output (<workload>.<i>.log).
+# with `gprofng display text`), each run's own output (<workload>.<i>.log)
+# and the --rss samples.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,12 +55,12 @@ cd "$(dirname "$0")/.."
 # the only two variables the library reads.
 unset INFERTURBO_THREADS INFERTURBO_WORKER_BIN
 
-usage() { sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
-heap=0
-if [ "${1:-}" = --heap ]; then
-    heap=1
-    shift
-fi
+usage() { sed -n '2,50p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+heap=0 rss=0
+case "${1:-}" in
+    --heap) heap=1; shift ;;
+    --rss) rss=1; shift ;;
+esac
 [ $# -ge 1 ] || usage
 workload="$1"
 shift
@@ -57,7 +72,8 @@ while [ $# -gt 0 ]; do
         *) echo "profile.sh: unknown argument $1" >&2; usage ;;
     esac
 done
-command -v gprofng >/dev/null || { echo "profile.sh: gprofng (binutils) not found" >&2; exit 2; }
+[ "$rss" = 1 ] || command -v gprofng >/dev/null ||
+    { echo "profile.sh: gprofng (binutils) not found" >&2; exit 2; }
 
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}"
 out="$CARGO_TARGET_DIR/profile"
@@ -67,6 +83,72 @@ mkdir -p "$out"
 bash benchmark/run.sh --workload pregel_sage_inhub --smoke --seconds 1 --trace 0 \
     >"$out/build.log" 2>&1 || { cat "$out/build.log" >&2; exit 1; }
 bin="$CARGO_TARGET_DIR/release/itbench"
+
+if [ "$rss" = 1 ]; then
+    samples="$out/$workload.rss"
+    log="$out/$workload.rss.log"
+    echo "profile.sh: sampling $workload's resident memory into $samples" >&2
+    "$bin" run --workload "$workload" --trace 0 --out-dir "$out/itbench" \
+        ${pass[@]+"${pass[@]}"} >"$log" 2>&1 &
+    pid=$!
+    # A read that times out on a pipe nobody writes is a 1 ms sleep
+    # without starting a process.
+    exec {tick}<> <(:)
+    t0="${EPOCHREALTIME/./}"
+    while :; do
+        now= rss_kb= hwm_kb=
+        while read -r key value _; do
+            case "$key" in
+                VmHWM:) hwm_kb="$value" ;;
+                VmRSS:) rss_kb="$value"; break ;;
+            esac
+        done 2>/dev/null <"/proc/$pid/status" || true
+        [ -n "$rss_kb" ] || break
+        now="${EPOCHREALTIME/./}"
+        echo "$(((now - t0) / 1000)) $rss_kb $hwm_kb"
+        read -r -t 0.001 -u "$tick" || true
+    done >"$samples"
+    wait "$pid" || { echo "profile.sh: the run failed, see $log" >&2; exit 1; }
+    echo "== $workload: resident memory, $(wc -l <"$samples") samples over $(tail -n 1 "$samples" | cut -d' ' -f1) ms =="
+    awk '
+        function mb(kb) { return kb / 1024 }
+        function close_rise() {
+            n++; t[n] = start; f[n] = floor; p[n] = peak
+            printf "%8d %10.1f %10.1f %10.1f %8d\n", start, mb(floor), mb(peak), mb(peak - floor), last - start
+        }
+        function median(a, lo, hi,    m, i, j, v, x) {
+            m = 0
+            for (i = lo; i <= hi; i++) v[++m] = a[i]
+            for (i = 2; i <= m; i++) { x = v[i]; for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]; v[j + 1] = x }
+            return m % 2 ? v[(m + 1) / 2] : (v[m / 2] + v[m / 2 + 1]) / 2
+        }
+        BEGIN {
+            step = 1024   # 1 MB, in kB
+            printf "%8s %10s %10s %10s %8s\n", "at ms", "floor MB", "peak MB", "rise MB", "ms"
+        }
+        NR == 1 { lo = $2 }
+        {
+            hwm = $3; last = $1
+            if (!rising) {
+                if ($2 < lo) lo = $2
+                if ($2 > lo + step) { rising = 1; floor = lo; peak = $2; start = $1 }
+            } else if ($2 > peak) {
+                peak = $2
+            } else if ($2 < peak - step) {
+                close_rise(); rising = 0; lo = $2
+            }
+        }
+        END {
+            if (rising) close_rise()
+            if (n == 0) { print "no rise above 1 MB"; exit }
+            from = int(n / 2) + 1
+            for (i = 1; i <= n; i++) { d[i] = p[i] - f[i] }
+            printf "\nsteady runs (rises %d..%d): floor %.1f MB, rise %.1f MB (medians)\n",
+                from, n, mb(median(f, from, n)), mb(median(d, from, n))
+            printf "VmHWM at exit: %.1f MB\n", mb(hwm)
+        }' "$samples"
+    exit 0
+fi
 
 if [ "$heap" = 1 ]; then
     exp="$out/$workload.heap.er"

@@ -185,7 +185,12 @@ fn gnn(kind: ModelKind, seed: u64) -> GnnModel {
 const PREGEL_FAULTS: [&str; 4] = ["worker", "seal", "spill-write", "spill-read"];
 const MR_FAULTS: [&str; 2] = ["map", "reduce"];
 const SKEWS: [DegreeSkew; 3] = [DegreeSkew::In, DegreeSkew::Out, DegreeSkew::None];
-const THREADS: [usize; 3] = [1, 2, 4];
+/// Three threads put a short last wave beside full ones on most worker
+/// counts, and a wave wider than the cluster on one or two workers.
+const THREADS: [usize; 4] = [1, 2, 3, 4];
+/// How an in-process fused step's senders split into waves of `threads`
+/// (see [`Scenario::waves`]).
+const WAVES: [&str; 3] = ["one wave", "full waves", "short last wave"];
 /// The largest tiny graph's node count. The smallest is `CLASSES`, the
 /// fewest nodes the generator plants every class on.
 const TINY: u64 = 6;
@@ -331,6 +336,20 @@ impl Scenario {
                 .recovery(f.recovery),
             None => b,
         }
+    }
+
+    /// How the knobbed Pregel run's fused steps compute, when they run in
+    /// process: in waves of `threads` senders, so one wave when every
+    /// worker fits in one, else full waves or a short last one. `None`
+    /// when no step is fused (no partial-gather, or GAT) or the process
+    /// transport merges the whole grid.
+    fn waves(&self) -> Option<&'static str> {
+        let fused = self.strategy.partial_gather && self.model != ModelKind::Gat;
+        (fused && !self.process).then(|| match (self.workers, self.threads) {
+            (w, t) if w <= t => WAVES[0],
+            (w, t) if w % t == 0 => WAVES[1],
+            _ => WAVES[2],
+        })
     }
 
     /// Does the schedule's site for `backend` fire? Pregel's spill sites
@@ -541,6 +560,9 @@ fn every_engine_knob_at_once_changes_nothing() {
         cov.saw("threshold", bucket(threshold as u64, 2, 30));
         cov.saw("workers", s.workers);
         cov.saw("threads", s.threads);
+        if let Some(waves) = s.waves() {
+            cov.saw("waves", waves);
+        }
         cov.saw("spill", s.spill);
         cov.saw("process", s.process);
         cov.saw("trace", s.trace);
@@ -572,6 +594,7 @@ fn every_engine_knob_at_once_changes_nothing() {
     cov.assert_full("threshold", &BUCKETS);
     cov.assert_full("workers", &[1, 2, 3, 4, 5, 6, 7, 8]);
     cov.assert_full("threads", &THREADS);
+    cov.assert_full("waves", &WAVES);
     cov.assert_full("spill", &SPILLS);
     cov.assert_full("process", &on_off);
     cov.assert_full("trace", &on_off);
