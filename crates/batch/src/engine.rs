@@ -708,7 +708,10 @@ impl<V: Encode> PhaseOut<V> {
     /// Close task `w`: route its typed records and flush its row sink, each
     /// record charged as output once. `held` is the task's modelled
     /// residency beside the sink's fused accumulators.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a task's closing state, each part produced by a different stage of the task"
+    )]
     fn finish(
         params: &PhaseParams,
         w: usize,
@@ -957,7 +960,10 @@ impl<'l> BatchEngine<'l> {
     /// largest single group plus the sink's fused accumulators — streaming
     /// reducers never hold their whole partition. `sizes`, when counted,
     /// are per reducer.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the phase's two planes, its kernel, fold and sizes are independent inputs"
+    )]
     pub fn reduce_phase<'b, V, O, R, F>(
         &mut self,
         name: impl Into<String>,

@@ -15,6 +15,10 @@ use std::io::BufReader;
 use std::os::fd::OwnedFd;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned process-spawn module"
+)]
 use std::process::{Child, Command, Stdio};
 
 /// One live worker child with the parent's end of its socket: `writer`
@@ -36,6 +40,11 @@ impl Drop for WorkerHandle {
 }
 
 /// Spawn one worker child from `bin` on a fresh socket pair.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sanctioned process-spawn site: worker children are our own itworker binary"
+)]
 pub(super) fn spawn_worker(bin: &Path) -> Result<WorkerHandle> {
     let spawn_err = |e: std::io::Error| {
         Error::Io(format!(
@@ -65,6 +74,10 @@ pub(super) fn spawn_worker(bin: &Path) -> Result<WorkerHandle> {
 /// Explicit worker-binary override (`INFERTURBO_WORKER_BIN`), for callers
 /// whose executable layout defeats the `target/<profile>/` heuristic. A
 /// deployment setting — it names a path, never changes what a run computes.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "INFERTURBO_WORKER_BIN is a deployment setting: it names a path, never changes what a run computes"
+)]
 pub(super) fn worker_bin_override() -> Option<PathBuf> {
     std::env::var("INFERTURBO_WORKER_BIN")
         .ok()

@@ -375,6 +375,10 @@ fn a_worker_child_allocates_nothing_in_steady_state() {
     use inferturbo_cluster::transport::frame::{self, WirePlane};
     use std::os::fd::OwnedFd;
     use std::os::unix::net::UnixStream;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the test drives an itworker child directly to read its page faults"
+    )]
     use std::process::{Command, Stdio};
 
     let (dim, n_slots) = (32, 4096);
@@ -420,6 +424,11 @@ fn a_worker_child_allocates_nothing_in_steady_state() {
 
     let (mut socket, child_end) = UnixStream::pair().expect("socket pair");
     let child_in = OwnedFd::from(child_end.try_clone().expect("clone"));
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the test drives an itworker child directly to read its page faults"
+    )]
     let mut child = Command::new(env!("CARGO_BIN_EXE_itworker"))
         .stdin(Stdio::from(child_in))
         .stdout(Stdio::from(OwnedFd::from(child_end)))

@@ -7,7 +7,10 @@
 //! bytes at every run" impossible to assert. This module provides the
 //! FxHash algorithm (as used in rustc) with a *fixed* zero seed.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::hash_map::Entry;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Index;
 
 /// FxHash: multiply-xor hashing, identical to `rustc-hash`.
 #[derive(Default, Clone)]
@@ -70,11 +73,117 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`]; deterministic across processes.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// Drop-in `HashMap` with deterministic fast hashing.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+/// A hash map with deterministic fast hashing and keyed operations only.
+///
+/// It offers no unordered iteration: hash order cannot reach an output
+/// through it, so a caller that needs its entries reads them sorted
+/// ([`FxHashMap::sorted`]) or keeps them in a `BTreeMap`. The std hash
+/// containers are disallowed workspace-wide (clippy.toml) for that reason.
+#[derive(Clone)]
+pub struct FxHashMap<K, V> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one std hash container: this newtype exposes no unordered iteration"
+    )]
+    inner: std::collections::HashMap<K, V, FxBuildHasher>,
+}
 
-/// Drop-in `HashSet` with deterministic fast hashing.
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
+impl<K, V> Default for FxHashMap<K, V> {
+    fn default() -> Self {
+        FxHashMap {
+            inner: Default::default(),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V> FxHashMap<K, V> {
+    #[inline]
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.inner.get(key)
+    }
+
+    #[inline]
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.inner.get_mut(key)
+    }
+
+    #[inline]
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.inner.insert(key, value)
+    }
+
+    #[inline]
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.inner.remove(key)
+    }
+
+    #[inline]
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.inner.entry(key)
+    }
+
+    /// Make room for `additional` more entries without rehashing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.inner.reserve(additional);
+    }
+
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.inner.is_empty()
+    }
+
+    /// Remove every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.inner.clear();
+    }
+
+    /// Every entry, in ascending key order.
+    pub fn sorted(&self) -> Vec<(&K, &V)>
+    where
+        K: Ord,
+    {
+        let mut entries: Vec<(&K, &V)> = self.inner.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries
+    }
+}
+
+/// Entries in ascending key order, so a debug print is deterministic too.
+impl<K: Eq + Hash + Ord + fmt::Debug, V: fmt::Debug> fmt::Debug for FxHashMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.sorted()).finish()
+    }
+}
+
+impl<K: Eq + Hash, V> Index<&K> for FxHashMap<K, V> {
+    type Output = V;
+
+    /// The value under `key`; panics when it is absent, like `HashMap`.
+    #[inline]
+    fn index(&self, key: &K) -> &V {
+        &self.inner[key]
+    }
+}
+
+impl<K: Eq + Hash, V> Extend<(K, V)> for FxHashMap<K, V> {
+    #[inline]
+    fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
+        self.inner.extend(iter);
+    }
+}
+
+impl<K: Eq + Hash, V> FromIterator<(K, V)> for FxHashMap<K, V> {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
+        FxHashMap {
+            inner: iter.into_iter().collect(),
+        }
+    }
+}
 
 /// Stand-alone hash of a `u64` key — used for partition routing so that the
 /// "mod N" partitioner of the paper does not collide with adversarially

@@ -21,7 +21,7 @@ pub mod stats;
 
 pub use codec::{Decode, Encode, WireReader, WireWriter};
 pub use error::{Error, Result};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use hash::{FxBuildHasher, FxHashMap};
 pub use layout::{CellCounts, Layout, PlacedVertex, Route};
 pub use par::{
     par_chunks_mut, par_map, par_map_workers, Parallelism, ReorderBuffer, Ticket, TicketLine,

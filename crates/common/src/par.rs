@@ -56,6 +56,10 @@ pub struct Parallelism;
 
 impl Parallelism {
     /// The current thread budget (≥ 1).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "INFERTURBO_THREADS is a deployment setting: the thread budget never changes what a run computes"
+    )]
     pub fn get() -> usize {
         let t = THREADS.load(Ordering::Relaxed);
         if t != 0 {
@@ -118,6 +122,10 @@ impl Parallelism {
 /// the calling thread.
 ///
 /// Panics in `f` propagate to the caller after all threads finish.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the fork-join substrate: the workspace's one thread-creation site, bounded by the Parallelism budget"
+)]
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

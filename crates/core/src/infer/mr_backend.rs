@@ -360,7 +360,10 @@ impl MapInput<'_> {
 /// broadcasts and their refs ride the typed record plane, keyed by wire id
 /// — they are variable-width control traffic. A layer that writes its
 /// message writes it into `buf`, the worker's spare.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one vertex's scatter reads the plan, the vertex and both output planes"
+)]
 fn scatter_rows(
     model: &GnnModel,
     strategy: &StrategyConfig,

@@ -223,11 +223,17 @@ impl GasLayer for LayerView<'_> {
             LayerKind::Sage(pool) => {
                 let (acc, count) = match agg {
                     AggState::Pooled { acc, count } => (acc, count),
-                    // itlint::allow(panic-in-lib): init_agg and apply_node dispatch on the same LayerView, so the agg variant always matches the layer kind
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "init_agg and apply_node dispatch on the same LayerView, so the agg variant always matches the layer kind"
+                    )]
                     AggState::Union { .. } => unreachable!("SAGE aggregates pooled"),
                 };
                 matvec_acc(
-                    // itlint::allow(panic-in-lib): Sage layer constructors always populate w_self
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Sage layer constructors always populate w_self"
+                    )]
                     params.get(lp.w_self.expect("SAGE has w_self")),
                     node.state,
                     out,
@@ -252,7 +258,10 @@ impl GasLayer for LayerView<'_> {
                         debug_assert_eq!(dim, lp.out_dim, "GAT gathers projected rows");
                         rows
                     }
-                    // itlint::allow(panic-in-lib): init_agg and apply_node dispatch on the same LayerView, so the agg variant always matches the layer kind
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "init_agg and apply_node dispatch on the same LayerView, so the agg variant always matches the layer kind"
+                    )]
                     AggState::Pooled { .. } => unreachable!("GAT aggregates by union"),
                 };
                 if !rows.is_empty() && lp.out_dim > 0 {
@@ -349,9 +358,15 @@ fn gat_attention(
 ) {
     let lp = layer.lp();
     let params = &layer.model.params;
-    // itlint::allow(panic-in-lib): Gat layer constructors always populate a_src
+    #[expect(
+        clippy::expect_used,
+        reason = "Gat layer constructors always populate a_src"
+    )]
     let a_src = params.get(lp.a_src.expect("GAT has a_src")).row(0);
-    // itlint::allow(panic-in-lib): Gat layer constructors always populate a_dst
+    #[expect(
+        clippy::expect_used,
+        reason = "Gat layer constructors always populate a_dst"
+    )]
     let a_dst = params.get(lp.a_dst.expect("GAT has a_dst")).row(0);
     let dh = lp.out_dim / heads;
     // dst attention from the node's own transformed state: the row it

@@ -167,7 +167,10 @@ impl GnnModel {
                         PoolOp::Mean => t.segment_mean(msgs, Rc::clone(&batch.dst_idx), n),
                         PoolOp::Max => t.segment_max(msgs, Rc::clone(&batch.dst_idx), n),
                     };
-                    // itlint::allow(panic-in-lib): Sage layer constructors always populate w_self
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Sage layer constructors always populate w_self"
+                    )]
                     let z_self = t.matmul(h, pv(lp.w_self.expect("SAGE w_self")));
                     let z_nb = t.matmul(agg, pv(lp.w));
                     let z = t.add(z_self, z_nb);
@@ -176,9 +179,15 @@ impl GnnModel {
                 }
                 LayerKind::Gat { heads } => {
                     let wh = t.matmul(h, pv(lp.w));
-                    // itlint::allow(panic-in-lib): Gat layer constructors always populate a_src
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Gat layer constructors always populate a_src"
+                    )]
                     let src_attn = t.headwise_dot(wh, pv(lp.a_src.expect("a_src")), heads);
-                    // itlint::allow(panic-in-lib): Gat layer constructors always populate a_dst
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Gat layer constructors always populate a_dst"
+                    )]
                     let dst_attn = t.headwise_dot(wh, pv(lp.a_dst.expect("a_dst")), heads);
                     let e_src = t.gather_rows(src_attn, Rc::clone(&batch.src_idx));
                     let e_dst = t.gather_rows(dst_attn, Rc::clone(&batch.dst_idx));

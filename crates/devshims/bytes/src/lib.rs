@@ -9,6 +9,10 @@
 //! `WireReader::need`).
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "stands in for an external crate, whose getters panic on a short buffer the same way"
+)]
 
 /// Read-side cursor operations over a shrinking `&[u8]`.
 pub trait Buf {

@@ -87,6 +87,10 @@ fn random_node_of_class(rng: &mut Xoshiro256, n_nodes: usize, classes: u32, c: u
 }
 
 /// Generate a planted-model graph per `cfg`. Deterministic in `cfg.seed`.
+#[expect(
+    clippy::expect_used,
+    reason = "synthetic output is valid by construction — a build failure here is a bug in the generator itself, not caller input"
+)]
 pub fn generate(cfg: &GenConfig) -> Graph {
     assert!(cfg.n_nodes > 1, "need at least two nodes");
     assert!(cfg.classes >= 1 && (cfg.classes as usize) <= cfg.n_nodes);
@@ -178,7 +182,6 @@ pub fn generate(cfg: &GenConfig) -> Graph {
     };
     b.set_labels(labels);
 
-    // itlint::allow(panic-in-lib): synthetic output is valid by construction — a build failure here is a bug in the generator itself, not caller input
     b.build().expect("generator produced invalid graph")
 }
 

@@ -39,7 +39,10 @@ impl Labels {
     pub fn class_of(&self, v: u32) -> u32 {
         match self {
             Labels::Single { y, .. } => y[v as usize],
-            // itlint::allow(panic-in-lib): documented accessor contract — call sites select by dataset task type, like Index
+            #[expect(
+                clippy::panic,
+                reason = "documented accessor contract — call sites select by dataset task type, like Index"
+            )]
             _ => panic!("class_of on non-single-label graph"),
         }
     }
@@ -54,7 +57,10 @@ impl Labels {
                     .map(|&b| if b != 0 { 1.0 } else { 0.0 })
                     .collect()
             }
-            // itlint::allow(panic-in-lib): documented accessor contract — call sites select by dataset task type, like Index
+            #[expect(
+                clippy::panic,
+                reason = "documented accessor contract — call sites select by dataset task type, like Index"
+            )]
             _ => panic!("multilabel_row on non-multi-label graph"),
         }
     }

@@ -1,6 +1,11 @@
 //! Fixture-driven integration tests: each fixture file exercises one rule (or
 //! one cross-cutting behaviour) end to end through [`scan_file`], and the
 //! gate test runs the `itlint` binary's `--check` on a throwaway tree.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the gate test runs the itlint binary"
+)]
 
 use inferturbo_lint::rules::scan_file;
 use std::path::Path;

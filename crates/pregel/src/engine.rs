@@ -1744,7 +1744,10 @@ fn fold_spans<M>(
 /// table with a reference per route in `typed`, fixed-width rows through
 /// `sink` into columnar row shards or fused accumulators.
 /// Runs on its own thread; touches nothing shared mutably.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one worker's superstep borrows disjoint parts of the engine, grouped by plane"
+)]
 fn run_worker<P: VertexProgram>(
     program: &P,
     config: &PregelConfig,

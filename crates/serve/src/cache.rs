@@ -303,13 +303,9 @@ mod tests {
             let row = c.rows[k].iter().map(|x| x.to_bits()).collect();
             (*k, row)
         });
-        let mut pins: Vec<_> = c
-            .pins
-            .iter()
-            .map(|(&ident, (snap, n))| (ident, Arc::as_ptr(snap) as usize, *n))
-            .collect();
-        pins.sort_unstable();
-        (rows.collect(), pins)
+        let pins = c.pins.sorted().into_iter();
+        let pins = pins.map(|(&ident, (snap, n))| (ident, Arc::as_ptr(snap) as usize, *n));
+        (rows.collect(), pins.collect())
     }
 
     /// `insert_run` leaves the cache byte-equal to the loop it replaces —

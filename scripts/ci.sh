@@ -16,15 +16,47 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== itlint --check (static gates, any violation fails) =="
-# Workspace determinism/panic-freedom gates (crates/lint): wall-clock
-# reads, panics in library paths, hash-order iteration, ad-hoc threads,
-# env reads. Fails on any violation; the one exemption is a reasoned
-# inline `itlint::allow(rule): reason` comment at the site.
-cargo run --offline -p inferturbo_lint --release --quiet -- --check
+# The static determinism gates live in clippy.toml (wall clock, threads,
+# processes, environment reads, std hash containers) and apply to every
+# target. The panic family, and the rule that a lint is silenced only by a
+# reasoned `#[expect]`, apply to lib and bin targets: integration tests,
+# examples and `#[cfg(test)]` code may panic. A stale `#[expect]` or an
+# unknown lint fails `-D warnings` on both legs.
+LIB_LINTS=(
+    -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
+    -D clippy::unreachable -D clippy::todo
+    -D clippy::allow_attributes -D clippy::allow_attributes_without_reason
+)
 
 echo "== cargo clippy --workspace --all-targets (-D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== cargo clippy --workspace --lib --bins (-D warnings, the panic family) =="
+cargo clippy --offline --workspace --lib --bins -- -D warnings "${LIB_LINTS[@]}"
+
+echo "== clippy rejects every planted violation (tests/clippy_fixture) =="
+# One bin per case. A `//! rejected by: <codes>` case must fail with
+# exactly those diagnostic codes; an `//! accepted` case must pass clean.
+fixture=tests/clippy_fixture
+out=target/clippy-fixture/case.json
+mkdir -p target/clippy-fixture
+for case in "$fixture"/src/bin/*.rs; do
+    name=$(basename "$case" .rs)
+    grep -q '^//! \(rejected by:\|accepted\)' "$case" || {
+        echo "clippy fixture $name: no '//! rejected by:' or '//! accepted' header" >&2
+        exit 1
+    }
+    want=$(sed -n 's|^//! rejected by: ||p' "$case" | xargs -n1 | sort -u | xargs)
+    status=0
+    cargo clippy --offline -q --manifest-path "$fixture/Cargo.toml" \
+        --target-dir target/clippy-fixture --bin "$name" --message-format=json \
+        -- -D warnings "${LIB_LINTS[@]}" >"$out" 2>/dev/null || status=$?
+    got=$({ grep -o '"code":{"code":"[^"]*"' "$out" || true; } | cut -d'"' -f6 | sort -u | xargs)
+    if [ "$got" != "$want" ] || [ $((status != 0)) -ne $((${#want} != 0)) ]; then
+        echo "clippy fixture $name: exit $status, codes [$got], expected [$want]" >&2
+        exit 1
+    fi
+done
 
 echo "== cargo build --examples =="
 # Examples are the documented entry points; drift fails the gate.

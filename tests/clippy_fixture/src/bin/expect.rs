@@ -1,0 +1,6 @@
+//! rejected by: clippy::expect_used
+
+fn main() {
+    let n: Option<u8> = std::hint::black_box(None);
+    println!("{}", n.expect("a value"));
+}

@@ -59,6 +59,11 @@ pub fn worker_bin() -> PathBuf {
     }
     let bin = dir.join(format!("itworker{}", std::env::consts::EXE_SUFFIX));
     if !bin.exists() {
+        #[expect(
+            clippy::disallowed_types,
+            clippy::disallowed_methods,
+            reason = "a test helper building the worker binary with cargo, not a worker process"
+        )]
         let mut cmd = std::process::Command::new(env!("CARGO"));
         cmd.args(["build", "-p", "inferturbo-cluster", "--bin", "itworker"]);
         if dir.ends_with("release") {

@@ -466,6 +466,10 @@ fn attention_scratch_is_isolated_across_calls_layers_and_threads() {
         });
     }
     for threads in [1usize, 2, 4] {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the schedule runs on its own threads at once to check the per-thread scratch"
+        )]
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| run_schedule(&models, &calls));
