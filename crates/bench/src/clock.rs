@@ -1,7 +1,7 @@
 //! The bench-only wall-clock door for the flight recorder.
 //!
-//! Library code is barred from reading real time (the itlint `wallclock`
-//! gate), so `inferturbo_obs` ships only the logical tick counter. The
+//! Library code is barred from reading real time (the wall-clock entries
+//! of the workspace clippy.toml), so `inferturbo_obs` ships only the logical tick counter. The
 //! bench harness is the one sanctioned wall-clock owner, and this module
 //! is where the sanction meets the trace layer: a [`ClockSource`] backed
 //! by `std::time::Instant`, for span-style accounting in benches only.

@@ -6,9 +6,9 @@
 //! diagnostics). A socket moves a multi-megabyte frame in far fewer
 //! wakeups than a 64 KiB pipe. This makes the process transport Unix-only,
 //! as the workspace is built and tested on Linux only. Everything that
-//! touches `std::process` lives here so itlint's `raw-spawn` rule can pin
-//! process creation to this one module the way thread creation is pinned
-//! to `common::par`.
+//! touches `std::process` lives here: clippy.toml disallows
+//! `std::process::Command` everywhere else, pinning process creation to
+//! this one module the way thread creation is pinned to `common::par`.
 
 use inferturbo_common::{Error, Result};
 use std::io::BufReader;

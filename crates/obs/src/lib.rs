@@ -9,8 +9,8 @@
 //! telemetry. Wall-clock time appears nowhere; durations and orderings
 //! are logical ([`event::LogicalTime`]), and the optional real-time
 //! [`sink::ClockSource`] implementation lives behind the bench-only door
-//! (`inferturbo_bench`), the one crate exempt from the `itlint`
-//! wallclock gate.
+//! (`inferturbo_bench`), the one crate whose clippy.toml lifts the
+//! wall-clock ban.
 //!
 //! # Event model
 //!

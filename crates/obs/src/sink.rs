@@ -291,7 +291,7 @@ impl TraceHandle {
 }
 
 /// Logical duration source for span-style accounting. The workspace bans
-/// wall clocks in library code (the `itlint` wallclock gate); the one
+/// wall clocks in library code (clippy's `disallowed_methods`); the one
 /// sanctioned real-time implementation lives behind the bench-only door
 /// (`inferturbo_bench`). Everything in this crate uses logical ticks.
 pub trait ClockSource {
