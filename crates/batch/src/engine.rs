@@ -15,51 +15,64 @@
 //! An engine runs over a [`Layout`]: the plan's placement of every vertex
 //! on a worker's slot table. The layout is the row plane's address space
 //! (a row is bound for a destination vertex by its [`Route`], and lands in
-//! that worker's cell under the slot), and a reducer's key order: it
+//! that worker's shard under the slot), and a reducer's key order: it
 //! visits its keys in ascending vertex id, which the layout gives without
-//! a sort ([`Layout::slots_by_id`]). A reducer groups its rows by slot in
-//! a counting pass — how many rows each slot receives, then every row
-//! copied (or folded) into its slot's group in arrival order (ascending
-//! mapper, emission order within a mapper) — and merge-joins those groups
-//! with its typed records, which it stable-sorts by key. That keeps the
-//! external-sort semantics the kernels are written against — ascending
-//! keys, arrival order inside a group — with no hash and no sort of the
-//! row plane. The typed plane's keys are partitioned by the engine's
-//! partition function, which must place a vertex's id on the worker the
-//! layout places it, so a key's typed records and rows meet.
+//! a sort ([`Layout::slots_by_id`]). A reducer groups its rows by slot
+//! with the Pregel engine's destination merge, in arrival order
+//! (ascending mapper, emission order within a mapper): fused partials
+//! through [`FusedRows::open`], one [`FusedFold::fold`] per sender and
+//! [`FusedFold::seal`], materialized rows through [`RowArena::seal`] (the
+//! stable counting sort [`inferturbo_common::rows::seal_order`]). It
+//! merge-joins those groups with its typed records, which it stable-sorts
+//! by key. That keeps the external-sort semantics the kernels are written
+//! against — ascending keys, arrival order inside a group — with no hash
+//! and no sort of the row plane. The typed plane's keys are partitioned by
+//! the engine's partition function, which must place a vertex's id on the
+//! worker the layout places it, so a key's typed records and rows meet.
+//!
+//! [`FusedFold::fold`]: inferturbo_common::rows::FusedFold::fold
+//! [`FusedFold::seal`]: inferturbo_common::rows::FusedFold::seal
 //!
 //! # Two shuffle planes
 //!
 //! Every phase shuffles typed keyed records (the pairs a kernel pushes)
 //! and, alongside them, fixed-width `f32` rows: kernels scatter a row over
-//! a span of routes into a [`RowSink`], which appends it to one cell per
-//! destination worker, with no per-record heap object. When a phase
-//! provides a [`FusedAggregator`], the sink folds rows into one
-//! accumulator per destination slot as they arrive — the in-mapper
-//! combiner, through a dense slot index — shrinking shuffle volume from
-//! one row per edge to one partial row per (worker, destination vertex).
+//! a span of routes into a [`RowSink`], which appends it to one
+//! [`RowShard`] per destination worker, with no per-record heap object.
+//! When a phase provides a fold ([`AggKind`], the one set both engines and
+//! the wire know), each destination's cell is a [`FusedSlotShard`]
+//! instead, folding rows into one partial per destination slot as they
+//! arrive ([`FusedSlotShard::accumulate`], copy-on-first) — the in-mapper
+//! combiner the Pregel engine's senders run too — shrinking shuffle volume
+//! from one row per edge to one partial row per (worker, destination
+//! vertex).
 //!
-//! A cell is already contiguous and bound for one destination, so the
-//! barrier moves cells, never rows: in process a destination keeps its
-//! senders' cells, ascending, and reads them where they lie; a transport
-//! that moves bytes ([`Transport::needs_bytes`]) is handed the same cells
-//! as buckets, and what crosses the wire is one cell of its own. A
-//! reducer combines the partials that land on it through the fold of the
-//! phase that produced them (Hadoop's reduce-side combine), so its kernel
-//! sees one row per key; without a fold it sees the key's rows as one
-//! flat [`RowsView`] in arrival order. A phase that ships no rows passes
-//! `row_dim = 0` and ignores its sink.
+//! A shard is already contiguous and bound for one destination, so the
+//! barrier moves shards, never rows: in process a destination keeps its
+//! senders' shards, ascending, and reads them where they lie; a transport
+//! that moves bytes ([`Transport::needs_bytes`]) is handed the same shards
+//! as buckets — slots widened to the buckets' `u64` keys, a materialized
+//! row counting 1 — and what crosses the wire is one shard of its own, its
+//! keys narrowed back to slots with a checked conversion. Either way the
+//! reducer merges what it holds with the same calls: the partials through
+//! the fold of the phase that produced them (Hadoop's reduce-side
+//! combine), so its kernel sees one row per key; without a fold, the
+//! key's rows sealed in arrival order and lent as one [`RowsView`]. A
+//! phase that ships no rows passes `row_dim = 0` and ignores its sink.
 //!
 //! # Sized from the plan
 //!
-//! A phase given [`Sizes`] reserves every task's cells and its typed
-//! output vector at exactly the plan's counts, and its reducers' groups
-//! are counted before they are filled, so no buffer grows while it is
-//! written; a debug build checks each against its count. The byte
+//! A phase given [`Sizes`] reserves every task's shards and its typed
+//! output vector at exactly the plan's counts; a reducer's groups are
+//! sealed from the shards it holds (a fused reducer opens one accumulator
+//! per slot, a materialized one counts its slots before it fills them),
+//! so no buffer grows while it is written; a debug build checks each
+//! shard and each reducer's groups against the plan's counts. The byte
 //! accounting models the deployment's wire format whatever the buffers
 //! hold: a row record is charged its framing plus its destination's id as
 //! a varint key, and a typed record its key and [`Encode::encoded_len`].
 
+use inferturbo_cluster::transport::MergedCols;
 use inferturbo_cluster::transport::{
     self, frame::EncodedKeyRecords, BucketRef, ConcatDest, ConcatExchange, Transport,
 };
@@ -68,7 +81,9 @@ use inferturbo_common::codec::{varint_len, Decode, Encode, WireReader};
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::layout::{CellCounts, Layout, Route};
 use inferturbo_common::par::{par_map, par_map_workers};
-use inferturbo_common::rows::{merge_partial, row_payload_len, AggKind, FusedAggregator, RowBlock};
+use inferturbo_common::rows::{
+    row_payload_len, AggKind, FusedRows, FusedSlotShard, LentRows, RowArena, RowBlock, RowShard,
+};
 use inferturbo_common::{Error, Result};
 use inferturbo_obs::{Payload, RoundKind, Site, TraceHandle};
 
@@ -125,80 +140,93 @@ impl<V> IntoIterator for KeyedData<V> {
     }
 }
 
-/// One (task, destination worker) cell of a row plane: the destination
-/// slots its rows are bound for, their fold counts (1 unless the phase
-/// fused) and the rows, in emission order — first-touch order when fused.
-/// Written once by its task, then only read.
-#[derive(Debug, Default)]
-struct RowCell {
-    keys: Vec<u64>,
-    counts: Vec<u32>,
-    rows: RowBlock,
+/// Row shards of one plane, the other list empty: materialized rows
+/// ([`RowShard`], emission order) or — when the phase fuses — partials
+/// ([`FusedSlotShard`], one per touched slot in first-touch order). A
+/// task's cells hold one shard per destination worker; a destination's,
+/// one per sender that sent it rows, ascending: its arrival order.
+#[derive(Default)]
+struct Cells {
+    rows: Vec<RowShard>,
+    fused: Vec<FusedSlotShard>,
 }
 
-impl RowCell {
-    fn with_capacity(rows: usize, dim: usize) -> Self {
-        let mut block = RowBlock::new(dim);
-        block.reserve_exact(rows * dim);
-        RowCell {
-            keys: Vec::with_capacity(rows),
-            counts: Vec::with_capacity(rows),
-            rows: block,
+impl Cells {
+    /// Shard `i`'s destination slots, one per record.
+    fn slots(&self, i: usize) -> &[u32] {
+        match (self.fused.get(i), self.rows.get(i)) {
+            (Some(sh), _) => &sh.keys,
+            (None, Some(sh)) => &sh.slots,
+            (None, None) => &[],
         }
     }
 
-    fn push(&mut self, slot: u32, count: u32, row: &[f32]) {
-        self.keys.push(slot as u64);
-        self.counts.push(count);
-        self.rows.push_row(row);
+    fn len(&self) -> usize {
+        self.rows.len() + self.fused.len()
     }
 
-    /// Whether the cell holds exactly `planned` rows at capacity `planned`.
-    fn holds_exactly(&self, planned: usize) -> bool {
-        let dim = self.rows.dim();
-        self.keys.len() == planned
-            && self.keys.capacity() == planned
-            && self.counts.capacity() == planned
-            && self.rows.capacity() == planned * dim
+    /// Move the non-empty shards of a task's cells onto the end of their
+    /// destinations' lists.
+    fn deal(self, dests: &mut [Cells]) {
+        for (dest, sh) in dests.iter_mut().zip(self.rows) {
+            if !sh.is_empty() {
+                dest.rows.push(sh);
+            }
+        }
+        for (dest, sh) in dests.iter_mut().zip(self.fused) {
+            if !sh.is_empty() {
+                dest.fused.push(sh);
+            }
+        }
     }
+}
+
+/// A fused shard's partials without its dense slot index: what a sender
+/// hands over once it has folded, and what a byte-moving transport hands
+/// back. Only [`FusedFold::fold`] reads it, which walks the partials.
+fn partials(dim: usize, keys: Vec<u32>, counts: Vec<u32>, rows: RowBlock) -> FusedSlotShard {
+    let mut sh = FusedSlotShard::new(dim, 0);
+    sh.keys = keys;
+    sh.counts = counts;
+    sh.rows = rows;
+    sh
 }
 
 /// Keyed columnar rows routed to their destination workers — the columnar
 /// counterpart of [`KeyedData`], produced and consumed by the same phases.
-/// Each destination holds its senders' cells, ascending.
-pub struct KeyedRows<'a> {
+/// Each destination holds its senders' shards, ascending.
+pub struct KeyedRows {
     dim: usize,
     /// The fold of the phase that fused these rows, if it fused: the
-    /// consuming reducer combines same-key partials with this fold and no
+    /// consuming reducer merges same-slot partials with this fold and no
     /// other.
-    agg: Option<&'a dyn FusedAggregator>,
-    /// Per destination worker, the non-empty cells bound there in
-    /// ascending sender order: its arrival order.
-    per_worker: Vec<Vec<RowCell>>,
+    kind: Option<AggKind>,
+    /// Per destination worker, the non-empty shards bound there.
+    per_worker: Vec<Cells>,
     /// Per destination worker, when the producing phase was sized: the
     /// slots its rows reach and the row records bound there.
     planned: Option<Vec<(usize, usize)>>,
 }
 
-impl std::fmt::Debug for KeyedRows<'_> {
+impl std::fmt::Debug for KeyedRows {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KeyedRows")
             .field("dim", &self.dim)
             .field("rows", &self.len())
             .field("workers", &self.per_worker.len())
-            .field("fused", &self.agg.is_some())
+            .field("fused", &self.kind.is_some())
             .finish()
     }
 }
 
-impl KeyedRows<'_> {
+impl KeyedRows {
     /// An empty plane (used to start a chain, or by phases with no row
     /// traffic).
     pub fn empty(dim: usize, workers: usize) -> Self {
         KeyedRows {
             dim,
-            agg: None,
-            per_worker: (0..workers).map(|_| Vec::new()).collect(),
+            kind: None,
+            per_worker: (0..workers).map(|_| Cells::default()).collect(),
             planned: None,
         }
     }
@@ -209,7 +237,9 @@ impl KeyedRows<'_> {
 
     /// Total row records across all workers.
     pub fn len(&self) -> usize {
-        self.per_worker.iter().flatten().map(|c| c.keys.len()).sum()
+        let rows = self.per_worker.iter().flat_map(|c| &c.rows);
+        let fused = self.per_worker.iter().flat_map(|c| &c.fused);
+        rows.map(RowShard::len).sum::<usize>() + fused.map(FusedSlotShard::len).sum::<usize>()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -218,34 +248,22 @@ impl KeyedRows<'_> {
 
     /// Total raw messages represented (each row counts its folds).
     pub fn raw_message_count(&self) -> u64 {
-        self.per_worker
-            .iter()
-            .flatten()
-            .flat_map(|c| &c.counts)
-            .map(|&c| c as u64)
-            .sum()
-    }
-
-    /// Visit worker `w`'s rows as `(slot, count, row)` in arrival order.
-    fn for_each_arrival(&self, w: usize, mut f: impl FnMut(usize, u32, &[f32])) {
-        for cell in &self.per_worker[w] {
-            for (i, (&slot, &count)) in cell.keys.iter().zip(&cell.counts).enumerate() {
-                f(slot as usize, count, cell.rows.row(i));
-            }
-        }
+        let rows = self.per_worker.iter().flat_map(|c| &c.rows);
+        let fused = self.per_worker.iter().flat_map(|c| &c.fused);
+        let folded: u64 = fused.flat_map(|sh| &sh.counts).map(|&c| c as u64).sum();
+        rows.map(|sh| sh.len() as u64).sum::<u64>() + folded
     }
 }
 
-/// One key's rows inside a reducer: a flat row-major slice plus per-row
-/// fold counts, in arrival order (ascending mapper, emission order within
-/// a mapper). When the producing phase fused, the reducer has already
-/// folded the key's partials through that phase's fold, in arrival order
-/// and copy-on-first: the view is then one row whose count is the sum of
-/// theirs.
+/// One key's rows inside a reducer, lent where the reducer's inbox holds
+/// them, with per-row fold counts, in arrival order (ascending mapper,
+/// emission order within a mapper). When the producing phase fused, the
+/// reducer has already folded the key's partials through that phase's
+/// fold, in arrival order and copy-on-first: the view is then one row
+/// whose count is the sum of theirs.
 #[derive(Debug, Clone, Copy)]
 pub struct RowsView<'a> {
-    pub dim: usize,
-    pub data: &'a [f32],
+    pub rows: LentRows<'a>,
     pub counts: &'a [u32],
     /// Shuffle records these rows stand for: [`RowsView::n_rows`] unless
     /// the reducer combined them.
@@ -262,26 +280,7 @@ impl RowsView<'_> {
     }
 
     pub fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-}
-
-/// A phase's row fold, resolved once per phase: its closed-form [`AggKind`]
-/// when the aggregator names one ([`FusedAggregator::wire_kind`] —
-/// bit-identical by that method's contract), so the per-row fold inlines;
-/// else the aggregator itself, a virtual call per row.
-#[derive(Clone, Copy)]
-enum Fold<'a> {
-    Kind(AggKind),
-    Dyn(&'a dyn FusedAggregator),
-}
-
-impl<'a> Fold<'a> {
-    fn of(agg: Option<&'a dyn FusedAggregator>) -> Option<Self> {
-        agg.map(|agg| match agg.wire_kind() {
-            Some(kind) => Fold::Kind(kind),
-            None => Fold::Dyn(agg),
-        })
+        self.rows.row(i)
     }
 }
 
@@ -314,47 +313,48 @@ impl Sizes<'_> {
 }
 
 /// Columnar emitter handed to phase kernels: a row scattered over a span
-/// of routes lands in one cell per destination worker, appended (no
-/// per-record heap object) or — when the phase has a [`FusedAggregator`] —
-/// folded into the destination slot's accumulator row, copy-on-first,
-/// through a dense slot index: Hadoop-style in-mapper combining.
+/// of routes lands in one shard per destination worker, appended (no
+/// per-record heap object) or — when the phase has a fold — folded into
+/// the destination slot's partial, copy-on-first
+/// ([`FusedSlotShard::accumulate`]): Hadoop-style in-mapper combining.
 pub struct RowSink<'a> {
     dim: usize,
     layout: &'a Layout,
-    fold: Option<Fold<'a>>,
-    /// Per destination worker, the cell this task's rows bound there fill.
-    cells: Vec<RowCell>,
-    /// Per destination worker, when the phase fuses: slot → the row of its
-    /// cell that holds the slot's partial (`u32::MAX`: untouched).
-    index: Vec<Vec<u32>>,
+    kind: Option<AggKind>,
+    /// Per destination worker, the shard this task's rows bound there fill.
+    cells: Cells,
 }
 
 impl<'a> RowSink<'a> {
     fn new(
         dim: usize,
-        agg: Option<&'a dyn FusedAggregator>,
+        kind: Option<AggKind>,
         layout: &'a Layout,
         w: usize,
         sizes: &Sizes<'_>,
     ) -> Self {
         let n = layout.n_workers();
-        let fold = Fold::of(agg).filter(|_| dim > 0);
-        let cells = (0..n)
-            .map(|d| {
-                let planned = sizes.cell(fold.is_some(), w, d).filter(|_| dim > 0);
-                RowCell::with_capacity(planned.unwrap_or(0), dim)
-            })
-            .collect();
-        let index = match fold {
-            Some(_) => (0..n).map(|d| vec![u32::MAX; layout.n_slots(d)]).collect(),
-            None => Vec::new(),
-        };
+        let kind = kind.filter(|_| dim > 0);
+        let planned = |d| sizes.cell(kind.is_some(), w, d).filter(|_| dim > 0);
+        let mut cells = Cells::default();
+        for d in 0..n {
+            let rows = planned(d).unwrap_or(0);
+            if kind.is_some() {
+                let mut sh = FusedSlotShard::new(dim, layout.n_slots(d));
+                sh.reserve_exact(rows, dim);
+                cells.fused.push(sh);
+            } else {
+                let mut sh = RowShard::new(dim);
+                sh.slots.reserve_exact(rows);
+                sh.rows.reserve_exact(rows * dim);
+                cells.rows.push(sh);
+            }
+        }
         RowSink {
             dim,
             layout,
-            fold,
+            kind,
             cells,
-            index,
         }
     }
 
@@ -369,30 +369,18 @@ impl<'a> RowSink<'a> {
     pub fn scatter_row(&mut self, routes: &[Route], row: &[f32]) {
         assert!(self.dim > 0, "scatter_row on a phase with no row plane");
         debug_assert_eq!(row.len(), self.dim);
-        match self.fold {
-            Some(Fold::Kind(kind)) => self.fold_over(routes, row, &kind),
-            Some(Fold::Dyn(agg)) => self.fold_over(routes, row, agg),
+        match &self.kind {
+            Some(kind) => {
+                for &r in routes {
+                    let (d, slot) = self.layout.unpack(r);
+                    self.cells.fused[d].accumulate(slot, row, 1, kind);
+                }
+            }
             None => {
                 for &r in routes {
                     let (d, slot) = self.layout.unpack(r);
-                    self.cells[d].push(slot, 1, row);
+                    self.cells.rows[d].push(slot, row);
                 }
-            }
-        }
-    }
-
-    #[inline]
-    fn fold_over(&mut self, routes: &[Route], row: &[f32], agg: &(impl FusedAggregator + ?Sized)) {
-        for &r in routes {
-            let (d, slot) = self.layout.unpack(r);
-            let cell = &mut self.cells[d];
-            let at = &mut self.index[d][slot as usize];
-            if *at == u32::MAX {
-                *at = cell.keys.len() as u32;
-                cell.push(slot, 1, row);
-            } else {
-                agg.accumulate(cell.rows.row_mut(*at as usize), row);
-                cell.counts[*at as usize] += 1;
             }
         }
     }
@@ -403,217 +391,178 @@ impl<'a> RowSink<'a> {
     /// (like the typed records), so they cost shuffle bytes, not resident
     /// memory.
     fn resident_bytes(&self) -> u64 {
-        if self.fold.is_none() {
-            return 0;
-        }
         self.cells
+            .fused
             .iter()
-            .map(|c| (c.rows.data().len() * 4 + c.keys.len() * 12) as u64)
+            .map(|sh| (sh.rows.data().len() * 4 + sh.len() * 12) as u64)
             .sum()
     }
 
     /// Charge every row's output bytes — its framing, count and
-    /// destination id — and hand the cells over, one per destination. The
-    /// dense index goes here. Returns the cells and the columnar bytes
-    /// sent.
+    /// destination id — and hand the shards over, one per destination.
+    /// The fused shards' dense slot indexes go here. Returns the shards
+    /// and the columnar bytes sent.
     fn flush(
         self,
         params: &PhaseParams,
         w: usize,
         sizes: &Sizes<'_>,
         metrics: &mut WorkerPhase,
-    ) -> (Vec<RowCell>, u64) {
+    ) -> (Cells, u64) {
+        let fused = self.kind.is_some();
         let mut columnar = 0u64;
-        for (d, cell) in self.cells.iter().enumerate() {
-            if self.dim > 0 {
-                if let Some(planned) = sizes.cell(self.fold.is_some(), w, d) {
-                    debug_assert!(
-                        cell.holds_exactly(planned),
-                        "row cell ({w} -> {d}) holds {} of {} rows planned, capacity {}",
-                        cell.keys.len(),
-                        planned,
-                        cell.keys.capacity()
-                    );
-                }
+        for d in 0..self.cells.len() {
+            if let Some(planned) = sizes.cell(fused, w, d).filter(|_| self.dim > 0) {
+                let (len, cap, lanes) = match fused {
+                    true => {
+                        let sh = &self.cells.fused[d];
+                        let cap = sh.keys.capacity().min(sh.counts.capacity());
+                        (sh.len(), cap, sh.rows.capacity())
+                    }
+                    false => {
+                        let sh = &self.cells.rows[d];
+                        (sh.len(), sh.slots.capacity(), sh.rows.capacity())
+                    }
+                };
+                debug_assert!(
+                    len == planned && cap == planned && lanes == planned * self.dim,
+                    "row cell ({w} -> {d}) holds {len} of {planned} rows planned, capacity {cap}"
+                );
             }
             let ids = self.layout.ids(d);
-            for (&slot, &count) in cell.keys.iter().zip(&cell.counts) {
+            let slots = self.cells.slots(d);
+            let counts = self.cells.fused.get(d).map(|sh| &sh.counts[..]);
+            for (i, &slot) in slots.iter().enumerate() {
+                let count = counts.map_or(1, |c| c[i]);
                 let len = params.row_wire_len(ids[slot as usize], self.dim, count);
                 metrics.send(len);
                 columnar += len;
             }
         }
-        (self.cells, columnar)
+        let Cells { rows, fused } = self.cells;
+        let fused = fused
+            .into_iter()
+            .map(|sh| {
+                let dim = sh.dim();
+                partials(dim, sh.keys, sh.counts, sh.rows)
+            })
+            .collect();
+        (Cells { rows, fused }, columnar)
     }
 }
 
-/// One reducer's rows grouped by slot, in ascending id order: group `g` is
-/// slot `slots[g]`'s rows `starts[g]..starts[g + 1]` of `counts` / `rows`
-/// (one row each when combined), and stands for `records[g]` shuffle
-/// records of `bytes[g]` wire bytes.
-struct RowGroups {
-    dim: usize,
-    slots: Vec<u32>,
-    starts: Vec<usize>,
-    counts: Vec<u32>,
-    rows: RowBlock,
-    records: Vec<usize>,
+/// One reducer's rows grouped by slot with the destination merge both
+/// engines share: fused partials folded into one row per slot
+/// ([`FusedRows::open`], a [`FusedFold::fold`] per sender ascending,
+/// copy-on-first), materialized rows sealed slot by slot in arrival order
+/// ([`RowArena::seal`]). Beside them, per slot, the shuffle records that
+/// reached it and their wire bytes.
+struct Groups {
+    inbox: MergedCols,
+    records: Vec<u32>,
     bytes: Vec<u64>,
+    /// A count of 1 per row of the fattest materialized slot: the fold
+    /// counts of every materialized group.
+    ones: Vec<u32>,
 }
 
-impl RowGroups {
-    /// Group worker `w`'s rows by slot in a counting pass: count each
-    /// slot's records (charging each record's fetch to `metrics`), order
-    /// the slots that received any by ascending id, then fill each group
-    /// in arrival order — folded through `fold`, copy-on-first, when the
-    /// rows were fused (the fold sequence the kernel's own gather would
-    /// run over the key's partials), else copied in place.
+impl Groups {
+    /// Group worker `w`'s rows, charging each record's fetch to `metrics`.
     fn of(
-        rows: &KeyedRows<'_>,
+        rows: &KeyedRows,
         w: usize,
         layout: &Layout,
         params: &PhaseParams,
         metrics: &mut WorkerPhase,
     ) -> Result<Self> {
-        let dim = rows.dim;
-        let ids = layout.ids(w);
-        let record_len = |slot: usize, count: u32| params.row_wire_len(ids[slot], dim, count);
-        // Per slot: its records, then its group, then (uncombined) the
-        // cursor of its next row.
-        let mut tally = if rows.per_worker[w].is_empty() {
-            Vec::new()
+        let (dim, cells) = (rows.dim, &rows.per_worker[w]);
+        let n_slots = if cells.len() > 0 {
+            layout.n_slots(w)
         } else {
-            vec![0u32; layout.n_slots(w)]
+            0
         };
-        let (mut n_groups, mut n_rows) = (0usize, 0usize);
-        rows.for_each_arrival(w, |slot, count, _| {
-            metrics.recv(record_len(slot, count));
-            n_groups += usize::from(tally[slot] == 0);
-            n_rows += 1;
-            tally[slot] += 1;
-        });
-        if u32::try_from(n_rows).is_err() {
-            return Err(Error::Capacity(format!(
-                "reducer {w} receives {n_rows} rows, past its u32 row cursors"
-            )));
-        }
+        let ids = layout.ids(w);
+        let mut records = vec![0u32; n_slots];
+        let mut bytes = vec![0u64; n_slots];
+        let mut charge = |slot: u32, count: u32| {
+            let s = slot as usize;
+            let len = params.row_wire_len(ids[s], dim, count);
+            metrics.recv(len);
+            records[s] += 1;
+            bytes[s] += len;
+        };
+        let inbox = match rows.kind {
+            _ if cells.len() == 0 => MergedCols::None,
+            Some(kind) => {
+                let mut fold = FusedRows::open(dim, n_slots, &kind);
+                for sh in &cells.fused {
+                    for (&slot, &count) in sh.keys.iter().zip(&sh.counts) {
+                        charge(slot, count);
+                    }
+                    fold.fold(sh, &kind);
+                }
+                MergedCols::Fused(fold.seal(None)?)
+            }
+            None => {
+                for &slot in cells.rows.iter().flat_map(|sh| &sh.slots) {
+                    charge(slot, 1);
+                }
+                MergedCols::Rows(RowArena::seal(dim, n_slots, &cells.rows, None)?)
+            }
+        };
         if let Some(planned) = rows.planned.as_ref().map(|p| p[w]) {
+            let groups = records.iter().filter(|&&r| r > 0).count();
+            let total = records.iter().map(|&r| r as usize).sum();
             debug_assert_eq!(
-                (n_groups, n_rows),
+                (groups, total),
                 planned,
                 "reducer {w}: (groups, rows) against the plan"
             );
         }
-        let mut slots = Vec::with_capacity(n_groups);
-        let mut records = Vec::with_capacity(n_groups);
-        if !tally.is_empty() {
-            for s in layout.slots_by_id(w) {
-                let t = tally[s as usize];
-                if t > 0 {
-                    slots.push(s);
-                    records.push(t as usize);
-                }
-            }
-        }
-        let fold = Fold::of(rows.agg);
-        let group_rows = if fold.is_some() { n_groups } else { n_rows };
-        let mut counts = vec![0u32; group_rows];
-        let mut data = vec![0.0f32; group_rows * dim];
-        let mut bytes = vec![0u64; n_groups];
-        let starts = match fold {
-            Some(fold) => {
-                for (g, &s) in slots.iter().enumerate() {
-                    tally[s as usize] = g as u32;
-                }
-                let mut groups = Combine {
-                    group_of: &tally,
-                    dim,
-                    data: &mut data,
-                    counts: &mut counts,
-                    bytes: &mut bytes,
-                };
-                match fold {
-                    Fold::Kind(kind) => groups.fold(rows, w, &record_len, &kind),
-                    Fold::Dyn(agg) => groups.fold(rows, w, &record_len, agg),
-                }
-                (0..=n_groups).collect()
-            }
-            None => {
-                let mut starts = Vec::with_capacity(n_groups + 1);
-                starts.push(0);
-                for (&s, &r) in slots.iter().zip(&records) {
-                    tally[s as usize] = starts[starts.len() - 1] as u32;
-                    starts.push(starts[starts.len() - 1] + r);
-                }
-                rows.for_each_arrival(w, |slot, count, row| {
-                    let at = tally[slot] as usize;
-                    tally[slot] += 1;
-                    counts[at] = count;
-                    data[at * dim..(at + 1) * dim].copy_from_slice(row);
-                });
-                for (g, &s) in slots.iter().enumerate() {
-                    bytes[g] = counts[starts[g]..starts[g + 1]]
-                        .iter()
-                        .map(|&c| record_len(s as usize, c))
-                        .sum();
-                }
-                starts
-            }
+        let fattest = match inbox {
+            MergedCols::Rows(_) => records.iter().copied().max().unwrap_or(0),
+            _ => 0,
         };
-        Ok(RowGroups {
-            dim,
-            slots,
-            starts,
-            counts,
-            rows: RowBlock::from_parts(dim, data)?,
+        Ok(Groups {
+            inbox,
             records,
             bytes,
+            ones: vec![1; fattest as usize],
         })
     }
 
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn view(&self, g: usize) -> RowsView<'_> {
-        let (a, b) = (self.starts[g], self.starts[g + 1]);
-        RowsView {
-            dim: self.dim,
-            data: &self.rows.data()[a * self.dim..b * self.dim],
-            counts: &self.counts[a..b],
-            records: self.records[g],
+    /// The touched slots, in ascending id order: the reducer's row keys.
+    fn slots_by_id(&self, layout: &Layout, w: usize) -> Vec<u32> {
+        if self.records.is_empty() {
+            return Vec::new();
         }
+        let touched = |&s: &u32| self.records[s as usize] > 0;
+        layout.slots_by_id(w).filter(touched).collect()
     }
-}
 
-/// The reduce-side combine's destination: one accumulator row per group.
-struct Combine<'g> {
-    /// Slot → its group.
-    group_of: &'g [u32],
-    dim: usize,
-    data: &'g mut [f32],
-    counts: &'g mut [u32],
-    bytes: &'g mut [u64],
-}
-
-impl Combine<'_> {
-    /// Fold each of worker `w`'s arriving partials into its slot's group
-    /// row, copy-on-first, in arrival order, so every group is one row
-    /// carrying the sum of their counts.
-    fn fold(
-        &mut self,
-        rows: &KeyedRows<'_>,
-        w: usize,
-        record_len: &impl Fn(usize, u32) -> u64,
-        agg: &(impl FusedAggregator + ?Sized),
-    ) {
-        let dim = self.dim;
-        rows.for_each_arrival(w, |slot, count, row| {
-            let g = self.group_of[slot] as usize;
-            self.bytes[g] += record_len(slot, count);
-            let acc = &mut self.data[g * dim..(g + 1) * dim];
-            merge_partial(acc, &mut self.counts[g], row, count, agg);
-        });
+    /// Slot `s`'s group; `count` holds a fused group's one fold count.
+    fn view<'g>(&'g mut self, s: usize, count: &'g mut [u32; 1]) -> Result<RowsView<'g>> {
+        let records = self.records[s] as usize;
+        Ok(match &mut self.inbox {
+            MergedCols::Fused(fused) => {
+                count[0] = fused.count(s);
+                RowsView {
+                    rows: LentRows::flat(fused.dim(), fused.row(s)?),
+                    counts: count,
+                    records,
+                }
+            }
+            MergedCols::Rows(arena) => RowsView {
+                rows: arena.rows(s)?,
+                counts: &self.ones[..records],
+                records,
+            },
+            MergedCols::None => RowsView {
+                rows: LentRows::flat(0, &[]),
+                counts: &[],
+                records: 0,
+            },
+        })
     }
 }
 
@@ -693,9 +642,8 @@ impl TaskGate {
 struct PhaseOut<V> {
     metrics: WorkerPhase,
     routed: Vec<Vec<(u64, V)>>,
-    /// The task's row cells, one per destination (empty when
-    /// `row_dim == 0`).
-    cells: Vec<RowCell>,
+    /// The task's row shards, one per destination.
+    cells: Cells,
     /// Modelled peak resident bytes, checked against the spec at the merge.
     peak: u64,
     /// Message volume by plane.
@@ -730,7 +678,7 @@ impl<V: Encode> PhaseOut<V> {
                 out.capacity()
             );
         }
-        let n = sink.cells.len();
+        let n = sink.layout.n_workers();
         let peak = held + sink.resident_bytes();
         let (routed, legacy) = route_records(params, n, out, &mut metrics);
         let (cells, columnar) = sink.flush(params, w, sizes, &mut metrics);
@@ -889,20 +837,20 @@ impl<'l> BatchEngine<'l> {
     /// pushes its keyed pairs onto the task's output vector, which it
     /// receives as its last argument. Workers execute in parallel; emitted
     /// pairs and rows are charged as shuffle output. With `row_agg` set,
-    /// emitted rows fold into per-slot accumulators at the sender (fused
+    /// emitted rows fold into per-slot partials at the sender (fused
     /// in-mapper aggregation), and the returned rows carry `row_agg` to the
-    /// reducer that combines them. `sizes`, when counted, are per mapper.
+    /// reducer that merges them. `sizes`, when counted, are per mapper.
     /// The first failure in ascending worker order is surfaced, like the
     /// serial loop.
-    pub fn map_phase<'a, V, M, F>(
+    pub fn map_phase<V, M, F>(
         &mut self,
         name: impl Into<String>,
         inputs: usize,
         row_dim: usize,
         make_map: F,
-        row_agg: Option<&'a dyn FusedAggregator>,
+        row_agg: Option<AggKind>,
         sizes: Sizes<'_>,
-    ) -> Result<(KeyedData<V>, KeyedRows<'a>)>
+    ) -> Result<(KeyedData<V>, KeyedRows)>
     where
         V: Shuffled<'l>,
         M: FnMut(&mut PhaseCtx, usize, &mut RowSink<'_>, &mut Vec<(u64, V)>) -> Result<()>,
@@ -964,16 +912,16 @@ impl<'l> BatchEngine<'l> {
         clippy::too_many_arguments,
         reason = "the phase's two planes, its kernel, fold and sizes are independent inputs"
     )]
-    pub fn reduce_phase<'b, V, O, R, F>(
+    pub fn reduce_phase<V, O, R, F>(
         &mut self,
         name: impl Into<String>,
         data: KeyedData<V>,
-        rows: KeyedRows<'_>,
+        rows: KeyedRows,
         out_dim: usize,
         make_reduce: F,
-        row_agg: Option<&'b dyn FusedAggregator>,
+        row_agg: Option<AggKind>,
         sizes: Sizes<'_>,
-    ) -> Result<(KeyedData<O>, KeyedRows<'b>)>
+    ) -> Result<(KeyedData<O>, KeyedRows)>
     where
         V: Shuffled<'l>,
         O: Shuffled<'l>,
@@ -1005,7 +953,8 @@ impl<'l> BatchEngine<'l> {
             // the same number is the fetch of this worker's shuffle
             // partition (input accounting) and its share of the group's
             // residency.
-            let groups = RowGroups::of(&rows, w, layout, &params, &mut metrics)?;
+            let mut groups = Groups::of(&rows, w, layout, &params, &mut metrics)?;
+            let slots = groups.slots_by_id(layout, w);
             let ids = layout.ids(w);
             // Stable, so same-key typed records keep arrival order.
             bucket.sort_by_key(|&(k, _)| k);
@@ -1019,7 +968,7 @@ impl<'l> BatchEngine<'l> {
             let mut gi = 0usize;
             loop {
                 let lk = lit.peek().map(|&(k, _)| k);
-                let rk = (gi < groups.len()).then(|| ids[groups.slots[gi] as usize]);
+                let rk = slots.get(gi).map(|&s| ids[s as usize]);
                 let k = match (lk, rk) {
                     (None, None) => break,
                     (Some(a), None) => a,
@@ -1034,15 +983,15 @@ impl<'l> BatchEngine<'l> {
                     group_bytes += len;
                     values.push(v);
                 }
+                let mut count = [0u32];
                 let view = if rk == Some(k) {
-                    let g = gi;
+                    let s = slots[gi] as usize;
                     gi += 1;
-                    group_bytes += groups.bytes[g];
-                    groups.view(g)
+                    group_bytes += groups.bytes[s];
+                    groups.view(s, &mut count)?
                 } else {
                     RowsView {
-                        dim: in_dim,
-                        data: &[],
+                        rows: LentRows::flat(in_dim, &[]),
                         counts: &[],
                         records: 0,
                     }
@@ -1063,7 +1012,7 @@ impl<'l> BatchEngine<'l> {
                 task_retries,
             ))
         });
-        // Every reducer has read its rows: the senders' cells go before
+        // Every reducer has read its rows: the senders' shards go before
         // this phase's own are merged.
         drop(rows);
         self.merge_phase(name, RoundKind::Reduce, out_dim, row_agg, &sizes, results)
@@ -1072,27 +1021,28 @@ impl<'l> BatchEngine<'l> {
     /// Barrier: surface the first failure in ascending worker order, check
     /// the memory model, and hand the routed shards — both planes — to the
     /// shuffle [`Transport`]. Under a byte-moving backend every non-empty
-    /// (mapper, destination) cell is a bucket as it stands and the typed
+    /// (mapper, destination) shard is a bucket — its slots widened to the
+    /// bucket's `u64` keys, a materialized row counting 1 — and the typed
     /// legacy records cross the wire through their codec, and the
     /// transport concatenates both per destination in mapper order (the
     /// serial delivery order). In process, nothing is copied: each
-    /// destination keeps its senders' cells, and the typed records are
+    /// destination keeps its senders' shards, and the typed records are
     /// concatenated in-engine.
-    fn merge_phase<'a, V: Shuffled<'l>>(
+    fn merge_phase<V: Shuffled<'l>>(
         &mut self,
         name: String,
         kind: RoundKind,
         row_dim: usize,
-        agg: Option<&'a dyn FusedAggregator>,
+        agg: Option<AggKind>,
         sizes: &Sizes<'_>,
         results: Vec<Result<PhaseOut<V>>>,
-    ) -> Result<(KeyedData<V>, KeyedRows<'a>)> {
+    ) -> Result<(KeyedData<V>, KeyedRows)> {
         let n = self.spec.workers;
         let mut metrics = Vec::with_capacity(n);
         let mut round_bytes = MessagePlaneBytes::default();
         let mut round_retries = 0u64;
         let mut routed_by_mapper: Vec<Vec<Vec<(u64, V)>>> = Vec::with_capacity(n);
-        let mut cells_by_mapper: Vec<Vec<RowCell>> = Vec::with_capacity(n);
+        let mut cells_by_mapper: Vec<Cells> = Vec::with_capacity(n);
         for (w, r) in results.into_iter().enumerate() {
             let o = r.map_err(|e| e.in_phase(&name))?;
             self.spec
@@ -1129,8 +1079,8 @@ impl<'l> BatchEngine<'l> {
             (0..n).map(|_| None).collect()
         };
         let mut rows = KeyedRows::empty(row_dim, n);
-        rows.agg = agg;
-        let fused = agg.is_some();
+        rows.kind = agg.filter(|_| row_dim > 0);
+        let fused = rows.kind.is_some();
         rows.planned = sizes.cells.map(|c| {
             (0..n)
                 .map(|d| {
@@ -1139,21 +1089,42 @@ impl<'l> BatchEngine<'l> {
                 })
                 .collect()
         });
+        // Per (mapper, destination): the shard's slots as bucket keys, when
+        // the transport moves bytes.
+        let keys: Vec<Vec<Vec<u64>>> = match needs_bytes {
+            true => cells_by_mapper
+                .iter()
+                .map(|cells| {
+                    let widened = |d| cells.slots(d).iter().map(|&s| u64::from(s)).collect();
+                    (0..n).map(widened).collect()
+                })
+                .collect(),
+            false => Vec::new(),
+        };
+        let longest = keys.iter().flatten().map(Vec::len).max().unwrap_or(0);
+        let ones = vec![1u32; if fused { 0 } else { longest }];
         let dests = encoded_legacy
             .iter_mut()
             .enumerate()
             .map(|(dst, legacy)| {
-                // A byte-moving transport gets, per destination, the cell
+                // A byte-moving transport gets, per destination, the shard
                 // of every mapper that sent it rows, ascending; a
                 // destination no mapper sent rows to moves no row plane.
                 let buckets: Vec<BucketRef<'_>> = cells_by_mapper
                     .iter()
-                    .map(|cells| &cells[dst])
-                    .filter(|c| needs_bytes && !c.keys.is_empty())
-                    .map(|c| BucketRef {
-                        keys: &c.keys,
-                        counts: &c.counts,
-                        rows: &c.rows,
+                    .zip(&keys)
+                    .filter(|(_, keys)| !keys[dst].is_empty())
+                    .map(|(cells, keys)| match cells.fused.get(dst) {
+                        Some(sh) => BucketRef {
+                            keys: &keys[dst],
+                            counts: &sh.counts,
+                            rows: &sh.rows,
+                        },
+                        None => BucketRef {
+                            keys: &keys[dst],
+                            counts: &ones[..keys[dst].len()],
+                            rows: &cells.rows[dst].rows,
+                        },
                     })
                     .collect();
                 ConcatDest {
@@ -1167,28 +1138,31 @@ impl<'l> BatchEngine<'l> {
             .exchange_concat(ConcatExchange { dests })
             .map_err(|e| e.in_phase(&name))?;
         self.report.wire_bytes += exchanged.wire_bytes;
+        drop(keys);
         if needs_bytes {
             drop(cells_by_mapper);
         } else {
-            // In process the cells stay as they are, each destination
+            // In process the shards stay as they are, each destination
             // keeping its senders' in ascending order.
             for cells in cells_by_mapper {
-                for (dst, cell) in cells.into_iter().enumerate() {
-                    if !cell.keys.is_empty() {
-                        rows.per_worker[dst].push(cell);
-                    }
-                }
+                cells.deal(&mut rows.per_worker);
             }
         }
         let mut routed: Vec<Vec<(u64, V)>> = Vec::with_capacity(n);
         for (dst, merged) in exchanged.dests.into_iter().enumerate() {
             if let Some(b) = merged.bucket {
-                // What crossed the wire is one cell of its own.
-                rows.per_worker[dst].push(RowCell {
-                    keys: b.keys,
-                    counts: b.counts,
-                    rows: b.rows,
-                });
+                // What crossed the wire is one shard of its own, its keys
+                // narrowed back to the destination's slots.
+                let slots =
+                    narrow(b.keys, self.layout.n_slots(dst)).map_err(|e| e.in_phase(&name))?;
+                let cells = &mut rows.per_worker[dst];
+                match fused {
+                    true => cells.fused.push(partials(row_dim, slots, b.counts, b.rows)),
+                    false => cells.rows.push(RowShard {
+                        slots,
+                        rows: b.rows,
+                    }),
+                }
             }
             let typed = match merged.legacy {
                 Some(records) => {
@@ -1250,6 +1224,21 @@ impl<'l> BatchEngine<'l> {
         self.report.push_phase(name, metrics);
         Ok((KeyedData { per_worker: routed }, rows))
     }
+}
+
+/// A bucket's keys back to the slots of a destination holding `n_slots`,
+/// each checked: a key that names no slot is a codec error.
+fn narrow(keys: Vec<u64>, n_slots: usize) -> Result<Vec<u32>> {
+    keys.into_iter()
+        .map(|k| {
+            u32::try_from(k)
+                .ok()
+                .filter(|&s| (s as usize) < n_slots)
+                .ok_or_else(|| {
+                    Error::Codec(format!("bucket key {k} names none of {n_slots} slots"))
+                })
+        })
+        .collect()
 }
 
 /// Decode one merged typed record whole, with its key, against `layout`.
@@ -1537,18 +1526,6 @@ mod tests {
         assert!(err.to_string().contains("phase `boom`"), "{err}");
     }
 
-    struct SumAgg;
-    impl FusedAggregator for SumAgg {
-        fn identity(&self) -> f32 {
-            0.0
-        }
-        fn accumulate(&self, acc: &mut [f32], row: &[f32]) {
-            for (a, b) in acc.iter_mut().zip(row) {
-                *a += b;
-            }
-        }
-    }
-
     /// A fused sink folds every row bound for one slot into that slot's
     /// one partial, copy-on-first — a lone `-0.0` survives, which folding
     /// into the identity would not keep — each destination's cell in
@@ -1558,7 +1535,7 @@ mod tests {
         let layout = Layout::planned(2, (0..6u64).map(|k| (k, &[][..]))).unwrap();
         let at = |k: u64| layout.resolve(k).unwrap();
         for fused in [true, false] {
-            let agg: Option<&dyn FusedAggregator> = if fused { Some(&SumAgg) } else { None };
+            let agg = fused.then_some(AggKind::Sum);
             let mut sink = RowSink::new(2, agg, &layout, 0, &Sizes::default());
             sink.scatter_row(&[at(4), at(1)], &[1.0, 2.0]);
             sink.scatter_row(&[at(5)], &[-0.0, 1.0]);
@@ -1591,14 +1568,20 @@ mod tests {
                 &Sizes::default(),
                 &mut WorkerPhase::default(),
             );
-            for (d, cell) in cells.iter().enumerate() {
-                let got: Vec<(u64, u32, [u32; 2])> = (0..cell.keys.len())
-                    .map(|i| {
-                        let row = cell.rows.row(i);
-                        (cell.keys[i], cell.counts[i], bits([row[0], row[1]]))
+            for (d, expected) in expected.iter().enumerate() {
+                let rows = match fused {
+                    true => &cells.fused[d].rows,
+                    false => &cells.rows[d].rows,
+                };
+                let counts = cells.fused.get(d).map(|sh| &sh.counts[..]);
+                let got: Vec<(u64, u32, [u32; 2])> = (cells.slots(d).iter().enumerate())
+                    .map(|(i, &slot)| {
+                        let row = rows.row(i);
+                        let count = counts.map_or(1, |c| c[i]);
+                        (slot as u64, count, bits([row[0], row[1]]))
                     })
                     .collect();
-                assert_eq!(got, expected[d], "fused={fused} destination {d}");
+                assert_eq!(&got, expected, "fused={fused} destination {d}");
             }
         }
     }
@@ -1657,7 +1640,7 @@ mod tests {
         let layout = &layout;
         Parallelism::with(threads, || {
             let mut eng = engine(layout).with_transport(transport);
-            let agg: Option<&dyn FusedAggregator> = if fused { Some(&SumAgg) } else { None };
+            let agg = fused.then_some(AggKind::Sum);
             let (keyed, rows) = eng
                 .map_phase(
                     "m",

@@ -97,10 +97,14 @@
 //! including a shard whose width is not its plane's) travel back inside
 //! the response frame and surface as the same [`Error`] variant the
 //! in-process merge would have produced, so permanent errors are never
-//! retried. Fused aggregators without a wire identity
-//! ([`FusedAggregator::wire_kind`] returning `None`) merge locally on the
-//! engine side instead of crossing to a child — correct for any
-//! aggregator, it just moves no fused bytes for that destination.
+//! retried. Both engines always hand over an
+//! [`AggKind`](inferturbo_common::rows::AggKind), whose
+//! [`FusedAggregator::wire_kind`] names itself, so their fused shards
+//! always cross. The fallback serves outside callers only: an aggregator
+//! of their own without a wire identity (`wire_kind` returning `None`)
+//! merges locally on the caller's side instead of crossing to a child —
+//! correct for any aggregator, it just moves no fused bytes for that
+//! destination.
 //!
 //! Broadcast tables are control plane, not shuffle: they stay in-process
 //! at the barrier under every backend (moving them belongs to the

@@ -678,6 +678,8 @@ impl RowShard {
         }
     }
 
+    // Both engines' per-edge loops in other crates call it.
+    #[inline]
     pub fn push(&mut self, slot: u32, row: &[f32]) {
         self.slots.push(slot);
         self.rows.push_row(row);

@@ -20,8 +20,12 @@
 //! in the graph or the serving caller's matrix.
 //!
 //! Keys: a message row is bound for its destination's route, so it lands
-//! in that reducer's cell under the destination's slot, and reducers group
-//! rows by slot (see [`inferturbo_batch`]). The typed plane keeps wire-id
+//! in that reducer's shard under the destination's slot, and reducers group
+//! rows by slot with the Pregel backend's destination merge (see
+//! [`inferturbo_batch`]). Partial-gather is one strategy on both backends:
+//! a layer's fold is its [`crate::models::PoolOp::agg_kind`], which the
+//! mappers and reducers of one round run exactly as Pregel's senders and
+//! destinations do. The typed plane keeps wire-id
 //! keys: a self-state is keyed by its vertex's id and holds a [`Span`], a
 //! handle to the vertex's routes in the layout, which encodes as the
 //! vertex's target ids. The byte accounting charges what a deployment
@@ -34,7 +38,6 @@
 //! table group arrives before any of its node groups in the same round.
 
 use crate::gas::{GasLayer, GnnMessage, NodeCtx};
-use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
 use crate::plan::{InferencePlan, Laid, Loadable};
 use crate::strategy::{base_of, mirror_of, StrategyConfig, NODE_FLAG};
@@ -42,7 +45,6 @@ use inferturbo_batch::{BatchEngine, KeyedData, PhaseCtx, RowSink, RowsView, Shuf
 use inferturbo_common::codec::{f32_slice_len, varint_len, Encode, WireReader, WireWriter};
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::layout::{CellCounts, Layout, Route};
-use inferturbo_common::rows::FusedAggregator;
 use inferturbo_common::{Error, FxHashMap, Result};
 use inferturbo_graph::Graph;
 use inferturbo_obs::TraceHandle;
@@ -461,8 +463,8 @@ fn loaded<'l>(plan: &'l InferencePlan<'_>, features: Option<&'l [Vec<f32>]>) -> 
 /// plane, fused into per-slot partial rows at the sender whenever the
 /// layer's aggregate is annotated commutative/associative (the paper's
 /// partial-aggregation strategy, executed without a single per-message
-/// heap object); the reducer combines a key's partials with the same fold
-/// before its kernel gathers them.
+/// heap object); the reducer merges a key's partials with the same fold,
+/// in ascending mapper order, before its kernel gathers them.
 pub(crate) fn run_planned<'p>(
     plan: &'p InferencePlan<'_>,
     features: Option<&'p [Vec<f32>]>,
@@ -482,17 +484,9 @@ pub(crate) fn run_planned<'p>(
         .with_transport(Arc::clone(&plan.transport))
         .with_fault_injector(plan.faults.clone());
 
-    let row_aggs: Vec<Option<PoolRowAggregator>> = (0..k)
-        .map(|l| {
-            if strategy.partial_gather {
-                model.layer_view(l).row_aggregator()
-            } else {
-                None
-            }
-        })
-        .collect();
-    let agg_for = |l: usize| -> Option<&dyn FusedAggregator> {
-        row_aggs.get(l)?.as_ref().map(|a| a as &dyn FusedAggregator)
+    let agg_for = |l: usize| {
+        let view = model.layer_view(l);
+        view.row_aggregator().filter(|_| strategy.partial_gather)
     };
     let dim_of = |l: usize| model.layer_view(l).annotations().msg_dim;
 

@@ -60,7 +60,6 @@
 //! ([`PregelEngine::with_layout`], its one constructor).
 
 use crate::gas::{GasLayer, GnnMessage, NodeCtx};
-use crate::models::gas_impl::PoolRowAggregator;
 use crate::models::GnnModel;
 use crate::plan::{InferencePlan, Laid, Loadable};
 use crate::strategy::{base_of, mirror_of, StrategyConfig};
@@ -68,8 +67,7 @@ use inferturbo_common::layout::Route;
 use inferturbo_common::{Error, Result};
 use inferturbo_obs::TraceHandle;
 use inferturbo_pregel::{
-    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, ScratchPool,
-    VertexProgram,
+    AggKind, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, ScratchPool, VertexProgram,
 };
 use std::sync::Arc;
 
@@ -145,9 +143,8 @@ pub struct GnnVertexProgram<'m> {
     strategy: StrategyConfig,
     /// Hub threshold for the broadcast strategy (logical out-degree).
     bc_threshold: u64,
-    /// Per-feeding-step fused row aggregators (index = superstep that
-    /// emits).
-    row_aggs: Vec<Option<PoolRowAggregator>>,
+    /// Per-feeding-step fused row folds (index = superstep that emits).
+    row_aggs: Vec<Option<AggKind>>,
     k: usize,
 }
 
@@ -256,14 +253,11 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
         }
     }
 
-    fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
+    fn fused_aggregator(&self, step: usize) -> Option<AggKind> {
         if !self.strategy.partial_gather {
             return None;
         }
-        self.row_aggs
-            .get(step)?
-            .as_ref()
-            .map(|a| a as &dyn FusedAggregator)
+        *self.row_aggs.get(step)?
     }
 
     fn state_bytes(&self, state: &GnnVertexState<'_>) -> u64 {
@@ -346,7 +340,7 @@ where
     let model = plan.model;
     let graph = plan.graph;
     let k = model.n_layers();
-    let row_aggs: Vec<Option<PoolRowAggregator>> = (0..k)
+    let row_aggs: Vec<Option<AggKind>> = (0..k)
         .map(|l| model.layer_view(l).row_aggregator())
         .collect();
     let gnn = GnnVertexProgram {
@@ -530,7 +524,7 @@ mod tests {
             self.gnn.message_layout(step)
         }
 
-        fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
+        fn fused_aggregator(&self, step: usize) -> Option<AggKind> {
             self.gnn.fused_aggregator(step)
         }
 

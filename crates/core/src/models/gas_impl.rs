@@ -9,8 +9,8 @@
 use super::{matvec_acc, GnnModel, LayerKind, LayerParams, PoolOp};
 use crate::gas::{pooled_fold, AggState, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
 use inferturbo_common::{Error, Result};
-use inferturbo_pregel::{BroadcastLookup, FusedAggregator, RowsIn};
-use inferturbo_tensor::{row_axpy, row_matvec_acc, row_max};
+use inferturbo_pregel::{AggKind, BroadcastLookup, RowsIn};
+use inferturbo_tensor::row_matvec_acc;
 use std::borrow::Cow;
 
 /// GAT attention slope — fixed constant, must match the tape builder.
@@ -45,10 +45,11 @@ impl<'m> LayerView<'m> {
         }
     }
 
-    /// Fused row aggregator implementing partial-gather for this layer, if
-    /// its aggregate is commutative/associative.
-    pub fn row_aggregator(&self) -> Option<PoolRowAggregator> {
-        self.pool_op().map(|op| PoolRowAggregator { op })
+    /// The fold implementing partial-gather for this layer, if its
+    /// aggregate is commutative/associative: both engines' sender-side
+    /// combiner and reduce-side merge run it ([`PoolOp::agg_kind`]).
+    pub fn row_aggregator(&self) -> Option<AggKind> {
+        self.pool_op().map(PoolOp::agg_kind)
     }
 
     /// Message width on the wire: the length of an `apply_edge` output.
@@ -451,42 +452,6 @@ fn attend_blocks<const B: usize>(
         k += B;
     }
     k
-}
-
-/// Fused row aggregator for pooled layers: lane-wise sum (sum/mean — the
-/// mean divides at `apply_node` using the engine-tracked count) or max,
-/// through the 8-wide-unrolled tensor kernels. Bit-identical to
-/// [`pooled_fold`]'s non-empty branch, so a sender-side partial folds
-/// exactly as the receiver's gather would have folded the raw messages.
-pub struct PoolRowAggregator {
-    pub op: PoolOp,
-}
-
-impl FusedAggregator for PoolRowAggregator {
-    fn identity(&self) -> f32 {
-        match self.op {
-            PoolOp::Sum | PoolOp::Mean => 0.0,
-            PoolOp::Max => f32::NEG_INFINITY,
-        }
-    }
-
-    fn accumulate(&self, acc: &mut [f32], row: &[f32]) {
-        match self.op {
-            PoolOp::Sum | PoolOp::Mean => row_axpy(acc, row, 1.0),
-            PoolOp::Max => row_max(acc, row),
-        }
-    }
-
-    /// All three pool ops are wire-transparent, so the process transport
-    /// can ship partial aggregates and fold them child-side: mean is a sum
-    /// on this plane (the engine-tracked count divides at `apply_node`),
-    /// and sum/max are plain commutative folds.
-    fn wire_kind(&self) -> Option<inferturbo_common::rows::AggKind> {
-        match self.op {
-            PoolOp::Sum | PoolOp::Mean => Some(inferturbo_common::rows::AggKind::Sum),
-            PoolOp::Max => Some(inferturbo_common::rows::AggKind::Max),
-        }
-    }
 }
 
 #[cfg(test)]

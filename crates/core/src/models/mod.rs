@@ -16,6 +16,7 @@
 pub mod gas_impl;
 pub mod tape;
 
+use inferturbo_common::rows::AggKind;
 use inferturbo_common::Xoshiro256;
 use inferturbo_tensor::nn::{Activation, Init};
 use inferturbo_tensor::optim::ParamSet;
@@ -44,6 +45,19 @@ impl PoolOp {
             1 => Some(PoolOp::Mean),
             2 => Some(PoolOp::Max),
             _ => None,
+        }
+    }
+
+    /// The lane-wise fold that pools rows on the engines' fused planes: a
+    /// sum for sum and mean (the mean divides at `apply_node` by the
+    /// engine-tracked count), a max for max. Each is bit-identical to the
+    /// row kernel the gather folds with (`row_axpy(.., 1.0)`, `row_max`;
+    /// see [`AggKind`]), so a sender-side partial folds exactly as the
+    /// receiver's gather would have folded the raw messages.
+    pub fn agg_kind(self) -> AggKind {
+        match self {
+            PoolOp::Sum | PoolOp::Mean => AggKind::Sum,
+            PoolOp::Max => AggKind::Max,
         }
     }
 }

@@ -7,7 +7,7 @@
 //! - **partial-gather** — fold messages sender-side per destination; legal
 //!   exactly when the layer's `aggregate` is annotated
 //!   commutative/associative. Implemented by the engines' fused row
-//!   aggregation (`FusedAggregator`); this module only carries the toggle.
+//!   aggregation (`AggKind`); this module only carries the toggle.
 //! - **broadcast** — a node with many out-edges publishes its message (the
 //!   same on every out-edge) once per worker plus an 8-byte reference per
 //!   edge.

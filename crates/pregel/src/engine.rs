@@ -86,7 +86,7 @@
 //!   per-(sender × destination) [`RowShard`]s, and its merged flat
 //!   arena comes back; under a spill budget the seal streams the rows
 //!   from the tables into the spill file instead. If the step also
-//!   provides a [`FusedAggregator`], **gather is fused into scatter**:
+//!   provides a fold ([`AggKind`]), **gather is fused into scatter**:
 //!   senders fold rows into per-destination accumulator rows as they
 //!   emit, and one partial row per (sender, destination slot) is merged
 //!   into a dense O(V·d) accumulator set — peak inbox memory and shuffle
@@ -140,8 +140,8 @@ use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::layout::{CellCounts, Layout, Route};
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{
-    row_payload_len, seal_order, AggKind, FusedAggregator, FusedFold, FusedRows, FusedSlotShard,
-    RowArena, RowBlock, RowShard, RowTable, SpillPolicy,
+    row_payload_len, seal_order, AggKind, FusedFold, FusedRows, FusedSlotShard, RowArena, RowBlock,
+    RowShard, RowTable, SpillPolicy,
 };
 use inferturbo_common::{Error, FxHashMap, Parallelism, Result};
 use inferturbo_obs::{Payload, Site, TraceHandle, TraceMark};
@@ -607,7 +607,7 @@ struct Checkpoint<P: VertexProgram> {
 /// One value per superstep: every worker's [`RowSink`] and every
 /// destination's [`ColsShards`] and refs inbox is a view of it, so they
 /// cannot disagree about the plane.
-enum Emit<'p> {
+enum Emit {
     /// No layout declared: the typed plane carries the step alone.
     None,
     Rows {
@@ -627,7 +627,7 @@ enum Emit<'p> {
     /// all computed in one wave, and the transport merges it whole.
     Fused {
         dim: usize,
-        agg: &'p dyn FusedAggregator,
+        kind: AggKind,
         shards: Vec<Vec<FusedSlotShard>>,
         /// Per destination: the next inbox, folded wave by wave. The
         /// barrier takes the folds to seal them; `Some` still marks the
@@ -640,7 +640,7 @@ enum Emit<'p> {
 /// then fused.
 type Widest = (usize, usize);
 
-impl<'p> Emit<'p> {
+impl Emit {
     /// Resolve `step`'s plane from the program's declarations and take
     /// its grid out of the pool: `n × n` over `layout`'s workers, or — a
     /// fused step `in_waves` — one row per wave slot, with every
@@ -649,7 +649,7 @@ impl<'p> Emit<'p> {
     /// row table only when nothing else holds it any more, and only by the
     /// sender it was sized for.
     fn open<P: VertexProgram>(
-        program: &'p P,
+        program: &P,
         step: usize,
         pool: &mut ScratchPool<P::Msg>,
         layout: &Layout,
@@ -682,10 +682,10 @@ impl<'p> Emit<'p> {
                     sent,
                 }
             }
-            Some(agg) => {
+            Some(kind) => {
                 let (rows, merged) = match in_waves {
                     true => {
-                        let open = (0..n).map(|w2| FusedRows::open(dim, layout.n_slots(w2), agg));
+                        let open = (0..n).map(|w2| FusedRows::open(dim, layout.n_slots(w2), &kind));
                         (Parallelism::get().clamp(1, n), Some(open.collect()))
                     }
                     false => (n, None),
@@ -693,7 +693,7 @@ impl<'p> Emit<'p> {
                 let pooled = std::mem::take(&mut pool.fused);
                 Emit::Fused {
                     dim,
-                    agg,
+                    kind,
                     shards: grid(pooled, rows, n, || FusedSlotShard::new(dim, 0)),
                     merged,
                 }
@@ -739,15 +739,14 @@ impl<'p> Emit<'p> {
                 })
                 .collect(),
             Emit::Fused {
-                dim, agg, shards, ..
+                dim, kind, shards, ..
             } => shards
                 .iter_mut()
                 .take(len)
                 .map(|shards| RowSink::Fused {
                     dim: *dim,
                     shards,
-                    agg: *agg,
-                    kind: agg.wire_kind(),
+                    kind: *kind,
                 })
                 .collect(),
         }
@@ -768,14 +767,14 @@ impl<'p> Emit<'p> {
             Emit::None => {}
             Emit::Rows { refs, .. } => add(volume, &refs[..len], Vec::len),
             Emit::Fused {
-                agg,
+                kind,
                 shards,
                 merged,
                 ..
             } => {
                 add(volume, &shards[..len], FusedSlotShard::len);
                 if let Some(merged) = merged {
-                    fold_wave(merged, &shards[..len], *agg);
+                    fold_wave(merged, &shards[..len], kind);
                 }
             }
         }
@@ -853,10 +852,10 @@ impl<'p> Emit<'p> {
                 merged: Some(_), ..
             } => ColsShards::None,
             Emit::Fused {
-                dim, agg, shards, ..
+                dim, kind, shards, ..
             } => ColsShards::Fused {
                 dim: *dim,
-                agg: *agg,
+                agg: kind,
                 shards: &shards[w2],
             },
         }
@@ -892,10 +891,10 @@ impl<'p> Emit<'p> {
 /// destination sees exactly the one ascending-sender merge
 /// [`FusedRows::merge`] makes. Destinations are independent and fold in
 /// parallel.
-fn fold_wave(merged: &mut [FusedFold], wave: &[Vec<FusedSlotShard>], agg: &dyn FusedAggregator) {
+fn fold_wave(merged: &mut [FusedFold], wave: &[Vec<FusedSlotShard>], kind: &AggKind) {
     par_map(merged.iter_mut().collect(), |w2, fold| {
         for sender in wave {
-            fold.fold(&sender[w2], agg);
+            fold.fold(&sender[w2], kind);
         }
     });
 }
@@ -1343,7 +1342,7 @@ impl<P: VertexProgram> PregelEngine<P> {
     fn exchange(
         &self,
         step: usize,
-        emit: &Emit<'_>,
+        emit: &Emit,
         packed: Option<&[Vec<RowShard>]>,
         (typed, tables): (&[Vec<Refs>], &[Vec<P::Msg>]),
     ) -> Result<ExchangeOut> {
@@ -1396,7 +1395,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         step: usize,
         (typed, tables): (&[Vec<Refs>], TypedTables<P::Msg>),
         merged: Vec<DestMerged>,
-        kept: Option<&mut Emit<'_>>,
+        kept: Option<&mut Emit>,
     ) -> Result<Vec<Sealed<P::Msg>>>
     where
         P::Msg: Send + Sync,
@@ -1569,8 +1568,7 @@ fn merge_metrics<M>(
 
 /// Where one worker's spooled rows go this superstep: its row of the
 /// step's [`Emit`] grid — one shard per destination worker — with the
-/// fused fold resolved once, so the per-edge loop below carries neither a
-/// plane test nor a virtual call.
+/// plane resolved once, so the per-edge loop below carries no plane test.
 enum RowSink<'a> {
     /// No row plane this step (a row sent anyway was already refused by
     /// the outbox).
@@ -1583,17 +1581,12 @@ enum RowSink<'a> {
         refs: &'a mut [Refs],
         sent: &'a mut Vec<u32>,
     },
+    /// `AggKind`'s fold and the shard's row accessors are `#[inline]` in
+    /// `inferturbo_common`, so the per-edge loop is the lane loop itself.
     Fused {
         dim: usize,
         shards: &'a mut [FusedSlotShard],
-        agg: &'a dyn FusedAggregator,
-        /// `agg`'s closed-form fold, when it names one
-        /// ([`FusedAggregator::wire_kind`] — bit-identical by that
-        /// method's contract): [`fold_spans`] is instantiated over it, and
-        /// `AggKind`'s fold and the shard's row accessors are `#[inline]`
-        /// in `inferturbo_common`, so the per-edge loop is the lane loop
-        /// itself. Through `agg` it is a virtual call per edge.
-        kind: Option<AggKind>,
+        kind: AggKind,
     },
 }
 
@@ -1674,15 +1667,12 @@ impl RowSink<'_> {
                     refs[w2].push((slot, at));
                 }
             }),
-            RowSink::Fused {
-                dim,
-                shards,
-                agg,
-                kind,
-            } => match kind {
-                Some(kind) => fold_spans(layout, ob, *dim, shards, kind),
-                None => fold_spans(layout, ob, *dim, shards, *agg),
-            },
+            RowSink::Fused { dim, shards, kind } => ob.for_each_span(*dim, |row, routes| {
+                for &r in routes {
+                    let (w2, slot) = layout.unpack(r);
+                    shards[w2].accumulate(slot, row, 1, kind);
+                }
+            }),
         }
     }
 
@@ -1719,23 +1709,6 @@ impl RowSink<'_> {
         };
         (records as u64, (payload + addressed) as u64)
     }
-}
-
-/// The fused arm of [`RowSink::route`], generic over the fold so a
-/// closed-form [`AggKind`] inlines into the per-edge loop.
-fn fold_spans<M>(
-    layout: &Layout,
-    ob: &Outbox<M>,
-    dim: usize,
-    shards: &mut [FusedSlotShard],
-    agg: &(impl FusedAggregator + ?Sized),
-) {
-    ob.for_each_span(dim, |row, routes| {
-        for &r in routes {
-            let (w2, slot) = layout.unpack(r);
-            shards[w2].accumulate(slot, row, 1, agg);
-        }
-    });
 }
 
 /// One worker's compute for one superstep: drain the inbox (both planes)
@@ -1889,7 +1862,7 @@ mod tests {
     use super::*;
     use crate::vertex::MessageLayout;
     use inferturbo_common::hash::partition_of;
-    use inferturbo_common::{Parallelism, Xoshiro256};
+    use inferturbo_common::{FusedAggregator, Parallelism, Xoshiro256};
 
     /// An engine over vertices given as `(id, state)` in load order, for
     /// programs that address messages by id: no planned out-edges.
@@ -2165,18 +2138,6 @@ mod tests {
         count: u32,
     }
 
-    struct SumAgg;
-    impl FusedAggregator for SumAgg {
-        fn identity(&self) -> f32 {
-            0.0
-        }
-        fn accumulate(&self, acc: &mut [f32], row: &[f32]) {
-            for (a, b) in acc.iter_mut().zip(row) {
-                *a += b;
-            }
-        }
-    }
-
     fn fold_row(acc: &mut Vec<f32>, row: &[f32]) {
         if acc.is_empty() {
             acc.extend_from_slice(row);
@@ -2193,10 +2154,7 @@ mod tests {
     /// into random slots, so some slots are left untouched; lanes come
     /// from a pool heavy in `-0.0`, `0.0` and NaN, so first partials carry
     /// both.
-    fn draw_fused_grid(
-        seed: u64,
-        agg: &dyn FusedAggregator,
-    ) -> (usize, Vec<usize>, Vec<Vec<FusedSlotShard>>) {
+    fn draw_fused_grid(seed: u64, agg: &AggKind) -> (usize, Vec<usize>, Vec<Vec<FusedSlotShard>>) {
         let mut rng = Xoshiro256::seed_from_u64(seed);
         let senders = rng.range_u64(1, 10) as usize;
         let n_slots: Vec<usize> = (0..rng.range_u64(1, 4)).map(|_| rng.index(7)).collect();
@@ -2241,18 +2199,13 @@ mod tests {
     /// the sender count, seals to the same accumulators, counts and bits
     /// as one `FusedRows::merge` over all the senders — and both equal
     /// the merge written out here: per slot, partials in ascending sender
-    /// order, the first copied, the rest folded. Sum, mean (a sum fold
-    /// through a `dyn` aggregator without a wire kind; the count divides
-    /// later) and max.
+    /// order, the first copied, the rest folded. Sum (mean's fold too: the
+    /// count divides later) and max.
     #[test]
     fn prop_the_wave_merge_is_fused_rows_merge() {
-        let aggs: [(&str, &dyn FusedAggregator); 3] = [
-            ("sum", &AggKind::Sum),
-            ("mean", &SumAgg),
-            ("max", &AggKind::Max),
-        ];
+        let aggs = [("sum", AggKind::Sum), ("max", AggKind::Max)];
         for case in 0..400u64 {
-            let (name, agg) = aggs[case as usize % aggs.len()];
+            let (name, ref agg) = aggs[case as usize % aggs.len()];
             let (dim, n_slots, grid) = draw_fused_grid(case, agg);
             let senders = grid.len();
             // The same draw again, destination-major.
@@ -2377,12 +2330,8 @@ mod tests {
             (step == 0).then_some(MessageLayout { dim: DIM })
         }
 
-        fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
-            if self.fused && step == 0 {
-                Some(&SumAgg)
-            } else {
-                None
-            }
+        fn fused_aggregator(&self, step: usize) -> Option<AggKind> {
+            (self.fused && step == 0).then_some(AggKind::Sum)
         }
     }
 
@@ -3247,8 +3196,8 @@ mod tests {
             (step != 4).then_some(MessageLayout { dim: 3 })
         }
 
-        fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
-            (step == 2).then_some(&SumAgg)
+        fn fused_aggregator(&self, step: usize) -> Option<AggKind> {
+            (step == 2).then_some(AggKind::Sum)
         }
     }
 

@@ -33,6 +33,6 @@ pub mod vertex;
 
 pub use engine::{CellKind, PooledCell, PregelConfig, PregelEngine, ScratchPool};
 pub use vertex::{
-    BroadcastLookup, FusedAggregator, Inbox, LentMessages, LentRows, MessageLayout, Messages,
-    Outbox, RowsIn, VertexProgram,
+    AggKind, BroadcastLookup, FusedAggregator, Inbox, LentMessages, LentRows, MessageLayout,
+    Messages, Outbox, RowsIn, VertexProgram,
 };

@@ -13,7 +13,7 @@
 //! - the **columnar plane**: fixed-width `f32` rows, available whenever the
 //!   program declares a [`MessageLayout`] for the step, read back as
 //!   [`Inbox::rows`]. Rows travel through flat buffers with no per-message
-//!   allocation, and — when the step also provides a [`FusedAggregator`] —
+//!   allocation, and — when the step also provides a fold ([`AggKind`]) —
 //!   are folded into per-destination accumulator rows at the sender (fused
 //!   scatter-aggregation). That fold is the engine's sender-side combiner:
 //!   it must be commutative and associative, which is exactly what the
@@ -50,7 +50,7 @@
 
 use inferturbo_common::codec::{Decode, Encode};
 use inferturbo_common::layout::{Layout, Route};
-pub use inferturbo_common::rows::{FusedAggregator, LentRows, MessageLayout};
+pub use inferturbo_common::rows::{AggKind, FusedAggregator, LentRows, MessageLayout};
 use inferturbo_common::Result;
 use std::sync::Arc;
 
@@ -328,7 +328,7 @@ impl<M> Outbox<M> {
     /// columnar plane. The row is spooled once, whatever the fan-out; the
     /// engine's routing loop then writes it once into the worker's row
     /// table and gives each destination a reference to it (or, when the
-    /// step has a [`FusedAggregator`], folds it into each destination's
+    /// step has a fused fold, folds it into each destination's
     /// accumulator row). `edges` are routes of the engine's layout —
     /// typically the vertex's planned out-edges
     /// ([`inferturbo_common::PlacedVertex::edges`]) or a sub-slice of them.
@@ -433,13 +433,16 @@ pub trait VertexProgram {
         None
     }
 
-    /// Optional fused aggregator for rows emitted during superstep `step`
-    /// (only consulted when [`VertexProgram::message_layout`] is `Some`).
+    /// Optional fold for rows emitted during superstep `step` (only
+    /// consulted when [`VertexProgram::message_layout`] is `Some`).
     /// Providing one licenses the engine to fold rows into
     /// per-destination accumulator rows at the sender and merge them at
     /// the barrier — legal exactly when the fold is commutative and
     /// associative, the paper's `@Gather(partial=...)` annotation rule.
-    fn fused_aggregator(&self, _step: usize) -> Option<&dyn FusedAggregator> {
+    /// The fold is one of the closed set [`AggKind`] names, the same set
+    /// the MapReduce engine and the wire know, so it is inlined into the
+    /// per-edge loop and crosses a process boundary as a tag.
+    fn fused_aggregator(&self, _step: usize) -> Option<AggKind> {
         None
     }
 

@@ -16,8 +16,7 @@ use inferturbo::common::Result;
 use inferturbo::graph::gen::DegreeSkew;
 use inferturbo::graph::{Csr, Dataset};
 use inferturbo::pregel::{
-    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
-    VertexProgram,
+    Inbox, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn, VertexProgram,
 };
 use std::sync::Arc;
 
@@ -65,8 +64,8 @@ impl VertexProgram for PageRank {
         Some(MessageLayout { dim: 1 })
     }
 
-    fn fused_aggregator(&self, _step: usize) -> Option<&dyn FusedAggregator> {
-        Some(&AggKind::Sum)
+    fn fused_aggregator(&self, _step: usize) -> Option<AggKind> {
+        Some(AggKind::Sum)
     }
 }
 

@@ -25,10 +25,9 @@ mod common;
 use inferturbo::cluster::ClusterSpec;
 use inferturbo::common::hash::partition_of;
 use inferturbo::common::{Parallelism, Result, SpillPolicy, Xoshiro256};
-use inferturbo::core::models::gas_impl::PoolRowAggregator;
 use inferturbo::core::models::PoolOp;
 use inferturbo::pregel::{
-    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, RowsIn, VertexProgram,
+    AggKind, FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, RowsIn, VertexProgram,
 };
 use inferturbo::tensor::Matrix;
 use proptest::prelude::*;
@@ -39,7 +38,7 @@ use proptest::prelude::*;
 struct PoolProg {
     dim: usize,
     op: PoolOp,
-    agg: PoolRowAggregator,
+    agg: AggKind,
 }
 
 #[derive(Clone)]
@@ -124,8 +123,8 @@ impl VertexProgram for PoolProg {
         (step == 0).then_some(MessageLayout { dim: self.dim })
     }
 
-    fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
-        (step == 0).then_some(&self.agg as &dyn FusedAggregator)
+    fn fused_aggregator(&self, step: usize) -> Option<AggKind> {
+        (step == 0).then_some(self.agg)
     }
 
     fn state_bytes(&self, _s: &PoolState) -> u64 {
@@ -179,7 +178,7 @@ fn run_case(
         let prog = PoolProg {
             dim: case.dim,
             op: case.op,
-            agg: PoolRowAggregator { op: case.op },
+            agg: case.op.agg_kind(),
         };
         let mut eng = common::id_addressed_engine(prog, cfg, case.n, |v| PoolState {
             feat: case.feats[v].clone(),

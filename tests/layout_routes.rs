@@ -40,8 +40,7 @@ use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::obs::TraceHandle;
 use inferturbo::pregel::{
-    FusedAggregator, Inbox, LentRows, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn,
-    VertexProgram,
+    Inbox, LentRows, MessageLayout, Outbox, PregelConfig, PregelEngine, RowsIn, VertexProgram,
 };
 
 fn graph(skew: DegreeSkew) -> Graph {
@@ -446,8 +445,8 @@ impl<'l> VertexProgram for Probe<'l> {
         (step == 0).then_some(MessageLayout { dim: DIM })
     }
 
-    fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
-        (self.fused && step == 0).then_some(&AggKind::Sum as &dyn FusedAggregator)
+    fn fused_aggregator(&self, step: usize) -> Option<AggKind> {
+        (self.fused && step == 0).then_some(AggKind::Sum)
     }
 }
 

@@ -11,14 +11,13 @@ use common::{id_addressed_engine, run_once};
 
 use inferturbo::cluster::ClusterSpec;
 use inferturbo::common::{Parallelism, Result, SpillPolicy, Xoshiro256};
-use inferturbo::core::models::gas_impl::PoolRowAggregator;
 use inferturbo::core::models::{GnnModel, PoolOp};
 use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::strategy::StrategyConfig;
 use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::pregel::{
-    FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, RowsIn, VertexProgram,
+    AggKind, FusedAggregator, Inbox, MessageLayout, Outbox, PregelConfig, RowsIn, VertexProgram,
 };
 use inferturbo::tensor::Matrix;
 
@@ -114,7 +113,7 @@ fn pregel_states_bitwise_identical_across_thread_counts() {
 /// dim-4 feature row (fused when `fused`), step 1 stores the aggregate.
 struct ColSum {
     fused: bool,
-    agg: PoolRowAggregator,
+    agg: AggKind,
 }
 
 #[derive(Clone)]
@@ -166,8 +165,8 @@ impl VertexProgram for ColSum {
         (step == 0).then_some(MessageLayout { dim: 4 })
     }
 
-    fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
-        (self.fused && step == 0).then_some(&self.agg)
+    fn fused_aggregator(&self, step: usize) -> Option<AggKind> {
+        (self.fused && step == 0).then_some(self.agg)
     }
 }
 
@@ -185,7 +184,7 @@ fn columnar_states(
     let cfg = PregelConfig::new(ClusterSpec::test_spec(workers)).with_spill(spill);
     let program = ColSum {
         fused,
-        agg: PoolRowAggregator { op: PoolOp::Sum },
+        agg: PoolOp::Sum.agg_kind(),
     };
     let states = |v: usize| ColState {
         feat: (0..4)
