@@ -124,57 +124,6 @@ impl Subgraph {
     }
 }
 
-/// Exact redundant-computation accounting for the traditional pipeline.
-///
-/// `node_visits[k]` counts, summed over every root, how many node-forwards a
-/// k-layer GNN performs when each root's k-hop neighbourhood is processed
-/// independently (the paper's "serious redundant computation issue"). With
-/// `fanout = Some(f)` the count uses the expected sampled neighbourhood size
-/// `min(deg, f)` per expansion, which matches fixed-fanout samplers in
-/// expectation.
-pub fn khop_visit_counts(in_csr: &Csr, roots: &[u32], k: usize, fanout: Option<usize>) -> Vec<f64> {
-    let n = in_csr.n_nodes();
-    // visits[v] = expected number of tree nodes at the current hop rooted in v
-    // (with multiplicity — this is what redundant computation costs).
-    // Iterate: next[v] = sum over in-neighbors u of v ... careful with
-    // direction: expanding v's in-edges yields |N_in(v)| children (capped by
-    // fanout), each child u contributing its own expansion next hop.
-    //
-    // We propagate a per-node "tree width" w_h(v): number of hop-h tree
-    // vertices labelled v across all roots. w_0 = multiplicity in roots.
-    let mut w = vec![0.0f64; n];
-    for &r in roots {
-        w[r as usize] += 1.0;
-    }
-    let mut totals = Vec::with_capacity(k + 1);
-    let mut total_visits: f64 = w.iter().sum();
-    totals.push(total_visits);
-    for _hop in 0..k {
-        let mut next = vec![0.0f64; n];
-        for v in 0..n as u32 {
-            if w[v as usize] == 0.0 {
-                continue;
-            }
-            let deg = in_csr.degree(v) as usize;
-            if deg == 0 {
-                continue;
-            }
-            let keep = match fanout {
-                Some(f) if deg > f => f as f64 / deg as f64,
-                _ => 1.0,
-            };
-            let weight = w[v as usize] * keep;
-            for &u in in_csr.neighbors(v) {
-                next[u as usize] += weight;
-            }
-        }
-        total_visits = next.iter().sum();
-        totals.push(total_visits);
-        w = next;
-    }
-    totals
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,41 +226,5 @@ mod tests {
         let mut r1b = Xoshiro256::seed_from_u64(1);
         let s1b = Subgraph::extract(&in_csr, &[0], 1, Some(5), Some(&mut r1b));
         assert_eq!(s1.nodes, s1b.nodes);
-    }
-
-    #[test]
-    fn visit_counts_grow_exponentially_on_a_tree() {
-        // Perfect binary in-tree of depth 3 toward the root: root 0 has
-        // in-degree 2, each internal node in-degree 2.
-        let mut b = GraphBuilder::new(15, 0);
-        for parent in 0..7u32 {
-            b.add_edge(2 * parent + 1, parent);
-            b.add_edge(2 * parent + 2, parent);
-        }
-        let g = b.build().unwrap();
-        let in_csr = Csr::in_of(&g);
-        let counts = khop_visit_counts(&in_csr, &[0], 3, None);
-        assert_eq!(counts, vec![1.0, 2.0, 4.0, 8.0]);
-    }
-
-    #[test]
-    fn visit_counts_respect_fanout_expectation() {
-        let g = star(100);
-        let in_csr = Csr::in_of(&g);
-        let full = khop_visit_counts(&in_csr, &[0], 1, None);
-        let capped = khop_visit_counts(&in_csr, &[0], 1, Some(10));
-        assert_eq!(full[1], 100.0);
-        assert!((capped[1] - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn visit_counts_count_overlap_multiply() {
-        // Two roots sharing the same neighbourhood double-count — that IS
-        // the redundancy the paper eliminates.
-        let g = chain();
-        let in_csr = Csr::in_of(&g);
-        let counts = khop_visit_counts(&in_csr, &[3, 3], 1, None);
-        assert_eq!(counts[0], 2.0);
-        assert_eq!(counts[1], 2.0); // node 2 visited twice
     }
 }

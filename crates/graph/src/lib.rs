@@ -1,5 +1,5 @@
-//! Graph substrate: storage, adjacency indexes, partitioning, synthetic
-//! dataset generators, and k-hop neighbourhood extraction.
+//! Graph substrate: storage, adjacency indexes, synthetic dataset
+//! generators, and k-hop neighbourhood extraction.
 //!
 //! The paper's preliminaries (§II-A) define the graph model this crate
 //! implements: a directed, weighted, attributed graph `G = {V, E, X, E}`
@@ -22,11 +22,9 @@ pub mod csr;
 pub mod datasets;
 pub mod gen;
 pub mod khop;
-pub mod partition;
 pub mod types;
 
 pub use csr::Csr;
 pub use datasets::{Dataset, Split};
 pub use khop::Subgraph;
-pub use partition::{HashPartitioner, ModPartitioner, Partitioner};
 pub use types::{Graph, GraphBuilder, Labels};

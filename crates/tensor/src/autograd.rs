@@ -88,10 +88,6 @@ enum Op {
         alpha: Var,
         heads: usize,
     },
-    HeadMean {
-        x: Var,
-        heads: usize,
-    },
     SoftmaxXent {
         logits: Var,
         labels: Rc<Vec<u32>>,
@@ -326,27 +322,6 @@ impl Tape {
         }
         let rg = self.rg(x) || self.rg(alpha);
         self.push(v, Op::MulHeadBroadcast { x, alpha, heads }, rg)
-    }
-
-    /// Average the `heads` blocks of width `dh`: `[N, H*dh] -> [N, dh]`.
-    /// GAT output layers average heads instead of concatenating.
-    pub fn head_mean(&mut self, x: Var, heads: usize) -> Var {
-        let vx = self.value(x);
-        assert_eq!(vx.cols() % heads, 0, "width divisible by heads");
-        let dh = vx.cols() / heads;
-        let mut v = Matrix::zeros(vx.rows(), dh);
-        for n in 0..vx.rows() {
-            let row = vx.row(n);
-            for k in 0..dh {
-                let mut acc = 0.0;
-                for h in 0..heads {
-                    acc += row[h * dh + k];
-                }
-                v.set(n, k, acc / heads as f32);
-            }
-        }
-        let rg = self.rg(x);
-        self.push(v, Op::HeadMean { x, heads }, rg)
     }
 
     /// Masked mean softmax cross-entropy. `labels[i]` is the class of row
@@ -693,22 +668,6 @@ impl Tape {
                     self.accum(x, gx);
                     self.accum(alpha, galpha);
                 }
-                Op::HeadMean { x, heads } => {
-                    let (x, heads) = (*x, *heads);
-                    let vx_shape = self.value(x).shape();
-                    let dh = vx_shape.1 / heads;
-                    let inv = 1.0 / heads as f32;
-                    let mut gx = Matrix::zeros(vx_shape.0, vx_shape.1);
-                    for n in 0..gy.rows() {
-                        for k in 0..dh {
-                            let g = gy.get(n, k) * inv;
-                            for h in 0..heads {
-                                gx.set(n, h * dh + k, g);
-                            }
-                        }
-                    }
-                    self.accum(x, gx);
-                }
                 Op::SoftmaxXent {
                     logits,
                     labels,
@@ -970,15 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_head_mean_and_concat() {
-        check_grads(
-            |t, p| {
-                let pv = t.param(p);
-                let y = t.head_mean(pv, 3);
-                (pv, scalarise(t, y))
-            },
-            test_param(4, 6),
-        );
+    fn grad_concat_cols() {
         check_grads(
             |t, p| {
                 let pv = t.param(p);

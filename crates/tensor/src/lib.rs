@@ -9,7 +9,7 @@
 //! - [`autograd`] — a tape-based reverse-mode automatic differentiation
 //!   engine over those kernels, sufficient to train GCN / GraphSAGE / GAT;
 //! - [`nn`] — parameter initialisation and activation functions;
-//! - [`optim`] — SGD (momentum) and Adam;
+//! - [`optim`] — Adam over a named [`optim::ParamSet`];
 //! - [`loss`] — masked softmax cross-entropy (single-label) and masked
 //!   binary cross-entropy with logits (multi-label, for the PPI-like task),
 //!   plus the evaluation metrics the paper reports (accuracy, micro-F1).
@@ -30,4 +30,4 @@ pub mod optim;
 pub use autograd::{Tape, Var};
 pub use matrix::{row_axpy, row_matvec_acc, row_max, Matrix};
 pub use nn::{Activation, Init};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};

@@ -59,18 +59,6 @@ pub fn micro_f1(logits: &Matrix, targets: &Matrix, mask: &[bool]) -> f64 {
     }
 }
 
-/// Convert logits to hard single-label predictions.
-pub fn predict_classes(logits: &Matrix) -> Vec<u32> {
-    logits.argmax_rows()
-}
-
-/// Convert logits to multi-label bitmask predictions (one `Vec<bool>` per row).
-pub fn predict_multilabel(logits: &Matrix) -> Vec<Vec<bool>> {
-    (0..logits.rows())
-        .map(|r| logits.row(r).iter().map(|&x| x > 0.0).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,15 +95,5 @@ mod tests {
         let targets = Matrix::zeros(2, 2);
         let logits = Matrix::full(2, 2, -1.0);
         assert_eq!(micro_f1(&logits, &targets, &[true, true]), 1.0);
-    }
-
-    #[test]
-    fn predictors() {
-        let logits = Matrix::from_vec(2, 2, vec![0.3, 0.9, -0.2, -0.4]);
-        assert_eq!(predict_classes(&logits), vec![1, 0]);
-        assert_eq!(
-            predict_multilabel(&logits),
-            vec![vec![true, true], vec![false, false]]
-        );
     }
 }

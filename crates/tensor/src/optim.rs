@@ -53,16 +53,6 @@ impl ParamSet {
             .zip(self.values.iter())
     }
 
-    /// Find a parameter index by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// Total number of scalar parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(|m| m.rows() * m.cols()).sum()
-    }
-
     /// Global-norm gradient clipping: if the joint L2 norm of all grads
     /// exceeds `max_norm`, scale every grad down proportionally. Returns the
     /// pre-clip norm (handy for training diagnostics).
@@ -82,61 +72,6 @@ impl ParamSet {
 pub trait Optimizer {
     /// Apply one update given `(param index, gradient)` pairs.
     fn step(&mut self, params: &mut ParamSet, grads: &[(usize, Matrix)]);
-}
-
-/// SGD with optional momentum and decoupled weight decay.
-#[derive(Debug)]
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    pub weight_decay: f32,
-    velocity: Vec<Option<Matrix>>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    pub fn with_momentum(mut self, m: f32) -> Self {
-        self.momentum = m;
-        self
-    }
-
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamSet, grads: &[(usize, Matrix)]) {
-        if self.velocity.len() < params.len() {
-            self.velocity.resize(params.len(), None);
-        }
-        for (idx, grad) in grads {
-            let p = params.get_mut(*idx);
-            if self.weight_decay > 0.0 {
-                let decay = self.weight_decay;
-                let snapshot = p.clone();
-                p.axpy(-self.lr * decay, &snapshot);
-            }
-            if self.momentum > 0.0 {
-                let v = self.velocity[*idx]
-                    .get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                v.scale(self.momentum);
-                v.add_assign(grad);
-                p.axpy(-self.lr, &v.clone());
-            } else {
-                p.axpy(-self.lr, grad);
-            }
-        }
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -215,7 +150,7 @@ mod tests {
     use std::rc::Rc;
 
     /// Minimise `||x W - y||`-ish via softmax-xent on a toy problem and
-    /// assert the loss decreases. Shared by both optimizers.
+    /// assert the loss decreases.
     fn train_toy(opt: &mut dyn Optimizer) -> (f32, f32) {
         let mut params = ParamSet::new();
         let w_idx = params.add(
@@ -254,13 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_reduces_loss() {
-        let mut opt = Sgd::new(0.5).with_momentum(0.9);
-        let (before, after) = train_toy(&mut opt);
-        assert!(after < before * 0.5, "before {before} after {after}");
-    }
-
-    #[test]
     fn adam_reduces_loss() {
         let mut opt = Adam::new(0.05);
         let (before, after) = train_toy(&mut opt);
@@ -271,8 +199,8 @@ mod tests {
     fn weight_decay_shrinks_parameters() {
         let mut params = ParamSet::new();
         let idx = params.add("w", Matrix::full(2, 2, 1.0));
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        // zero gradient: only decay acts
+        let mut opt = Adam::new(0.1).with_weight_decay(0.5);
+        // zero gradient: only the decoupled decay acts
         let grads = vec![(idx, Matrix::zeros(2, 2))];
         opt.step(&mut params, &grads);
         for &v in params.get(idx).data() {
@@ -298,10 +226,9 @@ mod tests {
         let mut p = ParamSet::new();
         let a = p.add("layer0/w", Matrix::zeros(2, 2));
         let b = p.add("layer0/b", Matrix::zeros(1, 2));
-        assert_eq!(p.index_of("layer0/w"), Some(a));
-        assert_eq!(p.index_of("layer0/b"), Some(b));
-        assert_eq!(p.index_of("nope"), None);
-        assert_eq!(p.num_scalars(), 6);
+        assert_eq!((a, b, p.len()), (0, 1, 2));
         assert_eq!(p.name(a), "layer0/w");
+        assert_eq!(p.name(b), "layer0/b");
+        assert_eq!(p.get(b).shape(), (1, 2));
     }
 }
