@@ -143,8 +143,6 @@ pub struct GnnVertexProgram<'m> {
     strategy: StrategyConfig,
     /// Hub threshold for the broadcast strategy (logical out-degree).
     bc_threshold: u64,
-    /// Per-feeding-step fused row folds (index = superstep that emits).
-    row_aggs: Vec<Option<AggKind>>,
     k: usize,
 }
 
@@ -254,10 +252,10 @@ impl<'m> VertexProgram for GnnVertexProgram<'m> {
     }
 
     fn fused_aggregator(&self, step: usize) -> Option<AggKind> {
-        if !self.strategy.partial_gather {
+        if !self.strategy.partial_gather || step >= self.k {
             return None;
         }
-        *self.row_aggs.get(step)?
+        self.model.layer_view(step).row_aggregator()
     }
 
     fn state_bytes(&self, state: &GnnVertexState<'_>) -> u64 {
@@ -340,14 +338,10 @@ where
     let model = plan.model;
     let graph = plan.graph;
     let k = model.n_layers();
-    let row_aggs: Vec<Option<AggKind>> = (0..k)
-        .map(|l| model.layer_view(l).row_aggregator())
-        .collect();
     let gnn = GnnVertexProgram {
         model,
         strategy: plan.strategy,
         bc_threshold: plan.bc_threshold,
-        row_aggs,
         k,
     };
     let config = PregelConfig {
