@@ -10,6 +10,11 @@
 //! trace holds a logit, so GAT's host `exp` cannot move them: every model
 //! is held to an absolute constant.
 //!
+//! Every case runs at 1, 2 and 3 threads over its 3 workers: the row
+//! barrier computes a fused plane in waves of as many senders as there
+//! are threads, so that is three waves, a full wave and a short one, and
+//! one wave. Each must report and trace the same bytes.
+//!
 //! A change to the shuffle that charges a record once more or once less,
 //! or models a fused partial's residency differently, fails here by name;
 //! the order a reducer combines in shows in the logits, which
@@ -20,6 +25,7 @@ mod common;
 use common::worker_bin;
 
 use inferturbo::cluster::{ClusterSpec, InProcess, Transport, WorkerProcess};
+use inferturbo::common::Parallelism;
 use inferturbo::core::models::{GnnModel, PoolOp};
 use inferturbo::core::session::{Backend, InferenceSession};
 use inferturbo::core::strategy::StrategyConfig;
@@ -36,6 +42,9 @@ const WORKERS: usize = 3;
 const SKEWS: [DegreeSkew; 2] = [DegreeSkew::In, DegreeSkew::Out];
 const MODELS: [&str; 4] = ["sage-mean", "sage-max", "gcn", "gat"];
 const PARTIAL_GATHER: [bool; 2] = [true, false];
+/// Thread budgets: waves of one sender, of two (a full wave and a short
+/// one) and of all three.
+const THREADS: [usize; 3] = [1, 2, 3];
 
 /// `(report, trace)` hashes per transport: `InProcess`, then
 /// `WorkerProcess`.
@@ -192,18 +201,31 @@ fn mapreduce_reports_and_traces_keep_their_pinned_bytes() {
         Arc::new(InProcess),
         Arc::new(WorkerProcess::with_bin(worker_bin())),
     ];
-    let mut got: [[[PerTransport; 2]; 4]; 2] = [[[[(0, 0); 2]; 2]; 4]; 2];
-    for (g, &skew) in SKEWS.iter().enumerate() {
-        let graph = graph(skew);
-        for (m, name) in MODELS.iter().enumerate() {
-            let model = model(name);
-            for (p, &partial_gather) in PARTIAL_GATHER.iter().enumerate() {
-                for (t, transport) in transports.iter().enumerate() {
-                    got[g][m][p][t] = pins(&model, &graph, partial_gather, transport);
+    let graphs: Vec<Graph> = SKEWS.iter().map(|&skew| graph(skew)).collect();
+    for threads in THREADS {
+        let mut got: [[[PerTransport; 2]; 4]; 2] = [[[[(0, 0); 2]; 2]; 4]; 2];
+        for (g, graph) in graphs.iter().enumerate() {
+            for (m, name) in MODELS.iter().enumerate() {
+                let model = model(name);
+                for (p, &partial_gather) in PARTIAL_GATHER.iter().enumerate() {
+                    for (t, transport) in transports.iter().enumerate() {
+                        got[g][m][p][t] = Parallelism::with(threads, || {
+                            pins(&model, graph, partial_gather, transport)
+                        });
+                    }
                 }
             }
         }
+        assert!(
+            got == PINS,
+            "MapReduce accounting moved at {threads} threads; the table now reads\n[\n{}\n]",
+            render(&got)
+        );
     }
+}
+
+/// `got` in the layout of [`PINS`], to paste over it.
+fn render(got: &[[[PerTransport; 2]; 4]; 2]) -> String {
     let pair = |(r, t): (u64, u64)| format!("                ({r:#018x}, {t:#018x}),");
     let table: Vec<String> = got
         .iter()
@@ -227,9 +249,5 @@ fn mapreduce_reports_and_traces_keep_their_pinned_bytes() {
             format!("    [\n{}\n    ],", models.join("\n"))
         })
         .collect();
-    assert!(
-        got == PINS,
-        "MapReduce accounting moved; the table now reads\n[\n{}\n]",
-        table.join("\n")
-    );
+    table.join("\n")
 }
