@@ -2,90 +2,72 @@
 //!
 //! # Execution model
 //!
-//! Both phases fork-join across workers under the global
-//! [`inferturbo_common::Parallelism`] budget: each worker runs its own
-//! kernel instance (built by a per-worker factory, so kernels may hold
-//! per-worker mutable state such as a broadcast table) and spools its
-//! output into worker-local storage. The barrier hands every destination
-//! its senders' shares in ascending mapper order — exactly the order the
-//! serial loop produced — so results and byte accounting are identical for
-//! every thread count. The shuffle's partitioning is what makes this safe:
-//! each worker *is* a disjoint key range.
+//! A phase — map or reduce — is a round of the row barrier both engines
+//! share ([`RowBarrier`]): each worker is a sender, runs its own kernel
+//! instance (built by a per-worker factory, so kernels may hold per-worker
+//! mutable state such as a broadcast table) through
+//! [`RowBarrier::compute`], and the barrier decides how many run at once
+//! under the global [`inferturbo_common::Parallelism`] budget. Every
+//! destination receives its senders' shares in ascending mapper order —
+//! exactly the order the serial loop produced — so results and byte
+//! accounting are identical for every thread count. The shuffle's
+//! partitioning is what makes this safe: each worker *is* a disjoint key
+//! range.
 //!
 //! An engine runs over a [`Layout`]: the plan's placement of every vertex
 //! on a worker's slot table. The layout is the row plane's address space
-//! (a row is bound for a destination vertex by its [`Route`], and lands in
-//! that worker's shard under the slot), and a reducer's key order: it
+//! (a row is bound for a destination vertex by its route, and lands in
+//! that worker's cell under the slot), and a reducer's key order: it
 //! visits its keys in ascending vertex id, which the layout gives without
-//! a sort ([`Layout::slots_by_id`]). A reducer groups its rows by slot
-//! with the Pregel engine's destination merge, in arrival order
-//! (ascending mapper, emission order within a mapper): fused partials
-//! through [`FusedRows::open`], one [`FusedFold::fold`] per sender and
-//! [`FusedFold::seal`], materialized rows through [`RowArena::seal`] (the
-//! stable counting sort [`inferturbo_common::rows::seal_order`]). It
-//! merge-joins those groups with its typed records, which it stable-sorts
-//! by key. That keeps the external-sort semantics the kernels are written
-//! against — ascending keys, arrival order inside a group — with no hash
-//! and no sort of the row plane. The typed plane's keys are partitioned by
-//! the engine's partition function, which must place a vertex's id on the
+//! a sort ([`Layout::slots_by_id`]). A reducer reads its rows grouped by
+//! slot, as the producing phase's barrier sealed them, in arrival order
+//! (ascending mapper, emission order within a mapper), and merge-joins
+//! them with its typed records, which it stable-sorts by key. That keeps
+//! the external-sort semantics the kernels are written against —
+//! ascending keys, arrival order inside a group — with no hash and no
+//! sort of the row plane. The typed plane's keys are partitioned by the
+//! engine's partition function, which must place a vertex's id on the
 //! worker the layout places it, so a key's typed records and rows meet.
-//!
-//! [`FusedFold::fold`]: inferturbo_common::rows::FusedFold::fold
-//! [`FusedFold::seal`]: inferturbo_common::rows::FusedFold::seal
 //!
 //! # Two shuffle planes
 //!
 //! Every phase shuffles typed keyed records (the pairs a kernel pushes)
 //! and, alongside them, fixed-width `f32` rows: kernels scatter a row over
-//! a span of routes into a [`RowSink`], which appends it to one
-//! [`RowShard`] per destination worker, with no per-record heap object.
-//! When a phase provides a fold ([`AggKind`], the one set both engines and
-//! the wire know), each destination's cell is a [`FusedSlotShard`]
-//! instead, folding rows into one partial per destination slot as they
-//! arrive ([`FusedSlotShard::accumulate`], copy-on-first) — the in-mapper
-//! combiner the Pregel engine's senders run too — shrinking shuffle volume
-//! from one row per edge to one partial row per (worker, destination
-//! vertex).
-//!
-//! A shard is already contiguous and bound for one destination, so the
-//! barrier moves shards, never rows: in process a destination keeps its
-//! senders' shards, ascending, and reads them where they lie; a transport
-//! that moves bytes ([`Transport::needs_bytes`]) is handed the same shards
-//! as buckets — slots widened to the buckets' `u64` keys, a materialized
-//! row counting 1 — and what crosses the wire is one shard of its own, its
-//! keys narrowed back to slots with a checked conversion. Either way the
-//! reducer merges what it holds with the same calls: the partials through
-//! the fold of the phase that produced them (Hadoop's reduce-side
-//! combine), so its kernel sees one row per key; without a fold, the
-//! key's rows sealed in arrival order and lent as one [`RowsView`]. A
-//! phase that ships no rows passes `row_dim = 0` and ignores its sink.
+//! a span of routes into their [`RowSink`], the task's row of the
+//! barrier's grid, with no per-record heap object. When a phase provides a
+//! fold ([`AggKind`], the one set both engines and the wire know), rows
+//! fold into one partial per destination slot as they are scattered — the
+//! in-mapper combiner the Pregel engine's senders run too — shrinking
+//! shuffle volume from one row per edge to one partial row per (worker,
+//! destination vertex); in process the barrier folds each wave of tasks'
+//! partials into the reducers' accumulators as it ends (Hadoop's
+//! reduce-side combine), so a kernel sees one row per key. Without a fold,
+//! a key's rows are lent as one [`RowsView`] where their mapper wrote
+//! them. A phase that ships no rows passes `row_dim = 0` and ignores its
+//! sink. The typed records stay in the engine in process; a transport
+//! that moves bytes gets them encoded beside the barrier's buckets.
 //!
 //! # Sized from the plan
 //!
-//! A phase given [`Sizes`] reserves every task's shards and its typed
-//! output vector at exactly the plan's counts; a reducer's groups are
-//! sealed from the shards it holds (a fused reducer opens one accumulator
-//! per slot, a materialized one counts its slots before it fills them),
-//! so no buffer grows while it is written; a debug build checks each
-//! shard and each reducer's groups against the plan's counts. The byte
-//! accounting models the deployment's wire format whatever the buffers
-//! hold: a row record is charged its framing plus its destination's id as
-//! a varint key, and a typed record its key and [`Encode::encoded_len`].
+//! A phase given [`Sizes`] reserves every task's row cells and its typed
+//! output vector at exactly the plan's counts, so no buffer grows while it
+//! is written; a debug build checks each cell, each typed vector and each
+//! reducer's groups against the plan's counts. The byte accounting models
+//! the deployment's wire format whatever the buffers hold: a row record is
+//! charged its framing plus its destination's id as a varint key — once,
+//! as the barrier folds or seals it — and a typed record its key and
+//! [`Encode::encoded_len`].
 
-use inferturbo_cluster::transport::MergedCols;
-use inferturbo_cluster::transport::{
-    self, frame::EncodedKeyRecords, BucketRef, ConcatDest, ConcatExchange, Transport,
-};
+use inferturbo_cluster::barrier::{GridPool, GridRow, Reserve, RowBarrier, RowPlane, Tally};
+use inferturbo_cluster::transport::{self, frame::EncodedKeyRecords, MergedCols, Transport};
 use inferturbo_cluster::{ClusterSpec, FaultInjector, MessagePlaneBytes, RunReport, WorkerPhase};
 use inferturbo_common::codec::{varint_len, Decode, Encode, WireReader};
 use inferturbo_common::hash::partition_of;
-use inferturbo_common::layout::{CellCounts, Layout, Route};
-use inferturbo_common::par::{par_map, par_map_workers};
-use inferturbo_common::rows::{
-    row_payload_len, AggKind, FusedRows, FusedSlotShard, LentRows, RowArena, RowBlock, RowShard,
-};
+use inferturbo_common::layout::{CellCounts, Layout};
+use inferturbo_common::rows::{row_payload_len, AggKind, LentRows};
 use inferturbo_common::{Error, Result};
 use inferturbo_obs::{Payload, RoundKind, Site, TraceHandle};
+use std::sync::Arc;
 
 /// A value of the typed plane. It encodes as itself; what a byte-moving
 /// transport hands back decodes with its key against the engine's layout,
@@ -140,94 +122,77 @@ impl<V> IntoIterator for KeyedData<V> {
     }
 }
 
-/// Row shards of one plane, the other list empty: materialized rows
-/// ([`RowShard`], emission order) or — when the phase fuses — partials
-/// ([`FusedSlotShard`], one per touched slot in first-touch order). A
-/// task's cells hold one shard per destination worker; a destination's,
-/// one per sender that sent it rows, ascending: its arrival order.
-#[derive(Default)]
-struct Cells {
-    rows: Vec<RowShard>,
-    fused: Vec<FusedSlotShard>,
+/// One reducer's charge for the rows that reach it, per slot: the shuffle
+/// records and their wire bytes, each record sized once as the row
+/// barrier folds or seals it — the same number is the fetch of the
+/// reducer's shuffle partition and its share of the group's residency.
+struct Charge<'l> {
+    /// The reducer's slot table: the key each record is framed with.
+    ids: &'l [u64],
+    dim: usize,
+    params: PhaseParams,
+    records: Vec<u32>,
+    bytes: Vec<u64>,
 }
 
-impl Cells {
-    /// Shard `i`'s destination slots, one per record.
-    fn slots(&self, i: usize) -> &[u32] {
-        match (self.fused.get(i), self.rows.get(i)) {
-            (Some(sh), _) => &sh.keys,
-            (None, Some(sh)) => &sh.slots,
-            (None, None) => &[],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len() + self.fused.len()
-    }
-
-    /// Move the non-empty shards of a task's cells onto the end of their
-    /// destinations' lists.
-    fn deal(self, dests: &mut [Cells]) {
-        for (dest, sh) in dests.iter_mut().zip(self.rows) {
-            if !sh.is_empty() {
-                dest.rows.push(sh);
-            }
-        }
-        for (dest, sh) in dests.iter_mut().zip(self.fused) {
-            if !sh.is_empty() {
-                dest.fused.push(sh);
-            }
+impl<'l> Charge<'l> {
+    /// A charge over `slots` of the reducer whose slot table is `ids`.
+    fn new(ids: &'l [u64], dim: usize, params: PhaseParams, slots: usize) -> Self {
+        Charge {
+            ids,
+            dim,
+            params,
+            records: vec![0; slots],
+            bytes: vec![0; slots],
         }
     }
 }
 
-/// A fused shard's partials without its dense slot index: what a sender
-/// hands over once it has folded, and what a byte-moving transport hands
-/// back. Only [`FusedFold::fold`] reads it, which walks the partials.
-fn partials(dim: usize, keys: Vec<u32>, counts: Vec<u32>, rows: RowBlock) -> FusedSlotShard {
-    let mut sh = FusedSlotShard::new(dim, 0);
-    sh.keys = keys;
-    sh.counts = counts;
-    sh.rows = rows;
-    sh
+impl Tally for Charge<'_> {
+    fn record(&mut self, slot: u32, count: u32) {
+        let s = slot as usize;
+        self.records[s] += 1;
+        self.bytes[s] += self.params.row_wire_len(self.ids[s], self.dim, count);
+    }
 }
 
 /// Keyed columnar rows routed to their destination workers — the columnar
-/// counterpart of [`KeyedData`], produced and consumed by the same phases.
-/// Each destination holds its senders' shards, ascending.
-pub struct KeyedRows {
+/// counterpart of [`KeyedData`], produced and consumed by the same phases:
+/// each destination's inbox as the producing phase's row barrier sealed
+/// it, with the charge of its records.
+pub struct KeyedRows<'l> {
     dim: usize,
-    /// The fold of the phase that fused these rows, if it fused: the
-    /// consuming reducer merges same-slot partials with this fold and no
-    /// other.
-    kind: Option<AggKind>,
-    /// Per destination worker, the non-empty shards bound there.
-    per_worker: Vec<Cells>,
-    /// Per destination worker, when the producing phase was sized: the
-    /// slots its rows reach and the row records bound there.
-    planned: Option<Vec<(usize, usize)>>,
+    /// Whether the producing phase fused these rows: each slot then holds
+    /// one row, its senders' partials folded.
+    fused: bool,
+    per_worker: Vec<(MergedCols, Charge<'l>)>,
 }
 
-impl std::fmt::Debug for KeyedRows {
+impl std::fmt::Debug for KeyedRows<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KeyedRows")
             .field("dim", &self.dim)
             .field("rows", &self.len())
             .field("workers", &self.per_worker.len())
-            .field("fused", &self.kind.is_some())
+            .field("fused", &self.fused)
             .finish()
     }
 }
 
-impl KeyedRows {
+impl KeyedRows<'_> {
     /// An empty plane (used to start a chain, or by phases with no row
     /// traffic).
     pub fn empty(dim: usize, workers: usize) -> Self {
+        let none = || {
+            (
+                MergedCols::None,
+                Charge::new(&[], dim, PhaseParams::NONE, 0),
+            )
+        };
         KeyedRows {
             dim,
-            kind: None,
-            per_worker: (0..workers).map(|_| Cells::default()).collect(),
-            planned: None,
+            fused: false,
+            per_worker: (0..workers).map(|_| none()).collect(),
         }
     }
 
@@ -237,9 +202,8 @@ impl KeyedRows {
 
     /// Total row records across all workers.
     pub fn len(&self) -> usize {
-        let rows = self.per_worker.iter().flat_map(|c| &c.rows);
-        let fused = self.per_worker.iter().flat_map(|c| &c.fused);
-        rows.map(RowShard::len).sum::<usize>() + fused.map(FusedSlotShard::len).sum::<usize>()
+        let records = self.per_worker.iter().flat_map(|(_, c)| &c.records);
+        records.map(|&r| r as usize).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -248,17 +212,19 @@ impl KeyedRows {
 
     /// Total raw messages represented (each row counts its folds).
     pub fn raw_message_count(&self) -> u64 {
-        let rows = self.per_worker.iter().flat_map(|c| &c.rows);
-        let fused = self.per_worker.iter().flat_map(|c| &c.fused);
-        let folded: u64 = fused.flat_map(|sh| &sh.counts).map(|&c| c as u64).sum();
-        rows.map(|sh| sh.len() as u64).sum::<u64>() + folded
+        let raw = |cols: &MergedCols| match cols {
+            MergedCols::None => 0,
+            MergedCols::Rows(arena) => arena.n_rows() as u64,
+            MergedCols::Fused(fused) => fused.counts.iter().map(|&c| u64::from(c)).sum(),
+        };
+        self.per_worker.iter().map(|(cols, _)| raw(cols)).sum()
     }
 }
 
 /// One key's rows inside a reducer, lent where the reducer's inbox holds
 /// them, with per-row fold counts, in arrival order (ascending mapper,
 /// emission order within a mapper). When the producing phase fused, the
-/// reducer has already folded the key's partials through that phase's
+/// row barrier has already folded the key's partials through that phase's
 /// fold, in arrival order and copy-on-first: the view is then one row
 /// whose count is the sum of theirs.
 #[derive(Debug, Clone, Copy)]
@@ -312,237 +278,84 @@ impl Sizes<'_> {
     }
 }
 
-/// Columnar emitter handed to phase kernels: a row scattered over a span
-/// of routes lands in one shard per destination worker, appended (no
-/// per-record heap object) or — when the phase has a fold — folded into
-/// the destination slot's partial, copy-on-first
-/// ([`FusedSlotShard::accumulate`]): Hadoop-style in-mapper combining.
-pub struct RowSink<'a> {
-    dim: usize,
-    layout: &'a Layout,
-    kind: Option<AggKind>,
-    /// Per destination worker, the shard this task's rows bound there fill.
-    cells: Cells,
+/// The sink handed to phase kernels: the task's row of the phase's row
+/// barrier grid. A row scattered over a span of routes is written once
+/// and referenced per route, or — when the phase has a fold — folded into
+/// each destination slot's partial, copy-on-first: Hadoop-style in-mapper
+/// combining.
+pub type RowSink<'a> = GridRow<'a>;
+
+/// Charge every row a task's sink holds as output — its framing, count and
+/// destination id ([`PhaseParams::row_wire_len`]) — and return the
+/// columnar bytes sent and the resident bytes the sink holds, charged to
+/// the worker's memory peak: the in-mapper fused accumulators only (lanes
+/// plus a 12-byte key and count each). Plain rows model as streamed to
+/// the shuffle (like the typed records), so they cost shuffle bytes, not
+/// resident memory.
+fn send_rows(params: &PhaseParams, sink: &RowSink<'_>, metrics: &mut WorkerPhase) -> (u64, u64) {
+    let (mut columnar, mut partials) = (0u64, 0u64);
+    for d in 0..params.workers {
+        let (records, bytes) = sink.shipped(d, true);
+        let bytes = bytes + records * params.record_overhead;
+        metrics.records_out += records;
+        metrics.bytes_out += bytes;
+        columnar += bytes;
+        partials += records;
+    }
+    let held = match (sink.fuses(), sink.dim()) {
+        (true, Some(dim)) => partials * (dim as u64 * 4 + 12),
+        _ => 0,
+    };
+    (columnar, held)
 }
 
-impl<'a> RowSink<'a> {
-    fn new(
-        dim: usize,
-        kind: Option<AggKind>,
-        layout: &'a Layout,
-        w: usize,
-        sizes: &Sizes<'_>,
-    ) -> Self {
-        let n = layout.n_workers();
-        let kind = kind.filter(|_| dim > 0);
-        let planned = |d| sizes.cell(kind.is_some(), w, d).filter(|_| dim > 0);
-        let mut cells = Cells::default();
-        for d in 0..n {
-            let rows = planned(d).unwrap_or(0);
-            if kind.is_some() {
-                let mut sh = FusedSlotShard::new(dim, layout.n_slots(d));
-                sh.reserve_exact(rows, dim);
-                cells.fused.push(sh);
-            } else {
-                let mut sh = RowShard::new(dim);
-                sh.slots.reserve_exact(rows);
-                sh.rows.reserve_exact(rows * dim);
-                cells.rows.push(sh);
-            }
-        }
-        RowSink {
-            dim,
-            layout,
-            kind,
-            cells,
-        }
-    }
-
-    /// Row width of this phase's outgoing columnar plane (0 = the phase
-    /// emits no rows).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Emit one row for every route of `routes`, in order, for the
-    /// shuffle.
-    pub fn scatter_row(&mut self, routes: &[Route], row: &[f32]) {
-        assert!(self.dim > 0, "scatter_row on a phase with no row plane");
-        debug_assert_eq!(row.len(), self.dim);
-        match &self.kind {
-            Some(kind) => {
-                for &r in routes {
-                    let (d, slot) = self.layout.unpack(r);
-                    self.cells.fused[d].accumulate(slot, row, 1, kind);
-                }
-            }
-            None => {
-                for &r in routes {
-                    let (d, slot) = self.layout.unpack(r);
-                    self.cells.rows[d].push(slot, row);
-                }
-            }
-        }
-    }
-
-    /// Resident bytes held by the sink and charged to the worker's memory
-    /// peak: the in-mapper fused accumulators only (lanes plus a 12-byte
-    /// key and count each). Plain rows model as streamed to the shuffle
-    /// (like the typed records), so they cost shuffle bytes, not resident
-    /// memory.
-    fn resident_bytes(&self) -> u64 {
-        self.cells
-            .fused
-            .iter()
-            .map(|sh| (sh.rows.data().len() * 4 + sh.len() * 12) as u64)
-            .sum()
-    }
-
-    /// Charge every row's output bytes — its framing, count and
-    /// destination id — and hand the shards over, one per destination.
-    /// The fused shards' dense slot indexes go here. Returns the shards
-    /// and the columnar bytes sent.
-    fn flush(
-        self,
-        params: &PhaseParams,
-        w: usize,
-        sizes: &Sizes<'_>,
-        metrics: &mut WorkerPhase,
-    ) -> (Cells, u64) {
-        let fused = self.kind.is_some();
-        let mut columnar = 0u64;
-        for d in 0..self.cells.len() {
-            if let Some(planned) = sizes.cell(fused, w, d).filter(|_| self.dim > 0) {
-                let (len, cap, lanes) = match fused {
-                    true => {
-                        let sh = &self.cells.fused[d];
-                        let cap = sh.keys.capacity().min(sh.counts.capacity());
-                        (sh.len(), cap, sh.rows.capacity())
-                    }
-                    false => {
-                        let sh = &self.cells.rows[d];
-                        (sh.len(), sh.slots.capacity(), sh.rows.capacity())
-                    }
-                };
-                debug_assert!(
-                    len == planned && cap == planned && lanes == planned * self.dim,
-                    "row cell ({w} -> {d}) holds {len} of {planned} rows planned, capacity {cap}"
-                );
-            }
-            let ids = self.layout.ids(d);
-            let slots = self.cells.slots(d);
-            let counts = self.cells.fused.get(d).map(|sh| &sh.counts[..]);
-            for (i, &slot) in slots.iter().enumerate() {
-                let count = counts.map_or(1, |c| c[i]);
-                let len = params.row_wire_len(ids[slot as usize], self.dim, count);
-                metrics.send(len);
-                columnar += len;
-            }
-        }
-        let Cells { rows, fused } = self.cells;
-        let fused = fused
-            .into_iter()
-            .map(|sh| {
-                let dim = sh.dim();
-                partials(dim, sh.keys, sh.counts, sh.rows)
-            })
-            .collect();
-        (Cells { rows, fused }, columnar)
-    }
-}
-
-/// One reducer's rows grouped by slot with the destination merge both
-/// engines share: fused partials folded into one row per slot
-/// ([`FusedRows::open`], a [`FusedFold::fold`] per sender ascending,
-/// copy-on-first), materialized rows sealed slot by slot in arrival order
-/// ([`RowArena::seal`]). Beside them, per slot, the shuffle records that
-/// reached it and their wire bytes.
-struct Groups {
+/// One reducer's rows grouped by slot: its inbox as the row barrier sealed
+/// it, and the charge of each slot's records.
+struct Groups<'l> {
     inbox: MergedCols,
-    records: Vec<u32>,
-    bytes: Vec<u64>,
+    charge: Charge<'l>,
     /// A count of 1 per row of the fattest materialized slot: the fold
     /// counts of every materialized group.
     ones: Vec<u32>,
 }
 
-impl Groups {
-    /// Group worker `w`'s rows, charging each record's fetch to `metrics`.
-    fn of(
-        rows: &KeyedRows,
-        w: usize,
-        layout: &Layout,
-        params: &PhaseParams,
-        metrics: &mut WorkerPhase,
-    ) -> Result<Self> {
-        let (dim, cells) = (rows.dim, &rows.per_worker[w]);
-        let n_slots = if cells.len() > 0 {
-            layout.n_slots(w)
-        } else {
-            0
-        };
-        let ids = layout.ids(w);
-        let mut records = vec![0u32; n_slots];
-        let mut bytes = vec![0u64; n_slots];
-        let mut charge = |slot: u32, count: u32| {
-            let s = slot as usize;
-            let len = params.row_wire_len(ids[s], dim, count);
-            metrics.recv(len);
-            records[s] += 1;
-            bytes[s] += len;
-        };
-        let inbox = match rows.kind {
-            _ if cells.len() == 0 => MergedCols::None,
-            Some(kind) => {
-                let mut fold = FusedRows::open(dim, n_slots, &kind);
-                for sh in &cells.fused {
-                    for (&slot, &count) in sh.keys.iter().zip(&sh.counts) {
-                        charge(slot, count);
-                    }
-                    fold.fold(sh, &kind);
-                }
-                MergedCols::Fused(fold.seal(None)?)
-            }
-            None => {
-                for &slot in cells.rows.iter().flat_map(|sh| &sh.slots) {
-                    charge(slot, 1);
-                }
-                MergedCols::Rows(RowArena::seal(dim, n_slots, &cells.rows, None)?)
-            }
-        };
-        if let Some(planned) = rows.planned.as_ref().map(|p| p[w]) {
-            let groups = records.iter().filter(|&&r| r > 0).count();
-            let total = records.iter().map(|&r| r as usize).sum();
-            debug_assert_eq!(
-                (groups, total),
-                planned,
-                "reducer {w}: (groups, rows) against the plan"
-            );
-        }
+impl<'l> Groups<'l> {
+    fn of((inbox, charge): (MergedCols, Charge<'l>)) -> Self {
         let fattest = match inbox {
-            MergedCols::Rows(_) => records.iter().copied().max().unwrap_or(0),
+            MergedCols::Rows(_) => charge.records.iter().copied().max().unwrap_or(0),
             _ => 0,
         };
-        Ok(Groups {
+        Groups {
             inbox,
-            records,
-            bytes,
+            charge,
             ones: vec![1; fattest as usize],
-        })
+        }
+    }
+
+    /// Charge every record's fetch to `metrics`.
+    fn fetch(&self, metrics: &mut WorkerPhase) {
+        metrics.records_in += self
+            .charge
+            .records
+            .iter()
+            .map(|&r| u64::from(r))
+            .sum::<u64>();
+        metrics.bytes_in += self.charge.bytes.iter().sum::<u64>();
     }
 
     /// The touched slots, in ascending id order: the reducer's row keys.
     fn slots_by_id(&self, layout: &Layout, w: usize) -> Vec<u32> {
-        if self.records.is_empty() {
+        let records = &self.charge.records;
+        if records.is_empty() {
             return Vec::new();
         }
-        let touched = |&s: &u32| self.records[s as usize] > 0;
+        let touched = |&s: &u32| records[s as usize] > 0;
         layout.slots_by_id(w).filter(touched).collect()
     }
 
     /// Slot `s`'s group; `count` holds a fused group's one fold count.
     fn view<'g>(&'g mut self, s: usize, count: &'g mut [u32; 1]) -> Result<RowsView<'g>> {
-        let records = self.records[s] as usize;
+        let records = self.charge.records[s] as usize;
         Ok(match &mut self.inbox {
             MergedCols::Fused(fused) => {
                 count[0] = fused.count(s);
@@ -591,11 +404,19 @@ impl PhaseCtx {
 /// fork-join closures can capture it without borrowing the engine.
 #[derive(Clone, Copy)]
 struct PhaseParams {
+    workers: usize,
     partition_fn: fn(u64, usize) -> usize,
     record_overhead: u64,
 }
 
 impl PhaseParams {
+    /// The parameters of a charge that records nothing.
+    const NONE: PhaseParams = PhaseParams {
+        workers: 0,
+        partition_fn: partition_of,
+        record_overhead: 0,
+    };
+
     fn wire_len<V: Encode>(&self, key: u64, value: &V) -> u64 {
         (varint_len(key) + value.encoded_len()) as u64 + self.record_overhead
     }
@@ -642,8 +463,6 @@ impl TaskGate {
 struct PhaseOut<V> {
     metrics: WorkerPhase,
     routed: Vec<Vec<(u64, V)>>,
-    /// The task's row shards, one per destination.
-    cells: Cells,
     /// Modelled peak resident bytes, checked against the spec at the merge.
     peak: u64,
     /// Message volume by plane.
@@ -653,9 +472,9 @@ struct PhaseOut<V> {
 }
 
 impl<V: Encode> PhaseOut<V> {
-    /// Close task `w`: route its typed records and flush its row sink, each
-    /// record charged as output once. `held` is the task's modelled
-    /// residency beside the sink's fused accumulators.
+    /// Close task `w`: route its typed records and charge the rows its sink
+    /// holds, each record charged as output once. `held` is the task's
+    /// modelled residency beside the sink's fused accumulators.
     #[expect(
         clippy::too_many_arguments,
         reason = "a task's closing state, each part produced by a different stage of the task"
@@ -666,7 +485,7 @@ impl<V: Encode> PhaseOut<V> {
         sizes: &Sizes<'_>,
         mut metrics: WorkerPhase,
         out: Vec<(u64, V)>,
-        sink: RowSink<'_>,
+        sink: &RowSink<'_>,
         held: u64,
         retries: u64,
     ) -> Self {
@@ -678,15 +497,13 @@ impl<V: Encode> PhaseOut<V> {
                 out.capacity()
             );
         }
-        let n = sink.layout.n_workers();
-        let peak = held + sink.resident_bytes();
-        let (routed, legacy) = route_records(params, n, out, &mut metrics);
-        let (cells, columnar) = sink.flush(params, w, sizes, &mut metrics);
+        let (routed, legacy) = route_records(params, params.workers, out, &mut metrics);
+        let (columnar, partials) = send_rows(params, sink, &mut metrics);
+        let peak = held + partials;
         metrics.touch_mem(peak);
         PhaseOut {
             metrics,
             routed,
-            cells,
             peak,
             msg_bytes: MessagePlaneBytes { columnar, legacy },
             retries,
@@ -800,6 +617,7 @@ impl<'l> BatchEngine<'l> {
 
     fn params(&self) -> PhaseParams {
         PhaseParams {
+            workers: self.spec.workers,
             partition_fn: self.partition_fn,
             record_overhead: self.record_overhead,
         }
@@ -835,13 +653,13 @@ impl<'l> BatchEngine<'l> {
     /// `make_map(worker)` builds the kernel each worker runs — one instance
     /// per worker, so kernels may carry per-worker mutable state. A kernel
     /// pushes its keyed pairs onto the task's output vector, which it
-    /// receives as its last argument. Workers execute in parallel; emitted
-    /// pairs and rows are charged as shuffle output. With `row_agg` set,
-    /// emitted rows fold into per-slot partials at the sender (fused
-    /// in-mapper aggregation), and the returned rows carry `row_agg` to the
-    /// reducer that merges them. `sizes`, when counted, are per mapper.
-    /// The first failure in ascending worker order is surfaced, like the
-    /// serial loop.
+    /// receives as its last argument. Workers execute in parallel, through
+    /// the phase's row barrier; emitted pairs and rows are charged as
+    /// shuffle output. With `row_agg` set, emitted rows fold into per-slot
+    /// partials at the sender (fused in-mapper aggregation), and the
+    /// barrier folds those into each reducer's inbox with the same fold.
+    /// `sizes`, when counted, are per mapper. The first failure in
+    /// ascending worker order is surfaced, like the serial loop.
     pub fn map_phase<V, M, F>(
         &mut self,
         name: impl Into<String>,
@@ -850,7 +668,7 @@ impl<'l> BatchEngine<'l> {
         make_map: F,
         row_agg: Option<AggKind>,
         sizes: Sizes<'_>,
-    ) -> Result<(KeyedData<V>, KeyedRows)>
+    ) -> Result<(KeyedData<V>, KeyedRows<'l>)>
     where
         V: Shuffled<'l>,
         M: FnMut(&mut PhaseCtx, usize, &mut RowSink<'_>, &mut Vec<(u64, V)>) -> Result<()>,
@@ -859,49 +677,44 @@ impl<'l> BatchEngine<'l> {
         let name = name.into();
         let n = self.spec.workers;
         let params = self.params();
-        let layout = self.layout;
         let (gate, round) = self.map_gate();
+        let (transport, mut pool) = (Arc::clone(&self.transport), GridPool::default());
+        let plane = (row_dim, row_agg);
+        let mut barrier = open_barrier(self.layout, &*transport, params, plane, &sizes, &mut pool);
 
-        let results: Vec<Result<PhaseOut<V>>> = par_map_workers(n, |w| {
+        let results = barrier.compute(vec![(); n], |w, (), sink| {
             let task_retries = gate.admit(|inj| inj.map_task(w, round))?;
             let mut metrics = WorkerPhase::default();
             let mut kernel = make_map(w);
             let mut out: Vec<(u64, V)> = Vec::with_capacity(sizes.typed.map_or(0, |t| t[w]));
-            let mut sink = RowSink::new(row_dim, row_agg, layout, w, &sizes);
             for i in (w..inputs).step_by(n) {
                 let mut ctx = PhaseCtx::default();
-                kernel(&mut ctx, i, &mut sink, &mut out)?;
+                kernel(&mut ctx, i, sink, &mut out)?;
                 metrics.recv(ctx.read + params.record_overhead);
                 metrics.flops += ctx.flops;
             }
             // Mapper memory: typed records stream to the shuffle; only the
             // row sink's fused accumulators stay resident.
-            Ok(PhaseOut::finish(
-                &params,
-                w,
-                &sizes,
-                metrics,
-                out,
-                sink,
-                0,
-                task_retries,
-            ))
+            let out = PhaseOut::finish(&params, w, &sizes, metrics, out, sink, 0, task_retries);
+            Ok(out)
         });
-        self.merge_phase(name, RoundKind::Map, row_dim, row_agg, &sizes, results)
+        let sealed = (barrier, &mut pool, plane);
+        self.merge_phase(name, RoundKind::Map, sealed, &sizes, results)
     }
 
     /// Reduce phase: group each worker's shuffle partition — typed records
     /// and rows — by key, run its kernel per group, and route the emitted
     /// pairs and `out_dim`-wide rows onward.
     ///
-    /// Workers run in parallel — each worker's partition is a disjoint key
-    /// range by construction of the shuffle. Within a worker, keys — the
-    /// union of either plane's — are visited in ascending order, arrival
-    /// order preserved inside a group (see the module docs): the kernel
-    /// sees the key's typed values, in one vector reused across keys, plus
-    /// its rows as one flat [`RowsView`] — one combined row per key when
-    /// `rows` were fused. It pushes its keyed pairs onto the task's output
-    /// vector, its last argument.
+    /// Workers run in parallel, through the phase's row barrier — each
+    /// worker's partition is a disjoint key range by construction of the
+    /// shuffle. Within a worker, keys — the union of either plane's — are
+    /// visited in ascending order, arrival order preserved inside a group
+    /// (see the module docs): the kernel sees the key's typed values, in
+    /// one vector reused across keys, plus its rows as one flat
+    /// [`RowsView`] — one combined row per key when `rows` were fused. It
+    /// pushes its keyed pairs onto the task's output vector, its last
+    /// argument.
     /// `make_reduce(worker)` builds one kernel per worker, which may hold
     /// per-worker state across its key stream (e.g. the broadcast table
     /// riding reserved low keys). The modelled reducer memory peak is the
@@ -916,12 +729,12 @@ impl<'l> BatchEngine<'l> {
         &mut self,
         name: impl Into<String>,
         data: KeyedData<V>,
-        rows: KeyedRows,
+        rows: KeyedRows<'l>,
         out_dim: usize,
         make_reduce: F,
         row_agg: Option<AggKind>,
         sizes: Sizes<'_>,
-    ) -> Result<(KeyedData<O>, KeyedRows)>
+    ) -> Result<(KeyedData<O>, KeyedRows<'l>)>
     where
         V: Shuffled<'l>,
         O: Shuffled<'l>,
@@ -943,17 +756,22 @@ impl<'l> BatchEngine<'l> {
         let params = self.params();
         let layout = self.layout;
         let (gate, round) = self.reduce_gate();
+        let (transport, mut pool) = (Arc::clone(&self.transport), GridPool::default());
+        let plane = (out_dim, row_agg);
+        let mut barrier = open_barrier(layout, &*transport, params, plane, &sizes, &mut pool);
 
-        let results: Vec<Result<PhaseOut<O>>> = par_map(data.per_worker, |w, mut bucket| {
+        let partitions: Vec<_> = data.per_worker.into_iter().zip(rows.per_worker).collect();
+        // Each reducer drops its inbox as its task ends: the senders' rows
+        // go before this phase's own are sealed.
+        let results = barrier.compute(partitions, |w, (mut bucket, inbox), sink| {
             // Fired before the task consumes its shuffle partition, so a
             // re-launched task reads the same immutable input.
             let task_retries = gate.admit(|inj| inj.reduce_task(w, round))?;
             let mut metrics = WorkerPhase::default();
-            // Each record of either plane is sized once, as it is grouped:
-            // the same number is the fetch of this worker's shuffle
-            // partition (input accounting) and its share of the group's
-            // residency.
-            let mut groups = Groups::of(&rows, w, layout, &params, &mut metrics)?;
+            // The rows' fetch, each record as the barrier charged it; the
+            // typed records are sized as they are grouped.
+            let mut groups = Groups::of(inbox);
+            groups.fetch(&mut metrics);
             let slots = groups.slots_by_id(layout, w);
             let ids = layout.ids(w);
             // Stable, so same-key typed records keep arrival order.
@@ -962,7 +780,6 @@ impl<'l> BatchEngine<'l> {
             let mut kernel = make_reduce(w);
             let mut out: Vec<(u64, O)> = Vec::with_capacity(sizes.typed.map_or(0, |t| t[w]));
             let mut values: Vec<V> = Vec::new();
-            let mut sink = RowSink::new(out_dim, row_agg, layout, w, &sizes);
             let mut max_group_bytes = 0u64;
             let mut lit = bucket.into_iter().peekable();
             let mut gi = 0usize;
@@ -987,7 +804,7 @@ impl<'l> BatchEngine<'l> {
                 let view = if rk == Some(k) {
                     let s = slots[gi] as usize;
                     gi += 1;
-                    group_bytes += groups.bytes[s];
+                    group_bytes += groups.charge.bytes[s];
                     groups.view(s, &mut count)?
                 } else {
                     RowsView {
@@ -998,9 +815,10 @@ impl<'l> BatchEngine<'l> {
                 };
                 max_group_bytes = max_group_bytes.max(group_bytes);
                 let mut ctx = PhaseCtx::default();
-                kernel(&mut ctx, k, &mut values, view, &mut sink, &mut out)?;
+                kernel(&mut ctx, k, &mut values, view, sink, &mut out)?;
                 metrics.flops += ctx.flops;
             }
+            let held = max_group_bytes;
             Ok(PhaseOut::finish(
                 &params,
                 w,
@@ -1008,41 +826,41 @@ impl<'l> BatchEngine<'l> {
                 metrics,
                 out,
                 sink,
-                max_group_bytes,
+                held,
                 task_retries,
             ))
         });
-        // Every reducer has read its rows: the senders' shards go before
-        // this phase's own are merged.
-        drop(rows);
-        self.merge_phase(name, RoundKind::Reduce, out_dim, row_agg, &sizes, results)
+        let sealed = (barrier, &mut pool, plane);
+        self.merge_phase(name, RoundKind::Reduce, sealed, &sizes, results)
     }
 
     /// Barrier: surface the first failure in ascending worker order, check
-    /// the memory model, and hand the routed shards — both planes — to the
-    /// shuffle [`Transport`]. Under a byte-moving backend every non-empty
-    /// (mapper, destination) shard is a bucket — its slots widened to the
-    /// bucket's `u64` keys, a materialized row counting 1 — and the typed
-    /// legacy records cross the wire through their codec, and the
-    /// transport concatenates both per destination in mapper order (the
-    /// serial delivery order). In process, nothing is copied: each
-    /// destination keeps its senders' shards, and the typed records are
-    /// concatenated in-engine.
+    /// the memory model, and hand both planes to the shuffle
+    /// [`Transport`]. The rows cross through the phase's row barrier,
+    /// which then seals each destination's inbox ([`RowBarrier::seal`],
+    /// no spill) and charges its records; a debug build checks every
+    /// reducer's groups against the plan's counts. The typed records cross
+    /// the wire through their codec under a byte-moving backend, the
+    /// transport concatenating them per destination in mapper order (the
+    /// serial delivery order); in process they are concatenated
+    /// in-engine.
     fn merge_phase<V: Shuffled<'l>>(
         &mut self,
         name: String,
         kind: RoundKind,
-        row_dim: usize,
-        agg: Option<AggKind>,
+        (mut barrier, pool, (dim, fold)): (
+            RowBarrier<'_, Charge<'l>>,
+            &mut GridPool,
+            (usize, Option<AggKind>),
+        ),
         sizes: &Sizes<'_>,
         results: Vec<Result<PhaseOut<V>>>,
-    ) -> Result<(KeyedData<V>, KeyedRows)> {
+    ) -> Result<(KeyedData<V>, KeyedRows<'l>)> {
         let n = self.spec.workers;
         let mut metrics = Vec::with_capacity(n);
         let mut round_bytes = MessagePlaneBytes::default();
         let mut round_retries = 0u64;
         let mut routed_by_mapper: Vec<Vec<Vec<(u64, V)>>> = Vec::with_capacity(n);
-        let mut cells_by_mapper: Vec<Cells> = Vec::with_capacity(n);
         for (w, r) in results.into_iter().enumerate() {
             let o = r.map_err(|e| e.in_phase(&name))?;
             self.spec
@@ -1054,117 +872,43 @@ impl<'l> BatchEngine<'l> {
             round_retries += o.retries;
             round_bytes.add(o.msg_bytes);
             routed_by_mapper.push(o.routed);
-            cells_by_mapper.push(o.cells);
         }
-        let transport = std::sync::Arc::clone(&self.transport);
-        let needs_bytes = transport.needs_bytes();
-        let mut encoded_legacy: Vec<Option<Vec<EncodedKeyRecords>>> = if needs_bytes {
-            (0..n)
-                .map(|dst| {
-                    Some(
-                        routed_by_mapper
-                            .iter()
-                            .map(|m| {
-                                m.get(dst)
-                                    .map(|recs| {
-                                        recs.iter().map(|(k, v)| (*k, v.to_bytes())).collect()
-                                    })
-                                    .unwrap_or_default()
-                            })
-                            .collect(),
-                    )
+        let needs_bytes = self.transport.needs_bytes();
+        let encoded_legacy: Vec<Option<Vec<EncodedKeyRecords>>> = (0..n)
+            .map(|dst| {
+                needs_bytes.then(|| {
+                    routed_by_mapper
+                        .iter()
+                        .map(|m| {
+                            m.get(dst)
+                                .map(|recs| recs.iter().map(|(k, v)| (*k, v.to_bytes())).collect())
+                                .unwrap_or_default()
+                        })
+                        .collect()
                 })
-                .collect()
-        } else {
-            (0..n).map(|_| None).collect()
-        };
-        let mut rows = KeyedRows::empty(row_dim, n);
-        rows.kind = agg.filter(|_| row_dim > 0);
-        let fused = rows.kind.is_some();
-        rows.planned = sizes.cells.map(|c| {
-            (0..n)
-                .map(|d| {
-                    let bound = (0..n).map(|s| sizes.cell(fused, s, d).unwrap_or(0)).sum();
-                    (c.receivers(d), bound)
-                })
-                .collect()
-        });
-        // Per (mapper, destination): the shard's slots as bucket keys, when
-        // the transport moves bytes.
-        let keys: Vec<Vec<Vec<u64>>> = match needs_bytes {
-            true => cells_by_mapper
-                .iter()
-                .map(|cells| {
-                    let widened = |d| cells.slots(d).iter().map(|&s| u64::from(s)).collect();
-                    (0..n).map(widened).collect()
-                })
-                .collect(),
-            false => Vec::new(),
-        };
-        let longest = keys.iter().flatten().map(Vec::len).max().unwrap_or(0);
-        let ones = vec![1u32; if fused { 0 } else { longest }];
-        let dests = encoded_legacy
-            .iter_mut()
-            .enumerate()
-            .map(|(dst, legacy)| {
-                // A byte-moving transport gets, per destination, the shard
-                // of every mapper that sent it rows, ascending; a
-                // destination no mapper sent rows to moves no row plane.
-                let buckets: Vec<BucketRef<'_>> = cells_by_mapper
-                    .iter()
-                    .zip(&keys)
-                    .filter(|(_, keys)| !keys[dst].is_empty())
-                    .map(|(cells, keys)| match cells.fused.get(dst) {
-                        Some(sh) => BucketRef {
-                            keys: &keys[dst],
-                            counts: &sh.counts,
-                            rows: &sh.rows,
-                        },
-                        None => BucketRef {
-                            keys: &keys[dst],
-                            counts: &ones[..keys[dst].len()],
-                            rows: &cells.rows[dst].rows,
-                        },
-                    })
-                    .collect();
-                ConcatDest {
-                    dim: row_dim,
-                    buckets: (!buckets.is_empty()).then_some(buckets),
-                    legacy: legacy.take(),
-                }
             })
             .collect();
-        let exchanged = transport
-            .exchange_concat(ConcatExchange { dests })
+        let (merged, wire_bytes) = barrier
+            .exchange_concat(encoded_legacy)
             .map_err(|e| e.in_phase(&name))?;
-        self.report.wire_bytes += exchanged.wire_bytes;
-        drop(keys);
-        if needs_bytes {
-            drop(cells_by_mapper);
-        } else {
-            // In process the shards stay as they are, each destination
-            // keeping its senders' in ascending order.
-            for cells in cells_by_mapper {
-                cells.deal(&mut rows.per_worker);
+        self.report.wire_bytes += wire_bytes;
+        let inboxes = barrier.seal(pool).map_err(|e| e.in_phase(&name))?;
+        let fused = fold.is_some() && dim > 0;
+        if let Some(cells) = sizes.cells {
+            for (d, (_, charge)) in inboxes.iter().enumerate() {
+                let groups = charge.records.iter().filter(|&&r| r > 0).count();
+                let total: usize = charge.records.iter().map(|&r| r as usize).sum();
+                let bound = (0..n).map(|s| sizes.cell(fused, s, d).unwrap_or(0)).sum();
+                debug_assert_eq!(
+                    (groups, total),
+                    (cells.receivers(d), bound),
+                    "reducer {d}: (groups, rows) against the plan"
+                );
             }
         }
         let mut routed: Vec<Vec<(u64, V)>> = Vec::with_capacity(n);
-        for (dst, merged) in exchanged.dests.into_iter().enumerate() {
-            if let Some(b) = merged.bucket {
-                // What crossed the wire is one shard of its own, its keys
-                // narrowed back to the destination's slots.
-                let slots =
-                    narrow(b.keys, self.layout.n_slots(dst)).map_err(|e| e.in_phase(&name))?;
-                let cells = &mut rows.per_worker[dst];
-                match fused {
-                    true => cells.fused.push(partials(row_dim, slots, b.counts, b.rows)),
-                    false => cells.rows.push(RowShard {
-                        slots,
-                        rows: b.rows,
-                    }),
-                }
-            }
-            let typed = match merged.legacy {
+        for (dst, merged) in merged.into_iter().enumerate() {
+            let typed = match merged {
                 Some(records) => {
                     let mut typed = Vec::with_capacity(records.len());
                     for (k, bytes) in records {
@@ -1222,23 +966,42 @@ impl<'l> BatchEngine<'l> {
             );
         }
         self.report.push_phase(name, metrics);
+        let rows = KeyedRows {
+            dim,
+            fused,
+            per_worker: inboxes,
+        };
         Ok((KeyedData { per_worker: routed }, rows))
     }
 }
 
-/// A bucket's keys back to the slots of a destination holding `n_slots`,
-/// each checked: a key that names no slot is a codec error.
-fn narrow(keys: Vec<u64>, n_slots: usize) -> Result<Vec<u32>> {
-    keys.into_iter()
-        .map(|k| {
-            u32::try_from(k)
-                .ok()
-                .filter(|&s| (s as usize) < n_slots)
-                .ok_or_else(|| {
-                    Error::Codec(format!("bucket key {k} names none of {n_slots} slots"))
-                })
-        })
-        .collect()
+/// A phase's row barrier over `plane` — `(row width, fold)`, a width of 0
+/// sending no rows — for `transport`, with no spill, its grid from `pool`:
+/// every cell reserved at the plan's counts (a debug build checks each
+/// against them) and each reducer's records charged as they are merged.
+fn open_barrier<'a, 'l: 'a>(
+    layout: &'l Layout,
+    transport: &'a dyn Transport,
+    params: PhaseParams,
+    (dim, fold): (usize, Option<AggKind>),
+    sizes: &Sizes<'a>,
+    pool: &mut GridPool,
+) -> RowBarrier<'a, Charge<'l>> {
+    let plane = (dim > 0).then_some(RowPlane { dim, fold });
+    let reserve = Reserve {
+        counts: sizes.cells,
+        lanes: dim,
+        exact: true,
+    };
+    let charge = |w2| {
+        let slots = if plane.is_some() {
+            layout.n_slots(w2)
+        } else {
+            0
+        };
+        Charge::new(layout.ids(w2), dim, params, slots)
+    };
+    RowBarrier::open(plane, pool, layout, (transport, None), reserve, charge)
 }
 
 /// Decode one merged typed record whole, with its key, against `layout`.
@@ -1282,7 +1045,9 @@ fn route_records<V: Encode>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inferturbo_cluster::transport::{ConcatOut, Exchange, ExchangeOut, InProcess};
+    use inferturbo_cluster::transport::{
+        ConcatExchange, ConcatOut, Exchange, ExchangeOut, InProcess,
+    };
     use std::sync::Arc;
 
     /// A layout placing no vertex: the address space of a chain that
@@ -1524,66 +1289,6 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("worker 0"), "{err}");
         assert!(err.to_string().contains("phase `boom`"), "{err}");
-    }
-
-    /// A fused sink folds every row bound for one slot into that slot's
-    /// one partial, copy-on-first — a lone `-0.0` survives, which folding
-    /// into the identity would not keep — each destination's cell in
-    /// first-touch order; an unfused sink appends every row.
-    #[test]
-    fn a_fused_sink_folds_each_slot_copy_on_first() {
-        let layout = Layout::planned(2, (0..6u64).map(|k| (k, &[][..]))).unwrap();
-        let at = |k: u64| layout.resolve(k).unwrap();
-        for fused in [true, false] {
-            let agg = fused.then_some(AggKind::Sum);
-            let mut sink = RowSink::new(2, agg, &layout, 0, &Sizes::default());
-            sink.scatter_row(&[at(4), at(1)], &[1.0, 2.0]);
-            sink.scatter_row(&[at(5)], &[-0.0, 1.0]);
-            sink.scatter_row(&[at(1), at(4)], &[3.0, 4.0]);
-            // Per destination worker: (slot, count, row bits) in cell order.
-            let mut expected: Vec<Vec<(u64, u32, [u32; 2])>> = vec![Vec::new(); 2];
-            let bits = |r: [f32; 2]| r.map(f32::to_bits);
-            let emitted: [(u64, [f32; 2]); 5] = [
-                (4, [1.0, 2.0]),
-                (1, [1.0, 2.0]),
-                (5, [-0.0, 1.0]),
-                (1, [3.0, 4.0]),
-                (4, [3.0, 4.0]),
-            ];
-            for (k, row) in emitted {
-                let (d, slot) = layout.unpack(at(k));
-                let cell = &mut expected[d];
-                match cell.iter_mut().find(|e| fused && e.0 == slot as u64) {
-                    Some(e) => {
-                        e.1 += 1;
-                        let acc = e.2.map(f32::from_bits);
-                        e.2 = bits([acc[0] + row[0], acc[1] + row[1]]);
-                    }
-                    None => cell.push((slot as u64, 1, bits(row))),
-                }
-            }
-            let (cells, _) = sink.flush(
-                &engine(&layout).params(),
-                0,
-                &Sizes::default(),
-                &mut WorkerPhase::default(),
-            );
-            for (d, expected) in expected.iter().enumerate() {
-                let rows = match fused {
-                    true => &cells.fused[d].rows,
-                    false => &cells.rows[d].rows,
-                };
-                let counts = cells.fused.get(d).map(|sh| &sh.counts[..]);
-                let got: Vec<(u64, u32, [u32; 2])> = (cells.slots(d).iter().enumerate())
-                    .map(|(i, &slot)| {
-                        let row = rows.row(i);
-                        let count = counts.map_or(1, |c| c[i]);
-                        (slot as u64, count, bits([row[0], row[1]]))
-                    })
-                    .collect();
-                assert_eq!(&got, expected, "fused={fused} destination {d}");
-            }
-        }
     }
 
     /// An in-process transport that asks for bytes: the engine hands it

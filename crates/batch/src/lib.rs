@@ -26,20 +26,17 @@
 //! Combining: a phase given a fold (`AggKind`) folds rows bound for one
 //! destination slot into one partial as its kernels emit them, before
 //! they are counted as shuffle output (Hadoop-style in-mapper combining),
-//! implementing the paper's partial-gather on this backend. The consuming
-//! reducer folds the partials that land on it with the same fold, in
-//! arrival order (reduce-side combining), so its kernel sees one row per
-//! key. Both halves are the Pregel backend's: the same shards
-//! (`FusedSlotShard`, `RowShard`) and the same destination merge
-//! (`FusedRows` / `FusedFold`, `RowArena::seal`) from
-//! `inferturbo_common::rows`.
+//! implementing the paper's partial-gather on this backend; the partials
+//! that land on a reducer fold with the same fold, in arrival order
+//! (reduce-side combining), so its kernel sees one row per key. Both
+//! halves are the Pregel backend's: the two engines shuffle their rows
+//! through one barrier, `inferturbo_cluster::barrier::RowBarrier`.
 //!
-//! Within one process the shuffle copies no row on the way: rows stay in
-//! the shard their task wrote for their destination until the reducer
-//! groups them.
-//! Given the plan's counts ([`Sizes`]), every buffer is reserved exactly.
-//! See the [`engine`] module docs for the execution model and the two
-//! shuffle planes.
+//! Within one process the shuffle copies no row on the way: a row stays
+//! where its task wrote it until the reducer reads it. Given the plan's
+//! counts ([`Sizes`]), every buffer is reserved exactly. See the
+//! [`engine`] module docs for the execution model and the two shuffle
+//! planes.
 
 #![forbid(unsafe_code)]
 

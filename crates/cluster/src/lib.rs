@@ -57,12 +57,14 @@
 
 #![forbid(unsafe_code)]
 
+pub mod barrier;
 pub mod estimate;
 pub mod fault;
 pub mod metrics;
 pub mod spec;
 pub mod transport;
 
+pub use barrier::{GridPool, GridRow, Reserve, RowBarrier, RowPlane, Tally};
 pub use estimate::{LayerEstimate, PlanEstimate};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, RecoveryPolicy};
 pub use metrics::{MessagePlaneBytes, OverloadCounters, PhaseReport, RunReport, WorkerPhase};

@@ -3,42 +3,26 @@
 //! # Trait contract
 //!
 //! Both engines hand their per-superstep (Pregel) / per-round (MapReduce)
-//! shuffle to a [`Transport`] at the barrier:
+//! shuffle to a [`Transport`] through the row barrier
+//! ([`crate::barrier::RowBarrier`]), which hands over what
+//! [`Transport::needs_bytes`] asks for:
 //!
-//! - [`Transport::exchange`] moves one superstep's per-(sender ×
-//!   destination) shards — columnar [`RowShard`]s, fused
-//!   [`FusedSlotShard`]s, and optionally pre-encoded legacy records — to
-//!   their destinations and performs the **destination-side merge**
-//!   (counting-scatter seal / copy-on-first fused fold / slot-major legacy
-//!   scatter). What a backend is handed depends on
-//!   [`Transport::needs_bytes`]. A backend that moves bytes gets every
-//!   plane: fused shards, materialized rows packed into [`RowShard`]s,
-//!   and the typed plane encoded. A backend that does not gets no plane
-//!   from the Pregel engine: both columnar planes arrive as
-//!   [`ColsShards::None`]. Materialized rows stay in the senders' row
-//!   tables, which the engine seals into reference inboxes itself
-//!   ([`RowArena::seal_refs`]); fused partials are folded by the engine
-//!   into each destination's accumulators as each wave of senders ends
-//!   ([`FusedRows::open`]), and the engine seals them; the typed plane
-//!   never leaves the engine. The call still happens every superstep, so
-//!   the fault sites below fire per destination either way.
-//! - **The typed plane.** The Pregel engine stores each typed message
-//!   once, in its sender worker's table, and each route as an 8-byte
-//!   `(slot, table index)` reference. In process it seals those
-//!   references itself, the way it seals materialized rows. For a
-//!   backend that moves bytes it builds each destination's
-//!   [`EncodedRecords`] from them: per sender in emission order, one
-//!   `(slot, bytes)` record per reference, each message encoded once and
-//!   its bytes copied per reference. The wire form is unchanged: one
-//!   record per route. The merged records come back in slot-major
-//!   delivery order and the engine decodes them into one table with one
-//!   reference per record, so both transports yield one inbox form.
-//! - [`Transport::exchange_concat`] is the MapReduce form: per-destination
-//!   concatenation of fused key buckets and legacy records in ascending
-//!   mapper order. The batch engine hands it buckets and records only when
-//!   the backend [`Transport::needs_bytes`]; otherwise rows stay in the
-//!   mappers' spools and typed records in the engine, and the call carries
-//!   empty destinations (it still marks the round's barrier).
+//! - [`Transport::exchange`] (Pregel) moves one superstep's per-(sender ×
+//!   destination) shards — materialized rows packed into [`RowShard`]s,
+//!   fused [`FusedSlotShard`]s, and pre-encoded typed records — and
+//!   performs the **destination-side merge** (counting-scatter seal /
+//!   copy-on-first fused fold / slot-major legacy scatter). A backend that
+//!   moves bytes gets every plane. One that does not gets none: the
+//!   barrier keeps materialized rows in the senders' row tables and seals
+//!   reference inboxes itself ([`RowArena::seal_refs`]), folds fused
+//!   partials wave by wave ([`FusedRows::open`]), and the engine keeps its
+//!   typed plane; the call still marks the barrier, so the fault sites
+//!   below fire per destination either way.
+//! - [`Transport::exchange_concat`] (MapReduce) concatenates, per
+//!   destination in ascending mapper order, the barrier's key buckets and
+//!   the typed records. A backend that does not move bytes gets empty
+//!   destinations: rows stay where their mappers wrote them and typed
+//!   records in the engine.
 //!
 //! The contract every backend must honour, and the acceptance bar the
 //! equivalence suite pins:
@@ -71,10 +55,9 @@
 //!
 //! - [`InProcess`] — the default, a lock-free move: what it is handed is
 //!   borrowed and merged on the spot ([`FusedRows::merge`],
-//!   [`RowArena::seal`]). The engines hand it no rows: the Pregel engine's
-//!   inboxes lend materialized rows from the senders' row tables and its
-//!   fused accumulators are folded wave by wave before the barrier, and
-//!   the batch engine keeps rows in the mappers' spools — so a row is
+//!   [`RowArena::seal`]). The row barrier hands it no rows: inboxes lend
+//!   materialized rows from the senders' row tables and fused
+//!   accumulators are folded wave by wave, in both engines — so a row is
 //!   written once per sending vertex, never once per edge. Zero wire
 //!   bytes, bit-identical to the byte-moving backend by construction.
 //! - [`WorkerProcess`] — one spawned `itworker` child per concurrent

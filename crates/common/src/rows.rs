@@ -895,14 +895,6 @@ enum ArenaRows {
 }
 
 impl RowArena {
-    pub fn empty(dim: usize) -> Self {
-        RowArena {
-            dim,
-            rows: ArenaRows::Flat(SpillableRows::resident(dim, Vec::new())),
-            offsets: Vec::new(),
-        }
-    }
-
     pub fn dim(&self) -> usize {
         self.dim
     }
@@ -957,8 +949,7 @@ impl RowArena {
         }
     }
 
-    /// Number of rows pending for `slot`; 0 past the sealed range (a
-    /// [`RowArena::empty`] arena holds nothing, whatever the slot).
+    /// Number of rows pending for `slot`; 0 past the sealed range.
     pub fn count(&self, slot: usize) -> usize {
         if slot + 1 >= self.offsets.len() {
             0
@@ -1315,14 +1306,6 @@ pub struct FusedRows {
 }
 
 impl FusedRows {
-    pub fn empty(dim: usize) -> Self {
-        FusedRows {
-            dim,
-            acc: SpillableRows::resident(dim, Vec::new()),
-            counts: Vec::new(),
-        }
-    }
-
     pub fn dim(&self) -> usize {
         self.dim
     }
@@ -1355,8 +1338,8 @@ impl FusedRows {
         }
     }
 
-    /// Accumulator row of `slot`; an empty slice past the merged range
-    /// (every slot of a [`FusedRows::empty`] store), where the count is 0.
+    /// Accumulator row of `slot`; an empty slice past the merged range,
+    /// where the count is 0.
     /// `&mut` because a spilled store may need to page the covering window
     /// in.
     pub fn row(&mut self, slot: usize) -> Result<&[f32]> {

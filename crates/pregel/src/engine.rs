@@ -14,40 +14,32 @@
 //! worker: no id is hashed and no vector grows.
 //!
 //! A superstep is the sequence of stages `PregelEngine::superstep` spells
-//! out: resolve the plane the program declared for the step → **fork-join
-//! compute**, a wave of senders at a time → merge the senders' accounting
-//! → transpose their shards → exchange → seal → memory check → trace. The
-//! compute is a real fork-join: every logical worker runs the program's
-//! one kernel over its slots on its own OS thread (up to the global
-//! [`inferturbo_common::Parallelism`] budget), writing its outgoing
-//! messages into per-(sender × destination) **outbox shards**. All
-//! workers form one wave, except on a fused step in process (see below),
-//! which runs waves of as many senders as there are threads. Rows leave
-//! a vertex as (row, span of routes) pairs in the [`Outbox`] spool; the
-//! worker's one routing loop walks each span, writes the row once into
-//! the worker's row table and a `(slot, table row)` reference into the
-//! shard each route names (or, fused, folds the row into that shard) — no
-//! lookup per edge, no row copied per edge. Byte accounting for rows
-//! happens once per worker after its last vertex, from the shards' own
-//! slot lists and the layout's slot tables. Shards are merged without
-//! locks, in ascending sender order — the exact order a serial sender loop
-//! would deliver in — so results, byte accounting, and metrics are
-//! identical for every thread count.
+//! out: resolve the plane the program declared for the step → open the
+//! step's [`RowBarrier`] → **fork-join compute** through it → merge the
+//! senders' accounting → exchange → seal → memory check → trace. Every
+//! logical worker runs the program's one kernel over its slots on its own
+//! OS thread (up to the global [`inferturbo_common::Parallelism`] budget),
+//! a wave of senders at a time as the barrier decides. Rows leave a
+//! vertex as (row, span of routes) pairs in the [`Outbox`] spool, and the
+//! worker's one routing loop hands each span to its row of the barrier's
+//! grid — no lookup per edge, no row copied per edge. Byte accounting for
+//! rows happens once per worker after its last vertex, from its cells.
+//! Everything merges without locks, in ascending sender order — the order
+//! a serial sender loop would deliver in — so results, byte accounting and
+//! metrics are identical for every thread count.
 //!
 //! What a run allocates: the per-worker state vectors, each step's typed
 //! tables and the inboxes sealed at each barrier. The outbox spools, the
-//! cells of the shard grid (row tables, row and typed references, fused
-//! partials) and the sent-row indexes are pooled in a [`ScratchPool`], so
-//! only a first run allocates them. A pool built from a plan's
-//! [`CellCounts`] reserves each grid cell and each typed table exactly, at
-//! the widest row any step of the run declares, so none grows while a run
-//! writes it; without counts they grow as they are written.
+//! barrier's grid ([`GridPool`]), the typed references and the sent-row
+//! indexes are pooled in a [`ScratchPool`], so only a first run allocates
+//! them. A pool built from a plan's [`CellCounts`] reserves each cell and
+//! each typed table exactly, at the widest row any step of the run
+//! declares, so none grows while a run writes it.
 //!
 //! # Message planes
 //!
 //! Two planes carry traffic between supersteps; a program may use both in
-//! the same step, and its kernel reads both back through one
-//! [`Inbox`]:
+//! the same step, and its kernel reads both back through one [`Inbox`]:
 //!
 //! - the **typed plane**: `P::Msg` values — variable-width payloads such
 //!   as broadcast refs and control messages — addressed by route like the
@@ -55,62 +47,33 @@
 //!   message with a span of routes,
 //!   [`Outbox::send`](crate::vertex::Outbox::send) resolves its id at the
 //!   call and spools a span of one. The routing loop sizes a message once
-//!   per span, hashes nothing, and stores it once in its sender worker's
-//!   typed table for the step; each route gets an 8-byte
-//!   `(slot, table index)` reference in the sender's list for its
-//!   destination worker — the row plane's shape. At the barrier each
+//!   per span and stores it once in its sender worker's typed table for
+//!   the step; each route gets an 8-byte `(slot, table index)` reference
+//!   in the sender's list for its destination worker. At the barrier each
 //!   destination's references are sealed with the row plane's counting
-//!   sort ([`inferturbo_common::rows::seal_order`]), and the kernel is
-//!   lent each message where its sender stored it
-//!   ([`LentMessages`]). The tables are
-//!   shared by every inbox sealed from them and by a checkpoint of those
-//!   inboxes;
+//!   sort ([`inferturbo_common::rows::seal_order`]), and the kernel is lent
+//!   each message where its sender stored it ([`LentMessages`]). A
+//!   transport that moves bytes gets the typed plane as encoded records
+//!   built from the references (each message encoded once, its bytes
+//!   copied per reference), and its merged records come back decoded into
+//!   one table with one reference per record, so both transports seal one
+//!   inbox form;
 //! - the **columnar plane**: when the program declares a
 //!   [`MessageLayout`](crate::vertex::MessageLayout) for the emitting
-//!   step, fixed-width `f32` rows travel in flat buffers — no `Vec<f32>`
-//!   per message, no `Msg` enum on the hot path. A materialized row is
-//!   written once, into its sender worker's row table
-//!   ([`inferturbo_common::rows::RowTable`]), and each edge carries an
-//!   8-byte `(slot, table row)` reference. At the barrier each
-//!   destination's [`inferturbo_common::rows::RowArena`] is sealed from
-//!   those references with a counting scatter
-//!   ([`RowArena::seal_refs`]), and the kernel is lent each row where its
-//!   sender wrote it: one row per sending vertex is held, not one per
-//!   edge. A table is shared by every inbox sealed from it and by a
-//!   checkpoint of those inboxes, and is written again only once nothing
-//!   holds it. A vertex is also lent the row it sent itself
+//!   step, fixed-width `f32` rows travel through the [`RowBarrier`] — no
+//!   `Vec<f32>` per message. A materialized row is written once, into its
+//!   sender worker's row table, and the kernel is lent each row where its
+//!   sender wrote it. A vertex is also lent the row it sent itself
 //!   ([`Inbox::own_row`]): the engine keeps, per sender worker, the table
 //!   row each slot wrote, and holds that step's tables until the next
-//!   compute ends, whatever the transport or spill setting. Only a
-//!   transport that moves bytes gets the rows packed into
-//!   per-(sender × destination) [`RowShard`]s, and its merged flat
-//!   arena comes back; under a spill budget the seal streams the rows
-//!   from the tables into the spill file instead. If the step also
-//!   provides a fold ([`AggKind`]), **gather is fused into scatter**:
-//!   senders fold rows into per-destination accumulator rows as they
-//!   emit, and one partial row per (sender, destination slot) is merged
-//!   into a dense O(V·d) accumulator set — peak inbox memory and shuffle
-//!   volume drop from O(E·d) to O(V·d), the paper's partial-aggregation
-//!   optimisation done at the engine level. This is the engine's one
-//!   sender-side combiner. In process the merge does not wait for the
-//!   barrier: the workers compute in waves of
-//!   [`Parallelism::get`](inferturbo_common::Parallelism::get) senders,
-//!   and as each wave ends every destination folds that wave's partials
-//!   into its accumulators ([`FusedRows::open`], [`FusedFold::fold`]),
-//!   so only one wave's shards are alive at a time, not every sender's;
-//!   the barrier seals (and, under a spill budget, spills) the
-//!   accumulators. A transport that moves bytes gets every sender's
-//!   shards at the barrier and merges them itself.
-//!
-//! A transport that moves bytes gets the typed plane as encoded records
-//! built from the references (each message encoded once, its bytes copied
-//! per reference), and its merged records come back decoded into one table
-//! with one reference per record, so both transports seal one inbox form.
-//!
-//! Which columnar plane a step is on is one value on each side of the
-//! barrier — `Emit` for what the workers write, the transport's
-//! [`MergedCols`] for what they read next — each carrying its own width
-//! (and fold).
+//!   compute ends, whatever the transport or spill setting. If the step
+//!   also provides a fold ([`AggKind`](inferturbo_common::rows::AggKind)),
+//!   **gather is fused into scatter**: senders fold rows into one partial
+//!   per destination slot as they emit, merged into a dense O(V·d)
+//!   accumulator set — peak inbox memory and shuffle volume drop from
+//!   O(E·d) to O(V·d), the paper's partial-aggregation optimisation done
+//!   at the engine level. In process the merge does not wait for the
+//!   barrier: each wave of senders is folded as it ends.
 //!
 //! # Determinism contract
 //!
@@ -129,21 +92,19 @@
 //! every transport, spilled or resident, recovered or clean.
 
 use crate::vertex::{Inbox, LentMessages, Outbox, RowsIn, SendMisuse, VertexProgram};
-use inferturbo_cluster::transport::frame::EncodedRecords;
-use inferturbo_cluster::transport::{
-    ColsShards, DestMerged, DestShards, Exchange, ExchangeOut, InProcess, MergedCols, Transport,
+use inferturbo_cluster::barrier::{
+    pooled_grid, GridPool, GridRow, Refs, Reserve, RowBarrier, RowPlane,
 };
+use inferturbo_cluster::transport::frame::EncodedRecords;
+use inferturbo_cluster::transport::{InProcess, MergedCols, Transport};
 use inferturbo_cluster::{
     ClusterSpec, FaultInjector, MessagePlaneBytes, RecoveryPolicy, RunReport, WorkerPhase,
 };
 use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::layout::{CellCounts, Layout, Route};
 use inferturbo_common::par::par_map;
-use inferturbo_common::rows::{
-    row_payload_len, seal_order, AggKind, FusedFold, FusedRows, FusedSlotShard, RowArena, RowBlock,
-    RowShard, RowTable, SpillPolicy,
-};
-use inferturbo_common::{Error, FxHashMap, Parallelism, Result};
+use inferturbo_common::rows::{seal_order, RowTable, SpillPolicy};
+use inferturbo_common::{Error, FxHashMap, Result};
 use inferturbo_obs::{Payload, Site, TraceHandle, TraceMark};
 use std::sync::Arc;
 
@@ -239,15 +200,11 @@ impl PregelConfig {
 }
 
 /// Pooled engine scratch: one outbox (message spools, row buffers) per
-/// logical worker, the grids of both columnar planes — fused accumulator
-/// shards with their dense slot indexes, `[wave slot][destination]` (in
-/// process a fused step computes in waves of [`Parallelism::get`] senders,
-/// slot `i` hosting senders `i`, `i + wave`, …), and materialized row
-/// references, `[sender][destination]` — the senders' row tables, and the
-/// per-slot indexes of the rows each slot sent. Every engine owns one —
-/// supersteps within a run reuse it instead of reallocating — and a caller
-/// that runs repeated inference over the same graph (a planned session)
-/// can [`PregelEngine::take_scratch`] it after a run and
+/// logical worker, the row barrier's grid ([`GridPool`]), the typed
+/// references, and the per-slot indexes of the rows each slot sent. Every
+/// engine owns one — supersteps within a run reuse it — and a caller that
+/// runs repeated inference over the same graph (a planned session) can
+/// [`PregelEngine::take_scratch`] it after a run and
 /// [`PregelEngine::set_scratch`] it into the next engine, so all of it is
 /// allocated once per plan, not once per superstep.
 ///
@@ -255,31 +212,22 @@ impl PregelConfig {
 /// grid cell takes ([`CellCounts`]): each cell is reserved exactly, at the
 /// widest row the run declares, before it is first written — a wave
 /// slot's fused cell for the largest of the senders it hosts — so no cell
-/// regrows during a run and repeated runs at the same thread budget reuse
-/// the same allocations. A default pool counts nothing, and its cells grow
-/// as they are written.
-///
-/// Pooling is observably invisible: a reset shard/outbox is
-/// indistinguishable from a fresh one (sparse index clear through the
-/// touched keys), so results, byte accounting and metrics are identical
-/// with or without a carried-over pool. A row table is written again only
-/// once nothing else holds it: the inboxes sealed from it lend it until
-/// they drain, the engine lends its rows back to their senders until the
-/// next compute ends, and a checkpoint keeps it as long as the checkpoint
-/// lives.
+/// regrows during a run. A default pool counts nothing, and its cells grow
+/// as they are written. Pooling is observably invisible: a reset cell is
+/// indistinguishable from a fresh one, and a row table is written again
+/// only once nothing else holds it — the inboxes sealed from it, the
+/// lend-back of sent rows, or a checkpoint.
 pub struct ScratchPool<M> {
     outboxes: Vec<Outbox<M>>,
-    rows: Vec<Vec<Refs>>,
     /// `[sender][destination]`: typed-message references.
     typed: Vec<Vec<Refs>>,
-    /// Per sender worker: every row table it has written, free or still
-    /// held.
-    tables: Vec<Vec<RowTable>>,
     /// Free sets of per-worker sent-row indexes (see [`SentRows`]).
     sent: Vec<Vec<Vec<u32>>>,
-    /// `[wave slot][destination]`: fused shards (one row per sender for a
+    /// The row barrier's grid: per sender worker every row table it has
+    /// written, free or still held; row references `[sender][destination]`;
+    /// fused shards `[wave slot][destination]` (one row per sender for a
     /// transport that moves bytes).
-    fused: Vec<Vec<FusedSlotShard>>,
+    grid: GridPool,
     /// How many rows each grid cell takes; empty for a default pool.
     counts: CellCounts,
 }
@@ -297,11 +245,9 @@ impl<M> ScratchPool<M> {
     pub fn planned(counts: CellCounts) -> Self {
         ScratchPool {
             outboxes: Vec::new(),
-            rows: Vec::new(),
             typed: Vec::new(),
-            tables: Vec::new(),
             sent: Vec::new(),
-            fused: Vec::new(),
+            grid: GridPool::default(),
             counts,
         }
     }
@@ -320,19 +266,20 @@ impl<M> ScratchPool<M> {
             addr: addr as usize,
             capacity,
         };
+        let (tables, refs, fused) = self.grid.cells();
         let mut cells = Vec::new();
-        for (w, tables) in self.tables.iter().enumerate() {
+        for (w, tables) in tables.iter().enumerate() {
             for t in tables {
                 let lanes = t.data().as_ptr().cast();
                 cells.push(cell(CellKind::Table, w, lanes, t.capacity()));
             }
         }
-        for (w, refs) in self.rows.iter().enumerate() {
+        for (w, refs) in refs.iter().enumerate() {
             for (w2, r) in refs.iter().enumerate() {
                 cells.push(cell(CellKind::Refs(w2), w, r.as_ptr().cast(), r.capacity()));
             }
         }
-        for (w, shards) in self.fused.iter().enumerate() {
+        for (w, shards) in fused.iter().enumerate() {
             for (w2, sh) in shards.iter().enumerate() {
                 let (keys, counts) = (&sh.keys, &sh.counts);
                 let lanes = sh.rows.data().as_ptr().cast();
@@ -399,12 +346,6 @@ pub enum CellKind {
     Sent,
 }
 
-/// What one sender sends one destination worker on a plane that stores
-/// each message once: `(destination slot, index in the sender's table)` in
-/// emission order — a materialized row of its row table, or a typed
-/// message of its typed table.
-type Refs = Vec<(u32, u32)>;
-
 /// One worker's rows on the materialized plane from the last superstep:
 /// its row table and, per slot, the table row that slot wrote last
 /// (`u32::MAX`: none) — what [`Inbox::own_row`] lends.
@@ -422,30 +363,6 @@ impl SentRows {
             at => self.table.row(at as usize),
         }
     }
-}
-
-/// A pooled `rows × n` grid, grown with `new` cells where it is short and
-/// cut where it is long.
-fn grid<T>(mut cells: Vec<Vec<T>>, rows: usize, n: usize, new: impl Fn() -> T) -> Vec<Vec<T>> {
-    cells.resize_with(rows, Vec::new);
-    for row in &mut cells {
-        row.resize_with(n, &new);
-    }
-    cells
-}
-
-/// Swap the two axes of a `[sender][destination]` grid, keeping each
-/// axis's order.
-fn transpose<T>(grid: Vec<Vec<T>>) -> Vec<Vec<T>> {
-    let mut out: Vec<Vec<T>> = (0..grid.len())
-        .map(|_| Vec::with_capacity(grid.len()))
-        .collect();
-    for row in grid {
-        for (cell, col) in row.into_iter().zip(&mut out) {
-            col.push(cell);
-        }
-    }
-    out
 }
 
 /// A step's typed tables, one per sender worker: every typed message it
@@ -595,309 +512,9 @@ struct Checkpoint<P: VertexProgram> {
     trace_mark: TraceMark,
 }
 
-/// What the workers emit on the columnar plane this superstep: the plane
-/// the program declared for the step, with its row width and — fused — its
-/// fold, and the grid the rows land in: fused accumulator shards, or each
-/// sender's row table with its `(slot, table row)` references per
-/// destination and the table row each of its slots wrote. The grid is
-/// `[sender][destination]` while the workers compute and
-/// `[destination][sender]` once transposed for the exchange — except a
-/// fused grid merged in waves, which has one row per wave slot and is never
-/// transposed (see [`Emit::Fused`]).
-/// One value per superstep: every worker's [`RowSink`] and every
-/// destination's [`ColsShards`] and refs inbox is a view of it, so they
-/// cannot disagree about the plane.
-enum Emit {
-    /// No layout declared: the typed plane carries the step alone.
-    None,
-    Rows {
-        dim: usize,
-        /// One per sender worker.
-        tables: Vec<RowTable>,
-        refs: Vec<Vec<Refs>>,
-        /// One per sender worker: slot → table row, `u32::MAX` for none.
-        sent: Vec<Vec<u32>>,
-    },
-    /// In process (`merged` set) the workers compute in waves of
-    /// [`Parallelism::get`] senders: the grid has one row per wave slot —
-    /// slot `i` hosts senders `i`, `i + wave`, … — and as each wave ends
-    /// every destination folds that wave's shards into its accumulators in
-    /// `merged`, so the slots are free for the next wave. For a transport
-    /// that moves bytes (`merged` unset) the grid has one row per sender,
-    /// all computed in one wave, and the transport merges it whole.
-    Fused {
-        dim: usize,
-        kind: AggKind,
-        shards: Vec<Vec<FusedSlotShard>>,
-        /// Per destination: the next inbox, folded wave by wave. The
-        /// barrier takes the folds to seal them; `Some` still marks the
-        /// grid as wave-major.
-        merged: Option<Vec<FusedFold>>,
-    },
-}
-
 /// The widest row a run declares on each columnar plane: materialized,
 /// then fused.
 type Widest = (usize, usize);
-
-impl Emit {
-    /// Resolve `step`'s plane from the program's declarations and take
-    /// its grid out of the pool: `n × n` over `layout`'s workers, or — a
-    /// fused step `in_waves` — one row per wave slot, with every
-    /// destination's accumulators opened. Pooled shards are reused as they
-    /// are — each worker resets its own row ([`RowSink::reset`]); a pooled
-    /// row table only when nothing else holds it any more, and only by the
-    /// sender it was sized for.
-    fn open<P: VertexProgram>(
-        program: &P,
-        step: usize,
-        pool: &mut ScratchPool<P::Msg>,
-        layout: &Layout,
-        in_waves: bool,
-    ) -> Self {
-        let n = layout.n_workers();
-        let Some(declared) = program.message_layout(step) else {
-            return Emit::None;
-        };
-        let dim = declared.dim;
-        match program.fused_aggregator(step) {
-            None => {
-                // The last superstep's tables are lent out until its
-                // inboxes drain and the next compute ends, and a
-                // checkpoint may hold older ones: those stay in the pool
-                // for a later step.
-                pool.tables.resize_with(n, Vec::new);
-                let tables = pool.tables.iter_mut().map(|own| {
-                    match own.iter().position(|t| Arc::strong_count(t) == 1) {
-                        Some(free) => own.remove(free),
-                        None => Arc::new(RowBlock::new(dim)),
-                    }
-                });
-                let mut sent = pool.sent.pop().unwrap_or_default();
-                sent.resize_with(n, Vec::new);
-                Emit::Rows {
-                    dim,
-                    tables: tables.collect(),
-                    refs: grid(std::mem::take(&mut pool.rows), n, n, Vec::new),
-                    sent,
-                }
-            }
-            Some(kind) => {
-                let (rows, merged) = match in_waves {
-                    true => {
-                        let open = (0..n).map(|w2| FusedRows::open(dim, layout.n_slots(w2), &kind));
-                        (Parallelism::get().clamp(1, n), Some(open.collect()))
-                    }
-                    false => (n, None),
-                };
-                let pooled = std::mem::take(&mut pool.fused);
-                Emit::Fused {
-                    dim,
-                    kind,
-                    shards: grid(pooled, rows, n, || FusedSlotShard::new(dim, 0)),
-                    merged,
-                }
-            }
-        }
-    }
-
-    /// How many senders compute at once: a wave-major grid's rows, else
-    /// all `n`.
-    fn wave(&self, n: usize) -> usize {
-        match self {
-            Emit::Fused {
-                shards,
-                merged: Some(_),
-                ..
-            } => shards.len(),
-            _ => n,
-        }
-    }
-
-    /// One sink per sender of a wave of `len`, over the first `len` rows
-    /// of the grid.
-    fn sinks(&mut self, len: usize) -> Vec<RowSink<'_>> {
-        match self {
-            Emit::None => (0..len).map(|_| RowSink::None).collect(),
-            // `open` took only tables nothing else holds, so `make_mut`
-            // lends each in place.
-            Emit::Rows {
-                dim,
-                tables,
-                refs,
-                sent,
-            } => tables
-                .iter_mut()
-                .zip(refs)
-                .zip(sent)
-                .take(len)
-                .map(|((table, refs), sent)| RowSink::Rows {
-                    dim: *dim,
-                    table: Arc::make_mut(table),
-                    refs,
-                    sent,
-                })
-                .collect(),
-            Emit::Fused {
-                dim, kind, shards, ..
-            } => shards
-                .iter_mut()
-                .take(len)
-                .map(|shards| RowSink::Fused {
-                    dim: *dim,
-                    shards,
-                    kind: *kind,
-                })
-                .collect(),
-        }
-    }
-
-    /// A wave of `len` senders has computed into the first `len` rows of
-    /// the grid: add its `(shards, rows)` to `volume`, for the trace, and —
-    /// merged in waves — fold each destination's shards into its
-    /// accumulators ([`fold_wave`]).
-    fn end_wave(&mut self, len: usize, volume: &mut (u64, u64)) {
-        fn add<T>(volume: &mut (u64, u64), wave: &[Vec<T>], len: impl Fn(&T) -> usize) {
-            for cell in wave.iter().flatten() {
-                volume.0 += 1;
-                volume.1 += len(cell) as u64;
-            }
-        }
-        match self {
-            Emit::None => {}
-            Emit::Rows { refs, .. } => add(volume, &refs[..len], Vec::len),
-            Emit::Fused {
-                kind,
-                shards,
-                merged,
-                ..
-            } => {
-                add(volume, &shards[..len], FusedSlotShard::len);
-                if let Some(merged) = merged {
-                    fold_wave(merged, &shards[..len], kind);
-                }
-            }
-        }
-    }
-
-    /// Turn a whole grid from sender-major to destination-major (or
-    /// back); a wave-major grid stays as it is.
-    fn transposed(mut self) -> Self {
-        match &mut self {
-            Emit::None
-            | Emit::Fused {
-                merged: Some(_), ..
-            } => {}
-            Emit::Rows { refs, .. } => *refs = transpose(std::mem::take(refs)),
-            Emit::Fused { shards, .. } => *shards = transpose(std::mem::take(shards)),
-        }
-        self
-    }
-
-    /// What each sender worker wrote on the materialized plane, for the
-    /// next compute to lend back: its table and its slots' rows in it.
-    /// Empty on the other planes.
-    fn sent_rows(&mut self) -> Vec<SentRows> {
-        let Emit::Rows { tables, sent, .. } = self else {
-            return Vec::new();
-        };
-        let at = std::mem::take(sent);
-        let tables = tables.iter().cloned();
-        tables
-            .zip(at)
-            .map(|(table, at)| SentRows { table, at })
-            .collect()
-    }
-
-    /// For a transport that moves bytes: every destination's materialized
-    /// rows packed into one [`RowShard`] per sender ascending (of a
-    /// transposed grid) — the one place a row is copied per edge. `None`
-    /// on the other planes.
-    fn packed(&self) -> Option<Vec<Vec<RowShard>>> {
-        let Emit::Rows {
-            dim, tables, refs, ..
-        } = self
-        else {
-            return None;
-        };
-        let pack = |(table, refs): (&RowTable, &Refs)| {
-            let mut shard = RowShard::new(*dim);
-            for &(slot, at) in refs {
-                shard.push(slot, table.row(at as usize));
-            }
-            shard
-        };
-        let dests = refs
-            .iter()
-            .map(|senders| tables.iter().zip(senders).map(pack).collect());
-        Some(dests.collect())
-    }
-
-    /// Destination `w2`'s shards, one per sender ascending (of a
-    /// transposed grid), as the transport takes them. Materialized rows
-    /// reach the transport only as `packed` shards, fused ones only as a
-    /// whole grid; otherwise they stay with the engine — in the senders'
-    /// tables, or folded wave by wave — which seals them itself.
-    fn dest<'a>(&'a self, w2: usize, packed: Option<&'a [Vec<RowShard>]>) -> ColsShards<'a> {
-        match self {
-            Emit::None => ColsShards::None,
-            Emit::Rows { dim, .. } => match packed {
-                Some(packed) => ColsShards::Rows {
-                    dim: *dim,
-                    shards: &packed[w2],
-                },
-                None => ColsShards::None,
-            },
-            Emit::Fused {
-                merged: Some(_), ..
-            } => ColsShards::None,
-            Emit::Fused {
-                dim, kind, shards, ..
-            } => ColsShards::Fused {
-                dim: *dim,
-                agg: kind,
-                shards: &shards[w2],
-            },
-        }
-    }
-
-    /// Hand the grid back to the pool, each shard to its sender's (or wave
-    /// slot's) row, so the next superstep resets them instead of
-    /// reallocating. The row tables go back beside the ones still held.
-    fn reclaim<M>(self, pool: &mut ScratchPool<M>) {
-        match self {
-            Emit::None => {}
-            Emit::Rows { tables, refs, .. } => {
-                pool.rows = transpose(refs);
-                for (own, table) in pool.tables.iter_mut().zip(tables) {
-                    own.push(table);
-                }
-            }
-            Emit::Fused {
-                shards,
-                merged: Some(_),
-                ..
-            } => pool.fused = shards,
-            Emit::Fused { shards, .. } => pool.fused = transpose(shards),
-        }
-    }
-}
-
-/// Fold one wave's fused shards into the next inboxes: `wave[i][w2]` is
-/// what the wave's `i`-th sender (senders ascending) sent destination
-/// `w2`, and `merged[w2]` that destination's accumulators. Each
-/// destination folds its shards in sender order, one
-/// [`FusedFold::fold`] each — so over the waves of a step every
-/// destination sees exactly the one ascending-sender merge
-/// [`FusedRows::merge`] makes. Destinations are independent and fold in
-/// parallel.
-fn fold_wave(merged: &mut [FusedFold], wave: &[Vec<FusedSlotShard>], kind: &AggKind) {
-    par_map(merged.iter_mut().collect(), |w2, fold| {
-        for sender in wave {
-            fold.fold(&sender[w2], kind);
-        }
-    });
-}
 
 /// One destination's sealed inbox: both planes, ready to install.
 type Sealed<M> = (TypedInbox<M>, MergedCols);
@@ -922,6 +539,9 @@ struct StepOut<M> {
     bcasts: Vec<(u64, M)>,
     /// Message volume by plane (local + remote).
     msg_bytes: MessagePlaneBytes,
+    /// `(cells, rows)` it wrote on the columnar plane: the shape the
+    /// transport moves.
+    volume: (u64, u64),
     /// Whether any vertex of this worker computed (false only for a
     /// worker with no vertices).
     any_active: bool,
@@ -939,6 +559,7 @@ impl<M> StepOut<M> {
             typed: Vec::with_capacity(typed),
             bcasts: Vec::new(),
             msg_bytes: MessagePlaneBytes::default(),
+            volume: (0, 0),
             any_active: false,
         }
     }
@@ -1210,12 +831,14 @@ impl<P: VertexProgram> PregelEngine<P> {
 
     /// Execute one superstep. Returns whether any vertex ran.
     ///
-    /// Compute runs fork-join across workers, in waves of senders on a
-    /// fused step in process — each wave's partials folded into the next
-    /// inboxes as it ends — and in one wave otherwise; every stage after
-    /// it merges in ascending worker order, making the result independent
-    /// of the thread budget. A failed stage leaves the engine half-stepped:
-    /// [`PregelEngine::restore`] is the only way on from there.
+    /// Compute runs fork-join across workers through the step's
+    /// [`RowBarrier`], which decides the waves: a fused step in process
+    /// computes a wave of senders at a time, each wave's partials folded
+    /// into the next inboxes as it ends, and every other step one wave.
+    /// Every stage after it merges in ascending worker order, making the
+    /// result independent of the thread budget. A failed stage leaves the
+    /// engine half-stepped: [`PregelEngine::restore`] is the only way on
+    /// from there.
     fn superstep(&mut self) -> Result<bool>
     where
         P: Sync,
@@ -1226,77 +849,80 @@ impl<P: VertexProgram> PregelEngine<P> {
         let n = self.layout.n_workers();
         let phase = format!("superstep-{step}");
 
-        // Resolve the plane, then fork-join compute, a wave of senders at
-        // a time: each worker drains its inbox and fills its row of the
-        // shard grid. A fused grid merged in process has one row per wave
-        // slot and folds into the next inboxes as each wave ends; every
-        // other grid is computed in one wave of all `n`.
-        let in_waves = !self.config.transport.needs_bytes();
-        let mut emit = Emit::open(
-            &self.program,
-            step,
-            &mut self.scratch,
-            &self.layout,
-            in_waves,
-        );
-        let wave = emit.wave(n);
-        let pool = &mut self.scratch;
-        let mut typed = grid(std::mem::take(&mut pool.typed), n, n, Vec::new);
-        let (layout, counts) = (&self.layout, &pool.counts);
-        pool.outboxes
-            .resize_with(n, || Outbox::new(Arc::clone(layout)));
-        let (mut outs, mut failed, mut volume) = (Vec::with_capacity(n), false, (0, 0));
-        for lo in (0..n).step_by(wave) {
-            let hi = (lo + wave).min(n);
-            let tasks: Vec<_> = self.workers[lo..hi]
-                .iter_mut()
-                .zip(self.inbox[lo..hi].iter_mut())
-                .zip(&mut self.inbox_cols[lo..hi])
-                .zip(
-                    emit.sinks(hi - lo)
-                        .into_iter()
-                        .zip(&mut pool.outboxes[lo..hi]),
-                )
-                .zip(&mut typed[lo..hi])
-                .collect();
-            let done = par_map(
-                tasks,
-                |i, ((((states, inbox), cols), (sink, ob)), typed)| {
-                    let w = lo + i;
-                    run_worker(
-                        &self.program,
-                        &self.config,
-                        (layout, counts, self.widest, wave),
-                        &self.bcast,
-                        step,
-                        w,
-                        (states, self.sent.get(w)),
-                        (inbox, cols),
-                        (sink, typed),
-                        ob,
-                    )
-                },
-            );
-            // Once a worker failed the step is lost and nothing more is
-            // folded, but every worker still computes — and fires its own
-            // fault sites — as in one fork-join over all of them.
-            failed |= done.iter().any(Result::is_err);
-            outs.extend(done);
-            if !failed {
-                emit.end_wave(hi - lo, &mut volume);
+        // Resolve the plane and open the row barrier over it, each cell
+        // reserved at the widest row the run declares on that plane.
+        let plane = (self.program.message_layout(step)).map(|declared| RowPlane {
+            dim: declared.dim,
+            fold: self.program.fused_aggregator(step),
+        });
+        let lanes = match plane {
+            Some(RowPlane { fold: None, .. }) => self.widest.0,
+            _ => self.widest.1,
+        };
+        let layout = Arc::clone(&self.layout);
+        let counts = &self.scratch.counts;
+        let reserve = Reserve {
+            counts: Some(counts),
+            lanes,
+            exact: false,
+        };
+        let hand_off = (&*self.config.transport, self.config.spill.as_ref());
+        let grid = &mut self.scratch.grid;
+        let mut barrier = RowBarrier::open(plane, grid, &layout, hand_off, reserve, |_| ());
+        let mut typed = pooled_grid(std::mem::take(&mut self.scratch.typed), n, n, Vec::new);
+        (self.scratch.outboxes).resize_with(n, || Outbox::new(Arc::clone(&layout)));
+        // On the materialized plane each worker records the table row each
+        // of its slots wrote, to lend it back next step.
+        let mut sent_at = match plane {
+            Some(RowPlane { fold: None, .. }) => {
+                let mut at = self.scratch.sent.pop().unwrap_or_default();
+                at.resize_with(n, Vec::new);
+                at
             }
-        }
+            _ => Vec::new(),
+        };
+
+        // Fork-join compute: each worker drains its inbox and fills its row
+        // of the shard grid.
+        let senders: Vec<_> = (self.workers.iter_mut())
+            .zip(self.inbox.iter_mut())
+            .zip(&mut self.inbox_cols)
+            .zip(&mut self.scratch.outboxes)
+            .zip(&mut typed)
+            .zip((sent_at.iter_mut().map(Some)).chain(std::iter::repeat_with(|| None)))
+            .collect();
+        let (program, config, bcast, lent) = (&self.program, &self.config, &self.bcast, &self.sent);
+        let outs = barrier.compute(
+            senders,
+            |w, (((((states, inbox), cols), ob), typed), at), sink| {
+                run_worker(
+                    program,
+                    config,
+                    (&layout, counts),
+                    bcast,
+                    step,
+                    w,
+                    (states, lent.get(w), at),
+                    (inbox, cols),
+                    (sink, typed),
+                    ob,
+                )
+            },
+        );
         // Failures surface in ascending worker order, like a serial loop.
         let mut outs = outs.into_iter().collect::<Result<Vec<StepOut<P::Msg>>>>()?;
         // The rows lent back to their senders are read: their index goes
         // back to the pool, and their tables to whoever else holds them.
         let read = std::mem::take(&mut self.sent);
         if !read.is_empty() {
-            pool.sent.push(read.into_iter().map(|s| s.at).collect());
+            (self.scratch.sent).push(read.into_iter().map(|s| s.at).collect());
         }
 
         // ---- barrier: lock-free merges, all in ascending sender order ----
         let active = outs.iter().any(|o| o.any_active);
+        let volume = outs
+            .iter()
+            .fold((0, 0), |v, o| (v.0 + o.volume.0, v.1 + o.volume.1));
         let (mut metrics, sent) = merge_metrics(
             &mut outs,
             &mut self.inbox_bytes,
@@ -1307,17 +933,17 @@ impl<P: VertexProgram> PregelEngine<P> {
             .iter_mut()
             .map(|o| std::mem::take(&mut o.typed))
             .collect();
-        let mut emit = emit.transposed();
-        let packed = self.config.transport.needs_bytes().then(|| emit.packed());
-        let packed = packed.flatten();
-        let exchanged = self.exchange(step, &emit, packed.as_deref(), (&typed, &tables))?;
-        self.report.wire_bytes += exchanged.wire_bytes;
-        let kept = packed.is_none().then_some(&mut emit);
-        let sealed = self.seal(step, (&typed, tables), exchanged.dests, kept)?;
-        self.sent = emit.sent_rows();
-        emit.reclaim(&mut self.scratch);
+        let (merged, wire_bytes) = self.exchange(step, &mut barrier, (&typed, &tables))?;
+        self.report.wire_bytes += wire_bytes;
+        let inboxes = self.seal(step, (&typed, tables), merged)?;
+        let row_tables = barrier.tables().to_vec();
+        let cols = barrier.seal(&mut self.scratch.grid);
+        let cols = cols.map_err(|e| e.in_phase(format!("seal superstep-{step}")))?;
+        self.sent = (row_tables.into_iter().zip(sent_at))
+            .map(|(table, at)| SentRows { table, at })
+            .collect();
         self.scratch.typed = typed;
-        let spilled = self.install(sealed);
+        let spilled = self.install(inboxes.into_iter().zip(cols.into_iter().map(|(c, ())| c)));
         self.check_memory(&phase, &mut metrics)?;
         // Flight recorder: emit at the barrier only, after every check
         // passed — a failed superstep leaves no partial records (and a
@@ -1330,22 +956,19 @@ impl<P: VertexProgram> PregelEngine<P> {
         Ok(active)
     }
 
-    /// Barrier stage: hand every destination's shards to the transport,
-    /// which fires the SealBarrier/SpillWrite fault sites per destination
-    /// and merges what it was handed in ascending sender order (see the
-    /// transport contract). Every plane goes only to a backend that moves
-    /// bytes — the fused grid borrowed, `packed` rows, and per destination
-    /// and sender the typed records its `(slot, table index)` references
-    /// name, each message encoded once and its bytes copied per reference.
-    /// Otherwise everything stays with the engine, which seals it itself:
-    /// in process the call only fires the fault sites.
+    /// Barrier stage: hand the step to the transport through the row
+    /// barrier, which fires the SealBarrier/SpillWrite fault sites per
+    /// destination. A backend that moves bytes also gets the typed plane:
+    /// per destination and sender the records its `(slot, table index)`
+    /// references name, each message encoded once and its bytes copied
+    /// per reference. Returns what it merged of the typed plane, per
+    /// destination, and the bytes that crossed.
     fn exchange(
         &self,
         step: usize,
-        emit: &Emit,
-        packed: Option<&[Vec<RowShard>]>,
+        barrier: &mut RowBarrier<'_>,
         (typed, tables): (&[Vec<Refs>], &[Vec<P::Msg>]),
-    ) -> Result<ExchangeOut> {
+    ) -> Result<(Vec<Option<EncodedRecords>>, u64)> {
         // `typed` is sender-major: `typed[s][w2]` is what sender `s` sent
         // worker `w2`.
         let encoded: Option<Vec<Vec<Vec<u8>>>> = self.config.transport.needs_bytes().then(|| {
@@ -1362,86 +985,42 @@ impl<P: VertexProgram> PregelEngine<P> {
             };
             Some(typed.iter().zip(encoded).map(sender).collect())
         };
-        let dests = (0..self.layout.n_workers())
-            .map(|w2| DestShards {
-                n_slots: self.layout.n_slots(w2),
-                cols: emit.dest(w2, packed),
-                legacy: records(w2),
-            })
-            .collect();
-        let ex = Exchange {
-            step,
-            faults: self.config.faults.as_ref(),
-            spill: self.config.spill.as_ref(),
-            dests,
-        };
-        let merged = self.config.transport.exchange(ex);
+        let records = (0..self.layout.n_workers()).map(records).collect();
+        let merged = barrier.exchange(step, self.config.faults.as_ref(), records);
         merged.map_err(|e| e.in_phase(format!("seal superstep-{step}")))
     }
 
-    /// Barrier stage: build the next superstep's inboxes from the merged
-    /// planes. The typed half references the senders' typed tables
-    /// through their sender-major reference grid `typed`
-    /// ([`TypedInbox::seal`]), or — what came back over the wire — one
-    /// table of the decoded records, one reference each. The columnar
-    /// half as merged; or, `kept` with the engine, sealed here —
-    /// materialized rows as references into the senders' row tables
-    /// ([`RowArena::seal_refs`]), fused accumulators as the waves folded
-    /// them ([`FusedFold::seal`]). Destinations are independent, so this
-    /// runs fork-join like the merge itself; failures surface in ascending
-    /// destination order.
+    /// Barrier stage: build the next superstep's typed inboxes. Each
+    /// references the senders' typed tables through their sender-major
+    /// reference grid `typed` ([`TypedInbox::seal`]), or — what came back
+    /// over the wire — one table of the decoded records, one reference
+    /// each. Destinations are independent, so this runs fork-join;
+    /// failures surface in ascending destination order.
     fn seal(
         &self,
         step: usize,
         (typed, tables): (&[Vec<Refs>], TypedTables<P::Msg>),
-        merged: Vec<DestMerged>,
-        kept: Option<&mut Emit>,
-    ) -> Result<Vec<Sealed<P::Msg>>>
+        merged: Vec<Option<EncodedRecords>>,
+    ) -> Result<Vec<TypedInbox<P::Msg>>>
     where
         P::Msg: Send + Sync,
     {
-        let (layout, spill) = (&self.layout, self.config.spill.as_ref());
-        let (lent, folds) = match kept {
-            Some(Emit::Rows {
-                dim, tables, refs, ..
-            }) => {
-                let tables = tables.iter().cloned().collect::<Arc<[RowTable]>>();
-                (Some((*dim, tables, &*refs)), Vec::new())
-            }
-            Some(Emit::Fused {
-                merged: Some(folds),
-                ..
-            }) => (None, std::mem::take(folds)),
-            _ => (None, Vec::new()),
-        };
-        let mut folds = folds.into_iter();
-        let merged: Vec<_> = merged.into_iter().map(|m| (m, folds.next())).collect();
-        let sealed = par_map(merged, |w2, (merged, fold)| {
+        let layout = &self.layout;
+        let sealed = par_map(merged, |w2, merged| {
             let n_slots = layout.n_slots(w2);
-            let typed = match merged.legacy {
+            match merged {
                 None => {
                     let refs = typed.iter().map(|sent| &sent[w2]);
-                    TypedInbox::seal(n_slots, refs, Arc::clone(&tables))?
+                    TypedInbox::seal(n_slots, refs, Arc::clone(&tables))
                 }
                 Some(records) => {
                     let refs = records.iter().enumerate().map(|(i, &(s, _))| (s, i as u32));
                     let table = records.iter().map(|(_, bytes)| P::Msg::from_bytes(bytes));
                     let table = table.collect::<Result<Vec<_>>>()?;
                     let refs: Refs = refs.collect();
-                    TypedInbox::seal(n_slots, std::iter::once(&refs), Arc::new([table]))?
+                    TypedInbox::seal(n_slots, std::iter::once(&refs), Arc::new([table]))
                 }
-            };
-            let cols = match (&lent, fold) {
-                (Some((dim, tables, refs)), _) => {
-                    let tables = Arc::clone(tables);
-                    MergedCols::Rows(RowArena::seal_refs(
-                        *dim, n_slots, &refs[w2], tables, spill,
-                    )?)
-                }
-                (None, Some(fold)) => MergedCols::Fused(fold.seal(spill)?),
-                (None, None) => merged.cols,
-            };
-            Ok((typed, cols))
+            }
         })
         .into_iter()
         .collect::<Result<Vec<_>>>();
@@ -1450,9 +1029,9 @@ impl<P: VertexProgram> PregelEngine<P> {
 
     /// Barrier stage: install the sealed inboxes and charge their row data
     /// to the next superstep's residency. Returns the bytes they spilled.
-    fn install(&mut self, sealed: Vec<Sealed<P::Msg>>) -> u64 {
+    fn install(&mut self, sealed: impl Iterator<Item = Sealed<P::Msg>>) -> u64 {
         let mut step_spilled = 0;
-        for (w2, (arena, cols)) in sealed.into_iter().enumerate() {
+        for (w2, (arena, cols)) in sealed.enumerate() {
             let (resident, spilled) = cols_bytes(&cols);
             self.inbox_bytes[w2] += resident;
             step_spilled += spilled;
@@ -1566,156 +1145,11 @@ fn merge_metrics<M>(
     (metrics, sent)
 }
 
-/// Where one worker's spooled rows go this superstep: its row of the
-/// step's [`Emit`] grid — one shard per destination worker — with the
-/// plane resolved once, so the per-edge loop below carries no plane test.
-enum RowSink<'a> {
-    /// No row plane this step (a row sent anyway was already refused by
-    /// the outbox).
-    None,
-    /// The worker's row table, per destination worker its
-    /// `(slot, table row)` references, and per slot the table row it wrote.
-    Rows {
-        dim: usize,
-        table: &'a mut RowBlock,
-        refs: &'a mut [Refs],
-        sent: &'a mut Vec<u32>,
-    },
-    /// `AggKind`'s fold and the shard's row accessors are `#[inline]` in
-    /// `inferturbo_common`, so the per-edge loop is the lane loop itself.
-    Fused {
-        dim: usize,
-        shards: &'a mut [FusedSlotShard],
-        kind: AggKind,
-    },
-}
-
-impl RowSink<'_> {
-    fn row_dim(&self) -> Option<usize> {
-        match self {
-            RowSink::None => None,
-            RowSink::Rows { dim, .. } | RowSink::Fused { dim, .. } => Some(*dim),
-        }
-    }
-
-    /// Make every (possibly pooled) cell of sender `w`'s row of the grid
-    /// indistinguishable from a fresh one while keeping its allocations,
-    /// so steady-state scatter allocates nothing; a fused shard clears its
-    /// dense slot index sparsely instead of refilling O(destination
-    /// slots). Each cell is then reserved at the rows `counts` gives it,
-    /// as wide as the run's widest row on the sink's plane: a no-op once
-    /// it has been. A fused row is a wave slot, computing in waves of
-    /// `wave` senders: its cells are reserved for the largest of the
-    /// senders the slot hosts, so none regrows as the waves go by.
-    fn reset(
-        &mut self,
-        layout: &Layout,
-        (w, wave): (usize, usize),
-        counts: &CellCounts,
-        widest: Widest,
-    ) {
-        match self {
-            RowSink::None => {}
-            RowSink::Rows {
-                dim,
-                table,
-                refs,
-                sent,
-            } => {
-                table.reset(*dim);
-                table.reserve_exact(counts.table_rows(w) * widest.0);
-                for (w2, refs) in refs.iter_mut().enumerate() {
-                    refs.clear();
-                    refs.reserve_exact(counts.refs(w, w2));
-                }
-                sent.clear();
-                sent.reserve_exact(layout.n_slots(w));
-                sent.resize(layout.n_slots(w), u32::MAX);
-            }
-            RowSink::Fused { dim, shards, .. } => {
-                let hosted = (w % wave..layout.n_workers()).step_by(wave);
-                for (w2, sh) in shards.iter_mut().enumerate() {
-                    sh.reset(*dim, layout.n_slots(w2));
-                    let most = hosted.clone().map(|s| counts.partials(s, w2)).max();
-                    sh.reserve_exact(most.unwrap_or(0), widest.1);
-                }
-            }
-        }
-    }
-
-    /// The engine's one routing loop: walk slot `from`'s spool front to
-    /// back, each row to every route of its span — written once into the
-    /// worker's row table (the last one written is the row `from` sent)
-    /// and referenced by `(slot, table row)` from each destination's list,
-    /// or folded lane-wise into the destination's accumulator shard
-    /// (copy-on-first). Per (sender worker, destination) that is emission
-    /// order, which is the whole fold-order contract on the sender side.
-    fn route<M>(&mut self, layout: &Layout, ob: &Outbox<M>, from: usize) {
-        match self {
-            RowSink::None => debug_assert!(ob.span_ends.is_empty()),
-            RowSink::Rows {
-                dim,
-                table,
-                refs,
-                sent,
-            } => ob.for_each_span(*dim, |row, routes| {
-                let at = table.len() as u32;
-                table.push_row(row);
-                sent[from] = at;
-                for &r in routes {
-                    let (w2, slot) = layout.unpack(r);
-                    refs[w2].push((slot, at));
-                }
-            }),
-            RowSink::Fused { dim, shards, kind } => ob.for_each_span(*dim, |row, routes| {
-                for &r in routes {
-                    let (w2, slot) = layout.unpack(r);
-                    shards[w2].accumulate(slot, row, 1, kind);
-                }
-            }),
-        }
-    }
-
-    /// `(records, wire bytes)` of the shard bound for worker `w2`: one
-    /// record per row it holds — a materialized row, or a fused partial
-    /// (one per touched slot, in first-touch order) — each the shared
-    /// [`row_payload_len`] framing plus its destination's varint. `ids` is
-    /// `w2`'s slot table, which names the destination every record is
-    /// framed with. The framing is summed shard-wise (it is the same for
-    /// every record of a step); only the destination varint is per record.
-    fn shipped(&self, w2: usize, ids: &[u64]) -> (u64, u64) {
-        let addressed = |slots: &mut dyn Iterator<Item = u32>| -> usize {
-            slots.map(|s| varint_len(ids[s as usize])).sum()
-        };
-        let (records, payload, addressed) = match self {
-            RowSink::None => return (0, 0),
-            RowSink::Rows { dim, refs, .. } => {
-                let refs = &refs[w2];
-                let payload = refs.len() * row_payload_len(*dim, None);
-                (
-                    refs.len(),
-                    payload,
-                    addressed(&mut refs.iter().map(|r| r.0)),
-                )
-            }
-            RowSink::Fused { shards, .. } => {
-                let sh = &shards[w2];
-                (
-                    sh.len(),
-                    sh.payload_len(),
-                    addressed(&mut sh.keys.iter().copied()),
-                )
-            }
-        };
-        (records as u64, (payload + addressed) as u64)
-    }
-}
-
 /// One worker's compute for one superstep: drain the inbox (both planes)
 /// slot by slot, run the vertex program, and spool outgoing messages into
 /// per-destination shards — typed messages once into the worker's typed
-/// table with a reference per route in `typed`, fixed-width rows through
-/// `sink` into columnar row shards or fused accumulators.
+/// table with a reference per route in `typed`, fixed-width rows into
+/// `sink`, the worker's row of the step's [`RowBarrier`] grid.
 /// Runs on its own thread; touches nothing shared mutably.
 #[expect(
     clippy::too_many_arguments,
@@ -1724,13 +1158,13 @@ impl RowSink<'_> {
 fn run_worker<P: VertexProgram>(
     program: &P,
     config: &PregelConfig,
-    (layout, counts, widest, wave): (&Arc<Layout>, &CellCounts, Widest, usize),
+    (layout, counts): (&Arc<Layout>, &CellCounts),
     bcast: &FxHashMap<u64, P::Msg>,
     step: usize,
     w: usize,
-    (states, sent): (&mut [P::State], Option<&SentRows>),
+    (states, sent, mut sent_at): (&mut [P::State], Option<&SentRows>, Option<&mut Vec<u32>>),
     (arena, cols_in): (&mut TypedInbox<P::Msg>, &mut MergedCols),
-    (mut sink, typed): (RowSink<'_>, &mut [Refs]),
+    (sink, typed): (&mut GridRow<'_>, &mut [Refs]),
     ob: &mut Outbox<P::Msg>,
 ) -> Result<StepOut<P::Msg>> {
     if let Some(inj) = &config.faults {
@@ -1748,8 +1182,14 @@ fn run_worker<P: VertexProgram>(
     // One pooled outbox reused across every vertex (and, via the scratch
     // pool, across supersteps and runs): cleared between computes,
     // capacity retained, so steady-state sends allocate nothing.
-    ob.reset(layout, sink.row_dim());
-    sink.reset(layout, (w, wave), counts, widest);
+    ob.reset(layout, sink.dim());
+    // On the materialized plane: per slot the table row it wrote, none yet.
+    if let Some(at) = sent_at.as_mut() {
+        let n_slots = layout.n_slots(w);
+        at.clear();
+        at.reserve_exact(n_slots);
+        at.resize(n_slots, u32::MAX);
+    }
     for (w2, refs) in typed.iter_mut().enumerate() {
         refs.clear();
         refs.reserve_exact(counts.typed_refs(w, w2));
@@ -1803,7 +1243,17 @@ fn run_worker<P: VertexProgram>(
             start = end;
         }
 
-        sink.route(layout, ob, s);
+        // The rows, each to every route of its span: the last one written
+        // on the materialized plane is the row slot `s` sent.
+        match sink.dim() {
+            None => debug_assert!(ob.span_ends.is_empty()),
+            Some(dim) => ob.for_each_span(dim, |row, routes| {
+                let at = sink.scatter_row(routes, row);
+                if let (Some(at), Some(sent_at)) = (at, sent_at.as_mut()) {
+                    sent_at[s] = at;
+                }
+            }),
+        }
     }
     // The inbox is read: free it before the next one is sealed beside it.
     arena.drain();
@@ -1811,7 +1261,10 @@ fn run_worker<P: VertexProgram>(
 
     // Row accounting, once per worker, from the shards' own slot lists.
     for w2 in 0..n_workers {
-        let (records, bytes) = sink.shipped(w2, layout.ids(w2));
+        let (records, bytes) = sink.shipped(w2, false);
+        if sink.dim().is_some() {
+            out.volume = (out.volume.0 + 1, out.volume.1 + records);
+        }
         if w2 != w {
             out.metrics.bytes_out += bytes;
             out.metrics.records_out += records;
@@ -1862,7 +1315,8 @@ mod tests {
     use super::*;
     use crate::vertex::MessageLayout;
     use inferturbo_common::hash::partition_of;
-    use inferturbo_common::{FusedAggregator, Parallelism, Xoshiro256};
+    use inferturbo_common::rows::{AggKind, RowBlock};
+    use inferturbo_common::{Parallelism, Xoshiro256};
 
     /// An engine over vertices given as `(id, state)` in load order, for
     /// programs that address messages by id: no planned out-edges.
@@ -2144,136 +1598,6 @@ mod tests {
         } else {
             for (a, b) in acc.iter_mut().zip(row) {
                 *a += b;
-            }
-        }
-    }
-
-    /// One draw of a fused grid, `[sender][destination]`: 1–9 senders, 1–3
-    /// destinations of 0–6 slots, 1–3 lanes. A shard is empty one time in
-    /// four and otherwise folds a few rows (each carrying 1–3 messages)
-    /// into random slots, so some slots are left untouched; lanes come
-    /// from a pool heavy in `-0.0`, `0.0` and NaN, so first partials carry
-    /// both.
-    fn draw_fused_grid(seed: u64, agg: &AggKind) -> (usize, Vec<usize>, Vec<Vec<FusedSlotShard>>) {
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let senders = rng.range_u64(1, 10) as usize;
-        let n_slots: Vec<usize> = (0..rng.range_u64(1, 4)).map(|_| rng.index(7)).collect();
-        let dim = rng.range_u64(1, 4) as usize;
-        let lanes = [-0.0, 0.0, f32::NAN, 1.5, -2.25, f32::INFINITY, 3.0e-39];
-        let grid = (0..senders)
-            .map(|_| {
-                let shards = n_slots.iter().map(|&slots| {
-                    let mut sh = FusedSlotShard::new(dim, slots);
-                    if slots > 0 && !rng.chance(0.25) {
-                        for _ in 0..rng.range_u64(1, 6) {
-                            let row: Vec<f32> = (0..dim)
-                                .map(|_| match rng.index(lanes.len() + 1) {
-                                    i if i < lanes.len() => lanes[i],
-                                    _ => rng.next_f32() * 8.0 - 4.0,
-                                })
-                                .collect();
-                            let slot = rng.index(slots) as u32;
-                            sh.accumulate(slot, &row, rng.range_u64(1, 4) as u32, agg);
-                        }
-                    }
-                    sh
-                });
-                shards.collect()
-            })
-            .collect();
-        (dim, n_slots, grid)
-    }
-
-    /// Per slot `(count, lane bits)` of a sealed fused inbox.
-    fn fused_bits(rows: &mut FusedRows, n_slots: usize) -> Vec<(u32, Vec<u32>)> {
-        (0..n_slots)
-            .map(|s| {
-                let row = rows.row(s).unwrap().iter().map(|x| x.to_bits()).collect();
-                (rows.count(s), row)
-            })
-            .collect()
-    }
-
-    /// The wave merge is `FusedRows::merge`: folding a fused grid a wave of
-    /// senders at a time ([`fold_wave`]), for every wave size from 1 to
-    /// the sender count, seals to the same accumulators, counts and bits
-    /// as one `FusedRows::merge` over all the senders — and both equal
-    /// the merge written out here: per slot, partials in ascending sender
-    /// order, the first copied, the rest folded. Sum (mean's fold too: the
-    /// count divides later) and max.
-    #[test]
-    fn prop_the_wave_merge_is_fused_rows_merge() {
-        let aggs = [("sum", AggKind::Sum), ("max", AggKind::Max)];
-        for case in 0..400u64 {
-            let (name, ref agg) = aggs[case as usize % aggs.len()];
-            let (dim, n_slots, grid) = draw_fused_grid(case, agg);
-            let senders = grid.len();
-            // The same draw again, destination-major.
-            let mut by_dest: Vec<Vec<FusedSlotShard>> =
-                n_slots.iter().map(|_| Vec::new()).collect();
-            for sender in draw_fused_grid(case, agg).2 {
-                for (dest, sh) in by_dest.iter_mut().zip(sender) {
-                    dest.push(sh);
-                }
-            }
-            let failed = |what: &str| {
-                format!(
-                    "case {case} ({name}, {senders} senders, slots {n_slots:?}, dim {dim}): {what}"
-                )
-            };
-            // The merge written out.
-            let mut oracle = Vec::new();
-            for (w2, &slots) in n_slots.iter().enumerate() {
-                let mut acc = vec![vec![agg.identity(); dim]; slots];
-                let mut counts = vec![0u32; slots];
-                for sender in &grid {
-                    let sh = &sender[w2];
-                    for (i, &slot) in sh.keys.iter().enumerate() {
-                        let s = slot as usize;
-                        if counts[s] == 0 {
-                            acc[s] = sh.rows.row(i).to_vec();
-                        } else {
-                            agg.accumulate(&mut acc[s], sh.rows.row(i));
-                        }
-                        counts[s] += sh.counts[i];
-                    }
-                }
-                let bits = |row: &Vec<f32>| row.iter().map(|x| x.to_bits()).collect();
-                let slot_bits = counts.into_iter().zip(acc.iter().map(bits));
-                oracle.push(slot_bits.collect::<Vec<(u32, Vec<u32>)>>());
-            }
-            for (w2, &slots) in n_slots.iter().enumerate() {
-                let mut merged = FusedRows::merge(dim, slots, &by_dest[w2], agg, None).unwrap();
-                assert_eq!(
-                    fused_bits(&mut merged, slots),
-                    oracle[w2],
-                    "{}",
-                    failed(&format!("FusedRows::merge, destination {w2}"))
-                );
-            }
-            for wave in 1..=senders {
-                let threads = 1 + case as usize % 3;
-                let sealed = Parallelism::with(threads, || {
-                    let open = n_slots
-                        .iter()
-                        .map(|&slots| FusedRows::open(dim, slots, agg));
-                    let mut folds: Vec<FusedFold> = open.collect();
-                    for lo in (0..senders).step_by(wave) {
-                        fold_wave(&mut folds, &grid[lo..(lo + wave).min(senders)], agg);
-                    }
-                    folds
-                        .into_iter()
-                        .map(|f| f.seal(None).unwrap())
-                        .collect::<Vec<_>>()
-                });
-                for (w2, (mut rows, &slots)) in sealed.into_iter().zip(&n_slots).enumerate() {
-                    assert_eq!(
-                        fused_bits(&mut rows, slots),
-                        oracle[w2],
-                        "{}",
-                        failed(&format!("waves of {wave}, destination {w2}"))
-                    );
-                }
             }
         }
     }
@@ -2824,7 +2148,13 @@ mod tests {
         assert_eq!(still, lanes, "the checkpoint's rows must not move");
         // The checkpoint's, the inbox's and a free generation: no more.
         assert_eq!(
-            eng.scratch.tables.iter().map(Vec::len).sum::<usize>(),
+            eng.scratch
+                .grid
+                .cells()
+                .0
+                .iter()
+                .map(Vec::len)
+                .sum::<usize>(),
             3 * 3
         );
         // Once the checkpoint lets go, its tables are the pool's again.
@@ -2834,7 +2164,13 @@ mod tests {
         let lent: Vec<*const RowBlock> = inbox_tables(&eng).iter().map(Arc::as_ptr).collect();
         assert_eq!(lent, freed, "the freed generation is written next");
         assert_eq!(
-            eng.scratch.tables.iter().map(Vec::len).sum::<usize>(),
+            eng.scratch
+                .grid
+                .cells()
+                .0
+                .iter()
+                .map(Vec::len)
+                .sum::<usize>(),
             3 * 3
         );
 
