@@ -265,19 +265,6 @@ pub struct Sizes<'p> {
     pub typed: Option<&'p [usize]>,
 }
 
-impl Sizes<'_> {
-    /// Rows task `w`'s cell for worker `d` holds.
-    fn cell(&self, fused: bool, w: usize, d: usize) -> Option<usize> {
-        self.cells.map(|c| {
-            if fused {
-                c.partials(w, d)
-            } else {
-                c.refs(w, d)
-            }
-        })
-    }
-}
-
 /// The sink handed to phase kernels: the task's row of the phase's row
 /// barrier grid. A row scattered over a span of routes is written once
 /// and referenced per route, or — when the phase has a fold — folded into
@@ -898,7 +885,14 @@ impl<'l> BatchEngine<'l> {
             for (d, (_, charge)) in inboxes.iter().enumerate() {
                 let groups = charge.records.iter().filter(|&&r| r > 0).count();
                 let total: usize = charge.records.iter().map(|&r| r as usize).sum();
-                let bound = (0..n).map(|s| sizes.cell(fused, s, d).unwrap_or(0)).sum();
+                let cell = |s| {
+                    if fused {
+                        cells.partials(s, d)
+                    } else {
+                        cells.refs(s, d)
+                    }
+                };
+                let bound: usize = (0..n).map(cell).sum();
                 debug_assert_eq!(
                     (groups, total),
                     (cells.receivers(d), bound),

@@ -417,48 +417,48 @@ impl<'a, T: Tally> RowBarrier<'a, T> {
         let packed = self.packed();
         let (layout, dim, grid) = (self.layout, self.dim, &self.grid);
         let n = layout.n_workers();
-        let widened = |s: usize, w2: usize| -> Vec<u64> {
-            match grid {
-                Grid::None => Vec::new(),
-                Grid::Rows { refs, .. } => refs[s][w2].iter().map(|r| u64::from(r.0)).collect(),
-                Grid::Fused { shards, .. } => {
-                    shards[s][w2].keys.iter().map(|&k| k.into()).collect()
-                }
-            }
-        };
-        // Per (sender, destination): the cell's slots as bucket keys.
-        let keys: Vec<Vec<Vec<u64>>> = match moves {
-            true => (0..n)
-                .map(|s| (0..n).map(|w2| widened(s, w2)).collect())
-                .collect(),
-            false => Vec::new(),
-        };
-        let longest = keys.iter().flatten().map(Vec::len).max().unwrap_or(0);
-        let ones = vec![1u32; if packed.is_empty() { 0 } else { longest }];
-        let bucket = |s: usize, w2: usize| {
-            let keys = &keys[s][w2];
+        // Per (sender, destination) cell: its slots as bucket keys, its fold
+        // counts — a materialized row counting 1 — and its rows.
+        let ones = vec![
+            1u32;
+            packed
+                .iter()
+                .flatten()
+                .map(RowShard::len)
+                .max()
+                .unwrap_or(0)
+        ];
+        let cell = |s: usize, w2: usize| -> (Vec<u64>, &[u32], &RowBlock) {
             match grid {
                 Grid::Fused { shards, .. } => {
                     let sh = &shards[s][w2];
-                    BucketRef {
-                        keys,
-                        counts: &sh.counts,
-                        rows: &sh.rows,
-                    }
+                    (
+                        sh.keys.iter().map(|&k| k.into()).collect(),
+                        &sh.counts,
+                        &sh.rows,
+                    )
                 }
-                _ => BucketRef {
-                    keys,
-                    counts: &ones[..keys.len()],
-                    rows: &packed[w2][s].rows,
-                },
+                _ => {
+                    let sh = &packed[w2][s];
+                    (
+                        sh.slots.iter().map(|&k| k.into()).collect(),
+                        &ones[..sh.len()],
+                        &sh.rows,
+                    )
+                }
             }
         };
+        let cells: Vec<Vec<_>> = match grid {
+            Grid::Rows { .. } | Grid::Fused { .. } if moves => (0..n)
+                .map(|w2| (0..n).map(|s| cell(s, w2)).collect())
+                .collect(),
+            _ => Vec::new(),
+        };
         let dests = typed.into_iter().enumerate().map(|(w2, legacy)| {
-            let sent = keys
-                .iter()
-                .enumerate()
-                .filter(|(_, keys)| !keys[w2].is_empty());
-            let buckets: Vec<BucketRef<'_>> = sent.map(|(s, _)| bucket(s, w2)).collect();
+            let sent = cells.get(w2).into_iter().flatten();
+            let buckets: Vec<BucketRef<'_>> = (sent.filter(|(keys, ..)| !keys.is_empty()))
+                .map(|(keys, counts, rows)| BucketRef { keys, counts, rows })
+                .collect();
             ConcatDest {
                 dim,
                 buckets: (!buckets.is_empty()).then_some(buckets),

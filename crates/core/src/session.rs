@@ -27,12 +27,13 @@
 //!    ([`PlanEstimate`](inferturbo_cluster::PlanEstimate)), and — for
 //!    [`Backend::Auto`] — picks the backend by comparing the predicted
 //!    Pregel residency against the memory budget (the paper's §IV-A
-//!    trade-off, encoded instead of hand-chosen). A Pregel plan then holds
-//!    the graph once, laid out for the engine — placement, the id index,
-//!    every out-edge resolved to a route — and owns the pooled per-worker
-//!    engine scratch, so repeated runs neither re-derive the layout nor pay
-//!    the per-superstep O(workers·V) slot-index allocations; a MapReduce
-//!    plan holds the loadable node records instead.
+//!    trade-off, encoded instead of hand-chosen). Either backend's plan
+//!    then holds the graph once, laid out for the engines — placement, the
+//!    id index, every out-edge resolved to a route — with the counts that
+//!    size every buffer of a run. A Pregel plan also owns the pooled
+//!    per-worker engine scratch, so repeated runs neither re-derive the
+//!    layout nor pay the per-superstep O(workers·V) slot-index
+//!    allocations; a MapReduce plan also holds its map split's counts.
 //! 3. **Execute** ([`InferencePlan::run`] /
 //!    [`InferencePlan::run_with_features`]): the layer-as-superstep run
 //!    itself, returning an [`InferenceOutput`](crate::InferenceOutput).

@@ -3,8 +3,14 @@
 # perf PR reports, as one command. `benchmark/run.sh --self-check`
 # alternates two sides of *one* build; this alternates two *trees*.
 #
-#   scripts/ab.sh <parent-tree> <change-tree> [--pairs N] [--seed S]
+#   scripts/ab.sh <parent> <change> [--pairs N] [--seed S]
 #                 [--seconds S] [--workload W] [--aa]
+#
+# Each side is a tree (a directory: a `git clone` or `git archive` of a
+# commit, or a working tree) or a git revision of the repository the
+# script runs in, which is exported with `git archive` to <side>-tree
+# under the out dir. A revision is recorded by its short hash; a
+# directory by `git describe` inside it (`unknown` outside git).
 #
 # Each tree is built by its own `benchmark/run.sh` into its own target
 # directory (so each side is measured with the harness it shipped with),
@@ -25,10 +31,11 @@
 # run's own report (its metrics with spread, its output checks) goes to
 # parent.log / change.log / aa.log there.
 #
-# The claim's compare table is also appended to the change tree's
-# docs/perf/history.jsonl: one JSON line per workload and end-to-end
-# metric, with the UTC date, both trees' revisions, seed, pairs, the two
-# medians, the parent's IQR as a share of its median, wins and verdict.
+# The claim's compare table is also appended to docs/perf/history.jsonl
+# — the change tree's when it is a directory, else the repository's —
+# one JSON line per workload and end-to-end metric, with the UTC date,
+# both sides' revisions, seed, pairs, the two medians, the parent's IQR
+# as a share of its median, wins and verdict.
 # With --aa the A/A table goes there too, first, its lines tagged
 # "side": "aa" (its "change" column is the parent's second side), so the
 # claim's same-hour noise floor is kept beside it.
@@ -39,10 +46,9 @@ set -euo pipefail
 # the only two variables the library reads.
 unset INFERTURBO_THREADS INFERTURBO_WORKER_BIN
 
-usage() { sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,42p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 2 ] || usage
-parent="$(cd "$1" && pwd)"
-change="$(cd "$2" && pwd)"
+parent_arg="$1" change_arg="$2"
 shift 2
 
 pairs=10 only="" aa=0
@@ -60,6 +66,32 @@ done
 out="${CARGO_TARGET_DIR:-target}/ab"
 mkdir -p "$out"
 out="$(cd "$out" && pwd)"
+
+# resolve <side> <arg>: sets tree_<side> and rev_<side>.
+resolve() {
+    local dir rev
+    if [ -d "$2" ]; then
+        dir="$(cd "$2" && pwd)"
+        rev="$(git -C "$dir" describe --always --dirty 2>/dev/null || echo unknown)"
+    elif rev="$(git rev-parse --short --verify --quiet "$2^{commit}")"; then
+        dir="$out/$1-tree"
+        rm -rf "$dir" && mkdir -p "$dir"
+        git archive "$rev" | tar -x -C "$dir"
+    else
+        echo "ab.sh: $2 is neither a directory nor a git revision" >&2
+        usage
+    fi
+    printf -v "tree_$1" '%s' "$dir"
+    printf -v "rev_$1" '%s' "$rev"
+}
+resolve parent "$parent_arg"
+resolve change "$change_arg"
+parent="$tree_parent" change="$tree_change"
+if [ -d "$change_arg" ]; then
+    history="$change/docs/perf/history.jsonl"
+else
+    history="$(git rev-parse --show-toplevel)/docs/perf/history.jsonl"
+fi
 
 # Build through each tree's own run.sh: a one-second smoke run of one
 # workload is the cheapest invocation that builds itbench and itworker.
@@ -102,12 +134,10 @@ done
 # One history line per row of a compare table: its rows are the lines
 # whose wins column reads <wins>/<pairs>. A second argument, `aa`, tags
 # each line "side": "aa".
-revision() { git -C "$1" describe --always --dirty 2>/dev/null || echo unknown; }
 seed="$(sed -n 's/.*"seed": \([0-9]*\).*/\1/p' "$out/parent.jsonl" | head -n 1)"
-history="$change/docs/perf/history.jsonl"
 mkdir -p "$(dirname "$history")"
 append_history() { # <compare.txt> [aa]
-    awk -v date="$(date -u +%Y-%m-%d)" -v prev="$(revision "$parent")" -v crev="$(revision "$change")" \
+    awk -v date="$(date -u +%Y-%m-%d)" -v prev="$rev_parent" -v crev="$rev_change" \
         -v seed="${seed:-null}" -v side="${2:-}" '
         $8 ~ /^[0-9]+\/[0-9]+$/ {
             split($8, w, "/")

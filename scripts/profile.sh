@@ -43,6 +43,9 @@
 # that floor, then the median floor and height over the later half of the
 # rises (the steady runs) and VmHWM at exit — what itbench reports as
 # `peak_rss_mb`. The samples ("ms rss_kb hwm_kb") go to <workload>.rss.
+# A status read that holds no VmRSS while the process still runs is
+# skipped, not taken for its exit: the count prints beside the samples',
+# and the first such read's lines go to <workload>.rss.skipped.
 #
 # Everything is written under <CARGO_TARGET_DIR, else ./target>/profile:
 # the experiments (<workload>.<i>.er, or <workload>.heap.er, readable again
@@ -55,7 +58,7 @@ cd "$(dirname "$0")/.."
 # the only two variables the library reads.
 unset INFERTURBO_THREADS INFERTURBO_WORKER_BIN
 
-usage() { sed -n '2,50p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,53p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 heap=0 rss=0
 case "${1:-}" in
     --heap) heap=1; shift ;;
@@ -95,21 +98,30 @@ if [ "$rss" = 1 ]; then
     # without starting a process.
     exec {tick}<> <(:)
     t0="${EPOCHREALTIME/./}"
+    # A status read without VmRSS while the process still runs is a
+    # skipped sample, not the end; the first one's lines go to .skipped.
+    skipped=0
     while :; do
-        now= rss_kb= hwm_kb=
+        now= rss_kb= hwm_kb= seen=
         while read -r key value _; do
+            seen+="$key $value"$'\n'
             case "$key" in
                 VmHWM:) hwm_kb="$value" ;;
                 VmRSS:) rss_kb="$value"; break ;;
             esac
         done 2>/dev/null <"/proc/$pid/status" || true
-        [ -n "$rss_kb" ] || break
-        now="${EPOCHREALTIME/./}"
-        echo "$(((now - t0) / 1000)) $rss_kb $hwm_kb"
+        if [ -z "$rss_kb" ]; then
+            kill -0 "$pid" 2>/dev/null || break
+            [ "$skipped" -gt 0 ] || printf '%s' "$seen" >"$samples.skipped"
+            skipped=$((skipped + 1))
+        else
+            now="${EPOCHREALTIME/./}"
+            echo "$(((now - t0) / 1000)) $rss_kb $hwm_kb"
+        fi
         read -r -t 0.001 -u "$tick" || true
     done >"$samples"
     wait "$pid" || { echo "profile.sh: the run failed, see $log" >&2; exit 1; }
-    echo "== $workload: resident memory, $(wc -l <"$samples") samples over $(tail -n 1 "$samples" | cut -d' ' -f1) ms =="
+    echo "== $workload: resident memory, $(wc -l <"$samples") samples ($skipped status reads skipped) over $(tail -n 1 "$samples" | cut -d' ' -f1) ms =="
     awk '
         function mb(kb) { return kb / 1024 }
         function close_rise() {

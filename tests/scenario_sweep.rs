@@ -188,8 +188,8 @@ const SKEWS: [DegreeSkew; 3] = [DegreeSkew::In, DegreeSkew::Out, DegreeSkew::Non
 /// Three threads put a short last wave beside full ones on most worker
 /// counts, and a wave wider than the cluster on one or two workers.
 const THREADS: [usize; 4] = [1, 2, 3, 4];
-/// How an in-process fused step's senders split into waves of `threads`
-/// (see [`Scenario::waves`]).
+/// How an in-process fused round's senders split into waves of `threads`,
+/// per backend (see [`Scenario::waves`]).
 const WAVES: [&str; 3] = ["one wave", "full waves", "short last wave"];
 /// The largest tiny graph's node count. The smallest is `CLASSES`, the
 /// fewest nodes the generator plants every class on.
@@ -338,14 +338,20 @@ impl Scenario {
         }
     }
 
-    /// How the knobbed Pregel run's fused steps compute, when they run in
-    /// process: in waves of `threads` senders, so one wave when every
-    /// worker fits in one, else full waves or a short last one. `None`
-    /// when no step is fused (no partial-gather, or GAT) or the process
-    /// transport merges the whole grid.
-    fn waves(&self) -> Option<&'static str> {
+    /// How `backend`'s knobbed run computes its fused rounds — Pregel's
+    /// fused supersteps, MapReduce's fused map and reduce phases — when
+    /// they run in process. Both engines shuffle through one row barrier,
+    /// which runs a fused round in waves of `threads` senders: one wave
+    /// when every worker fits in one, else full waves or a short last one.
+    /// `None` when no round is fused (no partial-gather, or GAT) or the
+    /// process transport takes the whole grid.
+    fn waves(&self, backend: Backend) -> Option<&'static str> {
+        let senders = match backend {
+            Backend::Pregel | Backend::MapReduce => self.workers,
+            _ => return None,
+        };
         let fused = self.strategy.partial_gather && self.model != ModelKind::Gat;
-        (fused && !self.process).then(|| match (self.workers, self.threads) {
+        (fused && !self.process).then(|| match (senders, self.threads) {
             (w, t) if w <= t => WAVES[0],
             (w, t) if w % t == 0 => WAVES[1],
             _ => WAVES[2],
@@ -560,8 +566,11 @@ fn every_engine_knob_at_once_changes_nothing() {
         cov.saw("threshold", bucket(threshold as u64, 2, 30));
         cov.saw("workers", s.workers);
         cov.saw("threads", s.threads);
-        if let Some(waves) = s.waves() {
-            cov.saw("waves", waves);
+        if let Some(waves) = s.waves(Backend::Pregel) {
+            cov.saw("pregel_waves", waves);
+        }
+        if let Some(waves) = s.waves(Backend::MapReduce) {
+            cov.saw("mapreduce_waves", waves);
         }
         cov.saw("spill", s.spill);
         cov.saw("process", s.process);
@@ -594,7 +603,8 @@ fn every_engine_knob_at_once_changes_nothing() {
     cov.assert_full("threshold", &BUCKETS);
     cov.assert_full("workers", &[1, 2, 3, 4, 5, 6, 7, 8]);
     cov.assert_full("threads", &THREADS);
-    cov.assert_full("waves", &WAVES);
+    cov.assert_full("pregel_waves", &WAVES);
+    cov.assert_full("mapreduce_waves", &WAVES);
     cov.assert_full("spill", &SPILLS);
     cov.assert_full("process", &on_off);
     cov.assert_full("trace", &on_off);
