@@ -179,8 +179,6 @@ pub struct RowBarrier<'a, T: Tally = ()> {
     wave: usize,
     folds: bool,
     dests: Vec<Dest<T>>,
-    /// A sender failed: the round is lost, and nothing more is folded.
-    failed: bool,
 }
 
 impl<'a, T: Tally> RowBarrier<'a, T> {
@@ -246,7 +244,6 @@ impl<'a, T: Tally> RowBarrier<'a, T> {
             wave,
             folds,
             dests: dests.collect(),
-            failed: false,
         }
     }
 
@@ -264,7 +261,7 @@ impl<'a, T: Tally> RowBarrier<'a, T> {
         let (n, wave, layout, reserve) = (inputs.len(), self.wave, self.layout, self.reserve);
         debug_assert_eq!(n, layout.n_workers(), "one input per sender");
         let mut inputs = inputs.into_iter();
-        let mut outs = Vec::with_capacity(n);
+        let (mut outs, mut failed) = (Vec::with_capacity(n), false);
         for lo in (0..n).step_by(wave) {
             let len = wave.min(n - lo);
             let tasks: Vec<_> = self.rows(len).into_iter().zip(inputs.by_ref()).collect();
@@ -277,9 +274,9 @@ impl<'a, T: Tally> RowBarrier<'a, T> {
                 }
                 out
             });
-            self.failed |= done.iter().any(Result::is_err);
+            failed |= done.iter().any(Result::is_err);
             outs.extend(done);
-            if let (Grid::Fused { kind, shards }, true) = (&self.grid, self.folds && !self.failed) {
+            if let (Grid::Fused { kind, shards }, true) = (&self.grid, self.folds && !failed) {
                 fold_wave(&mut self.dests, &shards[..len], kind);
             }
         }

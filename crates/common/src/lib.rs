@@ -23,8 +23,6 @@ pub use codec::{Decode, Encode, WireReader, WireWriter};
 pub use error::{Error, Result};
 pub use hash::{FxBuildHasher, FxHashMap};
 pub use layout::{CellCounts, Layout, PlacedVertex, Route};
-pub use par::{
-    par_chunks_mut, par_map, par_map_workers, Parallelism, ReorderBuffer, Ticket, TicketLine,
-};
+pub use par::{par_chunks_mut, par_map, Parallelism, ReorderBuffer, Ticket, TicketLine};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use rows::{AggKind, FusedAggregator, MessageLayout, SpillPolicy, SpillableRows};

@@ -178,15 +178,6 @@ where
     })
 }
 
-/// Fork-join over worker indices `0..n`: the cluster-engine work-horse.
-pub fn par_map_workers<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map((0..n).collect(), |_, w| f(w))
-}
-
 /// Fork-join over mutable chunks of a slice: splits `data` into pieces of
 /// `chunk_len` (the last may be shorter) and calls `f(chunk_index, chunk)`
 /// on each, in parallel. Chunk boundaries depend only on `chunk_len`, never
@@ -328,12 +319,6 @@ mod tests {
             par_map(vec![(); 8], |_, _| std::thread::current().id())
         });
         assert!(ids.iter().all(|&id| id == tid));
-    }
-
-    #[test]
-    fn par_map_workers_covers_all_indices() {
-        let got = Parallelism::with(3, || par_map_workers(10, |w| w * w));
-        assert_eq!(got, (0..10).map(|w| w * w).collect::<Vec<_>>());
     }
 
     #[test]
