@@ -1,25 +1,26 @@
-//! MapReduce's accounting as a tier-1 fact.
+//! Both engines' accounting as a tier-1 fact.
 //!
-//! `golden_bits` pins the logits; this file pins what a MapReduce run
-//! *reports*: an FNV-1a hash of the `RunReport`'s `Debug` rendering (every
-//! phase's per-worker records, bytes, flops and modelled memory, the
-//! message planes, retries and wire bytes) and of the rendered flight
-//! recorder trace, for SAGE-mean, SAGE-max, GCN and GAT with partial-gather
-//! on and off, in process and across worker processes, over
-//! `golden_bits`'s in-hub and out-hub graphs. Neither the report nor the
-//! trace holds a logit, so GAT's host `exp` cannot move them: every model
-//! is held to an absolute constant.
+//! `golden_bits` pins the logits; this file pins what a run *reports*: an
+//! FNV-1a hash of the `RunReport`'s `Debug` rendering (every phase's
+//! per-worker records, bytes, flops and modelled memory, the message
+//! planes, retries and wire bytes) and of the rendered flight recorder
+//! trace, on MapReduce and on Pregel, for SAGE-mean, SAGE-max, GCN and GAT
+//! with partial-gather on and off, in process and across worker
+//! processes, over `golden_bits`'s in-hub and out-hub graphs. Neither the
+//! report nor the trace holds a logit, so GAT's host `exp` cannot move
+//! them: every model is held to an absolute constant.
 //!
 //! Every case runs at 1, 2 and 3 threads over its 3 workers: the row
 //! barrier computes a fused plane in waves of as many senders as there
 //! are threads, so that is three waves, a full wave and a short one, and
 //! one wave. Each must report and trace the same bytes.
 //!
-//! A change to the shuffle that charges a record once more or once less,
-//! or models a fused partial's residency differently, fails here by name;
-//! the order a reducer combines in shows in the logits, which
-//! `golden_bits` holds. To re-record after an *intended* accounting change,
-//! run the suite and copy the table the failing assertion prints.
+//! A change to the shuffle or to a Pregel send that charges a record once
+//! more or once less, or models a fused partial's residency differently,
+//! fails here by name; the order a destination combines in shows in the
+//! logits, which `golden_bits` holds. To re-record after an *intended*
+//! accounting change, run the suite and copy the table the failing
+//! assertion prints.
 
 mod common;
 use common::worker_bin;
@@ -50,8 +51,14 @@ const THREADS: [usize; 3] = [1, 2, 3];
 /// `WorkerProcess`.
 type PerTransport = [(u64, u64); 2];
 
-/// `PINS[graph][model][partial_gather]`, in the order of the arrays above.
-const PINS: [[[PerTransport; 2]; 4]; 2] = [
+/// `[graph][model][partial_gather]`, in the order of the arrays above.
+type Pins = [[[PerTransport; 2]; 4]; 2];
+
+/// The backends, each with its pins.
+const BACKENDS: [(Backend, &Pins); 2] =
+    [(Backend::MapReduce, &MAPREDUCE), (Backend::Pregel, &PREGEL)];
+
+const MAPREDUCE: Pins = [
     [
         [
             [
@@ -138,6 +145,93 @@ const PINS: [[[PerTransport; 2]; 4]; 2] = [
     ],
 ];
 
+const PREGEL: Pins = [
+    [
+        [
+            [
+                (0x47de156d3c9f8f24, 0x4a4571c56e3e8b00),
+                (0x4d19d69dfb18cad2, 0x4a4571c56e3e8b00),
+            ],
+            [
+                (0xa23172410fd2e099, 0xace5e57216379293),
+                (0x87e122c60fa11a91, 0xace5e57216379293),
+            ],
+        ],
+        [
+            [
+                (0x47de156d3c9f8f24, 0x4a4571c56e3e8b00),
+                (0x4d19d69dfb18cad2, 0x4a4571c56e3e8b00),
+            ],
+            [
+                (0xa23172410fd2e099, 0xace5e57216379293),
+                (0x87e122c60fa11a91, 0xace5e57216379293),
+            ],
+        ],
+        [
+            [
+                (0x5a6adcb2ca510d3c, 0xaf777232ea233e4b),
+                (0x6a04760750b64d8a, 0xaf777232ea233e4b),
+            ],
+            [
+                (0x38b4acd024cd5b09, 0xe21cae294839f7a4),
+                (0xeb0fa12e111306c1, 0xe21cae294839f7a4),
+            ],
+        ],
+        [
+            [
+                (0xc711e85356700d2f, 0x75e9af51da98ed6f),
+                (0x15c9fe6eed125b99, 0x75e9af51da98ed6f),
+            ],
+            [
+                (0xc711e85356700d2f, 0x75e9af51da98ed6f),
+                (0x15c9fe6eed125b99, 0x75e9af51da98ed6f),
+            ],
+        ],
+    ],
+    [
+        [
+            [
+                (0xa2fcb5e2d22c05e9, 0x767d016ad186848f),
+                (0xa478d4254d97ddef, 0x767d016ad186848f),
+            ],
+            [
+                (0xe56684809af52e54, 0x80c0337505dbae23),
+                (0xfa08837f54a43174, 0x80c0337505dbae23),
+            ],
+        ],
+        [
+            [
+                (0xa2fcb5e2d22c05e9, 0x767d016ad186848f),
+                (0xa478d4254d97ddef, 0x767d016ad186848f),
+            ],
+            [
+                (0xe56684809af52e54, 0x80c0337505dbae23),
+                (0xfa08837f54a43174, 0x80c0337505dbae23),
+            ],
+        ],
+        [
+            [
+                (0x5a4427681f59e243, 0x44d7692eb7611281),
+                (0xe6975ddaea6f7a3d, 0x44d7692eb7611281),
+            ],
+            [
+                (0x1ebef5a58fa597c2, 0x222302709d4abe49),
+                (0xad581c2f70f93302, 0x222302709d4abe49),
+            ],
+        ],
+        [
+            [
+                (0x522a47ecda8a9d6c, 0x9b2cf4a09ada4a2f),
+                (0xd98991dd0a8b6c53, 0x9b2cf4a09ada4a2f),
+            ],
+            [
+                (0x522a47ecda8a9d6c, 0x9b2cf4a09ada4a2f),
+                (0xd98991dd0a8b6c53, 0x9b2cf4a09ada4a2f),
+            ],
+        ],
+    ],
+];
+
 fn graph(skew: DegreeSkew) -> Graph {
     generate(&GenConfig {
         n_nodes: 500,
@@ -168,8 +262,9 @@ fn fnv(bytes: &[u8]) -> u64 {
     })
 }
 
-/// One traced MapReduce run: the hashes of its report and its trace.
+/// One traced run: the hashes of its report and its trace.
 fn pins(
+    backend: Backend,
     model: &GnnModel,
     graph: &Graph,
     partial_gather: bool,
@@ -180,8 +275,9 @@ fn pins(
         .model(model)
         .graph(graph)
         .mapreduce_spec(ClusterSpec::mapreduce_cluster(WORKERS))
+        .pregel_spec(ClusterSpec::pregel_cluster(WORKERS))
         .strategy(StrategyConfig::all().with_partial_gather(partial_gather))
-        .backend(Backend::MapReduce)
+        .backend(backend)
         .transport(Arc::clone(transport))
         .trace(trace.clone())
         .plan()
@@ -196,36 +292,38 @@ fn pins(
 }
 
 #[test]
-fn mapreduce_reports_and_traces_keep_their_pinned_bytes() {
+fn reports_and_traces_keep_their_pinned_bytes() {
     let transports: [Arc<dyn Transport>; 2] = [
         Arc::new(InProcess),
         Arc::new(WorkerProcess::with_bin(worker_bin())),
     ];
     let graphs: Vec<Graph> = SKEWS.iter().map(|&skew| graph(skew)).collect();
-    for threads in THREADS {
-        let mut got: [[[PerTransport; 2]; 4]; 2] = [[[[(0, 0); 2]; 2]; 4]; 2];
-        for (g, graph) in graphs.iter().enumerate() {
-            for (m, name) in MODELS.iter().enumerate() {
-                let model = model(name);
-                for (p, &partial_gather) in PARTIAL_GATHER.iter().enumerate() {
-                    for (t, transport) in transports.iter().enumerate() {
-                        got[g][m][p][t] = Parallelism::with(threads, || {
-                            pins(&model, graph, partial_gather, transport)
-                        });
+    for (backend, pinned) in BACKENDS {
+        for threads in THREADS {
+            let mut got: Pins = [[[[(0, 0); 2]; 2]; 4]; 2];
+            for (g, graph) in graphs.iter().enumerate() {
+                for (m, name) in MODELS.iter().enumerate() {
+                    let model = model(name);
+                    for (p, &partial_gather) in PARTIAL_GATHER.iter().enumerate() {
+                        for (t, transport) in transports.iter().enumerate() {
+                            got[g][m][p][t] = Parallelism::with(threads, || {
+                                pins(backend, &model, graph, partial_gather, transport)
+                            });
+                        }
                     }
                 }
             }
+            assert!(
+                got == *pinned,
+                "{backend:?} accounting moved at {threads} threads; the table now reads\n[\n{}\n]",
+                render(&got)
+            );
         }
-        assert!(
-            got == PINS,
-            "MapReduce accounting moved at {threads} threads; the table now reads\n[\n{}\n]",
-            render(&got)
-        );
     }
 }
 
-/// `got` in the layout of [`PINS`], to paste over it.
-fn render(got: &[[[PerTransport; 2]; 4]; 2]) -> String {
+/// `got` in the layout of a backend's pins, to paste over them.
+fn render(got: &Pins) -> String {
     let pair = |(r, t): (u64, u64)| format!("                ({r:#018x}, {t:#018x}),");
     let table: Vec<String> = got
         .iter()
