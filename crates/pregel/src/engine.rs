@@ -2615,28 +2615,86 @@ mod tests {
         assert_eq!(eng.report().retries, 0);
     }
 
-    /// Vertices `bad` fail their step-1 kernel with `err`.
+    /// Every vertex sends on every plane each step — a row over its
+    /// out-edges (folded at step 1, materialized at the others), a typed
+    /// `scatter` over them and a `send` to its first target, and a
+    /// broadcast — and keeps the bits of all it is lent. Only then do
+    /// vertices `bad` fail their kernel at steps 1 and 2 with `err`, the
+    /// first `fails` times each computes that step.
     struct Failing {
         bad: [u64; 2],
         err: Error,
+        fails: usize,
+        /// `[step - 1][i]`: how often `bad[i]` has computed that step.
+        tries: [[std::sync::atomic::AtomicUsize; 2]; 2],
+    }
+
+    impl Failing {
+        fn new(bad: [u64; 2], err: Error, fails: usize) -> Self {
+            Failing {
+                bad,
+                err,
+                fails,
+                tries: Default::default(),
+            }
+        }
+    }
+
+    #[derive(Clone)]
+    struct FailingState {
+        edges: Vec<Route>,
+        first: u64,
+        seen: Vec<u32>,
     }
 
     impl VertexProgram for Failing {
-        type State = ();
+        type State = FailingState;
         type Msg = f32;
 
         fn compute(
             &self,
             step: usize,
             vertex: u64,
-            _state: &mut (),
-            _inbox: Inbox<'_, f32>,
-            _out: &mut Outbox<f32>,
+            state: &mut FailingState,
+            inbox: Inbox<'_, f32>,
+            out: &mut Outbox<f32>,
         ) -> Result<()> {
-            if step == 1 && self.bad.contains(&vertex) {
-                return Err(self.err.clone());
+            let seen = &mut state.seen;
+            match inbox.rows {
+                RowsIn::None => {}
+                RowsIn::Rows(rows) => seen.extend(rows.iter().flatten().map(|x| x.to_bits())),
+                RowsIn::Fused { acc, count, .. } => {
+                    seen.extend(acc.iter().map(|x| x.to_bits()));
+                    seen.push(count);
+                }
+            }
+            seen.extend(inbox.messages.iter().map(|x| x.to_bits()));
+            seen.extend(inbox.own_row.iter().map(|x| x.to_bits()));
+            let cast = (inbox.broadcast)((vertex + 7) % 16);
+            seen.push(cast.map_or(u32::MAX, |x| x.to_bits()));
+
+            let at = (vertex * 3 + step as u64) as f32;
+            out.scatter_row(&state.edges, &[at, seen.len() as f32]);
+            out.scatter(&state.edges, at + 0.25);
+            out.send(state.first, at + 0.5);
+            out.broadcast(at + 0.75);
+            out.add_flops(at as f64);
+            if let (1..=2, Some(i)) = (step, self.bad.iter().position(|&b| b == vertex)) {
+                let tries =
+                    self.tries[step - 1][i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if tries < self.fails {
+                    return Err(self.err.clone());
+                }
             }
             Ok(())
+        }
+
+        fn message_layout(&self, _step: usize) -> Option<MessageLayout> {
+            Some(MessageLayout { dim: 2 })
+        }
+
+        fn fused_aggregator(&self, step: usize) -> Option<AggKind> {
+            (step == 1).then_some(AggKind::Sum)
         }
     }
 
@@ -2648,6 +2706,29 @@ mod tests {
                 .find(|&id| partition_of(id, workers) == w)
                 .unwrap()
         };
+        let engine = |program: Failing| {
+            let adj: Vec<Vec<u64>> = (0..16u64)
+                .map(|v| vec![(v + 1) % 16, (v * 5 + 3) % 16])
+                .collect();
+            let ids = adj.iter().enumerate().map(|(v, t)| (v as u64, &t[..]));
+            let layout = Layout::planned(workers, ids).unwrap();
+            let states: Vec<_> = layout
+                .vertices()
+                .map(|v| FailingState {
+                    edges: v.edges.to_vec(),
+                    first: adj[v.id as usize][0],
+                    seen: Vec::new(),
+                })
+                .collect();
+            let cfg = PregelConfig::new(ClusterSpec::test_spec(workers))
+                .with_recovery(Some(RecoveryPolicy::new(1, 2)));
+            PregelEngine::with_layout(program, cfg, Arc::new(layout), states).unwrap()
+        };
+        let seen = |eng: &PregelEngine<Failing>| {
+            let mut all = Vec::new();
+            eng.for_each_state(|id, s| all.push((id, s.seen.clone())));
+            all
+        };
         // Two kernels fail in the same superstep: the lower worker's error
         // is the run's, whichever thread got there first.
         let (first, second) = (on(1), on(3));
@@ -2657,19 +2738,45 @@ mod tests {
         ];
         for (err, retries) in errors {
             for threads in [1usize, 2, 4] {
-                let cfg = PregelConfig::new(ClusterSpec::test_spec(workers))
-                    .with_recovery(Some(RecoveryPolicy::new(1, 2)));
-                let program = Failing {
-                    bad: [second, first],
-                    err: err.clone(),
-                };
-                let vertices = (0..16u64).map(|id| (id, ())).collect();
-                let mut eng = engine_of(program, cfg, vertices);
-                let got = Parallelism::with(threads, || eng.run(2)).unwrap_err();
+                let mut eng = engine(Failing::new([second, first], err.clone(), usize::MAX));
+                let got = Parallelism::with(threads, || eng.run(3)).unwrap_err();
                 let want = err.clone().in_phase(format!("superstep-1, vertex {first}"));
                 assert_eq!(got, want, "{threads} threads");
                 assert_eq!(eng.report().retries, retries, "{err} at {threads} threads");
             }
+        }
+        // A transient failure after every send is replayed as if it had
+        // never happened: what each vertex was lent and the report (but for
+        // its recovery counters) equal a fault-free run's.
+        let mut clean = engine(Failing::new(
+            [second, first],
+            Error::Io("flaky disk".into()),
+            0,
+        ));
+        clean.run(3).unwrap();
+        assert!(
+            clean.report().message_bytes.legacy > 0 && clean.report().message_bytes.columnar > 0
+        );
+        for threads in [1usize, 2, 4] {
+            let mut eng = engine(Failing::new(
+                [second, first],
+                Error::Io("flaky disk".into()),
+                1,
+            ));
+            Parallelism::with(threads, || eng.run(3)).unwrap();
+            assert_eq!(seen(&eng), seen(&clean), "{threads} threads");
+            let report = eng.report();
+            assert_eq!((report.retries, report.recovered_supersteps), (2, 2));
+            let report = RunReport {
+                retries: 0,
+                recovered_supersteps: 0,
+                ..report.clone()
+            };
+            assert_eq!(
+                format!("{report:?}"),
+                format!("{:?}", clean.report()),
+                "{threads} threads"
+            );
         }
     }
 
