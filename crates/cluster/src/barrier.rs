@@ -637,6 +637,27 @@ impl GridRow<'_> {
         matches!(self.cells, Cells::Fused { .. })
     }
 
+    /// The same cells, lent for a shorter borrow.
+    pub fn reborrow(&mut self) -> GridRow<'_> {
+        let cells = match &mut self.cells {
+            Cells::None => Cells::None,
+            Cells::Rows { dim, table, refs } => Cells::Rows {
+                dim: *dim,
+                table,
+                refs,
+            },
+            Cells::Fused { dim, kind, shards } => Cells::Fused {
+                dim: *dim,
+                kind: *kind,
+                shards,
+            },
+        };
+        GridRow {
+            layout: self.layout,
+            cells,
+        }
+    }
+
     /// Send `row` to every route of `routes`, in order: written once into
     /// the sender's table and referenced per route — returning its table
     /// row — or folded into each route's slot, copy-on-first. Per (sender,

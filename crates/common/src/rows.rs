@@ -781,7 +781,7 @@ pub fn seal_order<S: Copy + Default>(
 }
 
 /// A sender worker's row table for one superstep: one row per span it
-/// spooled, written once whatever the span's fan-out. Destinations read
+/// sent, written once whatever the span's fan-out. Destinations read
 /// the rows through `(sender, table row)` references and never copy them;
 /// a table is shared by every inbox that lends from it and by any
 /// checkpoint of those inboxes, so its owner may write it again only once

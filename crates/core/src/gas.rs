@@ -180,7 +180,7 @@ pub trait GasLayer {
     }
 
     /// The message sent along each out-edge from the updated state, for a
-    /// caller that only reads it (a scatter copying it into a row spool)
+    /// caller that only reads it (a scatter sending it as a row)
     /// or keeps it where it chooses: a layer whose message *is* the state
     /// lends `state`; any other writes it into `buf` (cleared first) and
     /// lends that — a caller that hands in the same buffer every step, such

@@ -18,16 +18,15 @@
 //! layer's `apply_edge` output, `msg_dim` wide — for GAT the source-side
 //! projection `W·h`), computed — or, where the message is the embedding
 //! itself, borrowed ([`GasLayer::edge_row`]) — once per vertex in
-//! `scatter` and handed to the engine once, with the vertex's span of
-//! pre-resolved routes ([`Outbox::scatter_row`]). The engine's routing
-//! loop then does the per-edge work: a fused layer folds the row straight
-//! into each destination's accumulator (no copy of the row per edge at
-//! all); a materialized layer (GAT) writes the row once per span into its
-//! sender worker's row table and gives each edge an 8-byte
-//! `(slot, table row)` reference; neither looks an id up. Broadcast refs
-//! are variable-length control messages and ride the typed plane,
-//! addressed by route the same way: a hub spools one ref with its span of
-//! routes ([`Outbox::scatter`]), the engine stores that ref once in its
+//! `scatter` and sent once, with the vertex's span of pre-resolved routes
+//! ([`Outbox::scatter_row`]). The send does the per-edge work where it is
+//! called: a fused layer folds the row straight into each destination's
+//! partial (no copy of the row per edge at all); a materialized layer
+//! (GAT) writes the row once into its sender worker's row table and gives
+//! each edge an 8-byte `(slot, table row)` reference; neither looks an id
+//! up. Broadcast refs are variable-length control messages and ride the
+//! typed plane, addressed by route the same way: a hub sends one ref to
+//! its span of routes ([`Outbox::scatter`]), which stores it once in the
 //! worker's typed table and gives each edge an 8-byte
 //! `(slot, table index)` reference to it, and each destination is lent the
 //! ref where it was stored — the row plane's shape, so a hub's message is
@@ -45,7 +44,7 @@
 //! ([`Inbox::own_row`]), instead of recomputing it; only a hub (its
 //! message went out as a broadcast) or a vertex with no out-edges
 //! recomputes. No vertex keeps a message buffer: a scatter writes its
-//! message into the worker's spare row, which the engine copies into the
+//! message into the worker's spare row, and the send copies it into the
 //! table.
 //!
 //! Where the graph lives: the plan lays the shadow-transformed adjacency
@@ -169,12 +168,12 @@ impl<'m> GnnVertexProgram<'m> {
         out.add_flops(layer.flops_apply_edge());
         if self.strategy.broadcasts(state.out_deg, self.bc_threshold) {
             // Hub path: one payload per worker on the typed plane, one
-            // 8-byte ref per edge — spooled once with the span of routes.
+            // 8-byte ref per edge — stored once for the span of routes.
             out.broadcast(layer.make_wire(row.to_vec(), self.strategy.partial_gather));
             out.scatter(state.edges, GnnMessage::Ref(vertex));
         } else {
-            // Columnar plane: the row enters the spool once, with the
-            // vertex's whole span of routes.
+            // Columnar plane: the row is sent once, to the vertex's whole
+            // span of routes.
             out.scatter_row(state.edges, row);
         }
         *out.spare_row() = buf;
@@ -287,8 +286,8 @@ pub(crate) fn run_planned<'g>(
     plan: &'g InferencePlan<'_>,
     features: Option<&'g [Vec<f32>]>,
     trace: TraceHandle,
-    scratch: Option<ScratchPool<GnnMessage>>,
-) -> Result<(InferenceOutput, ScratchPool<GnnMessage>)> {
+    scratch: Option<ScratchPool>,
+) -> Result<(InferenceOutput, ScratchPool)> {
     let k = plan.model.n_layers();
     let mut engine = engine_for(plan, features, trace, std::convert::identity)?;
     if let Some(pool) = scratch {

@@ -34,7 +34,6 @@
 //! fresh feature matrix — the serving path for periodically refreshed
 //! embeddings over a stable graph.
 
-use crate::gas::GnnMessage;
 use crate::infer::mr_backend::{self, MapSplit};
 use crate::infer::{pregel_backend, reference_logits, InferenceOutput};
 use crate::models::GnnModel;
@@ -105,7 +104,7 @@ pub struct InferencePlan<'a> {
     pub(crate) estimate: PlanEstimate,
     /// Pooled Pregel engine scratch, carried across runs. `None` until the
     /// first Pregel run returns it (or after a failed run dropped it).
-    scratch: Mutex<Option<ScratchPool<GnnMessage>>>,
+    scratch: Mutex<Option<ScratchPool>>,
 }
 
 /// The shadow-transformed graph as a plan holds it: once, laid out for

@@ -5,9 +5,10 @@
 //!
 //! An engine runs over a [`Layout`]: the slot table of every worker,
 //! the one `id → (worker, slot)` index, and each vertex's out-edges as
-//! pre-resolved [`Route`]s. The layout is shared (`Arc`) and
-//! never written; the engine itself owns only what a run changes: one
-//! state per slot, the sealed inboxes, the broadcast table and the report.
+//! pre-resolved [`Route`](inferturbo_common::layout::Route)s. The layout
+//! is shared (`Arc`) and never written; the engine itself owns only what a
+//! run changes: one state per slot, the sealed inboxes, the broadcast
+//! table and the report.
 //! [`PregelEngine::with_layout`] — the one constructor — builds that from
 //! a layout somebody else keeps (a session plan: lay the graph out once,
 //! run many times) and allocates exactly one exact-sized state vector per
@@ -19,20 +20,21 @@
 //! senders' accounting → exchange → seal → memory check → trace. Every
 //! logical worker runs the program's one kernel over its slots on its own
 //! OS thread (up to the global [`inferturbo_common::Parallelism`] budget),
-//! a wave of senders at a time as the barrier decides. Rows leave a
-//! vertex as (row, span of routes) pairs in the [`Outbox`] spool, and the
-//! worker's one routing loop hands each span to its row of the barrier's
-//! grid — no lookup per edge, no row copied per edge. Byte accounting for
-//! rows happens once per worker after its last vertex, from its cells.
+//! a wave of senders at a time as the barrier decides. A vertex sends
+//! through an [`Outbox`] over its worker's step, and each send lands
+//! where it is called: a row with its span of routes goes straight to the
+//! worker's row of the barrier's grid — no lookup per edge, no row copied
+//! per edge. Byte accounting for rows happens once per worker after its
+//! last vertex, from its cells.
 //! Everything merges without locks, in ascending sender order — the order
 //! a serial sender loop would deliver in — so results, byte accounting and
 //! metrics are identical for every thread count.
 //!
 //! What a run allocates: the per-worker state vectors, each step's typed
-//! tables and the inboxes sealed at each barrier. The outbox spools, the
-//! barrier's grid ([`GridPool`]), the typed references and the sent-row
-//! indexes are pooled in a [`ScratchPool`], so only a first run allocates
-//! them. A pool built from a plan's [`CellCounts`] reserves each cell and
+//! tables and the inboxes sealed at each barrier. The barrier's grid
+//! ([`GridPool`]), the typed references, the sent-row indexes and each
+//! worker's spare row are pooled in a [`ScratchPool`], so only a first run
+//! allocates them. A pool built from a plan's [`CellCounts`] reserves each cell and
 //! each typed table exactly, at the widest row any step of the run
 //! declares, so none grows while a run writes it.
 //!
@@ -43,13 +45,13 @@
 //!
 //! - the **typed plane**: `P::Msg` values — variable-width payloads such
 //!   as broadcast refs and control messages — addressed by route like the
-//!   rows: [`Outbox::scatter`](crate::vertex::Outbox::scatter) spools one
-//!   message with a span of routes,
+//!   rows: [`Outbox::scatter`](crate::vertex::Outbox::scatter) sends one
+//!   message to a span of routes,
 //!   [`Outbox::send`](crate::vertex::Outbox::send) resolves its id at the
-//!   call and spools a span of one. The routing loop sizes a message once
-//!   per span and stores it once in its sender worker's typed table for
-//!   the step; each route gets an 8-byte `(slot, table index)` reference
-//!   in the sender's list for its destination worker. At the barrier each
+//!   call and sends to a span of one. The call sizes the message once and
+//!   stores it once in its sender worker's typed table for the step; each
+//!   route gets an 8-byte `(slot, table index)` reference in the sender's
+//!   list for its destination worker. At the barrier each
 //!   destination's references are sealed with the row plane's counting
 //!   sort ([`inferturbo_common::rows::seal_order`]), and the kernel is lent
 //!   each message where its sender stored it ([`LentMessages`]). A
@@ -100,8 +102,8 @@ use inferturbo_cluster::transport::{InProcess, MergedCols, Transport};
 use inferturbo_cluster::{
     ClusterSpec, FaultInjector, MessagePlaneBytes, RecoveryPolicy, RunReport, WorkerPhase,
 };
-use inferturbo_common::codec::{varint_len, Decode, Encode};
-use inferturbo_common::layout::{CellCounts, Layout, Route};
+use inferturbo_common::codec::{Decode, Encode};
+use inferturbo_common::layout::{CellCounts, Layout};
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{seal_order, RowTable, SpillPolicy};
 use inferturbo_common::{Error, FxHashMap, Result};
@@ -199,10 +201,10 @@ impl PregelConfig {
     }
 }
 
-/// Pooled engine scratch: one outbox (message spools, row buffers) per
-/// logical worker, the row barrier's grid ([`GridPool`]), the typed
-/// references, and the per-slot indexes of the rows each slot sent. Every
-/// engine owns one — supersteps within a run reuse it — and a caller that
+/// Pooled engine scratch: the row barrier's grid ([`GridPool`]), the typed
+/// references, the per-slot indexes of the rows each slot sent, and one
+/// spare row per logical worker ([`Outbox::spare_row`]). Every engine owns
+/// one — supersteps within a run reuse it — and a caller that
 /// runs repeated inference over the same graph (a planned session) can
 /// [`PregelEngine::take_scratch`] it after a run and
 /// [`PregelEngine::set_scratch`] it into the next engine, so all of it is
@@ -217,8 +219,9 @@ impl PregelConfig {
 /// indistinguishable from a fresh one, and a row table is written again
 /// only once nothing else holds it — the inboxes sealed from it, the
 /// lend-back of sent rows, or a checkpoint.
-pub struct ScratchPool<M> {
-    outboxes: Vec<Outbox<M>>,
+pub struct ScratchPool {
+    /// One spare row per worker; never cleared.
+    spare: Vec<Vec<f32>>,
     /// `[sender][destination]`: typed-message references.
     typed: Vec<Vec<Refs>>,
     /// Free sets of per-worker sent-row indexes (see [`SentRows`]).
@@ -232,19 +235,19 @@ pub struct ScratchPool<M> {
     counts: CellCounts,
 }
 
-impl<M> Default for ScratchPool<M> {
+impl Default for ScratchPool {
     /// An empty pool; it grows to the engine's worker count on first use.
     fn default() -> Self {
         ScratchPool::planned(CellCounts::default())
     }
 }
 
-impl<M> ScratchPool<M> {
+impl ScratchPool {
     /// An empty pool whose grid cells are reserved from `counts` (see the
     /// type docs).
     pub fn planned(counts: CellCounts) -> Self {
         ScratchPool {
-            outboxes: Vec::new(),
+            spare: Vec::new(),
             typed: Vec::new(),
             sent: Vec::new(),
             grid: GridPool::default(),
@@ -521,24 +524,24 @@ type Sealed<M> = (TypedInbox<M>, MergedCols);
 
 /// Everything one worker's compute produces in a superstep beside its
 /// columnar shards, merged at the barrier in ascending worker order.
-struct StepOut<M> {
+pub(crate) struct StepOut<M> {
     /// Sender-side accounting (sends, flops) for this worker.
-    metrics: WorkerPhase,
+    pub(crate) metrics: WorkerPhase,
     /// Receiver-side byte/record deltas this sender caused, per destination.
-    recv_bytes: Vec<u64>,
-    recv_records: Vec<u64>,
+    pub(crate) recv_bytes: Vec<u64>,
+    pub(crate) recv_records: Vec<u64>,
     /// Next-superstep typed-inbox residency this sender caused, per
     /// destination (columnar residency is computed from the sealed arenas
     /// at the barrier).
-    inbox_bytes: Vec<u64>,
+    pub(crate) inbox_bytes: Vec<u64>,
     /// The worker's typed table: every typed message it sent this step,
     /// once, in emission order. Its per-destination references live in
     /// the pooled grid.
-    typed: Vec<M>,
+    pub(crate) typed: Vec<M>,
     /// Broadcast payloads published this superstep.
-    bcasts: Vec<(u64, M)>,
+    pub(crate) bcasts: Vec<(u64, M)>,
     /// Message volume by plane (local + remote).
-    msg_bytes: MessagePlaneBytes,
+    pub(crate) msg_bytes: MessagePlaneBytes,
     /// `(cells, rows)` it wrote on the columnar plane: the shape the
     /// transport moves.
     volume: (u64, u64),
@@ -592,8 +595,8 @@ pub struct PregelEngine<P: VertexProgram> {
     bcast: FxHashMap<u64, P::Msg>,
     report: RunReport,
     step: usize,
-    /// Reusable superstep scratch (outboxes, columnar shards).
-    scratch: ScratchPool<P::Msg>,
+    /// Reusable superstep scratch (spare rows, the shard grid).
+    scratch: ScratchPool,
 }
 
 impl<P: VertexProgram> PregelEngine<P> {
@@ -655,13 +658,13 @@ impl<P: VertexProgram> PregelEngine<P> {
     /// same partitioning (plan reuse). Pooling never changes results —
     /// reset scratch is indistinguishable from fresh — it only skips the
     /// per-superstep allocation and dense index fills.
-    pub fn set_scratch(&mut self, pool: ScratchPool<P::Msg>) {
+    pub fn set_scratch(&mut self, pool: ScratchPool) {
         self.scratch = pool;
     }
 
     /// Reclaim the scratch pool (typically after [`PregelEngine::run`]) so
     /// a later engine instance over the same plan can reuse it.
-    pub fn take_scratch(&mut self) -> ScratchPool<P::Msg> {
+    pub fn take_scratch(&mut self) -> ScratchPool {
         std::mem::take(&mut self.scratch)
     }
 
@@ -870,7 +873,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         let grid = &mut self.scratch.grid;
         let mut barrier = RowBarrier::open(plane, grid, &layout, hand_off, reserve, |_| ());
         let mut typed = pooled_grid(std::mem::take(&mut self.scratch.typed), n, n, Vec::new);
-        (self.scratch.outboxes).resize_with(n, || Outbox::new(Arc::clone(&layout)));
+        self.scratch.spare.resize_with(n, Vec::new);
         // On the materialized plane each worker records the table row each
         // of its slots wrote, to lend it back next step.
         let mut sent_at = match plane {
@@ -887,25 +890,22 @@ impl<P: VertexProgram> PregelEngine<P> {
         let senders: Vec<_> = (self.workers.iter_mut())
             .zip(self.inbox.iter_mut())
             .zip(&mut self.inbox_cols)
-            .zip(&mut self.scratch.outboxes)
+            .zip(&mut self.scratch.spare)
             .zip(&mut typed)
             .zip((sent_at.iter_mut().map(Some)).chain(std::iter::repeat_with(|| None)))
             .collect();
         let (program, config, bcast, lent) = (&self.program, &self.config, &self.bcast, &self.sent);
         let outs = barrier.compute(
             senders,
-            |w, (((((states, inbox), cols), ob), typed), at), sink| {
+            |w, (((((states, inbox), cols), spare), typed), at), sink| {
                 run_worker(
                     program,
                     config,
                     (&layout, counts),
-                    bcast,
-                    step,
-                    w,
+                    (step, w),
                     (states, lent.get(w), at),
-                    (inbox, cols),
-                    (sink, typed),
-                    ob,
+                    (inbox, cols, bcast),
+                    (sink, typed, spare),
                 )
             },
         );
@@ -1146,26 +1146,23 @@ fn merge_metrics<M>(
 }
 
 /// One worker's compute for one superstep: drain the inbox (both planes)
-/// slot by slot, run the vertex program, and spool outgoing messages into
-/// per-destination shards — typed messages once into the worker's typed
-/// table with a reference per route in `typed`, fixed-width rows into
-/// `sink`, the worker's row of the step's [`RowBarrier`] grid.
-/// Runs on its own thread; touches nothing shared mutably.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one worker's superstep borrows disjoint parts of the engine, grouped by plane"
-)]
+/// slot by slot and run the vertex program, whose [`Outbox`] sends where
+/// it is called — typed messages once into the worker's typed table with
+/// a reference per route in `typed`, fixed-width rows into `sink`, the
+/// worker's row of the step's [`RowBarrier`] grid. Runs on its own
+/// thread; touches nothing shared mutably.
 fn run_worker<P: VertexProgram>(
     program: &P,
     config: &PregelConfig,
-    (layout, counts): (&Arc<Layout>, &CellCounts),
-    bcast: &FxHashMap<u64, P::Msg>,
-    step: usize,
-    w: usize,
+    (layout, counts): (&Layout, &CellCounts),
+    (step, w): (usize, usize),
     (states, sent, mut sent_at): (&mut [P::State], Option<&SentRows>, Option<&mut Vec<u32>>),
-    (arena, cols_in): (&mut TypedInbox<P::Msg>, &mut MergedCols),
-    (sink, typed): (&mut GridRow<'_>, &mut [Refs]),
-    ob: &mut Outbox<P::Msg>,
+    (arena, cols_in, bcast): (
+        &mut TypedInbox<P::Msg>,
+        &mut MergedCols,
+        &FxHashMap<u64, P::Msg>,
+    ),
+    (sink, typed, spare): (&mut GridRow<'_>, &mut [Refs], &mut Vec<f32>),
 ) -> Result<StepOut<P::Msg>> {
     if let Some(inj) = &config.faults {
         if let Some(e) = inj.worker_compute(w, step) {
@@ -1179,10 +1176,7 @@ fn run_worker<P: VertexProgram>(
     }
     let n_workers = layout.n_workers();
     let mut out = StepOut::new(n_workers, counts.typed_table(w));
-    // One pooled outbox reused across every vertex (and, via the scratch
-    // pool, across supersteps and runs): cleared between computes,
-    // capacity retained, so steady-state sends allocate nothing.
-    ob.reset(layout, sink.dim());
+    out.any_active = !states.is_empty();
     // On the materialized plane: per slot the table row it wrote, none yet.
     if let Some(at) = sent_at.as_mut() {
         let n_slots = layout.n_slots(w);
@@ -1195,64 +1189,37 @@ fn run_worker<P: VertexProgram>(
         refs.reserve_exact(counts.typed_refs(w, w2));
     }
 
+    let mut ob = Outbox {
+        layout,
+        worker: w,
+        slot: 0,
+        vertex: 0,
+        rows: sink.reborrow(),
+        sent_at: sent_at.map(Vec::as_mut_slice),
+        typed,
+        step: &mut out,
+        flops: 0.0,
+        misuse: None,
+        spare,
+    };
     for (s, (state, &vertex_id)) in states.iter_mut().zip(layout.ids(w)).enumerate() {
         let (rows, messages) = (cols_rows(cols_in, s)?, arena.slot(s));
-        out.any_active = true;
         let inbox = Inbox {
             rows,
             messages,
             own_row: sent.map_or(&[], |sent| sent.of(s)),
             broadcast: &|src: u64| bcast.get(&src),
         };
-        ob.clear();
-        let computed = program.compute(step, vertex_id, state, inbox, ob);
+        (ob.slot, ob.vertex, ob.flops) = (s, vertex_id, 0.0);
+        let computed = program.compute(step, vertex_id, state, inbox, &mut ob);
         computed.map_err(|e| e.in_phase(format!("superstep-{step}, vertex {vertex_id}")))?;
-        out.metrics.flops += ob.flops;
+        ob.step.metrics.flops += ob.flops;
         match ob.misuse.take() {
             None => {}
             Some(SendMisuse::Layout(msg)) => {
                 return Err(Error::InvalidConfig(format!("vertex {vertex_id}: {msg}")));
             }
             Some(SendMisuse::UnknownVertex(dst)) => return Err(unknown_vertex(dst)),
-        }
-
-        // Route broadcasts: payload replicated to every remote worker;
-        // sender pays (workers-1) copies, each remote worker receives one.
-        for payload in ob.broadcasts.drain(..) {
-            let len = (payload.encoded_len() + varint_len(vertex_id)) as u64;
-            for w2 in 0..n_workers {
-                if w2 != w {
-                    out.recv_bytes[w2] += len;
-                    out.recv_records[w2] += 1;
-                }
-            }
-            out.metrics.bytes_out += len * (n_workers as u64 - 1);
-            out.metrics.records_out += n_workers as u64 - 1;
-            out.msg_bytes.legacy += len * (n_workers as u64 - 1);
-            // Memory: the table is replicated on every worker.
-            for b in out.inbox_bytes.iter_mut() {
-                *b += len;
-            }
-            out.bcasts.push((vertex_id, payload));
-        }
-
-        // Route typed messages, in call order, each to its span of routes.
-        let mut start = 0;
-        for (msg, &end) in ob.messages.drain(..).zip(&ob.msg_span_ends) {
-            deliver(layout, w, msg, &ob.msg_routes[start..end], typed, &mut out);
-            start = end;
-        }
-
-        // The rows, each to every route of its span: the last one written
-        // on the materialized plane is the row slot `s` sent.
-        match sink.dim() {
-            None => debug_assert!(ob.span_ends.is_empty()),
-            Some(dim) => ob.for_each_span(dim, |row, routes| {
-                let at = sink.scatter_row(routes, row);
-                if let (Some(at), Some(sent_at)) = (at, sent_at.as_mut()) {
-                    sent_at[s] = at;
-                }
-            }),
         }
     }
     // The inbox is read: free it before the next one is sealed beside it.
@@ -1280,41 +1247,12 @@ fn unknown_vertex(dst: u64) -> Error {
     Error::InvalidGraph(format!("message to unknown vertex {dst}"))
 }
 
-/// Route one typed message to every route of its span: stored once, in
-/// the sender's typed table, and referenced by `(slot, table index)` from
-/// the list of each route's destination worker, with full byte accounting
-/// on both sides. The message is sized once; each destination's id (its
-/// wire address) is read from the slot table, not looked up.
-fn deliver<M: Encode>(
-    layout: &Layout,
-    from_worker: usize,
-    msg: M,
-    routes: &[Route],
-    refs: &mut [Refs],
-    out: &mut StepOut<M>,
-) {
-    let len = msg.encoded_len();
-    let at = out.typed.len() as u32;
-    for &route in routes {
-        let (w2, slot) = layout.unpack(route);
-        let wire_len = (len + varint_len(layout.id_of(route))) as u64;
-        if w2 != from_worker {
-            out.metrics.send(wire_len);
-            out.recv_bytes[w2] += wire_len;
-            out.recv_records[w2] += 1;
-        }
-        out.inbox_bytes[w2] += wire_len;
-        out.msg_bytes.legacy += wire_len;
-        refs[w2].push((slot, at));
-    }
-    out.typed.push(msg);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vertex::MessageLayout;
     use inferturbo_common::hash::partition_of;
+    use inferturbo_common::layout::Route;
     use inferturbo_common::rows::{AggKind, RowBlock};
     use inferturbo_common::{Parallelism, Xoshiro256};
 

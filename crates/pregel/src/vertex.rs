@@ -22,37 +22,44 @@
 //! A kernel that cannot go on returns an error: the engine fails the
 //! superstep with it, naming the step and the vertex.
 //!
-//! # The spools
+//! # How a send lands
 //!
-//! The columnar half of an [`Outbox`] is one spool: a flat buffer of rows,
-//! and for each row a **span** of [`Route`]s — the destinations that row
-//! goes to. [`Outbox::scatter_row`] spools a row *once* with the span of
+//! An [`Outbox`] is a view of the sending worker's step, and each call
+//! makes its send before it returns; nothing is queued for later.
+//! [`Outbox::scatter_row`] takes a row *once* with the span of
 //! pre-resolved routes the caller passes (a vertex's planned out-edges, or
-//! any sub-slice of them): `out_deg` destinations cost one row copy and
-//! `out_deg` 4-byte routes. [`Outbox::send_row`] is the single-destination
+//! any sub-slice of them) and hands both to the worker's row of the step's
+//! row barrier: on the materialized plane the row is written once into the
+//! worker's row table, with an 8-byte `(slot, table row)` reference per
+//! destination; on a fused plane it is folded into each destination's
+//! partial. [`Outbox::send_row`] is the single-destination
 //! form for programs that address by vertex id: it resolves the id through
-//! the layout's index right there and spools the row with a span of one.
-//! Both write the same spool, in call order, and the engine's one routing
-//! loop walks it front to back — so a program may mix the two freely, and
-//! a destination receives (or folds) its rows in exactly the order the
-//! calls named it, whichever form each call used. `send_row(dst, row)` and
-//! `scatter_row` over the one route that resolves `dst` are
-//! indistinguishable downstream.
+//! the layout's index right there and sends with a span of one. A
+//! destination therefore receives (or folds) a sender's rows in exactly
+//! the order the calls named it, whichever form each call used, and
+//! `send_row(dst, row)` and `scatter_row` over the one route that resolves
+//! `dst` are indistinguishable downstream.
 //!
-//! The typed half is addressed the same way, in a spool of its own:
-//! [`Outbox::scatter`] spools one message with a span of routes (a hub's
-//! broadcast ref to all its out-edges is one entry), [`Outbox::send`]
-//! resolves its id at the call and spools a span of one, and the engine
-//! walks that spool in call order, storing each message once in the
-//! worker's typed table and giving each route of its span an 8-byte
-//! reference to it — no id is looked up after the call, and no message is
-//! copied per route.
+//! The typed plane is addressed the same way: [`Outbox::scatter`] stores
+//! one message once in the worker's typed table and gives each route of
+//! its span an 8-byte reference to it (a hub's broadcast ref to all its
+//! out-edges is one call), and [`Outbox::send`] resolves its id at the
+//! call and sends with a span of one — no id is looked up after the call,
+//! and no message is copied per route. [`Outbox::broadcast`] charges its
+//! payload once per remote worker and publishes it.
+//!
+//! A misuse — a row with no layout or of the wrong width, an id the layout
+//! does not hold — is recorded and fails the superstep once `compute`
+//! returns. A kernel that sends and then fails leaves its sends in a step
+//! that never reaches the exchange: the superstep returns the error, and
+//! the barrier folds no wave that holds a failed sender.
 
-use inferturbo_common::codec::{Decode, Encode};
+use crate::engine::StepOut;
+use inferturbo_cluster::barrier::{GridRow, Refs};
+use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::layout::{Layout, Route};
 pub use inferturbo_common::rows::{AggKind, FusedAggregator, LentRows, MessageLayout};
 use inferturbo_common::Result;
-use std::sync::Arc;
 
 /// The columnar half of a vertex's [`Inbox`]. Typed-plane messages
 /// (broadcast refs, control payloads) arrive beside it in
@@ -195,89 +202,53 @@ impl<'a, M> Iterator for Messages<'a, M> {
 
 impl<M> ExactSizeIterator for Messages<'_, M> {}
 
-/// Per-compute output collector handed to [`VertexProgram::compute`].
-/// One instance is reused across a worker's whole superstep — cleared
-/// between vertices, capacity retained — so steady-state sends allocate
-/// nothing. It also carries the worker's one [spare row](Outbox::spare_row).
-pub struct Outbox<M> {
-    /// The typed spool, laid out like the row spool: message `i` goes to
-    /// `msg_routes[msg_span_ends[i - 1]..msg_span_ends[i]]` (from 0 for
-    /// the first).
-    pub(crate) messages: Vec<M>,
-    pub(crate) msg_span_ends: Vec<usize>,
-    pub(crate) msg_routes: Vec<Route>,
-    pub(crate) broadcasts: Vec<M>,
-    /// The row spool (see the module docs): `rows` holds one `row_dim`-wide
-    /// row per span, and row `i` goes to
-    /// `routes[span_ends[i - 1]..span_ends[i]]` (from 0 for the first).
-    /// `row_dim` is `None` when the step has no active [`MessageLayout`].
-    pub(crate) rows: Vec<f32>,
-    pub(crate) span_ends: Vec<usize>,
-    pub(crate) routes: Vec<Route>,
-    pub(crate) row_dim: Option<usize>,
+/// What a vertex sends, handed to [`VertexProgram::compute`]: a view of
+/// its worker's step that makes each send where it is called (see the
+/// module docs). One per worker per superstep, opened for each vertex in
+/// turn, so steady-state sends allocate nothing. It also lends the
+/// worker's one [spare row](Outbox::spare_row).
+pub struct Outbox<'a, M> {
+    pub(crate) layout: &'a Layout,
+    /// The sending worker, and the slot and id of the vertex computing.
+    pub(crate) worker: usize,
+    pub(crate) slot: usize,
+    pub(crate) vertex: u64,
+    /// The worker's row of the step's row barrier.
+    pub(crate) rows: GridRow<'a>,
+    /// On the materialized plane: per slot the table row it wrote last.
+    pub(crate) sent_at: Option<&'a mut [u32]>,
+    /// Per destination worker: a `(slot, typed table index)` per message.
+    pub(crate) typed: &'a mut [Refs],
+    /// The worker's typed table and its step's accounting.
+    pub(crate) step: &'a mut StepOut<M>,
+    /// Floating-point work this vertex's compute reported.
     pub(crate) flops: f64,
     /// First misuse of the outbox this compute.
     pub(crate) misuse: Option<SendMisuse>,
-    /// See [`Outbox::spare_row`]; never cleared.
-    spare: Vec<f32>,
-    /// The layout `send` and `send_row` resolve ids through.
-    layout: Arc<Layout>,
+    /// See [`Outbox::spare_row`].
+    pub(crate) spare: &'a mut Vec<f32>,
 }
 
-impl<M> Outbox<M> {
-    pub(crate) fn new(layout: Arc<Layout>) -> Self {
-        Outbox {
-            messages: Vec::new(),
-            msg_span_ends: Vec::new(),
-            msg_routes: Vec::new(),
-            broadcasts: Vec::new(),
-            rows: Vec::new(),
-            span_ends: Vec::new(),
-            routes: Vec::new(),
-            row_dim: None,
-            flops: 0.0,
-            misuse: None,
-            spare: Vec::new(),
-            layout,
-        }
-    }
-
-    /// Reset for the next vertex, keeping buffer capacity.
-    pub(crate) fn clear(&mut self) {
-        self.messages.clear();
-        self.msg_span_ends.clear();
-        self.msg_routes.clear();
-        self.broadcasts.clear();
-        self.rows.clear();
-        self.span_ends.clear();
-        self.routes.clear();
-        self.flops = 0.0;
-        self.misuse = None;
-    }
-
-    /// Reset for a new superstep (scratch-pool reuse): clear everything and
-    /// adopt the step's row plane and the engine's layout. Capacity
-    /// survives across supersteps — and, when the outbox lives in a pooled
-    /// [`crate::ScratchPool`], across whole runs.
-    pub(crate) fn reset(&mut self, layout: &Arc<Layout>, row_dim: Option<usize>) {
-        self.clear();
-        self.row_dim = row_dim;
-        if !Arc::ptr_eq(&self.layout, layout) {
-            self.layout = Arc::clone(layout);
-        }
-    }
-
+impl<M> Outbox<'_, M> {
     /// The worker's spare row: one buffer that outlives the compute call
-    /// (and, with the outbox, the superstep and a pooled run), for a
-    /// kernel that replaces a row of its state every step. It writes the
-    /// new row here and swaps it with the state's old one, which becomes
-    /// the next vertex's spare — so a superstep allocates no rows in
-    /// steady state. The engine neither reads nor clears it; a kernel
-    /// must not expect to find what it left.
+    /// (and the superstep, and — in a pooled [`crate::ScratchPool`] — the
+    /// run), for a kernel that replaces a row of its state every step. It
+    /// writes the new row here and swaps it with the state's old one,
+    /// which becomes the next vertex's spare — so a superstep allocates no
+    /// rows in steady state. The engine neither reads nor clears it; a
+    /// kernel must not expect to find what it left.
     pub fn spare_row(&mut self) -> &mut Vec<f32> {
-        &mut self.spare
+        self.spare
     }
 
+    /// Report floating-point work done by this compute call; feeds the
+    /// cost model.
+    pub fn add_flops(&mut self, flops: f64) {
+        self.flops += flops;
+    }
+}
+
+impl<M: Encode> Outbox<'_, M> {
     /// Send `msg` to vertex `dst` for delivery next superstep (typed
     /// plane): the single-destination form of [`Outbox::scatter`], for
     /// programs that hold vertex ids. `dst` is resolved through the
@@ -294,26 +265,39 @@ impl<M> Outbox<M> {
     }
 
     /// Send one typed message to every destination in `edges` (typed
-    /// plane): the twin of [`Outbox::scatter_row`]. The message is spooled
-    /// once with its span of routes; the engine sizes it once, stores it
-    /// once in the worker's typed table and hands each destination an
-    /// 8-byte reference to it. Typed sends — this and
-    /// [`Outbox::send`] — share one spool in call order, so a destination
-    /// receives them exactly as the calls named it; `send(dst, msg)` and
-    /// `scatter` over the one route that resolves `dst` are
-    /// indistinguishable downstream.
+    /// plane): the twin of [`Outbox::scatter_row`]. The message is sized
+    /// once and stored once, in the worker's typed table, and each
+    /// destination gets an 8-byte reference to it. A destination receives
+    /// typed sends — this and [`Outbox::send`] — exactly as the calls
+    /// named it; `send(dst, msg)` and `scatter` over the one route that
+    /// resolves `dst` are indistinguishable downstream.
     pub fn scatter(&mut self, edges: &[Route], msg: M) {
         if edges.is_empty() {
             return;
         }
-        self.messages.push(msg);
-        self.msg_routes.extend_from_slice(edges);
-        self.msg_span_ends.push(self.msg_routes.len());
+        let (layout, out) = (self.layout, &mut *self.step);
+        let len = msg.encoded_len();
+        let at = out.typed.len() as u32;
+        for &route in edges {
+            let (w2, slot) = layout.unpack(route);
+            // The destination's id is its wire address, read from the slot
+            // table, not looked up.
+            let wire_len = (len + varint_len(layout.id_of(route))) as u64;
+            if w2 != self.worker {
+                out.metrics.send(wire_len);
+                out.recv_bytes[w2] += wire_len;
+                out.recv_records[w2] += 1;
+            }
+            out.inbox_bytes[w2] += wire_len;
+            out.msg_bytes.legacy += wire_len;
+            self.typed[w2].push((slot, at));
+        }
+        out.typed.push(msg);
     }
 
-    /// Whether `row` may enter the spool; records the first misuse if not.
+    /// Whether `row` may be sent; records the first misuse if not.
     fn row_fits(&mut self, call: std::fmt::Arguments<'_>, row: &[f32]) -> bool {
-        let problem = match self.row_dim {
+        let problem = match self.rows.dim() {
             None => format!("{call} without an active message layout for this step"),
             Some(dim) if row.len() != dim => {
                 format!("{call}: row has {} lanes, layout declares {dim}", row.len())
@@ -325,13 +309,12 @@ impl<M> Outbox<M> {
     }
 
     /// Send one fixed-width row to every destination in `edges` on the
-    /// columnar plane. The row is spooled once, whatever the fan-out; the
-    /// engine's routing loop then writes it once into the worker's row
-    /// table and gives each destination a reference to it (or, when the
-    /// step has a fused fold, folds it into each destination's
-    /// accumulator row). `edges` are routes of the engine's layout —
-    /// typically the vertex's planned out-edges
-    /// ([`inferturbo_common::PlacedVertex::edges`]) or a sub-slice of them.
+    /// columnar plane: written once into the worker's row table, with a
+    /// reference per destination — or, when the step has a fused fold,
+    /// folded into each destination's accumulator row. `edges` are routes
+    /// of the engine's layout — typically the vertex's planned out-edges
+    /// ([`inferturbo_common::PlacedVertex::edges`]) or a sub-slice of
+    /// them.
     ///
     /// Calling this with no active layout for the step, or with a row of
     /// the wrong width, drops the row and fails the superstep with a typed
@@ -339,17 +322,20 @@ impl<M> Outbox<M> {
     /// configuration error the harness observes, not a worker panic.
     pub fn scatter_row(&mut self, edges: &[Route], row: &[f32]) {
         if self.row_fits(format_args!("scatter_row"), row) {
-            self.spool(edges, row);
+            self.write_row(edges, row);
         }
     }
 
-    fn spool(&mut self, edges: &[Route], row: &[f32]) {
+    /// Write `row` to `edges` through the worker's grid row; on the
+    /// materialized plane it is now the row this vertex sent.
+    fn write_row(&mut self, edges: &[Route], row: &[f32]) {
         if edges.is_empty() {
             return;
         }
-        self.rows.extend_from_slice(row);
-        self.routes.extend_from_slice(edges);
-        self.span_ends.push(self.routes.len());
+        let at = self.rows.scatter_row(edges, row);
+        if let (Some(at), Some(sent_at)) = (at, self.sent_at.as_deref_mut()) {
+            sent_at[self.slot] = at;
+        }
     }
 
     /// Send a fixed-width row to vertex `dst` on the columnar plane: the
@@ -363,35 +349,34 @@ impl<M> Outbox<M> {
             return;
         }
         match self.layout.resolve(dst) {
-            Some(route) => self.spool(&[route], row),
+            Some(route) => self.write_row(&[route], row),
             None => {
                 self.misuse.get_or_insert(SendMisuse::UnknownVertex(dst));
             }
         }
     }
 
-    /// Visit the row spool in call order: each row (`dim` lanes) with the
-    /// span of routes it goes to.
-    pub(crate) fn for_each_span(&self, dim: usize, mut f: impl FnMut(&[f32], &[Route])) {
-        let mut start = 0;
-        for (i, &end) in self.span_ends.iter().enumerate() {
-            f(&self.rows[i * dim..(i + 1) * dim], &self.routes[start..end]);
-            start = end;
-        }
-    }
-
     /// Publish a payload to every worker's broadcast table for the next
     /// superstep, keyed by the sending vertex id. Costs one network copy
     /// per remote worker instead of one per out-edge — the engine-level
-    /// primitive behind the paper's broadcast strategy.
+    /// primitive behind the paper's broadcast strategy. The sender pays
+    /// `workers - 1` copies, each remote worker receives one, and every
+    /// worker holds the table.
     pub fn broadcast(&mut self, payload: M) {
-        self.broadcasts.push(payload);
-    }
-
-    /// Report floating-point work done by this compute call; feeds the
-    /// cost model.
-    pub fn add_flops(&mut self, flops: f64) {
-        self.flops += flops;
+        let (out, n) = (&mut *self.step, self.layout.n_workers());
+        let len = (payload.encoded_len() + varint_len(self.vertex)) as u64;
+        for w2 in (0..n).filter(|&w2| w2 != self.worker) {
+            out.recv_bytes[w2] += len;
+            out.recv_records[w2] += 1;
+        }
+        let remote = n as u64 - 1;
+        out.metrics.bytes_out += len * remote;
+        out.metrics.records_out += remote;
+        out.msg_bytes.legacy += len * remote;
+        for b in out.inbox_bytes.iter_mut() {
+            *b += len;
+        }
+        out.bcasts.push((self.vertex, payload));
     }
 }
 
