@@ -685,14 +685,6 @@ impl RowShard {
         self.rows.push_row(row);
     }
 
-    /// Restore the shard to the state `RowShard::new(dim)` would produce,
-    /// keeping both allocations — the scratch-pool reuse path for the
-    /// materialized (non-fused) columnar plane.
-    pub fn reset(&mut self, dim: usize) {
-        self.slots.clear();
-        self.rows.reset(dim);
-    }
-
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -1638,23 +1630,6 @@ mod tests {
         );
         assert_eq!(flat.resident_bytes(), streamed.resident_bytes());
         assert_eq!(flat.spilled_bytes(), streamed.spilled_bytes());
-    }
-
-    #[test]
-    fn row_shard_reset_is_indistinguishable_from_fresh() {
-        let mut pooled = RowShard::new(3);
-        pooled.push(2, &[1.0, 2.0, 3.0]);
-        pooled.push(0, &[4.0, 5.0, 6.0]);
-        // Reuse with a different row width.
-        pooled.reset(2);
-        let mut fresh = RowShard::new(2);
-        for sh in [&mut pooled, &mut fresh] {
-            sh.push(5, &[1.5, -0.0]);
-            sh.push(1, &[0.5, 1.0]);
-        }
-        assert_eq!(pooled.slots, fresh.slots);
-        assert_eq!(pooled.rows.data(), fresh.rows.data());
-        assert_eq!(pooled.rows.dim(), 2);
     }
 
     #[test]

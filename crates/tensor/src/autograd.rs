@@ -38,10 +38,6 @@ enum Op {
         a: Var,
         b: Var,
     },
-    MulElem {
-        a: Var,
-        b: Var,
-    },
     MulColBroadcast {
         x: Var,
         w: Var,
@@ -192,20 +188,6 @@ impl Tape {
         v.axpy(-1.0, self.value(b));
         let rg = self.rg(a) || self.rg(b);
         self.push(v, Op::Sub { a, b }, rg)
-    }
-
-    pub fn mul_elem(&mut self, a: Var, b: Var) -> Var {
-        let (va, vb) = (self.value(a), self.value(b));
-        assert_eq!(va.shape(), vb.shape(), "mul_elem shape");
-        let data: Vec<f32> = va
-            .data()
-            .iter()
-            .zip(vb.data())
-            .map(|(x, y)| x * y)
-            .collect();
-        let v = Matrix::from_vec(va.rows(), va.cols(), data);
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::MulElem { a, b }, rg)
     }
 
     /// `out[r][c] = x[r][c] * w[r][0]` — per-row (e.g. per-edge) scaling,
@@ -468,31 +450,6 @@ impl Tape {
                     neg.scale(-1.0);
                     self.accum(a, gy);
                     self.accum(b, neg);
-                }
-                Op::MulElem { a, b } => {
-                    let (a, b) = (*a, *b);
-                    let ga = {
-                        let vb = self.value(b);
-                        let data: Vec<f32> = gy
-                            .data()
-                            .iter()
-                            .zip(vb.data())
-                            .map(|(g, y)| g * y)
-                            .collect();
-                        Matrix::from_vec(gy.rows(), gy.cols(), data)
-                    };
-                    let gb = {
-                        let va = self.value(a);
-                        let data: Vec<f32> = gy
-                            .data()
-                            .iter()
-                            .zip(va.data())
-                            .map(|(g, x)| g * x)
-                            .collect();
-                        Matrix::from_vec(gy.rows(), gy.cols(), data)
-                    };
-                    self.accum(a, ga);
-                    self.accum(b, gb);
                 }
                 Op::MulColBroadcast { x, w } => {
                     let (x, w) = (*x, *w);
