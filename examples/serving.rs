@@ -156,7 +156,7 @@ fn main() {
         .with_targets(vec![0]);
     match server.submit(oversized.clone()) {
         Err(e) => println!("\noversized plan: {e}"),
-        Ok(_) => println!("\noversized plan unexpectedly admitted"),
+        Ok(_) => panic!("oversized plan unexpectedly admitted"),
     }
 
     // 6b. Out-of-core rescue: a materialized-gather plan (sender-side
@@ -172,7 +172,7 @@ fn main() {
         .with_targets(vec![0]);
     match server.submit(materialized.clone()) {
         Err(e) => println!("materialized in-memory plan: {e}"),
-        Ok(_) => println!("materialized in-memory plan unexpectedly admitted"),
+        Ok(_) => panic!("materialized in-memory plan unexpectedly admitted"),
     }
     let spill_budget = 8 * 1024;
     match server.submit(materialized.with_spill_budget(spill_budget)) {
@@ -182,8 +182,9 @@ fn main() {
             println!(
                 "spilled plan ({spill_budget} B resident window): admitted, served = {served}"
             );
+            assert!(served, "spilled plan admitted but not served");
         }
-        Err(e) => println!("spilled plan unexpectedly rejected: {e}"),
+        Err(e) => panic!("spilled plan unexpectedly rejected: {e}"),
     }
 
     // 7. Overload drill: a noisy downstream tenant fires a burst against a

@@ -62,6 +62,14 @@ echo "== cargo build --examples =="
 # Examples are the documented entry points; drift fails the gate.
 cargo build --offline --examples
 
+echo "== run every example (release) =="
+# Each drives the public API end to end (~4.5 s together) and exits
+# non-zero on a wrong outcome; pagerank_pregel is the one non-GNN
+# vertex program outside the tests.
+for example in examples/*.rs; do
+    cargo run --offline --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "== cargo doc --workspace --no-deps (warnings denied) =="
 # Broken intra-doc links and malformed rustdoc fail the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
