@@ -34,9 +34,9 @@
 //! tables and the inboxes sealed at each barrier. The barrier's grid
 //! ([`GridPool`]), the typed references, the sent-row indexes and each
 //! worker's spare row are pooled in a [`ScratchPool`], so only a first run
-//! allocates them. A pool built from a plan's [`CellCounts`] reserves each cell and
-//! each typed table exactly, at the widest row any step of the run
-//! declares, so none grows while a run writes it.
+//! allocates them. A pool built from a plan's [`CellCounts`] reserves
+//! each cell and each typed table exactly, at the widest row any step of
+//! the run declares, so none grows while a run writes it.
 //!
 //! # Message planes
 //!
