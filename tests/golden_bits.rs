@@ -12,6 +12,12 @@
 //! go through the host's `ln` / `cos` / `pow` once, in `f64`, before they
 //! are rounded to `f32`.
 //!
+//! A second table, [`GOLDEN_NO_PARTIAL`], pins the same models on the two
+//! distributed backends with partial-gather off: no sender folds, so every
+//! row reaches its destination materialized and the receiver's pooled fold
+//! runs over them in delivery order. Mean and GCN are order-sensitive, so
+//! a receiver that folds a slot's rows in any other order fails there.
+//!
 //! GAT's softmax calls the host's `exp` per edge, so an absolute constant
 //! would pin the libm rather than the kernels: it is held backend against
 //! backend instead.
@@ -52,6 +58,22 @@ const GOLDEN: [[[u64; 3]; 3]; 2] = [
     ],
 ];
 
+/// `GOLDEN_NO_PARTIAL[graph][model][backend]` for `[Pregel, MapReduce]`
+/// under `StrategyConfig::all().with_partial_gather(false)`, recorded
+/// before both engines' reducers read their inbox through one lent view.
+const GOLDEN_NO_PARTIAL: [[[u64; 2]; 3]; 2] = [
+    [
+        [0xf259e912e42ebc39, 0xde20270081ebe9d1],
+        [0x25e7735deff7bb4a, 0x25e7735deff7bb4a],
+        [0x1556468c55c06056, 0x32b72836ff9c1bfb],
+    ],
+    [
+        [0x910ba812ddcd9ce7, 0xa2f39147f45e89ca],
+        [0x510e28d9c53d68c8, 0x510e28d9c53d68c8],
+        [0x5e22a179c228316d, 0xd32d182f55ed48f1],
+    ],
+];
+
 fn graph(skew: DegreeSkew) -> Graph {
     generate(&GenConfig {
         n_nodes: 500,
@@ -76,11 +98,20 @@ fn model(name: &str) -> GnnModel {
 }
 
 fn logits(backend: Backend, model: &GnnModel, graph: &Graph) -> Vec<Vec<f32>> {
+    logits_under(backend, model, graph, StrategyConfig::all())
+}
+
+fn logits_under(
+    backend: Backend,
+    model: &GnnModel,
+    graph: &Graph,
+    strategy: StrategyConfig,
+) -> Vec<Vec<f32>> {
     let spec = match backend {
         Backend::MapReduce => ClusterSpec::mapreduce_cluster(WORKERS),
         _ => ClusterSpec::pregel_cluster(WORKERS),
     };
-    run_once(backend, model, graph, spec, StrategyConfig::all())
+    run_once(backend, model, graph, spec, strategy)
         .expect("run")
         .logits
 }
@@ -126,6 +157,39 @@ fn pooled_layers_keep_the_bits_recorded_at_pr24s_parent() {
     assert!(
         got == GOLDEN,
         "logit bits moved; the table now reads\n[\n{}\n]",
+        table.join("\n")
+    );
+}
+
+#[test]
+fn materialized_pooled_folds_keep_their_bits() {
+    let strategy = StrategyConfig::all().with_partial_gather(false);
+    let mut got = [[[0u64; 2]; 3]; 2];
+    for (g, &skew) in SKEWS.iter().enumerate() {
+        let graph = graph(skew);
+        for (m, name) in MODELS.iter().enumerate() {
+            let model = model(name);
+            for (b, &backend) in BACKENDS[..2].iter().enumerate() {
+                let out = logits_under(backend, &model, &graph, strategy);
+                assert_eq!(out.len(), graph.n_nodes());
+                assert!(out.iter().flatten().all(|x| x.is_finite()));
+                got[g][m][b] = fnv(&out);
+            }
+        }
+    }
+    let table: Vec<String> = got
+        .iter()
+        .map(|per_graph| {
+            let rows: Vec<String> = per_graph
+                .iter()
+                .map(|r| format!("        [{:#018x}, {:#018x}],", r[0], r[1]))
+                .collect();
+            format!("    [\n{}\n    ],", rows.join("\n"))
+        })
+        .collect();
+    assert!(
+        got == GOLDEN_NO_PARTIAL,
+        "materialized logit bits moved; the table now reads\n[\n{}\n]",
         table.join("\n")
     );
 }
