@@ -42,10 +42,12 @@
 //! destination vertex); in process the barrier folds each wave of tasks'
 //! partials into the reducers' accumulators as it ends (Hadoop's
 //! reduce-side combine), so a kernel sees one row per key. Without a fold,
-//! a key's rows are lent as one [`RowsView`] where their mapper wrote
-//! them. A phase that ships no rows passes `row_dim = 0` and ignores its
-//! sink. The typed records stay in the engine in process; a transport
-//! that moves bytes gets them encoded beside the barrier's buckets.
+//! a key's rows are lent where their mapper wrote them. Either way the
+//! reducer reads them as a Pregel vertex reads its inbox: a [`RowsIn`]
+//! lent out of its sealed inbox ([`MergedCols::lend`]). A phase that ships
+//! no rows passes `row_dim = 0` and ignores its sink. The typed records
+//! stay in the engine in process; a transport that moves bytes gets them
+//! encoded beside the barrier's buckets.
 //!
 //! # Sized from the plan
 //!
@@ -59,12 +61,14 @@
 //! [`Encode::encoded_len`].
 
 use inferturbo_cluster::barrier::{GridPool, GridRow, Reserve, RowBarrier, RowPlane, Tally};
-use inferturbo_cluster::transport::{self, frame::EncodedKeyRecords, MergedCols, Transport};
+use inferturbo_cluster::transport::{
+    self, frame::EncodedKeyRecords, MergedCols, RowsIn, Transport,
+};
 use inferturbo_cluster::{ClusterSpec, FaultInjector, MessagePlaneBytes, RunReport, WorkerPhase};
 use inferturbo_common::codec::{varint_len, Decode, Encode, WireReader};
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::layout::{CellCounts, Layout};
-use inferturbo_common::rows::{row_payload_len, AggKind, LentRows};
+use inferturbo_common::rows::{row_payload_len, AggKind};
 use inferturbo_common::{Error, Result};
 use inferturbo_obs::{Payload, RoundKind, Site, TraceHandle};
 use std::sync::Arc;
@@ -146,6 +150,21 @@ impl<'l> Charge<'l> {
             bytes: vec![0; slots],
         }
     }
+
+    /// Charge every record's fetch to `metrics`.
+    fn fetch(&self, metrics: &mut WorkerPhase) {
+        metrics.records_in += self.records.iter().map(|&r| u64::from(r)).sum::<u64>();
+        metrics.bytes_in += self.bytes.iter().sum::<u64>();
+    }
+
+    /// The touched slots, in ascending id order: the reducer's row keys.
+    fn slots_by_id(&self, layout: &Layout, w: usize) -> Vec<u32> {
+        if self.records.is_empty() {
+            return Vec::new();
+        }
+        let touched = |&s: &u32| self.records[s as usize] > 0;
+        layout.slots_by_id(w).filter(touched).collect()
+    }
 }
 
 impl Tally for Charge<'_> {
@@ -162,9 +181,6 @@ impl Tally for Charge<'_> {
 /// it, with the charge of its records.
 pub struct KeyedRows<'l> {
     dim: usize,
-    /// Whether the producing phase fused these rows: each slot then holds
-    /// one row, its senders' partials folded.
-    fused: bool,
     per_worker: Vec<(MergedCols, Charge<'l>)>,
 }
 
@@ -174,7 +190,6 @@ impl std::fmt::Debug for KeyedRows<'_> {
             .field("dim", &self.dim)
             .field("rows", &self.len())
             .field("workers", &self.per_worker.len())
-            .field("fused", &self.fused)
             .finish()
     }
 }
@@ -191,7 +206,6 @@ impl KeyedRows<'_> {
         };
         KeyedRows {
             dim,
-            fused: false,
             per_worker: (0..workers).map(|_| none()).collect(),
         }
     }
@@ -208,45 +222,6 @@ impl KeyedRows<'_> {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total raw messages represented (each row counts its folds).
-    pub fn raw_message_count(&self) -> u64 {
-        let raw = |cols: &MergedCols| match cols {
-            MergedCols::None => 0,
-            MergedCols::Rows(arena) => arena.n_rows() as u64,
-            MergedCols::Fused(fused) => fused.counts.iter().map(|&c| u64::from(c)).sum(),
-        };
-        self.per_worker.iter().map(|(cols, _)| raw(cols)).sum()
-    }
-}
-
-/// One key's rows inside a reducer, lent where the reducer's inbox holds
-/// them, with per-row fold counts, in arrival order (ascending mapper,
-/// emission order within a mapper). When the producing phase fused, the
-/// row barrier has already folded the key's partials through that phase's
-/// fold, in arrival order and copy-on-first: the view is then one row
-/// whose count is the sum of theirs.
-#[derive(Debug, Clone, Copy)]
-pub struct RowsView<'a> {
-    pub rows: LentRows<'a>,
-    pub counts: &'a [u32],
-    /// Shuffle records these rows stand for: [`RowsView::n_rows`] unless
-    /// the reducer combined them.
-    pub records: usize,
-}
-
-impl RowsView<'_> {
-    pub fn n_rows(&self) -> usize {
-        self.counts.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    pub fn row(&self, i: usize) -> &[f32] {
-        self.rows.row(i)
     }
 }
 
@@ -296,76 +271,6 @@ fn send_rows(params: &PhaseParams, sink: &RowSink<'_>, metrics: &mut WorkerPhase
     (columnar, held)
 }
 
-/// One reducer's rows grouped by slot: its inbox as the row barrier sealed
-/// it, and the charge of each slot's records.
-struct Groups<'l> {
-    inbox: MergedCols,
-    charge: Charge<'l>,
-    /// A count of 1 per row of the fattest materialized slot: the fold
-    /// counts of every materialized group.
-    ones: Vec<u32>,
-}
-
-impl<'l> Groups<'l> {
-    fn of((inbox, charge): (MergedCols, Charge<'l>)) -> Self {
-        let fattest = match inbox {
-            MergedCols::Rows(_) => charge.records.iter().copied().max().unwrap_or(0),
-            _ => 0,
-        };
-        Groups {
-            inbox,
-            charge,
-            ones: vec![1; fattest as usize],
-        }
-    }
-
-    /// Charge every record's fetch to `metrics`.
-    fn fetch(&self, metrics: &mut WorkerPhase) {
-        metrics.records_in += self
-            .charge
-            .records
-            .iter()
-            .map(|&r| u64::from(r))
-            .sum::<u64>();
-        metrics.bytes_in += self.charge.bytes.iter().sum::<u64>();
-    }
-
-    /// The touched slots, in ascending id order: the reducer's row keys.
-    fn slots_by_id(&self, layout: &Layout, w: usize) -> Vec<u32> {
-        let records = &self.charge.records;
-        if records.is_empty() {
-            return Vec::new();
-        }
-        let touched = |&s: &u32| records[s as usize] > 0;
-        layout.slots_by_id(w).filter(touched).collect()
-    }
-
-    /// Slot `s`'s group; `count` holds a fused group's one fold count.
-    fn view<'g>(&'g mut self, s: usize, count: &'g mut [u32; 1]) -> Result<RowsView<'g>> {
-        let records = self.charge.records[s] as usize;
-        Ok(match &mut self.inbox {
-            MergedCols::Fused(fused) => {
-                count[0] = fused.count(s);
-                RowsView {
-                    rows: LentRows::flat(fused.dim(), fused.row(s)?),
-                    counts: count,
-                    records,
-                }
-            }
-            MergedCols::Rows(arena) => RowsView {
-                rows: arena.rows(s)?,
-                counts: &self.ones[..records],
-                records,
-            },
-            MergedCols::None => RowsView {
-                rows: LentRows::flat(0, &[]),
-                counts: &[],
-                records: 0,
-            },
-        })
-    }
-}
-
 /// Per-record context passed to map/reduce kernels for cost reporting.
 #[derive(Default)]
 pub struct PhaseCtx {
@@ -373,9 +278,19 @@ pub struct PhaseCtx {
     pub flops: f64,
     /// Encoded bytes of the input record a map kernel read from its split.
     read: u64,
+    /// Shuffle records a reduce kernel's rows stand for.
+    records: usize,
 }
 
 impl PhaseCtx {
+    /// Shuffle records behind the rows a reduce kernel is lent: one per
+    /// row, or one per sender's partial when the producing phase fused —
+    /// not [`RowsIn::count`], which counts the raw messages folded into
+    /// them. 0 in a map kernel.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
     pub fn add_flops(&mut self, f: f64) {
         self.flops += f;
     }
@@ -698,10 +613,12 @@ impl<'l> BatchEngine<'l> {
     /// shuffle. Within a worker, keys — the union of either plane's — are
     /// visited in ascending order, arrival order preserved inside a group
     /// (see the module docs): the kernel sees the key's typed values, in
-    /// one vector reused across keys, plus its rows as one flat
-    /// [`RowsView`] — one combined row per key when `rows` were fused. It
-    /// pushes its keyed pairs onto the task's output vector, its last
-    /// argument.
+    /// one vector reused across keys, plus its rows as the [`RowsIn`] a
+    /// Pregel vertex reads — `Fused`, one combined row, when `rows` were
+    /// fused; `Rows` in arrival order otherwise; `None` for a key with
+    /// typed records only — and their shuffle records in
+    /// [`PhaseCtx::records`]. It pushes its keyed pairs onto the task's
+    /// output vector, its last argument.
     /// `make_reduce(worker)` builds one kernel per worker, which may hold
     /// per-worker state across its key stream (e.g. the broadcast table
     /// riding reserved low keys). The modelled reducer memory peak is the
@@ -729,7 +646,7 @@ impl<'l> BatchEngine<'l> {
             &mut PhaseCtx,
             u64,
             &mut Vec<V>,
-            RowsView<'_>,
+            RowsIn<'_>,
             &mut RowSink<'_>,
             &mut Vec<(u64, O)>,
         ) -> Result<()>,
@@ -739,7 +656,6 @@ impl<'l> BatchEngine<'l> {
         let n = self.spec.workers;
         assert_eq!(data.per_worker.len(), n, "keyed data shape");
         assert_eq!(rows.per_worker.len(), n, "keyed rows shape");
-        let in_dim = rows.dim;
         let params = self.params();
         let layout = self.layout;
         let (gate, round) = self.reduce_gate();
@@ -750,16 +666,15 @@ impl<'l> BatchEngine<'l> {
         let partitions: Vec<_> = data.per_worker.into_iter().zip(rows.per_worker).collect();
         // Each reducer drops its inbox as its task ends: the senders' rows
         // go before this phase's own are sealed.
-        let results = barrier.compute(partitions, |w, (mut bucket, inbox), sink| {
+        let results = barrier.compute(partitions, |w, (mut bucket, (mut inbox, charge)), sink| {
             // Fired before the task consumes its shuffle partition, so a
             // re-launched task reads the same immutable input.
             let task_retries = gate.admit(|inj| inj.reduce_task(w, round))?;
             let mut metrics = WorkerPhase::default();
             // The rows' fetch, each record as the barrier charged it; the
             // typed records are sized as they are grouped.
-            let mut groups = Groups::of(inbox);
-            groups.fetch(&mut metrics);
-            let slots = groups.slots_by_id(layout, w);
+            charge.fetch(&mut metrics);
+            let slots = charge.slots_by_id(layout, w);
             let ids = layout.ids(w);
             // Stable, so same-key typed records keep arrival order.
             bucket.sort_by_key(|&(k, _)| k);
@@ -787,22 +702,18 @@ impl<'l> BatchEngine<'l> {
                     group_bytes += len;
                     values.push(v);
                 }
-                let mut count = [0u32];
-                let view = if rk == Some(k) {
+                let mut ctx = PhaseCtx::default();
+                let rows = if rk == Some(k) {
                     let s = slots[gi] as usize;
                     gi += 1;
-                    group_bytes += groups.charge.bytes[s];
-                    groups.view(s, &mut count)?
+                    group_bytes += charge.bytes[s];
+                    ctx.records = charge.records[s] as usize;
+                    inbox.lend(s)?
                 } else {
-                    RowsView {
-                        rows: LentRows::flat(in_dim, &[]),
-                        counts: &[],
-                        records: 0,
-                    }
+                    RowsIn::None
                 };
                 max_group_bytes = max_group_bytes.max(group_bytes);
-                let mut ctx = PhaseCtx::default();
-                kernel(&mut ctx, k, &mut values, view, sink, &mut out)?;
+                kernel(&mut ctx, k, &mut values, rows, sink, &mut out)?;
                 metrics.flops += ctx.flops;
             }
             let held = max_group_bytes;
@@ -962,7 +873,6 @@ impl<'l> BatchEngine<'l> {
         self.report.push_phase(name, metrics);
         let rows = KeyedRows {
             dim,
-            fused,
             per_worker: inboxes,
         };
         Ok((KeyedData { per_worker: routed }, rows))
@@ -1042,6 +952,7 @@ mod tests {
     use inferturbo_cluster::transport::{
         ConcatExchange, ConcatOut, Exchange, ExchangeOut, InProcess,
     };
+    use inferturbo_common::rows::LentRows;
     use std::sync::Arc;
 
     /// A layout placing no vertex: the address space of a chain that
@@ -1103,10 +1014,10 @@ mod tests {
             move |ctx: &mut PhaseCtx,
                   key,
                   values: &mut Vec<V>,
-                  view: RowsView<'_>,
+                  rows: RowsIn<'_>,
                   _sink: &mut RowSink<'_>,
                   out: &mut Vec<(u64, O)>| {
-                assert!(view.is_empty(), "typed-only chain");
+                assert!(matches!(rows, RowsIn::None), "typed-only chain");
                 out.extend(kernel(ctx, key, std::mem::take(values))?);
                 Ok(())
             }
@@ -1362,7 +1273,6 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(rows.dim(), 2);
-            assert_eq!(rows.raw_message_count(), 200);
             let (out, out_rows) = eng
                 .reduce_phase(
                     "r",
@@ -1370,26 +1280,31 @@ mod tests {
                     rows,
                     0,
                     |_w| {
-                        |_c: &mut PhaseCtx,
+                        |c: &mut PhaseCtx,
                          k,
                          values: &mut Vec<u32>,
-                         view: RowsView<'_>,
+                         rows: RowsIn<'_>,
                          _sink: &mut RowSink<'_>,
                          out: &mut Vec<(u64, Vec<f32>)>|
                          -> Result<()> {
                             let mut sum = [0.0f32; 2];
-                            let mut count = 0u32;
-                            for i in 0..view.n_rows() {
-                                for (a, b) in sum.iter_mut().zip(view.row(i)) {
+                            let (lent, count) = match rows {
+                                RowsIn::Rows(lent) => (lent, lent.len() as u32),
+                                RowsIn::Fused { dim, acc, count } => {
+                                    (LentRows::flat(dim, acc), count)
+                                }
+                                RowsIn::None => panic!("key {k} has rows"),
+                            };
+                            for row in lent.iter() {
+                                for (a, b) in sum.iter_mut().zip(row) {
                                     *a += b;
                                 }
-                                count += view.counts[i];
                             }
                             assert_eq!(values.len() as u32, count, "legacy markers == raw rows");
                             // One partial per mapper when fused, combined
                             // into one row; one record per row otherwise.
-                            assert_eq!(view.records, if fused { 3 } else { 40 });
-                            assert_eq!(view.n_rows(), if fused { 1 } else { 40 });
+                            assert_eq!(c.records(), if fused { 3 } else { 40 });
+                            assert_eq!(lent.len(), if fused { 1 } else { 40 });
                             out.push((k, vec![sum[0], sum[1], count as f32]));
                             Ok(())
                         }

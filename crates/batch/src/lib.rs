@@ -42,4 +42,5 @@
 
 pub mod engine;
 
-pub use engine::{BatchEngine, KeyedData, KeyedRows, PhaseCtx, RowSink, RowsView, Shuffled, Sizes};
+pub use engine::{BatchEngine, KeyedData, KeyedRows, PhaseCtx, RowSink, Shuffled, Sizes};
+pub use inferturbo_cluster::transport::RowsIn;

@@ -99,7 +99,7 @@ mod spawn;
 use frame::{EncodedKeyRecords, EncodedRecords, MergedWire, WirePlane};
 use inferturbo_common::par::par_map;
 use inferturbo_common::rows::{
-    FusedAggregator, FusedRows, FusedSlotShard, RowArena, RowBlock, RowShard, SpillPolicy,
+    FusedAggregator, FusedRows, FusedSlotShard, LentRows, RowArena, RowBlock, RowShard, SpillPolicy,
 };
 use inferturbo_common::{Error, Result};
 use std::fmt;
@@ -157,6 +157,77 @@ pub enum MergedCols {
     None,
     Rows(RowArena),
     Fused(FusedRows),
+}
+
+impl MergedCols {
+    /// `slot`'s rows, lent where the inbox holds them. `&mut`: a spilled
+    /// inbox pages its covering window in here, so a caller that drains
+    /// its slots in ascending order — a Pregel superstep does — streams
+    /// the spill file forward exactly once.
+    pub fn lend(&mut self, slot: usize) -> Result<RowsIn<'_>> {
+        Ok(match self {
+            MergedCols::None => RowsIn::None,
+            MergedCols::Rows(a) => RowsIn::Rows(a.rows(slot)?),
+            MergedCols::Fused(f) => RowsIn::Fused {
+                dim: f.dim(),
+                count: f.count(slot),
+                acc: f.row(slot)?,
+            },
+        })
+    }
+
+    /// A checkpoint copy of the inbox, kept as the transport returned it:
+    /// resident rows cloned, spilled rows shared.
+    pub fn snapshot(&self) -> MergedCols {
+        match self {
+            MergedCols::None => MergedCols::None,
+            MergedCols::Rows(a) => MergedCols::Rows(a.snapshot()),
+            MergedCols::Fused(f) => MergedCols::Fused(f.snapshot()),
+        }
+    }
+
+    /// `(resident, spilled)` bytes of the inbox's row data.
+    pub fn bytes(&self) -> (u64, u64) {
+        match self {
+            MergedCols::None => (0, 0),
+            MergedCols::Rows(a) => (a.resident_bytes(), a.spilled_bytes()),
+            MergedCols::Fused(f) => (f.resident_bytes(), f.spilled_bytes()),
+        }
+    }
+}
+
+/// One slot's columnar inbox as its kernel reads it, lent out of a sealed
+/// [`MergedCols`] by [`MergedCols::lend`]: a Pregel vertex's rows (the
+/// columnar half of `inferturbo_pregel::Inbox`) and a MapReduce reducer's
+/// key group (`inferturbo_batch::BatchEngine::reduce_phase`) alike. Typed
+/// records arrive beside it, whichever variant this is.
+#[derive(Debug, Clone, Copy)]
+pub enum RowsIn<'a> {
+    /// No columnar plane was active for the messages feeding this slot.
+    None,
+    /// Materialized rows in delivery order (ascending sender, emission
+    /// order within a sender), each lent as a slice where it lies — in
+    /// process, the row its sender wrote once into its row table.
+    Rows(LentRows<'a>),
+    /// Fused accumulator row: `count` raw messages were folded into `acc`
+    /// across the scatter and the barrier merge. `count == 0` means no
+    /// messages arrived (and `acc` holds only the aggregator's identity).
+    Fused {
+        dim: usize,
+        acc: &'a [f32],
+        count: u32,
+    },
+}
+
+impl RowsIn<'_> {
+    /// Number of raw messages represented by these rows.
+    pub fn count(&self) -> usize {
+        match self {
+            RowsIn::None => 0,
+            RowsIn::Rows(rows) => rows.len(),
+            RowsIn::Fused { count, .. } => *count as usize,
+        }
+    }
 }
 
 #[derive(Debug)]

@@ -110,8 +110,8 @@ pub enum AggState<'a> {
     /// arrived as one row — the engine's merged fused accumulator, a lone
     /// broadcast payload — aggregates and applies without that row ever
     /// being copied. `acc` becomes owned only when a second partial has
-    /// to fold into it (typed refs beside rows, MapReduce's per-sender
-    /// partials).
+    /// to fold into it (materialized rows, typed refs beside the rows):
+    /// under partial-gather both engines lend one folded row per vertex.
     Pooled { acc: Cow<'a, [f32]>, count: u32 },
     /// Unreduced union of messages in delivery order (layers whose reduce
     /// breaks the commutative/associative rule, e.g. GAT attention): one

@@ -41,7 +41,7 @@ use crate::gas::{GasLayer, GnnMessage, NodeCtx};
 use crate::models::GnnModel;
 use crate::plan::{InferencePlan, Laid, Loadable};
 use crate::strategy::{base_of, mirror_of, StrategyConfig, NODE_FLAG};
-use inferturbo_batch::{BatchEngine, KeyedData, PhaseCtx, RowSink, RowsView, Shuffled, Sizes};
+use inferturbo_batch::{BatchEngine, KeyedData, PhaseCtx, RowSink, RowsIn, Shuffled, Sizes};
 use inferturbo_common::codec::{f32_slice_len, varint_len, Encode, WireReader, WireWriter};
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::layout::{CellCounts, Layout, Route};
@@ -559,7 +559,7 @@ pub(crate) fn run_planned<'p>(
             move |ctx: &mut PhaseCtx,
                   key: u64,
                   values: &mut Vec<MrRecord<'p>>,
-                  view: RowsView<'_>,
+                  rows: RowsIn<'_>,
                   sink: &mut RowSink<'_>,
                   emit: &mut Vec<(u64, MrRecord<'p>)>|
                   -> Result<()> {
@@ -571,23 +571,21 @@ pub(crate) fn run_planned<'p>(
                             table.insert(src, msg);
                         }
                     }
-                    debug_assert!(view.is_empty(), "rows never target control keys");
+                    debug_assert_eq!(rows.count(), 0, "rows never target control keys");
                     return Ok(());
                 }
                 let layer = model.layer_view(layer_idx);
                 // A union takes one entry per row and per record but the
                 // self-state: its list is sized once, one slot to spare.
-                let mut agg = layer.init_agg(view.n_rows() + values.len());
+                let mut agg = layer.init_agg(rows.count() + values.len());
                 let mut self_at = None;
-                // Columnar half first: rows fold with their counts — under
+                // Columnar half first, as a Pregel vertex gathers it: under
                 // partial-gather the engine has already combined the key's
                 // partials into one row. Rows and records are gathered
-                // where they lie — the aggregate borrows `view`, `values`
+                // where they lie — the aggregate borrows `rows`, `values`
                 // and the table. Every shuffled partial counts as a message.
-                let mut n_msgs = view.records;
-                for i in 0..view.n_rows() {
-                    layer.gather_row(&mut agg, view.row(i), view.counts[i]);
-                }
+                let mut n_msgs = ctx.records();
+                layer.gather_rows(&mut agg, rows);
                 let lookup = |src: u64| table.get(&src);
                 for (i, v) in values.iter().enumerate() {
                     match v {

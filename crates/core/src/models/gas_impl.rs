@@ -85,8 +85,9 @@ impl<'m> LayerView<'m> {
         self.gather(agg, Cow::Borrowed(row), count);
     }
 
-    /// Fold the columnar half of a vertex inbox into the gather aggregate:
-    /// a union takes each lent row as an entry of its own, a pooled
+    /// Fold lent rows into the gather aggregate — a Pregel vertex's inbox
+    /// rows or a MapReduce reducer's key group, both lent out of a sealed
+    /// inbox: a union takes each lent row as an entry of its own, a pooled
     /// aggregate folds them one by one in delivery order; a fused
     /// accumulator — the engine's merged row, already the gather result
     /// when nothing else arrives — is one pre-reduced partial, read where

@@ -93,7 +93,7 @@
 //! regrouped per sender worker — bit for bit, at every thread count, over
 //! every transport, spilled or resident, recovered or clean.
 
-use crate::vertex::{Inbox, LentMessages, Outbox, RowsIn, SendMisuse, VertexProgram};
+use crate::vertex::{Inbox, LentMessages, Outbox, SendMisuse, VertexProgram};
 use inferturbo_cluster::barrier::{
     pooled_grid, GridPool, GridRow, Refs, Reserve, RowBarrier, RowPlane,
 };
@@ -453,41 +453,6 @@ impl<M> TypedInbox<M> {
     }
 }
 
-/// Checkpoint copy of the columnar half of a worker's inbox — what the last
-/// exchange merged for it, kept as the transport returned it: resident
-/// rows cloned, spilled rows shared.
-fn cols_snapshot(cols: &MergedCols) -> MergedCols {
-    match cols {
-        MergedCols::None => MergedCols::None,
-        MergedCols::Rows(a) => MergedCols::Rows(a.snapshot()),
-        MergedCols::Fused(f) => MergedCols::Fused(f.snapshot()),
-    }
-}
-
-/// `(resident, spilled)` bytes of an inbox's row data.
-fn cols_bytes(cols: &MergedCols) -> (u64, u64) {
-    match cols {
-        MergedCols::None => (0, 0),
-        MergedCols::Rows(a) => (a.resident_bytes(), a.spilled_bytes()),
-        MergedCols::Fused(f) => (f.resident_bytes(), f.spilled_bytes()),
-    }
-}
-
-/// `slot`'s half of the kernel's [`Inbox`]. `&mut`: a spilled inbox pages
-/// its covering window in here. Slots drain in ascending order, so the
-/// window streams the spill file forward exactly once per superstep.
-fn cols_rows(cols: &mut MergedCols, slot: usize) -> Result<RowsIn<'_>> {
-    Ok(match cols {
-        MergedCols::None => RowsIn::None,
-        MergedCols::Rows(a) => RowsIn::Rows(a.rows(slot)?),
-        MergedCols::Fused(f) => RowsIn::Fused {
-            dim: f.dim(),
-            count: f.count(slot),
-            acc: f.row(slot)?,
-        },
-    })
-}
-
 /// A consistent snapshot of everything a superstep reads: vertex states,
 /// both inbox planes, the rows each slot sent (and the tables they lie
 /// in), the broadcast table, and the full [`RunReport`].
@@ -800,7 +765,7 @@ impl<P: VertexProgram> PregelEngine<P> {
             step: self.step,
             workers: self.workers.clone(),
             inbox: self.inbox.clone(),
-            inbox_cols: self.inbox_cols.iter().map(cols_snapshot).collect(),
+            inbox_cols: self.inbox_cols.iter().map(MergedCols::snapshot).collect(),
             inbox_bytes: self.inbox_bytes.clone(),
             sent: self.sent.clone(),
             bcast: self.bcast.clone(),
@@ -819,7 +784,7 @@ impl<P: VertexProgram> PregelEngine<P> {
         self.step = ckpt.step;
         self.workers = ckpt.workers.clone();
         self.inbox = ckpt.inbox.clone();
-        self.inbox_cols = ckpt.inbox_cols.iter().map(cols_snapshot).collect();
+        self.inbox_cols = ckpt.inbox_cols.iter().map(MergedCols::snapshot).collect();
         self.inbox_bytes = ckpt.inbox_bytes.clone();
         self.sent = ckpt.sent.clone();
         self.bcast = ckpt.bcast.clone();
@@ -1032,7 +997,7 @@ impl<P: VertexProgram> PregelEngine<P> {
     fn install(&mut self, sealed: impl Iterator<Item = Sealed<P::Msg>>) -> u64 {
         let mut step_spilled = 0;
         for (w2, (arena, cols)) in sealed.enumerate() {
-            let (resident, spilled) = cols_bytes(&cols);
+            let (resident, spilled) = cols.bytes();
             self.inbox_bytes[w2] += resident;
             step_spilled += spilled;
             self.inbox[w2] = arena;
@@ -1203,7 +1168,7 @@ fn run_worker<P: VertexProgram>(
         spare,
     };
     for (s, (state, &vertex_id)) in states.iter_mut().zip(layout.ids(w)).enumerate() {
-        let (rows, messages) = (cols_rows(cols_in, s)?, arena.slot(s));
+        let (rows, messages) = (cols_in.lend(s)?, arena.slot(s));
         let inbox = Inbox {
             rows,
             messages,
@@ -1250,7 +1215,7 @@ fn unknown_vertex(dst: u64) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vertex::MessageLayout;
+    use crate::vertex::{MessageLayout, RowsIn};
     use inferturbo_common::hash::partition_of;
     use inferturbo_common::layout::Route;
     use inferturbo_common::rows::{AggKind, RowBlock};

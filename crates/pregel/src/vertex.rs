@@ -56,42 +56,11 @@
 
 use crate::engine::StepOut;
 use inferturbo_cluster::barrier::{GridRow, Refs};
+pub use inferturbo_cluster::transport::RowsIn;
 use inferturbo_common::codec::{varint_len, Decode, Encode};
 use inferturbo_common::layout::{Layout, Route};
 pub use inferturbo_common::rows::{AggKind, FusedAggregator, LentRows, MessageLayout};
 use inferturbo_common::Result;
-
-/// The columnar half of a vertex's [`Inbox`]. Typed-plane messages
-/// (broadcast refs, control payloads) arrive beside it in
-/// [`Inbox::messages`] regardless of which variant this is.
-#[derive(Debug, Clone, Copy)]
-pub enum RowsIn<'a> {
-    /// No columnar plane was active for the messages feeding this step.
-    None,
-    /// Materialized rows in delivery order (ascending sender, emission
-    /// order within a sender), each lent as a slice where it lies — in
-    /// process, the row its sender wrote once into its row table.
-    Rows(LentRows<'a>),
-    /// Fused accumulator row: `count` raw messages were folded into `acc`
-    /// across the scatter and the barrier merge. `count == 0` means no
-    /// messages arrived (and `acc` holds only the aggregator's identity).
-    Fused {
-        dim: usize,
-        acc: &'a [f32],
-        count: u32,
-    },
-}
-
-impl RowsIn<'_> {
-    /// Number of raw messages represented by this inbox half.
-    pub fn count(&self) -> usize {
-        match self {
-            RowsIn::None => 0,
-            RowsIn::Rows(rows) => rows.len(),
-            RowsIn::Fused { count, .. } => *count as usize,
-        }
-    }
-}
 
 /// A deferred misuse of the outbox, recorded instead of panicking inside
 /// `compute` and surfaced by the engine as a typed error after the call
