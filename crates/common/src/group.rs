@@ -14,9 +14,9 @@
 //!
 //! The implementation allocates no cursor array: after the scatter,
 //! `offsets[b]` holds end-of-`b`, and one `copy_within` right shift turns
-//! the ends back into starts. Callers that scatter *owned* values (e.g.
-//! the Pregel inbox arena) keep their own scatter loop but should follow
-//! the same idiom.
+//! the ends back into starts. [`counting_sort`] is that loop, written
+//! once: [`group_by_key_into`] scatters input indices through it, and the
+//! inbox seal ([`crate::rows::seal_order`]) each row's source.
 
 /// Group `0..keys.len()` by `keys[i]`, returning `(order, offsets)`.
 ///
@@ -46,20 +46,37 @@ pub fn group_by_key_into(
         "group_by_key overflow: {} keys",
         keys.len()
     );
+    let items = keys.iter().enumerate().map(|(i, &k)| (k, i as u32));
+    counting_sort(n_buckets, keys.len(), items, offsets, order);
+}
+
+/// The stable counting sort: `items` yields each of the `len` inputs'
+/// `(bucket < n_buckets, value)` in input order and is walked twice (count,
+/// then scatter). `offsets` gets the bucket ranges and `sorted` the values
+/// in bucket order; both are cleared first. The caller checks that `len`
+/// fits the `u32` offsets.
+pub fn counting_sort<S: Copy + Default>(
+    n_buckets: usize,
+    len: usize,
+    items: impl Iterator<Item = (u32, S)> + Clone,
+    offsets: &mut Vec<u32>,
+    sorted: &mut Vec<S>,
+) {
     offsets.clear();
-    offsets.resize(n_buckets + 1, 0u32);
-    for &k in keys {
-        offsets[k as usize + 1] += 1;
+    offsets.resize(n_buckets + 1, 0);
+    for (b, _) in items.clone() {
+        offsets[b as usize + 1] += 1;
     }
     for i in 0..n_buckets {
         offsets[i + 1] += offsets[i];
     }
-    order.clear();
-    order.resize(keys.len(), 0u32);
-    for (i, &k) in keys.iter().enumerate() {
-        let slot = offsets[k as usize] as usize;
-        order[slot] = i as u32;
-        offsets[k as usize] += 1;
+    debug_assert_eq!(offsets[n_buckets] as usize, len);
+    sorted.clear();
+    sorted.resize(len, S::default());
+    for (b, v) in items {
+        let at = &mut offsets[b as usize];
+        sorted[*at as usize] = v;
+        *at += 1;
     }
     offsets.copy_within(0..n_buckets, 1);
     offsets[0] = 0;

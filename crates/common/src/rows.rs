@@ -736,14 +736,14 @@ pub fn decode_rows_into(
     r.get_f32_lanes_into(lanes, out)
 }
 
-/// The seal order, defined once: a stable counting sort by destination
-/// slot of the senders' concatenation (senders ascending, each in emission
-/// order). `rows` yields the `(slot, source)` of each of the `total` rows
-/// in that concatenation order, every slot `< n_slots`; it is walked
-/// twice, once to count and once to scatter. On return `offsets` holds the
-/// `n_slots + 1` per-slot row ranges and `sources` each row's source at its
-/// sealed position. Both buffers are cleared first, so callers may keep
-/// them across seals.
+/// The seal order, defined once: a stable counting sort
+/// ([`crate::group::counting_sort`]) by destination slot of the senders'
+/// concatenation (senders ascending, each in emission order). `rows`
+/// yields the `(slot, source)` of each of the `total` rows in that
+/// concatenation order, every slot `< n_slots`. On return `offsets` holds
+/// the `n_slots + 1` per-slot row ranges and `sources` each row's source
+/// at its sealed position. Both buffers are cleared first, so callers may
+/// keep them across seals.
 pub fn seal_order<S: Copy + Default>(
     n_slots: usize,
     total: usize,
@@ -752,23 +752,7 @@ pub fn seal_order<S: Copy + Default>(
     sources: &mut Vec<S>,
 ) -> Result<()> {
     check_u32_row_capacity(total)?;
-    offsets.clear();
-    offsets.resize(n_slots + 1, 0);
-    rows.clone().for_each(|(s, _)| offsets[s as usize + 1] += 1);
-    for i in 0..n_slots {
-        offsets[i + 1] += offsets[i];
-    }
-    debug_assert_eq!(offsets[n_slots] as usize, total);
-    // `offsets` doubles as the scatter cursor (see `crate::group`).
-    sources.clear();
-    sources.resize(total, S::default());
-    rows.for_each(|(s, src)| {
-        let at = &mut offsets[s as usize];
-        sources[*at as usize] = src;
-        *at += 1;
-    });
-    offsets.copy_within(0..n_slots, 1);
-    offsets[0] = 0;
+    crate::group::counting_sort(n_slots, total, rows, offsets, sources);
     Ok(())
 }
 
