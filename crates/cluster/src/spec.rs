@@ -111,12 +111,6 @@ impl ClusterSpec {
         self.memory_bytes = bytes;
         self
     }
-
-    /// Scale bandwidth (cost-model sensitivity ablation).
-    pub fn with_bandwidth(mut self, bytes_per_sec: f64) -> Self {
-        self.bandwidth_bytes = bytes_per_sec;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -151,11 +145,8 @@ mod tests {
 
     #[test]
     fn builders_modify_single_fields() {
-        let s = ClusterSpec::test_spec(2)
-            .with_memory(42)
-            .with_bandwidth(7.0);
+        let s = ClusterSpec::test_spec(2).with_memory(42);
         assert_eq!(s.memory_bytes, 42);
-        assert_eq!(s.bandwidth_bytes, 7.0);
         assert_eq!(s.workers, 2);
     }
 }

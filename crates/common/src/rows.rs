@@ -358,11 +358,6 @@ impl SpillableRows {
         self.n_rows
     }
 
-    /// Whether the rows live on disk.
-    pub fn is_spilled(&self) -> bool {
-        matches!(self.store, RowStore::Spilled { .. })
-    }
-
     /// Modeled resident bytes of the row data: everything when in memory,
     /// the (high-water) window when spilled.
     pub fn resident_bytes(&self) -> u64 {
@@ -1715,7 +1710,6 @@ mod tests {
         // reloads, including backwards re-reads and an oversized request.
         let mut spilled = SpillableRows::new(dim, data, Some(&tiny_spill(5 * dim as u64 * 4)), 1)
             .expect("spill write");
-        assert!(spilled.is_spilled());
         assert_eq!(spilled.spilled_bytes(), 40 * dim as u64 * 4);
         assert!(spilled.resident_bytes() < resident.resident_bytes());
         for (lo, hi) in [(0, 1), (0, 40), (7, 19), (39, 40), (3, 3), (2, 9)] {
