@@ -93,6 +93,11 @@ bash -n scripts/ab.sh
 bash -n scripts/profile.sh
 bash -n scripts/loc.sh
 
+echo "== scripts/loc.sh --files HEAD (the line counter runs) =="
+# Every CHANGES.md entry cites its counts; a counter that parses but
+# fails on the tree fails here.
+scripts/loc.sh --files HEAD >/dev/null
+
 echo "== itbench unit tests =="
 # The benchmark is a package of its own (benchmark/Cargo.toml, empty
 # [workspace]), so the workspace legs above never compile it.

@@ -26,9 +26,15 @@
 # tracing on (`-H on`; the run is ~40x slower, so keep --seconds small)
 # prints the allocation count and bytes inclusive under the whole process,
 # `InferencePlan::build` (planning) and `InferencePlan::run` (every run),
+# then apart under each engine's `run_planned` and under
+# `infer::reference_logits`: `InferencePlan::run` also counts the
+# workload's output check, a reference run, so the engine's own counts
+# are its `run_planned` row. A row the profile does not hold (the
+# workload never calls it, or the compiler inlined it) prints `-`. Then
 # the number of runs the workload made, and the top allocating call sites
-# by bytes (stacks summed over their printed frames). At a fixed seed and thread count the planning counts are
-# deterministic; the run counts scale with the number of runs.
+# by bytes (stacks summed over their printed frames). At a fixed seed and
+# thread count the planning counts are deterministic; the run counts
+# scale with the number of runs.
 #
 # --rss watches resident memory instead, with no profiler: it runs the
 # workload untraced and reads the itbench process's /proc/<pid>/status
@@ -174,9 +180,19 @@ if [ "$heap" = 1 ]; then
     printf '%12s %14s  %s\n' "allocations" "bytes" "under"
     gprofng display text -limit 0 -metrics i.heapalloccnt:i.heapallocbytes -functions "$exp" \
         2>/dev/null |
-        awk '$1 ~ /^[0-9]+$/ && $2 ~ /^[0-9]+$/ && NF == 3 &&
-             ($3 == "<Total>" || $3 ~ /::InferencePlan::(build|run)$/) {
-                 printf "%12s %14s  %s\n", $1, $2, $3 }'
+        awk 'BEGIN {
+                 n = split("<Total> plan::InferencePlan::build plan::InferencePlan::run " \
+                     "infer::mr_backend::run_planned infer::pregel_backend::run_planned " \
+                     "infer::reference_logits", want, " ")
+                 for (i = 2; i <= n; i++) want[i] = "inferturbo_core::" want[i]
+             }
+             $1 ~ /^[0-9]+$/ && $2 ~ /^[0-9]+$/ && NF == 3 { got[$3] = $1 " " $2 }
+             END {
+                 for (i = 1; i <= n; i++) {
+                     split(want[i] in got ? got[want[i]] : "- -", c, " ")
+                     printf "%12s %14s  %s\n", c[1], c[2], want[i]
+                 }
+             }'
     echo "runs: $(tail -n 1 "$log" | sed -n 's/.*"attempted": \([0-9]*\).*/\1/p')"
     echo
     echo "== top $stacks allocating stacks by bytes (innermost $frames frames past the allocator) =="
