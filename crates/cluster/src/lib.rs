@@ -71,6 +71,5 @@ pub use metrics::{MessagePlaneBytes, OverloadCounters, PhaseReport, RunReport, W
 pub use spec::ClusterSpec;
 pub use transport::{
     BucketOut, BucketRef, ColsShards, ConcatDest, ConcatExchange, ConcatMerged, ConcatOut,
-    DestMerged, DestShards, Exchange, ExchangeOut, InProcess, MergedCols, RowsIn, Transport,
-    WorkerProcess,
+    DestMerged, DestShards, Exchange, ExchangeOut, InProcess, MergedCols, Transport, WorkerProcess,
 };
